@@ -29,12 +29,14 @@ sub-stage in software, as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..gatk.bqsr import MAX_QUALITY, N_CONTEXTS, CovariateTables, n_cycle_values
 from ..hw.engine import Engine, RunStats
+from ..hw.flit import Flit
 from ..hw.memory import MemoryConfig, MemorySystem
 from ..hw.modules import (
     BinIdGen,
@@ -50,7 +52,13 @@ from ..hw.modules import (
 from ..hw.pipeline import Pipeline
 from ..hw.spm import Scratchpad
 from ..tables.table import Table
-from .common import AcceleratorRun, load_reference_spm, read_streams, spm_base
+from .common import (
+    PHASE_MEMO_SIZE,
+    AcceleratorRun,
+    load_reference_spm,
+    read_streams,
+    spm_base,
+)
 
 
 def _not_snp(flit) -> bool:
@@ -180,28 +188,49 @@ def configure_bqsr_streams(pipe: Pipeline, partition: Table) -> None:
     pipe.modules[f"{name}.qual"].set_items(streams.qual)
     meta_reader = pipe.modules[f"{name}.meta"]
     meta_flits = []
-    from ..hw.flit import Flit
-
     for reverse, seqlen in zip(streams.reverse_flags(), streams.seq_lengths()):
         meta_flits.append(Flit({"reverse": reverse, "seqlen": seqlen}, last=True))
     meta_reader.set_stream(meta_flits)
+
+
+@lru_cache(maxsize=PHASE_MEMO_SIZE)
+def _drain_stats(
+    sizes: Tuple[int, ...], memory_config: MemoryConfig, mode: str
+) -> RunStats:
+    """Simulate SPM Reader (drain mode) -> Memory Writer tails over
+    scratchpads of the given sizes.  Each tail moves one flit per word
+    whatever the word holds, so the statistics are a pure function of the
+    arguments and each distinct shape runs the engine once per process."""
+    engine = Engine(MemorySystem(memory_config))
+    for index, size in enumerate(sizes):
+        reader = engine.add_module(
+            SpmReader(
+                f"drain{index}", Scratchpad(f"drain{index}", size),
+                mode="drain", out_field="value",
+            )
+        )
+        writer = engine.add_module(
+            MemoryWriter(f"drainw{index}", engine.memory, elem_size=4)
+        )
+        engine.connect(reader, writer)
+    return engine.run(mode=mode)
 
 
 def drain_spms(
     spms: BqsrSpms, memory_config: Optional[MemoryConfig] = None
 ) -> RunStats:
     """The drain phase: stream all four SPMs to memory (Figure 12's SPM
-    Reader -> Memory Writer tails).  Returns the drain cycle statistics."""
-    engine = Engine(MemorySystem(memory_config))
-    for index, spm in enumerate(spms.all()):
-        reader = engine.add_module(
-            SpmReader(f"drain{index}", spm, mode="drain", out_field="value")
-        )
-        writer = engine.add_module(
-            MemoryWriter(f"drainw{index}", engine.memory, elem_size=4)
-        )
-        engine.connect(reader, writer)
-    return engine.run()
+    Reader -> Memory Writer tails).  Returns the drain cycle statistics:
+    a fresh copy of the one engine run made for this ``(SPM sizes,
+    memory config)`` shape, with every word counted as read once."""
+    scratchpads = spms.all()
+    for spm in scratchpads:
+        spm.reads += len(spm)
+    return _drain_stats(
+        tuple(len(spm) for spm in scratchpads),
+        memory_config or MemoryConfig(),
+        Engine.default_mode,
+    ).copy()
 
 
 @dataclass
@@ -234,6 +263,33 @@ class BqsrAccelResult:
         )
 
 
+def harvest_bqsr(
+    pipe: Pipeline,
+    spms: BqsrSpms,
+    run: AcceleratorRun,
+    memory_config: Optional[MemoryConfig],
+    drain: bool,
+) -> BqsrAccelResult:
+    """Post-process one finished Figure 12 replica: drain its count
+    scratchpads (when ``drain`` is set), total the RAW-hazard stalls of
+    its SPM Updaters, and read the four count tables back."""
+    drain_stats = drain_spms(spms, memory_config) if drain else None
+    hazard_stalls = sum(
+        module.hazard_stalls
+        for module in pipe.modules.values()
+        if isinstance(module, SpmUpdater)
+    )
+    return BqsrAccelResult(
+        total_cycle=np.array(spms.total_cycle.dump(), dtype=np.int64),
+        total_context=np.array(spms.total_context.dump(), dtype=np.int64),
+        error_cycle=np.array(spms.error_cycle.dump(), dtype=np.int64),
+        error_context=np.array(spms.error_context.dump(), dtype=np.int64),
+        run=run,
+        drain_stats=drain_stats,
+        hazard_stalls=hazard_stalls,
+    )
+
+
 def run_bqsr_partition(
     partition: Table,
     ref_row: dict,
@@ -256,20 +312,10 @@ def run_bqsr_partition(
     if profiler is not None:
         profiler.attach(engine)
     stats = engine.run()
-    drain_stats = drain_spms(spms, memory_config) if drain else None
-    hazard_stalls = sum(
-        module.hazard_stalls
-        for module in pipe.modules.values()
-        if isinstance(module, SpmUpdater)
-    )
-    return BqsrAccelResult(
-        total_cycle=np.array(spms.total_cycle.dump(), dtype=np.int64),
-        total_context=np.array(spms.total_context.dump(), dtype=np.int64),
-        error_cycle=np.array(spms.error_cycle.dump(), dtype=np.int64),
-        error_context=np.array(spms.error_context.dump(), dtype=np.int64),
-        run=AcceleratorRun(pipeline=pipe, stats=stats, load_stats=load_stats),
-        drain_stats=drain_stats,
-        hazard_stalls=hazard_stalls,
+    return harvest_bqsr(
+        pipe, spms,
+        AcceleratorRun(pipeline=pipe, stats=stats, load_stats=load_stats),
+        memory_config, drain,
     )
 
 

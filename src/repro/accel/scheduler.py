@@ -48,11 +48,12 @@ from __future__ import annotations
 
 import os
 import time
+import zlib
 from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -66,7 +67,6 @@ from ..faults.injector import (
 from ..faults.retry import RetryPolicy
 from ..hw.engine import Engine, RunStats
 from ..hw.memory import MemoryConfig, MemorySystem
-from ..hw.modules import SpmUpdater
 from ..hw.spm import Scratchpad
 from ..obs.ledger import record_event
 from ..obs.log import get_logger, set_worker_id
@@ -79,7 +79,7 @@ from .bqsr import (
     BqsrSpms,
     build_bqsr_pipeline,
     configure_bqsr_streams,
-    drain_spms,
+    harvest_bqsr,
 )
 from .common import AcceleratorRun, load_reference_spm, spm_base
 from .markdup import MarkDupAccelResult, build_markdup_pipeline
@@ -115,27 +115,19 @@ class CachedImage:
     stats: RunStats
 
 
-def _copy_stats(stats: RunStats) -> RunStats:
-    """A fresh RunStats equal to ``stats`` (own dict instances, so a
-    caller mutating one run's maps cannot corrupt the cache)."""
-    return replace(
-        stats,
-        flits_by_module=dict(stats.flits_by_module),
-        busy_by_module=dict(stats.busy_by_module),
-        starve_by_module=dict(stats.starve_by_module),
-    )
-
-
 class SpmImageCache:
     """Memoizes reference-SPM load simulations.
 
     ``load_reference_spm`` is deterministic in the REF partition row, the
     memory configuration, and the snp flag, so its scratchpad image and
-    cycle statistics can be keyed on
-    ``(chrom, refpos, with_snp, memory parameters)`` and replayed.  A
-    replay builds a fresh :class:`Scratchpad` (replicas never share the
-    physical SPM) and returns a copy of the recorded statistics —
-    bit-identical to re-simulating the load, minus the host time.
+    cycle statistics can be keyed on ``(chrom, refpos, row length,
+    content digest, with_snp, memory config)`` and replayed.  The length
+    and digest keep two references that share a ``(chrom, refpos)`` —
+    different genomes, or one genome at another ``psize``/``overlap`` —
+    apart in a shared cache.  A replay builds a fresh
+    :class:`Scratchpad` (replicas never share the physical SPM) and
+    returns a copy of the recorded statistics — bit-identical to
+    re-simulating the load, minus the host time.
     """
 
     def __init__(self, max_images: Optional[int] = None):
@@ -153,12 +145,18 @@ class SpmImageCache:
     ) -> tuple:
         """The cache key of one REF partition row under one memory
         configuration (``None`` normalizes to the default config)."""
-        config = memory_config or MemoryConfig()
+        seq = np.asarray(ref_row["SEQ"], dtype=np.uint8)
+        digest = zlib.crc32(seq.tobytes())
+        if with_snp:
+            snp = np.asarray(ref_row["IS_SNP"], dtype=bool)
+            digest = zlib.crc32(snp.tobytes(), digest)
         return (
             int(ref_row["CHR"]),
             int(ref_row["REFPOS"]),
+            len(seq),
+            digest,
             bool(with_snp),
-            (config.channels, config.access_bytes, config.latency_cycles),
+            memory_config or MemoryConfig(),
         )
 
     def load(
@@ -182,7 +180,7 @@ class SpmImageCache:
         self._images.move_to_end(key)
         spm = Scratchpad("ref_spm", len(image.words))
         spm.load(image.words)
-        return spm, _copy_stats(image.stats)
+        return spm, image.stats.copy()
 
     def _store(self, key: tuple, image: CachedImage) -> None:
         self._images[key] = image
@@ -393,22 +391,9 @@ class BqsrWaveDriver(WaveDriver):
 
     def harvest(self, context, stats, load_stats) -> BqsrAccelResult:
         pipe, spms = context
-        drain_stats = (
-            drain_spms(spms, self.memory_config) if self.drain else None
-        )
-        hazard_stalls = sum(
-            module.hazard_stalls
-            for module in pipe.modules.values()
-            if isinstance(module, SpmUpdater)
-        )
-        return BqsrAccelResult(
-            total_cycle=np.array(spms.total_cycle.dump(), dtype=np.int64),
-            total_context=np.array(spms.total_context.dump(), dtype=np.int64),
-            error_cycle=np.array(spms.error_cycle.dump(), dtype=np.int64),
-            error_context=np.array(spms.error_context.dump(), dtype=np.int64),
-            run=AcceleratorRun(None, stats, load_stats),
-            drain_stats=drain_stats,
-            hazard_stalls=hazard_stalls,
+        return harvest_bqsr(
+            pipe, spms, AcceleratorRun(None, stats, load_stats),
+            self.memory_config, self.drain,
         )
 
 

@@ -42,7 +42,7 @@ starve tallies) naturally differ — that difference is the measured win.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Dict, List, Optional
 
@@ -76,6 +76,17 @@ class RunStats:
     ticks_executed: int = 0
     ticks_possible: int = 0
     fast_forward_cycles: int = 0
+
+    def copy(self) -> "RunStats":
+        """A fresh RunStats equal to this one, with its own dict
+        instances — what a cache or replay hands out so a caller mutating
+        one run's maps cannot corrupt the recording."""
+        return replace(
+            self,
+            flits_by_module=dict(self.flits_by_module),
+            busy_by_module=dict(self.busy_by_module),
+            starve_by_module=dict(self.starve_by_module),
+        )
 
     def throughput(self, flits: int) -> float:
         """Flits per cycle for a given flit count."""

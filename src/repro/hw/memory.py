@@ -28,10 +28,11 @@ from .arbiter import RoundRobinArbiter
 ACCESS_BYTES = 64
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemoryConfig:
     """Memory system parameters (defaults model the F1's 4-channel DDR4
-    at a 250 MHz accelerator clock)."""
+    at a 250 MHz accelerator clock).  Immutable and hashable, so a
+    configuration is itself the key of anything memoized per config."""
 
     channels: int = 4
     access_bytes: int = ACCESS_BYTES

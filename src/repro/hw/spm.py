@@ -41,9 +41,16 @@ class Scratchpad:
 
     def load(self, values, offset: int = 0) -> None:
         """Bulk initialization used by tests/drivers (the hardware path
-        goes through an SPM Updater in sequential-write mode)."""
-        for index, value in enumerate(values):
-            self.write(offset + index, value)
+        goes through an SPM Updater in sequential-write mode).  Counts
+        one write per word, like the updater would."""
+        values = list(values)
+        end = offset + len(values)
+        if values and not 0 <= offset < end <= self.size:
+            raise IndexError(
+                f"{self.name}: words {offset}..{end - 1} out of range"
+            )
+        self._data[offset:end] = values
+        self.writes += len(values)
 
     def dump(self) -> List[int]:
         """A copy of the whole contents (drain-to-memory view)."""

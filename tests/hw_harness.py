@@ -7,7 +7,7 @@ returns everything each output produced.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.hw.engine import Engine, RunStats
 from repro.hw.flit import Flit
@@ -92,3 +92,19 @@ def items_of(flits: Iterable[Flit], field: str = "value") -> List[List[object]]:
     if current:
         items.append(current)
     return items
+
+
+def modelled_fields(stats: RunStats) -> Dict[str, object]:
+    """Every RunStats field except ``wall_seconds`` — what two runs of the
+    same simulation must agree on exactly, on any host."""
+    fields = dict(vars(stats))
+    del fields["wall_seconds"]
+    return fields
+
+
+def assert_same_modelled(a: Optional[RunStats], b: Optional[RunStats]) -> None:
+    """Two optional RunStats are both absent or agree on every modelled
+    field."""
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert modelled_fields(a) == modelled_fields(b)

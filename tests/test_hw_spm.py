@@ -26,6 +26,18 @@ def test_load_and_dump():
     assert spm.dump() == [0, 1, 2, 3, 0]
 
 
+def test_load_counts_one_write_per_word_and_checks_range():
+    spm = Scratchpad("s", 5)
+    spm.load(iter([1, 2, 3]), offset=2)
+    assert (spm.reads, spm.writes) == (0, 3)
+    spm.load([])
+    assert spm.writes == 3
+    for values, offset in (([1, 2], 4), ([1], -1), ([1] * 6, 0)):
+        with pytest.raises(IndexError):
+            spm.load(values, offset=offset)
+    assert spm.dump() == [0, 0, 1, 2, 3] and spm.writes == 3
+
+
 def test_clear():
     spm = Scratchpad("s", 3, fill=7)
     assert spm.dump() == [7, 7, 7]

@@ -10,6 +10,7 @@ per-partition drivers.
 import numpy as np
 import pytest
 
+from hw_harness import assert_same_modelled
 from repro.accel.markdup import run_quality_sums
 from repro.accel.metadata import run_metadata_update
 from repro.accel.scheduler import (
@@ -100,11 +101,9 @@ def test_bqsr_workers_bit_identical(sched_workload):
                 getattr(parallel_res[pid], field), getattr(serial_res[pid], field)
             ), (str(pid), field)
         assert parallel_res[pid].hazard_stalls == serial_res[pid].hazard_stalls
-        serial_drain = serial_res[pid].drain_stats
-        parallel_drain = parallel_res[pid].drain_stats
-        assert (serial_drain is None) == (parallel_drain is None)
-        if serial_drain is not None:
-            assert parallel_drain.cycles == serial_drain.cycles
+        assert_same_modelled(
+            parallel_res[pid].drain_stats, serial_res[pid].drain_stats
+        )
 
 
 # -- scheduler vs the stand-alone per-partition drivers ------------------------------
@@ -255,6 +254,29 @@ def test_bqsr_read_group_slices_share_images(sched_workload):
     _res, stats = run_partitioned(driver, sched_workload.group_partitions, 8)
     assert stats.spm_cache_misses == len(segments)
     assert stats.spm_cache_hits == sum(segments.values()) - len(segments)
+
+
+def test_spm_cache_keeps_references_sharing_a_position_apart():
+    """Two genomes (or one genome at another psize) can put different
+    rows at the same (CHR, REFPOS): a shared cache must not answer one
+    with the other's image."""
+    zeros = {"CHR": 20, "REFPOS": 0, "SEQ": [0] * 100, "IS_SNP": [False] * 100}
+    ones = {"CHR": 20, "REFPOS": 0, "SEQ": [1] * 50, "IS_SNP": [False] * 50}
+    snps = {"CHR": 20, "REFPOS": 0, "SEQ": [1] * 50, "IS_SNP": [True] * 50}
+    cache = SpmImageCache()
+    assert cache.load(zeros)[0].dump() == [0] * 100
+    assert cache.load(ones)[0].dump() == [1] * 50
+    assert (cache.hits, cache.misses) == (0, 2)
+    # same length, same bases, different SNP bitmap: apart only with_snp
+    assert cache.load(snps)[0].dump() == [1] * 50
+    assert (cache.hits, cache.misses) == (1, 2)
+    assert cache.load(ones, with_snp=True)[0].dump() == [(1, False)] * 50
+    assert cache.load(snps, with_snp=True)[0].dump() == [(1, True)] * 50
+    assert (cache.hits, cache.misses) == (1, 4)
+    # an equal row is the same image whatever container holds it
+    spm, stats = cache.load({**zeros, "SEQ": np.zeros(100, dtype=np.uint8)})
+    assert spm.dump() == [0] * 100 and stats.cycles > 0
+    assert (cache.hits, cache.misses) == (2, 4)
 
 
 def test_spm_cache_eviction():

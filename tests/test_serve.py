@@ -11,6 +11,7 @@ retry; it may never change a single output bit.
 import numpy as np
 import pytest
 
+from hw_harness import assert_same_modelled
 from repro.accel.scheduler import run_partitioned
 from repro.accel.sharding import run_sharded
 from repro.eval.workloads import make_workload
@@ -71,6 +72,7 @@ def _assert_stage_identical(stage, got, want):
                 assert np.array_equal(
                     getattr(got[pid], field), getattr(want[pid], field)
                 ), (str(pid), field)
+            assert_same_modelled(got[pid].drain_stats, want[pid].drain_stats)
 
 
 def _schedule_mixed(service, workload, tenants, jobs):

@@ -12,6 +12,7 @@ the same either way, so they are asserted invariant too.
 import numpy as np
 import pytest
 
+from hw_harness import assert_same_modelled
 from repro.accel.scheduler import (
     BqsrWaveDriver,
     MarkdupWaveDriver,
@@ -96,6 +97,9 @@ def _assert_bqsr_identical(serial_res, sharded_res):
             assert np.array_equal(
                 getattr(sharded_res[pid], field), getattr(serial_res[pid], field)
             ), (str(pid), field)
+        assert_same_modelled(
+            sharded_res[pid].drain_stats, serial_res[pid].drain_stats
+        )
 
 
 # -- differential: devices x workers vs the serial schedule -------------------------
