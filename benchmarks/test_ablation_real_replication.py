@@ -6,7 +6,7 @@ inside one engine over real partitions, verifying bit-identical results
 and measuring the wall-cycle reduction replication buys.
 """
 
-from repro.accel.scheduler import run_metadata_parallel
+from repro.accel.scheduler import MetadataWaveDriver, run_partitioned
 
 
 def _sweep(workload):
@@ -14,7 +14,9 @@ def _sweep(workload):
     out = {}
     baseline = None
     for n in (1, 2, 4):
-        results, stats = run_metadata_parallel(parts, workload.reference, n)
+        results, stats = run_partitioned(
+            MetadataWaveDriver(reference=workload.reference), parts, n
+        )
         out[n] = stats.total_cycles
         if baseline is None:
             baseline = results

@@ -20,7 +20,7 @@ commits.
 
 import time
 
-from repro.accel.scheduler import run_metadata_parallel
+from repro.accel.scheduler import MetadataWaveDriver, run_partitioned
 from repro.eval.workloads import make_workload
 from repro.hw.memory import MemoryConfig
 
@@ -45,12 +45,13 @@ def _workload():
 
 def _run(workload, mode, memory_config):
     start = time.perf_counter()
-    results, stats = run_metadata_parallel(
+    results, stats = run_partitioned(
+        MetadataWaveDriver(
+            reference=workload.reference, memory_config=memory_config,
+            mode=mode,
+        ),
         workload.partitions,
-        workload.reference,
-        n_pipelines=N_PIPELINES,
-        memory_config=memory_config,
-        mode=mode,
+        N_PIPELINES,
     )
     wall = time.perf_counter() - start
     return results, stats, wall

@@ -113,7 +113,6 @@ from .scheduler import (
     WaveDriver,
     WorkerStats,
     pack_waves,
-    run_metadata_parallel,
     run_partitioned,
 )
 
@@ -126,7 +125,6 @@ __all__ += [
     "WaveDriver",
     "WorkerStats",
     "pack_waves",
-    "run_metadata_parallel",
     "run_partitioned",
 ]
 

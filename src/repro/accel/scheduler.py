@@ -6,17 +6,27 @@ independent genome partitions process concurrently behind the shared
 memory fabric (Figure 8).  The simulator reproduces the replication —
 N replicas in ONE engine with ONE memory system per *wave* — but waves
 themselves are embarrassingly parallel: each wave is an independent
-engine over disjoint partitions.  :func:`run_partitioned` therefore
-drives them three ways at once:
+engine over disjoint partitions.  This module is the one place waves
+are executed:
 
+* **one executor for every topology** — :func:`run_queues` runs device
+  queues of packed waves; serial, multi-worker and multi-device runs
+  are that one loop at different sizes (DESIGN.md §3.2).  A wave has one
+  identity everywhere: its index in the global packing keys its ledger
+  events, fault slot, retry backoff and trace spans.
+  :func:`run_partitioned` is the one-queue front;
+  :func:`repro.accel.sharding.run_sharded` plans N queues and charges
+  the cards; the job service shares the per-wave primitives
+  (:func:`execute_wave`, :meth:`SpmImageCache.adopt`, :func:`wave_pool`);
 * **one entry point for all accelerators** — a :class:`WaveDriver`
   builds and harvests the replicas of one wave; concrete drivers exist
   for metadata update (:class:`MetadataWaveDriver`), mark duplicates
   (:class:`MarkdupWaveDriver`), and BQSR covariate construction
   (:class:`BqsrWaveDriver`);
-* **multi-core fan-out** — with ``workers > 1`` the waves are dispatched
-  onto a :class:`~concurrent.futures.ProcessPoolExecutor`.  Waves are
-  packed largest-partition-first (an LPT schedule) and pulled from the
+* **multi-core fan-out** — when more than one wave can be in flight the
+  waves are dispatched onto one
+  :class:`~concurrent.futures.ProcessPoolExecutor`.  Waves are packed
+  largest-partition-first (an LPT schedule) and pulled from the
   executor's shared queue by whichever worker frees up first, so a
   straggler wave never serializes the tail;
 * **SPM image caching** — :class:`SpmImageCache` memoizes the simulated
@@ -24,24 +34,21 @@ drives them three ways at once:
   Repeated accelerator stages over the same partitions (and BQSR
   read-group slices of one segment) replay the cached image instead of
   re-simulating the load;
-* **fault tolerance** — pass a
-  :class:`~repro.faults.injector.FaultInjector` (and optionally a
-  :class:`~repro.faults.retry.RetryPolicy` / ``wave_timeout``) and the
-  scheduler survives injected and real failures alike: failed wave
-  attempts are retried with exponential backoff under a retry budget,
-  futures get a watchdog deadline, a broken pool is rebuilt, and when
-  the pool keeps dying (or a wave exhausts its budget) execution
-  degrades to serial in-process waves.  See DESIGN.md §3.5 for the
-  fault model and the recovery ladder.
+* **fault tolerance** — with a
+  :class:`~repro.faults.injector.FaultInjector` the executor survives
+  injected and real failures alike: retry with backoff under a budget,
+  a watchdog deadline per future, pool rebuild, serial in-process
+  fallback (:func:`run_queues`; DESIGN.md §3.5).
 
-Results are bit-identical across ``workers`` settings: wave packing is
-deterministic, every wave simulates in its own engine, and a cache
-replay returns exactly the scratchpad contents and cycle statistics a
-fresh load simulation would produce.  Only the host-side throughput
-metrics (wall seconds, per-worker breakdowns, cache hit counts) vary.
-The same holds under fault injection: a wave is a pure function of its
-partitions, so a retried or serially re-run wave reproduces exactly the
-results and simulated cycles of an undisturbed run.
+Results are bit-identical across ``workers`` and ``devices`` settings:
+wave packing is deterministic, every wave simulates in its own engine,
+and a cache replay returns exactly the scratchpad contents and cycle
+statistics a fresh load simulation would produce.  Only the host-side
+throughput metrics (wall seconds, per-worker breakdowns, cache hit
+counts) vary.  The same holds under fault injection: a wave is a pure
+function of its partitions, so a retried or serially re-run wave
+reproduces exactly the results and simulated cycles of an undisturbed
+run.
 """
 
 from __future__ import annotations
@@ -214,6 +221,15 @@ class SpmImageCache:
         self.hits += other.hits
         self.misses += other.misses
         self.cycles_saved += other.cycles_saved
+
+    def adopt(self, outcome: "WaveOutcome") -> None:
+        """Fold one executed wave back in: the images it loaded (first
+        writer wins, like :meth:`merge`) and its hit/miss/cycles-saved
+        tallies.  The parent-side half of :func:`execute_wave`."""
+        self.merge(outcome.new_images)
+        self.hits += outcome.hits
+        self.misses += outcome.misses
+        self.cycles_saved += outcome.cycles_saved
 
     def __len__(self) -> int:
         return len(self._images)
@@ -410,56 +426,35 @@ class WorkerStats:
     elapsed_seconds: float = 0.0
 
 
-@dataclass
-class ParallelRunStats:
-    """Aggregate statistics of a waved multi-pipeline run.
+#: The scheduler's book, written down once: ``(ParallelRunStats field,
+#: metric name)`` for every additive tally.  The executor increments the
+#: metric in the queue's run registry, :meth:`ParallelRunStats.
+#: from_registry` reads it into the field, :meth:`ParallelRunStats.
+#: publish` mirrors the field out under the same name, and
+#: :class:`~repro.accel.sharding.ShardedRunStats` sums the field across
+#: devices — adding a tally is one row here plus the line that counts it.
+RUN_BOOK: Tuple[Tuple[str, str], ...] = (
+    ("spm_load_cycles", "scheduler.spm_load_cycles"),
+    ("spm_cache_hits", "scheduler.spm_cache.hits"),
+    ("spm_cache_misses", "scheduler.spm_cache.misses"),
+    ("spm_cycles_saved", "scheduler.spm_cache.cycles_saved"),
+    ("wall_seconds", "sim.wall_seconds"),
+    ("ticks_executed", "sim.ticks_executed"),
+    ("ticks_possible", "sim.ticks_possible"),
+    ("fast_forward_cycles", "sim.fast_forward_cycles"),
+    ("total_flits", "sim.flits"),
+    ("retries", "scheduler.retries"),
+    ("backoff_seconds", "scheduler.backoff_seconds"),
+    ("watchdog_timeouts", "scheduler.watchdog_timeouts"),
+    ("serial_fallback_waves", "scheduler.serial_fallback_waves"),
+    ("pool_restarts", "scheduler.pool_restarts"),
+)
 
-    Since the observability layer landed this is a *view*: the scheduler
-    accounts every wave into a :class:`~repro.obs.registry.MetricsRegistry`
-    and :meth:`from_registry` assembles the dataclass from the registry's
-    contents; the fields and semantics are unchanged for existing callers.
 
-    Besides the simulated-cycle accounting, the host-side fields
-    aggregate the event scheduler's metrics across waves so multi-workload
-    sweeps can report how much simulator time the wake sets and
-    fast-forwarding saved (``ticks_executed`` vs ``ticks_possible``), and
-    the scheduler fields record how the waves were spread over host
-    workers and what the SPM image cache saved.
-    """
-
-    waves: int
-    total_cycles: int
-    spm_load_cycles: int
-    per_wave_cycles: List[int]
-    # host-side (simulator throughput) metrics, summed over waves
-    wall_seconds: float = 0.0
-    ticks_executed: int = 0
-    ticks_possible: int = 0
-    fast_forward_cycles: int = 0
-    total_flits: int = 0
-    # host scheduler metrics
-    workers: int = 1
-    elapsed_seconds: float = 0.0
-    spm_cache_hits: int = 0
-    spm_cache_misses: int = 0
-    spm_cycles_saved: int = 0
-    per_worker: Dict[str, WorkerStats] = field(default_factory=dict)
-    # resilience metrics: faults/retries/fallbacks are deterministic for
-    # a given (plan, seed, schedule); watchdog_timeouts and pool_restarts
-    # count host-side infrastructure events and may vary across hosts
-    faults_injected: int = 0
-    faults_by_kind: Dict[str, int] = field(default_factory=dict)
-    retries: int = 0
-    backoff_seconds: float = 0.0
-    watchdog_timeouts: int = 0
-    serial_fallback_waves: int = 0
-    pool_restarts: int = 0
-    # sharding: which device queue this run drove (None when the run is
-    # not part of a DevicePool shard) and how many waves the plan-time
-    # steal loop moved into/out of that queue
-    device: Optional[int] = None
-    steals_in: int = 0
-    steals_out: int = 0
+class RunRates:
+    """The figures derived from a run's additive tallies — shared by the
+    per-queue :class:`ParallelRunStats` and the cross-device
+    :class:`~repro.accel.sharding.ShardedRunStats`."""
 
     @property
     def cycles_including_load(self) -> int:
@@ -490,28 +485,80 @@ class ParallelRunStats:
             return 0.0
         return self.wall_seconds / self.elapsed_seconds
 
+
+@dataclass
+class ParallelRunStats(RunRates):
+    """Aggregate statistics of one queue of a waved multi-pipeline run.
+
+    This is a *view*: the executor accounts every wave into a per-queue
+    :class:`~repro.obs.registry.MetricsRegistry` and
+    :meth:`from_registry` assembles the dataclass from it.
+
+    Besides the simulated-cycle accounting, the host-side fields
+    aggregate the event scheduler's metrics across waves so multi-workload
+    sweeps can report how much simulator time the wake sets and
+    fast-forwarding saved (``ticks_executed`` vs ``ticks_possible``), and
+    the scheduler fields record how the waves were spread over host
+    workers and what the SPM image cache saved.
+    """
+
+    waves: int
+    total_cycles: int
+    spm_load_cycles: int
+    #: Simulated cycles per wave, in queue (ascending global index) order.
+    per_wave_cycles: List[int]
+    # host-side (simulator throughput) metrics, summed over waves
+    wall_seconds: float = 0.0
+    ticks_executed: int = 0
+    ticks_possible: int = 0
+    fast_forward_cycles: int = 0
+    total_flits: int = 0
+    # host scheduler metrics
+    workers: int = 1
+    elapsed_seconds: float = 0.0
+    spm_cache_hits: int = 0
+    spm_cache_misses: int = 0
+    spm_cycles_saved: int = 0
+    per_worker: Dict[str, WorkerStats] = field(default_factory=dict)
+    # resilience metrics: faults/retries/fallbacks are deterministic for
+    # a given (plan, seed, schedule); watchdog_timeouts and pool_restarts
+    # count host-side infrastructure events and may vary across hosts
+    faults_injected: int = 0
+    faults_by_kind: Dict[str, int] = field(default_factory=dict)
+    retries: int = 0
+    backoff_seconds: float = 0.0
+    watchdog_timeouts: int = 0
+    serial_fallback_waves: int = 0
+    pool_restarts: int = 0
+    # sharding: which device queue this is (None when the run has one
+    # queue) and how many waves the plan-time steal loop moved into/out
+    # of it
+    device: Optional[int] = None
+    steals_in: int = 0
+    steals_out: int = 0
+
     @classmethod
     def from_registry(
         cls,
         registry: MetricsRegistry,
-        waves: int,
         workers: int,
         elapsed_seconds: float,
     ) -> "ParallelRunStats":
-        """Assemble the stats view from one run's accounting registry
-        (the ``scheduler.*`` / ``sim.*`` metrics ``run_partitioned``
-        publishes per wave)."""
-        per_wave_cycles = [0] * waves
-        for labels, gauge in registry.values("scheduler.wave.cycles").items():
-            per_wave_cycles[int(dict(labels)["wave"])] = gauge.value
+        """Assemble the stats view from one queue's accounting registry
+        (the :data:`RUN_BOOK` tallies plus the per-wave gauges and
+        per-worker counters the executor records)."""
+        per_wave_cycles = [
+            gauge.value
+            for _wave, gauge in sorted(
+                (int(dict(labels)["wave"]), gauge)
+                for labels, gauge in
+                registry.values("scheduler.wave.cycles").items()
+            )
+        ]
         per_worker: Dict[str, WorkerStats] = {}
-        for metric, attr in (
-            ("scheduler.worker.waves", "waves"),
-            ("scheduler.worker.cycles", "cycles"),
-            ("scheduler.worker.wall_seconds", "wall_seconds"),
-            ("scheduler.worker.elapsed_seconds", "elapsed_seconds"),
-        ):
-            for labels, counter in registry.values(metric).items():
+        for attr in ("waves", "cycles", "wall_seconds", "elapsed_seconds"):
+            counters = registry.values(f"scheduler.worker.{attr}")
+            for labels, counter in counters.items():
                 worker = dict(labels)["worker"]
                 tally = per_worker.setdefault(worker, WorkerStats())
                 setattr(tally, attr, counter.value)
@@ -520,30 +567,15 @@ class ParallelRunStats:
             for labels, counter in registry.values("scheduler.faults").items()
         }
         return cls(
-            waves=waves,
+            waves=len(per_wave_cycles),
             total_cycles=sum(per_wave_cycles),
-            spm_load_cycles=registry.value("scheduler.spm_load_cycles"),
             per_wave_cycles=per_wave_cycles,
-            wall_seconds=registry.value("sim.wall_seconds"),
-            ticks_executed=registry.value("sim.ticks_executed"),
-            ticks_possible=registry.value("sim.ticks_possible"),
-            fast_forward_cycles=registry.value("sim.fast_forward_cycles"),
-            total_flits=registry.value("sim.flits"),
             workers=workers,
             elapsed_seconds=elapsed_seconds,
-            spm_cache_hits=registry.value("scheduler.spm_cache.hits"),
-            spm_cache_misses=registry.value("scheduler.spm_cache.misses"),
-            spm_cycles_saved=registry.value("scheduler.spm_cache.cycles_saved"),
             per_worker=per_worker,
             faults_injected=sum(faults_by_kind.values()),
             faults_by_kind=faults_by_kind,
-            retries=registry.value("scheduler.retries"),
-            backoff_seconds=registry.value("scheduler.backoff_seconds"),
-            watchdog_timeouts=registry.value("scheduler.watchdog_timeouts"),
-            serial_fallback_waves=registry.value(
-                "scheduler.serial_fallback_waves"
-            ),
-            pool_restarts=registry.value("scheduler.pool_restarts"),
+            **{name: registry.value(metric) for name, metric in RUN_BOOK},
         )
 
     def publish(self, registry: MetricsRegistry, stage: str = "run") -> None:
@@ -559,59 +591,23 @@ class ParallelRunStats:
         registry.counter("scheduler.waves", **labels).inc(self.waves)
         registry.counter("scheduler.cycles", **labels).inc(self.total_cycles)
         registry.counter(
-            "scheduler.spm_load_cycles", **labels
-        ).inc(self.spm_load_cycles)
-        registry.counter(
             "scheduler.elapsed_seconds", **labels
         ).inc(self.elapsed_seconds)
-        registry.counter(
-            "scheduler.spm_cache.hits", **labels
-        ).inc(self.spm_cache_hits)
-        registry.counter(
-            "scheduler.spm_cache.misses", **labels
-        ).inc(self.spm_cache_misses)
-        registry.counter(
-            "scheduler.spm_cache.cycles_saved", **labels
-        ).inc(self.spm_cycles_saved)
-        registry.counter("sim.wall_seconds", **labels).inc(self.wall_seconds)
-        registry.counter(
-            "sim.ticks_executed", **labels
-        ).inc(self.ticks_executed)
-        registry.counter(
-            "sim.ticks_possible", **labels
-        ).inc(self.ticks_possible)
-        registry.counter(
-            "sim.fast_forward_cycles", **labels
-        ).inc(self.fast_forward_cycles)
-        registry.counter("sim.flits", **labels).inc(self.total_flits)
         registry.gauge("scheduler.workers", **labels).set(self.workers)
+        for name, metric in RUN_BOOK:
+            registry.counter(metric, **labels).inc(getattr(self, name))
         for kind, count in self.faults_by_kind.items():
             registry.counter(
                 "scheduler.faults", kind=kind, **labels
             ).inc(count)
-        registry.counter("scheduler.retries", **labels).inc(self.retries)
-        registry.counter(
-            "scheduler.backoff_seconds", **labels
-        ).inc(self.backoff_seconds)
-        registry.counter(
-            "scheduler.watchdog_timeouts", **labels
-        ).inc(self.watchdog_timeouts)
-        registry.counter(
-            "scheduler.serial_fallback_waves", **labels
-        ).inc(self.serial_fallback_waves)
-        registry.counter(
-            "scheduler.pool_restarts", **labels
-        ).inc(self.pool_restarts)
         if self.device is not None:
-            registry.counter(
-                "scheduler.steals_in", **labels
-            ).inc(self.steals_in)
-            registry.counter(
-                "scheduler.steals_out", **labels
-            ).inc(self.steals_out)
+            for name in ("steals_in", "steals_out"):
+                registry.counter(
+                    f"scheduler.{name}", **labels
+                ).inc(getattr(self, name))
 
 
-# -- wave packing and dispatch -------------------------------------------------------
+# -- wave packing and execution ------------------------------------------------------
 
 
 def pack_waves(
@@ -643,22 +639,81 @@ def pack_waves(
     return empty, waves
 
 
-def _run_wave_task(
-    driver, wave_index, wave, seed_images, fault_kind=None,
-    hang_seconds=0.0, attempt=0,
+@dataclass
+class WaveOutcome:
+    """What executing one wave produced: the per-partition results, the
+    wave's engine statistics and SPM load cycles (the modelled half),
+    and the cache traffic and host timing of the attempt (the host
+    half).  Picklable — it is what a pool worker ships back."""
+
+    index: int
+    results: Dict[PartitionId, object]
+    stats: RunStats
+    load_cycles: int
+    #: Images this wave loaded that its seed did not already hold.
+    new_images: Dict[tuple, CachedImage]
+    hits: int
+    misses: int
+    cycles_saved: int
+    worker_pid: int
+    elapsed_seconds: float
+
+
+def execute_wave(
+    driver: WaveDriver,
+    index: int,
+    wave: Sequence[WaveItem],
+    seed_images: Dict[tuple, CachedImage],
+) -> WaveOutcome:
+    """Execute one wave — the primitive under every run loop (inline,
+    pooled, served; module-level so it pickles).
+
+    The wave runs against a private cache seeded with the images the
+    caller already holds for it (``cache.images_for(driver.wave_keys(
+    wave))``) and reports the newly loaded images and the hit/miss
+    tallies back for :meth:`SpmImageCache.adopt`, so cache traffic is
+    the same whether the wave ran in the parent or in a worker."""
+    cache = SpmImageCache()
+    cache.merge(seed_images)
+    started = time.perf_counter()
+    results, stats, load_cycles = driver.run_wave(wave, cache)
+    elapsed = time.perf_counter() - started
+    _log.debug(
+        "wave %d done: %d replicas, %d cycles, %.3fs",
+        index, len(wave), stats.cycles, elapsed,
+        extra={"stage": driver.stage, "wave": index},
+    )
+    return WaveOutcome(
+        index=index, results=results, stats=stats, load_cycles=load_cycles,
+        new_images={
+            key: image
+            for key, image in cache.images().items()
+            if key not in seed_images
+        },
+        hits=cache.hits, misses=cache.misses,
+        cycles_saved=cache.cycles_saved,
+        worker_pid=os.getpid(), elapsed_seconds=elapsed,
+    )
+
+
+def wave_pool(workers: int, most_waves: int) -> Optional[ProcessPoolExecutor]:
+    """The one place a process pool is built.  ``None`` — execute inline
+    in the parent — when fewer than two waves can ever be in flight
+    (``workers`` processes wanted, at most ``most_waves`` waves at a
+    time): a pool of one only adds pickling."""
+    size = min(workers, most_waves)
+    return ProcessPoolExecutor(max_workers=size) if size > 1 else None
+
+
+def _pool_task(
+    driver, index, wave, seed_images, fault_kind, hang_seconds, attempt
 ):
-    """Worker-side wave execution (module-level so it pickles).
-
-    The worker runs against a private cache seeded with the images the
-    parent already holds for this wave, and ships newly loaded images
-    back so the parent cache (and later stages) can reuse them.
-
-    ``fault_kind`` is the parent's injection decision for this attempt
-    (decided deterministically before submission): the worker *enacts*
-    it — an injected hang sleeps ``hang_seconds`` so the parent's
-    watchdog genuinely fires, a ``worker_crash`` dies for real
-    (``os._exit``, surfacing as ``BrokenProcessPool`` in the parent),
-    and every other kind raises its
+    """Worker-side wave attempt: enact the parent's injection decision
+    for this attempt (decided deterministically before submission), else
+    :func:`execute_wave`.  An injected hang sleeps ``hang_seconds`` so
+    the parent's watchdog genuinely fires, a ``worker_crash`` dies for
+    real (``os._exit``, surfacing as ``BrokenProcessPool`` in the
+    parent), and every other kind raises its
     :class:`~repro.faults.injector.InjectedFaultError` subclass, which
     travels back through the future like a real worker failure would.
     """
@@ -668,44 +723,16 @@ def _run_wave_task(
             time.sleep(hang_seconds)
         if fault_kind == "worker_crash":
             os._exit(1)  # a genuine process death, not an exception
-        raise FAULT_EXCEPTIONS[fault_kind](WAVE_FAULT_SITE, wave_index, attempt)
-    cache = SpmImageCache()
-    cache.merge(seed_images)
-    started = time.perf_counter()
-    results, stats, load_cycles = driver.run_wave(wave, cache)
-    elapsed = time.perf_counter() - started
-    _log.debug(
-        "wave %d done: %d replicas, %d cycles, %.3fs",
-        wave_index, len(wave), stats.cycles, elapsed,
-        extra={"stage": driver.stage, "wave": wave_index},
-    )
-    new_images = {
-        key: image
-        for key, image in cache.images().items()
-        if key not in seed_images
-    }
-    return (
-        wave_index,
-        results,
-        stats,
-        load_cycles,
-        new_images,
-        cache.hits,
-        cache.misses,
-        cache.cycles_saved,
-        os.getpid(),
-        elapsed,
-    )
+        raise FAULT_EXCEPTIONS[fault_kind](WAVE_FAULT_SITE, index, attempt)
+    return execute_wave(driver, index, wave, seed_images)
 
 
-def _lay_run_spans(
-    driver, waves, device, run_registry, stats, accounted_faults, policy
-) -> None:
-    """Lay one run's trace spans on its device lane (no-op without an
+def _lay_run_spans(driver, queue, run_registry, stats, faults, policy) -> None:
+    """Lay one queue's trace spans on its device lane (no-op without an
     ambient :func:`~repro.obs.spans.tracing` recorder).
 
     Spans are laid parent-side *after* the run from the per-wave
-    accounting, in wave-index order on a cumulative virtual-cycle axis —
+    accounting, in queue order on a cumulative virtual-cycle axis —
     so the trace is identical for every ``workers`` value, exactly like
     the cycle accounting itself.  Each wave gets a parent span with
     ``spm_load``/``kernel`` children tiling it, plus a zero-length fault
@@ -714,7 +741,7 @@ def _lay_run_spans(
     tracer = active_spans()
     if not tracer.enabled:
         return
-    lane_index = device if device is not None else 0
+    lane_index = stats.device if stats.device is not None else 0
     lane = f"device:{lane_index}"
     trace_id = f"run-{driver.stage}-d{lane_index}"
     load_by_wave = {
@@ -724,18 +751,18 @@ def _lay_run_spans(
     }
     faults_by_wave: Dict[int, List[Tuple[int, str]]] = {}
     for kind, wave_index, attempt in sorted(
-        accounted_faults, key=lambda item: (item[1], item[2])
+        faults, key=lambda item: (item[1], item[2])
     ):
         faults_by_wave.setdefault(wave_index, []).append((attempt, kind))
     run_span = tracer.reserve()
     cursor = 0
-    for wave_index, cycles in enumerate(stats.per_wave_cycles):
+    for (wave_index, items), cycles in zip(queue, stats.per_wave_cycles):
         load = load_by_wave.get(wave_index, 0)
         parent = tracer.record(
             f"{driver.stage}:w{wave_index}", "wave",
             cursor, cursor + load + cycles,
             trace_id=trace_id, parent_id=run_span, lane=lane,
-            wave=wave_index, replicas=len(waves[wave_index]),
+            wave=wave_index, replicas=len(items),
         )
         for attempt, kind in faults_by_wave.get(wave_index, ()):
             tracer.record(
@@ -760,157 +787,123 @@ def _lay_run_spans(
         f"{driver.stage}:run", "run", 0, cursor,
         trace_id=trace_id, span_id=run_span, lane=lane,
         stage=driver.stage, waves=stats.waves, workers=stats.workers,
-        device=device,
+        device=stats.device,
     )
 
 
-def run_partitioned(
+def run_queues(
     driver: WaveDriver,
-    partitions: Iterable[WaveItem],
+    empty_pids: Sequence[PartitionId],
+    queues: Sequence[Sequence[Tuple[int, Sequence[WaveItem]]]],
     n_pipelines: int,
-    workers: int = 1,
-    spm_cache: Optional[SpmImageCache] = None,
-    registry: Optional[MetricsRegistry] = None,
-    fault_injector: Optional[FaultInjector] = None,
+    workers: int,
+    caches: Sequence[SpmImageCache],
+    injector: Optional[FaultInjector] = None,
     retry_policy: Optional[RetryPolicy] = None,
     wave_timeout: Optional[float] = None,
-    prepacked_waves: Optional[List[List[WaveItem]]] = None,
-    device: Optional[int] = None,
-    force_pool: bool = False,
-    storage: Optional[object] = None,
-) -> Tuple[Dict[PartitionId, object], ParallelRunStats]:
-    """Run an accelerator over many partitions: N replicated pipelines
-    per wave, waves fanned out over ``workers`` host processes.
+) -> Tuple[Dict[PartitionId, object], List[ParallelRunStats]]:
+    """The wave executor: run every wave of every device queue and
+    return the per-partition results plus one :class:`ParallelRunStats`
+    per queue.
 
-    Empty partitions are never simulated; they appear in the results with
-    the driver's empty shape so per-partition result sets match the
-    serial drivers key-for-key.  Pass ``spm_cache`` to share reference-SPM
-    images across stages (each call otherwise uses a private cache).
-    Results and simulated cycles are bit-identical for every ``workers``
-    value; only host-side metrics differ.
+    ``queues[d]`` lists device ``d``'s waves as ``(index, items)`` in
+    ascending ``index`` — the wave's position in the one global packing,
+    which is its identity everywhere: ``scheduler.wave`` and ``fault.*``
+    events, the ``scheduler.wave`` fault slot, the retry backoff key and
+    the trace spans all carry it, whatever the topology.  ``caches[d]``
+    is queue ``d``'s SPM image cache; ``workers`` is the host fan-out
+    *per queue*.  Events and published metrics carry a ``device`` label
+    exactly when there is more than one queue.
 
-    All accounting flows through a per-run metrics registry (the
-    returned :class:`ParallelRunStats` is a view over it); pass
-    ``registry`` to additionally receive the aggregates — labelled by
-    the driver's stage — in a registry shared across runs.
+    One parent-side loop drives all queues.  It feeds one process pool
+    of ``len(queues) x workers`` processes (:func:`wave_pool`), or runs
+    inline when that product — or the wave count — is 1.  Every
+    decision that reaches the ledger (fault injection, retry, backoff)
+    is taken in the parent, keyed by ``(index, attempt)``, so it is
+    identical for every pool size.
 
-    Resilience: ``fault_injector`` injects the deterministic faults of
+    Resilience: ``injector`` injects the deterministic faults of
     its :class:`~repro.faults.plan.FaultPlan` at the ``scheduler.wave``
-    site (slot = wave index, decided in the parent before dispatch, so
-    injections are identical across ``workers`` settings).  Failed wave
-    attempts — injected or real — are retried under ``retry_policy``
-    (default :class:`~repro.faults.retry.RetryPolicy`) with exponential
-    backoff; ``wave_timeout`` arms a watchdog deadline (seconds) around
-    every pool future.  The degradation ladder is retry → requeue →
-    serial in-process fallback (the serial rung retries with a fresh
-    budget counted from its entry attempt); a wave that keeps faulting
-    past the serial budget raises
+    site (slot = wave index, decided in the parent before dispatch).
+    Failed wave attempts — injected or real — are retried under
+    ``retry_policy`` (default :class:`~repro.faults.retry.RetryPolicy`)
+    with exponential backoff; ``wave_timeout`` arms a watchdog deadline
+    (seconds) around every pool future.  The degradation ladder is retry
+    → requeue → serial in-process fallback (the serial rung retries with
+    a fresh budget counted from its entry attempt); a wave that keeps
+    faulting past the serial budget raises
     :class:`~repro.faults.injector.RetryBudgetExceeded`.  Non-injected
     exceptions from driver code propagate immediately — they are
     deterministic bugs, not infrastructure failures.
-
-    Sharding hooks (used by :func:`repro.accel.sharding.run_sharded`):
-    ``prepacked_waves`` executes an exact wave list instead of packing
-    ``partitions`` — a device queue must run the globally packed waves
-    it was assigned verbatim, because wave composition determines the
-    shared-memory contention and thus the simulated cycles; ``device``
-    labels the run's events and published metrics with the device queue
-    it drove; ``force_pool`` dispatches through a process pool even at
-    ``workers=1`` so concurrent device queues are not serialised by the
-    interpreter lock.  None of the three affects results or cycles.
-
-    ``storage`` optionally attaches the modelled in-SSD filter (a
-    :class:`~repro.storage.filter.StorageFilterPlan` or
-    :class:`~repro.storage.frontend.StorageFrontEnd`, DESIGN.md §3.10).
-    ``run_partitioned`` models no PCIe transfers itself, so the filter
-    changes nothing about execution here — it only annotates every wave
-    with a ``storage.wave`` ledger event (survivor bytes, pruned rows,
-    scan time) so single-run ledgers carry the same storage telemetry
-    sharded runs get from :func:`repro.accel.sharding.run_sharded`
-    (which does its own recording and deliberately does *not* forward
-    ``storage`` down to its per-device ``run_partitioned`` calls).
     """
     if workers < 1:
         raise ValueError("need at least one worker")
     if wave_timeout is not None and wave_timeout <= 0:
         raise ValueError("wave_timeout must be positive seconds")
-    injector = fault_injector
     policy = retry_policy if retry_policy is not None else RetryPolicy()
-    cache = spm_cache if spm_cache is not None else SpmImageCache()
-    device_labels = {} if device is None else {"device": device}
     started = time.perf_counter()
-    if prepacked_waves is not None:
-        empty_pids, waves = [], [list(wave) for wave in prepacked_waves]
-    else:
-        empty_pids, waves = pack_waves(partitions, n_pipelines)
+    sharded = len(queues) > 1
+    #: wave index -> (device queue, items): the one wave table.
+    placed = {
+        index: (device, list(items))
+        for device, queue in enumerate(queues)
+        for index, items in queue
+    }
     results: Dict[PartitionId, object] = {
         pid: driver.empty_result(pid) for pid in empty_pids
     }
     _log.info(
-        "%s: %d wave(s) of up to %d pipeline(s) over %d worker(s) "
-        "(%d empty partition(s) skipped)",
-        driver.stage, len(waves), n_pipelines, workers, len(empty_pids),
+        "%s: %d wave(s) of up to %d pipeline(s) on %d queue(s) x "
+        "%d worker(s) (%d empty partition(s) skipped)",
+        driver.stage, len(placed), n_pipelines, len(queues), workers,
+        len(empty_pids),
         extra={"stage": driver.stage},
     )
+    run_registries = [MetricsRegistry() for _ in queues]
 
-    run_registry = MetricsRegistry()
+    def device_label(index):
+        return {"device": placed[index][0]} if sharded else {}
 
-    def account(worker, wave_index, wave_results, stats, load_cycles, elapsed):
-        results.update(wave_results)
+    def book_of(index):
+        return run_registries[placed[index][0]]
+
+    def account(worker, outcome):
+        index, stats = outcome.index, outcome.stats
+        device, items = placed[index]
+        results.update(outcome.results)
+        caches[device].adopt(outcome)
         record_event(
             "scheduler.wave",
-            stage=driver.stage, wave=wave_index, worker=worker,
-            replicas=len(waves[wave_index]), cycles=stats.cycles,
-            load_cycles=load_cycles, elapsed_seconds=elapsed,
-            **device_labels,
+            stage=driver.stage, wave=index, worker=worker,
+            replicas=len(items), cycles=stats.cycles,
+            load_cycles=outcome.load_cycles,
+            elapsed_seconds=outcome.elapsed_seconds,
+            **device_label(index),
         )
-        if storage is not None:
-            items = waves[wave_index]
-            record_event(
-                "storage.wave",
-                stage=driver.stage, wave=wave_index,
-                raw_nbytes=storage.wave_raw_nbytes(items),
-                nbytes=storage.wave_nbytes(items),
-                pruned_rows=storage.wave_pruned_rows(items),
-                scan_seconds=storage.wave_scan_seconds(items),
-                **device_labels,
-            )
-        run_registry.gauge(
-            "scheduler.wave.cycles", wave=wave_index
-        ).set(stats.cycles)
-        run_registry.gauge(
-            "scheduler.wave.seconds", wave=wave_index
-        ).set(elapsed)
-        run_registry.gauge(
-            "scheduler.wave.load_cycles", wave=wave_index
-        ).set(load_cycles)
-        run_registry.counter("scheduler.spm_load_cycles").inc(load_cycles)
-        run_registry.counter("sim.wall_seconds").inc(stats.wall_seconds)
-        run_registry.counter("sim.ticks_executed").inc(stats.ticks_executed)
-        run_registry.counter("sim.ticks_possible").inc(stats.ticks_possible)
-        run_registry.counter(
-            "sim.fast_forward_cycles"
-        ).inc(stats.fast_forward_cycles)
-        run_registry.counter("sim.flits").inc(
-            sum(stats.flits_by_module.values())
-        )
-        run_registry.counter("scheduler.worker.waves", worker=worker).inc()
-        run_registry.counter(
-            "scheduler.worker.cycles", worker=worker
-        ).inc(stats.cycles)
-        run_registry.counter(
-            "scheduler.worker.wall_seconds", worker=worker
-        ).inc(stats.wall_seconds)
-        run_registry.counter(
-            "scheduler.worker.elapsed_seconds", worker=worker
-        ).inc(elapsed)
-
-    def account_cache(hits, misses, cycles_saved):
-        run_registry.counter("scheduler.spm_cache.hits").inc(hits)
-        run_registry.counter("scheduler.spm_cache.misses").inc(misses)
-        run_registry.counter(
-            "scheduler.spm_cache.cycles_saved"
-        ).inc(cycles_saved)
+        book = book_of(index)
+        book.gauge("scheduler.wave.cycles", wave=index).set(stats.cycles)
+        book.gauge(
+            "scheduler.wave.load_cycles", wave=index
+        ).set(outcome.load_cycles)
+        for metric, amount in (
+            ("scheduler.spm_load_cycles", outcome.load_cycles),
+            ("scheduler.spm_cache.hits", outcome.hits),
+            ("scheduler.spm_cache.misses", outcome.misses),
+            ("scheduler.spm_cache.cycles_saved", outcome.cycles_saved),
+            ("sim.wall_seconds", stats.wall_seconds),
+            ("sim.ticks_executed", stats.ticks_executed),
+            ("sim.ticks_possible", stats.ticks_possible),
+            ("sim.fast_forward_cycles", stats.fast_forward_cycles),
+            ("sim.flits", sum(stats.flits_by_module.values())),
+        ):
+            book.counter(metric).inc(amount)
+        for name, amount in (
+            ("waves", 1),
+            ("cycles", stats.cycles),
+            ("wall_seconds", stats.wall_seconds),
+            ("elapsed_seconds", outcome.elapsed_seconds),
+        ):
+            book.counter(f"scheduler.worker.{name}", worker=worker).inc(amount)
 
     # -- resilience accounting (guarded so a re-poll after a pool rebuild
     #    never double-counts the same (wave, attempt) decision) ------------------
@@ -918,164 +911,130 @@ def run_partitioned(
     accounted_faults: Set[Tuple[str, int, int]] = set()
     accounted_retries: Set[Tuple[int, int]] = set()
 
-    def account_fault(kind, wave_index, attempt):
-        key = (kind, wave_index, attempt)
+    def account_fault(kind, index, attempt):
+        key = (kind, index, attempt)
         if key in accounted_faults:
             return
         accounted_faults.add(key)
-        run_registry.counter("scheduler.faults", kind=kind).inc()
+        book_of(index).counter("scheduler.faults", kind=kind).inc()
 
-    def account_retry(wave_index, attempt, kind):
-        key = (wave_index, attempt)
+    def account_retry(index, attempt, kind):
+        key = (index, attempt)
         if key in accounted_retries:
             return 0.0
         accounted_retries.add(key)
-        backoff = policy.backoff_seconds(wave_index, attempt)
-        run_registry.counter("scheduler.retries").inc()
-        run_registry.counter("scheduler.backoff_seconds").inc(backoff)
+        backoff = policy.backoff_seconds(index, attempt)
+        book_of(index).counter("scheduler.retries").inc()
+        book_of(index).counter("scheduler.backoff_seconds").inc(backoff)
         record_event(
             "fault.retry",
-            stage=driver.stage, wave=wave_index, attempt=attempt,
-            kind=kind, backoff_seconds=backoff,
+            stage=driver.stage, wave=index, attempt=attempt,
+            kind=kind, backoff_seconds=backoff, **device_label(index),
         )
         _log.info(
             "wave %d attempt %d failed (%s); retrying after %.3fs",
-            wave_index, attempt, kind, backoff,
-            extra={"stage": driver.stage, "wave": wave_index},
+            index, attempt, kind, backoff,
+            extra={"stage": driver.stage, "wave": index},
         )
         return backoff
 
-    def account_serial_fallback(wave_index, attempt, reason):
-        run_registry.counter("scheduler.serial_fallback_waves").inc()
+    def account_serial_fallback(index, attempt, reason):
+        book_of(index).counter("scheduler.serial_fallback_waves").inc()
         record_event(
             "fault.serial_fallback",
-            stage=driver.stage, wave=wave_index, attempt=attempt,
-            reason=reason,
+            stage=driver.stage, wave=index, attempt=attempt,
+            reason=reason, **device_label(index),
         )
         _log.warning(
             "wave %d degrades to serial in-process execution (%s)",
-            wave_index, reason,
-            extra={"stage": driver.stage, "wave": wave_index},
+            index, reason,
+            extra={"stage": driver.stage, "wave": index},
         )
 
-    def poll_wave_fault(wave_index, attempt, worker):
+    def poll_wave_fault(index, attempt, worker):
         """The parent-side injection decision for one wave attempt."""
         if injector is None:
             return None
         return injector.poll(
-            WAVE_FAULT_SITE, wave_index, attempt,
-            stage=driver.stage, worker=worker,
+            WAVE_FAULT_SITE, index, attempt,
+            stage=driver.stage, worker=worker, **device_label(index),
         )
 
-    def run_wave_serial(wave_index, start_attempt=0, worker="w0"):
+    def seed_images(index):
+        device, items = placed[index]
+        return caches[device].images_for(driver.wave_keys(items))
+
+    def run_wave_serial(index, start_attempt=0, worker="w0"):
         """One wave with the serial retry ladder: poll → enact → backoff
         → retry, until the attempt runs clean or the budget is gone."""
         attempt = start_attempt
         while True:
-            fault = poll_wave_fault(wave_index, attempt, worker)
+            fault = poll_wave_fault(index, attempt, worker)
             if fault is None:
-                t0 = time.perf_counter()
-                wave_results, stats, load_cycles = driver.run_wave(
-                    waves[wave_index], cache
-                )
-                elapsed = time.perf_counter() - t0
-                _log.debug(
-                    "wave %d done: %d replicas, %d cycles, %.3fs",
-                    wave_index, len(waves[wave_index]), stats.cycles, elapsed,
-                    extra={"stage": driver.stage, "wave": wave_index},
-                )
-                account(
-                    worker, wave_index, wave_results, stats, load_cycles,
-                    elapsed,
-                )
+                account(worker, execute_wave(
+                    driver, index, placed[index][1], seed_images(index)
+                ))
                 return
-            account_fault(fault.kind, wave_index, attempt)
+            account_fault(fault.kind, index, attempt)
             if attempt - start_attempt >= policy.max_retries:
                 raise RetryBudgetExceeded(
-                    f"wave {wave_index} failed {attempt - start_attempt + 1} "
+                    f"wave {index} failed {attempt - start_attempt + 1} "
                     f"attempt(s); retry budget ({policy.max_retries}) "
                     "exhausted"
                 ) from fault.to_exception()
-            backoff = account_retry(wave_index, attempt, fault.kind)
+            backoff = account_retry(index, attempt, fault.kind)
             if backoff > 0:
                 time.sleep(backoff)
             attempt += 1
 
-    if not waves or (not force_pool and (workers == 1 or len(waves) <= 1)):
-        workers_used = 1
-        hits0, misses0, saved0 = cache.hits, cache.misses, cache.cycles_saved
-        for wave_index in range(len(waves)):
-            run_wave_serial(wave_index)
-        account_cache(
-            cache.hits - hits0,
-            cache.misses - misses0,
-            cache.cycles_saved - saved0,
-        )
+    pool = wave_pool(len(queues) * workers, len(placed))
+    if pool is None:
+        for index in sorted(placed):
+            run_wave_serial(index)
     else:
-        workers_used = min(workers, len(waves))
         worker_pids: Dict[int, str] = {}
-
-        def harvest(payload):
-            (
-                wave_index, wave_results, stats, load_cycles, new_images,
-                wave_hits, wave_misses, wave_saved, worker_pid, elapsed,
-            ) = payload
-            cache.merge(new_images)
-            cache.hits += wave_hits
-            cache.misses += wave_misses
-            cache.cycles_saved += wave_saved
-            account_cache(wave_hits, wave_misses, wave_saved)
-            label = worker_pids.setdefault(worker_pid, f"w{len(worker_pids)}")
-            account(
-                label, wave_index, wave_results, stats, load_cycles, elapsed,
-            )
-
-        # ready holds (wave_index, attempt) pairs awaiting (re)submission;
+        # ready holds (wave index, attempt) pairs awaiting (re)submission;
         # serial_waves collects budget-exhausted or degraded waves for the
         # in-process fallback pass after the pool drains.
-        ready = deque((index, 0) for index in range(len(waves)))
+        ready = deque((index, 0) for index in sorted(placed))
         pending: Dict[object, Tuple[int, int, Optional[float]]] = {}
         serial_waves: List[Tuple[int, int]] = []
-        abandoned: List[object] = []
         pool_restarts = 0
-        pool = ProcessPoolExecutor(max_workers=workers_used)
 
-        def submit(wave_index, attempt):
-            fault = poll_wave_fault(wave_index, attempt, worker="pool")
+        def submit(index, attempt):
+            fault = poll_wave_fault(index, attempt, worker="pool")
             fault_kind = None
             hang = 0.0
             if fault is not None:
                 fault_kind = fault.kind
-                account_fault(fault_kind, wave_index, attempt)
+                account_fault(fault_kind, index, attempt)
                 if fault_kind == "wave_timeout" and wave_timeout is not None:
                     # hang long enough that the parent watchdog fires
                     # first, short enough that pool shutdown stays quick
                     hang = min(wave_timeout * 2, wave_timeout + 1.0)
-            wave = waves[wave_index]
             future = pool.submit(
-                _run_wave_task, driver, wave_index, wave,
-                cache.images_for(driver.wave_keys(wave)),
-                fault_kind, hang, attempt,
+                _pool_task, driver, index, placed[index][1],
+                seed_images(index), fault_kind, hang, attempt,
             )
             deadline = (
                 time.monotonic() + wave_timeout
                 if wave_timeout is not None else None
             )
-            pending[future] = (wave_index, attempt, deadline)
+            pending[future] = (index, attempt, deadline)
 
-        def requeue(wave_index, attempt, kind):
+        def requeue(index, attempt, kind):
             """The ladder after a failed attempt: retry on the pool while
             the budget lasts, then hand the wave to the serial pass."""
             if attempt >= policy.max_retries:
                 account_serial_fallback(
-                    wave_index, attempt, reason="retry budget exhausted"
+                    index, attempt, reason="retry budget exhausted"
                 )
-                serial_waves.append((wave_index, attempt + 1))
+                serial_waves.append((index, attempt + 1))
             else:
-                backoff = account_retry(wave_index, attempt, kind)
+                backoff = account_retry(index, attempt, kind)
                 if backoff > 0:
                     time.sleep(backoff)
-                ready.append((wave_index, attempt + 1))
+                ready.append((index, attempt + 1))
 
         try:
             while ready or pending:
@@ -1101,7 +1060,7 @@ def run_partitioned(
                     for future in done:
                         index, attempt, _deadline = pending[future]
                         try:
-                            payload = future.result()
+                            outcome = future.result()
                         except InjectedFaultError as error:
                             del pending[future]
                             requeue(index, attempt, error.kind)
@@ -1111,10 +1070,20 @@ def run_partitioned(
                             broken = True
                         else:
                             del pending[future]
-                            harvest(payload)
+                            account(
+                                worker_pids.setdefault(
+                                    outcome.worker_pid,
+                                    f"w{len(worker_pids)}",
+                                ),
+                                outcome,
+                            )
                 if broken:
                     pool_restarts += 1
-                    run_registry.counter("scheduler.pool_restarts").inc()
+                    # the pool is shared by every queue: its restarts
+                    # are booked on queue 0
+                    run_registries[0].counter(
+                        "scheduler.pool_restarts"
+                    ).inc()
                     record_event(
                         "fault.pool_restart",
                         stage=driver.stage, restarts=pool_restarts,
@@ -1148,7 +1117,7 @@ def run_partitioned(
                             )
                             serial_waves.append((index, attempt))
                         break
-                    pool = ProcessPoolExecutor(max_workers=workers_used)
+                    pool = wave_pool(len(queues) * workers, len(placed))
                     continue
                 if wave_timeout is not None:
                     now = time.monotonic()
@@ -1156,8 +1125,7 @@ def run_partitioned(
                         index, attempt, deadline = pending[future]
                         if deadline is not None and now >= deadline:
                             del pending[future]
-                            abandoned.append(future)
-                            run_registry.counter(
+                            book_of(index).counter(
                                 "scheduler.watchdog_timeouts"
                             ).inc()
                             record_event(
@@ -1165,98 +1133,103 @@ def run_partitioned(
                                 stage=driver.stage, wave=index,
                                 attempt=attempt,
                                 timeout_seconds=wave_timeout,
+                                **device_label(index),
                             )
                             requeue(index, attempt, "wave_timeout")
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
 
-        if serial_waves:
-            hits0, misses0 = cache.hits, cache.misses
-            saved0 = cache.cycles_saved
-            for index, attempt in sorted(serial_waves):
-                run_wave_serial(index, start_attempt=attempt, worker="serial")
-            account_cache(
-                cache.hits - hits0,
-                cache.misses - misses0,
-                cache.cycles_saved - saved0,
-            )
+        for index, attempt in sorted(serial_waves):
+            run_wave_serial(index, start_attempt=attempt, worker="serial")
 
-    stats = ParallelRunStats.from_registry(
-        run_registry,
-        waves=len(waves),
-        workers=workers_used,
-        elapsed_seconds=time.perf_counter() - started,
-    )
-    stats.device = device
-    stats.publish(registry_or_null(registry), stage=driver.stage)
-    _lay_run_spans(driver, waves, device, run_registry, stats,
-                   accounted_faults, policy)
-    record_event(
-        "scheduler.run",
-        **device_labels,
-        stage=driver.stage, waves=stats.waves, workers=stats.workers,
-        pipelines=n_pipelines, total_cycles=stats.total_cycles,
-        spm_load_cycles=stats.spm_load_cycles,
-        elapsed_seconds=stats.elapsed_seconds,
-        spm_cache_hits=stats.spm_cache_hits,
-        spm_cache_misses=stats.spm_cache_misses,
-        faults_injected=stats.faults_injected,
-        retries=stats.retries,
-        watchdog_timeouts=stats.watchdog_timeouts,
-        serial_fallback_waves=stats.serial_fallback_waves,
-        pool_restarts=stats.pool_restarts,
-    )
-    if stats.faults_injected or stats.retries or stats.watchdog_timeouts:
+    elapsed = time.perf_counter() - started
+    per_queue: List[ParallelRunStats] = []
+    for device, (queue, book) in enumerate(zip(queues, run_registries)):
+        stats = ParallelRunStats.from_registry(
+            book,
+            # this queue's share of the pool
+            workers=max(1, min(workers, len(queue))),
+            # one loop, one pool: every queue shares the run's wall clock
+            elapsed_seconds=elapsed,
+        )
+        stats.device = device if sharded else None
+        _lay_run_spans(driver, queue, book, stats, accounted_faults, policy)
+        record_event(
+            "scheduler.run",
+            **({"device": device} if sharded else {}),
+            stage=driver.stage, waves=stats.waves, workers=stats.workers,
+            pipelines=n_pipelines, total_cycles=stats.total_cycles,
+            spm_load_cycles=stats.spm_load_cycles,
+            elapsed_seconds=stats.elapsed_seconds,
+            spm_cache_hits=stats.spm_cache_hits,
+            spm_cache_misses=stats.spm_cache_misses,
+            faults_injected=stats.faults_injected,
+            retries=stats.retries,
+            watchdog_timeouts=stats.watchdog_timeouts,
+            serial_fallback_waves=stats.serial_fallback_waves,
+            pool_restarts=stats.pool_restarts,
+        )
+        if stats.faults_injected or stats.retries or stats.watchdog_timeouts:
+            _log.info(
+                "%s survived %d injected fault(s) (%s): %d retried, "
+                "%d watchdog timeout(s), %d serial-fallback wave(s), "
+                "%d pool restart(s)",
+                driver.stage, stats.faults_injected,
+                ", ".join(
+                    f"{kind}={count}"
+                    for kind, count in sorted(stats.faults_by_kind.items())
+                ) or "none",
+                stats.retries, stats.watchdog_timeouts,
+                stats.serial_fallback_waves, stats.pool_restarts,
+                extra={"stage": driver.stage},
+            )
         _log.info(
-            "%s survived %d injected fault(s) (%s): %d retried, "
-            "%d watchdog timeout(s), %d serial-fallback wave(s), "
-            "%d pool restart(s)",
-            driver.stage, stats.faults_injected,
-            ", ".join(
-                f"{kind}={count}"
-                for kind, count in sorted(stats.faults_by_kind.items())
-            ) or "none",
-            stats.retries, stats.watchdog_timeouts,
-            stats.serial_fallback_waves, stats.pool_restarts,
+            "%s done: %d cycles over %d wave(s), %.3fs host "
+            "(parallelism %.2f, spm cache %d/%d hit)",
+            driver.stage, stats.total_cycles, stats.waves,
+            stats.elapsed_seconds, stats.host_parallelism,
+            stats.spm_cache_hits,
+            stats.spm_cache_hits + stats.spm_cache_misses,
             extra={"stage": driver.stage},
         )
-    _log.info(
-        "%s done: %d cycles over %d wave(s), %.3fs host "
-        "(parallelism %.2f, spm cache %d/%d hit)",
-        driver.stage, stats.total_cycles, stats.waves,
-        stats.elapsed_seconds, stats.host_parallelism,
-        stats.spm_cache_hits, stats.spm_cache_hits + stats.spm_cache_misses,
-        extra={"stage": driver.stage},
-    )
-    return results, stats
+        per_queue.append(stats)
+    return results, per_queue
 
 
-def run_metadata_parallel(
+def run_partitioned(
+    driver: WaveDriver,
     partitions: Iterable[WaveItem],
-    reference: PartitionedReference,
     n_pipelines: int,
-    memory_config: Optional[MemoryConfig] = None,
-    mode: Optional[str] = None,
     workers: int = 1,
     spm_cache: Optional[SpmImageCache] = None,
-) -> Tuple[Dict[PartitionId, MetadataAccelResult], ParallelRunStats]:
-    """Run metadata update over many partitions with N replicated
-    pipelines sharing one memory system per wave.
+    registry: Optional[MetricsRegistry] = None,
+    fault_injector: Optional[FaultInjector] = None,
+    retry_policy: Optional[RetryPolicy] = None,
+    wave_timeout: Optional[float] = None,
+) -> Tuple[Dict[PartitionId, object], ParallelRunStats]:
+    """Run an accelerator over many partitions: N replicated pipelines
+    per wave, waves fanned out over ``workers`` host processes — the
+    one-queue front of :func:`run_queues` (which documents the fault
+    ladder), and bit-identical to ``run_sharded(devices=1)`` minus its
+    ``shard.*`` summary.
 
-    ``mode`` selects the engine schedule per wave (``"event"`` skips
-    idle replicas and fast-forwards shared-memory latency; ``"dense"``
-    is the differential-testing fallback); ``workers`` fans the waves
-    out over that many host processes.  Returns per-partition results
-    (same key set as the input, empty partitions included) plus the
-    aggregated wave statistics.
+    Empty partitions are never simulated; they appear in the results with
+    the driver's empty shape so per-partition result sets match the
+    serial drivers key-for-key.  Pass ``spm_cache`` to share reference-SPM
+    images across stages (each call otherwise uses a private cache).
+    Results and simulated cycles are bit-identical for every ``workers``
+    value; only host-side metrics differ.
+
+    All accounting flows through a per-run metrics registry (the
+    returned :class:`ParallelRunStats` is a view over it); pass
+    ``registry`` to additionally receive the aggregates — labelled by
+    the driver's stage — in a registry shared across runs.
     """
-    driver = MetadataWaveDriver(
-        reference=reference, memory_config=memory_config, mode=mode
+    empty_pids, waves = pack_waves(partitions, n_pipelines)
+    results, (stats,) = run_queues(
+        driver, empty_pids, [list(enumerate(waves))], n_pipelines, workers,
+        [spm_cache if spm_cache is not None else SpmImageCache()],
+        fault_injector, retry_policy, wave_timeout,
     )
-    return run_partitioned(
-        driver,
-        partitions,
-        n_pipelines,
-        workers=workers,
-        spm_cache=spm_cache,
-    )
+    stats.publish(registry_or_null(registry), stage=driver.stage)
+    return results, stats

@@ -9,7 +9,11 @@ that assigns wave queues to devices, a plan-time work-stealing pass
 that rebalances straggler queues, and a deterministic merge stage that
 reassembles one answer from the per-device shards.
 
-The determinism argument, in execution order:
+Execution itself is not here: :func:`run_sharded` is a configuration
+of the one wave executor (:func:`repro.accel.scheduler.run_queues`,
+DESIGN.md §3.2) — pack → plan → execute → charge → merge — and a
+one-device run is the same walk with one queue.  Why the answer cannot
+depend on the topology, in execution order:
 
 1. **Waves are packed globally, then sharded whole.**  A wave's
    simulated cycles depend on its composition (the replicas share one
@@ -24,16 +28,16 @@ The determinism argument, in execution order:
    using partition row counts as the cost model — a pure function of
    the inputs, never of host timing.  Stealing relocates *host work
    only*; the stolen wave simulates the same cycles wherever it runs.
-3. **Faults stay keyed by (device, wave).**  A global fault plan is
-   split by :func:`repro.faults.plan.shard_fault_plan` into per-device
-   plans targeting each global wave at its actual local queue slot, and
-   each device thread polls its own injector — no shared mutable state,
-   no dependence on thread scheduling.
+3. **A wave keeps its global index wherever it runs.**  One fault
+   injector is polled by that index, so a fault planned for wave ``g``
+   fires on wave ``g`` on every topology, with the same retry backoff;
+   the ledger's ``scheduler.wave``, ``storage.wave`` and ``fault.*``
+   events all name it the same way.
 4. **The merge is canonical.**  Results are re-keyed in input partition
-   order, per-device SPM caches are absorbed into the shared cache in
-   device order, and BQSR covariate tables reduce per read group in
-   canonical key order — the same answer regardless of which device
-   finished first.
+   order, cards are charged in global wave order, per-device SPM caches
+   are absorbed into the shared cache in device order, and BQSR
+   covariate tables reduce per read group in canonical key order — the
+   same answer regardless of which wave finished first.
 
 Net: for every ``(devices, workers)`` combination, with or without
 injected faults, with or without steals, a sharded run is bit-identical
@@ -45,36 +49,34 @@ from __future__ import annotations
 
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..faults.injector import FaultInjector
-from ..faults.plan import FaultPlan, shard_fault_plan
+from ..faults.plan import FaultPlan
 from ..faults.retry import RetryPolicy
 from ..gatk.bqsr import CovariateTables
 from ..obs.ledger import record_event
 from ..obs.log import get_logger
 from ..obs.registry import MetricsRegistry, registry_or_null
 from ..obs.spans import active_spans
-from ..runtime.device import DeviceConfig, DevicePool
+from ..runtime.device import DeviceConfig, DevicePool, WaveStorage
 from ..tables.partition import PartitionId
 from .bqsr import merge_partition_results
 from .scheduler import (
+    RUN_BOOK,
     ParallelRunStats,
+    RunRates,
     SpmImageCache,
     WaveDriver,
     WaveItem,
     WorkerStats,
     pack_waves,
-    run_partitioned,
+    run_queues,
 )
 
 _log = get_logger("sharding")
-
-#: Modelled host->device payload per read for the PCIe transfer model
-#: (sequence + qualities + alignment metadata, order-of-magnitude).
-MODEL_ROW_BYTES = 128
 
 #: Shard assignment policies understood by :func:`plan_shards`.
 SHARD_POLICIES = ("hash", "range")
@@ -133,8 +135,7 @@ class ShardPlan:
         return [wave for wave in self.waves if wave.device == device]
 
     def device_queues(self) -> List[List[int]]:
-        """Global wave indices per device in execution order — the
-        layout :func:`repro.faults.plan.shard_fault_plan` consumes."""
+        """Global wave indices per device in execution order."""
         return [
             [wave.global_index for wave in self.device_waves(device)]
             for device in range(self.devices)
@@ -146,21 +147,6 @@ class ShardPlan:
             sum(wave.cost for wave in self.device_waves(device))
             for device in range(self.devices)
         ]
-
-    def describe(self) -> Iterable[str]:
-        """Human lines: one per device queue, then one per steal."""
-        for device in range(self.devices):
-            queue = self.device_waves(device)
-            yield (
-                f"device {device}: {len(queue)} wave(s), "
-                f"~{sum(w.cost for w in queue)} rows "
-                f"{[w.global_index for w in queue]}"
-            )
-        for steal in self.steals:
-            yield (
-                f"steal: wave {steal.wave} ({steal.cost} rows) "
-                f"device {steal.source} -> {steal.target}"
-            )
 
 
 def plan_shards(
@@ -240,18 +226,30 @@ def plan_shards(
     )
 
 
+#: ``ParallelRunStats`` fields a sharded run reports as the sum over its
+#: device queues: the scheduler's whole book plus the two derived counts.
+SUMMED_FIELDS = frozenset(
+    ["waves", "faults_injected"] + [name for name, _metric in RUN_BOOK]
+)
+
+
 @dataclass
-class ShardedRunStats:
+class ShardedRunStats(RunRates):
     """Aggregate statistics of a sharded run: per-device scheduler stats
     plus the shard plan's steal log and the pool's virtual occupancy.
 
+    Every additive :class:`~repro.accel.scheduler.ParallelRunStats`
+    tally (:data:`SUMMED_FIELDS` — ``waves``, ``spm_load_cycles``,
+    ``total_flits``, ``wall_seconds``, ``spm_cache_hits``, ``retries``,
+    ``pool_restarts``, …) reads here as the sum over :attr:`per_device`.
     The simulated-cycle aggregates (:attr:`total_cycles`,
-    :attr:`per_wave_cycles`, …) are reassembled in global wave order and
-    equal the serial run's bit-for-bit; only the host-side fields
-    (elapsed seconds, parallelism) reflect the actual fan-out.
+    :attr:`per_wave_cycles`, …) are in global wave order and equal the
+    serial run's bit-for-bit; only the host-side fields (elapsed
+    seconds, parallelism) reflect the actual fan-out.
     """
 
     devices: int
+    #: Host fan-out per device queue actually used (the widest queue's).
     workers: int
     per_device: List[ParallelRunStats]
     steals: List[StealRecord]
@@ -265,53 +263,14 @@ class ShardedRunStats:
     device_transfer_seconds: List[float] = field(default_factory=list)
     elapsed_seconds: float = 0.0
 
-    # -- simulated aggregates (topology-invariant) ---------------------------------
-
-    @property
-    def waves(self) -> int:
-        return sum(stats.waves for stats in self.per_device)
+    def __getattr__(self, name: str):
+        if name in SUMMED_FIELDS:
+            return sum(getattr(stats, name) for stats in self.per_device)
+        raise AttributeError(name)
 
     @property
     def total_cycles(self) -> int:
         return sum(self.per_wave_cycles)
-
-    @property
-    def spm_load_cycles(self) -> int:
-        return sum(stats.spm_load_cycles for stats in self.per_device)
-
-    @property
-    def cycles_including_load(self) -> int:
-        return self.total_cycles + self.spm_load_cycles
-
-    @property
-    def total_flits(self) -> int:
-        return sum(stats.total_flits for stats in self.per_device)
-
-    # -- host-side aggregates ------------------------------------------------------
-
-    @property
-    def wall_seconds(self) -> float:
-        return sum(stats.wall_seconds for stats in self.per_device)
-
-    @property
-    def host_parallelism(self) -> float:
-        """Effective concurrency across all device queues: summed
-        per-wave engine seconds over end-to-end seconds."""
-        if self.elapsed_seconds <= 0:
-            return 0.0
-        return self.wall_seconds / self.elapsed_seconds
-
-    @property
-    def spm_cache_hits(self) -> int:
-        return sum(stats.spm_cache_hits for stats in self.per_device)
-
-    @property
-    def spm_cache_misses(self) -> int:
-        return sum(stats.spm_cache_misses for stats in self.per_device)
-
-    @property
-    def spm_cycles_saved(self) -> int:
-        return sum(stats.spm_cycles_saved for stats in self.per_device)
 
     @property
     def per_worker(self) -> Dict[str, WorkerStats]:
@@ -323,37 +282,12 @@ class ShardedRunStats:
                 merged[f"{prefix}/{worker}"] = tally
         return merged
 
-    # -- resilience aggregates -----------------------------------------------------
-
-    @property
-    def faults_injected(self) -> int:
-        return sum(stats.faults_injected for stats in self.per_device)
-
     @property
     def faults_by_kind(self) -> Dict[str, int]:
-        merged: Dict[str, int] = {}
+        merged: Counter = Counter()
         for stats in self.per_device:
-            for kind, count in stats.faults_by_kind.items():
-                merged[kind] = merged.get(kind, 0) + count
-        return merged
-
-    @property
-    def retries(self) -> int:
-        return sum(stats.retries for stats in self.per_device)
-
-    @property
-    def watchdog_timeouts(self) -> int:
-        return sum(stats.watchdog_timeouts for stats in self.per_device)
-
-    @property
-    def serial_fallback_waves(self) -> int:
-        return sum(stats.serial_fallback_waves for stats in self.per_device)
-
-    @property
-    def pool_restarts(self) -> int:
-        return sum(stats.pool_restarts for stats in self.per_device)
-
-    # -- sharding-specific views ---------------------------------------------------
+            merged.update(stats.faults_by_kind)
+        return dict(merged)
 
     @property
     def steal_count(self) -> int:
@@ -367,11 +301,6 @@ class ShardedRunStats:
         if peak <= 0:
             return [0.0 for _ in cycles]
         return [c / peak for c in cycles]
-
-
-def _wave_nbytes(wave: ShardWave) -> int:
-    """Modelled H2D payload of one wave (coarse: rows x row footprint)."""
-    return wave.cost * MODEL_ROW_BYTES
 
 
 def reduce_bqsr_results(
@@ -389,9 +318,28 @@ def reduce_bqsr_results(
     return merge_partition_results(by_group, read_length)
 
 
+def record_storage_wave(
+    storage: WaveStorage,
+    items: Sequence[WaveItem],
+    emit: Callable[..., None] = record_event,
+    **labels: object,
+) -> Dict[str, object]:
+    """The one ``storage.wave`` writer: what the in-SSD filter did for
+    one wave (raw and survivor bytes, pruned rows, scan time), emitted
+    under the caller's ``labels`` and returned for totals and spans."""
+    fields = dict(
+        raw_nbytes=storage.wave_raw_nbytes(items),
+        nbytes=storage.wave_nbytes(items),
+        pruned_rows=storage.wave_pruned_rows(items),
+        scan_seconds=storage.wave_scan_seconds(items),
+    )
+    emit("storage.wave", **labels, **fields)
+    return fields
+
+
 def _record_storage_run(
     driver: WaveDriver,
-    storage,
+    storage: WaveStorage,
     device_queues: List[List[Tuple[int, List[WaveItem]]]],
     pool: DevicePool,
     total_cycles: int,
@@ -402,46 +350,36 @@ def _record_storage_run(
     ``repro analyze --storage`` sweeps (DESIGN.md §3.10)."""
     config = pool.config
     tracer = active_spans()
-    total_raw = 0
-    total_survivor = 0
-    total_pruned = 0
-    scan_total = 0.0
+    totals = dict(raw_nbytes=0, nbytes=0, pruned_rows=0, scan_seconds=0.0)
     for device, queue in enumerate(device_queues):
         cursor = 0
         for global_index, items in queue:
-            raw = storage.wave_raw_nbytes(items)
-            nbytes = storage.wave_nbytes(items)
-            pruned = storage.wave_pruned_rows(items)
-            scan = storage.wave_scan_seconds(items)
-            total_raw += raw
-            total_survivor += nbytes
-            total_pruned += pruned
-            scan_total += scan
-            record_event(
-                "storage.wave",
+            wave = record_storage_wave(
+                storage, items,
                 stage=driver.stage, device=device, wave=global_index,
-                raw_nbytes=raw, nbytes=nbytes, pruned_rows=pruned,
-                scan_seconds=scan,
             )
+            for name, value in wave.items():
+                totals[name] += value
             if tracer.enabled:
-                cycles = int(round(scan * config.clock_hz))
+                cycles = int(round(wave["scan_seconds"] * config.clock_hz))
                 tracer.record(
                     f"scan:w{global_index}", "filter",
                     cursor, cursor + cycles,
                     trace_id=f"run-{driver.stage}-storage{device}",
                     lane=f"storage:{device}",
                     wave=global_index, device=device,
-                    raw_nbytes=raw, nbytes=nbytes, pruned_rows=pruned,
+                    raw_nbytes=wave["raw_nbytes"], nbytes=wave["nbytes"],
+                    pruned_rows=wave["pruned_rows"],
                 )
                 cursor += cycles
     record_event(
         "storage.run",
         stage=driver.stage, devices=len(device_queues),
         filtered_fraction=storage.filtered_fraction,
-        raw_nbytes=total_raw, survivor_nbytes=total_survivor,
-        saved_nbytes=total_raw - total_survivor,
-        pruned_rows=total_pruned,
-        scan_seconds=scan_total,
+        raw_nbytes=totals["raw_nbytes"], survivor_nbytes=totals["nbytes"],
+        saved_nbytes=totals["raw_nbytes"] - totals["nbytes"],
+        pruned_rows=totals["pruned_rows"],
+        scan_seconds=totals["scan_seconds"],
         kernel_seconds=total_cycles / config.clock_hz,
         transfer_seconds=sum(pool.transfer_seconds()),
         internal_bandwidth=storage.config.internal_bandwidth,
@@ -463,18 +401,10 @@ def _record_shard_run(
             waves=device_stats.waves, cycles=device_stats.total_cycles,
             steals_in=device_stats.steals_in,
             steals_out=device_stats.steals_out,
-            busy_seconds=(
-                stats.device_busy_seconds[device]
-                if device < len(stats.device_busy_seconds) else 0.0
-            ),
-            transfer_seconds=(
-                stats.device_transfer_seconds[device]
-                if device < len(stats.device_transfer_seconds) else 0.0
-            ),
+            busy_seconds=stats.device_busy_seconds[device],
+            transfer_seconds=stats.device_transfer_seconds[device],
             elapsed_seconds=device_stats.elapsed_seconds,
-            utilization=(
-                utilization[device] if device < len(utilization) else 0.0
-            ),
+            utilization=utilization[device],
         )
     record_event(
         "shard.run",
@@ -504,10 +434,21 @@ def run_sharded(
     policy: str = "hash",
     steal: bool = True,
     device_config: Optional[DeviceConfig] = None,
-    storage=None,
+    storage: Optional[WaveStorage] = None,
 ) -> Tuple[Dict[PartitionId, object], ShardedRunStats]:
     """Run an accelerator stage sharded over ``devices`` modelled cards,
     each queue fanned out over ``workers`` host processes.
+
+    One walk for every topology: :func:`plan_shards` packs the waves and
+    lays them on ``devices`` queues (one queue when ``devices=1``);
+    :func:`~repro.accel.scheduler.run_queues` executes them all — one
+    loop, one process pool, one fault injector over ``fault_plan``
+    polled by global wave index, one SPM cache per queue seeded from
+    ``spm_cache``; each wave is then charged to its card's virtual
+    timeline in global order (:meth:`~repro.runtime.device.DevicePool.
+    charge_wave`); and the merge is canonical — results in input
+    partition order, caches absorbed in device order.  See the module
+    docstring for why the answer is bit-identical to serial.
 
     ``storage`` optionally attaches the modelled in-SSD filter (a
     :class:`~repro.storage.filter.StorageFilterPlan`): wave H2D charges
@@ -515,83 +456,30 @@ def run_sharded(
     ship descriptors the device expands against its resident REF
     partition — while the simulation itself is untouched, so results and
     per-stage kernel cycles are bit-identical to the unfiltered run
-    (DESIGN.md §3.10).  With ``devices=1`` the filter additionally
-    charges a single-card :class:`~repro.runtime.device.DevicePool`
-    (normally the unsharded path skips transfer modelling entirely) so
-    the savings are observable at any device count.
+    (DESIGN.md §3.10).
 
-    ``devices=1`` delegates straight to
-    :func:`~repro.accel.scheduler.run_partitioned` (no planning, no
-    thread hop — the unsharded path keeps its cost).  For ``devices>1``
-    the plan from :func:`plan_shards` runs one ``run_partitioned`` per
-    device concurrently, each with its own SPM cache, fault injector
-    (split from ``fault_plan`` by actual wave placement), and process
-    pool, then merges deterministically: results in canonical input
-    partition order, caches absorbed in device order.  See the module
-    docstring for why the answer is bit-identical to serial.
+    The one asymmetry between topologies: a lone card with no filter in
+    front of it charges no transfer timeline (it reports zero busy and
+    transfer seconds), and a lone card never gets a ``pcie:<n>`` trace
+    lane.
 
     Unlike ``run_partitioned`` this takes the fault *plan*, not an
-    injector — injectors hold per-run mutable state that cannot be
-    shared across concurrent device queues.
+    injector, so one plan can be handed to many stages.
     """
     if devices < 1:
         raise ValueError("need at least one device")
     parts = list(partitions)
     started = time.perf_counter()
 
-    if devices == 1:
-        injector = (
-            FaultInjector(fault_plan) if fault_plan is not None else None
-        )
-        results, stats = run_partitioned(
-            driver, parts, n_pipelines, workers=workers,
-            spm_cache=spm_cache, registry=registry,
-            fault_injector=injector, retry_policy=retry_policy,
-            wave_timeout=wave_timeout,
-        )
-        device_busy: List[float] = []
-        device_transfer: List[float] = []
-        if storage is not None:
-            # The unsharded path normally skips the transfer model; with
-            # the filter on, charge a single-card pool so the survivor
-            # savings are observable here too.  The wave packing below is
-            # exactly what run_partitioned computed, so cycles line up.
-            pool = DevicePool(1, config=device_config, storage=storage)
-            card = pool.device(0)
-            _empty, single_waves = pack_waves(parts, n_pipelines)
-            for index, items in enumerate(single_waves):
-                raw = sum(part.num_rows for _pid, part in items)
-                card.transfer(
-                    pool.wave_nbytes(items, raw * MODEL_ROW_BYTES), "h2d"
-                )
-                card.launch(index, stats.per_wave_cycles[index])
-                card.wait(index)
-            device_busy = pool.busy_seconds()
-            device_transfer = pool.transfer_seconds()
-            _record_storage_run(
-                driver, storage,
-                [list(enumerate(single_waves))], pool,
-                sum(stats.per_wave_cycles),
-            )
-        sharded = ShardedRunStats(
-            devices=1, workers=stats.workers, per_device=[stats],
-            steals=[], plan_loads=[sum(p.num_rows for _pid, p in parts)],
-            per_wave_cycles=list(stats.per_wave_cycles),
-            device_busy_seconds=device_busy,
-            device_transfer_seconds=device_transfer,
-            elapsed_seconds=time.perf_counter() - started,
-        )
-        _record_shard_run(driver, sharded, policy)
-        return results, sharded
-
     plan = plan_shards(parts, n_pipelines, devices, policy=policy, steal=steal)
-    queues = [plan.device_waves(device) for device in range(devices)]
-    device_plans: List[Optional[FaultPlan]] = [None] * devices
-    if fault_plan is not None:
-        device_plans = list(shard_fault_plan(fault_plan, plan.device_queues()))
+    queues = [
+        [(wave.global_index, wave.items) for wave in plan.device_waves(device)]
+        for device in range(devices)
+    ]
     shared_cache = spm_cache if spm_cache is not None else SpmImageCache()
-    seed_images = dict(shared_cache.images())
-    pool = DevicePool(devices, config=device_config, storage=storage)
+    caches = [SpmImageCache() for _ in queues]
+    for cache in caches:
+        cache.merge(shared_cache.images())
     _log.info(
         "%s: sharding %d wave(s) over %d device(s) (%s policy, "
         "%d steal(s), loads %s)",
@@ -599,90 +487,56 @@ def run_sharded(
         len(plan.steals), plan.loads(),
         extra={"stage": driver.stage},
     )
-
-    def run_device(device: int):
-        queue = queues[device]
-        cache = SpmImageCache()
-        cache.merge(seed_images)
-        injector = (
-            FaultInjector(device_plans[device])
-            if device_plans[device] is not None else None
-        )
-        results, stats = run_partitioned(
-            driver, [], n_pipelines, workers=workers,
-            spm_cache=cache, registry=registry, fault_injector=injector,
-            retry_policy=retry_policy, wave_timeout=wave_timeout,
-            prepacked_waves=[wave.items for wave in queue],
-            device=device, force_pool=True,
-        )
-        # charge the card's virtual timeline: H2D the wave, run it,
-        # wait — per-device occupancy mirrors a single-card run's
-        card = pool.device(device)
-        for local, wave in enumerate(queue):
-            card.transfer(
-                pool.wave_nbytes(wave.items, _wave_nbytes(wave)), "h2d"
-            )
-            card.launch(wave.global_index, stats.per_wave_cycles[local])
-            card.wait(wave.global_index)
-        return results, stats, cache
-
-    with ThreadPoolExecutor(max_workers=devices) as host_pool:
-        outcomes = list(host_pool.map(run_device, range(devices)))
+    merged, per_device = run_queues(
+        driver, plan.empty_pids, queues, n_pipelines, workers, caches,
+        FaultInjector(fault_plan) if fault_plan is not None else None,
+        retry_policy, wave_timeout,
+    )
 
     # -- deterministic merge: canonical order regardless of finish order ----------
 
-    merged: Dict[PartitionId, object] = {
-        pid: driver.empty_result(pid) for pid in plan.empty_pids
-    }
-    for device_results, _stats, _cache in outcomes:
-        merged.update(device_results)
     results = {pid: merged[pid] for pid, _part in parts}
-
-    per_device: List[ParallelRunStats] = []
-    per_wave_cycles = [0] * len(plan.waves)
-    for device, (_results, stats, _cache) in enumerate(outcomes):
-        stats.steals_in = sum(
-            1 for steal in plan.steals if steal.target == device
-        )
-        stats.steals_out = sum(
-            1 for steal in plan.steals if steal.source == device
-        )
-        for local, wave in enumerate(queues[device]):
-            per_wave_cycles[wave.global_index] = stats.per_wave_cycles[local]
-        per_device.append(stats)
-
     ext = registry_or_null(registry)
+    steals_in = Counter(steal.target for steal in plan.steals)
+    steals_out = Counter(steal.source for steal in plan.steals)
     for device, stats in enumerate(per_device):
-        labels = {"stage": driver.stage, "device": str(device)}
-        ext.counter("scheduler.steals_in", **labels).inc(stats.steals_in)
-        ext.counter("scheduler.steals_out", **labels).inc(stats.steals_out)
+        stats.steals_in = steals_in[device]
+        stats.steals_out = steals_out[device]
+        stats.publish(ext, stage=driver.stage)
+    # queues hold ascending global indices, so walking the plan in
+    # global order drains each queue's cycle list front to back
+    queue_cycles = [iter(stats.per_wave_cycles) for stats in per_device]
+    per_wave_cycles = [next(queue_cycles[wave.device]) for wave in plan.waves]
 
-    # Trace the modelled H2D link occupancy: one pcie:<n> lane per card,
-    # waves tiled in queue order on a cumulative virtual-cycle axis
-    # (parent-side after the merge, so the trace is thread-order-free).
+    # Charge each wave to its card, in global order (so the per-card
+    # float sums never depend on finish order), tracing the modelled H2D
+    # link occupancy on one pcie:<n> lane per card of a multi-card run.
+    pool = DevicePool(devices, config=device_config, storage=storage)
+    timeline = devices > 1 or storage is not None
     tracer = active_spans()
-    if tracer.enabled:
-        config = pool.config
-        for device in range(devices):
-            cursor = 0
-            for wave in queues[device]:
-                nbytes = pool.wave_nbytes(wave.items, _wave_nbytes(wave))
-                seconds = (
-                    config.transfer_setup_seconds
-                    + nbytes / config.pcie_bandwidth
-                )
-                cycles = int(round(seconds * config.clock_hz))
-                tracer.record(
-                    f"h2d:w{wave.global_index}", "transfer",
-                    cursor, cursor + cycles,
-                    trace_id=f"run-{driver.stage}-pcie{device}",
-                    lane=f"pcie:{device}",
-                    wave=wave.global_index, device=device, nbytes=nbytes,
-                )
-                cursor += cycles
+    link_cursor = [0] * devices
+    for wave in plan.waves if timeline else ():
+        nbytes, seconds = pool.charge_wave(
+            wave.device, wave.global_index, wave.items,
+            per_wave_cycles[wave.global_index],
+        )
+        if tracer.enabled and devices > 1:
+            start = link_cursor[wave.device]
+            link_cursor[wave.device] += int(
+                round(seconds * pool.config.clock_hz)
+            )
+            tracer.record(
+                f"h2d:w{wave.global_index}", "transfer",
+                start, link_cursor[wave.device],
+                trace_id=f"run-{driver.stage}-pcie{wave.device}",
+                lane=f"pcie:{wave.device}",
+                wave=wave.global_index, device=wave.device, nbytes=nbytes,
+            )
 
     sharded = ShardedRunStats(
-        devices=devices, workers=workers, per_device=per_device,
+        devices=devices,
+        workers=max(stats.workers for stats in per_device),
+        per_device=per_device,
         steals=list(plan.steals), plan_loads=plan.loads(),
         per_wave_cycles=per_wave_cycles,
         device_busy_seconds=pool.busy_seconds(),
@@ -692,16 +546,11 @@ def run_sharded(
 
     # absorb per-device caches in device order (images first-wins on
     # identical keys, counters accumulate), so later stages replay hits
-    for _results, _stats, device_cache in outcomes:
-        shared_cache.absorb(device_cache)
+    for cache in caches:
+        shared_cache.absorb(cache)
     if storage is not None:
         _record_storage_run(
-            driver, storage,
-            [
-                [(wave.global_index, wave.items) for wave in queues[device]]
-                for device in range(devices)
-            ],
-            pool, sharded.total_cycles,
+            driver, storage, queues, pool, sharded.total_cycles
         )
     _record_shard_run(driver, sharded, policy)
     _log.info(

@@ -27,7 +27,6 @@ from .plan import (
     KNOWN_SITES,
     FaultPlan,
     FaultSpec,
-    shard_fault_plan,
 )
 from .retry import NO_RETRY, RetryPolicy
 
@@ -48,5 +47,4 @@ __all__ = [
     "NO_RETRY",
     "RetryBudgetExceeded",
     "RetryPolicy",
-    "shard_fault_plan",
 ]

@@ -5,8 +5,9 @@ crashes, wave-item timeouts, PCIe transfer errors, device launch
 failures — and *where*: every injection point in the codebase is a named
 **site** (``scheduler.wave``, ``runtime.transfer``, ``runtime.launch``),
 and every logical operation arriving at a site is assigned a **slot**
-index in deterministic arrival order (wave index for the scheduler,
-transfer/launch ordinal for the runtime).
+index in deterministic arrival order (the packed wave's global index
+for the scheduler, on every device topology; transfer/launch ordinal for
+the runtime).
 
 The determinism contract: **same seed + same plan ⇒ same injected
 faults**.  Each spec's target slots are derived once, from a
@@ -190,57 +191,3 @@ class FaultPlan:
                 f" (seed {self.seed})"
             )
 
-
-def shard_fault_plan(
-    plan: FaultPlan,
-    device_queues: Iterable[Iterable[int]],
-    site: str = "scheduler.wave",
-) -> Tuple[FaultPlan, ...]:
-    """Split one fault plan into per-device plans for a shard layout.
-
-    Under multi-device sharding each device queue numbers its wave slots
-    locally from zero, so a global plan cannot be polled as-is.  This
-    resolves every ``site`` spec's *global* target slots once (from the
-    seed, exactly as a serial run would) and re-expresses them as
-    explicit local slots on whichever device queue actually runs each
-    global wave: ``device_queues[d]`` lists device ``d``'s waves by
-    global index in execution order, so global wave ``g`` faults on
-    device ``d`` at local slot ``device_queues[d].index(g)``.  The
-    mapping is a pure function of ``(plan, layout)`` — faults stay
-    keyed by ``(device, wave)`` and deterministic regardless of host
-    thread scheduling.  Global targets beyond the wave count are
-    dropped, exactly as a serial run never reaches them.  Specs for
-    other sites are replicated into every device plan unchanged (the
-    scheduler only polls ``site``; runtime sites keep their own
-    per-device slot counters).
-    """
-    queues = [list(queue) for queue in device_queues]
-    if not queues:
-        raise ValueError("need at least one device queue")
-    placement: Dict[int, Tuple[int, int]] = {}
-    for device, queue in enumerate(queues):
-        for local, global_index in enumerate(queue):
-            placement[global_index] = (device, local)
-    per_device: list = [[] for _ in queues]
-    for spec in plan.specs:
-        if spec.site != site:
-            for specs in per_device:
-                specs.append(spec)
-            continue
-        local_slots: Dict[int, list] = {}
-        for g in plan.targets(spec):
-            if g in placement:
-                device, local = placement[g]
-                local_slots.setdefault(device, []).append(local)
-        for device, slots in local_slots.items():
-            per_device[device].append(
-                FaultSpec(
-                    kind=spec.kind, site=spec.site, count=len(slots),
-                    attempts=spec.attempts, spread=spec.spread,
-                    at=tuple(sorted(slots)),
-                )
-            )
-    return tuple(
-        FaultPlan(seed=plan.seed, specs=tuple(specs))
-        for specs in per_device
-    )

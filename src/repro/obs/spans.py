@@ -104,9 +104,8 @@ class TraceSpan:
 class SpanRecorder:
     """Collects :class:`TraceSpan` instances with deterministic ids.
 
-    Span ids are handed out by an :func:`itertools.count` (atomic under
-    the GIL — concurrent device queues of one ``run_sharded`` append
-    from threads), so two identical runs produce identical traces.
+    Span ids are handed out by an :func:`itertools.count`, so two
+    identical runs produce identical traces.
     A disabled recorder records nothing and hands out id ``0``.
     """
 
@@ -189,9 +188,7 @@ _active_recorder: Optional[SpanRecorder] = None
 
 def active_spans() -> SpanRecorder:
     """The ambient recorder, or the shared null one outside any
-    :func:`tracing` context.  Deliberately a plain module global (not a
-    contextvar): ``run_sharded`` device threads must all see the
-    recorder their parent installed."""
+    :func:`tracing` context."""
     recorder = _active_recorder
     return recorder if recorder is not None else NULL_SPANS
 

@@ -13,7 +13,7 @@ the accelerator finished *yet*".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Dict, Optional, Protocol, Sequence, Tuple
 
 from ..faults.injector import FaultInjector, RetryBudgetExceeded
 from ..faults.retry import RetryPolicy
@@ -33,6 +33,29 @@ PCIE4_BANDWIDTH = 32e9
 #: Accelerator clock (Section V-A): 250 MHz.
 CLOCK_HZ = 250e6
 
+#: Modelled host->device payload per read for the PCIe transfer model
+#: (sequence + qualities + alignment metadata, order-of-magnitude).
+MODEL_ROW_BYTES = 128
+
+
+class WaveStorage(Protocol):
+    """What the device, sharding and serve layers ask of the modelled
+    in-SSD filter (DESIGN.md §3.10): per-wave survivor accounting over
+    ``(pid, Table)`` items plus the run-level figures the ``storage.run``
+    summary reports.  :class:`~repro.storage.filter.StorageFilterPlan`
+    and :class:`~repro.storage.frontend.StorageFrontEnd` both satisfy
+    it."""
+
+    filtered_fraction: float
+    compression_ratio: float
+    #: The filter's tunables (``internal_bandwidth`` is what is read).
+    config: Any
+
+    def wave_nbytes(self, items: Sequence[tuple]) -> int: ...
+    def wave_raw_nbytes(self, items: Sequence[tuple]) -> int: ...
+    def wave_pruned_rows(self, items: Sequence[tuple]) -> int: ...
+    def wave_scan_seconds(self, items: Sequence[tuple]) -> float: ...
+
 
 @dataclass
 class DeviceConfig:
@@ -43,6 +66,10 @@ class DeviceConfig:
     fpga_memory_bytes: int = 64 * 1024 ** 3
     #: Fixed software/driver overhead charged per DMA transfer.
     transfer_setup_seconds: float = 20e-6
+
+    def transfer_seconds(self, nbytes: int) -> float:
+        """Modelled seconds one DMA of ``nbytes`` holds the PCIe link."""
+        return nbytes / self.pcie_bandwidth + self.transfer_setup_seconds
 
 
 @dataclass
@@ -187,10 +214,7 @@ class GenesisDevice:
         successful attempt (failed attempts charge the timeline too)."""
         if direction not in ("h2d", "d2h"):
             raise ValueError(f"bad transfer direction {direction!r}")
-        seconds = (
-            nbytes / self.config.pcie_bandwidth
-            + self.config.transfer_setup_seconds
-        )
+        seconds = self.config.transfer_seconds(nbytes)
         self._retry_loop(
             TRANSFER_FAULT_SITE,
             direction=direction, nbytes=nbytes, seconds=seconds,
@@ -230,17 +254,13 @@ class DevicePool:
     device memory, and metrics registry.
 
     The pool is the hardware side of multi-device sharding
-    (:mod:`repro.accel.sharding`): every shard of a run charges its
-    transfers and compute to its own card, so per-device occupancy and
+    (:mod:`repro.accel.sharding`): every wave of a run is charged to its
+    own card (:meth:`charge_wave`), so per-device occupancy and
     utilization are observable exactly as a single-card run's are.  The
-    cards are fully independent — nothing in the pool is shared state —
-    which is what makes sharded runs deterministic regardless of how the
-    host overlaps the device queues.
+    cards are fully independent — nothing in the pool is shared state.
 
-    ``fault_injectors`` optionally supplies one injector per device
-    (runtime sites keep per-device slot counters that way); a single
-    shared injector is deliberately not accepted, because concurrent
-    device queues would race its slot counters.
+    ``fault_injectors`` optionally supplies one injector per device, so
+    the runtime sites keep per-device slot counters.
 
     ``storage`` optionally attaches the modelled in-SSD filter
     (a :class:`~repro.storage.filter.StorageFilterPlan` or
@@ -257,7 +277,7 @@ class DevicePool:
         config: Optional[DeviceConfig] = None,
         fault_injectors: Optional[list] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        storage: Optional[object] = None,
+        storage: Optional[WaveStorage] = None,
     ):
         if devices < 1:
             raise ValueError("need at least one device")
@@ -292,13 +312,31 @@ class DevicePool:
         """The card at ``index``."""
         return self.devices[index]
 
-    def wave_nbytes(self, items: list, default: int) -> int:
+    def wave_nbytes(self, items: list, default: Optional[int] = None) -> int:
         """H2D bytes to charge for a wave of ``(pid, Table)`` items:
         the storage filter's survivor footprint when one is attached,
-        ``default`` (the raw modelled footprint) otherwise."""
-        if self.storage is None:
+        else ``default`` — by default the raw modelled footprint, rows x
+        :data:`MODEL_ROW_BYTES`."""
+        if self.storage is not None:
+            return self.storage.wave_nbytes(items)
+        if default is not None:
             return default
-        return self.storage.wave_nbytes(items)
+        return sum(part.num_rows for _pid, part in items) * MODEL_ROW_BYTES
+
+    def charge_wave(
+        self, device: int, wave_id: int, items: list, cycles: int
+    ) -> Tuple[int, float]:
+        """Charge one executed wave to card ``device``'s virtual
+        timeline — H2D its payload (:meth:`wave_nbytes`), launch
+        ``cycles`` of kernel, wait — and return the ``(bytes, seconds)``
+        the DMA took.  Every layer that occupies a card (sharded runs,
+        the job service) charges through here."""
+        nbytes = self.wave_nbytes(items)
+        card = self.devices[device]
+        seconds = card.transfer(nbytes, "h2d")
+        card.launch(wave_id, cycles)
+        card.wait(wave_id)
+        return nbytes, seconds
 
     def least_loaded(self) -> int:
         """The index of the card whose timeline is furthest behind

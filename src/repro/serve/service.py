@@ -21,10 +21,13 @@ Host-side execution is *eager*: a dispatched wave is simulated
 immediately (inline, or fanned out over a process pool), and only its
 virtual completion is deferred to ``clock + duration``.  Every wave in
 a round is seeded from the SPM-cache state at the start of the round
-and the results are merged back in dispatch order (first-writer-wins),
-exactly the :func:`~repro.accel.scheduler.run_partitioned` pool
-protocol — so results, cycles, and the entire virtual timeline are
-bit-identical for every ``workers`` value.
+and the results are merged back in dispatch order (first-writer-wins)
+through the executor's own per-wave primitives —
+:func:`~repro.accel.scheduler.execute_wave`,
+:meth:`~repro.accel.scheduler.SpmImageCache.adopt`,
+:meth:`~repro.runtime.device.DevicePool.charge_wave` — so results,
+cycles, and the entire virtual timeline are bit-identical for every
+``workers`` value.
 
 Faults are enacted at the dispatch boundary (site ``serve.wave``),
 parent-side: an injected fault consumes a retry and charges the
@@ -43,8 +46,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..accel.scheduler import SpmImageCache, _run_wave_task
-from ..accel.sharding import MODEL_ROW_BYTES
+from ..accel.scheduler import SpmImageCache, execute_wave, wave_pool
+from ..accel.sharding import record_storage_wave
 from ..faults.injector import FaultInjector, RetryBudgetExceeded
 from ..faults.plan import FaultPlan
 from ..faults.retry import RetryPolicy
@@ -52,7 +55,7 @@ from ..tables.partition import PartitionId
 from ..obs.ledger import record_event
 from ..obs.registry import MetricsRegistry
 from ..obs.spans import SpanRecorder, fleet_chrome_trace
-from ..runtime.device import DeviceConfig, DevicePool
+from ..runtime.device import DeviceConfig, DevicePool, WaveStorage
 from .job import (
     COMPLETED,
     FAILED,
@@ -166,6 +169,9 @@ class ServiceCheckpoint:
     jobs: Dict[int, Job]
     queue: JobQueue
     arrivals: List[Tuple[int, int, JobSpec]]
+    #: The next arrival's submission number: pending arrivals keep
+    #: theirs, so post-resume arrivals must keep counting past them.
+    arrival_seq: int
     devices: int
     workers: int
     fault_plan: Optional[FaultPlan]
@@ -176,7 +182,7 @@ class ServiceCheckpoint:
     fault_counts: Dict[str, int] = field(default_factory=dict)
     spans: Optional[SpanRecorder] = None
     job_span_ids: Dict[int, int] = field(default_factory=dict)
-    storage: Optional[object] = None
+    storage: Optional[WaveStorage] = None
 
     @property
     def open_jobs(self) -> int:
@@ -214,7 +220,7 @@ class JobService:
         spm_cache: Optional[SpmImageCache] = None,
         device_config: Optional[DeviceConfig] = None,
         spans: Optional[SpanRecorder] = None,
-        storage: Optional[object] = None,
+        storage: Optional[WaveStorage] = None,
     ) -> None:
         if devices < 1:
             raise ValueError("need at least one device")
@@ -509,83 +515,48 @@ class JobService:
 
     def _execute(self, picks: List[_Dispatch]) -> None:
         waves = [p.job.waves[p.wave_index] for p in picks]
-        drivers = [p.job.spec.driver for p in picks]
-        seeds = [
-            self.cache.images_for(driver.wave_keys(wave))
-            for driver, wave in zip(drivers, waves)
-        ]
-        if self.workers > 1 and len(picks) > 1:
-            executor = self._ensure_executor()
-            futures = [
-                executor.submit(
-                    _run_wave_task, driver, pick.wave_index, wave, seed
-                )
-                for pick, driver, wave, seed in zip(
-                    picks, drivers, waves, seeds
-                )
-            ]
-            payloads = [future.result() for future in futures]
-        else:
-            payloads = [
-                _run_wave_task(driver, pick.wave_index, wave, seed)
-                for pick, driver, wave, seed in zip(picks, drivers, waves,
-                                                    seeds)
-            ]
-        for pick, payload in zip(picks, payloads):
+        # every wave of the round is seeded from the cache as the round
+        # began; outcomes are adopted afterwards, in dispatch order
+        tasks = [
             (
-                _index, wave_results, stats, load_cycles, new_images,
-                hits, misses, saved, _pid, _elapsed,
-            ) = payload
-            self.cache.merge(new_images)
-            self.cache.hits += hits
-            self.cache.misses += misses
-            self.cache.cycles_saved += saved
-            wave = pick.job.waves[pick.wave_index]
-            nbytes = self.pool.wave_nbytes(
-                wave, pick.cost_rows * MODEL_ROW_BYTES
+                pick.job.spec.driver, pick.wave_index, wave,
+                self.cache.images_for(pick.job.spec.driver.wave_keys(wave)),
             )
-            transfer_cycles = self._transfer_cycles(nbytes)
-            duration = (
-                transfer_cycles
-                + load_cycles
-                + stats.cycles
-                + pick.penalty_cycles
+            for pick, wave in zip(picks, waves)
+        ]
+        if len(picks) > 1 and self._executor is None:
+            # a round dispatches at most one wave per device
+            self._executor = wave_pool(self.workers, self.devices)
+        if len(picks) > 1 and self._executor is not None:
+            futures = [
+                self._executor.submit(execute_wave, *task) for task in tasks
+            ]
+            outcomes = [future.result() for future in futures]
+        else:
+            outcomes = [execute_wave(*task) for task in tasks]
+        clock_hz = self.pool.config.clock_hz
+        for pick, wave, outcome in zip(picks, waves, outcomes):
+            self.cache.adopt(outcome)
+            cycles = outcome.stats.cycles
+            _nbytes, seconds = self.pool.charge_wave(
+                pick.device, pick.seq, wave, cycles
             )
-            end = self.clock + duration
-            card = self.pool.device(pick.device)
-            card.transfer(nbytes, "h2d")
+            transfer_cycles = int(round(seconds * clock_hz))
             if self.storage is not None:
-                self._event(
-                    "storage.wave",
+                record_storage_wave(
+                    self.storage, wave, emit=self._event,
                     tenant=pick.job.tenant, job=pick.job.job_id,
                     stage=pick.job.stage, wave=pick.wave_index,
                     device=pick.device,
-                    raw_nbytes=self.storage.wave_raw_nbytes(wave),
-                    nbytes=nbytes,
-                    pruned_rows=self.storage.wave_pruned_rows(wave),
-                    scan_seconds=self.storage.wave_scan_seconds(wave),
                 )
-            card.launch(pick.seq, stats.cycles)
-            card.wait(pick.seq)
+            end = (
+                self.clock + transfer_cycles + outcome.load_cycles
+                + cycles + pick.penalty_cycles
+            )
             self._inflight[pick.device] = _Inflight(
-                pick, wave_results, stats.cycles, load_cycles, end,
+                pick, outcome.results, cycles, outcome.load_cycles, end,
                 start_cycles=self.clock, transfer_cycles=transfer_cycles,
             )
-
-    def _transfer_cycles(self, nbytes: int) -> int:
-        config = self.pool.config
-        seconds = (
-            config.transfer_setup_seconds
-            + nbytes / config.pcie_bandwidth
-        )
-        return int(round(seconds * config.clock_hz))
-
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=min(self.workers, self.devices)
-            )
-        return self._executor
 
     def _shutdown_executor(self) -> None:
         if self._executor is not None:
@@ -776,6 +747,7 @@ class JobService:
             jobs=self._jobs,
             queue=self.queue,
             arrivals=list(self._arrivals),
+            arrival_seq=self._arrival_seq,
             devices=self.devices,
             workers=self.workers,
             fault_plan=self.fault_plan,
@@ -819,7 +791,7 @@ class JobService:
         service._jobs = checkpoint.jobs
         service.queue = checkpoint.queue
         service._arrivals = list(checkpoint.arrivals)
-        service._arrival_seq = len(checkpoint.arrivals)
+        service._arrival_seq = checkpoint.arrival_seq
         if service.injector is not None:
             service.injector._slots.update(checkpoint.fault_slots)
         service._retries = checkpoint.retries

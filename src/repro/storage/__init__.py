@@ -14,7 +14,6 @@ from .filter import (
     StorageFilterPlan,
     exact_match_mask,
     plan_storage_filter,
-    storage_wave_nbytes,
 )
 from .frontend import StorageFrontEnd
 from .layout import (
@@ -43,5 +42,4 @@ __all__ = [
     "encode_partition",
     "exact_match_mask",
     "plan_storage_filter",
-    "storage_wave_nbytes",
 ]

@@ -19,7 +19,7 @@ anyway): the device can reconstruct it from an 8-byte descriptor
 crosses PCIe*, never *what the kernels compute*:
 
 * survivors ship their full modelled row footprint
-  (:data:`~repro.accel.sharding.MODEL_ROW_BYTES` per row, as before);
+  (:data:`~repro.runtime.device.MODEL_ROW_BYTES` per row, as before);
 * pruned reads ship only :data:`DESCRIPTOR_BYTES`;
 * every wave still simulates every read — per-stage kernel cycles and
   results are bit-identical to the unfiltered run *by construction*, and
@@ -43,13 +43,12 @@ critical path; the what-if exposes the non-overlapped bound).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from ..accel.sharding import MODEL_ROW_BYTES
 from ..obs.ledger import record_event
-from ..runtime.device import PCIE3_BANDWIDTH
+from ..runtime.device import MODEL_ROW_BYTES, PCIE3_BANDWIDTH
 from ..tables.partition import PartitionId, PartitionedReference
 from ..tables.table import Table
 from .layout import ChunkedReadStore, chunk_store_from_partitions
@@ -290,13 +289,3 @@ def plan_storage_filter(
         )
     return plan
 
-
-def storage_wave_nbytes(
-    storage: Optional[StorageFilterPlan],
-    items: List[Tuple[PartitionId, Table]],
-    default: int,
-) -> int:
-    """Survivor bytes when a plan is active, ``default`` otherwise."""
-    if storage is None:
-        return default
-    return storage.wave_nbytes(items)

@@ -1,8 +1,6 @@
 """The deprecated ``repro.accel.parallel`` shim was removed after a full
 deprecation cycle (warned since PR 4, banned from package code via ruff
-TID251 until removal): importing it must now fail loudly, and the
-scheduler module it pointed at must keep exporting everything the shim
-used to re-export."""
+TID251 until removal): importing it must now fail loudly."""
 
 import importlib
 import sys
@@ -16,16 +14,3 @@ def test_parallel_shim_is_gone():
         importlib.import_module("repro.accel.parallel")
     assert "repro.accel.parallel" not in sys.modules
 
-
-def test_scheduler_exports_the_former_shim_surface():
-    scheduler = importlib.import_module("repro.accel.scheduler")
-    for name in (
-        "run_metadata_parallel",
-        "ParallelRunStats",
-        "SpmImageCache",
-        "WorkerStats",
-    ):
-        assert hasattr(scheduler, name), name
-    accel = importlib.import_module("repro.accel")
-    for name in ("ParallelRunStats", "SpmImageCache", "run_partitioned"):
-        assert hasattr(accel, name), name

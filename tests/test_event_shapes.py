@@ -1,0 +1,218 @@
+"""Shape pin for what a run writes down: the ledger events and the
+trace spans of ``run_sharded`` over devices {1, 2} x storage {off, on}
+x faults {off, on}, one run that exhausts a wave's retry budget, and
+one served trace with a drain.
+
+Each case is reduced to two multisets — ``event name | sorted field
+keys`` and ``span lane | category`` — and compared against
+``tests/data/event_shapes.json``.  Values (cycles, seconds, worker
+labels) are deliberately not pinned; what is pinned is which records
+exist, how many, and which fields they carry, so a refactor of the
+execution path cannot silently drop a field, a lane or an event.
+
+Regenerate (only when a shape change is intended and declared)::
+
+    PYTHONPATH=src:tests python tests/test_event_shapes.py
+"""
+
+import json
+import os
+from collections import Counter
+
+import pytest
+
+from repro.accel.scheduler import MetadataWaveDriver
+from repro.accel.sharding import run_sharded
+from repro.eval.workloads import make_workload
+from repro.faults.plan import FaultPlan, FaultSpec
+from repro.faults.retry import RetryPolicy
+from repro.obs.ledger import RunLedger, RunManifest, run_context
+from repro.obs.spans import SpanRecorder, tracing
+from repro.serve import SERVE_FAULT_SITE, JobService, JobSpec
+from repro.serve.trace import SERVE_STAGES, stage_driver, stage_partitions
+from repro.storage import plan_storage_filter
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "event_shapes.json")
+
+#: The global wave the fault plans name.  The sharded workload packs
+#: five metadata waves that hash onto two devices as [1, 2, 3] / [0, 4],
+#: so wave 2 sits at queue slot 1: slot and global index differ.
+FAULTED_WAVE = 2
+
+SHARDED_CASES = [
+    (devices, storage, faults)
+    for devices in (1, 2)
+    for storage in (False, True)
+    for faults in (False, True)
+]
+
+
+def _workload(psize=600):
+    return make_workload(
+        n_reads=80, read_length=50, chromosomes=(20, 21),
+        genome_scale=4.5e-5, psize=psize, seed=105,
+    )
+
+
+def _shapes(events, spans):
+    return {
+        "events": dict(sorted(Counter(
+            f"{name}|{','.join(sorted(fields))}" for name, fields in events
+        ).items())),
+        "spans": dict(sorted(Counter(
+            f"{span.lane}|{span.cat}" for span in spans
+        ).items())),
+    }
+
+
+def _ledger_events(ledger):
+    envelope = {"schema", "schema_version", "ts", "run_id", "event"}
+    return [
+        (record["event"], set(record) - envelope)
+        for record in ledger.read()
+        if not record["event"].startswith("run.")
+    ]
+
+
+def sharded_case(workload, tmp_path, devices, storage, faults, exhaust=False):
+    """One ``run_sharded`` metadata stage, ledgered and traced.
+
+    ``faults`` injects one retried fault at :data:`FAULTED_WAVE`;
+    ``exhaust`` makes it outlast the retry budget so the wave takes the
+    serial-fallback rung."""
+    plan = None
+    if faults or exhaust:
+        plan = FaultPlan(seed=3, specs=(FaultSpec(
+            "transfer_error", site="scheduler.wave", at=(FAULTED_WAVE,),
+            attempts=2 if exhaust else 1,
+        ),))
+    ledger = RunLedger(os.path.join(
+        str(tmp_path), f"d{devices}s{storage:d}f{faults:d}x{exhaust:d}.jsonl"
+    ))
+    recorder = SpanRecorder()
+    manifest = RunManifest(workload="event-shapes", config={"devices": devices})
+    with run_context(manifest, ledger), tracing(recorder):
+        run_sharded(
+            MetadataWaveDriver(reference=workload.reference),
+            workload.partitions, 2, devices=devices, workers=1,
+            fault_plan=plan,
+            retry_policy=RetryPolicy(max_retries=1, backoff_base=0.0),
+            storage=(
+                plan_storage_filter(
+                    workload.partitions, workload.reference, record=False
+                ) if storage else None
+            ),
+        )
+    return ledger, recorder
+
+
+def served_case(workload):
+    """Six jobs on two devices behind the filter, one dispatch-boundary
+    fault, drained after three dispatches and resumed to idle."""
+    storage = plan_storage_filter(
+        list(workload.partitions) + list(workload.group_partitions),
+        workload.reference, record=False,
+    )
+    service = JobService(
+        devices=2, workers=1, storage=storage,
+        fault_plan=FaultPlan(seed=5, specs=(
+            FaultSpec("transfer_error", site=SERVE_FAULT_SITE, at=(1,)),
+        )),
+        retry_policy=RetryPolicy(max_retries=2),
+    )
+    for index in range(6):
+        stage = SERVE_STAGES[index % len(SERVE_STAGES)]
+        service.schedule(
+            JobSpec(
+                tenant=f"t{index % 2}",
+                driver=stage_driver(stage, workload),
+                partitions=stage_partitions(stage, workload),
+                n_pipelines=2,
+            ),
+            at_cycles=index * 1000,
+        )
+    service.run(max_dispatches=3)
+    resumed = JobService.resume(service.drain())
+    resumed.run_until_idle()
+    events = [
+        (name, set(fields)) for name, fields in service.events + resumed.events
+    ]
+    return _shapes(events, resumed.spans.spans)
+
+
+def collect(tmp_path):
+    workload = _workload()
+    shapes = {}
+    for devices, storage, faults in SHARDED_CASES:
+        ledger, recorder = sharded_case(
+            workload, tmp_path, devices, storage, faults
+        )
+        key = f"sharded-d{devices}-s{storage:d}-f{faults:d}"
+        shapes[key] = _shapes(_ledger_events(ledger), recorder.spans)
+    ledger, recorder = sharded_case(
+        workload, tmp_path, 2, False, True, exhaust=True
+    )
+    shapes["sharded-d2-budget-exhausted"] = _shapes(
+        _ledger_events(ledger), recorder.spans
+    )
+    shapes["served-d2-s1-f1-drain3"] = served_case(
+        _workload(psize=1500)
+    )
+    return shapes
+
+
+@pytest.fixture(scope="module")
+def shapes(tmp_path_factory):
+    return collect(tmp_path_factory.mktemp("shapes"))
+
+
+def _golden():
+    with open(GOLDEN) as handle:
+        return json.load(handle)
+
+
+def test_every_case_is_pinned(shapes):
+    assert sorted(shapes) == sorted(_golden())
+
+
+@pytest.mark.parametrize("case", sorted(_golden()) if os.path.exists(GOLDEN) else [])
+def test_event_and_span_shapes(shapes, case):
+    want = _golden()[case]
+    assert shapes[case]["events"] == want["events"]
+    assert shapes[case]["spans"] == want["spans"]
+
+
+def test_sharded_fault_ledger_joins_on_device_and_wave(tmp_path):
+    """The single wave identity, end to end: on two devices behind the
+    filter, ``scheduler.wave``, ``storage.wave`` and ``fault.retry``
+    join on ``(device, wave)`` without a miss, and the faulted wave is
+    the one the plan named — by its global index."""
+    ledger, _recorder = sharded_case(_workload(), tmp_path, 2, True, True)
+    ran = {
+        (e["device"], e["wave"]) for e in ledger.events("scheduler.wave")
+    }
+    stored = {
+        (e["device"], e["wave"]) for e in ledger.events("storage.wave")
+    }
+    assert ran == stored and len(ran) > FAULTED_WAVE
+    assert sorted(wave for _device, wave in ran) == list(range(len(ran)))
+    (retry,) = ledger.events("fault.retry")
+    (injected,) = ledger.events("fault.injected")
+    assert retry["wave"] == injected["slot"] == FAULTED_WAVE
+    assert (retry["device"], retry["wave"]) in ran
+    assert injected["device"] == retry["device"]
+    # the queue slot differs from the global index, or this proves nothing
+    queue = sorted(w for device, w in ran if device == retry["device"])
+    assert queue.index(FAULTED_WAVE) != FAULTED_WAVE
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
+    with tempfile.TemporaryDirectory() as scratch:
+        collected = collect(scratch)
+    with open(GOLDEN, "w") as handle:
+        json.dump(collected, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {GOLDEN}")

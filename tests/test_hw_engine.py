@@ -238,12 +238,13 @@ def test_bqsr_identical_across_modes(workload, monkeypatch):
 
 
 def test_metadata_parallel_identical_across_modes(workload):
-    from repro.accel.scheduler import run_metadata_parallel
+    from repro.accel.scheduler import MetadataWaveDriver, run_partitioned
 
     runs = {}
     for mode in ("dense", "event"):
-        results, stats = run_metadata_parallel(
-            workload.partitions, workload.reference, n_pipelines=4, mode=mode
+        results, stats = run_partitioned(
+            MetadataWaveDriver(reference=workload.reference, mode=mode),
+            workload.partitions, 4,
         )
         runs[mode] = (results, stats)
     dense_results, dense_stats = runs["dense"]

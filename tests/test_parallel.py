@@ -3,8 +3,19 @@
 import pytest
 
 from repro.accel.metadata import run_metadata_update
-from repro.accel.scheduler import ParallelRunStats, run_metadata_parallel
+from repro.accel.scheduler import (
+    MetadataWaveDriver,
+    ParallelRunStats,
+    run_partitioned,
+)
 from repro.tables.partition import PartitionId
+
+
+def run_metadata_parallel(partitions, reference, n_pipelines, workers=1):
+    return run_partitioned(
+        MetadataWaveDriver(reference=reference), partitions, n_pipelines,
+        workers=workers,
+    )
 
 
 @pytest.fixture(scope="module")

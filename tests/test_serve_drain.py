@@ -179,3 +179,39 @@ def test_drain_idle_service_is_clean(workload):
     resumed = JobService.resume(checkpoint)
     summary = resumed.run_until_idle()
     assert summary.jobs_completed == 4
+
+
+def test_resume_keeps_submission_order_among_arrivals(workload):
+    """Regression: ``resume`` used to restart the arrival counter at
+    ``len(pending arrivals)`` while the pending arrivals kept their
+    original submission numbers, so a job scheduled *after* the resume
+    could be admitted *before* an older arrival at the same cycle —
+    breaking the documented ``(at_cycles, submission order)`` rule."""
+    def spec(tenant):
+        return JobSpec(
+            tenant=tenant,
+            driver=stage_driver("markdup", workload),
+            partitions=stage_partitions("markdup", workload)[:2],
+            n_pipelines=2,
+        )
+
+    late = 10 ** 7
+    service = JobService(devices=1, quota=8)
+    for tenant, at_cycles in (
+        ("old0", 0), ("old1", 0), ("old2", 0),
+        ("old3", late), ("old4", 2 * late),
+    ):
+        service.schedule(spec(tenant), at_cycles=at_cycles)
+    service.run(max_dispatches=1)  # admits the three due arrivals
+    assert [job.tenant for job in service.jobs()] == ["old0", "old1", "old2"]
+    resumed = JobService.resume(service.drain())
+    resumed.schedule(spec("new"), at_cycles=2 * late)  # same cycle as old4
+    assert [s.tenant for _at, _seq, s in resumed._arrivals] == [
+        "old3", "old4", "new",
+    ]
+    summary = resumed.run_until_idle()
+    assert summary.jobs_completed == 6
+    # job ids are handed out at admission: admission order is id order
+    assert [job.tenant for job in resumed.jobs()] == [
+        "old0", "old1", "old2", "old3", "old4", "new",
+    ]

@@ -29,7 +29,11 @@ from repro.accel.sharding import (
     stable_shard_hash,
 )
 from repro.eval.workloads import make_workload
-from repro.faults.plan import FaultPlan, FaultSpec, shard_fault_plan
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, FaultSpec
+from repro.faults.retry import RetryPolicy
+from repro.obs.ledger import RunLedger, RunManifest, run_context
+from repro.obs.registry import MetricsRegistry
 
 BQSR_FIELDS = ("total_cycle", "total_context", "error_cycle", "error_context")
 
@@ -156,6 +160,97 @@ def test_sharded_smoke(workload, metadata_serial):
     _assert_metadata_identical(serial_res, sharded_res)
 
 
+# -- one path: run_partitioned is run_sharded(devices=1) -----------------------------
+
+
+def _ledgered(tmp_path, name, run):
+    """Run ``run(registry, cache)`` under a ledger; return what it
+    returned plus the deterministic half of everything it wrote down:
+    ledger events and published metrics, host-time fields masked."""
+    ledger = RunLedger(str(tmp_path / f"{name}.jsonl"))
+    registry, cache = MetricsRegistry(), SpmImageCache()
+    with run_context(RunManifest(workload="one-path"), ledger):
+        results, stats = run(registry, cache)
+    host = {"ts", "run_id", "elapsed_seconds", "worker"}
+    events = sorted(
+        sorted((k, str(v)) for k, v in record.items() if k not in host)
+        for record in ledger.read()
+        if record["event"].startswith(("scheduler.", "fault."))
+    )
+    published = {
+        key: value for key, value in registry.as_dict().items()
+        if "seconds" not in key or "backoff" in key
+    }
+    counters = (cache.hits, cache.misses, cache.cycles_saved, len(cache))
+    return results, stats, events, published, counters
+
+
+@pytest.mark.parametrize("workers", (1, 4))
+@pytest.mark.parametrize("stage", ("markdup", "metadata", "bqsr"))
+def test_run_partitioned_is_run_sharded_on_one_device(
+    workload, tmp_path, stage, workers
+):
+    """The two fronts are one path: same results, cycles, SPM-cache
+    counters, published registry contents and ``scheduler.*`` /
+    ``fault.*`` ledger events (``run_sharded`` adds only its
+    ``shard.*`` summary).  The inline runs also retry an injected fault,
+    so the ``fault.*`` events are compared too."""
+    driver, parts, pipelines = {
+        "markdup": (MarkdupWaveDriver(), workload.partitions, 1),
+        "metadata": (
+            MetadataWaveDriver(reference=workload.reference),
+            workload.partitions, 2,
+        ),
+        "bqsr": (
+            BqsrWaveDriver(
+                reference=workload.reference,
+                read_length=workload.read_length,
+            ),
+            workload.group_partitions, 4,
+        ),
+    }[stage]
+    # a pooled retry is re-seeded from whatever was harvested by then,
+    # which makes its cache *hit counts* host-dependent: fault inline only
+    plan = None
+    if workers == 1:
+        plan = FaultPlan(seed=1, specs=(
+            FaultSpec("transfer_error", site="scheduler.wave", at=(1,)),
+        ))
+    policy = RetryPolicy(backoff_base=0.0)
+    one_queue = _ledgered(
+        tmp_path, "partitioned",
+        lambda registry, cache: run_partitioned(
+            driver, parts, pipelines, workers=workers, spm_cache=cache,
+            registry=registry, retry_policy=policy,
+            fault_injector=FaultInjector(plan) if plan else None,
+        ),
+    )
+    one_device = _ledgered(
+        tmp_path, "sharded",
+        lambda registry, cache: run_sharded(
+            driver, parts, pipelines, devices=1, workers=workers,
+            spm_cache=cache, registry=registry, retry_policy=policy,
+            fault_plan=plan,
+        ),
+    )
+    (res_a, stats_a, *wrote_a), (res_b, stats_b, *wrote_b) = (
+        one_queue, one_device
+    )
+    assert wrote_a == wrote_b
+    assert wrote_a[0], "expected scheduler events in the ledger"
+    if plan is not None:
+        assert stats_a.retries == stats_b.retries == 1
+    _assert_same_cycles(stats_a, stats_b)
+    if stage == "markdup":
+        assert {p: r.quality_sums for p, r in res_a.items()} == {
+            p: r.quality_sums for p, r in res_b.items()
+        }
+    elif stage == "metadata":
+        _assert_metadata_identical(res_a, res_b)
+    else:
+        _assert_bqsr_identical(res_a, res_b)
+
+
 # -- differential under injected faults ---------------------------------------------
 
 
@@ -276,53 +371,6 @@ def test_stable_shard_hash_is_value_based(workload):
     assert clone is not pid
     assert stable_shard_hash(clone) == stable_shard_hash(pid)
     assert stable_shard_hash(pid) == zlib.crc32(str(pid).encode("utf-8"))
-
-
-# -- fault-plan sharding ------------------------------------------------------------
-
-
-def test_shard_fault_plan_places_by_actual_layout():
-    plan = FaultPlan(
-        seed=1, specs=(FaultSpec("worker_crash", count=2, at=(1, 2)),)
-    )
-    # device 0 runs global waves [0, 2]; device 1 runs [1, 3]
-    shards = shard_fault_plan(plan, [[0, 2], [1, 3]])
-    assert len(shards) == 2
-    (spec0,) = shards[0].specs
-    assert spec0.at == (1,)  # global wave 2 is device 0's local slot 1
-    (spec1,) = shards[1].specs
-    assert spec1.at == (0,)  # global wave 1 is device 1's local slot 0
-    assert shards[0].seed == shards[1].seed == plan.seed
-
-
-def test_shard_fault_plan_drops_out_of_range_targets():
-    plan = FaultPlan(
-        seed=2, specs=(FaultSpec("worker_crash", count=2, at=(0, 99)),)
-    )
-    shards = shard_fault_plan(plan, [[0], [1]])
-    (spec0,) = shards[0].specs
-    assert spec0.at == (0,) and spec0.count == 1
-    assert shards[1].specs == ()
-
-
-def test_shard_fault_plan_replicates_other_sites():
-    plan = FaultPlan(
-        seed=3,
-        specs=(
-            FaultSpec("transfer_error", site="runtime.transfer"),
-            FaultSpec("worker_crash", at=(0,)),
-        ),
-    )
-    shards = shard_fault_plan(plan, [[0], [1]])
-    for shard in shards:
-        assert any(s.site == "runtime.transfer" for s in shard.specs)
-    assert any(s.site == "scheduler.wave" for s in shards[0].specs)
-    assert not any(s.site == "scheduler.wave" for s in shards[1].specs)
-
-
-def test_shard_fault_plan_rejects_empty_layout():
-    with pytest.raises(ValueError, match="device queue"):
-        shard_fault_plan(FaultPlan(seed=0, specs=()), [])
 
 
 # -- per-device SPM caches ----------------------------------------------------------

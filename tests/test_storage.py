@@ -23,12 +23,13 @@ from repro.accel.scheduler import (
     MetadataWaveDriver,
     run_partitioned,
 )
-from repro.accel.sharding import MODEL_ROW_BYTES, run_sharded
+from repro.accel.sharding import run_sharded
 from repro.eval.workloads import make_workload
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.genomics.cigar import decode_elements
 from repro.obs.analyze import storage_report_from_ledger, storage_what_if
 from repro.obs.ledger import RunLedger, RunManifest, run_context
+from repro.runtime.device import MODEL_ROW_BYTES, DevicePool
 from repro.storage import (
     DESCRIPTOR_BYTES,
     StorageFilterConfig,
@@ -39,7 +40,6 @@ from repro.storage import (
     encode_partition,
     exact_match_mask,
     plan_storage_filter,
-    storage_wave_nbytes,
 )
 
 BQSR_FIELDS = ("total_cycle", "total_context", "error_cycle", "error_context")
@@ -215,8 +215,8 @@ def test_wave_nbytes_unknown_pid_ships_full(workload, plan):
     pid, part = items[0]
     foreign = (("unplanned", 0, 0), part)
     assert plan.wave_nbytes([foreign]) == part.num_rows * MODEL_ROW_BYTES
-    assert storage_wave_nbytes(None, items, default=123) == 123
-    assert storage_wave_nbytes(plan, items, default=123) == known
+    assert DevicePool(1).wave_nbytes(items, 123) == 123
+    assert DevicePool(1, storage=plan).wave_nbytes(items, 123) == known
 
 
 def test_config_validation():
@@ -420,7 +420,7 @@ def test_run_partitioned_annotates_waves(tmp_path, workload, plan):
     ledger = RunLedger(str(tmp_path / "ledger.jsonl"))
     driver = MetadataWaveDriver(reference=workload.reference)
     with run_context(_manifest(), ledger):
-        run_partitioned(driver, workload.partitions, 2, storage=plan)
+        run_sharded(driver, workload.partitions, 2, devices=1, storage=plan)
     waves = ledger.events("storage.wave")
     assert waves
     assert sum(w["pruned_rows"] for w in waves) == plan.pruned_rows
