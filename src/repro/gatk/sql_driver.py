@@ -35,7 +35,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..obs.registry import MetricsRegistry
+from ..sql.ast_nodes import CreateTable, Script
 from ..sql.executor import Executor
+from ..sql.plan import ScanNode, walk
+from ..sql.prepared import prepare
 from ..tables.partition import (
     PartitionedReads,
     PartitionedReference,
@@ -44,9 +47,10 @@ from ..tables.partition import (
 from ..tables.table import Table
 from ..tables.schema import Schema
 from ..genomics.read import AlignedRead
+from ..genomics.sequences import decode_base
 from .bqsr import CovariateTables, n_cycle_values
 from .markdup import MarkDuplicatesResult, _mate_map, duplicate_key
-from .metadata import MdBuilder, ReadMetadata
+from .metadata import ReadMetadata
 
 #: Fragment scores pack (quality, earliest-member tiebreak) into one
 #: int64 so ``MAX(SCORE)`` reproduces the oracle's survivor choice:
@@ -103,6 +107,9 @@ EXEC MDGen;
 
 #: BQSR covariate construction (Figure 12): M-bases joined with the
 #: reference, known-SNP sites filtered, two GROUP BYs over the bin ids.
+#: The leading statements read only ``ReferenceRow`` (the *reference
+#: side*, :func:`_split_reference_side`): the driver runs them once per
+#: reference partition and the rest once per read-group partition.
 BQSR_SCRIPT = """
 CREATE TABLE RefSeq AS
 PosExplode (ReferenceRow.SEQ, ReferenceRow.REFPOS)
@@ -224,25 +231,70 @@ def sql_mark_duplicates(
 
 def _mdgen(executor: Executor, out: Dict[int, str]) -> None:
     """The MDGen custom module (Section III-F): consume the joined base
-    stream in read order and emit one MD string per read."""
+    stream in read order and emit one MD string per read.
+
+    One array pass instead of a builder per base, bit-identical to
+    :class:`~repro.gatk.metadata.MdBuilder` fed the same stream: only M
+    bases and deletions count (an insertion neither ends a ``^`` run nor
+    breaks a match run), a match count is the number of matching M bases
+    since the read's previous mismatch/deletion, and Python runs only
+    over those *events*.  Reads land in ``out`` in order of first
+    appearance; the rows of one read need not be adjacent.
+    """
     joined = executor.tables["Joined"]
-    read_ids = joined.column("READID")
-    ops = joined.column("OP")
-    seqs = joined.column("SEQ")
-    refps = joined.column("REFP")
-    builders: Dict[int, MdBuilder] = {}
-    for i in range(joined.num_rows):
-        builder = builders.setdefault(int(read_ids[i]), MdBuilder())
-        op = int(ops[i])
-        if op == 0:
-            if int(seqs[i]) + 1 == int(refps[i]):
-                builder.match()
-            else:
-                builder.mismatch(int(refps[i]) - 1)
-        elif op == 2:
-            builder.deletion(int(refps[i]) - 1)
-    for read_id, builder in builders.items():
-        out[read_id] = builder.finish()
+    if joined.num_rows == 0:
+        return
+    read_ids = np.asarray(joined.column("READID"), dtype=np.int64)
+    ops = np.asarray(joined.column("OP"), dtype=np.int64)
+    seqs = np.asarray(joined.column("SEQ"), dtype=np.int64)
+    refps = np.asarray(joined.column("REFP"), dtype=np.int64)
+
+    # Bring each read's rows together, keeping their stream order.
+    ids, first_row, read_of = np.unique(
+        read_ids, return_index=True, return_inverse=True
+    )
+    order = np.argsort(read_of, kind="stable")
+    read_of, ops, seqs, refps = read_of[order], ops[order], seqs[order], refps[order]
+
+    aligned = ops == 0
+    match = aligned & (seqs + 1 == refps)
+    deletion = ops == 2
+    matches = np.cumsum(match)  # matching bases up to and including a row
+    read_end = np.cumsum(np.bincount(read_of))
+    matches_before_read = np.concatenate(([0], matches[read_end[:-1] - 1]))
+
+    events = np.flatnonzero((aligned & ~match) | deletion)
+    event_read = read_of[events]
+    event_matches = matches[events]
+    follows = np.zeros(len(events), dtype=bool)  # an event of the same read precedes
+    follows[1:] = event_read[1:] == event_read[:-1]
+    previous = np.concatenate(([0], event_matches[:-1]))
+    runs = event_matches - np.where(
+        follows, previous, matches_before_read[event_read]
+    )
+    is_deletion = deletion[events]
+    continues = np.zeros(len(events), dtype=bool)  # shares the open ``^``
+    continues[1:] = is_deletion[1:] & is_deletion[:-1]
+    continues &= follows & (runs == 0)
+
+    parts: List[List[str]] = [[] for _ in ids]
+    for read, run, deleted, continued, code in zip(
+        event_read.tolist(), runs.tolist(), is_deletion.tolist(),
+        continues.tolist(), (refps[events] - 1).tolist(),
+    ):
+        if not continued:
+            parts[read].append(f"{run}^" if deleted else str(run))
+        parts[read].append(decode_base(code))
+
+    # Trailing match count: the read's matches after its last event.
+    closes = np.ones(len(events), dtype=bool)  # the read's last event
+    closes[:-1] = ~follows[1:]
+    counted = matches_before_read.copy()
+    counted[event_read[closes]] = event_matches[closes]
+    tails = (matches[read_end - 1] - counted).tolist()
+    ids = ids.tolist()
+    for read in np.argsort(first_row).tolist():  # order of first appearance
+        out[ids[read]] = "".join(parts[read]) + str(tails[read])
 
 
 def sql_update_metadata(
@@ -260,11 +312,9 @@ def sql_update_metadata(
     out: Dict[int, ReadMetadata] = {}
     for pid, part in partitions:
         executor = Executor(backend=backend, metrics=metrics)
-        bases = executor._timed(
-            "explode_reads",
-            lambda: executor.backend.explode_reads(part, read_length),
+        executor.register_table(
+            "Bases", executor.explode_reads(part, read_length)
         )
-        executor.register_table("Bases", bases)
         executor.register_table(
             "ReferenceRow", reference_row_table(reference.lookup(pid))
         )
@@ -288,6 +338,24 @@ def sql_update_metadata(
 # -- BQSR covariate tables ----------------------------------------------------------
 
 
+def _split_reference_side(script: Script) -> Tuple[Script, Script]:
+    """Split ``script`` after its longest prefix of CREATE TABLEs that
+    scan nothing but ``ReferenceRow`` and the tables that prefix itself
+    created — the statements whose result depends on the reference
+    partition alone."""
+    known = {"ReferenceRow"}
+    split = 0
+    for statement in script.statements:
+        if not isinstance(statement, CreateTable) or any(
+            isinstance(node, ScanNode) and node.table not in known
+            for node in walk(statement.plan)
+        ):
+            break
+        known.add(statement.name)
+        split += 1
+    return Script(script.statements[:split]), Script(script.statements[split:])
+
+
 def sql_build_covariate_tables(
     group_partitions: PartitionedReads,
     reference: PartitionedReference,
@@ -302,6 +370,12 @@ def sql_build_covariate_tables(
     partition's bins land in one group's SPM arrays.  Bit-identical to
     :func:`repro.gatk.bqsr.build_covariate_tables`, on either backend.
     """
+    reference_side, read_side = _split_reference_side(prepare(BQSR_SCRIPT))
+    # The read groups of one reference partition arrive back to back
+    # (PartitionedReads iterates by chrom, segment, read group), so the
+    # current partition's reference-side tables are all that is held.
+    held: Optional[Tuple[int, int]] = None
+    reference_tables: Dict[str, Table] = {}
     tables: Dict[int, CovariateTables] = {}
     for pid, part in group_partitions:
         groups = np.unique(np.asarray(part.column("RG")))
@@ -316,17 +390,23 @@ def sql_build_covariate_tables(
             )
         table = tables.setdefault(read_group, CovariateTables(read_length))
 
+        if held != (pid.chrom, pid.segment):
+            held = (pid.chrom, pid.segment)
+            ref_executor = Executor(backend=backend, metrics=metrics)
+            ref_executor.register_table(
+                "ReferenceRow", reference_row_table(reference.lookup(pid))
+            )
+            ref_executor.execute_script(reference_side)
+            reference_tables = ref_executor.tables
+
         executor = Executor(backend=backend, metrics=metrics)
-        bases = executor._timed(
-            "explode_reads",
-            lambda: executor.backend.explode_reads(part, read_length),
-        )
-        executor.register_table("Bases", bases)
+        for name, ref_table in reference_tables.items():
+            executor.register_table(name, ref_table)
         executor.register_table(
-            "ReferenceRow", reference_row_table(reference.lookup(pid))
+            "Bases", executor.explode_reads(part, read_length)
         )
         executor.set_variable("NCYC", n_cycle_values(read_length))
-        executor.execute(BQSR_SCRIPT)
+        executor.execute_script(read_side)
 
         cycle_bins = executor.tables["CycleBins"]
         np.add.at(table.total_cycle,

@@ -1,9 +1,10 @@
 """Extended-SQL front end (Section III-B).
 
 The domain-specific language Genesis users write queries in: a tokenizer,
-a recursive-descent parser, logical query plans, a software executor that
-defines the reference semantics, the PosExplode/ReadExplode operations,
-and the paper's Figure 4 script ready to run.
+a recursive-descent parser, logical query plans, prepared (parse-once)
+scripts, a software executor that defines the reference semantics, the
+PosExplode/ReadExplode operations, and the paper's Figure 4 script ready
+to run.
 """
 
 from .ast_nodes import Script
@@ -35,6 +36,7 @@ from .plan import (
     describe,
     walk,
 )
+from .prepared import prepare, prepare_query
 from .queries import FIGURE4_QUERY, run_figure4_query
 
 __all__ = [
@@ -68,6 +70,8 @@ __all__ = [
     "parse",
     "parse_query",
     "pos_explode",
+    "prepare",
+    "prepare_query",
     "read_explode",
     "register_backend",
     "run_figure4_query",

@@ -160,6 +160,8 @@ class CreateTable(Statement):
     name: str
     query: object  # Select | PosExplode | ReadExplode
     temp: bool = False
+    #: Logical plan of ``query``, attached by :func:`repro.sql.plan.plan_script`.
+    plan: Optional[object] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -168,6 +170,8 @@ class InsertInto(Statement):
 
     name: str
     query: object
+    #: Logical plan of ``query``, attached by :func:`repro.sql.plan.plan_script`.
+    plan: Optional[object] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Software executor for the extended-SQL dialect.
 
 Interprets parsed scripts against a catalog of columnar tables.  The
-executor owns the front half — parsing, the catalog, ``@variables``,
-FOR-loop row bindings, custom modules, and scalar expression
-evaluation — and delegates each plan node's execution to a pluggable
-:class:`~repro.sql.backends.Backend` (ROADMAP item 2: one front end,
-pluggable executors).  The default ``"reference"`` backend is the
+executor owns the front half — the catalog, ``@variables``, FOR-loop
+row bindings, custom modules, and scalar expression evaluation; script
+texts are parsed and planned once per process by
+:mod:`repro.sql.prepared` — and delegates each plan node's execution to
+a pluggable :class:`~repro.sql.backends.Backend` (ROADMAP item 2: one
+front end, pluggable executors).  The default ``"reference"`` backend is the
 row-at-a-time interpreter that defines Genesis query semantics; the
 ``"fast"`` backend (:mod:`repro.sql.fast_backend`) executes the same
 plans with vectorized numpy kernels, bit-identically.
@@ -57,7 +58,6 @@ from .backends import (
     timed_operator,
 )
 from .backends import _infer_spec  # noqa: F401  (back-compat re-export)
-from .parser import parse, parse_query
 from .plan import (
     AggregateNode,
     FilterNode,
@@ -72,6 +72,7 @@ from .plan import (
     SortNode,
     build_plan,
 )
+from .prepared import prepare, prepare_query
 from ..tables.table import Table
 
 __all__ = ["Executor", "SqlError", "table_from_row_dicts"]
@@ -80,6 +81,14 @@ __all__ = ["Executor", "SqlError", "table_from_row_dicts"]
 # backend contract in repro.sql.backends is now their home.
 _apply_binop = apply_binop
 _null_like = null_like
+
+
+def _plan_of(statement) -> PlanNode:
+    """The statement's attached plan; a script that came straight from
+    :func:`~repro.sql.parser.parse` carries none and is planned here."""
+    if statement.plan is None:
+        return build_plan(statement.query)
+    return statement.plan
 
 
 class Executor:
@@ -132,8 +141,9 @@ class Executor:
     # -- script execution -----------------------------------------------------------
 
     def execute(self, text: str) -> None:
-        """Parse and run a whole script."""
-        self.execute_script(parse(text))
+        """Run a whole script; ``text`` is parsed and planned the first
+        time the process sees it (:mod:`repro.sql.prepared`)."""
+        self.execute_script(prepare(text))
 
     def execute_script(self, script: Script) -> None:
         """Run a parsed script."""
@@ -141,14 +151,24 @@ class Executor:
             self._execute_statement(statement)
 
     def query(self, text: str) -> Table:
-        """Parse and evaluate a single query, returning its table."""
-        return self._eval_plan(build_plan(parse_query(text)))
+        """Evaluate a single query, returning its table; ``text`` is
+        parsed and planned the first time the process sees it."""
+        return self._eval_plan(prepare_query(text))
+
+    def explode_reads(self, table: Table, read_length: int) -> Table:
+        """The backend's per-base explosion of a READS ``table`` (the
+        stage drivers' ``Bases`` input), timed as operator
+        ``explode_reads`` like every plan node."""
+        return self._timed(
+            "explode_reads",
+            lambda: self.backend.explode_reads(table, read_length),
+        )
 
     def _execute_statement(self, statement) -> None:
         if isinstance(statement, CreateTable):
-            self.tables[statement.name] = self._eval_plan(build_plan(statement.query))
+            self.tables[statement.name] = self._eval_plan(_plan_of(statement))
         elif isinstance(statement, InsertInto):
-            result = self._eval_plan(build_plan(statement.query))
+            result = self._eval_plan(_plan_of(statement))
             existing = self.tables.get(statement.name)
             if existing is None or existing.num_rows == 0:
                 self.tables[statement.name] = result
@@ -162,11 +182,13 @@ class Executor:
             table = self.tables.get(statement.table)
             if table is None:
                 raise SqlError(f"unknown table {statement.table} in FOR loop")
-            for row in table.rows():
-                self._row_bindings[statement.row_var] = row
-                for inner in statement.body:
-                    self._execute_statement(inner)
-            self._row_bindings.pop(statement.row_var, None)
+            try:
+                for row in table.rows():
+                    self._row_bindings[statement.row_var] = row
+                    for inner in statement.body:
+                        self._execute_statement(inner)
+            finally:
+                self._row_bindings.pop(statement.row_var, None)
         elif isinstance(statement, ExecModule):
             func = self.custom_modules.get(statement.module)
             if func is None:

@@ -10,15 +10,19 @@ them in software and :mod:`repro.compiler` maps them to hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from .ast_nodes import (
     ColumnRef,
+    CreateTable,
     Expr,
+    ForLoop,
     FuncCall,
+    InsertInto,
     PosExplode,
     ReadExplode,
+    Script,
     Select,
     SelectItem,
     Star,
@@ -196,6 +200,22 @@ def build_plan(query) -> PlanNode:
         offset, count = query.limit
         plan = LimitNode(plan, offset, count)
     return plan
+
+
+def _plan_statement(statement):
+    if isinstance(statement, (CreateTable, InsertInto)):
+        return replace(statement, plan=build_plan(statement.query))
+    if isinstance(statement, ForLoop):
+        return replace(
+            statement, body=tuple(_plan_statement(s) for s in statement.body)
+        )
+    return statement
+
+
+def plan_script(script: Script) -> Script:
+    """``script`` with the logical plan of every CREATE TABLE / INSERT
+    INTO query (FOR-loop bodies included) attached as ``statement.plan``."""
+    return Script(tuple(_plan_statement(s) for s in script.statements))
 
 
 def walk(plan: PlanNode):

@@ -3,6 +3,14 @@
 import pytest
 
 from repro.sql.executor import Executor, SqlError
+from repro.sql.parser import ParseError, parse
+from repro.sql.plan import build_plan
+from repro.sql.prepared import (
+    PREPARED_CACHE_SIZE,
+    _prepared,
+    prepare,
+    prepare_query,
+)
 from repro.tables.schema import Schema
 from repro.tables.table import Table
 
@@ -160,3 +168,58 @@ def test_pos_explode_query():
     out = ex.query("PosExplode (R.SEQ, R.POS) FROM R")
     assert out.column("POS").tolist() == [100, 101, 102]
     assert out.column("SEQ").tolist() == [7, 8, 9]
+
+
+def test_for_loop_binding_does_not_outlive_a_failed_body(executor):
+    """A FOR body that raises must not leave its row variable bound: a
+    later statement on the same executor would silently resolve it."""
+    with pytest.raises(SqlError):
+        executor.execute("FOR r IN T: EXEC Nope; END LOOP;")
+    assert executor._row_bindings == {}
+    with pytest.raises(SqlError):
+        executor.execute("SET @leaked = r.V")
+
+
+# -- prepared scripts -----------------------------------------------------------
+
+
+def test_same_text_prepares_to_the_same_script():
+    text = "CREATE TABLE A AS SELECT K FROM T; INSERT INTO B SELECT V FROM A;"
+    script = prepare(text)
+    assert prepare(text) is script
+    assert script == parse(text)  # plans ride along, the AST is unchanged
+    for statement in script.statements:
+        assert statement.plan == build_plan(statement.query)
+    assert prepare_query("SELECT K FROM T") is prepare_query("SELECT K FROM T")
+
+
+def test_for_loop_bodies_are_planned():
+    script = prepare(
+        "FOR Row IN T: INSERT INTO Out SELECT SUM(V == Row.V) FROM T; END LOOP;"
+    )
+    (loop,) = script.statements
+    assert loop.body[0].plan == build_plan(loop.body[0].query)
+
+
+def test_execute_and_query_go_through_the_prepared_cache(executor):
+    script = "CREATE TABLE Twice AS SELECT V + V AS W FROM T WHERE K > 1;"
+    query = "SELECT W FROM Twice"
+    executor.execute(script)
+    executor.query(query)
+    before = _prepared.cache_info()
+    other = Executor(backend="fast")
+    other.register_table("T", executor.tables["T"])
+    other.execute(script)
+    assert other.query(query).column("W").tolist() == [40, 60, 80]
+    after = _prepared.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + 2
+    assert after.maxsize == PREPARED_CACHE_SIZE
+
+
+def test_unparsable_text_is_not_remembered(executor):
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            executor.execute("CREATE TABLE X AS SELECT FROM")
+        with pytest.raises(ParseError):
+            executor.query("SELECT K FROM")

@@ -9,6 +9,7 @@ workload (high duplicate pressure, short reads, small partitions).
 
 from __future__ import annotations
 
+import collections
 import copy
 
 import numpy as np
@@ -19,10 +20,17 @@ from repro.gatk.bqsr import build_covariate_tables
 from repro.gatk.markdup import mark_duplicates
 from repro.gatk.metadata import compute_read_metadata
 from repro.gatk.sql_driver import (
+    BQSR_SCRIPT,
     sql_build_covariate_tables,
     sql_mark_duplicates,
     sql_update_metadata,
 )
+from repro.obs.registry import MetricsRegistry
+from repro.sql.backends import EXPLODED_READS_SCHEMA
+from repro.sql.executor import Executor
+from repro.sql.prepared import prepare
+from repro.tables.partition import reference_row_table
+from repro.tables.table import Table
 
 
 @pytest.fixture(params=["reference", "fast"])
@@ -81,10 +89,10 @@ def assert_metadata_identical(workload, backend):
         assert got[rowid].uq == expected.uq, read.name
 
 
-def assert_bqsr_identical(workload, backend):
+def assert_bqsr_identical(workload, backend, metrics=None):
     got = sql_build_covariate_tables(
         workload.group_partitions, workload.reference, workload.read_length,
-        backend=backend,
+        backend=backend, metrics=metrics,
     )
     expected = build_covariate_tables(
         workload.reads, workload.genome, workload.read_length
@@ -131,3 +139,72 @@ def test_fuzz_drivers_match_oracles(fuzz_workload, backend):
     assert_markdup_identical(fuzz_workload, backend)
     assert_metadata_identical(fuzz_workload, backend)
     assert_bqsr_identical(fuzz_workload, backend)
+
+
+class TimingCounts(MetricsRegistry):
+    """A registry that also counts how often each operator was timed."""
+
+    def __init__(self):
+        super().__init__()
+        self.timed = collections.Counter()
+
+    def counter(self, name, **labels):
+        if name == "sql_operator_seconds":
+            self.timed[labels["op"]] += 1
+        return super().counter(name, **labels)
+
+
+@pytest.mark.parametrize("read_groups", [4, 1])
+def test_bqsr_reference_side_runs_once_per_reference_partition(
+    read_groups, backend
+):
+    """The ``ReferenceRow``-only statements of the BQSR script (two
+    PosExplodes and their join) run once per (chrom, segment), however
+    many read groups share it — and the tables still match the oracle,
+    both when groups share a reference partition and when each
+    reference partition has a single group."""
+    wl = make_workload(
+        n_reads=60, read_length=50, chromosomes=(20, 21),
+        genome_scale=1.2e-6, psize=1500, read_groups=read_groups, seed=311,
+    )
+    group_pids = wl.group_partitions.pids
+    reference_pids = {(pid.chrom, pid.segment) for pid in group_pids}
+    if read_groups == 1:
+        assert len(group_pids) == len(reference_pids)
+    else:
+        assert len(group_pids) > len(reference_pids) > 1
+
+    metrics = TimingCounts()
+    assert_bqsr_identical(wl, backend, metrics=metrics)
+    assert metrics.timed["pos_explode"] == 2 * len(reference_pids)
+    assert metrics.timed["explode_reads"] == len(group_pids)
+
+
+def test_executors_sharing_a_prepared_script_stay_independent(backend):
+    """One prepared BQSR script, two executors with their own catalog
+    and ``@NCYC``: each result depends on its executor alone."""
+    script = prepare(BQSR_SCRIPT)
+    ref_row = reference_row_table({
+        "CHR": 1, "REFPOS": 0, "SEQ": np.array([0, 1, 2, 3], dtype=np.uint8),
+        "IS_SNP": np.zeros(4, dtype=bool),
+    })
+
+    def bins(n_cycles, quals):
+        ex = Executor(backend=backend)
+        ex.register_table("ReferenceRow", ref_row)
+        ex.register_table("Bases", Table.from_columns(
+            EXPLODED_READS_SCHEMA,
+            READID=[0, 0], POS=[1, 2], OP=[0, 0], SEQ=[1, 0],
+            QUAL=quals, CYC=[0, 1], CTX=[-1, 4],
+        ))
+        ex.set_variable("NCYC", n_cycles)
+        ex.execute_script(script)
+        return (
+            ex.tables["CycleBins"].column("B1").tolist(),
+            ex.tables["CycleBins"].column("E").tolist(),
+        )
+
+    assert prepare(BQSR_SCRIPT) is script
+    assert bins(10, [30, 30]) == ([300, 301], [0, 1])
+    assert bins(100, [20, 7]) == ([2000, 701], [0, 1])
+    assert bins(10, [30, 30]) == ([300, 301], [0, 1])
