@@ -69,16 +69,15 @@ from ..faults.injector import (
     FAULT_EXCEPTIONS,
     FaultInjector,
     InjectedFaultError,
-    RetryBudgetExceeded,
 )
-from ..faults.retry import RetryPolicy
+from ..faults.retry import FailedAttempt, RetryLadder, RetryPolicy
 from ..hw.engine import Engine, RunStats
 from ..hw.memory import MemoryConfig, MemorySystem
 from ..hw.spm import Scratchpad
 from ..obs.ledger import record_event
 from ..obs.log import get_logger, set_worker_id
 from ..obs.registry import MetricsRegistry, registry_or_null
-from ..obs.spans import active_spans
+from ..obs.spans import WaveTimeline, active_spans
 from ..tables.partition import PartitionId, PartitionedReference
 from ..tables.table import Table
 from .bqsr import (
@@ -541,20 +540,13 @@ class ParallelRunStats(RunRates):
     def from_registry(
         cls,
         registry: MetricsRegistry,
+        per_wave_cycles: List[int],
         workers: int,
         elapsed_seconds: float,
     ) -> "ParallelRunStats":
         """Assemble the stats view from one queue's accounting registry
-        (the :data:`RUN_BOOK` tallies plus the per-wave gauges and
-        per-worker counters the executor records)."""
-        per_wave_cycles = [
-            gauge.value
-            for _wave, gauge in sorted(
-                (int(dict(labels)["wave"]), gauge)
-                for labels, gauge in
-                registry.values("scheduler.wave.cycles").items()
-            )
-        ]
+        (the :data:`RUN_BOOK` tallies plus the per-worker counters the
+        executor records) and its waves' cycles in queue order."""
         per_worker: Dict[str, WorkerStats] = {}
         for attr in ("waves", "cycles", "wall_seconds", "elapsed_seconds"):
             counters = registry.values(f"scheduler.worker.{attr}")
@@ -727,67 +719,51 @@ def _pool_task(
     return execute_wave(driver, index, wave, seed_images)
 
 
-def _lay_run_spans(driver, queue, run_registry, stats, faults, policy) -> None:
+def _lay_run_spans(driver, queue, stats, done, faults, backoffs) -> None:
     """Lay one queue's trace spans on its device lane (no-op without an
     ambient :func:`~repro.obs.spans.tracing` recorder).
 
     Spans are laid parent-side *after* the run from the per-wave
     accounting, in queue order on a cumulative virtual-cycle axis —
     so the trace is identical for every ``workers`` value, exactly like
-    the cycle accounting itself.  Each wave gets a parent span with
-    ``spm_load``/``kernel`` children tiling it, plus a zero-length fault
-    marker per injected fault (carrying the deterministic backoff the
-    retry would charge)."""
+    the cycle accounting itself.  Each wave gets a parent span with its
+    :class:`~repro.obs.spans.WaveTimeline` segments tiling it, plus a
+    zero-length fault marker per injected fault (carrying the backoff
+    the retry ladder accounted for it)."""
     tracer = active_spans()
     if not tracer.enabled:
         return
     lane_index = stats.device if stats.device is not None else 0
-    lane = f"device:{lane_index}"
-    trace_id = f"run-{driver.stage}-d{lane_index}"
-    load_by_wave = {
-        int(dict(labels)["wave"]): gauge.value
-        for labels, gauge in
-        run_registry.values("scheduler.wave.load_cycles").items()
-    }
-    faults_by_wave: Dict[int, List[Tuple[int, str]]] = {}
-    for kind, wave_index, attempt in sorted(
-        faults, key=lambda item: (item[1], item[2])
-    ):
-        faults_by_wave.setdefault(wave_index, []).append((attempt, kind))
+    common = dict(
+        trace_id=f"run-{driver.stage}-d{lane_index}",
+        lane=f"device:{lane_index}",
+    )
     run_span = tracer.reserve()
     cursor = 0
-    for (wave_index, items), cycles in zip(queue, stats.per_wave_cycles):
-        load = load_by_wave.get(wave_index, 0)
+    for wave_index, items in queue:
+        load, cycles = done[wave_index]
+        timeline = WaveTimeline(cursor, load=load, kernel=cycles)
         parent = tracer.record(
             f"{driver.stage}:w{wave_index}", "wave",
-            cursor, cursor + load + cycles,
-            trace_id=trace_id, parent_id=run_span, lane=lane,
-            wave=wave_index, replicas=len(items),
+            timeline.start, timeline.end, parent_id=run_span,
+            wave=wave_index, replicas=len(items), **common,
         )
-        for attempt, kind in faults_by_wave.get(wave_index, ()):
+        for attempt, kind in sorted(
+            (attempt, kind) for kind, index, attempt in faults
+            if index == wave_index
+        ):
             tracer.record(
-                f"fault:{kind}", "fault", cursor, cursor,
-                trace_id=trace_id, parent_id=parent, lane=lane,
+                f"fault:{kind}", "fault", cursor, cursor, parent_id=parent,
                 wave=wave_index, attempt=attempt, kind=kind,
-                backoff_seconds=policy.backoff_seconds(wave_index, attempt),
+                backoff_seconds=backoffs[wave_index, attempt], **common,
             )
-        if load > 0:
-            tracer.record(
-                "spm_load", "spm_load", cursor, cursor + load,
-                trace_id=trace_id, parent_id=parent, lane=lane,
-                wave=wave_index,
-            )
-        tracer.record(
-            "kernel", "kernel", cursor + load, cursor + load + cycles,
-            trace_id=trace_id, parent_id=parent, lane=lane,
-            wave=wave_index,
+        cursor = tracer.lay_wave(
+            timeline, parent_id=parent, wave=wave_index, **common
         )
-        cursor += load + cycles
     tracer.record(
-        f"{driver.stage}:run", "run", 0, cursor,
-        trace_id=trace_id, span_id=run_span, lane=lane,
+        f"{driver.stage}:run", "run", 0, cursor, span_id=run_span,
         stage=driver.stage, waves=stats.waves, workers=stats.workers,
-        device=stats.device,
+        device=stats.device, **common,
     )
 
 
@@ -860,6 +836,8 @@ def run_queues(
         extra={"stage": driver.stage},
     )
     run_registries = [MetricsRegistry() for _ in queues]
+    #: wave index -> (SPM load cycles, kernel cycles) of its clean run.
+    waves_done: Dict[int, Tuple[int, int]] = {}
 
     def device_label(index):
         return {"device": placed[index][0]} if sharded else {}
@@ -881,10 +859,7 @@ def run_queues(
             **device_label(index),
         )
         book = book_of(index)
-        book.gauge("scheduler.wave.cycles", wave=index).set(stats.cycles)
-        book.gauge(
-            "scheduler.wave.load_cycles", wave=index
-        ).set(outcome.load_cycles)
+        waves_done[index] = (outcome.load_cycles, stats.cycles)
         for metric, amount in (
             ("scheduler.spm_load_cycles", outcome.load_cycles),
             ("scheduler.spm_cache.hits", outcome.hits),
@@ -905,11 +880,13 @@ def run_queues(
         ):
             book.counter(f"scheduler.worker.{name}", worker=worker).inc(amount)
 
-    # -- resilience accounting (guarded so a re-poll after a pool rebuild
-    #    never double-counts the same (wave, attempt) decision) ------------------
+    # -- resilience accounting ------------------------------------------------------
 
+    #: Injected faults booked so far; a re-poll after a pool rebuild
+    #: must not double-count the same (kind, wave, attempt) decision.
     accounted_faults: Set[Tuple[str, int, int]] = set()
-    accounted_retries: Set[Tuple[int, int]] = set()
+    #: (wave, attempt) -> the backoff the ladder accounted for it.
+    backoffs: Dict[Tuple[int, int], float] = {}
 
     def account_fault(kind, index, attempt):
         key = (kind, index, attempt)
@@ -918,25 +895,26 @@ def run_queues(
         accounted_faults.add(key)
         book_of(index).counter("scheduler.faults", kind=kind).inc()
 
-    def account_retry(index, attempt, kind):
-        key = (index, attempt)
-        if key in accounted_retries:
-            return 0.0
-        accounted_retries.add(key)
-        backoff = policy.backoff_seconds(index, attempt)
+    def account_failure(index, failed: FailedAttempt):
+        """Book one failed attempt the ladder accounted, on either rung."""
+        backoffs[index, failed.attempt] = failed.backoff_seconds
+        if failed.exhausted:
+            return
         book_of(index).counter("scheduler.retries").inc()
-        book_of(index).counter("scheduler.backoff_seconds").inc(backoff)
+        book_of(index).counter(
+            "scheduler.backoff_seconds"
+        ).inc(failed.backoff_seconds)
         record_event(
             "fault.retry",
-            stage=driver.stage, wave=index, attempt=attempt,
-            kind=kind, backoff_seconds=backoff, **device_label(index),
+            stage=driver.stage, wave=index, attempt=failed.attempt,
+            kind=failed.kind, backoff_seconds=failed.backoff_seconds,
+            **device_label(index),
         )
         _log.info(
             "wave %d attempt %d failed (%s); retrying after %.3fs",
-            index, attempt, kind, backoff,
+            index, failed.attempt, failed.kind, failed.backoff_seconds,
             extra={"stage": driver.stage, "wave": index},
         )
-        return backoff
 
     def account_serial_fallback(index, attempt, reason):
         book_of(index).counter("scheduler.serial_fallback_waves").inc()
@@ -951,13 +929,14 @@ def run_queues(
             extra={"stage": driver.stage, "wave": index},
         )
 
-    def poll_wave_fault(index, attempt, worker):
-        """The parent-side injection decision for one wave attempt."""
-        if injector is None:
-            return None
-        return injector.poll(
-            WAVE_FAULT_SITE, index, attempt,
-            stage=driver.stage, worker=worker, **device_label(index),
+    def wave_ladder(index, start_attempt=0, worker="w0"):
+        """Wave ``index``'s retry ladder (real sleeps); every injection
+        decision is taken here, in the parent."""
+        return RetryLadder(
+            injector, policy, WAVE_FAULT_SITE, index, start_attempt,
+            subject=f"wave {index}", context=dict(
+                stage=driver.stage, worker=worker, **device_label(index)
+            ),
         )
 
     def seed_images(index):
@@ -965,27 +944,13 @@ def run_queues(
         return caches[device].images_for(driver.wave_keys(items))
 
     def run_wave_serial(index, start_attempt=0, worker="w0"):
-        """One wave with the serial retry ladder: poll → enact → backoff
-        → retry, until the attempt runs clean or the budget is gone."""
-        attempt = start_attempt
-        while True:
-            fault = poll_wave_fault(index, attempt, worker)
-            if fault is None:
-                account(worker, execute_wave(
-                    driver, index, placed[index][1], seed_images(index)
-                ))
-                return
-            account_fault(fault.kind, index, attempt)
-            if attempt - start_attempt >= policy.max_retries:
-                raise RetryBudgetExceeded(
-                    f"wave {index} failed {attempt - start_attempt + 1} "
-                    f"attempt(s); retry budget ({policy.max_retries}) "
-                    "exhausted"
-                ) from fault.to_exception()
-            backoff = account_retry(index, attempt, fault.kind)
-            if backoff > 0:
-                time.sleep(backoff)
-            attempt += 1
+        """One wave down the serial ladder, then the clean attempt."""
+        for failed in wave_ladder(index, start_attempt, worker):
+            account_fault(failed.kind, index, failed.attempt)
+            account_failure(index, failed)
+        account(worker, execute_wave(
+            driver, index, placed[index][1], seed_images(index)
+        ))
 
     pool = wave_pool(len(queues) * workers, len(placed))
     if pool is None:
@@ -1002,7 +967,7 @@ def run_queues(
         pool_restarts = 0
 
         def submit(index, attempt):
-            fault = poll_wave_fault(index, attempt, worker="pool")
+            fault = wave_ladder(index, worker="pool").poll(attempt)
             fault_kind = None
             hang = 0.0
             if fault is not None:
@@ -1025,15 +990,14 @@ def run_queues(
         def requeue(index, attempt, kind):
             """The ladder after a failed attempt: retry on the pool while
             the budget lasts, then hand the wave to the serial pass."""
-            if attempt >= policy.max_retries:
+            failed = wave_ladder(index, worker="pool").fail(attempt, kind)
+            account_failure(index, failed)
+            if failed.exhausted:
                 account_serial_fallback(
                     index, attempt, reason="retry budget exhausted"
                 )
                 serial_waves.append((index, attempt + 1))
             else:
-                backoff = account_retry(index, attempt, kind)
-                if backoff > 0:
-                    time.sleep(backoff)
                 ready.append((index, attempt + 1))
 
         try:
@@ -1147,13 +1111,16 @@ def run_queues(
     for device, (queue, book) in enumerate(zip(queues, run_registries)):
         stats = ParallelRunStats.from_registry(
             book,
+            [waves_done[index][1] for index, _items in queue],
             # this queue's share of the pool
             workers=max(1, min(workers, len(queue))),
             # one loop, one pool: every queue shares the run's wall clock
             elapsed_seconds=elapsed,
         )
         stats.device = device if sharded else None
-        _lay_run_spans(driver, queue, book, stats, accounted_faults, policy)
+        _lay_run_spans(
+            driver, queue, stats, waves_done, accounted_faults, backoffs
+        )
         record_event(
             "scheduler.run",
             **({"device": device} if sharded else {}),

@@ -337,6 +337,34 @@ def record_storage_wave(
     return fields
 
 
+def record_storage_run(
+    storage: WaveStorage,
+    config: DeviceConfig,
+    totals: Dict[str, object],
+    kernel_seconds: float,
+    transfer_seconds: float,
+    **labels: object,
+) -> None:
+    """The one ``storage.run`` writer — the summary ``repro analyze
+    --storage`` sweeps (DESIGN.md §3.10).  ``totals`` carries the
+    :func:`record_storage_wave` fields summed over whatever the caller
+    is summarizing (a run's waves, a served plan)."""
+    record_event(
+        "storage.run",
+        **labels,
+        filtered_fraction=storage.filtered_fraction,
+        raw_nbytes=totals["raw_nbytes"], survivor_nbytes=totals["nbytes"],
+        saved_nbytes=totals["raw_nbytes"] - totals["nbytes"],
+        pruned_rows=totals["pruned_rows"],
+        scan_seconds=totals["scan_seconds"],
+        kernel_seconds=kernel_seconds,
+        transfer_seconds=transfer_seconds,
+        internal_bandwidth=storage.config.internal_bandwidth,
+        pcie_bandwidth=config.pcie_bandwidth,
+        compression_ratio=storage.compression_ratio,
+    )
+
+
 def _record_storage_run(
     driver: WaveDriver,
     storage: WaveStorage,
@@ -346,8 +374,7 @@ def _record_storage_run(
 ) -> None:
     """Ledger + trace the in-storage filter's work for one sharded run:
     a ``storage.wave`` event per wave, scan spans tiled on one
-    ``storage:<n>`` lane per card, and the ``storage.run`` summary that
-    ``repro analyze --storage`` sweeps (DESIGN.md §3.10)."""
+    ``storage:<n>`` lane per card, and the ``storage.run`` summary."""
     config = pool.config
     tracer = active_spans()
     totals = dict(raw_nbytes=0, nbytes=0, pruned_rows=0, scan_seconds=0.0)
@@ -362,29 +389,19 @@ def _record_storage_run(
                 totals[name] += value
             if tracer.enabled:
                 cycles = int(round(wave["scan_seconds"] * config.clock_hz))
-                tracer.record(
-                    f"scan:w{global_index}", "filter",
-                    cursor, cursor + cycles,
+                cursor = tracer.lay(
+                    cursor, f"scan:w{global_index}", "filter", cycles,
                     trace_id=f"run-{driver.stage}-storage{device}",
                     lane=f"storage:{device}",
                     wave=global_index, device=device,
                     raw_nbytes=wave["raw_nbytes"], nbytes=wave["nbytes"],
                     pruned_rows=wave["pruned_rows"],
                 )
-                cursor += cycles
-    record_event(
-        "storage.run",
-        stage=driver.stage, devices=len(device_queues),
-        filtered_fraction=storage.filtered_fraction,
-        raw_nbytes=totals["raw_nbytes"], survivor_nbytes=totals["nbytes"],
-        saved_nbytes=totals["raw_nbytes"] - totals["nbytes"],
-        pruned_rows=totals["pruned_rows"],
-        scan_seconds=totals["scan_seconds"],
+    record_storage_run(
+        storage, config, totals,
         kernel_seconds=total_cycles / config.clock_hz,
         transfer_seconds=sum(pool.transfer_seconds()),
-        internal_bandwidth=storage.config.internal_bandwidth,
-        pcie_bandwidth=config.pcie_bandwidth,
-        compression_ratio=storage.compression_ratio,
+        stage=driver.stage, devices=len(device_queues),
     )
 
 
@@ -521,13 +538,10 @@ def run_sharded(
             per_wave_cycles[wave.global_index],
         )
         if tracer.enabled and devices > 1:
-            start = link_cursor[wave.device]
-            link_cursor[wave.device] += int(
-                round(seconds * pool.config.clock_hz)
-            )
-            tracer.record(
-                f"h2d:w{wave.global_index}", "transfer",
-                start, link_cursor[wave.device],
+            cycles = int(round(seconds * pool.config.clock_hz))
+            link_cursor[wave.device] = tracer.lay(
+                link_cursor[wave.device],
+                f"h2d:w{wave.global_index}", "transfer", cycles,
                 trace_id=f"run-{driver.stage}-pcie{wave.device}",
                 lane=f"pcie:{wave.device}",
                 wave=wave.global_index, device=wave.device, nbytes=nbytes,

@@ -474,6 +474,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from .accel.sharding import record_storage_run
     from .eval.workloads import make_workload
     from .faults import FaultPlan, RetryPolicy
     from .serve import ArrivalTrace, JobService, trace_jobs
@@ -539,20 +540,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     summary = service.run_until_idle()
     print(summary.render())
     if storage is not None:
-        record_event(
-            "storage.run",
-            stage="serve", devices=args.devices,
-            filtered_fraction=storage.filtered_fraction,
-            raw_nbytes=storage.raw_nbytes,
-            survivor_nbytes=storage.survivor_nbytes,
-            saved_nbytes=storage.saved_nbytes,
-            pruned_rows=storage.pruned_rows,
-            scan_seconds=storage.scan_seconds,
+        record_storage_run(
+            storage, service.pool.config,
+            dict(
+                raw_nbytes=storage.raw_nbytes,
+                nbytes=storage.survivor_nbytes,
+                pruned_rows=storage.pruned_rows,
+                scan_seconds=storage.scan_seconds,
+            ),
             kernel_seconds=sum(summary.device_busy_seconds),
             transfer_seconds=sum(summary.device_transfer_seconds),
-            internal_bandwidth=storage.config.internal_bandwidth,
-            pcie_bandwidth=service.pool.config.pcie_bandwidth,
-            compression_ratio=storage.compression_ratio,
+            stage="serve", devices=args.devices,
         )
     if args.trace:
         from .obs import write_fleet_trace

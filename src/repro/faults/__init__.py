@@ -28,13 +28,14 @@ from .plan import (
     FaultPlan,
     FaultSpec,
 )
-from .retry import NO_RETRY, RetryPolicy
+from .retry import NO_RETRY, FailedAttempt, RetryLadder, RetryPolicy
 
 __all__ = [
     "DEFAULT_SITES",
     "FAULT_EXCEPTIONS",
     "FAULT_KINDS",
     "KNOWN_SITES",
+    "FailedAttempt",
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
@@ -46,5 +47,6 @@ __all__ = [
     "InjectedWorkerCrash",
     "NO_RETRY",
     "RetryBudgetExceeded",
+    "RetryLadder",
     "RetryPolicy",
 ]

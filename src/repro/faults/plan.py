@@ -3,7 +3,8 @@
 A :class:`FaultPlan` declares *which* faults a run will suffer — worker
 crashes, wave-item timeouts, PCIe transfer errors, device launch
 failures — and *where*: every injection point in the codebase is a named
-**site** (``scheduler.wave``, ``runtime.transfer``, ``runtime.launch``),
+**site** (``scheduler.wave``, ``serve.wave``, ``runtime.transfer``,
+``runtime.launch``),
 and every logical operation arriving at a site is assigned a **slot**
 index in deterministic arrival order (the packed wave's global index
 for the scheduler, on every device topology; transfer/launch ordinal for
@@ -60,7 +61,9 @@ DEFAULT_SITES: Dict[str, str] = {
 
 #: Sites instrumented by the codebase (documented; the plan accepts any
 #: name so tests can invent private sites).
-KNOWN_SITES = ("scheduler.wave", "runtime.transfer", "runtime.launch")
+KNOWN_SITES = (
+    "scheduler.wave", "serve.wave", "runtime.transfer", "runtime.launch",
+)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Retry policy: exponential backoff with deterministic jitter.
+"""Retry policy and the retry ladder.
 
 The backoff for retrying ``(slot, attempt)`` is a pure function of the
 policy — ``base * multiplier**attempt``, scaled by a jitter factor drawn
@@ -6,14 +6,19 @@ from a ``random.Random`` seeded by ``(policy seed, slot, attempt)`` and
 capped at ``max_backoff`` — so two runs of the same faulted schedule
 sleep the same amounts and the virtual-timeline accounting of the
 runtime's transfer retries is reproducible.
+
+:class:`RetryLadder` is the one place a failed attempt becomes "retry
+after this backoff" or "budget gone" (DESIGN.md §3.5).
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterator, Optional
+
+from .injector import FaultInjector, InjectedFault, RetryBudgetExceeded
 
 
 @dataclass(frozen=True)
@@ -68,3 +73,84 @@ RetryBudgetExceeded` propagates.  Jitter decorrelates retries without
 
 #: The no-retry policy (fail fast, zero backoff).
 NO_RETRY = RetryPolicy(max_retries=0, backoff_base=0.0, jitter=0.0)
+
+
+#: What an exhausted ladder raises with, unless it was given its own.
+EXHAUSTED_MESSAGE = (
+    "{subject} failed {failures} attempt(s); retry budget ({budget}) exhausted"
+)
+
+
+@dataclass(frozen=True)
+class FailedAttempt:
+    """One failed attempt as the ladder accounted it."""
+
+    kind: str
+    attempt: int
+    #: The policy's backoff for this attempt's retry — charged to the
+    #: ladder's clock unless the attempt ``exhausted`` the budget.
+    backoff_seconds: float
+    exhausted: bool
+
+
+@dataclass
+class RetryLadder:
+    """The retry ladder of one ``(site, slot)`` from ``start_attempt``.
+
+    Iterating polls the injector attempt by attempt and yields one
+    :class:`FailedAttempt` per injected fault — budget tested, backoff
+    already charged to ``clock`` (a real sleep, penalty cycles on a
+    service clock, a virtual timeline's ``advance_host``) — until an
+    attempt polls clean; :attr:`attempt` is then that attempt.  The
+    failure that spends the budget is yielded too, so callers can book
+    it, and resuming after it raises :class:`~repro.faults.injector.
+    RetryBudgetExceeded` from the injected fault, with :attr:`attempt`
+    one past the failure.  A caller whose failures arrive asynchronously
+    (the executor's pool rung) takes the two steps by hand: :meth:`poll`
+    before the attempt, :meth:`fail` after it.
+    """
+
+    injector: Optional[FaultInjector]
+    policy: RetryPolicy
+    site: str
+    slot: int
+    start_attempt: int = 0
+    clock: Callable[[float], None] = time.sleep
+    #: Names the operation in the exhaustion message.
+    subject: Optional[str] = None
+    message: str = EXHAUSTED_MESSAGE
+    #: Extra fields for the injector's ``fault.injected`` event.
+    context: Dict[str, object] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.attempt = self.start_attempt
+
+    def poll(self, attempt: int) -> Optional[InjectedFault]:
+        """The injection decision for ``attempt``."""
+        if self.injector is None:
+            return None
+        return self.injector.poll(
+            self.site, self.slot, attempt, **self.context
+        )
+
+    def fail(self, attempt: int, kind: str) -> FailedAttempt:
+        """Account one failed attempt: test the budget and, when a retry
+        follows, charge its backoff to the clock."""
+        if attempt - self.start_attempt >= self.policy.max_retries:
+            # reported (trace fault markers carry it), never charged
+            backoff = self.policy.backoff_seconds(self.slot, attempt)
+            return FailedAttempt(kind, attempt, backoff, exhausted=True)
+        backoff = self.policy.sleep(self.slot, attempt, clock=self.clock)
+        return FailedAttempt(kind, attempt, backoff, exhausted=False)
+
+    def __iter__(self) -> Iterator[FailedAttempt]:
+        while (fault := self.poll(self.attempt)) is not None:
+            failed = self.fail(self.attempt, fault.kind)
+            self.attempt += 1
+            yield failed
+            if failed.exhausted:
+                raise RetryBudgetExceeded(self.message.format(
+                    subject=self.subject or f"{self.site} slot {self.slot}",
+                    failures=failed.attempt - self.start_attempt + 1,
+                    budget=self.policy.max_retries,
+                )) from fault.to_exception()

@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .ledger import LEDGER_SCHEMA_VERSION, RunLedger
 from .profile import ModuleProfile, ProfileReport
 from .registry import MetricsRegistry
+from .spans import WAVE_SEGMENTS, WaveTimeline
 
 
 def _require_schema(
@@ -398,9 +399,7 @@ def device_what_if(
 #: The categories a served job's latency decomposes into, in charge
 #: priority order (a cycle covered by work beats the drain window beats
 #: plain queueing).
-CRITICAL_PATH_CATEGORIES = (
-    "queue_wait", "fault_penalty", "transfer", "spm_load", "kernel", "drain",
-)
+CRITICAL_PATH_CATEGORIES = ("queue_wait", *WAVE_SEGMENTS, "drain")
 
 
 @dataclass
@@ -475,40 +474,6 @@ class CriticalPathReport:
         return "\n".join(lines)
 
 
-def _wave_intervals(record: Dict[str, object]) -> List[Tuple[int, int, str]]:
-    """One completed wave's ``(start, end, category)`` sub-intervals.
-
-    New-format ``serve.wave.done`` events carry ``start_cycles`` /
-    ``transfer_cycles`` / ``penalty_cycles``; old ledgers reconstruct
-    the wave's tail (``end - cycles - load``) and decompose into
-    ``spm_load``/``kernel`` only — the remainder of the latency simply
-    stays ``queue_wait``, so the exact-sum invariant holds for both."""
-    end = int(record.get("end_cycles", 0))
-    kernel = int(record.get("cycles", 0))
-    load = int(record.get("load_cycles", 0))
-    if "start_cycles" in record:
-        start = int(record["start_cycles"])
-        penalty = int(record.get("penalty_cycles", 0))
-        transfer = int(record.get("transfer_cycles", 0))
-    else:
-        start = end - kernel - load
-        penalty = transfer = 0
-    cursor = start
-    intervals: List[Tuple[int, int, str]] = []
-    for cycles, cat in (
-        (penalty, "fault_penalty"),
-        (transfer, "transfer"),
-        (load, "spm_load"),
-        (kernel, "kernel"),
-    ):
-        if cycles > 0:
-            intervals.append((cursor, cursor + cycles, cat))
-            cursor += cycles
-    if cursor < end:  # rounding slack in an old-format record
-        intervals.append((cursor, end, "kernel"))
-    return intervals
-
-
 def _job_path(
     done: Dict[str, object],
     waves: List[Dict[str, object]],
@@ -527,9 +492,11 @@ def _job_path(
         arrival = int(done["arrival_cycles"])
     else:  # old ledger: derive from the latency the service recorded
         arrival = end - int(done.get("latency_cycles", 0))
-    covered: List[Tuple[int, int, str]] = []
-    for record in waves:
-        covered.extend(_wave_intervals(record))
+    covered: List[Tuple[int, int, str]] = [
+        (lo, hi, cat)
+        for record in waves
+        for cat, lo, hi in WaveTimeline.from_record(record).segments()
+    ]
     aborted_spans = [
         (int(record.get("start_cycles", 0)), int(record.get("clock", 0)))
         for record in aborted

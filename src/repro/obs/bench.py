@@ -721,7 +721,8 @@ TOPOLOGY_KEYS = ("devices", "workers", "sql_backend")
 
 @dataclass
 class ProbeComparison:
-    """One probe's baseline-vs-current verdict."""
+    """One probe's baseline-vs-current verdict — for the suite, or (with
+    a ``label``) for one point of a sweep."""
 
     name: str
     unit: str
@@ -732,17 +733,63 @@ class ProbeComparison:
     delta: float
     outside_iqr: bool
     regression: bool
+    #: The sweep point this verdict belongs to (``None``: the suite).
+    label: Optional[str] = None
+
+    @property
+    def probe(self) -> str:
+        return self.name
 
     def render(self) -> str:
-        direction = "↑" if self.higher_is_better else "↓"
         verdict = "REGRESSION" if self.regression else (
             "ok (within noise)" if self.delta > 0 else "ok"
         )
+        if self.label is None:
+            subject = self.name
+            unit = f"{self.unit} {'↑' if self.higher_is_better else '↓'}"
+        else:
+            subject, unit = f"[{self.label}] {self.name}", self.unit
         return (
-            f"{self.name}: {self.baseline_median:.3f} -> "
-            f"{self.current_median:.3f} {self.unit} {direction} "
+            f"{subject}: {self.baseline_median:.3f} -> "
+            f"{self.current_median:.3f} {unit} "
             f"({self.delta:+.1%} worse) {verdict}"
         )
+
+
+def compare_probe(
+    name: str,
+    probe: ProbeResult,
+    base: ProbeResult,
+    threshold: float,
+    label: Optional[str] = None,
+) -> ProbeComparison:
+    """The noise-aware regression rule, written once: a probe regresses
+    when its median moved more than ``threshold`` (relative) in the bad
+    direction **and** sits outside the baseline's IQR — a wide-IQR
+    (noisy) baseline therefore only fails on movements the baseline
+    itself never produced."""
+    base_median = base.median
+    if base_median == 0:
+        delta = 0.0 if probe.median == 0 else 1.0
+    elif probe.higher_is_better:
+        delta = (base_median - probe.median) / abs(base_median)
+    else:
+        delta = (probe.median - base_median) / abs(base_median)
+    if probe.higher_is_better:
+        outside = probe.median < base.q1
+    else:
+        outside = probe.median > base.q3
+    return ProbeComparison(
+        name=name,
+        unit=probe.unit,
+        higher_is_better=probe.higher_is_better,
+        baseline_median=base_median,
+        current_median=probe.median,
+        delta=delta,
+        outside_iqr=outside,
+        regression=delta > threshold and outside,
+        label=label,
+    )
 
 
 @dataclass
@@ -790,12 +837,8 @@ def compare_results(
     baseline: BenchResult,
     threshold: float = 0.10,
 ) -> ComparisonResult:
-    """Apply the noise-aware regression rule probe by probe.
-
-    A probe regresses when its median moved more than ``threshold``
-    (relative) in the bad direction **and** the current median sits
-    outside the baseline's IQR — a wide-IQR (noisy) baseline therefore
-    only fails on movements the baseline itself never produced.
+    """Apply the noise-aware regression rule (:func:`compare_probe`)
+    probe by probe.
 
     Comparisons across mismatched topology (:data:`TOPOLOGY_KEYS` in
     both manifests but with different values) are refused: the result
@@ -842,27 +885,7 @@ def compare_results(
         if base is None:
             missing.append(name)
             continue
-        base_median = base.median
-        if base_median == 0:
-            delta = 0.0 if probe.median == 0 else 1.0
-        elif probe.higher_is_better:
-            delta = (base_median - probe.median) / abs(base_median)
-        else:
-            delta = (probe.median - base_median) / abs(base_median)
-        if probe.higher_is_better:
-            outside = probe.median < base.q1
-        else:
-            outside = probe.median > base.q3
-        comparisons.append(ProbeComparison(
-            name=name,
-            unit=probe.unit,
-            higher_is_better=probe.higher_is_better,
-            baseline_median=base_median,
-            current_median=probe.median,
-            delta=delta,
-            outside_iqr=outside,
-            regression=delta > threshold and outside,
-        ))
+        comparisons.append(compare_probe(name, probe, base, threshold))
     return ComparisonResult(
         threshold=threshold,
         probes=comparisons,
@@ -873,31 +896,6 @@ def compare_results(
 
 
 # -- curve-shape comparison ----------------------------------------------------------
-
-
-@dataclass
-class PointComparison:
-    """One sweep point's baseline-vs-current verdict for one probe."""
-
-    label: str
-    probe: str
-    unit: str
-    higher_is_better: bool
-    baseline_median: float
-    current_median: float
-    delta: float
-    outside_iqr: bool
-    regression: bool
-
-    def render(self) -> str:
-        verdict = "REGRESSION" if self.regression else (
-            "ok (within noise)" if self.delta > 0 else "ok"
-        )
-        return (
-            f"[{self.label}] {self.probe}: {self.baseline_median:.3f} -> "
-            f"{self.current_median:.3f} {self.unit} "
-            f"({self.delta:+.1%} worse) {verdict}"
-        )
 
 
 @dataclass
@@ -923,7 +921,7 @@ class SweepComparison:
     """Curve-shape verdict: per-point deltas plus slope drift."""
 
     threshold: float
-    points: List[PointComparison]
+    points: List[ProbeComparison]
     slopes: List[SlopeComparison]
     missing: List[str] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
@@ -968,9 +966,8 @@ def compare_sweeps(
 
     Two rules, both noise-aware:
 
-    - **Per-point**: every (topology point, probe) pair applies the same
-      median+IQR rule as :func:`compare_results` against its baseline
-      twin — a curve that sags anywhere fails even if the endpoints
+    - **Per-point**: every (topology point, probe) pair applies
+      :func:`compare_probe` against its baseline twin — a curve that sags anywhere fails even if the endpoints
       match.
     - **Slope**: each probe's parallel-efficiency slope along each axis
       (see :meth:`SweepResult.efficiency_slope`) must not drop more than
@@ -994,7 +991,7 @@ def compare_sweeps(
             refused=True,
         )
     baseline_points = {point.key(): point for point in baseline.points}
-    comparisons: List[PointComparison] = []
+    comparisons: List[ProbeComparison] = []
     missing: List[str] = []
     for point in current.points:
         twin = baseline_points.get(point.key())
@@ -1007,27 +1004,8 @@ def compare_sweeps(
             if base is None:
                 missing.append(f"[{point.label()}] {name}")
                 continue
-            base_median = base.median
-            if base_median == 0:
-                delta = 0.0 if probe.median == 0 else 1.0
-            elif probe.higher_is_better:
-                delta = (base_median - probe.median) / abs(base_median)
-            else:
-                delta = (probe.median - base_median) / abs(base_median)
-            if probe.higher_is_better:
-                outside = probe.median < base.q1
-            else:
-                outside = probe.median > base.q3
-            comparisons.append(PointComparison(
-                label=point.label(),
-                probe=name,
-                unit=probe.unit,
-                higher_is_better=probe.higher_is_better,
-                baseline_median=base_median,
-                current_median=probe.median,
-                delta=delta,
-                outside_iqr=outside,
-                regression=delta > threshold and outside,
+            comparisons.append(compare_probe(
+                name, probe, base, threshold, label=point.label()
             ))
     slopes: List[SlopeComparison] = []
     for name in current.probe_names:

@@ -42,14 +42,83 @@ import itertools
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+
+#: The anatomy of one wave on the modelled clock, in canonical order:
+#: span category -> the name its child span carries.
+WAVE_SEGMENTS = {
+    "fault_penalty": "backoff",
+    "transfer": "h2d",
+    "spm_load": "spm_load",
+    "kernel": "kernel",
+}
 
 #: Critical-path categories a span can carry in ``cat`` (the analyzer's
 #: vocabulary; exports accept any category).
 SPAN_CATEGORIES = (
-    "job", "wave", "queue_wait", "fault_penalty", "transfer",
-    "spm_load", "kernel", "drain", "fault", "run", "sql", "aborted",
+    "job", "wave", "queue_wait", *WAVE_SEGMENTS,
+    "drain", "fault", "run", "sql", "aborted",
 )
+
+
+@dataclass(frozen=True)
+class WaveTimeline:
+    """One wave's life on the modelled clock, in cycles: fault penalty,
+    H2D transfer, SPM load and kernel back to back from ``start`` (the
+    paper's blocking ``configure_mem`` DMA → ``run_genesis`` → ``wait``,
+    §III-E).  Every layer that charges, traces or analyzes a wave shares
+    this record."""
+
+    start: int
+    penalty: int = 0
+    transfer: int = 0
+    load: int = 0
+    kernel: int = 0
+
+    @property
+    def end(self) -> int:
+        return (
+            self.start + self.penalty + self.transfer + self.load
+            + self.kernel
+        )
+
+    def segments(self) -> Iterator[Tuple[str, int, int]]:
+        """``(category, lo, hi)`` tiling ``[start, end]`` in canonical
+        order; phases the wave did not have (zero cycles) are skipped,
+        the kernel always appears."""
+        cursor = self.start
+        for category, cycles in zip(WAVE_SEGMENTS, (
+            self.penalty, self.transfer, self.load, self.kernel,
+        )):
+            if cycles > 0 or category == "kernel":
+                yield category, cursor, cursor + cycles
+                cursor += cycles
+
+    def to_record(self) -> Dict[str, int]:
+        """The ``serve.wave.done`` fields this timeline is ledgered as."""
+        return dict(
+            cycles=self.kernel, load_cycles=self.load,
+            end_cycles=self.end, start_cycles=self.start,
+            transfer_cycles=self.transfer, penalty_cycles=self.penalty,
+        )
+
+    @classmethod
+    def from_record(cls, record: Mapping[str, object]) -> "WaveTimeline":
+        """Rebuild from a ``serve.wave.done`` record.  An old-format one
+        (no ``start_cycles``) yields the wave's tail, load → kernel
+        ending at ``end_cycles``; cycles a record leaves unexplained
+        before its ``end_cycles`` count as kernel."""
+        end = int(record.get("end_cycles", 0))
+        kernel = int(record.get("cycles", 0))
+        load = int(record.get("load_cycles", 0))
+        if "start_cycles" not in record:
+            return cls(end - kernel - load, load=load, kernel=kernel)
+        start = int(record["start_cycles"])
+        penalty = int(record.get("penalty_cycles", 0))
+        transfer = int(record.get("transfer_cycles", 0))
+        slack = end - start - penalty - transfer - load
+        return cls(start, penalty, transfer, load, max(kernel, slack))
+
 
 #: chrome://tracing reserved color names, cycled per tenant so one
 #: tenant's job tracks look alike on every lane.
@@ -156,6 +225,22 @@ class SpanRecorder:
             lane=lane, tenant=tenant, attrs=attrs,
         ))
         return sid
+
+    def lay(
+        self, cursor: float, name: str, cat: str, length: float,
+        **common: object,
+    ) -> float:
+        """The lane tiler: record a span of ``length`` at ``cursor``
+        (``common`` being :meth:`record`'s keywords) and return the
+        cursor past it, so consecutive calls lay spans end to end."""
+        self.record(name, cat, cursor, cursor + length, **common)
+        return cursor + length
+
+    def lay_wave(self, timeline: WaveTimeline, **common: object) -> int:
+        """Lay a wave's segments as spans; returns the cursor past it."""
+        for cat, lo, hi in timeline.segments():
+            self.record(WAVE_SEGMENTS[cat], cat, lo, hi, **common)
+        return timeline.end
 
     def merge(self, other: "SpanRecorder") -> None:
         """Adopt another recorder's spans (trace ids keep the records

@@ -13,10 +13,10 @@ the accelerator finished *yet*".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Protocol, Sequence, Tuple
+from typing import Any, Dict, Iterator, Optional, Protocol, Sequence, Tuple
 
-from ..faults.injector import FaultInjector, RetryBudgetExceeded
-from ..faults.retry import RetryPolicy
+from ..faults.injector import FaultInjector
+from ..faults.retry import FailedAttempt, RetryLadder, RetryPolicy
 from ..obs.ledger import record_event
 from ..obs.registry import MetricsRegistry, registry_or_null
 
@@ -143,51 +143,32 @@ class GenesisDevice:
         self._allocated = 0
         self._completion_at: Dict[int, float] = {}
 
-    def _retry_loop(self, site: str, **context: object) -> int:
-        """Poll ``site`` until the attempt runs clean; returns how many
-        failed attempts preceded it.  Backoff charges host time."""
+    def _retries(self, site: str, **context: object) -> Iterator[FailedAttempt]:
+        """Walk the retry ladder of the next operation at ``site``
+        (backoff charges host time), booking each failed attempt and
+        yielding the ones that are retried."""
         injector = self.fault_injector
         if injector is None:
-            return 0
-        policy = self.retry_policy
-        slot = injector.next_slot(site)
-        attempt = 0
-        while True:
-            fault = injector.poll(site, slot, attempt, **context)
-            if fault is None:
-                return attempt
+            return
+        ladder = RetryLadder(
+            injector, self.retry_policy, site, injector.next_slot(site),
+            clock=self.timeline.advance_host, context=context,
+        )
+        for failed in ladder:
             self.registry.counter("runtime.faults", site=site).inc()
-            if attempt >= policy.max_retries:
-                raise RetryBudgetExceeded(
-                    f"{site} slot {slot} failed {attempt + 1} attempt(s); "
-                    f"retry budget ({policy.max_retries}) exhausted"
-                ) from fault.to_exception()
-            backoff = policy.backoff_seconds(slot, attempt)
-            self.timeline.advance_host(backoff)
+            if failed.exhausted:
+                continue
             self.registry.counter("runtime.retries", site=site).inc()
             self.registry.counter(
                 "runtime.retry_backoff_seconds", site=site
-            ).inc(backoff)
+            ).inc(failed.backoff_seconds)
             record_event(
                 "fault.retry",
-                site=site, slot=slot, attempt=attempt, kind=fault.kind,
-                backoff_seconds=backoff, **context,
+                site=site, slot=ladder.slot, attempt=failed.attempt,
+                kind=failed.kind, backoff_seconds=failed.backoff_seconds,
+                **context,
             )
-            if site == TRANSFER_FAULT_SITE:
-                # the failed DMA occupied the link for its full time
-                seconds = context.get("seconds", 0.0)
-                self.transfers.append(
-                    TransferRecord(
-                        str(context.get("direction", "")),
-                        int(context.get("nbytes", 0)),
-                        float(seconds), ok=False,
-                    )
-                )
-                self.timeline.advance_transfer(float(seconds))
-                self.registry.counter(
-                    "runtime.retry_transfer_seconds"
-                ).inc(float(seconds))
-            attempt += 1
+            yield failed
 
     # -- memory & transfers --------------------------------------------------------
 
@@ -215,10 +196,16 @@ class GenesisDevice:
         if direction not in ("h2d", "d2h"):
             raise ValueError(f"bad transfer direction {direction!r}")
         seconds = self.config.transfer_seconds(nbytes)
-        self._retry_loop(
+        for _failed in self._retries(
             TRANSFER_FAULT_SITE,
             direction=direction, nbytes=nbytes, seconds=seconds,
-        )
+        ):
+            # the failed DMA occupied the link for its full time
+            self.transfers.append(
+                TransferRecord(direction, nbytes, seconds, ok=False)
+            )
+            self.timeline.advance_transfer(seconds)
+            self.registry.counter("runtime.retry_transfer_seconds").inc(seconds)
         self.transfers.append(TransferRecord(direction, nbytes, seconds))
         self.timeline.advance_transfer(seconds)
         return seconds
@@ -228,7 +215,8 @@ class GenesisDevice:
     def launch(self, pipeline_id: int, cycles: int) -> float:
         """Schedule pipeline completion ``cycles`` after *now*; returns the
         completion timestamp."""
-        self._retry_loop(LAUNCH_FAULT_SITE, pipeline=pipeline_id)
+        for _failed in self._retries(LAUNCH_FAULT_SITE, pipeline=pipeline_id):
+            pass  # a failed launch costs its backoff, nothing more
         seconds = cycles / self.config.clock_hz
         completion = self.timeline.now + seconds
         self._completion_at[pipeline_id] = completion

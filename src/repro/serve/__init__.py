@@ -20,13 +20,12 @@ from .job import (
     JobStatus,
 )
 from .queue import REJECT_BACKLOG, REJECT_QUOTA, JobQueue, TenantAccount
-from .report import ServiceReport, TenantReport, percentile
+from .report import ServiceReport
 from .service import (
     SERVE_FAULT_SITE,
     JobService,
     ServeSummary,
     ServiceCheckpoint,
-    TenantSummary,
 )
 from .trace import (
     SERVE_STAGES,
@@ -51,13 +50,10 @@ __all__ = [
     "JobQueue",
     "TenantAccount",
     "ServiceReport",
-    "TenantReport",
-    "percentile",
     "SERVE_FAULT_SITE",
     "JobService",
     "ServeSummary",
     "ServiceCheckpoint",
-    "TenantSummary",
     "SERVE_STAGES",
     "ArrivalTrace",
     "JobArrival",

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..obs.registry import nearest_rank_percentile
 from .job import Job
 
 #: Admission-rejection reasons (ledger + metrics labels).
@@ -39,7 +40,10 @@ REJECT_QUOTA = "tenant_quota"
 
 @dataclass
 class TenantAccount:
-    """Per-tenant fairness and accounting state."""
+    """The one per-tenant book: the dispatcher's fairness state plus the
+    outcome counts and latencies every report reads (kept live here,
+    snapshotted into ``ServeSummary``, rebuilt from the ledger by
+    ``ServiceReport``).  Percentiles are nearest-rank on exact cycles."""
 
     tenant: str
     weight: float = 1.0
@@ -57,6 +61,14 @@ class TenantAccount:
     @property
     def normalized_service(self) -> float:
         return self.charged_rows / self.weight
+
+    @property
+    def p50_latency_cycles(self) -> Optional[int]:
+        return nearest_rank_percentile(self.latencies, 50)
+
+    @property
+    def p99_latency_cycles(self) -> Optional[int]:
+        return nearest_rank_percentile(self.latencies, 99)
 
 
 class JobQueue:

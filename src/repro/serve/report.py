@@ -8,59 +8,33 @@ service object is gone.  That is what the soak benchmark gates on.
 
 Percentiles use the nearest-rank method on exact integer cycle
 latencies: deterministic, no interpolation, no floating-point noise.
+The per-tenant book is the service's own ``TenantAccount``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..obs.registry import nearest_rank_percentile
-
-
-def percentile(values: List[int], q: float) -> Optional[int]:
-    """Nearest-rank percentile of ``values`` (``None`` when empty) —
-    the shared :func:`repro.obs.registry.nearest_rank_percentile`."""
-    return nearest_rank_percentile(values, q)
-
-
-@dataclass
-class TenantReport:
-    tenant: str
-    admitted: int = 0
-    rejected: int = 0
-    completed: int = 0
-    failed: int = 0
-    latencies: List[int] = None
-
-    def __post_init__(self):
-        if self.latencies is None:
-            self.latencies = []
-
-    @property
-    def p50_latency_cycles(self) -> Optional[int]:
-        return percentile(self.latencies, 50)
-
-    @property
-    def p99_latency_cycles(self) -> Optional[int]:
-        return percentile(self.latencies, 99)
+from .queue import TenantAccount
 
 
 @dataclass
 class ServiceReport:
     """Per-tenant serving outcomes reconstructed from ledger events."""
 
-    tenants: Dict[str, TenantReport]
+    tenants: Dict[str, TenantAccount]
 
     @classmethod
     def from_ledger(cls, ledger, run_id: Optional[str] = None
                     ) -> "ServiceReport":
-        tenants: Dict[str, TenantReport] = {}
+        tenants: Dict[str, TenantAccount] = {}
 
-        def bucket(record) -> TenantReport:
+        def bucket(record) -> TenantAccount:
             tenant = str(record.get("tenant"))
             if tenant not in tenants:
-                tenants[tenant] = TenantReport(tenant)
+                tenants[tenant] = TenantAccount(tenant)
             return tenants[tenant]
 
         for record in ledger.events("serve.admit", run_id=run_id):
@@ -103,7 +77,7 @@ class ServiceReport:
             for report in self.tenants.values()
             for latency in report.latencies
         ]
-        return percentile(merged, 99)
+        return nearest_rank_percentile(merged, 99)
 
     def render(self) -> str:
         lines = [

@@ -30,10 +30,10 @@ cycles, and the entire virtual timeline are bit-identical for every
 ``workers`` value.
 
 Faults are enacted at the dispatch boundary (site ``serve.wave``),
-parent-side: an injected fault consumes a retry and charges the
-deterministic backoff to the virtual clock, mirroring how
-:class:`~repro.runtime.device.GenesisDevice` charges its retry ladder
-to the device timeline.  The wave's simulation itself is never
+parent-side: the wave walks the shared
+:class:`~repro.faults.retry.RetryLadder` with the virtual clock as its
+clock, so an injected fault consumes a retry and its deterministic
+backoff becomes penalty cycles ahead of the wave.  The wave's simulation itself is never
 perturbed, so bit-identity of results survives any fault plan; a wave
 that faults past its budget fails the whole job (an explicit
 ``serve.job.failed`` the client can see).
@@ -43,18 +43,18 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..accel.scheduler import SpmImageCache, execute_wave, wave_pool
 from ..accel.sharding import record_storage_wave
 from ..faults.injector import FaultInjector, RetryBudgetExceeded
 from ..faults.plan import FaultPlan
-from ..faults.retry import RetryPolicy
+from ..faults.retry import FailedAttempt, RetryLadder, RetryPolicy
 from ..tables.partition import PartitionId
 from ..obs.ledger import record_event
 from ..obs.registry import MetricsRegistry
-from ..obs.spans import SpanRecorder, fleet_chrome_trace
+from ..obs.spans import SpanRecorder, WaveTimeline, fleet_chrome_trace
 from ..runtime.device import DeviceConfig, DevicePool, WaveStorage
 from .job import (
     COMPLETED,
@@ -66,10 +66,13 @@ from .job import (
     JobSpec,
     JobStatus,
 )
-from .queue import JobQueue
+from .queue import JobQueue, TenantAccount
 
 #: Injection site for the service's dispatch-boundary fault ladder.
 SERVE_FAULT_SITE = "serve.wave"
+
+#: What a wave past its budget raises with (the job then fails).
+_EXHAUSTED_MESSAGE = "{subject} exhausted its retry budget ({budget})"
 
 
 @dataclass
@@ -91,23 +94,9 @@ class _Inflight:
 
     dispatch: _Dispatch
     results: Dict[PartitionId, object]
-    cycles: int
-    load_cycles: int
-    end_cycles: int
-    start_cycles: int = 0
-    transfer_cycles: int = 0
-
-
-@dataclass
-class TenantSummary:
-    tenant: str
-    admitted: int
-    rejected: int
-    completed: int
-    failed: int
-    cycles: int
-    p50_latency_cycles: Optional[int]
-    p99_latency_cycles: Optional[int]
+    timeline: WaveTimeline
+    #: The wave's ``storage.wave`` fields, behind an in-SSD filter.
+    stored: Optional[Dict[str, object]] = None
 
 
 @dataclass
@@ -122,7 +111,7 @@ class ServeSummary:
     waves_dispatched: int
     retries: int
     faults: Dict[str, int]
-    tenants: Dict[str, TenantSummary]
+    tenants: Dict[str, TenantAccount]
     device_busy_seconds: List[float]
     device_transfer_seconds: List[float]
     spm_hits: int
@@ -161,7 +150,9 @@ class ServiceCheckpoint:
     """Everything :meth:`JobService.drain` hands to
     :meth:`JobService.resume`: the virtual clock, the queue with every
     open job (in-flight waves already requeued), the not-yet-admitted
-    arrivals, and the fault state so consumed slots are not replayed."""
+    arrivals, and the live device pool, fault injector and span
+    recorder — so occupancy charged, fault slots consumed and spans
+    recorded before the drain all carry over."""
 
     clock: int
     dispatch_seq: int
@@ -172,21 +163,21 @@ class ServiceCheckpoint:
     #: The next arrival's submission number: pending arrivals keep
     #: theirs, so post-resume arrivals must keep counting past them.
     arrival_seq: int
-    devices: int
     workers: int
-    fault_plan: Optional[FaultPlan]
     retry_policy: RetryPolicy
-    fault_slots: Dict[str, int]
-    device_config: Optional[DeviceConfig]
+    pool: DevicePool
+    injector: Optional[FaultInjector]
     retries: int = 0
-    fault_counts: Dict[str, int] = field(default_factory=dict)
     spans: Optional[SpanRecorder] = None
     job_span_ids: Dict[int, int] = field(default_factory=dict)
-    storage: Optional[WaveStorage] = None
 
     @property
     def open_jobs(self) -> int:
         return self.queue.open_jobs()
+
+    @property
+    def storage(self) -> Optional[WaveStorage]:
+        return self.pool.storage
 
 
 class JobService:
@@ -239,13 +230,10 @@ class JobService:
         self.spans = spans if spans is not None else SpanRecorder()
         self._job_span_ids: Dict[int, int] = {}
         self.cache = spm_cache if spm_cache is not None else SpmImageCache()
-        self.device_config = device_config
-        self.storage = storage
         self.pool = DevicePool(
             devices, config=device_config or DeviceConfig(),
             storage=storage,
         )
-        self.fault_plan = fault_plan
         self.retry_policy = (
             retry_policy if retry_policy is not None else RetryPolicy()
         )
@@ -262,11 +250,15 @@ class JobService:
         self._inflight: Dict[int, _Inflight] = {}
         self._executor: Optional[ProcessPoolExecutor] = None
         self._retries = 0
-        self._prior_faults: Dict[str, int] = {}
         self._host_seconds = 0.0
         #: In-memory mirror of every ledger event the service records,
         #: in order — what the replay/property tests compare.
         self.events: List[Tuple[str, Dict[str, object]]] = []
+
+    @property
+    def storage(self) -> Optional[WaveStorage]:
+        """The in-SSD filter in front of the cards, if any."""
+        return self.pool.storage
 
     # -- client path ---------------------------------------------------------
 
@@ -375,9 +367,9 @@ class JobService:
                     continue
                 next_times = []
                 if self._inflight:
-                    next_times.append(
-                        min(rec.end_cycles for rec in self._inflight.values())
-                    )
+                    next_times.append(min(
+                        rec.timeline.end for rec in self._inflight.values()
+                    ))
                 if self._arrivals:
                     next_times.append(self._arrivals[0][0])
                 if not next_times:
@@ -442,52 +434,53 @@ class JobService:
         return _Dispatch(job, wave_index, device, seq, attempt, penalty, cost)
 
     def _fault_ladder(self, job: Job, wave_index: int) -> Tuple[int, int]:
-        """Parent-side injection at the dispatch boundary: poll, charge
-        virtual backoff per retry, return the clean ``(attempt,
-        penalty_cycles)`` — or raise :class:`RetryBudgetExceeded`."""
+        """Parent-side injection at the dispatch boundary: walk the
+        wave's retry ladder with backoff charged as penalty cycles;
+        returns the clean ``(attempt, penalty_cycles)`` — or lets
+        :class:`RetryBudgetExceeded` through."""
         if self.injector is None:
             return job.attempts[wave_index], 0
         if job.slots[wave_index] is None:
             job.slots[wave_index] = self.injector.next_slot(SERVE_FAULT_SITE)
-        slot = job.slots[wave_index]
-        attempt = job.attempts[wave_index]
-        start_attempt = attempt
-        penalty = 0
+        backoffs: List[float] = []
+        ladder = RetryLadder(
+            self.injector, self.retry_policy, SERVE_FAULT_SITE,
+            job.slots[wave_index], job.attempts[wave_index],
+            clock=backoffs.append,
+            subject=f"job {job.job_id} wave {wave_index}",
+            message=_EXHAUSTED_MESSAGE,
+            context=dict(tenant=job.tenant, job=job.job_id, wave=wave_index),
+        )
+        try:
+            for failed in ladder:
+                self._book_failure(job, wave_index, failed)
+        finally:
+            job.attempts[wave_index] = ladder.attempt
         clock_hz = self.pool.config.clock_hz
-        while True:
-            fault = self.injector.poll(
-                SERVE_FAULT_SITE, slot, attempt,
-                tenant=job.tenant, job=job.job_id, wave=wave_index,
-            )
-            if fault is None:
-                job.attempts[wave_index] = attempt
-                return attempt, penalty
-            self.registry.counter("serve.faults", kind=fault.kind).inc()
-            if attempt - start_attempt >= self.retry_policy.max_retries:
-                job.attempts[wave_index] = attempt + 1
-                raise RetryBudgetExceeded(
-                    f"job {job.job_id} wave {wave_index} exhausted its "
-                    f"retry budget ({self.retry_policy.max_retries})"
-                )
-            backoff = self.retry_policy.backoff_seconds(slot, attempt)
-            penalty += int(round(backoff * clock_hz))
-            self._retries += 1
-            self.registry.counter("serve.retries").inc()
-            self._event(
-                "serve.retry",
-                tenant=job.tenant, job=job.job_id, wave=wave_index,
-                attempt=attempt, kind=fault.kind,
-                backoff_seconds=backoff,
-            )
-            self.spans.record(
-                f"fault:{fault.kind}", "fault", self.clock, self.clock,
-                trace_id=f"job-{job.job_id}",
-                parent_id=self._job_span_ids.get(job.job_id),
-                lane="service", tenant=job.tenant,
-                job=job.job_id, wave=wave_index, attempt=attempt,
-                kind=fault.kind, backoff_seconds=backoff,
-            )
-            attempt += 1
+        return ladder.attempt, sum(int(round(s * clock_hz)) for s in backoffs)
+
+    def _book_failure(
+        self, job: Job, wave_index: int, failed: FailedAttempt
+    ) -> None:
+        self.registry.counter("serve.faults", kind=failed.kind).inc()
+        if failed.exhausted:
+            return
+        self._retries += 1
+        self.registry.counter("serve.retries").inc()
+        self._event(
+            "serve.retry",
+            tenant=job.tenant, job=job.job_id, wave=wave_index,
+            attempt=failed.attempt, kind=failed.kind,
+            backoff_seconds=failed.backoff_seconds,
+        )
+        self.spans.record(
+            f"fault:{failed.kind}", "fault", self.clock, self.clock,
+            trace_id=f"job-{job.job_id}",
+            parent_id=self._job_span_ids.get(job.job_id),
+            lane="service", tenant=job.tenant,
+            job=job.job_id, wave=wave_index, attempt=failed.attempt,
+            kind=failed.kind, backoff_seconds=failed.backoff_seconds,
+        )
 
     def _fail_job(self, job: Job, wave_index: int) -> None:
         job.state = FAILED
@@ -541,21 +534,20 @@ class JobService:
             _nbytes, seconds = self.pool.charge_wave(
                 pick.device, pick.seq, wave, cycles
             )
-            transfer_cycles = int(round(seconds * clock_hz))
+            stored = None
             if self.storage is not None:
-                record_storage_wave(
+                stored = record_storage_wave(
                     self.storage, wave, emit=self._event,
                     tenant=pick.job.tenant, job=pick.job.job_id,
                     stage=pick.job.stage, wave=pick.wave_index,
                     device=pick.device,
                 )
-            end = (
-                self.clock + transfer_cycles + outcome.load_cycles
-                + cycles + pick.penalty_cycles
-            )
             self._inflight[pick.device] = _Inflight(
-                pick, outcome.results, cycles, outcome.load_cycles, end,
-                start_cycles=self.clock, transfer_cycles=transfer_cycles,
+                pick, outcome.results, WaveTimeline(
+                    self.clock, penalty=pick.penalty_cycles,
+                    transfer=int(round(seconds * clock_hz)),
+                    load=outcome.load_cycles, kernel=cycles,
+                ), stored,
             )
 
     def _shutdown_executor(self) -> None:
@@ -575,9 +567,9 @@ class JobService:
 
     def _complete_due(self) -> None:
         due = sorted(
-            (rec.end_cycles, device)
+            (rec.timeline.end, device)
             for device, rec in self._inflight.items()
-            if rec.end_cycles <= self.clock
+            if rec.timeline.end <= self.clock
         )
         for end_cycles, device in due:
             self._finish(device, end_cycles)
@@ -587,10 +579,10 @@ class JobService:
         job = rec.dispatch.job
         wave_index = rec.dispatch.wave_index
         job.results.update(rec.results)
-        job.wave_cycles[wave_index] = rec.cycles
-        job.wave_load_cycles[wave_index] = rec.load_cycles
+        job.wave_cycles[wave_index] = rec.timeline.kernel
+        job.wave_load_cycles[wave_index] = rec.timeline.load
         job.waves_done += 1
-        charged = rec.cycles + rec.load_cycles
+        charged = rec.timeline.kernel + rec.timeline.load
         self.queue.charge_cycles(job.tenant, charged)
         self.registry.counter(
             "serve.tenant.cycles", tenant=job.tenant
@@ -598,14 +590,10 @@ class JobService:
         self._event(
             "serve.wave.done",
             tenant=job.tenant, job=job.job_id, wave=wave_index,
-            device=device, cycles=rec.cycles, load_cycles=rec.load_cycles,
-            end_cycles=end_cycles,
-            start_cycles=rec.start_cycles,
-            transfer_cycles=rec.transfer_cycles,
-            penalty_cycles=rec.dispatch.penalty_cycles,
+            device=device, **rec.timeline.to_record(),
             attempt=rec.dispatch.attempt,
         )
-        self._record_wave_spans(rec, device, end_cycles)
+        self._record_wave_spans(rec, device)
         if job.waves_done == len(job.waves) and job.state == RUNNING:
             job.finalize(end_cycles)
             self.queue.close(job)
@@ -635,65 +623,41 @@ class JobService:
                 "serve.jobs.completed", tenant=job.tenant
             ).inc()
 
-    def _record_wave_spans(
-        self, rec: _Inflight, device: int, end_cycles: int
-    ) -> None:
+    def _record_wave_spans(self, rec: _Inflight, device: int) -> None:
         """Lay the completed wave's spans on its device lane: one parent
-        covering dispatch → completion, with penalty/transfer/load/kernel
-        children tiling it exactly (their cycles sum to the wave's
-        virtual duration by construction)."""
+        covering dispatch → completion, with the timeline's segments
+        tiling it exactly."""
         if not self.spans.enabled:
             return
         job = rec.dispatch.job
         wave_index = rec.dispatch.wave_index
-        trace_id = f"job-{job.job_id}"
-        lane = f"device:{device}"
+        common = dict(
+            trace_id=f"job-{job.job_id}", tenant=job.tenant,
+            job=job.job_id, wave=wave_index, device=device,
+        )
         parent = self.spans.record(
             f"{job.stage}:j{job.job_id}:w{wave_index}", "wave",
-            rec.start_cycles, end_cycles,
-            trace_id=trace_id,
+            rec.timeline.start, rec.timeline.end,
             parent_id=self._job_span_ids.get(job.job_id),
-            lane=lane, tenant=job.tenant,
-            job=job.job_id, wave=wave_index, device=device,
+            lane=f"device:{device}", **common,
             attempt=rec.dispatch.attempt, cost_rows=rec.dispatch.cost_rows,
         )
-        cursor = rec.start_cycles
-        segments = (
-            ("backoff", "fault_penalty", rec.dispatch.penalty_cycles),
-            ("h2d", "transfer", rec.transfer_cycles),
-            ("spm_load", "spm_load", rec.load_cycles),
-            ("kernel", "kernel", rec.cycles),
+        self.spans.lay_wave(
+            rec.timeline, parent_id=parent, lane=f"device:{device}", **common
         )
-        for name, cat, cycles in segments:
-            if cycles <= 0 and cat in ("fault_penalty", "spm_load"):
-                continue
-            self.spans.record(
-                name, cat, cursor, cursor + cycles,
-                trace_id=trace_id, parent_id=parent,
-                lane=lane, tenant=job.tenant,
-                job=job.job_id, wave=wave_index, device=device,
-            )
-            cursor += cycles
-        if self.storage is not None:
+        if rec.stored is not None:
             # The in-SSD scan overlaps the wave's dispatch (it ran while
             # the previous wave's DMA held the link), so it lives on its
             # own storage lane and never stretches the wave's duration.
-            wave = job.waves[wave_index]
             scan_cycles = int(round(
-                self.storage.wave_scan_seconds(wave)
-                * self.pool.config.clock_hz
+                rec.stored["scan_seconds"] * self.pool.config.clock_hz
             ))
-            self.spans.record(
-                f"scan:j{job.job_id}:w{wave_index}", "filter",
-                rec.start_cycles, rec.start_cycles + scan_cycles,
-                trace_id=trace_id, parent_id=parent,
-                lane=f"storage:{device}", tenant=job.tenant,
-                job=job.job_id, wave=wave_index, device=device,
-                pruned_rows=self.storage.wave_pruned_rows(wave),
-                saved_nbytes=(
-                    self.storage.wave_raw_nbytes(wave)
-                    - self.storage.wave_nbytes(wave)
-                ),
+            self.spans.lay(
+                rec.timeline.start,
+                f"scan:j{job.job_id}:w{wave_index}", "filter", scan_cycles,
+                parent_id=parent, lane=f"storage:{device}", **common,
+                pruned_rows=rec.stored["pruned_rows"],
+                saved_nbytes=rec.stored["raw_nbytes"] - rec.stored["nbytes"],
             )
 
     # -- drain / resume ------------------------------------------------------
@@ -713,7 +677,7 @@ class JobService:
             self._event(
                 "serve.wave.aborted",
                 tenant=job.tenant, job=job.job_id, wave=wave_index,
-                device=device, start_cycles=rec.start_cycles,
+                device=device, start_cycles=rec.timeline.start,
                 clock=self.clock,
             )
             # The wave's work up to the drain point still occupied the
@@ -721,7 +685,7 @@ class JobService:
             # clock (it re-runs in full after resume).
             self.spans.record(
                 f"{job.stage}:j{job.job_id}:w{wave_index}", "aborted",
-                rec.start_cycles, self.clock,
+                rec.timeline.start, self.clock,
                 trace_id=f"job-{job.job_id}",
                 parent_id=self._job_span_ids.get(job.job_id),
                 lane=f"device:{device}", tenant=job.tenant,
@@ -748,19 +712,13 @@ class JobService:
             queue=self.queue,
             arrivals=list(self._arrivals),
             arrival_seq=self._arrival_seq,
-            devices=self.devices,
             workers=self.workers,
-            fault_plan=self.fault_plan,
             retry_policy=self.retry_policy,
-            fault_slots=(
-                dict(self.injector._slots) if self.injector else {}
-            ),
-            device_config=self.device_config,
+            pool=self.pool,
+            injector=self.injector,
             retries=self._retries,
-            fault_counts=self._fault_counts(),
             spans=self.spans,
             job_span_ids=dict(self._job_span_ids),
-            storage=self.storage,
         )
 
     @classmethod
@@ -771,20 +729,24 @@ class JobService:
         spm_cache: Optional[SpmImageCache] = None,
     ) -> "JobService":
         """Restart from a drain checkpoint: same clock, same queue state
-        (with in-flight waves back on their jobs), same fault slots —
-        the continued run merges bit-identically with an undisturbed
-        one.  The SPM cache starts cold unless one is passed; a cold
-        cache re-loads images and replays identically by construction."""
+        (with in-flight waves back on their jobs), the same cards and
+        the same fault injector — the continued run merges
+        bit-identically with an undisturbed one and keeps the occupancy
+        already charged.  The SPM cache starts cold unless one is
+        passed; a cold cache re-loads images and replays identically by
+        construction."""
         service = cls(
-            devices=checkpoint.devices,
+            devices=len(checkpoint.pool),
             workers=checkpoint.workers,
-            fault_plan=checkpoint.fault_plan,
             retry_policy=checkpoint.retry_policy,
             registry=registry,
             spm_cache=spm_cache,
-            device_config=checkpoint.device_config,
-            storage=checkpoint.storage,
         )
+        service.pool = checkpoint.pool
+        service.injector = checkpoint.injector
+        if service.injector is not None:
+            # injections after the restart count in the new registry
+            service.injector.registry = service.registry
         service.clock = checkpoint.clock
         service._dispatch_seq = checkpoint.dispatch_seq
         service._next_job_id = checkpoint.next_job_id
@@ -792,10 +754,7 @@ class JobService:
         service.queue = checkpoint.queue
         service._arrivals = list(checkpoint.arrivals)
         service._arrival_seq = checkpoint.arrival_seq
-        if service.injector is not None:
-            service.injector._slots.update(checkpoint.fault_slots)
         service._retries = checkpoint.retries
-        service._prior_faults = dict(checkpoint.fault_counts)
         if checkpoint.spans is not None:
             # Continue the drained service's recorder (same id counter)
             # so pre-drain and post-resume spans merge into one trace.
@@ -823,21 +782,11 @@ class JobService:
         return fleet_chrome_trace(self.spans.spans, name=name)
 
     def summary(self) -> ServeSummary:
-        from .report import percentile
-
-        tenants = {}
-        for name in sorted(self.queue.accounts):
-            account = self.queue.accounts[name]
-            tenants[name] = TenantSummary(
-                tenant=name,
-                admitted=account.admitted,
-                rejected=account.rejected,
-                completed=account.completed,
-                failed=account.failed,
-                cycles=account.cycles,
-                p50_latency_cycles=percentile(account.latencies, 50),
-                p99_latency_cycles=percentile(account.latencies, 99),
-            )
+        # snapshots: a summary must not move when the service runs on
+        tenants = {
+            name: replace(account, latencies=list(account.latencies))
+            for name, account in sorted(self.queue.accounts.items())
+        }
         return ServeSummary(
             clock_cycles=self.clock,
             jobs_admitted=sum(t.admitted for t in tenants.values()),
@@ -846,7 +795,9 @@ class JobService:
             jobs_failed=sum(t.failed for t in tenants.values()),
             waves_dispatched=self._dispatch_seq,
             retries=self._retries,
-            faults=self._fault_counts(),
+            faults=(
+                self.injector.counts_by_kind() if self.injector else {}
+            ),
             tenants=tenants,
             device_busy_seconds=self.pool.busy_seconds(),
             device_transfer_seconds=self.pool.transfer_seconds(),
@@ -855,15 +806,6 @@ class JobService:
             spm_cycles_saved=self.cache.cycles_saved,
             host_elapsed_seconds=self._host_seconds,
         )
-
-    def _fault_counts(self) -> Dict[str, int]:
-        """Injections across the whole service lifetime, drains
-        included (pre-drain tallies arrive via the checkpoint)."""
-        counts = dict(self._prior_faults)
-        if self.injector is not None:
-            for kind, count in self.injector.counts_by_kind().items():
-                counts[kind] = counts.get(kind, 0) + count
-        return counts
 
     # -- events --------------------------------------------------------------
 

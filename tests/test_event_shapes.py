@@ -13,10 +13,18 @@ execution path cannot silently drop a field, a lane or an event.
 Regenerate (only when a shape change is intended and declared)::
 
     PYTHONPATH=src:tests python tests/test_event_shapes.py
+
+The same ten cases are also pinned *by value* against
+``tests/data/event_values.json``: every ledger record minus its
+host-clock fields (:data:`HOST_FIELDS`) and every span's lane, category,
+name, interval, parent linkage and attributes — everything the modelled
+clock determines.  A refactor that claims "same records, same spans"
+passes it unchanged; ``--values`` regenerates that file alone.
 """
 
 import json
 import os
+import sys
 from collections import Counter
 
 import pytest
@@ -33,6 +41,14 @@ from repro.serve.trace import SERVE_STAGES, stage_driver, stage_partitions
 from repro.storage import plan_storage_filter
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "event_shapes.json")
+VALUES = os.path.join(os.path.dirname(__file__), "data", "event_values.json")
+
+#: Fields that carry the host clock or host identity (or are derived
+#: from them) — the only ones the value-level golden leaves out.
+HOST_FIELDS = frozenset([
+    "ts", "run_id", "elapsed_seconds", "worker", "host", "created_at",
+    "host_parallelism",
+])
 
 #: The global wave the fault plans name.  The sharded workload packs
 #: five metadata waves that hash onto two devices as [1, 2, 3] / [0, 4],
@@ -65,10 +81,36 @@ def _shapes(events, spans):
     }
 
 
+def _values(events, spans):
+    """Events sorted by content, not arrival: a pooled run (two device
+    queues) ledgers its waves in completion order."""
+    return {
+        "events": sorted(
+            (
+                [name, {
+                    key: value for key, value in sorted(fields.items())
+                    if key not in HOST_FIELDS
+                }]
+                for name, fields in events
+            ),
+            key=json.dumps,
+        ),
+        "spans": [
+            [span.lane, span.cat, span.name, span.start, span.end,
+             span.span_id, span.parent_id, span.trace_id, span.tenant,
+             dict(sorted(span.attrs.items()))]
+            for span in spans
+        ],
+    }
+
+
 def _ledger_events(ledger):
     envelope = {"schema", "schema_version", "ts", "run_id", "event"}
     return [
-        (record["event"], set(record) - envelope)
+        (record["event"], {
+            key: value for key, value in record.items()
+            if key not in envelope
+        })
         for record in ledger.read()
         if not record["event"].startswith("run.")
     ]
@@ -134,40 +176,44 @@ def served_case(workload):
     service.run(max_dispatches=3)
     resumed = JobService.resume(service.drain())
     resumed.run_until_idle()
-    events = [
-        (name, set(fields)) for name, fields in service.events + resumed.events
-    ]
-    return _shapes(events, resumed.spans.spans)
+    return service.events + resumed.events, resumed.spans.spans
 
 
-def collect(tmp_path):
+def collect_cases(tmp_path):
+    """Every pinned case as ``(events, spans)``, values and all."""
     workload = _workload()
-    shapes = {}
+    cases = {}
     for devices, storage, faults in SHARDED_CASES:
         ledger, recorder = sharded_case(
             workload, tmp_path, devices, storage, faults
         )
         key = f"sharded-d{devices}-s{storage:d}-f{faults:d}"
-        shapes[key] = _shapes(_ledger_events(ledger), recorder.spans)
+        cases[key] = (_ledger_events(ledger), recorder.spans)
     ledger, recorder = sharded_case(
         workload, tmp_path, 2, False, True, exhaust=True
     )
-    shapes["sharded-d2-budget-exhausted"] = _shapes(
+    cases["sharded-d2-budget-exhausted"] = (
         _ledger_events(ledger), recorder.spans
     )
-    shapes["served-d2-s1-f1-drain3"] = served_case(
-        _workload(psize=1500)
-    )
-    return shapes
+    cases["served-d2-s1-f1-drain3"] = served_case(_workload(psize=1500))
+    return cases
 
 
 @pytest.fixture(scope="module")
-def shapes(tmp_path_factory):
-    return collect(tmp_path_factory.mktemp("shapes"))
+def cases(tmp_path_factory):
+    return collect_cases(tmp_path_factory.mktemp("shapes"))
 
 
-def _golden():
-    with open(GOLDEN) as handle:
+@pytest.fixture(scope="module")
+def shapes(cases):
+    return {
+        case: _shapes(events, spans)
+        for case, (events, spans) in cases.items()
+    }
+
+
+def _golden(path=GOLDEN):
+    with open(path) as handle:
         return json.load(handle)
 
 
@@ -180,6 +226,17 @@ def test_event_and_span_shapes(shapes, case):
     want = _golden()[case]
     assert shapes[case]["events"] == want["events"]
     assert shapes[case]["spans"] == want["spans"]
+
+
+@pytest.mark.parametrize("case", sorted(_golden()) if os.path.exists(GOLDEN) else [])
+def test_event_and_span_values(cases, case):
+    """The value-level pin: same records and spans, to the last modelled
+    cycle and second (compared after a JSON round trip, which is exact
+    for the ints and floats the ledger writes)."""
+    got = json.loads(json.dumps(_values(*cases[case])))
+    want = _golden(VALUES)[case]
+    assert got["events"] == want["events"]
+    assert got["spans"] == want["spans"]
 
 
 def test_sharded_fault_ledger_joins_on_device_and_wave(tmp_path):
@@ -210,9 +267,14 @@ if __name__ == "__main__":
     import tempfile
 
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
+    values = "--values" in sys.argv[1:]
     with tempfile.TemporaryDirectory() as scratch:
-        collected = collect(scratch)
-    with open(GOLDEN, "w") as handle:
+        collected = {
+            case: (_values if values else _shapes)(events, spans)
+            for case, (events, spans) in collect_cases(scratch).items()
+        }
+    target = VALUES if values else GOLDEN
+    with open(target, "w") as handle:
         json.dump(collected, handle, indent=1, sort_keys=True)
         handle.write("\n")
-    print(f"wrote {GOLDEN}")
+    print(f"wrote {target}")

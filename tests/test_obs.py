@@ -378,16 +378,6 @@ def test_nearest_rank_percentile_edge_cases():
         nearest_rank(0, 50)
 
 
-def test_serve_report_percentile_delegates_to_shared_helper():
-    from repro.obs.registry import nearest_rank_percentile
-    from repro.serve.report import percentile
-
-    values = [3, 1, 4, 1, 5, 9, 2, 6]
-    for q in (1, 25, 50, 75, 99):
-        assert percentile(values, q) == nearest_rank_percentile(values, q)
-    assert percentile([], 50) is None
-
-
 def test_histogram_quantile_uses_nearest_rank():
     hist = Histogram("h", {})
     for value in (1, 2, 3, 4):

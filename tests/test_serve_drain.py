@@ -215,3 +215,48 @@ def test_resume_keeps_submission_order_among_arrivals(workload):
     assert [job.tenant for job in resumed.jobs()] == [
         "old0", "old1", "old2", "old3", "old4", "new",
     ]
+
+
+@pytest.mark.parametrize("drain_after", (1, 3))
+def test_drain_keeps_device_occupancy(workload, drain_after):
+    """Occupancy charged before a drain is not lost: the cards carry
+    over the restart, so the drained run's busy/transfer seconds are the
+    sum over *all* its dispatches — more dispatches than the undisturbed
+    run (the in-flight waves re-run), hence at least as much time."""
+    undisturbed = _build(workload)
+    u_summary = undisturbed.run_until_idle()
+
+    service = _build(workload)
+    service.run(max_dispatches=drain_after)
+    resumed = JobService.resume(service.drain())
+    summary = resumed.run_until_idle()
+    assert summary.waves_dispatched > u_summary.waves_dispatched
+
+    clock_hz = resumed.pool.config.clock_hz
+    dispatched = [
+        fields for event, fields in service.events + resumed.events
+        if event == "serve.dispatch"
+    ]
+    assert len(dispatched) == summary.waves_dispatched
+    for device, card in enumerate(resumed.pool):
+        waves = [
+            (f["job"], f["wave"]) for f in dispatched if f["device"] == device
+        ]
+        # one DMA per dispatch, and exactly the dispatched waves' kernels
+        assert len(card.transfers) == len(waves)
+        assert summary.device_transfer_seconds[device] == pytest.approx(
+            sum(t.seconds for t in card.transfers)
+        )
+        kernel_cycles = sum(
+            resumed._jobs[job].wave_cycles[wave] for job, wave in waves
+        )
+        assert summary.device_busy_seconds[device] == pytest.approx(
+            kernel_cycles / clock_hz
+        )
+        assert summary.device_busy_seconds[device] >= (
+            u_summary.device_busy_seconds[device]
+        )
+        assert summary.device_transfer_seconds[device] >= (
+            u_summary.device_transfer_seconds[device]
+        )
+

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs/CLI consistency check, run by the CI lint job.
 
-Four directions:
+Five directions:
 
 1. every ``--flag`` token the docs mention must exist on the ``repro``
    argument parser (or be a known external tool's flag) — stale docs
@@ -13,7 +13,11 @@ Four directions:
    all;
 4. every DESIGN.md section reference (``§3.10``-style) in README.md and
    CHANGES.md must resolve to a real numbered DESIGN.md heading — a
-   renumbered or deleted section invalidates its cross-references.
+   renumbered or deleted section invalidates its cross-references;
+5. every literal event name the code under ``src/repro`` passes to
+   ``record_event(`` / ``_event(`` / ``emit(`` must head a row of one
+   of DESIGN.md's event tables — an emitted-but-uncatalogued ledger
+   event fails the build.
 
 Run:  PYTHONPATH=src python tools/check_docs.py
 """
@@ -125,6 +129,37 @@ def section_refs() -> dict:
     return refs
 
 
+#: A literal event name as the first argument of an event writer.
+EVENT_CALL_RE = re.compile(
+    r"\b(?:record_event|_event|emit)\(\s*\"([a-z_.]+)\""
+)
+
+#: A DESIGN.md table row headed by a backticked event name.
+EVENT_ROW_RE = re.compile(r"^\s*\|\s*`([a-z_.]+)`\s*\|")
+
+
+def emitted_events() -> dict:
+    """``event name`` -> sorted "file:line" emit sites under src/repro."""
+    events = {}
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        text = path.read_text()
+        for match in EVENT_CALL_RE.finditer(text):
+            lineno = text.count("\n", 0, match.start()) + 1
+            events.setdefault(match.group(1), []).append(
+                f"{path.relative_to(REPO)}:{lineno}"
+            )
+    return events
+
+
+def catalogued_events() -> set:
+    """Names heading a row of any DESIGN.md table."""
+    return {
+        match.group(1)
+        for line in (REPO / "DESIGN.md").read_text().splitlines()
+        for match in [EVENT_ROW_RE.match(line)] if match
+    }
+
+
 def main() -> int:
     known = cli_flags()
     mentioned = doc_flags()
@@ -163,6 +198,15 @@ def main() -> int:
                 "DESIGN.md has no such numbered section"
             )
 
+    emitted = emitted_events()
+    catalogued = catalogued_events()
+    for event, where in sorted(emitted.items()):
+        if event not in catalogued:
+            failures.append(
+                f"event {event} is emitted ({', '.join(where)}) but no "
+                "DESIGN.md event table lists it"
+            )
+
     for failure in failures:
         print(f"check_docs: {failure}", file=sys.stderr)
     if not failures:
@@ -170,7 +214,8 @@ def main() -> int:
             f"check_docs: {len(mentioned)} documented flags consistent "
             f"with the CLI ({len(known)} parser flags, all in README.md, "
             f"{len(REQUIRED_DOCUMENTED)} required docs present, "
-            f"{len(section_refs())} section refs resolve in DESIGN.md)"
+            f"{len(section_refs())} section refs resolve in DESIGN.md, "
+            f"{len(emitted)} emitted events catalogued)"
         )
     return 1 if failures else 0
 
