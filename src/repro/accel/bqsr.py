@@ -29,7 +29,6 @@ sub-stage in software, as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,7 +52,7 @@ from ..hw.pipeline import Pipeline
 from ..hw.spm import Scratchpad
 from ..tables.table import Table
 from .common import (
-    PHASE_MEMO_SIZE,
+    PHASES,
     AcceleratorRun,
     load_reference_spm,
     read_streams,
@@ -193,14 +192,11 @@ def configure_bqsr_streams(pipe: Pipeline, partition: Table) -> None:
     meta_reader.set_stream(meta_flits)
 
 
-@lru_cache(maxsize=PHASE_MEMO_SIZE)
-def _drain_stats(
+def _simulate_drain(
     sizes: Tuple[int, ...], memory_config: MemoryConfig, mode: str
 ) -> RunStats:
     """Simulate SPM Reader (drain mode) -> Memory Writer tails over
-    scratchpads of the given sizes.  Each tail moves one flit per word
-    whatever the word holds, so the statistics are a pure function of the
-    arguments and each distinct shape runs the engine once per process."""
+    scratchpads of the given sizes."""
     engine = Engine(MemorySystem(memory_config))
     for index, size in enumerate(sizes):
         reader = engine.add_module(
@@ -226,11 +222,12 @@ def drain_spms(
     scratchpads = spms.all()
     for spm in scratchpads:
         spm.reads += len(spm)
-    return _drain_stats(
+    return PHASES.replay(
+        _simulate_drain,
         tuple(len(spm) for spm in scratchpads),
         memory_config or MemoryConfig(),
         Engine.default_mode,
-    ).copy()
+    )
 
 
 @dataclass

@@ -10,9 +10,18 @@ are identical across drivers and live here.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Collection,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -64,19 +73,92 @@ def read_streams(partition: Table) -> ReadStreams:
     )
 
 
-#: Distinct phase shapes remembered per process by the SPM load and drain
-#: memos (a run sees a handful: one per REF row length / SPM geometry).
+#: Distinct phase shapes the memo remembers (a run sees a handful: one
+#: per REF row length / SPM geometry).
 PHASE_MEMO_SIZE = 64
 
 
-@lru_cache(maxsize=PHASE_MEMO_SIZE)
-def _reference_load_stats(
+class PhaseMemo:
+    """Recorded statistics of the data-independent streaming phases (the
+    reference-SPM load and the BQSR SPM drain), keyed by shape.
+
+    A phase moves one flit per word whatever the word holds, so its
+    :class:`~repro.hw.engine.RunStats` are a pure function of its shape
+    key — ``(phase, sizes, memory config, engine mode)`` — and each
+    shape needs the engine once.  The memo holds :data:`PHASE_MEMO_SIZE`
+    shapes (least recently replayed evicted first) and every hand-out
+    is a copy, so no two callers share a mutable dict.  A recording is
+    valid in any process: :func:`repro.accel.scheduler.wave_pool` seeds
+    workers with :meth:`snapshot`, and what a worker had to record comes
+    back in its ``WaveOutcome`` for :meth:`adopt` — the seam
+    ``SpmImageCache`` images cross on.
+    """
+
+    def __init__(self):
+        self._phases: "OrderedDict[tuple, RunStats]" = OrderedDict()
+        #: Replays answered from a recording / shapes simulated here.
+        self.hits = 0
+        self.misses = 0
+
+    def replay(self, simulate: Callable[..., RunStats], *shape) -> RunStats:
+        """A fresh copy of the statistics of phase ``simulate`` at
+        ``shape``, running ``simulate(*shape)`` first when no recording
+        of that shape is held."""
+        key = (simulate.__name__,) + shape
+        stats = self._phases.get(key)
+        if stats is None:
+            self.misses += 1
+            stats = simulate(*shape)
+            self._store(key, stats)
+        else:
+            self.hits += 1
+            self._phases.move_to_end(key)
+        return stats.copy()
+
+    def _store(self, key: tuple, stats: RunStats) -> None:
+        self._phases[key] = stats
+        while len(self._phases) > PHASE_MEMO_SIZE:
+            self._phases.popitem(last=False)
+
+    def shapes(self) -> FrozenSet[tuple]:
+        """The shape keys a recording is held for."""
+        return frozenset(self._phases)
+
+    def snapshot(
+        self, exclude: Collection[tuple] = ()
+    ) -> Dict[tuple, RunStats]:
+        """Copies of every recording whose key is not in ``exclude``."""
+        return {
+            key: stats.copy()
+            for key, stats in self._phases.items()
+            if key not in exclude
+        }
+
+    def adopt(self, phases: Dict[tuple, RunStats]) -> None:
+        """Take over recordings made elsewhere; a shape already held
+        keeps its own recording (first writer wins)."""
+        for key, stats in phases.items():
+            if key not in self._phases:
+                self._store(key, stats)
+
+    def clear(self) -> None:
+        """Forget every recording and zero the counters."""
+        self._phases.clear()
+        self.hits = self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._phases)
+
+
+#: The process's phase memo.
+PHASES = PhaseMemo()
+
+
+def _simulate_reference_load(
     n_words: int, elem_size: int, memory_config: MemoryConfig, mode: str
 ) -> RunStats:
     """Simulate the Memory Reader -> sequential SPM Updater load of
-    ``n_words`` words.  The phase moves one flit per word whatever the
-    word holds, so its statistics are a pure function of the arguments
-    and each distinct shape runs the engine once per process."""
+    ``n_words`` words."""
     engine = Engine(MemorySystem(memory_config))
     spm = Scratchpad("ref_spm", n_words)
     reader = engine.add_module(
@@ -116,11 +198,10 @@ def load_reference_spm(
 
     spm = Scratchpad("ref_spm", len(words))
     spm.load(words)
-    stats = _reference_load_stats(
-        len(words), elem_size, memory_config or MemoryConfig(),
-        Engine.default_mode,
+    return spm, PHASES.replay(
+        _simulate_reference_load, len(words), elem_size,
+        memory_config or MemoryConfig(), Engine.default_mode,
     )
-    return spm, stats.copy()
 
 
 @dataclass

@@ -87,7 +87,7 @@ from .bqsr import (
     configure_bqsr_streams,
     harvest_bqsr,
 )
-from .common import AcceleratorRun, load_reference_spm, spm_base
+from .common import PHASES, AcceleratorRun, load_reference_spm, spm_base
 from .markdup import MarkDupAccelResult, build_markdup_pipeline
 from .metadata import (
     MetadataAccelResult,
@@ -223,9 +223,11 @@ class SpmImageCache:
 
     def adopt(self, outcome: "WaveOutcome") -> None:
         """Fold one executed wave back in: the images it loaded (first
-        writer wins, like :meth:`merge`) and its hit/miss/cycles-saved
-        tallies.  The parent-side half of :func:`execute_wave`."""
+        writer wins, like :meth:`merge`), its hit/miss/cycles-saved
+        tallies, and — into this process's phase memo — the phases it
+        had to record.  The parent-side half of :func:`execute_wave`."""
         self.merge(outcome.new_images)
+        PHASES.adopt(outcome.new_phases)
         self.hits += outcome.hits
         self.misses += outcome.misses
         self.cycles_saved += outcome.cycles_saved
@@ -644,6 +646,9 @@ class WaveOutcome:
     load_cycles: int
     #: Images this wave loaded that its seed did not already hold.
     new_images: Dict[tuple, CachedImage]
+    #: Phases this wave recorded that the executing process's memo (seeded
+    #: by :func:`wave_pool` in a worker) did not already hold.
+    new_phases: Dict[tuple, RunStats]
     hits: int
     misses: int
     cycles_saved: int
@@ -667,6 +672,7 @@ def execute_wave(
     the same whether the wave ran in the parent or in a worker."""
     cache = SpmImageCache()
     cache.merge(seed_images)
+    known_phases = PHASES.shapes()
     started = time.perf_counter()
     results, stats, load_cycles = driver.run_wave(wave, cache)
     elapsed = time.perf_counter() - started
@@ -682,19 +688,35 @@ def execute_wave(
             for key, image in cache.images().items()
             if key not in seed_images
         },
+        new_phases=PHASES.snapshot(exclude=known_phases),
         hits=cache.hits, misses=cache.misses,
         cycles_saved=cache.cycles_saved,
         worker_pid=os.getpid(), elapsed_seconds=elapsed,
     )
 
 
+def _enter_worker(phases: Dict[tuple, RunStats]) -> None:
+    """Every pool worker's first call: stamp its log records ``w<pid>``
+    and start from the phases the parent had recorded when it built the
+    pool, whatever the process start method."""
+    set_worker_id(f"w{os.getpid()}")
+    PHASES.adopt(phases)
+
+
 def wave_pool(workers: int, most_waves: int) -> Optional[ProcessPoolExecutor]:
     """The one place a process pool is built.  ``None`` — execute inline
     in the parent — when fewer than two waves can ever be in flight
     (``workers`` processes wanted, at most ``most_waves`` waves at a
-    time): a pool of one only adds pickling."""
+    time): a pool of one only adds pickling.  Workers come up through
+    :func:`_enter_worker`, seeded with this process's phase memo the way
+    each wave is seeded with its SPM images."""
     size = min(workers, most_waves)
-    return ProcessPoolExecutor(max_workers=size) if size > 1 else None
+    if size < 2:
+        return None
+    return ProcessPoolExecutor(
+        max_workers=size, initializer=_enter_worker,
+        initargs=(PHASES.snapshot(),),
+    )
 
 
 def _pool_task(
@@ -709,7 +731,6 @@ def _pool_task(
     :class:`~repro.faults.injector.InjectedFaultError` subclass, which
     travels back through the future like a real worker failure would.
     """
-    set_worker_id(f"w{os.getpid()}")
     if fault_kind is not None:
         if fault_kind == "wave_timeout" and hang_seconds > 0:
             time.sleep(hang_seconds)

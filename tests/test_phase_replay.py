@@ -3,17 +3,36 @@ per shape and hand out copies of the recorded RunStats afterwards.
 
 The flit-by-flit simulations the drivers used to run per partition are
 kept here as the reference: a replayed phase must equal them on every
-modelled field, whatever the scratchpads or the REF row hold.
+modelled field, whatever the scratchpads or the REF row hold.  The
+recordings live in one :class:`PhaseMemo` that pool workers are seeded
+with and report back to, so a pooled run must replay wherever an inline
+run does.
 """
 
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hw_harness import modelled_fields
-from repro.accel.bqsr import BqsrSpms, _drain_stats, drain_spms
-from repro.accel.common import _reference_load_stats, load_reference_spm
-from repro.hw.engine import Engine
+from hw_harness import assert_same_modelled, modelled_fields
+from repro.accel.bqsr import BqsrSpms, drain_spms
+from repro.accel.common import (
+    PHASE_MEMO_SIZE,
+    PHASES,
+    PhaseMemo,
+    load_reference_spm,
+)
+from repro.accel.scheduler import BqsrWaveDriver, run_partitioned
+from repro.accel.sharding import run_sharded
+from repro.eval.workloads import make_workload
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, FaultSpec
+from repro.hw.engine import Engine, RunStats
 from repro.hw.memory import MemoryConfig, MemorySystem
 from repro.hw.modules import MemoryReader, MemoryWriter, SpmReader, SpmUpdater
 from repro.hw.spm import Scratchpad
@@ -94,9 +113,11 @@ def test_replayed_drain_equals_fresh_simulation(contents, config):
     expected = modelled_fields(simulate_drain(reference_spms, config))
     spms = make_spms(contents)
     first = drain_spms(spms, config)
-    hits = _drain_stats.cache_info().hits
+    hits, misses = PHASES.hits, PHASES.misses
     replayed = drain_spms(make_spms(contents), config)
-    assert _drain_stats.cache_info().hits == hits + 1, "second drain must replay"
+    assert (PHASES.hits, PHASES.misses) == (hits + 1, misses), (
+        "second drain must replay"
+    )
     assert modelled_fields(first) == expected
     assert modelled_fields(replayed) == expected
     # the count SPMs are still read out exactly, and counted as read
@@ -111,9 +132,9 @@ def test_replayed_load_equals_fresh_simulation(ref_row, config, with_snp):
     reference_spm, reference_stats = simulate_load(ref_row, config, with_snp)
     expected = modelled_fields(reference_stats)
     spm, first = load_reference_spm(ref_row, config, with_snp=with_snp)
-    hits = _reference_load_stats.cache_info().hits
+    hits, misses = PHASES.hits, PHASES.misses
     again, replayed = load_reference_spm(ref_row, config, with_snp=with_snp)
-    assert _reference_load_stats.cache_info().hits == hits + 1
+    assert (PHASES.hits, PHASES.misses) == (hits + 1, misses)
     assert modelled_fields(first) == expected
     assert modelled_fields(replayed) == expected
     for loaded in (spm, again):
@@ -156,3 +177,234 @@ def test_replayed_stats_share_no_dict_instances():
         a.flits_by_module.clear()  # one caller's edit stays its own
     assert drain_spms(make_spms(contents)).flits_by_module["drain0"] == 8
     assert load_reference_spm(row, with_snp=True)[1].flits_by_module
+
+
+# -- the memo object -----------------------------------------------------------------
+
+
+def _stats(cycles: int) -> RunStats:
+    return RunStats(cycles=cycles, flits_by_module={"m": cycles})
+
+
+def test_memo_is_bounded_and_evicts_least_recently_replayed():
+    memo = PhaseMemo()
+    runs = []
+
+    def phase(size):
+        runs.append(size)
+        return _stats(size)
+
+    for size in range(PHASE_MEMO_SIZE):
+        memo.replay(phase, size)
+    memo.replay(phase, 0)  # shape 0 is now the most recently replayed
+    memo.replay(phase, PHASE_MEMO_SIZE)  # one too many: shape 1 goes
+    assert len(memo) == PHASE_MEMO_SIZE
+    assert (memo.hits, memo.misses) == (1, PHASE_MEMO_SIZE + 1)
+    assert ("phase", 1) not in memo.shapes()
+    memo.replay(phase, 0)
+    assert runs.count(0) == 1, "shape 0 was kept"
+    memo.replay(phase, 1)
+    assert runs.count(1) == 2, "shape 1 was evicted and ran again"
+    memo.adopt({("elsewhere", n): _stats(n) for n in range(PHASE_MEMO_SIZE * 2)})
+    assert len(memo) == PHASE_MEMO_SIZE
+
+
+def test_adopt_is_first_writer_wins():
+    memo = PhaseMemo()
+
+    def phase(size):
+        return _stats(size)
+
+    assert memo.replay(phase, 5).cycles == 5
+    memo.adopt({("phase", 5): _stats(999), ("phase", 6): _stats(6)})
+    assert memo.replay(phase, 5).cycles == 5, "own recording kept"
+    assert memo.replay(phase, 6).cycles == 6, "adopted, not re-simulated"
+    assert (memo.hits, memo.misses) == (2, 1)
+    memo.clear()
+    assert (len(memo), memo.hits, memo.misses) == (0, 0, 0)
+
+
+def test_snapshots_and_adopted_recordings_share_no_dict_instances():
+    memo = PhaseMemo()
+
+    def phase(size):
+        return _stats(size)
+
+    memo.replay(phase, 3)
+    snapshot = memo.snapshot()
+    assert list(snapshot) == [("phase", 3)]
+    assert memo.snapshot(exclude=memo.shapes()) == {}
+    snapshot["phase", 3].flits_by_module.clear()  # the holder's own copy
+    assert memo.replay(phase, 3).flits_by_module == {"m": 3}
+
+    adopted = _stats(4)
+    memo.adopt({("phase", 4): adopted})
+    first, second = memo.replay(phase, 4), memo.replay(phase, 4)
+    assert first.flits_by_module == second.flits_by_module == {"m": 4}
+    assert first.flits_by_module is not second.flits_by_module
+    assert first.flits_by_module is not adopted.flits_by_module
+    first.flits_by_module.clear()
+    assert memo.replay(phase, 4).flits_by_module == {"m": 4}
+
+
+# -- across the process boundary -----------------------------------------------------
+
+BQSR_FIELDS = ("total_cycle", "total_context", "error_cycle", "error_context")
+
+
+#: Several BQSR waves, so a pool of two is really built.
+POOLED_WORKLOAD = dict(
+    n_reads=60, read_length=40, chromosomes=(20, 21),
+    genome_scale=4.5e-5, psize=1000, seed=316,
+)
+
+
+@pytest.fixture(scope="module")
+def pooled_workload():
+    return make_workload(**POOLED_WORKLOAD)
+
+
+def _bqsr_driver(workload) -> BqsrWaveDriver:
+    return BqsrWaveDriver(
+        reference=workload.reference, read_length=workload.read_length
+    )
+
+
+@pytest.fixture
+def adopted_phases(monkeypatch):
+    """Every batch of phases a wave reported back to this process."""
+    batches = []
+    adopt = PHASES.adopt
+
+    def spy(phases):
+        batches.append(dict(phases))
+        adopt(phases)
+
+    monkeypatch.setattr(PHASES, "adopt", spy)
+    return batches
+
+
+def _crash_wave_zero():
+    return FaultInjector(FaultPlan(
+        seed=1, specs=(FaultSpec("worker_crash", site="scheduler.wave", at=(0,)),),
+    ))
+
+
+@pytest.mark.parametrize("crash", [False, True], ids=["clean", "worker_crash"])
+def test_pool_workers_start_warm_and_report_back(
+    pooled_workload, adopted_phases, crash
+):
+    """The parent only dispatches, yet ends the first run holding the
+    drain and load shapes its workers recorded; every later pool — the
+    one rebuilt after a crash included — comes up seeded with them."""
+    driver = _bqsr_driver(pooled_workload)
+    PHASES.clear()
+
+    def run():
+        del adopted_phases[:]
+        _results, stats = run_partitioned(
+            driver, pooled_workload.group_partitions, 2, workers=2,
+            fault_injector=_crash_wave_zero() if crash else None,
+        )
+        assert stats.waves > 2 and stats.pool_restarts == int(crash)
+        return stats
+
+    run()
+    phases = {key[0] for key in PHASES.shapes()}
+    assert phases == {"_simulate_drain", "_simulate_reference_load"}
+    assert PHASES.misses == 0, "the parent simulated no phase itself"
+    assert any(adopted_phases), "the workers reported what they recorded"
+    held = PHASES.shapes()
+
+    run()
+    assert adopted_phases and not any(adopted_phases), (
+        "seeded workers had nothing left to record"
+    )
+    assert PHASES.shapes() == held and PHASES.misses == 0
+
+
+def test_sharded_pool_workers_start_warm(pooled_workload, adopted_phases):
+    driver = _bqsr_driver(pooled_workload)
+    PHASES.clear()
+    for warm in (False, True):
+        del adopted_phases[:]
+        run_sharded(driver, pooled_workload.group_partitions, 2, devices=2)
+        assert any(adopted_phases) != warm
+        assert len(PHASES) > 0 and PHASES.misses == 0
+
+
+@pytest.mark.parametrize("warm_parent", [False, True], ids=["cold", "warm"])
+def test_pooled_equals_inline_from_cold_and_warm_parents(
+    pooled_workload, warm_parent
+):
+    driver = _bqsr_driver(pooled_workload)
+    PHASES.clear()
+    inline_res, inline = run_partitioned(
+        driver, pooled_workload.group_partitions, 2, workers=1
+    )
+    if not warm_parent:
+        PHASES.clear()
+    pooled_res, pooled = run_partitioned(
+        driver, pooled_workload.group_partitions, 2, workers=2
+    )
+    assert pooled.per_wave_cycles == inline.per_wave_cycles
+    assert pooled.spm_load_cycles == inline.spm_load_cycles
+    assert set(pooled_res) == set(inline_res)
+    for pid, want in inline_res.items():
+        got = pooled_res[pid]
+        for name in BQSR_FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        if want.run is None:
+            assert got.run is None and got.drain_stats is None
+            continue
+        assert_same_modelled(got.run.stats, want.run.stats)
+        assert_same_modelled(got.run.load_stats, want.run.load_stats)
+        assert_same_modelled(got.drain_stats, want.drain_stats)
+
+
+SPAWN_SCRIPT = f"""
+import json
+import multiprocessing
+
+from repro.accel.common import PHASES
+from repro.accel.scheduler import BqsrWaveDriver, run_partitioned
+from repro.eval.workloads import make_workload
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    workload = make_workload(**{POOLED_WORKLOAD!r})
+    driver = BqsrWaveDriver(
+        reference=workload.reference, read_length=workload.read_length
+    )
+    reported = []
+    adopt = PHASES.adopt
+
+    def spy(phases):
+        reported.append(len(phases))
+        adopt(phases)
+
+    PHASES.adopt = spy
+    runs = []
+    for _ in range(2):
+        del reported[:]
+        run_partitioned(driver, workload.group_partitions, 2, workers=2)
+        runs.append([sum(reported), len(PHASES), PHASES.misses])
+    print(json.dumps(runs))
+"""
+
+
+def test_spawned_workers_are_seeded_through_the_initializer(tmp_path):
+    """Nothing rides on ``fork``: a spawned worker imports an empty memo
+    and still starts from the parent's recordings."""
+    script = tmp_path / "spawn_run.py"
+    script.write_text(SPAWN_SCRIPT)
+    done = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True,
+        timeout=300, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert done.returncode == 0, done.stderr
+    (cold_reported, cold_held, cold_misses), warm = json.loads(
+        done.stdout.splitlines()[-1]
+    )
+    assert cold_reported >= cold_held > 0 and cold_misses == 0
+    assert warm == [0, cold_held, 0]

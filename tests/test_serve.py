@@ -8,6 +8,11 @@ fault plan.  The service may reorder, interleave, time-multiplex, and
 retry; it may never change a single output bit.
 """
 
+import json
+import logging
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -18,6 +23,7 @@ from repro.eval.workloads import make_workload
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.retry import RetryPolicy
 from repro.obs.ledger import RunLedger, RunManifest, run_context
+from repro.obs.log import configure_logging
 from repro.serve import (
     COMPLETED,
     QUEUED,
@@ -379,3 +385,38 @@ def test_registry_metrics(workload):
     assert registry.value("serve.tenant.cycles", tenant="a") > 0
     depth = registry.find("serve.queue.depth")
     assert depth is not None and depth.total == 2
+
+
+def test_pooled_served_waves_log_their_worker_id(workload, tmp_path):
+    """A round of two waves runs on the service's pool; the workers'
+    ``wave N done`` records must say which worker wrote them, as the
+    batch scheduler's do."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers inherit the log handler only when forked")
+    driver = stage_driver("metadata", workload)
+    partitions = stage_partitions("metadata", workload)
+    package_log = logging.getLogger("repro")
+    log_path = tmp_path / "serve.jsonl"
+    try:
+        with open(log_path, "a") as stream:
+            configure_logging(json_lines=True, verbosity=1, stream=stream)
+            with JobService(devices=2, workers=2) as service:
+                for tenant in ("a", "b"):
+                    service.submit(JobSpec(
+                        tenant=tenant, driver=driver, partitions=partitions,
+                        n_pipelines=2,
+                    ))
+                service.run_until_idle()
+    finally:
+        for handler in list(package_log.handlers):
+            package_log.removeHandler(handler)
+        package_log.setLevel(logging.NOTSET)
+        package_log.propagate = True
+    waves = [
+        record for record in map(json.loads, log_path.read_text().splitlines())
+        if record["logger"] == "repro.scheduler" and "wave" in record
+    ]
+    workers = {record.get("worker_id") for record in waves}
+    assert len(waves) >= 2
+    assert workers - {None}, "no served wave was stamped by a pool worker"
+    assert f"w{os.getpid()}" not in workers
