@@ -4,32 +4,26 @@ The multi-backend engine only earns its keep if the ``fast`` backend
 beats the row-at-a-time reference by an order of magnitude on the
 figure-scale stage scripts.  This gate measures **backend execution
 time only** (the ``sql_operator_seconds`` counters, via
-:func:`repro.obs.bench.sql_stage_backend_seconds`) so host-side prep
-common to both backends does not dilute the ratio, takes the median of
-three runs per backend, and requires ≥10x on every stage.
-
-The second test runs the ``sql_backend_speedup`` probe through the
-``repro bench`` harness itself — ledger event included — pinning that
-the speedup is recorded the same way CI's bench-smoke job records it.
+:func:`sql_stage_backend_seconds`) so host-side prep common to both
+backends does not dilute the ratio, takes the median of three runs per
+backend, and requires ≥10x on every stage.
 """
 
 from __future__ import annotations
 
+import copy
 import statistics
+from typing import Dict
 
 import pytest
 
 from repro.eval.workloads import make_workload
-from repro.obs import (
-    BenchContext,
-    RunLedger,
-    record_event,
-    run_bench,
-    run_context,
-    write_bench_result,
+from repro.gatk.sql_driver import (
+    sql_build_covariate_tables,
+    sql_mark_duplicates,
+    sql_update_metadata,
 )
-from repro.obs.bench import sql_stage_backend_seconds
-from repro.obs.ledger import RunManifest
+from repro.obs import MetricsRegistry
 
 #: The gate: vectorized backend execution must be at least this much
 #: faster than the reference interpreter, per stage.
@@ -50,6 +44,36 @@ def gate_workload():
         psize=8000,
         seed=5,
     )
+
+
+def sql_stage_backend_seconds(workload, backend: str) -> Dict[str, float]:
+    """Backend execution seconds of the three SQL stage drivers.
+
+    Runs the markdup/metadata/BQSR stage scripts of
+    :mod:`repro.gatk.sql_driver` on ``backend`` and charges only the
+    plan-execution time — the ``sql_operator_seconds`` counters the
+    executor publishes — so host-side prep common to every backend does
+    not dilute the comparison.  Returns ``{stage: seconds}``.
+    """
+    out: Dict[str, float] = {}
+    metrics = MetricsRegistry()
+    sql_mark_duplicates(
+        copy.deepcopy(workload.reads), backend=backend, metrics=metrics
+    )
+    out["markdup"] = float(metrics.total("sql_operator_seconds"))
+    metrics = MetricsRegistry()
+    sql_update_metadata(
+        workload.partitions, workload.reference, workload.read_length,
+        backend=backend, metrics=metrics,
+    )
+    out["metadata"] = float(metrics.total("sql_operator_seconds"))
+    metrics = MetricsRegistry()
+    sql_build_covariate_tables(
+        workload.group_partitions, workload.reference, workload.read_length,
+        backend=backend, metrics=metrics,
+    )
+    out["bqsr"] = float(metrics.total("sql_operator_seconds"))
+    return out
 
 
 def _median_stage_seconds(workload, backend: str, repeats: int = 3):
@@ -83,32 +107,3 @@ def test_fast_backend_10x_gate(gate_workload, report):
             f"(gate {MIN_SPEEDUP}x); reference {reference[stage]:.4f}s, "
             f"fast {fast[stage]:.4f}s"
         )
-
-
-def test_speedup_recorded_through_bench_ledger(tmp_path):
-    """The probe lands in a BENCH file with the backend in the manifest
-    config, and the ledger carries the ``bench.sql_backend`` event —
-    the same record CI's bench-smoke job produces."""
-    context = BenchContext(
-        reads=60, read_length=60, psize=2000, seed=77, sql_backend="fast"
-    )
-    ledger_path = tmp_path / "ledger.jsonl"
-    manifest = RunManifest(workload="bench", config=context.config())
-    with run_context(manifest, RunLedger(str(ledger_path))):
-        result = run_bench(
-            context, repeats=1, warmup=0, probes=["sql_backend_speedup"]
-        )
-        probe = result.probes["sql_backend_speedup"]
-        record_event(
-            "bench.sql_backend", backend=context.sql_backend,
-            speedup=probe.median,
-        )
-        path = write_bench_result(result, str(tmp_path))
-
-    assert probe.median > 1.0
-    saved = result.load(path)
-    assert saved.manifest.config["sql_backend"] == "fast"
-    assert "sql_backend_speedup" in saved.probes
-    ledger_text = ledger_path.read_text()
-    assert "bench.sql_backend" in ledger_text
-    assert '"backend": "fast"' in ledger_text

@@ -20,11 +20,6 @@ Commands:
   ``--critical-path`` decompose each served job's latency into
   queue-wait / transfer / spm-load / kernel / fault-penalty / drain
   cycles;
-* ``bench``       — run the perf probe suite with warmup + repeats,
-  write a schema-versioned ``BENCH_<n>.json``, optionally record the
-  scaling curve over a topology cross-product (``--sweep``), and
-  compare against a baseline — scalar medians and curve shape both
-  gate (nonzero exit on regression);
 * ``serve``       — run the multi-tenant job service over a simulated
   arrival trace; ``--trace`` exports the merged fleet
   chrome://tracing timeline.
@@ -340,136 +335,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as error:
         print(f"error: {args.report} is not JSON: {error}", file=sys.stderr)
         return 2
-    report = report_from_dict(data)
+    try:
+        report = report_from_dict(data)
+    except ValueError as error:
+        print(f"error: {args.report}: {error}", file=sys.stderr)
+        return 2
     analysis = analyze_report(report, min_stall_share=args.min_stall_share)
     print(analysis.render())
     record_event(
         "analyze.report", source=args.report,
         root_bottleneck=analysis.root_bottleneck,
     )
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from .obs import (
-        BenchContext,
-        BenchResult,
-        compare_results,
-        compare_sweeps,
-        parse_sweep,
-        run_bench,
-        run_sweep,
-        write_bench_result,
-    )
-    from .sql import available_backends
-
-    log = get_logger("bench")
-    if args.sql_backend not in available_backends():
-        print(
-            f"error: unknown SQL backend {args.sql_backend!r} "
-            f"(available: {', '.join(available_backends())})",
-            file=sys.stderr,
-        )
-        return 2
-    if args.devices < 1 or args.workers < 1:
-        print("error: --devices and --workers must be >= 1", file=sys.stderr)
-        return 2
-    context = BenchContext(
-        reads=args.reads, read_length=args.read_length, psize=args.psize,
-        pipelines=args.pipelines, seed=args.seed,
-        sql_backend=args.sql_backend,
-        workers=args.workers, devices=args.devices,
-    )
-    probes = (
-        [name.strip() for name in args.probes.split(",") if name.strip()]
-        if args.probes else None
-    )
-    try:
-        result = run_bench(
-            context, repeats=args.repeats, warmup=args.warmup, probes=probes,
-        )
-        if args.sweep:
-            sweep_probes = (
-                [n.strip() for n in args.sweep_probes.split(",") if n.strip()]
-                if args.sweep_probes else None
-            )
-            result.sweep = run_sweep(
-                context, parse_sweep(args.sweep), probes=sweep_probes,
-                repeats=args.repeats, warmup=args.warmup,
-            )
-    except (KeyError, ValueError) as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
-    print(result.render())
-    speedup = result.probes.get("sql_backend_speedup")
-    if speedup is not None:
-        record_event(
-            "bench.sql_backend", backend=args.sql_backend,
-            speedup=speedup.median,
-        )
-    if not args.no_write:
-        path = write_bench_result(result, args.out_dir)
-        print(f"wrote {path}")
-        record_event("bench.result", path=path, probes=sorted(result.probes))
-        log.info("bench suite written to %s", path)
-    if args.compare:
-        try:
-            baseline = BenchResult.load(args.compare)
-        except OSError as error:
-            print(
-                f"error: cannot read baseline {args.compare}: {error}",
-                file=sys.stderr,
-            )
-            return 2
-        except (ValueError, json.JSONDecodeError) as error:
-            print(f"error: bad baseline {args.compare}: {error}",
-                  file=sys.stderr)
-            return 2
-        comparison = compare_results(
-            result, baseline, threshold=args.threshold
-        )
-        print(comparison.render())
-        record_event(
-            "bench.compare", baseline=args.compare,
-            refused=comparison.refused,
-            regressions=[probe.name for probe in comparison.regressions],
-        )
-        if comparison.refused:
-            log.warning("comparison vs %s refused", args.compare)
-            if not args.report_only:
-                return 2
-        elif not comparison.ok:
-            log.warning(
-                "%d probe(s) regressed vs %s",
-                len(comparison.regressions), args.compare,
-            )
-            if not args.report_only:
-                return 1
-        if result.sweep is not None and baseline.sweep is not None:
-            curve = compare_sweeps(
-                result.sweep, baseline.sweep, threshold=args.threshold
-            )
-            print(curve.render())
-            record_event(
-                "bench.compare_sweep", baseline=args.compare,
-                refused=curve.refused,
-                regressions=len(curve.regressions),
-            )
-            if curve.refused:
-                log.warning("sweep comparison vs %s refused", args.compare)
-                if not args.report_only:
-                    return 2
-            if not curve.ok:
-                log.warning(
-                    "%d curve regression(s) vs %s",
-                    len(curve.regressions), args.compare,
-                )
-                if not args.report_only:
-                    return 1
-        elif result.sweep is not None:
-            print("note: baseline has no sweep; curve shape not compared")
     return 0
 
 
@@ -734,70 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="narrow --critical-path to one job id",
     )
     analyze.set_defaults(func=_cmd_analyze)
-
-    bench = commands.add_parser(
-        "bench",
-        help="run the perf probe suite; write BENCH_<n>.json; "
-             "optionally compare against a baseline",
-    )
-    bench.add_argument(
-        "--out-dir", default=".",
-        help="directory the BENCH_<n>.json lands in",
-    )
-    bench.add_argument(
-        "--no-write", action="store_true",
-        help="run and print without writing a BENCH file",
-    )
-    bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument("--warmup", type=int, default=1)
-    bench.add_argument("--reads", type=int, default=120)
-    bench.add_argument("--read-length", type=int, default=80)
-    bench.add_argument("--psize", type=int, default=4000)
-    bench.add_argument("--pipelines", type=int, default=4)
-    bench.add_argument("--seed", type=int, default=2024)
-    bench.add_argument(
-        "--sql-backend", default="fast", metavar="NAME",
-        help="SQL execution backend the sql probes measure against the "
-             "row-at-a-time reference (default: fast)",
-    )
-    bench.add_argument(
-        "--workers", type=int, default=2,
-        help="worker processes the scheduler probes measure with "
-             "(part of the config digest)",
-    )
-    bench.add_argument(
-        "--devices", type=int, default=2,
-        help="device count the sharding probe measures "
-             "(part of the config digest)",
-    )
-    bench.add_argument(
-        "--probes", default=None, metavar="A,B,...",
-        help="comma-separated probe subset (default: the full suite)",
-    )
-    bench.add_argument(
-        "--sweep", default=None, metavar="SPEC",
-        help="record the scaling curve over a topology cross-product, "
-             "e.g. 'devices=1,2;workers=1,2' "
-             "(axes: devices, workers, pipelines)",
-    )
-    bench.add_argument(
-        "--sweep-probes", default=None, metavar="A,B,...",
-        help="probes the sweep re-measures per point (default: the "
-             "parallelism probes)",
-    )
-    bench.add_argument(
-        "--compare", default=None, metavar="BASELINE",
-        help="BENCH json to compare this run against",
-    )
-    bench.add_argument(
-        "--threshold", type=float, default=0.10,
-        help="median regression fraction that fails (outside baseline IQR)",
-    )
-    bench.add_argument(
-        "--report-only", action="store_true",
-        help="print regressions but exit zero anyway",
-    )
-    bench.set_defaults(func=_cmd_bench)
 
     serve = commands.add_parser(
         "serve",

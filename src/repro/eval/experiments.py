@@ -308,73 +308,6 @@ def profile_stage(
     return report
 
 
-# -- Host scheduler ------------------------------------------------------------------
-
-
-def _wave_driver(stage: str, workload: Workload, memory_config=None):
-    """The partition-scheduler driver for one accelerated stage."""
-    from ..accel.scheduler import (
-        BqsrWaveDriver,
-        MarkdupWaveDriver,
-        MetadataWaveDriver,
-    )
-
-    if stage == "markdup":
-        return MarkdupWaveDriver(memory_config=memory_config)
-    if stage == "metadata":
-        return MetadataWaveDriver(
-            reference=workload.reference, memory_config=memory_config
-        )
-    if stage == "bqsr_table":
-        return BqsrWaveDriver(
-            reference=workload.reference,
-            read_length=workload.read_length,
-            memory_config=memory_config,
-        )
-    raise KeyError(f"unknown stage {stage!r}")
-
-
-def scheduler_scaling(
-    workload: Optional[Workload] = None,
-    stage: str = "metadata",
-    worker_counts: Tuple[int, ...] = (1, 2, 4),
-    n_pipelines: int = 4,
-    memory_config=None,
-) -> Dict[int, Dict[str, float]]:
-    """Host-scheduler ablation: one partitioned run fanned out over each
-    worker count.  Simulated cycles must not change with ``workers`` —
-    only the host-side wall clock does; a mismatch raises."""
-    from ..accel.scheduler import run_partitioned
-
-    workload = workload or make_workload()
-    partitions = (
-        workload.group_partitions if stage == "bqsr_table" else workload.partitions
-    )
-    driver = _wave_driver(stage, workload, memory_config)
-    out: Dict[int, Dict[str, float]] = {}
-    baseline_cycles: Optional[int] = None
-    for workers in worker_counts:
-        _results, stats = run_partitioned(
-            driver, partitions, n_pipelines, workers=workers
-        )
-        if baseline_cycles is None:
-            baseline_cycles = stats.total_cycles
-        elif stats.total_cycles != baseline_cycles:
-            raise AssertionError(
-                f"workers={workers} changed simulated cycles: "
-                f"{stats.total_cycles} != {baseline_cycles}"
-            )
-        out[workers] = {
-            "elapsed_seconds": stats.elapsed_seconds,
-            "wall_seconds": stats.wall_seconds,
-            "host_parallelism": stats.host_parallelism,
-            "total_cycles": float(stats.total_cycles),
-            "spm_cache_hits": float(stats.spm_cache_hits),
-            "spm_cache_misses": float(stats.spm_cache_misses),
-        }
-    return out
-
-
 # -- Figure 8 ------------------------------------------------------------------------
 
 

@@ -38,7 +38,6 @@ from .read import (
     AlignedRead,
 )
 from .reference import ReferenceGenome
-from .sequences import reverse_complement
 
 
 @dataclass
@@ -285,13 +284,3 @@ class ReadSimulator:
     def _next_name(self) -> str:
         self._serial += 1
         return f"sim{self._serial:08d}"
-
-
-def reverse_read_view(read: AlignedRead) -> np.ndarray:
-    """The reverse-complemented sequence of a reverse-strand read, i.e. the
-    bases in original machine (cycle) order.  BQSR's cycle covariate counts
-    cycles in machine order, which for reverse reads runs opposite to
-    reference order."""
-    if not read.is_reverse:
-        return read.seq
-    return reverse_complement(read.seq)

@@ -146,7 +146,15 @@ def report_from_dict(data: Dict[str, object]) -> ProfileReport:
     """Rebuild a :class:`ProfileReport` from its :func:`report_to_dict`
     shape (timeline spans and queue points are not exported, so the
     round-tripped report carries none) — this is how ``repro analyze``
-    consumes a saved ``--out`` JSON."""
+    consumes a saved ``--out`` JSON.  Valid JSON of any other shape (not
+    an object, a section that is not one) is a ``ValueError``."""
+    try:
+        return _rebuild_report(data)
+    except (AttributeError, TypeError) as error:
+        raise ValueError(f"not a profile report: {error}") from error
+
+
+def _rebuild_report(data: Dict[str, object]) -> ProfileReport:
     from .profile import (
         ChannelProfile,
         MemoryProfile,

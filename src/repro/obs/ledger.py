@@ -77,8 +77,7 @@ def host_info() -> Dict[str, object]:
 
 @dataclass
 class RunManifest:
-    """The identity of one run, embedded in ledger records and bench
-    result files."""
+    """The identity of one run, embedded in its ledger records."""
 
     workload: str
     config: Dict[str, object] = field(default_factory=dict)
@@ -103,7 +102,7 @@ class RunManifest:
         return config_digest(self.config)
 
     def to_dict(self) -> Dict[str, object]:
-        """The JSON shape written into ledger records and bench files."""
+        """The JSON shape written into ledger records."""
         return {
             "run_id": self.run_id,
             "workload": self.workload,

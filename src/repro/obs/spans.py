@@ -261,11 +261,6 @@ class SpanRecorder:
 NULL_SPANS = SpanRecorder(enabled=False)
 
 
-def recorder_or_null(recorder: Optional[SpanRecorder]) -> SpanRecorder:
-    """Normalize an optional recorder argument."""
-    return recorder if recorder is not None else NULL_SPANS
-
-
 # -- the ambient recorder ------------------------------------------------------------
 
 _active_recorder: Optional[SpanRecorder] = None

@@ -147,78 +147,23 @@ def test_analyze_bad_inputs_exit_cleanly(tmp_path, capsys):
     assert "not JSON" in capsys.readouterr().err
 
 
-def _bench_argv(tmp_path, *extra):
-    return [
-        "--no-ledger", "bench", "--out-dir", str(tmp_path),
-        "--probes", "markdup_cycles_per_base",
-        "--reads", "40", "--psize", "2000",
-        "--repeats", "1", "--warmup", "0", *extra,
-    ]
+def test_analyze_wrong_shaped_report_exits_cleanly(tmp_path, capsys):
+    """Valid JSON that is not a ``profile --out`` report is the third
+    clean refusal, not an AttributeError traceback."""
+    for text in ("[]", '{"modules": 3}', '{"cycles": null}'):
+        wrong = tmp_path / "wrong.json"
+        wrong.write_text(text)
+        assert main(["--no-ledger", "analyze", str(wrong)]) == 2
+        assert "not a profile report" in capsys.readouterr().err
 
 
-def test_bench_writes_and_compares(tmp_path, capsys):
-    import json
-
-    assert main(_bench_argv(tmp_path)) == 0
-    baseline = tmp_path / "BENCH_1.json"
-    assert baseline.exists()
-    from repro.obs import BENCH_SCHEMA_VERSION
-
-    data = json.loads(baseline.read_text())
-    assert data["schema_version"] == BENCH_SCHEMA_VERSION
-    assert "markdup_cycles_per_base" in data["probes"]
-    assert data["manifest"]["config_digest"]
-    capsys.readouterr()
-
-    # Same config, same deterministic cycles: compare passes.
-    assert main(_bench_argv(
-        tmp_path, "--compare", str(baseline), "--no-write"
-    )) == 0
-    assert "0 regression(s)" in capsys.readouterr().out
-
-
-def test_bench_compare_flags_injected_regression(tmp_path, capsys):
-    import json
-
-    assert main(_bench_argv(tmp_path)) == 0
-    baseline = tmp_path / "BENCH_1.json"
-    # Shrink the baseline 30%: the (unchanged) current run now reads as a
-    # >=20% regression on a zero-IQR lower-is-better probe.
-    data = json.loads(baseline.read_text())
-    probe = data["probes"]["markdup_cycles_per_base"]
-    for key in ("median", "q1", "q3"):
-        probe[key] *= 0.7
-    probe["samples"] = [s * 0.7 for s in probe["samples"]]
-    baseline.write_text(json.dumps(data))
-    capsys.readouterr()
-
-    assert main(_bench_argv(
-        tmp_path, "--compare", str(baseline), "--no-write"
-    )) == 1
-    assert "REGRESSION" in capsys.readouterr().out
-
-    # Report-only mode prints the regression but exits zero (CI default).
-    assert main(_bench_argv(
-        tmp_path, "--compare", str(baseline), "--no-write", "--report-only"
-    )) == 0
-
-
-def test_bench_unknown_probe_exits_cleanly(tmp_path, capsys):
-    assert main([
-        "--no-ledger", "bench", "--out-dir", str(tmp_path),
-        "--probes", "no_such_probe", "--repeats", "1", "--warmup", "0",
-        "--reads", "40", "--psize", "2000",
-    ]) == 2
-    err = capsys.readouterr().err
-    assert "unknown probes" in err and "Traceback" not in err
-
-
-def test_bench_bad_baseline_exits_cleanly(tmp_path, capsys):
-    missing = tmp_path / "missing.json"
-    assert main(_bench_argv(
-        tmp_path, "--compare", str(missing), "--no-write"
-    )) == 2
-    assert "cannot read baseline" in capsys.readouterr().err
+def test_retired_bench_command_is_an_invalid_choice(capsys):
+    """The ``bench`` subcommand is gone (e2e_bench/ and benchmarks/ are
+    the perf authority): argparse refuses it like any unknown command."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_cli_records_runs_in_ledger(tmp_path, capsys):
@@ -301,31 +246,6 @@ def test_analyze_needs_report_or_sharding(capsys):
     assert "REPORT_JSON, --sharding, --storage, or --critical-path" in (
         capsys.readouterr().err
     )
-
-
-def test_bench_refuses_mismatched_topology(tmp_path, capsys):
-    assert main(_bench_argv(tmp_path, "--devices", "2")) == 0
-    baseline = tmp_path / "BENCH_1.json"
-    capsys.readouterr()
-
-    # Same probes, different topology: refused outright, exit 2.
-    assert main(_bench_argv(
-        tmp_path, "--devices", "4", "--compare", str(baseline), "--no-write"
-    )) == 2
-    out = capsys.readouterr().out
-    assert "refusing to compare across topologies" in out
-    assert "devices: 2 vs 4" in out
-
-    # --report-only downgrades the refusal to a printed note.
-    assert main(_bench_argv(
-        tmp_path, "--devices", "4", "--compare", str(baseline),
-        "--no-write", "--report-only",
-    )) == 0
-
-
-def test_bench_rejects_nonpositive_topology(tmp_path, capsys):
-    assert main(_bench_argv(tmp_path, "--devices", "0", "--no-write")) == 2
-    assert "must be >= 1" in capsys.readouterr().err
 
 
 # -- repro serve --------------------------------------------------------------------

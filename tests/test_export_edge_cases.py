@@ -1,8 +1,11 @@
 """Edge-case tests for the report exporters (repro.obs.export):
-empty reports, all-idle modules, and histogram-bucket round-trips."""
+empty reports, all-idle modules, histogram-bucket round-trips, and
+JSON that is not a report."""
 
 import csv
 import json
+
+import pytest
 
 from repro.hw.engine import Engine
 from repro.obs.export import (
@@ -158,3 +161,22 @@ class TestHistogramBuckets:
         report = _all_idle_report()
         rows = report_to_csv_rows(report)
         assert not [r for r in rows if r[2].startswith("occupancy[")]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [],
+        "report",
+        {"modules": 3},
+        {"modules": {"m": []}},
+        {"memory": []},
+        {"memory": {"channels": {"0": 1}}},
+        {"cycles": None},
+    ],
+)
+def test_wrong_shaped_json_is_a_value_error(data):
+    """``report_from_dict`` is the boundary ``repro analyze`` feeds
+    user files through: anything but a report is one typed refusal."""
+    with pytest.raises(ValueError, match="not a profile report"):
+        report_from_dict(data)

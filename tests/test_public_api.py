@@ -9,14 +9,18 @@ PACKAGES = [
     "repro.accel",
     "repro.compiler",
     "repro.eval",
+    "repro.faults",
     "repro.fmindex",
     "repro.gatk",
     "repro.genomics",
     "repro.hw",
     "repro.hw.modules",
+    "repro.obs",
     "repro.perf",
     "repro.runtime",
+    "repro.serve",
     "repro.sql",
+    "repro.storage",
     "repro.tables",
     "repro.variants",
 ]
@@ -41,6 +45,19 @@ def test_all_sorted_unique(name):
     module = importlib.import_module(name)
     exported = list(getattr(module, "__all__", []))
     assert len(exported) == len(set(exported)), f"{name} has duplicate exports"
+
+
+def test_obs_exports_no_retired_bench_names():
+    """The in-package perf harness is retired: ``e2e_bench/`` and
+    ``benchmarks/`` are the performance authority, so ``repro.obs``
+    exports none of its names."""
+    import repro.obs
+
+    retired = [
+        symbol for symbol in repro.obs.__all__
+        if any(part in symbol.lower() for part in ("bench", "sweep", "probe"))
+    ]
+    assert retired == []
 
 
 def test_version():

@@ -16,8 +16,10 @@ Five directions:
    renumbered or deleted section invalidates its cross-references;
 5. every literal event name the code under ``src/repro`` passes to
    ``record_event(`` / ``_event(`` / ``emit(`` must head a row of one
-   of DESIGN.md's event tables — an emitted-but-uncatalogued ledger
-   event fails the build.
+   of DESIGN.md's event tables (the ones whose header cell is
+   ``event``), and every row of those tables must name an event the
+   code emits — an emitted-but-uncatalogued ledger event fails the
+   build, and so does a catalogued event nobody writes any more.
 
 Run:  PYTHONPATH=src python tools/check_docs.py
 """
@@ -30,9 +32,10 @@ import sys
 REPO = pathlib.Path(__file__).resolve().parent.parent
 DOCS = ("README.md", "DESIGN.md")
 
-#: Flags the docs mention that belong to other tools (pytest-benchmark),
-#: not to the repro CLI.
-ALLOWED_EXTERNAL = {"--benchmark-only"}
+#: Flags the docs mention that belong to other tools (pytest-benchmark,
+#: ``e2e_bench/run.py`` and ``e2e_bench/aa_check.py``), not to the repro
+#: CLI.
+ALLOWED_EXTERNAL = {"--benchmark-only", "--workload", "--seconds", "--runs"}
 
 #: User-facing knobs that must stay documented somewhere in DOCS.
 REQUIRED_DOCUMENTED = {
@@ -48,7 +51,6 @@ REQUIRED_DOCUMENTED = {
     "--quota",
     "--backlog",
     "--drain-at",
-    "--sweep",
     "--critical-path",
     "--trace",
 }
@@ -137,6 +139,10 @@ EVENT_CALL_RE = re.compile(
 #: A DESIGN.md table row headed by a backticked event name.
 EVENT_ROW_RE = re.compile(r"^\s*\|\s*`([a-z_.]+)`\s*\|")
 
+#: The header row of an event table (the fault-*site* tables of §3.5
+#: name sites, not events, and are not part of the catalogue).
+EVENT_HEADER_RE = re.compile(r"^\s*\|\s*event\s*\|")
+
 
 def emitted_events() -> dict:
     """``event name`` -> sorted "file:line" emit sites under src/repro."""
@@ -151,13 +157,23 @@ def emitted_events() -> dict:
     return events
 
 
-def catalogued_events() -> set:
-    """Names heading a row of any DESIGN.md table."""
-    return {
-        match.group(1)
-        for line in (REPO / "DESIGN.md").read_text().splitlines()
-        for match in [EVENT_ROW_RE.match(line)] if match
-    }
+def catalogued_events() -> dict:
+    """``event name`` -> "DESIGN.md:line" of the row it heads in a
+    DESIGN.md event table."""
+    events = {}
+    in_event_table = False
+    for lineno, line in enumerate(
+        (REPO / "DESIGN.md").read_text().splitlines(), start=1
+    ):
+        if not line.lstrip().startswith("|"):
+            in_event_table = False
+        elif EVENT_HEADER_RE.match(line):
+            in_event_table = True
+        elif in_event_table:
+            match = EVENT_ROW_RE.match(line)
+            if match:
+                events.setdefault(match.group(1), f"DESIGN.md:{lineno}")
+    return events
 
 
 def main() -> int:
@@ -205,6 +221,12 @@ def main() -> int:
             failures.append(
                 f"event {event} is emitted ({', '.join(where)}) but no "
                 "DESIGN.md event table lists it"
+            )
+    for event, where in sorted(catalogued.items()):
+        if event not in emitted:
+            failures.append(
+                f"event {event} is catalogued ({where}) but nothing under "
+                "src/repro emits it"
             )
 
     for failure in failures:
