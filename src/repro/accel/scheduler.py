@@ -77,7 +77,6 @@ from ..hw.spm import Scratchpad
 from ..obs.ledger import record_event
 from ..obs.log import get_logger, set_worker_id
 from ..obs.registry import MetricsRegistry, registry_or_null
-from ..obs.spans import WaveTimeline, active_spans
 from ..tables.partition import PartitionId, PartitionedReference
 from ..tables.table import Table
 from .bqsr import (
@@ -740,54 +739,6 @@ def _pool_task(
     return execute_wave(driver, index, wave, seed_images)
 
 
-def _lay_run_spans(driver, queue, stats, done, faults, backoffs) -> None:
-    """Lay one queue's trace spans on its device lane (no-op without an
-    ambient :func:`~repro.obs.spans.tracing` recorder).
-
-    Spans are laid parent-side *after* the run from the per-wave
-    accounting, in queue order on a cumulative virtual-cycle axis —
-    so the trace is identical for every ``workers`` value, exactly like
-    the cycle accounting itself.  Each wave gets a parent span with its
-    :class:`~repro.obs.spans.WaveTimeline` segments tiling it, plus a
-    zero-length fault marker per injected fault (carrying the backoff
-    the retry ladder accounted for it)."""
-    tracer = active_spans()
-    if not tracer.enabled:
-        return
-    lane_index = stats.device if stats.device is not None else 0
-    common = dict(
-        trace_id=f"run-{driver.stage}-d{lane_index}",
-        lane=f"device:{lane_index}",
-    )
-    run_span = tracer.reserve()
-    cursor = 0
-    for wave_index, items in queue:
-        load, cycles = done[wave_index]
-        timeline = WaveTimeline(cursor, load=load, kernel=cycles)
-        parent = tracer.record(
-            f"{driver.stage}:w{wave_index}", "wave",
-            timeline.start, timeline.end, parent_id=run_span,
-            wave=wave_index, replicas=len(items), **common,
-        )
-        for attempt, kind in sorted(
-            (attempt, kind) for kind, index, attempt in faults
-            if index == wave_index
-        ):
-            tracer.record(
-                f"fault:{kind}", "fault", cursor, cursor, parent_id=parent,
-                wave=wave_index, attempt=attempt, kind=kind,
-                backoff_seconds=backoffs[wave_index, attempt], **common,
-            )
-        cursor = tracer.lay_wave(
-            timeline, parent_id=parent, wave=wave_index, **common
-        )
-    tracer.record(
-        f"{driver.stage}:run", "run", 0, cursor, span_id=run_span,
-        stage=driver.stage, waves=stats.waves, workers=stats.workers,
-        device=stats.device, **common,
-    )
-
-
 def run_queues(
     driver: WaveDriver,
     empty_pids: Sequence[PartitionId],
@@ -806,8 +757,9 @@ def run_queues(
     ``queues[d]`` lists device ``d``'s waves as ``(index, items)`` in
     ascending ``index`` — the wave's position in the one global packing,
     which is its identity everywhere: ``scheduler.wave`` and ``fault.*``
-    events, the ``scheduler.wave`` fault slot, the retry backoff key and
-    the trace spans all carry it, whatever the topology.  ``caches[d]``
+    events (hence the trace spans folded from them), the
+    ``scheduler.wave`` fault slot and the retry backoff key all carry
+    it, whatever the topology.  ``caches[d]``
     is queue ``d``'s SPM image cache; ``workers`` is the host fan-out
     *per queue*.  Events and published metrics carry a ``device`` label
     exactly when there is more than one queue.
@@ -857,8 +809,8 @@ def run_queues(
         extra={"stage": driver.stage},
     )
     run_registries = [MetricsRegistry() for _ in queues]
-    #: wave index -> (SPM load cycles, kernel cycles) of its clean run.
-    waves_done: Dict[int, Tuple[int, int]] = {}
+    #: wave index -> kernel cycles of its clean run.
+    wave_cycles: Dict[int, int] = {}
 
     def device_label(index):
         return {"device": placed[index][0]} if sharded else {}
@@ -880,7 +832,7 @@ def run_queues(
             **device_label(index),
         )
         book = book_of(index)
-        waves_done[index] = (outcome.load_cycles, stats.cycles)
+        wave_cycles[index] = stats.cycles
         for metric, amount in (
             ("scheduler.spm_load_cycles", outcome.load_cycles),
             ("scheduler.spm_cache.hits", outcome.hits),
@@ -906,8 +858,6 @@ def run_queues(
     #: Injected faults booked so far; a re-poll after a pool rebuild
     #: must not double-count the same (kind, wave, attempt) decision.
     accounted_faults: Set[Tuple[str, int, int]] = set()
-    #: (wave, attempt) -> the backoff the ladder accounted for it.
-    backoffs: Dict[Tuple[int, int], float] = {}
 
     def account_fault(kind, index, attempt):
         key = (kind, index, attempt)
@@ -918,7 +868,6 @@ def run_queues(
 
     def account_failure(index, failed: FailedAttempt):
         """Book one failed attempt the ladder accounted, on either rung."""
-        backoffs[index, failed.attempt] = failed.backoff_seconds
         if failed.exhausted:
             return
         book_of(index).counter("scheduler.retries").inc()
@@ -937,12 +886,14 @@ def run_queues(
             extra={"stage": driver.stage, "wave": index},
         )
 
-    def account_serial_fallback(index, attempt, reason):
+    def account_serial_fallback(index, attempt, reason, **spent):
+        """``spent``: the ``backoff_seconds`` of the attempt that used up
+        the budget, when a failure (not a dying pool) sent the wave here."""
         book_of(index).counter("scheduler.serial_fallback_waves").inc()
         record_event(
             "fault.serial_fallback",
             stage=driver.stage, wave=index, attempt=attempt,
-            reason=reason, **device_label(index),
+            reason=reason, **spent, **device_label(index),
         )
         _log.warning(
             "wave %d degrades to serial in-process execution (%s)",
@@ -1014,8 +965,11 @@ def run_queues(
             failed = wave_ladder(index, worker="pool").fail(attempt, kind)
             account_failure(index, failed)
             if failed.exhausted:
+                # the spent attempt's backoff was reported, never slept:
+                # ledgered here, it is the trace marker's figure
                 account_serial_fallback(
-                    index, attempt, reason="retry budget exhausted"
+                    index, attempt, reason="retry budget exhausted",
+                    backoff_seconds=failed.backoff_seconds,
                 )
                 serial_waves.append((index, attempt + 1))
             else:
@@ -1132,16 +1086,13 @@ def run_queues(
     for device, (queue, book) in enumerate(zip(queues, run_registries)):
         stats = ParallelRunStats.from_registry(
             book,
-            [waves_done[index][1] for index, _items in queue],
+            [wave_cycles[index] for index, _items in queue],
             # this queue's share of the pool
             workers=max(1, min(workers, len(queue))),
             # one loop, one pool: every queue shares the run's wall clock
             elapsed_seconds=elapsed,
         )
         stats.device = device if sharded else None
-        _lay_run_spans(
-            driver, queue, stats, waves_done, accounted_faults, backoffs
-        )
         record_event(
             "scheduler.run",
             **({"device": device} if sharded else {}),

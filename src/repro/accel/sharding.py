@@ -60,7 +60,6 @@ from ..gatk.bqsr import CovariateTables
 from ..obs.ledger import record_event
 from ..obs.log import get_logger
 from ..obs.registry import MetricsRegistry, registry_or_null
-from ..obs.spans import active_spans
 from ..runtime.device import DeviceConfig, DevicePool, WaveStorage
 from ..tables.partition import PartitionId
 from .bqsr import merge_partition_results
@@ -326,7 +325,7 @@ def record_storage_wave(
 ) -> Dict[str, object]:
     """The one ``storage.wave`` writer: what the in-SSD filter did for
     one wave (raw and survivor bytes, pruned rows, scan time), emitted
-    under the caller's ``labels`` and returned for totals and spans."""
+    under the caller's ``labels`` and returned for totals."""
     fields = dict(
         raw_nbytes=storage.wave_raw_nbytes(items),
         nbytes=storage.wave_nbytes(items),
@@ -372,14 +371,13 @@ def _record_storage_run(
     pool: DevicePool,
     total_cycles: int,
 ) -> None:
-    """Ledger + trace the in-storage filter's work for one sharded run:
-    a ``storage.wave`` event per wave, scan spans tiled on one
-    ``storage:<n>`` lane per card, and the ``storage.run`` summary."""
+    """Ledger the in-storage filter's work for one sharded run: a
+    ``storage.wave`` event per wave, queue by queue (each traces as a
+    scan span on its card's ``storage:<n>`` lane), and the
+    ``storage.run`` summary."""
     config = pool.config
-    tracer = active_spans()
     totals = dict(raw_nbytes=0, nbytes=0, pruned_rows=0, scan_seconds=0.0)
     for device, queue in enumerate(device_queues):
-        cursor = 0
         for global_index, items in queue:
             wave = record_storage_wave(
                 storage, items,
@@ -387,16 +385,6 @@ def _record_storage_run(
             )
             for name, value in wave.items():
                 totals[name] += value
-            if tracer.enabled:
-                cycles = int(round(wave["scan_seconds"] * config.clock_hz))
-                cursor = tracer.lay(
-                    cursor, f"scan:w{global_index}", "filter", cycles,
-                    trace_id=f"run-{driver.stage}-storage{device}",
-                    lane=f"storage:{device}",
-                    wave=global_index, device=device,
-                    raw_nbytes=wave["raw_nbytes"], nbytes=wave["nbytes"],
-                    pruned_rows=wave["pruned_rows"],
-                )
     record_storage_run(
         storage, config, totals,
         kernel_seconds=total_cycles / config.clock_hz,
@@ -526,26 +514,22 @@ def run_sharded(
     per_wave_cycles = [next(queue_cycles[wave.device]) for wave in plan.waves]
 
     # Charge each wave to its card, in global order (so the per-card
-    # float sums never depend on finish order), tracing the modelled H2D
-    # link occupancy on one pcie:<n> lane per card of a multi-card run.
+    # float sums never depend on finish order), ledgering the charge: on
+    # a multi-card run it carries the card, and traces as the modelled
+    # H2D link occupancy on that card's pcie:<n> lane.
     pool = DevicePool(devices, config=device_config, storage=storage)
     timeline = devices > 1 or storage is not None
-    tracer = active_spans()
-    link_cursor = [0] * devices
     for wave in plan.waves if timeline else ():
         nbytes, seconds = pool.charge_wave(
             wave.device, wave.global_index, wave.items,
             per_wave_cycles[wave.global_index],
         )
-        if tracer.enabled and devices > 1:
-            cycles = int(round(seconds * pool.config.clock_hz))
-            link_cursor[wave.device] = tracer.lay(
-                link_cursor[wave.device],
-                f"h2d:w{wave.global_index}", "transfer", cycles,
-                trace_id=f"run-{driver.stage}-pcie{wave.device}",
-                lane=f"pcie:{wave.device}",
-                wave=wave.global_index, device=wave.device, nbytes=nbytes,
-            )
+        record_event(
+            "shard.wave",
+            stage=driver.stage, wave=wave.global_index, nbytes=nbytes,
+            transfer_cycles=int(round(seconds * pool.config.clock_hz)),
+            **({"device": wave.device} if devices > 1 else {}),
+        )
 
     sharded = ShardedRunStats(
         devices=devices,

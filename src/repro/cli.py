@@ -432,10 +432,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from .obs import write_fleet_trace
 
         _ensure_parent(args.trace)
-        write_fleet_trace(service.spans.spans, args.trace)
+        spans = service.spans()
+        write_fleet_trace(spans, args.trace)
         print(
             f"wrote fleet chrome trace -> {args.trace} "
-            f"({len(service.spans)} spans; load in chrome://tracing "
+            f"({len(spans)} spans; load in chrome://tracing "
             "or ui.perfetto.dev)"
         )
     record_event(

@@ -58,7 +58,3 @@ __all__ = [
     "scalar_flit",
     "split_items",
 ]
-
-from .trace import ModuleTrace, Tracer
-
-__all__ += ["ModuleTrace", "Tracer"]

@@ -31,10 +31,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..constants import (
+    CLOCK_HZ,
+    DESCRIPTOR_BYTES,
+    MODEL_ROW_BYTES,
+    PCIE3_BANDWIDTH,
+    PCIE4_BANDWIDTH,
+)
 from .ledger import LEDGER_SCHEMA_VERSION, RunLedger
 from .profile import ModuleProfile, ProfileReport
 from .registry import MetricsRegistry
-from .spans import WAVE_SEGMENTS, WaveTimeline
+from .spans import WAVE_SEGMENTS, TraceSpan, trace_spans
 
 
 def _require_schema(
@@ -475,36 +482,31 @@ class CriticalPathReport:
 
 
 def _job_path(
-    done: Dict[str, object],
-    waves: List[Dict[str, object]],
-    aborted: List[Dict[str, object]],
+    root: TraceSpan,
+    spans: Sequence[TraceSpan],
     drain_windows: List[Tuple[int, int]],
 ) -> JobPath:
-    """Decompose one completed job's ``[arrival, completion]`` window.
+    """Decompose one completed job's ``[arrival, completion]`` window —
+    its root span — over the run's trace.
 
     The window is cut at every sub-interval boundary; each elementary
     segment is charged to exactly one category (work by the covering
-    wave — latest-ending wins when waves of one job overlap across
-    devices — else aborted/drain time, else queue wait).  A partition
-    sums to the window exactly by construction."""
-    end = int(done.get("clock", 0))
-    if "arrival_cycles" in done:
-        arrival = int(done["arrival_cycles"])
-    else:  # old ledger: derive from the latency the service recorded
-        arrival = end - int(done.get("latency_cycles", 0))
-    covered: List[Tuple[int, int, str]] = [
-        (lo, hi, cat)
-        for record in waves
-        for cat, lo, hi in WaveTimeline.from_record(record).segments()
+    wave segment — latest-ending wins when waves of one job overlap
+    across devices — else aborted/drain time, else queue wait).  A
+    partition sums to the window exactly by construction."""
+    arrival, end = root.start, root.end
+    mine = [span for span in spans if span.attrs.get("job") == root.attrs["job"]]
+    covered = [
+        (span.start, span.end, span.cat)
+        for span in mine if span.cat in WAVE_SEGMENTS
     ]
-    aborted_spans = [
-        (int(record.get("start_cycles", 0)), int(record.get("clock", 0)))
-        for record in aborted
+    idle_windows = drain_windows + [
+        (span.start, span.end) for span in mine if span.cat == "aborted"
     ]
     bounds = {arrival, end}
     for lo, hi, _cat in covered:
         bounds.update((lo, hi))
-    for lo, hi in aborted_spans + drain_windows:
+    for lo, hi in idle_windows:
         bounds.update((lo, hi))
     edges = sorted(b for b in bounds if arrival <= b <= end)
     segments = {cat: 0 for cat in CRITICAL_PATH_CATEGORIES}
@@ -517,23 +519,43 @@ def _job_path(
             # the latest-ending covering wave is the one still on the
             # critical path at this instant
             _lo, _hi, cat = max(covering, key=lambda item: item[1])
-        elif any(lo_ <= mid < hi_ for lo_, hi_ in aborted_spans):
-            cat = "drain"
-        elif any(lo_ <= mid < hi_ for lo_, hi_ in drain_windows):
+        elif any(lo_ <= mid < hi_ for lo_, hi_ in idle_windows):
             cat = "drain"
         else:
             cat = "queue_wait"
         segments[cat] += hi - lo
     return JobPath(
-        job=int(done.get("job", -1)),
-        tenant=str(done.get("tenant", "?")),
-        stage=str(done.get("stage", "?")),
+        job=root.attrs["job"],
+        tenant=root.tenant,
+        stage=root.attrs["stage"],
         arrival_cycles=arrival,
         completed_cycles=end,
         latency_cycles=end - arrival,
-        waves=len(waves),
+        waves=sum(span.cat == "wave" for span in mine),
         segments=segments,
     )
+
+
+def critical_paths(
+    spans: Sequence[TraceSpan], job_id: Optional[int] = None
+) -> List[JobPath]:
+    """The critical path of every completed job in a served run's trace
+    (:func:`~repro.obs.spans.trace_spans`), by job id; ``job_id``
+    narrows to one job."""
+    roots = sorted(
+        (
+            span for span in spans
+            if span.cat == "job" and span.attrs["state"] == "completed"
+            and job_id in (None, span.attrs["job"])
+        ),
+        key=lambda span: span.attrs["job"],
+    )
+    marks = [span for span in spans if span.cat == "drain"]
+    drain_windows = list(zip(
+        (span.start for span in marks if span.name == "drain"),
+        (span.start for span in marks if span.name == "resume"),
+    ))
+    return [_job_path(root, spans, drain_windows) for root in roots]
 
 
 def critical_path_from_ledger(
@@ -541,7 +563,8 @@ def critical_path_from_ledger(
     run_id: Optional[str] = None,
     job_id: Optional[int] = None,
 ) -> CriticalPathReport:
-    """Rebuild per-job critical paths from a served run's ledger events.
+    """Rebuild per-job critical paths from a served run's ledger events,
+    over the same fold ``repro serve --trace`` exports.
 
     Uses the latest run carrying ``serve.job.done`` events (or ``run_id``
     when given); ``job_id`` narrows to one job.  Raises ``ValueError``
@@ -554,32 +577,15 @@ def critical_path_from_ledger(
         )
     _require_schema(done_events, "serve.job.done")
     run = str(done_events[-1].get("run_id"))
-    done_events = [r for r in done_events if str(r.get("run_id")) == run]
-    if job_id is not None:
-        done_events = [
-            r for r in done_events if int(r.get("job", -1)) == job_id
-        ]
-        if not done_events:
-            raise ValueError(f"job {job_id} did not complete in run {run}")
-    waves = ledger.events("serve.wave.done", run_id=run)
-    aborted = ledger.events("serve.wave.aborted", run_id=run)
-    drains = ledger.events("serve.drain", run_id=run)
-    resumes = ledger.events("serve.resume", run_id=run)
-    drain_windows = [
-        (int(drain.get("clock", 0)), int(resume.get("clock", 0)))
-        for drain, resume in zip(drains, resumes)
-    ]
-    jobs = [
-        _job_path(
-            done,
-            [r for r in waves if r.get("job") == done.get("job")],
-            [r for r in aborted if r.get("job") == done.get("job")],
-            drain_windows,
-        )
-        for done in sorted(
-            done_events, key=lambda r: int(r.get("job", -1))
-        )
-    ]
+    jobs = critical_paths(
+        trace_spans(
+            (str(record.get("event")), record)
+            for record in ledger.events(run_id=run)
+        ),
+        job_id,
+    )
+    if not jobs:
+        raise ValueError(f"job {job_id} did not complete in run {run}")
     return CriticalPathReport(run_id=run, jobs=jobs)
 
 
@@ -636,12 +642,9 @@ def sharding_report_from_ledger(
 # -- in-storage filter analysis --------------------------------------------------------
 
 #: PCIe generations the storage what-if sweeps, as (name, bytes/s).
-#: The bandwidths mirror ``repro.runtime.device.PCIE3_BANDWIDTH`` /
-#: ``PCIE4_BANDWIDTH`` as literals — importing the runtime here would
-#: cycle back through ``repro.obs``.
 STORAGE_WHAT_IF_GENERATIONS: Tuple[Tuple[str, float], ...] = (
-    ("pcie3", 7e9),
-    ("pcie4", 32e9),
+    ("pcie3", PCIE3_BANDWIDTH),
+    ("pcie4", PCIE4_BANDWIDTH),
 )
 
 #: Filtered fractions the storage what-if sweeps.
@@ -653,10 +656,10 @@ def storage_what_if(
     transfer_seconds: float,
     fractions: Sequence[float] = STORAGE_WHAT_IF_FRACTIONS,
     generations: Sequence[Tuple[str, float]] = STORAGE_WHAT_IF_GENERATIONS,
-    pcie_bandwidth: float = 7e9,
-    descriptor_bytes: int = 8,
-    row_bytes: int = 128,
-    clock_hz: float = 250e6,
+    pcie_bandwidth: float = PCIE3_BANDWIDTH,
+    descriptor_bytes: int = DESCRIPTOR_BYTES,
+    row_bytes: int = MODEL_ROW_BYTES,
+    clock_hz: float = CLOCK_HZ,
 ) -> List[WhatIf]:
     """Amdahl-style bounds over filtered fraction × PCIe generation.
 
@@ -765,7 +768,7 @@ def storage_report_from_ledger(
     summary = runs[-1]
     kernel_seconds = float(summary.get("kernel_seconds", 0.0))
     transfer_seconds = float(summary.get("transfer_seconds", 0.0))
-    pcie_bandwidth = float(summary.get("pcie_bandwidth", 7e9))
+    pcie_bandwidth = float(summary.get("pcie_bandwidth", PCIE3_BANDWIDTH))
     return StorageReport(
         stage=str(summary.get("stage", "?")),
         devices=int(summary.get("devices", 1)),

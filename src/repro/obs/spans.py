@@ -1,5 +1,5 @@
 """Fleet-wide distributed tracing: trace-context spans over the virtual
-clock.
+clock, folded from the run ledger.
 
 The profiler's :class:`~repro.obs.timeline.TimelineRecorder` answers
 "what was module X doing at cycle C" *inside one engine run*; this
@@ -8,41 +8,35 @@ cycles across dispatch, PCIe transfer, SPM load, kernel execution,
 fault backoff, and drain — across N devices and through a drain/resume
 restart.
 
-The pieces:
+Nothing is recorded while a run executes.  A run writes its ledger
+events (DESIGN.md §3.4) and the trace is a pure function of them:
 
 * :class:`TraceSpan` — one interval on a *lane* (``service``,
-  ``device:N``, ``pcie:N``, ``sql``) carrying the trace context
-  (``trace_id``/``span_id``/``parent_id``), the owning tenant, and
-  free-form attributes.  Starts and ends are **virtual cycles** for
-  everything the deterministic clock covers (service, devices, PCIe)
-  and host microseconds on the ``sql`` lane — each lane renders as its
-  own process, so units never mix on one track.
-* :class:`SpanRecorder` — the collector.  Recording is parent-side
-  only (worker processes never see a recorder), span ids are
-  sequential integers (no uuids — traces of identical runs are
-  byte-identical), and a recorder created with ``enabled=False`` is a
-  null object whose ``record`` is a constant-time no-op, mirroring
-  :class:`~repro.obs.registry.MetricsRegistry`'s disabled path.
-* the **ambient recorder** — :func:`tracing` installs a recorder the
-  way :func:`~repro.obs.ledger.run_context` installs a ledger;
-  instrumented code deep in the stack (``run_partitioned``,
-  ``run_sharded``, the SQL executor) fetches it with
-  :func:`active_spans` and pays one attribute check when tracing is
-  off.  The :class:`~repro.serve.service.JobService` owns its recorder
-  explicitly instead, so a served run always yields a fleet trace.
+  ``device:N``, ``pcie:N``, ``storage:N``) in **virtual cycles**,
+  carrying the trace context (``trace_id``/``span_id``/``parent_id``),
+  the owning tenant, and free-form attributes.
+* :class:`WaveTimeline` — the one anatomy of a wave on the modelled
+  clock, shared by the service (which ledgers it), the fold and the
+  critical-path analyzer.
+* :func:`trace_spans` — the one interval builder: a single in-order
+  fold over ``(event, fields)`` pairs that lays every lane.  ``repro
+  serve --trace`` and ``repro analyze --critical-path`` both read its
+  spans, so the trace and the critical path cannot disagree; a direct
+  run is traced by folding the ledger its ``run_context`` wrote.
 * :func:`fleet_chrome_trace` — the merged ``chrome://tracing`` export:
-  one process lane per device (plus the service lane, PCIe lanes, and
-  the SQL lane), one thread track per tenant within a lane, tenants
-  colored consistently across the whole trace.
+  one process lane per device (plus the service, PCIe and storage
+  lanes), one thread track per tenant within a lane, tenants colored
+  consistently across the whole trace.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+
+from ..constants import CLOCK_HZ
 
 #: The anatomy of one wave on the modelled clock, in canonical order:
 #: span category -> the name its child span carries.
@@ -52,13 +46,6 @@ WAVE_SEGMENTS = {
     "spm_load": "spm_load",
     "kernel": "kernel",
 }
-
-#: Critical-path categories a span can carry in ``cat`` (the analyzer's
-#: vocabulary; exports accept any category).
-SPAN_CATEGORIES = (
-    "job", "wave", "queue_wait", *WAVE_SEGMENTS,
-    "drain", "fault", "run", "sql", "aborted",
-)
 
 
 @dataclass(frozen=True)
@@ -170,127 +157,328 @@ class TraceSpan:
         }
 
 
-class SpanRecorder:
-    """Collects :class:`TraceSpan` instances with deterministic ids.
+@dataclass
+class _Job:
+    """What the fold remembers of an admitted job."""
 
-    Span ids are handed out by an :func:`itertools.count`, so two
-    identical runs produce identical traces.
-    A disabled recorder records nothing and hands out id ``0``.
-    """
+    #: Span id reserved for the job's root at admission, so wave and
+    #: fault children can parent to it while the job is still open.
+    root: int
+    arrival: int
+    stage: str
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+
+@dataclass
+class _Queue:
+    """One device queue of a direct run, buffered until its
+    ``scheduler.run`` closes it (a pooled run ledgers its waves in
+    completion order; the lane is laid in wave order)."""
+
+    waves: List[Mapping[str, object]] = field(default_factory=list)
+    faults: List[Mapping[str, object]] = field(default_factory=list)
+    #: (wave, attempt) -> the backoff the retry ladder accounted for it.
+    backoffs: Dict[Tuple[int, int], float] = field(default_factory=dict)
+
+
+class _Fold:
+    """The state of one :func:`trace_spans` pass; one method per traced
+    event (:data:`TRACED_EVENTS`), each reading only its event's fields
+    and what earlier events left here."""
+
+    def __init__(self, clock_hz: float):
+        self.clock_hz = clock_hz
         self.spans: List[TraceSpan] = []
         self._ids = itertools.count(1)
-        self._traces = itertools.count(1)
+        self.jobs: Dict[int, _Job] = {}
+        #: device -> what ``serve.dispatch`` / ``storage.wave`` said of
+        #: the wave in flight on it.
+        self.inflight: Dict[int, Dict[str, object]] = {}
+        #: (stage, device label) -> the open queue of a direct run.
+        self.queues: Dict[Tuple[str, Optional[int]], _Queue] = {}
+        #: ``pcie:N`` / ``storage:N`` lane -> cursor, until ``shard.run``.
+        self.cursors: Dict[str, int] = {}
 
-    def reserve(self) -> int:
-        """Allocate a span id without recording yet — lets a parent span
-        (a job) hand its id to children recorded before it completes.
-        Returns 0 when disabled."""
-        if not self.enabled:
-            return 0
-        return next(self._ids)
+    # -- laying spans ----------------------------------------------------------
 
-    def new_trace(self, prefix: str) -> str:
-        """A fresh deterministic trace id (``prefix-N``)."""
-        return f"{prefix}-{next(self._traces)}"
-
-    def record(
-        self,
-        name: str,
-        cat: str,
-        start: float,
-        end: float,
-        trace_id: str,
-        parent_id: Optional[int] = None,
-        lane: str = "service",
-        tenant: Optional[str] = None,
-        span_id: Optional[int] = None,
+    def span(
+        self, name: str, cat: str, start: float, end: float, trace_id: str,
+        parent_id: Optional[int] = None, lane: str = "service",
+        tenant: Optional[str] = None, span_id: Optional[int] = None,
         **attrs: object,
     ) -> int:
-        """Record one span; returns its id (0 when disabled).
-
-        Pass ``span_id`` to materialize a previously :meth:`reserve`-d
-        id; otherwise the next sequential id is used.
-        """
-        if not self.enabled:
-            return 0
-        if end < start:
-            raise ValueError(f"span {name!r} ends before it starts")
+        """Lay one span; returns its id (the next sequential one unless
+        ``span_id`` materializes a reserved id)."""
         sid = span_id if span_id is not None else next(self._ids)
         self.spans.append(TraceSpan(
-            trace_id=trace_id, span_id=sid, parent_id=parent_id,
-            name=name, cat=cat, start=start, end=end,
-            lane=lane, tenant=tenant, attrs=attrs,
+            trace_id, sid, parent_id, name, cat, start, end, lane, tenant,
+            attrs,
         ))
         return sid
 
-    def lay(
-        self, cursor: float, name: str, cat: str, length: float,
-        **common: object,
-    ) -> float:
-        """The lane tiler: record a span of ``length`` at ``cursor``
-        (``common`` being :meth:`record`'s keywords) and return the
-        cursor past it, so consecutive calls lay spans end to end."""
-        self.record(name, cat, cursor, cursor + length, **common)
-        return cursor + length
+    def tile(self, lane: str, name: str, cat: str, length: int,
+             **common: object) -> None:
+        """Lay a span of ``length`` at ``lane``'s cursor and advance it."""
+        cursor = self.cursors.get(lane, 0)
+        self.span(name, cat, cursor, cursor + length, lane=lane, **common)
+        self.cursors[lane] = cursor + length
 
-    def lay_wave(self, timeline: WaveTimeline, **common: object) -> int:
-        """Lay a wave's segments as spans; returns the cursor past it."""
+    def wave(self, timeline: WaveTimeline, **common: object) -> None:
+        """Lay a wave's segments as the children tiling it."""
         for cat, lo, hi in timeline.segments():
-            self.record(WAVE_SEGMENTS[cat], cat, lo, hi, **common)
-        return timeline.end
+            self.span(WAVE_SEGMENTS[cat], cat, lo, hi, **common)
 
-    def merge(self, other: "SpanRecorder") -> None:
-        """Adopt another recorder's spans (trace ids keep the records
-        apart; span ids are only unique within one recorder)."""
-        self.spans.extend(other.spans)
+    def cycles(self, seconds: float) -> int:
+        return int(round(seconds * self.clock_hz))
 
-    def by_lane(self) -> Dict[str, List[TraceSpan]]:
-        lanes: Dict[str, List[TraceSpan]] = {}
-        for span in self.spans:
-            lanes.setdefault(span.lane, []).append(span)
-        return lanes
+    # -- served runs: service, device:N and storage:N lanes -------------------
 
-    def __len__(self) -> int:
-        return len(self.spans)
+    def serve_admit(self, f):
+        self.jobs[f["job"]] = _Job(next(self._ids), f["clock"], f["stage"])
+
+    def job(self, f) -> _Job:
+        try:
+            return self.jobs[f["job"]]
+        except KeyError:
+            raise KeyError(f"serve.admit of job {f.get('job')}") from None
+
+    def serve_dispatch(self, f):
+        self.inflight[f["device"]] = {"cost_rows": f["cost_rows"]}
+
+    def serve_retry(self, f):
+        if "clock" not in f:
+            return  # a ledger that predates the field cannot place the marker
+        self.span(
+            f"fault:{f['kind']}", "fault", f["clock"], f["clock"],
+            trace_id=f"job-{f['job']}", parent_id=self.job(f).root,
+            tenant=f["tenant"], job=f["job"], wave=f["wave"],
+            attempt=f["attempt"], kind=f["kind"],
+            backoff_seconds=f["backoff_seconds"],
+        )
+
+    def serve_wave_done(self, f):
+        job = self.job(f)
+        flight = self.inflight.pop(f["device"])
+        timeline = WaveTimeline.from_record(f)
+        lane = f"device:{f['device']}"
+        common = dict(
+            trace_id=f"job-{f['job']}", tenant=f["tenant"],
+            job=f["job"], wave=f["wave"], device=f["device"],
+        )
+        parent = self.span(
+            f"{job.stage}:j{f['job']}:w{f['wave']}", "wave",
+            timeline.start, timeline.end, parent_id=job.root, lane=lane,
+            **common, attempt=f["attempt"], cost_rows=flight["cost_rows"],
+        )
+        self.wave(timeline, parent_id=parent, lane=lane, **common)
+        stored = flight.get("stored")
+        if stored is not None:
+            # The in-SSD scan overlaps the wave's dispatch (it ran while
+            # the previous wave's DMA held the link), so it lives on its
+            # own storage lane and never stretches the wave's duration.
+            self.span(
+                f"scan:j{f['job']}:w{f['wave']}", "filter", timeline.start,
+                timeline.start + self.cycles(stored["scan_seconds"]),
+                parent_id=parent, lane=f"storage:{f['device']}", **common,
+                pruned_rows=stored["pruned_rows"],
+                saved_nbytes=stored["raw_nbytes"] - stored["nbytes"],
+            )
+
+    def serve_wave_aborted(self, f):
+        # The wave's work up to the drain point still occupied the
+        # device: an aborted span cut at the drain clock (it re-runs in
+        # full after resume).
+        job = self.job(f)
+        self.inflight.pop(f["device"], None)
+        self.span(
+            f"{job.stage}:j{f['job']}:w{f['wave']}", "aborted",
+            f["start_cycles"], f["clock"], trace_id=f"job-{f['job']}",
+            parent_id=job.root, lane=f"device:{f['device']}",
+            tenant=f["tenant"], job=f["job"], wave=f["wave"],
+            device=f["device"], drained=True,
+        )
+
+    def serve_job_done(self, f):
+        job = self.job(f)
+        self.span(
+            f"job:{f['job']}", "job", job.arrival, f["clock"],
+            trace_id=f"job-{f['job']}", span_id=job.root,
+            tenant=f["tenant"], job=f["job"], stage=f["stage"],
+            state="completed", latency_cycles=f["latency_cycles"],
+            queue_cycles=f["queue_cycles"],
+        )
+
+    def serve_job_failed(self, f):
+        job = self.job(f)
+        self.span(
+            f"job:{f['job']}", "job", job.arrival, f["clock"],
+            trace_id=f"job-{f['job']}", span_id=job.root,
+            tenant=f["tenant"], job=f["job"], stage=f["stage"],
+            state="failed", failed_wave=f["wave"],
+        )
+
+    def serve_drain(self, f):
+        self.span(
+            "drain", "drain", f["clock"], f["clock"], trace_id="service",
+            requeued=f["requeued"],
+        )
+
+    def serve_resume(self, f):
+        self.span(
+            "resume", "drain", f["clock"], f["clock"], trace_id="service",
+            open_jobs=f["open_jobs"],
+        )
+
+    # -- direct runs: device:N, pcie:N and storage:N lanes ---------------------
+
+    def queue(self, f) -> _Queue:
+        return self.queues.setdefault((f["stage"], f.get("device")), _Queue())
+
+    def scheduler_wave(self, f):
+        self.queue(f).waves.append(f)
+
+    def fault_injected(self, f):
+        if f["site"] == "scheduler.wave":  # the other sites lay no marker
+            self.queue(f).faults.append(f)
+
+    def fault_backoff(self, f):
+        # ``fault.retry`` (the runtime's, keyed by site and slot, names no
+        # wave) and the ``fault.serial_fallback`` of an exhausted budget
+        if "wave" in f and "backoff_seconds" in f:
+            self.queue(f).backoffs[f["wave"], f["attempt"]] = (
+                f["backoff_seconds"]
+            )
+
+    def scheduler_run(self, f):
+        """Close one queue: its waves back to back from cycle 0 in wave
+        order under one run span, each wave tiled by its segments, plus a
+        zero-length marker per injected fault carrying the backoff the
+        retry ladder accounted for it."""
+        stage, device = f["stage"], f.get("device")
+        queue = self.queues.pop((stage, device), _Queue())
+        lane_index = device if device is not None else 0
+        common = dict(
+            trace_id=f"run-{stage}-d{lane_index}", lane=f"device:{lane_index}",
+        )
+        run_span = next(self._ids)
+        cursor = 0
+        for wave in sorted(queue.waves, key=lambda wave: wave["wave"]):
+            index = wave["wave"]
+            timeline = WaveTimeline(
+                cursor, load=wave["load_cycles"], kernel=wave["cycles"]
+            )
+            parent = self.span(
+                f"{stage}:w{index}", "wave", timeline.start, timeline.end,
+                parent_id=run_span, wave=index, replicas=wave["replicas"],
+                **common,
+            )
+            for fault in sorted(
+                (fault for fault in queue.faults if fault["slot"] == index),
+                key=lambda fault: (fault["attempt"], fault["kind"]),
+            ):
+                self.span(
+                    f"fault:{fault['kind']}", "fault", cursor, cursor,
+                    parent_id=parent, wave=index, attempt=fault["attempt"],
+                    kind=fault["kind"],
+                    backoff_seconds=queue.backoffs[index, fault["attempt"]],
+                    **common,
+                )
+            self.wave(timeline, parent_id=parent, wave=index, **common)
+            cursor = timeline.end
+        self.span(
+            f"{stage}:run", "run", 0, cursor, span_id=run_span, stage=stage,
+            waves=f["waves"], workers=f["workers"], device=device, **common,
+        )
+
+    def shard_wave(self, f):
+        # the modelled H2D link occupancy, one lane per card of a
+        # multi-card run (a lone card's charge carries no device label)
+        if "device" in f:
+            self.tile(
+                f"pcie:{f['device']}", f"h2d:w{f['wave']}", "transfer",
+                f["transfer_cycles"],
+                trace_id=f"run-{f['stage']}-pcie{f['device']}",
+                wave=f["wave"], device=f["device"], nbytes=f["nbytes"],
+            )
+
+    def storage_wave(self, f):
+        if "job" in f:  # served: laid beside its wave when that completes
+            self.inflight[f["device"]]["stored"] = f
+            return
+        self.tile(
+            f"storage:{f['device']}", f"scan:w{f['wave']}", "filter",
+            self.cycles(f["scan_seconds"]),
+            trace_id=f"run-{f['stage']}-storage{f['device']}",
+            wave=f["wave"], device=f["device"], raw_nbytes=f["raw_nbytes"],
+            nbytes=f["nbytes"], pruned_rows=f["pruned_rows"],
+        )
+
+    def shard_run(self, f):
+        self.cursors.clear()  # the next stage's lanes start at cycle 0
 
 
-#: The shared disabled recorder instrumented code falls back to.
-NULL_SPANS = SpanRecorder(enabled=False)
+#: Every event the fold matches -> the step that consumes it.  DESIGN.md
+#: §3.9 tabulates what each lays (``tools/check_docs.py`` holds the two
+#: in step).
+TRACED_EVENTS = {
+    "serve.admit": _Fold.serve_admit,
+    "serve.dispatch": _Fold.serve_dispatch,
+    "serve.retry": _Fold.serve_retry,
+    "serve.wave.done": _Fold.serve_wave_done,
+    "serve.wave.aborted": _Fold.serve_wave_aborted,
+    "serve.job.done": _Fold.serve_job_done,
+    "serve.job.failed": _Fold.serve_job_failed,
+    "serve.drain": _Fold.serve_drain,
+    "serve.resume": _Fold.serve_resume,
+    "scheduler.wave": _Fold.scheduler_wave,
+    "fault.injected": _Fold.fault_injected,
+    "fault.retry": _Fold.fault_backoff,
+    "fault.serial_fallback": _Fold.fault_backoff,
+    "scheduler.run": _Fold.scheduler_run,
+    "shard.wave": _Fold.shard_wave,
+    "storage.wave": _Fold.storage_wave,
+    "shard.run": _Fold.shard_run,
+}
 
 
-# -- the ambient recorder ------------------------------------------------------------
+def trace_spans(
+    events: Iterable[Tuple[str, Mapping[str, object]]],
+    clock_hz: float = CLOCK_HZ,
+) -> List[TraceSpan]:
+    """The trace of a run, as a pure function of its ledger.
 
-_active_recorder: Optional[SpanRecorder] = None
-
-
-def active_spans() -> SpanRecorder:
-    """The ambient recorder, or the shared null one outside any
-    :func:`tracing` context."""
-    recorder = _active_recorder
-    return recorder if recorder is not None else NULL_SPANS
-
-
-@contextmanager
-def tracing(recorder: SpanRecorder) -> Iterator[SpanRecorder]:
-    """Install ``recorder`` as the ambient span target, restoring the
-    previous one on exit."""
-    global _active_recorder
-    previous = _active_recorder
-    _active_recorder = recorder
-    try:
-        yield recorder
-    finally:
-        _active_recorder = previous
+    One in-order pass over ``(event, fields)`` pairs — what
+    :attr:`~repro.serve.service.JobService.events` mirrors, or a
+    :class:`~repro.obs.ledger.RunLedger`'s records of one run as
+    ``(record["event"], record)`` — laying every span with sequential
+    integer ids (no uuids, no wall clock: identical runs trace
+    byte-identically).  A job's root id is reserved at ``serve.admit``
+    and materialized when the job completes or fails; waves are tiled by
+    :meth:`WaveTimeline.segments`.  ``clock_hz`` converts the one figure
+    ledgered in seconds, the in-SSD scan time.  Raises ``ValueError``
+    when a traced event lacks a field the fold needs (an older or
+    hand-trimmed ledger).
+    """
+    fold = _Fold(clock_hz)
+    for event, fields in events:
+        step = TRACED_EVENTS.get(event)
+        if step is None:
+            continue
+        try:
+            step(fold, fields)
+        except KeyError as missing:
+            raise ValueError(
+                f"cannot trace {event}: no {missing} to go by (a ledger "
+                "from an older build, or one cut short?)"
+            ) from missing
+    return fold.spans
 
 
 # -- the merged chrome://tracing export ----------------------------------------------
 
 
 def _lane_sort_key(lane: str) -> Tuple[int, int, str]:
-    """Service lane first, then devices by index, PCIe lanes, SQL."""
+    """Service lane first, then devices by index, PCIe lanes, the rest
+    by name."""
     if lane == "service":
         return (0, 0, lane)
     for rank, prefix in ((1, "device:"), (2, "pcie:")):
@@ -298,9 +486,7 @@ def _lane_sort_key(lane: str) -> Tuple[int, int, str]:
             suffix = lane[len(prefix):]
             index = int(suffix) if suffix.isdigit() else 0
             return (rank, index, lane)
-    if lane == "sql":
-        return (3, 0, lane)
-    return (4, 0, lane)
+    return (3, 0, lane)
 
 
 def tenant_colors(spans: Iterable[TraceSpan]) -> Dict[str, str]:
@@ -323,7 +509,8 @@ def fleet_chrome_trace(
     One *process* per lane (``pid``), one *thread* per tenant within a
     lane (``tid``), tenant-colored ``X`` events.  Timestamps are the
     spans' virtual cycles reported as microseconds — the viewer's unit,
-    not wall time (the ``sql`` lane alone is real host microseconds).
+    not wall time.  (``time_unit`` still words the retired host-clock
+    ``sql`` lane: exports are pinned byte-for-byte across builds.)
     """
     spans = list(spans)
     colors = tenant_colors(spans)

@@ -30,16 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
+from ..constants import CLOCK_HZ, PCIE3_BANDWIDTH, PCIE4_BANDWIDTH
 from .cpu_model import CpuModel
-
-#: Accelerator clock (Section V-A).
-CLOCK_HZ = 250e6
-
-#: Measured PCIe 3.0 DMA bandwidth on the F1 (Section V-B).
-PCIE3_BANDWIDTH = 7e9
-
-#: The PCIe 4.0 what-if bandwidth (Section V-B).
-PCIE4_BANDWIDTH = 32e9
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,8 @@ from .api import (
     PipelineState,
     pool_runtimes,
 )
+from ..constants import CLOCK_HZ, PCIE3_BANDWIDTH, PCIE4_BANDWIDTH
 from .device import (
-    CLOCK_HZ,
-    PCIE3_BANDWIDTH,
-    PCIE4_BANDWIDTH,
     DeviceConfig,
     DevicePool,
     GenesisDevice,

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Optional, Protocol, Sequence, Tuple
 
+from ..constants import CLOCK_HZ, MODEL_ROW_BYTES, PCIE3_BANDWIDTH
 from ..faults.injector import FaultInjector
 from ..faults.retry import FailedAttempt, RetryLadder, RetryPolicy
 from ..obs.ledger import record_event
@@ -23,19 +24,6 @@ from ..obs.registry import MetricsRegistry, registry_or_null
 #: Fault-injection sites instrumented by the device model.
 TRANSFER_FAULT_SITE = "runtime.transfer"
 LAUNCH_FAULT_SITE = "runtime.launch"
-
-#: Measured host->FPGA DMA bandwidth on the F1 (Section V-B): ~7 GB/s.
-PCIE3_BANDWIDTH = 7e9
-
-#: The paper's PCIe 4.0 what-if bandwidth: 32 GB/s.
-PCIE4_BANDWIDTH = 32e9
-
-#: Accelerator clock (Section V-A): 250 MHz.
-CLOCK_HZ = 250e6
-
-#: Modelled host->device payload per read for the PCIe transfer model
-#: (sequence + qualities + alignment metadata, order-of-magnitude).
-MODEL_ROW_BYTES = 128
 
 
 class WaveStorage(Protocol):

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..accel.scheduler import SpmImageCache, execute_wave, wave_pool
@@ -54,7 +54,12 @@ from ..faults.retry import FailedAttempt, RetryLadder, RetryPolicy
 from ..tables.partition import PartitionId
 from ..obs.ledger import record_event
 from ..obs.registry import MetricsRegistry
-from ..obs.spans import SpanRecorder, WaveTimeline, fleet_chrome_trace
+from ..obs.spans import (
+    TraceSpan,
+    WaveTimeline,
+    fleet_chrome_trace,
+    trace_spans,
+)
 from ..runtime.device import DeviceConfig, DevicePool, WaveStorage
 from .job import (
     COMPLETED,
@@ -85,7 +90,6 @@ class _Dispatch:
     seq: int
     attempt: int
     penalty_cycles: int
-    cost_rows: int
 
 
 @dataclass
@@ -95,8 +99,6 @@ class _Inflight:
     dispatch: _Dispatch
     results: Dict[PartitionId, object]
     timeline: WaveTimeline
-    #: The wave's ``storage.wave`` fields, behind an in-SSD filter.
-    stored: Optional[Dict[str, object]] = None
 
 
 @dataclass
@@ -150,9 +152,10 @@ class ServiceCheckpoint:
     """Everything :meth:`JobService.drain` hands to
     :meth:`JobService.resume`: the virtual clock, the queue with every
     open job (in-flight waves already requeued), the not-yet-admitted
-    arrivals, and the live device pool, fault injector and span
-    recorder — so occupancy charged, fault slots consumed and spans
-    recorded before the drain all carry over."""
+    arrivals, and the live device pool, fault injector and event
+    mirror — so occupancy charged, fault slots consumed and events
+    recorded (hence the trace folded from them) before the drain all
+    carry over."""
 
     clock: int
     dispatch_seq: int
@@ -167,9 +170,9 @@ class ServiceCheckpoint:
     retry_policy: RetryPolicy
     pool: DevicePool
     injector: Optional[FaultInjector]
+    #: Every event recorded so far: :attr:`JobService.events` continues it.
+    events: List[Tuple[str, Dict[str, object]]]
     retries: int = 0
-    spans: Optional[SpanRecorder] = None
-    job_span_ids: Dict[int, int] = field(default_factory=dict)
 
     @property
     def open_jobs(self) -> int:
@@ -192,8 +195,8 @@ class JobService:
     or :class:`~repro.storage.frontend.StorageFrontEnd`) to put the
     modelled in-SSD filter in front of every device's PCIe link: wave
     transfers are charged at their survivor footprint and each wave
-    gets a ``storage.wave`` event plus a scan span on its device's
-    ``storage:N`` trace lane (DESIGN.md §3.10).  Kernel cycles, results,
+    gets a ``storage.wave`` event, which traces as a scan span on its
+    device's ``storage:N`` lane (DESIGN.md §3.10).  Kernel cycles, results,
     and the dispatch order are unchanged by construction — only the
     transfer segment of each wave's virtual duration shrinks.
     """
@@ -210,7 +213,6 @@ class JobService:
         registry: Optional[MetricsRegistry] = None,
         spm_cache: Optional[SpmImageCache] = None,
         device_config: Optional[DeviceConfig] = None,
-        spans: Optional[SpanRecorder] = None,
         storage: Optional[WaveStorage] = None,
     ) -> None:
         if devices < 1:
@@ -224,11 +226,6 @@ class JobService:
             max_backlog=max_backlog, quota=quota, weights=weights
         )
         self.registry = registry if registry is not None else MetricsRegistry()
-        #: Fleet trace-context recorder.  On by default — every served
-        #: run can export a merged chrome trace (:meth:`fleet_trace`);
-        #: pass ``SpanRecorder(enabled=False)`` to opt out.
-        self.spans = spans if spans is not None else SpanRecorder()
-        self._job_span_ids: Dict[int, int] = {}
         self.cache = spm_cache if spm_cache is not None else SpmImageCache()
         self.pool = DevicePool(
             devices, config=device_config or DeviceConfig(),
@@ -252,7 +249,8 @@ class JobService:
         self._retries = 0
         self._host_seconds = 0.0
         #: In-memory mirror of every ledger event the service records,
-        #: in order — what the replay/property tests compare.
+        #: in order — what :meth:`spans` folds and the
+        #: replay/property tests compare.
         self.events: List[Tuple[str, Dict[str, object]]] = []
 
     @property
@@ -323,10 +321,6 @@ class JobService:
                 "serve.jobs.rejected", tenant=job.tenant, reason=reason
             ).inc()
         else:
-            # The job's root span is recorded at completion (or failure),
-            # but its id is reserved now so every wave/fault child span
-            # can parent to it while the job is still open.
-            self._job_span_ids[job.job_id] = self.spans.reserve()
             self._event(
                 "serve.admit",
                 tenant=job.tenant, job=job.job_id, stage=job.stage,
@@ -431,7 +425,7 @@ class JobService:
             attempt=attempt, cost_rows=cost,
         )
         self.registry.counter("serve.waves.dispatched").inc()
-        return _Dispatch(job, wave_index, device, seq, attempt, penalty, cost)
+        return _Dispatch(job, wave_index, device, seq, attempt, penalty)
 
     def _fault_ladder(self, job: Job, wave_index: int) -> Tuple[int, int]:
         """Parent-side injection at the dispatch boundary: walk the
@@ -471,15 +465,7 @@ class JobService:
             "serve.retry",
             tenant=job.tenant, job=job.job_id, wave=wave_index,
             attempt=failed.attempt, kind=failed.kind,
-            backoff_seconds=failed.backoff_seconds,
-        )
-        self.spans.record(
-            f"fault:{failed.kind}", "fault", self.clock, self.clock,
-            trace_id=f"job-{job.job_id}",
-            parent_id=self._job_span_ids.get(job.job_id),
-            lane="service", tenant=job.tenant,
-            job=job.job_id, wave=wave_index, attempt=failed.attempt,
-            kind=failed.kind, backoff_seconds=failed.backoff_seconds,
+            backoff_seconds=failed.backoff_seconds, clock=self.clock,
         )
 
     def _fail_job(self, job: Job, wave_index: int) -> None:
@@ -491,14 +477,6 @@ class JobService:
             "serve.job.failed",
             tenant=job.tenant, job=job.job_id, stage=job.stage,
             wave=wave_index, clock=self.clock,
-        )
-        self.spans.record(
-            f"job:{job.job_id}", "job", job.arrival_cycles, self.clock,
-            trace_id=f"job-{job.job_id}",
-            span_id=self._job_span_ids.get(job.job_id),
-            lane="service", tenant=job.tenant,
-            job=job.job_id, stage=job.stage, state=FAILED,
-            failed_wave=wave_index,
         )
         self.registry.counter(
             "serve.jobs.failed", tenant=job.tenant
@@ -534,9 +512,8 @@ class JobService:
             _nbytes, seconds = self.pool.charge_wave(
                 pick.device, pick.seq, wave, cycles
             )
-            stored = None
             if self.storage is not None:
-                stored = record_storage_wave(
+                record_storage_wave(
                     self.storage, wave, emit=self._event,
                     tenant=pick.job.tenant, job=pick.job.job_id,
                     stage=pick.job.stage, wave=pick.wave_index,
@@ -547,7 +524,7 @@ class JobService:
                     self.clock, penalty=pick.penalty_cycles,
                     transfer=int(round(seconds * clock_hz)),
                     load=outcome.load_cycles, kernel=cycles,
-                ), stored,
+                ),
             )
 
     def _shutdown_executor(self) -> None:
@@ -593,7 +570,6 @@ class JobService:
             device=device, **rec.timeline.to_record(),
             attempt=rec.dispatch.attempt,
         )
-        self._record_wave_spans(rec, device)
         if job.waves_done == len(job.waves) and job.state == RUNNING:
             job.finalize(end_cycles)
             self.queue.close(job)
@@ -610,55 +586,9 @@ class JobService:
                 arrival_cycles=job.arrival_cycles,
                 clock=end_cycles,
             )
-            self.spans.record(
-                f"job:{job.job_id}", "job", job.arrival_cycles, end_cycles,
-                trace_id=f"job-{job.job_id}",
-                span_id=self._job_span_ids.get(job.job_id),
-                lane="service", tenant=job.tenant,
-                job=job.job_id, stage=job.stage, state=COMPLETED,
-                latency_cycles=job.latency_cycles,
-                queue_cycles=job.queue_cycles,
-            )
             self.registry.counter(
                 "serve.jobs.completed", tenant=job.tenant
             ).inc()
-
-    def _record_wave_spans(self, rec: _Inflight, device: int) -> None:
-        """Lay the completed wave's spans on its device lane: one parent
-        covering dispatch → completion, with the timeline's segments
-        tiling it exactly."""
-        if not self.spans.enabled:
-            return
-        job = rec.dispatch.job
-        wave_index = rec.dispatch.wave_index
-        common = dict(
-            trace_id=f"job-{job.job_id}", tenant=job.tenant,
-            job=job.job_id, wave=wave_index, device=device,
-        )
-        parent = self.spans.record(
-            f"{job.stage}:j{job.job_id}:w{wave_index}", "wave",
-            rec.timeline.start, rec.timeline.end,
-            parent_id=self._job_span_ids.get(job.job_id),
-            lane=f"device:{device}", **common,
-            attempt=rec.dispatch.attempt, cost_rows=rec.dispatch.cost_rows,
-        )
-        self.spans.lay_wave(
-            rec.timeline, parent_id=parent, lane=f"device:{device}", **common
-        )
-        if rec.stored is not None:
-            # The in-SSD scan overlaps the wave's dispatch (it ran while
-            # the previous wave's DMA held the link), so it lives on its
-            # own storage lane and never stretches the wave's duration.
-            scan_cycles = int(round(
-                rec.stored["scan_seconds"] * self.pool.config.clock_hz
-            ))
-            self.spans.lay(
-                rec.timeline.start,
-                f"scan:j{job.job_id}:w{wave_index}", "filter", scan_cycles,
-                parent_id=parent, lane=f"storage:{device}", **common,
-                pruned_rows=rec.stored["pruned_rows"],
-                saved_nbytes=rec.stored["raw_nbytes"] - rec.stored["nbytes"],
-            )
 
     # -- drain / resume ------------------------------------------------------
 
@@ -680,18 +610,6 @@ class JobService:
                 device=device, start_cycles=rec.timeline.start,
                 clock=self.clock,
             )
-            # The wave's work up to the drain point still occupied the
-            # device — trace it as an aborted span cut at the drain
-            # clock (it re-runs in full after resume).
-            self.spans.record(
-                f"{job.stage}:j{job.job_id}:w{wave_index}", "aborted",
-                rec.timeline.start, self.clock,
-                trace_id=f"job-{job.job_id}",
-                parent_id=self._job_span_ids.get(job.job_id),
-                lane=f"device:{device}", tenant=job.tenant,
-                job=job.job_id, wave=wave_index, device=device,
-                drained=True,
-            )
             requeued += 1
         self._shutdown_executor()
         self._event(
@@ -699,10 +617,6 @@ class JobService:
             clock=self.clock, requeued=requeued,
             open_jobs=self.queue.open_jobs(),
             pending_arrivals=len(self._arrivals),
-        )
-        self.spans.record(
-            "drain", "drain", self.clock, self.clock,
-            trace_id="service", lane="service", requeued=requeued,
         )
         return ServiceCheckpoint(
             clock=self.clock,
@@ -716,9 +630,8 @@ class JobService:
             retry_policy=self.retry_policy,
             pool=self.pool,
             injector=self.injector,
+            events=list(self.events),
             retries=self._retries,
-            spans=self.spans,
-            job_span_ids=dict(self._job_span_ids),
         )
 
     @classmethod
@@ -755,31 +668,27 @@ class JobService:
         service._arrivals = list(checkpoint.arrivals)
         service._arrival_seq = checkpoint.arrival_seq
         service._retries = checkpoint.retries
-        if checkpoint.spans is not None:
-            # Continue the drained service's recorder (same id counter)
-            # so pre-drain and post-resume spans merge into one trace.
-            service.spans = checkpoint.spans
-            service._job_span_ids = dict(checkpoint.job_span_ids)
+        # continue the drained service's mirror, so whatever is read off
+        # the events (the trace, the queue-wait book) sees the whole run
+        service.events = checkpoint.events
         service._event(
             "serve.resume",
             clock=service.clock,
             open_jobs=service.queue.open_jobs(),
             pending_arrivals=len(service._arrivals),
         )
-        service.spans.record(
-            "resume", "drain", service.clock, service.clock,
-            trace_id="service", lane="service",
-            open_jobs=service.queue.open_jobs(),
-        )
         return service
 
     # -- reporting -----------------------------------------------------------
 
+    def spans(self) -> List[TraceSpan]:
+        """The run so far as trace spans, folded from :attr:`events`."""
+        return trace_spans(self.events, self.pool.config.clock_hz)
+
     def fleet_trace(self, name: str = "fleet") -> Dict[str, object]:
-        """The merged fleet chrome://tracing export of every span the
-        service (and any traced run merged into its recorder) saw: one
-        process lane per device, tenant-colored job tracks."""
-        return fleet_chrome_trace(self.spans.spans, name=name)
+        """The merged fleet chrome://tracing export of the run so far:
+        one process lane per device, tenant-colored job tracks."""
+        return fleet_chrome_trace(self.spans(), name=name)
 
     def summary(self) -> ServeSummary:
         # snapshots: a summary must not move when the service runs on

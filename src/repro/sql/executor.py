@@ -27,11 +27,9 @@ where backend time goes.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, Optional, Union
 
 from ..obs.registry import MetricsRegistry, registry_or_null
-from ..obs.spans import active_spans
 from .ast_nodes import (
     BinOp,
     ColumnRef,
@@ -112,9 +110,6 @@ class Executor:
         self._row_bindings: Dict[str, dict] = {}
         self.backend = get_backend(backend) if isinstance(backend, str) else backend
         self.metrics = registry_or_null(metrics)
-        # Cumulative host-microsecond axis for this executor's operator
-        # spans on the fleet trace's "sql" lane.
-        self._span_clock = 0.0
 
     # -- host-facing registration -------------------------------------------------
 
@@ -244,28 +239,11 @@ class Executor:
         raise SqlError(f"cannot evaluate plan node {plan!r}")
 
     def _timed(self, op: str, thunk: Callable[[], Table]) -> Table:
-        tracer = active_spans()
-        if not self.metrics.enabled and not tracer.enabled:
-            return thunk()
-        started = time.perf_counter()
         if not self.metrics.enabled:
+            return thunk()
+        with timed_operator(self.metrics, op, self.backend.name) as timer:
             result = thunk()
-        else:
-            with timed_operator(self.metrics, op, self.backend.name) as timer:
-                result = thunk()
-                timer.rows(result.num_rows)
-        if tracer.enabled:
-            # The sql lane ticks in host microseconds (there is no
-            # virtual clock under an operator); operators tile a
-            # per-executor cumulative axis so the lane reads as one
-            # contiguous track per query mix.
-            elapsed_us = (time.perf_counter() - started) * 1e6
-            tracer.record(
-                op, "sql", self._span_clock, self._span_clock + elapsed_us,
-                trace_id="sql", lane="sql",
-                backend=self.backend.name, rows=result.num_rows,
-            )
-            self._span_clock += elapsed_us
+            timer.rows(result.num_rows)
         return result
 
     def _scan(self, plan: ScanNode) -> Table:

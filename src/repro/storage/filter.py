@@ -19,7 +19,7 @@ anyway): the device can reconstruct it from an 8-byte descriptor
 crosses PCIe*, never *what the kernels compute*:
 
 * survivors ship their full modelled row footprint
-  (:data:`~repro.runtime.device.MODEL_ROW_BYTES` per row, as before);
+  (:data:`~repro.constants.MODEL_ROW_BYTES` per row, as before);
 * pruned reads ship only :data:`DESCRIPTOR_BYTES`;
 * every wave still simulates every read — per-stage kernel cycles and
   results are bit-identical to the unfiltered run *by construction*, and
@@ -47,16 +47,11 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
+from ..constants import DESCRIPTOR_BYTES, MODEL_ROW_BYTES, PCIE3_BANDWIDTH
 from ..obs.ledger import record_event
-from ..runtime.device import MODEL_ROW_BYTES, PCIE3_BANDWIDTH
 from ..tables.partition import PartitionId, PartitionedReference
 from ..tables.table import Table
 from .layout import ChunkedReadStore, chunk_store_from_partitions
-
-#: Bytes a pruned read still ships over PCIe: a descriptor from which the
-#: device reconstructs the read against its resident REF partition
-#: (row id, reference offset, length, RG, flags).
-DESCRIPTOR_BYTES = 8
 
 #: Default modelled SSD-internal bandwidth.  GenStore's premise is that
 #: aggregate NAND channel bandwidth far exceeds the external link; 8x the

@@ -1,7 +1,8 @@
-"""Shape pin for what a run writes down: the ledger events and the
-trace spans of ``run_sharded`` over devices {1, 2} x storage {off, on}
-x faults {off, on}, one run that exhausts a wave's retry budget, and
-one served trace with a drain.
+"""Shape pin for what a run writes down: the ledger events of
+``run_sharded`` over devices {1, 2} x storage {off, on} x faults {off,
+on}, one run that exhausts a wave's retry budget, and one served trace
+with a drain — and the trace spans ``repro.obs.spans.trace_spans`` folds
+from exactly those events (nothing else is recorded during a run).
 
 Each case is reduced to two multisets — ``event name | sorted field
 keys`` and ``span lane | category`` — and compared against
@@ -35,7 +36,7 @@ from repro.eval.workloads import make_workload
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.retry import RetryPolicy
 from repro.obs.ledger import RunLedger, RunManifest, run_context
-from repro.obs.spans import SpanRecorder, tracing
+from repro.obs.spans import trace_spans
 from repro.serve import SERVE_FAULT_SITE, JobService, JobSpec
 from repro.serve.trace import SERVE_STAGES, stage_driver, stage_partitions
 from repro.storage import plan_storage_filter
@@ -117,7 +118,7 @@ def _ledger_events(ledger):
 
 
 def sharded_case(workload, tmp_path, devices, storage, faults, exhaust=False):
-    """One ``run_sharded`` metadata stage, ledgered and traced.
+    """One ``run_sharded`` metadata stage, ledgered.
 
     ``faults`` injects one retried fault at :data:`FAULTED_WAVE`;
     ``exhaust`` makes it outlast the retry budget so the wave takes the
@@ -131,9 +132,8 @@ def sharded_case(workload, tmp_path, devices, storage, faults, exhaust=False):
     ledger = RunLedger(os.path.join(
         str(tmp_path), f"d{devices}s{storage:d}f{faults:d}x{exhaust:d}.jsonl"
     ))
-    recorder = SpanRecorder()
     manifest = RunManifest(workload="event-shapes", config={"devices": devices})
-    with run_context(manifest, ledger), tracing(recorder):
+    with run_context(manifest, ledger):
         run_sharded(
             MetadataWaveDriver(reference=workload.reference),
             workload.partitions, 2, devices=devices, workers=1,
@@ -145,7 +145,7 @@ def sharded_case(workload, tmp_path, devices, storage, faults, exhaust=False):
                 ) if storage else None
             ),
         )
-    return ledger, recorder
+    return ledger
 
 
 def served_case(workload):
@@ -176,27 +176,25 @@ def served_case(workload):
     service.run(max_dispatches=3)
     resumed = JobService.resume(service.drain())
     resumed.run_until_idle()
-    return service.events + resumed.events, resumed.spans.spans
+    return resumed.events
 
 
 def collect_cases(tmp_path):
-    """Every pinned case as ``(events, spans)``, values and all."""
+    """Every pinned case as ``(events, spans)``, values and all — the
+    spans folded from the case's events."""
     workload = _workload()
     cases = {}
     for devices, storage, faults in SHARDED_CASES:
-        ledger, recorder = sharded_case(
-            workload, tmp_path, devices, storage, faults
-        )
+        ledger = sharded_case(workload, tmp_path, devices, storage, faults)
         key = f"sharded-d{devices}-s{storage:d}-f{faults:d}"
-        cases[key] = (_ledger_events(ledger), recorder.spans)
-    ledger, recorder = sharded_case(
-        workload, tmp_path, 2, False, True, exhaust=True
-    )
-    cases["sharded-d2-budget-exhausted"] = (
-        _ledger_events(ledger), recorder.spans
+        cases[key] = _ledger_events(ledger)
+    cases["sharded-d2-budget-exhausted"] = _ledger_events(
+        sharded_case(workload, tmp_path, 2, False, True, exhaust=True)
     )
     cases["served-d2-s1-f1-drain3"] = served_case(_workload(psize=1500))
-    return cases
+    return {
+        case: (events, trace_spans(events)) for case, events in cases.items()
+    }
 
 
 @pytest.fixture(scope="module")
@@ -244,7 +242,7 @@ def test_sharded_fault_ledger_joins_on_device_and_wave(tmp_path):
     filter, ``scheduler.wave``, ``storage.wave`` and ``fault.retry``
     join on ``(device, wave)`` without a miss, and the faulted wave is
     the one the plan named — by its global index."""
-    ledger, _recorder = sharded_case(_workload(), tmp_path, 2, True, True)
+    ledger = sharded_case(_workload(), tmp_path, 2, True, True)
     ran = {
         (e["device"], e["wave"]) for e in ledger.events("scheduler.wave")
     }

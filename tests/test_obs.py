@@ -173,6 +173,18 @@ def test_recorder_attached_mid_run_starts_at_next_boundary():
             assert span.start >= 4
 
 
+def test_recorder_stops_at_max_cycles():
+    engine, _sink = build_chain(50)
+    recorder = TimelineRecorder(engine, max_cycles=10)
+    for _ in range(15):
+        engine.step()
+        recorder.sample()
+    assert recorder.cycles_recorded == 10
+    assert recorder.sample() is False
+    for timeline in recorder.timelines.values():
+        assert timeline.cycles_recorded() == 10
+
+
 def test_recorder_pads_gaps_as_idle():
     engine, _sink = build_chain(5)
     recorder = TimelineRecorder(engine)

@@ -60,6 +60,49 @@ def test_obs_exports_no_retired_bench_names():
     assert retired == []
 
 
+def test_model_constants_are_declared_once():
+    """``repro.constants`` is the one declaration; the device model,
+    the timing model, the storage filter and the analyzers re-export or
+    default to the same objects, not equal-valued copies."""
+    import ast
+    import inspect
+
+    from repro import constants
+    from repro.obs import analyze, spans
+    from repro.perf import timing
+    from repro.runtime import device
+    from repro.storage import filter as storage_filter
+
+    for name, homes in {
+        "CLOCK_HZ": (device, timing, analyze, spans),
+        "PCIE3_BANDWIDTH": (device, timing, analyze, storage_filter),
+        "PCIE4_BANDWIDTH": (timing, analyze),
+        "MODEL_ROW_BYTES": (device, analyze, storage_filter),
+        "DESCRIPTOR_BYTES": (analyze, storage_filter),
+    }.items():
+        for home in homes:
+            assert getattr(home, name) is getattr(constants, name), (
+                f"{home.__name__}.{name} is a second declaration"
+            )
+    what_if = inspect.signature(analyze.storage_what_if).parameters
+    assert what_if["pcie_bandwidth"].default is constants.PCIE3_BANDWIDTH
+    assert what_if["row_bytes"].default is constants.MODEL_ROW_BYTES
+    assert what_if["descriptor_bytes"].default is constants.DESCRIPTOR_BYTES
+    assert what_if["clock_hz"].default is constants.CLOCK_HZ
+    assert dict(analyze.STORAGE_WHAT_IF_GENERATIONS) == {
+        "pcie3": constants.PCIE3_BANDWIDTH, "pcie4": constants.PCIE4_BANDWIDTH,
+    }
+    fold = inspect.signature(spans.trace_spans).parameters
+    assert fold["clock_hz"].default is constants.CLOCK_HZ
+    assert device.DeviceConfig().clock_hz is constants.CLOCK_HZ
+    # and the leaf imports nothing, so anything may import it
+    tree = ast.parse(inspect.getsource(constants))
+    assert not [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+
+
 def test_version():
     import repro
 

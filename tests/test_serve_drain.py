@@ -171,6 +171,40 @@ def test_drain_trail_in_ledger(workload, tmp_path):
     assert len(done) == 4
 
 
+def test_resumed_service_mirrors_the_whole_run(workload, tmp_path):
+    """Regression: ``resume`` used to start the new service's ``events``
+    mirror empty, so anything read off it after a drain — the trace, a
+    queue-wait book — saw only the post-resume half of the run.  The
+    mirror rides the checkpoint: it equals the run's ledger, in order."""
+    import json
+
+    ledger = RunLedger(str(tmp_path / "ledger.jsonl"))
+    manifest = RunManifest(workload="serve-drain", config={}, seed=0)
+    with run_context(manifest, ledger):
+        service = _build(workload)
+        service.run(max_dispatches=3)
+        pre_drain = len(service.events)
+        resumed = JobService.resume(service.drain())
+        resumed.run_until_idle()
+    envelope = {"schema", "schema_version", "ts", "run_id", "event"}
+    ledgered = [
+        [record["event"], {
+            key: value for key, value in record.items()
+            if key not in envelope
+        }]
+        for record in ledger.events("serve.", run_id=manifest.run_id)
+    ]
+    assert pre_drain > 0 and len(ledgered) > pre_drain
+    assert json.loads(json.dumps(resumed.events)) == ledgered
+    # the drained service's own mirror stopped at the drain
+    assert [event for event, _ in service.events][-1] == "serve.drain"
+    # and the trace folded from the mirror spans the restart
+    boundary = resumed.events[len(service.events)][1]["clock"]
+    waves = [s for s in resumed.spans() if s.cat == "wave"]
+    assert any(s.end <= boundary for s in waves)
+    assert any(s.start >= boundary for s in waves)
+
+
 def test_drain_idle_service_is_clean(workload):
     service = _build(workload)
     service.run_until_idle()
@@ -234,7 +268,7 @@ def test_drain_keeps_device_occupancy(workload, drain_after):
 
     clock_hz = resumed.pool.config.clock_hz
     dispatched = [
-        fields for event, fields in service.events + resumed.events
+        fields for event, fields in resumed.events
         if event == "serve.dispatch"
     ]
     assert len(dispatched) == summary.waves_dispatched

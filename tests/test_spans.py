@@ -1,18 +1,19 @@
-"""Tests for the fleet trace-context layer (repro.obs.spans) and its
-propagation through the job service, the scheduler, and sharded runs."""
+"""Tests for the fleet trace (repro.obs.spans): the fold that turns a
+run's ledger events into spans — on hand-written events, on served runs
+and on ledgered direct runs — and the chrome://tracing export."""
 
 import json
 
 import pytest
 
+from repro.constants import CLOCK_HZ
 from repro.obs.spans import (
-    NULL_SPANS,
-    SpanRecorder,
+    WAVE_SEGMENTS,
     TraceSpan,
-    active_spans,
+    WaveTimeline,
     fleet_chrome_trace,
     tenant_colors,
-    tracing,
+    trace_spans,
     write_fleet_trace,
 )
 
@@ -26,82 +27,101 @@ def _span(name="s", lane="service", start=0, end=10, tenant=None, **kw):
     return TraceSpan(**defaults)
 
 
-class TestSpanRecorder:
+#: A two-wave served job with one retry, as the service ledgers it.
+JOB_EVENTS = [
+    ("serve.admit", dict(tenant="t0", job=0, stage="markdup", waves=2,
+                         partitions=3, clock=5)),
+    ("serve.retry", dict(tenant="t0", job=0, wave=0, attempt=0,
+                         kind="transfer_error", backoff_seconds=0.001,
+                         clock=5)),
+    ("serve.dispatch", dict(seq=0, tenant="t0", job=0, stage="markdup",
+                            wave=0, device=0, clock=5, attempt=1,
+                            cost_rows=9)),
+    ("serve.wave.done", dict(tenant="t0", job=0, wave=0, device=0,
+                             attempt=1, **WaveTimeline(
+                                 5, penalty=250, transfer=40, load=0,
+                                 kernel=100).to_record())),
+    ("serve.dispatch", dict(seq=1, tenant="t0", job=0, stage="markdup",
+                            wave=1, device=0, clock=395, attempt=0,
+                            cost_rows=4)),
+    ("serve.wave.done", dict(tenant="t0", job=0, wave=1, device=0,
+                             attempt=0, **WaveTimeline(
+                                 395, transfer=30, kernel=60).to_record())),
+    ("serve.job.done", dict(tenant="t0", job=0, stage="markdup", waves=2,
+                            latency_cycles=480, queue_cycles=0,
+                            service_cycles=480, arrival_cycles=5,
+                            clock=485)),
+]
+
+
+class TestTraceFold:
     def test_sequential_ids_and_parenting(self):
-        rec = SpanRecorder()
-        root = rec.record("job", "job", 0, 100, trace_id="t-1")
-        child = rec.record(
-            "wave", "wave", 0, 50, trace_id="t-1", parent_id=root
+        spans = trace_spans(JOB_EVENTS)
+        assert sorted(s.span_id for s in spans) == list(
+            range(1, len(spans) + 1)
         )
-        assert (root, child) == (1, 2)
-        assert rec.spans[1].parent_id == root
-        assert len(rec) == 2
+        by_id = {s.span_id: s for s in spans}
+        waves = [s for s in spans if s.cat == "wave"]
+        assert [by_id[w.parent_id].cat for w in waves] == ["job", "job"]
+        for span in spans:
+            if span.cat in WAVE_SEGMENTS:
+                assert by_id[span.parent_id].cat == "wave"
 
-    def test_reserve_materializes_later(self):
-        rec = SpanRecorder()
-        reserved = rec.reserve()
-        child = rec.record(
-            "wave", "wave", 0, 5, trace_id="t-1", parent_id=reserved
-        )
-        rec.record("job", "job", 0, 9, trace_id="t-1", span_id=reserved)
-        assert reserved == 1
-        assert child == 2
-        assert rec.spans[-1].span_id == reserved
+    def test_root_id_is_reserved_at_admission(self):
+        spans = trace_spans(JOB_EVENTS)
+        # the root is laid last (at completion) under the first id
+        assert (spans[-1].cat, spans[-1].span_id) == ("job", 1)
+        assert (spans[-1].start, spans[-1].end) == (5, 485)
+        assert spans[0].parent_id == 1 and spans[0].span_id == 2
 
-    def test_zero_length_span_is_legal(self):
-        rec = SpanRecorder()
-        rec.record("drain", "drain", 42, 42, trace_id="service")
-        assert rec.spans[0].duration == 0
+    def test_markers_are_zero_length(self):
+        events = JOB_EVENTS + [
+            ("serve.drain", dict(clock=500, requeued=0, open_jobs=0,
+                                 pending_arrivals=0)),
+            ("serve.resume", dict(clock=500, open_jobs=0,
+                                  pending_arrivals=0)),
+        ]
+        spans = trace_spans(events)
+        markers = [s for s in spans if s.cat in ("fault", "drain")]
+        assert [s.name for s in markers] == [
+            "fault:transfer_error", "drain", "resume"
+        ]
+        assert all(s.duration == 0 for s in markers)
 
-    def test_negative_span_rejected(self):
-        rec = SpanRecorder()
-        with pytest.raises(ValueError, match="ends before"):
-            rec.record("bad", "wave", 10, 9, trace_id="t-1")
+    def test_identical_events_identical_traces(self):
+        assert trace_spans(JOB_EVENTS) == trace_spans(list(JOB_EVENTS))
 
-    def test_disabled_recorder_is_inert(self):
-        rec = SpanRecorder(enabled=False)
-        assert rec.record("x", "wave", 0, 1, trace_id="t") == 0
-        assert rec.reserve() == 0
-        assert len(rec) == 0
+    def test_a_prefix_of_the_ledger_traces_to_a_prefix(self):
+        full = trace_spans(JOB_EVENTS)
+        for cut in range(len(JOB_EVENTS)):
+            part = trace_spans(JOB_EVENTS[:cut])
+            assert part == full[:len(part)]
 
-    def test_merge_adopts_spans(self):
-        a, b = SpanRecorder(), SpanRecorder()
-        a.record("x", "wave", 0, 1, trace_id="t-a")
-        b.record("y", "wave", 0, 1, trace_id="t-b")
-        a.merge(b)
-        assert [s.trace_id for s in a.spans] == ["t-a", "t-b"]
+    def test_untraced_events_lay_nothing(self):
+        noise = [
+            ("run.start", {}), ("serve.reject", dict(job=9, clock=0)),
+            ("shard.device", dict(device=0)), ("cli.exit", dict(code=0)),
+        ]
+        assert trace_spans(noise) == []
+        mixed = [pair for event in JOB_EVENTS for pair in (event, noise[1])]
+        assert trace_spans(mixed) == trace_spans(JOB_EVENTS)
 
-    def test_identical_runs_identical_traces(self):
-        def run():
-            rec = SpanRecorder()
-            root = rec.record("job", "job", 0, 7, trace_id=rec.new_trace("j"))
-            rec.record("kernel", "kernel", 0, 7, trace_id="j-1",
-                       parent_id=root, lane="device:0")
-            return [s.to_dict() for s in rec.spans]
+    def test_missing_fact_is_a_value_error(self):
+        with pytest.raises(ValueError, match="serve.wave.done.*serve.admit of job 0"):
+            trace_spans(JOB_EVENTS[2:4])  # a wave of a job never admitted
+        event, fields = JOB_EVENTS[2]
+        trimmed = {k: v for k, v in fields.items() if k != "cost_rows"}
+        with pytest.raises(ValueError, match="serve.dispatch.*cost_rows"):
+            trace_spans([JOB_EVENTS[0], (event, trimmed)])
 
-        assert run() == run()
-
-
-class TestAmbientRecorder:
-    def test_defaults_to_null(self):
-        assert active_spans() is NULL_SPANS
-        assert not active_spans().enabled
-
-    def test_tracing_installs_and_restores(self):
-        rec = SpanRecorder()
-        with tracing(rec):
-            assert active_spans() is rec
-            inner = SpanRecorder()
-            with tracing(inner):
-                assert active_spans() is inner
-            assert active_spans() is rec
-        assert active_spans() is NULL_SPANS
-
-    def test_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with tracing(SpanRecorder()):
-                raise RuntimeError("boom")
-        assert active_spans() is NULL_SPANS
+    def test_retry_without_a_clock_lays_no_marker(self):
+        """Ledgers written before ``serve.retry`` carried ``clock`` still
+        fold; the marker they cannot place is left out."""
+        event, fields = JOB_EVENTS[1]
+        old = {k: v for k, v in fields.items() if k != "clock"}
+        spans = trace_spans([JOB_EVENTS[0], (event, old), *JOB_EVENTS[2:]])
+        assert [s.cat for s in spans if s.cat == "fault"] == []
+        assert len(spans) == len(trace_spans(JOB_EVENTS)) - 1
 
 
 class TestFleetChromeTrace:
@@ -167,7 +187,7 @@ class TestFleetChromeTrace:
         assert doc["otherData"]["spans"] == 1
 
 
-# -- propagation through the service and the accelerator runs ------------------------
+# -- the fold over real runs: served, and ledgered direct runs ------------------------
 
 
 @pytest.fixture(scope="module")
@@ -180,36 +200,41 @@ def workload():
     )
 
 
-def _served(workload, drain_at=None, spans=None, jobs=6, **kwargs):
+def _service(workload, jobs=6, **kwargs):
     from repro.serve import ArrivalTrace, JobService, trace_jobs
 
     trace = ArrivalTrace.generate(
         tenants=3, jobs=jobs, seed=1, stages=("markdup", "metadata"),
         mean_gap_cycles=30_000,
     )
-    service = JobService(devices=2, workers=1, spans=spans, **kwargs)
+    service = JobService(devices=2, workers=1, **kwargs)
     for at_cycles, spec in trace_jobs(trace, workload, n_pipelines=2):
         service.schedule(spec, at_cycles=at_cycles)
-    if drain_at is not None:
-        from repro.serve import JobService as Service
+    return service
 
+
+def _served(workload, drain_at=None, **kwargs):
+    """A served run's trace spans and summary."""
+    from repro.serve import JobService
+
+    service = _service(workload, **kwargs)
+    if drain_at is not None:
         service.run(max_dispatches=drain_at)
-        checkpoint = service.drain()
-        service = Service.resume(checkpoint)
+        service = JobService.resume(service.drain())
     summary = service.run_until_idle()
-    return service, summary
+    return service.spans(), summary
 
 
 class TestServiceSpans:
     def test_job_roots_cover_arrival_to_completion(self, workload):
-        service, summary = _served(workload)
-        jobs = [s for s in service.spans.spans if s.cat == "job"]
+        from repro.serve import COMPLETED
+
+        spans, summary = _served(workload)
+        jobs = [s for s in spans if s.cat == "job"]
         assert len(jobs) == summary.jobs_completed
         for job in jobs:
-            children = [
-                s for s in service.spans.spans
-                if s.parent_id == job.span_id
-            ]
+            assert job.attrs["state"] == COMPLETED
+            children = [s for s in spans if s.parent_id == job.span_id]
             assert children, f"job span {job.name} has no children"
             assert all(s.trace_id == job.trace_id for s in children)
             assert all(
@@ -217,13 +242,13 @@ class TestServiceSpans:
             )
 
     def test_wave_children_tile_exactly(self, workload):
-        service, _ = _served(workload)
-        waves = [s for s in service.spans.spans if s.cat == "wave"]
+        spans, _ = _served(workload)
+        waves = [s for s in spans if s.cat == "wave"]
         assert waves
         for wave in waves:
             parts = sorted(
                 (
-                    s for s in service.spans.spans
+                    s for s in spans
                     if s.parent_id == wave.span_id and s.lane == wave.lane
                 ),
                 key=lambda s: s.start,
@@ -234,23 +259,23 @@ class TestServiceSpans:
                 assert left.end == right.start
 
     def test_spans_cross_drain_resume_boundary(self, workload):
-        service, summary = _served(workload, drain_at=3)
+        spans, summary = _served(workload, drain_at=3)
         assert summary.jobs_failed == 0
-        drains = [s for s in service.spans.spans if s.name == "drain"]
-        resumes = [s for s in service.spans.spans if s.name == "resume"]
+        drains = [s for s in spans if s.name == "drain"]
+        resumes = [s for s in spans if s.name == "resume"]
         assert len(drains) == 1 and len(resumes) == 1
         boundary = drains[0].start
         assert resumes[0].start == boundary
-        aborted = [s for s in service.spans.spans if s.cat == "aborted"]
+        aborted = [s for s in spans if s.cat == "aborted"]
         for span in aborted:
             # cut at the drain clock, never past it
             assert span.end == boundary
             assert span.attrs["drained"] is True
-        # at least one job's root straddles the boundary, and the merged
-        # recorder kept every span id unique across the restart
-        jobs = [s for s in service.spans.spans if s.cat == "job"]
+        # at least one job's root straddles the boundary, and the fold
+        # over the carried event mirror kept every span id unique
+        jobs = [s for s in spans if s.cat == "job"]
         assert any(s.start < boundary < s.end for s in jobs)
-        ids = [s.span_id for s in service.spans.spans]
+        ids = [s.span_id for s in spans]
         assert len(ids) == len(set(ids))
 
     def test_fault_markers_are_zero_length_children(self, workload):
@@ -263,76 +288,91 @@ class TestServiceSpans:
                 "transfer_error", site=SERVE_FAULT_SITE, count=2, at=(0, 3)
             ),
         ))
-        service, summary = _served(
+        spans, summary = _served(
             workload, jobs=8,
             fault_plan=plan,
             retry_policy=RetryPolicy(max_retries=3),
         )
         assert summary.jobs_failed == 0
         assert summary.retries > 0
-        faults = [s for s in service.spans.spans if s.cat == "fault"]
-        assert faults
-        roots = {
-            s.span_id for s in service.spans.spans if s.cat == "job"
-        }
+        faults = [s for s in spans if s.cat == "fault"]
+        assert len(faults) == summary.retries
+        roots = {s.span_id for s in spans if s.cat == "job"}
         for fault in faults:
             assert fault.duration == 0
             assert fault.parent_id in roots
 
-    def test_disabled_spans_record_nothing(self, workload):
-        service, summary = _served(
-            workload, spans=SpanRecorder(enabled=False)
-        )
-        assert summary.jobs_completed > 0
-        assert len(service.spans) == 0
+    def test_failed_job_root_names_the_failed_wave(self, workload):
+        from repro.faults import RetryPolicy
+        from repro.faults.plan import FaultPlan, FaultSpec
+        from repro.serve import FAILED, SERVE_FAULT_SITE
 
-    def test_mid_run_probe_attach_across_devices(self, workload):
-        from repro.serve import ArrivalTrace, JobService, trace_jobs
+        plan = FaultPlan(seed=5, specs=(
+            FaultSpec(
+                "transfer_error", site=SERVE_FAULT_SITE, at=(1,), attempts=3
+            ),
+        ))
+        spans, summary = _served(
+            workload, fault_plan=plan, retry_policy=RetryPolicy(max_retries=1)
+        )
+        assert summary.jobs_failed == 1
+        (failed,) = [
+            s for s in spans if s.cat == "job" and s.attrs["state"] == FAILED
+        ]
+        assert "failed_wave" in failed.attrs
+        assert "latency_cycles" not in failed.attrs
 
-        trace = ArrivalTrace.generate(
-            tenants=3, jobs=6, seed=1, stages=("markdup", "metadata"),
-            mean_gap_cycles=30_000,
-        )
-        service = JobService(
-            devices=2, workers=1, spans=SpanRecorder(enabled=False)
-        )
-        for at_cycles, spec in trace_jobs(trace, workload, n_pipelines=2):
-            service.schedule(spec, at_cycles=at_cycles)
+    def test_mid_run_fold_is_a_prefix_of_the_final_trace(self, workload):
+        """Nothing is recorded while the service runs, so a trace can be
+        taken at any point: it is the final trace, cut short."""
+        service = _service(workload)
         service.run(max_dispatches=4)
-        attach_clock = service.clock
-        service.spans = SpanRecorder()  # probe attached mid-run
+        early = service.spans()
+        assert early
         summary = service.run_until_idle()
         assert summary.jobs_completed > 0
-        assert len(service.spans) > 0
-        # only post-attach activity is traced, on every active device lane
-        waves = [s for s in service.spans.spans if s.cat == "wave"]
-        assert waves
-        assert all(s.end >= attach_clock for s in waves)
-        lanes = {s.lane for s in waves}
-        assert len(lanes) >= 2
+        final = service.spans()
+        assert len(final) > len(early)
+        assert final[:len(early)] == early
+        assert len({s.lane for s in final if s.cat == "wave"}) >= 2
 
     def test_fleet_trace_merges_all_lanes(self, workload):
-        service, _ = _served(workload, drain_at=3)
+        from repro.serve import JobService
+
+        service = _service(workload)
+        service.run(max_dispatches=3)
+        service = JobService.resume(service.drain())
+        service.run_until_idle()
         doc = service.fleet_trace(name="served")
         lanes = doc["otherData"]["lanes"]
         assert lanes[0] == "service"
         assert "device:0" in lanes and "device:1" in lanes
         assert doc["otherData"]["tenants"]
         assert doc["otherData"]["name"] == "served"
+        assert doc == fleet_chrome_trace(service.spans(), name="served")
+
+
+def _ledgered(tmp_path, run, name="run"):
+    """Run ``run()`` under a ledger and fold its events into spans —
+    how a direct run is traced."""
+    from repro.obs.ledger import RunLedger, RunManifest, run_context
+
+    ledger = RunLedger(str(tmp_path / f"{name}.jsonl"))
+    with run_context(RunManifest(workload="spans", config={}), ledger):
+        out = run()
+    return trace_spans((r["event"], r) for r in ledger.read()), out
 
 
 class TestRunSpans:
-    def test_partitioned_run_lays_cumulative_spans(self, workload):
+    def test_partitioned_run_lays_cumulative_spans(self, workload, tmp_path):
         from repro.accel.scheduler import MetadataWaveDriver, run_partitioned
 
-        rec = SpanRecorder()
-        with tracing(rec):
-            run_partitioned(
-                MetadataWaveDriver(reference=workload.reference),
-                workload.partitions, 2,
-            )
-        runs = [s for s in rec.spans if s.cat == "run"]
-        waves = [s for s in rec.spans if s.cat == "wave"]
+        spans, _ = _ledgered(tmp_path, lambda: run_partitioned(
+            MetadataWaveDriver(reference=workload.reference),
+            workload.partitions, 2,
+        ))
+        runs = [s for s in spans if s.cat == "run"]
+        waves = [s for s in spans if s.cat == "wave"]
         assert len(runs) == 1
         assert waves
         assert runs[0].start == 0
@@ -344,18 +384,16 @@ class TestRunSpans:
             assert left.end == right.start
         assert all(s.parent_id == runs[0].span_id for s in waves)
 
-    def test_worker_count_does_not_change_spans(self, workload):
+    def test_worker_count_does_not_change_spans(self, workload, tmp_path):
         from repro.accel.scheduler import MetadataWaveDriver, run_partitioned
 
         def spans_with(workers):
-            rec = SpanRecorder()
-            with tracing(rec):
-                run_partitioned(
-                    MetadataWaveDriver(reference=workload.reference),
-                    workload.partitions, 2, workers=workers,
-                )
+            spans, _ = _ledgered(tmp_path, lambda: run_partitioned(
+                MetadataWaveDriver(reference=workload.reference),
+                workload.partitions, 2, workers=workers,
+            ), name=f"w{workers}")
             out = []
-            for span in rec.spans:
+            for span in spans:
                 record = span.to_dict()
                 record["attrs"].pop("workers", None)
                 out.append(record)
@@ -363,49 +401,47 @@ class TestRunSpans:
 
         assert spans_with(1) == spans_with(2)
 
-    def test_sharded_run_has_device_and_pcie_lanes(self, workload):
+    def test_sharded_run_has_device_and_pcie_lanes(self, workload, tmp_path):
         from repro.accel.scheduler import MetadataWaveDriver
         from repro.accel.sharding import run_sharded
 
-        rec = SpanRecorder()
-        with tracing(rec):
-            _results, stats = run_sharded(
-                MetadataWaveDriver(reference=workload.reference),
-                workload.partitions, 2, devices=2, workers=1,
-            )
-        lanes = rec.by_lane()
+        spans, (_results, stats) = _ledgered(tmp_path, lambda: run_sharded(
+            MetadataWaveDriver(reference=workload.reference),
+            workload.partitions, 2, devices=2, workers=1,
+        ))
+        lanes = {}
+        for span in spans:
+            lanes.setdefault(span.lane, []).append(span)
         busy = [d for d, s in enumerate(stats.per_device) if s.waves]
         for device in busy:
             assert f"device:{device}" in lanes
-            assert f"pcie:{device}" in lanes
-        for device in busy:
-            for span in lanes[f"pcie:{device}"]:
+            link = lanes[f"pcie:{device}"]
+            for span in link:
                 assert span.cat == "transfer"
                 assert span.attrs["nbytes"] > 0
+            # the lane is the card's ledgered charges, end to end
+            assert link[-1].end == pytest.approx(
+                stats.device_transfer_seconds[device] * CLOCK_HZ, abs=len(link)
+            )
 
-    def test_sql_operators_land_on_sql_lane(self, workload):
-        import copy
+    def test_stages_of_one_run_each_start_their_lanes_at_zero(
+        self, workload, tmp_path
+    ):
+        from repro.accel.scheduler import MarkdupWaveDriver, MetadataWaveDriver
+        from repro.accel.sharding import run_sharded
 
-        from repro.gatk.sql_driver import sql_mark_duplicates
+        def two_stages():
+            for driver in (
+                MarkdupWaveDriver(),
+                MetadataWaveDriver(reference=workload.reference),
+            ):
+                run_sharded(driver, workload.partitions, 2, devices=2)
 
-        rec = SpanRecorder()
-        with tracing(rec):
-            sql_mark_duplicates(copy.deepcopy(workload.reads), backend="fast")
-        sql = rec.by_lane().get("sql", [])
-        assert sql
-        assert all(s.trace_id == "sql" for s in sql)
-        assert {"scan", "project"} <= {s.name for s in sql}
-        # operators tile the executor's cumulative host-us axis
-        ordered = sorted(sql, key=lambda s: s.start)
-        for left, right in zip(ordered, ordered[1:]):
-            assert right.start >= left.start
-
-    def test_untraced_run_records_nothing(self, workload):
-        from repro.accel.scheduler import MetadataWaveDriver, run_partitioned
-
-        assert active_spans() is NULL_SPANS
-        run_partitioned(
-            MetadataWaveDriver(reference=workload.reference),
-            workload.partitions, 2,
-        )
-        assert len(NULL_SPANS) == 0
+        spans, _ = _ledgered(tmp_path, two_stages)
+        for stage in ("markdup", "metadata"):
+            for kind in ("d", "pcie"):
+                mine = [
+                    s for s in spans
+                    if s.trace_id.startswith(f"run-{stage}-{kind}")
+                ]
+                assert mine and min(s.start for s in mine) == 0

@@ -1,4 +1,4 @@
-"""Tracer integration with a real accelerator pipeline."""
+"""Cycle-timeline integration with a real accelerator pipeline."""
 
 from repro.accel.common import load_reference_spm, spm_base
 from repro.accel.example_query import (
@@ -8,7 +8,7 @@ from repro.accel.example_query import (
 )
 from repro.hw.engine import Engine
 from repro.hw.memory import MemorySystem
-from repro.hw.trace import Tracer
+from repro.obs.timeline import TimelineRecorder
 
 
 def test_trace_real_pipeline(workload):
@@ -20,20 +20,23 @@ def test_trace_real_pipeline(workload):
     engine = Engine(MemorySystem())
     pipe = build_example_pipeline(engine, "tr", spm, spm_base(ref_row))
     configure_example_streams(pipe, part)
-    tracer = Tracer(engine, max_cycles=50_000)
-    tracer.run_traced()
+    recorder = TimelineRecorder(engine, max_cycles=50_000)
+    idle_streak = 0
+    while idle_streak < 2 and recorder.cycles_recorded < 50_000:
+        engine.step()
+        recorder.sample()
+        idle_streak = idle_streak + 1 if engine.is_quiescent() else 0
 
-    # Tracing must not change functional results.
+    # Sampling must not change functional results.
     counts = [int(item[0]) for item in pipe.modules["tr.writer"].items]
     assert counts == count_matching_bases_sw(part, ref_row)
 
-    summary = tracer.summary()
+    busy = {
+        name: fractions["busy"]
+        for name, fractions in recorder.state_fractions().items()
+    }
     # The base-granularity modules are the busy ones; the per-read modules
     # (pos/endpos readers, writer) mostly idle.
-    assert summary["tr.r2b"]["utilization"] > summary["tr.pos"]["utilization"]
-    assert summary["tr.join"]["utilization"] > 0.3
-    assert tracer.bottleneck() in summary
-
-    waveform = tracer.render(width=60)
-    assert "tr.join" in waveform
-    assert "#" in waveform
+    assert busy["tr.r2b"] > busy["tr.pos"]
+    assert busy["tr.join"] > 0.3
+    assert recorder.busiest_module() in busy

@@ -1,16 +1,11 @@
-"""``WaveTimeline`` — the one record of a wave's modelled life — and the
-lane tiler that lays it out (repro.obs.spans)."""
+"""``WaveTimeline`` — the one record of a wave's modelled life
+(repro.obs.spans)."""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.obs.analyze import CRITICAL_PATH_CATEGORIES
-from repro.obs.spans import (
-    SPAN_CATEGORIES,
-    WAVE_SEGMENTS,
-    SpanRecorder,
-    WaveTimeline,
-)
+from repro.obs.spans import WAVE_SEGMENTS, WaveTimeline
 
 CYCLES = st.integers(0, 10**7)
 TIMELINES = st.builds(
@@ -23,7 +18,6 @@ def test_one_vocabulary():
     order = list(WAVE_SEGMENTS)
     assert order == ["fault_penalty", "transfer", "spm_load", "kernel"]
     assert CRITICAL_PATH_CATEGORIES == ("queue_wait", *order, "drain")
-    assert set(order) <= set(SPAN_CATEGORIES)
 
 
 @given(TIMELINES)
@@ -75,33 +69,3 @@ def test_unexplained_cycles_before_end_count_as_kernel():
     record = WaveTimeline(100, 5, 10, 20, 30).to_record()
     record["end_cycles"] += 7
     assert WaveTimeline.from_record(record).kernel == 37
-
-
-def test_tiler_lays_spans_end_to_end():
-    recorder = SpanRecorder()
-    parent = recorder.reserve()
-    cursor = 40
-    for name, length in (("a", 10), ("b", 0), ("c", 5)):
-        cursor = recorder.lay(
-            cursor, name, "transfer", length,
-            trace_id="t", lane="pcie:0", parent_id=parent, wave=1,
-        )
-    assert cursor == 55
-    assert [(s.name, s.start, s.end) for s in recorder.spans] == [
-        ("a", 40, 50), ("b", 50, 50), ("c", 50, 55),
-    ]
-    assert {(s.lane, s.parent_id, s.attrs["wave"]) for s in recorder.spans} == {
-        ("pcie:0", parent, 1)
-    }
-
-
-def test_lay_wave_names_and_tiles_the_segments():
-    recorder = SpanRecorder()
-    timeline = WaveTimeline(100, penalty=0, transfer=8, load=0, kernel=30)
-    end = recorder.lay_wave(timeline, trace_id="t", lane="device:0")
-    assert end == timeline.end == 138
-    assert [(s.name, s.cat, s.start, s.end) for s in recorder.spans] == [
-        ("h2d", "transfer", 100, 108), ("kernel", "kernel", 108, 138),
-    ]
-    # disabled recorders still advance the cursor
-    assert SpanRecorder(enabled=False).lay(3, "x", "kernel", 4, trace_id="t") == 7

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs/CLI consistency check, run by the CI lint job.
 
-Five directions:
+Seven directions:
 
 1. every ``--flag`` token the docs mention must exist on the ``repro``
    argument parser (or be a known external tool's flag) — stale docs
@@ -19,7 +19,14 @@ Five directions:
    of DESIGN.md's event tables (the ones whose header cell is
    ``event``), and every row of those tables must name an event the
    code emits — an emitted-but-uncatalogued ledger event fails the
-   build, and so does a catalogued event nobody writes any more.
+   build, and so does a catalogued event nobody writes any more;
+6. every event the trace fold matches (``repro.obs.spans.TRACED_EVENTS``)
+   must head a row of DESIGN.md's event → span table (the one whose
+   header starts ``event | lane``), and every row of that table must
+   name an event the fold matches — the table *is* the fold's catalogue;
+7. every path the DESIGN.md §3 package inventory names (the tree and
+   the "additional infrastructure" paragraph under it) must exist under
+   ``src/repro``.
 
 Run:  PYTHONPATH=src python tools/check_docs.py
 """
@@ -157,23 +164,87 @@ def emitted_events() -> dict:
     return events
 
 
-def catalogued_events() -> dict:
-    """``event name`` -> "DESIGN.md:line" of the row it heads in a
-    DESIGN.md event table."""
+#: The header row of the event → span table (§3.9) — an event table
+#: too: every event the fold matches is one the code emits.
+SPAN_TABLE_HEADER_RE = re.compile(r"^\s*\|\s*event\s*\|\s*lane\s*\|")
+
+
+def catalogued_events(header_re=EVENT_HEADER_RE) -> dict:
+    """``event name`` -> "DESIGN.md:line" of the first row it heads in
+    a DESIGN.md table whose header row matches ``header_re``."""
     events = {}
-    in_event_table = False
+    in_table = False
     for lineno, line in enumerate(
         (REPO / "DESIGN.md").read_text().splitlines(), start=1
     ):
         if not line.lstrip().startswith("|"):
-            in_event_table = False
-        elif EVENT_HEADER_RE.match(line):
-            in_event_table = True
-        elif in_event_table:
+            in_table = False
+        elif header_re.match(line):
+            in_table = True
+        elif in_table:
             match = EVENT_ROW_RE.match(line)
             if match:
                 events.setdefault(match.group(1), f"DESIGN.md:{lineno}")
     return events
+
+
+#: The heading the package inventory sits under, and where it ends.
+INVENTORY_START_RE = re.compile(r"^## 3\. Package inventory")
+INVENTORY_END_RE = re.compile(r"^#{2,3} ")
+
+#: A backticked source path in the inventory's prose.
+INVENTORY_PROSE_PATH_RE = re.compile(r"`([a-z_]+/(?:[a-z_]+\.py)?)`")
+
+
+def traced_events() -> set:
+    """Every event name the trace fold matches."""
+    from repro.obs.spans import TRACED_EVENTS
+
+    return set(TRACED_EVENTS)
+
+
+def inventory_paths() -> dict:
+    """``path under src/repro`` -> "DESIGN.md:line" for every file and
+    directory the §3 inventory names: the indented tree (a line holds a
+    directory, or one or more ``.py`` files, then prose) and the
+    backticked paths of the paragraph after it."""
+    paths = {}
+    in_section = in_tree = False
+    stack = []  # (indent, directory name) of the enclosing tree levels
+    for lineno, line in enumerate(
+        (REPO / "DESIGN.md").read_text().splitlines(), start=1
+    ):
+        if INVENTORY_START_RE.match(line):
+            in_section = True
+            continue
+        if not in_section:
+            continue
+        if INVENTORY_END_RE.match(line):
+            break
+        where = f"DESIGN.md:{lineno}"
+        if line.startswith("```"):
+            in_tree = not in_tree
+            continue
+        if not in_tree:
+            for path in INVENTORY_PROSE_PATH_RE.findall(line):
+                paths.setdefault(path.rstrip("/"), where)
+            continue
+        tokens = line.split()
+        if not tokens or tokens[0] == "src/repro/":
+            continue
+        indent = len(line) - len(line.lstrip())
+        while stack and stack[-1][0] >= indent:
+            stack.pop()
+        base = "".join(name for _indent, name in stack)
+        if tokens[0].endswith("/"):
+            stack.append((indent, tokens[0]))
+            paths.setdefault((base + tokens[0]).rstrip("/"), where)
+            continue
+        for token in tokens:
+            if not token.endswith(".py"):
+                break
+            paths.setdefault(base + token, where)
+    return paths
 
 
 def main() -> int:
@@ -229,6 +300,28 @@ def main() -> int:
                 "src/repro emits it"
             )
 
+    traced = traced_events()
+    tabulated = catalogued_events(SPAN_TABLE_HEADER_RE)
+    for event in sorted(traced - set(tabulated)):
+        failures.append(
+            f"the trace fold matches {event} but DESIGN.md's event → span "
+            "table has no row for it"
+        )
+    for event, where in sorted(tabulated.items()):
+        if event not in traced:
+            failures.append(
+                f"event {event} has an event → span row ({where}) but the "
+                "trace fold does not match it"
+            )
+
+    inventory = inventory_paths()
+    for path, where in sorted(inventory.items()):
+        if not (REPO / "src" / "repro" / path).exists():
+            failures.append(
+                f"the package inventory names {path} ({where}) but "
+                f"src/repro/{path} does not exist"
+            )
+
     for failure in failures:
         print(f"check_docs: {failure}", file=sys.stderr)
     if not failures:
@@ -237,7 +330,9 @@ def main() -> int:
             f"with the CLI ({len(known)} parser flags, all in README.md, "
             f"{len(REQUIRED_DOCUMENTED)} required docs present, "
             f"{len(section_refs())} section refs resolve in DESIGN.md, "
-            f"{len(emitted)} emitted events catalogued)"
+            f"{len(emitted)} emitted events catalogued, "
+            f"{len(traced)} traced events tabulated, "
+            f"{len(inventory)} inventory paths exist)"
         )
     return 1 if failures else 0
 
