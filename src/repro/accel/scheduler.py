@@ -76,7 +76,6 @@ from ..hw.memory import MemoryConfig, MemorySystem
 from ..hw.spm import Scratchpad
 from ..obs.ledger import record_event
 from ..obs.log import get_logger, set_worker_id
-from ..obs.registry import MetricsRegistry, registry_or_null
 from ..tables.partition import PartitionId, PartitionedReference
 from ..tables.table import Table
 from .bqsr import (
@@ -426,35 +425,22 @@ class WorkerStats:
     elapsed_seconds: float = 0.0
 
 
-#: The scheduler's book, written down once: ``(ParallelRunStats field,
-#: metric name)`` for every additive tally.  The executor increments the
-#: metric in the queue's run registry, :meth:`ParallelRunStats.
-#: from_registry` reads it into the field, :meth:`ParallelRunStats.
-#: publish` mirrors the field out under the same name, and
-#: :class:`~repro.accel.sharding.ShardedRunStats` sums the field across
-#: devices — adding a tally is one row here plus the line that counts it.
-RUN_BOOK: Tuple[Tuple[str, str], ...] = (
-    ("spm_load_cycles", "scheduler.spm_load_cycles"),
-    ("spm_cache_hits", "scheduler.spm_cache.hits"),
-    ("spm_cache_misses", "scheduler.spm_cache.misses"),
-    ("spm_cycles_saved", "scheduler.spm_cache.cycles_saved"),
-    ("wall_seconds", "sim.wall_seconds"),
-    ("ticks_executed", "sim.ticks_executed"),
-    ("ticks_possible", "sim.ticks_possible"),
-    ("fast_forward_cycles", "sim.fast_forward_cycles"),
-    ("total_flits", "sim.flits"),
-    ("retries", "scheduler.retries"),
-    ("backoff_seconds", "scheduler.backoff_seconds"),
-    ("watchdog_timeouts", "scheduler.watchdog_timeouts"),
-    ("serial_fallback_waves", "scheduler.serial_fallback_waves"),
-    ("pool_restarts", "scheduler.pool_restarts"),
-)
-
-
 class RunRates:
-    """The figures derived from a run's additive tallies — shared by the
+    """The figures derived from a run's tallies — shared by the
     per-queue :class:`ParallelRunStats` and the cross-device
     :class:`~repro.accel.sharding.ShardedRunStats`."""
+
+    @property
+    def waves(self) -> int:
+        return len(self.per_wave_cycles)
+
+    @property
+    def total_cycles(self) -> int:
+        return sum(self.per_wave_cycles)
+
+    @property
+    def faults_injected(self) -> int:
+        return sum(self.faults_by_kind.values())
 
     @property
     def cycles_including_load(self) -> int:
@@ -490,9 +476,11 @@ class RunRates:
 class ParallelRunStats(RunRates):
     """Aggregate statistics of one queue of a waved multi-pipeline run.
 
-    This is a *view*: the executor accounts every wave into a per-queue
-    :class:`~repro.obs.registry.MetricsRegistry` and
-    :meth:`from_registry` assembles the dataclass from it.
+    :func:`run_queues` creates one per queue up front and tallies every
+    wave, fault and retry straight into its fields as it ledgers them;
+    every ``int``/``float`` field declared here is additive, and
+    :class:`~repro.accel.sharding.ShardedRunStats` reports it as the sum
+    over its queues.
 
     Besides the simulated-cycle accounting, the host-side fields
     aggregate the event scheduler's metrics across waves so multi-workload
@@ -502,11 +490,9 @@ class ParallelRunStats(RunRates):
     workers and what the SPM image cache saved.
     """
 
-    waves: int
-    total_cycles: int
-    spm_load_cycles: int
     #: Simulated cycles per wave, in queue (ascending global index) order.
-    per_wave_cycles: List[int]
+    per_wave_cycles: List[int] = field(default_factory=list)
+    spm_load_cycles: int = 0
     # host-side (simulator throughput) metrics, summed over waves
     wall_seconds: float = 0.0
     ticks_executed: int = 0
@@ -523,7 +509,6 @@ class ParallelRunStats(RunRates):
     # resilience metrics: faults/retries/fallbacks are deterministic for
     # a given (plan, seed, schedule); watchdog_timeouts and pool_restarts
     # count host-side infrastructure events and may vary across hosts
-    faults_injected: int = 0
     faults_by_kind: Dict[str, int] = field(default_factory=dict)
     retries: int = 0
     backoff_seconds: float = 0.0
@@ -536,68 +521,6 @@ class ParallelRunStats(RunRates):
     device: Optional[int] = None
     steals_in: int = 0
     steals_out: int = 0
-
-    @classmethod
-    def from_registry(
-        cls,
-        registry: MetricsRegistry,
-        per_wave_cycles: List[int],
-        workers: int,
-        elapsed_seconds: float,
-    ) -> "ParallelRunStats":
-        """Assemble the stats view from one queue's accounting registry
-        (the :data:`RUN_BOOK` tallies plus the per-worker counters the
-        executor records) and its waves' cycles in queue order."""
-        per_worker: Dict[str, WorkerStats] = {}
-        for attr in ("waves", "cycles", "wall_seconds", "elapsed_seconds"):
-            counters = registry.values(f"scheduler.worker.{attr}")
-            for labels, counter in counters.items():
-                worker = dict(labels)["worker"]
-                tally = per_worker.setdefault(worker, WorkerStats())
-                setattr(tally, attr, counter.value)
-        faults_by_kind = {
-            dict(labels)["kind"]: counter.value
-            for labels, counter in registry.values("scheduler.faults").items()
-        }
-        return cls(
-            waves=len(per_wave_cycles),
-            total_cycles=sum(per_wave_cycles),
-            per_wave_cycles=per_wave_cycles,
-            workers=workers,
-            elapsed_seconds=elapsed_seconds,
-            per_worker=per_worker,
-            faults_injected=sum(faults_by_kind.values()),
-            faults_by_kind=faults_by_kind,
-            **{name: registry.value(metric) for name, metric in RUN_BOOK},
-        )
-
-    def publish(self, registry: MetricsRegistry, stage: str = "run") -> None:
-        """Mirror the aggregates into an external registry (labelled by
-        accelerator stage, plus the device queue when the run was one
-        shard of a DevicePool) so cross-stage consumers — the runtime
-        API, ``eval/experiments.py`` — see scheduler totals next to
-        their own metrics."""
-        labels = {"stage": stage}
-        if self.device is not None:
-            labels["device"] = str(self.device)
-        registry.counter("scheduler.runs", **labels).inc()
-        registry.counter("scheduler.waves", **labels).inc(self.waves)
-        registry.counter("scheduler.cycles", **labels).inc(self.total_cycles)
-        registry.counter(
-            "scheduler.elapsed_seconds", **labels
-        ).inc(self.elapsed_seconds)
-        registry.gauge("scheduler.workers", **labels).set(self.workers)
-        for name, metric in RUN_BOOK:
-            registry.counter(metric, **labels).inc(getattr(self, name))
-        for kind, count in self.faults_by_kind.items():
-            registry.counter(
-                "scheduler.faults", kind=kind, **labels
-            ).inc(count)
-        if self.device is not None:
-            for name in ("steals_in", "steals_out"):
-                registry.counter(
-                    f"scheduler.{name}", **labels
-                ).inc(getattr(self, name))
 
 
 # -- wave packing and execution ------------------------------------------------------
@@ -761,8 +684,8 @@ def run_queues(
     ``scheduler.wave`` fault slot and the retry backoff key all carry
     it, whatever the topology.  ``caches[d]``
     is queue ``d``'s SPM image cache; ``workers`` is the host fan-out
-    *per queue*.  Events and published metrics carry a ``device`` label
-    exactly when there is more than one queue.
+    *per queue*.  Events carry a ``device`` label (and the returned
+    stats a ``device``) exactly when there is more than one queue.
 
     One parent-side loop drives all queues.  It feeds one process pool
     of ``len(queues) x workers`` processes (:func:`wave_pool`), or runs
@@ -808,15 +731,22 @@ def run_queues(
         len(empty_pids),
         extra={"stage": driver.stage},
     )
-    run_registries = [MetricsRegistry() for _ in queues]
+    per_queue = [
+        ParallelRunStats(
+            # this queue's share of the pool
+            workers=max(1, min(workers, len(queue))),
+            device=device if sharded else None,
+        )
+        for device, queue in enumerate(queues)
+    ]
     #: wave index -> kernel cycles of its clean run.
     wave_cycles: Dict[int, int] = {}
 
     def device_label(index):
         return {"device": placed[index][0]} if sharded else {}
 
-    def book_of(index):
-        return run_registries[placed[index][0]]
+    def stats_of(index):
+        return per_queue[placed[index][0]]
 
     def account(worker, outcome):
         index, stats = outcome.index, outcome.stats
@@ -831,27 +761,22 @@ def run_queues(
             elapsed_seconds=outcome.elapsed_seconds,
             **device_label(index),
         )
-        book = book_of(index)
         wave_cycles[index] = stats.cycles
-        for metric, amount in (
-            ("scheduler.spm_load_cycles", outcome.load_cycles),
-            ("scheduler.spm_cache.hits", outcome.hits),
-            ("scheduler.spm_cache.misses", outcome.misses),
-            ("scheduler.spm_cache.cycles_saved", outcome.cycles_saved),
-            ("sim.wall_seconds", stats.wall_seconds),
-            ("sim.ticks_executed", stats.ticks_executed),
-            ("sim.ticks_possible", stats.ticks_possible),
-            ("sim.fast_forward_cycles", stats.fast_forward_cycles),
-            ("sim.flits", sum(stats.flits_by_module.values())),
-        ):
-            book.counter(metric).inc(amount)
-        for name, amount in (
-            ("waves", 1),
-            ("cycles", stats.cycles),
-            ("wall_seconds", stats.wall_seconds),
-            ("elapsed_seconds", outcome.elapsed_seconds),
-        ):
-            book.counter(f"scheduler.worker.{name}", worker=worker).inc(amount)
+        book = stats_of(index)
+        book.spm_load_cycles += outcome.load_cycles
+        book.spm_cache_hits += outcome.hits
+        book.spm_cache_misses += outcome.misses
+        book.spm_cycles_saved += outcome.cycles_saved
+        book.wall_seconds += stats.wall_seconds
+        book.ticks_executed += stats.ticks_executed
+        book.ticks_possible += stats.ticks_possible
+        book.fast_forward_cycles += stats.fast_forward_cycles
+        book.total_flits += sum(stats.flits_by_module.values())
+        tally = book.per_worker.setdefault(worker, WorkerStats())
+        tally.waves += 1
+        tally.cycles += stats.cycles
+        tally.wall_seconds += stats.wall_seconds
+        tally.elapsed_seconds += outcome.elapsed_seconds
 
     # -- resilience accounting ------------------------------------------------------
 
@@ -864,16 +789,15 @@ def run_queues(
         if key in accounted_faults:
             return
         accounted_faults.add(key)
-        book_of(index).counter("scheduler.faults", kind=kind).inc()
+        by_kind = stats_of(index).faults_by_kind
+        by_kind[kind] = by_kind.get(kind, 0) + 1
 
     def account_failure(index, failed: FailedAttempt):
         """Book one failed attempt the ladder accounted, on either rung."""
         if failed.exhausted:
             return
-        book_of(index).counter("scheduler.retries").inc()
-        book_of(index).counter(
-            "scheduler.backoff_seconds"
-        ).inc(failed.backoff_seconds)
+        stats_of(index).retries += 1
+        stats_of(index).backoff_seconds += failed.backoff_seconds
         record_event(
             "fault.retry",
             stage=driver.stage, wave=index, attempt=failed.attempt,
@@ -889,7 +813,7 @@ def run_queues(
     def account_serial_fallback(index, attempt, reason, **spent):
         """``spent``: the ``backoff_seconds`` of the attempt that used up
         the budget, when a failure (not a dying pool) sent the wave here."""
-        book_of(index).counter("scheduler.serial_fallback_waves").inc()
+        stats_of(index).serial_fallback_waves += 1
         record_event(
             "fault.serial_fallback",
             stage=driver.stage, wave=index, attempt=attempt,
@@ -1020,9 +944,7 @@ def run_queues(
                     pool_restarts += 1
                     # the pool is shared by every queue: its restarts
                     # are booked on queue 0
-                    run_registries[0].counter(
-                        "scheduler.pool_restarts"
-                    ).inc()
+                    per_queue[0].pool_restarts += 1
                     record_event(
                         "fault.pool_restart",
                         stage=driver.stage, restarts=pool_restarts,
@@ -1064,9 +986,7 @@ def run_queues(
                         index, attempt, deadline = pending[future]
                         if deadline is not None and now >= deadline:
                             del pending[future]
-                            book_of(index).counter(
-                                "scheduler.watchdog_timeouts"
-                            ).inc()
+                            stats_of(index).watchdog_timeouts += 1
                             record_event(
                                 "fault.watchdog_timeout",
                                 stage=driver.stage, wave=index,
@@ -1082,20 +1002,13 @@ def run_queues(
             run_wave_serial(index, start_attempt=attempt, worker="serial")
 
     elapsed = time.perf_counter() - started
-    per_queue: List[ParallelRunStats] = []
-    for device, (queue, book) in enumerate(zip(queues, run_registries)):
-        stats = ParallelRunStats.from_registry(
-            book,
-            [wave_cycles[index] for index, _items in queue],
-            # this queue's share of the pool
-            workers=max(1, min(workers, len(queue))),
-            # one loop, one pool: every queue shares the run's wall clock
-            elapsed_seconds=elapsed,
-        )
-        stats.device = device if sharded else None
+    for queue, stats in zip(queues, per_queue):
+        stats.per_wave_cycles = [wave_cycles[index] for index, _items in queue]
+        # one loop, one pool: every queue shares the run's wall clock
+        stats.elapsed_seconds = elapsed
         record_event(
             "scheduler.run",
-            **({"device": device} if sharded else {}),
+            **({"device": stats.device} if sharded else {}),
             stage=driver.stage, waves=stats.waves, workers=stats.workers,
             pipelines=n_pipelines, total_cycles=stats.total_cycles,
             spm_load_cycles=stats.spm_load_cycles,
@@ -1131,7 +1044,6 @@ def run_queues(
             stats.spm_cache_hits + stats.spm_cache_misses,
             extra={"stage": driver.stage},
         )
-        per_queue.append(stats)
     return results, per_queue
 
 
@@ -1141,7 +1053,6 @@ def run_partitioned(
     n_pipelines: int,
     workers: int = 1,
     spm_cache: Optional[SpmImageCache] = None,
-    registry: Optional[MetricsRegistry] = None,
     fault_injector: Optional[FaultInjector] = None,
     retry_policy: Optional[RetryPolicy] = None,
     wave_timeout: Optional[float] = None,
@@ -1158,11 +1069,6 @@ def run_partitioned(
     images across stages (each call otherwise uses a private cache).
     Results and simulated cycles are bit-identical for every ``workers``
     value; only host-side metrics differ.
-
-    All accounting flows through a per-run metrics registry (the
-    returned :class:`ParallelRunStats` is a view over it); pass
-    ``registry`` to additionally receive the aggregates — labelled by
-    the driver's stage — in a registry shared across runs.
     """
     empty_pids, waves = pack_waves(partitions, n_pipelines)
     results, (stats,) = run_queues(
@@ -1170,5 +1076,4 @@ def run_partitioned(
         [spm_cache if spm_cache is not None else SpmImageCache()],
         fault_injector, retry_policy, wave_timeout,
     )
-    stats.publish(registry_or_null(registry), stage=driver.stage)
     return results, stats

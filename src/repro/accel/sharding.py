@@ -50,7 +50,7 @@ from __future__ import annotations
 import time
 import zlib
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..faults.injector import FaultInjector
@@ -59,12 +59,10 @@ from ..faults.retry import RetryPolicy
 from ..gatk.bqsr import CovariateTables
 from ..obs.ledger import record_event
 from ..obs.log import get_logger
-from ..obs.registry import MetricsRegistry, registry_or_null
 from ..runtime.device import DeviceConfig, DevicePool, WaveStorage
 from ..tables.partition import PartitionId
 from .bqsr import merge_partition_results
 from .scheduler import (
-    RUN_BOOK,
     ParallelRunStats,
     RunRates,
     SpmImageCache,
@@ -225,10 +223,13 @@ def plan_shards(
     )
 
 
-#: ``ParallelRunStats`` fields a sharded run reports as the sum over its
-#: device queues: the scheduler's whole book plus the two derived counts.
-SUMMED_FIELDS = frozenset(
-    ["waves", "faults_injected"] + [name for name, _metric in RUN_BOOK]
+#: What a sharded run reports as the sum over its device queues: every
+#: numeric tally ``ParallelRunStats`` declares, read off the dataclass so
+#: one added there is summed here.  (``workers`` and ``elapsed_seconds``
+#: never get this far — they are ``ShardedRunStats``'s own fields.)
+ADDITIVE_FIELDS = frozenset(
+    spec.name for spec in fields(ParallelRunStats)
+    if isinstance(spec.default, (int, float))
 )
 
 
@@ -238,7 +239,7 @@ class ShardedRunStats(RunRates):
     plus the shard plan's steal log and the pool's virtual occupancy.
 
     Every additive :class:`~repro.accel.scheduler.ParallelRunStats`
-    tally (:data:`SUMMED_FIELDS` — ``waves``, ``spm_load_cycles``,
+    tally (:data:`ADDITIVE_FIELDS` — ``spm_load_cycles``,
     ``total_flits``, ``wall_seconds``, ``spm_cache_hits``, ``retries``,
     ``pool_restarts``, …) reads here as the sum over :attr:`per_device`.
     The simulated-cycle aggregates (:attr:`total_cycles`,
@@ -263,13 +264,9 @@ class ShardedRunStats(RunRates):
     elapsed_seconds: float = 0.0
 
     def __getattr__(self, name: str):
-        if name in SUMMED_FIELDS:
+        if name in ADDITIVE_FIELDS:
             return sum(getattr(stats, name) for stats in self.per_device)
         raise AttributeError(name)
-
-    @property
-    def total_cycles(self) -> int:
-        return sum(self.per_wave_cycles)
 
     @property
     def per_worker(self) -> Dict[str, WorkerStats]:
@@ -432,13 +429,11 @@ def run_sharded(
     devices: int = 1,
     workers: int = 1,
     spm_cache: Optional[SpmImageCache] = None,
-    registry: Optional[MetricsRegistry] = None,
     fault_plan: Optional[FaultPlan] = None,
     retry_policy: Optional[RetryPolicy] = None,
     wave_timeout: Optional[float] = None,
     policy: str = "hash",
     steal: bool = True,
-    device_config: Optional[DeviceConfig] = None,
     storage: Optional[WaveStorage] = None,
 ) -> Tuple[Dict[PartitionId, object], ShardedRunStats]:
     """Run an accelerator stage sharded over ``devices`` modelled cards,
@@ -501,13 +496,11 @@ def run_sharded(
     # -- deterministic merge: canonical order regardless of finish order ----------
 
     results = {pid: merged[pid] for pid, _part in parts}
-    ext = registry_or_null(registry)
     steals_in = Counter(steal.target for steal in plan.steals)
     steals_out = Counter(steal.source for steal in plan.steals)
     for device, stats in enumerate(per_device):
         stats.steals_in = steals_in[device]
         stats.steals_out = steals_out[device]
-        stats.publish(ext, stage=driver.stage)
     # queues hold ascending global indices, so walking the plan in
     # global order drains each queue's cycle list front to back
     queue_cycles = [iter(stats.per_wave_cycles) for stats in per_device]
@@ -517,7 +510,7 @@ def run_sharded(
     # float sums never depend on finish order), ledgering the charge: on
     # a multi-card run it carries the card, and traces as the modelled
     # H2D link occupancy on that card's pcie:<n> lane.
-    pool = DevicePool(devices, config=device_config, storage=storage)
+    pool = DevicePool(devices, storage=storage)
     timeline = devices > 1 or storage is not None
     for wave in plan.waves if timeline else ():
         nbytes, seconds = pool.charge_wave(

@@ -58,6 +58,29 @@ def _ensure_parent(path: str) -> None:
         os.makedirs(parent, exist_ok=True)
 
 
+def _positive(number):
+    """An argparse ``type=`` accepting only ``number(text) > 0``."""
+    def parse(text: str):
+        value = number(text)  # a ValueError is argparse's "invalid value"
+        if value <= 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+    parse.__name__ = f"positive {number.__name__}"
+    return parse
+
+
+def _fault_spec(text: str) -> str:
+    """An argparse ``type=`` for ``--inject-faults``: the spec text,
+    refused here when it does not parse."""
+    from .faults import FaultPlan
+
+    try:
+        FaultPlan.from_spec(text)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error))
+    return text
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     genome = ReferenceGenome.grch38_like(
         scale=args.scale, snp_rate=args.snp_rate, seed=args.seed,
@@ -88,10 +111,15 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
     from .tables.genomic_tables import reads_to_table
     from .tables.partition import partition_reads, partition_reference
 
-    with open(args.fasta) as handle:
-        genome = read_fasta(handle, snp_rate=args.snp_rate, seed=7)
-    with open(args.sam) as handle:
-        reads = read_sam(handle)
+    try:
+        with open(args.fasta) as handle:
+            genome = read_fasta(handle, snp_rate=args.snp_rate, seed=7)
+        with open(args.sam) as handle:
+            reads = read_sam(handle)
+    except OSError as error:
+        print(f"error: cannot read {error.filename}: {error.strerror}",
+              file=sys.stderr)
+        return 2
     markdup = accelerated_mark_duplicates(reads)
     print(f"mark duplicates: {markdup.num_duplicates} flagged")
 
@@ -502,20 +530,20 @@ def build_parser() -> argparse.ArgumentParser:
     preprocess.add_argument("--overlap", type=int, default=200)
     preprocess.add_argument("--snp-rate", type=float, default=0.001)
     preprocess.add_argument(
-        "--pipelines", type=int, default=4,
+        "--pipelines", type=_positive(int), default=4,
         help="pipeline replicas per wave (the paper's 16x replication)",
     )
     preprocess.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_positive(int), default=1,
         help="host worker processes the waves fan out over (per device)",
     )
     preprocess.add_argument(
-        "--devices", type=int, default=1,
+        "--devices", type=_positive(int), default=1,
         help="shard the waves over this many simulated accelerator cards "
              "(bit-identical results at any count)",
     )
     preprocess.add_argument(
-        "--inject-faults", default=None, metavar="SPEC",
+        "--inject-faults", type=_fault_spec, default=None, metavar="SPEC",
         help="fault plan to inject, e.g. 'worker_crash:2,transfer_error' "
              "(KIND[:COUNT][@SITE][+ATTEMPTS][~SPREAD], comma-separated)",
     )
@@ -529,7 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="retry budget per wave item before degradation",
     )
     preprocess.add_argument(
-        "--wave-timeout", type=float, default=None, metavar="SECONDS",
+        "--wave-timeout", type=_positive(float), default=None,
+        metavar="SECONDS",
         help="watchdog deadline around each parallel wave",
     )
     preprocess.add_argument(
@@ -632,15 +661,15 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--read-length", type=int, default=60)
     serve.add_argument("--psize", type=int, default=1000)
     serve.add_argument(
-        "--pipelines", type=int, default=2,
+        "--pipelines", type=_positive(int), default=2,
         help="pipeline replicas per wave",
     )
     serve.add_argument(
-        "--devices", type=int, default=2,
+        "--devices", type=_positive(int), default=2,
         help="simulated accelerator cards the dispatcher time-multiplexes",
     )
     serve.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_positive(int), default=1,
         help="host worker processes a dispatch round fans out over "
              "(virtual timeline is identical at any count)",
     )
@@ -663,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
              "checkpoint (exercises the graceful-restart path)",
     )
     serve.add_argument(
-        "--inject-faults", default=None, metavar="SPEC",
+        "--inject-faults", type=_fault_spec, default=None, metavar="SPEC",
         help="fault plan, e.g. 'transfer_error:2@serve.wave'",
     )
     serve.add_argument("--fault-seed", type=int, default=0)

@@ -12,8 +12,8 @@ instrumented site.  The call pattern is always the same::
 ``next_slot`` allocates slot indices in deterministic arrival order;
 ``poll`` answers "does the plan fault this (site, slot, attempt)?" and,
 when it does, records the injection — an :class:`InjectedFault` in
-``injector.injected``, a ``faults.injected`` counter in the registry,
-and a ``fault.injected`` ledger event against the ambient run.
+``injector.injected`` and a ``fault.injected`` ledger event against the
+ambient run.
 
 Decisions are pure functions of the plan: polling the same
 ``(site, slot, attempt)`` twice gives the same answer (only the first
@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..obs.ledger import record_event
 from ..obs.log import get_logger
-from ..obs.registry import MetricsRegistry, registry_or_null
 from .plan import FaultPlan, FaultSpec
 
 _log = get_logger("faults")
@@ -112,20 +111,11 @@ class InjectedFault:
 
 
 class FaultInjector:
-    """Per-run mutable state over an immutable :class:`FaultPlan`.
+    """Per-run mutable state over an immutable :class:`FaultPlan`;
+    ledger events flow through the ambient run context automatically."""
 
-    Pass a :class:`~repro.obs.registry.MetricsRegistry` to have every
-    injection counted under ``faults.injected{site=,kind=}``; ledger
-    events flow through the ambient run context automatically.
-    """
-
-    def __init__(
-        self,
-        plan: FaultPlan,
-        registry: Optional[MetricsRegistry] = None,
-    ):
+    def __init__(self, plan: FaultPlan):
         self.plan = plan
-        self.registry = registry_or_null(registry)
         self.injected: List[InjectedFault] = []
         self._slots: Dict[str, int] = {}
         #: (site, kind) -> (target slot set, attempts that fail).
@@ -162,9 +152,6 @@ class FaultInjector:
         if key not in self._recorded:
             self._recorded.add(key)
             self.injected.append(fault)
-            self.registry.counter(
-                "faults.injected", site=site, kind=spec.kind
-            ).inc()
             record_event(
                 "fault.injected", site=site, kind=spec.kind,
                 slot=slot, attempt=attempt, **context,

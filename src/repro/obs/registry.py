@@ -1,19 +1,18 @@
-"""The metrics registry: counters, gauges, and histograms.
+"""The metrics registry: counters and histograms.
 
-One :class:`MetricsRegistry` collects every observable quantity of a run
-— simulator internals (engine, queues, modules, memory channels), the
-partition scheduler, and the runtime API all publish into it — and the
-profile/export layer (:mod:`repro.obs.profile`, :mod:`repro.obs.export`)
-turns its contents into reports.
+A :class:`MetricsRegistry` is an in-process accumulator with two users
+(the catalogue is DESIGN.md §3.3, checked by ``tools/check_docs.py``):
+the :class:`~repro.obs.profile.Profiler` samples queue occupancy into
+histograms, and the SQL :class:`~repro.sql.executor.Executor` charges
+each operator's seconds and rows to counters.  Nothing on the run path
+(scheduler, sharding, serve, runtime, faults) writes here — those facts
+live once in the ledger and once in the stats object the caller reads.
 
 Instruments are plain Python objects with one hot method each
-(``inc``/``set``/``record``); a registry created with ``enabled=False``
-hands out shared *null* instruments whose mutators are no-ops, so
+(``inc``/``record``); a registry created with ``enabled=False`` hands
+out shared *null* instruments whose mutators are no-ops, so
 instrumented code pays one attribute call and nothing else when metrics
-are off.  The simulator's own per-cycle tallies (``Module.busy_cycles``,
-``HardwareQueue.full_stalls``, ``MemorySystem.requests_served``) are
-*harvested* into the registry after a run rather than published per
-cycle — the hot loop stays untouched and the disabled path costs zero.
+are off.
 """
 
 from __future__ import annotations
@@ -65,21 +64,6 @@ class Counter:
     def inc(self, amount=1) -> None:
         """Add ``amount`` (must be >= 0)."""
         self.value += amount
-
-
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: Dict[str, str]):
-        self.name = name
-        self.labels = labels
-        self.value = 0
-
-    def set(self, value) -> None:
-        """Record the current value."""
-        self.value = value
 
 
 class Histogram:
@@ -142,9 +126,6 @@ class _NullInstrument:
     def inc(self, amount=1) -> None:
         pass
 
-    def set(self, value) -> None:
-        pass
-
     def record(self, value: int, weight: int = 1) -> None:
         pass
 
@@ -161,9 +142,9 @@ _NULL = _NullInstrument()
 class MetricsRegistry:
     """Creates and stores instruments, keyed by name + labels.
 
-    ``counter``/``gauge``/``histogram`` are get-or-create: repeated calls
-    with the same name and labels return the same instrument, so modules
-    and the scheduler can publish without coordinating ownership.
+    ``counter``/``histogram`` are get-or-create: repeated calls with the
+    same name and labels return the same instrument, so writers can
+    publish without coordinating ownership.
     """
 
     def __init__(self, enabled: bool = True):
@@ -189,10 +170,6 @@ class MetricsRegistry:
         """Get or create a counter."""
         return self._get(Counter, name, labels)
 
-    def gauge(self, name: str, **labels) -> Gauge:
-        """Get or create a gauge."""
-        return self._get(Gauge, name, labels)
-
     def histogram(self, name: str, **labels) -> Histogram:
         """Get or create a histogram."""
         return self._get(Histogram, name, labels)
@@ -210,7 +187,7 @@ class MetricsRegistry:
         return self._instruments.get(_key(name, labels))
 
     def value(self, name: str, default=0, **labels):
-        """The scalar value of a counter/gauge (``default`` when absent)."""
+        """The scalar value of a counter (``default`` when absent)."""
         instrument = self.find(name, **labels)
         if instrument is None:
             return default
@@ -225,7 +202,7 @@ class MetricsRegistry:
         }
 
     def total(self, name: str, default=0):
-        """The sum of a counter/gauge's values across every label set
+        """The sum of a counter's values across every label set
         (``default`` when nothing is registered under ``name``)."""
         instruments = self.values(name)
         if not instruments:

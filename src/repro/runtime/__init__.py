@@ -10,7 +10,6 @@ from .api import (
     GenesisRuntime,
     Kernel,
     PipelineState,
-    pool_runtimes,
 )
 from ..constants import CLOCK_HZ, PCIE3_BANDWIDTH, PCIE4_BANDWIDTH
 from .device import (
@@ -34,7 +33,6 @@ __all__ = [
     "PipelineState",
     "TransferRecord",
     "VirtualTimeline",
-    "pool_runtimes",
 ]
 
 from .batch import (

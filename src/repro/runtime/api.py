@@ -29,8 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (storage -> accel)
 from ..faults.injector import FaultInjector
 from ..faults.retry import RetryPolicy
 from ..obs.log import get_logger
-from ..obs.registry import MetricsRegistry, registry_or_null
-from .device import DeviceConfig, DevicePool, GenesisDevice
+from .device import DeviceConfig, GenesisDevice
 
 _log = get_logger("runtime")
 
@@ -66,12 +65,10 @@ class PipelineState:
 
 
 class GenesisRuntime:
-    """Host-side manager for Genesis pipelines on one device.
-
-    Pass a :class:`~repro.obs.registry.MetricsRegistry` to have the
-    runtime publish its API-level traffic — PCIe bytes by direction,
-    launches and simulated kernel cycles per pipeline — alongside the
-    simulator metrics the same registry collects.
+    """Host-side manager for Genesis pipelines on one device.  Its
+    API-level traffic reads off :attr:`device`: every DMA is a row of
+    ``device.transfers`` (failed attempts with ``ok=False``), occupancy
+    is ``device.timeline``, reservations ``device.allocated_bytes``.
 
     Pass a :class:`~repro.faults.injector.FaultInjector` (and optionally
     a :class:`~repro.faults.retry.RetryPolicy`) to subject PCIe
@@ -91,37 +88,13 @@ GenesisDevice`).
     def __init__(
         self,
         config: Optional[DeviceConfig] = None,
-        registry: Optional[MetricsRegistry] = None,
         fault_injector: Optional[FaultInjector] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        device: Optional[GenesisDevice] = None,
         storage: Optional["StorageFrontEnd"] = None,
     ):
-        if device is not None:
-            if (
-                config is not None
-                or fault_injector is not None
-                or retry_policy is not None
-            ):
-                raise ValueError(
-                    "pass either a constructed device or its construction "
-                    "parameters, not both"
-                )
-            # a pool member arrives pre-wired: keep its registry unless
-            # the caller wants the traffic mirrored elsewhere
-            self.registry = (
-                registry_or_null(registry)
-                if registry is not None else device.registry
-            )
-            self.device = device
-        else:
-            self.registry = registry_or_null(registry)
-            self.device = GenesisDevice(
-                config,
-                fault_injector=fault_injector,
-                retry_policy=retry_policy,
-                registry=self.registry,
-            )
+        self.device = GenesisDevice(
+            config, fault_injector=fault_injector, retry_policy=retry_policy
+        )
         self.storage = storage
         self._pipelines: Dict[int, PipelineState] = {}
 
@@ -159,19 +132,11 @@ GenesisDevice`).
         binding = ColumnBinding(data, elem_size, length, colname, is_output)
         state.columns[colname] = binding
         self.device.allocate(binding.nbytes)
-        self.registry.counter("runtime.allocated_bytes").inc(binding.nbytes)
         if not is_output:
             charged = binding.nbytes
             if self.storage is not None:
                 charged = self.storage.admit_nbytes(binding.nbytes)
-                if charged != binding.nbytes:
-                    self.registry.counter(
-                        "runtime.storage_saved_bytes"
-                    ).inc(binding.nbytes - charged)
             self.device.transfer(charged, "h2d")
-            self.registry.counter(
-                "runtime.transfer_bytes", direction="h2d"
-            ).inc(charged)
         _log.debug(
             "configure_mem %s: %d bytes -> pipeline %d%s",
             colname, binding.nbytes, pipeline_id,
@@ -193,12 +158,6 @@ GenesisDevice`).
         state.results = results
         state.launched = True
         self.device.launch(pipeline_id, cycles)
-        self.registry.counter(
-            "runtime.launches", pipeline=pipeline_id
-        ).inc()
-        self.registry.counter(
-            "runtime.kernel_cycles", pipeline=pipeline_id
-        ).inc(cycles)
         _log.debug(
             "run_genesis pipeline %d: %d simulated cycles",
             pipeline_id, cycles, extra={"pipeline": pipeline_id},
@@ -229,9 +188,6 @@ GenesisDevice`).
         )
         if nbytes:
             self.device.transfer(nbytes, "d2h")
-            self.registry.counter(
-                "runtime.transfer_bytes", direction="d2h"
-            ).inc(nbytes)
         _log.debug(
             "genesis_flush pipeline %d: %d bytes back",
             pipeline_id, nbytes, extra={"pipeline": pipeline_id},
@@ -248,11 +204,3 @@ GenesisDevice`).
     def elapsed_seconds(self) -> float:
         """Virtual wall-clock since runtime creation."""
         return self.device.timeline.now
-
-
-def pool_runtimes(pool: DevicePool) -> list:
-    """One :class:`GenesisRuntime` per card of a
-    :class:`~repro.runtime.device.DevicePool`, each publishing into its
-    card's own registry — the multi-device analog of constructing one
-    runtime over one device."""
-    return [GenesisRuntime(device=device) for device in pool]

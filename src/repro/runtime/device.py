@@ -19,7 +19,6 @@ from ..constants import CLOCK_HZ, MODEL_ROW_BYTES, PCIE3_BANDWIDTH
 from ..faults.injector import FaultInjector
 from ..faults.retry import FailedAttempt, RetryLadder, RetryPolicy
 from ..obs.ledger import record_event
-from ..obs.registry import MetricsRegistry, registry_or_null
 
 #: Fault-injection sites instrumented by the device model.
 TRANSFER_FAULT_SITE = "runtime.transfer"
@@ -118,7 +117,6 @@ class GenesisDevice:
         config: Optional[DeviceConfig] = None,
         fault_injector: Optional[FaultInjector] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        registry: Optional[MetricsRegistry] = None,
     ):
         self.config = config or DeviceConfig()
         self.timeline = VirtualTimeline()
@@ -127,14 +125,13 @@ class GenesisDevice:
         self.retry_policy = (
             retry_policy if retry_policy is not None else RetryPolicy()
         )
-        self.registry = registry_or_null(registry)
         self._allocated = 0
         self._completion_at: Dict[int, float] = {}
 
     def _retries(self, site: str, **context: object) -> Iterator[FailedAttempt]:
         """Walk the retry ladder of the next operation at ``site``
-        (backoff charges host time), booking each failed attempt and
-        yielding the ones that are retried."""
+        (backoff charges host time), ledgering and yielding each failed
+        attempt that is retried."""
         injector = self.fault_injector
         if injector is None:
             return
@@ -143,13 +140,8 @@ class GenesisDevice:
             clock=self.timeline.advance_host, context=context,
         )
         for failed in ladder:
-            self.registry.counter("runtime.faults", site=site).inc()
             if failed.exhausted:
                 continue
-            self.registry.counter("runtime.retries", site=site).inc()
-            self.registry.counter(
-                "runtime.retry_backoff_seconds", site=site
-            ).inc(failed.backoff_seconds)
             record_event(
                 "fault.retry",
                 site=site, slot=ladder.slot, attempt=failed.attempt,
@@ -193,7 +185,6 @@ class GenesisDevice:
                 TransferRecord(direction, nbytes, seconds, ok=False)
             )
             self.timeline.advance_transfer(seconds)
-            self.registry.counter("runtime.retry_transfer_seconds").inc(seconds)
         self.transfers.append(TransferRecord(direction, nbytes, seconds))
         self.timeline.advance_transfer(seconds)
         return seconds
@@ -226,17 +217,14 @@ class GenesisDevice:
 
 
 class DevicePool:
-    """N modelled cards, each with its own virtual timeline, PCIe link,
-    device memory, and metrics registry.
+    """N modelled cards, each with its own virtual timeline, PCIe link
+    and device memory.
 
     The pool is the hardware side of multi-device sharding
     (:mod:`repro.accel.sharding`): every wave of a run is charged to its
     own card (:meth:`charge_wave`), so per-device occupancy and
     utilization are observable exactly as a single-card run's are.  The
     cards are fully independent — nothing in the pool is shared state.
-
-    ``fault_injectors`` optionally supplies one injector per device, so
-    the runtime sites keep per-device slot counters.
 
     ``storage`` optionally attaches the modelled in-SSD filter
     (a :class:`~repro.storage.filter.StorageFilterPlan` or
@@ -251,31 +239,14 @@ class DevicePool:
         self,
         devices: int = 1,
         config: Optional[DeviceConfig] = None,
-        fault_injectors: Optional[list] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         storage: Optional[WaveStorage] = None,
     ):
         if devices < 1:
             raise ValueError("need at least one device")
-        if fault_injectors is not None and len(fault_injectors) != devices:
-            raise ValueError(
-                f"need one fault injector per device "
-                f"({len(fault_injectors)} for {devices} devices)"
-            )
         self.config = config or DeviceConfig()
         self.storage = storage
-        self.registries = [MetricsRegistry() for _ in range(devices)]
         self.devices = [
-            GenesisDevice(
-                config=self.config,
-                fault_injector=(
-                    fault_injectors[index]
-                    if fault_injectors is not None else None
-                ),
-                retry_policy=retry_policy,
-                registry=self.registries[index],
-            )
-            for index in range(devices)
+            GenesisDevice(config=self.config) for _ in range(devices)
         ]
 
     def __len__(self) -> int:
@@ -314,14 +285,6 @@ class DevicePool:
         card.wait(wave_id)
         return nbytes, seconds
 
-    def least_loaded(self) -> int:
-        """The index of the card whose timeline is furthest behind
-        (ties break on the lowest index, so the choice is deterministic)."""
-        return min(
-            range(len(self.devices)),
-            key=lambda index: (self.devices[index].timeline.now, index),
-        )
-
     def busy_seconds(self) -> list:
         """Per-device accelerator occupancy, in device order."""
         return [d.timeline.device_busy_seconds for d in self.devices]
@@ -329,12 +292,3 @@ class DevicePool:
     def transfer_seconds(self) -> list:
         """Per-device PCIe link occupancy, in device order."""
         return [d.timeline.transfer_seconds for d in self.devices]
-
-    def utilization(self) -> list:
-        """Each card's busy share of the busiest card (1.0 for the
-        critical-path device; empty-queue devices report 0)."""
-        busy = self.busy_seconds()
-        peak = max(busy) if busy else 0.0
-        if peak <= 0:
-            return [0.0 for _ in busy]
-        return [seconds / peak for seconds in busy]

@@ -53,14 +53,13 @@ from ..faults.plan import FaultPlan
 from ..faults.retry import FailedAttempt, RetryLadder, RetryPolicy
 from ..tables.partition import PartitionId
 from ..obs.ledger import record_event
-from ..obs.registry import MetricsRegistry
 from ..obs.spans import (
     TraceSpan,
     WaveTimeline,
     fleet_chrome_trace,
     trace_spans,
 )
-from ..runtime.device import DeviceConfig, DevicePool, WaveStorage
+from ..runtime.device import DevicePool, WaveStorage
 from .job import (
     COMPLETED,
     FAILED,
@@ -210,9 +209,7 @@ class JobService:
         weights: Optional[Dict[str, float]] = None,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        registry: Optional[MetricsRegistry] = None,
         spm_cache: Optional[SpmImageCache] = None,
-        device_config: Optional[DeviceConfig] = None,
         storage: Optional[WaveStorage] = None,
     ) -> None:
         if devices < 1:
@@ -225,19 +222,13 @@ class JobService:
         self.queue = JobQueue(
             max_backlog=max_backlog, quota=quota, weights=weights
         )
-        self.registry = registry if registry is not None else MetricsRegistry()
         self.cache = spm_cache if spm_cache is not None else SpmImageCache()
-        self.pool = DevicePool(
-            devices, config=device_config or DeviceConfig(),
-            storage=storage,
-        )
+        self.pool = DevicePool(devices, storage=storage)
         self.retry_policy = (
             retry_policy if retry_policy is not None else RetryPolicy()
         )
         self.injector = (
-            FaultInjector(fault_plan, registry=self.registry)
-            if fault_plan is not None
-            else None
+            FaultInjector(fault_plan) if fault_plan is not None else None
         )
         self._jobs: Dict[int, Job] = {}
         self._arrivals: List[Tuple[int, int, JobSpec]] = []
@@ -317,9 +308,6 @@ class JobService:
                 tenant=job.tenant, job=job.job_id, stage=job.stage,
                 reason=reason, clock=at_cycles,
             )
-            self.registry.counter(
-                "serve.jobs.rejected", tenant=job.tenant, reason=reason
-            ).inc()
         else:
             self._event(
                 "serve.admit",
@@ -327,12 +315,6 @@ class JobService:
                 waves=len(job.waves), partitions=len(spec.partitions),
                 clock=at_cycles,
             )
-            self.registry.counter(
-                "serve.jobs.admitted", tenant=job.tenant
-            ).inc()
-        self.registry.histogram("serve.queue.depth").record(
-            self.queue.open_jobs()
-        )
         return job
 
     def _admit_due(self) -> None:
@@ -424,7 +406,6 @@ class JobService:
             wave=wave_index, device=device, clock=self.clock,
             attempt=attempt, cost_rows=cost,
         )
-        self.registry.counter("serve.waves.dispatched").inc()
         return _Dispatch(job, wave_index, device, seq, attempt, penalty)
 
     def _fault_ladder(self, job: Job, wave_index: int) -> Tuple[int, int]:
@@ -456,11 +437,9 @@ class JobService:
     def _book_failure(
         self, job: Job, wave_index: int, failed: FailedAttempt
     ) -> None:
-        self.registry.counter("serve.faults", kind=failed.kind).inc()
         if failed.exhausted:
             return
         self._retries += 1
-        self.registry.counter("serve.retries").inc()
         self._event(
             "serve.retry",
             tenant=job.tenant, job=job.job_id, wave=wave_index,
@@ -478,9 +457,6 @@ class JobService:
             tenant=job.tenant, job=job.job_id, stage=job.stage,
             wave=wave_index, clock=self.clock,
         )
-        self.registry.counter(
-            "serve.jobs.failed", tenant=job.tenant
-        ).inc()
 
     # -- execution (eager host-side, deferred virtual completion) ------------
 
@@ -561,9 +537,6 @@ class JobService:
         job.waves_done += 1
         charged = rec.timeline.kernel + rec.timeline.load
         self.queue.charge_cycles(job.tenant, charged)
-        self.registry.counter(
-            "serve.tenant.cycles", tenant=job.tenant
-        ).inc(charged)
         self._event(
             "serve.wave.done",
             tenant=job.tenant, job=job.job_id, wave=wave_index,
@@ -586,9 +559,6 @@ class JobService:
                 arrival_cycles=job.arrival_cycles,
                 clock=end_cycles,
             )
-            self.registry.counter(
-                "serve.jobs.completed", tenant=job.tenant
-            ).inc()
 
     # -- drain / resume ------------------------------------------------------
 
@@ -638,7 +608,6 @@ class JobService:
     def resume(
         cls,
         checkpoint: ServiceCheckpoint,
-        registry: Optional[MetricsRegistry] = None,
         spm_cache: Optional[SpmImageCache] = None,
     ) -> "JobService":
         """Restart from a drain checkpoint: same clock, same queue state
@@ -652,14 +621,10 @@ class JobService:
             devices=len(checkpoint.pool),
             workers=checkpoint.workers,
             retry_policy=checkpoint.retry_policy,
-            registry=registry,
             spm_cache=spm_cache,
         )
         service.pool = checkpoint.pool
         service.injector = checkpoint.injector
-        if service.injector is not None:
-            # injections after the restart count in the new registry
-            service.injector.registry = service.registry
         service.clock = checkpoint.clock
         service._dispatch_seq = checkpoint.dispatch_seq
         service._next_job_id = checkpoint.next_job_id

@@ -220,6 +220,50 @@ def test_preprocess_devices_bit_identical_output(tmp_path, capsys):
     assert "device 0:" in out and "device 1:" in out
 
 
+def _refused(argv, capsys):
+    """``main(argv)`` must stop in argparse — one ``error:`` line, exit
+    2 — not in a traceback out of the layer that first tripped."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument" in err and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--devices", "0"),
+    ("--pipelines", "0"),
+    ("--workers", "0"),
+    ("--wave-timeout", "0"),
+    ("--inject-faults", "bogus"),
+])
+def test_preprocess_bad_arguments_exit_2(tmp_path, capsys, flag, value):
+    fasta, sam = _simulate(tmp_path)
+    err = _refused([
+        "--no-ledger", "preprocess", "--fasta", str(fasta), "--sam", str(sam),
+        "--out", str(tmp_path / "out.sam"), flag, value,
+    ], capsys)
+    assert f"argument {flag}" in err
+    assert not (tmp_path / "out.sam").exists()
+
+
+@pytest.mark.parametrize("flag", ["--fasta", "--sam"])
+def test_preprocess_missing_input_exits_2(tmp_path, capsys, flag):
+    fasta, sam = _simulate(tmp_path)
+    absent = str(tmp_path / "absent")
+    assert main([
+        "--no-ledger", "preprocess", "--fasta", str(fasta), "--sam", str(sam),
+        "--out", str(tmp_path / "out.sam"), flag, absent,
+    ]) == 2
+    assert f"error: cannot read {absent}" in capsys.readouterr().err
+
+
+def test_serve_bad_devices_exit_2(capsys):
+    err = _refused(["--no-ledger", "serve", "--devices", "0"], capsys)
+    assert "argument --devices: must be positive" in err
+
+
 def test_analyze_sharding_reads_the_ledger(tmp_path, capsys):
     fasta, sam = _simulate(tmp_path)
     ledger = tmp_path / "ledger.jsonl"

@@ -24,6 +24,7 @@ from repro.faults import (
     RetryBudgetExceeded,
     RetryPolicy,
 )
+from repro.obs.ledger import RunLedger, RunManifest, run_context
 from repro.obs.registry import MetricsRegistry
 from repro.runtime import GenesisRuntime
 
@@ -128,14 +129,11 @@ def test_poll_hits_only_planned_coordinates():
 
 
 def test_poll_records_once_per_coordinate():
-    injector = FaultInjector(
-        FaultPlan.from_spec("worker_crash"), registry=(reg := MetricsRegistry())
-    )
+    injector = FaultInjector(FaultPlan.from_spec("worker_crash"))
     for _ in range(3):
         assert injector.poll("scheduler.wave", 0, 0) is not None
     assert len(injector.injected) == 1
     assert injector.counts_by_kind() == {"worker_crash": 1}
-    assert reg.total("faults.injected") == 1
 
 
 def test_fire_raises_typed_exception():
@@ -202,9 +200,8 @@ def _kernel(inputs):
     return {"out": sum(inputs["col"])}, 1000
 
 
-def _run_pipeline(injector=None, registry=None, max_retries=2):
+def _run_pipeline(injector=None, max_retries=2):
     runtime = GenesisRuntime(
-        registry=registry,
         fault_injector=injector,
         retry_policy=RetryPolicy(
             max_retries=max_retries, backoff_base=0.001, jitter=0.25, seed=1
@@ -217,11 +214,19 @@ def _run_pipeline(injector=None, registry=None, max_retries=2):
     return runtime.genesis_flush(0), runtime
 
 
-def test_transfer_retry_charges_timeline_and_preserves_results():
+def _ledgered_pipeline(tmp_path, injector):
+    """``_run_pipeline`` under a ledger: its return plus the
+    ``fault.retry`` events the device wrote."""
+    ledger = RunLedger(str(tmp_path / "ledger.jsonl"))
+    with run_context(RunManifest(workload="runtime-faults"), ledger):
+        out, runtime = _run_pipeline(injector)
+    return out, runtime, ledger.events("fault.retry")
+
+
+def test_transfer_retry_charges_timeline_and_preserves_results(tmp_path):
     clean_out, clean = _run_pipeline()
-    registry = MetricsRegistry()
     injector = FaultInjector(FaultPlan.from_spec("transfer_error+2", seed=4))
-    faulted_out, faulted = _run_pipeline(injector, registry)
+    faulted_out, faulted, retries = _ledgered_pipeline(tmp_path, injector)
     assert faulted_out == clean_out
     # two failed DMA attempts occupied the link, plus backoff host time
     failed = [t for t in faulted.device.transfers if not t.ok]
@@ -230,9 +235,9 @@ def test_transfer_retry_charges_timeline_and_preserves_results():
         clean.device.timeline.transfer_seconds
     )
     assert faulted.elapsed_seconds > clean.elapsed_seconds
-    assert registry.total("runtime.retries") == 2
-    assert registry.value("runtime.faults", site="runtime.transfer") == 2
-    assert registry.total("runtime.retry_transfer_seconds") > 0
+    assert [r["site"] for r in retries] == ["runtime.transfer"] * 2
+    assert [f.site for f in injector.injected] == ["runtime.transfer"] * 2
+    assert sum(t.seconds for t in failed) > 0
 
 
 def test_faulted_timeline_is_deterministic():
@@ -245,12 +250,11 @@ def test_faulted_timeline_is_deterministic():
     assert run() == run()
 
 
-def test_launch_retry_counts_and_recovers():
-    registry = MetricsRegistry()
+def test_launch_retry_counts_and_recovers(tmp_path):
     injector = FaultInjector(FaultPlan.from_spec("launch_error", seed=0))
-    out, runtime = _run_pipeline(injector, registry)
+    out, _runtime, retries = _ledgered_pipeline(tmp_path, injector)
     assert out == _run_pipeline()[0]
-    assert registry.value("runtime.retries", site="runtime.launch") == 1
+    assert [r["site"] for r in retries] == ["runtime.launch"]
     assert [f.kind for f in injector.injected] == ["launch_error"]
 
 

@@ -13,7 +13,6 @@ from repro.hw.modules import Reducer
 from repro.obs import (
     NULL_REGISTRY,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     Profiler,
@@ -62,14 +61,6 @@ def test_labels_are_order_insensitive():
     assert a is b
 
 
-def test_gauge_last_write_wins():
-    registry = MetricsRegistry()
-    gauge = registry.gauge("depth")
-    gauge.set(3)
-    gauge.set(7)
-    assert registry.value("depth") == 7
-
-
 def test_histogram_record_mean_quantile():
     registry = MetricsRegistry()
     hist = registry.histogram("occ", queue="q")
@@ -87,7 +78,7 @@ def test_name_reuse_with_other_kind_raises():
     registry = MetricsRegistry()
     registry.counter("thing")
     with pytest.raises(TypeError):
-        registry.gauge("thing")
+        registry.histogram("thing")
 
 
 def test_disabled_registry_is_nullobject():
@@ -104,11 +95,9 @@ def test_disabled_registry_is_nullobject():
 def test_as_dict_snapshot():
     registry = MetricsRegistry()
     registry.counter("flits", module="a").inc(2)
-    registry.gauge("depth").set(5)
     registry.histogram("occ").record(1)
     snap = registry.as_dict()
     assert snap["flits{module=a}"] == 2
-    assert snap["depth"] == 5
     assert snap["occ"] == [0, 1]
 
 
@@ -124,11 +113,8 @@ def test_values_by_name():
 def test_instruments_iterable():
     registry = MetricsRegistry()
     registry.counter("a")
-    registry.gauge("b")
-    kinds = {type(inst) for inst in registry}
-    assert kinds == {Counter, Gauge}
     registry.histogram("c")
-    assert Histogram in {type(inst) for inst in registry}
+    assert {type(inst) for inst in registry} == {Counter, Histogram}
 
 
 # -- timeline recorder ---------------------------------------------------------------

@@ -83,23 +83,17 @@ def test_workers_kwarg_matches_serial(workload, parts):
         assert pool_res[pid].md == serial_res[pid].md
 
 
-def _stats(**overrides):
-    base = dict(waves=0, total_cycles=0, spm_load_cycles=0, per_wave_cycles=[])
-    base.update(overrides)
-    return ParallelRunStats(**base)
-
-
 def test_skip_ratio_guards_division_by_zero():
-    assert _stats().skip_ratio == 0.0
-    assert _stats(ticks_executed=3, ticks_possible=4).skip_ratio == 0.25
+    assert ParallelRunStats().skip_ratio == 0.0
+    assert ParallelRunStats(ticks_executed=3, ticks_possible=4).skip_ratio == 0.25
 
 
 def test_host_flits_per_second_guards_division_by_zero():
-    assert _stats().host_flits_per_second == 0.0
-    assert _stats(total_flits=10).host_flits_per_second == 0.0
-    assert _stats(total_flits=10, wall_seconds=2.0).host_flits_per_second == 5.0
+    assert ParallelRunStats().host_flits_per_second == 0.0
+    assert ParallelRunStats(total_flits=10).host_flits_per_second == 0.0
+    assert ParallelRunStats(total_flits=10, wall_seconds=2.0).host_flits_per_second == 5.0
 
 
 def test_host_parallelism_guards_division_by_zero():
-    assert _stats().host_parallelism == 0.0
-    assert _stats(wall_seconds=4.0, elapsed_seconds=2.0).host_parallelism == 2.0
+    assert ParallelRunStats().host_parallelism == 0.0
+    assert ParallelRunStats(wall_seconds=4.0, elapsed_seconds=2.0).host_parallelism == 2.0

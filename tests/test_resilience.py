@@ -35,7 +35,6 @@ from repro.faults import (
     RetryPolicy,
 )
 from repro.obs.ledger import RunLedger, RunManifest, run_context
-from repro.obs.registry import MetricsRegistry
 
 #: One of each fault kind the scheduler site can suffer, pinned to
 #: distinct waves so all three fire regardless of the stage's packing.
@@ -177,21 +176,19 @@ def test_fault_events_reach_the_ledger(workload, tmp_path):
     assert summary["retries"] == 3
 
 
-def test_stats_publish_fault_counters_to_shared_registry(workload):
+def test_stats_carry_the_fault_counters(workload):
     driver, pipelines = _drivers(workload)["markdup"]
-    registry = MetricsRegistry()
+    injector = FaultInjector(PLAN)
     _, stats = run_partitioned(
         driver, workload.partitions, pipelines, workers=1,
-        registry=registry,
-        fault_injector=FaultInjector(PLAN), retry_policy=POLICY,
+        fault_injector=injector, retry_policy=POLICY,
     )
-    assert stats.faults_injected == 3
-    assert registry.total("scheduler.faults") == 3
-    for kind in ("worker_crash", "wave_timeout", "transfer_error"):
-        assert registry.value(
-            "scheduler.faults", stage="markdup", kind=kind
-        ) == 1
-    assert registry.value("scheduler.retries", stage="markdup") == 3
+    assert stats.faults_injected == len(injector.injected) == 3
+    assert stats.faults_by_kind == injector.counts_by_kind() == {
+        "worker_crash": 1, "wave_timeout": 1, "transfer_error": 1,
+    }
+    assert stats.retries == 3
+    assert stats.backoff_seconds > 0
 
 
 def test_degradation_ladder_ends_in_serial_fallback(workload):

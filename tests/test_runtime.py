@@ -118,7 +118,6 @@ def test_device_pool_cards_are_independent():
     pool = DevicePool(3)
     assert len(pool) == 3
     assert len({id(card.timeline) for card in pool}) == 3
-    assert len({id(reg) for reg in pool.registries}) == 3
     pool.device(0).transfer(1_000_000, "h2d")
     pool.device(0).launch(0, 10_000)
     pool.device(0).wait(0)
@@ -127,46 +126,8 @@ def test_device_pool_cards_are_independent():
     assert pool.transfer_seconds()[0] > 0
 
 
-def test_device_pool_least_loaded_and_utilization():
-    from repro.runtime import DevicePool
-
-    pool = DevicePool(2)
-    assert pool.least_loaded() == 0  # tie breaks on the lowest index
-    pool.device(0).transfer(1_000_000, "h2d")
-    assert pool.least_loaded() == 1
-    pool.device(0).launch(0, 50_000)
-    pool.device(0).wait(0)
-    pool.device(1).launch(0, 25_000)
-    pool.device(1).wait(0)
-    utilization = pool.utilization()
-    assert utilization[0] == pytest.approx(1.0)
-    assert 0.0 < utilization[1] < 1.0
-
-
 def test_device_pool_rejects_bad_arguments():
-    from repro.faults import FaultInjector, FaultPlan
     from repro.runtime import DevicePool
 
     with pytest.raises(ValueError, match="at least one device"):
         DevicePool(0)
-    with pytest.raises(ValueError, match="one fault injector per device"):
-        DevicePool(2, fault_injectors=[FaultInjector(FaultPlan(seed=0, specs=()))])
-
-
-def test_pool_runtimes_wire_each_card():
-    from repro.runtime import DevicePool, pool_runtimes
-
-    pool = DevicePool(2)
-    runtimes = pool_runtimes(pool)
-    assert len(runtimes) == 2
-    for index, runtime in enumerate(runtimes):
-        assert runtime.device is pool.device(index)
-        assert runtime.registry is pool.device(index).registry
-
-
-def test_runtime_rejects_device_plus_construction_params():
-    from repro.runtime import DevicePool
-
-    pool = DevicePool(1)
-    with pytest.raises(ValueError, match="not both"):
-        GenesisRuntime(DeviceConfig(), device=pool.device(0))

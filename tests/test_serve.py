@@ -365,26 +365,27 @@ def test_ledger_events_and_report(workload, tmp_path):
             )
 
 
-def test_registry_metrics(workload):
-    from repro.obs.registry import MetricsRegistry
-
-    registry = MetricsRegistry()
-    service = JobService(devices=1, quota=1, max_backlog=8, registry=registry)
+def test_summary_and_events_carry_the_serve_counts(workload):
+    service = JobService(devices=1, quota=1, max_backlog=8)
     service.submit(_one_partition_spec(workload, "a"))
     service.submit(_one_partition_spec(workload, "a"))
-    service.run_until_idle()
-    assert registry.value("serve.jobs.admitted", tenant="a") == 1
-    assert (
-        registry.value(
-            "serve.jobs.rejected", tenant="a", reason=REJECT_QUOTA
-        )
-        == 1
-    )
-    assert registry.value("serve.jobs.completed", tenant="a") == 1
-    assert registry.value("serve.waves.dispatched") == 1
-    assert registry.value("serve.tenant.cycles", tenant="a") > 0
-    depth = registry.find("serve.queue.depth")
-    assert depth is not None and depth.total == 2
+    summary = service.run_until_idle()
+    account = summary.tenants["a"]
+    assert (account.admitted, account.rejected, account.completed) == (1, 1, 1)
+    assert (summary.jobs_admitted, summary.jobs_rejected) == (1, 1)
+    assert summary.jobs_completed == 1
+    assert summary.waves_dispatched == 1
+    assert account.cycles > 0
+    by_event = {}
+    for event, fields in service.events:
+        by_event.setdefault(event, []).append(fields)
+    assert [f["tenant"] for f in by_event["serve.admit"]] == ["a"]
+    (reject,) = by_event["serve.reject"]
+    assert (reject["tenant"], reject["reason"]) == ("a", REJECT_QUOTA)
+    assert len(by_event["serve.dispatch"]) == 1
+    assert len(by_event["serve.job.done"]) == 1
+    (wave,) = by_event["serve.wave.done"]
+    assert wave["cycles"] + wave["load_cycles"] == account.cycles
 
 
 def test_pooled_served_waves_log_their_worker_id(workload, tmp_path):

@@ -334,3 +334,48 @@ def test_device_lane_accounting_identity(
     for path in paths:
         assert sum(path.segments.values()) == path.latency_cycles
         assert path.latency_cycles == latencies[path.job]
+
+
+# -- queue depth is a fold over the event mirror ---------------------------------------
+
+
+def _open_jobs(events):
+    """Jobs admitted and not yet closed, read off the mirror."""
+    tally = Counter(event for event, _fields in events)
+    return (
+        tally["serve.admit"] - tally["serve.job.done"]
+        - tally["serve.job.failed"]
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    trace=ARRIVALS,
+    devices=st.integers(1, 3),
+    fault_plan=FAULTS,
+    drain_points=st.lists(st.integers(1, 6), max_size=3),
+)
+def test_open_jobs_is_admits_minus_closes_at_every_drain_point(
+    trace, devices, fault_plan, drain_points
+):
+    """No separate depth gauge is kept: the queue's open-job count is
+    admits − (done + failed) in event order, wherever the run is cut."""
+    service = JobService(
+        devices=devices, workers=1, quota=QUOTA, max_backlog=BACKLOG,
+        fault_plan=fault_plan, retry_policy=RetryPolicy(max_retries=2),
+    )
+    _schedule(service, trace)
+    for dispatches in drain_points:
+        service.run(max_dispatches=dispatches)
+        checkpoint = service.drain()
+        assert checkpoint.open_jobs == _open_jobs(service.events)
+        event, fields = service.events[-1]
+        assert event == "serve.drain"
+        assert fields["open_jobs"] == checkpoint.open_jobs
+        service = JobService.resume(checkpoint)
+        assert service.queue.open_jobs() == _open_jobs(service.events)
+    summary = service.run_until_idle()
+    assert service.queue.open_jobs() == _open_jobs(service.events) == 0
+    assert summary.jobs_admitted == (
+        summary.jobs_completed + summary.jobs_failed
+    )

@@ -9,6 +9,9 @@ which device a wave lands on); the *modelled* SPM load cycles charge
 the same either way, so they are asserted invariant too.
 """
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from repro.accel.scheduler import (
     BqsrWaveDriver,
     MarkdupWaveDriver,
     MetadataWaveDriver,
+    ParallelRunStats,
     SpmImageCache,
     pack_waves,
     run_partitioned,
@@ -33,7 +37,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.retry import RetryPolicy
 from repro.obs.ledger import RunLedger, RunManifest, run_context
-from repro.obs.registry import MetricsRegistry
 
 BQSR_FIELDS = ("total_cycle", "total_context", "error_cycle", "error_context")
 
@@ -163,26 +166,26 @@ def test_sharded_smoke(workload, metadata_serial):
 # -- one path: run_partitioned is run_sharded(devices=1) -----------------------------
 
 
+#: ``ParallelRunStats`` fields that measure the host, not the model.
+HOST_STATS_FIELDS = {"wall_seconds", "elapsed_seconds", "per_worker"}
+
+
 def _ledgered(tmp_path, name, run):
-    """Run ``run(registry, cache)`` under a ledger; return what it
-    returned plus the deterministic half of everything it wrote down:
-    ledger events and published metrics, host-time fields masked."""
+    """Run ``run(cache)`` under a ledger; return what it returned plus
+    the deterministic half of everything it wrote down: ledger events
+    (host-time fields masked) and the SPM-cache counters."""
     ledger = RunLedger(str(tmp_path / f"{name}.jsonl"))
-    registry, cache = MetricsRegistry(), SpmImageCache()
+    cache = SpmImageCache()
     with run_context(RunManifest(workload="one-path"), ledger):
-        results, stats = run(registry, cache)
+        results, stats = run(cache)
     host = {"ts", "run_id", "elapsed_seconds", "worker"}
     events = sorted(
         sorted((k, str(v)) for k, v in record.items() if k not in host)
         for record in ledger.read()
         if record["event"].startswith(("scheduler.", "fault."))
     )
-    published = {
-        key: value for key, value in registry.as_dict().items()
-        if "seconds" not in key or "backoff" in key
-    }
     counters = (cache.hits, cache.misses, cache.cycles_saved, len(cache))
-    return results, stats, events, published, counters
+    return results, stats, events, counters
 
 
 @pytest.mark.parametrize("workers", (1, 4))
@@ -191,10 +194,10 @@ def test_run_partitioned_is_run_sharded_on_one_device(
     workload, tmp_path, stage, workers
 ):
     """The two fronts are one path: same results, cycles, SPM-cache
-    counters, published registry contents and ``scheduler.*`` /
-    ``fault.*`` ledger events (``run_sharded`` adds only its
-    ``shard.*`` summary).  The inline runs also retry an injected fault,
-    so the ``fault.*`` events are compared too."""
+    counters, every modelled ``ParallelRunStats`` field and
+    ``scheduler.*`` / ``fault.*`` ledger events (``run_sharded`` adds
+    only its ``shard.*`` summary).  The inline runs also retry an
+    injected fault, so the ``fault.*`` events are compared too."""
     driver, parts, pipelines = {
         "markdup": (MarkdupWaveDriver(), workload.partitions, 1),
         "metadata": (
@@ -219,17 +222,17 @@ def test_run_partitioned_is_run_sharded_on_one_device(
     policy = RetryPolicy(backoff_base=0.0)
     one_queue = _ledgered(
         tmp_path, "partitioned",
-        lambda registry, cache: run_partitioned(
+        lambda cache: run_partitioned(
             driver, parts, pipelines, workers=workers, spm_cache=cache,
-            registry=registry, retry_policy=policy,
+            retry_policy=policy,
             fault_injector=FaultInjector(plan) if plan else None,
         ),
     )
     one_device = _ledgered(
         tmp_path, "sharded",
-        lambda registry, cache: run_sharded(
+        lambda cache: run_sharded(
             driver, parts, pipelines, devices=1, workers=workers,
-            spm_cache=cache, registry=registry, retry_policy=policy,
+            spm_cache=cache, retry_policy=policy,
             fault_plan=plan,
         ),
     )
@@ -238,6 +241,12 @@ def test_run_partitioned_is_run_sharded_on_one_device(
     )
     assert wrote_a == wrote_b
     assert wrote_a[0], "expected scheduler events in the ledger"
+    (only_queue,) = stats_b.per_device
+    for spec in dataclasses.fields(ParallelRunStats):
+        if spec.name not in HOST_STATS_FIELDS:
+            assert getattr(stats_a, spec.name) == getattr(
+                only_queue, spec.name
+            ), spec.name
     if plan is not None:
         assert stats_a.retries == stats_b.retries == 1
     _assert_same_cycles(stats_a, stats_b)
@@ -249,6 +258,47 @@ def test_run_partitioned_is_run_sharded_on_one_device(
         _assert_metadata_identical(res_a, res_b)
     else:
         _assert_bqsr_identical(res_a, res_b)
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("devices", (1, 2, 3))
+def test_sharded_stats_sum_every_tally_the_queue_stats_declare(
+    workload, devices, workers
+):
+    """Driven by the dataclass, not a list: whatever ``ParallelRunStats``
+    declares, ``ShardedRunStats`` must answer for — numeric tallies as
+    the sum over ``per_device`` — so a tally added to the executor
+    cannot be left out of the sharded view."""
+    plan = FaultPlan(seed=1, specs=(
+        FaultSpec("transfer_error", site="scheduler.wave", at=(0, 2)),
+    ))
+    _results, stats = run_sharded(
+        MetadataWaveDriver(reference=workload.reference),
+        workload.partitions, 1, devices=devices, workers=workers,
+        fault_plan=plan, retry_policy=RetryPolicy(backoff_base=0.001),
+    )
+    assert stats.retries == 2 and stats.backoff_seconds > 0
+    own = {spec.name for spec in dataclasses.fields(ShardedRunStats)}
+    summed = []
+    for spec in dataclasses.fields(ParallelRunStats):
+        if spec.name in own or spec.name == "device":
+            continue  # the run's own figure / a queue's identity
+        queues = [getattr(queue, spec.name) for queue in stats.per_device]
+        total = getattr(stats, spec.name)
+        if spec.name == "faults_by_kind":
+            assert total == dict(sum(map(Counter, queues), Counter()))
+        elif spec.name == "per_worker":
+            assert len(total) == sum(map(len, queues))
+        else:
+            assert isinstance(spec.default, (int, float)), spec.name
+            assert total == sum(queues), spec.name
+            summed.append(spec.name)
+    assert {"spm_load_cycles", "total_flits", "retries"} <= set(summed)
+    for derived in ("waves", "total_cycles", "faults_injected"):
+        assert getattr(stats, derived) == sum(
+            getattr(queue, derived) for queue in stats.per_device
+        ), derived
+    assert stats.faults_injected == 2
 
 
 # -- differential under injected faults ---------------------------------------------

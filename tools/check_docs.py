@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs/CLI consistency check, run by the CI lint job.
 
-Seven directions:
+Eight directions:
 
 1. every ``--flag`` token the docs mention must exist on the ``repro``
    argument parser (or be a known external tool's flag) — stale docs
@@ -26,7 +26,11 @@ Seven directions:
    name an event the fold matches — the table *is* the fold's catalogue;
 7. every path the DESIGN.md §3 package inventory names (the tree and
    the "additional infrastructure" paragraph under it) must exist under
-   ``src/repro``.
+   ``src/repro``;
+8. every literal metric name the code under ``src/repro`` passes to
+   ``.counter(`` / ``.histogram(`` must head a row of DESIGN.md's metric
+   table (the one whose header starts ``metric | labels``), and every
+   row of that table must name a metric the code writes.
 
 Run:  PYTHONPATH=src python tools/check_docs.py
 """
@@ -151,17 +155,18 @@ EVENT_ROW_RE = re.compile(r"^\s*\|\s*`([a-z_.]+)`\s*\|")
 EVENT_HEADER_RE = re.compile(r"^\s*\|\s*event\s*\|")
 
 
-def emitted_events() -> dict:
-    """``event name`` -> sorted "file:line" emit sites under src/repro."""
-    events = {}
+def literal_names(call_re) -> dict:
+    """``name`` -> sorted "file:line" sites under src/repro where
+    ``call_re`` matches it as a call's literal first argument."""
+    names = {}
     for path in sorted((REPO / "src" / "repro").rglob("*.py")):
         text = path.read_text()
-        for match in EVENT_CALL_RE.finditer(text):
+        for match in call_re.finditer(text):
             lineno = text.count("\n", 0, match.start()) + 1
-            events.setdefault(match.group(1), []).append(
+            names.setdefault(match.group(1), []).append(
                 f"{path.relative_to(REPO)}:{lineno}"
             )
-    return events
+    return names
 
 
 #: The header row of the event → span table (§3.9) — an event table
@@ -170,8 +175,8 @@ SPAN_TABLE_HEADER_RE = re.compile(r"^\s*\|\s*event\s*\|\s*lane\s*\|")
 
 
 def catalogued_events(header_re=EVENT_HEADER_RE) -> dict:
-    """``event name`` -> "DESIGN.md:line" of the first row it heads in
-    a DESIGN.md table whose header row matches ``header_re``."""
+    """``name`` -> "DESIGN.md:line" of the first row it heads in a
+    DESIGN.md table whose header row matches ``header_re``."""
     events = {}
     in_table = False
     for lineno, line in enumerate(
@@ -186,6 +191,13 @@ def catalogued_events(header_re=EVENT_HEADER_RE) -> dict:
             if match:
                 events.setdefault(match.group(1), f"DESIGN.md:{lineno}")
     return events
+
+
+#: A literal metric name as the first argument of an instrument getter.
+METRIC_CALL_RE = re.compile(r"\.(?:counter|histogram)\(\s*\"([a-z_.]+)\"")
+
+#: The header row of the metric table (§3.3).
+METRIC_TABLE_HEADER_RE = re.compile(r"^\s*\|\s*metric\s*\|\s*labels\s*\|")
 
 
 #: The heading the package inventory sits under, and where it ends.
@@ -285,7 +297,7 @@ def main() -> int:
                 "DESIGN.md has no such numbered section"
             )
 
-    emitted = emitted_events()
+    emitted = literal_names(EVENT_CALL_RE)
     catalogued = catalogued_events()
     for event, where in sorted(emitted.items()):
         if event not in catalogued:
@@ -314,6 +326,21 @@ def main() -> int:
                 "trace fold does not match it"
             )
 
+    written = literal_names(METRIC_CALL_RE)
+    metric_rows = catalogued_events(METRIC_TABLE_HEADER_RE)
+    for metric, where in sorted(written.items()):
+        if metric not in metric_rows:
+            failures.append(
+                f"metric {metric} is written ({', '.join(where)}) but "
+                "DESIGN.md's metric table has no row for it"
+            )
+    for metric, where in sorted(metric_rows.items()):
+        if metric not in written:
+            failures.append(
+                f"metric {metric} is catalogued ({where}) but nothing "
+                "under src/repro writes it"
+            )
+
     inventory = inventory_paths()
     for path, where in sorted(inventory.items()):
         if not (REPO / "src" / "repro" / path).exists():
@@ -332,6 +359,7 @@ def main() -> int:
             f"{len(section_refs())} section refs resolve in DESIGN.md, "
             f"{len(emitted)} emitted events catalogued, "
             f"{len(traced)} traced events tabulated, "
+            f"{len(written)} written metrics catalogued, "
             f"{len(inventory)} inventory paths exist)"
         )
     return 1 if failures else 0
