@@ -56,7 +56,7 @@ from __future__ import annotations
 import os
 import time
 import zlib
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
@@ -134,9 +134,8 @@ class SpmImageCache:
     re-simulating the load, minus the host time.
     """
 
-    def __init__(self, max_images: Optional[int] = None):
-        self._images: "OrderedDict[tuple, CachedImage]" = OrderedDict()
-        self.max_images = max_images
+    def __init__(self) -> None:
+        self._images: Dict[tuple, CachedImage] = {}
         self.hits = 0
         self.misses = 0
         self.cycles_saved = 0
@@ -177,20 +176,13 @@ class SpmImageCache:
             spm, stats = load_reference_spm(
                 ref_row, memory_config, with_snp=with_snp
             )
-            self._store(key, CachedImage(words=spm.dump(), stats=stats))
+            self._images[key] = CachedImage(words=spm.dump(), stats=stats)
             return spm, stats
         self.hits += 1
         self.cycles_saved += image.stats.cycles
-        self._images.move_to_end(key)
         spm = Scratchpad("ref_spm", len(image.words))
         spm.load(image.words)
         return spm, image.stats.copy()
-
-    def _store(self, key: tuple, image: CachedImage) -> None:
-        self._images[key] = image
-        if self.max_images is not None:
-            while len(self._images) > self.max_images:
-                self._images.popitem(last=False)
 
     def images(self) -> Dict[tuple, CachedImage]:
         """A snapshot of every cached image."""
@@ -204,8 +196,7 @@ class SpmImageCache:
         """Adopt images (e.g. shipped back from a worker process) without
         overwriting entries already present."""
         for key, image in images.items():
-            if key not in self._images:
-                self._store(key, image)
+            self._images.setdefault(key, image)
 
     def absorb(self, other: "SpmImageCache") -> None:
         """Merge another pool into this one: images adopt idempotently

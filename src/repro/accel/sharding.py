@@ -355,7 +355,7 @@ def record_storage_run(
         scan_seconds=totals["scan_seconds"],
         kernel_seconds=kernel_seconds,
         transfer_seconds=transfer_seconds,
-        internal_bandwidth=storage.config.internal_bandwidth,
+        internal_bandwidth=storage.internal_bandwidth,
         pcie_bandwidth=config.pcie_bandwidth,
         compression_ratio=storage.compression_ratio,
     )

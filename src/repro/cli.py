@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from .genomics.fasta import read_fasta, write_fasta, write_fastq
@@ -69,16 +70,75 @@ def _positive(number):
     return parse
 
 
-def _fault_spec(text: str) -> str:
-    """An argparse ``type=`` for ``--inject-faults``: the spec text,
-    refused here when it does not parse."""
-    from .faults import FaultPlan
+def _nonnegative(number):
+    """An argparse ``type=`` accepting only ``number(text) >= 0``."""
+    def parse(text: str):
+        value = number(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(
+                f"must not be negative, got {text}"
+            )
+        return value
+    parse.__name__ = f"non-negative {number.__name__}"
+    return parse
 
-    try:
-        FaultPlan.from_spec(text)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error))
+
+def _fault_spec(polled: str):
+    """An argparse ``type=`` for ``--inject-faults``: the spec text,
+    refused here when it does not parse or when an item aims at a site
+    other than ``polled`` — the one site the command instruments, so a
+    fault anywhere else would be announced and never injected."""
+    def parse(text: str) -> str:
+        from .faults import FaultPlan
+
+        try:
+            plan = FaultPlan.from_spec(text)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error))
+        for spec in plan.specs:
+            if spec.site != polled:
+                raise argparse.ArgumentTypeError(
+                    f"{spec.render()} would never fire: this command "
+                    f"does not poll site {spec.site} (it polls {polled}) "
+                    f"— write `{replace(spec, site=polled).render()}`"
+                )
+        return text
+    parse.__name__ = "fault spec"
+    return parse
+
+
+def _split_stages(text: str) -> tuple:
+    return tuple(stage.strip() for stage in text.split(",") if stage.strip())
+
+
+def _stage_mix(text: str) -> str:
+    """An argparse ``type=`` for ``serve --stages``: the comma-separated
+    text, refused when it names no stage or an unknown one."""
+    from .serve.trace import SERVE_STAGES
+
+    stages = _split_stages(text)
+    unknown = [stage for stage in stages if stage not in SERVE_STAGES]
+    if unknown or not stages:
+        raise argparse.ArgumentTypeError(
+            f"unknown stage(s) {', '.join(unknown) or text!r} "
+            f"(choose from {', '.join(SERVE_STAGES)})"
+        )
     return text
+
+
+def _read_inputs(fasta: str, sam: str, **fasta_options):
+    """The ``(genome, reads)`` of a FASTA + SAM pair, or ``None`` after
+    the one-line ``error:`` when either cannot be opened."""
+    try:
+        with open(fasta) as handle:
+            genome = read_fasta(handle, **fasta_options)
+        with open(sam) as handle:
+            reads = read_sam(handle)
+    except OSError as error:
+        print(f"error: cannot read {error.filename}: {error.strerror}",
+              file=sys.stderr)
+        return None
+    return genome, reads
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -111,15 +171,12 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
     from .tables.genomic_tables import reads_to_table
     from .tables.partition import partition_reads, partition_reference
 
-    try:
-        with open(args.fasta) as handle:
-            genome = read_fasta(handle, snp_rate=args.snp_rate, seed=7)
-        with open(args.sam) as handle:
-            reads = read_sam(handle)
-    except OSError as error:
-        print(f"error: cannot read {error.filename}: {error.strerror}",
-              file=sys.stderr)
+    inputs = _read_inputs(
+        args.fasta, args.sam, snp_rate=args.snp_rate, seed=7
+    )
+    if inputs is None:
         return 2
+    genome, reads = inputs
     markdup = accelerated_mark_duplicates(reads)
     print(f"mark duplicates: {markdup.num_duplicates} flagged")
 
@@ -214,10 +271,10 @@ def _cmd_call(args: argparse.Namespace) -> int:
     from .variants.caller import CallerConfig, call_variants
     from .variants.vcf import write_vcf
 
-    with open(args.fasta) as handle:
-        genome = read_fasta(handle)
-    with open(args.sam) as handle:
-        reads = read_sam(handle)
+    inputs = _read_inputs(args.fasta, args.sam)
+    if inputs is None:
+        return 2
+    genome, reads = inputs
     calls = call_variants(
         reads, genome, CallerConfig(min_depth=args.min_depth)
     )
@@ -383,9 +440,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .faults import FaultPlan, RetryPolicy
     from .serve import ArrivalTrace, JobService, trace_jobs
 
-    stages = tuple(
-        stage.strip() for stage in args.stages.split(",") if stage.strip()
-    )
     workload = make_workload(
         n_reads=args.reads,
         read_length=args.read_length,
@@ -398,7 +452,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         tenants=args.tenants,
         jobs=args.jobs,
         seed=args.seed,
-        stages=stages,
+        stages=_split_stages(args.stages),
         mean_gap_cycles=args.mean_gap,
     )
     fault_plan = None
@@ -526,8 +580,10 @@ def build_parser() -> argparse.ArgumentParser:
     preprocess.add_argument("--fasta", required=True)
     preprocess.add_argument("--sam", required=True)
     preprocess.add_argument("--out", required=True)
-    preprocess.add_argument("--psize", type=int, default=4000)
-    preprocess.add_argument("--overlap", type=int, default=200)
+    preprocess.add_argument("--psize", type=_positive(int), default=4000)
+    preprocess.add_argument(
+        "--overlap", type=_nonnegative(int), default=200
+    )
     preprocess.add_argument("--snp-rate", type=float, default=0.001)
     preprocess.add_argument(
         "--pipelines", type=_positive(int), default=4,
@@ -543,9 +599,12 @@ def build_parser() -> argparse.ArgumentParser:
              "(bit-identical results at any count)",
     )
     preprocess.add_argument(
-        "--inject-faults", type=_fault_spec, default=None, metavar="SPEC",
-        help="fault plan to inject, e.g. 'worker_crash:2,transfer_error' "
-             "(KIND[:COUNT][@SITE][+ATTEMPTS][~SPREAD], comma-separated)",
+        "--inject-faults", type=_fault_spec("scheduler.wave"),
+        default=None, metavar="SPEC",
+        help="fault plan to inject, e.g. "
+             "'worker_crash:2,transfer_error@scheduler.wave+2' "
+             "(KIND[:COUNT][@SITE][+ATTEMPTS][~SPREAD], comma-separated; "
+             "scheduler.wave is the one site this command polls)",
     )
     preprocess.add_argument(
         "--fault-seed", type=int, default=0,
@@ -553,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
              "=> same faults)",
     )
     preprocess.add_argument(
-        "--max-retries", type=int, default=2,
+        "--max-retries", type=_nonnegative(int), default=2,
         help="retry budget per wave item before degradation",
     )
     preprocess.add_argument(
@@ -646,15 +705,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="multi-tenant job service over a simulated arrival trace",
     )
     serve.add_argument(
-        "--tenants", type=int, default=8,
+        "--tenants", type=_positive(int), default=8,
         help="simulated tenants submitting jobs",
     )
     serve.add_argument(
-        "--jobs", type=int, default=32,
+        "--jobs", type=_nonnegative(int), default=32,
         help="jobs in the seeded arrival trace",
     )
     serve.add_argument(
-        "--stages", default="markdup,metadata,bqsr",
+        "--stages", type=_stage_mix, default="markdup,metadata,bqsr",
         help="comma-separated stage mix the trace draws from",
     )
     serve.add_argument("--reads", type=int, default=120)
@@ -674,15 +733,16 @@ def build_parser() -> argparse.ArgumentParser:
              "(virtual timeline is identical at any count)",
     )
     serve.add_argument(
-        "--quota", type=int, default=8,
+        "--quota", type=_positive(int), default=8,
         help="max open jobs per tenant before admission rejects",
     )
     serve.add_argument(
-        "--backlog", type=int, default=64,
+        "--backlog", type=_positive(int), default=64,
         help="max open jobs service-wide before admission rejects",
     )
     serve.add_argument(
-        "--mean-gap", type=int, default=50_000, metavar="CYCLES",
+        "--mean-gap", type=_nonnegative(int), default=50_000,
+        metavar="CYCLES",
         help="mean inter-arrival gap of the trace, in virtual cycles",
     )
     serve.add_argument("--seed", type=int, default=0)
@@ -692,12 +752,14 @@ def build_parser() -> argparse.ArgumentParser:
              "checkpoint (exercises the graceful-restart path)",
     )
     serve.add_argument(
-        "--inject-faults", type=_fault_spec, default=None, metavar="SPEC",
-        help="fault plan, e.g. 'transfer_error:2@serve.wave'",
+        "--inject-faults", type=_fault_spec("serve.wave"), default=None,
+        metavar="SPEC",
+        help="fault plan, e.g. 'transfer_error:2@serve.wave' (serve.wave "
+             "is the one site this command polls)",
     )
     serve.add_argument("--fault-seed", type=int, default=0)
     serve.add_argument(
-        "--max-retries", type=int, default=2,
+        "--max-retries", type=_nonnegative(int), default=2,
         help="retry budget per wave before the job fails",
     )
     serve.add_argument(

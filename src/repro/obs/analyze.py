@@ -367,13 +367,15 @@ class ShardingReport:
         return "\n".join(lines)
 
 
-def device_what_if(
-    per_wave_cycles: Sequence[int],
-    device_counts: Sequence[int] = (1, 2, 4, 8),
-) -> List[WhatIf]:
+#: Device counts the sharding what-if sweeps.
+DEVICE_WHAT_IF_COUNTS: Tuple[int, ...] = (1, 2, 4, 8)
+
+
+def device_what_if(per_wave_cycles: Sequence[int]) -> List[WhatIf]:
     """Amdahl-style bounds over device count: LPT-pack the run's actual
-    per-wave cycle costs onto ``k`` idealized devices and report the
-    makespan speedup vs one device.  Wave granularity is the serial
+    per-wave cycle costs onto ``k`` idealized devices (``k`` in
+    :data:`DEVICE_WHAT_IF_COUNTS`) and report the makespan speedup vs
+    one device.  Wave granularity is the serial
     fraction here — a run dominated by one huge wave stops scaling, and
     the bound makes that visible before anyone provisions hardware."""
     total = sum(per_wave_cycles)
@@ -381,9 +383,7 @@ def device_what_if(
     if total <= 0:
         return what_ifs
     costs = sorted(per_wave_cycles, reverse=True)
-    for count in device_counts:
-        if count < 1:
-            continue
+    for count in DEVICE_WHAT_IF_COUNTS:
         loads = [0] * count
         for cost in costs:
             loads[min(range(count), key=lambda d: (loads[d], d))] += cost
@@ -654,20 +654,16 @@ STORAGE_WHAT_IF_FRACTIONS: Tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 0.95)
 def storage_what_if(
     kernel_seconds: float,
     transfer_seconds: float,
-    fractions: Sequence[float] = STORAGE_WHAT_IF_FRACTIONS,
-    generations: Sequence[Tuple[str, float]] = STORAGE_WHAT_IF_GENERATIONS,
     pcie_bandwidth: float = PCIE3_BANDWIDTH,
-    descriptor_bytes: int = DESCRIPTOR_BYTES,
-    row_bytes: int = MODEL_ROW_BYTES,
-    clock_hz: float = CLOCK_HZ,
 ) -> List[WhatIf]:
     """Amdahl-style bounds over filtered fraction × PCIe generation.
 
     Mirrors :func:`device_what_if` for the storage tier: take a run's
     measured kernel and transfer seconds, scale the transfer term by the
     survivor footprint a filter of fraction ``f`` would leave (pruned
-    reads ship ``descriptor_bytes`` instead of ``row_bytes``) and by the
-    candidate link's bandwidth, and report the end-to-end speedup bound.
+    reads ship :data:`DESCRIPTOR_BYTES` instead of
+    :data:`MODEL_ROW_BYTES`) and by the candidate link's bandwidth, and
+    report the end-to-end speedup bound.
     Kernel time is the serial fraction — at high filtered fractions the
     curve flattens against it, which is exactly the provisioning signal
     (Genesis Fig. 9: past some link speed the bottleneck moves back to
@@ -677,15 +673,15 @@ def storage_what_if(
     """
     base = kernel_seconds + transfer_seconds
     what_ifs: List[WhatIf] = []
-    if base <= 0 or transfer_seconds < 0 or row_bytes <= 0:
+    if base <= 0 or transfer_seconds < 0:
         return what_ifs
-    for gen_name, bandwidth in generations:
-        link_scale = pcie_bandwidth / bandwidth if bandwidth > 0 else 1.0
-        for fraction in fractions:
-            fraction = min(max(float(fraction), 0.0), 1.0)
+    for gen_name, bandwidth in STORAGE_WHAT_IF_GENERATIONS:
+        link_scale = pcie_bandwidth / bandwidth
+        for fraction in STORAGE_WHAT_IF_FRACTIONS:
             survivor = (
-                (1.0 - fraction) * row_bytes + fraction * descriptor_bytes
-            ) / row_bytes
+                (1.0 - fraction) * MODEL_ROW_BYTES
+                + fraction * DESCRIPTOR_BYTES
+            ) / MODEL_ROW_BYTES
             seconds = (
                 kernel_seconds + transfer_seconds * survivor * link_scale
             )
@@ -693,7 +689,7 @@ def storage_what_if(
             what_ifs.append(WhatIf(
                 module=f"storage f={fraction:.2f} {gen_name}",
                 speedup_bound=speedup,
-                saved_cycles=int(round(max(base - seconds, 0.0) * clock_hz)),
+                saved_cycles=int(round(max(base - seconds, 0.0) * CLOCK_HZ)),
                 description=(
                     f"filter f={fraction:.2f} on {gen_name}: transfer "
                     f"{transfer_seconds * 1e3:.3f} ms -> "

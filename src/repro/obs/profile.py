@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .registry import MetricsRegistry
+from .registry import Histogram
 from .timeline import Span, TimelineRecorder
 
 
@@ -62,12 +62,11 @@ class QueueProfile:
     total_pushed: int
     max_occupancy: int
     full_stalls: int
-    #: occupancy_counts[n] = cycles the queue held n committed flits
-    #: (empty when occupancy sampling was off).
+    #: occupancy_counts[n] = cycles the queue held n committed flits.
     occupancy_counts: List[int] = field(default_factory=list)
 
     def mean_occupancy(self) -> float:
-        """Mean sampled occupancy (0.0 without sampling)."""
+        """Mean sampled occupancy (0.0 over an empty window)."""
         total = sum(self.occupancy_counts)
         if not total:
             return 0.0
@@ -112,7 +111,7 @@ class ProfileReport:
     queues: List[QueueProfile]
     memory: MemoryProfile
     spms: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: Per-module coalesced activity spans (timeline profiling only).
+    #: Per-module coalesced activity spans.
     timelines: Dict[str, List[Span]] = field(default_factory=dict)
     #: Queue occupancy change points (cycle, occupancy) for trace counters.
     queue_points: Dict[str, List[Tuple[int, int]]] = field(default_factory=dict)
@@ -213,23 +212,9 @@ class Profiler:
         profiler.attach(engine)
         stats = engine.run()
         report = profiler.report()
-
-    ``timeline=False`` drops span recording (cheaper, no Chrome trace);
-    ``queue_depths=False`` drops per-cycle occupancy sampling.
     """
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        timeline: bool = True,
-        queue_depths: bool = True,
-        max_timeline_cycles: int = 1_000_000,
-        name: str = "run",
-    ):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.with_timeline = timeline
-        self.with_queue_depths = queue_depths
-        self.max_timeline_cycles = max_timeline_cycles
+    def __init__(self, name: str = "run"):
         self.name = name
         self.recorder: Optional[TimelineRecorder] = None
         self._engine = None
@@ -239,6 +224,7 @@ class Profiler:
         self._module_base: Dict[str, Tuple[int, int, int, int]] = {}
         self._queue_base: Dict[str, Tuple[int, int]] = {}
         self._queue_last_occ: Dict[str, int] = {}
+        self._occupancy: Dict[str, Histogram] = {}
         self._queue_points: Dict[str, List[Tuple[int, int]]] = {}
         self._mem_base: Tuple[int, int, int] = (0, 0, 0)
         self._channel_base: List[int] = []
@@ -262,6 +248,7 @@ class Profiler:
         for queue in engine.queues:
             self._queue_base[queue.name] = (queue.total_pushed, queue.full_stalls)
             self._queue_last_occ[queue.name] = len(queue)
+            self._occupancy[queue.name] = Histogram()
             self._queue_points[queue.name] = []
         memory = engine.memory
         self._mem_base = (
@@ -269,10 +256,7 @@ class Profiler:
             memory.responses_completed,
         )
         self._channel_base = list(memory.channel_grants)
-        if self.with_timeline:
-            self.recorder = TimelineRecorder(
-                engine, max_cycles=self.max_timeline_cycles
-            )
+        self.recorder = TimelineRecorder(engine)
         return self
 
     def detach(self) -> None:
@@ -289,25 +273,23 @@ class Profiler:
         Cycles the event scheduler never executed (fast-forward gaps)
         are charged as idle time at the occupancy they froze at.
         """
-        if self.recorder is not None:
-            self.recorder.sample(cycle)
-        if self.with_queue_depths:
-            gap = cycle - self._last_cycle - 1
-            registry = self.registry
-            last_occ = self._queue_last_occ
-            for queue in engine.queues:
-                name = queue.name
-                occ = len(queue._items)
-                previous = last_occ.get(name, 0)
-                histogram = registry.histogram("queue.occupancy", queue=name)
-                if gap > 0:
-                    histogram.record(previous, gap)
-                histogram.record(occ)
-                if occ != previous:
-                    points = self._queue_points.setdefault(name, [])
-                    if len(points) < 100_000:
-                        points.append((cycle, occ))
-                    last_occ[name] = occ
+        self.recorder.sample(cycle)
+        gap = cycle - self._last_cycle - 1
+        occupancy = self._occupancy
+        last_occ = self._queue_last_occ
+        for queue in engine.queues:
+            name = queue.name
+            occ = len(queue._items)
+            previous = last_occ[name]
+            histogram = occupancy[name]
+            if gap > 0:
+                histogram.record(previous, gap)
+            histogram.record(occ)
+            if occ != previous:
+                points = self._queue_points[name]
+                if len(points) < 100_000:
+                    points.append((cycle, occ))
+                last_occ[name] = occ
         self._last_cycle = cycle
 
     def on_run_end(self, engine, stats) -> None:
@@ -315,15 +297,12 @@ class Profiler:
         pads the timeline out to the run's final quiescent cycles."""
         self._last_stats = stats
         end = self._start_cycle + stats.cycles - 1
-        if self.recorder is not None and end >= self._start_cycle:
+        if end >= self._start_cycle:
             self.recorder.sample(end)
-        if self.with_queue_depths and end > self._last_cycle:
-            for queue in engine.queues:
-                self.registry.histogram(
-                    "queue.occupancy", queue=queue.name
-                ).record(
-                    self._queue_last_occ.get(queue.name, 0),
-                    end - self._last_cycle,
+        if end > self._last_cycle:
+            for name, histogram in self._occupancy.items():
+                histogram.record(
+                    self._queue_last_occ[name], end - self._last_cycle
                 )
             self._last_cycle = end
 
@@ -356,19 +335,14 @@ class Profiler:
             ))
         queues = []
         for queue in engine.queues:
-            base = self._queue_base.get(queue.name, (0, 0))
-            histogram = self.registry.find(
-                "queue.occupancy", queue=queue.name
-            )
+            base = self._queue_base[queue.name]
             queues.append(QueueProfile(
                 name=queue.name,
                 capacity=queue.capacity,
                 total_pushed=queue.total_pushed - base[0],
                 max_occupancy=queue.max_occupancy,
                 full_stalls=queue.full_stalls - base[1],
-                occupancy_counts=(
-                    list(histogram.counts) if histogram is not None else []
-                ),
+                occupancy_counts=list(self._occupancy[queue.name].counts),
             ))
         memory = engine.memory
         base_req, base_bytes, base_resp = self._mem_base
@@ -401,13 +375,10 @@ class Profiler:
             queues=queues,
             memory=mem_profile,
             spms=spms,
-            timelines=(
-                {
-                    name: list(timeline.spans)
-                    for name, timeline in self.recorder.timelines.items()
-                }
-                if self.recorder is not None else {}
-            ),
+            timelines={
+                name: list(timeline.spans)
+                for name, timeline in self.recorder.timelines.items()
+            },
             queue_points={
                 name: list(points)
                 for name, points in self._queue_points.items()
@@ -429,12 +400,11 @@ def profile_engine_run(
     engine,
     max_cycles: int = 100_000_000,
     mode: Optional[str] = None,
-    timeline: bool = True,
     name: str = "run",
     extra: Optional[Dict[str, object]] = None,
 ) -> Tuple[object, ProfileReport]:
     """Attach a fresh profiler, run the engine, return (stats, report)."""
-    profiler = Profiler(timeline=timeline, name=name)
+    profiler = Profiler(name=name)
     profiler.attach(engine)
     try:
         stats = engine.run(max_cycles=max_cycles, mode=mode)

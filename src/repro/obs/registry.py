@@ -1,24 +1,21 @@
-"""The metrics registry: counters and histograms.
+"""The metrics registry: labelled counters, plus the histogram type.
 
-A :class:`MetricsRegistry` is an in-process accumulator with two users
-(the catalogue is DESIGN.md §3.3, checked by ``tools/check_docs.py``):
-the :class:`~repro.obs.profile.Profiler` samples queue occupancy into
-histograms, and the SQL :class:`~repro.sql.executor.Executor` charges
-each operator's seconds and rows to counters.  Nothing on the run path
-(scheduler, sharding, serve, runtime, faults) writes here — those facts
-live once in the ledger and once in the stats object the caller reads.
-
-Instruments are plain Python objects with one hot method each
-(``inc``/``record``); a registry created with ``enabled=False`` hands
-out shared *null* instruments whose mutators are no-ops, so
-instrumented code pays one attribute call and nothing else when metrics
-are off.
+A :class:`MetricsRegistry` is an in-process accumulator of labelled
+:class:`Counter` instruments with one writer (the catalogue is
+DESIGN.md §3.3, checked by ``tools/check_docs.py``): the SQL
+:class:`~repro.sql.executor.Executor` charges each operator's seconds
+and rows to it when a caller passes one as ``metrics=``.
+:class:`Histogram` is the occupancy distribution the
+:class:`~repro.obs.profile.Profiler` keeps per queue.  Nothing on the
+run path (scheduler, sharding, serve, runtime, faults) writes here —
+those facts live once in the ledger and once in the stats object the
+caller reads.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 #: (name, labels) -> instrument key.  Labels are sorted key=value pairs so
 #: lookup order never changes identity.
@@ -54,11 +51,9 @@ def _key(name: str, labels: Dict[str, object]) -> MetricKey:
 class Counter:
     """A monotonically increasing tally (int or float increments)."""
 
-    __slots__ = ("name", "labels", "value")
+    __slots__ = ("value",)
 
-    def __init__(self, name: str, labels: Dict[str, str]):
-        self.name = name
-        self.labels = labels
+    def __init__(self) -> None:
         self.value = 0
 
     def inc(self, amount=1) -> None:
@@ -72,11 +67,9 @@ class Histogram:
     value ``v``.  ``record(value, weight)`` supports charging a run of
     identical cycles in one call (the event engine's fast-forward gap)."""
 
-    __slots__ = ("name", "labels", "counts")
+    __slots__ = ("counts",)
 
-    def __init__(self, name: str, labels: Dict[str, str]):
-        self.name = name
-        self.labels = labels
+    def __init__(self) -> None:
         self.counts: List[int] = []
 
     def record(self, value: int, weight: int = 1) -> None:
@@ -113,124 +106,37 @@ class Histogram:
         return len(self.counts) - 1
 
 
-class _NullInstrument:
-    """Shared no-op stand-in handed out by disabled registries."""
-
-    __slots__ = ()
-    name = "<disabled>"
-    labels: Dict[str, str] = {}
-    value = 0
-    counts: List[int] = []
-    total = 0
-
-    def inc(self, amount=1) -> None:
-        pass
-
-    def record(self, value: int, weight: int = 1) -> None:
-        pass
-
-    def mean(self) -> float:
-        return 0.0
-
-    def quantile(self, q: float) -> int:
-        return 0
-
-
-_NULL = _NullInstrument()
-
-
 class MetricsRegistry:
-    """Creates and stores instruments, keyed by name + labels.
+    """Creates and stores counters, keyed by name + labels.
 
-    ``counter``/``histogram`` are get-or-create: repeated calls with the
-    same name and labels return the same instrument, so writers can
-    publish without coordinating ownership.
+    ``counter`` is get-or-create: repeated calls with the same name and
+    labels return the same instrument, so writers can publish without
+    coordinating ownership.
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self._instruments: "Dict[MetricKey, object]" = {}
-
-    def _get(self, cls, name: str, labels: Dict[str, object]):
-        if not self.enabled:
-            return _NULL
-        key = _key(name, labels)
-        instrument = self._instruments.get(key)
-        if instrument is None:
-            instrument = cls(name, {k: str(v) for k, v in labels.items()})
-            self._instruments[key] = instrument
-        elif not isinstance(instrument, cls):
-            raise TypeError(
-                f"metric {name!r} already registered as "
-                f"{type(instrument).__name__}"
-            )
-        return instrument
+    def __init__(self) -> None:
+        self._counters: Dict[MetricKey, Counter] = {}
 
     def counter(self, name: str, **labels) -> Counter:
         """Get or create a counter."""
-        return self._get(Counter, name, labels)
+        key = _key(name, labels)
+        counter = self._counters.get(key)
+        if counter is None:
+            counter = self._counters[key] = Counter()
+        return counter
 
-    def histogram(self, name: str, **labels) -> Histogram:
-        """Get or create a histogram."""
-        return self._get(Histogram, name, labels)
-
-    # -- queries -----------------------------------------------------------------
-
-    def __iter__(self) -> Iterator[object]:
-        return iter(self._instruments.values())
-
-    def __len__(self) -> int:
-        return len(self._instruments)
-
-    def find(self, name: str, **labels):
-        """The instrument registered under ``name`` + ``labels``, or None."""
-        return self._instruments.get(_key(name, labels))
-
-    def value(self, name: str, default=0, **labels):
-        """The scalar value of a counter (``default`` when absent)."""
-        instrument = self.find(name, **labels)
-        if instrument is None:
-            return default
-        return instrument.value
-
-    def values(self, name: str) -> Dict[Tuple[Tuple[str, str], ...], object]:
-        """Every instrument registered under ``name``, keyed by labels."""
+    def values(self, name: str) -> Dict[Tuple[Tuple[str, str], ...], Counter]:
+        """Every counter registered under ``name``, keyed by labels."""
         return {
-            key[1]: inst
-            for key, inst in self._instruments.items()
+            key[1]: counter
+            for key, counter in self._counters.items()
             if key[0] == name
         }
 
     def total(self, name: str, default=0):
         """The sum of a counter's values across every label set
         (``default`` when nothing is registered under ``name``)."""
-        instruments = self.values(name)
-        if not instruments:
+        counters = self.values(name)
+        if not counters:
             return default
-        return sum(inst.value for inst in instruments.values())
-
-    def as_dict(self) -> Dict[str, object]:
-        """A flat JSON-friendly snapshot: ``name{k=v,...}`` -> value
-        (histograms dump their count vectors)."""
-        out: Dict[str, object] = {}
-        for (name, labels), inst in sorted(self._instruments.items()):
-            if labels:
-                rendered = ",".join(f"{k}={v}" for k, v in labels)
-                key = f"{name}{{{rendered}}}"
-            else:
-                key = name
-            if isinstance(inst, Histogram):
-                out[key] = list(inst.counts)
-            else:
-                out[key] = inst.value
-        return out
-
-
-#: A registry that drops everything — the default for instrumented code
-#: paths when no registry was supplied.
-NULL_REGISTRY = MetricsRegistry(enabled=False)
-
-
-def registry_or_null(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
-    """Normalize an optional registry argument."""
-    return registry if registry is not None else NULL_REGISTRY
+        return sum(counter.value for counter in counters.values())

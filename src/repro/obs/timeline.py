@@ -71,6 +71,11 @@ class ModuleTimeline:
         return sum(span.cycles for span in self.spans)
 
 
+#: Cycles of timeline one recorder keeps by default — a memory cap: later
+#: cycles still count in every tally, they just draw no span.
+MAX_TIMELINE_CYCLES = 1_000_000
+
+
 class TimelineRecorder:
     """Delta-samples an engine's modules into per-module timelines.
 
@@ -79,7 +84,7 @@ class TimelineRecorder:
     engine never skips a cycle in which any module's counters changed).
     """
 
-    def __init__(self, engine, max_cycles: int = 1_000_000):
+    def __init__(self, engine, max_cycles: int = MAX_TIMELINE_CYCLES):
         self.engine = engine
         self.max_cycles = max_cycles
         #: Sampling starts strictly after this cycle (attach boundary).

@@ -21,10 +21,7 @@ exists for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (storage -> accel)
-    from ..storage.frontend import StorageFrontEnd
+from typing import Callable, Dict, Optional, Tuple
 
 from ..faults.injector import FaultInjector
 from ..faults.retry import RetryPolicy
@@ -76,13 +73,6 @@ class GenesisRuntime:
     device retries them, charging retried transfer time and backoff to
     the virtual timeline (see :class:`~repro.runtime.device.\
 GenesisDevice`).
-
-    Pass a :class:`~repro.storage.frontend.StorageFrontEnd` as
-    ``storage`` to put the modelled in-SSD filter in front of the PCIe
-    link: inside a ``storage.chunk(pid)`` context, input-column DMAs are
-    charged at the chunk's survivor footprint (pruned exactly-matching
-    reads ship descriptors, not payloads — DESIGN.md §3.10).  Kernel
-    execution and results are unaffected by construction.
     """
 
     def __init__(
@@ -90,12 +80,10 @@ GenesisDevice`).
         config: Optional[DeviceConfig] = None,
         fault_injector: Optional[FaultInjector] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        storage: Optional["StorageFrontEnd"] = None,
     ):
         self.device = GenesisDevice(
             config, fault_injector=fault_injector, retry_policy=retry_policy
         )
-        self.storage = storage
         self._pipelines: Dict[int, PipelineState] = {}
 
     # -- pipeline registry ---------------------------------------------------------
@@ -133,10 +121,7 @@ GenesisDevice`).
         state.columns[colname] = binding
         self.device.allocate(binding.nbytes)
         if not is_output:
-            charged = binding.nbytes
-            if self.storage is not None:
-                charged = self.storage.admit_nbytes(binding.nbytes)
-            self.device.transfer(charged, "h2d")
+            self.device.transfer(binding.nbytes, "h2d")
         _log.debug(
             "configure_mem %s: %d bytes -> pipeline %d%s",
             colname, binding.nbytes, pipeline_id,

@@ -13,7 +13,7 @@ the accelerator finished *yet*".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Protocol, Sequence, Tuple
 
 from ..constants import CLOCK_HZ, MODEL_ROW_BYTES, PCIE3_BANDWIDTH
 from ..faults.injector import FaultInjector
@@ -30,13 +30,11 @@ class WaveStorage(Protocol):
     in-SSD filter (DESIGN.md §3.10): per-wave survivor accounting over
     ``(pid, Table)`` items plus the run-level figures the ``storage.run``
     summary reports.  :class:`~repro.storage.filter.StorageFilterPlan`
-    and :class:`~repro.storage.frontend.StorageFrontEnd` both satisfy
-    it."""
+    is the product implementer; tests substitute fakes through it."""
 
     filtered_fraction: float
     compression_ratio: float
-    #: The filter's tunables (``internal_bandwidth`` is what is read).
-    config: Any
+    internal_bandwidth: float
 
     def wave_nbytes(self, items: Sequence[tuple]) -> int: ...
     def wave_raw_nbytes(self, items: Sequence[tuple]) -> int: ...
@@ -227,23 +225,21 @@ class DevicePool:
     cards are fully independent — nothing in the pool is shared state.
 
     ``storage`` optionally attaches the modelled in-SSD filter
-    (a :class:`~repro.storage.filter.StorageFilterPlan` or
-    :class:`~repro.storage.frontend.StorageFrontEnd`): callers charging
-    wave transfers consult :meth:`wave_nbytes` so only survivor bytes
-    cross each card's PCIe link (DESIGN.md §3.10).  The pool itself
-    stays byte-oriented — the front end is plan-time state, shared
+    (a :class:`~repro.storage.filter.StorageFilterPlan`): callers
+    charging wave transfers consult :meth:`wave_nbytes` so only survivor
+    bytes cross each card's PCIe link (DESIGN.md §3.10).  The pool
+    itself stays byte-oriented — the plan is plan-time state, shared
     read-only across cards.
     """
 
     def __init__(
         self,
         devices: int = 1,
-        config: Optional[DeviceConfig] = None,
         storage: Optional[WaveStorage] = None,
     ):
         if devices < 1:
             raise ValueError("need at least one device")
-        self.config = config or DeviceConfig()
+        self.config = DeviceConfig()
         self.storage = storage
         self.devices = [
             GenesisDevice(config=self.config) for _ in range(devices)
@@ -255,19 +251,12 @@ class DevicePool:
     def __iter__(self):
         return iter(self.devices)
 
-    def device(self, index: int) -> GenesisDevice:
-        """The card at ``index``."""
-        return self.devices[index]
-
-    def wave_nbytes(self, items: list, default: Optional[int] = None) -> int:
+    def wave_nbytes(self, items: list) -> int:
         """H2D bytes to charge for a wave of ``(pid, Table)`` items:
         the storage filter's survivor footprint when one is attached,
-        else ``default`` — by default the raw modelled footprint, rows x
-        :data:`MODEL_ROW_BYTES`."""
+        else the raw modelled footprint, rows x :data:`MODEL_ROW_BYTES`."""
         if self.storage is not None:
             return self.storage.wave_nbytes(items)
-        if default is not None:
-            return default
         return sum(part.num_rows for _pid, part in items) * MODEL_ROW_BYTES
 
     def charge_wave(

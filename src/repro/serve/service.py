@@ -190,9 +190,9 @@ class JobService:
     :meth:`results` to observe, :meth:`drain` + :meth:`resume` for a
     graceful restart.  :meth:`run` advances the virtual clock.
 
-    Pass ``storage`` (a :class:`~repro.storage.filter.StorageFilterPlan`
-    or :class:`~repro.storage.frontend.StorageFrontEnd`) to put the
-    modelled in-SSD filter in front of every device's PCIe link: wave
+    Pass ``storage`` (a :class:`~repro.storage.filter.StorageFilterPlan`)
+    to put the modelled in-SSD filter in front of every device's PCIe
+    link: wave
     transfers are charged at their survivor footprint and each wave
     gets a ``storage.wave`` event, which traces as a scan span on its
     device's ``storage:N`` lane (DESIGN.md §3.10).  Kernel cycles, results,
@@ -209,7 +209,6 @@ class JobService:
         weights: Optional[Dict[str, float]] = None,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        spm_cache: Optional[SpmImageCache] = None,
         storage: Optional[WaveStorage] = None,
     ) -> None:
         if devices < 1:
@@ -222,7 +221,7 @@ class JobService:
         self.queue = JobQueue(
             max_backlog=max_backlog, quota=quota, weights=weights
         )
-        self.cache = spm_cache if spm_cache is not None else SpmImageCache()
+        self.cache = SpmImageCache()
         self.pool = DevicePool(devices, storage=storage)
         self.retry_policy = (
             retry_policy if retry_policy is not None else RetryPolicy()
@@ -605,23 +604,17 @@ class JobService:
         )
 
     @classmethod
-    def resume(
-        cls,
-        checkpoint: ServiceCheckpoint,
-        spm_cache: Optional[SpmImageCache] = None,
-    ) -> "JobService":
+    def resume(cls, checkpoint: ServiceCheckpoint) -> "JobService":
         """Restart from a drain checkpoint: same clock, same queue state
         (with in-flight waves back on their jobs), the same cards and
         the same fault injector — the continued run merges
         bit-identically with an undisturbed one and keeps the occupancy
-        already charged.  The SPM cache starts cold unless one is
-        passed; a cold cache re-loads images and replays identically by
-        construction."""
+        already charged.  The SPM cache starts cold; a cold cache
+        re-loads images and replays identically by construction."""
         service = cls(
             devices=len(checkpoint.pool),
             workers=checkpoint.workers,
             retry_policy=checkpoint.retry_policy,
-            spm_cache=spm_cache,
         )
         service.pool = checkpoint.pool
         service.injector = checkpoint.injector

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Union
 
-from ..obs.registry import MetricsRegistry, registry_or_null
+from ..obs.registry import MetricsRegistry
 from .ast_nodes import (
     BinOp,
     ColumnRef,
@@ -109,7 +109,7 @@ class Executor:
         self.custom_modules: Dict[str, Callable] = {}
         self._row_bindings: Dict[str, dict] = {}
         self.backend = get_backend(backend) if isinstance(backend, str) else backend
-        self.metrics = registry_or_null(metrics)
+        self.metrics = metrics
 
     # -- host-facing registration -------------------------------------------------
 
@@ -239,7 +239,7 @@ class Executor:
         raise SqlError(f"cannot evaluate plan node {plan!r}")
 
     def _timed(self, op: str, thunk: Callable[[], Table]) -> Table:
-        if not self.metrics.enabled:
+        if self.metrics is None:
             return thunk()
         with timed_operator(self.metrics, op, self.backend.name) as timer:
             result = thunk()

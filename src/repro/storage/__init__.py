@@ -2,20 +2,19 @@
 
 A chunked, compression-aware read layout (:mod:`repro.storage.layout`), an
 exact-match pruning engine with its own in-SSD timing model
-(:mod:`repro.storage.filter`), and the front end the runtime charges
-transfers through (:mod:`repro.storage.frontend`).  See DESIGN.md §3.10.
+(:mod:`repro.storage.filter`) whose plan the device pool charges wave
+transfers through.  See DESIGN.md §3.10.
 """
 
 from .filter import (
+    CHUNK_SETUP_SECONDS,
     DESCRIPTOR_BYTES,
     INTERNAL_BANDWIDTH,
     ChunkVerdict,
-    StorageFilterConfig,
     StorageFilterPlan,
     exact_match_mask,
     plan_storage_filter,
 )
-from .frontend import StorageFrontEnd
 from .layout import (
     ChunkedReadStore,
     EncodedColumn,
@@ -27,15 +26,14 @@ from .layout import (
 )
 
 __all__ = [
+    "CHUNK_SETUP_SECONDS",
     "DESCRIPTOR_BYTES",
     "INTERNAL_BANDWIDTH",
     "ChunkVerdict",
     "ChunkedReadStore",
     "EncodedColumn",
     "ReadChunk",
-    "StorageFilterConfig",
     "StorageFilterPlan",
-    "StorageFrontEnd",
     "chunk_store_from_partitions",
     "decode_chunk",
     "decode_store",

@@ -31,8 +31,8 @@ Timing model
 
 The pruning scan runs "inside the SSD" on its own clock: it reads each
 chunk's *encoded* bytes (the SAGe-style layout of
-:mod:`repro.storage.layout`) at :attr:`StorageFilterConfig.
-internal_bandwidth` plus a fixed per-chunk setup.  Scan time is reported in
+:mod:`repro.storage.layout`) at :data:`INTERNAL_BANDWIDTH` plus a fixed
+per-chunk setup (:data:`CHUNK_SETUP_SECONDS`).  Scan time is reported in
 ``storage.*`` ledger events, ``storage:<n>`` trace lanes, and the
 ``repro analyze --storage`` what-if — it is *not* serialized into the card
 timelines, modelling a streaming SSD whose scan of wave *k+1* overlaps the
@@ -53,28 +53,13 @@ from ..tables.partition import PartitionId, PartitionedReference
 from ..tables.table import Table
 from .layout import ChunkedReadStore, chunk_store_from_partitions
 
-#: Default modelled SSD-internal bandwidth.  GenStore's premise is that
+#: Modelled SSD-internal bandwidth.  GenStore's premise is that
 #: aggregate NAND channel bandwidth far exceeds the external link; 8x the
 #: PCIe 3 x8 link Genesis models keeps the scan off the critical path.
 INTERNAL_BANDWIDTH = 8 * PCIE3_BANDWIDTH
 
-
-@dataclass(frozen=True)
-class StorageFilterConfig:
-    """Knobs of the in-SSD filter's timing and survivor accounting."""
-
-    internal_bandwidth: float = INTERNAL_BANDWIDTH
-    chunk_setup_seconds: float = 5e-6
-    descriptor_bytes: int = DESCRIPTOR_BYTES
-
-    def __post_init__(self) -> None:
-        if self.internal_bandwidth <= 0:
-            raise ValueError("internal_bandwidth must be positive")
-        if not 0 <= self.descriptor_bytes < MODEL_ROW_BYTES:
-            raise ValueError(
-                "descriptor_bytes must be smaller than the modelled row "
-                f"footprint ({MODEL_ROW_BYTES})"
-            )
+#: Fixed in-SSD cost of opening one chunk for the scan.
+CHUNK_SETUP_SECONDS = 5e-6
 
 
 def exact_match_mask(part: Table, ref_row: Optional[dict]) -> np.ndarray:
@@ -137,19 +122,20 @@ class ChunkVerdict:
 class StorageFilterPlan:
     """The plan-time output of the in-SSD filter: one verdict per chunk.
 
-    Everything here is a pure function of the partitions, the reference,
-    and the config — the same determinism contract as
+    Everything here is a pure function of the partitions and the
+    reference — the same determinism contract as
     :func:`~repro.accel.sharding.plan_shards`, so survivor accounting is
     identical on every topology.  The plan is the object
-    :func:`~repro.accel.sharding.run_sharded`, :class:`~repro.serve.
-    JobService`, and :class:`~repro.runtime.api.GenesisRuntime` (via
-    :class:`~repro.storage.frontend.StorageFrontEnd`) consult when charging
-    transfers.
+    :func:`~repro.accel.sharding.run_sharded` and :class:`~repro.serve.
+    JobService` consult when charging transfers (the product
+    implementer of :class:`~repro.runtime.device.WaveStorage`).
     """
 
-    config: StorageFilterConfig
+    #: The bandwidth the scan was priced at (``storage.run`` reports it).
+    internal_bandwidth = INTERNAL_BANDWIDTH
+
     verdicts: Dict[PartitionId, ChunkVerdict]
-    store: Optional[ChunkedReadStore] = field(default=None, repr=False)
+    store: ChunkedReadStore = field(repr=False)
 
     # -- totals ------------------------------------------------------------------
 
@@ -184,7 +170,7 @@ class StorageFilterPlan:
 
     @property
     def compression_ratio(self) -> float:
-        return self.store.compression_ratio() if self.store else 1.0
+        return self.store.compression_ratio()
 
     # -- per-wave accounting (the DevicePool/serve charging hooks) ---------------
 
@@ -221,7 +207,7 @@ class StorageFilterPlan:
             f"in-SSD ({self.filtered_fraction:.0%}), H2D "
             f"{self.raw_nbytes} -> {self.survivor_nbytes} bytes "
             f"({self.saved_nbytes} saved), scan {self.scan_seconds * 1e3:.3f} ms "
-            f"@ {self.config.internal_bandwidth / 1e9:.0f} GB/s internal, "
+            f"@ {self.internal_bandwidth / 1e9:.0f} GB/s internal, "
             f"chunk compression {self.compression_ratio:.1f}x"
         )
 
@@ -229,21 +215,17 @@ class StorageFilterPlan:
 def plan_storage_filter(
     partitions: Iterable[Tuple[PartitionId, Table]],
     reference: Optional[PartitionedReference] = None,
-    config: Optional[StorageFilterConfig] = None,
-    store: Optional[ChunkedReadStore] = None,
     record: bool = True,
 ) -> StorageFilterPlan:
     """Run the modelled in-SSD filter over a partitioned workload.
 
-    Encodes each partition into its chunk (unless a prebuilt ``store`` is
-    given), scans it with :func:`exact_match_mask` against its REF
-    partition, and prices the survivor path.  Records one ``storage.plan``
-    ledger event unless ``record=False``.
+    Encodes each partition into its chunk, scans it with
+    :func:`exact_match_mask` against its REF partition, and prices the
+    survivor path.  Records one ``storage.plan`` ledger event unless
+    ``record=False``.
     """
-    config = config or StorageFilterConfig()
     parts = list(partitions)
-    if store is None:
-        store = chunk_store_from_partitions(parts)
+    store = chunk_store_from_partitions(parts)
     verdicts: Dict[PartitionId, ChunkVerdict] = {}
     for pid, part in parts:
         chunk = store.chunks[pid]
@@ -255,18 +237,15 @@ def plan_storage_filter(
         raw = rows * MODEL_ROW_BYTES
         survivor = (
             (rows - pruned) * MODEL_ROW_BYTES
-            + pruned * config.descriptor_bytes
+            + pruned * DESCRIPTOR_BYTES
         )
-        scan = (
-            config.chunk_setup_seconds
-            + chunk.encoded_nbytes / config.internal_bandwidth
-        )
+        scan = CHUNK_SETUP_SECONDS + chunk.encoded_nbytes / INTERNAL_BANDWIDTH
         verdicts[pid] = ChunkVerdict(
             pid=pid, rows=rows, pruned_rows=pruned,
             raw_nbytes=raw, survivor_nbytes=survivor,
             encoded_nbytes=chunk.encoded_nbytes, scan_seconds=scan,
         )
-    plan = StorageFilterPlan(config=config, verdicts=verdicts, store=store)
+    plan = StorageFilterPlan(verdicts=verdicts, store=store)
     if record:
         record_event(
             "storage.plan",
@@ -280,7 +259,7 @@ def plan_storage_filter(
             payload_nbytes=store.payload_nbytes,
             compression_ratio=plan.compression_ratio,
             scan_seconds=plan.scan_seconds,
-            internal_bandwidth=config.internal_bandwidth,
+            internal_bandwidth=INTERNAL_BANDWIDTH,
         )
     return plan
 

@@ -237,6 +237,9 @@ def _refused(argv, capsys):
     ("--workers", "0"),
     ("--wave-timeout", "0"),
     ("--inject-faults", "bogus"),
+    ("--max-retries", "-1"),
+    ("--psize", "0"),
+    ("--overlap", "-1"),
 ])
 def test_preprocess_bad_arguments_exit_2(tmp_path, capsys, flag, value):
     fasta, sam = _simulate(tmp_path)
@@ -259,9 +262,100 @@ def test_preprocess_missing_input_exits_2(tmp_path, capsys, flag):
     assert f"error: cannot read {absent}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--fasta", "--sam"])
+def test_call_missing_input_exits_2(tmp_path, capsys, flag):
+    fasta, sam = _simulate(tmp_path)
+    absent = str(tmp_path / "absent")
+    assert main([
+        "--no-ledger", "call", "--fasta", str(fasta), "--sam", str(sam),
+        "--out", str(tmp_path / "out.vcf"), flag, absent,
+    ]) == 2
+    assert f"error: cannot read {absent}" in capsys.readouterr().err
+    assert not (tmp_path / "out.vcf").exists()
+
+
 def test_serve_bad_devices_exit_2(capsys):
     err = _refused(["--no-ledger", "serve", "--devices", "0"], capsys)
     assert "argument --devices: must be positive" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tenants", "0"),
+    ("--quota", "0"),
+    ("--backlog", "0"),
+    ("--jobs", "-1"),
+    ("--mean-gap", "-5"),
+    ("--max-retries", "-1"),
+    ("--stages", "bogus"),
+    ("--stages", ","),
+])
+def test_serve_bad_arguments_exit_2(capsys, flag, value):
+    err = _refused(["--no-ledger", "serve", flag, value], capsys)
+    assert f"argument {flag}" in err
+
+
+def _polled_site(command):
+    from repro.accel.scheduler import WAVE_FAULT_SITE
+    from repro.serve import SERVE_FAULT_SITE
+
+    return {"preprocess": WAVE_FAULT_SITE, "serve": SERVE_FAULT_SITE}[command]
+
+
+@pytest.mark.parametrize("command, item, resolved", [
+    ("preprocess", "transfer_error", "runtime.transfer"),
+    ("preprocess", "launch_error:2", "runtime.launch"),
+    ("serve", "worker_crash", "scheduler.wave"),
+    ("serve", "wave_timeout+2", "scheduler.wave"),
+])
+def test_unpolled_fault_site_is_refused(capsys, command, item, resolved):
+    """A spec item whose (default) site the command never polls used to
+    print a fault plan and inject nothing; it is refused, naming the
+    item, the site it resolved to, the polled site and the rewrite."""
+    polled = _polled_site(command)
+    argv = ["--fasta", "f", "--sam", "s", "--out", "o"]
+    err = _refused(
+        ["--no-ledger", command] + (argv if command == "preprocess" else [])
+        + ["--inject-faults", f"worker_crash@{polled},{item}"],
+        capsys,
+    )
+    kind, sep, rest = item.partition("+")
+    assert f"{kind}@{resolved}{sep}{rest} would never fire" in err
+    assert f"it polls {polled}" in err
+    assert f"write `{kind}@{polled}{sep}{rest}`" in err
+
+
+def _inject_faults_example(command):
+    """The quoted example in ``<command> --inject-faults``'s help."""
+    import re
+
+    from repro.cli import build_parser
+
+    commands = build_parser()._subparsers._group_actions[0].choices
+    action = next(
+        action for action in commands[command]._actions
+        if "--inject-faults" in action.option_strings
+    )
+    return re.search(r"'([^']+)'", action.help).group(1)
+
+
+def test_preprocess_help_fault_example_fires(tmp_path, capsys):
+    """Every kind the ``--help`` example names is actually injected."""
+    import re
+
+    from repro.faults import FaultPlan
+
+    example = _inject_faults_example("preprocess")
+    fasta, sam = _simulate(tmp_path)
+    assert main([
+        "--no-ledger", "preprocess", "--fasta", str(fasta), "--sam", str(sam),
+        "--out", str(tmp_path / "out.sam"), "--inject-faults", example,
+    ]) == 0
+    out = capsys.readouterr().out
+    survived = re.search(r"survived (\d+) injected fault\(s\) \((.*?)\)", out)
+    assert int(survived.group(1)) >= 1
+    fired = dict(pair.split("=") for pair in survived.group(2).split(", "))
+    for spec in FaultPlan.from_spec(example).specs:
+        assert int(fired.get(spec.kind, 0)) >= 1, spec.render()
 
 
 def test_analyze_sharding_reads_the_ledger(tmp_path, capsys):

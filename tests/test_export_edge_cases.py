@@ -108,7 +108,7 @@ class TestHistogramBuckets:
         )
         sink = engine.add_module(ListSink("sink"))
         engine.connect(source, sink)
-        profiler = Profiler(timeline=False)
+        profiler = Profiler()
         profiler.attach(engine)
         engine.run(mode="dense")
         report = profiler.report()

@@ -11,15 +11,12 @@ from repro.hw.engine import Engine
 from repro.hw.flit import item_flits
 from repro.hw.modules import Reducer
 from repro.obs import (
-    NULL_REGISTRY,
-    Counter,
     Histogram,
     MetricsRegistry,
     Profiler,
     TimelineRecorder,
     chrome_trace,
     profile_engine_run,
-    registry_or_null,
     report_to_csv_rows,
     report_to_dict,
     write_chrome_trace,
@@ -50,8 +47,9 @@ def test_counter_get_or_create_and_inc():
     assert a is b
     a.inc()
     a.inc(4)
-    assert registry.value("flits", module="src") == 5
-    assert registry.value("flits", module="other", default=-1) == -1
+    assert a.value == 5
+    assert registry.total("flits") == 5
+    assert registry.total("other", default=-1) == -1
 
 
 def test_labels_are_order_insensitive():
@@ -62,8 +60,7 @@ def test_labels_are_order_insensitive():
 
 
 def test_histogram_record_mean_quantile():
-    registry = MetricsRegistry()
-    hist = registry.histogram("occ", queue="q")
+    hist = Histogram()
     hist.record(0, weight=3)
     hist.record(2)
     hist.record(4)
@@ -74,33 +71,6 @@ def test_histogram_record_mean_quantile():
     assert hist.counts == [3, 0, 1, 0, 1]
 
 
-def test_name_reuse_with_other_kind_raises():
-    registry = MetricsRegistry()
-    registry.counter("thing")
-    with pytest.raises(TypeError):
-        registry.histogram("thing")
-
-
-def test_disabled_registry_is_nullobject():
-    registry = MetricsRegistry(enabled=False)
-    counter = registry.counter("x")
-    counter.inc(10)
-    assert counter.value == 0
-    assert len(registry) == 0
-    assert registry_or_null(None) is NULL_REGISTRY
-    enabled = MetricsRegistry()
-    assert registry_or_null(enabled) is enabled
-
-
-def test_as_dict_snapshot():
-    registry = MetricsRegistry()
-    registry.counter("flits", module="a").inc(2)
-    registry.histogram("occ").record(1)
-    snap = registry.as_dict()
-    assert snap["flits{module=a}"] == 2
-    assert snap["occ"] == [0, 1]
-
-
 def test_values_by_name():
     registry = MetricsRegistry()
     registry.counter("flits", module="a").inc(1)
@@ -108,13 +78,6 @@ def test_values_by_name():
     values = registry.values("flits")
     assert len(values) == 2
     assert {inst.value for inst in values.values()} == {1, 2}
-
-
-def test_instruments_iterable():
-    registry = MetricsRegistry()
-    registry.counter("a")
-    registry.histogram("c")
-    assert {type(inst) for inst in registry} == {Counter, Histogram}
 
 
 # -- timeline recorder ---------------------------------------------------------------
@@ -377,7 +340,7 @@ def test_nearest_rank_percentile_edge_cases():
 
 
 def test_histogram_quantile_uses_nearest_rank():
-    hist = Histogram("h", {})
+    hist = Histogram()
     for value in (1, 2, 3, 4):
         hist.record(value)
     # ranks 1..4 map straight onto the recorded values

@@ -118,9 +118,9 @@ def test_device_pool_cards_are_independent():
     pool = DevicePool(3)
     assert len(pool) == 3
     assert len({id(card.timeline) for card in pool}) == 3
-    pool.device(0).transfer(1_000_000, "h2d")
-    pool.device(0).launch(0, 10_000)
-    pool.device(0).wait(0)
+    pool.devices[0].transfer(1_000_000, "h2d")
+    pool.devices[0].launch(0, 10_000)
+    pool.devices[0].wait(0)
     assert pool.busy_seconds()[0] > 0
     assert pool.busy_seconds()[1] == pool.busy_seconds()[2] == 0.0
     assert pool.transfer_seconds()[0] > 0

@@ -279,17 +279,6 @@ def test_spm_cache_keeps_references_sharing_a_position_apart():
     assert (cache.hits, cache.misses) == (2, 4)
 
 
-def test_spm_cache_eviction():
-    workload = make_workload(
-        n_reads=40, read_length=40, chromosomes=(20, 21),
-        genome_scale=1.2e-6, psize=2500, seed=11,
-    )
-    cache = SpmImageCache(max_images=1)
-    driver = MetadataWaveDriver(reference=workload.reference)
-    run_partitioned(driver, workload.partitions, 1, spm_cache=cache)
-    assert len(cache) == 1
-
-
 def test_spm_cache_absorb_merges_images_and_counters(sched_workload):
     """absorb() is the cross-device merge: disjoint image sets union,
     and the per-pool hit/miss/cycles-saved history accumulates."""

@@ -204,7 +204,7 @@ class StubStorage:
 
     filtered_fraction = 1 / 3
     compression_ratio = 1.0
-    config = None
+    internal_bandwidth = 1e9
 
     @staticmethod
     def _rows(items):

@@ -165,6 +165,34 @@ def test_executor_accepts_backend_instance():
     assert executor.backend.name == "fast"
 
 
+@pytest.mark.parametrize("backend", ["reference", "fast"])
+def test_executor_charges_operators_only_to_a_given_registry(backend):
+    """``metrics=None`` (the default) times nothing; a registry gets
+    exactly the two catalogued counters, labelled by op and backend,
+    and the result is the same either way."""
+    from repro.obs import MetricsRegistry
+
+    query = "SELECT G, SUM(B) AS S FROM T WHERE B > 0 GROUP BY G"
+    plain = Executor(backend=backend)
+    assert plain.metrics is None
+    metrics = MetricsRegistry()
+    timed = Executor(backend=backend, metrics=metrics)
+    for executor in (plain, timed):
+        executor.register_table("T", _catalog()["T"])
+    assert_tables_identical(timed.query(query), plain.query(query))
+
+    seconds = metrics.values("sql_operator_seconds")
+    rows = metrics.values("sql_operator_rows")
+    assert set(seconds) == set(rows)
+    assert {dict(labels)["backend"] for labels in seconds} == {backend}
+    assert {"scan", "group_by"} <= {dict(labels)["op"] for labels in seconds}
+    assert metrics.total("sql_operator_seconds") > 0
+    assert metrics.total("sql_operator_rows") >= 6
+    assert set(name for name, _labels in metrics._counters) == {
+        "sql_operator_seconds", "sql_operator_rows",
+    }
+
+
 # -- table_from_row_dicts -----------------------------------------------------------
 
 

@@ -33,8 +33,6 @@ from repro.obs.ledger import RunLedger, RunManifest, run_context
 from repro.runtime.device import MODEL_ROW_BYTES, DevicePool
 from repro.storage import (
     DESCRIPTOR_BYTES,
-    StorageFilterConfig,
-    StorageFrontEnd,
     chunk_store_from_partitions,
     decode_chunk,
     decode_store,
@@ -216,17 +214,8 @@ def test_wave_nbytes_unknown_pid_ships_full(workload, plan):
     pid, part = items[0]
     foreign = (("unplanned", 0, 0), part)
     assert plan.wave_nbytes([foreign]) == part.num_rows * MODEL_ROW_BYTES
-    assert DevicePool(1).wave_nbytes(items, 123) == 123
-    assert DevicePool(1, storage=plan).wave_nbytes(items, 123) == known
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        StorageFilterConfig(internal_bandwidth=0)
-    with pytest.raises(ValueError):
-        StorageFilterConfig(descriptor_bytes=-1)
-    with pytest.raises(ValueError):
-        StorageFilterConfig(descriptor_bytes=MODEL_ROW_BYTES)
+    assert DevicePool(1).wave_nbytes(items) == plan.wave_raw_nbytes(items)
+    assert DevicePool(1, storage=plan).wave_nbytes(items) == known
 
 
 # -- filtered == unfiltered: stages x devices x workers ------------------------------
@@ -340,53 +329,6 @@ def test_filtered_bit_identical_under_faults(workload, plan, metadata_serial):
     assert stats.faults_injected == 2
     _assert_same_cycles(serial_stats, stats)
     _assert_metadata_identical(serial_res, filtered_res)
-
-
-# -- the runtime front end (DMA charging) -------------------------------------------
-
-
-def test_frontend_charges_survivor_bytes(workload, plan):
-    from repro.runtime import DeviceConfig, GenesisRuntime
-
-    pid, part = max(
-        workload.partitions, key=lambda item: plan.verdicts[item[0]].pruned_rows
-    )
-    verdict = plan.verdicts[pid]
-    assert verdict.pruned_rows > 0
-
-    def run(storage):
-        runtime = GenesisRuntime(DeviceConfig(), storage=storage)
-        runtime.register_pipeline(
-            0, lambda inputs: ({"sums": [sum(inputs["QUAL"])]}, 1000)
-        )
-        if storage is not None:
-            with storage.chunk(pid):
-                runtime.configure_mem(
-                    [1] * verdict.raw_nbytes, 1, verdict.raw_nbytes, "QUAL", 0
-                )
-        else:
-            runtime.configure_mem(
-                [1] * verdict.raw_nbytes, 1, verdict.raw_nbytes, "QUAL", 0
-            )
-        runtime.run_genesis(0)
-        runtime.wait_genesis(0)
-        return runtime
-
-    frontend = StorageFrontEnd(plan)
-    filtered = run(frontend)
-    unfiltered = run(None)
-    charged = filtered.device.transfers[0].nbytes
-    assert charged == verdict.survivor_nbytes
-    assert charged < unfiltered.device.transfers[0].nbytes
-    assert frontend.saved_nbytes > 0
-    # Kernel results and cycle counts are untouched by construction.
-    assert filtered.genesis_flush(0) == unfiltered.genesis_flush(0)
-
-
-def test_frontend_full_charge_outside_chunk(workload, plan):
-    frontend = StorageFrontEnd(plan)
-    assert frontend.admit_nbytes(1000) == 1000  # no chunk context: raw
-    assert frontend.filtered_fraction == plan.filtered_fraction
 
 
 # -- ledger events and the analyze report -------------------------------------------

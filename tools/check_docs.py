@@ -28,7 +28,7 @@ Eight directions:
    the "additional infrastructure" paragraph under it) must exist under
    ``src/repro``;
 8. every literal metric name the code under ``src/repro`` passes to
-   ``.counter(`` / ``.histogram(`` must head a row of DESIGN.md's metric
+   ``.counter(`` must head a row of DESIGN.md's metric
    table (the one whose header starts ``metric | labels``), and every
    row of that table must name a metric the code writes.
 
@@ -193,8 +193,8 @@ def catalogued_events(header_re=EVENT_HEADER_RE) -> dict:
     return events
 
 
-#: A literal metric name as the first argument of an instrument getter.
-METRIC_CALL_RE = re.compile(r"\.(?:counter|histogram)\(\s*\"([a-z_.]+)\"")
+#: A literal metric name as the first argument of the registry's getter.
+METRIC_CALL_RE = re.compile(r"\.counter\(\s*\"([a-z_.]+)\"")
 
 #: The header row of the metric table (§3.3).
 METRIC_TABLE_HEADER_RE = re.compile(r"^\s*\|\s*metric\s*\|\s*labels\s*\|")
