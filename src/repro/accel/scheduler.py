@@ -9,15 +9,17 @@ themselves are embarrassingly parallel: each wave is an independent
 engine over disjoint partitions.  This module is the one place waves
 are executed:
 
-* **one executor for every topology** — :func:`run_queues` runs device
-  queues of packed waves; serial, multi-worker and multi-device runs
-  are that one loop at different sizes (DESIGN.md §3.2).  A wave has one
-  identity everywhere: its index in the global packing keys its ledger
-  events, fault slot, retry backoff and trace spans.
-  :func:`run_partitioned` is the one-queue front;
-  :func:`repro.accel.sharding.run_sharded` plans N queues and charges
-  the cards; the job service shares the per-wave primitives
-  (:func:`execute_wave`, :meth:`SpmImageCache.adopt`, :func:`wave_pool`);
+* **one executor for every topology** — :func:`run_waves` is the only
+  driver of waves: it owns the process pool and the fault ladder and
+  yields each wave's clean outcome to its caller.  It has two callers.
+  :func:`run_queues` runs the device queues of one stage through it;
+  serial, multi-worker and multi-device runs are that one call at
+  different sizes (DESIGN.md §3.2), fronted by :func:`run_partitioned`
+  (one queue) and :func:`repro.accel.sharding.run_sharded` (N queues,
+  and the cards charged).  The job service hands it each dispatch
+  round's picks.  A wave has one identity everywhere: its task index —
+  in a direct run its position in the global packing — keys its ledger
+  events, fault slot, retry backoff and trace spans;
 * **one entry point for all accelerators** — a :class:`WaveDriver`
   builds and harvests the replicas of one wave; concrete drivers exist
   for metadata update (:class:`MetadataWaveDriver`), mark duplicates
@@ -38,7 +40,7 @@ are executed:
   :class:`~repro.faults.injector.FaultInjector` the executor survives
   injected and real failures alike: retry with backoff under a budget,
   a watchdog deadline per future, pool rebuild, serial in-process
-  fallback (:func:`run_queues`; DESIGN.md §3.5).
+  fallback (:func:`run_waves`; DESIGN.md §3.5).
 
 Results are bit-identical across ``workers`` and ``devices`` settings:
 wave packing is deterministic, every wave simulates in its own engine,
@@ -61,7 +63,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -553,7 +555,6 @@ class WaveOutcome:
     and the cache traffic and host timing of the attempt (the host
     half).  Picklable — it is what a pool worker ships back."""
 
-    index: int
     results: Dict[PartitionId, object]
     stats: RunStats
     load_cycles: int
@@ -595,7 +596,7 @@ def execute_wave(
         extra={"stage": driver.stage, "wave": index},
     )
     return WaveOutcome(
-        index=index, results=results, stats=stats, load_cycles=load_cycles,
+        results=results, stats=stats, load_cycles=load_cycles,
         new_images={
             key: image
             for key, image in cache.images().items()
@@ -653,41 +654,53 @@ def _pool_task(
     return execute_wave(driver, index, wave, seed_images)
 
 
-def run_queues(
-    driver: WaveDriver,
-    empty_pids: Sequence[PartitionId],
-    queues: Sequence[Sequence[Tuple[int, Sequence[WaveItem]]]],
-    n_pipelines: int,
-    workers: int,
-    caches: Sequence[SpmImageCache],
+@dataclass
+class WaveTask:
+    """One wave as :func:`run_waves` drives it."""
+
+    #: The wave's identity: its ``scheduler.wave`` fault slot, its retry
+    #: backoff key and the ``wave`` of its ``fault.*`` events.
+    index: int
+    driver: WaveDriver
+    items: Sequence[WaveItem]
+    #: Every attempt is seeded with the images this cache holds for the
+    #: wave when the attempt starts; adopting the outcome is the caller's.
+    cache: SpmImageCache
+    #: Where the wave's faults, retries and fallbacks are tallied.
+    stats: ParallelRunStats = field(default_factory=ParallelRunStats)
+    #: Extra fields of its ``fault.*`` events (``device`` on a sharded run).
+    labels: Dict[str, object] = field(default_factory=dict)
+
+    def seed_images(self) -> Dict[tuple, CachedImage]:
+        return self.cache.images_for(self.driver.wave_keys(self.items))
+
+
+def run_waves(
+    tasks: Iterable[WaveTask],
+    fan_out: int,
     injector: Optional[FaultInjector] = None,
     retry_policy: Optional[RetryPolicy] = None,
     wave_timeout: Optional[float] = None,
-) -> Tuple[Dict[PartitionId, object], List[ParallelRunStats]]:
-    """The wave executor: run every wave of every device queue and
-    return the per-partition results plus one :class:`ParallelRunStats`
-    per queue.
+) -> Iterator[Tuple[WaveTask, str, WaveOutcome]]:
+    """The wave executor: drive every task to one clean execution and
+    yield ``(task, worker label, outcome)`` for each — in task order when
+    the waves run inline, in completion order on the pool.
 
-    ``queues[d]`` lists device ``d``'s waves as ``(index, items)`` in
-    ascending ``index`` — the wave's position in the one global packing,
-    which is its identity everywhere: ``scheduler.wave`` and ``fault.*``
-    events (hence the trace spans folded from them), the
-    ``scheduler.wave`` fault slot and the retry backoff key all carry
-    it, whatever the topology.  ``caches[d]``
-    is queue ``d``'s SPM image cache; ``workers`` is the host fan-out
-    *per queue*.  Events carry a ``device`` label (and the returned
-    stats a ``device``) exactly when there is more than one queue.
-
-    One parent-side loop drives all queues.  It feeds one process pool
-    of ``len(queues) x workers`` processes (:func:`wave_pool`), or runs
-    inline when that product — or the wave count — is 1.  Every
-    decision that reaches the ledger (fault injection, retry, backoff)
-    is taken in the parent, keyed by ``(index, attempt)``, so it is
-    identical for every pool size.
+    It feeds one process pool of ``fan_out`` processes
+    (:func:`wave_pool`), or runs inline when that — or the task count —
+    is 1; the pool lives exactly as long as the generator (exhausted, or
+    abandoned with ``.close()``).  Folding an outcome back
+    (:meth:`SpmImageCache.adopt`, results, accounting) is the caller's,
+    between two yields — so a caller that adopts as it goes seeds each
+    inline wave with what the previous one loaded, and one that adopts
+    after the last yield seeds them all from the cache as it stood.
+    Every decision that reaches the ledger (fault injection, retry,
+    backoff) is taken in the parent, keyed by ``(index, attempt)``, so
+    it is identical for every pool size.
 
     Resilience: ``injector`` injects the deterministic faults of
     its :class:`~repro.faults.plan.FaultPlan` at the ``scheduler.wave``
-    site (slot = wave index, decided in the parent before dispatch).
+    site (slot = task index, decided in the parent before dispatch).
     Failed wave attempts — injected or real — are retried under
     ``retry_policy`` (default :class:`~repro.faults.retry.RetryPolicy`)
     with exponential backoff; ``wave_timeout`` arms a watchdog deadline
@@ -699,29 +712,261 @@ def run_queues(
     exceptions from driver code propagate immediately — they are
     deterministic bugs, not infrastructure failures.
     """
-    if workers < 1:
-        raise ValueError("need at least one worker")
     if wave_timeout is not None and wave_timeout <= 0:
         raise ValueError("wave_timeout must be positive seconds")
     policy = retry_policy if retry_policy is not None else RetryPolicy()
+    tasks = list(tasks)
+
+    # -- resilience accounting ------------------------------------------------------
+
+    #: Injected faults booked so far; a re-poll after a pool rebuild
+    #: must not double-count the same (kind, wave, attempt) decision.
+    accounted_faults: Set[Tuple[str, int, int]] = set()
+
+    def account_fault(kind, task, attempt):
+        key = (kind, task.index, attempt)
+        if key in accounted_faults:
+            return
+        accounted_faults.add(key)
+        by_kind = task.stats.faults_by_kind
+        by_kind[kind] = by_kind.get(kind, 0) + 1
+
+    def account_failure(task, failed: FailedAttempt):
+        """Book one failed attempt the ladder accounted, on either rung."""
+        if failed.exhausted:
+            return
+        task.stats.retries += 1
+        task.stats.backoff_seconds += failed.backoff_seconds
+        record_event(
+            "fault.retry",
+            stage=task.driver.stage, wave=task.index, attempt=failed.attempt,
+            kind=failed.kind, backoff_seconds=failed.backoff_seconds,
+            **task.labels,
+        )
+        _log.info(
+            "wave %d attempt %d failed (%s); retrying after %.3fs",
+            task.index, failed.attempt, failed.kind, failed.backoff_seconds,
+            extra={"stage": task.driver.stage, "wave": task.index},
+        )
+
+    def account_serial_fallback(task, attempt, reason, **spent):
+        """``spent``: the ``backoff_seconds`` of the attempt that used up
+        the budget, when a failure (not a dying pool) sent the wave here."""
+        task.stats.serial_fallback_waves += 1
+        record_event(
+            "fault.serial_fallback",
+            stage=task.driver.stage, wave=task.index, attempt=attempt,
+            reason=reason, **spent, **task.labels,
+        )
+        _log.warning(
+            "wave %d degrades to serial in-process execution (%s)",
+            task.index, reason,
+            extra={"stage": task.driver.stage, "wave": task.index},
+        )
+
+    def wave_ladder(task, start_attempt=0, worker="w0"):
+        """The task's retry ladder (real sleeps); every injection
+        decision is taken here, in the parent."""
+        return RetryLadder(
+            injector, policy, WAVE_FAULT_SITE, task.index, start_attempt,
+            subject=f"wave {task.index}", context=dict(
+                stage=task.driver.stage, worker=worker, **task.labels
+            ),
+        )
+
+    def run_wave_serial(task, start_attempt=0, worker="w0"):
+        """One wave down the serial ladder, then the clean attempt."""
+        for failed in wave_ladder(task, start_attempt, worker):
+            account_fault(failed.kind, task, failed.attempt)
+            account_failure(task, failed)
+        return task, worker, execute_wave(
+            task.driver, task.index, task.items, task.seed_images()
+        )
+
+    pool = wave_pool(fan_out, len(tasks))
+    if pool is None:
+        for task in tasks:
+            yield run_wave_serial(task)
+        return
+
+    worker_pids: Dict[int, str] = {}
+    # ready holds (task, attempt) pairs awaiting (re)submission;
+    # serial_waves collects budget-exhausted or degraded waves for the
+    # in-process fallback pass after the pool drains.
+    ready = deque((task, 0) for task in tasks)
+    pending: Dict[object, Tuple[WaveTask, int, Optional[float]]] = {}
+    serial_waves: List[Tuple[WaveTask, int]] = []
+    pool_restarts = 0
+
+    def submit(task, attempt):
+        fault = wave_ladder(task, worker="pool").poll(attempt)
+        fault_kind = None
+        hang = 0.0
+        if fault is not None:
+            fault_kind = fault.kind
+            account_fault(fault_kind, task, attempt)
+            if fault_kind == "wave_timeout" and wave_timeout is not None:
+                # hang long enough that the parent watchdog fires
+                # first, short enough that pool shutdown stays quick
+                hang = min(wave_timeout * 2, wave_timeout + 1.0)
+        future = pool.submit(
+            _pool_task, task.driver, task.index, task.items,
+            task.seed_images(), fault_kind, hang, attempt,
+        )
+        deadline = (
+            time.monotonic() + wave_timeout
+            if wave_timeout is not None else None
+        )
+        pending[future] = (task, attempt, deadline)
+
+    def requeue(task, attempt, kind):
+        """The ladder after a failed attempt: retry on the pool while
+        the budget lasts, then hand the wave to the serial pass."""
+        failed = wave_ladder(task, worker="pool").fail(attempt, kind)
+        account_failure(task, failed)
+        if failed.exhausted:
+            # the spent attempt's backoff was reported, never slept:
+            # ledgered here, it is the trace marker's figure
+            account_serial_fallback(
+                task, attempt, reason="retry budget exhausted",
+                backoff_seconds=failed.backoff_seconds,
+            )
+            serial_waves.append((task, attempt + 1))
+        else:
+            ready.append((task, attempt + 1))
+
+    try:
+        while ready or pending:
+            broken = False
+            try:
+                while ready:
+                    task, attempt = ready.popleft()
+                    submit(task, attempt)
+            except BrokenProcessPool:
+                ready.appendleft((task, attempt))
+                broken = True
+            if not broken:
+                timeout = None
+                if wave_timeout is not None and pending:
+                    nearest = min(
+                        deadline for (_, _, deadline) in pending.values()
+                    )
+                    timeout = max(0.0, nearest - time.monotonic())
+                done, _ = futures_wait(
+                    set(pending), timeout=timeout,
+                    return_when=FIRST_COMPLETED,
+                )
+                for future in done:
+                    task, attempt, _deadline = pending[future]
+                    try:
+                        outcome = future.result()
+                    except InjectedFaultError as error:
+                        del pending[future]
+                        requeue(task, attempt, error.kind)
+                    except BrokenProcessPool:
+                        # leave it in pending: the broken-pool
+                        # handler below attributes the crash
+                        broken = True
+                    else:
+                        del pending[future]
+                        yield task, worker_pids.setdefault(
+                            outcome.worker_pid, f"w{len(worker_pids)}"
+                        ), outcome
+            if broken:
+                pool_restarts += 1
+                # the pool is shared by every task: its restarts are
+                # booked on, and ledgered under the stage of, the first
+                tasks[0].stats.pool_restarts += 1
+                record_event(
+                    "fault.pool_restart",
+                    stage=tasks[0].driver.stage, restarts=pool_restarts,
+                )
+                # attribute the break: a pending wave whose attempt
+                # has a worker_crash due killed the pool — advance
+                # it through the retry ladder; innocent bystanders
+                # resubmit at the same attempt (no retry charged).
+                for task, attempt, _deadline in pending.values():
+                    due = (
+                        injector.due(WAVE_FAULT_SITE, task.index, attempt)
+                        if injector is not None else None
+                    )
+                    if due is not None and due.kind == "worker_crash":
+                        requeue(task, attempt, due.kind)
+                    else:
+                        ready.append((task, attempt))
+                pending.clear()
+                pool.shutdown(wait=False, cancel_futures=True)
+                if pool_restarts > POOL_RESTART_BUDGET:
+                    _log.warning(
+                        "%s: pool died %d times; degrading %d wave(s) "
+                        "to serial execution",
+                        tasks[0].driver.stage, pool_restarts, len(ready),
+                        extra={"stage": tasks[0].driver.stage},
+                    )
+                    while ready:
+                        task, attempt = ready.popleft()
+                        account_serial_fallback(
+                            task, attempt, reason="pool kept dying"
+                        )
+                        serial_waves.append((task, attempt))
+                    break
+                pool = wave_pool(fan_out, len(tasks))
+                continue
+            if wave_timeout is not None:
+                now = time.monotonic()
+                for future in list(pending):
+                    task, attempt, deadline = pending[future]
+                    if deadline is not None and now >= deadline:
+                        del pending[future]
+                        task.stats.watchdog_timeouts += 1
+                        record_event(
+                            "fault.watchdog_timeout",
+                            stage=task.driver.stage, wave=task.index,
+                            attempt=attempt,
+                            timeout_seconds=wave_timeout,
+                            **task.labels,
+                        )
+                        requeue(task, attempt, "wave_timeout")
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+    for task, attempt in sorted(
+        serial_waves, key=lambda entry: entry[0].index
+    ):
+        yield run_wave_serial(task, start_attempt=attempt, worker="serial")
+
+
+def run_queues(
+    driver: WaveDriver,
+    empty_pids: Sequence[PartitionId],
+    queues: Sequence[Sequence[Tuple[int, Sequence[WaveItem]]]],
+    n_pipelines: int,
+    workers: int,
+    caches: Sequence[SpmImageCache],
+    injector: Optional[FaultInjector] = None,
+    retry_policy: Optional[RetryPolicy] = None,
+    wave_timeout: Optional[float] = None,
+) -> Tuple[Dict[PartitionId, object], List[ParallelRunStats]]:
+    """Run every wave of every device queue of one stage through
+    :func:`run_waves` (which documents the pool and the fault ladder)
+    and return the per-partition results plus one
+    :class:`ParallelRunStats` per queue.
+
+    ``queues[d]`` lists device ``d``'s waves as ``(index, items)`` in
+    ascending ``index`` — the wave's position in the one global packing,
+    which is its identity everywhere: ``scheduler.wave`` and ``fault.*``
+    events (hence the trace spans folded from them), the
+    ``scheduler.wave`` fault slot and the retry backoff key all carry
+    it, whatever the topology.  ``caches[d]``
+    is queue ``d``'s SPM image cache; ``workers`` is the host fan-out
+    *per queue*, so the executor's is ``len(queues) x workers``.  Events
+    carry a ``device`` label (and the returned stats a ``device``)
+    exactly when there is more than one queue.
+    """
+    if workers < 1:
+        raise ValueError("need at least one worker")
     started = time.perf_counter()
     sharded = len(queues) > 1
-    #: wave index -> (device queue, items): the one wave table.
-    placed = {
-        index: (device, list(items))
-        for device, queue in enumerate(queues)
-        for index, items in queue
-    }
-    results: Dict[PartitionId, object] = {
-        pid: driver.empty_result(pid) for pid in empty_pids
-    }
-    _log.info(
-        "%s: %d wave(s) of up to %d pipeline(s) on %d queue(s) x "
-        "%d worker(s) (%d empty partition(s) skipped)",
-        driver.stage, len(placed), n_pipelines, len(queues), workers,
-        len(empty_pids),
-        extra={"stage": driver.stage},
-    )
     per_queue = [
         ParallelRunStats(
             # this queue's share of the pool
@@ -730,30 +975,43 @@ def run_queues(
         )
         for device, queue in enumerate(queues)
     ]
+    tasks = [
+        WaveTask(
+            index, driver, list(items), caches[device], per_queue[device],
+            {"device": device} if sharded else {},
+        )
+        for device, queue in enumerate(queues)
+        for index, items in queue
+    ]
+    tasks.sort(key=lambda task: task.index)
+    results: Dict[PartitionId, object] = {
+        pid: driver.empty_result(pid) for pid in empty_pids
+    }
+    _log.info(
+        "%s: %d wave(s) of up to %d pipeline(s) on %d queue(s) x "
+        "%d worker(s) (%d empty partition(s) skipped)",
+        driver.stage, len(tasks), n_pipelines, len(queues), workers,
+        len(empty_pids),
+        extra={"stage": driver.stage},
+    )
     #: wave index -> kernel cycles of its clean run.
     wave_cycles: Dict[int, int] = {}
-
-    def device_label(index):
-        return {"device": placed[index][0]} if sharded else {}
-
-    def stats_of(index):
-        return per_queue[placed[index][0]]
-
-    def account(worker, outcome):
-        index, stats = outcome.index, outcome.stats
-        device, items = placed[index]
+    for task, worker, outcome in run_waves(
+        tasks, len(queues) * workers, injector, retry_policy, wave_timeout
+    ):
+        stats = outcome.stats
         results.update(outcome.results)
-        caches[device].adopt(outcome)
+        task.cache.adopt(outcome)
         record_event(
             "scheduler.wave",
-            stage=driver.stage, wave=index, worker=worker,
-            replicas=len(items), cycles=stats.cycles,
+            stage=driver.stage, wave=task.index, worker=worker,
+            replicas=len(task.items), cycles=stats.cycles,
             load_cycles=outcome.load_cycles,
             elapsed_seconds=outcome.elapsed_seconds,
-            **device_label(index),
+            **task.labels,
         )
-        wave_cycles[index] = stats.cycles
-        book = stats_of(index)
+        wave_cycles[task.index] = stats.cycles
+        book = task.stats
         book.spm_load_cycles += outcome.load_cycles
         book.spm_cache_hits += outcome.hits
         book.spm_cache_misses += outcome.misses
@@ -768,229 +1026,6 @@ def run_queues(
         tally.cycles += stats.cycles
         tally.wall_seconds += stats.wall_seconds
         tally.elapsed_seconds += outcome.elapsed_seconds
-
-    # -- resilience accounting ------------------------------------------------------
-
-    #: Injected faults booked so far; a re-poll after a pool rebuild
-    #: must not double-count the same (kind, wave, attempt) decision.
-    accounted_faults: Set[Tuple[str, int, int]] = set()
-
-    def account_fault(kind, index, attempt):
-        key = (kind, index, attempt)
-        if key in accounted_faults:
-            return
-        accounted_faults.add(key)
-        by_kind = stats_of(index).faults_by_kind
-        by_kind[kind] = by_kind.get(kind, 0) + 1
-
-    def account_failure(index, failed: FailedAttempt):
-        """Book one failed attempt the ladder accounted, on either rung."""
-        if failed.exhausted:
-            return
-        stats_of(index).retries += 1
-        stats_of(index).backoff_seconds += failed.backoff_seconds
-        record_event(
-            "fault.retry",
-            stage=driver.stage, wave=index, attempt=failed.attempt,
-            kind=failed.kind, backoff_seconds=failed.backoff_seconds,
-            **device_label(index),
-        )
-        _log.info(
-            "wave %d attempt %d failed (%s); retrying after %.3fs",
-            index, failed.attempt, failed.kind, failed.backoff_seconds,
-            extra={"stage": driver.stage, "wave": index},
-        )
-
-    def account_serial_fallback(index, attempt, reason, **spent):
-        """``spent``: the ``backoff_seconds`` of the attempt that used up
-        the budget, when a failure (not a dying pool) sent the wave here."""
-        stats_of(index).serial_fallback_waves += 1
-        record_event(
-            "fault.serial_fallback",
-            stage=driver.stage, wave=index, attempt=attempt,
-            reason=reason, **spent, **device_label(index),
-        )
-        _log.warning(
-            "wave %d degrades to serial in-process execution (%s)",
-            index, reason,
-            extra={"stage": driver.stage, "wave": index},
-        )
-
-    def wave_ladder(index, start_attempt=0, worker="w0"):
-        """Wave ``index``'s retry ladder (real sleeps); every injection
-        decision is taken here, in the parent."""
-        return RetryLadder(
-            injector, policy, WAVE_FAULT_SITE, index, start_attempt,
-            subject=f"wave {index}", context=dict(
-                stage=driver.stage, worker=worker, **device_label(index)
-            ),
-        )
-
-    def seed_images(index):
-        device, items = placed[index]
-        return caches[device].images_for(driver.wave_keys(items))
-
-    def run_wave_serial(index, start_attempt=0, worker="w0"):
-        """One wave down the serial ladder, then the clean attempt."""
-        for failed in wave_ladder(index, start_attempt, worker):
-            account_fault(failed.kind, index, failed.attempt)
-            account_failure(index, failed)
-        account(worker, execute_wave(
-            driver, index, placed[index][1], seed_images(index)
-        ))
-
-    pool = wave_pool(len(queues) * workers, len(placed))
-    if pool is None:
-        for index in sorted(placed):
-            run_wave_serial(index)
-    else:
-        worker_pids: Dict[int, str] = {}
-        # ready holds (wave index, attempt) pairs awaiting (re)submission;
-        # serial_waves collects budget-exhausted or degraded waves for the
-        # in-process fallback pass after the pool drains.
-        ready = deque((index, 0) for index in sorted(placed))
-        pending: Dict[object, Tuple[int, int, Optional[float]]] = {}
-        serial_waves: List[Tuple[int, int]] = []
-        pool_restarts = 0
-
-        def submit(index, attempt):
-            fault = wave_ladder(index, worker="pool").poll(attempt)
-            fault_kind = None
-            hang = 0.0
-            if fault is not None:
-                fault_kind = fault.kind
-                account_fault(fault_kind, index, attempt)
-                if fault_kind == "wave_timeout" and wave_timeout is not None:
-                    # hang long enough that the parent watchdog fires
-                    # first, short enough that pool shutdown stays quick
-                    hang = min(wave_timeout * 2, wave_timeout + 1.0)
-            future = pool.submit(
-                _pool_task, driver, index, placed[index][1],
-                seed_images(index), fault_kind, hang, attempt,
-            )
-            deadline = (
-                time.monotonic() + wave_timeout
-                if wave_timeout is not None else None
-            )
-            pending[future] = (index, attempt, deadline)
-
-        def requeue(index, attempt, kind):
-            """The ladder after a failed attempt: retry on the pool while
-            the budget lasts, then hand the wave to the serial pass."""
-            failed = wave_ladder(index, worker="pool").fail(attempt, kind)
-            account_failure(index, failed)
-            if failed.exhausted:
-                # the spent attempt's backoff was reported, never slept:
-                # ledgered here, it is the trace marker's figure
-                account_serial_fallback(
-                    index, attempt, reason="retry budget exhausted",
-                    backoff_seconds=failed.backoff_seconds,
-                )
-                serial_waves.append((index, attempt + 1))
-            else:
-                ready.append((index, attempt + 1))
-
-        try:
-            while ready or pending:
-                broken = False
-                try:
-                    while ready:
-                        index, attempt = ready.popleft()
-                        submit(index, attempt)
-                except BrokenProcessPool:
-                    ready.appendleft((index, attempt))
-                    broken = True
-                if not broken:
-                    timeout = None
-                    if wave_timeout is not None and pending:
-                        nearest = min(
-                            deadline for (_, _, deadline) in pending.values()
-                        )
-                        timeout = max(0.0, nearest - time.monotonic())
-                    done, _ = futures_wait(
-                        set(pending), timeout=timeout,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    for future in done:
-                        index, attempt, _deadline = pending[future]
-                        try:
-                            outcome = future.result()
-                        except InjectedFaultError as error:
-                            del pending[future]
-                            requeue(index, attempt, error.kind)
-                        except BrokenProcessPool:
-                            # leave it in pending: the broken-pool
-                            # handler below attributes the crash
-                            broken = True
-                        else:
-                            del pending[future]
-                            account(
-                                worker_pids.setdefault(
-                                    outcome.worker_pid,
-                                    f"w{len(worker_pids)}",
-                                ),
-                                outcome,
-                            )
-                if broken:
-                    pool_restarts += 1
-                    # the pool is shared by every queue: its restarts
-                    # are booked on queue 0
-                    per_queue[0].pool_restarts += 1
-                    record_event(
-                        "fault.pool_restart",
-                        stage=driver.stage, restarts=pool_restarts,
-                    )
-                    # attribute the break: a pending wave whose attempt
-                    # has a worker_crash due killed the pool — advance
-                    # it through the retry ladder; innocent bystanders
-                    # resubmit at the same attempt (no retry charged).
-                    for index, attempt, _deadline in pending.values():
-                        due = (
-                            injector.due(WAVE_FAULT_SITE, index, attempt)
-                            if injector is not None else None
-                        )
-                        if due is not None and due.kind == "worker_crash":
-                            requeue(index, attempt, due.kind)
-                        else:
-                            ready.append((index, attempt))
-                    pending.clear()
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    if pool_restarts > POOL_RESTART_BUDGET:
-                        _log.warning(
-                            "%s: pool died %d times; degrading %d wave(s) "
-                            "to serial execution",
-                            driver.stage, pool_restarts, len(ready),
-                            extra={"stage": driver.stage},
-                        )
-                        while ready:
-                            index, attempt = ready.popleft()
-                            account_serial_fallback(
-                                index, attempt, reason="pool kept dying"
-                            )
-                            serial_waves.append((index, attempt))
-                        break
-                    pool = wave_pool(len(queues) * workers, len(placed))
-                    continue
-                if wave_timeout is not None:
-                    now = time.monotonic()
-                    for future in list(pending):
-                        index, attempt, deadline = pending[future]
-                        if deadline is not None and now >= deadline:
-                            del pending[future]
-                            stats_of(index).watchdog_timeouts += 1
-                            record_event(
-                                "fault.watchdog_timeout",
-                                stage=driver.stage, wave=index,
-                                attempt=attempt,
-                                timeout_seconds=wave_timeout,
-                                **device_label(index),
-                            )
-                            requeue(index, attempt, "wave_timeout")
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-        for index, attempt in sorted(serial_waves):
-            run_wave_serial(index, start_attempt=attempt, worker="serial")
 
     elapsed = time.perf_counter() - started
     for queue, stats in zip(queues, per_queue):

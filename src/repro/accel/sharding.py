@@ -131,13 +131,6 @@ class ShardPlan:
         """Device ``device``'s queue, largest-first (global order)."""
         return [wave for wave in self.waves if wave.device == device]
 
-    def device_queues(self) -> List[List[int]]:
-        """Global wave indices per device in execution order."""
-        return [
-            [wave.global_index for wave in self.device_waves(device)]
-            for device in range(self.devices)
-        ]
-
     def loads(self) -> List[int]:
         """Post-steal estimated cost per device queue."""
         return [

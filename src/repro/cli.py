@@ -83,11 +83,12 @@ def _nonnegative(number):
     return parse
 
 
-def _fault_spec(polled: str):
+def _fault_spec(polled: tuple):
     """An argparse ``type=`` for ``--inject-faults``: the spec text,
     refused here when it does not parse or when an item aims at a site
-    other than ``polled`` — the one site the command instruments, so a
-    fault anywhere else would be announced and never injected."""
+    outside ``polled`` — the sites the command instruments, so a fault
+    anywhere else would be announced and never injected.  The rewrite
+    it names puts the item on the first of them."""
     def parse(text: str) -> str:
         from .faults import FaultPlan
 
@@ -96,11 +97,12 @@ def _fault_spec(polled: str):
         except ValueError as error:
             raise argparse.ArgumentTypeError(str(error))
         for spec in plan.specs:
-            if spec.site != polled:
+            if spec.site not in polled:
                 raise argparse.ArgumentTypeError(
                     f"{spec.render()} would never fire: this command "
-                    f"does not poll site {spec.site} (it polls {polled}) "
-                    f"— write `{replace(spec, site=polled).render()}`"
+                    f"does not poll site {spec.site} (it polls "
+                    f"{' and '.join(polled)}) — write "
+                    f"`{replace(spec, site=polled[0]).render()}`"
                 )
         return text
     parse.__name__ = "fault spec"
@@ -599,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(bit-identical results at any count)",
     )
     preprocess.add_argument(
-        "--inject-faults", type=_fault_spec("scheduler.wave"),
+        "--inject-faults", type=_fault_spec(("scheduler.wave",)),
         default=None, metavar="SPEC",
         help="fault plan to inject, e.g. "
              "'worker_crash:2,transfer_error@scheduler.wave+2' "
@@ -752,10 +754,12 @@ def build_parser() -> argparse.ArgumentParser:
              "checkpoint (exercises the graceful-restart path)",
     )
     serve.add_argument(
-        "--inject-faults", type=_fault_spec("serve.wave"), default=None,
-        metavar="SPEC",
-        help="fault plan, e.g. 'transfer_error:2@serve.wave' (serve.wave "
-             "is the one site this command polls)",
+        "--inject-faults", type=_fault_spec(("serve.wave", "scheduler.wave")),
+        default=None, metavar="SPEC",
+        help="fault plan, e.g. 'transfer_error:2@serve.wave,worker_crash' "
+             "(this command polls serve.wave, where a fault costs penalty "
+             "cycles on the virtual clock, and scheduler.wave, where it "
+             "costs host seconds only)",
     )
     serve.add_argument("--fault-seed", type=int, default=0)
     serve.add_argument(

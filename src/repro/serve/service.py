@@ -18,47 +18,49 @@ of the submission trace, the topology, and the fault seed:
 * completions are processed in ``(end_cycles, device)`` order.
 
 Host-side execution is *eager*: a dispatched wave is simulated
-immediately (inline, or fanned out over a process pool), and only its
-virtual completion is deferred to ``clock + duration``.  Every wave in
-a round is seeded from the SPM-cache state at the start of the round
-and the results are merged back in dispatch order (first-writer-wins)
-through the executor's own per-wave primitives —
-:func:`~repro.accel.scheduler.execute_wave`,
-:meth:`~repro.accel.scheduler.SpmImageCache.adopt`,
-:meth:`~repro.runtime.device.DevicePool.charge_wave` — so results,
-cycles, and the entire virtual timeline are bit-identical for every
-``workers`` value.
+immediately and only its virtual completion is deferred to ``clock +
+duration``.  The service does not run waves itself: each round's picks
+go, one :class:`~repro.accel.scheduler.WaveTask` apiece, through the
+one wave executor (:func:`~repro.accel.scheduler.run_waves` — inline,
+or on a pool of ``min(workers, picks)`` processes that lives for the
+round).  Every wave in a round is seeded from the SPM-cache state at
+the start of the round and the outcomes are folded back afterwards, in
+dispatch order (:meth:`~repro.accel.scheduler.SpmImageCache.adopt`,
+first writer wins; :meth:`~repro.runtime.device.DevicePool.charge_wave`)
+— so results, cycles, and the entire virtual timeline are bit-identical
+for every ``workers`` value.
 
-Faults are enacted at the dispatch boundary (site ``serve.wave``),
-parent-side: the wave walks the shared
+Faults are polled at two sites.  At the dispatch boundary (site
+``serve.wave``), parent-side, the wave walks the shared
 :class:`~repro.faults.retry.RetryLadder` with the virtual clock as its
 clock, so an injected fault consumes a retry and its deterministic
-backoff becomes penalty cycles ahead of the wave.  The wave's simulation itself is never
-perturbed, so bit-identity of results survives any fault plan; a wave
-that faults past its budget fails the whole job (an explicit
-``serve.job.failed`` the client can see).
+backoff becomes penalty cycles ahead of the wave; a wave that faults
+past its budget fails the whole job (an explicit ``serve.job.failed``
+the client can see).  On the host (site ``scheduler.wave``, slot = the
+dispatch ``seq``) a served wave is on the executor's ladder like any
+other — retry → requeue → pool restart → serial fallback, for injected
+faults and real worker deaths alike — which costs host seconds only:
+nothing of it reaches the virtual clock or the summary, and a wave past
+even the serial budget raises
+:class:`~repro.faults.injector.RetryBudgetExceeded` out of :meth:`run`
+as it would out of a direct run.  Either way the wave's simulation is
+never perturbed, so bit-identity of results survives any fault plan.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..accel.scheduler import SpmImageCache, execute_wave, wave_pool
+from ..accel.scheduler import SpmImageCache, WaveTask, run_waves
 from ..accel.sharding import record_storage_wave
 from ..faults.injector import FaultInjector, RetryBudgetExceeded
 from ..faults.plan import FaultPlan
 from ..faults.retry import FailedAttempt, RetryLadder, RetryPolicy
 from ..tables.partition import PartitionId
 from ..obs.ledger import record_event
-from ..obs.spans import (
-    TraceSpan,
-    WaveTimeline,
-    fleet_chrome_trace,
-    trace_spans,
-)
+from ..obs.spans import TraceSpan, WaveTimeline, trace_spans
 from ..runtime.device import DevicePool, WaveStorage
 from .job import (
     COMPLETED,
@@ -235,7 +237,6 @@ class JobService:
         self._next_job_id = 0
         self._dispatch_seq = 0
         self._inflight: Dict[int, _Inflight] = {}
-        self._executor: Optional[ProcessPoolExecutor] = None
         self._retries = 0
         self._host_seconds = 0.0
         #: In-memory mirror of every ledger event the service records,
@@ -330,30 +331,27 @@ class JobService:
         ``run`` or a :meth:`drain`)."""
         started = time.perf_counter()
         budget = max_dispatches
-        try:
-            while True:
-                self._admit_due()
-                if budget is not None and budget <= 0:
-                    break
-                dispatched = self._dispatch_round(budget)
-                if budget is not None:
-                    budget -= dispatched
-                if dispatched:
-                    continue
-                next_times = []
-                if self._inflight:
-                    next_times.append(min(
-                        rec.timeline.end for rec in self._inflight.values()
-                    ))
-                if self._arrivals:
-                    next_times.append(self._arrivals[0][0])
-                if not next_times:
-                    break
-                self.clock = max(self.clock, min(next_times))
-                self._complete_due()
-        finally:
-            self._shutdown_executor()
-            self._host_seconds += time.perf_counter() - started
+        while True:
+            self._admit_due()
+            if budget is not None and budget <= 0:
+                break
+            dispatched = self._dispatch_round(budget)
+            if budget is not None:
+                budget -= dispatched
+            if dispatched:
+                continue
+            next_times = []
+            if self._inflight:
+                next_times.append(min(
+                    rec.timeline.end for rec in self._inflight.values()
+                ))
+            if self._arrivals:
+                next_times.append(self._arrivals[0][0])
+            if not next_times:
+                break
+            self.clock = max(self.clock, min(next_times))
+            self._complete_due()
+        self._host_seconds += time.perf_counter() - started
         return self.summary()
 
     def run_until_idle(self) -> ServeSummary:
@@ -460,28 +458,27 @@ class JobService:
     # -- execution (eager host-side, deferred virtual completion) ------------
 
     def _execute(self, picks: List[_Dispatch]) -> None:
-        waves = [p.job.waves[p.wave_index] for p in picks]
-        # every wave of the round is seeded from the cache as the round
+        # one task per pick, its dispatch seq the host-side fault slot;
+        # nothing is adopted until the executor is done, so every wave
+        # (and retry) of the round is seeded from the cache as the round
         # began; outcomes are adopted afterwards, in dispatch order
         tasks = [
-            (
-                pick.job.spec.driver, pick.wave_index, wave,
-                self.cache.images_for(pick.job.spec.driver.wave_keys(wave)),
+            WaveTask(
+                pick.seq, pick.job.spec.driver,
+                pick.job.waves[pick.wave_index], self.cache,
+                labels={"device": pick.device},
             )
-            for pick, wave in zip(picks, waves)
+            for pick in picks
         ]
-        if len(picks) > 1 and self._executor is None:
-            # a round dispatches at most one wave per device
-            self._executor = wave_pool(self.workers, self.devices)
-        if len(picks) > 1 and self._executor is not None:
-            futures = [
-                self._executor.submit(execute_wave, *task) for task in tasks
-            ]
-            outcomes = [future.result() for future in futures]
-        else:
-            outcomes = [execute_wave(*task) for task in tasks]
+        outcomes = {
+            task.index: outcome
+            for task, _worker, outcome in run_waves(
+                tasks, self.workers, self.injector, self.retry_policy
+            )
+        }
         clock_hz = self.pool.config.clock_hz
-        for pick, wave, outcome in zip(picks, waves, outcomes):
+        for pick, task in zip(picks, tasks):
+            wave, outcome = task.items, outcomes[pick.seq]
             self.cache.adopt(outcome)
             cycles = outcome.stats.cycles
             _nbytes, seconds = self.pool.charge_wave(
@@ -501,19 +498,6 @@ class JobService:
                     load=outcome.load_cycles, kernel=cycles,
                 ),
             )
-
-    def _shutdown_executor(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    close = _shutdown_executor
-
-    def __enter__(self) -> "JobService":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
 
     # -- completion ----------------------------------------------------------
 
@@ -580,7 +564,6 @@ class JobService:
                 clock=self.clock,
             )
             requeued += 1
-        self._shutdown_executor()
         self._event(
             "serve.drain",
             clock=self.clock, requeued=requeued,
@@ -642,11 +625,6 @@ class JobService:
     def spans(self) -> List[TraceSpan]:
         """The run so far as trace spans, folded from :attr:`events`."""
         return trace_spans(self.events, self.pool.config.clock_hz)
-
-    def fleet_trace(self, name: str = "fleet") -> Dict[str, object]:
-        """The merged fleet chrome://tracing export of the run so far:
-        one process lane per device, tenant-colored job tracks."""
-        return fleet_chrome_trace(self.spans(), name=name)
 
     def summary(self) -> ServeSummary:
         # snapshots: a summary must not move when the service runs on

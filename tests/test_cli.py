@@ -294,34 +294,40 @@ def test_serve_bad_arguments_exit_2(capsys, flag, value):
     assert f"argument {flag}" in err
 
 
-def _polled_site(command):
+def _polled_sites(command):
     from repro.accel.scheduler import WAVE_FAULT_SITE
     from repro.serve import SERVE_FAULT_SITE
 
-    return {"preprocess": WAVE_FAULT_SITE, "serve": SERVE_FAULT_SITE}[command]
+    return {
+        "preprocess": (WAVE_FAULT_SITE,),
+        "serve": (SERVE_FAULT_SITE, WAVE_FAULT_SITE),
+    }[command]
 
 
 @pytest.mark.parametrize("command, item, resolved", [
     ("preprocess", "transfer_error", "runtime.transfer"),
     ("preprocess", "launch_error:2", "runtime.launch"),
-    ("serve", "worker_crash", "scheduler.wave"),
-    ("serve", "wave_timeout+2", "scheduler.wave"),
+    ("serve", "transfer_error", "runtime.transfer"),
+    ("serve", "launch_error+2", "runtime.launch"),
 ])
 def test_unpolled_fault_site_is_refused(capsys, command, item, resolved):
     """A spec item whose (default) site the command never polls used to
     print a fault plan and inject nothing; it is refused, naming the
-    item, the site it resolved to, the polled site and the rewrite."""
-    polled = _polled_site(command)
+    item, the site it resolved to, the polled sites and the rewrite
+    (onto the first of them) — items on every polled site pass."""
+    polled = _polled_sites(command)
     argv = ["--fasta", "f", "--sam", "s", "--out", "o"]
     err = _refused(
         ["--no-ledger", command] + (argv if command == "preprocess" else [])
-        + ["--inject-faults", f"worker_crash@{polled},{item}"],
+        + ["--inject-faults", ",".join(
+            [f"worker_crash@{site}" for site in polled] + [item]
+        )],
         capsys,
     )
     kind, sep, rest = item.partition("+")
     assert f"{kind}@{resolved}{sep}{rest} would never fire" in err
-    assert f"it polls {polled}" in err
-    assert f"write `{kind}@{polled}{sep}{rest}`" in err
+    assert f"it polls {' and '.join(polled)}" in err
+    assert f"write `{kind}@{polled[0]}{sep}{rest}`" in err
 
 
 def _inject_faults_example(command):
@@ -437,6 +443,45 @@ def test_serve_with_fault_plan(capsys):
     out = capsys.readouterr().out
     assert "fault plan: transfer_error" in out
     assert "1 retries" in out or "retries" in out
+
+
+def test_serve_survives_a_worker_crash(tmp_path, capsys):
+    """``worker_crash`` lands on its default site, ``scheduler.wave`` —
+    refused by ``serve`` until the served rounds joined the executor's
+    ladder.  Arrivals at cycle 0 fill both devices, so dispatch 0 is on
+    the pool when its worker dies; the summary is the clean run's bar
+    the host-seconds line."""
+    from repro.obs.ledger import RunLedger
+
+    argv = SERVE_ARGV + [  # the later --mean-gap wins
+        "--mean-gap", "0", "--devices", "2", "--workers", "2",
+    ]
+
+    def summary(ledger_argv, extra):
+        assert main(ledger_argv + argv + extra) == 0
+        return [
+            line for line in capsys.readouterr().out.splitlines()
+            if "host" not in line and not line.startswith("fault plan:")
+        ]
+
+    ledger = tmp_path / "ledger.jsonl"
+    crashed = summary(
+        ["--ledger", str(ledger)], ["--inject-faults", "worker_crash"]
+    )
+    assert crashed == summary(["--no-ledger"], [])
+    records = RunLedger(str(ledger))
+    (injected,) = records.events("fault.injected")
+    assert (injected["site"], injected["slot"]) == ("scheduler.wave", 0)
+    assert len(records.events("fault.pool_restart")) == 1
+    (retry,) = records.events("fault.retry")
+    assert (retry["kind"], retry["wave"]) == ("worker_crash", 0)
+
+
+def test_serve_help_fault_example_names_both_polled_sites():
+    from repro.faults import FaultPlan
+
+    plan = FaultPlan.from_spec(_inject_faults_example("serve"))
+    assert set(plan.sites()) == set(_polled_sites("serve"))
 
 
 # -- in-storage filtering (DESIGN.md §3.10) ------------------------------------------

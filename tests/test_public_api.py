@@ -110,6 +110,9 @@ RUN_PATH_SIGNATURES = {
         "driver", "partitions", "n_pipelines", "workers", "spm_cache",
         "fault_injector", "retry_policy", "wave_timeout",
     ),
+    "repro.accel.scheduler:run_waves": (
+        "tasks", "fan_out", "injector", "retry_policy", "wave_timeout",
+    ),
     "repro.accel.scheduler:run_queues": (
         "driver", "empty_pids", "queues", "n_pipelines", "workers",
         "caches", "injector", "retry_policy", "wave_timeout",

@@ -7,6 +7,11 @@ the scheduler's per-partition outputs must match the stand-alone
 per-partition drivers.
 """
 
+import os
+import time
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -18,10 +23,14 @@ from repro.accel.scheduler import (
     MarkdupWaveDriver,
     MetadataWaveDriver,
     SpmImageCache,
+    WaveTask,
     pack_waves,
     run_partitioned,
+    run_waves,
 )
 from repro.eval.workloads import make_workload
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.obs.ledger import RunLedger, RunManifest, run_context
 from repro.tables.partition import PartitionId
 
 BQSR_FIELDS = ("total_cycle", "total_context", "error_cycle", "error_context")
@@ -104,6 +113,95 @@ def test_bqsr_workers_bit_identical(sched_workload):
         assert_same_modelled(
             parallel_res[pid].drain_stats, serial_res[pid].drain_stats
         )
+
+
+@dataclass
+class _LingeringMetadataDriver(MetadataWaveDriver):
+    """Its first wave to reach a pool worker lingers there, so a crash
+    elsewhere in the pool is sure to catch it in flight."""
+
+    parent_pid: int = 0
+    marker: str = ""
+
+    def run_wave(self, wave, spm_cache):
+        if os.getpid() != self.parent_pid and not os.path.exists(self.marker):
+            open(self.marker, "w").close()
+            time.sleep(0.5)
+        return super().run_wave(wave, spm_cache)
+
+
+@pytest.mark.parametrize("plan", [
+    None,
+    FaultPlan(specs=(FaultSpec("worker_crash", at=(1,)),)),
+], ids=["clean", "crash_on_second"])
+def test_mixed_stage_tasks_inline_equals_pooled(
+    sched_workload, tmp_path, monkeypatch, plan
+):
+    """``run_queues`` hands :func:`run_waves` one driver; a served round
+    mixes stages.  A metadata and a BQSR task come out the same inline
+    and on a pool of 2 — outcomes, cycles, ``fault.*`` events, the wave
+    charged the retry — and the crash's innocent bystander goes back to
+    the pool at the attempt it was on."""
+    submitted = []
+    pool_submit = ProcessPoolExecutor.submit
+
+    def spy(self, fn, *args):
+        submitted.append((args[1], args[-1]))  # (wave index, attempt)
+        return pool_submit(self, fn, *args)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", spy)
+    _empty, metadata_waves = pack_waves(sched_workload.partitions, 2)
+    _empty, bqsr_waves = pack_waves(sched_workload.group_partitions, 2)
+
+    def drive(fan_out):
+        cache = SpmImageCache()
+        tasks = [
+            WaveTask(0, _LingeringMetadataDriver(
+                reference=sched_workload.reference, parent_pid=os.getpid(),
+                marker=str(tmp_path / f"lingered{fan_out}"),
+            ), metadata_waves[0], cache),
+            WaveTask(1, BqsrWaveDriver(
+                reference=sched_workload.reference,
+                read_length=sched_workload.read_length,
+            ), bqsr_waves[0], cache),
+        ]
+        ledger = RunLedger(str(tmp_path / f"fan{fan_out}.jsonl"))
+        with run_context(RunManifest(workload="mixed", config={}), ledger):
+            injector = FaultInjector(plan) if plan is not None else None
+            outcomes = {
+                task.index: outcome
+                for task, _worker, outcome in run_waves(tasks, fan_out, injector)
+            }
+        faults = sorted(
+            (r["event"], r["stage"], r.get("wave", r.get("slot")),
+             r["attempt"], r["kind"])
+            for r in ledger.events("fault.")
+            if r["event"] != "fault.pool_restart"  # the pool's alone
+        )
+        return outcomes, faults, [task.stats.retries for task in tasks]
+
+    inline, inline_faults, inline_retries = drive(1)
+    assert submitted == []
+    pooled, pooled_faults, pooled_retries = drive(2)
+    assert pooled_faults == inline_faults
+    assert pooled_retries == inline_retries == [0, 1 if plan else 0]
+    assert len(inline_faults) == (2 if plan else 0)  # injected + retry
+    assert sorted(submitted) == (
+        [(0, 0), (0, 0), (1, 0), (1, 1)] if plan else [(0, 0), (1, 0)]
+    )
+    for index in (0, 1):
+        assert pooled[index].stats.cycles == inline[index].stats.cycles
+        assert pooled[index].load_cycles == inline[index].load_cycles
+        assert set(pooled[index].results) == set(inline[index].results)
+    for pid, result in inline[0].results.items():
+        assert pooled[0].results[pid].nm == result.nm, str(pid)
+        assert pooled[0].results[pid].md == result.md, str(pid)
+        assert pooled[0].results[pid].uq == result.uq, str(pid)
+    for pid, result in inline[1].results.items():
+        for field in BQSR_FIELDS:
+            assert np.array_equal(
+                getattr(pooled[1].results[pid], field), getattr(result, field)
+            ), (str(pid), field)
 
 
 # -- scheduler vs the stand-alone per-partition drivers ------------------------------

@@ -12,14 +12,16 @@ import json
 import logging
 import multiprocessing
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from hw_harness import assert_same_modelled
-from repro.accel.scheduler import run_partitioned
+from repro.accel.scheduler import MetadataWaveDriver, run_partitioned
 from repro.accel.sharding import run_sharded
 from repro.eval.workloads import make_workload
+from repro.faults.injector import FaultInjector, RetryBudgetExceeded
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.retry import RetryPolicy
 from repro.obs.ledger import RunLedger, RunManifest, run_context
@@ -230,6 +232,91 @@ def test_fault_budget_fails_job_not_service(workload):
         service.results(doomed.job_id)
 
 
+@dataclass
+class _DyingMetadataDriver(MetadataWaveDriver):
+    """Its first wave to reach a pool worker takes the worker down —
+    a real process death, with no fault plan anywhere."""
+
+    parent_pid: int = 0
+    marker: str = ""
+
+    def run_wave(self, wave, spm_cache):
+        if os.getpid() != self.parent_pid:
+            try:
+                os.close(os.open(self.marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass  # some worker has died already: once is enough
+            else:
+                os._exit(1)
+        return super().run_wave(wave, spm_cache)
+
+
+@pytest.mark.parametrize("death", ("real", "injected"))
+def test_pooled_round_survives_a_worker_death(workload, tmp_path, death):
+    """A worker dying under a served round used to come out of
+    ``run_until_idle`` as a bare ``BrokenProcessPool`` (and a planned
+    ``worker_crash`` was never polled).  The round is on the executor's
+    ladder now: one pool restart, and served ≡ direct still holds — on
+    the host rung nothing reaches the virtual clock or the events."""
+    driver = stage_driver("metadata", workload)
+    partitions = stage_partitions("metadata", workload)
+
+    def serve(driver, fault_plan=None):
+        service = JobService(devices=2, workers=2, fault_plan=fault_plan)
+        jobs = [
+            service.submit(JobSpec(
+                tenant=tenant, driver=driver, partitions=partitions,
+                n_pipelines=2,
+            )).job_id
+            for tenant in ("a", "b")
+        ]
+        return service, jobs, service.run_until_idle()
+
+    clean, clean_jobs, clean_summary = serve(driver)
+    ledger = RunLedger(str(tmp_path / "ledger.jsonl"))
+    with run_context(RunManifest(workload="serve-death", config={}), ledger):
+        if death == "real":
+            service, jobs, summary = serve(_DyingMetadataDriver(
+                reference=driver.reference, parent_pid=os.getpid(),
+                marker=str(tmp_path / "died"),
+            ))
+        else:
+            service, jobs, summary = serve(driver, FaultPlan(
+                specs=(FaultSpec("worker_crash", at=(0,)),)
+            ))
+    assert len(ledger.events("fault.pool_restart")) == 1
+    assert len(ledger.events("fault.retry")) == (death == "injected")
+    assert summary.clock_cycles == clean_summary.clock_cycles
+    assert summary.retries == clean_summary.retries == 0
+    assert service.events == clean.events
+    direct, _stats = run_sharded(driver, partitions, 2, devices=2, workers=2)
+    for job, clean_job in zip(jobs, clean_jobs):
+        _assert_stage_identical("metadata", service.results(job), direct)
+        _assert_stage_identical(
+            "metadata", service.results(job), clean.results(clean_job)
+        )
+
+
+def test_host_rung_exhaustion_propagates_as_from_a_direct_run(workload):
+    """Past the serial rung a served wave raises what a direct one does."""
+    driver = stage_driver("markdup", workload)
+    partitions = stage_partitions("markdup", workload)
+    plan = FaultPlan(specs=(FaultSpec("worker_crash", at=(0,), attempts=9),))
+    policy = RetryPolicy(max_retries=1, backoff_base=0.001)
+    with pytest.raises(RetryBudgetExceeded) as direct:
+        run_partitioned(
+            driver, partitions, 2,
+            fault_injector=FaultInjector(plan), retry_policy=policy,
+        )
+    service = JobService(fault_plan=plan, retry_policy=policy)
+    service.submit(JobSpec(
+        tenant="a", driver=driver, partitions=partitions, n_pipelines=2
+    ))
+    with pytest.raises(RetryBudgetExceeded) as served:
+        service.run_until_idle()
+    assert str(served.value) == str(direct.value)
+
+
 # -- admission control --------------------------------------------------------------
 
 
@@ -389,7 +476,7 @@ def test_summary_and_events_carry_the_serve_counts(workload):
 
 
 def test_pooled_served_waves_log_their_worker_id(workload, tmp_path):
-    """A round of two waves runs on the service's pool; the workers'
+    """A round of two waves runs on the executor's pool; the workers'
     ``wave N done`` records must say which worker wrote them, as the
     batch scheduler's do."""
     if multiprocessing.get_start_method() != "fork":
@@ -401,13 +488,13 @@ def test_pooled_served_waves_log_their_worker_id(workload, tmp_path):
     try:
         with open(log_path, "a") as stream:
             configure_logging(json_lines=True, verbosity=1, stream=stream)
-            with JobService(devices=2, workers=2) as service:
-                for tenant in ("a", "b"):
-                    service.submit(JobSpec(
-                        tenant=tenant, driver=driver, partitions=partitions,
-                        n_pipelines=2,
-                    ))
-                service.run_until_idle()
+            service = JobService(devices=2, workers=2)
+            for tenant in ("a", "b"):
+                service.submit(JobSpec(
+                    tenant=tenant, driver=driver, partitions=partitions,
+                    n_pipelines=2,
+                ))
+            service.run_until_idle()
     finally:
         for handler in list(package_log.handlers):
             package_log.removeHandler(handler)
