@@ -7,10 +7,9 @@ handful of entries buys nothing — the justification for small on-chip
 FIFOs in the resource model.
 """
 
-from repro.accel.common import load_reference_spm, spm_base
+from repro.accel.common import feed_read_streams, load_reference_spm, spm_base
 from repro.accel.example_query import (
     build_example_pipeline,
-    configure_example_streams,
     count_matching_bases_sw,
 )
 from repro.hw.engine import Engine
@@ -25,7 +24,7 @@ def _run_with_depth(workload, capacity):
     spm, _ = load_reference_spm(ref_row)
     engine = Engine(MemorySystem(), default_queue_capacity=capacity)
     pipe = build_example_pipeline(engine, "q", spm, spm_base(ref_row))
-    configure_example_streams(pipe, part)
+    feed_read_streams(pipe, part)
     stats = engine.run()
     counts = [int(item[0]) for item in pipe.modules["q.writer"].items]
     assert counts == count_matching_bases_sw(part, ref_row)

@@ -6,7 +6,8 @@ inside one engine over real partitions, verifying bit-identical results
 and measuring the wall-cycle reduction replication buys.
 """
 
-from repro.accel.scheduler import MetadataWaveDriver, run_partitioned
+from repro.accel import MetadataWaveDriver
+from repro.accel.scheduler import run_partitioned
 
 
 def _sweep(workload):

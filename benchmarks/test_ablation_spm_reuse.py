@@ -21,8 +21,7 @@ def _measure(workload):
             continue
         ref_row = workload.reference.lookup(pid)
         result = run_metadata_update(part, ref_row)
-        spm = result.run.pipeline.modules["mu.spmread"].spm
-        total_spm_reads += spm.reads
+        total_spm_reads += result.run.ref_spm_reads
         spm_load_words += len(ref_row["SEQ"])
         memory_bytes += result.run.stats.memory_bytes
         starts = part.column("POS").tolist()

@@ -13,7 +13,8 @@ import os
 
 import pytest
 
-from repro.accel.scheduler import MetadataWaveDriver, run_partitioned
+from repro.accel import MetadataWaveDriver
+from repro.accel.scheduler import run_partitioned
 from repro.accel.sharding import plan_shards, run_sharded
 from repro.eval.workloads import make_workload
 

@@ -17,11 +17,8 @@ import os
 
 import pytest
 
-from repro.accel.scheduler import (
-    MetadataWaveDriver,
-    SpmImageCache,
-    run_partitioned,
-)
+from repro.accel import MetadataWaveDriver
+from repro.accel.scheduler import SpmImageCache, run_partitioned
 from repro.eval.workloads import make_workload
 
 N_PARTITIONS = 32

@@ -20,7 +20,8 @@ commits.
 
 import time
 
-from repro.accel.scheduler import MetadataWaveDriver, run_partitioned
+from repro.accel import MetadataWaveDriver
+from repro.accel.scheduler import run_partitioned
 from repro.eval.workloads import make_workload
 from repro.hw.memory import MemoryConfig
 
@@ -131,17 +132,21 @@ def test_metrics_disabled_zero_overhead(benchmark, report):
     as a stable gap between them.  The enabled-profiling cost (probe
     attached, timelines + queue depths on) is recorded alongside for the
     trajectory; it is allowed to cost real time."""
-    from repro.accel.markdup import run_quality_sums
+    from repro.accel.common import SOLO
+    from repro.accel.markdup import MarkdupWaveDriver, qual_table
+    from repro.accel.scheduler import SpmImageCache
     from repro.obs import Profiler
 
-    quals = [read.qual for read in _workload().reads]
+    wave = [(SOLO, qual_table([read.qual for read in _workload().reads]))]
 
     def time_once(profiled):
         start = time.perf_counter()
         profiler = Profiler(name="overhead") if profiled else None
-        result = run_quality_sums(quals, profiler=profiler)
+        _results, stats, _load_cycles = MarkdupWaveDriver().run_wave(
+            wave, SpmImageCache(), probe=profiler
+        )
         wall = time.perf_counter() - start
-        return wall, result.stats.cycles
+        return wall, stats.cycles
 
     # Warm up caches/allocators, then interleave the two disabled-path
     # samples — alternating which goes first — so drift and ordering
@@ -193,7 +198,8 @@ def test_fault_hooks_no_fault_overhead(benchmark, report):
     interleaved A/A comparison of hooked vs bare runs must agree within
     the same 5% noise budget as the metrics gate, with bit-identical
     simulated cycles."""
-    from repro.accel.scheduler import MarkdupWaveDriver, run_partitioned
+    from repro.accel import MarkdupWaveDriver
+    from repro.accel.scheduler import run_partitioned
     from repro.faults import FaultInjector, FaultPlan, FaultSpec
 
     workload = _workload()

@@ -14,7 +14,7 @@ benchmarks/test_storage_filter.py --benchmark-only`` (see
 EXPERIMENTS.md "In-storage filtering sweep").
 """
 
-from repro.accel.scheduler import MetadataWaveDriver
+from repro.accel import MetadataWaveDriver
 from repro.accel.sharding import run_sharded
 from repro.eval.workloads import make_workload
 from repro.storage import plan_storage_filter

@@ -18,7 +18,7 @@ the Figure 13 / Table III analysis, end to end.
 Run:  python examples/cloud_batch_preprocessing.py
 """
 
-from repro.accel.scheduler import MarkdupWaveDriver
+from repro.accel import MarkdupWaveDriver
 from repro.eval import make_workload
 from repro.eval.experiments import measure_cycles_per_base
 from repro.gatk import mark_duplicates

@@ -3,37 +3,39 @@
 Drivers that compose hardware-library modules into the paper's pipelines,
 simulate them cycle by cycle, and post-process results: the Figure 7
 example query, mark duplicates (Figure 10), metadata update (Figure 11),
-and BQSR covariate-table construction (Figure 12).
+and BQSR covariate-table construction (Figure 12).  Each is one
+:class:`WaveDriver` beside its pipeline builder; :data:`STAGES` is the
+table of them.
 """
 
 from .bqsr import (
     BqsrAccelResult,
     BqsrSpms,
+    BqsrWaveDriver,
     build_bqsr_pipeline,
-    configure_bqsr_streams,
     drain_spms,
     merge_partition_results,
     run_bqsr_partition,
 )
-from .common import AcceleratorRun, ReadStreams, load_reference_spm, read_streams
+from .common import AcceleratorRun, feed_read_streams, load_reference_spm
 from .example_query import (
     ExampleQueryResult,
+    ExampleQueryWaveDriver,
     build_example_pipeline,
-    configure_example_streams,
     count_matching_bases_sw,
     run_example_query,
 )
 from .markdup import (
     MarkDupAccelResult,
+    MarkdupWaveDriver,
     accelerated_mark_duplicates,
     build_markdup_pipeline,
     run_quality_sums,
-    run_quality_sums_table,
 )
 from .metadata import (
     MetadataAccelResult,
+    MetadataWaveDriver,
     build_metadata_pipeline,
-    configure_metadata_streams,
     run_metadata_update,
 )
 
@@ -41,33 +43,33 @@ __all__ = [
     "AcceleratorRun",
     "BqsrAccelResult",
     "BqsrSpms",
+    "BqsrWaveDriver",
     "ExampleQueryResult",
+    "ExampleQueryWaveDriver",
     "MarkDupAccelResult",
+    "MarkdupWaveDriver",
     "MetadataAccelResult",
-    "ReadStreams",
+    "MetadataWaveDriver",
     "accelerated_mark_duplicates",
     "build_bqsr_pipeline",
     "build_example_pipeline",
     "build_markdup_pipeline",
     "build_metadata_pipeline",
-    "configure_bqsr_streams",
-    "configure_example_streams",
-    "configure_metadata_streams",
     "count_matching_bases_sw",
     "drain_spms",
+    "feed_read_streams",
     "load_reference_spm",
     "merge_partition_results",
-    "read_streams",
     "run_bqsr_partition",
     "run_example_query",
     "run_metadata_update",
     "run_quality_sums",
-    "run_quality_sums_table",
 ]
 
 # Section IV-E extensions: other genomic data-manipulation operations.
 from .active_region import (
     ActiveRegionAccelResult,
+    ActiveRegionWaveDriver,
     AnchorInsertions,
     accelerated_active_regions,
     build_active_region_pipeline,
@@ -89,6 +91,7 @@ from .fm_seeding import (
 
 __all__ += [
     "ActiveRegionAccelResult",
+    "ActiveRegionWaveDriver",
     "AnchorInsertions",
     "CallsetOpResult",
     "FmSeeder",
@@ -105,9 +108,6 @@ __all__ += [
 ]
 
 from .scheduler import (
-    BqsrWaveDriver,
-    MarkdupWaveDriver,
-    MetadataWaveDriver,
     ParallelRunStats,
     SpmImageCache,
     WaveDriver,
@@ -117,9 +117,6 @@ from .scheduler import (
 )
 
 __all__ += [
-    "BqsrWaveDriver",
-    "MarkdupWaveDriver",
-    "MetadataWaveDriver",
     "ParallelRunStats",
     "SpmImageCache",
     "WaveDriver",
@@ -155,3 +152,7 @@ __all__ += [
 from .sort import HwSortResult, coordinate_sort_reads, run_hw_sort
 
 __all__ += ["HwSortResult", "coordinate_sort_reads", "run_hw_sort"]
+
+from .stages import PAPER_STAGES, STAGES, stage_named
+
+__all__ += ["PAPER_STAGES", "STAGES", "stage_named"]

@@ -15,6 +15,12 @@ Section III-F:
   through address ALUs that rebase genome positions onto SPM words;
 * a host-side merge of per-partition buffers and the shared
   :func:`repro.gatk.active_region.extract_regions` thresholding.
+
+The pipeline is partition + REF-row shaped, so it is a
+:class:`~repro.accel.scheduler.WaveDriver` like the paper's three stages:
+:func:`accelerated_active_regions` is
+:func:`~repro.accel.scheduler.run_partitioned` plus the merge, and the
+driver shards, survives faults and serves like any other.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from ..gatk.active_region import (
 from ..genomics.reference import ReferenceGenome
 from ..hw.engine import Engine
 from ..hw.flit import INS, Flit
-from ..hw.memory import MemoryConfig, MemorySystem
+from ..hw.memory import MemoryConfig
 from ..hw.module import Module
 from ..hw.modules import (
     Filter,
@@ -47,8 +53,14 @@ from ..hw.modules import (
 )
 from ..hw.pipeline import Pipeline
 from ..hw.spm import Scratchpad
+from ..tables.partition import PartitionedReference, PartitionId
 from ..tables.table import Table
-from .common import AcceleratorRun, load_reference_spm, read_streams, spm_base
+from .common import AcceleratorRun, feed_read_streams, solo_reference
+from .scheduler import WaveDriver, run_partitioned
+
+#: Replicas per wave of :func:`accelerated_active_regions` — the paper's
+#: replication of the metadata-update front end this pipeline reuses.
+PIPELINES = 16
 
 
 class AnchorInsertions(Module):
@@ -171,12 +183,52 @@ def build_active_region_pipeline(
 
 @dataclass
 class ActiveRegionAccelResult:
-    """One partition's activity/depth buffers plus simulation stats."""
+    """One partition's activity/depth buffers plus simulation stats.
+
+    ``run`` is ``None`` for partitions the scheduler never simulated
+    (empty partitions contribute zero-length buffers).
+    """
 
     base: int
     activity: np.ndarray
     depth: np.ndarray
-    run: AcceleratorRun
+    run: Optional[AcceleratorRun]
+
+
+@dataclass
+class ActiveRegionWaveDriver(WaveDriver):
+    """Waves of active-region replicas, each owning its activity and
+    depth scratchpads (one word per reference position of its row)."""
+
+    reference: PartitionedReference
+    memory_config: Optional[MemoryConfig] = None
+    mode: Optional[str] = None
+
+    stage = "active_region"
+    solo = "ar"
+    uses_reference = True
+
+    def empty_result(self, pid: PartitionId) -> ActiveRegionAccelResult:
+        nothing = np.zeros(0, dtype=np.int64)
+        return ActiveRegionAccelResult(0, nothing, nothing, run=None)
+
+    def build_replica(self, engine, name, part, spm, base):
+        activity_spm = Scratchpad("activity", len(spm))
+        depth_spm = Scratchpad("depth", len(spm))
+        pipe = build_active_region_pipeline(
+            engine, name, spm, base, activity_spm, depth_spm
+        )
+        feed_read_streams(pipe, part)
+        return base, activity_spm, depth_spm
+
+    def harvest(self, context, run) -> ActiveRegionAccelResult:
+        base, activity_spm, depth_spm = context
+        return ActiveRegionAccelResult(
+            base=base,
+            activity=np.array(activity_spm.dump(), dtype=np.int64),
+            depth=np.array(depth_spm.dump(), dtype=np.int64),
+            run=run,
+        )
 
 
 def run_active_region_partition(
@@ -185,26 +237,8 @@ def run_active_region_partition(
     memory_config: Optional[MemoryConfig] = None,
 ) -> ActiveRegionAccelResult:
     """Simulate the active-region pipeline on one partition."""
-    ref_spm, load_stats = load_reference_spm(ref_row, memory_config)
-    size = len(ref_row["SEQ"])
-    activity_spm = Scratchpad("activity", size)
-    depth_spm = Scratchpad("depth", size)
-    engine = Engine(MemorySystem(memory_config))
-    pipe = build_active_region_pipeline(
-        engine, "ar", ref_spm, spm_base(ref_row), activity_spm, depth_spm
-    )
-    streams = read_streams(partition)
-    pipe.modules["ar.pos"].set_scalars(streams.pos)
-    pipe.modules["ar.endpos"].set_scalars(streams.endpos)
-    pipe.modules["ar.cigar"].set_items(streams.cigar)
-    pipe.modules["ar.seq"].set_items(streams.seq)
-    stats = engine.run()
-    return ActiveRegionAccelResult(
-        base=spm_base(ref_row),
-        activity=np.array(activity_spm.dump(), dtype=np.int64),
-        depth=np.array(depth_spm.dump(), dtype=np.int64),
-        run=AcceleratorRun(pipeline=pipe, stats=stats, load_stats=load_stats),
-    )
+    driver = ActiveRegionWaveDriver(solo_reference(ref_row), memory_config)
+    return driver.run_one(partition)
 
 
 def accelerated_active_regions(
@@ -213,19 +247,19 @@ def accelerated_active_regions(
     genome: ReferenceGenome,
     config: Optional[ActiveRegionConfig] = None,
 ) -> Dict[int, List[ActiveRegion]]:
-    """Full accelerated stage: per-partition pipelines, host-side buffer
-    merge, shared thresholding.  Equivalent to
+    """Full accelerated stage: waves of per-partition pipelines, host-side
+    buffer merge, shared thresholding.  Equivalent to
     :func:`repro.gatk.active_region.determine_active_regions`."""
+    results, _stats = run_partitioned(
+        ActiveRegionWaveDriver(reference), workload_partitions, PIPELINES
+    )
     per_chrom: Dict[int, np.ndarray] = {}
     per_chrom_depth: Dict[int, np.ndarray] = {}
     for chrom in genome.chromosomes:
         length = genome.length(chrom)
         per_chrom[chrom] = np.zeros(length, dtype=np.int64)
         per_chrom_depth[chrom] = np.zeros(length, dtype=np.int64)
-    for pid, part in workload_partitions:
-        if part.num_rows == 0:
-            continue
-        result = run_active_region_partition(part, reference.lookup(pid))
+    for pid, result in results.items():
         length = genome.length(pid.chrom)
         window = min(len(result.activity), length - result.base)
         sl = slice(result.base, result.base + window)

@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..gatk.bqsr import MAX_QUALITY, N_CONTEXTS, CovariateTables, n_cycle_values
+from ..genomics.read import FLAG_REVERSE
 from ..hw.engine import Engine, RunStats
 from ..hw.flit import Flit
 from ..hw.memory import MemoryConfig, MemorySystem
@@ -50,14 +51,10 @@ from ..hw.modules import (
 )
 from ..hw.pipeline import Pipeline
 from ..hw.spm import Scratchpad
+from ..tables.partition import PartitionedReference, PartitionId
 from ..tables.table import Table
-from .common import (
-    PHASES,
-    AcceleratorRun,
-    load_reference_spm,
-    read_streams,
-    spm_base,
-)
+from .common import PHASES, AcceleratorRun, feed_read_streams, solo_reference
+from .scheduler import WaveDriver
 
 
 def _not_snp(flit) -> bool:
@@ -176,22 +173,6 @@ def build_bqsr_pipeline(
     return pipe
 
 
-def configure_bqsr_streams(pipe: Pipeline, partition: Table) -> None:
-    """Load one partition's column streams into the pipeline's readers."""
-    streams = read_streams(partition)
-    name = pipe.name
-    pipe.modules[f"{name}.pos"].set_scalars(streams.pos)
-    pipe.modules[f"{name}.endpos"].set_scalars(streams.endpos)
-    pipe.modules[f"{name}.cigar"].set_items(streams.cigar)
-    pipe.modules[f"{name}.seq"].set_items(streams.seq)
-    pipe.modules[f"{name}.qual"].set_items(streams.qual)
-    meta_reader = pipe.modules[f"{name}.meta"]
-    meta_flits = []
-    for reverse, seqlen in zip(streams.reverse_flags(), streams.seq_lengths()):
-        meta_flits.append(Flit({"reverse": reverse, "seqlen": seqlen}, last=True))
-    meta_reader.set_stream(meta_flits)
-
-
 def _simulate_drain(
     sizes: Tuple[int, ...], memory_config: MemoryConfig, mode: str
 ) -> RunStats:
@@ -246,12 +227,41 @@ class BqsrAccelResult:
     drain_stats: Optional[RunStats] = None
     hazard_stalls: int = 0
 
+
+@dataclass
+class BqsrWaveDriver(WaveDriver):
+    """Waves of Figure 12 covariate-construction replicas.
+
+    Each replica owns its four count scratchpads; the reference SPM is
+    loaded with ``(base, is_snp)`` words.  Read-group slices of the same
+    genome segment share one REF row, so a wave over group partitions
+    hits the SPM cache within a single run.
+    """
+
+    reference: PartitionedReference
+    read_length: int
+    memory_config: Optional[MemoryConfig] = None
+    mode: Optional[str] = None
+    drain: bool = True
+
+    stage = "bqsr"
+    solo = "bq"
+    uses_reference = True
+    with_snp = True
+    partitions = "group_partitions"
+    timing = "bqsr_table"
+    # the timing model extrapolates the binning kernel; the SPM drain
+    # amortizes away at the paper's partition size
+    kernel = {"drain": False}
+
     @classmethod
-    def empty(cls, read_length: int) -> "BqsrAccelResult":
-        """The result shape of a partition slice with no reads."""
-        n_b1 = MAX_QUALITY * n_cycle_values(read_length)
+    def over(cls, workload, **fields) -> "BqsrWaveDriver":
+        return cls(workload.reference, workload.read_length, **fields)
+
+    def empty_result(self, pid: PartitionId) -> BqsrAccelResult:
+        n_b1 = MAX_QUALITY * n_cycle_values(self.read_length)
         n_b2 = MAX_QUALITY * N_CONTEXTS
-        return cls(
+        return BqsrAccelResult(
             total_cycle=np.zeros(n_b1, dtype=np.int64),
             total_context=np.zeros(n_b2, dtype=np.int64),
             error_cycle=np.zeros(n_b1, dtype=np.int64),
@@ -259,32 +269,44 @@ class BqsrAccelResult:
             run=None,
         )
 
+    def build_replica(self, engine, name, part, spm, base):
+        spms = BqsrSpms.allocate(self.read_length)
+        pipe = build_bqsr_pipeline(
+            engine, name, spm, base, spms, self.read_length
+        )
+        feed_read_streams(pipe, part)
+        # the per-read header BinIDGen takes: strand and stored length
+        pipe.modules[f"{name}.meta"].set_stream([
+            Flit(
+                {"reverse": bool(int(flags) & FLAG_REVERSE), "seqlen": len(seq)},
+                last=True,
+            )
+            for flags, seq in zip(part.column("FLAGS"), part.column("SEQ"))
+        ])
+        return pipe, spms
 
-def harvest_bqsr(
-    pipe: Pipeline,
-    spms: BqsrSpms,
-    run: AcceleratorRun,
-    memory_config: Optional[MemoryConfig],
-    drain: bool,
-) -> BqsrAccelResult:
-    """Post-process one finished Figure 12 replica: drain its count
-    scratchpads (when ``drain`` is set), total the RAW-hazard stalls of
-    its SPM Updaters, and read the four count tables back."""
-    drain_stats = drain_spms(spms, memory_config) if drain else None
-    hazard_stalls = sum(
-        module.hazard_stalls
-        for module in pipe.modules.values()
-        if isinstance(module, SpmUpdater)
-    )
-    return BqsrAccelResult(
-        total_cycle=np.array(spms.total_cycle.dump(), dtype=np.int64),
-        total_context=np.array(spms.total_context.dump(), dtype=np.int64),
-        error_cycle=np.array(spms.error_cycle.dump(), dtype=np.int64),
-        error_context=np.array(spms.error_context.dump(), dtype=np.int64),
-        run=run,
-        drain_stats=drain_stats,
-        hazard_stalls=hazard_stalls,
-    )
+    def harvest(self, context, run) -> BqsrAccelResult:
+        """Drain the replica's count scratchpads (when ``drain`` is set),
+        total the RAW-hazard stalls of its SPM Updaters, and read the
+        four count tables back."""
+        pipe, spms = context
+        drain_stats = (
+            drain_spms(spms, self.memory_config) if self.drain else None
+        )
+        hazard_stalls = sum(
+            module.hazard_stalls
+            for module in pipe.modules.values()
+            if isinstance(module, SpmUpdater)
+        )
+        return BqsrAccelResult(
+            total_cycle=np.array(spms.total_cycle.dump(), dtype=np.int64),
+            total_context=np.array(spms.total_context.dump(), dtype=np.int64),
+            error_cycle=np.array(spms.error_cycle.dump(), dtype=np.int64),
+            error_context=np.array(spms.error_context.dump(), dtype=np.int64),
+            run=run,
+            drain_stats=drain_stats,
+            hazard_stalls=hazard_stalls,
+        )
 
 
 def run_bqsr_partition(
@@ -293,27 +315,12 @@ def run_bqsr_partition(
     read_length: int,
     memory_config: Optional[MemoryConfig] = None,
     drain: bool = True,
-    profiler=None,
 ) -> BqsrAccelResult:
-    """Simulate the Figure 12 pipeline on one partition slice.
-
-    ``profiler`` is an optional :class:`repro.obs.Profiler` attached to
-    the binning engine (SPM load and drain phases run unprofiled)."""
-    ref_spm, load_stats = load_reference_spm(ref_row, memory_config, with_snp=True)
-    spms = BqsrSpms.allocate(read_length)
-    engine = Engine(MemorySystem(memory_config))
-    pipe = build_bqsr_pipeline(
-        engine, "bq", ref_spm, spm_base(ref_row), spms, read_length
+    """Simulate the Figure 12 pipeline on one partition slice."""
+    driver = BqsrWaveDriver(
+        solo_reference(ref_row), read_length, memory_config, drain=drain
     )
-    configure_bqsr_streams(pipe, partition)
-    if profiler is not None:
-        profiler.attach(engine)
-    stats = engine.run()
-    return harvest_bqsr(
-        pipe, spms,
-        AcceleratorRun(pipeline=pipe, stats=stats, load_stats=load_stats),
-        memory_config, drain,
-    )
+    return driver.run_one(partition)
 
 
 def merge_partition_results(

@@ -17,60 +17,38 @@ from typing import (
     Collection,
     Dict,
     FrozenSet,
-    List,
     Optional,
     Sequence,
     Tuple,
 )
 
-import numpy as np
-
-from ..genomics.read import FLAG_REVERSE
 from ..hw.engine import Engine, RunStats
 from ..hw.memory import MemoryConfig, MemorySystem
 from ..hw.modules import MemoryReader, SpmUpdater
 from ..hw.pipeline import Pipeline
 from ..hw.spm import Scratchpad
+from ..tables.partition import PartitionedReference, PartitionId
 from ..tables.table import Table
 
 
-@dataclass
-class ReadStreams:
-    """The per-column streams of one READS partition."""
-
-    pos: List[int]
-    endpos: List[int]
-    cigar: List[List[int]]
-    seq: List[np.ndarray]
-    qual: List[np.ndarray]
-    flags: List[int]
-    rowids: List[int]
-
-    @property
-    def num_reads(self) -> int:
-        """Reads in the partition."""
-        return len(self.pos)
-
-    def reverse_flags(self) -> List[bool]:
-        """Per-read reverse-strand booleans (BinIDGen metadata)."""
-        return [bool(f & FLAG_REVERSE) for f in self.flags]
-
-    def seq_lengths(self) -> List[int]:
-        """Per-read stored sequence lengths."""
-        return [len(s) for s in self.seq]
-
-
-def read_streams(partition: Table) -> ReadStreams:
-    """Extract the column streams from a READS partition table."""
-    return ReadStreams(
-        pos=[int(v) for v in partition.column("POS")],
-        endpos=[int(v) for v in partition.column("ENDPOS")],
-        cigar=[[int(c) for c in row] for row in partition.column("CIGAR")],
-        seq=list(partition.column("SEQ")),
-        qual=list(partition.column("QUAL")),
-        flags=[int(v) for v in partition.column("FLAGS")],
-        rowids=[int(v) for v in partition.column("ROWID")],
+def feed_read_streams(pipe: Pipeline, partition: Table) -> None:
+    """Load one READS partition's column streams into the pipeline's
+    memory readers — ``<name>.pos`` / ``.endpos`` / ``.cigar`` / ``.seq``,
+    and ``.qual`` where the pipeline has one."""
+    readers = pipe.modules
+    name = pipe.name
+    readers[f"{name}.pos"].set_scalars(
+        [int(v) for v in partition.column("POS")]
     )
+    readers[f"{name}.endpos"].set_scalars(
+        [int(v) for v in partition.column("ENDPOS")]
+    )
+    readers[f"{name}.cigar"].set_items(
+        [[int(c) for c in row] for row in partition.column("CIGAR")]
+    )
+    readers[f"{name}.seq"].set_items(list(partition.column("SEQ")))
+    if f"{name}.qual" in readers:
+        readers[f"{name}.qual"].set_items(list(partition.column("QUAL")))
 
 
 #: Distinct phase shapes the memo remembers (a run sees a handful: one
@@ -206,16 +184,14 @@ def load_reference_spm(
 
 @dataclass
 class AcceleratorRun:
-    """Result of simulating one accelerator invocation on one partition.
+    """Result of simulating one accelerator invocation on one partition:
+    the statistics of the engine run its replica was part of, of its
+    reference-SPM load, and the words its SPM Reader took from that SPM
+    (picklable — a pool worker ships it back)."""
 
-    ``pipeline`` is ``None`` for runs harvested by the partition scheduler
-    (:mod:`repro.accel.scheduler`), whose per-partition results must stay
-    picklable across worker processes; the statistics are always present.
-    """
-
-    pipeline: Optional[Pipeline]
     stats: RunStats
     load_stats: Optional[RunStats] = None
+    ref_spm_reads: int = 0
 
     @property
     def total_cycles(self) -> int:
@@ -229,3 +205,13 @@ class AcceleratorRun:
 def spm_base(ref_row: dict) -> int:
     """The genome coordinate of SPM word 0 for a REF partition row."""
     return int(ref_row["REFPOS"])
+
+
+#: The partition id of a serial run's one partition.
+SOLO = PartitionId(0, 0)
+
+
+def solo_reference(ref_row: dict) -> PartitionedReference:
+    """The one-row reference a serial runner hands its driver: ``ref_row``
+    serves :data:`SOLO`."""
+    return PartitionedReference(0, 0, {(SOLO.chrom, SOLO.segment): ref_row})

@@ -9,7 +9,9 @@ base pairs match the reference.  Figure 7 composes the hardware pipeline:
   keyed on position, a Filter comparing read base to reference base, a
   COUNT Reducer, and a Memory Writer.
 
-:func:`run_example_query` simulates exactly that pipeline;
+:class:`ExampleQueryWaveDriver` is that pipeline as a stage (N replicas of
+it behind one memory system are the Figure 8 ablation),
+:func:`run_example_query` one replica of it;
 :func:`count_matching_bases_sw` is the software reference semantics the
 simulation is checked against (and what the SQL executor produces for the
 Figure 4 query).
@@ -22,7 +24,7 @@ from typing import List, Optional
 
 from ..genomics.cigar import decode_elements
 from ..hw.engine import Engine
-from ..hw.memory import MemoryConfig, MemorySystem
+from ..hw.memory import MemoryConfig
 from ..hw.modules import (
     Filter,
     Fork,
@@ -35,8 +37,10 @@ from ..hw.modules import (
 )
 from ..hw.pipeline import Pipeline
 from ..hw.spm import Scratchpad
+from ..tables.partition import PartitionedReference, PartitionId
 from ..tables.table import Table
-from .common import AcceleratorRun, load_reference_spm, read_streams, spm_base
+from .common import AcceleratorRun, feed_read_streams, solo_reference
+from .scheduler import WaveDriver
 
 
 def count_matching_bases_sw(partition: Table, ref_row: dict) -> List[int]:
@@ -62,9 +66,9 @@ def build_example_pipeline(
 ) -> Pipeline:
     """Wire one Figure 7 pipeline replica into ``engine``.
 
-    Returns the pipeline; the caller configures the reader streams via the
-    modules registered as ``<name>.pos`` etc. and reads results from the
-    ``<name>.writer`` module's collected items.
+    Returns the pipeline; the caller feeds the reader streams
+    (:func:`~repro.accel.common.feed_read_streams`) and reads results
+    from the ``<name>.writer`` module's collected items.
     """
     pipe = Pipeline(name, engine)
     memory = engine.memory
@@ -105,21 +109,42 @@ def build_example_pipeline(
     return pipe
 
 
-def configure_example_streams(pipe: Pipeline, partition: Table) -> None:
-    """Load one partition's column streams into the pipeline's readers."""
-    streams = read_streams(partition)
-    pipe.modules[f"{pipe.name}.pos"].set_scalars(streams.pos)
-    pipe.modules[f"{pipe.name}.endpos"].set_scalars(streams.endpos)
-    pipe.modules[f"{pipe.name}.cigar"].set_items(streams.cigar)
-    pipe.modules[f"{pipe.name}.seq"].set_items(streams.seq)
+@dataclass
+class ExampleQueryResult:
+    """Per-read match counts plus simulation statistics.
+
+    ``run`` is ``None`` for partitions the scheduler never simulated.
+    """
+
+    counts: List[int]
+    run: Optional[AcceleratorRun]
 
 
 @dataclass
-class ExampleQueryResult:
-    """Per-read match counts plus simulation statistics."""
+class ExampleQueryWaveDriver(WaveDriver):
+    """Waves of Figure 7 match-count replicas."""
 
-    counts: List[int]
-    run: AcceleratorRun
+    reference: PartitionedReference
+    memory_config: Optional[MemoryConfig] = None
+    mode: Optional[str] = None
+
+    stage = "example"
+    solo = "ex"
+    uses_reference = True
+
+    def empty_result(self, pid: PartitionId) -> ExampleQueryResult:
+        return ExampleQueryResult(counts=[], run=None)
+
+    def build_replica(self, engine, name, part, spm, base):
+        pipe = build_example_pipeline(engine, name, spm, base)
+        feed_read_streams(pipe, part)
+        return pipe
+
+    def harvest(self, pipe, run) -> ExampleQueryResult:
+        writer = pipe.modules[f"{pipe.name}.writer"]
+        return ExampleQueryResult(
+            counts=[int(item[0]) for item in writer.items], run=run
+        )
 
 
 def run_example_query(
@@ -128,14 +153,5 @@ def run_example_query(
     memory_config: Optional[MemoryConfig] = None,
 ) -> ExampleQueryResult:
     """Simulate the Figure 7 pipeline on one partition."""
-    spm, load_stats = load_reference_spm(ref_row, memory_config)
-    engine = Engine(MemorySystem(memory_config))
-    pipe = build_example_pipeline(engine, "ex", spm, spm_base(ref_row))
-    configure_example_streams(pipe, partition)
-    stats = engine.run()
-    writer = pipe.modules["ex.writer"]
-    counts = [int(item[0]) for item in writer.items]
-    return ExampleQueryResult(
-        counts=counts,
-        run=AcceleratorRun(pipeline=pipe, stats=stats, load_stats=load_stats),
-    )
+    driver = ExampleQueryWaveDriver(solo_reference(ref_row), memory_config)
+    return driver.run_one(partition)

@@ -17,10 +17,14 @@ from typing import List, Optional, Sequence
 from ..gatk.markdup import MarkDuplicatesResult, mark_duplicates
 from ..genomics.read import AlignedRead
 from ..hw.engine import Engine, RunStats
-from ..hw.memory import MemoryConfig, MemorySystem
+from ..hw.memory import MemoryConfig
 from ..hw.modules import MemoryReader, MemoryWriter, Reducer
 from ..hw.pipeline import Pipeline
+from ..tables.genomic_tables import READS_SCHEMA
+from ..tables.partition import PartitionId
 from ..tables.table import Table
+from .common import SOLO
+from .scheduler import WaveDriver
 
 
 def build_markdup_pipeline(engine: Engine, name: str) -> Pipeline:
@@ -45,40 +49,52 @@ class MarkDupAccelResult:
     quality_sums: List[int]
     stats: Optional[RunStats]
 
+
+@dataclass
+class MarkdupWaveDriver(WaveDriver):
+    """Waves of Figure 10 quality-sum replicas."""
+
+    memory_config: Optional[MemoryConfig] = None
+    mode: Optional[str] = None
+
+    stage = "markdup"
+    solo = "md"
+    timing = "markdup"
+
     @classmethod
-    def empty(cls) -> "MarkDupAccelResult":
-        """The result shape of a partition with no reads."""
-        return cls(quality_sums=[], stats=None)
+    def kernel_items(cls, workload):
+        """Figure 10 streams the QUAL column of the whole read list."""
+        return [(SOLO, workload.table)]
+
+    def empty_result(self, pid: PartitionId) -> MarkDupAccelResult:
+        return MarkDupAccelResult(quality_sums=[], stats=None)
+
+    def build_replica(self, engine, name, part, spm, base):
+        pipe = build_markdup_pipeline(engine, name)
+        pipe.modules[f"{name}.qual"].set_items(
+            [[int(q) for q in item] for item in part.column("QUAL")]
+        )
+        return pipe
+
+    def harvest(self, pipe, run) -> MarkDupAccelResult:
+        writer = pipe.modules[f"{pipe.name}.writer"]
+        return MarkDupAccelResult(
+            quality_sums=[int(item[0]) for item in writer.items],
+            stats=run.stats,
+        )
+
+
+def qual_table(quals: Sequence) -> Table:
+    """Per-read QUAL arrays as the one READS column the Figure 10
+    pipeline streams."""
+    return Table(READS_SCHEMA.subset(["QUAL"]), {"QUAL": quals}, len(quals))
 
 
 def run_quality_sums(
-    quals: Sequence,
-    memory_config: Optional[MemoryConfig] = None,
-    profiler=None,
+    quals: Sequence, memory_config: Optional[MemoryConfig] = None
 ) -> MarkDupAccelResult:
-    """Simulate the quality-sum pipeline over per-read QUAL arrays.
-
-    ``profiler`` is an optional :class:`repro.obs.Profiler`; when given it
-    is attached to the engine before the run and left holding the run's
-    observations for ``profiler.report()``.
-    """
-    engine = Engine(MemorySystem(memory_config))
-    pipe = build_markdup_pipeline(engine, "md")
-    pipe.modules["md.qual"].set_items([[int(q) for q in item] for item in quals])
-    if profiler is not None:
-        profiler.attach(engine)
-    stats = engine.run()
-    writer = pipe.modules["md.writer"]
-    return MarkDupAccelResult(
-        quality_sums=[int(item[0]) for item in writer.items], stats=stats
-    )
-
-
-def run_quality_sums_table(
-    reads_table: Table, memory_config: Optional[MemoryConfig] = None
-) -> MarkDupAccelResult:
-    """Same, taking a READS table."""
-    return run_quality_sums(reads_table.column("QUAL"), memory_config)
+    """Simulate the quality-sum pipeline over per-read QUAL arrays."""
+    return MarkdupWaveDriver(memory_config).run_one(qual_table(quals))
 
 
 def accelerated_mark_duplicates(

@@ -17,10 +17,10 @@ One pipeline computes NM, MD, and UQ for every read of one partition:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..hw.engine import Engine
-from ..hw.memory import MemoryConfig, MemorySystem
+from ..hw.memory import MemoryConfig
 from ..hw.modules import (
     Filter,
     Fork,
@@ -36,8 +36,10 @@ from ..hw.modules import (
 )
 from ..hw.pipeline import Pipeline
 from ..hw.spm import Scratchpad
+from ..tables.partition import PartitionedReference, PartitionId
 from ..tables.table import Table
-from .common import AcceleratorRun, load_reference_spm, read_streams, spm_base
+from .common import AcceleratorRun, feed_read_streams, solo_reference
+from .scheduler import WaveDriver
 
 
 def _is_mismatch(flit) -> bool:
@@ -110,28 +112,6 @@ def build_metadata_pipeline(
     return pipe
 
 
-def configure_metadata_streams(pipe: Pipeline, partition: Table) -> None:
-    """Load one partition's column streams into the pipeline's readers."""
-    streams = read_streams(partition)
-    name = pipe.name
-    pipe.modules[f"{name}.pos"].set_scalars(streams.pos)
-    pipe.modules[f"{name}.endpos"].set_scalars(streams.endpos)
-    pipe.modules[f"{name}.cigar"].set_items(streams.cigar)
-    pipe.modules[f"{name}.seq"].set_items(streams.seq)
-    pipe.modules[f"{name}.qual"].set_items(streams.qual)
-
-
-def collect_metadata_outputs(
-    pipe: Pipeline,
-) -> Tuple[List[int], List[str], List[int]]:
-    """Read back the NM/MD/UQ memory-writer contents of one pipeline."""
-    name = pipe.name
-    nm = [int(item[0]) for item in pipe.modules[f"{name}.nmw"].items]
-    md = [join_md_tokens(item) for item in pipe.modules[f"{name}.mdw"].items]
-    uq = [int(item[0]) for item in pipe.modules[f"{name}.uqw"].items]
-    return nm, md, uq
-
-
 @dataclass
 class MetadataAccelResult:
     """Per-read NM/MD/UQ computed by the simulated pipeline.
@@ -145,34 +125,46 @@ class MetadataAccelResult:
     uq: List[int]
     run: Optional[AcceleratorRun] = None
 
-    @classmethod
-    def empty(cls) -> "MetadataAccelResult":
-        """The result shape of a partition with no reads."""
-        return cls(nm=[], md=[], uq=[], run=None)
+
+@dataclass
+class MetadataWaveDriver(WaveDriver):
+    """Waves of Figure 11 metadata-update replicas."""
+
+    reference: PartitionedReference
+    memory_config: Optional[MemoryConfig] = None
+    mode: Optional[str] = None
+
+    stage = "metadata"
+    solo = "mu"
+    timing = "metadata"
+    uses_reference = True
+
+    def empty_result(self, pid: PartitionId) -> MetadataAccelResult:
+        return MetadataAccelResult(nm=[], md=[], uq=[])
+
+    def build_replica(self, engine, name, part, spm, base):
+        pipe = build_metadata_pipeline(engine, name, spm, base)
+        feed_read_streams(pipe, part)
+        return pipe
+
+    def harvest(self, pipe, run) -> MetadataAccelResult:
+        name = pipe.name
+        return MetadataAccelResult(
+            nm=[int(item[0]) for item in pipe.modules[f"{name}.nmw"].items],
+            md=[
+                join_md_tokens(item)
+                for item in pipe.modules[f"{name}.mdw"].items
+            ],
+            uq=[int(item[0]) for item in pipe.modules[f"{name}.uqw"].items],
+            run=run,
+        )
 
 
 def run_metadata_update(
     partition: Table,
     ref_row: dict,
     memory_config: Optional[MemoryConfig] = None,
-    profiler=None,
 ) -> MetadataAccelResult:
-    """Simulate the Figure 11 pipeline on one partition.
-
-    ``profiler`` is an optional :class:`repro.obs.Profiler` attached to
-    the compute engine (the SPM load phase runs unprofiled — it is the
-    same fixed setup work for every driver)."""
-    spm, load_stats = load_reference_spm(ref_row, memory_config)
-    engine = Engine(MemorySystem(memory_config))
-    pipe = build_metadata_pipeline(engine, "mu", spm, spm_base(ref_row))
-    configure_metadata_streams(pipe, partition)
-    if profiler is not None:
-        profiler.attach(engine)
-    stats = engine.run()
-    nm, md, uq = collect_metadata_outputs(pipe)
-    return MetadataAccelResult(
-        nm=nm,
-        md=md,
-        uq=uq,
-        run=AcceleratorRun(pipeline=pipe, stats=stats, load_stats=load_stats),
-    )
+    """Simulate the Figure 11 pipeline on one partition."""
+    driver = MetadataWaveDriver(solo_reference(ref_row), memory_config)
+    return driver.run_one(partition)

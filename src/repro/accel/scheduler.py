@@ -20,11 +20,12 @@ are executed:
   round's picks.  A wave has one identity everywhere: its task index —
   in a direct run its position in the global packing — keys its ledger
   events, fault slot, retry backoff and trace spans;
-* **one entry point for all accelerators** — a :class:`WaveDriver`
-  builds and harvests the replicas of one wave; concrete drivers exist
-  for metadata update (:class:`MetadataWaveDriver`), mark duplicates
-  (:class:`MarkdupWaveDriver`), and BQSR covariate construction
-  (:class:`BqsrWaveDriver`);
+* **one object per stage** — a :class:`WaveDriver` subclass is the whole
+  hand-wired description of an accelerator and :meth:`WaveDriver.run_wave`
+  the one engine-run sequence: each concrete driver lives beside its
+  pipeline builder (``accel/markdup.py``, ``metadata.py``, ``bqsr.py``,
+  ``example_query.py``, ``active_region.py``) and
+  :data:`repro.accel.stages.STAGES` is the table of them;
 * **multi-core fan-out** — when more than one wave can be in flight the
   waves are dispatched onto one
   :class:`~concurrent.futures.ProcessPoolExecutor`.  Waves are packed
@@ -78,22 +79,14 @@ from ..hw.memory import MemoryConfig, MemorySystem
 from ..hw.spm import Scratchpad
 from ..obs.ledger import record_event
 from ..obs.log import get_logger, set_worker_id
-from ..tables.partition import PartitionId, PartitionedReference
+from ..tables.partition import PartitionId
 from ..tables.table import Table
-from .bqsr import (
-    BqsrAccelResult,
-    BqsrSpms,
-    build_bqsr_pipeline,
-    configure_bqsr_streams,
-    harvest_bqsr,
-)
-from .common import PHASES, AcceleratorRun, load_reference_spm, spm_base
-from .markdup import MarkDupAccelResult, build_markdup_pipeline
-from .metadata import (
-    MetadataAccelResult,
-    build_metadata_pipeline,
-    collect_metadata_outputs,
-    configure_metadata_streams,
+from .common import (
+    PHASES,
+    SOLO,
+    AcceleratorRun,
+    load_reference_spm,
+    spm_base,
 )
 
 #: One (pid, partition) work item as accepted by the scheduler.
@@ -231,23 +224,58 @@ class SpmImageCache:
 
 
 class WaveDriver:
-    """Builds, runs, and harvests one wave of replicated pipelines.
+    """One accelerator stage: builds, feeds, runs and harvests its
+    pipeline replicas.
 
     A wave is N pipeline replicas in one engine sharing one memory
     system, each assigned a different partition — exactly the Figure 8
-    replication.  Concrete drivers supply three hooks:
+    replication; a serial run is a wave of one (:meth:`run_one`).
+    :meth:`run_wave` is the one engine-run sequence; a concrete driver
+    lives beside its pipeline builder and supplies three hooks:
     ``empty_result`` (the result shape of a partition with no reads),
-    ``build_replica`` (wire one replica and load its streams), and
-    ``harvest`` (post-process one replica's outputs).  Drivers must be
-    picklable: they are shipped to worker processes together with the
-    wave's partitions.
+    ``build_replica`` (wire one replica and feed its streams), and
+    ``harvest`` (post-process one replica's outputs), plus the fields
+    ``memory_config`` and ``mode`` (and ``reference`` when
+    ``uses_reference``).  Drivers must be picklable: they are shipped to
+    worker processes together with the wave's partitions.
     """
 
     stage = "wave"
+    #: What a lone replica is called — its modules are ``<solo>.<module>``
+    #: in a profile report; the replicas of a wider wave are ``p0``,
+    #: ``p1``, ...
+    solo = "p0"
     #: Whether replicas need a reference SPM loaded (and hence the cache).
     uses_reference = False
     #: Whether the reference SPM holds ``(base, is_snp)`` pairs.
     with_snp = False
+    # -- its row of the stage table (:data:`repro.accel.stages.STAGES`)
+    #: The workload attribute listing the partitions a run covers.
+    partitions = "partitions"
+    #: Its :mod:`repro.perf.timing` name, when the paper models it.
+    timing: Optional[str] = None
+    #: Driver fields of a kernel-only run — what calibration and
+    #: profiling measure.
+    kernel: Dict[str, object] = {}
+
+    @classmethod
+    def over(cls, workload, **fields) -> "WaveDriver":
+        """The stage's driver over a
+        :class:`~repro.eval.workloads.Workload`; ``fields`` are driver
+        fields (``memory_config``, ``mode``)."""
+        if cls.uses_reference:
+            return cls(workload.reference, **fields)
+        return cls(**fields)
+
+    @classmethod
+    def items(cls, workload) -> List[WaveItem]:
+        """The ``(pid, partition)`` list the stage runs over."""
+        return list(getattr(workload, cls.partitions))
+
+    @classmethod
+    def kernel_items(cls, workload) -> List[WaveItem]:
+        """What its kernel-only runs cover, one replica each."""
+        return cls.items(workload)
 
     def empty_result(self, pid: PartitionId):
         """Result for a partition with no reads (never simulated)."""
@@ -264,7 +292,7 @@ class WaveDriver:
         """Wire one replica into ``engine`` and load its streams."""
         raise NotImplementedError
 
-    def harvest(self, context, stats: RunStats, load_stats: Optional[RunStats]):
+    def harvest(self, context, run: AcceleratorRun):
         """Turn one replica's writer contents into a per-partition result."""
         raise NotImplementedError
 
@@ -284,11 +312,16 @@ class WaveDriver:
         ]
 
     def run_wave(
-        self, wave: Sequence[WaveItem], spm_cache: SpmImageCache
+        self, wave: Sequence[WaveItem], spm_cache: SpmImageCache, probe=None
     ) -> Tuple[Dict[PartitionId, object], RunStats, int]:
         """Simulate one wave; returns per-partition results, the wave's
         engine statistics, and the wave's SPM load cycles (the replicas
-        load concurrently, so the wave charges the slowest load)."""
+        load concurrently, so the wave charges the slowest load).
+
+        ``probe`` — e.g. a :class:`repro.obs.Profiler` — is attached to
+        the engine before it runs and left holding the run's
+        observations (the SPM load and drain phases run unprobed: the
+        same fixed setup work for every stage)."""
         engine = Engine(MemorySystem(self.memory_config))
         contexts = []
         load_cycles = 0
@@ -303,106 +336,28 @@ class WaveDriver:
                 )
                 load_cycles = max(load_cycles, load_stats.cycles)
                 base = spm_base(ref_row)
-            context = self.build_replica(engine, f"p{index}", part, spm, base)
-            contexts.append((pid, context, load_stats))
+            name = self.solo if len(wave) == 1 else f"p{index}"
+            context = self.build_replica(engine, name, part, spm, base)
+            contexts.append((pid, context, spm, load_stats))
+        if probe is not None:
+            probe.attach(engine)
         stats = engine.run(mode=self.mode)
         results = {
-            pid: self.harvest(context, stats, load_stats)
-            for pid, context, load_stats in contexts
+            pid: self.harvest(context, AcceleratorRun(
+                stats, load_stats, spm.reads if spm is not None else 0
+            ))
+            for pid, context, spm, load_stats in contexts
         }
         return results, stats, load_cycles
 
-
-@dataclass
-class MetadataWaveDriver(WaveDriver):
-    """Waves of Figure 11 metadata-update replicas."""
-
-    reference: PartitionedReference
-    memory_config: Optional[MemoryConfig] = None
-    mode: Optional[str] = None
-
-    stage = "metadata"
-    uses_reference = True
-
-    def empty_result(self, pid: PartitionId) -> MetadataAccelResult:
-        return MetadataAccelResult.empty()
-
-    def build_replica(self, engine, name, part, spm, base):
-        pipe = build_metadata_pipeline(engine, name, spm, base)
-        configure_metadata_streams(pipe, part)
-        return pipe
-
-    def harvest(self, pipe, stats, load_stats) -> MetadataAccelResult:
-        nm, md, uq = collect_metadata_outputs(pipe)
-        return MetadataAccelResult(
-            nm=nm, md=md, uq=uq, run=AcceleratorRun(None, stats, load_stats)
+    def run_one(self, part: Table):
+        """One replica through :meth:`run_wave` on a private SPM cache —
+        the whole of every serial runner (whose driver's reference, if
+        it uses one, is a :func:`~repro.accel.common.solo_reference`)."""
+        results, _stats, _load_cycles = self.run_wave(
+            [(SOLO, part)], SpmImageCache()
         )
-
-
-@dataclass
-class MarkdupWaveDriver(WaveDriver):
-    """Waves of Figure 10 quality-sum replicas."""
-
-    memory_config: Optional[MemoryConfig] = None
-    mode: Optional[str] = None
-
-    stage = "markdup"
-    uses_reference = False
-
-    def empty_result(self, pid: PartitionId) -> MarkDupAccelResult:
-        return MarkDupAccelResult.empty()
-
-    def build_replica(self, engine, name, part, spm, base):
-        pipe = build_markdup_pipeline(engine, name)
-        pipe.modules[f"{name}.qual"].set_items(
-            [[int(q) for q in item] for item in part.column("QUAL")]
-        )
-        return pipe
-
-    def harvest(self, pipe, stats, load_stats) -> MarkDupAccelResult:
-        writer = pipe.modules[f"{pipe.name}.writer"]
-        return MarkDupAccelResult(
-            quality_sums=[int(item[0]) for item in writer.items], stats=stats
-        )
-
-
-@dataclass
-class BqsrWaveDriver(WaveDriver):
-    """Waves of Figure 12 covariate-construction replicas.
-
-    Each replica owns its four count scratchpads; the reference SPM is
-    loaded with ``(base, is_snp)`` words.  Read-group slices of the same
-    genome segment share one REF row, so a wave over group partitions
-    hits the SPM cache within a single run.
-    """
-
-    reference: PartitionedReference
-    read_length: int
-    memory_config: Optional[MemoryConfig] = None
-    mode: Optional[str] = None
-    drain: bool = True
-
-    stage = "bqsr"
-    uses_reference = True
-    with_snp = True
-
-    def empty_result(self, pid: PartitionId) -> BqsrAccelResult:
-        return BqsrAccelResult.empty(self.read_length)
-
-    def build_replica(self, engine, name, part, spm, base):
-        spms = BqsrSpms.allocate(self.read_length)
-        pipe = build_bqsr_pipeline(
-            engine, name, spm, base, spms, self.read_length
-        )
-        configure_bqsr_streams(pipe, part)
-        return pipe, spms
-
-    def harvest(self, context, stats, load_stats) -> BqsrAccelResult:
-        pipe, spms = context
-        return harvest_bqsr(
-            pipe, spms, AcceleratorRun(None, stats, load_stats),
-            self.memory_config, self.drain,
-        )
+        return results[SOLO]
 
 
 # -- aggregate statistics ------------------------------------------------------------

@@ -39,6 +39,7 @@ import sys
 from dataclasses import replace
 from typing import List, Optional
 
+from .accel.stages import PAPER_STAGES, TIMED_STAGES
 from .genomics.fasta import read_fasta, write_fasta, write_fastq
 from .genomics.reference import ReferenceGenome
 from .genomics.sam import read_sam, write_sam
@@ -46,9 +47,9 @@ from .genomics.simulator import ReadSimulator, SimulatorConfig
 from .obs.ledger import RunLedger, RunManifest, record_event, run_context
 from .obs.log import configure_logging, get_logger
 
-#: Stages ``profile`` knows how to drive (``bqsr`` aliases the covariate
-#: table construction).
-PROFILE_STAGES = ("markdup", "metadata", "bqsr", "bqsr_table")
+#: Stages ``profile`` knows how to drive: the paper's, under their
+#: stage-table and timing-model names (``bqsr`` / ``bqsr_table``).
+PROFILE_STAGES = tuple(dict.fromkeys(PAPER_STAGES + TIMED_STAGES))
 
 
 def _ensure_parent(path: str) -> None:
@@ -130,17 +131,23 @@ def _stage_mix(text: str) -> str:
 
 def _read_inputs(fasta: str, sam: str, **fasta_options):
     """The ``(genome, reads)`` of a FASTA + SAM pair, or ``None`` after
-    the one-line ``error:`` when either cannot be opened."""
-    try:
-        with open(fasta) as handle:
-            genome = read_fasta(handle, **fasta_options)
-        with open(sam) as handle:
-            reads = read_sam(handle)
-    except OSError as error:
-        print(f"error: cannot read {error.filename}: {error.strerror}",
-              file=sys.stderr)
-        return None
-    return genome, reads
+    the one-line ``error:`` when either cannot be opened or parsed."""
+    parsed = []
+    for path, parse in (
+        (fasta, lambda handle: read_fasta(handle, **fasta_options)),
+        (sam, read_sam),
+    ):
+        try:
+            with open(path) as handle:
+                parsed.append(parse(handle))
+        except OSError as error:
+            print(f"error: cannot read {error.filename}: {error.strerror}",
+                  file=sys.stderr)
+            return None
+        except ValueError as error:
+            print(f"error: cannot parse {path}: {error}", file=sys.stderr)
+            return None
+    return parsed
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -167,7 +174,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
     from .accel.markdup import accelerated_mark_duplicates
-    from .accel.scheduler import MetadataWaveDriver, SpmImageCache
+    from .accel.metadata import MetadataWaveDriver
+    from .accel.scheduler import SpmImageCache
     from .accel.sharding import run_sharded
     from .faults import RetryPolicy
     from .tables.genomic_tables import reads_to_table
@@ -296,7 +304,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         genome_scale=4.5e-5, psize=4000, seed=9,
     )
     print("stage        speedup   paper")
-    for stage in ("markdup", "metadata", "bqsr_table"):
+    for stage in TIMED_STAGES:
         cpb = measure_cycles_per_base(stage, workload).cycles_per_base
         timing = model_stage(stage, PAPER_READS, 151, cpb)
         print(f"{stage:<12} {timing.speedup:6.2f}x  "
@@ -800,6 +808,20 @@ def _manifest_for(args: argparse.Namespace) -> RunManifest:
     )
 
 
+def _dispatch(args: argparse.Namespace) -> int:
+    """Run the subcommand.  A fault plan that outlasts the retry budget
+    (``preprocess`` and ``serve`` poll one) ends it in the ladder's own
+    message as the one ``error:`` line, exit code 1 — the run failed; 2
+    is a refused input."""
+    from .faults import RetryBudgetExceeded
+
+    try:
+        return args.func(args)
+    except RetryBudgetExceeded as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point: configure logging, open the run ledger context,
     dispatch the subcommand."""
@@ -808,9 +830,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         json_lines=args.log_json, verbosity=args.verbose, quiet=args.quiet,
     )
     if args.no_ledger:
-        return args.func(args)
+        return _dispatch(args)
     with run_context(_manifest_for(args), RunLedger(args.ledger)):
-        code = args.func(args)
+        code = _dispatch(args)
         record_event("cli.exit", code=code)
     return code
 

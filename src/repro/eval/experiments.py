@@ -11,13 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..accel.bqsr import run_bqsr_partition
-from ..accel.example_query import (
-    build_example_pipeline,
-    configure_example_streams,
-)
-from ..accel.markdup import run_quality_sums
-from ..accel.metadata import run_metadata_update
+from ..accel.common import SOLO
+from ..accel.scheduler import SpmImageCache, WaveDriver, WaveItem
+from ..accel.stages import STAGES, TIMED_STAGES, stage_named
 from ..gatk.bqsr import n_cycle_values
 from ..hw.engine import Engine
 from ..hw.memory import MemoryConfig, MemorySystem
@@ -98,37 +94,26 @@ class CpbMeasurement:
         return self.cycles / self.bases if self.bases else 0.0
 
 
+def _kernel_cycles(driver: WaveDriver, item: WaveItem) -> int:
+    """Engine cycles of one replica of ``driver`` over ``item``."""
+    _results, stats, _load_cycles = driver.run_wave([item], SpmImageCache())
+    return stats.cycles
+
+
 def measure_cycles_per_base(
     stage: str, workload: Workload, max_partitions: Optional[int] = 4
 ) -> CpbMeasurement:
     """Run the stage's accelerator on sample partitions and measure the
     sustained cycles-per-base the timing model extrapolates with."""
+    row = stage_named(stage)
+    driver = row.over(workload, **row.kernel)
     total_cycles = 0
     total_bases = 0
-    if stage == "markdup":
-        quals = [read.qual for read in workload.reads]
-        result = run_quality_sums(quals)
-        total_cycles = result.stats.cycles
-        total_bases = sum(len(q) for q in quals)
-    elif stage == "metadata":
-        for pid, part in list(workload.partitions)[:max_partitions]:
-            if part.num_rows == 0:
-                continue
-            result = run_metadata_update(part, workload.reference.lookup(pid))
-            total_cycles += result.run.stats.cycles
-            total_bases += count_bases(part)
-    elif stage == "bqsr_table":
-        for pid, part in list(workload.group_partitions)[:max_partitions]:
-            if part.num_rows == 0:
-                continue
-            result = run_bqsr_partition(
-                part, workload.reference.lookup(pid), workload.read_length,
-                drain=False,
-            )
-            total_cycles += result.run.stats.cycles
-            total_bases += count_bases(part)
-    else:
-        raise KeyError(f"unknown stage {stage!r}")
+    for pid, part in row.kernel_items(workload)[:max_partitions]:
+        if part.num_rows == 0:
+            continue
+        total_cycles += _kernel_cycles(driver, (pid, part))
+        total_bases += count_bases(part)
     return CpbMeasurement(stage, total_cycles, total_bases)
 
 
@@ -141,7 +126,7 @@ def figure13(
     with cycles-per-base measured by simulation on ``workload``."""
     workload = workload or make_workload()
     out: Dict[str, Dict[str, StageTiming]] = {"pcie3": {}, "pcie4": {}}
-    for stage in ("markdup", "metadata", "bqsr_table"):
+    for stage in TIMED_STAGES:
         cpb = measure_cycles_per_base(stage, workload).cycles_per_base
         out["pcie3"][stage] = model_stage(stage, n_reads, read_length, cpb)
         out["pcie4"][stage] = model_stage_pcie4(stage, n_reads, read_length, cpb)
@@ -160,24 +145,13 @@ def figure13_per_chromosome(
     cycles-per-base is measured per chromosome, so partition-fill effects
     produce the chromosome-to-chromosome variation the figure shows.
     """
+    row = stage_named(stage)
+    driver = row.over(workload, **row.kernel)
     per_chrom: Dict[int, Tuple[int, int]] = {}
-    partitions = (
-        workload.group_partitions if stage == "bqsr_table" else workload.partitions
-    )
-    for pid, part in partitions:
+    for pid, part in row.items(workload):
         if part.num_rows == 0:
             continue
-        ref_row = workload.reference.lookup(pid)
-        if stage == "metadata":
-            result = run_metadata_update(part, ref_row)
-            cycles = result.run.stats.cycles
-        elif stage == "bqsr_table":
-            result = run_bqsr_partition(
-                part, ref_row, workload.read_length, drain=False
-            )
-            cycles = result.run.stats.cycles
-        else:
-            raise KeyError("per-chromosome supports metadata/bqsr_table")
+        cycles = _kernel_cycles(driver, (pid, part))
         prev_cycles, prev_bases = per_chrom.get(pid.chrom, (0, 0))
         per_chrom[pid.chrom] = (prev_cycles + cycles, prev_bases + count_bases(part))
 
@@ -255,54 +229,29 @@ def profile_stage(
 ):
     """Profile one representative run of an accelerated stage.
 
-    Runs the stage's serial driver with a :class:`repro.obs.Profiler`
-    attached and returns the validated
+    Runs one replica of the stage's driver with a
+    :class:`repro.obs.Profiler` as the probe and returns the validated
     :class:`~repro.obs.profile.ProfileReport` — the queryable per-module
     / queue / memory-channel breakdown Figure 9-style bottleneck analysis
     needs.  ``mode`` forces the engine schedule (default: the engine's
     own default, event).
     """
-    from ..hw.engine import Engine as _Engine
     from ..obs import Profiler
 
     workload = workload or make_workload()
+    row = stage_named(stage)
+    driver = row.over(
+        workload, memory_config=memory_config, mode=mode, **row.kernel
+    )
+    pid, part = next(
+        item for item in row.kernel_items(workload) if item[1].num_rows > 0
+    )
     profiler = Profiler(name=stage)
-    saved_mode = _Engine.default_mode
-    if mode is not None:
-        _Engine.default_mode = mode
-    try:
-        if stage == "markdup":
-            quals = [read.qual for read in workload.reads]
-            run_quality_sums(quals, memory_config, profiler=profiler)
-            extra = {"stage": stage, "reads": len(quals)}
-        elif stage == "metadata":
-            pid, part = next(
-                (pid, part)
-                for pid, part in workload.partitions
-                if part.num_rows > 0
-            )
-            run_metadata_update(
-                part, workload.reference.lookup(pid), memory_config,
-                profiler=profiler,
-            )
-            extra = {"stage": stage, "partition": str(pid),
-                     "reads": part.num_rows}
-        elif stage in ("bqsr", "bqsr_table"):
-            pid, part = next(
-                (pid, part)
-                for pid, part in workload.group_partitions
-                if part.num_rows > 0
-            )
-            run_bqsr_partition(
-                part, workload.reference.lookup(pid), workload.read_length,
-                memory_config, drain=False, profiler=profiler,
-            )
-            extra = {"stage": stage, "partition": str(pid),
-                     "reads": part.num_rows}
-        else:
-            raise KeyError(f"unknown stage {stage!r}")
-    finally:
-        _Engine.default_mode = saved_mode
+    driver.run_wave([(pid, part)], SpmImageCache(), probe=profiler)
+    extra = {"stage": stage}
+    if pid is not SOLO:
+        extra["partition"] = str(pid)
+    extra["reads"] = part.num_rows
     report = profiler.report(extra=extra)
     report.validate()
     return report
@@ -326,21 +275,12 @@ def figure8_scaling(
                                          chromosomes=(20,), seed=3)
     memory_config = memory_config or MemoryConfig(channels=1, access_bytes=8)
     parts = [(pid, part) for pid, part in workload.partitions if part.num_rows > 0]
+    driver = STAGES["example"].over(workload, memory_config=memory_config)
+    cache = SpmImageCache()
     throughput: Dict[int, float] = {}
     for n in pipeline_counts:
-        engine = Engine(MemorySystem(memory_config))
-        total_bases = 0
-        built = []
-        for index in range(n):
-            pid, part = parts[index % len(parts)]
-            ref_row = workload.reference.lookup(pid)
-            from ..accel.common import load_reference_spm, spm_base
-
-            spm, _ = load_reference_spm(ref_row, memory_config)
-            pipe = build_example_pipeline(engine, f"p{index}", spm, spm_base(ref_row))
-            configure_example_streams(pipe, part)
-            built.append(pipe)
-            total_bases += count_bases(part)
-        stats = engine.run()
+        wave = [parts[index % len(parts)] for index in range(n)]
+        _results, stats, _load_cycles = driver.run_wave(wave, cache)
+        total_bases = sum(count_bases(part) for _pid, part in wave)
         throughput[n] = total_bases / stats.cycles
     return throughput

@@ -12,7 +12,7 @@ from .engine import Engine, RunStats
 from .flit import DEL, INS, Flit, item_flits, scalar_flit, split_items
 from .memory import ACCESS_BYTES, MemoryConfig, MemorySystem
 from .module import Module, SinkModule, SourceModule
-from .pipeline import Pipeline, ReplicaSet, replicate
+from .pipeline import Pipeline
 from .queue import HardwareQueue
 from .resources import (
     MODULE_COSTS,
@@ -38,7 +38,6 @@ __all__ = [
     "MODULE_COSTS",
     "Module",
     "Pipeline",
-    "ReplicaSet",
     "ResourceVector",
     "RmwInterlock",
     "RoundRobinArbiter",
@@ -54,7 +53,6 @@ __all__ = [
     "estimate_accelerator",
     "estimate_pipeline",
     "item_flits",
-    "replicate",
     "scalar_flit",
     "split_items",
 ]

@@ -1,19 +1,18 @@
-"""Pipeline containers: named module groups and parallel replication.
+"""Pipeline containers: named module groups.
 
 Section III-D: a Genesis accelerator is one dataflow pipeline, optionally
 replicated N times (Figure 8) with all replicas sharing the memory system
 through the arbitration fabric.  :class:`Pipeline` names and tracks the
-modules of one replica; :func:`replicate` stamps out N copies of a builder
-function into one engine so the shared-memory contention is simulated for
-real.
+modules of one replica; N replicas in one engine — so the shared-memory
+contention is simulated for real — is
+:meth:`repro.accel.scheduler.WaveDriver.run_wave`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict
 
-from .engine import Engine, RunStats
+from .engine import Engine
 from .module import Module
 
 
@@ -40,52 +39,3 @@ class Pipeline:
             type_name = type(module).__name__
             census[type_name] = census.get(type_name, 0) + 1
         return census
-
-    def total_flits(self) -> int:
-        """Total flits emitted by all modules in this pipeline."""
-        return sum(module.flits_out for module in self.modules.values())
-
-
-@dataclass
-class ReplicaSet:
-    """N replicas of one pipeline sharing an engine (Figure 8)."""
-
-    engine: Engine
-    replicas: List[Pipeline]
-
-    @property
-    def n(self) -> int:
-        """Number of parallel pipelines."""
-        return len(self.replicas)
-
-    def total_flits(self) -> int:
-        """Flits emitted across every replica (host-throughput metric)."""
-        return sum(pipe.total_flits() for pipe in self.replicas)
-
-    def run(
-        self, max_cycles: int = 100_000_000, mode: Optional[str] = None
-    ) -> RunStats:
-        """Run the shared engine to quiescence.  With the event scheduler
-        (the default) whole replicas sleep while their memory readers
-        wait on DRAM, so an N-replica engine costs far fewer host ticks
-        than N times a single pipeline."""
-        return self.engine.run(max_cycles=max_cycles, mode=mode)
-
-
-def replicate(
-    engine: Engine,
-    n: int,
-    builder: Callable[[Engine, str], Pipeline],
-    prefix: str = "pipe",
-) -> ReplicaSet:
-    """Instantiate ``n`` copies of ``builder`` into one engine.
-
-    ``builder(engine, name)`` must construct one pipeline's modules and
-    wiring and return the :class:`Pipeline`.  All replicas share the
-    engine's memory system, so channel arbitration and bandwidth
-    saturation emerge naturally.
-    """
-    if n < 1:
-        raise ValueError("need at least one replica")
-    replicas = [builder(engine, f"{prefix}{i}") for i in range(n)]
-    return ReplicaSet(engine, replicas)

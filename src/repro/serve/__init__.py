@@ -31,8 +31,6 @@ from .trace import (
     SERVE_STAGES,
     ArrivalTrace,
     JobArrival,
-    stage_driver,
-    stage_partitions,
     trace_jobs,
 )
 
@@ -57,7 +55,5 @@ __all__ = [
     "SERVE_STAGES",
     "ArrivalTrace",
     "JobArrival",
-    "stage_driver",
-    "stage_partitions",
     "trace_jobs",
 ]

@@ -13,15 +13,11 @@ import random
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from ..accel.scheduler import (
-    BqsrWaveDriver,
-    MarkdupWaveDriver,
-    MetadataWaveDriver,
-)
+from ..accel.stages import PAPER_STAGES, STAGES
 from .job import JobSpec
 
 #: Stages a trace can mix (the GATK4 preprocessing pipeline).
-SERVE_STAGES = ("markdup", "metadata", "bqsr")
+SERVE_STAGES = PAPER_STAGES
 
 
 @dataclass(frozen=True)
@@ -80,28 +76,6 @@ class ArrivalTrace:
         return cls(seed=seed, arrivals=arrivals)
 
 
-def stage_driver(stage: str, workload):
-    """The wave driver for ``stage`` over ``workload``."""
-    if stage == "markdup":
-        return MarkdupWaveDriver()
-    if stage == "metadata":
-        return MetadataWaveDriver(reference=workload.reference)
-    if stage == "bqsr":
-        return BqsrWaveDriver(
-            reference=workload.reference,
-            read_length=workload.read_length,
-        )
-    raise ValueError(f"unknown stage {stage!r}")
-
-
-def stage_partitions(stage: str, workload):
-    """The partition list ``stage`` runs over."""
-    source = (
-        workload.group_partitions if stage == "bqsr" else workload.partitions
-    )
-    return list(source)
-
-
 def trace_jobs(
     trace: ArrivalTrace, workload, n_pipelines: int = 2
 ) -> List[Tuple[int, JobSpec]]:
@@ -110,8 +84,7 @@ def trace_jobs(
     stage's partition list (wrapping, never repeating a partition
     within one job)."""
     by_stage = {
-        stage: stage_partitions(stage, workload)
-        for stage in SERVE_STAGES
+        stage: STAGES[stage].items(workload) for stage in SERVE_STAGES
     }
     out = []
     for arrival in trace.arrivals:
@@ -126,7 +99,7 @@ def trace_jobs(
                 arrival.at_cycles,
                 JobSpec(
                     tenant=arrival.tenant,
-                    driver=stage_driver(arrival.stage, workload),
+                    driver=STAGES[arrival.stage].over(workload),
                     partitions=picked,
                     n_pipelines=n_pipelines,
                 ),

@@ -2,11 +2,7 @@
 
 import numpy as np
 
-from repro.accel.markdup import (
-    accelerated_mark_duplicates,
-    run_quality_sums,
-    run_quality_sums_table,
-)
+from repro.accel.markdup import accelerated_mark_duplicates, run_quality_sums
 from repro.gatk.markdup import mark_duplicates
 from repro.tables.genomic_tables import reads_to_table
 
@@ -19,7 +15,7 @@ def test_quality_sums_match_software(small_reads):
 
 def test_quality_sums_from_table(small_reads):
     table = reads_to_table(small_reads)
-    result = run_quality_sums_table(table)
+    result = run_quality_sums(table.column("QUAL"))
     assert result.quality_sums == [r.quality_sum() for r in small_reads]
 
 

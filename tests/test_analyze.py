@@ -324,7 +324,7 @@ class TestDeviceWhatIf:
 class TestShardingReport:
     def _sharded_ledger(self, tmp_path):
         from repro.obs.ledger import RunLedger, RunManifest, run_context
-        from repro.accel.scheduler import MetadataWaveDriver
+        from repro.accel import MetadataWaveDriver
         from repro.accel.sharding import run_sharded
         from repro.eval.workloads import make_workload
 

@@ -274,6 +274,43 @@ def test_call_missing_input_exits_2(tmp_path, capsys, flag):
     assert not (tmp_path / "out.vcf").exists()
 
 
+def _corrupt_fasta(fasta, sam):
+    """A non-DNA base in the first sequence line."""
+    lines = fasta.read_text().splitlines()
+    lines[1] = "X" + lines[1][1:]
+    fasta.write_text("\n".join(lines) + "\n")
+    return fasta
+
+
+def _corrupt_sam(fasta, sam):
+    """The last record cut off inside its QUAL column."""
+    text = sam.read_text()
+    sam.write_text(text[:text.rindex("\tRG:Z:") - 10] + "\n")
+    return sam
+
+
+@pytest.mark.parametrize("command, out", [
+    ("preprocess", "out.sam"), ("call", "out.vcf"),
+])
+@pytest.mark.parametrize("corrupt, reason", [
+    (_corrupt_fasta, "not a DNA base: 'X'"),
+    (_corrupt_sam, "SEQ and QUAL must have equal length"),
+])
+def test_malformed_input_exits_2(
+    tmp_path, capsys, command, out, corrupt, reason
+):
+    """A parser's ``ValueError`` is one ``error:`` line naming the file,
+    like an unreadable one — not a traceback out of ``genomics/``."""
+    fasta, sam = _simulate(tmp_path)
+    bad = corrupt(fasta, sam)
+    assert main([
+        "--no-ledger", command, "--fasta", str(fasta), "--sam", str(sam),
+        "--out", str(tmp_path / out),
+    ]) == 2
+    assert f"error: cannot parse {bad}: {reason}" in capsys.readouterr().err
+    assert not (tmp_path / out).exists()
+
+
 def test_serve_bad_devices_exit_2(capsys):
     err = _refused(["--no-ledger", "serve", "--devices", "0"], capsys)
     assert "argument --devices: must be positive" in err
@@ -475,6 +512,30 @@ def test_serve_survives_a_worker_crash(tmp_path, capsys):
     assert len(records.events("fault.pool_restart")) == 1
     (retry,) = records.events("fault.retry")
     assert (retry["kind"], retry["wave"]) == ("worker_crash", 0)
+
+
+@pytest.mark.parametrize("command", ["preprocess", "serve"])
+def test_fault_plan_outlasting_the_retry_budget_exits_1(
+    tmp_path, capsys, command
+):
+    """``RetryBudgetExceeded`` past the serial rung ends the command in
+    the ladder's own message as one ``error:`` line, exit code 1."""
+    if command == "preprocess":
+        fasta, sam = _simulate(tmp_path)
+        argv = [
+            "preprocess", "--fasta", str(fasta), "--sam", str(sam),
+            "--out", str(tmp_path / "out.sam"),
+        ]
+    else:
+        argv = SERVE_ARGV
+    assert main(["--no-ledger"] + argv + [
+        "--inject-faults", "worker_crash:1@scheduler.wave+9",
+        "--max-retries", "1",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert "error: wave 0 failed 2 attempt(s); retry budget (1) exhausted" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.sam").exists()
 
 
 def test_serve_help_fault_example_names_both_polled_sites():

@@ -30,7 +30,7 @@ from collections import Counter
 
 import pytest
 
-from repro.accel.scheduler import MetadataWaveDriver
+from repro.accel import MetadataWaveDriver
 from repro.accel.sharding import run_sharded
 from repro.eval.workloads import make_workload
 from repro.faults.plan import FaultPlan, FaultSpec
@@ -38,7 +38,8 @@ from repro.faults.retry import RetryPolicy
 from repro.obs.ledger import RunLedger, RunManifest, run_context
 from repro.obs.spans import trace_spans
 from repro.serve import SERVE_FAULT_SITE, JobService, JobSpec
-from repro.serve.trace import SERVE_STAGES, stage_driver, stage_partitions
+from repro.accel.stages import STAGES
+from repro.serve.trace import SERVE_STAGES
 from repro.storage import plan_storage_filter
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "event_shapes.json")
@@ -167,8 +168,8 @@ def served_case(workload):
         service.schedule(
             JobSpec(
                 tenant=f"t{index % 2}",
-                driver=stage_driver(stage, workload),
-                partitions=stage_partitions(stage, workload),
+                driver=STAGES[stage].over(workload),
+                partitions=STAGES[stage].items(workload),
                 n_pipelines=2,
             ),
             at_cycles=index * 1000,

@@ -5,7 +5,7 @@ import pytest
 from repro.hw.engine import Engine
 from repro.hw.flit import Flit, item_flits
 from repro.hw.modules import MemoryWriter, Reducer
-from repro.hw.pipeline import Pipeline, replicate
+from repro.hw.pipeline import Pipeline
 from repro.hw.resources import (
     SHELL_COST,
     ResourceVector,
@@ -102,24 +102,6 @@ def test_pipeline_duplicate_module_rejected():
         pipe.add(Reducer("r", op="sum"))
 
 
-def test_replicate():
-    engine = Engine()
-
-    def build(eng, name):
-        pipe = Pipeline(name, eng)
-        pipe.add(Reducer(f"{name}.r", op="sum"))
-        return pipe
-
-    replicas = replicate(engine, 4, build)
-    assert replicas.n == 4
-    assert len(engine.modules) == 4
-
-
-def test_replicate_validation():
-    with pytest.raises(ValueError):
-        replicate(Engine(), 0, lambda e, n: Pipeline(n, e))
-
-
 def test_resource_vector_arithmetic():
     a = ResourceVector(10, 20, 30)
     b = ResourceVector(1, 2, 3)
@@ -189,13 +171,13 @@ def test_example_query_identical_across_modes(workload, monkeypatch):
 
 
 def test_markdup_identical_across_modes(workload, monkeypatch):
-    from repro.accel.markdup import run_quality_sums_table
+    from repro.accel.markdup import run_quality_sums
 
     pid, part = next((p, t) for p, t in workload.partitions if t.num_rows > 0)
     _force_mode(monkeypatch, "dense")
-    dense = run_quality_sums_table(part)
+    dense = run_quality_sums(part.column("QUAL"))
     _force_mode(monkeypatch, "event")
-    event = run_quality_sums_table(part)
+    event = run_quality_sums(part.column("QUAL"))
     assert dense.quality_sums == event.quality_sums
     _assert_runs_equivalent(dense.stats, event.stats)
 
@@ -238,7 +220,8 @@ def test_bqsr_identical_across_modes(workload, monkeypatch):
 
 
 def test_metadata_parallel_identical_across_modes(workload):
-    from repro.accel.scheduler import MetadataWaveDriver, run_partitioned
+    from repro.accel import MetadataWaveDriver
+    from repro.accel.scheduler import run_partitioned
 
     runs = {}
     for mode in ("dense", "event"):

@@ -128,7 +128,8 @@ class TestRunContext:
         assert not list(tmp_path.iterdir())
 
     def test_scheduler_records_waves_under_context(self, tmp_path, workload):
-        from repro.accel.scheduler import MarkdupWaveDriver, run_partitioned
+        from repro.accel import MarkdupWaveDriver
+        from repro.accel.scheduler import run_partitioned
 
         ledger = RunLedger(str(tmp_path / "ledger.jsonl"))
         with run_context(_manifest(), ledger):

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
-from repro.accel.markdup import run_quality_sums
+from repro.accel.common import SOLO
+from repro.accel.markdup import MarkdupWaveDriver, qual_table
+from repro.accel.scheduler import SpmImageCache
 from repro.hw.engine import Engine
 from repro.hw.flit import item_flits
 from repro.hw.modules import Reducer
@@ -233,10 +235,12 @@ def test_profiler_attach_is_exclusive_and_detachable():
 
 def test_profiler_memory_channels():
     profiler = Profiler(name="md")
-    result = run_quality_sums([[3, 4], [5, 6]], profiler=profiler)
+    _results, stats, _load_cycles = MarkdupWaveDriver().run_wave(
+        [(SOLO, qual_table([[3, 4], [5, 6]]))], SpmImageCache(), probe=profiler
+    )
     report = profiler.report()
     report.validate()
-    assert report.cycles == result.stats.cycles
+    assert report.cycles == stats.cycles
     assert report.memory.requests > 0
     assert sum(c.grants for c in report.memory.channels) == report.memory.requests
     assert len(report.memory.channels) == 4

@@ -3,11 +3,8 @@
 import pytest
 
 from repro.accel.metadata import run_metadata_update
-from repro.accel.scheduler import (
-    MetadataWaveDriver,
-    ParallelRunStats,
-    run_partitioned,
-)
+from repro.accel import MetadataWaveDriver
+from repro.accel.scheduler import ParallelRunStats, run_partitioned
 from repro.tables.partition import PartitionId
 
 

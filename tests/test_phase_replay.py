@@ -27,7 +27,8 @@ from repro.accel.common import (
     PhaseMemo,
     load_reference_spm,
 )
-from repro.accel.scheduler import BqsrWaveDriver, run_partitioned
+from repro.accel import BqsrWaveDriver
+from repro.accel.scheduler import run_partitioned
 from repro.accel.sharding import run_sharded
 from repro.eval.workloads import make_workload
 from repro.faults.injector import FaultInjector
@@ -367,7 +368,7 @@ import json
 import multiprocessing
 
 from repro.accel.common import PHASES
-from repro.accel.scheduler import BqsrWaveDriver, run_partitioned
+from repro.accel import BqsrWaveDriver, run_partitioned
 from repro.eval.workloads import make_workload
 
 if __name__ == "__main__":

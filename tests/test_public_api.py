@@ -106,6 +106,23 @@ def test_model_constants_are_declared_once():
 #: of each), so adding one is a deliberate edit here, not a default
 #: argument nobody notices.
 RUN_PATH_SIGNATURES = {
+    "repro.accel.scheduler:WaveDriver.run_wave": (
+        "wave", "spm_cache", "probe",
+    ),
+    "repro.accel.scheduler:WaveDriver.run_one": ("part",),
+    "repro.accel:run_quality_sums": ("quals", "memory_config"),
+    "repro.accel:run_metadata_update": (
+        "partition", "ref_row", "memory_config",
+    ),
+    "repro.accel:run_bqsr_partition": (
+        "partition", "ref_row", "read_length", "memory_config", "drain",
+    ),
+    "repro.accel:run_example_query": (
+        "partition", "ref_row", "memory_config",
+    ),
+    "repro.accel:run_active_region_partition": (
+        "partition", "ref_row", "memory_config",
+    ),
     "repro.accel.scheduler:run_partitioned": (
         "driver", "partitions", "n_pipelines", "workers", "spm_cache",
         "fault_injector", "retry_policy", "wave_timeout",
@@ -159,6 +176,26 @@ def test_run_path_signatures_are_pinned(target):
         if name != "self"
     )
     assert taken == RUN_PATH_SIGNATURES[target]
+
+
+def test_stage_table_keys_are_pinned():
+    """One table names the stages: the job service's mix and the
+    ``profile`` choices are read off it, and every row's driver is the
+    stage it is filed under."""
+    from repro.accel import PAPER_STAGES, STAGES, stage_named
+    from repro.cli import PROFILE_STAGES
+    from repro.eval.workloads import make_workload
+    from repro.serve import SERVE_STAGES
+
+    assert tuple(STAGES) == (
+        "markdup", "metadata", "bqsr", "example", "active_region",
+    )
+    assert SERVE_STAGES == PAPER_STAGES == ("markdup", "metadata", "bqsr")
+    assert PROFILE_STAGES == ("markdup", "metadata", "bqsr", "bqsr_table")
+    assert stage_named("bqsr_table") is stage_named("bqsr") is STAGES["bqsr"]
+    workload = make_workload(n_reads=4, read_length=30, chromosomes=(21,))
+    for name, row in STAGES.items():
+        assert row.over(workload).stage == name
 
 
 def test_version():

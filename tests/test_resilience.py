@@ -17,11 +17,9 @@ empty-input scheduling, worker exception propagation, and
 import numpy as np
 import pytest
 
+from repro.accel import BqsrWaveDriver, MarkdupWaveDriver, MetadataWaveDriver
 from repro.accel.scheduler import (
-    BqsrWaveDriver,
     CachedImage,
-    MarkdupWaveDriver,
-    MetadataWaveDriver,
     SpmImageCache,
     WaveDriver,
     run_partitioned,

@@ -18,10 +18,8 @@ import pytest
 from hw_harness import assert_same_modelled
 from repro.accel.markdup import run_quality_sums
 from repro.accel.metadata import run_metadata_update
+from repro.accel import BqsrWaveDriver, MarkdupWaveDriver, MetadataWaveDriver
 from repro.accel.scheduler import (
-    BqsrWaveDriver,
-    MarkdupWaveDriver,
-    MetadataWaveDriver,
     SpmImageCache,
     WaveTask,
     pack_waves,

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from hw_harness import assert_same_modelled
-from repro.accel.scheduler import MetadataWaveDriver, run_partitioned
+from repro.accel import MetadataWaveDriver
+from repro.accel.scheduler import run_partitioned
 from repro.accel.sharding import run_sharded
 from repro.eval.workloads import make_workload
 from repro.faults.injector import FaultInjector, RetryBudgetExceeded
@@ -37,7 +38,8 @@ from repro.serve import (
     JobSpec,
     ServiceReport,
 )
-from repro.serve.trace import SERVE_STAGES, stage_driver, stage_partitions
+from repro.accel.stages import STAGES
+from repro.serve.trace import SERVE_STAGES
 
 BQSR_FIELDS = ("total_cycle", "total_context", "error_cycle", "error_context")
 
@@ -60,7 +62,7 @@ def direct_results(workload):
     out = {}
     for stage in SERVE_STAGES:
         results, _stats = run_partitioned(
-            stage_driver(stage, workload), stage_partitions(stage, workload), 2
+            STAGES[stage].over(workload), STAGES[stage].items(workload), 2
         )
         out[stage] = results
     return out
@@ -90,8 +92,8 @@ def _schedule_mixed(service, workload, tenants, jobs):
         service.schedule(
             JobSpec(
                 tenant=f"t{index % tenants}",
-                driver=stage_driver(stage, workload),
-                partitions=stage_partitions(stage, workload),
+                driver=STAGES[stage].over(workload),
+                partitions=STAGES[stage].items(workload),
                 n_pipelines=2,
             ),
             at_cycles=index * 1500,
@@ -144,8 +146,8 @@ def test_virtual_timeline_invariant_across_workers(workload):
 def test_service_matches_run_sharded(workload):
     """The service's outputs agree with the direct multi-device path
     too (which is itself bit-identical to the serial schedule)."""
-    driver = stage_driver("metadata", workload)
-    partitions = stage_partitions("metadata", workload)
+    driver = STAGES["metadata"].over(workload)
+    partitions = STAGES["metadata"].items(workload)
     direct, _stats = run_sharded(driver, partitions, 2, devices=2, workers=2)
     service = JobService(devices=2, workers=2)
     status = service.submit(
@@ -210,16 +212,16 @@ def test_fault_budget_fails_job_not_service(workload):
     doomed = service.submit(
         JobSpec(
             tenant="a",
-            driver=stage_driver("markdup", workload),
-            partitions=stage_partitions("markdup", workload),
+            driver=STAGES["markdup"].over(workload),
+            partitions=STAGES["markdup"].items(workload),
             n_pipelines=2,
         )
     )
     healthy = service.submit(
         JobSpec(
             tenant="b",
-            driver=stage_driver("markdup", workload),
-            partitions=stage_partitions("markdup", workload),
+            driver=STAGES["markdup"].over(workload),
+            partitions=STAGES["markdup"].items(workload),
             n_pipelines=2,
         )
     )
@@ -258,8 +260,8 @@ def test_pooled_round_survives_a_worker_death(workload, tmp_path, death):
     ``worker_crash`` was never polled).  The round is on the executor's
     ladder now: one pool restart, and served ≡ direct still holds — on
     the host rung nothing reaches the virtual clock or the events."""
-    driver = stage_driver("metadata", workload)
-    partitions = stage_partitions("metadata", workload)
+    driver = STAGES["metadata"].over(workload)
+    partitions = STAGES["metadata"].items(workload)
 
     def serve(driver, fault_plan=None):
         service = JobService(devices=2, workers=2, fault_plan=fault_plan)
@@ -299,8 +301,8 @@ def test_pooled_round_survives_a_worker_death(workload, tmp_path, death):
 
 def test_host_rung_exhaustion_propagates_as_from_a_direct_run(workload):
     """Past the serial rung a served wave raises what a direct one does."""
-    driver = stage_driver("markdup", workload)
-    partitions = stage_partitions("markdup", workload)
+    driver = STAGES["markdup"].over(workload)
+    partitions = STAGES["markdup"].items(workload)
     plan = FaultPlan(specs=(FaultSpec("worker_crash", at=(0,), attempts=9),))
     policy = RetryPolicy(max_retries=1, backoff_base=0.001)
     with pytest.raises(RetryBudgetExceeded) as direct:
@@ -323,8 +325,8 @@ def test_host_rung_exhaustion_propagates_as_from_a_direct_run(workload):
 def _one_partition_spec(workload, tenant):
     return JobSpec(
         tenant=tenant,
-        driver=stage_driver("markdup", workload),
-        partitions=stage_partitions("markdup", workload)[:1],
+        driver=STAGES["markdup"].over(workload),
+        partitions=STAGES["markdup"].items(workload)[:1],
         n_pipelines=2,
     )
 
@@ -376,12 +378,12 @@ def test_weighted_fair_dispatch(workload):
 
 
 def test_status_and_partial_results(workload, direct_results):
-    partitions = stage_partitions("metadata", workload)
+    partitions = STAGES["metadata"].items(workload)
     service = JobService(devices=1)
     status = service.submit(
         JobSpec(
             tenant="a",
-            driver=stage_driver("metadata", workload),
+            driver=STAGES["metadata"].over(workload),
             partitions=partitions,
             n_pipelines=2,
         )
@@ -410,8 +412,8 @@ def test_stream_yields_progress(workload):
     status = service.submit(
         JobSpec(
             tenant="a",
-            driver=stage_driver("markdup", workload),
-            partitions=stage_partitions("markdup", workload),
+            driver=STAGES["markdup"].over(workload),
+            partitions=STAGES["markdup"].items(workload),
             n_pipelines=2,
         )
     )
@@ -481,8 +483,8 @@ def test_pooled_served_waves_log_their_worker_id(workload, tmp_path):
     batch scheduler's do."""
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("workers inherit the log handler only when forked")
-    driver = stage_driver("metadata", workload)
-    partitions = stage_partitions("metadata", workload)
+    driver = STAGES["metadata"].over(workload)
+    partitions = STAGES["metadata"].items(workload)
     package_log = logging.getLogger("repro")
     log_path = tmp_path / "serve.jsonl"
     try:

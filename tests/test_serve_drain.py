@@ -15,7 +15,8 @@ from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.retry import RetryPolicy
 from repro.obs.ledger import RunLedger, RunManifest, run_context
 from repro.serve import COMPLETED, SERVE_FAULT_SITE, JobService, JobSpec
-from repro.serve.trace import SERVE_STAGES, stage_driver, stage_partitions
+from repro.accel.stages import STAGES
+from repro.serve.trace import SERVE_STAGES
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +43,8 @@ def _build(workload, fault_plan=None):
         service.schedule(
             JobSpec(
                 tenant=f"t{index % 2}",
-                driver=stage_driver(stage, workload),
-                partitions=stage_partitions(stage, workload),
+                driver=STAGES[stage].over(workload),
+                partitions=STAGES[stage].items(workload),
                 n_pipelines=2,
             ),
             at_cycles=index * 1000,
@@ -224,8 +225,8 @@ def test_resume_keeps_submission_order_among_arrivals(workload):
     def spec(tenant):
         return JobSpec(
             tenant=tenant,
-            driver=stage_driver("markdup", workload),
-            partitions=stage_partitions("markdup", workload)[:2],
+            driver=STAGES["markdup"].over(workload),
+            partitions=STAGES["markdup"].items(workload)[:2],
             n_pipelines=2,
         )
 

@@ -16,10 +16,8 @@ import numpy as np
 import pytest
 
 from hw_harness import assert_same_modelled
+from repro.accel import BqsrWaveDriver, MarkdupWaveDriver, MetadataWaveDriver
 from repro.accel.scheduler import (
-    BqsrWaveDriver,
-    MarkdupWaveDriver,
-    MetadataWaveDriver,
     ParallelRunStats,
     SpmImageCache,
     pack_waves,

@@ -364,7 +364,8 @@ def _ledgered(tmp_path, run, name="run"):
 
 class TestRunSpans:
     def test_partitioned_run_lays_cumulative_spans(self, workload, tmp_path):
-        from repro.accel.scheduler import MetadataWaveDriver, run_partitioned
+        from repro.accel import MetadataWaveDriver
+        from repro.accel.scheduler import run_partitioned
 
         spans, _ = _ledgered(tmp_path, lambda: run_partitioned(
             MetadataWaveDriver(reference=workload.reference),
@@ -384,7 +385,8 @@ class TestRunSpans:
         assert all(s.parent_id == runs[0].span_id for s in waves)
 
     def test_worker_count_does_not_change_spans(self, workload, tmp_path):
-        from repro.accel.scheduler import MetadataWaveDriver, run_partitioned
+        from repro.accel import MetadataWaveDriver
+        from repro.accel.scheduler import run_partitioned
 
         def spans_with(workers):
             spans, _ = _ledgered(tmp_path, lambda: run_partitioned(
@@ -401,7 +403,7 @@ class TestRunSpans:
         assert spans_with(1) == spans_with(2)
 
     def test_sharded_run_has_device_and_pcie_lanes(self, workload, tmp_path):
-        from repro.accel.scheduler import MetadataWaveDriver
+        from repro.accel import MetadataWaveDriver
         from repro.accel.sharding import run_sharded
 
         spans, (_results, stats) = _ledgered(tmp_path, lambda: run_sharded(
@@ -426,7 +428,7 @@ class TestRunSpans:
     def test_stages_of_one_run_each_start_their_lanes_at_zero(
         self, workload, tmp_path
     ):
-        from repro.accel.scheduler import MarkdupWaveDriver, MetadataWaveDriver
+        from repro.accel import MarkdupWaveDriver, MetadataWaveDriver
         from repro.accel.sharding import run_sharded
 
         def two_stages():

@@ -18,12 +18,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.accel.scheduler import (
-    BqsrWaveDriver,
-    MarkdupWaveDriver,
-    MetadataWaveDriver,
-    run_partitioned,
-)
+from repro.accel import BqsrWaveDriver, MarkdupWaveDriver, MetadataWaveDriver
+from repro.accel.scheduler import run_partitioned
 from repro.accel.sharding import run_sharded
 from repro.eval.workloads import make_workload
 from repro.faults.plan import FaultPlan, FaultSpec
@@ -422,7 +418,8 @@ def test_storage_what_if_shape():
 
 def test_serve_filtered_bit_identical(workload):
     from repro.serve import JobService, JobSpec
-    from repro.serve.trace import SERVE_STAGES, stage_driver, stage_partitions
+    from repro.accel.stages import STAGES
+    from repro.serve.trace import SERVE_STAGES
 
     serve_plan = plan_storage_filter(
         list(workload.partitions) + list(workload.group_partitions),
@@ -436,8 +433,8 @@ def test_serve_filtered_bit_identical(workload):
             service.schedule(
                 JobSpec(
                     tenant=f"t{index % 2}",
-                    driver=stage_driver(stage, workload),
-                    partitions=stage_partitions(stage, workload),
+                    driver=STAGES[stage].over(workload),
+                    partitions=STAGES[stage].items(workload),
                     n_pipelines=2,
                 ),
                 at_cycles=index * 1000,
@@ -478,7 +475,7 @@ def test_serve_filtered_bit_identical(workload):
 
 def test_serve_drain_resume_keeps_storage(workload):
     from repro.serve import JobService, JobSpec
-    from repro.serve.trace import stage_driver, stage_partitions
+    from repro.accel.stages import STAGES
 
     serve_plan = plan_storage_filter(
         workload.partitions, workload.reference, record=False
@@ -490,8 +487,8 @@ def test_serve_drain_resume_keeps_storage(workload):
             service.schedule(
                 JobSpec(
                     tenant=f"t{index}",
-                    driver=stage_driver("metadata", workload),
-                    partitions=stage_partitions("metadata", workload),
+                    driver=STAGES["metadata"].over(workload),
+                    partitions=STAGES["metadata"].items(workload),
                     n_pipelines=2,
                 ),
                 at_cycles=index * 1000,

@@ -1,9 +1,8 @@
 """Cycle-timeline integration with a real accelerator pipeline."""
 
-from repro.accel.common import load_reference_spm, spm_base
+from repro.accel.common import feed_read_streams, load_reference_spm, spm_base
 from repro.accel.example_query import (
     build_example_pipeline,
-    configure_example_streams,
     count_matching_bases_sw,
 )
 from repro.hw.engine import Engine
@@ -19,7 +18,7 @@ def test_trace_real_pipeline(workload):
     spm, _ = load_reference_spm(ref_row)
     engine = Engine(MemorySystem())
     pipe = build_example_pipeline(engine, "tr", spm, spm_base(ref_row))
-    configure_example_streams(pipe, part)
+    feed_read_streams(pipe, part)
     recorder = TimelineRecorder(engine, max_cycles=50_000)
     idle_streak = 0
     while idle_streak < 2 and recorder.cycles_recorded < 50_000:
