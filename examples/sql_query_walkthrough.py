@@ -1,13 +1,12 @@
 #!/usr/bin/env python
 """The Figure 4 walk-through: one genomic analysis written as extended SQL,
-executed in software, lowered to a logical plan, mapped to a hardware
-blueprint, and finally run on the simulated Figure 7 pipeline.
+executed in software, lowered to a logical plan, and finally run on the
+simulated, hand-wired Figure 7 pipeline.
 
 Run:  python examples/sql_query_walkthrough.py
 """
 
 from repro.accel.example_query import count_matching_bases_sw, run_example_query
-from repro.compiler import blueprint_summary, figure7_blueprint
 from repro.eval import make_workload
 from repro.sql import FIGURE4_QUERY, build_plan, describe, parse_query
 from repro.sql.queries import run_figure4_query
@@ -40,11 +39,7 @@ def main() -> None:
     print("=== logical query plan ===")
     print(describe(plan), "\n")
 
-    # 3. The hardware blueprint the mapping rules derive (Section III-D).
-    print("=== hardware blueprint (node -> module, edge -> queue) ===")
-    print(blueprint_summary(figure7_blueprint()), "\n")
-
-    # 4. Execute three ways and agree.
+    # 3. Execute three ways and agree.
     sql_counts = run_figure4_query(workload.partitions, workload.reference, pid)
     sw_counts = count_matching_bases_sw(part, workload.reference.lookup(pid))
     hw = run_example_query(part, workload.reference.lookup(pid))

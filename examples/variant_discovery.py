@@ -23,9 +23,9 @@ from repro.accel import (
     accelerated_mark_duplicates,
     merge_partition_results,
     run_bqsr_partition,
-    run_callset_intersection,
     run_metadata_update,
 )
+from repro.accel.callset_ops import run_callset_intersection
 from repro.gatk import apply_recalibration, fit_recalibration_model
 from repro.genomics import ReadSimulator, ReferenceGenome, SimulatorConfig
 from repro.tables import (

@@ -5,7 +5,11 @@ simulate them cycle by cycle, and post-process results: the Figure 7
 example query, mark duplicates (Figure 10), metadata update (Figure 11),
 and BQSR covariate-table construction (Figure 12).  Each is one
 :class:`WaveDriver` beside its pipeline builder; :data:`STAGES` is the
-table of them.
+table of them.  This namespace is the stage drivers, their serial runners,
+the wave executor and sharding; the Section IV-E operations that are not
+partition + REF-row shaped (:mod:`~repro.accel.fm_seeding`,
+:mod:`~repro.accel.callset_ops`, :mod:`~repro.accel.sort`) are standalone
+examples imported as submodules.
 """
 
 from .bqsr import (
@@ -17,7 +21,12 @@ from .bqsr import (
     merge_partition_results,
     run_bqsr_partition,
 )
-from .common import AcceleratorRun, feed_read_streams, load_reference_spm
+from .common import (
+    AcceleratorRun,
+    feed_read_streams,
+    join_reads_to_reference,
+    load_reference_spm,
+)
 from .example_query import (
     ExampleQueryResult,
     ExampleQueryWaveDriver,
@@ -58,6 +67,7 @@ __all__ = [
     "count_matching_bases_sw",
     "drain_spms",
     "feed_read_streams",
+    "join_reads_to_reference",
     "load_reference_spm",
     "merge_partition_results",
     "run_bqsr_partition",
@@ -66,7 +76,7 @@ __all__ = [
     "run_quality_sums",
 ]
 
-# Section IV-E extensions: other genomic data-manipulation operations.
+# Section IV-E extension that is a wave: active-region determination.
 from .active_region import (
     ActiveRegionAccelResult,
     ActiveRegionWaveDriver,
@@ -75,36 +85,14 @@ from .active_region import (
     build_active_region_pipeline,
     run_active_region_partition,
 )
-from .callset_ops import (
-    CallsetOpResult,
-    run_callset_difference,
-    run_callset_intersection,
-)
-from .fm_seeding import (
-    FmSeeder,
-    FmSeedingResult,
-    build_fm_seeding_pipeline,
-    full_occ_table,
-    load_occ_spm,
-    run_fm_seeding,
-)
 
 __all__ += [
     "ActiveRegionAccelResult",
     "ActiveRegionWaveDriver",
     "AnchorInsertions",
-    "CallsetOpResult",
-    "FmSeeder",
-    "FmSeedingResult",
     "accelerated_active_regions",
     "build_active_region_pipeline",
-    "build_fm_seeding_pipeline",
-    "full_occ_table",
-    "load_occ_spm",
     "run_active_region_partition",
-    "run_callset_difference",
-    "run_callset_intersection",
-    "run_fm_seeding",
 ]
 
 from .scheduler import (
@@ -148,10 +136,6 @@ __all__ += [
     "run_sharded",
     "stable_shard_hash",
 ]
-
-from .sort import HwSortResult, coordinate_sort_reads, run_hw_sort
-
-__all__ += ["HwSortResult", "coordinate_sort_reads", "run_hw_sort"]
 
 from .stages import PAPER_STAGES, STAGES, stage_named
 

@@ -41,21 +41,17 @@ from ..hw.engine import Engine
 from ..hw.flit import INS, Flit
 from ..hw.memory import MemoryConfig
 from ..hw.module import Module
-from ..hw.modules import (
-    Filter,
-    Fork,
-    Joiner,
-    MemoryReader,
-    ReadToBases,
-    SpmReader,
-    SpmUpdater,
-    StreamAlu,
-)
+from ..hw.modules import Filter, Fork, SpmUpdater, StreamAlu
 from ..hw.pipeline import Pipeline
 from ..hw.spm import Scratchpad
 from ..tables.partition import PartitionedReference, PartitionId
 from ..tables.table import Table
-from .common import AcceleratorRun, feed_read_streams, solo_reference
+from .common import (
+    AcceleratorRun,
+    feed_read_streams,
+    join_reads_to_reference,
+    solo_reference,
+)
 from .scheduler import WaveDriver, run_partitioned
 
 #: Replicas per wave of :func:`accelerated_active_regions` — the paper's
@@ -121,23 +117,11 @@ def build_active_region_pipeline(
 ) -> Pipeline:
     """Wire one active-region pipeline replica into ``engine``."""
     pipe = Pipeline(name, engine)
-    memory = engine.memory
-    pos_reader = pipe.add(MemoryReader(f"{name}.pos", memory, elem_size=4))
-    end_reader = pipe.add(MemoryReader(f"{name}.endpos", memory, elem_size=4))
-    cigar_reader = pipe.add(MemoryReader(f"{name}.cigar", memory, elem_size=2))
-    seq_reader = pipe.add(MemoryReader(f"{name}.seq", memory, elem_size=1))
-    pos_fork = pipe.add(Fork(f"{name}.posfork", ports=2))
-    r2b = pipe.add(ReadToBases(f"{name}.r2b", with_qual=False))
-    anchor = pipe.add(AnchorInsertions(f"{name}.anchor"))
-    spm_reader = pipe.add(SpmReader(
-        f"{name}.spmread", ref_spm, mode="interval", base_address=base,
-        out_field="ref", addr_out_field="pos",
-    ))
-    joiner = pipe.add(Joiner(
-        f"{name}.join", mode="left", key_a="pos", key_b="pos",
-        # Insertions were re-anchored upstream, so no INS keys remain;
-        # keep the default passthrough for safety.
-    ))
+    # Insertions are re-anchored before the join, so no INS keys reach it.
+    joiner = join_reads_to_reference(
+        pipe, ref_spm, base, "left",
+        between=[AnchorInsertions(f"{name}.anchor")],
+    )
     join_fork = pipe.add(Fork(f"{name}.joinfork", ports=2))
     depth_filter = pipe.add(Filter(
         f"{name}.isaligned", field="op", op="==", constant="M"
@@ -161,15 +145,6 @@ def build_active_region_pipeline(
         f"{name}.aupd", activity_spm, mode="rmw", addr_field="addr"
     ))
 
-    engine.connect(pos_reader, pos_fork)
-    engine.connect(pos_fork, r2b, out_port="out0", in_port="pos")
-    engine.connect(pos_fork, spm_reader, out_port="out1", in_port="start")
-    engine.connect(end_reader, spm_reader, in_port="end")
-    engine.connect(cigar_reader, r2b, in_port="cigar")
-    engine.connect(seq_reader, r2b, in_port="seq")
-    engine.connect(r2b, anchor)
-    engine.connect(anchor, joiner, in_port="a")
-    engine.connect(spm_reader, joiner, in_port="b")
     engine.connect(joiner, join_fork)
     engine.connect(join_fork, depth_filter, out_port="out0")
     engine.connect(depth_filter, depth_addr)

@@ -42,10 +42,7 @@ from ..hw.modules import (
     BinIdGen,
     Filter,
     Fork,
-    Joiner,
-    MemoryReader,
     MemoryWriter,
-    ReadToBases,
     SpmReader,
     SpmUpdater,
 )
@@ -53,7 +50,13 @@ from ..hw.pipeline import Pipeline
 from ..hw.spm import Scratchpad
 from ..tables.partition import PartitionedReference, PartitionId
 from ..tables.table import Table
-from .common import PHASES, AcceleratorRun, feed_read_streams, solo_reference
+from .common import (
+    PHASES,
+    AcceleratorRun,
+    feed_read_streams,
+    join_reads_to_reference,
+    solo_reference,
+)
 from .scheduler import WaveDriver
 
 
@@ -109,27 +112,11 @@ def build_bqsr_pipeline(
 ) -> Pipeline:
     """Wire one Figure 12 pipeline replica into ``engine``."""
     pipe = Pipeline(name, engine)
-    memory = engine.memory
-    pos_reader = pipe.add(MemoryReader(f"{name}.pos", memory, elem_size=4))
-    end_reader = pipe.add(MemoryReader(f"{name}.endpos", memory, elem_size=4))
-    cigar_reader = pipe.add(MemoryReader(f"{name}.cigar", memory, elem_size=2))
-    seq_reader = pipe.add(MemoryReader(f"{name}.seq", memory, elem_size=1))
-    qual_reader = pipe.add(MemoryReader(f"{name}.qual", memory, elem_size=1))
-    meta_reader = pipe.add(MemoryReader(f"{name}.meta", memory, elem_size=4))
-    pos_fork = pipe.add(Fork(f"{name}.posfork", ports=2))
-    r2b = pipe.add(ReadToBases(f"{name}.r2b", with_qual=True, emit_clips=True))
-    binidgen = pipe.add(BinIdGen(f"{name}.binid", read_length=read_length))
-    spm_reader = pipe.add(
-        SpmReader(
-            f"{name}.spmread",
-            ref_spm,
-            mode="interval",
-            base_address=base,
-            out_field="ref",
-            addr_out_field="pos",
-        )
+    joiner = join_reads_to_reference(
+        pipe, ref_spm, base, "inner", with_qual=True, emit_clips=True,
+        readers=[("meta", 4)],
+        between=[BinIdGen(f"{name}.binid", read_length=read_length)],
     )
-    joiner = pipe.add(Joiner(f"{name}.join", mode="inner", key_a="pos", key_b="pos"))
     snp_filter = pipe.add(Filter(f"{name}.snp", field="ref", predicate=_not_snp))
     total_fork = pipe.add(Fork(f"{name}.totalfork", ports=3))
     ctx_guard_total = pipe.add(Filter(f"{name}.ctxg1", field="b2", predicate=_has_context))
@@ -149,17 +136,6 @@ def build_bqsr_pipeline(
         SpmUpdater(f"{name}.uex", spms.error_context, mode="rmw", addr_field="b2")
     )
 
-    engine.connect(pos_reader, pos_fork)
-    engine.connect(pos_fork, r2b, out_port="out0", in_port="pos")
-    engine.connect(pos_fork, spm_reader, out_port="out1", in_port="start")
-    engine.connect(end_reader, spm_reader, in_port="end")
-    engine.connect(cigar_reader, r2b, in_port="cigar")
-    engine.connect(seq_reader, r2b, in_port="seq")
-    engine.connect(qual_reader, r2b, in_port="qual")
-    engine.connect(r2b, binidgen, in_port="in")
-    engine.connect(meta_reader, binidgen, in_port="meta")
-    engine.connect(binidgen, joiner, in_port="a")
-    engine.connect(spm_reader, joiner, in_port="b")
     engine.connect(joiner, snp_filter)
     engine.connect(snp_filter, total_fork)
     engine.connect(total_fork, upd_total_cycle, out_port="out0")

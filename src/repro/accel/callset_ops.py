@@ -4,8 +4,8 @@
 Quality Score Recalibration (VQSR)" is on the paper's list of
 Genesis-amenable operations — and it maps directly onto the library's
 merge-Joiner: each callset is a stream of variant flits keyed by
-``(chrom, pos, ref, alt)`` in coordinate order, and an inner/left join
-yields the intersection/difference at one variant per cycle.
+``(chrom, pos, ref, alt)`` in coordinate order, and an inner join yields
+the intersection at one variant per cycle.
 """
 
 from __future__ import annotations
@@ -47,19 +47,15 @@ class CallsetOpResult:
     stats: RunStats
 
 
-def _run_join(
-    a: CallSet,
-    b: CallSet,
-    mode: str,
-    keep,
-    name: str,
-    memory_config: Optional[MemoryConfig] = None,
+def run_callset_intersection(
+    a: CallSet, b: CallSet, memory_config: Optional[MemoryConfig] = None
 ) -> CallsetOpResult:
+    """Hardware intersection: inner join on the variant key."""
     engine = Engine(MemorySystem(memory_config))
     pipe = Pipeline("cs", engine)
     reader_a = pipe.add(MemoryReader("cs.a", engine.memory, elem_size=16))
     reader_b = pipe.add(MemoryReader("cs.b", engine.memory, elem_size=16))
-    joiner = pipe.add(Joiner("cs.join", mode=mode, key_a="key", key_b="key"))
+    joiner = pipe.add(Joiner("cs.join", mode="inner", key_a="key", key_b="key"))
     writer = pipe.add(
         MemoryWriter("cs.writer", engine.memory, elem_size=16, field="variant_a")
     )
@@ -69,32 +65,6 @@ def _run_join(
     reader_a.set_stream(_callset_flits(a, "a"))
     reader_b.set_stream(_callset_flits(b, "b"))
     stats = engine.run()
-    variants = [v for v in writer.collected if keep(v)]
-    return CallsetOpResult(CallSet(variants, name=name), stats)
-
-
-def run_callset_intersection(
-    a: CallSet, b: CallSet, memory_config: Optional[MemoryConfig] = None
-) -> CallsetOpResult:
-    """Hardware intersection: inner join on the variant key."""
-    return _run_join(
-        a, b, "inner", keep=lambda v: True,
-        name=f"{a.name}&{b.name}", memory_config=memory_config,
-    )
-
-
-def run_callset_difference(
-    a: CallSet, b: CallSet, memory_config: Optional[MemoryConfig] = None
-) -> CallsetOpResult:
-    """Hardware difference (a - b): left join, keep unmatched left flits.
-
-    Matched flits carry the right side's variant too; the writer's field
-    filter alone cannot distinguish them, so the join output is post-
-    filtered by membership — done here in the driver, mirroring the
-    host-side LIMIT/WHERE the SQL layer would attach.
-    """
-    b_keys = b.keys()
-    return _run_join(
-        a, b, "left", keep=lambda v: v.key() not in b_keys,
-        name=f"{a.name}-{b.name}", memory_config=memory_config,
+    return CallsetOpResult(
+        CallSet(writer.collected, name=f"{a.name}&{b.name}"), stats
     )

@@ -4,8 +4,8 @@ Each accelerator driver (example query, mark duplicates, metadata update,
 BQSR) turns a READS partition and its REF partition row into the column
 streams the memory readers consume, builds the dataflow pipeline, runs the
 cycle simulation, and post-processes the memory-writer contents into
-host-visible results.  The stream framing and the reference-SPM load phase
-are identical across drivers and live here.
+host-visible results.  The read ⋈ reference front end, the stream framing
+and the reference-SPM load phase are identical across drivers and live here.
 """
 
 from __future__ import annotations
@@ -22,13 +22,95 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from ..hw.engine import Engine, RunStats
 from ..hw.memory import MemoryConfig, MemorySystem
-from ..hw.modules import MemoryReader, SpmUpdater
+from ..hw.module import Module
+from ..hw.modules import (
+    Fork,
+    Joiner,
+    MemoryReader,
+    ReadToBases,
+    SpmReader,
+    SpmUpdater,
+)
 from ..hw.pipeline import Pipeline
 from ..hw.spm import Scratchpad
 from ..tables.partition import PartitionedReference, PartitionId
 from ..tables.table import Table
+
+
+def join_reads_to_reference(
+    pipe: Pipeline,
+    spm: Scratchpad,
+    base: int,
+    how: str,
+    with_qual: bool = False,
+    emit_clips: bool = False,
+    readers: Sequence[Tuple[str, int]] = (),
+    between: Sequence[Module] = (),
+) -> Joiner:
+    """Wire the front end every position-join accelerator opens with
+    (Section III-D, Figure 7) into ``pipe`` and return its Joiner, whose
+    output the caller wires its own tail to.
+
+    Column Memory Readers ``<name>.pos`` / ``.endpos`` / ``.cigar`` /
+    ``.seq`` (and ``.qual`` when ``with_qual``) feed ReadToBases; an
+    interval SPM Reader streams each read's ``[POS, ENDPOS]`` slice of the
+    REF partition held in ``spm`` (word 0 = genome position ``base``); a
+    ``how`` (``inner`` / ``left``) Joiner keyed on position merges the two.
+    ``between`` modules are spliced, in order, between ReadToBases and the
+    Joiner; each ``(column, elem_size)`` of ``readers`` is one more Memory
+    Reader ``<name>.<column>`` feeding input port ``<column>`` of the first
+    of them.  :func:`feed_read_streams` loads the READS columns.
+    """
+    name, engine = pipe.name, pipe.engine
+    exploded = [("cigar", 2), ("seq", 1)]
+    if with_qual:
+        exploded.append(("qual", 1))
+    # creation order is memory-port order
+    reader = {
+        column: pipe.add(
+            MemoryReader(f"{name}.{column}", engine.memory, elem_size=size)
+        )
+        for column, size in (("pos", 4), ("endpos", 4), *exploded, *readers)
+    }
+    pos_fork = pipe.add(Fork(f"{name}.posfork", ports=2))
+    r2b = pipe.add(
+        ReadToBases(f"{name}.r2b", with_qual=with_qual, emit_clips=emit_clips)
+    )
+    for module in between:
+        pipe.add(module)
+    spm_reader = pipe.add(
+        SpmReader(
+            f"{name}.spmread",
+            spm,
+            mode="interval",
+            base_address=base,
+            out_field="ref",
+            addr_out_field="pos",
+        )
+    )
+    joiner = pipe.add(
+        Joiner(f"{name}.join", mode=how, key_a="pos", key_b="pos")
+    )
+
+    engine.connect(reader["pos"], pos_fork)
+    engine.connect(pos_fork, r2b, out_port="out0", in_port="pos")
+    engine.connect(pos_fork, spm_reader, out_port="out1", in_port="start")
+    engine.connect(reader["endpos"], spm_reader, in_port="end")
+    for column, _size in exploded:
+        engine.connect(reader[column], r2b, in_port=column)
+    bases: Module = r2b
+    for module in between:
+        engine.connect(bases, module)
+        bases = module
+    for column, _size in readers:
+        engine.connect(reader[column], between[0], in_port=column)
+    engine.connect(bases, joiner, in_port="a")
+    engine.connect(spm_reader, joiner, in_port="b")
+    return joiner
 
 
 def feed_read_streams(pipe: Pipeline, partition: Table) -> None:
@@ -165,14 +247,10 @@ def load_reference_spm(
     scratchpad is filled from the row directly, one counted write per
     word as the updater performs.
     """
-    seq = ref_row["SEQ"]
-    words: Sequence[object]
+    words: Sequence[object] = np.asarray(ref_row["SEQ"]).tolist()
     elem_size = 1
     if with_snp:
-        snp = ref_row["IS_SNP"]
-        words = [(int(b), bool(s)) for b, s in zip(seq, snp)]
-    else:
-        words = [int(b) for b in seq]
+        words = list(zip(words, np.asarray(ref_row["IS_SNP"]).tolist()))
 
     spm = Scratchpad("ref_spm", len(words))
     spm.load(words)

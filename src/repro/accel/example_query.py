@@ -25,21 +25,17 @@ from typing import List, Optional
 from ..genomics.cigar import decode_elements
 from ..hw.engine import Engine
 from ..hw.memory import MemoryConfig
-from ..hw.modules import (
-    Filter,
-    Fork,
-    Joiner,
-    MemoryReader,
-    MemoryWriter,
-    ReadToBases,
-    Reducer,
-    SpmReader,
-)
+from ..hw.modules import Filter, MemoryWriter, Reducer
 from ..hw.pipeline import Pipeline
 from ..hw.spm import Scratchpad
 from ..tables.partition import PartitionedReference, PartitionId
 from ..tables.table import Table
-from .common import AcceleratorRun, feed_read_streams, solo_reference
+from .common import (
+    AcceleratorRun,
+    feed_read_streams,
+    join_reads_to_reference,
+    solo_reference,
+)
 from .scheduler import WaveDriver
 
 
@@ -71,38 +67,13 @@ def build_example_pipeline(
     from the ``<name>.writer`` module's collected items.
     """
     pipe = Pipeline(name, engine)
-    memory = engine.memory
-    pos_reader = pipe.add(MemoryReader(f"{name}.pos", memory, elem_size=4))
-    end_reader = pipe.add(MemoryReader(f"{name}.endpos", memory, elem_size=4))
-    cigar_reader = pipe.add(MemoryReader(f"{name}.cigar", memory, elem_size=2))
-    seq_reader = pipe.add(MemoryReader(f"{name}.seq", memory, elem_size=1))
-    pos_fork = pipe.add(Fork(f"{name}.posfork", ports=2))
-    r2b = pipe.add(ReadToBases(f"{name}.r2b", with_qual=False))
-    spm_reader = pipe.add(
-        SpmReader(
-            f"{name}.spmread",
-            spm,
-            mode="interval",
-            base_address=base,
-            out_field="ref",
-            addr_out_field="pos",
-        )
-    )
-    joiner = pipe.add(Joiner(f"{name}.join", mode="inner", key_a="pos", key_b="pos"))
+    joiner = join_reads_to_reference(pipe, spm, base, "inner")
     match_filter = pipe.add(
         Filter(f"{name}.match", field="base", op="==", other_field="ref")
     )
     counter = pipe.add(Reducer(f"{name}.count", op="count", field="base"))
-    writer = pipe.add(MemoryWriter(f"{name}.writer", memory, elem_size=4))
+    writer = pipe.add(MemoryWriter(f"{name}.writer", engine.memory, elem_size=4))
 
-    engine.connect(pos_reader, pos_fork)
-    engine.connect(pos_fork, r2b, out_port="out0", in_port="pos")
-    engine.connect(pos_fork, spm_reader, out_port="out1", in_port="start")
-    engine.connect(end_reader, spm_reader, in_port="end")
-    engine.connect(cigar_reader, r2b, in_port="cigar")
-    engine.connect(seq_reader, r2b, in_port="seq")
-    engine.connect(r2b, joiner, in_port="a")
-    engine.connect(spm_reader, joiner, in_port="b")
     engine.connect(joiner, match_filter)
     engine.connect(match_filter, counter)
     engine.connect(counter, writer)

@@ -24,13 +24,9 @@ from ..hw.memory import MemoryConfig
 from ..hw.modules import (
     Filter,
     Fork,
-    Joiner,
     MdGen,
-    MemoryReader,
     MemoryWriter,
-    ReadToBases,
     Reducer,
-    SpmReader,
     StreamAlu,
     join_md_tokens,
 )
@@ -38,7 +34,12 @@ from ..hw.pipeline import Pipeline
 from ..hw.spm import Scratchpad
 from ..tables.partition import PartitionedReference, PartitionId
 from ..tables.table import Table
-from .common import AcceleratorRun, feed_read_streams, solo_reference
+from .common import (
+    AcceleratorRun,
+    feed_read_streams,
+    join_reads_to_reference,
+    solo_reference,
+)
 from .scheduler import WaveDriver
 
 
@@ -57,24 +58,7 @@ def build_metadata_pipeline(
     """Wire one Figure 11 pipeline replica into ``engine``."""
     pipe = Pipeline(name, engine)
     memory = engine.memory
-    pos_reader = pipe.add(MemoryReader(f"{name}.pos", memory, elem_size=4))
-    end_reader = pipe.add(MemoryReader(f"{name}.endpos", memory, elem_size=4))
-    cigar_reader = pipe.add(MemoryReader(f"{name}.cigar", memory, elem_size=2))
-    seq_reader = pipe.add(MemoryReader(f"{name}.seq", memory, elem_size=1))
-    qual_reader = pipe.add(MemoryReader(f"{name}.qual", memory, elem_size=1))
-    pos_fork = pipe.add(Fork(f"{name}.posfork", ports=2))
-    r2b = pipe.add(ReadToBases(f"{name}.r2b", with_qual=True))
-    spm_reader = pipe.add(
-        SpmReader(
-            f"{name}.spmread",
-            spm,
-            mode="interval",
-            base_address=base,
-            out_field="ref",
-            addr_out_field="pos",
-        )
-    )
-    joiner = pipe.add(Joiner(f"{name}.join", mode="left", key_a="pos", key_b="pos"))
+    joiner = join_reads_to_reference(pipe, spm, base, "left", with_qual=True)
     join_fork = pipe.add(Fork(f"{name}.joinfork", ports=2))
     mismatch = pipe.add(Filter(f"{name}.mismatch", field="base", predicate=_is_mismatch))
     mm_fork = pipe.add(Fork(f"{name}.mmfork", ports=2))
@@ -90,15 +74,6 @@ def build_metadata_pipeline(
     uq_writer = pipe.add(MemoryWriter(f"{name}.uqw", memory, elem_size=4))
     md_writer = pipe.add(MemoryWriter(f"{name}.mdw", memory, elem_size=1, field="md"))
 
-    engine.connect(pos_reader, pos_fork)
-    engine.connect(pos_fork, r2b, out_port="out0", in_port="pos")
-    engine.connect(pos_fork, spm_reader, out_port="out1", in_port="start")
-    engine.connect(end_reader, spm_reader, in_port="end")
-    engine.connect(cigar_reader, r2b, in_port="cigar")
-    engine.connect(seq_reader, r2b, in_port="seq")
-    engine.connect(qual_reader, r2b, in_port="qual")
-    engine.connect(r2b, joiner, in_port="a")
-    engine.connect(spm_reader, joiner, in_port="b")
     engine.connect(joiner, join_fork)
     engine.connect(join_fork, mismatch, out_port="out0")
     engine.connect(join_fork, mdgen, out_port="out1")

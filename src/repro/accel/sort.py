@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..genomics.read import AlignedRead
 from ..hw.engine import Engine, RunStats
 from ..hw.flit import Flit
 from ..hw.memory import MemoryConfig, MemorySystem
@@ -120,17 +119,3 @@ def run_hw_sort(
     collector.connect_input("in", out_queue)
     stats = engine.run()
     return HwSortResult(keys=collector.keys, tags=collector.tags, stats=stats)
-
-
-def coordinate_sort_reads(
-    reads: Sequence[AlignedRead],
-    n_leaves: int = 8,
-    memory_config: Optional[MemoryConfig] = None,
-) -> Tuple[List[AlignedRead], RunStats]:
-    """The mark-duplicates coordinate sort, in hardware: orders reads by
-    (chromosome, position) through the merge tree."""
-    keys = [(read.chrom, read.pos) for read in reads]
-    result = run_hw_sort(keys, tags=list(range(len(reads))), n_leaves=n_leaves,
-                         memory_config=memory_config)
-    ordered = [reads[index] for index in result.tags]
-    return ordered, result.stats

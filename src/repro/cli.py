@@ -41,7 +41,7 @@ from typing import List, Optional
 
 from .accel.stages import PAPER_STAGES, TIMED_STAGES
 from .genomics.fasta import read_fasta, write_fasta, write_fastq
-from .genomics.reference import ReferenceGenome
+from .genomics.reference import ReferenceGenome, chromosome_name
 from .genomics.sam import read_sam, write_sam
 from .genomics.simulator import ReadSimulator, SimulatorConfig
 from .obs.ledger import RunLedger, RunManifest, record_event, run_context
@@ -131,7 +131,9 @@ def _stage_mix(text: str) -> str:
 
 def _read_inputs(fasta: str, sam: str, **fasta_options):
     """The ``(genome, reads)`` of a FASTA + SAM pair, or ``None`` after
-    the one-line ``error:`` when either cannot be opened or parsed."""
+    the one-line ``error:`` when either cannot be opened or parsed, or a
+    read is aligned off the genome (an absent chromosome, or a reference
+    span that leaves its contig)."""
     parsed = []
     for path, parse in (
         (fasta, lambda handle: read_fasta(handle, **fasta_options)),
@@ -147,7 +149,21 @@ def _read_inputs(fasta: str, sam: str, **fasta_options):
         except ValueError as error:
             print(f"error: cannot parse {path}: {error}", file=sys.stderr)
             return None
-    return parsed
+    genome, reads = parsed
+    for read in reads:
+        if (
+            read.chrom not in genome
+            or read.pos < 0
+            or read.end_pos >= genome.length(read.chrom)
+        ):
+            print(
+                f"error: {sam}: read {read.name} at "
+                f"{chromosome_name(read.chrom)}:{read.pos + 1} lies outside "
+                "the reference",
+                file=sys.stderr,
+            )
+            return None
+    return genome, reads
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -13,12 +13,7 @@ from .experiments import (
     table3,
     table4_estimates,
 )
-from .workloads import (
-    Workload,
-    make_single_chromosome_workload,
-    make_workload,
-    per_chromosome_counts,
-)
+from .workloads import Workload, make_workload
 
 __all__ = [
     "CpbMeasurement",
@@ -30,10 +25,8 @@ __all__ = [
     "figure1_sequencing_cost",
     "figure8_scaling",
     "figure9_breakdown",
-    "make_single_chromosome_workload",
     "make_workload",
     "measure_cycles_per_base",
-    "per_chromosome_counts",
     "table3",
     "table4_estimates",
 ]

@@ -11,7 +11,7 @@ extrapolate to paper scale through :mod:`repro.perf`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from ..genomics.read import AlignedRead
 from ..genomics.reference import CHROMOSOMES, ReferenceGenome
@@ -95,28 +95,3 @@ def make_workload(
         psize=psize,
         overlap=overlap,
     )
-
-
-def make_single_chromosome_workload(
-    chrom: int = 20,
-    n_reads: int = 120,
-    read_length: int = 80,
-    seed: int = 11,
-    **kwargs,
-) -> Workload:
-    """A small one-chromosome workload for unit-test-speed experiments."""
-    return make_workload(
-        n_reads=n_reads,
-        read_length=read_length,
-        seed=seed,
-        chromosomes=(chrom,),
-        **kwargs,
-    )
-
-
-def per_chromosome_counts(workload: Workload) -> Dict[int, int]:
-    """Read counts by chromosome (drives Figure 13(c)/(d) scaling)."""
-    counts: Dict[int, int] = {}
-    for read in workload.reads:
-        counts[read.chrom] = counts.get(read.chrom, 0) + 1
-    return counts

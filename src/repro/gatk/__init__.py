@@ -84,24 +84,3 @@ __all__ += [
     "determine_active_regions",
     "extract_regions",
 ]
-
-# QC companions: Picard-style metrics (pure data manipulation).
-from .metrics import (
-    AlignmentSummary,
-    HwMetricsResult,
-    InsertSizeMetrics,
-    alignment_summary,
-    insert_size_metrics,
-    insert_sizes,
-    run_metrics_pipeline,
-)
-
-__all__ += [
-    "AlignmentSummary",
-    "HwMetricsResult",
-    "InsertSizeMetrics",
-    "alignment_summary",
-    "insert_size_metrics",
-    "insert_sizes",
-    "run_metrics_pipeline",
-]

@@ -52,6 +52,6 @@ __all__ = [
     "reverse_complement",
 ]
 
-from .fasta import fastq_stats, read_fasta, read_fastq, write_fasta, write_fastq
+from .fasta import read_fasta, read_fastq, write_fasta, write_fastq
 
-__all__ += ["fastq_stats", "read_fasta", "read_fastq", "write_fasta", "write_fastq"]
+__all__ += ["read_fasta", "read_fastq", "write_fasta", "write_fastq"]

@@ -8,7 +8,7 @@ the chromosome-name conventions used across the reproduction.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, TextIO, Tuple
+from typing import Iterable, List, TextIO, Tuple
 
 import numpy as np
 
@@ -109,18 +109,3 @@ def read_fastq(handle: TextIO) -> List[Tuple[str, np.ndarray, np.ndarray]]:
             np.array([ord(ch) - 33 for ch in qual_text], dtype=np.uint8),
         ))
     return records
-
-
-def fastq_stats(records) -> Dict[str, float]:
-    """Basic QC statistics over FASTQ records (read count, mean length,
-    mean quality) — the first thing any pipeline reports."""
-    if not records:
-        return {"reads": 0, "mean_length": 0.0, "mean_quality": 0.0}
-    lengths = [len(seq) for _name, seq, _qual in records]
-    quality_sum = sum(float(qual.sum()) for _n, _s, qual in records)
-    total_bases = sum(lengths)
-    return {
-        "reads": len(records),
-        "mean_length": total_bases / len(records),
-        "mean_quality": quality_sum / max(1, total_bases),
-    }

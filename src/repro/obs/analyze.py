@@ -40,7 +40,6 @@ from ..constants import (
 )
 from .ledger import LEDGER_SCHEMA_VERSION, RunLedger
 from .profile import ModuleProfile, ProfileReport
-from .registry import MetricsRegistry
 from .spans import WAVE_SEGMENTS, TraceSpan, trace_spans
 
 
@@ -145,51 +144,6 @@ class BottleneckReport:
         for what_if in self.what_ifs:
             lines.append(f"  what-if: {what_if.description}")
         return "\n".join(lines)
-
-
-def sql_operator_attribution(
-    metrics: MetricsRegistry,
-) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Attribute SQL execution time to backends and plan operators.
-
-    Reads the ``sql_operator_seconds``/``sql_operator_rows`` counters
-    the :class:`~repro.sql.executor.Executor` publishes and returns
-    ``{backend: {op: {"seconds": s, "rows": n}}}`` — the per-operator
-    breakdown that says where a backend's time goes (join vs group-by vs
-    explode), comparable across backends on the same plans.
-    """
-    out: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for metric_name, field_name in (
-        ("sql_operator_seconds", "seconds"),
-        ("sql_operator_rows", "rows"),
-    ):
-        for labels, counter in metrics.values(metric_name).items():
-            tags = dict(labels)
-            cell = out.setdefault(tags.get("backend", "?"), {}).setdefault(
-                tags.get("op", "?"), {"seconds": 0.0, "rows": 0.0}
-            )
-            cell[field_name] += float(counter.value)
-    return out
-
-
-def render_sql_attribution(
-    attribution: Dict[str, Dict[str, Dict[str, float]]],
-) -> str:
-    """Human-readable table of :func:`sql_operator_attribution`,
-    operators sorted by seconds descending within each backend."""
-    lines = []
-    for backend in sorted(attribution):
-        ops = attribution[backend]
-        total = sum(cell["seconds"] for cell in ops.values())
-        lines.append(f"sql backend {backend}: {total:.4f}s")
-        for op in sorted(ops, key=lambda o: -ops[o]["seconds"]):
-            cell = ops[op]
-            share = cell["seconds"] / total if total else 0.0
-            lines.append(
-                f"  {op:<14} {cell['seconds']:>9.4f}s "
-                f"{share:>6.1%}  {int(cell['rows'])} rows"
-            )
-    return "\n".join(lines)
 
 
 def _stalling_queues(

@@ -563,7 +563,10 @@ def available_backends() -> List[str]:
 class timed_operator:
     """Context manager charging one plan-node execution to the metrics
     registry: ``sql_operator_seconds{op=...,backend=...}`` and
-    ``sql_operator_rows`` counters, which ``repro analyze`` attributes."""
+    ``sql_operator_rows`` counters — read off the registry the caller
+    passed as ``metrics=`` by ``e2e_bench`` (``sql.operator_s``,
+    ``sql.fast_node_frac``, ``sql.rows_per_s``) and
+    ``benchmarks/test_sql_backend.py``; no CLI command reads them."""
 
     __slots__ = ("metrics", "op", "backend", "_start")
 

@@ -19,10 +19,11 @@ list), LIMIT offset, count, SUM/COUNT/MIN/MAX aggregates, PosExplode,
 ReadExplode, and EXEC <CustomModule> bindings registered by the host
 (Section III-F).
 
-Each node execution is charged to the optional metrics registry as
-``sql_operator_seconds{op=...,backend=...}`` /
-``sql_operator_rows{...}`` counters so ``repro analyze`` can attribute
-where backend time goes.
+Each node execution is charged to the optional metrics registry
+(``metrics=``) as ``sql_operator_seconds{op=...,backend=...}`` /
+``sql_operator_rows{...}`` counters; ``e2e_bench`` (``sql.operator_s``,
+``sql.fast_node_frac``) and ``benchmarks/test_sql_backend.py`` read them
+off that registry to say where backend time goes.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ as a series of relational operators (often called the logical query plan)"
 — and Section III-D maps each plan node to a Genesis hardware module and
 each edge to a hardware queue.  This module defines the plan nodes and
 builds plans from parsed queries; :mod:`repro.sql.executor` interprets
-them in software and :mod:`repro.compiler` maps them to hardware.
+them in software (the hardware pipelines of :mod:`repro.accel` are wired
+by hand, as the paper's are).
 """
 
 from __future__ import annotations

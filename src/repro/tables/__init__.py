@@ -1,7 +1,7 @@
 """Relational substrate: columnar tables, schemas, genomic tables, partitioning.
 
 Implements the paper's "genomic data as a very large relational database"
-conceptualization (Section III-B): a columnar Table with relational verbs,
+conceptualization (Section III-B): a columnar Table with row-selection verbs,
 the READS/REF schemas of Table I, and the (CHR, POS // PSIZE) partitioning
 scheme with partition IDs.
 """
@@ -10,8 +10,6 @@ from .genomic_tables import (
     READS_SCHEMA,
     REF_SCHEMA,
     count_bases,
-    max_array_length,
-    reads_table_sorted,
     reads_to_table,
     reference_to_table,
     table_bytes,
@@ -40,11 +38,9 @@ __all__ = [
     "Schema",
     "Table",
     "count_bases",
-    "max_array_length",
     "partition_reads",
     "partition_reads_by_group",
     "partition_reference",
-    "reads_table_sorted",
     "reads_to_table",
     "reference_row_table",
     "reference_to_table",

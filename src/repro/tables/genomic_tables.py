@@ -124,21 +124,6 @@ def table_bytes(table: Table, names: Sequence[str] = None) -> int:
     return total
 
 
-def max_array_length(table: Table, name: str) -> int:
-    """Longest per-row array in an array column (the LEN/CLEN bound)."""
-    spec = table.schema[name]
-    if not spec.is_array:
-        raise ValueError(f"{name} is not an array column")
-    data = table.column(name)
-    return max((len(array) for array in data), default=0)
-
-
-def reads_table_sorted(table: Table) -> Table:
-    """READS sorted by (CHR, POS) — the coordinate sort the mark-duplicates
-    stage performs (Section IV-B)."""
-    return table.sort_by(["CHR", "POS"])
-
-
 def count_bases(table: Table) -> int:
     """Total number of read base pairs in a READS table."""
     return int(sum(len(seq) for seq in table.column("SEQ")))

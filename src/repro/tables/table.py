@@ -3,14 +3,14 @@
 The paper conceptualizes genomic data "as a very large relational database"
 (Section III-B).  This module is the software-side realization: a columnar
 :class:`Table` storing scalar columns as numpy arrays and ragged array
-columns as lists of per-row numpy arrays, with the relational verbs the
-extended-SQL executor lowers to (select / where / join / group-by / limit /
-aggregate / explode).
+columns as lists of per-row numpy arrays, with the row-selection verbs the
+extended-SQL backends build on (take / where / limit / concat / explode);
+joins, grouping and aggregation are the backends' (:mod:`repro.sql.backends`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -101,10 +101,6 @@ class Table:
             raise KeyError(name)
         return self._validity.get(name)
 
-    def validity_masks(self) -> Dict[str, np.ndarray]:
-        """All column validity masks (columns without NULLs are absent)."""
-        return dict(self._validity)
-
     def __getitem__(self, name: str):
         return self._columns[name]
 
@@ -129,14 +125,7 @@ class Table:
     def __repr__(self) -> str:
         return f"Table({self.schema!r}, rows={self.num_rows})"
 
-    # -- relational verbs -----------------------------------------------------------
-
-    def select(self, names: Sequence[str]) -> "Table":
-        """Projection: keep only ``names`` (SQL SELECT col, ...)."""
-        schema = self.schema.subset(names)
-        columns = {name: self._columns[name] for name in names}
-        validity = {n: m for n, m in self._validity.items() if n in schema}
-        return Table(schema, columns, self.num_rows, validity=validity)
+    # -- row selection ------------------------------------------------------------
 
     def take(self, indices) -> "Table":
         """Row selection by integer indices (stable order)."""
@@ -170,12 +159,6 @@ class Table:
         end = min(self.num_rows, offset + count)
         return self.take(np.arange(offset, max(offset, end)))
 
-    def sort_by(self, names: Sequence[str]) -> "Table":
-        """Stable sort by scalar key columns (leftmost is most significant)."""
-        keys = [np.asarray(self._columns[name]) for name in reversed(names)]
-        order = np.lexsort(keys)
-        return self.take(order)
-
     def concat(self, other: "Table") -> "Table":
         """Vertical concatenation of two same-schema tables."""
         if other.schema != self.schema:
@@ -196,174 +179,6 @@ class Table:
         return Table(
             self.schema, columns, self.num_rows + other.num_rows, validity=validity
         )
-
-    def with_column(self, spec: ColumnSpec, values) -> "Table":
-        """A new table with one extra column appended."""
-        if spec.name in self.schema:
-            raise ValueError(f"column {spec.name} already exists")
-        schema = Schema(self.schema.columns + (spec,))
-        columns = dict(self._columns)
-        columns[spec.name] = self._pack_column(spec, values)
-        return Table(schema, columns, self.num_rows, validity=self._validity)
-
-    def rename(self, mapping: Dict[str, str]) -> "Table":
-        """A new table with columns renamed per ``mapping``."""
-        specs = tuple(
-            ColumnSpec(mapping.get(c.name, c.name), c.kind)
-            for c in self.schema.columns
-        )
-        columns = {
-            mapping.get(name, name): data for name, data in self._columns.items()
-        }
-        validity = {
-            mapping.get(name, name): mask for name, mask in self._validity.items()
-        }
-        return Table(Schema(specs), columns, self.num_rows, validity=validity)
-
-    # -- joins & aggregation -----------------------------------------------------------
-
-    def join(
-        self,
-        other: "Table",
-        on: str,
-        how: str = "inner",
-        suffix: str = "_R",
-    ) -> "Table":
-        """Equi-join on scalar key column ``on``.
-
-        ``how`` is ``inner``, ``left``, or ``outer``, matching the three
-        configurations of the hardware Joiner (Figure 6).  Right-side
-        columns that collide get ``suffix`` appended.  For left/outer joins,
-        missing scalar values are 0 and missing arrays are empty — mirroring
-        the hardware convention where non-matching flits keep sentinel data.
-        """
-        if how not in ("inner", "left", "outer"):
-            raise ValueError(f"unsupported join type {how!r}")
-        left_keys = np.asarray(self._columns[on])
-        right_keys = np.asarray(other._columns[on])
-        right_index: Dict[object, List[int]] = {}
-        for i, key in enumerate(right_keys):
-            right_index.setdefault(key.item(), []).append(i)
-
-        left_rows: List[int] = []
-        right_rows: List[Optional[int]] = []
-        matched_right: set = set()
-        for i, key in enumerate(left_keys):
-            matches = right_index.get(key.item())
-            if matches:
-                for j in matches:
-                    left_rows.append(i)
-                    right_rows.append(j)
-                    matched_right.add(j)
-            elif how in ("left", "outer"):
-                left_rows.append(i)
-                right_rows.append(None)
-        extra_right: List[int] = []
-        if how == "outer":
-            extra_right = [j for j in range(other.num_rows) if j not in matched_right]
-
-        out_specs: List[ColumnSpec] = list(self.schema.columns)
-        right_names: Dict[str, str] = {}
-        for spec in other.schema.columns:
-            if spec.name == on:
-                continue
-            name = spec.name + suffix if spec.name in self.schema else spec.name
-            right_names[spec.name] = name
-            out_specs.append(ColumnSpec(name, spec.kind))
-        out_schema = Schema(tuple(out_specs))
-
-        columns: Dict[str, List] = {spec.name: [] for spec in out_specs}
-
-        def left_value(spec: ColumnSpec, row: Optional[int]):
-            if row is None:
-                return np.array([], dtype=spec.dtype) if spec.is_array else spec.dtype.type(0)
-            return self._columns[spec.name][row]
-
-        def right_value(spec: ColumnSpec, row: Optional[int]):
-            if row is None:
-                return np.array([], dtype=spec.dtype) if spec.is_array else spec.dtype.type(0)
-            return other._columns[spec.name][row]
-
-        for li, ri in zip(left_rows, right_rows):
-            for spec in self.schema.columns:
-                columns[spec.name].append(left_value(spec, li))
-            for spec in other.schema.columns:
-                if spec.name == on:
-                    continue
-                columns[right_names[spec.name]].append(right_value(spec, ri))
-        for ri in extra_right:
-            for spec in self.schema.columns:
-                if spec.name == on:
-                    columns[on].append(other._columns[on][ri])
-                else:
-                    columns[spec.name].append(left_value(spec, None))
-            for spec in other.schema.columns:
-                if spec.name == on:
-                    continue
-                columns[right_names[spec.name]].append(right_value(spec, ri))
-
-        packed = {
-            spec.name: self._pack_column(spec, columns[spec.name])
-            for spec in out_specs
-        }
-        return Table(out_schema, packed, len(columns[on]))
-
-    def group_by(
-        self,
-        keys: Sequence[str],
-        aggregations: Dict[str, Tuple[str, str]],
-    ) -> "Table":
-        """SQL GROUP BY with aggregations.
-
-        ``aggregations`` maps output column name to ``(function, column)``
-        where function is one of ``sum``, ``count``, ``min``, ``max`` — the
-        reductions the hardware Reducer supports (Figure 6).  Output key
-        columns preserve first-appearance order.
-        """
-        funcs = {
-            "sum": lambda v: int(np.sum(v, dtype=np.int64)),
-            "count": len,
-            "min": lambda v: int(np.min(v)),
-            "max": lambda v: int(np.max(v)),
-        }
-        for out_name, (func, _col) in aggregations.items():
-            if func not in funcs:
-                raise ValueError(f"unsupported aggregation {func!r} for {out_name}")
-
-        groups: Dict[tuple, List[int]] = {}
-        key_arrays = [np.asarray(self._columns[k]) for k in keys]
-        for i in range(self.num_rows):
-            key = tuple(arr[i].item() for arr in key_arrays)
-            groups.setdefault(key, []).append(i)
-
-        out_specs = [self.schema[k] for k in keys]
-        out_specs += [ColumnSpec(name, "int64") for name in aggregations]
-        out_schema = Schema(tuple(out_specs))
-        columns: Dict[str, List] = {spec.name: [] for spec in out_specs}
-        for key, rows in groups.items():
-            for name, value in zip(keys, key):
-                columns[name].append(value)
-            for out_name, (func, col) in aggregations.items():
-                values = np.asarray([self._columns[col][r] for r in rows])
-                columns[out_name].append(funcs[func](values))
-        packed = {
-            spec.name: self._pack_column(spec, columns[spec.name])
-            for spec in out_specs
-        }
-        return Table(out_schema, packed, len(groups))
-
-    def aggregate(self, func: str, name: str):
-        """Whole-table scalar aggregate (SUM/COUNT/MIN/MAX over a column)."""
-        values = np.asarray(self._columns[name])
-        if func == "sum":
-            return int(np.sum(values, dtype=np.int64))
-        if func == "count":
-            return int(self.num_rows)
-        if func == "min":
-            return int(np.min(values))
-        if func == "max":
-            return int(np.max(values))
-        raise ValueError(f"unsupported aggregate {func!r}")
 
     # -- explode operations (Section III-B) ----------------------------------------------
 

@@ -236,64 +236,6 @@ class TestHandBuiltReports:
         assert what_if.speedup_bound == pytest.approx(100 / (100 - 45))
 
 
-class TestSqlOperatorAttribution:
-    """sql_operator_seconds/rows counters folded into the per-backend
-    per-operator table ``repro analyze`` renders."""
-
-    def _metrics(self):
-        from repro.obs.registry import MetricsRegistry
-
-        metrics = MetricsRegistry()
-        metrics.counter(
-            "sql_operator_seconds", op="join", backend="fast"
-        ).inc(0.25)
-        metrics.counter(
-            "sql_operator_rows", op="join", backend="fast"
-        ).inc(1000)
-        metrics.counter(
-            "sql_operator_seconds", op="scan", backend="fast"
-        ).inc(0.75)
-        metrics.counter(
-            "sql_operator_seconds", op="join", backend="reference"
-        ).inc(3.0)
-        return metrics
-
-    def test_attribution_shape(self):
-        from repro.obs.analyze import sql_operator_attribution
-
-        attribution = sql_operator_attribution(self._metrics())
-        assert set(attribution) == {"fast", "reference"}
-        assert attribution["fast"]["join"] == {
-            "seconds": 0.25, "rows": 1000.0,
-        }
-        assert attribution["fast"]["scan"]["seconds"] == 0.75
-        assert attribution["reference"]["join"]["rows"] == 0.0
-
-    def test_attribution_empty_registry(self):
-        from repro.obs.analyze import sql_operator_attribution
-        from repro.obs.registry import MetricsRegistry
-
-        assert sql_operator_attribution(MetricsRegistry()) == {}
-
-    def test_render_sorts_ops_by_seconds(self):
-        from repro.obs.analyze import (
-            render_sql_attribution,
-            sql_operator_attribution,
-        )
-
-        text = render_sql_attribution(
-            sql_operator_attribution(self._metrics())
-        )
-        lines = text.splitlines()
-        assert lines[0] == "sql backend fast: 1.0000s"
-        # scan (0.75s) outranks join (0.25s) within the fast backend.
-        assert lines[1].split()[0] == "scan"
-        assert lines[2].split()[0] == "join"
-        assert "75.0%" in lines[1]
-        assert "1000 rows" in lines[2]
-        assert any("reference" in line for line in lines)
-
-
 class TestDeviceWhatIf:
     def test_lpt_bound_over_device_counts(self):
         from repro.obs.analyze import device_what_if

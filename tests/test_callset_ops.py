@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.accel.callset_ops import (
-    run_callset_difference,
-    run_callset_intersection,
-)
+from repro.accel.callset_ops import run_callset_intersection
 from repro.variants import CallSet, Variant
 
 
@@ -38,12 +35,6 @@ def test_intersection_matches_software(callsets):
     assert hw.callset.keys() == a.intersect(b).keys()
 
 
-def test_difference_matches_software(callsets):
-    a, b = callsets
-    hw = run_callset_difference(a, b)
-    assert hw.callset.keys() == a.subtract(b).keys()
-
-
 def test_intersection_symmetric_keys(callsets):
     a, b = callsets
     ab = run_callset_intersection(a, b).callset.keys()
@@ -56,7 +47,6 @@ def test_empty_operands():
     full = random_callset(10, 73, "full")
     assert len(run_callset_intersection(empty, full).callset) == 0
     assert len(run_callset_intersection(full, empty).callset) == 0
-    assert run_callset_difference(full, empty).callset.keys() == full.keys()
 
 
 def test_same_position_different_alleles_distinct():

@@ -289,25 +289,61 @@ def _corrupt_sam(fasta, sam):
     return sam
 
 
+def _realign_first_read(sam, chrom, pos):
+    """The first record renamed ``stray`` and moved to ``chrom:pos``."""
+    lines = sam.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if not line.startswith("@"))
+    columns = lines[first].split("\t")
+    columns[0], columns[2], columns[3] = "stray", chrom, str(pos)
+    lines[first] = "\t".join(columns)
+    sam.write_text("\n".join(lines) + "\n")
+    return sam
+
+
+def _past_contig_end(fasta, sam):
+    return _realign_first_read(sam, "21", 25000)
+
+
+def _overhanging_contig_end(fasta, sam):
+    """On the contig's last base (``_simulate`` writes ``LN:2101``), so
+    only the read's reference span leaves it."""
+    assert "@SQ\tSN:21\tLN:2101\n" in sam.read_text()
+    return _realign_first_read(sam, "21", 2101)
+
+
+def _absent_chromosome(fasta, sam):
+    return _realign_first_read(sam, "5", 1)
+
+
 @pytest.mark.parametrize("command, out", [
     ("preprocess", "out.sam"), ("call", "out.vcf"),
 ])
 @pytest.mark.parametrize("corrupt, reason", [
     (_corrupt_fasta, "not a DNA base: 'X'"),
     (_corrupt_sam, "SEQ and QUAL must have equal length"),
+    (_past_contig_end, "read stray at 21:25000 lies outside the reference"),
+    (_overhanging_contig_end,
+     "read stray at 21:2101 lies outside the reference"),
+    (_absent_chromosome, "read stray at 5:1 lies outside the reference"),
 ])
 def test_malformed_input_exits_2(
     tmp_path, capsys, command, out, corrupt, reason
 ):
-    """A parser's ``ValueError`` is one ``error:`` line naming the file,
-    like an unreadable one — not a traceback out of ``genomics/``."""
+    """A parser's ``ValueError`` (``cannot parse <file>: …``) or a read
+    aligned off the genome (``<file>: read …``) is one ``error:`` line
+    naming the file, like an unreadable one — not a traceback out of
+    ``genomics/``, ``tables/`` or ``variants/``."""
     fasta, sam = _simulate(tmp_path)
     bad = corrupt(fasta, sam)
     assert main([
         "--no-ledger", command, "--fasta", str(fasta), "--sam", str(sam),
         "--out", str(tmp_path / out),
     ]) == 2
-    assert f"error: cannot parse {bad}: {reason}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    parse_error = corrupt in (_corrupt_fasta, _corrupt_sam)
+    assert err == (
+        f"error: {'cannot parse ' if parse_error else ''}{bad}: {reason}\n"
+    )
     assert not (tmp_path / out).exists()
 
 

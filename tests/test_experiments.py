@@ -80,6 +80,22 @@ def test_model_calibration_is_pinned():
             ), (link, stage)
 
 
+def test_untimed_stage_kernel_cycles_are_pinned():
+    """The stages with no timing-model row, pinned the same way on the
+    same workload: together with the calibration above and
+    ``tests/data/event_values.json`` every stage built on the shared
+    read ⋈ reference front end has its modelled clock held exactly."""
+    workload = make_workload(
+        n_reads=40, read_length=80, chromosomes=(20,), genome_scale=4.5e-5,
+        psize=2000, seed=2024,
+    )
+    for stage, pinned in {
+        "example": (3430, 3200), "active_region": (3436, 3200),
+    }.items():
+        measured = measure_cycles_per_base(stage, workload)
+        assert (measured.cycles, measured.bases) == pinned, stage
+
+
 def test_measure_unknown_stage(tiny_workload):
     with pytest.raises(KeyError):
         measure_cycles_per_base("alignment", tiny_workload)

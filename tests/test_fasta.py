@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.genomics.fasta import (
-    fastq_stats,
     read_fasta,
     read_fastq,
     write_fasta,
@@ -72,17 +71,3 @@ def test_fastq_malformed():
         read_fastq(io.StringIO("r1\nACGT\n+\n!!!!\n"))  # missing @
     with pytest.raises(ValueError):
         read_fastq(io.StringIO("@r1\nACGT\n+\n!!!\n"))  # length mismatch
-
-
-def test_fastq_stats(small_reads):
-    buffer = io.StringIO()
-    write_fastq(buffer, small_reads)
-    buffer.seek(0)
-    stats = fastq_stats(read_fastq(buffer))
-    assert stats["reads"] == len(small_reads)
-    assert stats["mean_length"] == pytest.approx(50)
-    assert 2 <= stats["mean_quality"] <= 41
-
-
-def test_fastq_stats_empty():
-    assert fastq_stats([])["reads"] == 0

@@ -7,8 +7,6 @@ from repro.tables.genomic_tables import (
     READS_SCHEMA,
     REF_SCHEMA,
     count_bases,
-    max_array_length,
-    reads_table_sorted,
     reads_to_table,
     reference_to_table,
     table_bytes,
@@ -106,20 +104,6 @@ def test_table_bytes(small_reads):
     assert table_bytes(table) > qual_bytes + pos_bytes
 
 
-def test_max_array_length(small_reads):
-    table = reads_to_table(small_reads)
-    assert max_array_length(table, "SEQ") == 50
-    with pytest.raises(ValueError):
-        max_array_length(table, "POS")
-
-
 def test_count_bases(small_reads):
     table = reads_to_table(small_reads)
     assert count_bases(table) == sum(len(r.seq) for r in small_reads)
-
-
-def test_reads_table_sorted(small_reads):
-    table = reads_to_table(list(reversed(small_reads)))
-    out = reads_table_sorted(table)
-    keys = list(zip(out.column("CHR").tolist(), out.column("POS").tolist()))
-    assert keys == sorted(keys)

@@ -7,7 +7,6 @@ import pytest
 PACKAGES = [
     "repro",
     "repro.accel",
-    "repro.compiler",
     "repro.eval",
     "repro.faults",
     "repro.fmindex",
@@ -196,6 +195,28 @@ def test_stage_table_keys_are_pinned():
     workload = make_workload(n_reads=4, read_length=30, chromosomes=(21,))
     for name, row in STAGES.items():
         assert row.over(workload).stage == name
+
+
+def test_accel_namespace_is_stages_executor_and_sharding():
+    """``repro.accel`` exports the stage drivers with their serial
+    runners, the wave executor and sharding — nothing from a module
+    outside those.  The standalone Section IV-E examples (``fm_seeding``,
+    ``callset_ops``, ``sort``) are imported as submodules."""
+    import repro.accel
+
+    homes = {
+        f"repro.accel.{module}" for module in (
+            "common", "markdup", "metadata", "bqsr", "example_query",
+            "active_region", "stages", "scheduler", "sharding",
+        )
+    }
+    tables = {"STAGES", "PAPER_STAGES", "SHARD_POLICIES"}
+    strays = [
+        symbol for symbol in repro.accel.__all__
+        if symbol not in tables
+        and getattr(repro.accel, symbol).__module__ not in homes
+    ]
+    assert strays == []
 
 
 def test_version():

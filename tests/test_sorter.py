@@ -1,11 +1,11 @@
-"""Tests for the merge-sort hardware and the coordinate-sort driver."""
+"""Tests for the merge-sort hardware and the merge-tree sort driver."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accel.sort import coordinate_sort_reads, run_hw_sort
+from repro.accel.sort import run_hw_sort
 from repro.hw.engine import Engine
 from repro.hw.modules.sorter import MergeUnit, build_merge_tree, sorted_run_flits
 
@@ -94,12 +94,3 @@ def test_hw_sort_throughput():
 def test_hw_sort_property(keys, leaves_pow):
     result = run_hw_sort(keys, n_leaves=2 ** leaves_pow)
     assert result.keys == sorted(keys)
-
-
-def test_coordinate_sort_reads(small_reads):
-    shuffled = list(reversed(small_reads))
-    ordered, stats = coordinate_sort_reads(shuffled)
-    keys = [(read.chrom, read.pos) for read in ordered]
-    assert keys == sorted(keys)
-    assert sorted(id(r) for r in ordered) == sorted(id(r) for r in shuffled)
-    assert stats.cycles > 0

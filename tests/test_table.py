@@ -1,9 +1,9 @@
-"""Unit tests for the columnar Table and its relational verbs."""
+"""Unit tests for the columnar Table and its row-selection verbs."""
 
 import numpy as np
 import pytest
 
-from repro.tables.schema import ColumnSpec, Schema
+from repro.tables.schema import Schema
 from repro.tables.table import Table
 
 SCHEMA = Schema.of(K="uint32", V="int64")
@@ -44,13 +44,6 @@ def test_column_length_mismatch_rejected():
         }, 1)
 
 
-def test_select_projects_columns():
-    table = make_table([1, 2], [10, 20])
-    out = table.select(["V"])
-    assert out.schema.names == ("V",)
-    assert out.column("V").tolist() == [10, 20]
-
-
 def test_where_predicate():
     table = make_table([1, 2, 3, 4], [10, 20, 30, 40])
     out = table.where(lambda row: row["V"] > 15)
@@ -80,22 +73,6 @@ def test_limit_beyond_end():
     assert table.limit(10, offset=5).num_rows == 0
 
 
-def test_sort_by_is_stable():
-    schema = Schema.of(A="uint32", B="uint32")
-    table = Table.from_columns(schema, A=[2, 1, 2, 1], B=[0, 1, 2, 3])
-    out = table.sort_by(["A"])
-    assert out.column("B").tolist() == [1, 3, 0, 2]
-
-
-def test_sort_by_two_keys():
-    schema = Schema.of(A="uint32", B="uint32")
-    table = Table.from_columns(schema, A=[2, 1, 2, 1], B=[1, 9, 0, 2])
-    out = table.sort_by(["A", "B"])
-    assert list(zip(out.column("A").tolist(), out.column("B").tolist())) == [
-        (1, 2), (1, 9), (2, 0), (2, 1)
-    ]
-
-
 def test_concat():
     a = make_table([1], [10])
     b = make_table([2], [20])
@@ -108,79 +85,6 @@ def test_concat_schema_mismatch():
     b = Table.from_columns(Schema.of(X="uint32", V="int64"), X=[1], V=[1])
     with pytest.raises(ValueError):
         a.concat(b)
-
-
-def test_with_column():
-    table = make_table([1, 2], [10, 20])
-    out = table.with_column(ColumnSpec("W", "int64"), [7, 8])
-    assert out.column("W").tolist() == [7, 8]
-    with pytest.raises(ValueError):
-        out.with_column(ColumnSpec("W", "int64"), [0, 0])
-
-
-def test_rename():
-    table = make_table([1], [10])
-    out = table.rename({"K": "KEY"})
-    assert out.schema.names == ("KEY", "V")
-    assert out.column("KEY").tolist() == [1]
-
-
-def test_inner_join():
-    left = make_table([1, 2, 3], [10, 20, 30])
-    right = Table.from_columns(Schema.of(K="uint32", W="int64"), K=[2, 3, 4], W=[200, 300, 400])
-    out = left.join(right, on="K", how="inner")
-    assert out.column("K").tolist() == [2, 3]
-    assert out.column("W").tolist() == [200, 300]
-
-
-def test_left_join_fills_nulls():
-    left = make_table([1, 2], [10, 20])
-    right = Table.from_columns(Schema.of(K="uint32", W="int64"), K=[2], W=[200])
-    out = left.join(right, on="K", how="left")
-    assert out.column("K").tolist() == [1, 2]
-    assert out.column("W").tolist() == [0, 200]
-
-
-def test_outer_join_keeps_both_sides():
-    left = make_table([1], [10])
-    right = Table.from_columns(Schema.of(K="uint32", W="int64"), K=[9], W=[90])
-    out = left.join(right, on="K", how="outer")
-    assert sorted(out.column("K").tolist()) == [1, 9]
-
-
-def test_join_collision_suffix():
-    left = make_table([1], [10])
-    right = make_table([1], [99])
-    out = left.join(right, on="K", how="inner")
-    assert out.column("V").tolist() == [10]
-    assert out.column("V_R").tolist() == [99]
-
-
-def test_join_invalid_kind():
-    with pytest.raises(ValueError):
-        make_table([1], [1]).join(make_table([1], [1]), on="K", how="cross")
-
-
-def test_group_by_sum_count():
-    schema = Schema.of(G="uint8", V="int64")
-    table = Table.from_columns(schema, G=[1, 1, 2], V=[10, 20, 30])
-    out = table.group_by(["G"], {"total": ("sum", "V"), "n": ("count", "V")})
-    rows = {row["G"]: row for row in out.rows()}
-    assert rows[1]["total"] == 30 and rows[1]["n"] == 2
-    assert rows[2]["total"] == 30 and rows[2]["n"] == 1
-
-
-def test_group_by_unknown_agg():
-    with pytest.raises(ValueError):
-        make_table([1], [1]).group_by(["K"], {"x": ("median", "V")})
-
-
-def test_aggregate():
-    table = make_table([1, 2, 3], [10, 20, 30])
-    assert table.aggregate("sum", "V") == 60
-    assert table.aggregate("count", "V") == 3
-    assert table.aggregate("min", "V") == 10
-    assert table.aggregate("max", "V") == 30
 
 
 def test_pos_explode():

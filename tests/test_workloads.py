@@ -1,10 +1,6 @@
 """Tests for the evaluation workload builder."""
 
-from repro.eval.workloads import (
-    make_single_chromosome_workload,
-    make_workload,
-    per_chromosome_counts,
-)
+from repro.eval.workloads import make_workload
 
 
 def test_default_workload_structure(workload):
@@ -26,19 +22,6 @@ def test_overlap_covers_read_span(workload):
         limit = int(row["REFPOS"]) + len(row["SEQ"])
         for endpos in part.column("ENDPOS").tolist():
             assert endpos < limit
-
-
-def test_single_chromosome_workload():
-    wl = make_single_chromosome_workload(chrom=21, n_reads=30)
-    assert all(read.chrom == 21 for read in wl.reads)
-
-
-def test_per_chromosome_counts(workload):
-    counts = per_chromosome_counts(workload)
-    assert sum(counts.values()) == workload.n_reads
-    assert set(counts) <= {20, 21}
-    for chrom, count in counts.items():
-        assert workload.reads_on_chromosome(chrom) == count
 
 
 def test_workload_determinism():
