@@ -28,7 +28,8 @@ are executed:
   :data:`repro.accel.stages.STAGES` is the table of them;
 * **multi-core fan-out** — when more than one wave can be in flight the
   waves are dispatched onto one
-  :class:`~concurrent.futures.ProcessPoolExecutor`.  Waves are packed
+  :class:`~concurrent.futures.ProcessPoolExecutor`, built once and kept
+  from run to run (:func:`wave_pool`).  Waves are packed
   largest-partition-first (an LPT schedule) and pulled from the
   executor's shared queue by whichever worker frees up first, so a
   straggler wave never serializes the tail;
@@ -64,7 +65,17 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -572,24 +583,76 @@ def _enter_worker(phases: Dict[tuple, RunStats]) -> None:
     PHASES.adopt(phases)
 
 
-def wave_pool(workers: int, most_waves: int) -> Optional[ProcessPoolExecutor]:
-    """The one place a process pool is built.  ``None`` — execute inline
-    in the parent — when fewer than two waves can ever be in flight
-    (``workers`` processes wanted, at most ``most_waves`` waves at a
-    time): a pool of one only adds pickling.  Workers come up through
-    :func:`_enter_worker`, seeded with this process's phase memo the way
-    each wave is seeded with its SPM images."""
+@dataclass
+class WavePool:
+    """A pool of wave workers: the executor, how many processes it holds
+    and the phase shapes each of them came up seeded with."""
+
+    executor: ProcessPoolExecutor
+    size: int
+    seeded: FrozenSet[tuple]
+
+
+#: The pool the last run released clean.  A pool is either kept here or
+#: held by the one :func:`run_waves` that took it, never both.
+_kept: Optional[WavePool] = None
+
+
+def wave_pool(workers: int, most_waves: int) -> Optional[WavePool]:
+    """The one place a process pool is built — and kept.  ``None`` —
+    execute inline in the parent — when fewer than two waves can ever be
+    in flight (``workers`` processes wanted, at most ``most_waves`` waves
+    at a time): a pool of one only adds pickling.
+
+    The kept pool is handed back when it fits: no smaller than the
+    ``min(workers, most_waves)`` processes this run can use, no larger
+    than the ``workers`` it allows.  One that does not fit is shut down
+    and replaced.  Workers come up through :func:`_enter_worker`, seeded
+    with this process's phase memo; a kept worker may be older than
+    anything else the parent holds, so whatever else an attempt needs
+    travels with its task (:func:`_pool_task`)."""
+    global _kept
     size = min(workers, most_waves)
     if size < 2:
         return None
-    return ProcessPoolExecutor(
-        max_workers=size, initializer=_enter_worker,
-        initargs=(PHASES.snapshot(),),
+    pool, _kept = _kept, None
+    if pool is not None:
+        if size <= pool.size <= workers:
+            return pool
+        release_pool(pool, keep=False)
+    phases = PHASES.snapshot()
+    return WavePool(
+        ProcessPoolExecutor(
+            max_workers=size, initializer=_enter_worker, initargs=(phases,)
+        ),
+        size, frozenset(phases),
     )
 
 
+def release_pool(pool: WavePool, keep: bool) -> None:
+    """Hand back a pool :func:`wave_pool` gave out: kept for the next
+    run when ``keep`` (the caller vouches it is unbroken and idle) and
+    no other pool is, else shut down with its workers reaped."""
+    global _kept
+    if keep and _kept is None:
+        _kept = pool
+    else:
+        pool.executor.shutdown(wait=True, cancel_futures=True)
+
+
+def drop_kept_pool() -> None:
+    """Shut the kept pool down, if there is one: the next pooled run
+    forks afresh (test isolation; a host that wants its idle workers
+    gone)."""
+    global _kept
+    pool, _kept = _kept, None
+    if pool is not None:
+        release_pool(pool, keep=False)
+
+
 def _pool_task(
-    driver, index, wave, seed_images, fault_kind, hang_seconds, attempt
+    driver, index, wave, seed_images, mode, phases,
+    fault_kind, hang_seconds, attempt,
 ):
     """Worker-side wave attempt: enact the parent's injection decision
     for this attempt (decided deterministically before submission), else
@@ -599,6 +662,10 @@ def _pool_task(
     parent), and every other kind raises its
     :class:`~repro.faults.injector.InjectedFaultError` subclass, which
     travels back through the future like a real worker failure would.
+
+    A worker takes nothing from the moment it was forked: the wave runs
+    under the parent's ambient engine ``mode`` as of this attempt, and
+    holding the ``phases`` the parent recorded since the pool was seeded.
     """
     if fault_kind is not None:
         if fault_kind == "wave_timeout" and hang_seconds > 0:
@@ -606,6 +673,8 @@ def _pool_task(
         if fault_kind == "worker_crash":
             os._exit(1)  # a genuine process death, not an exception
         raise FAULT_EXCEPTIONS[fault_kind](WAVE_FAULT_SITE, index, attempt)
+    Engine.default_mode = mode
+    PHASES.adopt(phases)
     return execute_wave(driver, index, wave, seed_images)
 
 
@@ -643,8 +712,13 @@ def run_waves(
 
     It feeds one process pool of ``fan_out`` processes
     (:func:`wave_pool`), or runs inline when that — or the task count —
-    is 1; the pool lives exactly as long as the generator (exhausted, or
-    abandoned with ``.close()``).  Folding an outcome back
+    is 1.  It holds the pool exactly as long as the generator lives
+    (exhausted, or abandoned with ``.close()``) and then releases it
+    (:func:`release_pool`): the pool outlives the run, kept for the
+    next one, only if it is unbroken and every future submitted to it
+    was collected — a broken pool, one a watchdog gave up a future on
+    and one closed over futures in flight are shut down.  Folding an
+    outcome back
     (:meth:`SpmImageCache.adopt`, results, accounting) is the caller's,
     between two yields — so a caller that adopts as it goes seeds each
     inline wave with what the previous one loaded, and one that adopts
@@ -752,6 +826,9 @@ def run_waves(
     pending: Dict[object, Tuple[WaveTask, int, Optional[float]]] = {}
     serial_waves: List[Tuple[WaveTask, int]] = []
     pool_restarts = 0
+    #: A watchdog-expired future is never collected and its worker may
+    #: still be running it: a run that gave one up keeps no pool.
+    abandoned = False
 
     def submit(task, attempt):
         fault = wave_ladder(task, worker="pool").poll(attempt)
@@ -764,9 +841,11 @@ def run_waves(
                 # hang long enough that the parent watchdog fires
                 # first, short enough that pool shutdown stays quick
                 hang = min(wave_timeout * 2, wave_timeout + 1.0)
-        future = pool.submit(
+        future = pool.executor.submit(
             _pool_task, task.driver, task.index, task.items,
-            task.seed_images(), fault_kind, hang, attempt,
+            task.seed_images(), Engine.default_mode,
+            PHASES.snapshot(exclude=pool.seeded),
+            fault_kind, hang, attempt,
         )
         deadline = (
             time.monotonic() + wave_timeout
@@ -850,7 +929,8 @@ def run_waves(
                     else:
                         ready.append((task, attempt))
                 pending.clear()
-                pool.shutdown(wait=False, cancel_futures=True)
+                release_pool(pool, keep=False)
+                pool = None
                 if pool_restarts > POOL_RESTART_BUDGET:
                     _log.warning(
                         "%s: pool died %d times; degrading %d wave(s) "
@@ -873,6 +953,7 @@ def run_waves(
                     task, attempt, deadline = pending[future]
                     if deadline is not None and now >= deadline:
                         del pending[future]
+                        abandoned = True
                         task.stats.watchdog_timeouts += 1
                         record_event(
                             "fault.watchdog_timeout",
@@ -883,7 +964,9 @@ def run_waves(
                         )
                         requeue(task, attempt, "wave_timeout")
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        if pool is not None:
+            # kept only when every future submitted to it was collected
+            release_pool(pool, keep=not (pending or abandoned))
 
     for task, attempt in sorted(
         serial_waves, key=lambda entry: entry[0].index

@@ -22,10 +22,11 @@ immediately and only its virtual completion is deferred to ``clock +
 duration``.  The service does not run waves itself: each round's picks
 go, one :class:`~repro.accel.scheduler.WaveTask` apiece, through the
 one wave executor (:func:`~repro.accel.scheduler.run_waves` — inline,
-or on a pool of ``min(workers, picks)`` processes that lives for the
-round).  Every wave in a round is seeded from the SPM-cache state at
-the start of the round and the outcomes are folded back afterwards, in
-dispatch order (:meth:`~repro.accel.scheduler.SpmImageCache.adopt`,
+or on the pool of ``min(workers, picks)`` processes the executor keeps
+from round to round).  Every wave in a round is seeded from the
+SPM-cache state at the start of the round and the outcomes are folded
+back afterwards, in dispatch order
+(:meth:`~repro.accel.scheduler.SpmImageCache.adopt`,
 first writer wins; :meth:`~repro.runtime.device.DevicePool.charge_wave`)
 — so results, cycles, and the entire virtual timeline are bit-identical
 for every ``workers`` value.

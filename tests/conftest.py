@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import settings
 
+from repro.accel import scheduler
 from repro.eval.workloads import Workload, make_workload
 from repro.genomics import ReadSimulator, ReferenceGenome, SimulatorConfig
 
@@ -16,6 +18,45 @@ from repro.genomics import ReadSimulator, ReferenceGenome, SimulatorConfig
 settings.register_profile("ci", derandomize=True)
 if os.environ.get("CI"):
     settings.load_profile("ci")
+
+
+@pytest.fixture(autouse=True)
+def no_pool_outlives_a_test():
+    """The wave executor keeps its process pool between runs; a test
+    starts without one, as every test did when each run built its own —
+    so whatever a test patches before its first pooled run is what its
+    workers fork with."""
+    yield
+    scheduler.drop_kept_pool()
+
+
+@pytest.fixture
+def pools_built(monkeypatch):
+    """The size of every process pool the wave executor builds, in
+    order, from here on."""
+    built = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            built.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(scheduler, "ProcessPoolExecutor", CountedPool)
+    return built
+
+
+@pytest.fixture
+def worker_pids(monkeypatch):
+    """The process every wave outcome adopted from here on ran in."""
+    pids = []
+    adopt = scheduler.SpmImageCache.adopt
+
+    def spy(cache, outcome):
+        pids.append(outcome.worker_pid)
+        adopt(cache, outcome)
+
+    monkeypatch.setattr(scheduler.SpmImageCache, "adopt", spy)
+    return pids
 
 
 @pytest.fixture(scope="session")

@@ -324,7 +324,12 @@ def test_pool_workers_start_warm_and_report_back(
     assert PHASES.shapes() == held and PHASES.misses == 0
 
 
-def test_sharded_pool_workers_start_warm(pooled_workload, adopted_phases):
+def test_sharded_pool_workers_start_warm(
+    pooled_workload, adopted_phases, pools_built, worker_pids
+):
+    """Cold run reports phases, warm run reports none — and the warm run
+    is served by the cold run's kept workers, which hold what the parent
+    adopted since because it travels with each task."""
     driver = _bqsr_driver(pooled_workload)
     PHASES.clear()
     for warm in (False, True):
@@ -332,6 +337,8 @@ def test_sharded_pool_workers_start_warm(pooled_workload, adopted_phases):
         run_sharded(driver, pooled_workload.group_partitions, 2, devices=2)
         assert any(adopted_phases) != warm
         assert len(PHASES) > 0 and PHASES.misses == 0
+    assert pools_built == [2], "the second run forked nothing"
+    assert os.getpid() not in worker_pids and len(set(worker_pids)) <= 2
 
 
 @pytest.mark.parametrize("warm_parent", [False, True], ids=["cold", "warm"])
@@ -366,37 +373,74 @@ def test_pooled_equals_inline_from_cold_and_warm_parents(
 SPAWN_SCRIPT = f"""
 import json
 import multiprocessing
+import os
 
+from hw_harness import modelled_fields
 from repro.accel.common import PHASES
 from repro.accel import BqsrWaveDriver, run_partitioned
+from repro.accel.scheduler import SpmImageCache
 from repro.eval.workloads import make_workload
+from repro.hw.engine import Engine
+
+
+def modelled(result):
+    runs = [] if result.run is None else [
+        result.run.stats, result.run.load_stats, result.drain_stats
+    ]
+    return (
+        [getattr(result, name).tolist() for name in {BQSR_FIELDS!r}],
+        [modelled_fields(stats) for stats in runs],
+    )
+
 
 if __name__ == "__main__":
     multiprocessing.set_start_method("spawn")
+    Engine.default_mode = "dense"
     workload = make_workload(**{POOLED_WORKLOAD!r})
     driver = BqsrWaveDriver(
         reference=workload.reference, read_length=workload.read_length
     )
-    reported = []
-    adopt = PHASES.adopt
+    inline, _stats = run_partitioned(driver, workload.group_partitions, 2)
+    PHASES.clear()
+    reported, pids = [], []
+    adopt_phases, adopt_outcome = PHASES.adopt, SpmImageCache.adopt
 
-    def spy(phases):
+    def spy_phases(phases):
         reported.append(len(phases))
-        adopt(phases)
+        adopt_phases(phases)
 
-    PHASES.adopt = spy
-    runs = []
+    def spy_outcome(cache, outcome):
+        pids.append(outcome.worker_pid)
+        adopt_outcome(cache, outcome)
+
+    PHASES.adopt = spy_phases
+    SpmImageCache.adopt = spy_outcome
+    runs, modes, same = [], set(), True
     for _ in range(2):
         del reported[:]
-        run_partitioned(driver, workload.group_partitions, 2, workers=2)
+        pooled, _stats = run_partitioned(
+            driver, workload.group_partitions, 2, workers=2
+        )
         runs.append([sum(reported), len(PHASES), PHASES.misses])
-    print(json.dumps(runs))
+        same = same and all(
+            modelled(pooled[pid]) == modelled(inline[pid]) for pid in inline
+        )
+        modes |= {{
+            stats["mode"] for result in pooled.values()
+            for stats in modelled(result)[1]
+        }}
+    print(json.dumps({{
+        "runs": runs, "modes": sorted(modes), "pooled_equals_inline": same,
+        "worker_pids": sorted(set(pids)), "parent_pid": os.getpid(),
+    }}))
 """
 
 
 def test_spawned_workers_are_seeded_through_the_initializer(tmp_path):
     """Nothing rides on ``fork``: a spawned worker imports an empty memo
-    and still starts from the parent's recordings."""
+    and the default engine mode, and still starts from the parent's
+    recordings and runs every wave under the parent's ``dense`` — the
+    second run on the first's kept workers."""
     script = tmp_path / "spawn_run.py"
     script.write_text(SPAWN_SCRIPT)
     done = subprocess.run(
@@ -404,8 +448,10 @@ def test_spawned_workers_are_seeded_through_the_initializer(tmp_path):
         timeout=300, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert done.returncode == 0, done.stderr
-    (cold_reported, cold_held, cold_misses), warm = json.loads(
-        done.stdout.splitlines()[-1]
-    )
+    out = json.loads(done.stdout.splitlines()[-1])
+    (cold_reported, cold_held, cold_misses), warm = out["runs"]
     assert cold_reported >= cold_held > 0 and cold_misses == 0
     assert warm == [0, cold_held, 0]
+    assert out["modes"] == ["dense"] and out["pooled_equals_inline"]
+    assert 1 <= len(out["worker_pids"]) <= 2, "one pool of two served both runs"
+    assert out["parent_pid"] not in out["worker_pids"]

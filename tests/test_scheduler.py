@@ -19,6 +19,7 @@ from hw_harness import assert_same_modelled
 from repro.accel.markdup import run_quality_sums
 from repro.accel.metadata import run_metadata_update
 from repro.accel import BqsrWaveDriver, MarkdupWaveDriver, MetadataWaveDriver
+from repro.accel import scheduler
 from repro.accel.scheduler import (
     SpmImageCache,
     WaveTask,
@@ -26,9 +27,12 @@ from repro.accel.scheduler import (
     run_partitioned,
     run_waves,
 )
+from repro.accel.sharding import run_sharded
 from repro.eval.workloads import make_workload
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.hw.engine import Engine
 from repro.obs.ledger import RunLedger, RunManifest, run_context
+from repro.serve import JobService, JobSpec
 from repro.tables.partition import PartitionId
 
 BQSR_FIELDS = ("total_cycle", "total_context", "error_cycle", "error_context")
@@ -463,3 +467,177 @@ def test_per_worker_breakdown_accounts_every_wave(sched_workload):
     assert sum(w.waves for w in stats.per_worker.values()) == stats.waves
     assert sum(w.cycles for w in stats.per_worker.values()) == stats.total_cycles
     assert stats.workers == 2
+
+
+# -- the kept pool: a process pays for its workers once ------------------------------
+
+
+def _tasks(workload, n=4):
+    """``n`` one-replica metadata tasks over a fresh cache, as
+    ``run_queues`` builds them."""
+    driver = MetadataWaveDriver(reference=workload.reference)
+    _empty, waves = pack_waves(workload.partitions, 1)
+    assert len(waves) >= n
+    cache = SpmImageCache()
+    return [WaveTask(i, driver, waves[i], cache) for i in range(n)]
+
+
+def _assert_metadata_equal(got, want):
+    assert set(got) == set(want)
+    for pid, result in want.items():
+        assert (got[pid].nm, got[pid].md, got[pid].uq) == (
+            result.nm, result.md, result.uq
+        ), str(pid)
+
+
+def test_kept_pool_serves_the_next_run(sched_workload, pools_built, worker_pids):
+    """Metadata then BQSR in one process — the three-stage preprocess —
+    fork one pool between them."""
+    metadata = MetadataWaveDriver(reference=sched_workload.reference)
+    bqsr = BqsrWaveDriver(
+        reference=sched_workload.reference,
+        read_length=sched_workload.read_length,
+    )
+    run_partitioned(metadata, sched_workload.partitions, 2, workers=2)
+    first = set(worker_pids)
+    run_partitioned(bqsr, sched_workload.group_partitions, 2, workers=2)
+    assert pools_built == [2]
+    assert os.getpid() not in worker_pids
+    assert len(first | set(worker_pids)) <= 2
+
+
+def test_kept_pool_is_not_built_where_one_wave_runs_at_a_time(
+    sched_workload, pools_built
+):
+    """``preprocess_serial``, ``serve_mixed`` and a one-wave stage run
+    inline: nothing is forked for them and nothing kept."""
+    driver = MetadataWaveDriver(reference=sched_workload.reference)
+    run_sharded(driver, sched_workload.partitions, 2, devices=1, workers=1)
+    run_partitioned(driver, list(sched_workload.partitions)[:1], 2, workers=4)
+    service = JobService(devices=2, workers=1)
+    service.schedule(
+        JobSpec("t", driver, sched_workload.partitions, 2), at_cycles=0
+    )
+    assert service.run().jobs_completed == 1
+    assert scheduler.wave_pool(1, 8) is scheduler.wave_pool(8, 1) is None
+    assert pools_built == []
+
+
+def test_kept_pool_is_rebuilt_across_a_worker_crash(
+    sched_workload, tmp_path, pools_built, worker_pids
+):
+    """A crash drops the pool it broke, as ever; the one rebuilt in its
+    place ends the run clean and is the one kept."""
+    driver = MetadataWaveDriver(reference=sched_workload.reference)
+    clean, _stats = run_partitioned(driver, sched_workload.partitions, 2)
+    ledger = RunLedger(str(tmp_path / "crash.jsonl"))
+    with run_context(RunManifest(workload="kept-pool", config={}), ledger):
+        results, stats = run_partitioned(
+            driver, sched_workload.partitions, 2, workers=2,
+            fault_injector=FaultInjector(
+                FaultPlan(specs=(FaultSpec("worker_crash", at=(0,)),))
+            ),
+        )
+    _assert_metadata_equal(results, clean)
+    assert (stats.pool_restarts, stats.retries) == (1, 1)
+    assert stats.serial_fallback_waves == 0
+    assert [
+        (r["event"], r.get("wave", r.get("slot")), r.get("restarts"))
+        for r in ledger.events("fault.")
+    ] == [
+        ("fault.injected", 0, None), ("fault.pool_restart", None, 1),
+        ("fault.retry", 0, None),
+    ]
+    assert pools_built == [2, 2]
+    rebuilt = set(worker_pids)
+    del worker_pids[:]
+    run_partitioned(driver, sched_workload.partitions, 2, workers=2)
+    assert pools_built == [2, 2], "the rebuilt pool was kept"
+    assert set(worker_pids) <= rebuilt
+
+
+def test_kept_pool_is_dropped_after_a_watchdog_expiry(
+    sched_workload, pools_built
+):
+    """A future the watchdog gave up on was never collected — its worker
+    may still be on it — so that pool does not outlive the run."""
+    driver = MetadataWaveDriver(reference=sched_workload.reference)
+    clean, _stats = run_partitioned(driver, sched_workload.partitions, 2)
+    results, stats = run_partitioned(
+        driver, sched_workload.partitions, 2, workers=2,
+        fault_injector=FaultInjector(
+            FaultPlan(specs=(FaultSpec("wave_timeout", at=(0,)),))
+        ),
+        wave_timeout=0.5,
+    )
+    _assert_metadata_equal(results, clean)
+    assert stats.watchdog_timeouts >= 1 and stats.pool_restarts == 0
+    run_partitioned(driver, sched_workload.partitions, 2, workers=2)
+    assert pools_built == [2, 2]
+
+
+def test_kept_pool_is_dropped_when_the_run_is_closed_midway(
+    sched_workload, pools_built
+):
+    running = run_waves(_tasks(sched_workload), 2)
+    next(running)
+    running.close()  # three futures still in flight
+    assert scheduler._kept is None
+    finished = run_waves(_tasks(sched_workload), 2)
+    assert len(list(finished)) == 4
+    assert scheduler._kept is not None
+    # closed with every future collected, the pool is as good as new
+    drained = run_waves(_tasks(sched_workload), 2)
+    for _ in range(4):
+        next(drained)
+    drained.close()
+    assert scheduler._kept is not None
+    assert pools_built == [2, 2]
+
+
+def test_kept_pool_is_replaced_when_it_does_not_fit(sched_workload, pools_built):
+    """Kept between ``min(workers, waves)`` and ``workers`` processes;
+    outside that it is shut down and a pool of the asked size built."""
+    def run(workers, n=4):
+        assert len(list(run_waves(_tasks(sched_workload, n), workers))) == n
+
+    run(3)
+    run(3)
+    assert pools_built == [3]
+    run(2)  # no more than ``workers`` processes, ever
+    assert pools_built == [3, 2]
+    run(4, n=2)  # two waves need no more than the two kept
+    run(1)  # inline: the kept pool is left alone
+    run(2)
+    assert pools_built == [3, 2]
+    run(4)  # four waves in flight want four
+    assert pools_built == [3, 2, 4]
+
+
+def test_kept_pool_worker_follows_the_parents_engine_mode(
+    sched_workload, monkeypatch, pools_built
+):
+    """The ambient engine mode travels with each task: a worker forked
+    under ``event`` runs ``dense`` once the parent does — pooled ≡ inline
+    on every ``RunStats`` field but ``wall_seconds``."""
+    def outcomes(fan_out):
+        return {
+            task.index: outcome
+            for task, _worker, outcome in run_waves(
+                _tasks(sched_workload), fan_out
+            )
+        }
+
+    assert {o.stats.mode for o in outcomes(2).values()} == {"event"}
+    monkeypatch.setattr(Engine, "default_mode", "dense")
+    pooled, inline = outcomes(2), outcomes(1)
+    assert pools_built == [2]
+    for index, want in inline.items():
+        assert pooled[index].stats.mode == "dense"
+        assert_same_modelled(pooled[index].stats, want.stats)
+        assert pooled[index].load_cycles == want.load_cycles
+        _assert_metadata_equal(pooled[index].results, want.results)
+        for pid, result in want.results.items():
+            got = pooled[index].results[pid].run
+            assert got.load_stats.mode == "dense"
+            assert_same_modelled(got.load_stats, result.run.load_stats)

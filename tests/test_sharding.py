@@ -10,6 +10,7 @@ the same either way, so they are asserted invariant too.
 """
 
 import dataclasses
+import os
 from collections import Counter
 
 import numpy as np
@@ -159,6 +160,27 @@ def test_sharded_smoke(workload, metadata_serial):
     )
     _assert_same_cycles(serial_stats, stats)
     _assert_metadata_identical(serial_res, sharded_res)
+
+
+def test_kept_pool_serves_consecutive_sharded_runs(
+    workload, metadata_serial, pools_built, worker_pids
+):
+    """Two ``run_sharded(devices=2)`` calls in one process: the second
+    forks nothing and runs on the first's workers, bit-identically."""
+    serial_res, serial_stats = metadata_serial
+    driver = MetadataWaveDriver(reference=workload.reference)
+    pids = []
+    for _ in range(2):
+        del worker_pids[:]
+        sharded_res, stats = run_sharded(
+            driver, workload.partitions, 2, devices=2
+        )
+        _assert_same_cycles(serial_stats, stats)
+        _assert_metadata_identical(serial_res, sharded_res)
+        pids.append(set(worker_pids))
+    assert pools_built == [2]
+    assert os.getpid() not in pids[0] | pids[1]
+    assert len(pids[0] | pids[1]) <= 2
 
 
 # -- one path: run_partitioned is run_sharded(devices=1) -----------------------------
