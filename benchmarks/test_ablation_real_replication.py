@@ -7,7 +7,7 @@ and measuring the wall-cycle reduction replication buys.
 """
 
 from repro.accel import MetadataWaveDriver
-from repro.accel.scheduler import run_partitioned
+from repro.accel.sharding import run_sharded
 
 
 def _sweep(workload):
@@ -15,7 +15,7 @@ def _sweep(workload):
     out = {}
     baseline = None
     for n in (1, 2, 4):
-        results, stats = run_partitioned(
+        results, stats = run_sharded(
             MetadataWaveDriver(reference=workload.reference), parts, n
         )
         out[n] = stats.total_cycles

@@ -14,7 +14,6 @@ import os
 import pytest
 
 from repro.accel import MetadataWaveDriver
-from repro.accel.scheduler import run_partitioned
 from repro.accel.sharding import plan_shards, run_sharded
 from repro.eval.workloads import make_workload
 
@@ -54,7 +53,7 @@ def test_sharded_determinism_and_balance(report):
     the total estimated work once four queues share it."""
     workload, parts = _scaling_workload()
     driver = MetadataWaveDriver(reference=workload.reference)
-    serial_res, serial_stats = run_partitioned(driver, parts, 1, workers=1)
+    serial_res, serial_stats = run_sharded(driver, parts, 1, workers=1)
     sharded_res, sharded_stats = run_sharded(
         driver, parts, 1, devices=DEVICES, workers=1
     )

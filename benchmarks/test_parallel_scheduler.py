@@ -2,7 +2,7 @@
 
 Not a paper figure — this benchmark measures the *host scheduler*.  A
 32-partition metadata-update workload is run through
-:func:`run_partitioned` once serially (``workers=1``) and once fanned
+:func:`run_sharded` once serially (``workers=1``) and once fanned
 out over a 4-process pool (``workers=4``); with one pipeline per wave
 every partition is its own wave, so the pool is the only source of
 host-side concurrency.  The fanned-out run must finish the batch in at
@@ -18,7 +18,8 @@ import os
 import pytest
 
 from repro.accel import MetadataWaveDriver
-from repro.accel.scheduler import SpmImageCache, run_partitioned
+from repro.accel.scheduler import SpmImageCache
+from repro.accel.sharding import run_sharded
 from repro.eval.workloads import make_workload
 
 N_PARTITIONS = 32
@@ -59,8 +60,8 @@ def test_spm_cache_replays_reused_partitions(report):
     workload, parts = _scheduler_workload()
     driver = MetadataWaveDriver(reference=workload.reference)
     cache = SpmImageCache()
-    cold_res, cold = run_partitioned(driver, parts, 4, spm_cache=cache)
-    warm_res, warm = run_partitioned(driver, parts, 4, spm_cache=cache)
+    cold_res, cold = run_sharded(driver, parts, 4, spm_cache=cache)
+    warm_res, warm = run_sharded(driver, parts, 4, spm_cache=cache)
 
     assert cold.spm_cache_misses == N_PARTITIONS
     assert warm.spm_cache_misses == 0
@@ -88,7 +89,7 @@ def test_worker_fanout_speedup(benchmark, report):
     # decide the comparison.  Fresh private caches in both runs: SPM
     # loading is part of the work being fanned out.
     serial_runs = [
-        run_partitioned(driver, parts, 1, workers=1) for _ in range(2)
+        run_sharded(driver, parts, 1, workers=1) for _ in range(2)
     ]
     serial_res, serial_stats = min(
         serial_runs, key=lambda run: run[1].elapsed_seconds
@@ -97,7 +98,7 @@ def test_worker_fanout_speedup(benchmark, report):
     pool_runs = []
 
     def run_pool():
-        pool_runs.append(run_partitioned(driver, parts, 1, workers=WORKERS))
+        pool_runs.append(run_sharded(driver, parts, 1, workers=WORKERS))
 
     benchmark.pedantic(run_pool, rounds=3, iterations=1)
     pool_res, pool_stats = min(pool_runs, key=lambda run: run[1].elapsed_seconds)

@@ -19,7 +19,7 @@ commits.
 import time
 
 from repro.accel import MetadataWaveDriver
-from repro.accel.scheduler import run_partitioned
+from repro.accel.sharding import run_sharded
 from repro.eval.workloads import make_workload
 from repro.hw.memory import MemoryConfig
 
@@ -44,7 +44,7 @@ def _workload():
 
 def _run(workload, mode, memory_config):
     start = time.perf_counter()
-    results, stats = run_partitioned(
+    results, stats = run_sharded(
         MetadataWaveDriver(
             reference=workload.reference, memory_config=memory_config,
             mode=mode,
@@ -192,14 +192,13 @@ def test_metrics_disabled_zero_overhead(benchmark, report):
 
 def test_fault_hooks_no_fault_overhead(benchmark, report):
     """The resilience layer must be free when nothing faults.  With a
-    fault injector attached whose plan never fires, ``run_partitioned``
+    fault plan attached that never fires, ``run_sharded``
     pays one parent-side ``poll`` per wave and nothing else — so an
     interleaved A/A comparison of hooked vs bare runs must agree within
     the same 5% noise budget as the metrics gate, with bit-identical
     simulated cycles."""
     from repro.accel import MarkdupWaveDriver
-    from repro.accel.scheduler import run_partitioned
-    from repro.faults import FaultInjector, FaultPlan, FaultSpec
+    from repro.faults import FaultPlan, FaultSpec
 
     workload = _workload()
     # enough waves to amortize setup, few enough to keep the bench quick
@@ -211,15 +210,13 @@ def test_fault_hooks_no_fault_overhead(benchmark, report):
     ))
 
     def time_once(hooked):
-        injector = FaultInjector(plan) if hooked else None
         start = time.perf_counter()
-        _, stats = run_partitioned(
+        _, stats = run_sharded(
             MarkdupWaveDriver(), partitions, 4, workers=1,
-            fault_injector=injector,
+            fault_plan=plan if hooked else None,
         )
         wall = time.perf_counter() - start
-        if injector is not None:
-            assert not injector.injected
+        assert stats.faults_injected == 0
         return wall, stats.total_cycles
 
     time_once(False)  # warm-up
@@ -249,7 +246,7 @@ def test_fault_hooks_no_fault_overhead(benchmark, report):
         hook_overhead=round(ratio, 4),
         simulated_cycles=bare_cycles,
     )
-    report("Fault-hook overhead - armed injector, nothing firing", [
+    report("Fault-hook overhead - armed fault plan, nothing firing", [
         f"bare: {bare_wall:.3f}s, hooked: {hooked_wall:.3f}s "
         f"(ratio {ratio:.3f}x, gate 1.05x, cycles identical)",
     ])

@@ -13,7 +13,7 @@ to the clean one, read for read.  See DESIGN.md §3.5.
 Run:  python examples/fault_tolerance.py
 """
 
-from repro.accel import MetadataWaveDriver, run_partitioned
+from repro.accel import MetadataWaveDriver, run_sharded
 from repro.accel.markdup import run_quality_sums
 from repro.eval import make_workload
 from repro.faults import FaultInjector, FaultPlan, RetryPolicy
@@ -29,7 +29,7 @@ def main() -> None:
     policy = RetryPolicy(max_retries=2, backoff_base=0.002, seed=7)
 
     # 1. The clean run: the ground truth the faulted run must reproduce.
-    clean, clean_stats = run_partitioned(
+    clean, clean_stats = run_sharded(
         driver, workload.partitions, n_pipelines=4, workers=2,
     )
     print(f"clean run: {clean_stats.waves} waves, "
@@ -41,10 +41,9 @@ def main() -> None:
     plan = FaultPlan.from_spec("worker_crash,wave_timeout~1", seed=7)
     for line in plan.describe():
         print(f"injecting: {line}")
-    injector = FaultInjector(plan)
-    faulted, stats = run_partitioned(
+    faulted, stats = run_sharded(
         driver, workload.partitions, n_pipelines=4, workers=2,
-        fault_injector=injector, retry_policy=policy, wave_timeout=0.5,
+        fault_plan=plan, retry_policy=policy, wave_timeout=0.5,
     )
 
     assert set(faulted) == set(clean)

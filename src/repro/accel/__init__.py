@@ -101,7 +101,6 @@ from .scheduler import (
     WaveDriver,
     WorkerStats,
     pack_waves,
-    run_partitioned,
 )
 
 __all__ += [
@@ -110,7 +109,6 @@ __all__ += [
     "WaveDriver",
     "WorkerStats",
     "pack_waves",
-    "run_partitioned",
 ]
 
 from .sharding import (

@@ -19,7 +19,7 @@ Section III-F:
 The pipeline is partition + REF-row shaped, so it is a
 :class:`~repro.accel.scheduler.WaveDriver` like the paper's three stages:
 :func:`accelerated_active_regions` is
-:func:`~repro.accel.scheduler.run_partitioned` plus the merge, and the
+:func:`~repro.accel.sharding.run_sharded` plus the merge, and the
 driver shards, survives faults and serves like any other.
 """
 
@@ -52,7 +52,8 @@ from .common import (
     join_reads_to_reference,
     solo_reference,
 )
-from .scheduler import WaveDriver, run_partitioned
+from .scheduler import WaveDriver
+from .sharding import run_sharded
 
 #: Replicas per wave of :func:`accelerated_active_regions` — the paper's
 #: replication of the metadata-update front end this pipeline reuses.
@@ -225,7 +226,7 @@ def accelerated_active_regions(
     """Full accelerated stage: waves of per-partition pipelines, host-side
     buffer merge, shared thresholding.  Equivalent to
     :func:`repro.gatk.active_region.determine_active_regions`."""
-    results, _stats = run_partitioned(
+    results, _stats = run_sharded(
         ActiveRegionWaveDriver(reference), workload_partitions, PIPELINES
     )
     per_chrom: Dict[int, np.ndarray] = {}

@@ -12,14 +12,13 @@ are executed:
 * **one executor for every topology** — :func:`run_waves` is the only
   driver of waves: it owns the process pool and the fault ladder and
   yields each wave's clean outcome to its caller.  It has two callers.
-  :func:`run_queues` runs the device queues of one stage through it;
-  serial, multi-worker and multi-device runs are that one call at
-  different sizes (DESIGN.md §3.2), fronted by :func:`run_partitioned`
-  (one queue) and :func:`repro.accel.sharding.run_sharded` (N queues,
-  and the cards charged).  The job service hands it each dispatch
-  round's picks.  A wave has one identity everywhere: its task index —
-  in a direct run its position in the global packing — keys its ledger
-  events, fault slot, retry backoff and trace spans;
+  :func:`repro.accel.sharding.run_sharded`, the one front door of a
+  direct run, hands it every wave of one stage; serial, multi-worker
+  and multi-device runs are that one call at different sizes (DESIGN.md
+  §3.2).  The job service hands it each dispatch round's picks.  A wave
+  has one identity everywhere: its task index — in a direct run its
+  position in the global packing — keys its ledger events, fault slot,
+  retry backoff and trace spans;
 * **one object per stage** — a :class:`WaveDriver` subclass is the whole
   hand-wired description of an accelerator and :meth:`WaveDriver.run_wave`
   the one engine-run sequence: each concrete driver lives beside its
@@ -433,11 +432,13 @@ class RunRates:
 
 @dataclass
 class ParallelRunStats(RunRates):
-    """Aggregate statistics of one queue of a waved multi-pipeline run.
+    """Aggregate statistics of one device queue of a waved
+    multi-pipeline run.
 
-    :func:`run_queues` creates one per queue up front and tallies every
-    wave, fault and retry straight into its fields as it ledgers them;
-    every ``int``/``float`` field declared here is additive, and
+    :func:`~repro.accel.sharding.run_sharded` creates one per queue up
+    front and tallies every wave (:meth:`book`), fault and retry straight
+    into its fields as it ledgers them; every ``int``/``float`` field
+    declared here is additive, and
     :class:`~repro.accel.sharding.ShardedRunStats` reports it as the sum
     over its queues.
 
@@ -480,6 +481,24 @@ class ParallelRunStats(RunRates):
     device: Optional[int] = None
     steals_in: int = 0
     steals_out: int = 0
+
+    def book(self, worker: str, outcome: "WaveOutcome") -> None:
+        """Tally one wave's clean execution on ``worker``."""
+        stats = outcome.stats
+        self.spm_load_cycles += outcome.load_cycles
+        self.spm_cache_hits += outcome.hits
+        self.spm_cache_misses += outcome.misses
+        self.spm_cycles_saved += outcome.cycles_saved
+        self.wall_seconds += stats.wall_seconds
+        self.ticks_executed += stats.ticks_executed
+        self.ticks_possible += stats.ticks_possible
+        self.fast_forward_cycles += stats.fast_forward_cycles
+        self.total_flits += sum(stats.flits_by_module.values())
+        tally = self.per_worker.setdefault(worker, WorkerStats())
+        tally.waves += 1
+        tally.cycles += stats.cycles
+        tally.wall_seconds += stats.wall_seconds
+        tally.elapsed_seconds += outcome.elapsed_seconds
 
 
 # -- wave packing and execution ------------------------------------------------------
@@ -972,172 +991,3 @@ def run_waves(
         serial_waves, key=lambda entry: entry[0].index
     ):
         yield run_wave_serial(task, start_attempt=attempt, worker="serial")
-
-
-def run_queues(
-    driver: WaveDriver,
-    empty_pids: Sequence[PartitionId],
-    queues: Sequence[Sequence[Tuple[int, Sequence[WaveItem]]]],
-    n_pipelines: int,
-    workers: int,
-    caches: Sequence[SpmImageCache],
-    injector: Optional[FaultInjector] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    wave_timeout: Optional[float] = None,
-) -> Tuple[Dict[PartitionId, object], List[ParallelRunStats]]:
-    """Run every wave of every device queue of one stage through
-    :func:`run_waves` (which documents the pool and the fault ladder)
-    and return the per-partition results plus one
-    :class:`ParallelRunStats` per queue.
-
-    ``queues[d]`` lists device ``d``'s waves as ``(index, items)`` in
-    ascending ``index`` — the wave's position in the one global packing,
-    which is its identity everywhere: ``scheduler.wave`` and ``fault.*``
-    events (hence the trace spans folded from them), the
-    ``scheduler.wave`` fault slot and the retry backoff key all carry
-    it, whatever the topology.  ``caches[d]``
-    is queue ``d``'s SPM image cache; ``workers`` is the host fan-out
-    *per queue*, so the executor's is ``len(queues) x workers``.  Events
-    carry a ``device`` label (and the returned stats a ``device``)
-    exactly when there is more than one queue.
-    """
-    if workers < 1:
-        raise ValueError("need at least one worker")
-    started = time.perf_counter()
-    sharded = len(queues) > 1
-    per_queue = [
-        ParallelRunStats(
-            # this queue's share of the pool
-            workers=max(1, min(workers, len(queue))),
-            device=device if sharded else None,
-        )
-        for device, queue in enumerate(queues)
-    ]
-    tasks = [
-        WaveTask(
-            index, driver, list(items), caches[device], per_queue[device],
-            {"device": device} if sharded else {},
-        )
-        for device, queue in enumerate(queues)
-        for index, items in queue
-    ]
-    tasks.sort(key=lambda task: task.index)
-    results: Dict[PartitionId, object] = {
-        pid: driver.empty_result(pid) for pid in empty_pids
-    }
-    _log.info(
-        "%s: %d wave(s) of up to %d pipeline(s) on %d queue(s) x "
-        "%d worker(s) (%d empty partition(s) skipped)",
-        driver.stage, len(tasks), n_pipelines, len(queues), workers,
-        len(empty_pids),
-        extra={"stage": driver.stage},
-    )
-    #: wave index -> kernel cycles of its clean run.
-    wave_cycles: Dict[int, int] = {}
-    for task, worker, outcome in run_waves(
-        tasks, len(queues) * workers, injector, retry_policy, wave_timeout
-    ):
-        stats = outcome.stats
-        results.update(outcome.results)
-        task.cache.adopt(outcome)
-        record_event(
-            "scheduler.wave",
-            stage=driver.stage, wave=task.index, worker=worker,
-            replicas=len(task.items), cycles=stats.cycles,
-            load_cycles=outcome.load_cycles,
-            elapsed_seconds=outcome.elapsed_seconds,
-            **task.labels,
-        )
-        wave_cycles[task.index] = stats.cycles
-        book = task.stats
-        book.spm_load_cycles += outcome.load_cycles
-        book.spm_cache_hits += outcome.hits
-        book.spm_cache_misses += outcome.misses
-        book.spm_cycles_saved += outcome.cycles_saved
-        book.wall_seconds += stats.wall_seconds
-        book.ticks_executed += stats.ticks_executed
-        book.ticks_possible += stats.ticks_possible
-        book.fast_forward_cycles += stats.fast_forward_cycles
-        book.total_flits += sum(stats.flits_by_module.values())
-        tally = book.per_worker.setdefault(worker, WorkerStats())
-        tally.waves += 1
-        tally.cycles += stats.cycles
-        tally.wall_seconds += stats.wall_seconds
-        tally.elapsed_seconds += outcome.elapsed_seconds
-
-    elapsed = time.perf_counter() - started
-    for queue, stats in zip(queues, per_queue):
-        stats.per_wave_cycles = [wave_cycles[index] for index, _items in queue]
-        # one loop, one pool: every queue shares the run's wall clock
-        stats.elapsed_seconds = elapsed
-        record_event(
-            "scheduler.run",
-            **({"device": stats.device} if sharded else {}),
-            stage=driver.stage, waves=stats.waves, workers=stats.workers,
-            pipelines=n_pipelines, total_cycles=stats.total_cycles,
-            spm_load_cycles=stats.spm_load_cycles,
-            elapsed_seconds=stats.elapsed_seconds,
-            spm_cache_hits=stats.spm_cache_hits,
-            spm_cache_misses=stats.spm_cache_misses,
-            faults_injected=stats.faults_injected,
-            retries=stats.retries,
-            watchdog_timeouts=stats.watchdog_timeouts,
-            serial_fallback_waves=stats.serial_fallback_waves,
-            pool_restarts=stats.pool_restarts,
-        )
-        if stats.faults_injected or stats.retries or stats.watchdog_timeouts:
-            _log.info(
-                "%s survived %d injected fault(s) (%s): %d retried, "
-                "%d watchdog timeout(s), %d serial-fallback wave(s), "
-                "%d pool restart(s)",
-                driver.stage, stats.faults_injected,
-                ", ".join(
-                    f"{kind}={count}"
-                    for kind, count in sorted(stats.faults_by_kind.items())
-                ) or "none",
-                stats.retries, stats.watchdog_timeouts,
-                stats.serial_fallback_waves, stats.pool_restarts,
-                extra={"stage": driver.stage},
-            )
-        _log.info(
-            "%s done: %d cycles over %d wave(s), %.3fs host "
-            "(parallelism %.2f, spm cache %d/%d hit)",
-            driver.stage, stats.total_cycles, stats.waves,
-            stats.elapsed_seconds, stats.host_parallelism,
-            stats.spm_cache_hits,
-            stats.spm_cache_hits + stats.spm_cache_misses,
-            extra={"stage": driver.stage},
-        )
-    return results, per_queue
-
-
-def run_partitioned(
-    driver: WaveDriver,
-    partitions: Iterable[WaveItem],
-    n_pipelines: int,
-    workers: int = 1,
-    spm_cache: Optional[SpmImageCache] = None,
-    fault_injector: Optional[FaultInjector] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    wave_timeout: Optional[float] = None,
-) -> Tuple[Dict[PartitionId, object], ParallelRunStats]:
-    """Run an accelerator over many partitions: N replicated pipelines
-    per wave, waves fanned out over ``workers`` host processes — the
-    one-queue front of :func:`run_queues` (which documents the fault
-    ladder), and bit-identical to ``run_sharded(devices=1)`` minus its
-    ``shard.*`` summary.
-
-    Empty partitions are never simulated; they appear in the results with
-    the driver's empty shape so per-partition result sets match the
-    serial drivers key-for-key.  Pass ``spm_cache`` to share reference-SPM
-    images across stages (each call otherwise uses a private cache).
-    Results and simulated cycles are bit-identical for every ``workers``
-    value; only host-side metrics differ.
-    """
-    empty_pids, waves = pack_waves(partitions, n_pipelines)
-    results, (stats,) = run_queues(
-        driver, empty_pids, [list(enumerate(waves))], n_pipelines, workers,
-        [spm_cache if spm_cache is not None else SpmImageCache()],
-        fault_injector, retry_policy, wave_timeout,
-    )
-    return results, stats

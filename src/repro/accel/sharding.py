@@ -9,11 +9,12 @@ that assigns wave queues to devices, a plan-time work-stealing pass
 that rebalances straggler queues, and a deterministic merge stage that
 reassembles one answer from the per-device shards.
 
-Execution itself is not here: :func:`run_sharded` is a configuration
-of the one wave executor (:func:`repro.accel.scheduler.run_queues`,
-DESIGN.md §3.2) — pack → plan → execute → charge → merge — and a
-one-device run is the same walk with one queue.  Why the answer cannot
-depend on the topology, in execution order:
+:func:`run_sharded` is the one front door of a direct run, whatever
+the topology: pack → plan → execute → charge → merge (DESIGN.md §3.2),
+where *execute* hands every wave of the plan to the one wave executor
+(:func:`repro.accel.scheduler.run_waves`), and a one-device run is the
+same walk with one queue.  Why the answer cannot depend on the
+topology, in execution order:
 
 1. **Waves are packed globally, then sharded whole.**  A wave's
    simulated cycles depend on its composition (the replicas share one
@@ -68,9 +69,10 @@ from .scheduler import (
     SpmImageCache,
     WaveDriver,
     WaveItem,
+    WaveTask,
     WorkerStats,
     pack_waves,
-    run_queues,
+    run_waves,
 )
 
 _log = get_logger("sharding")
@@ -354,35 +356,6 @@ def record_storage_run(
     )
 
 
-def _record_storage_run(
-    driver: WaveDriver,
-    storage: WaveStorage,
-    device_queues: List[List[Tuple[int, List[WaveItem]]]],
-    pool: DevicePool,
-    total_cycles: int,
-) -> None:
-    """Ledger the in-storage filter's work for one sharded run: a
-    ``storage.wave`` event per wave, queue by queue (each traces as a
-    scan span on its card's ``storage:<n>`` lane), and the
-    ``storage.run`` summary."""
-    config = pool.config
-    totals = dict(raw_nbytes=0, nbytes=0, pruned_rows=0, scan_seconds=0.0)
-    for device, queue in enumerate(device_queues):
-        for global_index, items in queue:
-            wave = record_storage_wave(
-                storage, items,
-                stage=driver.stage, device=device, wave=global_index,
-            )
-            for name, value in wave.items():
-                totals[name] += value
-    record_storage_run(
-        storage, config, totals,
-        kernel_seconds=total_cycles / config.clock_hz,
-        transfer_seconds=sum(pool.transfer_seconds()),
-        stage=driver.stage, devices=len(device_queues),
-    )
-
-
 def _record_shard_run(
     driver: WaveDriver, stats: ShardedRunStats, policy: str
 ) -> None:
@@ -430,17 +403,20 @@ def run_sharded(
     storage: Optional[WaveStorage] = None,
 ) -> Tuple[Dict[PartitionId, object], ShardedRunStats]:
     """Run an accelerator stage sharded over ``devices`` modelled cards,
-    each queue fanned out over ``workers`` host processes.
+    each queue fanned out over ``workers`` host processes — the one
+    front door of a direct run.
 
     One walk for every topology: :func:`plan_shards` packs the waves and
     lays them on ``devices`` queues (one queue when ``devices=1``);
-    :func:`~repro.accel.scheduler.run_queues` executes them all — one
-    loop, one process pool, one fault injector over ``fault_plan``
-    polled by global wave index, one SPM cache per queue seeded from
+    :func:`~repro.accel.scheduler.run_waves` executes them all, one
+    :class:`~repro.accel.scheduler.WaveTask` per wave — one loop, one
+    process pool, one fault injector over ``fault_plan`` polled by
+    global wave index, one SPM cache per queue seeded from
     ``spm_cache``; each wave is then charged to its card's virtual
     timeline in global order (:meth:`~repro.runtime.device.DevicePool.
     charge_wave`); and the merge is canonical — results in input
-    partition order, caches absorbed in device order.  See the module
+    partition order (empty partitions, never simulated, in the driver's
+    empty shape), caches absorbed in device order.  See the module
     docstring for why the answer is bit-identical to serial.
 
     ``storage`` optionally attaches the modelled in-SSD filter (a
@@ -453,51 +429,94 @@ def run_sharded(
 
     The one asymmetry between topologies: a lone card with no filter in
     front of it charges no transfer timeline (it reports zero busy and
-    transfer seconds), and a lone card never gets a ``pcie:<n>`` trace
-    lane.
-
-    Unlike ``run_partitioned`` this takes the fault *plan*, not an
-    injector, so one plan can be handed to many stages.
+    transfer seconds), a lone card never gets a ``pcie:<n>`` trace lane,
+    and a lone card's events and queue stats carry no ``device``.
     """
     if devices < 1:
         raise ValueError("need at least one device")
+    if workers < 1:
+        raise ValueError("need at least one worker")
     parts = list(partitions)
     started = time.perf_counter()
 
     plan = plan_shards(parts, n_pipelines, devices, policy=policy, steal=steal)
-    queues = [
-        [(wave.global_index, wave.items) for wave in plan.device_waves(device)]
-        for device in range(devices)
-    ]
+    queues = [plan.device_waves(device) for device in range(devices)]
     shared_cache = spm_cache if spm_cache is not None else SpmImageCache()
     caches = [SpmImageCache() for _ in queues]
     for cache in caches:
         cache.merge(shared_cache.images())
+    labels = [{"device": d} if devices > 1 else {} for d in range(devices)]
+    per_device = [
+        ParallelRunStats(
+            # this queue's share of the pool
+            workers=max(1, min(workers, len(queue))),
+            device=label.get("device"),
+            steals_in=sum(s.target == device for s in plan.steals),
+            steals_out=sum(s.source == device for s in plan.steals),
+        )
+        for device, (queue, label) in enumerate(zip(queues, labels))
+    ]
+    tasks = [
+        WaveTask(
+            wave.global_index, driver, wave.items, caches[wave.device],
+            per_device[wave.device], labels[wave.device],
+        )
+        for wave in plan.waves
+    ]
     _log.info(
-        "%s: sharding %d wave(s) over %d device(s) (%s policy, "
-        "%d steal(s), loads %s)",
-        driver.stage, len(plan.waves), devices, policy,
-        len(plan.steals), plan.loads(),
+        "%s: %d wave(s) of up to %d pipeline(s) over %d device(s) x "
+        "%d worker(s) (%s policy, %d steal(s), loads %s)",
+        driver.stage, len(plan.waves), n_pipelines, devices, workers,
+        policy, len(plan.steals), plan.loads(),
         extra={"stage": driver.stage},
     )
-    merged, per_device = run_queues(
-        driver, plan.empty_pids, queues, n_pipelines, workers, caches,
+
+    merged = {pid: driver.empty_result(pid) for pid in plan.empty_pids}
+    per_wave_cycles = [0] * len(tasks)
+    executing = time.perf_counter()
+    for task, worker, outcome in run_waves(
+        tasks, devices * workers,
         FaultInjector(fault_plan) if fault_plan is not None else None,
         retry_policy, wave_timeout,
-    )
+    ):
+        merged.update(outcome.results)
+        task.cache.adopt(outcome)
+        record_event(
+            "scheduler.wave",
+            stage=driver.stage, wave=task.index, worker=worker,
+            replicas=len(task.items), cycles=outcome.stats.cycles,
+            load_cycles=outcome.load_cycles,
+            elapsed_seconds=outcome.elapsed_seconds,
+            **task.labels,
+        )
+        per_wave_cycles[task.index] = outcome.stats.cycles
+        task.stats.book(worker, outcome)
+    elapsed = time.perf_counter() - executing
+    for queue, stats, label in zip(queues, per_device, labels):
+        stats.per_wave_cycles = [
+            per_wave_cycles[wave.global_index] for wave in queue
+        ]
+        # one loop, one pool: every queue shares the run's wall clock
+        stats.elapsed_seconds = elapsed
+        record_event(
+            "scheduler.run",
+            **label,
+            stage=driver.stage, waves=stats.waves, workers=stats.workers,
+            pipelines=n_pipelines, total_cycles=stats.total_cycles,
+            spm_load_cycles=stats.spm_load_cycles,
+            elapsed_seconds=stats.elapsed_seconds,
+            spm_cache_hits=stats.spm_cache_hits,
+            spm_cache_misses=stats.spm_cache_misses,
+            faults_injected=stats.faults_injected,
+            retries=stats.retries,
+            watchdog_timeouts=stats.watchdog_timeouts,
+            serial_fallback_waves=stats.serial_fallback_waves,
+            pool_restarts=stats.pool_restarts,
+        )
 
     # -- deterministic merge: canonical order regardless of finish order ----------
 
     results = {pid: merged[pid] for pid, _part in parts}
-    steals_in = Counter(steal.target for steal in plan.steals)
-    steals_out = Counter(steal.source for steal in plan.steals)
-    for device, stats in enumerate(per_device):
-        stats.steals_in = steals_in[device]
-        stats.steals_out = steals_out[device]
-    # queues hold ascending global indices, so walking the plan in
-    # global order drains each queue's cycle list front to back
-    queue_cycles = [iter(stats.per_wave_cycles) for stats in per_device]
-    per_wave_cycles = [next(queue_cycles[wave.device]) for wave in plan.waves]
 
     # Charge each wave to its card, in global order (so the per-card
     # float sums never depend on finish order), ledgering the charge: on
@@ -514,7 +533,7 @@ def run_sharded(
             "shard.wave",
             stage=driver.stage, wave=wave.global_index, nbytes=nbytes,
             transfer_cycles=int(round(seconds * pool.config.clock_hz)),
-            **({"device": wave.device} if devices > 1 else {}),
+            **labels[wave.device],
         )
 
     sharded = ShardedRunStats(
@@ -533,16 +552,34 @@ def run_sharded(
     for cache in caches:
         shared_cache.absorb(cache)
     if storage is not None:
-        _record_storage_run(
-            driver, storage, queues, pool, sharded.total_cycles
+        # the in-storage filter's work: a storage.wave per wave, queue by
+        # queue (each traces as a scan span on its card's storage:<n>
+        # lane), then the storage.run summary
+        totals = dict(raw_nbytes=0, nbytes=0, pruned_rows=0, scan_seconds=0.0)
+        for queue in queues:
+            for wave in queue:
+                scanned = record_storage_wave(
+                    storage, wave.items, stage=driver.stage,
+                    device=wave.device, wave=wave.global_index,
+                )
+                for name, value in scanned.items():
+                    totals[name] += value
+        record_storage_run(
+            storage, pool.config, totals,
+            kernel_seconds=sharded.total_cycles / pool.config.clock_hz,
+            transfer_seconds=sum(pool.transfer_seconds()),
+            stage=driver.stage, devices=devices,
         )
     _record_shard_run(driver, sharded, policy)
     _log.info(
-        "%s sharded done: %d cycles over %d wave(s) on %d device(s), "
-        "%.3fs host (parallelism %.2f, %d steal(s))",
+        "%s done: %d cycles over %d wave(s) on %d device(s), %.3fs host "
+        "(parallelism %.2f, spm cache %d/%d hit, %d steal(s), "
+        "%d fault(s) survived)",
         driver.stage, sharded.total_cycles, sharded.waves, devices,
         sharded.elapsed_seconds, sharded.host_parallelism,
-        sharded.steal_count,
+        sharded.spm_cache_hits,
+        sharded.spm_cache_hits + sharded.spm_cache_misses,
+        sharded.steal_count, sharded.faults_injected,
         extra={"stage": driver.stage},
     )
     return results, sharded

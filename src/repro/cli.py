@@ -847,7 +847,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     if args.no_ledger:
         return _dispatch(args)
-    with run_context(_manifest_for(args), RunLedger(args.ledger)):
+    ledger = RunLedger(args.ledger)
+    try:
+        ledger.check_writable()
+    except OSError as error:
+        print(
+            f"error: cannot write ledger {ledger.path}: "
+            f"{error.strerror or error}",
+            file=sys.stderr,
+        )
+        return 2
+    with run_context(_manifest_for(args), ledger):
         code = _dispatch(args)
         record_event("cli.exit", code=code)
     return code

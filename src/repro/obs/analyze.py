@@ -28,8 +28,9 @@ block at the end of ``repro profile`` output.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..constants import (
     CLOCK_HZ,
@@ -64,6 +65,20 @@ def _require_schema(
                 "before analyzing it"
             )
     return records
+
+
+@contextmanager
+def _fields_of(event: str) -> Iterator[None]:
+    """Read the fields of ``event`` records: one of the wrong JSON type
+    (``"device": [0]`` — a ``TypeError``) or value (``"waves": "x"`` — a
+    ``ValueError``) becomes one ``ValueError`` naming the event, the
+    CLI's clean exit-code-2 refusal rather than a traceback."""
+    try:
+        yield
+    except (TypeError, ValueError) as error:
+        raise ValueError(
+            f"ledger has a malformed {event} event: {error}"
+        ) from None
 
 
 @dataclass
@@ -563,34 +578,37 @@ def sharding_report_from_ledger(
     siblings = ledger.events(
         "shard.device", run_id=str(summary.get("run_id"))
     )
-    per_device = [
-        DeviceUtilization(
-            device=int(record.get("device", 0)),
-            waves=int(record.get("waves", 0)),
-            cycles=int(record.get("cycles", 0)),
-            steals_in=int(record.get("steals_in", 0)),
-            steals_out=int(record.get("steals_out", 0)),
-            busy_seconds=float(record.get("busy_seconds", 0.0)),
-            transfer_seconds=float(record.get("transfer_seconds", 0.0)),
-            elapsed_seconds=float(record.get("elapsed_seconds", 0.0)),
-            utilization=float(record.get("utilization", 0.0)),
-        )
-        for record in siblings
-        if record.get("stage") == summary.get("stage")
-    ]
+    with _fields_of("shard.device"):
+        per_device = [
+            DeviceUtilization(
+                device=int(record.get("device", 0)),
+                waves=int(record.get("waves", 0)),
+                cycles=int(record.get("cycles", 0)),
+                steals_in=int(record.get("steals_in", 0)),
+                steals_out=int(record.get("steals_out", 0)),
+                busy_seconds=float(record.get("busy_seconds", 0.0)),
+                transfer_seconds=float(record.get("transfer_seconds", 0.0)),
+                elapsed_seconds=float(record.get("elapsed_seconds", 0.0)),
+                utilization=float(record.get("utilization", 0.0)),
+            )
+            for record in siblings
+            if record.get("stage") == summary.get("stage")
+        ]
     per_device.sort(key=lambda entry: entry.device)
-    per_wave = [int(c) for c in summary.get("per_wave_cycles", [])]
-    return ShardingReport(
-        stage=str(summary.get("stage", "?")),
-        devices=int(summary.get("devices", 1)),
-        workers=int(summary.get("workers", 1)),
-        waves=int(summary.get("waves", 0)),
-        total_cycles=int(summary.get("total_cycles", 0)),
-        steals=int(summary.get("steals", 0)),
-        host_parallelism=float(summary.get("host_parallelism", 0.0)),
-        per_device=per_device,
-        what_ifs=device_what_if(per_wave),
-    )
+    with _fields_of("shard.run"):
+        return ShardingReport(
+            stage=str(summary.get("stage", "?")),
+            devices=int(summary.get("devices", 1)),
+            workers=int(summary.get("workers", 1)),
+            waves=int(summary.get("waves", 0)),
+            total_cycles=int(summary.get("total_cycles", 0)),
+            steals=int(summary.get("steals", 0)),
+            host_parallelism=float(summary.get("host_parallelism", 0.0)),
+            per_device=per_device,
+            what_ifs=device_what_if(
+                [int(c) for c in summary.get("per_wave_cycles", [])]
+            ),
+        )
 
 
 # -- in-storage filter analysis --------------------------------------------------------
@@ -716,25 +734,26 @@ def storage_report_from_ledger(
         )
     _require_schema(runs, "storage.run")
     summary = runs[-1]
-    kernel_seconds = float(summary.get("kernel_seconds", 0.0))
-    transfer_seconds = float(summary.get("transfer_seconds", 0.0))
-    pcie_bandwidth = float(summary.get("pcie_bandwidth", PCIE3_BANDWIDTH))
-    return StorageReport(
-        stage=str(summary.get("stage", "?")),
-        devices=int(summary.get("devices", 1)),
-        filtered_fraction=float(summary.get("filtered_fraction", 0.0)),
-        pruned_rows=int(summary.get("pruned_rows", 0)),
-        raw_nbytes=int(summary.get("raw_nbytes", 0)),
-        survivor_nbytes=int(summary.get("survivor_nbytes", 0)),
-        saved_nbytes=int(summary.get("saved_nbytes", 0)),
-        scan_seconds=float(summary.get("scan_seconds", 0.0)),
-        kernel_seconds=kernel_seconds,
-        transfer_seconds=transfer_seconds,
-        compression_ratio=float(summary.get("compression_ratio", 1.0)),
-        internal_bandwidth=float(summary.get("internal_bandwidth", 0.0)),
-        pcie_bandwidth=pcie_bandwidth,
-        what_ifs=storage_what_if(
-            kernel_seconds, transfer_seconds,
+    with _fields_of("storage.run"):
+        kernel_seconds = float(summary.get("kernel_seconds", 0.0))
+        transfer_seconds = float(summary.get("transfer_seconds", 0.0))
+        pcie_bandwidth = float(summary.get("pcie_bandwidth", PCIE3_BANDWIDTH))
+        return StorageReport(
+            stage=str(summary.get("stage", "?")),
+            devices=int(summary.get("devices", 1)),
+            filtered_fraction=float(summary.get("filtered_fraction", 0.0)),
+            pruned_rows=int(summary.get("pruned_rows", 0)),
+            raw_nbytes=int(summary.get("raw_nbytes", 0)),
+            survivor_nbytes=int(summary.get("survivor_nbytes", 0)),
+            saved_nbytes=int(summary.get("saved_nbytes", 0)),
+            scan_seconds=float(summary.get("scan_seconds", 0.0)),
+            kernel_seconds=kernel_seconds,
+            transfer_seconds=transfer_seconds,
+            compression_ratio=float(summary.get("compression_ratio", 1.0)),
+            internal_bandwidth=float(summary.get("internal_bandwidth", 0.0)),
             pcie_bandwidth=pcie_bandwidth,
-        ),
-    )
+            what_ifs=storage_what_if(
+                kernel_seconds, transfer_seconds,
+                pcie_bandwidth=pcie_bandwidth,
+            ),
+        )

@@ -17,7 +17,7 @@ process exits; the ledger is the part that survives.  Two pieces:
 
 The pieces meet in the **run context**: the CLI opens one around each
 command (:func:`run_context`), and instrumented code deep in the stack —
-``run_partitioned`` waves, the runtime API — records events against the
+``run_sharded`` waves, the runtime API — records events against the
 ambient run via :func:`record_event` without threading a ledger handle
 through every signature.  With no context active, :func:`record_event`
 is a no-op, so library and test callers never touch the filesystem.
@@ -149,11 +149,20 @@ class RunLedger:
             "schema_version": LEDGER_SCHEMA_VERSION,
             **record,
         }
+        with self._open_for_append() as handle:
+            handle.write(json.dumps(record, default=str) + "\n")
+
+    def check_writable(self) -> None:
+        """Raise the ``OSError`` an append would (the path is a
+        directory, or cannot be created or opened for append) before a
+        run starts rather than from its first record."""
+        self._open_for_append().close()
+
+    def _open_for_append(self):
         parent = os.path.dirname(self.path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        with open(self.path, "a") as handle:
-            handle.write(json.dumps(record, default=str) + "\n")
+        return open(self.path, "a")
 
     def record(
         self,
@@ -265,8 +274,8 @@ def run_context(
     global _active
     run = ActiveRun(manifest, ledger if ledger is not None else RunLedger())
     previous = _active
-    _active = run
     run.ledger.record(manifest, "run.start")
+    _active = run
     started = time.perf_counter()
     try:
         yield run
@@ -290,7 +299,7 @@ def record_event(event: str, **fields: object) -> None:
     """Record one event against the ambient run (no-op without one).
 
     This is the hook instrumented code calls from deep in the stack:
-    ``run_partitioned`` records its waves and totals here without knowing
+    ``run_sharded`` records its waves and totals here without knowing
     whether a ledger exists.
     """
     if _active is not None:

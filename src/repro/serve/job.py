@@ -3,9 +3,9 @@
 A *job* is one stage (markdup / metadata / bqsr) over one partition
 set, submitted by one tenant.  At admission the service packs the
 job's partitions into waves with the exact :func:`~repro.accel.
-scheduler.pack_waves` the direct schedulers use, so a wave executed by
-the service is byte-for-byte the wave ``run_partitioned`` would have
-executed — the root of the service's bit-identity guarantee.
+scheduler.pack_waves` a direct run uses, so a wave executed by the
+service is byte-for-byte the wave ``run_sharded`` would have executed —
+the root of the service's bit-identity guarantee.
 
 Time here is *virtual*: integer accelerator cycles on the service
 clock (see :mod:`repro.serve.service`).  Arrival, dispatch, and

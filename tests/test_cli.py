@@ -188,6 +188,26 @@ def test_cli_records_runs_in_ledger(tmp_path, capsys):
     assert all(record["run_id"] == run_id for record in records)
 
 
+def test_unwritable_ledger_exits_cleanly(tmp_path, capsys):
+    """A ``--ledger`` that cannot be opened for append — a directory, or
+    a path under a file — is one ``error:`` line and exit 2, before the
+    subcommand runs."""
+    from repro.obs.ledger import active_run
+
+    (tmp_path / "file").write_text("")
+    fasta = tmp_path / "ref.fa"
+    for ledger in (tmp_path, tmp_path / "file" / "ledger.jsonl"):
+        assert main([
+            "--ledger", str(ledger), "simulate", "--fasta", str(fasta),
+            "--sam", str(tmp_path / "reads.sam"), "--reads", "5",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write ledger {ledger}: ")
+        assert len(err.strip().splitlines()) == 1
+        assert not fasta.exists()
+        assert active_run() is None
+
+
 # -- multi-device sharding (DESIGN.md §3.7) ------------------------------------------
 
 
@@ -452,10 +472,33 @@ def test_analyze_sharding_reads_the_ledger(tmp_path, capsys):
     assert "what-if" in out
 
 
+def _ledger_of(path, *records):
+    from repro.obs.ledger import RunLedger
+
+    ledger = RunLedger(str(path))
+    for record in records:
+        ledger.append({"run_id": "r1", "stage": "metadata", **record})
+    return path
+
+
 def test_analyze_sharding_empty_ledger_exits_cleanly(tmp_path, capsys):
     ledger = tmp_path / "empty.jsonl"
     assert main(["--ledger", str(ledger), "analyze", "--sharding"]) == 2
     assert "no shard.run events" in capsys.readouterr().err
+    # a field of the wrong JSON type is refused the same way, by event
+    for case, (name, record) in enumerate([
+        ("shard.run", {"event": "shard.run", "per_wave_cycles": 5}),
+        ("shard.device", {"event": "shard.device", "device": [0]}),
+        ("shard.run", {"event": "shard.run", "waves": "many"}),
+    ]):
+        wrong = _ledger_of(
+            tmp_path / f"wrong{case}.jsonl",
+            {"event": "shard.run", "devices": 1}, record,
+        )
+        assert main(["--ledger", str(wrong), "analyze", "--sharding"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ledger has a malformed {name} event: ")
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_analyze_needs_report_or_sharding(capsys):
@@ -625,6 +668,15 @@ def test_analyze_storage_empty_ledger_exits_cleanly(tmp_path, capsys):
     ledger = tmp_path / "empty.jsonl"
     assert main(["--ledger", str(ledger), "analyze", "--storage"]) == 2
     assert "no storage.run events" in capsys.readouterr().err
+    # a field of the wrong JSON type is refused the same way, by event
+    for field, value in [("kernel_seconds", [1.0]), ("devices", {"n": 2})]:
+        wrong = _ledger_of(
+            tmp_path / f"{field}.jsonl", {"event": "storage.run", field: value}
+        )
+        assert main(["--ledger", str(wrong), "analyze", "--storage"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ledger has a malformed storage.run event: ")
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_analyze_storage_unversioned_ledger_exits_cleanly(tmp_path, capsys):

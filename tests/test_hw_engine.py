@@ -221,11 +221,11 @@ def test_bqsr_identical_across_modes(workload, monkeypatch):
 
 def test_metadata_parallel_identical_across_modes(workload):
     from repro.accel import MetadataWaveDriver
-    from repro.accel.scheduler import run_partitioned
+    from repro.accel.sharding import run_sharded
 
     runs = {}
     for mode in ("dense", "event"):
-        results, stats = run_partitioned(
+        results, stats = run_sharded(
             MetadataWaveDriver(reference=workload.reference, mode=mode),
             workload.partitions, 4,
         )

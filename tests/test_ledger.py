@@ -122,6 +122,11 @@ class TestRunContext:
             assert active_run_id()
         assert active_run() is None
         assert active_run_id() is None
+        # ... and never set when the ledger cannot take run.start
+        with pytest.raises(IsADirectoryError):
+            with run_context(_manifest(), RunLedger(str(tmp_path))):
+                pass
+        assert active_run() is None
 
     def test_record_event_without_context_is_noop(self, tmp_path):
         record_event("orphan", value=1)  # must not raise or write anywhere
@@ -129,11 +134,11 @@ class TestRunContext:
 
     def test_scheduler_records_waves_under_context(self, tmp_path, workload):
         from repro.accel import MarkdupWaveDriver
-        from repro.accel.scheduler import run_partitioned
+        from repro.accel.sharding import run_sharded
 
         ledger = RunLedger(str(tmp_path / "ledger.jsonl"))
         with run_context(_manifest(), ledger):
-            _results, stats = run_partitioned(
+            _results, stats = run_sharded(
                 MarkdupWaveDriver(), workload.partitions, 4
             )
         events = [r["event"] for r in ledger.read()]

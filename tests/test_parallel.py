@@ -4,12 +4,13 @@ import pytest
 
 from repro.accel.metadata import run_metadata_update
 from repro.accel import MetadataWaveDriver
-from repro.accel.scheduler import ParallelRunStats, run_partitioned
+from repro.accel.scheduler import ParallelRunStats
+from repro.accel.sharding import run_sharded
 from repro.tables.partition import PartitionId
 
 
 def run_metadata_parallel(partitions, reference, n_pipelines, workers=1):
-    return run_partitioned(
+    return run_sharded(
         MetadataWaveDriver(reference=reference), partitions, n_pipelines,
         workers=workers,
     )

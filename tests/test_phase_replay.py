@@ -28,10 +28,8 @@ from repro.accel.common import (
     load_reference_spm,
 )
 from repro.accel import BqsrWaveDriver
-from repro.accel.scheduler import run_partitioned
 from repro.accel.sharding import run_sharded
 from repro.eval.workloads import make_workload
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.hw.engine import Engine, RunStats
 from repro.hw.memory import MemoryConfig, MemorySystem
@@ -286,9 +284,9 @@ def adopted_phases(monkeypatch):
 
 
 def _crash_wave_zero():
-    return FaultInjector(FaultPlan(
+    return FaultPlan(
         seed=1, specs=(FaultSpec("worker_crash", site="scheduler.wave", at=(0,)),),
-    ))
+    )
 
 
 @pytest.mark.parametrize("crash", [False, True], ids=["clean", "worker_crash"])
@@ -303,9 +301,9 @@ def test_pool_workers_start_warm_and_report_back(
 
     def run():
         del adopted_phases[:]
-        _results, stats = run_partitioned(
+        _results, stats = run_sharded(
             driver, pooled_workload.group_partitions, 2, workers=2,
-            fault_injector=_crash_wave_zero() if crash else None,
+            fault_plan=_crash_wave_zero() if crash else None,
         )
         assert stats.waves > 2 and stats.pool_restarts == int(crash)
         return stats
@@ -347,12 +345,12 @@ def test_pooled_equals_inline_from_cold_and_warm_parents(
 ):
     driver = _bqsr_driver(pooled_workload)
     PHASES.clear()
-    inline_res, inline = run_partitioned(
+    inline_res, inline = run_sharded(
         driver, pooled_workload.group_partitions, 2, workers=1
     )
     if not warm_parent:
         PHASES.clear()
-    pooled_res, pooled = run_partitioned(
+    pooled_res, pooled = run_sharded(
         driver, pooled_workload.group_partitions, 2, workers=2
     )
     assert pooled.per_wave_cycles == inline.per_wave_cycles
@@ -377,7 +375,7 @@ import os
 
 from hw_harness import modelled_fields
 from repro.accel.common import PHASES
-from repro.accel import BqsrWaveDriver, run_partitioned
+from repro.accel import BqsrWaveDriver, run_sharded
 from repro.accel.scheduler import SpmImageCache
 from repro.eval.workloads import make_workload
 from repro.hw.engine import Engine
@@ -400,7 +398,7 @@ if __name__ == "__main__":
     driver = BqsrWaveDriver(
         reference=workload.reference, read_length=workload.read_length
     )
-    inline, _stats = run_partitioned(driver, workload.group_partitions, 2)
+    inline, _stats = run_sharded(driver, workload.group_partitions, 2)
     PHASES.clear()
     reported, pids = [], []
     adopt_phases, adopt_outcome = PHASES.adopt, SpmImageCache.adopt
@@ -418,7 +416,7 @@ if __name__ == "__main__":
     runs, modes, same = [], set(), True
     for _ in range(2):
         del reported[:]
-        pooled, _stats = run_partitioned(
+        pooled, _stats = run_sharded(
             driver, workload.group_partitions, 2, workers=2
         )
         runs.append([sum(reported), len(PHASES), PHASES.misses])

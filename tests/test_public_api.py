@@ -122,16 +122,8 @@ RUN_PATH_SIGNATURES = {
     "repro.accel:run_active_region_partition": (
         "partition", "ref_row", "memory_config",
     ),
-    "repro.accel.scheduler:run_partitioned": (
-        "driver", "partitions", "n_pipelines", "workers", "spm_cache",
-        "fault_injector", "retry_policy", "wave_timeout",
-    ),
     "repro.accel.scheduler:run_waves": (
         "tasks", "fan_out", "injector", "retry_policy", "wave_timeout",
-    ),
-    "repro.accel.scheduler:run_queues": (
-        "driver", "empty_pids", "queues", "n_pipelines", "workers",
-        "caches", "injector", "retry_policy", "wave_timeout",
     ),
     "repro.accel.sharding:run_sharded": (
         "driver", "partitions", "n_pipelines", "devices", "workers",

@@ -5,7 +5,7 @@ Each accelerator stage (metadata, markdup, bqsr) runs clean and faulted
 — the plan injects a worker crash (a real process death), a wave
 timeout (a real hang the watchdog reaps), and a transfer error — and
 the per-partition outputs plus the deterministic half of
-``ParallelRunStats`` must agree exactly, at ``workers=1`` and under
+the run's stats must agree exactly, at ``workers=1`` and under
 pool fan-out.  Host-side metrics (watchdog timeouts, pool restarts) are
 allowed to differ; the fault/retry counters are not.
 
@@ -13,6 +13,8 @@ Also here: the scheduler failure paths ISSUE 5 calls out as untested —
 empty-input scheduling, worker exception propagation, and
 ``SpmImageCache.merge`` conflict semantics.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,11 +24,10 @@ from repro.accel.scheduler import (
     CachedImage,
     SpmImageCache,
     WaveDriver,
-    run_partitioned,
 )
+from repro.accel.sharding import run_sharded
 from repro.eval.workloads import make_workload
 from repro.faults import (
-    FaultInjector,
     FaultPlan,
     FaultSpec,
     RetryBudgetExceeded,
@@ -98,21 +99,22 @@ def _assert_deterministic_stats_equal(a, b):
 
 
 @pytest.mark.parametrize("stage", ["metadata", "markdup", "bqsr"])
-def test_faulted_run_is_bit_identical(stage, workload):
+def test_faulted_run_is_bit_identical(stage, workload, tmp_path):
     driver, pipelines = _drivers(workload)[stage]
-    clean_res, clean_stats = run_partitioned(
+    clean_res, clean_stats = run_sharded(
         driver, workload.partitions, pipelines, workers=1
     )
     assert clean_stats.waves >= 3, "plan needs three waves to land on"
 
     faulted = {}
     for workers in (1, 4):
-        injector = FaultInjector(PLAN)
-        res, stats = run_partitioned(
-            driver, workload.partitions, pipelines, workers=workers,
-            fault_injector=injector, retry_policy=POLICY,
-            wave_timeout=WAVE_TIMEOUT,
-        )
+        ledger = RunLedger(str(tmp_path / f"{stage}-{workers}.jsonl"))
+        with run_context(RunManifest(workload="resilience-test"), ledger):
+            res, stats = run_sharded(
+                driver, workload.partitions, pipelines, workers=workers,
+                fault_plan=PLAN, retry_policy=POLICY,
+                wave_timeout=WAVE_TIMEOUT,
+            )
         _assert_results_equal(stage, clean_res, res)
         _assert_deterministic_stats_equal(clean_stats, stats)
         assert stats.faults_injected == 3
@@ -121,7 +123,7 @@ def test_faulted_run_is_bit_identical(stage, workload):
         }
         assert stats.retries == 3
         assert [
-            (f.kind, f.slot) for f in injector.injected
+            (e["kind"], e["slot"]) for e in ledger.events("fault.injected")
         ] == [("worker_crash", 0), ("wave_timeout", 1), ("transfer_error", 2)]
         faulted[workers] = stats
     # the fault/retry counters are parent-side decisions: identical
@@ -153,10 +155,9 @@ def test_fault_events_reach_the_ledger(workload, tmp_path):
     ledger = RunLedger(str(tmp_path / "ledger.jsonl"))
     manifest = RunManifest(workload="resilience-test", workers=4)
     with run_context(manifest, ledger):
-        run_partitioned(
+        run_sharded(
             driver, workload.partitions, pipelines, workers=4,
-            fault_injector=FaultInjector(PLAN), retry_policy=POLICY,
-            wave_timeout=WAVE_TIMEOUT,
+            fault_plan=PLAN, retry_policy=POLICY, wave_timeout=WAVE_TIMEOUT,
         )
     injected = ledger.events("fault.injected", run_id=manifest.run_id)
     assert {(e["kind"], e["slot"]) for e in injected} == {
@@ -174,17 +175,19 @@ def test_fault_events_reach_the_ledger(workload, tmp_path):
     assert summary["retries"] == 3
 
 
-def test_stats_carry_the_fault_counters(workload):
+def test_stats_carry_the_fault_counters(workload, tmp_path):
     driver, pipelines = _drivers(workload)["markdup"]
-    injector = FaultInjector(PLAN)
-    _, stats = run_partitioned(
-        driver, workload.partitions, pipelines, workers=1,
-        fault_injector=injector, retry_policy=POLICY,
-    )
-    assert stats.faults_injected == len(injector.injected) == 3
-    assert stats.faults_by_kind == injector.counts_by_kind() == {
-        "worker_crash": 1, "wave_timeout": 1, "transfer_error": 1,
-    }
+    ledger = RunLedger(str(tmp_path / "ledger.jsonl"))
+    with run_context(RunManifest(workload="resilience-test"), ledger):
+        _, stats = run_sharded(
+            driver, workload.partitions, pipelines, workers=1,
+            fault_plan=PLAN, retry_policy=POLICY,
+        )
+    injected = ledger.events("fault.injected")
+    assert stats.faults_injected == len(injected) == 3
+    assert stats.faults_by_kind == dict(
+        Counter(e["kind"] for e in injected)
+    ) == {"worker_crash": 1, "wave_timeout": 1, "transfer_error": 1}
     assert stats.retries == 3
     assert stats.backoff_seconds > 0
 
@@ -193,15 +196,15 @@ def test_degradation_ladder_ends_in_serial_fallback(workload):
     """A wave that crashes the pool past the restart budget must still
     finish — serially, in-process — with identical results."""
     driver, pipelines = _drivers(workload)["metadata"]
-    clean_res, _ = run_partitioned(
+    clean_res, _ = run_sharded(
         driver, workload.partitions, pipelines, workers=1
     )
     plan = FaultPlan(seed=1, specs=(
         FaultSpec("worker_crash", site="scheduler.wave", at=(0,), attempts=2),
     ))
-    res, stats = run_partitioned(
+    res, stats = run_sharded(
         driver, workload.partitions, pipelines, workers=4,
-        fault_injector=FaultInjector(plan),
+        fault_plan=plan,
         retry_policy=RetryPolicy(max_retries=1, backoff_base=0.001, seed=1),
     )
     _assert_results_equal("metadata", clean_res, res)
@@ -216,9 +219,9 @@ def test_retry_budget_exhaustion_raises(workload):
     ))
     for workers in (1, 4):
         with pytest.raises(RetryBudgetExceeded):
-            run_partitioned(
+            run_sharded(
                 driver, workload.partitions, pipelines, workers=workers,
-                fault_injector=FaultInjector(plan),
+                fault_plan=plan,
                 retry_policy=RetryPolicy(
                     max_retries=1, backoff_base=0.001, seed=1
                 ),
@@ -229,15 +232,15 @@ def test_watchdog_reaps_a_real_hang(workload):
     """An injected hang sleeps past the deadline in a worker; the parent
     abandons the future and the retry lands on a clean attempt."""
     driver, pipelines = _drivers(workload)["metadata"]
-    clean_res, _ = run_partitioned(
+    clean_res, _ = run_sharded(
         driver, workload.partitions, pipelines, workers=1
     )
     plan = FaultPlan(seed=1, specs=(
         FaultSpec("wave_timeout", site="scheduler.wave", at=(0,)),
     ))
-    res, stats = run_partitioned(
+    res, stats = run_sharded(
         driver, workload.partitions, pipelines, workers=4,
-        fault_injector=FaultInjector(plan), retry_policy=POLICY,
+        fault_plan=plan, retry_policy=POLICY,
         wave_timeout=0.4,
     )
     _assert_results_equal("metadata", clean_res, res)
@@ -252,15 +255,15 @@ def test_wave_timeout_without_watchdog_is_an_ordinary_failure(workload):
     """No ``wave_timeout=`` armed: the injected timeout surfaces as an
     immediate worker failure and retries like any other fault."""
     driver, pipelines = _drivers(workload)["metadata"]
-    clean_res, _ = run_partitioned(
+    clean_res, _ = run_sharded(
         driver, workload.partitions, pipelines, workers=1
     )
     plan = FaultPlan(seed=1, specs=(
         FaultSpec("wave_timeout", site="scheduler.wave", at=(0,)),
     ))
-    res, stats = run_partitioned(
+    res, stats = run_sharded(
         driver, workload.partitions, pipelines, workers=4,
-        fault_injector=FaultInjector(plan), retry_policy=POLICY,
+        fault_plan=plan, retry_policy=POLICY,
     )
     _assert_results_equal("metadata", clean_res, res)
     assert stats.watchdog_timeouts == 0
@@ -270,7 +273,7 @@ def test_wave_timeout_without_watchdog_is_an_ordinary_failure(workload):
 def test_wave_timeout_validation():
     driver = MarkdupWaveDriver()
     with pytest.raises(ValueError):
-        run_partitioned(driver, [], 1, wave_timeout=0.0)
+        run_sharded(driver, [], 1, wave_timeout=0.0)
 
 
 # -- untested scheduler failure paths (ISSUE 5 satellites) ---------------------------
@@ -296,7 +299,7 @@ def test_all_empty_partitions_never_build_a_pool(workload):
     empties = [
         (pid, part.take([])) for pid, part in list(workload.partitions)[:3]
     ]
-    results, stats = run_partitioned(driver, empties, pipelines, workers=4)
+    results, stats = run_sharded(driver, empties, pipelines, workers=4)
     assert stats.waves == 0
     assert stats.workers == 1
     assert set(results) == {pid for pid, _ in empties}
@@ -306,17 +309,17 @@ def test_all_empty_partitions_never_build_a_pool(workload):
 
 def test_no_partitions_at_all(workload):
     driver, pipelines = _drivers(workload)["metadata"]
-    results, stats = run_partitioned(driver, [], pipelines, workers=4)
+    results, stats = run_sharded(driver, [], pipelines, workers=4)
     assert results == {} and stats.waves == 0
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_worker_exception_propagates(workload, workers):
     """Non-injected driver exceptions are bugs: they must propagate out
-    of ``run_partitioned`` unchanged, not be retried as faults."""
+    of ``run_sharded`` unchanged, not be retried as faults."""
     partitions = list(workload.partitions)[:3]
     with pytest.raises(ValueError, match="deterministic driver bug"):
-        run_partitioned(_ExplodingDriver(), partitions, 1, workers=workers)
+        run_sharded(_ExplodingDriver(), partitions, 1, workers=workers)
 
 
 def test_spm_cache_merge_keeps_existing_entries():

@@ -24,7 +24,6 @@ from repro.accel.scheduler import (
     SpmImageCache,
     WaveTask,
     pack_waves,
-    run_partitioned,
     run_waves,
 )
 from repro.accel.sharding import run_sharded
@@ -66,10 +65,10 @@ def _assert_same_aggregate(a, b):
 
 def test_metadata_workers_bit_identical(sched_workload):
     driver = MetadataWaveDriver(reference=sched_workload.reference)
-    serial_res, serial_stats = run_partitioned(
+    serial_res, serial_stats = run_sharded(
         driver, sched_workload.partitions, 2, workers=1
     )
-    parallel_res, parallel_stats = run_partitioned(
+    parallel_res, parallel_stats = run_sharded(
         driver, sched_workload.partitions, 2, workers=4
     )
     assert serial_stats.waves > 1, "need a multi-wave schedule to compare"
@@ -83,10 +82,10 @@ def test_metadata_workers_bit_identical(sched_workload):
 
 def test_markdup_workers_bit_identical(sched_workload):
     driver = MarkdupWaveDriver()
-    serial_res, serial_stats = run_partitioned(
+    serial_res, serial_stats = run_sharded(
         driver, sched_workload.partitions, 1, workers=1
     )
-    parallel_res, parallel_stats = run_partitioned(
+    parallel_res, parallel_stats = run_sharded(
         driver, sched_workload.partitions, 1, workers=4
     )
     _assert_same_aggregate(serial_stats, parallel_stats)
@@ -99,10 +98,10 @@ def test_bqsr_workers_bit_identical(sched_workload):
         reference=sched_workload.reference,
         read_length=sched_workload.read_length,
     )
-    serial_res, serial_stats = run_partitioned(
+    serial_res, serial_stats = run_sharded(
         driver, sched_workload.group_partitions, 4, workers=1
     )
-    parallel_res, parallel_stats = run_partitioned(
+    parallel_res, parallel_stats = run_sharded(
         driver, sched_workload.group_partitions, 4, workers=4
     )
     _assert_same_aggregate(serial_stats, parallel_stats)
@@ -139,7 +138,7 @@ class _LingeringMetadataDriver(MetadataWaveDriver):
 def test_mixed_stage_tasks_inline_equals_pooled(
     sched_workload, tmp_path, monkeypatch, plan
 ):
-    """``run_queues`` hands :func:`run_waves` one driver; a served round
+    """``run_sharded`` hands :func:`run_waves` one driver; a served round
     mixes stages.  A metadata and a BQSR task come out the same inline
     and on a pool of 2 — outcomes, cycles, ``fault.*`` events, the wave
     charged the retry — and the crash's innocent bystander goes back to
@@ -211,7 +210,7 @@ def test_mixed_stage_tasks_inline_equals_pooled(
 
 def test_metadata_matches_standalone_driver(sched_workload):
     driver = MetadataWaveDriver(reference=sched_workload.reference)
-    results, _stats = run_partitioned(driver, sched_workload.partitions, 4)
+    results, _stats = run_sharded(driver, sched_workload.partitions, 4)
     for pid, part in sched_workload.partitions:
         if part.num_rows == 0:
             continue
@@ -225,7 +224,7 @@ def test_metadata_matches_standalone_driver(sched_workload):
 
 def test_markdup_matches_standalone_driver(sched_workload):
     driver = MarkdupWaveDriver()
-    results, _stats = run_partitioned(driver, sched_workload.partitions, 4)
+    results, _stats = run_sharded(driver, sched_workload.partitions, 4)
     for pid, part in sched_workload.partitions:
         if part.num_rows == 0:
             continue
@@ -242,7 +241,7 @@ def test_empty_partitions_get_empty_results(sched_workload):
     parts = list(sched_workload.partitions) + [(empty_pid, empty_part)]
     driver = MetadataWaveDriver(reference=sched_workload.reference)
     for workers in (1, 2):
-        results, stats = run_partitioned(driver, parts, 2, workers=workers)
+        results, stats = run_sharded(driver, parts, 2, workers=workers)
         assert empty_pid in results
         empty = results[empty_pid]
         assert empty.nm == [] and empty.md == [] and empty.uq == []
@@ -261,7 +260,7 @@ def test_empty_partition_never_hits_reference():
     bogus = PartitionId(99, 12345)  # no REF partition exists for this
     parts = list(workload.partitions) + [(bogus, workload.table.take([]))]
     driver = MetadataWaveDriver(reference=workload.reference)
-    results, _stats = run_partitioned(driver, parts, 2)
+    results, _stats = run_sharded(driver, parts, 2)
     assert results[bogus].nm == []
 
 
@@ -271,12 +270,12 @@ def test_empty_partition_never_hits_reference():
 def test_spm_cache_replay_bit_identical(sched_workload):
     driver = MetadataWaveDriver(reference=sched_workload.reference)
     cache = SpmImageCache()
-    cold_res, cold_stats = run_partitioned(
+    cold_res, cold_stats = run_sharded(
         driver, sched_workload.partitions, 2, spm_cache=cache
     )
     assert cold_stats.spm_cache_hits == 0
     assert cold_stats.spm_cache_misses > 0
-    warm_res, warm_stats = run_partitioned(
+    warm_res, warm_stats = run_sharded(
         driver, sched_workload.partitions, 2, spm_cache=cache
     )
     # every re-used partition hits; nothing is re-simulated
@@ -296,10 +295,10 @@ def test_spm_cache_seeds_worker_processes(sched_workload):
     the fanned-out run either)."""
     driver = MetadataWaveDriver(reference=sched_workload.reference)
     cache = SpmImageCache()
-    _cold, cold_stats = run_partitioned(
+    _cold, cold_stats = run_sharded(
         driver, sched_workload.partitions, 2, spm_cache=cache
     )
-    warm_res, warm_stats = run_partitioned(
+    warm_res, warm_stats = run_sharded(
         driver, sched_workload.partitions, 2, workers=2, spm_cache=cache
     )
     assert warm_stats.spm_cache_misses == 0
@@ -315,7 +314,7 @@ def test_spm_cache_shared_across_stages(sched_workload):
     replays every image."""
     cache = SpmImageCache()
     metadata = MetadataWaveDriver(reference=sched_workload.reference)
-    _res, first = run_partitioned(
+    _res, first = run_sharded(
         metadata, sched_workload.partitions, 4, spm_cache=cache
     )
     bqsr = BqsrWaveDriver(
@@ -323,7 +322,7 @@ def test_spm_cache_shared_across_stages(sched_workload):
         read_length=sched_workload.read_length,
         drain=False,
     )
-    _res2, second = run_partitioned(
+    _res2, second = run_sharded(
         bqsr, sched_workload.group_partitions, 4, spm_cache=cache
     )
     # BQSR's (base, is_snp) images are distinct entries, but read-group
@@ -331,7 +330,7 @@ def test_spm_cache_shared_across_stages(sched_workload):
     assert second.spm_cache_misses <= len(
         {(pid.chrom, pid.segment) for pid, p in sched_workload.group_partitions}
     )
-    _res3, third = run_partitioned(
+    _res3, third = run_sharded(
         metadata, sched_workload.partitions, 4, spm_cache=cache
     )
     assert third.spm_cache_misses == 0
@@ -351,7 +350,7 @@ def test_bqsr_read_group_slices_share_images(sched_workload):
         read_length=sched_workload.read_length,
         drain=False,
     )
-    _res, stats = run_partitioned(driver, sched_workload.group_partitions, 8)
+    _res, stats = run_sharded(driver, sched_workload.group_partitions, 8)
     assert stats.spm_cache_misses == len(segments)
     assert stats.spm_cache_hits == sum(segments.values()) - len(segments)
 
@@ -387,15 +386,15 @@ def test_spm_cache_absorb_merges_images_and_counters(sched_workload):
     half = len(parts) // 2
     assert half >= 1
     cache_a, cache_b = SpmImageCache(), SpmImageCache()
-    run_partitioned(driver, parts[:half], 2, spm_cache=cache_a)
-    run_partitioned(driver, parts[half:], 2, spm_cache=cache_b)
+    run_sharded(driver, parts[:half], 2, spm_cache=cache_a)
+    run_sharded(driver, parts[half:], 2, spm_cache=cache_b)
     keys_a, keys_b = set(cache_a.images()), set(cache_b.images())
     misses_a, misses_b = cache_a.misses, cache_b.misses
     cache_a.absorb(cache_b)
     assert set(cache_a.images()) == keys_a | keys_b
     assert cache_a.misses == misses_a + misses_b
     # the absorbed pool replays both halves without re-simulating
-    _res, stats = run_partitioned(driver, parts, 2, spm_cache=cache_a)
+    _res, stats = run_sharded(driver, parts, 2, spm_cache=cache_a)
     assert stats.spm_cache_misses == 0
 
 
@@ -405,8 +404,8 @@ def test_spm_cache_absorb_overlapping_keys_idempotent(sched_workload):
     own (no churn on identical keys)."""
     driver = MetadataWaveDriver(reference=sched_workload.reference)
     cache_a, cache_b = SpmImageCache(), SpmImageCache()
-    run_partitioned(driver, sched_workload.partitions, 2, spm_cache=cache_a)
-    run_partitioned(driver, sched_workload.partitions, 2, spm_cache=cache_b)
+    run_sharded(driver, sched_workload.partitions, 2, spm_cache=cache_a)
+    run_sharded(driver, sched_workload.partitions, 2, spm_cache=cache_b)
     before = cache_a.images()
     cache_a.absorb(cache_b)
     after = cache_a.images()
@@ -421,9 +420,9 @@ def test_spm_cache_absorb_overlapping_keys_idempotent(sched_workload):
 def test_spm_cache_absorb_counters_survive_merge(sched_workload):
     driver = MetadataWaveDriver(reference=sched_workload.reference)
     cache_a, cache_b = SpmImageCache(), SpmImageCache()
-    run_partitioned(driver, sched_workload.partitions, 2, spm_cache=cache_a)
-    run_partitioned(driver, sched_workload.partitions, 2, spm_cache=cache_b)
-    run_partitioned(driver, sched_workload.partitions, 2, spm_cache=cache_b)
+    run_sharded(driver, sched_workload.partitions, 2, spm_cache=cache_a)
+    run_sharded(driver, sched_workload.partitions, 2, spm_cache=cache_b)
+    run_sharded(driver, sched_workload.partitions, 2, spm_cache=cache_b)
     assert cache_b.hits > 0 and cache_b.cycles_saved > 0
     expected = (
         cache_a.hits + cache_b.hits,
@@ -456,12 +455,12 @@ def test_pack_waves_validates_pipelines(sched_workload):
 def test_run_partitioned_validates_workers(sched_workload):
     driver = MarkdupWaveDriver()
     with pytest.raises(ValueError):
-        run_partitioned(driver, sched_workload.partitions, 1, workers=0)
+        run_sharded(driver, sched_workload.partitions, 1, workers=0)
 
 
 def test_per_worker_breakdown_accounts_every_wave(sched_workload):
     driver = MetadataWaveDriver(reference=sched_workload.reference)
-    _res, stats = run_partitioned(
+    _res, stats = run_sharded(
         driver, sched_workload.partitions, 1, workers=2
     )
     assert sum(w.waves for w in stats.per_worker.values()) == stats.waves
@@ -474,7 +473,7 @@ def test_per_worker_breakdown_accounts_every_wave(sched_workload):
 
 def _tasks(workload, n=4):
     """``n`` one-replica metadata tasks over a fresh cache, as
-    ``run_queues`` builds them."""
+    ``run_sharded`` builds them."""
     driver = MetadataWaveDriver(reference=workload.reference)
     _empty, waves = pack_waves(workload.partitions, 1)
     assert len(waves) >= n
@@ -498,9 +497,9 @@ def test_kept_pool_serves_the_next_run(sched_workload, pools_built, worker_pids)
         reference=sched_workload.reference,
         read_length=sched_workload.read_length,
     )
-    run_partitioned(metadata, sched_workload.partitions, 2, workers=2)
+    run_sharded(metadata, sched_workload.partitions, 2, workers=2)
     first = set(worker_pids)
-    run_partitioned(bqsr, sched_workload.group_partitions, 2, workers=2)
+    run_sharded(bqsr, sched_workload.group_partitions, 2, workers=2)
     assert pools_built == [2]
     assert os.getpid() not in worker_pids
     assert len(first | set(worker_pids)) <= 2
@@ -513,7 +512,7 @@ def test_kept_pool_is_not_built_where_one_wave_runs_at_a_time(
     inline: nothing is forked for them and nothing kept."""
     driver = MetadataWaveDriver(reference=sched_workload.reference)
     run_sharded(driver, sched_workload.partitions, 2, devices=1, workers=1)
-    run_partitioned(driver, list(sched_workload.partitions)[:1], 2, workers=4)
+    run_sharded(driver, list(sched_workload.partitions)[:1], 2, workers=4)
     service = JobService(devices=2, workers=1)
     service.schedule(
         JobSpec("t", driver, sched_workload.partitions, 2), at_cycles=0
@@ -529,14 +528,12 @@ def test_kept_pool_is_rebuilt_across_a_worker_crash(
     """A crash drops the pool it broke, as ever; the one rebuilt in its
     place ends the run clean and is the one kept."""
     driver = MetadataWaveDriver(reference=sched_workload.reference)
-    clean, _stats = run_partitioned(driver, sched_workload.partitions, 2)
+    clean, _stats = run_sharded(driver, sched_workload.partitions, 2)
     ledger = RunLedger(str(tmp_path / "crash.jsonl"))
     with run_context(RunManifest(workload="kept-pool", config={}), ledger):
-        results, stats = run_partitioned(
+        results, stats = run_sharded(
             driver, sched_workload.partitions, 2, workers=2,
-            fault_injector=FaultInjector(
-                FaultPlan(specs=(FaultSpec("worker_crash", at=(0,)),))
-            ),
+            fault_plan=FaultPlan(specs=(FaultSpec("worker_crash", at=(0,)),)),
         )
     _assert_metadata_equal(results, clean)
     assert (stats.pool_restarts, stats.retries) == (1, 1)
@@ -551,7 +548,7 @@ def test_kept_pool_is_rebuilt_across_a_worker_crash(
     assert pools_built == [2, 2]
     rebuilt = set(worker_pids)
     del worker_pids[:]
-    run_partitioned(driver, sched_workload.partitions, 2, workers=2)
+    run_sharded(driver, sched_workload.partitions, 2, workers=2)
     assert pools_built == [2, 2], "the rebuilt pool was kept"
     assert set(worker_pids) <= rebuilt
 
@@ -562,17 +559,15 @@ def test_kept_pool_is_dropped_after_a_watchdog_expiry(
     """A future the watchdog gave up on was never collected — its worker
     may still be on it — so that pool does not outlive the run."""
     driver = MetadataWaveDriver(reference=sched_workload.reference)
-    clean, _stats = run_partitioned(driver, sched_workload.partitions, 2)
-    results, stats = run_partitioned(
+    clean, _stats = run_sharded(driver, sched_workload.partitions, 2)
+    results, stats = run_sharded(
         driver, sched_workload.partitions, 2, workers=2,
-        fault_injector=FaultInjector(
-            FaultPlan(specs=(FaultSpec("wave_timeout", at=(0,)),))
-        ),
+        fault_plan=FaultPlan(specs=(FaultSpec("wave_timeout", at=(0,)),)),
         wave_timeout=0.5,
     )
     _assert_metadata_equal(results, clean)
     assert stats.watchdog_timeouts >= 1 and stats.pool_restarts == 0
-    run_partitioned(driver, sched_workload.partitions, 2, workers=2)
+    run_sharded(driver, sched_workload.partitions, 2, workers=2)
     assert pools_built == [2, 2]
 
 

@@ -2,7 +2,7 @@
 
 The headline invariant of DESIGN.md §3.8: a job submitted through
 :class:`~repro.serve.JobService` produces results bit-identical to the
-same stage run directly via ``run_partitioned``/``run_sharded`` — for
+same stage run directly via ``run_sharded`` — for
 every (tenants, devices, workers) topology, and under an injected
 fault plan.  The service may reorder, interleave, time-multiplex, and
 retry; it may never change a single output bit.
@@ -19,10 +19,9 @@ import pytest
 
 from hw_harness import assert_same_modelled
 from repro.accel import MetadataWaveDriver
-from repro.accel.scheduler import run_partitioned
 from repro.accel.sharding import run_sharded
 from repro.eval.workloads import make_workload
-from repro.faults.injector import FaultInjector, RetryBudgetExceeded
+from repro.faults.injector import RetryBudgetExceeded
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.retry import RetryPolicy
 from repro.obs.ledger import RunLedger, RunManifest, run_context
@@ -61,7 +60,7 @@ def direct_results(workload):
     """Per-stage ground truth from the direct scheduler."""
     out = {}
     for stage in SERVE_STAGES:
-        results, _stats = run_partitioned(
+        results, _stats = run_sharded(
             STAGES[stage].over(workload), STAGES[stage].items(workload), 2
         )
         out[stage] = results
@@ -306,9 +305,8 @@ def test_host_rung_exhaustion_propagates_as_from_a_direct_run(workload):
     plan = FaultPlan(specs=(FaultSpec("worker_crash", at=(0,), attempts=9),))
     policy = RetryPolicy(max_retries=1, backoff_base=0.001)
     with pytest.raises(RetryBudgetExceeded) as direct:
-        run_partitioned(
-            driver, partitions, 2,
-            fault_injector=FaultInjector(plan), retry_policy=policy,
+        run_sharded(
+            driver, partitions, 2, fault_plan=plan, retry_policy=policy,
         )
     service = JobService(fault_plan=plan, retry_policy=policy)
     service.submit(JobSpec(

@@ -18,12 +18,7 @@ import pytest
 
 from hw_harness import assert_same_modelled
 from repro.accel import BqsrWaveDriver, MarkdupWaveDriver, MetadataWaveDriver
-from repro.accel.scheduler import (
-    ParallelRunStats,
-    SpmImageCache,
-    pack_waves,
-    run_partitioned,
-)
+from repro.accel.scheduler import ParallelRunStats, SpmImageCache, pack_waves
 from repro.accel.sharding import (
     ShardedRunStats,
     plan_shards,
@@ -32,10 +27,8 @@ from repro.accel.sharding import (
     stable_shard_hash,
 )
 from repro.eval.workloads import make_workload
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.retry import RetryPolicy
-from repro.obs.ledger import RunLedger, RunManifest, run_context
 
 BQSR_FIELDS = ("total_cycle", "total_context", "error_cycle", "error_context")
 
@@ -60,13 +53,13 @@ def workload():
 @pytest.fixture(scope="module")
 def metadata_serial(workload):
     driver = MetadataWaveDriver(reference=workload.reference)
-    return run_partitioned(driver, workload.partitions, 2, workers=1)
+    return run_sharded(driver, workload.partitions, 2, workers=1)
 
 
 @pytest.fixture(scope="module")
 def markdup_serial(workload):
     driver = MarkdupWaveDriver()
-    return run_partitioned(driver, workload.partitions, 1, workers=1)
+    return run_sharded(driver, workload.partitions, 1, workers=1)
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +67,7 @@ def bqsr_serial(workload):
     driver = BqsrWaveDriver(
         reference=workload.reference, read_length=workload.read_length
     )
-    return run_partitioned(driver, workload.group_partitions, 4, workers=1)
+    return run_sharded(driver, workload.group_partitions, 4, workers=1)
 
 
 def _assert_same_cycles(serial_stats, sharded):
@@ -181,103 +174,6 @@ def test_kept_pool_serves_consecutive_sharded_runs(
     assert pools_built == [2]
     assert os.getpid() not in pids[0] | pids[1]
     assert len(pids[0] | pids[1]) <= 2
-
-
-# -- one path: run_partitioned is run_sharded(devices=1) -----------------------------
-
-
-#: ``ParallelRunStats`` fields that measure the host, not the model.
-HOST_STATS_FIELDS = {"wall_seconds", "elapsed_seconds", "per_worker"}
-
-
-def _ledgered(tmp_path, name, run):
-    """Run ``run(cache)`` under a ledger; return what it returned plus
-    the deterministic half of everything it wrote down: ledger events
-    (host-time fields masked) and the SPM-cache counters."""
-    ledger = RunLedger(str(tmp_path / f"{name}.jsonl"))
-    cache = SpmImageCache()
-    with run_context(RunManifest(workload="one-path"), ledger):
-        results, stats = run(cache)
-    host = {"ts", "run_id", "elapsed_seconds", "worker"}
-    events = sorted(
-        sorted((k, str(v)) for k, v in record.items() if k not in host)
-        for record in ledger.read()
-        if record["event"].startswith(("scheduler.", "fault."))
-    )
-    counters = (cache.hits, cache.misses, cache.cycles_saved, len(cache))
-    return results, stats, events, counters
-
-
-@pytest.mark.parametrize("workers", (1, 4))
-@pytest.mark.parametrize("stage", ("markdup", "metadata", "bqsr"))
-def test_run_partitioned_is_run_sharded_on_one_device(
-    workload, tmp_path, stage, workers
-):
-    """The two fronts are one path: same results, cycles, SPM-cache
-    counters, every modelled ``ParallelRunStats`` field and
-    ``scheduler.*`` / ``fault.*`` ledger events (``run_sharded`` adds
-    only its ``shard.*`` summary).  The inline runs also retry an
-    injected fault, so the ``fault.*`` events are compared too."""
-    driver, parts, pipelines = {
-        "markdup": (MarkdupWaveDriver(), workload.partitions, 1),
-        "metadata": (
-            MetadataWaveDriver(reference=workload.reference),
-            workload.partitions, 2,
-        ),
-        "bqsr": (
-            BqsrWaveDriver(
-                reference=workload.reference,
-                read_length=workload.read_length,
-            ),
-            workload.group_partitions, 4,
-        ),
-    }[stage]
-    # a pooled retry is re-seeded from whatever was harvested by then,
-    # which makes its cache *hit counts* host-dependent: fault inline only
-    plan = None
-    if workers == 1:
-        plan = FaultPlan(seed=1, specs=(
-            FaultSpec("transfer_error", site="scheduler.wave", at=(1,)),
-        ))
-    policy = RetryPolicy(backoff_base=0.0)
-    one_queue = _ledgered(
-        tmp_path, "partitioned",
-        lambda cache: run_partitioned(
-            driver, parts, pipelines, workers=workers, spm_cache=cache,
-            retry_policy=policy,
-            fault_injector=FaultInjector(plan) if plan else None,
-        ),
-    )
-    one_device = _ledgered(
-        tmp_path, "sharded",
-        lambda cache: run_sharded(
-            driver, parts, pipelines, devices=1, workers=workers,
-            spm_cache=cache, retry_policy=policy,
-            fault_plan=plan,
-        ),
-    )
-    (res_a, stats_a, *wrote_a), (res_b, stats_b, *wrote_b) = (
-        one_queue, one_device
-    )
-    assert wrote_a == wrote_b
-    assert wrote_a[0], "expected scheduler events in the ledger"
-    (only_queue,) = stats_b.per_device
-    for spec in dataclasses.fields(ParallelRunStats):
-        if spec.name not in HOST_STATS_FIELDS:
-            assert getattr(stats_a, spec.name) == getattr(
-                only_queue, spec.name
-            ), spec.name
-    if plan is not None:
-        assert stats_a.retries == stats_b.retries == 1
-    _assert_same_cycles(stats_a, stats_b)
-    if stage == "markdup":
-        assert {p: r.quality_sums for p, r in res_a.items()} == {
-            p: r.quality_sums for p, r in res_b.items()
-        }
-    elif stage == "metadata":
-        _assert_metadata_identical(res_a, res_b)
-    else:
-        _assert_bqsr_identical(res_a, res_b)
 
 
 @pytest.mark.parametrize("workers", (1, 2))
@@ -475,7 +371,7 @@ def test_device_caches_absorb_into_shared(workload):
     run_sharded(
         driver, workload.partitions, 2, devices=4, workers=1, spm_cache=cache
     )
-    _res, serial_stats = run_partitioned(
+    _res, serial_stats = run_sharded(
         driver, workload.partitions, 2, spm_cache=cache
     )
     assert serial_stats.spm_cache_misses == 0

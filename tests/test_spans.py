@@ -365,9 +365,9 @@ def _ledgered(tmp_path, run, name="run"):
 class TestRunSpans:
     def test_partitioned_run_lays_cumulative_spans(self, workload, tmp_path):
         from repro.accel import MetadataWaveDriver
-        from repro.accel.scheduler import run_partitioned
+        from repro.accel.sharding import run_sharded
 
-        spans, _ = _ledgered(tmp_path, lambda: run_partitioned(
+        spans, _ = _ledgered(tmp_path, lambda: run_sharded(
             MetadataWaveDriver(reference=workload.reference),
             workload.partitions, 2,
         ))
@@ -386,10 +386,10 @@ class TestRunSpans:
 
     def test_worker_count_does_not_change_spans(self, workload, tmp_path):
         from repro.accel import MetadataWaveDriver
-        from repro.accel.scheduler import run_partitioned
+        from repro.accel.sharding import run_sharded
 
         def spans_with(workers):
-            spans, _ = _ledgered(tmp_path, lambda: run_partitioned(
+            spans, _ = _ledgered(tmp_path, lambda: run_sharded(
                 MetadataWaveDriver(reference=workload.reference),
                 workload.partitions, 2, workers=workers,
             ), name=f"w{workers}")

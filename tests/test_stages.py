@@ -1,6 +1,6 @@
 """One object per stage: for every row of the stage table the serial
 front is a one-replica wave of the row's driver — equal to
-``run_partitioned(n_pipelines=1)`` on results *and* cycles — and equal to
+``run_sharded(n_pipelines=1)`` on results *and* cycles — and equal to
 the software oracle on results."""
 
 import numpy as np
@@ -14,7 +14,6 @@ from repro.accel import (
     run_bqsr_partition,
     run_example_query,
     run_metadata_update,
-    run_partitioned,
     run_quality_sums,
     run_sharded,
 )
@@ -96,7 +95,7 @@ def test_serial_front_is_a_one_pipeline_wave_and_matches_the_oracle(
     workload, stage
 ):
     row = STAGES[stage]
-    waved, stats = run_partitioned(
+    waved, stats = run_sharded(
         row.over(workload), row.items(workload), n_pipelines=1
     )
     simulated = 0
@@ -124,7 +123,7 @@ def test_active_region_driver_shards_like_any_other(workload):
     """The extension inherits sharding by being a ``WaveDriver``: two
     devices, bit-identical buffers and cycles."""
     row = STAGES["active_region"]
-    serial, serial_stats = run_partitioned(
+    serial, serial_stats = run_sharded(
         row.over(workload), row.items(workload), 2
     )
     sharded, sharded_stats = run_sharded(

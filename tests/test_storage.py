@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.accel import BqsrWaveDriver, MarkdupWaveDriver, MetadataWaveDriver
-from repro.accel.scheduler import run_partitioned
 from repro.accel.sharding import run_sharded
 from repro.eval.workloads import make_workload
 from repro.faults.plan import FaultPlan, FaultSpec
@@ -67,13 +66,13 @@ def plan(workload):
 @pytest.fixture(scope="module")
 def metadata_serial(workload):
     driver = MetadataWaveDriver(reference=workload.reference)
-    return run_partitioned(driver, workload.partitions, 2, workers=1)
+    return run_sharded(driver, workload.partitions, 2, workers=1)
 
 
 @pytest.fixture(scope="module")
 def markdup_serial(workload):
     driver = MarkdupWaveDriver()
-    return run_partitioned(driver, workload.partitions, 1, workers=1)
+    return run_sharded(driver, workload.partitions, 1, workers=1)
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +80,7 @@ def bqsr_serial(workload):
     driver = BqsrWaveDriver(
         reference=workload.reference, read_length=workload.read_length
     )
-    return run_partitioned(driver, workload.group_partitions, 4, workers=1)
+    return run_sharded(driver, workload.group_partitions, 4, workers=1)
 
 
 # -- chunk layout round-trip (compressed == raw) ------------------------------------
