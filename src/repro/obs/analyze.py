@@ -28,9 +28,8 @@ block at the end of ``repro profile`` output.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..constants import (
     CLOCK_HZ,
@@ -41,7 +40,7 @@ from ..constants import (
 )
 from .ledger import LEDGER_SCHEMA_VERSION, RunLedger
 from .profile import ModuleProfile, ProfileReport
-from .spans import WAVE_SEGMENTS, TraceSpan, trace_spans
+from .spans import WAVE_SEGMENTS, TraceSpan, fields_of, trace_spans
 
 
 def _require_schema(
@@ -65,20 +64,6 @@ def _require_schema(
                 "before analyzing it"
             )
     return records
-
-
-@contextmanager
-def _fields_of(event: str) -> Iterator[None]:
-    """Read the fields of ``event`` records: one of the wrong JSON type
-    (``"device": [0]`` — a ``TypeError``) or value (``"waves": "x"`` — a
-    ``ValueError``) becomes one ``ValueError`` naming the event, the
-    CLI's clean exit-code-2 refusal rather than a traceback."""
-    try:
-        yield
-    except (TypeError, ValueError) as error:
-        raise ValueError(
-            f"ledger has a malformed {event} event: {error}"
-        ) from None
 
 
 @dataclass
@@ -578,7 +563,7 @@ def sharding_report_from_ledger(
     siblings = ledger.events(
         "shard.device", run_id=str(summary.get("run_id"))
     )
-    with _fields_of("shard.device"):
+    with fields_of("shard.device"):
         per_device = [
             DeviceUtilization(
                 device=int(record.get("device", 0)),
@@ -595,7 +580,7 @@ def sharding_report_from_ledger(
             if record.get("stage") == summary.get("stage")
         ]
     per_device.sort(key=lambda entry: entry.device)
-    with _fields_of("shard.run"):
+    with fields_of("shard.run"):
         return ShardingReport(
             stage=str(summary.get("stage", "?")),
             devices=int(summary.get("devices", 1)),
@@ -734,7 +719,7 @@ def storage_report_from_ledger(
         )
     _require_schema(runs, "storage.run")
     summary = runs[-1]
-    with _fields_of("storage.run"):
+    with fields_of("storage.run"):
         kernel_seconds = float(summary.get("kernel_seconds", 0.0))
         transfer_seconds = float(summary.get("transfer_seconds", 0.0))
         pcie_bandwidth = float(summary.get("pcie_bandwidth", PCIE3_BANDWIDTH))

@@ -33,10 +33,27 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from ..constants import CLOCK_HZ
+
+
+@contextmanager
+def fields_of(event: str) -> Iterator[None]:
+    """Read the fields of ``event`` records: one of the wrong JSON type
+    (``"device": [0]`` — a ``TypeError``) or value (``"waves": "x"`` — a
+    ``ValueError``) becomes one ``ValueError`` naming the event, the
+    CLI's clean exit-code-2 refusal rather than a traceback."""
+    try:
+        yield
+    except (TypeError, ValueError) as error:
+        raise ValueError(
+            f"ledger has a malformed {event} event: {error}"
+        ) from None
+
 
 #: The anatomy of one wave on the modelled clock, in canonical order:
 #: span category -> the name its child span carries.
@@ -207,7 +224,11 @@ class _Fold:
         **attrs: object,
     ) -> int:
         """Lay one span; returns its id (the next sequential one unless
-        ``span_id`` materializes a reserved id)."""
+        ``span_id`` materializes a reserved id).  Its bounds must be
+        cycle counts: what a ledger field put there is compared later."""
+        for bound in (start, end):
+            if not isinstance(bound, numbers.Real):
+                raise TypeError(f"{name} bound {bound!r} is not a cycle count")
         sid = span_id if span_id is not None else next(self._ids)
         self.spans.append(TraceSpan(
             trace_id, sid, parent_id, name, cat, start, end, lane, tenant,
@@ -456,7 +477,7 @@ def trace_spans(
     :meth:`WaveTimeline.segments`.  ``clock_hz`` converts the one figure
     ledgered in seconds, the in-SSD scan time.  Raises ``ValueError``
     when a traced event lacks a field the fold needs (an older or
-    hand-trimmed ledger).
+    hand-trimmed ledger) or holds one of the wrong type.
     """
     fold = _Fold(clock_hz)
     for event, fields in events:
@@ -464,7 +485,8 @@ def trace_spans(
         if step is None:
             continue
         try:
-            step(fold, fields)
+            with fields_of(event):
+                step(fold, fields)
         except KeyError as missing:
             raise ValueError(
                 f"cannot trace {event}: no {missing} to go by (a ledger "

@@ -1,17 +1,28 @@
-"""Test harness for driving individual hardware modules.
+"""Test harness: driving hardware modules, and the suite's one
+vocabulary for comparing runs.
 
 ``drive`` wires list-backed sources to a module's input ports and
 collecting sinks to its output ports, runs the engine to quiescence, and
-returns everything each output produced.
+returns everything each output produced.  ``assert_stage_identical`` /
+``assert_same_cycles`` say when two runs of a stage agree on the answer
+and on the modelled clock, and ``assert_matches_oracle`` when a run
+agrees with the ``repro.gatk`` software oracle.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.accel import count_matching_bases_sw
+from repro.accel.stages import STAGES
+from repro.gatk import build_covariate_tables, compute_read_metadata
+from repro.gatk.active_region import compute_activity
 from repro.hw.engine import Engine, RunStats
 from repro.hw.flit import Flit
 from repro.hw.module import Module
+from repro.tables.genomic_tables import table_to_reads
 
 
 class ListSource(Module):
@@ -108,3 +119,105 @@ def assert_same_modelled(a: Optional[RunStats], b: Optional[RunStats]) -> None:
     assert (a is None) == (b is None)
     if a is not None:
         assert modelled_fields(a) == modelled_fields(b)
+
+
+# -- comparing runs of a stage -------------------------------------------------------
+
+#: Stage -> the fields of its per-partition result that are its answer.
+ANSWERS = {
+    "markdup": ("quality_sums",),
+    "metadata": ("nm", "md", "uq"),
+    "bqsr": (
+        "total_cycle", "total_context", "error_cycle", "error_context",
+        "hazard_stalls",
+    ),
+    "example": ("counts",),
+    "active_region": ("base", "activity", "depth"),
+}
+
+#: The modelled half of a run's stats: what no topology, host fan-out,
+#: fault, filter or engine mode may change.
+MODELLED_TALLIES = (
+    "waves", "per_wave_cycles", "total_cycles", "spm_load_cycles",
+    "cycles_including_load", "total_flits",
+)
+
+
+def _same(a, b) -> bool:
+    return np.array_equal(np.asarray(a), np.asarray(b))
+
+
+def assert_stage_identical(stage: str, got: Dict, want: Dict) -> None:
+    """Two runs of ``stage`` hold the same partitions, in the same order,
+    each with the same answer and (BQSR) the same modelled SPM drain."""
+    assert list(got) == list(want)
+    for pid, result in want.items():
+        for name in ANSWERS[stage]:
+            assert _same(getattr(got[pid], name), getattr(result, name)), (
+                str(pid), name,
+            )
+        assert_same_modelled(
+            getattr(got[pid], "drain_stats", None),
+            getattr(result, "drain_stats", None),
+        )
+
+
+def assert_same_cycles(a, b) -> None:
+    """Two runs' stats agree on every :data:`MODELLED_TALLIES` figure."""
+    for name in MODELLED_TALLIES:
+        assert getattr(a, name) == getattr(b, name), name
+
+
+def _bqsr_oracle(wl, pid, part, result):
+    tables = build_covariate_tables(
+        table_to_reads(part), wl.genome, wl.read_length
+    )[pid.read_group]
+    return {name: getattr(tables, name) for name in ANSWERS["bqsr"][:4]}
+
+
+def _metadata_oracle(wl, pid, part, result):
+    oracle = [
+        compute_read_metadata(read, wl.genome) for read in table_to_reads(part)
+    ]
+    return {
+        name: [getattr(meta, name) for meta in oracle]
+        for name in ANSWERS["metadata"]
+    }
+
+
+def _active_region_oracle(wl, pid, part, result):
+    oracle = compute_activity(
+        table_to_reads(part), wl.genome, pid.chrom, result.base,
+        len(result.activity),
+    )
+    return {"activity": oracle.activity, "depth": oracle.depth}
+
+
+#: Stage -> the ``repro.gatk`` software oracle's value of each answer
+#: field on one non-empty partition (``result``, the accelerator's,
+#: places the active-region window).
+ORACLES = {
+    "markdup": lambda wl, pid, part, result: {
+        "quality_sums": [read.quality_sum() for read in table_to_reads(part)],
+    },
+    "metadata": _metadata_oracle,
+    "bqsr": _bqsr_oracle,
+    "example": lambda wl, pid, part, result: {
+        "counts": count_matching_bases_sw(part, wl.reference.lookup(pid)),
+    },
+    "active_region": _active_region_oracle,
+}
+
+
+def assert_matches_oracle(stage: str, workload, results: Dict) -> int:
+    """Every non-empty partition of ``stage`` over ``workload`` has the
+    software oracle's answer in ``results``; returns how many there are."""
+    checked = 0
+    for pid, part in STAGES[stage].items(workload):
+        if part.num_rows == 0:
+            continue
+        result = results[pid]
+        for name, want in ORACLES[stage](workload, pid, part, result).items():
+            assert _same(getattr(result, name), want), (str(pid), name)
+        checked += 1
+    return checked

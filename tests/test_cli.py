@@ -501,6 +501,31 @@ def test_analyze_sharding_empty_ledger_exits_cleanly(tmp_path, capsys):
         assert len(err.strip().splitlines()) == 1
 
 
+def test_analyze_critical_path_malformed_ledger_exits_cleanly(tmp_path, capsys):
+    """A traced field of the wrong type is refused by event, in the fold,
+    before the critical-path walk compares it or a wave timeline reads it."""
+    admit = {"event": "serve.admit", "tenant": "a", "job": 0, "clock": 0}
+    dispatch = {"event": "serve.dispatch", "device": 0, "cost_rows": 1}
+    wave = {
+        "event": "serve.wave.done", "tenant": "a", "job": 0, "wave": 0,
+        "device": 0, "attempt": 0, "start_cycles": 0, "end_cycles": 5,
+        "cycles": 5,
+    }
+    done = {
+        "event": "serve.job.done", "tenant": "a", "job": 0, "clock": 5,
+        "latency_cycles": 5, "queue_cycles": 0,
+    }
+    for case, (name, records) in enumerate([
+        ("serve.job.done", [admit, {**done, "clock": "5"}]),
+        ("serve.wave.done", [admit, dispatch, {**wave, "cycles": [1]}, done]),
+    ]):
+        wrong = _ledger_of(tmp_path / f"wrong{case}.jsonl", *records)
+        assert main(["--ledger", str(wrong), "analyze", "--critical-path"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ledger has a malformed {name} event: ")
+        assert len(err.strip().splitlines()) == 1
+
+
 def test_analyze_needs_report_or_sharding(capsys):
     assert main(["--no-ledger", "analyze"]) == 2
     assert "REPORT_JSON, --sharding, --storage, or --critical-path" in (

@@ -16,9 +16,9 @@ empty-input scheduling, worker exception propagation, and
 
 from collections import Counter
 
-import numpy as np
 import pytest
 
+from hw_harness import assert_same_cycles, assert_stage_identical
 from repro.accel import BqsrWaveDriver, MarkdupWaveDriver, MetadataWaveDriver
 from repro.accel.scheduler import (
     CachedImage,
@@ -71,33 +71,6 @@ def _drivers(workload):
     }
 
 
-def _assert_results_equal(stage, a, b):
-    assert set(a) == set(b)
-    for pid in a:
-        if stage == "metadata":
-            assert a[pid].nm == b[pid].nm, str(pid)
-            assert a[pid].md == b[pid].md, str(pid)
-            assert a[pid].uq == b[pid].uq, str(pid)
-        elif stage == "markdup":
-            assert a[pid].quality_sums == b[pid].quality_sums, str(pid)
-        else:
-            for field in ("total_cycle", "total_context",
-                          "error_cycle", "error_context"):
-                np.testing.assert_array_equal(
-                    getattr(a[pid], field), getattr(b[pid], field), str(pid)
-                )
-
-
-def _assert_deterministic_stats_equal(a, b):
-    """The simulated half of the stats must not depend on host timing
-    or on whether faults were injected."""
-    assert a.waves == b.waves
-    assert a.per_wave_cycles == b.per_wave_cycles
-    assert a.total_cycles == b.total_cycles
-    assert a.spm_load_cycles == b.spm_load_cycles
-    assert a.total_flits == b.total_flits
-
-
 @pytest.mark.parametrize("stage", ["metadata", "markdup", "bqsr"])
 def test_faulted_run_is_bit_identical(stage, workload, tmp_path):
     driver, pipelines = _drivers(workload)[stage]
@@ -115,8 +88,8 @@ def test_faulted_run_is_bit_identical(stage, workload, tmp_path):
                 fault_plan=PLAN, retry_policy=POLICY,
                 wave_timeout=WAVE_TIMEOUT,
             )
-        _assert_results_equal(stage, clean_res, res)
-        _assert_deterministic_stats_equal(clean_stats, stats)
+        assert_stage_identical(stage, res, clean_res)
+        assert_same_cycles(stats, clean_stats)
         assert stats.faults_injected == 3
         assert stats.faults_by_kind == {
             "worker_crash": 1, "wave_timeout": 1, "transfer_error": 1
@@ -207,7 +180,7 @@ def test_degradation_ladder_ends_in_serial_fallback(workload):
         fault_plan=plan,
         retry_policy=RetryPolicy(max_retries=1, backoff_base=0.001, seed=1),
     )
-    _assert_results_equal("metadata", clean_res, res)
+    assert_stage_identical("metadata", res, clean_res)
     assert stats.pool_restarts >= 2
     assert stats.serial_fallback_waves >= 1
 
@@ -243,7 +216,7 @@ def test_watchdog_reaps_a_real_hang(workload):
         fault_plan=plan, retry_policy=POLICY,
         wave_timeout=0.4,
     )
-    _assert_results_equal("metadata", clean_res, res)
+    assert_stage_identical("metadata", res, clean_res)
     assert stats.faults_by_kind == {"wave_timeout": 1}
     # On a loaded host a clean retry attempt can blow the short deadline
     # too, so the host-side counters are lower-bounded, not exact.
@@ -265,7 +238,7 @@ def test_wave_timeout_without_watchdog_is_an_ordinary_failure(workload):
         driver, workload.partitions, pipelines, workers=4,
         fault_plan=plan, retry_policy=POLICY,
     )
-    _assert_results_equal("metadata", clean_res, res)
+    assert_stage_identical("metadata", res, clean_res)
     assert stats.watchdog_timeouts == 0
     assert stats.retries == 1
 
