@@ -1,13 +1,14 @@
-"""Host simulator throughput: event-driven vs dense scheduling.
+"""Host simulator throughput: the max-plus solution and event-driven vs
+dense scheduling.
 
 Not a paper figure — this benchmark measures the *simulator itself*.  A
 16x-replicated metadata-update wave over a whole-genome workload is run
-under both engine schedules; on the memory-latency-bound configuration
-the event scheduler must execute at most half the module ticks of the
-dense loop, with bit-identical simulated cycle counts.  The host-time
-ratio that buys (~1.7x host flits/sec on balanced waves) is reported,
-not asserted: a ratio of two host timings flaked on loaded hosts, and
-the host clock is measured by ``e2e_bench``.  Host flits/sec uses
+under every engine mode; on the memory-latency-bound configuration the
+event scheduler must execute at most half the module ticks of the dense
+loop, and the max-plus mode must solve the same waves, all with
+bit-identical simulated cycle counts.  The host-time ratios that buys
+are reported, not asserted: a ratio of two host timings flaked on loaded
+hosts, and the host clock is measured by ``e2e_bench``.  Host flits/sec uses
 ``ParallelRunStats.wall_seconds`` — the engine-run host time the
 schedules actually differ on (the per-partition SPM preload is the same
 fixed setup work either way; its time is recorded separately).  The
@@ -16,6 +17,7 @@ JSON (``extra_info``) so the speedup trajectory is tracked across
 commits.
 """
 
+import gc
 import time
 
 from repro.accel import MetadataWaveDriver
@@ -75,17 +77,23 @@ def test_sim_throughput_event_vs_dense(benchmark, report):
     event_results, event_stats, event_wall = min(
         event_runs, key=lambda run: run[1].wall_seconds
     )
+    solved_results, solved_stats, solved_wall = min(
+        (_run(workload, "maxplus", LATENCY_BOUND) for _ in range(2)),
+        key=lambda run: run[1].wall_seconds,
+    )
 
-    # Exact cycle accuracy: the schedules must agree on simulated time...
-    assert event_stats.total_cycles == dense_stats.total_cycles
-    assert event_stats.per_wave_cycles == dense_stats.per_wave_cycles
-    # ...and on functional outputs.
-    assert set(event_results) == set(dense_results)
-    for pid, dense_res in dense_results.items():
-        event_res = event_results[pid]
-        assert event_res.nm == dense_res.nm
-        assert event_res.md == dense_res.md
-    assert event_stats.total_flits == dense_stats.total_flits
+    # Exact cycle accuracy: the modes must agree on simulated time...
+    for results, stats in (
+        (event_results, event_stats), (solved_results, solved_stats),
+    ):
+        assert stats.total_cycles == dense_stats.total_cycles
+        assert stats.per_wave_cycles == dense_stats.per_wave_cycles
+        # ...and on functional outputs.
+        assert set(results) == set(dense_results)
+        for pid, dense_res in dense_results.items():
+            assert results[pid].nm == dense_res.nm
+            assert results[pid].md == dense_res.md
+        assert stats.total_flits == dense_stats.total_flits
 
     # The scheduler's win, counted: at most half the module ticks the
     # dense schedule executes.  The host-time ratio it buys is reported
@@ -97,10 +105,14 @@ def test_sim_throughput_event_vs_dense(benchmark, report):
     dense_fps = dense_stats.host_flits_per_second
     event_fps = event_stats.host_flits_per_second
     speedup = event_fps / dense_fps
+    solved_speedup = solved_stats.host_flits_per_second / dense_fps
 
     benchmark.extra_info.update(
         dense_sim_seconds=round(dense_stats.wall_seconds, 4),
         event_sim_seconds=round(event_stats.wall_seconds, 4),
+        maxplus_sim_seconds=round(solved_stats.wall_seconds, 4),
+        maxplus_end_to_end_seconds=round(solved_wall, 4),
+        maxplus_host_speedup=round(solved_speedup, 3),
         dense_end_to_end_seconds=round(dense_wall, 4),
         event_end_to_end_seconds=round(event_wall, 4),
         dense_flits_per_second=round(dense_fps),
@@ -111,14 +123,17 @@ def test_sim_throughput_event_vs_dense(benchmark, report):
         simulated_cycles=event_stats.total_cycles,
     )
 
-    report("Simulator throughput - event vs dense schedule (16 pipelines)", [
+    report("Simulator throughput - maxplus, event, dense (16 pipelines)", [
         f"dense: {dense_stats.wall_seconds:.2f}s simulating, "
         f"{dense_fps / 1e3:.1f}k flits/s",
         f"event: {event_stats.wall_seconds:.2f}s simulating, "
         f"{event_fps / 1e3:.1f}k flits/s "
         f"(skip ratio {event_stats.skip_ratio:.1%}, "
         f"{event_stats.fast_forward_cycles} cycles fast-forwarded)",
-        f"host speedup {speedup:.2f}x at latency={LATENCY_BOUND.latency_cycles} "
+        f"maxplus: {solved_stats.wall_seconds:.2f}s solving, "
+        f"{solved_stats.host_flits_per_second / 1e3:.1f}k flits/s",
+        f"host speedup over dense: event {speedup:.2f}x, maxplus "
+        f"{solved_speedup:.2f}x at latency={LATENCY_BOUND.latency_cycles} "
         f"cycles; simulated cycles identical ({event_stats.total_cycles})",
     ])
 
@@ -130,7 +145,9 @@ def test_metrics_disabled_zero_overhead(benchmark, report):
     path must agree within 5% — any systematic metrics tax would show up
     as a stable gap between them.  The enabled-profiling cost (probe
     attached, timelines + queue depths on) is recorded alongside for the
-    trajectory; it is allowed to cost real time."""
+    trajectory; it is allowed to cost real time.  A probed run falls back
+    from the default ``maxplus`` mode to ``event`` ticks, so the equal
+    cycle counts also pin that fall-back."""
     from repro.accel.common import SOLO
     from repro.accel.markdup import MarkdupWaveDriver, qual_table
     from repro.accel.scheduler import SpmImageCache
@@ -139,6 +156,7 @@ def test_metrics_disabled_zero_overhead(benchmark, report):
     wave = [(SOLO, qual_table([read.qual for read in _workload().reads]))]
 
     def time_once(profiled):
+        gc.collect()  # no sample pays for a predecessor's garbage
         start = time.perf_counter()
         profiler = Profiler(name="overhead") if profiled else None
         _results, stats, _load_cycles = MarkdupWaveDriver().run_wave(
@@ -167,7 +185,8 @@ def test_metrics_disabled_zero_overhead(benchmark, report):
 
     benchmark.pedantic(run_enabled, rounds=3, iterations=1)
     enabled_wall, enabled_cycles = min(enabled_runs)
-    assert enabled_cycles == base_cycles  # profiling never perturbs timing
+    # profiling never perturbs timing: probed event ticks == solved maxplus
+    assert enabled_cycles == base_cycles
 
     ratio = check_wall / base_wall
     assert ratio <= 1.05, (

@@ -43,7 +43,7 @@ from .accel.stages import PAPER_STAGES, TIMED_STAGES
 from .genomics.fasta import read_fasta, write_fasta, write_fastq
 from .genomics.reference import ReferenceGenome, chromosome_name
 from .genomics.sam import read_sam, write_sam
-from .genomics.simulator import ReadSimulator, SimulatorConfig
+from .genomics.simulator import MIN_READ_LENGTH, ReadSimulator, SimulatorConfig
 from .obs.ledger import RunLedger, RunManifest, record_event, run_context
 from .obs.log import configure_logging, get_logger
 
@@ -81,6 +81,19 @@ def _nonnegative(number):
             )
         return value
     parse.__name__ = f"non-negative {number.__name__}"
+    return parse
+
+
+def _at_least(floor: int):
+    """An argparse ``type=`` accepting only integers ``>= floor``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {floor}, got {text}"
+            )
+        return value
+    parse.__name__ = f"integer >= {floor}"
     return parse
 
 
@@ -591,12 +604,14 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--fasta", required=True)
     simulate.add_argument("--sam", required=True)
     simulate.add_argument("--fastq", default=None)
-    simulate.add_argument("--reads", type=int, default=500)
-    simulate.add_argument("--read-length", type=int, default=100)
-    simulate.add_argument("--scale", type=float, default=4.5e-5)
+    simulate.add_argument("--reads", type=_positive(int), default=500)
+    simulate.add_argument(
+        "--read-length", type=_at_least(MIN_READ_LENGTH), default=100
+    )
+    simulate.add_argument("--scale", type=_positive(float), default=4.5e-5)
     simulate.add_argument("--snp-rate", type=float, default=0.001)
     simulate.add_argument("--duplicate-rate", type=float, default=0.15)
-    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument("--seed", type=_nonnegative(int), default=0)
     simulate.add_argument("--chromosomes", type=int, nargs="*", default=None)
     simulate.set_defaults(func=_cmd_simulate)
 
@@ -664,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce = commands.add_parser(
         "reproduce", help="print paper-vs-measured speedups"
     )
-    reproduce.add_argument("--reads", type=int, default=120)
+    reproduce.add_argument("--reads", type=_positive(int), default=120)
     reproduce.set_defaults(func=_cmd_reproduce)
 
     profile = commands.add_parser(
@@ -674,8 +689,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--stage", default="markdup", metavar="STAGE",
         help=f"accelerator stage ({', '.join(PROFILE_STAGES)})",
     )
-    profile.add_argument("--reads", type=int, default=120)
-    profile.add_argument("--seed", type=int, default=9)
+    profile.add_argument("--reads", type=_positive(int), default=120)
+    profile.add_argument("--seed", type=_nonnegative(int), default=9)
     profile.add_argument(
         "--mode", choices=("event", "dense"), default=None,
         help="force the engine schedule (default: event)",
@@ -742,9 +757,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--stages", type=_stage_mix, default="markdup,metadata,bqsr",
         help="comma-separated stage mix the trace draws from",
     )
-    serve.add_argument("--reads", type=int, default=120)
-    serve.add_argument("--read-length", type=int, default=60)
-    serve.add_argument("--psize", type=int, default=1000)
+    serve.add_argument("--reads", type=_positive(int), default=120)
+    serve.add_argument(
+        "--read-length", type=_at_least(MIN_READ_LENGTH), default=60
+    )
+    serve.add_argument("--psize", type=_positive(int), default=1000)
     serve.add_argument(
         "--pipelines", type=_positive(int), default=2,
         help="pipeline replicas per wave",
@@ -771,7 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CYCLES",
         help="mean inter-arrival gap of the trace, in virtual cycles",
     )
-    serve.add_argument("--seed", type=int, default=0)
+    serve.add_argument("--seed", type=_nonnegative(int), default=0)
     serve.add_argument(
         "--drain-at", type=int, default=None, metavar="DISPATCHES",
         help="drain after this many dispatches, then resume from the "

@@ -39,6 +39,9 @@ from .read import (
 )
 from .reference import ReferenceGenome
 
+#: The shortest read the simulator draws.
+MIN_READ_LENGTH = 8
+
 
 @dataclass
 class SimulatorConfig:
@@ -65,8 +68,8 @@ class SimulatorConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.read_length < 8:
-            raise ValueError("read_length must be at least 8")
+        if self.read_length < MIN_READ_LENGTH:
+            raise ValueError(f"read_length must be at least {MIN_READ_LENGTH}")
         for name in ("substitution_rate", "insertion_rate", "deletion_rate",
                      "soft_clip_rate", "duplicate_rate"):
             value = getattr(self, name)

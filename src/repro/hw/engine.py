@@ -7,10 +7,15 @@ queue pushes commit so flits advance one hop per cycle.  The run ends when
 every source has drained, every queue is empty, and every module reports
 idle.
 
-Two scheduling modes produce bit-identical cycle counts and functional
-results:
+Three modes produce bit-identical cycle counts and functional results:
 
-* ``event`` (default) — an activity-driven scheduler.  The engine keeps a
+* ``maxplus`` (default) — no ticks at all: every module plans its whole
+  input streams and the cycle of each state-changing tick comes out of
+  one max-plus timing pass (:mod:`repro.hw.maxplus`).  Where that cannot
+  apply — a probe attached, a module without a plan for the tick it
+  runs, a queue cycle, a wave that would deadlock — ``run`` uses
+  ``event`` instead, and ``RunStats.mode`` says so.
+* ``event`` — an activity-driven scheduler.  The engine keeps a
   *wake set*: a module is ticked only when one of its input queues
   committed a flit, a memory response landed
   (:meth:`repro.hw.module.Module._wake`), or it self-declares pending
@@ -34,9 +39,10 @@ results:
 Correctness of the skipping rests on one contract: a sleeping module's
 tick would not have changed any simulation state (only its starve/stall
 counters, which are defined per *executed* tick).  Cycle counts, flit
-counts, queue occupancies, memory traffic, and all functional outputs are
-identical across modes; executed-tick statistics (``ticks_executed``,
-starve tallies) naturally differ — that difference is the measured win.
+counts, memory traffic, and all functional outputs are identical across
+modes, queue occupancies across the two tick modes; executed-tick
+statistics (``ticks_executed``, starve tallies) naturally differ — that
+difference is the measured win.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Dict, List, Optional
 
+from .maxplus import run_maxplus
 from .memory import MemorySystem
 from .module import Module
 from .queue import HardwareQueue
@@ -57,8 +64,9 @@ class RunStats:
 
     ``cycles`` counts *simulated* cycles and is identical across engine
     modes; the host-side fields record what the simulation cost to run:
-    ``ticks_executed`` module ticks actually executed out of
-    ``ticks_possible`` (modules x cycles, what the dense loop would do),
+    ``ticks_executed`` module ticks actually executed (state-changing
+    ticks solved, under ``maxplus``) out of ``ticks_possible`` (modules x
+    cycles, what the dense loop would do),
     ``fast_forward_cycles`` cycles skipped in one clock jump while only
     memory latency was outstanding, and ``wall_seconds`` host wall time
     inside ``Engine.run``.
@@ -111,7 +119,7 @@ class Engine:
     #: Scheduling mode ``run()`` uses when none is passed explicitly.
     #: Override per instance (``engine.default_mode = "dense"``) or
     #: globally on the class for differential testing.
-    default_mode = "event"
+    default_mode = "maxplus"
 
     def __init__(
         self,
@@ -238,9 +246,14 @@ class Engine:
 
     def run(self, max_cycles: int = 100_000_000, mode: Optional[str] = None) -> RunStats:
         """Run until quiescent (or raise a deadlock report after
-        ``max_cycles``).  ``mode`` is ``"event"`` or ``"dense"``; defaults
-        to :attr:`default_mode`."""
+        ``max_cycles``).  ``mode`` is ``"maxplus"``, ``"event"`` or
+        ``"dense"``; defaults to :attr:`default_mode`."""
         mode = mode or self.default_mode
+        if mode == "maxplus":
+            stats = run_maxplus(self, max_cycles)
+            if stats is not None:
+                return stats
+            mode = "event"  # where the max-plus solution does not apply
         if mode == "dense":
             return self._run_dense(max_cycles)
         if mode == "event":

@@ -29,6 +29,10 @@ class _Sentinel:
     def __repr__(self) -> str:
         return self.name
 
+    def __reduce__(self) -> str:
+        # A singleton: copies and unpickled values are the module global.
+        return self.name
+
 
 #: Reference position of an inserted base (Figure 3's "Ins").
 INS = _Sentinel("INS")

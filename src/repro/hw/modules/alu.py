@@ -16,7 +16,11 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from ..flit import Flit
+from ..maxplus import Plan, Step
 from ..module import Module
+
+_APPLY = Step(pops=("in",), pushes=("out",), rooms=("out",))
+_APPLY_PAIR = Step(pops=("a", "b"), pushes=("out",), rooms=("out",))
 
 #: Binary operations the stream ALU supports (Section III-C).
 BINARY_OPS: Dict[str, Callable] = {
@@ -132,6 +136,33 @@ class StreamAlu(Module):
             out.push(self._apply(flit, None))
         self._note_busy()
 
+    def plan(self, streams) -> Plan:
+        """One push per input flit (per pair of flits, two-stream)."""
+        out = []
+        if self.two_streams and not self._unary:
+            for flit_a, flit_b in zip(streams["a"], streams["b"]):
+                last = flit_a.last or flit_b.last
+                if not flit_a.fields and not flit_b.fields:
+                    out.append(Flit({}, last=last))
+                else:
+                    result = self._apply(flit_a, flit_b)
+                    result.last = last
+                    out.append(result)
+            step = _APPLY_PAIR
+        else:
+            apply = self._apply
+            for flit in streams["in"]:
+                out.append(
+                    apply(flit, None) if flit.fields else Flit({}, last=flit.last)
+                )
+            step = _APPLY
+
+        def commit(_timed) -> None:
+            self.busy_cycles += len(out)
+            self.flits_out += len(out)
+
+        return Plan({"out": out}, (step,), [0] * len(out), commit)
+
 
 class Fork(Module):
     """Replicates every input flit to all connected output ports."""
@@ -162,3 +193,24 @@ class Fork(Module):
         for out in outs:
             out.push(Flit(dict(flit.fields), last=flit.last))
         self._note_busy()
+
+    def plan(self, streams) -> Plan:
+        """One pop per flit, pushed to every output, each of which must
+        have room.  Every branch but the last gets its own copies, as the
+        tick's; flits are immutable once pushed, so the last one takes
+        the input's."""
+        flits = streams["in"]
+        ports = tuple(self.port_names)
+
+        def commit(_timed) -> None:
+            self.busy_cycles += len(flits)
+            self.flits_out += len(flits)
+
+        return Plan(
+            {
+                port: [Flit(dict(flit.fields), last=flit.last) for flit in flits]
+                for port in ports[:-1]
+            } | {ports[-1]: flits},
+            (Step(pops=("in",), pushes=ports, rooms=ports),),
+            [0] * len(flits), commit,
+        )

@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..flit import Flit
+from ..maxplus import Plan, Step
 from ..module import Module
 
 
@@ -100,5 +101,75 @@ class BinIdGen(Module):
         out.push(Flit(fields, last=False))
         self._note_busy()
 
+    def plan(self, streams) -> Plan:
+        """The tick over the whole streams: a read's header is latched,
+        then its bases are binned.  Every action needs room."""
+        meta, bases = streams["meta"], streams["in"]
+        im = ib = 0
+        reverse, seqlen, prev = self._reverse, self._seqlen, self._prev_base
+        read_length, n_cycles = self.read_length, self.n_cycle_values
+        n_contexts = self.n_contexts
+        out, actions = [], []
+        while True:
+            if reverse is None:
+                if im == len(meta):
+                    break
+                flit = meta[im]
+                im += 1
+                if not flit.fields:
+                    out.append(Flit({}, last=True))
+                    actions.append(_HEADER_EMPTY)
+                    continue
+                reverse, seqlen = bool(flit["reverse"]), int(flit["seqlen"])
+                prev = None
+                actions.append(_HEADER)
+                continue
+            if ib == len(bases):
+                break
+            flit = bases[ib]
+            ib += 1
+            if flit.last:
+                out.append(Flit({}, last=True))
+                actions.append(_BIN)
+                reverse = seqlen = None
+                continue
+            fields = flit.fields
+            op = fields.get("op")
+            if op in ("S", "I", "D"):
+                if op != "D":
+                    prev = int(fields["base"])
+                actions.append(_SKIP)
+                continue
+            quality, base = int(fields["qual"]), int(fields["base"])
+            ridx = int(fields["ridx"])
+            cycle = read_length + (seqlen - 1 - ridx) if reverse else ridx
+            fields = dict(fields)
+            fields["b1"] = quality * n_cycles + cycle
+            fields["b2"] = (
+                -1 if prev is None else quality * n_contexts + (prev * 4 + base)
+            )
+            prev = base
+            out.append(Flit(fields, last=False))
+            actions.append(_BIN)
+
+        def commit(_timed) -> None:
+            self._reverse, self._seqlen, self._prev_base = reverse, seqlen, prev
+            self.busy_cycles += len(out)
+            self.flits_out += len(out)
+
+        return Plan(
+            {"out": out}, _STEPS, actions, commit, idle=reverse is None
+        )
+
     def is_idle(self) -> bool:
         return self._reverse is None
+
+
+# BinIdGen's steps (indices into _STEPS): every one needs room on out.
+_STEPS = (
+    Step(pops=("meta",), rooms=("out",)),  # latch a read header
+    Step(pops=("meta",), pushes=("out",), rooms=("out",)),  # empty header
+    Step(pops=("in",), pushes=("out",), rooms=("out",)),  # bin / close
+    Step(pops=("in",), rooms=("out",)),  # an S, I or D base, dropped
+)
+_HEADER, _HEADER_EMPTY, _BIN, _SKIP = range(len(_STEPS))

@@ -15,7 +15,11 @@ import operator
 from typing import Callable, Optional
 
 from ..flit import Flit
+from ..maxplus import Plan, Step
 from ..module import Module
+
+_DROP = Step(pops=("in",), rooms=("out",))
+_PASS = Step(pops=("in",), pushes=("out",), rooms=("out",))
 
 #: Comparison operators the hardware comparator supports.
 COMPARATORS = {
@@ -95,3 +99,28 @@ class Filter(Module):
             if flit.last:
                 out.push(Flit({}, last=True))
                 self._note_busy()
+
+    def plan(self, streams) -> Plan:
+        """One pop per flit, every one needing room; a dropped flit
+        pushes nothing unless it closes an item."""
+        out, actions, dropped = [], [], 0
+        passes = self.predicate or self._passes
+        for flit in streams["in"]:
+            if not flit.fields:
+                out.append(Flit({}, last=flit.last))
+            elif passes(flit):
+                out.append(flit)
+            else:
+                dropped += 1
+                if not flit.last:
+                    actions.append(0)
+                    continue
+                out.append(Flit({}, last=True))
+            actions.append(1)
+
+        def commit(_timed) -> None:
+            self.dropped += dropped
+            self.busy_cycles += len(out)
+            self.flits_out += len(out)
+
+        return Plan({"out": out}, (_DROP, _PASS), actions, commit)

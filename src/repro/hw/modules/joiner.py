@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import FrozenSet
 
 from ..flit import INS, Flit
+from ..maxplus import Plan, Step
 from ..module import Module
 
 _MODES = ("inner", "left", "outer")
@@ -68,10 +69,12 @@ class Joiner(Module):
                 self._b_done = True
 
     def _merge(self, a: Flit, b: Flit) -> Flit:
-        fields = dict(a.fields)
-        for name, value in b.fields.items():
-            if name != self.key_b:
-                fields[name] = value
+        """A's fields, then B's but for B's key."""
+        key, fields = self.key_b, {**a.fields, **b.fields}
+        if key in a.fields:
+            fields[key] = a.fields[key]
+        else:
+            del fields[key]
         return Flit(fields, last=False)
 
     # -- simulation ----------------------------------------------------------------
@@ -165,5 +168,124 @@ class Joiner(Module):
             else:
                 self.discarded += 1
 
+    def plan(self, streams) -> Plan:
+        """The tick's merge over the two whole streams.  Every action
+        needs room; outside the drain phases it needs both heads, popped
+        or not."""
+        a, b = streams["a"], streams["b"]
+        ia = ib = 0
+        a_done, b_done = self._a_done, self._b_done
+        mode, key_a, key_b = self.mode, self.key_a, self.key_b
+        passthrough = self.passthrough_keys
+        keep_a, keep_b = mode in ("left", "outer"), mode == "outer"
+        out, actions, discarded = [], [], 0
+        na, nb, merge = len(a), len(b), self._merge
+        while True:
+            if a_done and b_done:
+                out.append(Flit({}, last=True))
+                actions.append(_BOUNDARY)
+                a_done = b_done = False
+                continue
+            head_a = a[ia] if not a_done and ia < na else None
+            head_b = b[ib] if not b_done and ib < nb else None
+            if a_done and head_b is not None:  # drain b
+                ib += 1
+                b_done = head_b.last
+                if keep_b and head_b.fields:
+                    out.append(Flit(head_b.fields, last=False))
+                    actions.append(_DRAIN_B_EMIT)
+                else:
+                    discarded += 1
+                    actions.append(_DRAIN_B)
+                continue
+            if b_done and head_a is not None:  # drain a
+                ia += 1
+                a_done = head_a.last
+                if keep_a and head_a.fields:
+                    out.append(Flit(head_a.fields, last=False))
+                    actions.append(_DRAIN_A_EMIT)
+                else:
+                    discarded += 1
+                    actions.append(_DRAIN_A)
+                continue
+            if head_a is None or head_b is None:
+                break  # starved for good: the streams are exhausted
+            if not head_a.fields:
+                ia += 1
+                a_done = head_a.last
+                actions.append(_CLOSE_A)
+                continue
+            if not head_b.fields:
+                ib += 1
+                b_done = head_b.last
+                actions.append(_CLOSE_B)
+                continue
+            a_key = head_a.fields[key_a]
+            if a_key in passthrough:
+                ia += 1
+                a_done = head_a.last
+                if mode == "inner":
+                    discarded += 1
+                    actions.append(_CLOSE_A)
+                else:
+                    out.append(Flit(dict(head_a.fields), last=False))
+                    actions.append(_TAKE_A)
+                continue
+            b_key = head_b.fields[key_b]
+            if a_key == b_key:
+                out.append(merge(head_a, head_b))
+                ia += 1
+                ib += 1
+                a_done, b_done = head_a.last, head_b.last
+                actions.append(_MERGE)
+            elif a_key < b_key:
+                ia += 1
+                a_done = head_a.last
+                if keep_a:
+                    out.append(Flit(dict(head_a.fields), last=False))
+                    actions.append(_TAKE_A)
+                else:
+                    discarded += 1
+                    actions.append(_CLOSE_A)
+            else:
+                ib += 1
+                b_done = head_b.last
+                if keep_b:
+                    out.append(Flit(dict(head_b.fields), last=False))
+                    actions.append(_TAKE_B)
+                else:
+                    discarded += 1
+                    actions.append(_CLOSE_B)
+
+        def commit(_timed) -> None:
+            self._a_done, self._b_done = a_done, b_done
+            self.discarded += discarded
+            self.busy_cycles += len(out)
+            self.flits_out += len(out)
+
+        return Plan(
+            {"out": out}, _STEPS, actions, commit,
+            idle=not a_done and not b_done,
+        )
+
     def is_idle(self) -> bool:
         return not self._a_done and not self._b_done
+
+
+# The Joiner's steps (indices into _STEPS): every one needs room on out.
+_STEPS = (
+    Step(pushes=("out",), rooms=("out",)),  # item boundary
+    Step(pops=("a",), pushes=("out",), rooms=("out",)),  # drain a, kept
+    Step(pops=("a",), rooms=("out",)),  # drain a, discarded
+    Step(pops=("b",), pushes=("out",), rooms=("out",)),  # drain b, kept
+    Step(pops=("b",), rooms=("out",)),  # drain b, discarded
+    Step(pops=("a",), peeks=("b",), rooms=("out",)),  # a closes / is discarded
+    Step(pops=("b",), peeks=("a",), rooms=("out",)),  # b closes / is discarded
+    Step(pops=("a",), peeks=("b",), pushes=("out",), rooms=("out",)),  # a kept
+    Step(pops=("b",), peeks=("a",), pushes=("out",), rooms=("out",)),  # b kept
+    Step(pops=("a", "b"), pushes=("out",), rooms=("out",)),  # keys match
+)
+(
+    _BOUNDARY, _DRAIN_A_EMIT, _DRAIN_A, _DRAIN_B_EMIT, _DRAIN_B,
+    _CLOSE_A, _CLOSE_B, _TAKE_A, _TAKE_B, _MERGE,
+) = range(len(_STEPS))

@@ -15,14 +15,20 @@ interface (Section III-F); its software reference is
 
 from __future__ import annotations
 
+import copy
 from collections import deque
+from itertools import chain
 from typing import Deque
 
 from ...genomics.sequences import decode_base
 from ..flit import Flit
+from ..maxplus import Plan, Step
 from ..module import Module
 
 _BOUNDARY = object()
+
+_FOLD = Step(pops=("in",), rooms=("out",))
+_EMIT = Step(pushes=("out",), rooms=("out",))
 
 
 class MdGen(Module):
@@ -108,6 +114,39 @@ class MdGen(Module):
             self._process(flit)
         if flit.last:
             self._close_item()
+
+    def plan(self, streams) -> Plan:
+        """Every action needs room: a pending token pushes, else the next
+        flit is popped and folded into the token queue.  Runs the token
+        logic on a twin of the module, adopted on commit."""
+        twin = copy.copy(self)
+        twin._tokens = tokens = deque(self._tokens)
+        out, actions, field = [], [], self.out_field
+        flits = streams["in"]
+        for flit in chain(flits, (None,)):
+            while tokens:
+                token = tokens.popleft()
+                out.append(
+                    Flit({}, last=True) if token is _BOUNDARY
+                    else Flit({field: token}, last=False)
+                )
+                actions.append(1)
+            if flit is None:
+                break
+            actions.append(0)
+            if flit.fields:
+                twin._process(flit)
+            if flit.last:
+                twin._close_item()
+
+        def commit(_timed) -> None:
+            self._tokens = tokens
+            self._match_run = twin._match_run
+            self._in_deletion = twin._in_deletion
+            self.busy_cycles += len(out)
+            self.flits_out += len(out)
+
+        return Plan({"out": out}, (_FOLD, _EMIT), actions, commit)
 
     def is_idle(self) -> bool:
         return not self._tokens

@@ -16,8 +16,14 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence
 
 from ..flit import Flit, item_flits
+from ..maxplus import RESPONSES, Plan, Step
 from ..memory import MemorySystem
 from ..module import SourceModule
+
+_STEPS = (
+    Step(pushes=("out",), rooms=("out",)),  # a boundary flit
+    Step(pops=(RESPONSES,), pushes=("out",), rooms=("out",)),  # a payload one
+)
 
 
 class MemoryReader(SourceModule):
@@ -108,6 +114,29 @@ class MemoryReader(SourceModule):
         # so the preloaded stream objects can be sent as-is.
         out.push(flit)
         self._note_busy()
+
+    def plan(self, streams) -> Plan:
+        """The rest of the stream, one push per flit; a payload flit also
+        pops one element of the memory responses (a credit)."""
+        flits = self._flits[self._cursor:]
+        actions = [1 if flit.fields else 0 for flit in flits]
+        payload = sum(actions)
+        per_line, credits = self._elems_per_line, self._credits
+        fetch = self._lines_total - self._lines_requested
+
+        def commit(_timed) -> None:
+            self._cursor = len(self._flits)
+            self._credits = credits + fetch * per_line - payload
+            self._lines_requested = self._lines_completed = self._lines_total
+            self.busy_cycles += len(flits)
+            self.flits_out += len(flits)
+
+        return Plan(
+            {"out": flits}, _STEPS, actions, commit,
+            idle=credits + fetch * per_line >= payload,
+            port=self._port, fetch=fetch, window=self.prefetch_lines,
+            credits=credits, per_line=per_line,
+        )
 
     def wants_tick(self) -> bool:
         """Precise wake contract: while every prefetch credit is spoken

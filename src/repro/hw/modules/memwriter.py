@@ -15,8 +15,11 @@ from __future__ import annotations
 
 from typing import List
 
+from ..maxplus import Plan, Step
 from ..memory import MemorySystem
 from ..module import SinkModule
+
+_POP = Step(pops=("in",))
 
 
 class MemoryWriter(SinkModule):
@@ -62,6 +65,39 @@ class MemoryWriter(SinkModule):
             self.items.append(self._current_item)
             self._current_item = []
         self._note_busy()
+
+    def plan(self, streams) -> Plan:
+        """One pop per flit; the pop that fills a line issues its write."""
+        flits = streams["in"]
+        field, per_line = self.field, self._elems_per_line
+        collected, items, current = [], [], list(self._current_item)
+        buffered, stores = self._buffered, []
+        for index, flit in enumerate(flits):
+            fields = flit.fields
+            if field in fields:
+                value = fields[field]
+                collected.append(value)
+                current.append(value)
+                buffered += 1
+                if buffered >= per_line:
+                    stores.append(index)
+                    buffered = 0
+            if flit.last:
+                items.append(current)
+                current = []
+
+        def commit(_timed) -> None:
+            self.collected.extend(collected)
+            self.items.extend(items)
+            self._current_item = current
+            self._buffered = buffered
+            self.busy_cycles += len(flits)
+            self.flits_out += len(flits)
+
+        return Plan(
+            {}, (_POP,), [0] * len(flits), commit,
+            port=self._port, stores=("in", stores),
+        )
 
     # ``is_idle`` is inherited (always True): partial lines are flushed
     # with the final write burst — the sub-line remainder is not worth a

@@ -23,6 +23,7 @@ from typing import Optional
 
 from ...genomics.cigar import OPS
 from ..flit import DEL, INS, Flit
+from ..maxplus import Plan, Step
 from ..module import Module
 
 
@@ -161,5 +162,135 @@ class ReadToBases(Module):
             out.push(Flit(fields, last=False))
             self._note_busy()
 
+    def plan(self, streams) -> Plan:
+        """The tick's decode over the whole streams.  Every action needs
+        room; QUAL is popped beside SEQ without waiting for it (the tick
+        raises when it lags)."""
+        pos_in, cigar_in = streams["pos"], streams["cigar"]
+        seq_in = streams["seq"]
+        with_qual, emit_clips = self.with_qual, self.emit_clips
+        qual_in = streams["qual"] if with_qual else ()
+        ip = ic = iseq = 0
+        pos, ridx = self._pos, self._ridx
+        op, left, cigar_done = self._element_op, self._element_left, self._cigar_done
+        exploded = 0
+        out, actions = [], []
+        base_step = _BASE_QUAL if with_qual else _BASE
+        skip_step = _SKIP_QUAL if with_qual else _SKIP
+        while True:
+            if pos is None:
+                if ip == len(pos_in):
+                    break
+                flit = pos_in[ip]
+                ip += 1
+                if not flit.fields:  # degenerate empty read
+                    out.append(Flit({}, last=True))
+                    actions.append(_POS_EMPTY)
+                    continue
+                pos = int(flit["value"])
+                cigar_done = False
+                actions.append(_POS)
+                continue
+            if left == 0:
+                if not cigar_done:
+                    if ic == len(cigar_in):
+                        break
+                    flit = cigar_in[ic]
+                    ic += 1
+                    if not flit.fields:
+                        cigar_done = True
+                    else:
+                        code = int(flit["value"])
+                        op, left = OPS[code & 0x3], code >> 2
+                        cigar_done = flit.last
+                    if not (left == 0 and cigar_done and op is None):
+                        actions.append(_CIGAR)
+                        continue
+                    actions.append(_CIGAR_FINISH)
+                else:
+                    actions.append(_FINISH)
+                out.append(Flit({}, last=True))
+                exploded += 1
+                pos, ridx, op, left, cigar_done = None, 0, None, 0, False
+                continue
+            # the rest of the element at once: one base (action) a cycle
+            if op == "D":
+                count, step = left, _DELETION
+                emitted = [
+                    {"op": "D", "pos": p, "base": DEL} for p in range(pos, pos + count)
+                ]
+                quals = [DEL] * count
+                pos += count
+            else:
+                count = min(left, len(seq_in) - iseq)
+                if with_qual:
+                    count = min(count, len(qual_in) - iseq)
+                if not count:
+                    break  # starved for good (or SEQ / QUAL diverged)
+                bases = _values(seq_in[iseq:iseq + count])
+                quals = _values(qual_in[iseq:iseq + count])
+                indices = range(ridx, ridx + count)
+                iseq += count
+                ridx += count
+                step = base_step
+                if op == "M":
+                    emitted = [
+                        {"op": "M", "pos": p, "base": b, "ridx": r}
+                        for p, b, r in zip(range(pos, pos + count), bases, indices)
+                    ]
+                    pos += count
+                elif op == "I":
+                    emitted = [
+                        {"op": "I", "pos": INS, "base": b, "ridx": r}
+                        for b, r in zip(bases, indices)
+                    ]
+                elif emit_clips:
+                    emitted = [
+                        {"op": "S", "base": b, "ridx": r}
+                        for b, r in zip(bases, indices)
+                    ]
+                else:
+                    emitted, step = [], skip_step
+            if with_qual:
+                for fields, qual in zip(emitted, quals):
+                    fields["qual"] = qual
+            out.extend([Flit(fields) for fields in emitted])
+            left -= count
+            actions.extend([step] * count)
+
+        def commit(_timed) -> None:
+            self._pos, self._ridx = pos, ridx
+            self._element_op, self._element_left = op, left
+            self._cigar_done = cigar_done
+            self.reads_exploded += exploded
+            self.busy_cycles += len(out)
+            self.flits_out += len(out)
+
+        return Plan({"out": out}, _STEPS, actions, commit, idle=pos is None)
+
     def is_idle(self) -> bool:
         return self._pos is None
+
+
+def _values(flits):
+    """Each flit's ``value``, None for a boundary flit (``_pop_value``)."""
+    return [flit.fields["value"] if flit.fields else None for flit in flits]
+
+
+# ReadToBases' steps (indices into _STEPS): every one needs room on out.
+_STEPS = (
+    Step(pops=("pos",), rooms=("out",)),  # latch POS
+    Step(pops=("pos",), pushes=("out",), rooms=("out",)),  # empty read
+    Step(pops=("cigar",), rooms=("out",)),  # load a CIGAR element
+    Step(pops=("cigar",), pushes=("out",), rooms=("out",)),  # empty CIGAR
+    Step(pushes=("out",), rooms=("out",)),  # close the read / a deletion
+    Step(pops=("seq",), pushes=("out",), rooms=("out",)),  # one base
+    Step(pops=("seq",), assumes=("qual",), pushes=("out",), rooms=("out",)),
+    Step(pops=("seq",), rooms=("out",)),  # one soft clip, dropped
+    Step(pops=("seq",), assumes=("qual",), rooms=("out",)),
+)
+(
+    _POS, _POS_EMPTY, _CIGAR, _CIGAR_FINISH, _FINISH,
+    _BASE, _BASE_QUAL, _SKIP, _SKIP_QUAL,
+) = range(len(_STEPS))
+_DELETION = _FINISH

@@ -12,9 +12,13 @@ from __future__ import annotations
 from typing import Optional
 
 from ..flit import DEL, Flit
+from ..maxplus import Plan, Step
 from ..module import Module
 
 _IDENTITY = {"sum": 0, "count": 0, "max": None, "min": None}
+
+_FOLD = Step(pops=("in",))
+_EMIT = Step(pops=("in",), pushes=("out",), rooms=("out",))
 
 
 class Reducer(Module):
@@ -52,20 +56,22 @@ class Reducer(Module):
             return False
         return True
 
-    def _accumulate(self, value) -> None:
+    def _fold(self, acc, value):
+        """``acc`` with ``value`` folded in."""
         if self.op == "count":
-            self._acc += 1
-        elif self.op == "sum":
-            self._acc += value
-        elif self.op == "max":
-            self._acc = value if self._acc is None else max(self._acc, value)
-        elif self.op == "min":
-            self._acc = value if self._acc is None else min(self._acc, value)
+            return acc + 1
+        if self.op == "sum":
+            return acc + value
+        if self.op == "max":
+            return value if acc is None else max(acc, value)
+        return value if acc is None else min(acc, value)
+
+    @staticmethod
+    def _value(acc):
+        return 0 if acc is None else acc
 
     def _result(self):
-        if self._acc is None:
-            return 0
-        return self._acc
+        return self._value(self._acc)
 
     # -- simulation ---------------------------------------------------------------
 
@@ -82,11 +88,39 @@ class Reducer(Module):
             return
         flit = queue.pop()
         if self._contributes(flit):
-            self._accumulate(flit[self.field])
+            self._acc = self._fold(self._acc, flit[self.field])
         if emits:
             out.push(Flit({self.out_field: self._result()}, last=True))
             self._note_busy()
             self._acc = _IDENTITY[self.op]
+
+    def plan(self, streams) -> Plan:
+        """One pop per flit; an item's last flit also pushes its result
+        and so needs room."""
+        acc, identity = self._acc, _IDENTITY[self.op]
+        out, actions = [], []
+        per_item, out_field, field = self.per_item, self.out_field, self.field
+        mask, fold = self.mask_field, self._fold
+        for flit in streams["in"]:
+            fields = flit.fields
+            if (
+                field in fields and fields[field] is not DEL
+                and (mask is None or fields.get(mask))
+            ):  # _contributes
+                acc = fold(acc, fields[field])
+            if flit.last and per_item:
+                out.append(Flit({out_field: self._value(acc)}, last=True))
+                actions.append(1)
+                acc = identity
+            else:
+                actions.append(0)
+
+        def commit(_timed) -> None:
+            self._acc = acc
+            self.busy_cycles += len(out)
+            self.flits_out += len(out)
+
+        return Plan({"out": out}, (_FOLD, _EMIT), actions, commit)
 
     def stream_result(self):
         """For whole-stream reductions: the final value (drivers read this

@@ -21,10 +21,25 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..flit import Flit
+from ..maxplus import Plan, Step, Timed
 from ..module import Module
 from ..spm import RmwInterlock, Scratchpad
 
 _UPDATER_MODES = ("sequential", "random", "rmw")
+
+_POP = Step(pops=("in",))
+
+# The SPM Reader's steps (indices into _READER_STEPS): all need room.
+_READER_STEPS = (
+    Step(pushes=("out",), rooms=("out",)),  # one word
+    Step(pops=("in",), pushes=("out",), rooms=("out",)),  # one lookup
+    Step(pops=("start", "end"), rooms=("out",)),  # latch an interval
+    Step(pops=("start", "end"), pushes=("out",), rooms=("out",)),  # empty one
+    Step(rooms=("out",)),  # the drain ends
+)
+(
+    _EMIT_STEP, _LOOKUP_STEP, _LATCH_STEP, _LATCH_EMPTY_STEP, _DRAINED_STEP,
+) = range(len(_READER_STEPS))
 
 
 class SpmUpdater(Module):
@@ -87,6 +102,53 @@ class SpmUpdater(Module):
             self.spm.write(address, self._modify(old, head.get(self.value_field)))
         self.updates += 1
         self._note_busy()
+
+    def plan(self, streams) -> Plan:
+        """One pop per flit, never needing room.  An rmw update enters
+        the interlock: the timing pass holds it until its address left
+        the pipeline stages and counts the cycles it waited."""
+        flits = streams["in"]
+        spm, mode = self.spm, self.mode
+        addr_field, value_field = self.addr_field, self.value_field
+        words: dict = {}
+        address, updates = self._next_address, 0
+        hazards = [] if mode == "rmw" else None
+        for flit in flits:
+            fields = flit.fields
+            if not fields:
+                if hazards is not None:
+                    hazards.append(None)
+                continue
+            if mode == "sequential":
+                spm.peek(address)
+                words[address] = fields[value_field]
+                address += 1
+            elif mode == "random":
+                target = fields[addr_field]
+                spm.peek(target)
+                words[target] = fields[value_field]
+            else:
+                target = fields[addr_field]
+                old = words[target] if target in words else spm.peek(target)
+                words[target] = self._modify(old, fields.get(value_field))
+                hazards.append(target)
+            updates += 1
+
+        def commit(timed: Timed) -> None:
+            spm.commit(words, reads=updates if hazards is not None else 0,
+                       writes=updates)
+            self._next_address = address
+            self.updates += updates
+            self.busy_cycles += updates
+            self.flits_out += updates
+            if hazards is not None:
+                self._interlock.settle(timed.entered, timed.stalls)
+
+        return Plan(
+            {}, (_POP,), [0] * len(flits), commit, hazards=hazards,
+            interlock=self._interlock.entries() if hazards is not None else None,
+            writes_spm=spm,
+        )
 
     # The base wake contract is exact here, including for rmw hazards: a
     # hazard-stalled flit stays at the head of the input queue, so "tick
@@ -201,6 +263,81 @@ class SpmReader(Module):
             self._tick_interval()
         else:
             self._tick_drain()
+
+    def plan(self, streams) -> Plan:
+        """The tick over the whole streams; every action needs room, the
+        drain's last one (it only flips to idle) included."""
+        spm, base = self.spm, self.base_address
+        out_field, addr_field = self.out_field, self.addr_out_field
+        out, actions = [], []
+
+        def words(first: int, stop: int, word: int) -> None:
+            """Stream coordinates ``first .. stop - 1`` (SPM words from
+            ``word`` on), the last one closing the item."""
+            values = spm.peek_span(word, word + stop - first)
+            if addr_field is None:
+                out.extend([Flit({out_field: value}) for value in values])
+            else:
+                out.extend([
+                    Flit({out_field: value, addr_field: coordinate})
+                    for coordinate, value in zip(range(first, stop), values)
+                ])
+            out[-1].last = True
+            actions.extend([_EMIT_STEP] * len(values))
+
+        cursor, end = self._cursor, self._end
+        drain_cursor, draining = self._drain_cursor, self._draining
+        if self.mode == "lookup":
+            for flit in streams["in"]:
+                fields = {}
+                if flit.fields:
+                    coordinate = flit["addr"]
+                    fields[out_field] = spm.peek(coordinate - base)
+                    if addr_field is not None:
+                        fields[addr_field] = coordinate
+                out.append(Flit(fields, last=flit.last))
+                actions.append(_LOOKUP_STEP)
+        elif self.mode == "interval":
+            starts, ends = streams["start"], streams["end"]
+            latched = 0
+            while True:
+                if cursor is not None:
+                    words(cursor, end + 1, cursor - base)
+                    cursor = end = None
+                if latched == len(starts) or latched == len(ends):
+                    break
+                start_flit, end_flit = starts[latched], ends[latched]
+                latched += 1
+                if not start_flit.fields:
+                    out.append(Flit({}, last=True))
+                    actions.append(_LATCH_EMPTY_STEP)
+                    continue
+                cursor, end = int(start_flit["value"]), int(end_flit["value"])
+                if cursor > end:
+                    out.append(Flit({}, last=True))
+                    actions.append(_LATCH_EMPTY_STEP)
+                    cursor = end = None
+                else:
+                    actions.append(_LATCH_STEP)
+        elif draining:
+            if drain_cursor < len(spm):
+                words(drain_cursor, len(spm), drain_cursor)
+                drain_cursor = len(spm)
+            draining = False
+            actions.append(_DRAINED_STEP)
+        reads = sum(1 for flit in out if flit.fields)
+
+        def commit(_timed) -> None:
+            spm.commit({}, reads=reads)
+            self._cursor, self._end = cursor, end
+            self._drain_cursor, self._draining = drain_cursor, draining
+            self.busy_cycles += len(out)
+            self.flits_out += len(out)
+
+        return Plan(
+            {"out": out}, _READER_STEPS, actions, commit,
+            idle=cursor is None, reads_spm=spm,
+        )
 
     def is_idle(self) -> bool:
         if self.mode == "interval":

@@ -39,6 +39,26 @@ class Scratchpad:
         self.writes += 1
         self._data[address] = value
 
+    def peek(self, address: int):
+        """Read one word without counting it: a planned run
+        (:mod:`repro.hw.maxplus`) counts its accesses when it commits."""
+        self._check(address)
+        return self._data[address]
+
+    def peek_span(self, start: int, stop: int) -> List[int]:
+        """Words ``start .. stop - 1``, uncounted like :meth:`peek`."""
+        if start < stop:
+            self._check(start)
+            self._check(stop - 1)
+        return self._data[start:stop]
+
+    def commit(self, words: Dict[int, object], reads: int = 0, writes: int = 0) -> None:
+        """Apply a planned run: its final ``words`` and its access counts."""
+        for address, value in words.items():
+            self._data[address] = value
+        self.reads += reads
+        self.writes += writes
+
     def load(self, values, offset: int = 0) -> None:
         """Bulk initialization used by tests/drivers (the hardware path
         goes through an SPM Updater in sequential-write mode).  Counts
@@ -101,6 +121,23 @@ class RmwInterlock:
         ]
         for address in expired:
             del self._in_flight[address]
+
+    def entries(self) -> Dict[int, int]:
+        """The in-flight updates: address -> cycle it entered."""
+        return dict(self._in_flight)
+
+    def settle(self, entered: Dict[int, int], stalls: int) -> None:
+        """Adopt a planned run's end state: ``entered`` maps each address
+        to the cycle of its last entry (the pre-run entries included),
+        ``stalls`` the hazard stalls the run counted.  Entries expire as
+        of the last entry, as that ``try_enter`` would have left them."""
+        if entered:
+            last = max(entered.values())
+            self._in_flight = {
+                address: cycle for address, cycle in entered.items()
+                if last - cycle < self.STAGES
+            }
+        self.hazard_stalls += stalls
 
     def pending(self) -> int:
         """Updates that may still occupy a pipeline stage — an upper

@@ -2,8 +2,9 @@
 vocabulary for comparing runs.
 
 ``drive`` wires list-backed sources to a module's input ports and
-collecting sinks to its output ports, runs the engine to quiescence, and
-returns everything each output produced.  ``assert_stage_identical`` /
+collecting sinks to its output ports, runs the engine to quiescence under
+every engine mode (:data:`MODES`) and returns everything each output
+produced, once the modes agree on it.  ``assert_stage_identical`` /
 ``assert_same_cycles`` say when two runs of a stage agree on the answer
 and on the modelled clock, and ``assert_matches_oracle`` when a run
 agrees with the ``repro.gatk`` software oracle.
@@ -11,6 +12,7 @@ agrees with the ``repro.gatk`` software oracle.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,8 +23,16 @@ from repro.gatk import build_covariate_tables, compute_read_metadata
 from repro.gatk.active_region import compute_activity
 from repro.hw.engine import Engine, RunStats
 from repro.hw.flit import Flit
+from repro.hw.maxplus import Plan, Step, planned
 from repro.hw.module import Module
 from repro.tables.genomic_tables import table_to_reads
+
+
+#: Every engine mode, the oracle first.
+MODES = ("dense", "event", "maxplus")
+
+_EMIT = Step(pushes=("out",), rooms=("out",))
+_POP = Step(pops=("in",))
 
 
 class ListSource(Module):
@@ -43,6 +53,16 @@ class ListSource(Module):
         self._cursor += 1
         self._note_busy()
 
+    def plan(self, streams) -> Plan:
+        flits = self._flits[self._cursor:]
+
+        def commit(_timed) -> None:
+            self._cursor = len(self._flits)
+            self.busy_cycles += len(flits)
+            self.flits_out += len(flits)
+
+        return Plan({"out": flits}, (_EMIT,), [0] * len(flits), commit)
+
     def is_idle(self) -> bool:
         return self._cursor >= len(self._flits)
 
@@ -60,19 +80,46 @@ class ListSink(Module):
             self.collected.append(queue.pop())
             self._note_busy()
 
+    def plan(self, streams) -> Plan:
+        flits = streams["in"]
 
-def drive(
-    module: Module,
-    inputs: Dict[str, Iterable[Flit]],
-    out_ports: Sequence[str] = ("out",),
-    max_cycles: int = 1_000_000,
-) -> Tuple[Dict[str, List[Flit]], RunStats]:
-    """Run ``module`` with the given per-port input flits; returns the
-    flits collected on each output port plus run statistics."""
+        def commit(_timed) -> None:
+            self.collected.extend(flits)
+            self.busy_cycles += len(flits)
+            self.flits_out += len(flits)
+
+        return Plan({}, (_POP,), [0] * len(flits), commit)
+
+
+def assert_runs_equivalent(want: RunStats, got: RunStats) -> None:
+    """Two engine modes' runs agree on everything a mode must not change:
+    the clock, flit and busy counts, and memory traffic."""
+    assert got.cycles == want.cycles
+    assert got.flits_by_module == want.flits_by_module
+    assert got.busy_by_module == want.busy_by_module
+    assert got.memory_bytes == want.memory_bytes
+    assert got.memory_requests == want.memory_requests
+
+
+def side_effects(module: Module) -> Dict[str, object]:
+    """What a run leaves behind in ``module`` besides its outputs: its
+    busy count, any drop / discard / update / hazard tally, and the
+    contents and access counts of a scratchpad it owns."""
+    found = {"busy": module.busy_cycles, "flits": module.flits_out}
+    for name in ("dropped", "discarded", "updates", "hazard_stalls", "reads_exploded"):
+        if hasattr(module, name):
+            found[name] = getattr(module, name)
+    spm = getattr(module, "spm", None)
+    if spm is not None:
+        found["spm"] = (spm.dump(), spm.reads, spm.writes)
+    return found
+
+
+def _drive_once(module, inputs, out_ports, max_cycles, mode):
     engine = Engine()
     engine.add_module(module)
     for port, flits in inputs.items():
-        source = ListSource(f"src.{port}", list(flits))
+        source = ListSource(f"src.{port}", flits)
         engine.add_module(source)
         engine.connect(source, module, in_port=port)
     sinks = {}
@@ -81,8 +128,44 @@ def drive(
         engine.add_module(sink)
         engine.connect(module, sink, out_port=port)
         sinks[port] = sink
-    stats = engine.run(max_cycles=max_cycles)
+    stats = engine.run(max_cycles=max_cycles, mode=mode)
     return {port: sink.collected for port, sink in sinks.items()}, stats
+
+
+def drive(
+    module: Module,
+    inputs: Dict[str, Iterable[Flit]],
+    out_ports: Sequence[str] = ("out",),
+    max_cycles: int = 1_000_000,
+) -> Tuple[Dict[str, List[Flit]], RunStats]:
+    """Run ``module`` with the given per-port input flits under every
+    engine mode — ``dense`` and ``event`` on copies, ``maxplus`` on
+    ``module`` itself — and assert they agree on every flit, the
+    :func:`assert_runs_equivalent` figures and the module's
+    :func:`side_effects`; returns the flits collected on each output port
+    plus the ``maxplus`` run's statistics (``event``'s where the module
+    has no plan and the mode falls back)."""
+    inputs = {port: list(flits) for port, flits in inputs.items()}
+    subjects = {mode: copy.deepcopy(module) for mode in MODES[:-1]}
+    subjects[MODES[-1]] = module
+    runs = {
+        mode: _drive_once(subject, inputs, out_ports, max_cycles, mode)
+        for mode, subject in subjects.items()
+    }
+    (want, want_stats), oracle = runs[MODES[0]], subjects[MODES[0]]
+    for mode, (got, stats) in runs.items():
+        assert {
+            port: [(flit.fields, flit.last) for flit in flits]
+            for port, flits in got.items()
+        } == {
+            port: [(flit.fields, flit.last) for flit in flits]
+            for port, flits in want.items()
+        }, mode
+        assert_runs_equivalent(want_stats, stats)
+        assert side_effects(subjects[mode]) == side_effects(oracle), mode
+    outputs, stats = runs["maxplus"]
+    assert stats.mode == ("maxplus" if planned(module) else "event")
+    return outputs, stats
 
 
 def values(flits: Iterable[Flit], field: str = "value") -> List[object]:

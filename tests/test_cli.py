@@ -381,10 +381,36 @@ def test_serve_bad_devices_exit_2(capsys):
     ("--max-retries", "-1"),
     ("--stages", "bogus"),
     ("--stages", ","),
+    ("--seed", "-2"),
+    ("--read-length", "4"),
+    ("--psize", "0"),
+    ("--reads", "0"),
 ])
 def test_serve_bad_arguments_exit_2(capsys, flag, value):
     err = _refused(["--no-ledger", "serve", flag, value], capsys)
     assert f"argument {flag}" in err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("simulate", "--seed", "-1"),
+    ("simulate", "--read-length", "0"),
+    ("simulate", "--scale", "-1"),
+    ("simulate", "--reads", "0"),
+    ("profile", "--reads", "0"),
+    ("profile", "--seed", "-1"),
+    ("reproduce", "--reads", "-5"),
+])
+def test_numeric_bad_arguments_exit_2(tmp_path, capsys, command, flag, value):
+    """Out-of-range counts, seeds, lengths and scales stop in argparse
+    with one ``error: argument`` line, before anything is simulated or
+    written."""
+    files = (
+        ["--fasta", str(tmp_path / "g.fa"), "--sam", str(tmp_path / "r.sam")]
+        if command == "simulate" else []
+    )
+    err = _refused(["--no-ledger", command, *files, flag, value], capsys)
+    assert f"argument {flag}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def _polled_sites(command):

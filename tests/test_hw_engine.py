@@ -13,7 +13,7 @@ from repro.hw.resources import (
     estimate_pipeline,
 )
 
-from hw_harness import ListSink, ListSource
+from hw_harness import MODES, ListSink, ListSource, assert_runs_equivalent
 
 
 def test_flits_advance_one_hop_per_cycle():
@@ -136,25 +136,27 @@ def test_reducer_lanes_increase_cost():
         estimate_pipeline({"Reducer": 1}, reducer_lanes=0)
 
 
-# -- event/dense differential tests ------------------------------------------------
+# -- differential tests across the engine modes --------------------------------------
 #
-# The activity-driven scheduler must be indistinguishable from the dense
-# loop on everything the paper measures: cycle counts, flit counts, busy
-# cycles, memory traffic, and functional outputs.  Executed-tick metrics
-# (starve tallies, ticks_executed) legitimately differ — that difference
-# is the scheduler's win and is covered by the RunStats tests instead.
+# The activity-driven scheduler and the max-plus solution must be
+# indistinguishable from the dense loop on everything the paper measures:
+# cycle counts, flit counts, busy cycles, memory traffic, and functional
+# outputs.  Executed-tick metrics (starve tallies, ticks_executed)
+# legitimately differ — that difference is the modes' win and is covered
+# by the RunStats tests instead.
 
 
 def _force_mode(monkeypatch, mode):
     monkeypatch.setattr(Engine, "default_mode", mode)
 
 
-def _assert_runs_equivalent(dense_stats, event_stats):
-    assert dense_stats.cycles == event_stats.cycles
-    assert dense_stats.flits_by_module == event_stats.flits_by_module
-    assert dense_stats.busy_by_module == event_stats.busy_by_module
-    assert dense_stats.memory_bytes == event_stats.memory_bytes
-    assert dense_stats.memory_requests == event_stats.memory_requests
+def _per_mode(monkeypatch, run):
+    """``run()`` under each engine mode, the dense oracle first."""
+    results = {}
+    for mode in MODES:
+        _force_mode(monkeypatch, mode)
+        results[mode] = run()
+    return results
 
 
 def test_example_query_identical_across_modes(workload, monkeypatch):
@@ -162,24 +164,22 @@ def test_example_query_identical_across_modes(workload, monkeypatch):
 
     pid, part = next((p, t) for p, t in workload.partitions if t.num_rows > 0)
     ref_row = workload.reference.lookup(pid)
-    _force_mode(monkeypatch, "dense")
-    dense = run_example_query(part, ref_row)
-    _force_mode(monkeypatch, "event")
-    event = run_example_query(part, ref_row)
-    assert dense.counts == event.counts
-    _assert_runs_equivalent(dense.run.stats, event.run.stats)
+    runs = _per_mode(monkeypatch, lambda: run_example_query(part, ref_row))
+    for mode, run in runs.items():
+        assert run.counts == runs["dense"].counts
+        assert_runs_equivalent(runs["dense"].run.stats, run.run.stats)
+        assert run.run.stats.mode == mode
 
 
 def test_markdup_identical_across_modes(workload, monkeypatch):
     from repro.accel.markdup import run_quality_sums
 
     pid, part = next((p, t) for p, t in workload.partitions if t.num_rows > 0)
-    _force_mode(monkeypatch, "dense")
-    dense = run_quality_sums(part.column("QUAL"))
-    _force_mode(monkeypatch, "event")
-    event = run_quality_sums(part.column("QUAL"))
-    assert dense.quality_sums == event.quality_sums
-    _assert_runs_equivalent(dense.stats, event.stats)
+    runs = _per_mode(monkeypatch, lambda: run_quality_sums(part.column("QUAL")))
+    for mode, run in runs.items():
+        assert run.quality_sums == runs["dense"].quality_sums
+        assert_runs_equivalent(runs["dense"].stats, run.stats)
+        assert run.stats.mode == mode
 
 
 def test_metadata_identical_across_modes(workload, monkeypatch):
@@ -190,12 +190,12 @@ def test_metadata_identical_across_modes(workload, monkeypatch):
         if part.num_rows == 0:
             continue
         ref_row = workload.reference.lookup(pid)
-        _force_mode(monkeypatch, "dense")
-        dense = run_metadata_update(part, ref_row)
-        _force_mode(monkeypatch, "event")
-        event = run_metadata_update(part, ref_row)
-        assert (dense.nm, dense.md, dense.uq) == (event.nm, event.md, event.uq)
-        _assert_runs_equivalent(dense.run.stats, event.run.stats)
+        runs = _per_mode(monkeypatch, lambda: run_metadata_update(part, ref_row))
+        dense = runs["dense"]
+        for mode, run in runs.items():
+            assert (run.nm, run.md, run.uq) == (dense.nm, dense.md, dense.uq)
+            assert_runs_equivalent(dense.run.stats, run.run.stats)
+            assert run.run.stats.mode == mode
         checked += 1
     assert checked > 0
 
@@ -209,14 +209,17 @@ def test_bqsr_identical_across_modes(workload, monkeypatch):
         (p, t) for p, t in workload.group_partitions if t.num_rows > 0
     )
     ref_row = workload.reference.lookup(pid)
-    _force_mode(monkeypatch, "dense")
-    dense = run_bqsr_partition(part, ref_row, workload.read_length)
-    _force_mode(monkeypatch, "event")
-    event = run_bqsr_partition(part, ref_row, workload.read_length)
-    for field in ("total_cycle", "total_context", "error_cycle", "error_context"):
-        assert np.array_equal(getattr(dense, field), getattr(event, field))
-    assert dense.hazard_stalls == event.hazard_stalls
-    _assert_runs_equivalent(dense.run.stats, event.run.stats)
+    runs = _per_mode(
+        monkeypatch,
+        lambda: run_bqsr_partition(part, ref_row, workload.read_length),
+    )
+    dense = runs["dense"]
+    for mode, run in runs.items():
+        for field in ("total_cycle", "total_context", "error_cycle", "error_context"):
+            assert np.array_equal(getattr(dense, field), getattr(run, field))
+        assert run.hazard_stalls == dense.hazard_stalls
+        assert_runs_equivalent(dense.run.stats, run.run.stats)
+        assert run.run.stats.mode == mode
 
 
 def test_metadata_parallel_identical_across_modes(workload):
@@ -224,21 +227,20 @@ def test_metadata_parallel_identical_across_modes(workload):
     from repro.accel.sharding import run_sharded
 
     runs = {}
-    for mode in ("dense", "event"):
-        results, stats = run_sharded(
+    for mode in MODES:
+        runs[mode] = run_sharded(
             MetadataWaveDriver(reference=workload.reference, mode=mode),
             workload.partitions, 4,
         )
-        runs[mode] = (results, stats)
     dense_results, dense_stats = runs["dense"]
-    event_results, event_stats = runs["event"]
-    assert dense_stats.per_wave_cycles == event_stats.per_wave_cycles
-    assert dense_stats.total_flits == event_stats.total_flits
-    assert set(dense_results) == set(event_results)
-    for pid in dense_results:
-        assert dense_results[pid].nm == event_results[pid].nm
-        assert dense_results[pid].md == event_results[pid].md
-        assert dense_results[pid].uq == event_results[pid].uq
+    for mode, (results, stats) in runs.items():
+        assert stats.per_wave_cycles == dense_stats.per_wave_cycles
+        assert stats.total_flits == dense_stats.total_flits
+        assert set(results) == set(dense_results)
+        for pid in dense_results:
+            assert results[pid].nm == dense_results[pid].nm
+            assert results[pid].md == dense_results[pid].md
+            assert results[pid].uq == dense_results[pid].uq
 
 
 def test_event_mode_fast_forwards_memory_latency():
@@ -264,6 +266,13 @@ def test_event_mode_fast_forwards_memory_latency():
     assert [f.fields for f in sink_d.collected] == [f.fields for f in sink_e.collected]
     assert event.fast_forward_cycles > 0
     assert event.ticks_executed < dense.ticks_executed
+    # the max-plus solution lands there too, timing each flit once
+    engine_m, sink_m = build()
+    solved = engine_m.run(mode="maxplus")
+    assert_runs_equivalent(dense, solved)
+    assert [f.fields for f in sink_m.collected] == [f.fields for f in sink_d.collected]
+    assert solved.fast_forward_cycles == 0
+    assert solved.ticks_executed < event.ticks_executed
 
 
 def test_run_stats_host_metrics():
@@ -285,6 +294,16 @@ def test_run_stats_host_metrics():
     assert dstats.mode == "dense"
     assert dstats.skip_ratio == 0.0
     assert dstats.ticks_executed == dstats.ticks_possible
+    solved = Engine()
+    src3 = solved.add_module(ListSource("src", item_flits(list(range(20)))))
+    sink3 = solved.add_module(ListSink("sink"))
+    solved.connect(src3, sink3)
+    mstats = solved.run(mode="maxplus")
+    assert mstats.mode == "maxplus"
+    assert mstats.cycles == dstats.cycles == solved.cycle
+    assert mstats.ticks_executed == 40  # one action per flit moved or taken
+    assert mstats.starve_by_module == {"src": 0, "sink": 0}
+    assert mstats.fast_forward_cycles == 0
 
 
 def test_unknown_mode_rejected():

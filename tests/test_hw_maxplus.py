@@ -1,0 +1,547 @@
+"""The ``maxplus`` engine mode ≡ the dense loop, and its fall-back rule.
+
+Hypothesis draws whole pipelines of planned modules — Memory Readers
+feeding chains of StreamAlu / Filter / Fork / Reducer / MdGen into Memory
+Writers, optionally joined first with a slower keyed reader and forking
+into an ``rmw`` SPM Updater under repeated addresses — over drawn queue
+capacities, memory channels and latencies, with up to four replicas
+sharing one memory.  Every draw must solve to
+exactly what the dense loop ticks out: cycles, flit and busy counts,
+memory traffic and arbitration, every output, every scratchpad and its
+counters, every hazard stall.  Where the mode cannot apply it must run
+the event scheduler and say so.
+"""
+
+import random
+from dataclasses import dataclass
+from typing import Optional, Tuple
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hw_harness import (
+    ANSWERS,
+    ListSink,
+    ListSource,
+    assert_runs_equivalent,
+    side_effects,
+)
+from repro.accel.common import PHASES, AcceleratorRun, load_reference_spm, spm_base
+from repro.accel.sharding import run_sharded
+from repro.accel.stages import STAGES
+from repro.hw import maxplus
+from repro.hw.engine import Engine
+from repro.hw.flit import Flit, item_flits
+from repro.hw.memory import MemoryConfig, MemorySystem
+from repro.hw.modules import (
+    Filter,
+    Fork,
+    Joiner,
+    MdGen,
+    MemoryReader,
+    MemoryWriter,
+    ReadToBases,
+    Reducer,
+    SpmReader,
+    SpmUpdater,
+    StreamAlu,
+)
+from repro.hw.spm import Scratchpad
+from repro.obs import Profiler
+from test_lattice import WORKLOADS, workload
+
+# -- drawn pipelines -----------------------------------------------------------------
+
+#: One element: (value, op, base, ref, addr) — what every stage reads.
+elements = st.tuples(
+    st.integers(0, 40), st.sampled_from("MMMID"), st.integers(0, 3),
+    st.integers(0, 3), st.integers(0, 3),
+)
+replica_items = st.lists(st.lists(elements, max_size=9), min_size=1, max_size=6)
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """One drawn wave: ``replicas`` copies of reader -> ``chain`` ->
+    writer, each with its own items."""
+
+    chain: Tuple[str, ...]
+    rmw: bool
+    items: Tuple[tuple, ...]
+    #: A Joiner mode ("" for none) merging the stream with a second
+    #: reader's keys, one line per key so they lag.
+    join: str = ""
+    #: An SPM Reader draining the replica's values to a writer beside it.
+    drain: bool = False
+    capacity: int = 8
+    channels: int = 4
+    latency: int = 40
+    elem_size: int = 1
+    #: Seed of the order modules register (and so tick) in; None keeps
+    #: the dataflow order.
+    shuffle: Optional[int] = None
+
+
+@st.composite
+def pipelines(draw):
+    return Pipeline(
+        chain=tuple(draw(st.lists(
+            st.sampled_from(("alu", "filter", "fork", "reducer", "mdgen")),
+            max_size=4,
+        ))),
+        rmw=draw(st.booleans()),
+        join=draw(st.sampled_from(("", "inner", "left", "outer"))),
+        drain=draw(st.booleans()),
+        items=tuple(
+            tuple(map(tuple, draw(replica_items)))
+            for _ in range(draw(st.integers(1, 4)))
+        ),
+        capacity=draw(st.integers(1, 16)),
+        channels=draw(st.integers(1, 4)),
+        latency=draw(st.integers(0, 80)),
+        elem_size=draw(st.sampled_from((1, 4, 16))),
+        shuffle=draw(st.none() | st.integers(0, 2**16)),
+    )
+
+
+FIELDS = ("value", "op", "base", "ref", "addr")
+
+
+def _flits(items):
+    flits = []
+    for item in items:
+        flits.extend(
+            Flit(dict(zip(FIELDS, element)), last=index == len(item) - 1)
+            for index, element in enumerate(item)
+        )
+        if not item:
+            flits.append(Flit({}, last=True))
+    return flits
+
+
+def _keys(items):
+    """The other side of a join: each item's even values, sorted, as
+    elements of their own."""
+    flits = []
+    for item in items:
+        keys = sorted({element[0] for element in item if element[0] % 2 == 0})
+        flits.extend(
+            Flit(
+                {**dict(zip(FIELDS, (key, "M", 2, 2, key % 4))), "side": key},
+                last=index == len(keys) - 1,
+            )
+            for index, key in enumerate(keys)
+        )
+        if not keys:
+            flits.append(Flit({}, last=True))
+    return flits
+
+
+def build(pipeline: Pipeline) -> Engine:
+    """A fresh engine holding the drawn wave."""
+    engine = Engine(
+        MemorySystem(MemoryConfig(
+            channels=pipeline.channels, latency_cycles=pipeline.latency,
+        )),
+        default_queue_capacity=pipeline.capacity,
+    )
+    memory = engine.memory
+    modules, wires = [], []
+
+    def add(module):
+        modules.append(module)
+        return module
+
+    def wire(producer, consumer, out_port="out", in_port="in"):
+        wires.append((producer, consumer, out_port, in_port))
+
+    for index, items in enumerate(pipeline.items):
+        name = f"p{index}"
+        tail = add(MemoryReader(f"{name}.read", memory, elem_size=pipeline.elem_size))
+        tail.set_stream(_flits(items))
+        if pipeline.join:
+            keys = add(MemoryReader(f"{name}.keys", memory, elem_size=64))
+            keys.set_stream(_keys(items))
+            joiner = add(Joiner(
+                f"{name}.join", mode=pipeline.join, key_a="value", key_b="value",
+            ))
+            wire(tail, joiner, in_port="a")
+            wire(keys, joiner, in_port="b")
+            tail = joiner
+        port = "out"
+        if pipeline.rmw:
+            fork = add(Fork(f"{name}.rmwfork"))
+            updater = add(SpmUpdater(
+                f"{name}.rmw", Scratchpad(f"{name}.counts", 4), mode="rmw",
+            ))
+            wire(tail, fork)
+            wire(fork, updater, out_port="out1")
+            tail, port = fork, "out0"
+        for depth, kind in enumerate(pipeline.chain):
+            stage = f"{name}.{depth}.{kind}"
+            if kind == "alu":
+                module = StreamAlu(stage, op="ADD", constant=depth + 1)
+            elif kind == "filter":
+                module = Filter(
+                    stage, field="value",
+                    predicate=lambda f: f.get("value", 0) % 3 != 0,
+                )
+            elif kind == "reducer":
+                module = Reducer(stage, op="sum")
+            elif kind == "mdgen":
+                module = MdGen(stage)
+            else:
+                module = Fork(stage)
+            wire(tail, add(module), out_port=port)
+            tail, port = module, "out"
+            if kind == "fork":
+                side = add(MemoryWriter(f"{stage}.side", memory, elem_size=1))
+                wire(module, side, out_port="out1")
+                port = "out0"
+        writer = add(MemoryWriter(f"{name}.write", memory, elem_size=4))
+        wire(tail, writer, out_port=port)
+        if pipeline.drain:
+            values = [element[0] for item in items for element in item] or [0]
+            spm = Scratchpad(f"{name}.values", len(values))
+            spm.load(values)
+            drain = add(SpmReader(f"{name}.drain", spm, mode="drain"))
+            wire(drain, add(MemoryWriter(f"{name}.drainw", memory, elem_size=8)))
+    if pipeline.shuffle is not None:
+        random.Random(pipeline.shuffle).shuffle(modules)
+    for module in modules:
+        engine.add_module(module)
+    for producer, consumer, out_port, in_port in wires:
+        engine.connect(producer, consumer, out_port=out_port, in_port=in_port)
+    return engine
+
+
+def outcome(engine: Engine, mode: str):
+    """Run ``engine`` under ``mode``; returns its stats and everything the
+    run leaves behind."""
+    stats = engine.run(mode=mode)
+    memory = engine.memory
+    left = {
+        module.name: side_effects(module) for module in engine.modules
+    }
+    for module in engine.modules:
+        if isinstance(module, MemoryWriter):
+            left[module.name]["items"] = module.items
+            left[module.name]["collected"] = module.collected
+    left["memory"] = (
+        memory.requests_served, memory.bytes_transferred,
+        memory.responses_completed, memory.busy_channel_cycles,
+        list(memory.channel_grants),
+        [(a._next, a.grants) for a in memory._arbiters],
+    )
+    left["clock"] = engine.cycle
+    return stats, left
+
+
+@settings(max_examples=120, deadline=None)
+@given(pipelines())
+# four replicas on one channel: the writers' requests compete with the
+# readers' and the memory iteration takes more than one round
+@example(Pipeline(
+    chain=("alu", "fork", "reducer"), rmw=True,
+    items=tuple((((i, "M", 1, 1, i % 2),) * 40,) for i in range(4)),
+    capacity=2, channels=1, latency=7, elem_size=16,
+))
+# a Joiner whose key side lags: closing an item waits for the other head
+@example(Pipeline(
+    chain=("mdgen",), rmw=False, join="left",
+    items=((((4, "M", 1, 1, 0), (2, "M", 1, 2, 0)), ((6, "D", 0, 3, 0),), ()),),
+    capacity=3, channels=2, latency=60, elem_size=1,
+))
+# one-slot queues: every fold, drop, boundary and drain end waits for room
+@example(Pipeline(
+    chain=("reducer", "mdgen", "filter"), rmw=False, drain=True,
+    items=((((3, "M", 1, 2, 0),) * 3, (), ((5, "D", 0, 1, 1), (6, "M", 2, 2, 2))),),
+    capacity=1, channels=1, latency=0, elem_size=4,
+))
+# one-slot queues from a reader with empty items straight to its writer
+@example(Pipeline(
+    chain=(), rmw=False,
+    items=((((1, "M", 1, 1, 0),), (), (), ((2, "M", 1, 1, 0),), ()),),
+    capacity=1, channels=4, latency=0, elem_size=4,
+))
+# ... and a drain that ends the wave, registered so its writer ticks last
+@example(Pipeline(
+    chain=(), rmw=False, drain=True,
+    items=(((tuple((v, "M", 0, 0, 0) for v in range(8))),),),
+    capacity=1, channels=4, latency=0, elem_size=4, shuffle=2,
+))
+# a prefetch window that starves the reader: 60 elements, 4 to a line
+@example(Pipeline(
+    chain=(), rmw=False,
+    items=(((tuple((v, "M", 0, 0, 0) for v in range(60))),),),
+    capacity=8, channels=1, latency=80, elem_size=16,
+))
+def test_maxplus_solves_what_dense_ticks(pipeline):
+    dense_stats, dense_left = outcome(build(pipeline), "dense")
+    stats, left = outcome(build(pipeline), "maxplus")
+    assert stats.mode == "maxplus"
+    assert_runs_equivalent(dense_stats, stats)
+    assert left == dense_left
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    stage=st.sampled_from(("markdup", "metadata", "bqsr")),
+    name=st.sampled_from(tuple(WORKLOADS)),
+    first=st.integers(0, 60),
+    replicas=st.integers(1, 3),
+    capacity=st.integers(1, 16),
+    channels=st.integers(1, 4),
+    latency=st.integers(0, 80),
+)
+# one-slot queues behind BinIDGen, Joiner and the RMW updaters
+@example(stage="bqsr", name="seed1302", first=0, replicas=2, capacity=1,
+         channels=2, latency=10)
+@example(stage="metadata", name="sharding", first=3, replicas=1, capacity=1,
+         channels=1, latency=0)
+def test_stage_replicas_solve_what_dense_ticks(
+    stage, name, first, replicas, capacity, channels, latency
+):
+    """A wave of the paper's stage replicas — ReadToBases, BinIdGen, the
+    interval SPM Reader, Joiners, RMW updaters and all — over a drawn
+    queue capacity and memory: ``maxplus`` answers and times it as dense
+    does, or raises what dense raises."""
+    wl = workload(name)
+    row = STAGES[stage]
+    driver = row.over(wl)
+    parts = [(pid, part) for pid, part in row.items(wl) if part.num_rows]
+    wave = parts[first % len(parts):][:replicas]
+    config = MemoryConfig(channels=channels, latency_cycles=latency)
+
+    def run(mode):
+        engine = Engine(MemorySystem(config), default_queue_capacity=capacity)
+        contexts = []
+        for index, (pid, part) in enumerate(wave):
+            spm, base = None, 0
+            if driver.uses_reference:
+                ref_row = driver.reference_row(pid)
+                spm, _load = load_reference_spm(ref_row, config, driver.with_snp)
+                base = spm_base(ref_row)
+            contexts.append(driver.build_replica(engine, f"p{index}", part, spm, base))
+        try:
+            stats = engine.run(mode=mode)
+        except RuntimeError as error:  # e.g. SEQ / QUAL diverged
+            return str(error).splitlines()[0], []
+        return stats, [driver.harvest(c, AcceleratorRun(stats)) for c in contexts]
+
+    (want, want_results), (got, results) = run("dense"), run("maxplus")
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.mode == "maxplus"
+    assert_runs_equivalent(want, got)
+    for expected, result in zip(want_results, results):
+        for field in ANSWERS[stage]:
+            assert np.array_equal(
+                np.asarray(getattr(result, field)), np.asarray(getattr(expected, field))
+            ), field
+
+
+def test_writer_requests_move_reader_responses_over_several_rounds(monkeypatch):
+    """One channel shared by a long fetch and early writes: the first
+    round (writers silent) is wrong, the iteration settles; capped at one
+    round the mode falls back instead."""
+    pipeline = Pipeline(
+        chain=("alu",), rmw=False,
+        items=(tuple(((v, "M", 0, 0, 0),) for v in range(400)),),
+        capacity=4, channels=1, latency=30, elem_size=16,
+    )
+    rounds = []
+    simulate = maxplus._simulate_memory
+
+    def counted(*args):
+        rounds.append(1)
+        return simulate(*args)
+
+    monkeypatch.setattr(maxplus, "_simulate_memory", counted)
+    dense_stats, dense_left = outcome(build(pipeline), "dense")
+    stats, left = outcome(build(pipeline), "maxplus")
+    assert stats.mode == "maxplus" and len(rounds) > 2
+    assert_runs_equivalent(dense_stats, stats)
+    assert left == dense_left
+    monkeypatch.setattr(maxplus, "MEMORY_ROUNDS", 1)
+    stats, left = outcome(build(pipeline), "maxplus")
+    assert stats.mode == "event"
+    assert left == dense_left
+
+
+def test_a_second_run_continues_where_the_first_left_off():
+    """The clock, the arbiters' pointers, the RMW interlock and every
+    counter a run leaves are what the next run on the same engine starts
+    from, as under dense."""
+    def build():
+        engine = Engine(
+            MemorySystem(MemoryConfig(channels=1, latency_cycles=3)),
+            default_queue_capacity=2,
+        )
+        reader = engine.add_module(MemoryReader("r", engine.memory, elem_size=16))
+        fork = engine.add_module(Fork("f"))
+        updater = engine.add_module(SpmUpdater("u", Scratchpad("s", 4), mode="rmw"))
+        writer = engine.add_module(MemoryWriter("w", engine.memory, elem_size=16))
+        engine.connect(reader, fork)
+        engine.connect(fork, updater, out_port="out0")
+        engine.connect(fork, writer, out_port="out1")
+        return engine, reader
+
+    runs = {}
+    for mode in ("dense", "maxplus"):
+        engine, reader = build()
+        for step in (1, 2):
+            reader.set_stream([
+                Flit({"addr": i * step % 3, "value": i}, last=i % 5 == 4)
+                for i in range(17)
+            ])
+            stats, left = outcome(engine, mode)
+            assert stats.mode == mode
+            runs.setdefault(mode, []).append((stats.cycles, left))
+    assert runs["maxplus"] == runs["dense"]
+
+
+# -- the fall-back rule --------------------------------------------------------------
+
+
+def _chain(sink=None):
+    engine = Engine()
+    source = engine.add_module(ListSource("src", item_flits(list(range(30)))))
+    alu = engine.add_module(StreamAlu("alu", op="ADD", constant=1))
+    sink = engine.add_module(sink or ListSink("sink"))
+    engine.connect(source, alu)
+    engine.connect(alu, sink)
+    return engine, sink
+
+
+def test_a_probe_falls_back():
+    engine, _sink = _chain()
+    Profiler().attach(engine)
+    assert engine.run(mode="maxplus").mode == "event"
+
+
+def test_a_module_ticking_without_its_plan_falls_back():
+    class Skipping(ListSink):
+        def tick(self, cycle):
+            if cycle % 2:
+                super().tick(cycle)
+
+    engine, sink = _chain(Skipping("sink"))
+    assert not maxplus.planned(sink)
+    assert engine.run(mode="maxplus").mode == "event"
+    engine, sink = _chain()
+    sink.tick = lambda cycle: None
+    assert not maxplus.planned(sink)
+
+
+def test_a_queue_cycle_falls_back():
+    engine = Engine()
+    a = engine.add_module(StreamAlu("a", op="ID"))
+    b = engine.add_module(StreamAlu("b", op="ID"))
+    engine.connect(a, b)
+    engine.connect(b, a)
+    assert engine.run(mode="maxplus").mode == "event"
+
+
+def _unfinished_join():
+    """A Joiner left holding an item its other side never sends."""
+    engine = Engine()
+    left = engine.add_module(ListSource("a", item_flits([1, 2]) + item_flits([3])))
+    right = engine.add_module(ListSource("b", item_flits([1, 2])))
+    joiner = engine.add_module(Joiner("j", key_a="value", key_b="value"))
+    sink = engine.add_module(ListSink("sink"))
+    engine.connect(left, joiner, in_port="a")
+    engine.connect(right, joiner, in_port="b")
+    engine.connect(joiner, sink)
+    return engine
+
+
+def test_a_wave_that_cannot_finish_falls_back_to_the_event_report():
+    with pytest.raises(RuntimeError, match="did not finish within 200 cycles"):
+        _unfinished_join().run(max_cycles=200, mode="maxplus")
+
+
+def test_lagging_qual_falls_back_to_the_divergence_error():
+    """QUAL three hops behind SEQ: the tick pops a QUAL head that is not
+    there; the plan only assumed it, so the event scheduler reports it."""
+    engine = Engine()
+    r2b = engine.add_module(ReadToBases("r2b", with_qual=True))
+    feeds = {
+        "pos": item_flits([5]), "cigar": item_flits([3 << 2]),
+        "seq": item_flits([0, 1, 2]), "qual": item_flits([30, 31, 32]),
+    }
+    for port, flits in feeds.items():
+        tail = engine.add_module(ListSource(f"src.{port}", flits))
+        if port == "qual":
+            for hop in range(3):
+                delay = engine.add_module(StreamAlu(f"delay{hop}", op="ID"))
+                engine.connect(tail, delay)
+                tail = delay
+        engine.connect(tail, r2b, in_port=port)
+    engine.connect(r2b, engine.add_module(ListSink("sink")))
+    with pytest.raises(RuntimeError, match="SEQ/QUAL streams diverged"):
+        engine.run(mode="maxplus")
+
+
+def test_an_overflow_falls_back_to_the_event_report():
+    engine, _sink = _chain()
+    with pytest.raises(RuntimeError, match="did not finish within 10 cycles"):
+        engine.run(max_cycles=10, mode="maxplus")
+
+
+def test_a_scratchpad_written_and_read_in_one_wave_falls_back():
+    engine = Engine()
+    spm = Scratchpad("s", 4)
+    writes = engine.add_module(
+        ListSource("w", [Flit({"addr": 1, "value": 9}, last=True)])
+    )
+    lookups = engine.add_module(ListSource("l", [Flit({"addr": 1}, last=True)]))
+    updater = engine.add_module(SpmUpdater("u", spm, mode="random"))
+    reader = engine.add_module(SpmReader("r", spm, mode="lookup"))
+    engine.connect(writes, updater)
+    engine.connect(lookups, reader)
+    engine.connect(reader, engine.add_module(ListSink("sink")))
+    assert engine.run(mode="maxplus").mode == "event"
+
+
+def test_a_fallen_back_run_leaves_the_modules_as_event_does():
+    """Falling back after the plans ran leaves no trace of them."""
+    runs = {}
+    for mode in ("event", "maxplus"):
+        engine = _unfinished_join()
+        with pytest.raises(RuntimeError):
+            engine.run(mode=mode, max_cycles=40)
+        runs[mode] = [
+            (side_effects(m), [(f.fields, f.last) for f in getattr(m, "collected", ())])
+            for m in engine.modules
+        ]
+    assert runs["maxplus"] == runs["event"]
+
+
+# -- no silent fall-back on the stages -----------------------------------------------
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+@pytest.mark.parametrize("stage", ["markdup", "metadata", "bqsr"])
+def test_every_stage_wave_is_solved(stage, name, monkeypatch):
+    """Every wave of the three paper stages on the lattice workloads runs
+    under ``maxplus`` — their SPM load and drain phases included."""
+    monkeypatch.setattr(Engine, "default_mode", "maxplus")
+    PHASES.clear()
+    wl = workload(name)
+    row = STAGES[stage]
+    results, stats = run_sharded(row.over(wl), row.items(wl), 2)
+    modes = set()
+    for result in results.values():
+        run = getattr(result, "run", None)
+        for recorded in (
+            getattr(result, "stats", None), getattr(run, "stats", None),
+            getattr(run, "load_stats", None), getattr(result, "drain_stats", None),
+        ):
+            if recorded is not None:
+                modes.add(recorded.mode)
+    assert modes == {"maxplus"}
+    assert stats.waves > 0

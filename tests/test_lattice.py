@@ -109,7 +109,7 @@ def configs(draw):
     return Config(
         stage=draw(st.sampled_from(SERVE_STAGES if served else tuple(STAGES))),
         workload=draw(st.sampled_from(tuple(WORKLOADS))),
-        mode=draw(st.sampled_from(("event", "dense"))),
+        mode=draw(st.sampled_from(("event", "dense", "maxplus"))),
         pipelines=draw(st.sampled_from((1, 2, 4))),
         devices=draw(st.sampled_from((1, 2, 3))),
         workers=draw(st.sampled_from((1, 2))),
@@ -147,7 +147,9 @@ def reference(stage: str, name: str, pipelines: int):
     with tempfile.TemporaryDirectory() as tmp:
         ledger = RunLedger(os.path.join(tmp, "ledger.jsonl"))
         with run_context(RunManifest(workload="lattice"), ledger):
-            results, stats = run_sharded(row.over(wl), row.items(wl), pipelines)
+            results, stats = run_sharded(
+                row.over(wl, mode="event"), row.items(wl), pipelines
+            )
         waves = {
             record["wave"]: (record["cycles"], record["load_cycles"])
             for record in ledger.events("scheduler.wave")
@@ -277,6 +279,12 @@ def check_served(config: Config) -> None:
 ))
 # dense x sharded: dense drivers on three cards' queues, pooled
 @example(Config("metadata", mode="dense", devices=3, workers=2))
+# maxplus x uneven cards x storage x crash: solved waves on three cards'
+# queues behind the filter, a pooled wave crashing once
+@example(Config(
+    "bqsr", mode="maxplus", devices=3, workers=2, storage=True,
+    faults=(fault("worker_crash", WAVE_FAULT_SITE, 1),),
+))
 def test_every_lattice_point_matches_the_serial_oracle(config):
     if config.served:
         check_served(config)

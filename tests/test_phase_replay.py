@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hw_harness import assert_same_modelled, modelled_fields
+from hw_harness import MODES, assert_same_modelled, modelled_fields
 from repro.accel.bqsr import BqsrSpms, drain_spms
 from repro.accel.common import (
     PHASE_MEMO_SIZE,
@@ -143,24 +143,56 @@ def test_replayed_load_equals_fresh_simulation(ref_row, config, with_snp):
         )
 
 
-@pytest.mark.parametrize("mode", ["dense", "event"])
+@pytest.mark.parametrize("mode", MODES)
 def test_replay_follows_the_engine_mode(monkeypatch, mode):
     """The ambient engine schedule is part of the shape: a dense run must
     not be answered with statistics recorded by an event run."""
     contents = [[1, 2, 3], [4] * 70, [5] * 9, [6]]
     row = {"CHR": 1, "REFPOS": 0, "SEQ": [1] * 90, "IS_SNP": [False] * 90}
     config = MemoryConfig(channels=2)
-    for warm in ("event", "dense"):
+    for warm in MODES:
         monkeypatch.setattr(Engine, "default_mode", warm)
         drain_spms(make_spms(contents), config)
         load_reference_spm(row, config)
     monkeypatch.setattr(Engine, "default_mode", mode)
-    assert modelled_fields(drain_spms(make_spms(contents), config)) == (
+    drained = drain_spms(make_spms(contents), config)
+    loaded = load_reference_spm(row, config)[1]
+    assert drained.mode == loaded.mode == mode
+    assert modelled_fields(drained) == (
         modelled_fields(simulate_drain(make_spms(contents), config))
     )
-    assert modelled_fields(load_reference_spm(row, config)[1]) == (
+    assert modelled_fields(loaded) == (
         modelled_fields(simulate_load(row, config, False)[1])
     )
+
+
+#: The RunStats fields that are per-mode host statistics.
+HOST_FIELDS = ("mode", "ticks_executed", "starve_by_module", "fast_forward_cycles")
+
+
+@settings(max_examples=40, deadline=None)
+@given(contents=spm_contents, ref_row=ref_rows, config=memory_configs)
+def test_maxplus_recordings_equal_event_ones(contents, ref_row, config):
+    """The phases the max-plus mode records equal the event scheduler's
+    on every modelled field."""
+    def recorded(mode):
+        previous = Engine.default_mode
+        Engine.default_mode = mode
+        try:
+            PHASES.clear()
+            return [
+                drain_spms(make_spms(contents), config),
+                load_reference_spm(ref_row, config, with_snp=True)[1],
+            ]
+        finally:
+            Engine.default_mode = previous
+
+    for event, solved in zip(recorded("event"), recorded("maxplus")):
+        assert solved.mode == "maxplus"
+        want, got = modelled_fields(event), modelled_fields(solved)
+        for name in HOST_FIELDS:
+            del want[name], got[name]
+        assert got == want
 
 
 def test_replayed_stats_share_no_dict_instances():

@@ -549,8 +549,8 @@ def test_kept_pool_worker_follows_the_parents_engine_mode(
     sched_workload, monkeypatch, pools_built
 ):
     """The ambient engine mode travels with each task: a worker forked
-    under ``event`` runs ``dense`` once the parent does — pooled ≡ inline
-    on every ``RunStats`` field but ``wall_seconds``."""
+    under ``maxplus`` runs ``dense`` once the parent does — pooled ≡
+    inline on every ``RunStats`` field but ``wall_seconds``."""
     def outcomes(fan_out):
         return {
             task.index: outcome
@@ -559,7 +559,7 @@ def test_kept_pool_worker_follows_the_parents_engine_mode(
             )
         }
 
-    assert {o.stats.mode for o in outcomes(2).values()} == {"event"}
+    assert {o.stats.mode for o in outcomes(2).values()} == {"maxplus"}
     monkeypatch.setattr(Engine, "default_mode", "dense")
     pooled, inline = outcomes(2), outcomes(1)
     assert pools_built == [2]
