@@ -29,6 +29,7 @@ sub-stage in software, as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,7 +37,7 @@ import numpy as np
 from ..gatk.bqsr import MAX_QUALITY, N_CONTEXTS, CovariateTables, n_cycle_values
 from ..genomics.read import FLAG_REVERSE
 from ..hw.engine import Engine, RunStats
-from ..hw.flit import Flit
+from ..hw.flit import Stream
 from ..hw.memory import MemoryConfig, MemorySystem
 from ..hw.modules import (
     BinIdGen,
@@ -252,13 +253,16 @@ class BqsrWaveDriver(WaveDriver):
         )
         feed_read_streams(pipe, part)
         # the per-read header BinIDGen takes: strand and stored length
-        pipe.modules[f"{name}.meta"].set_stream([
-            Flit(
-                {"reverse": bool(int(flags) & FLAG_REVERSE), "seqlen": len(seq)},
-                last=True,
-            )
-            for flags, seq in zip(part.column("FLAGS"), part.column("SEQ"))
-        ])
+        pipe.modules[f"{name}.meta"].set_stream(Stream(
+            repeat(True, part.num_rows),
+            {
+                "reverse": [
+                    bool(int(flags) & FLAG_REVERSE)
+                    for flags in part.column("FLAGS")
+                ],
+                "seqlen": [len(seq) for seq in part.column("SEQ")],
+            },
+        ))
         return pipe, spms
 
     def harvest(self, context, run) -> BqsrAccelResult:

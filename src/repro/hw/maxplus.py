@@ -7,7 +7,9 @@ This mode therefore runs a wave in two passes.
 
 1. **Functional pass.**  Each module's :meth:`plan` (written beside its
    ``tick``) consumes its whole input streams, in topological order, and
-   returns a :class:`Plan`: its output streams and its *action list* —
+   returns a :class:`Plan`: its output streams (each a column-wise
+   :class:`~repro.hw.flit.Stream`; no :class:`~repro.hw.flit.Flit` is
+   built) and its *action list* —
    one entry per tick that changes state, naming the :class:`Step` that
    tick takes (what it pops, which heads it must see, what it pushes,
    which outputs must have room).
@@ -48,6 +50,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from .flit import EMPTY, Stream
 from .spm import RmwInterlock
 
 #: Rounds of the memory / timing iteration after which the mode gives up
@@ -97,7 +100,7 @@ class Plan:
     mode; until then the module is as it was.
     """
 
-    outputs: Dict[str, list]
+    outputs: Dict[str, Stream]
     steps: Sequence[Step]
     #: Index into ``steps`` per action, in order.
     actions: List[int]
@@ -189,7 +192,7 @@ def _topological(engine) -> Optional[list]:
 def _plan_all(order) -> Optional[list]:
     """Every module's plan, in ``order``; None when a module would not
     finish its streams or two modules share a scratchpad one writes."""
-    streams: Dict[int, list] = {}
+    streams: Dict[int, Stream] = {}
     plans = []
     for module in order:
         try:
@@ -200,15 +203,15 @@ def _plan_all(order) -> Optional[list]:
             return None
         if not plan.idle:
             return None
-        for port, flits in plan.outputs.items():
+        for port, stream in plan.outputs.items():
             queue = module.outputs.get(port)
             if queue is None:
-                if flits:
+                if len(stream):
                     return None
                 continue
-            streams[id(queue)] = flits
+            streams[id(queue)] = stream
         for port, queue in module.outputs.items():
-            streams.setdefault(id(queue), [])
+            streams.setdefault(id(queue), EMPTY)
         popped = Counter()
         for index, count in Counter(plan.actions).items():
             step = plan.steps[index]

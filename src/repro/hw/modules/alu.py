@@ -13,9 +13,10 @@ flit advances, which is how a broadcast wire behaves under back-pressure.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Dict, Optional
 
-from ..flit import Flit
+from ..flit import ABSENT, Flit, Stream
 from ..maxplus import Plan, Step
 from ..module import Module
 
@@ -137,31 +138,60 @@ class StreamAlu(Module):
         self._note_busy()
 
     def plan(self, streams) -> Plan:
-        """One push per input flit (per pair of flits, two-stream)."""
-        out = []
+        """One push per input flit (per pair of flits, two-stream): the
+        input's columns plus the ``out_field`` column."""
         if self.two_streams and not self._unary:
-            for flit_a, flit_b in zip(streams["a"], streams["b"]):
-                last = flit_a.last or flit_b.last
-                if not flit_a.fields and not flit_b.fields:
-                    out.append(Flit({}, last=last))
-                else:
-                    result = self._apply(flit_a, flit_b)
-                    result.last = last
-                    out.append(result)
+            a, b = streams["a"], streams["b"]
+            count = min(len(a), len(b))
+            a, b = a[:count], b[:count]
+            # a's fields, then b's where a lacks them
+            columns = {
+                name: tuple(
+                    y if x is ABSENT else x
+                    for x, y in zip(a.column(name), b.column(name))
+                )
+                for name in {**a.columns, **b.columns}
+            }
+            stream = Stream([x or y for x, y in zip(a.last, b.last)], columns)
+            others = b.column(self.field)
             step = _APPLY_PAIR
         else:
-            apply = self._apply
-            for flit in streams["in"]:
-                out.append(
-                    apply(flit, None) if flit.fields else Flit({}, last=flit.last)
-                )
+            stream = a = streams["in"]
+            others = None
             step = _APPLY
+        # the operand and the mask are the (first) input flit's
+        operands = a.column(self.field)
+        masks = None if self.mask_field is None else a.column(self.mask_field)
+        if self._unary:
+            second_operands = repeat(None)
+        elif others is not None:
+            second_operands = others
+        elif self.other_field is not None:
+            second_operands = stream.column(self.other_field)
+        else:
+            second_operands = repeat(self.constant)
+        func, unary = self._func, self._unary
+        results = list(stream.column(self.out_field))
+        for index, (operand, second) in enumerate(zip(operands, second_operands)):
+            if operand is ABSENT or masks is not None and (
+                masks[index] is ABSENT or not masks[index]
+            ):
+                continue  # a boundary, masked off or lacking the field
+            if unary:
+                results[index] = func(operand)
+            elif second is ABSENT:
+                raise KeyError(self.other_field or self.field)
+            else:
+                results[index] = func(operand, second)
 
         def commit(_timed) -> None:
-            self.busy_cycles += len(out)
-            self.flits_out += len(out)
+            self.busy_cycles += len(stream)
+            self.flits_out += len(stream)
 
-        return Plan({"out": out}, (step,), [0] * len(out), commit)
+        return Plan(
+            {"out": stream.with_columns({self.out_field: results})},
+            (step,), [0] * len(stream), commit,
+        )
 
 
 class Fork(Module):
@@ -196,21 +226,17 @@ class Fork(Module):
 
     def plan(self, streams) -> Plan:
         """One pop per flit, pushed to every output, each of which must
-        have room.  Every branch but the last gets its own copies, as the
-        tick's; flits are immutable once pushed, so the last one takes
-        the input's."""
-        flits = streams["in"]
+        have room.  Streams are never changed once built, so every branch
+        takes the input stream itself."""
+        stream = streams["in"]
         ports = tuple(self.port_names)
 
         def commit(_timed) -> None:
-            self.busy_cycles += len(flits)
-            self.flits_out += len(flits)
+            self.busy_cycles += len(stream)
+            self.flits_out += len(stream)
 
         return Plan(
-            {
-                port: [Flit(dict(flit.fields), last=flit.last) for flit in flits]
-                for port in ports[:-1]
-            } | {ports[-1]: flits},
+            dict.fromkeys(ports, stream),
             (Step(pops=("in",), pushes=ports, rooms=ports),),
-            [0] * len(flits), commit,
+            [0] * len(stream), commit,
         )

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..flit import Flit
+from ..flit import ABSENT, Flit
 from ..maxplus import Plan, Step
 from ..module import Module
 
@@ -103,62 +103,74 @@ class BinIdGen(Module):
 
     def plan(self, streams) -> Plan:
         """The tick over the whole streams: a read's header is latched,
-        then its bases are binned.  Every action needs room."""
+        then its bases are binned.  Every action needs room.  The output
+        gathers the aligned bases and adds their ``b1`` / ``b2``."""
         meta, bases = streams["meta"], streams["in"]
-        im = ib = 0
+        headers = zip(meta.filled, meta.column("reverse"), meta.column("seqlen"))
+        flits = zip(
+            bases.last, bases.column("op"), bases.column("qual"),
+            bases.column("base"), bases.column("ridx"),
+        )
         reverse, seqlen, prev = self._reverse, self._seqlen, self._prev_base
         read_length, n_cycles = self.read_length, self.n_cycle_values
         n_contexts = self.n_contexts
-        out, actions = [], []
+        rows, b1s, b2s, actions = [], [], [], []
+        index = -1
         while True:
             if reverse is None:
-                if im == len(meta):
+                header = next(headers, None)
+                if header is None:
                     break
-                flit = meta[im]
-                im += 1
-                if not flit.fields:
-                    out.append(Flit({}, last=True))
+                filled, reverse, seqlen = header
+                if not filled:
+                    reverse = seqlen = None
+                    rows.append(-1)
+                    b1s.append(ABSENT)
+                    b2s.append(ABSENT)
                     actions.append(_HEADER_EMPTY)
                     continue
-                reverse, seqlen = bool(flit["reverse"]), int(flit["seqlen"])
+                if reverse is ABSENT:
+                    raise KeyError("reverse")
+                reverse, seqlen = bool(reverse), int(seqlen)
                 prev = None
                 actions.append(_HEADER)
                 continue
-            if ib == len(bases):
+            flit = next(flits, None)
+            if flit is None:
                 break
-            flit = bases[ib]
-            ib += 1
-            if flit.last:
-                out.append(Flit({}, last=True))
+            index += 1
+            last, op, quality, base, ridx = flit
+            if last:
+                rows.append(-1)
+                b1s.append(ABSENT)
+                b2s.append(ABSENT)
                 actions.append(_BIN)
                 reverse = seqlen = None
                 continue
-            fields = flit.fields
-            op = fields.get("op")
             if op in ("S", "I", "D"):
                 if op != "D":
-                    prev = int(fields["base"])
+                    prev = int(base)
                 actions.append(_SKIP)
                 continue
-            quality, base = int(fields["qual"]), int(fields["base"])
-            ridx = int(fields["ridx"])
+            quality, base, ridx = int(quality), int(base), int(ridx)
             cycle = read_length + (seqlen - 1 - ridx) if reverse else ridx
-            fields = dict(fields)
-            fields["b1"] = quality * n_cycles + cycle
-            fields["b2"] = (
+            rows.append(index)
+            b1s.append(quality * n_cycles + cycle)
+            b2s.append(
                 -1 if prev is None else quality * n_contexts + (prev * 4 + base)
             )
             prev = base
-            out.append(Flit(fields, last=False))
             actions.append(_BIN)
 
         def commit(_timed) -> None:
             self._reverse, self._seqlen, self._prev_base = reverse, seqlen, prev
-            self.busy_cycles += len(out)
-            self.flits_out += len(out)
+            self.busy_cycles += len(rows)
+            self.flits_out += len(rows)
 
+        out = bases.gather(rows, [row < 0 for row in rows])
         return Plan(
-            {"out": out}, _STEPS, actions, commit, idle=reverse is None
+            {"out": out.with_columns({"b1": b1s, "b2": b2s})}, _STEPS, actions,
+            commit, idle=reverse is None,
         )
 
     def is_idle(self) -> bool:

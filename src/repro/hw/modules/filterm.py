@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 from typing import Callable, Optional
 
-from ..flit import Flit
+from ..flit import Flit, Row
 from ..maxplus import Plan, Step
 from ..module import Module
 
@@ -102,25 +102,34 @@ class Filter(Module):
 
     def plan(self, streams) -> Plan:
         """One pop per flit, every one needing room; a dropped flit
-        pushes nothing unless it closes an item."""
-        out, actions, dropped = [], [], 0
+        pushes nothing unless it closes an item.  The predicate sees each
+        flit as a :class:`~repro.hw.flit.Row`; the output gathers the
+        flits that pass."""
+        stream = streams["in"]
+        rows, last, actions, dropped = [], [], [], 0
         passes = self.predicate or self._passes
-        for flit in streams["in"]:
-            if not flit.fields:
-                out.append(Flit({}, last=flit.last))
-            elif passes(flit):
-                out.append(flit)
+        row = Row(stream)
+        for index, (filled, closes) in enumerate(zip(stream.filled, stream.last)):
+            if filled:
+                row.index = index
+                if passes(row):
+                    rows.append(index)
+                else:
+                    dropped += 1
+                    if not closes:
+                        actions.append(0)
+                        continue
+                    rows.append(-1)
             else:
-                dropped += 1
-                if not flit.last:
-                    actions.append(0)
-                    continue
-                out.append(Flit({}, last=True))
+                rows.append(-1)
+            last.append(closes)
             actions.append(1)
 
         def commit(_timed) -> None:
             self.dropped += dropped
-            self.busy_cycles += len(out)
-            self.flits_out += len(out)
+            self.busy_cycles += len(rows)
+            self.flits_out += len(rows)
 
+        # nothing dropped: the output is the input, flit for flit
+        out = stream.gather(rows, last) if dropped else stream
         return Plan({"out": out}, (_DROP, _PASS), actions, commit)

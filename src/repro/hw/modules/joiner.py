@@ -24,9 +24,11 @@ but must flow through left joins (metadata update needs them for NM).
 
 from __future__ import annotations
 
-from typing import FrozenSet
+import operator
+from itertools import repeat
+from typing import FrozenSet, List
 
-from ..flit import INS, Flit
+from ..flit import ABSENT, INS, Flit, Stream
 from ..maxplus import Plan, Step
 from ..module import Module
 
@@ -171,105 +173,141 @@ class Joiner(Module):
     def plan(self, streams) -> Plan:
         """The tick's merge over the two whole streams.  Every action
         needs room; outside the drain phases it needs both heads, popped
-        or not."""
+        or not.  Each output flit names the input flit(s) it takes its
+        fields from, gathered at the end (:func:`_joined`)."""
         a, b = streams["a"], streams["b"]
+        a_last, a_filled, a_keys = a.last, a.filled, a.column(self.key_a)
+        b_last, b_filled, b_keys = b.last, b.filled, b.column(self.key_b)
         ia = ib = 0
         a_done, b_done = self._a_done, self._b_done
-        mode, key_a, key_b = self.mode, self.key_a, self.key_b
+        mode = self.mode
         passthrough = self.passthrough_keys
         keep_a, keep_b = mode in ("left", "outer"), mode == "outer"
-        out, actions, discarded = [], [], 0
-        na, nb, merge = len(a), len(b), self._merge
+        rows_a, rows_b, actions, discarded = [], [], [], 0
+        na, nb = len(a), len(b)
         while True:
             if a_done and b_done:
-                out.append(Flit({}, last=True))
+                rows_a.append(-1)
+                rows_b.append(-1)
                 actions.append(_BOUNDARY)
                 a_done = b_done = False
                 continue
-            head_a = a[ia] if not a_done and ia < na else None
-            head_b = b[ib] if not b_done and ib < nb else None
-            if a_done and head_b is not None:  # drain b
-                ib += 1
-                b_done = head_b.last
-                if keep_b and head_b.fields:
-                    out.append(Flit(head_b.fields, last=False))
+            has_a = not a_done and ia < na
+            has_b = not b_done and ib < nb
+            if a_done and has_b:  # drain b
+                b_done = b_last[ib]
+                if keep_b and b_filled[ib]:
+                    rows_a.append(-1)
+                    rows_b.append(ib)
                     actions.append(_DRAIN_B_EMIT)
                 else:
                     discarded += 1
                     actions.append(_DRAIN_B)
+                ib += 1
                 continue
-            if b_done and head_a is not None:  # drain a
-                ia += 1
-                a_done = head_a.last
-                if keep_a and head_a.fields:
-                    out.append(Flit(head_a.fields, last=False))
+            if b_done and has_a:  # drain a
+                a_done = a_last[ia]
+                if keep_a and a_filled[ia]:
+                    rows_a.append(ia)
+                    rows_b.append(-1)
                     actions.append(_DRAIN_A_EMIT)
                 else:
                     discarded += 1
                     actions.append(_DRAIN_A)
-                continue
-            if head_a is None or head_b is None:
-                break  # starved for good: the streams are exhausted
-            if not head_a.fields:
                 ia += 1
-                a_done = head_a.last
+                continue
+            if not (has_a and has_b):
+                break  # starved for good: the streams are exhausted
+            if not a_filled[ia]:
+                a_done = a_last[ia]
+                ia += 1
                 actions.append(_CLOSE_A)
                 continue
-            if not head_b.fields:
+            if not b_filled[ib]:
+                b_done = b_last[ib]
                 ib += 1
-                b_done = head_b.last
                 actions.append(_CLOSE_B)
                 continue
-            a_key = head_a.fields[key_a]
+            a_key = a_keys[ia]
+            if a_key is ABSENT:
+                raise KeyError(self.key_a)
             if a_key in passthrough:
-                ia += 1
-                a_done = head_a.last
+                a_done = a_last[ia]
                 if mode == "inner":
                     discarded += 1
                     actions.append(_CLOSE_A)
                 else:
-                    out.append(Flit(dict(head_a.fields), last=False))
+                    rows_a.append(ia)
+                    rows_b.append(-1)
                     actions.append(_TAKE_A)
+                ia += 1
                 continue
-            b_key = head_b.fields[key_b]
+            b_key = b_keys[ib]
+            if b_key is ABSENT:
+                raise KeyError(self.key_b)
             if a_key == b_key:
-                out.append(merge(head_a, head_b))
+                rows_a.append(ia)
+                rows_b.append(ib)
+                a_done, b_done = a_last[ia], b_last[ib]
                 ia += 1
                 ib += 1
-                a_done, b_done = head_a.last, head_b.last
                 actions.append(_MERGE)
             elif a_key < b_key:
-                ia += 1
-                a_done = head_a.last
+                a_done = a_last[ia]
                 if keep_a:
-                    out.append(Flit(dict(head_a.fields), last=False))
+                    rows_a.append(ia)
+                    rows_b.append(-1)
                     actions.append(_TAKE_A)
                 else:
                     discarded += 1
                     actions.append(_CLOSE_A)
+                ia += 1
             else:
-                ib += 1
-                b_done = head_b.last
+                b_done = b_last[ib]
                 if keep_b:
-                    out.append(Flit(dict(head_b.fields), last=False))
+                    rows_a.append(-1)
+                    rows_b.append(ib)
                     actions.append(_TAKE_B)
                 else:
                     discarded += 1
                     actions.append(_CLOSE_B)
+                ib += 1
 
         def commit(_timed) -> None:
             self._a_done, self._b_done = a_done, b_done
             self.discarded += discarded
-            self.busy_cycles += len(out)
-            self.flits_out += len(out)
+            self.busy_cycles += len(rows_a)
+            self.flits_out += len(rows_a)
 
         return Plan(
-            {"out": out}, _STEPS, actions, commit,
-            idle=not a_done and not b_done,
+            {"out": _joined(a, rows_a, b, rows_b, self.key_b)}, _STEPS,
+            actions, commit, idle=not a_done and not b_done,
         )
 
     def is_idle(self) -> bool:
         return not self._a_done and not self._b_done
+
+
+def _joined(a: Stream, rows_a: List[int], b: Stream, rows_b: List[int], key: str):
+    """The Joiner's output: flit *k* carries the fields of ``a``'s flit
+    ``rows_a[k]`` and of ``b``'s ``rows_b[k]`` (-1: none; neither: a
+    boundary, which alone closes its item).  A merged flit takes B's
+    fields over A's but for B's ``key``, which is A's or none
+    (:meth:`Joiner._merge`)."""
+    last = [row_a < 0 and row_b < 0 for row_a, row_b in zip(rows_a, rows_b)]
+    columns = dict(a.gather(rows_a, last).columns)
+    for name, values in b.gather(rows_b, last).columns.items():
+        mine = columns.get(name)
+        if name == key:  # A's, or B's on a flit A gives nothing to
+            mine = repeat(ABSENT) if mine is None else mine
+            columns[name] = [
+                x if row >= 0 else y for x, y, row in zip(mine, values, rows_a)
+            ]
+        elif mine is None:
+            columns[name] = values
+        else:
+            columns[name] = [x if y is ABSENT else y for x, y in zip(mine, values)]
+    return Stream(last, columns, filled=map(operator.not_, last))
 
 
 # The Joiner's steps (indices into _STEPS): every one needs room on out.

@@ -16,12 +16,12 @@ interface (Section III-F); its software reference is
 from __future__ import annotations
 
 import copy
+import operator
 from collections import deque
-from itertools import chain
 from typing import Deque
 
 from ...genomics.sequences import decode_base
-from ..flit import Flit
+from ..flit import ABSENT, Flit, Stream
 from ..maxplus import Plan, Step
 from ..module import Module
 
@@ -57,28 +57,34 @@ class MdGen(Module):
         self._tokens.append(str(self._match_run))
         self._match_run = 0
 
-    def _process(self, flit: Flit) -> None:
-        op = flit.get(self.op_field)
+    def _process(self, op, base, ref) -> None:
+        """Fold one flit's ``op`` / ``base`` / ``ref`` fields
+        (:data:`~repro.hw.flit.ABSENT` where it lacks one) into the
+        tokens."""
         if op == "I":
             # Inserted bases are invisible to MD and, consuming no
             # reference, do not interrupt a deletion run (matching the
             # software MdBuilder's reference-walk semantics).
             return
         if op == "D":
+            if ref is ABSENT:
+                raise KeyError(self.ref_field)
             if not self._in_deletion:
                 self._flush_run()
                 self._tokens.append("^")
                 self._in_deletion = True
-            self._tokens.append(decode_base(int(flit[self.ref_field])))
+            self._tokens.append(decode_base(int(ref)))
             return
         if op != "M":
             return
         self._in_deletion = False
-        if int(flit[self.base_field]) == int(flit[self.ref_field]):
+        if base is ABSENT or ref is ABSENT:
+            raise KeyError(self.base_field if base is ABSENT else self.ref_field)
+        if int(base) == int(ref):
             self._match_run += 1
         else:
             self._flush_run()
-            self._tokens.append(decode_base(int(flit[self.ref_field])))
+            self._tokens.append(decode_base(int(ref)))
 
     def _close_item(self) -> None:
         self._flush_run()
@@ -111,7 +117,10 @@ class MdGen(Module):
             return
         flit = queue.pop()
         if flit.fields:
-            self._process(flit)
+            self._process(
+                flit.get(self.op_field), flit.get(self.base_field, ABSENT),
+                flit.get(self.ref_field, ABSENT),
+            )
         if flit.last:
             self._close_item()
 
@@ -119,34 +128,44 @@ class MdGen(Module):
         """Every action needs room: a pending token pushes, else the next
         flit is popped and folded into the token queue.  Runs the token
         logic on a twin of the module, adopted on commit."""
+        stream = streams["in"]
         twin = copy.copy(self)
         twin._tokens = tokens = deque(self._tokens)
-        out, actions, field = [], [], self.out_field
-        flits = streams["in"]
-        for flit in chain(flits, (None,)):
+        md, last, actions = [], [], []
+        flits = zip(
+            stream.filled, stream.last, stream.column(self.op_field),
+            stream.column(self.base_field), stream.column(self.ref_field),
+        )
+        while True:
             while tokens:
                 token = tokens.popleft()
-                out.append(
-                    Flit({}, last=True) if token is _BOUNDARY
-                    else Flit({field: token}, last=False)
-                )
+                boundary = token is _BOUNDARY
+                md.append(ABSENT if boundary else token)
+                last.append(boundary)
                 actions.append(1)
+            flit = next(flits, None)
             if flit is None:
                 break
             actions.append(0)
-            if flit.fields:
-                twin._process(flit)
-            if flit.last:
+            filled, closes, op, base, ref = flit
+            if filled:
+                twin._process(op, base, ref)
+            if closes:
                 twin._close_item()
 
         def commit(_timed) -> None:
             self._tokens = tokens
             self._match_run = twin._match_run
             self._in_deletion = twin._in_deletion
-            self.busy_cycles += len(out)
-            self.flits_out += len(out)
+            self.busy_cycles += len(md)
+            self.flits_out += len(md)
 
-        return Plan({"out": out}, (_FOLD, _EMIT), actions, commit)
+        return Plan(
+            {"out": Stream(
+                last, {self.out_field: md}, filled=map(operator.not_, last)
+            )},
+            (_FOLD, _EMIT), actions, commit,
+        )
 
     def is_idle(self) -> bool:
         return not self._tokens

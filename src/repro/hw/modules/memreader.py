@@ -5,17 +5,21 @@ memory reader continuously issues memory requests at access granularity as
 long as its internal prefetch buffer has room, and feeds returned data to
 the next module at one flit per cycle.
 
-The functional payload is configured as a pre-framed flit stream (the
-column contents, one flit per element, ``last`` marking item boundaries);
-the performance behaviour — request pacing, prefetch-buffer credits,
-latency hiding — is simulated against the shared :class:`MemorySystem`.
+The functional payload is configured as a :class:`~repro.hw.flit.Stream`
+(the column contents, one flit per element, ``last`` marking item
+boundaries): :meth:`MemoryReader.set_items` / :meth:`~MemoryReader.set_scalars`
+build its columns directly, :meth:`~MemoryReader.set_stream` takes a
+stream or converts a flit list.  A ``plan`` hands the stream on as it is;
+a ``tick`` materialises one :class:`~repro.hw.flit.Flit` per push.  The
+performance behaviour — request pacing, prefetch-buffer credits, latency
+hiding — is simulated against the shared :class:`MemorySystem`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence, Union
 
-from ..flit import Flit, item_flits
+from ..flit import EMPTY, Flit, Stream
 from ..maxplus import RESPONSES, Plan, Step
 from ..memory import MemorySystem
 from ..module import SourceModule
@@ -39,28 +43,31 @@ class MemoryReader(SourceModule):
         super().__init__(name)
         if elem_size < 1:
             raise ValueError("elem_size must be positive")
+        if prefetch_lines < 1:
+            raise ValueError("prefetch_lines must be positive")
         self.memory = memory
         self.elem_size = elem_size
         self.prefetch_lines = prefetch_lines
         self._port = memory.register_port(self._on_response)
         self._elems_per_line = max(1, memory.config.access_bytes // elem_size)
-        self._flits: List[Flit] = []
-        self._cursor = 0
-        self._credits = 0
-        self._lines_requested = 0
-        self._lines_completed = 0
-        self._lines_total = 0
+        self.set_stream(EMPTY)
 
     # -- configuration (the configure_mem host call lands here) ----------------
 
-    def set_stream(self, flits: Sequence[Flit]) -> None:
-        """Load the pre-framed column contents this reader will stream."""
-        self._flits = list(flits)
+    def set_stream(self, stream: Union[Stream, Sequence[Flit]]) -> None:
+        """Load the pre-framed column contents this reader will stream: a
+        :class:`Stream`, or a flit list to convert."""
+        if not isinstance(stream, Stream):
+            stream = Stream.from_flits(stream)
+        self._stream = stream
+        #: Per flit: the step it takes — 1 for a payload flit (it spends
+        #: a credit), 0 for a boundary.
+        self._actions = list(map(int, stream.filled))
         self._cursor = 0
         self._credits = 0
         self._lines_requested = 0
         self._lines_completed = 0
-        payload = sum(1 for flit in self._flits if flit.fields)
+        payload = sum(self._actions)
         self._lines_total = (
             payload + self._elems_per_line - 1
         ) // self._elems_per_line
@@ -68,15 +75,11 @@ class MemoryReader(SourceModule):
     def set_items(self, items: Iterable[Iterable], field: str = "value") -> None:
         """Convenience: frame ``items`` (an iterable of per-item element
         sequences) and load them."""
-        flits: List[Flit] = []
-        for item in items:
-            flits.extend(item_flits(item, field))
-        self.set_stream(flits)
+        self.set_stream(Stream.of_items(items, field))
 
     def set_scalars(self, values: Iterable, field: str = "value") -> None:
         """Convenience: one single-flit item per scalar value."""
-        flits = [Flit({field: value}, last=True) for value in values]
-        self.set_stream(flits)
+        self.set_stream(Stream.of_scalars(values, field))
 
     # -- simulation ---------------------------------------------------------------
 
@@ -94,9 +97,10 @@ class MemoryReader(SourceModule):
             self.memory.request(self._port, 1)
             self._lines_requested += 1
         # Emit one flit per cycle once data has "arrived".
-        if self._cursor >= len(self._flits):
+        if self._cursor >= len(self._stream):
             return
-        if self._credits <= 0 and self._flits[self._cursor].fields:
+        payload = self._actions[self._cursor]
+        if self._credits <= 0 and payload:
             self._note_starved()
             return
         out = self._out
@@ -105,34 +109,32 @@ class MemoryReader(SourceModule):
         if not out.can_push():
             self._note_stalled(out)
             return
-        flit = self._flits[self._cursor]
+        flit = self._stream.flit(self._cursor)
         self._cursor += 1
-        if flit.fields:
+        if payload:
             self._credits -= 1
-        # Flits are immutable once pushed (modules build new flits rather
-        # than editing received ones; Fork makes its own per-port copies),
-        # so the preloaded stream objects can be sent as-is.
         out.push(flit)
         self._note_busy()
 
     def plan(self, streams) -> Plan:
         """The rest of the stream, one push per flit; a payload flit also
         pops one element of the memory responses (a credit)."""
-        flits = self._flits[self._cursor:]
-        actions = [1 if flit.fields else 0 for flit in flits]
+        cursor = self._cursor
+        stream = self._stream[cursor:] if cursor else self._stream
+        actions = self._actions[cursor:]
         payload = sum(actions)
         per_line, credits = self._elems_per_line, self._credits
         fetch = self._lines_total - self._lines_requested
 
         def commit(_timed) -> None:
-            self._cursor = len(self._flits)
+            self._cursor = len(self._stream)
             self._credits = credits + fetch * per_line - payload
             self._lines_requested = self._lines_completed = self._lines_total
-            self.busy_cycles += len(flits)
-            self.flits_out += len(flits)
+            self.busy_cycles += len(stream)
+            self.flits_out += len(stream)
 
         return Plan(
-            {"out": flits}, _STEPS, actions, commit,
+            {"out": stream}, _STEPS, actions, commit,
             idle=credits + fetch * per_line >= payload,
             port=self._port, fetch=fetch, window=self.prefetch_lines,
             credits=credits, per_line=per_line,
@@ -147,14 +149,13 @@ class MemoryReader(SourceModule):
         outstanding = self._lines_requested - self._lines_completed
         if self._lines_requested < self._lines_total and outstanding < self.prefetch_lines:
             return True  # can issue another request
-        if self._cursor < len(self._flits):
-            head = self._flits[self._cursor]
+        if self._cursor < len(self._stream):
             # Boundary flits need no credits; payload flits need one.
-            return self._credits > 0 or not head.fields
+            return self._credits > 0 or not self._actions[self._cursor]
         return False
 
     def is_idle(self) -> bool:
         return (
-            self._cursor >= len(self._flits)
+            self._cursor >= len(self._stream)
             and self._lines_requested >= self._lines_total
         )

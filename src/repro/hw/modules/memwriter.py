@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import List
 
+from ..flit import ABSENT
 from ..maxplus import Plan, Step
 from ..memory import MemorySystem
 from ..module import SinkModule
@@ -68,21 +69,21 @@ class MemoryWriter(SinkModule):
 
     def plan(self, streams) -> Plan:
         """One pop per flit; the pop that fills a line issues its write."""
-        flits = streams["in"]
-        field, per_line = self.field, self._elems_per_line
+        stream = streams["in"]
+        per_line = self._elems_per_line
         collected, items, current = [], [], list(self._current_item)
         buffered, stores = self._buffered, []
-        for index, flit in enumerate(flits):
-            fields = flit.fields
-            if field in fields:
-                value = fields[field]
+        for index, (value, last) in enumerate(
+            zip(stream.column(self.field), stream.last)
+        ):
+            if value is not ABSENT:
                 collected.append(value)
                 current.append(value)
                 buffered += 1
                 if buffered >= per_line:
                     stores.append(index)
                     buffered = 0
-            if flit.last:
+            if last:
                 items.append(current)
                 current = []
 
@@ -91,11 +92,11 @@ class MemoryWriter(SinkModule):
             self.items.extend(items)
             self._current_item = current
             self._buffered = buffered
-            self.busy_cycles += len(flits)
-            self.flits_out += len(flits)
+            self.busy_cycles += len(stream)
+            self.flits_out += len(stream)
 
         return Plan(
-            {}, (_POP,), [0] * len(flits), commit,
+            {}, (_POP,), [0] * len(stream), commit,
             port=self._port, stores=("in", stores),
         )
 

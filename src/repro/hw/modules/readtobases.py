@@ -19,10 +19,12 @@ read's output item is terminated by a payload-less boundary flit with
 
 from __future__ import annotations
 
+import operator
+from itertools import repeat
 from typing import Optional
 
 from ...genomics.cigar import OPS
-from ..flit import DEL, INS, Flit
+from ..flit import ABSENT, DEL, INS, Flit, Stream
 from ..maxplus import Plan, Step
 from ..module import Module
 
@@ -163,63 +165,73 @@ class ReadToBases(Module):
             self._note_busy()
 
     def plan(self, streams) -> Plan:
-        """The tick's decode over the whole streams.  Every action needs
-        room; QUAL is popped beside SEQ without waiting for it (the tick
-        raises when it lags)."""
+        """The tick's decode over the whole streams, an element at a time:
+        its bases' columns are sliced out of SEQ / QUAL, its positions and
+        indices are ranges.  Every action needs room; QUAL is popped
+        beside SEQ without waiting for it (the tick raises when it lags)."""
         pos_in, cigar_in = streams["pos"], streams["cigar"]
-        seq_in = streams["seq"]
         with_qual, emit_clips = self.with_qual, self.emit_clips
-        qual_in = streams["qual"] if with_qual else ()
-        ip = ic = iseq = 0
+        seq_in = _values(streams["seq"])
+        qual_in = _values(streams["qual"]) if with_qual else ()
+        heads = zip(pos_in.filled, pos_in.column("value"))
+        elements = zip(cigar_in.filled, cigar_in.column("value"), cigar_in.last)
+        iseq = 0
         pos, ridx = self._pos, self._ridx
         op, left, cigar_done = self._element_op, self._element_left, self._cigar_done
         exploded = 0
-        out, actions = [], []
+        ops, positions, bases, indices, quals, last = [], [], [], [], [], []
+        actions = []
         base_step = _BASE_QUAL if with_qual else _BASE
         skip_step = _SKIP_QUAL if with_qual else _SKIP
+
+        def boundary() -> None:
+            for column in (ops, positions, bases, indices, quals):
+                column.append(ABSENT)
+            last.append(True)
+
         while True:
             if pos is None:
-                if ip == len(pos_in):
+                head = next(heads, None)
+                if head is None:
                     break
-                flit = pos_in[ip]
-                ip += 1
-                if not flit.fields:  # degenerate empty read
-                    out.append(Flit({}, last=True))
+                filled, value = head
+                if not filled:  # degenerate empty read
+                    boundary()
                     actions.append(_POS_EMPTY)
                     continue
-                pos = int(flit["value"])
+                pos = int(value)
                 cigar_done = False
                 actions.append(_POS)
                 continue
             if left == 0:
                 if not cigar_done:
-                    if ic == len(cigar_in):
+                    element = next(elements, None)
+                    if element is None:
                         break
-                    flit = cigar_in[ic]
-                    ic += 1
-                    if not flit.fields:
+                    filled, code, closes = element
+                    if not filled:
                         cigar_done = True
                     else:
-                        code = int(flit["value"])
+                        code = int(code)
                         op, left = OPS[code & 0x3], code >> 2
-                        cigar_done = flit.last
+                        cigar_done = closes
                     if not (left == 0 and cigar_done and op is None):
                         actions.append(_CIGAR)
                         continue
                     actions.append(_CIGAR_FINISH)
                 else:
                     actions.append(_FINISH)
-                out.append(Flit({}, last=True))
+                boundary()
                 exploded += 1
                 pos, ridx, op, left, cigar_done = None, 0, None, 0, False
                 continue
             # the rest of the element at once: one base (action) a cycle
             if op == "D":
                 count, step = left, _DELETION
-                emitted = [
-                    {"op": "D", "pos": p, "base": DEL} for p in range(pos, pos + count)
-                ]
-                quals = [DEL] * count
+                positions.extend(range(pos, pos + count))
+                bases.extend(repeat(DEL, count))
+                indices.extend(repeat(ABSENT, count))
+                quals.extend(repeat(DEL, count))
                 pos += count
             else:
                 count = min(left, len(seq_in) - iseq)
@@ -227,54 +239,62 @@ class ReadToBases(Module):
                     count = min(count, len(qual_in) - iseq)
                 if not count:
                     break  # starved for good (or SEQ / QUAL diverged)
-                bases = _values(seq_in[iseq:iseq + count])
-                quals = _values(qual_in[iseq:iseq + count])
-                indices = range(ridx, ridx + count)
-                iseq += count
-                ridx += count
                 step = base_step
                 if op == "M":
-                    emitted = [
-                        {"op": "M", "pos": p, "base": b, "ridx": r}
-                        for p, b, r in zip(range(pos, pos + count), bases, indices)
-                    ]
+                    positions.extend(range(pos, pos + count))
                     pos += count
                 elif op == "I":
-                    emitted = [
-                        {"op": "I", "pos": INS, "base": b, "ridx": r}
-                        for b, r in zip(bases, indices)
-                    ]
+                    positions.extend(repeat(INS, count))
                 elif emit_clips:
-                    emitted = [
-                        {"op": "S", "base": b, "ridx": r}
-                        for b, r in zip(bases, indices)
-                    ]
-                else:
-                    emitted, step = [], skip_step
-            if with_qual:
-                for fields, qual in zip(emitted, quals):
-                    fields["qual"] = qual
-            out.extend([Flit(fields) for fields in emitted])
+                    positions.extend(repeat(ABSENT, count))
+                else:  # a soft clip, dropped
+                    step = skip_step
+                if step == base_step:
+                    bases.extend(seq_in[iseq:iseq + count])
+                    indices.extend(range(ridx, ridx + count))
+                    quals.extend(
+                        qual_in[iseq:iseq + count] if with_qual
+                        else repeat(ABSENT, count)
+                    )
+                iseq += count
+                ridx += count
+            if step != skip_step:
+                ops.extend(repeat(op, count))
+                last.extend(repeat(False, count))
             left -= count
-            actions.extend([step] * count)
+            actions.extend(repeat(step, count))
+        columns = {"op": ops, "pos": positions, "base": bases, "ridx": indices}
+        if with_qual:
+            columns["qual"] = quals
 
         def commit(_timed) -> None:
             self._pos, self._ridx = pos, ridx
             self._element_op, self._element_left = op, left
             self._cigar_done = cigar_done
             self.reads_exploded += exploded
-            self.busy_cycles += len(out)
-            self.flits_out += len(out)
+            self.busy_cycles += len(last)
+            self.flits_out += len(last)
 
-        return Plan({"out": out}, _STEPS, actions, commit, idle=pos is None)
+        return Plan(
+            {"out": Stream(last, columns, filled=map(operator.not_, last))},
+            _STEPS, actions, commit,
+            idle=pos is None,
+        )
 
     def is_idle(self) -> bool:
         return self._pos is None
 
 
-def _values(flits):
+def _values(stream: Stream) -> tuple:
     """Each flit's ``value``, None for a boundary flit (``_pop_value``)."""
-    return [flit.fields["value"] if flit.fields else None for flit in flits]
+    values = stream.column("value")
+    if any(map(operator.is_, values, repeat(ABSENT))):
+        if any(absent and filled for absent, filled in zip(
+            map(operator.is_, values, repeat(ABSENT)), stream.filled
+        )):
+            raise KeyError("value")  # a payload flit without one
+        values = tuple(None if value is ABSENT else value for value in values)
+    return values
 
 
 # ReadToBases' steps (indices into _STEPS): every one needs room on out.

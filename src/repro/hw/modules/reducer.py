@@ -9,9 +9,10 @@ field selects which values contribute (Section III-C).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Optional
 
-from ..flit import DEL, Flit
+from ..flit import ABSENT, DEL, Flit, Stream
 from ..maxplus import Plan, Step
 from ..module import Module
 
@@ -97,19 +98,24 @@ class Reducer(Module):
     def plan(self, streams) -> Plan:
         """One pop per flit; an item's last flit also pushes its result
         and so needs room."""
+        stream = streams["in"]
         acc, identity = self._acc, _IDENTITY[self.op]
         out, actions = [], []
-        per_item, out_field, field = self.per_item, self.out_field, self.field
-        mask, fold = self.mask_field, self._fold
-        for flit in streams["in"]:
-            fields = flit.fields
+        per_item, fold = self.per_item, self._fold
+        masks = (
+            repeat(True) if self.mask_field is None
+            else stream.column(self.mask_field)
+        )
+        for value, mask, last in zip(
+            stream.column(self.field), masks, stream.last
+        ):
             if (
-                field in fields and fields[field] is not DEL
-                and (mask is None or fields.get(mask))
+                value is not ABSENT and value is not DEL
+                and mask is not ABSENT and mask
             ):  # _contributes
-                acc = fold(acc, fields[field])
-            if flit.last and per_item:
-                out.append(Flit({out_field: self._value(acc)}, last=True))
+                acc = fold(acc, value)
+            if last and per_item:
+                out.append(self._value(acc))
                 actions.append(1)
                 acc = identity
             else:
@@ -120,7 +126,10 @@ class Reducer(Module):
             self.busy_cycles += len(out)
             self.flits_out += len(out)
 
-        return Plan({"out": out}, (_FOLD, _EMIT), actions, commit)
+        return Plan(
+            {"out": Stream.of_scalars(out, self.out_field)},
+            (_FOLD, _EMIT), actions, commit,
+        )
 
     def stream_result(self):
         """For whole-stream reductions: the final value (drivers read this

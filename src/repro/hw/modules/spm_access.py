@@ -18,9 +18,10 @@ memory at the end of a run).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Optional
 
-from ..flit import Flit
+from ..flit import ABSENT, Flit, Stream
 from ..maxplus import Plan, Step, Timed
 from ..module import Module
 from ..spm import RmwInterlock, Scratchpad
@@ -107,30 +108,32 @@ class SpmUpdater(Module):
         """One pop per flit, never needing room.  An rmw update enters
         the interlock: the timing pass holds it until its address left
         the pipeline stages and counts the cycles it waited."""
-        flits = streams["in"]
+        stream = streams["in"]
         spm, mode = self.spm, self.mode
-        addr_field, value_field = self.addr_field, self.value_field
         words: dict = {}
         address, updates = self._next_address, 0
         hazards = [] if mode == "rmw" else None
-        for flit in flits:
-            fields = flit.fields
-            if not fields:
+        for filled, target, value in zip(
+            stream.filled, stream.column(self.addr_field),
+            stream.column(self.value_field),
+        ):
+            if not filled:
                 if hazards is not None:
                     hazards.append(None)
                 continue
             if mode == "sequential":
-                spm.peek(address)
-                words[address] = fields[value_field]
+                target = address
                 address += 1
-            elif mode == "random":
-                target = fields[addr_field]
+            elif target is ABSENT:
+                raise KeyError(self.addr_field)
+            if hazards is None:
                 spm.peek(target)
-                words[target] = fields[value_field]
+                if value is ABSENT:
+                    raise KeyError(self.value_field)
+                words[target] = value
             else:
-                target = fields[addr_field]
                 old = words[target] if target in words else spm.peek(target)
-                words[target] = self._modify(old, fields.get(value_field))
+                words[target] = self._modify(old, None if value is ABSENT else value)
                 hazards.append(target)
             updates += 1
 
@@ -145,7 +148,7 @@ class SpmUpdater(Module):
                 self._interlock.settle(timed.entered, timed.stalls)
 
         return Plan(
-            {}, (_POP,), [0] * len(flits), commit, hazards=hazards,
+            {}, (_POP,), [0] * len(stream), commit, hazards=hazards,
             interlock=self._interlock.entries() if hazards is not None else None,
             writes_spm=spm,
         )
@@ -266,56 +269,62 @@ class SpmReader(Module):
 
     def plan(self, streams) -> Plan:
         """The tick over the whole streams; every action needs room, the
-        drain's last one (it only flips to idle) included."""
+        drain's last one (it only flips to idle) included.  Words come
+        from :meth:`Scratchpad.peek_span`, coordinates from a range."""
         spm, base = self.spm, self.base_address
-        out_field, addr_field = self.out_field, self.addr_out_field
-        out, actions = [], []
+        values, coordinates, last, actions = [], [], [], []
 
         def words(first: int, stop: int, word: int) -> None:
             """Stream coordinates ``first .. stop - 1`` (SPM words from
             ``word`` on), the last one closing the item."""
-            values = spm.peek_span(word, word + stop - first)
-            if addr_field is None:
-                out.extend([Flit({out_field: value}) for value in values])
-            else:
-                out.extend([
-                    Flit({out_field: value, addr_field: coordinate})
-                    for coordinate, value in zip(range(first, stop), values)
-                ])
-            out[-1].last = True
-            actions.extend([_EMIT_STEP] * len(values))
+            span = spm.peek_span(word, word + stop - first)
+            values.extend(span)
+            coordinates.extend(range(first, stop))
+            last.extend(repeat(False, len(span) - 1))
+            last.append(True)
+            actions.extend(repeat(_EMIT_STEP, len(span)))
+
+        def boundary(step: int) -> None:
+            values.append(ABSENT)
+            coordinates.append(ABSENT)
+            last.append(True)
+            actions.append(step)
 
         cursor, end = self._cursor, self._end
         drain_cursor, draining = self._drain_cursor, self._draining
         if self.mode == "lookup":
-            for flit in streams["in"]:
-                fields = {}
-                if flit.fields:
-                    coordinate = flit["addr"]
-                    fields[out_field] = spm.peek(coordinate - base)
-                    if addr_field is not None:
-                        fields[addr_field] = coordinate
-                out.append(Flit(fields, last=flit.last))
+            stream = streams["in"]
+            for filled, coordinate, closes in zip(
+                stream.filled, stream.column("addr"), stream.last
+            ):
+                if filled:
+                    if coordinate is ABSENT:
+                        raise KeyError("addr")
+                    values.append(spm.peek(coordinate - base))
+                    coordinates.append(coordinate)
+                else:
+                    values.append(ABSENT)
+                    coordinates.append(ABSENT)
+                last.append(closes)
                 actions.append(_LOOKUP_STEP)
         elif self.mode == "interval":
             starts, ends = streams["start"], streams["end"]
-            latched = 0
+            latched = zip(
+                starts.filled, starts.column("value"), ends.column("value")
+            )
             while True:
                 if cursor is not None:
                     words(cursor, end + 1, cursor - base)
                     cursor = end = None
-                if latched == len(starts) or latched == len(ends):
+                filled, start, stop = next(latched, (None, None, None))
+                if filled is None:
                     break
-                start_flit, end_flit = starts[latched], ends[latched]
-                latched += 1
-                if not start_flit.fields:
-                    out.append(Flit({}, last=True))
-                    actions.append(_LATCH_EMPTY_STEP)
+                if not filled:
+                    boundary(_LATCH_EMPTY_STEP)
                     continue
-                cursor, end = int(start_flit["value"]), int(end_flit["value"])
+                cursor, end = int(start), int(stop)
                 if cursor > end:
-                    out.append(Flit({}, last=True))
-                    actions.append(_LATCH_EMPTY_STEP)
+                    boundary(_LATCH_EMPTY_STEP)
                     cursor = end = None
                 else:
                     actions.append(_LATCH_STEP)
@@ -325,14 +334,18 @@ class SpmReader(Module):
                 drain_cursor = len(spm)
             draining = False
             actions.append(_DRAINED_STEP)
-        reads = sum(1 for flit in out if flit.fields)
+        columns = {self.out_field: values}
+        if self.addr_out_field is not None:
+            columns[self.addr_out_field] = coordinates
+        out = Stream(last, columns)
+        reads = sum(out.filled)
 
         def commit(_timed) -> None:
             spm.commit({}, reads=reads)
             self._cursor, self._end = cursor, end
             self._drain_cursor, self._draining = drain_cursor, draining
-            self.busy_cycles += len(out)
-            self.flits_out += len(out)
+            self.busy_cycles += len(last)
+            self.flits_out += len(last)
 
         return Plan(
             {"out": out}, _READER_STEPS, actions, commit,

@@ -22,7 +22,7 @@ from repro.accel.stages import STAGES
 from repro.gatk import build_covariate_tables, compute_read_metadata
 from repro.gatk.active_region import compute_activity
 from repro.hw.engine import Engine, RunStats
-from repro.hw.flit import Flit
+from repro.hw.flit import Flit, Stream
 from repro.hw.maxplus import Plan, Step, planned
 from repro.hw.module import Module
 from repro.tables.genomic_tables import table_to_reads
@@ -54,14 +54,14 @@ class ListSource(Module):
         self._note_busy()
 
     def plan(self, streams) -> Plan:
-        flits = self._flits[self._cursor:]
+        stream = Stream.from_flits(self._flits[self._cursor:])
 
         def commit(_timed) -> None:
             self._cursor = len(self._flits)
-            self.busy_cycles += len(flits)
-            self.flits_out += len(flits)
+            self.busy_cycles += len(stream)
+            self.flits_out += len(stream)
 
-        return Plan({"out": flits}, (_EMIT,), [0] * len(flits), commit)
+        return Plan({"out": stream}, (_EMIT,), [0] * len(stream), commit)
 
     def is_idle(self) -> bool:
         return self._cursor >= len(self._flits)
@@ -81,14 +81,14 @@ class ListSink(Module):
             self._note_busy()
 
     def plan(self, streams) -> Plan:
-        flits = streams["in"]
+        stream = streams["in"]
 
         def commit(_timed) -> None:
-            self.collected.extend(flits)
-            self.busy_cycles += len(flits)
-            self.flits_out += len(flits)
+            self.collected.extend(stream.flits())
+            self.busy_cycles += len(stream)
+            self.flits_out += len(stream)
 
-        return Plan({}, (_POP,), [0] * len(flits), commit)
+        return Plan({}, (_POP,), [0] * len(stream), commit)
 
 
 def assert_runs_equivalent(want: RunStats, got: RunStats) -> None:

@@ -12,7 +12,9 @@ counters, every hazard stall.  Where the mode cannot apply it must run
 the event scheduler and say so.
 """
 
+import copy
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -29,6 +31,7 @@ from hw_harness import (
     side_effects,
 )
 from repro.accel.common import PHASES, AcceleratorRun, load_reference_spm, spm_base
+from repro.accel.scheduler import SpmImageCache
 from repro.accel.sharding import run_sharded
 from repro.accel.stages import STAGES
 from repro.hw import maxplus
@@ -280,10 +283,45 @@ def outcome(engine: Engine, mode: str):
 ))
 def test_maxplus_solves_what_dense_ticks(pipeline):
     dense_stats, dense_left = outcome(build(pipeline), "dense")
-    stats, left = outcome(build(pipeline), "maxplus")
+    with streams_checked():
+        stats, left = outcome(build(pipeline), "maxplus")
     assert stats.mode == "maxplus"
     assert_runs_equivalent(dense_stats, stats)
     assert left == dense_left
+
+
+#: The planned module classes a drawn pipeline holds.
+PLANNED = (
+    Filter, Fork, Joiner, MdGen, MemoryReader, MemoryWriter, Reducer,
+    SpmReader, SpmUpdater, StreamAlu,
+)
+
+
+@contextmanager
+def streams_checked():
+    """Plans are pure: every stream a plan hands on — a Fork's one stream
+    shared by all its branches included — is held in tuples and is, once
+    every plan of the wave has run, what it was when it was produced."""
+    produced = []
+
+    def recording(plan):
+        def wrapped(self, streams):
+            result = plan(self, streams)
+            produced.extend(
+                (stream, copy.deepcopy(stream)) for stream in result.outputs.values()
+            )
+            return result
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in PLANNED:
+            patch.setattr(cls, "plan", recording(cls.plan))
+        yield
+    assert produced
+    for stream, as_produced in produced:
+        assert type(stream.last) is tuple
+        assert all(type(column) is tuple for column in stream.columns.values())
+        assert stream == as_produced
 
 
 @settings(max_examples=25, deadline=None)
@@ -522,6 +560,31 @@ def test_a_fallen_back_run_leaves_the_modules_as_event_does():
 
 
 # -- no silent fall-back on the stages -----------------------------------------------
+
+
+@pytest.mark.parametrize("stage", ["markdup", "metadata", "bqsr"])
+def test_a_stage_wave_frames_no_flit(stage, monkeypatch):
+    """Under ``maxplus`` a paper stage's wave moves whole columns: from
+    ``build_replica`` through ``harvest`` — its SPM load and drain phases
+    included — no :class:`Flit` is built."""
+    monkeypatch.setattr(Engine, "default_mode", "maxplus")
+    PHASES.clear()
+    wl = workload("sharding")
+    row = STAGES[stage]
+    wave = [(pid, part) for pid, part in row.items(wl) if part.num_rows][:2]
+    built = []
+    init = Flit.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Flit, "__init__", counted)
+    results, stats, _load_cycles = row.over(wl).run_wave(wave, SpmImageCache())
+    assert stats.mode == "maxplus"
+    assert len(results) == len(wave)
+    assert len(built) == 0
+
 
 
 @pytest.mark.parametrize("name", WORKLOADS)

@@ -69,6 +69,15 @@ def test_elem_size_validation():
         MemoryReader("r", engine.memory, elem_size=0)
 
 
+@pytest.mark.parametrize("prefetch_lines", [0, -1])
+def test_prefetch_window_validation(prefetch_lines):
+    """A reader that may never have a line outstanding could never run:
+    refused at construction, whatever engine mode would run it."""
+    engine = Engine()
+    with pytest.raises(ValueError, match="prefetch_lines"):
+        MemoryReader("r", engine.memory, prefetch_lines=prefetch_lines)
+
+
 def test_writer_collects_items():
     engine = Engine()
     writer = MemoryWriter("w", engine.memory, elem_size=4)
