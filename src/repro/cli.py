@@ -179,6 +179,16 @@ def _read_inputs(fasta: str, sam: str, **fasta_options):
     return genome, reads
 
 
+def _overlap_needed(reads, psize: int) -> int:
+    """The smallest ``--overlap`` whose REF rows hold every read's whole
+    reference span: how far a read's last base lies past the end of the
+    ``psize`` segment its first base falls in."""
+    return max(
+        [0] + [read.end_pos + 1 - (read.pos // psize + 1) * psize
+               for read in reads]
+    )
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     genome = ReferenceGenome.grch38_like(
         scale=args.scale, snp_rate=args.snp_rate, seed=args.seed,
@@ -216,6 +226,15 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
     if inputs is None:
         return 2
     genome, reads = inputs
+    needed = _overlap_needed(reads, args.psize)
+    if args.overlap < needed:
+        print(
+            f"error: --overlap {args.overlap} is too short for {args.sam}: "
+            f"a read reaches {needed} bases past its {args.psize}-base "
+            f"partition (use --overlap {needed} or more)",
+            file=sys.stderr,
+        )
+        return 2
     markdup = accelerated_mark_duplicates(reads)
     print(f"mark duplicates: {markdup.num_duplicates} flagged")
 

@@ -184,6 +184,23 @@ def _build_fragments(
     return rows, members_of
 
 
+def _quality_sums(reads: List[AlignedRead]) -> List[int]:
+    """Every read's :meth:`~AlignedRead.quality_sum`, in one pass over
+    the concatenated QUAL bytes: uint8 in, int64 accumulator."""
+    lengths = np.fromiter(
+        (len(read.qual) for read in reads), dtype=np.int64, count=len(reads)
+    )
+    sums = np.zeros(len(reads), dtype=np.int64)
+    filled = lengths > 0  # reduceat needs strictly increasing starts
+    if filled.any():
+        starts = (np.cumsum(lengths) - lengths)[filled]
+        sums[filled] = np.add.reduceat(
+            np.concatenate([read.qual for read in reads]), starts,
+            dtype=np.int64,
+        )
+    return sums.tolist()
+
+
 def sql_mark_duplicates(
     reads: List[AlignedRead],
     backend: str = "reference",
@@ -208,7 +225,7 @@ def sql_mark_duplicates(
     sorted_reads = [reads[int(i)] for i in order.column("IDX")]
     for read in sorted_reads:
         read.set_duplicate(False)
-    sums = [read.quality_sum() for read in sorted_reads]
+    sums = _quality_sums(sorted_reads)
 
     rows, members_of = _build_fragments(sorted_reads, sums)
     executor.register_table(

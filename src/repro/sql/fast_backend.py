@@ -2,10 +2,17 @@
 
 Executes the same logical plans as the reference interpreter with
 columnar kernels: boolean-mask selection for WHERE, ``np.lexsort``
-stable sorts, an ``argsort``/``searchsorted`` sort-merge join,
-first-appearance-ordered segmented aggregation via ``reduceat``, and a
+stable sorts, JOIN and GROUP BY through one key-to-slot step, and a
 fully vectorized read-explode (per-base CIGAR expansion without a
 Python loop over bases).
+
+The key-to-slot step (:func:`_key_slots`) addresses keys rather than
+sorting them whenever the slot rule (:data:`DENSE_SPAN_PER_ROW`) takes
+the build side: a join then matches by slot-table lookup and a GROUP BY
+accumulates per slot with ``ufunc.at``.  Bool keys, multi-column keys
+and wide spans take the sort path instead — an ``argsort`` /
+``searchsorted`` sort-merge join, or a ``lexsort`` with segmented
+``reduceat``.  Both paths emit groups in order of first appearance.
 
 Bit-identity contract: every kernel reproduces the reference backend's
 values, dtypes, column order, row order, and validity masks exactly —
@@ -171,6 +178,164 @@ def _output_column(vec: np.ndarray) -> Tuple[str, np.ndarray]:
     return "int64", vec.astype(np.int64, copy=False)
 
 
+#: The slot rule.  An integer key column whose span (max - min + 1) is
+#: at most this many times its row count is addressed, not sorted: a
+#: key's slot is ``key - min``, as Fig. 11's SPM Reader fetches the base
+#: at ``POS - base`` and Fig. 12's SPM Updater adds at a bin's address.
+#: Bool keys, multi-column keys and wider spans take the sort path.
+DENSE_SPAN_PER_ROW = 4
+
+
+def _key_slots(keys: np.ndarray) -> Optional[Tuple[np.ndarray, int, int]]:
+    """The key-to-slot step over a build side's keys (a join's right
+    input, a GROUP BY's key column): ``(slots, low, span)`` with
+    ``slots = keys - low`` in ``[0, span)``, or ``None`` when the slot
+    rule sends the keys down the sort path.  An empty side has span 0."""
+    if keys.dtype == np.bool_:
+        return None
+    if len(keys) == 0:
+        return np.zeros(0, dtype=np.int64), 0, 0
+    low, high = int(keys.min()), int(keys.max())
+    span = high - low + 1
+    if span > DENSE_SPAN_PER_ROW * len(keys):
+        return None
+    return keys.astype(np.int64, copy=False) - low, low, span
+
+
+def _slot_matches(
+    probe: np.ndarray, slots: np.ndarray, low: int, span: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Join matching by slot-table lookup: per probe key, the first
+    position ``lo`` and number ``counts`` of its matches in
+    ``build_order`` (build rows grouped by slot, stable within one)."""
+    # Slot ``span`` is the miss slot: probe keys outside the build
+    # side's range land there, and no build row does.
+    per_slot = np.bincount(slots, minlength=span + 1)
+    slot_start = np.cumsum(per_slot) - per_slot
+    n_build = len(slots)
+    if n_build and int(per_slot.max()) > 1:
+        build_order = np.argsort(slots, kind="stable")
+    else:
+        build_order = np.empty(n_build, dtype=np.int64)
+        build_order[slot_start[slots]] = np.arange(n_build, dtype=np.int64)
+    hit = (probe >= low) & (probe < low + span)
+    probe_slots = np.where(hit, probe - low, span)
+    return slot_start[probe_slots], per_slot[probe_slots], build_order
+
+
+def _sort_matches(
+    probe: np.ndarray, build: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Join matching by sort-merge, the same triple as
+    :func:`_slot_matches`: a stable argsort of the build keys and two
+    binary searches per probe key."""
+    build_order = np.argsort(build, kind="stable")
+    build_sorted = build[build_order]
+    lo = np.searchsorted(build_sorted, probe, side="left")
+    hi = np.searchsorted(build_sorted, probe, side="right")
+    return lo, hi - lo, build_order
+
+
+def _slot_groups(slots: np.ndarray, span: int):
+    """Grouping by slot: ``(rep_rows, count, reduce)``.  ``rep_rows``
+    holds each group's first row, groups in order of first appearance;
+    ``count(mask=None)`` counts each group's rows (where ``mask``), and
+    ``reduce(ufunc, vec)`` folds ``vec`` per group, accumulated per slot
+    in ``vec``'s own dtype (so int64 sums are exact)."""
+    n = len(slots)
+    first = np.full(span, n, dtype=np.int64)
+    np.minimum.at(first, slots, np.arange(n, dtype=np.int64))
+    is_first = np.zeros(n, dtype=bool)
+    is_first[first[first < n]] = True
+    rep_rows = np.flatnonzero(is_first)
+    group_slots = slots[rep_rows]
+
+    def count(mask: Optional[np.ndarray] = None) -> np.ndarray:
+        counted = slots if mask is None else slots[mask]
+        return np.bincount(counted, minlength=span)[group_slots].astype(
+            np.int64, copy=False
+        )
+
+    def reduce(ufunc, vec: np.ndarray) -> np.ndarray:
+        if ufunc is np.add:
+            acc = np.zeros(span, dtype=vec.dtype)
+        else:  # MIN / MAX: seeding with a member row is idempotent
+            acc = np.empty(span, dtype=vec.dtype)
+            acc[group_slots] = vec[rep_rows]
+        ufunc.at(acc, slots, vec)
+        return acc[group_slots]
+
+    return rep_rows, count, reduce
+
+
+def _sort_groups(key_vecs: List[np.ndarray]):
+    """Grouping by sort, the same triple as :func:`_slot_groups`: a
+    stable ``lexsort`` of the keys and segmented ``reduceat``."""
+    key_vecs = [vec.astype(np.int64, copy=False) for vec in key_vecs]
+    n = len(key_vecs[0])
+    order = np.lexsort(tuple(reversed(key_vecs)))
+    new_group = np.zeros(n, dtype=bool)
+    new_group[0] = True
+    for vec in key_vecs:
+        sorted_key = vec[order]
+        new_group[1:] |= sorted_key[1:] != sorted_key[:-1]
+    starts = np.nonzero(new_group)[0]
+    # First-appearance output order, like the reference's dict of groups.
+    first_original = order[starts]
+    appear = np.argsort(first_original, kind="stable")
+
+    def count(mask: Optional[np.ndarray] = None) -> np.ndarray:
+        if mask is None:
+            return np.diff(np.append(starts, n))[appear].astype(np.int64)
+        return reduce(np.add, mask.astype(np.int64))
+
+    def reduce(ufunc, vec: np.ndarray) -> np.ndarray:
+        return ufunc.reduceat(vec[order], starts)[appear]
+
+    return first_original[appear], count, reduce
+
+
+def _join_rows(
+    kind: str, lo: np.ndarray, counts: np.ndarray, build_order: np.ndarray,
+    n_build: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A join's output rows from its match triple: each row's probe
+    (left) and build (right) source row, ``-1`` on a null-filled side.
+    Left-major, a probe row's matches in build order; LEFT/OUTER keep
+    unmatched probe rows, and OUTER appends the unmatched build rows."""
+    n_probe = len(counts)
+    if int(counts.max(initial=0)) <= 1:
+        # At most one match per probe row (unique build keys, as in
+        # every stage script): nothing to expand.
+        matched = counts > 0
+        if kind == "inner":
+            left_src = np.flatnonzero(matched)
+            right_src = build_order[lo[left_src]]
+        else:
+            left_src = np.arange(n_probe, dtype=np.int64)
+            right_src = np.full(n_probe, -1, dtype=np.int64)
+            right_src[matched] = build_order[lo[matched]]
+    else:
+        out_counts = np.maximum(counts, 1) if kind in ("left", "outer") else counts
+        total = int(out_counts.sum())
+        offsets = np.cumsum(out_counts) - out_counts
+        left_src = np.repeat(np.arange(n_probe, dtype=np.int64), out_counts)
+        within = np.arange(total, dtype=np.int64) - np.repeat(offsets, out_counts)
+        has_match = np.repeat(counts > 0, out_counts)
+        match_index = np.repeat(lo, out_counts) + within
+        right_src = np.full(total, -1, dtype=np.int64)
+        right_src[has_match] = build_order[match_index[has_match]]
+    if kind == "outer":
+        matched = np.zeros(n_build, dtype=bool)
+        matched[right_src[right_src >= 0]] = True
+        extras = np.flatnonzero(~matched)
+        left_src = np.concatenate(
+            [left_src, np.full(len(extras), -1, dtype=np.int64)]
+        )
+        right_src = np.concatenate([right_src, extras.astype(np.int64)])
+    return left_src, right_src
+
+
 class VectorizedBackend(ReferenceBackend):
     """Columnar numpy execution, bit-identical to the reference."""
 
@@ -281,34 +446,26 @@ class VectorizedBackend(ReferenceBackend):
         key_cols: List[Tuple[str, object]] = []  # ("column", name) | ("scalar", v)
         for key in plan.keys:
             if key.column in child.schema:
-                spec = child.schema[key.column]
-                if spec.is_array:
+                if child.schema[key.column].is_array:
                     raise Unvectorizable
-                key_vecs.append(
-                    np.asarray(child.column(key.column)).astype(np.int64)
-                )
+                key_vecs.append(_column_vector(child, key.column))
                 key_cols.append(("column", key.column))
             elif key.column in executor.variables:
                 value = executor.variables[key.column]
                 if not isinstance(value, (bool, int, np.bool_, np.integer)):
                     raise Unvectorizable
-                key_vecs.append(np.full(n, int(value), dtype=np.int64))
+                key_vecs.append(_broadcast(value, n))
                 key_cols.append(("scalar", value))
             else:
                 raise Unvectorizable
 
-        order = np.lexsort(tuple(reversed(key_vecs)))
-        sorted_keys = [vec[order] for vec in key_vecs]
-        new_group = np.zeros(n, dtype=bool)
-        new_group[0] = True
-        for sorted_key in sorted_keys:
-            new_group[1:] |= sorted_key[1:] != sorted_key[:-1]
-        starts = np.nonzero(new_group)[0]
-        n_groups = len(starts)
-        # First-appearance output order, like the reference's dict of groups.
-        first_original = order[starts]
-        appear = np.argsort(first_original, kind="stable")
-        rep_rows = first_original[appear]
+        dense = _key_slots(key_vecs[0]) if len(key_vecs) == 1 else None
+        if dense is None:
+            rep_rows, count, reduce = _sort_groups(key_vecs)
+        else:
+            slots, _low, span = dense
+            rep_rows, count, reduce = _slot_groups(slots, span)
+        n_groups = len(rep_rows)
 
         out: Dict[str, Tuple[ColumnSpec, object]] = {}
         for key, source in zip(plan.keys, key_cols):
@@ -334,7 +491,6 @@ class VectorizedBackend(ReferenceBackend):
                         np.full(n_groups, int(value), dtype=np.int64),
                     )
 
-        counts = np.diff(np.append(starts, n))
         for index, item in enumerate(plan.items):
             if isinstance(item.expr, ColumnRef):
                 continue  # key columns already present
@@ -344,22 +500,19 @@ class VectorizedBackend(ReferenceBackend):
             fname = item.expr.name.upper()
             args = item.expr.args
             if fname == "COUNT" and (not args or isinstance(args[0], Star)):
-                out[name] = (ColumnSpec(name, "int64"),
-                             counts[appear].astype(np.int64))
+                out[name] = (ColumnSpec(name, "int64"), count())
                 continue
             vec = _eval_vector(executor, args[0], child)
-            sorted_vec = vec[order]
             if fname == "SUM":
-                values = np.add.reduceat(sorted_vec.astype(np.int64), starts)
-                out[name] = (ColumnSpec(name, "int64"), values[appear])
+                values = (count(vec) if vec.dtype == np.bool_
+                          else reduce(np.add, vec.astype(np.int64)))
+                out[name] = (ColumnSpec(name, "int64"), values)
             elif fname == "COUNT":
-                truthy = (sorted_vec != 0).astype(np.int64)
-                out[name] = (ColumnSpec(name, "int64"),
-                             np.add.reduceat(truthy, starts)[appear])
+                out[name] = (ColumnSpec(name, "int64"), count(vec != 0))
             elif fname in ("MIN", "MAX"):
                 reducer = np.minimum if fname == "MIN" else np.maximum
-                values = reducer.reduceat(sorted_vec, starts)[appear]
-                if sorted_vec.dtype == np.bool_:
+                values = reduce(reducer, vec)
+                if vec.dtype == np.bool_:
                     out[name] = (ColumnSpec(name, "bool"), values)
                 else:
                     out[name] = (ColumnSpec(name, "int64"),
@@ -381,48 +534,33 @@ class VectorizedBackend(ReferenceBackend):
 
     def _key_vector(self, executor, table: Table, column: str) -> np.ndarray:
         if column in table.schema:
-            return _column_vector(table, column).astype(np.int64, copy=False)
+            return _column_vector(table, column)
         if column in executor.variables:
             value = executor.variables[column]
             if not isinstance(value, (bool, int, np.bool_, np.integer)):
                 raise Unvectorizable
-            return np.full(table.num_rows, int(value), dtype=np.int64)
+            return _broadcast(value, table.num_rows)
         raise Unvectorizable
 
     def _join_fast(self, executor, plan, left: Table, right: Table) -> Table:
         left_name = executor._plan_qualifier(plan.left)
         right_name = executor._plan_qualifier(plan.right)
-        left_keys = self._key_vector(executor, left, plan.left_key.column)
+        left_keys = self._key_vector(
+            executor, left, plan.left_key.column
+        ).astype(np.int64, copy=False)
         right_keys = self._key_vector(executor, right, plan.right_key.column)
         n_left, n_right = left.num_rows, right.num_rows
 
-        right_order = np.argsort(right_keys, kind="stable")
-        right_sorted = right_keys[right_order]
-        lo = np.searchsorted(right_sorted, left_keys, side="left")
-        hi = np.searchsorted(right_sorted, left_keys, side="right")
-        counts = hi - lo
-        if plan.kind in ("left", "outer"):
-            out_counts = np.maximum(counts, 1)
-        else:
-            out_counts = counts
-        total = int(out_counts.sum())
-        offsets = np.cumsum(out_counts) - out_counts
-        left_src = np.repeat(np.arange(n_left, dtype=np.int64), out_counts)
-        within = np.arange(total, dtype=np.int64) - np.repeat(offsets, out_counts)
-        has_match = np.repeat(counts > 0, out_counts)
-        match_index = np.repeat(lo, out_counts) + within
-        right_src = np.full(total, -1, dtype=np.int64)
-        if total:
-            right_src[has_match] = right_order[match_index[has_match]]
-        if plan.kind == "outer":
-            matched = np.zeros(n_right, dtype=bool)
-            hits = right_src >= 0
-            matched[right_src[hits]] = True
-            extras = np.nonzero(~matched)[0]
-            left_src = np.concatenate(
-                [left_src, np.full(len(extras), -1, dtype=np.int64)]
+        dense = _key_slots(right_keys)
+        if dense is None:
+            lo, counts, right_order = _sort_matches(
+                left_keys, right_keys.astype(np.int64, copy=False)
             )
-            right_src = np.concatenate([right_src, extras.astype(np.int64)])
+        else:
+            lo, counts, right_order = _slot_matches(left_keys, *dense)
+        left_src, right_src = _join_rows(
+            plan.kind, lo, counts, right_order, n_right
+        )
         n_out = len(left_src)
 
         columns_info = join_output_columns(
@@ -436,6 +574,8 @@ class VectorizedBackend(ReferenceBackend):
         if n_out == 0:
             return Table.empty(schema)
 
+        side_valid = {"left": left_src >= 0, "right": right_src >= 0}
+        side_full = {side: bool(valid.all()) for side, valid in side_valid.items()}
         columns: Dict[str, object] = {}
         for out_name, side, source, kind in columns_info:
             child = left if side == "left" else right
@@ -449,18 +589,16 @@ class VectorizedBackend(ReferenceBackend):
                 ]
                 continue
             data = np.asarray(child.column(source))
-            if len(data) == 0:
+            if side_full[side]:
+                gathered = data[src]
+            elif len(data) == 0:
                 gathered = np.zeros(n_out, dtype=data.dtype)
             else:
-                gathered = data[np.maximum(src, 0)]
-            if kind == "bool":
-                columns[out_name] = np.where(src >= 0, gathered, False).astype(
-                    np.bool_
-                )
-            else:
-                columns[out_name] = np.where(
-                    src >= 0, gathered.astype(np.int64), np.int64(0)
-                )
+                gathered = np.where(side_valid[side], data[np.maximum(src, 0)],
+                                    data.dtype.type(0))
+            columns[out_name] = gathered.astype(
+                np.bool_ if kind == "bool" else np.int64, copy=False
+            )
         masks = join_validity(left, right, columns_info, left_src, right_src)
         return Table(schema, columns, n_out, validity=masks)
 

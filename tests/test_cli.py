@@ -367,6 +367,33 @@ def test_malformed_input_exits_2(
     assert not (tmp_path / out).exists()
 
 
+def test_preprocess_overlap_shorter_than_a_read_exits_2(tmp_path, capsys):
+    """An ``--overlap`` too short to hold some read's reference span is
+    refused before any wave runs: one ``error:`` line naming the
+    smallest overlap that works, exit 2, no output — where it used to
+    die inside the wave on an out-of-range SPM address."""
+    fasta, sam = tmp_path / "ref.fa", tmp_path / "reads.sam"
+    assert main([
+        "--no-ledger", "simulate", "--fasta", str(fasta), "--sam", str(sam),
+        "--reads", "300", "--read-length", "100", "--seed", "3",
+    ]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out.sam"
+    argv = [
+        "--no-ledger", "preprocess", "--fasta", str(fasta), "--sam", str(sam),
+        "--out", str(out), "--psize", "500", "--overlap",
+    ]
+    assert main(argv + ["10"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: --overlap 10 is too short for {sam}: a read reaches 99 "
+        "bases past its 500-base partition (use --overlap 99 or more)\n"
+    )
+    assert not out.exists()
+    assert main(argv + ["99"]) == 0
+    assert out.exists()
+
+
 def test_serve_bad_devices_exit_2(capsys):
     err = _refused(["--no-ledger", "serve", "--devices", "0"], capsys)
     assert "argument --devices: must be positive" in err

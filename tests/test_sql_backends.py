@@ -10,13 +10,20 @@ every partition of the standard workload.
 
 The sort-merge join edge cases (duplicate keys on both sides, empty
 sides, all-NULL key columns) run through one shared parametrized
-fixture so every join kind × backend pair sees the same inputs.
+fixture so every join kind × backend pair sees the same inputs.  A
+hypothesis test draws joins and single-key GROUP BYs over keys on both
+sides of the fast backend's slot rule and checks the path each took.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Optional, Tuple
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sql import (
     Executor,
@@ -26,6 +33,7 @@ from repro.sql import (
     run_figure4_query,
     table_from_row_dicts,
 )
+from repro.sql import fast_backend
 from repro.tables.schema import Schema
 from repro.tables.table import Table
 
@@ -324,3 +332,105 @@ def test_join_all_null_keys_match_zero(backend):
     assert inner.column("R__W").tolist() == [50, 50]
     mask = inner.validity("L__K")
     assert mask is not None and not mask.any()
+
+
+# -- drawn keys: the slot path and the sort path ------------------------------------
+
+#: Drawn keys: a small dense range (duplicates, negatives, the NULL
+#: sentinel 0) plus far values that widen the span past the slot rule,
+#: ``INS_POS = 2**32 - 1`` among them.
+_KEYS = st.one_of(
+    st.integers(-3, 8),
+    st.none(),  # a NULL-masked key (sentinel 0)
+    st.sampled_from([-(2**31), 2**32 - 1, 2**40]),
+)
+
+
+@dataclass(frozen=True)
+class KeyCase:
+    """One drawn query: ``kind`` is a join kind or ``GROUP``; ``left``
+    is the probe side (the GROUP BY input), ``right`` the build side;
+    ``None`` marks a NULL-masked key; ``offset`` shifts every value so
+    a float64 sum would round."""
+
+    kind: str
+    left: Tuple[Optional[int], ...]
+    right: Tuple[Optional[int], ...] = ()
+    offset: int = 0
+
+
+@st.composite
+def key_cases(draw):
+    kind = draw(st.sampled_from(["INNER", "LEFT", "OUTER", "GROUP"]))
+    left = tuple(draw(st.lists(_KEYS, max_size=12)))
+    right = () if kind == "GROUP" else tuple(draw(st.lists(_KEYS, max_size=12)))
+    return KeyCase(kind, left, right, draw(st.sampled_from([0, 2**53 + 1])))
+
+
+def _keyed_table(keys, value: str, offset: int) -> Table:
+    n = len(keys)
+    valid = np.array([key is not None for key in keys], dtype=bool)
+    return Table(
+        Schema.of(K="int64", **{value: "int64"}),
+        {
+            "K": np.array([0 if key is None else key for key in keys],
+                          dtype=np.int64),
+            value: np.arange(n, dtype=np.int64) * 7 % 5 - 2 + offset,
+        },
+        n,
+        validity=None if valid.all() else {"K": valid},
+    )
+
+
+def _takes_slot_path(keys: np.ndarray) -> bool:
+    """The slot rule, restated: an empty side or a span within
+    ``DENSE_SPAN_PER_ROW`` times the rows."""
+    if len(keys) == 0:
+        return True
+    span = int(keys.max()) - int(keys.min()) + 1
+    return span <= fast_backend.DENSE_SPAN_PER_ROW * len(keys)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=key_cases())
+@example(case=KeyCase("LEFT", (5, 2**32 - 1, None, -3, 5), (5, 5, 0, -1, 2)))
+@example(case=KeyCase("OUTER", (1, 2, 2**40), (2, 2**32 - 1, 2, 7)))
+@example(case=KeyCase("INNER", (), (3, 4)))
+@example(case=KeyCase("OUTER", (3, None), ()))
+@example(case=KeyCase("GROUP", (4, -2, 4, None, -2, 0, 7), offset=2**53 + 1))
+@example(case=KeyCase("GROUP", (4, 2**32 - 1, 4, -(2**31)), offset=2**53 + 1))
+def test_drawn_keys_fast_matches_reference_on_both_slot_paths(case):
+    """Joins and single-key GROUP BYs over drawn keys: fast ≡ reference,
+    bit for bit, and the fast backend took the path the slot rule names
+    for the build side.  The pinned rows sit on both sides of the rule."""
+    left = _keyed_table(case.left, "V", case.offset)
+    right = _keyed_table(case.right, "W", case.offset)
+    if case.kind == "GROUP":
+        query = ("SELECT K, SUM(V) AS S, COUNT(*) AS N, COUNT(V) AS C, "
+                 "MIN(V) AS LO, MAX(V) AS HI FROM L GROUP BY K")
+        build = left
+        slot_kernel, sort_kernel = "_slot_groups", "_sort_groups"
+    else:
+        query = f"SELECT * FROM L {case.kind} JOIN R ON L.K = R.K"
+        build = right
+        slot_kernel, sort_kernel = "_slot_matches", "_sort_matches"
+
+    def run(backend: str) -> Table:
+        executor = Executor(backend=backend)
+        executor.register_table("L", left)
+        executor.register_table("R", right)
+        return executor.query(query)
+
+    with mock.patch.object(
+        fast_backend, slot_kernel, wraps=getattr(fast_backend, slot_kernel)
+    ) as slot, mock.patch.object(
+        fast_backend, sort_kernel, wraps=getattr(fast_backend, sort_kernel)
+    ) as sort:
+        got = run("fast")
+    assert_tables_identical(got, run("reference"))
+    if case.kind == "GROUP" and not case.left:
+        assert slot.call_count == sort.call_count == 0  # no rows, no groups
+    elif _takes_slot_path(np.asarray(build.column("K"))):
+        assert (slot.call_count, sort.call_count) == (1, 0)
+    else:
+        assert (slot.call_count, sort.call_count) == (0, 1)

@@ -21,11 +21,15 @@ from repro.gatk.markdup import mark_duplicates
 from repro.gatk.metadata import compute_read_metadata
 from repro.gatk.sql_driver import (
     BQSR_SCRIPT,
+    _quality_sums,
     sql_build_covariate_tables,
     sql_mark_duplicates,
     sql_update_metadata,
 )
+from repro.genomics.cigar import Cigar
+from repro.genomics.read import AlignedRead
 from repro.obs.registry import MetricsRegistry
+from repro.sql import fast_backend
 from repro.sql.backends import EXPLODED_READS_SCHEMA
 from repro.sql.executor import Executor
 from repro.sql.prepared import prepare
@@ -141,6 +145,21 @@ def test_fuzz_drivers_match_oracles(fuzz_workload, backend):
     assert_bqsr_identical(fuzz_workload, backend)
 
 
+def test_quality_sums_match_the_per_read_sum(workload):
+    """The markdup driver's one-pass quality sums ≡ one
+    ``AlignedRead.quality_sum`` per read, empty and all-Q255 reads
+    included (uint8 bytes, int64 sums)."""
+    def read(qual):
+        return AlignedRead(
+            "r", 20, 0, Cigar.parse(f"{len(qual)}M") if qual else Cigar([]),
+            np.zeros(len(qual), dtype=np.uint8), np.asarray(qual, np.uint8),
+        )
+
+    reads = [read([]), *workload.reads[:20], read([255] * 300), read([])]
+    assert _quality_sums(reads) == [r.quality_sum() for r in reads]
+    assert _quality_sums([]) == []
+
+
 class TimingCounts(MetricsRegistry):
     """A registry that also counts how often each operator was timed."""
 
@@ -208,3 +227,54 @@ def test_executors_sharing_a_prepared_script_stay_independent(backend):
     assert bins(10, [30, 30]) == ([300, 301], [0, 1])
     assert bins(100, [20, 7]) == ([2000, 701], [0, 1])
     assert bins(10, [30, 30]) == ([300, 301], [0, 1])
+
+
+def _excluded_by_slot_rule(plan, child: Table) -> bool:
+    """The slot rule, restated over a GROUP BY's input: multi-column or
+    bool keys, or a key span wider than ``DENSE_SPAN_PER_ROW`` × rows."""
+    if len(plan.keys) > 1:
+        return True
+    keys = np.asarray(child.column(plan.keys[0].column))
+    if keys.dtype == np.bool_:
+        return True
+    span = int(keys.max()) - int(keys.min()) + 1
+    return span > fast_backend.DENSE_SPAN_PER_ROW * len(keys)
+
+
+def test_fast_backend_sorts_only_the_group_bys_the_slot_rule_excludes(
+    workload, monkeypatch
+):
+    """While the three stage scripts run on the fast backend, no JOIN
+    reaches the sort kernel, and the GROUP BYs that do are exactly the
+    ones the slot rule excludes."""
+    sorted_calls = collections.Counter()
+    for kernel in ("_sort_matches", "_sort_groups"):
+        def counted(*args, _kernel=kernel, _real=getattr(fast_backend, kernel)):
+            sorted_calls[_kernel] += 1
+            return _real(*args)
+        monkeypatch.setattr(fast_backend, kernel, counted)
+    excluded = collections.Counter()
+    group_by = fast_backend.VectorizedBackend._group_by_fast
+
+    def watched_group_by(self, executor, plan, child):
+        if child.num_rows:
+            excluded[_excluded_by_slot_rule(plan, child)] += 1
+        return group_by(self, executor, plan, child)
+
+    monkeypatch.setattr(
+        fast_backend.VectorizedBackend, "_group_by_fast", watched_group_by
+    )
+    metrics = TimingCounts()
+    sql_mark_duplicates(
+        copy.deepcopy(workload.reads), backend="fast", metrics=metrics
+    )
+    sql_update_metadata(
+        workload.partitions, workload.reference, workload.read_length,
+        backend="fast", metrics=metrics,
+    )
+    assert_bqsr_identical(workload, "fast", metrics=metrics)
+
+    assert metrics.timed["join"] > 0
+    assert sorted_calls["_sort_matches"] == 0
+    assert excluded[False] > excluded[True] > 0
+    assert sorted_calls["_sort_groups"] == excluded[True]
