@@ -1,20 +1,18 @@
-"""Host simulator throughput: the max-plus solution and event-driven vs
-dense scheduling.
+"""Host simulator throughput: the max-plus solution vs the dense loop.
 
 Not a paper figure — this benchmark measures the *simulator itself*.  A
 16x-replicated metadata-update wave over a whole-genome workload is run
-under every engine mode; on the memory-latency-bound configuration the
-event scheduler must execute at most half the module ticks of the dense
-loop, and the max-plus mode must solve the same waves, all with
-bit-identical simulated cycle counts.  The host-time ratios that buys
-are reported, not asserted: a ratio of two host timings flaked on loaded
-hosts, and the host clock is measured by ``e2e_bench``.  Host flits/sec uses
-``ParallelRunStats.wall_seconds`` — the engine-run host time the
-schedules actually differ on (the per-partition SPM preload is the same
-fixed setup work either way; its time is recorded separately).  The
-wall-time numbers and ticks-skipped ratio land in the pytest-benchmark
-JSON (``extra_info``) so the speedup trajectory is tracked across
-commits.
+under both engine modes; on the memory-latency-bound configuration the
+max-plus mode must execute at most half the module ticks of the dense
+loop, with bit-identical simulated cycle counts.  The host-time ratio
+that buys at that latency is reported, not asserted: a ratio of two host
+timings flaked on loaded hosts, and the host clock is measured by
+``e2e_bench``.  Host flits/sec uses ``ParallelRunStats.wall_seconds`` —
+the engine-run host time the modes actually differ on (the per-partition
+SPM preload is the same fixed setup work either way; its time is
+recorded separately).  The wall-time numbers and ticks-skipped ratio
+land in the pytest-benchmark JSON (``extra_info``) so the speedup
+trajectory is tracked across commits.
 """
 
 import gc
@@ -26,8 +24,8 @@ from repro.eval.workloads import make_workload
 from repro.hw.memory import MemoryConfig
 
 #: High-latency memory: the regime where replicas spend most cycles
-#: waiting on the shared channels and the wake set collapses to nothing,
-#: letting the event engine fast-forward to the next response.
+#: waiting on the shared channels, cycles the dense loop ticks through
+#: and the max-plus solution never visits.
 LATENCY_BOUND = MemoryConfig(latency_cycles=400)
 
 N_PIPELINES = 16
@@ -58,7 +56,7 @@ def _run(workload, mode, memory_config):
     return results, stats, wall
 
 
-def test_sim_throughput_event_vs_dense(benchmark, report):
+def test_sim_throughput_maxplus_vs_dense(benchmark, report):
     workload = _workload()
 
     # Best-of-N on both sides so scheduler-noise outliers on the host
@@ -68,73 +66,56 @@ def test_sim_throughput_event_vs_dense(benchmark, report):
         dense_runs, key=lambda run: run[1].wall_seconds
     )
 
-    event_runs = []
+    solved_runs = []
 
-    def run_event():
-        event_runs.append(_run(workload, "event", LATENCY_BOUND))
+    def run_solved():
+        solved_runs.append(_run(workload, "maxplus", LATENCY_BOUND))
 
-    benchmark.pedantic(run_event, rounds=3, iterations=1)
-    event_results, event_stats, event_wall = min(
-        event_runs, key=lambda run: run[1].wall_seconds
-    )
+    benchmark.pedantic(run_solved, rounds=3, iterations=1)
     solved_results, solved_stats, solved_wall = min(
-        (_run(workload, "maxplus", LATENCY_BOUND) for _ in range(2)),
-        key=lambda run: run[1].wall_seconds,
+        solved_runs, key=lambda run: run[1].wall_seconds
     )
 
     # Exact cycle accuracy: the modes must agree on simulated time...
-    for results, stats in (
-        (event_results, event_stats), (solved_results, solved_stats),
-    ):
-        assert stats.total_cycles == dense_stats.total_cycles
-        assert stats.per_wave_cycles == dense_stats.per_wave_cycles
-        # ...and on functional outputs.
-        assert set(results) == set(dense_results)
-        for pid, dense_res in dense_results.items():
-            assert results[pid].nm == dense_res.nm
-            assert results[pid].md == dense_res.md
-        assert stats.total_flits == dense_stats.total_flits
+    assert solved_stats.total_cycles == dense_stats.total_cycles
+    assert solved_stats.per_wave_cycles == dense_stats.per_wave_cycles
+    # ...and on functional outputs.
+    assert set(solved_results) == set(dense_results)
+    for pid, dense_res in dense_results.items():
+        assert solved_results[pid].nm == dense_res.nm
+        assert solved_results[pid].md == dense_res.md
+    assert solved_stats.total_flits == dense_stats.total_flits
 
-    # The scheduler's win, counted: at most half the module ticks the
+    # The solution's win, counted: at most half the module ticks the
     # dense schedule executes.  The host-time ratio it buys is reported
     # below, not asserted — the host clock is e2e_bench's.
-    assert event_stats.ticks_executed * 2 <= dense_stats.ticks_executed
-    assert event_stats.skip_ratio > 0.5
-    assert event_stats.fast_forward_cycles > 0
+    assert solved_stats.ticks_executed * 2 <= dense_stats.ticks_executed
+    assert solved_stats.skip_ratio > 0.5
 
     dense_fps = dense_stats.host_flits_per_second
-    event_fps = event_stats.host_flits_per_second
-    speedup = event_fps / dense_fps
-    solved_speedup = solved_stats.host_flits_per_second / dense_fps
+    speedup = solved_stats.host_flits_per_second / dense_fps
 
     benchmark.extra_info.update(
         dense_sim_seconds=round(dense_stats.wall_seconds, 4),
-        event_sim_seconds=round(event_stats.wall_seconds, 4),
         maxplus_sim_seconds=round(solved_stats.wall_seconds, 4),
         maxplus_end_to_end_seconds=round(solved_wall, 4),
-        maxplus_host_speedup=round(solved_speedup, 3),
+        maxplus_host_speedup=round(speedup, 3),
         dense_end_to_end_seconds=round(dense_wall, 4),
-        event_end_to_end_seconds=round(event_wall, 4),
         dense_flits_per_second=round(dense_fps),
-        event_flits_per_second=round(event_fps),
-        host_speedup=round(speedup, 3),
-        skip_ratio=round(event_stats.skip_ratio, 4),
-        fast_forward_cycles=event_stats.fast_forward_cycles,
-        simulated_cycles=event_stats.total_cycles,
+        maxplus_flits_per_second=round(solved_stats.host_flits_per_second),
+        skip_ratio=round(solved_stats.skip_ratio, 4),
+        simulated_cycles=solved_stats.total_cycles,
     )
 
-    report("Simulator throughput - maxplus, event, dense (16 pipelines)", [
+    report("Simulator throughput - maxplus vs dense (16 pipelines)", [
         f"dense: {dense_stats.wall_seconds:.2f}s simulating, "
         f"{dense_fps / 1e3:.1f}k flits/s",
-        f"event: {event_stats.wall_seconds:.2f}s simulating, "
-        f"{event_fps / 1e3:.1f}k flits/s "
-        f"(skip ratio {event_stats.skip_ratio:.1%}, "
-        f"{event_stats.fast_forward_cycles} cycles fast-forwarded)",
         f"maxplus: {solved_stats.wall_seconds:.2f}s solving, "
-        f"{solved_stats.host_flits_per_second / 1e3:.1f}k flits/s",
-        f"host speedup over dense: event {speedup:.2f}x, maxplus "
-        f"{solved_speedup:.2f}x at latency={LATENCY_BOUND.latency_cycles} "
-        f"cycles; simulated cycles identical ({event_stats.total_cycles})",
+        f"{solved_stats.host_flits_per_second / 1e3:.1f}k flits/s "
+        f"(skip ratio {solved_stats.skip_ratio:.1%})",
+        f"host speedup over dense: maxplus {speedup:.2f}x at "
+        f"latency={LATENCY_BOUND.latency_cycles} cycles; simulated cycles "
+        f"identical ({solved_stats.total_cycles})",
     ])
 
 
@@ -146,7 +127,7 @@ def test_metrics_disabled_zero_overhead(benchmark, report):
     as a stable gap between them.  The enabled-profiling cost (probe
     attached, timelines + queue depths on) is recorded alongside for the
     trajectory; it is allowed to cost real time.  A probed run falls back
-    from the default ``maxplus`` mode to ``event`` ticks, so the equal
+    from the default ``maxplus`` mode to ``dense`` ticks, so the equal
     cycle counts also pin that fall-back."""
     from repro.accel.common import SOLO
     from repro.accel.markdup import MarkdupWaveDriver, qual_table
@@ -185,7 +166,7 @@ def test_metrics_disabled_zero_overhead(benchmark, report):
 
     benchmark.pedantic(run_enabled, rounds=3, iterations=1)
     enabled_wall, enabled_cycles = min(enabled_runs)
-    # profiling never perturbs timing: probed event ticks == solved maxplus
+    # profiling never perturbs timing: probed dense ticks == solved maxplus
     assert enabled_cycles == base_cycles
 
     ratio = check_wall / base_wall
@@ -272,13 +253,12 @@ def test_fault_hooks_no_fault_overhead(benchmark, report):
 
 
 def test_sim_throughput_default_latency(benchmark, report):
-    """The same comparison at the default memory latency — a tougher
-    regime for the event engine (fewer dead cycles to skip) recorded for
-    the trajectory, without the 2x gate.  The max-plus solution must
-    match dense here too; its host time is recorded, not gated."""
+    """The same comparison at the default memory latency — fewer dead
+    cycles for the solution to skip — without the 2x tick gate.  The
+    max-plus solution must match dense here too, and must not make the
+    simulator slower."""
     workload = _workload()
-    _, dense_stats, dense_wall = _run(workload, "dense", None)
-    event_results, event_stats, event_wall = _run(workload, "event", None)
+    dense_results, dense_stats, _dense_wall = _run(workload, "dense", None)
     solved_runs = []
 
     def run_solved():
@@ -289,33 +269,28 @@ def test_sim_throughput_default_latency(benchmark, report):
         solved_runs, key=lambda run: run[1].wall_seconds
     )
 
-    for stats in (event_stats, solved_stats):
-        assert stats.total_cycles == dense_stats.total_cycles
-        assert stats.total_flits == dense_stats.total_flits
+    assert solved_stats.total_cycles == dense_stats.total_cycles
+    assert solved_stats.total_flits == dense_stats.total_flits
     assert solved_stats.per_wave_cycles == dense_stats.per_wave_cycles
-    for pid, result in event_results.items():
+    for pid, result in dense_results.items():
         assert solved_results[pid].nm == result.nm
         assert solved_results[pid].md == result.md
-    speedup = event_stats.host_flits_per_second / dense_stats.host_flits_per_second
-    solved_speedup = (
+    speedup = (
         solved_stats.host_flits_per_second / dense_stats.host_flits_per_second
     )
-    # Even with little latency to hide, skipping idle replicas must not
-    # make the simulator slower.
+    # Even with little latency to hide, solving instead of ticking must
+    # not make the simulator slower.
     assert speedup >= 1.0
 
     benchmark.extra_info.update(
         dense_sim_seconds=round(dense_stats.wall_seconds, 4),
-        event_sim_seconds=round(event_stats.wall_seconds, 4),
         maxplus_sim_seconds=round(solved_stats.wall_seconds, 4),
         maxplus_end_to_end_seconds=round(solved_wall, 4),
-        maxplus_host_speedup=round(solved_speedup, 3),
+        maxplus_host_speedup=round(speedup, 3),
         simulated_cycles=dense_stats.total_cycles,
     )
     report("Simulator throughput - default memory latency", [
-        f"dense {dense_stats.wall_seconds:.2f}s vs event "
-        f"{event_stats.wall_seconds:.2f}s simulating "
-        f"(speedup {speedup:.2f}x, skip ratio {event_stats.skip_ratio:.1%}); "
-        f"maxplus {solved_stats.wall_seconds:.2f}s solving "
-        f"({solved_speedup:.2f}x over dense)",
+        f"dense {dense_stats.wall_seconds:.2f}s simulating vs maxplus "
+        f"{solved_stats.wall_seconds:.2f}s solving "
+        f"(speedup {speedup:.2f}x, skip ratio {solved_stats.skip_ratio:.1%})",
     ])

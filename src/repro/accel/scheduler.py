@@ -443,9 +443,9 @@ class ParallelRunStats(RunRates):
     over its queues.
 
     Besides the simulated-cycle accounting, the host-side fields
-    aggregate the event scheduler's metrics across waves so multi-workload
-    sweeps can report how much simulator time the wake sets and
-    fast-forwarding saved (``ticks_executed`` vs ``ticks_possible``), and
+    aggregate the engine's metrics across waves so multi-workload sweeps
+    can report how many module ticks the max-plus solution saved
+    (``ticks_executed`` vs ``ticks_possible``), and
     the scheduler fields record how the waves were spread over host
     workers and what the SPM image cache saved.
     """
@@ -457,7 +457,6 @@ class ParallelRunStats(RunRates):
     wall_seconds: float = 0.0
     ticks_executed: int = 0
     ticks_possible: int = 0
-    fast_forward_cycles: int = 0
     total_flits: int = 0
     # host scheduler metrics
     workers: int = 1
@@ -492,7 +491,6 @@ class ParallelRunStats(RunRates):
         self.wall_seconds += stats.wall_seconds
         self.ticks_executed += stats.ticks_executed
         self.ticks_possible += stats.ticks_possible
-        self.fast_forward_cycles += stats.fast_forward_cycles
         self.total_flits += sum(stats.flits_by_module.values())
         tally = self.per_worker.setdefault(worker, WorkerStats())
         tally.waves += 1

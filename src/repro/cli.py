@@ -382,7 +382,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         n_reads=args.reads, read_length=80, chromosomes=(20,),
         genome_scale=4.5e-5, psize=4000, seed=args.seed,
     )
-    report = profile_stage(args.stage, workload, mode=args.mode)
+    report = profile_stage(args.stage, workload)
     print(report.render())
     analysis = analyze_report(report)
     print(analysis.render())
@@ -711,10 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--reads", type=_positive(int), default=120)
     profile.add_argument("--seed", type=_nonnegative(int), default=9)
     profile.add_argument(
-        "--mode", choices=("event", "dense"), default=None,
-        help="force the engine schedule (default: event)",
-    )
-    profile.add_argument(
         "--trace", default=None, metavar="PATH",
         help="write a chrome://tracing JSON timeline",
     )
@@ -856,7 +852,6 @@ def _manifest_for(args: argparse.Namespace) -> RunManifest:
         seed=getattr(args, "seed", None),
         pipelines=getattr(args, "pipelines", None),
         workers=getattr(args, "workers", None),
-        mode=getattr(args, "mode", None),
     )
 
 
@@ -868,35 +863,51 @@ def _dispatch(args: argparse.Namespace) -> int:
     from .faults import RetryBudgetExceeded
 
     try:
-        return args.func(args)
+        code = args.func(args)
     except RetryBudgetExceeded as error:
         print(f"error: {error}", file=sys.stderr)
-        return 1
+        code = 1
+    # Write what is buffered while the run is open: a reader that closed
+    # the pipe early raises here, not at interpreter exit.
+    sys.stdout.flush()
+    return code
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point: configure logging, open the run ledger context,
-    dispatch the subcommand."""
+    dispatch the subcommand.
+
+    Returns the exit status: 0 when the command did its work, 1 when the
+    run failed, 2 for a refused input, and 141 (128 + SIGPIPE, what a
+    shell reports for a writer its pipe closed) when standard output was
+    closed before the command finished writing — ``repro analyze R.json
+    | head -5`` stops there, with no traceback."""
     args = build_parser().parse_args(argv)
     configure_logging(
         json_lines=args.log_json, verbosity=args.verbose, quiet=args.quiet,
     )
-    if args.no_ledger:
-        return _dispatch(args)
-    ledger = RunLedger(args.ledger)
     try:
-        ledger.check_writable()
-    except OSError as error:
-        print(
-            f"error: cannot write ledger {ledger.path}: "
-            f"{error.strerror or error}",
-            file=sys.stderr,
-        )
-        return 2
-    with run_context(_manifest_for(args), ledger):
-        code = _dispatch(args)
-        record_event("cli.exit", code=code)
-    return code
+        if args.no_ledger:
+            return _dispatch(args)
+        ledger = RunLedger(args.ledger)
+        try:
+            ledger.check_writable()
+        except OSError as error:
+            print(
+                f"error: cannot write ledger {ledger.path}: "
+                f"{error.strerror or error}",
+                file=sys.stderr,
+            )
+            return 2
+        with run_context(_manifest_for(args), ledger):
+            code = _dispatch(args)
+            record_event("cli.exit", code=code)
+        return code
+    except BrokenPipeError:
+        # Nothing more can reach the reader; point stdout at devnull so
+        # the interpreter's exit-time flush of the rest cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -225,7 +225,6 @@ def profile_stage(
     stage: str,
     workload: Optional[Workload] = None,
     memory_config: Optional[MemoryConfig] = None,
-    mode: Optional[str] = None,
 ):
     """Profile one representative run of an accelerated stage.
 
@@ -233,16 +232,14 @@ def profile_stage(
     :class:`repro.obs.Profiler` as the probe and returns the validated
     :class:`~repro.obs.profile.ProfileReport` — the queryable per-module
     / queue / memory-channel breakdown Figure 9-style bottleneck analysis
-    needs.  ``mode`` forces the engine schedule (default: the engine's
-    own default, event).
+    needs.  A probed run ticks the dense loop (the max-plus mode does
+    not observe ticks).
     """
     from ..obs import Profiler
 
     workload = workload or make_workload()
     row = stage_named(stage)
-    driver = row.over(
-        workload, memory_config=memory_config, mode=mode, **row.kernel
-    )
+    driver = row.over(workload, memory_config=memory_config, **row.kernel)
     pid, part = next(
         item for item in row.kernel_items(workload) if item[1].num_rows > 0
     )

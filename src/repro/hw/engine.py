@@ -1,55 +1,31 @@
-"""Activity-driven simulation engine with a cycle-dense fallback.
+"""Cycle-accurate simulation engine: a max-plus solution and a dense loop.
 
 The engine drives a set of modules, queues, and the memory system while
-preserving registered-queue semantics: within a cycle each active module
-ticks once (moving at most one flit per port), memory ticks, and staged
-queue pushes commit so flits advance one hop per cycle.  The run ends when
+preserving registered-queue semantics: within a cycle each module ticks
+once (moving at most one flit per port), memory ticks, and staged queue
+pushes commit so flits advance one hop per cycle.  The run ends when
 every source has drained, every queue is empty, and every module reports
 idle.
 
-Three modes produce bit-identical cycle counts and functional results:
+Two modes produce bit-identical cycle counts and functional results:
 
 * ``maxplus`` (default) — no ticks at all: every module plans its whole
   input streams and the cycle of each state-changing tick comes out of
   one max-plus timing pass (:mod:`repro.hw.maxplus`).  Where that cannot
   apply — a probe attached, a module without a plan for the tick it
-  runs, a queue cycle, a wave that would deadlock — ``run`` uses
-  ``event`` instead, and ``RunStats.mode`` says so.
-* ``event`` — an activity-driven scheduler.  The engine keeps a
-  *wake set*: a module is ticked only when one of its input queues
-  committed a flit, a memory response landed
-  (:meth:`repro.hw.module.Module._wake`), or it self-declares pending
-  internal work via :meth:`repro.hw.module.Module.wants_tick`.  The
-  fourth classic wake source — an output queue draining — is subsumed:
-  a producer blocked on a full queue holds undelivered state, reports
-  non-idle, and therefore keeps itself in the wake set until the push
-  lands.  Queues are committed off a
-  *dirty list* (only queues with staged flits), and when the wake set is
-  empty while memory requests are in flight the clock *fast-forwards*
-  straight to the next response cycle instead of spinning.  Quiescence
-  falls out of the scheduler for free: an empty wake set with clean
-  queues and idle memory ends the run (an O(1) check), after a single
-  O(modules) verification pass that distinguishes completion from
-  deadlock.
+  runs, a queue cycle, a wave that would deadlock, diverge or overflow
+  ``max_cycles`` — ``run`` ticks ``dense`` instead, and
+  ``RunStats.mode`` says so.
 * ``dense`` — the classic loop that ticks every module and commits every
-  queue each cycle.  Kept for differential testing and for harnesses with
-  modules that tick on wall-clock-like conditions the wake contract
-  cannot see.
-
-Correctness of the skipping rests on one contract: a sleeping module's
-tick would not have changed any simulation state (only its starve/stall
-counters, which are defined per *executed* tick).  Cycle counts, flit
-counts, memory traffic, and all functional outputs are identical across
-modes, queue occupancies across the two tick modes; executed-tick
-statistics (``ticks_executed``, starve tallies) naturally differ — that
-difference is the measured win.
+  queue each cycle.  It is the differential oracle the max-plus mode is
+  held to, and the only mode that observes every tick (the per-tick
+  starve / stall counters and queue occupancies are its alone).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
 from typing import Dict, List, Optional
 
 from .maxplus import run_maxplus
@@ -66,10 +42,8 @@ class RunStats:
     modes; the host-side fields record what the simulation cost to run:
     ``ticks_executed`` module ticks actually executed (state-changing
     ticks solved, under ``maxplus``) out of ``ticks_possible`` (modules x
-    cycles, what the dense loop would do),
-    ``fast_forward_cycles`` cycles skipped in one clock jump while only
-    memory latency was outstanding, and ``wall_seconds`` host wall time
-    inside ``Engine.run``.
+    cycles, what the dense loop does), and ``wall_seconds`` host wall
+    time inside ``Engine.run``.
     """
 
     cycles: int
@@ -83,7 +57,6 @@ class RunStats:
     wall_seconds: float = 0.0
     ticks_executed: int = 0
     ticks_possible: int = 0
-    fast_forward_cycles: int = 0
 
     def copy(self) -> "RunStats":
         """A fresh RunStats equal to this one, with its own dict
@@ -102,7 +75,7 @@ class RunStats:
 
     @property
     def skip_ratio(self) -> float:
-        """Fraction of dense-equivalent module ticks the scheduler never
+        """Fraction of dense-equivalent module ticks the run never
         executed (0.0 for a dense run)."""
         if not self.ticks_possible:
             return 0.0
@@ -136,17 +109,11 @@ class Engine:
         #: no probe attached, each simulated cycle pays exactly one
         #: ``is None`` check — the metrics-disabled path stays free.
         self.probe = None
-        # event-scheduler state (inert in dense mode)
-        self._event_active = False
-        self._dirty: List[HardwareQueue] = []
-        self._wake_next: List[Module] = []
-        self._activity = 0
 
     # -- construction helpers ------------------------------------------------------
 
     def add_module(self, module: Module) -> Module:
         """Register a module with the engine."""
-        module._engine = self
         module._index = len(self.modules)
         self.modules.append(module)
         return module
@@ -154,11 +121,10 @@ class Engine:
     def remove_module(self, module: Module) -> None:
         """Detach a module from the engine and from every queue it was
         wired to.  Drivers that swap a stock module for a custom one must
-        use this (not ``engine.modules.remove``) so the scheduler's module
-        indices and the queues' producer/consumer wake lists stay
-        consistent."""
+        use this (not ``engine.modules.remove``) so the module indices
+        (the max-plus mode's registration order) and the queues'
+        producer/consumer lists stay consistent."""
         self.modules.remove(module)
-        module._engine = None
         module._index = -1
         for index, survivor in enumerate(self.modules):
             survivor._index = index
@@ -175,7 +141,6 @@ class Engine:
         if capacity is None:
             capacity = self.default_queue_capacity
         queue = HardwareQueue(name or f"q{self._queue_serial}", capacity)
-        queue.attach(self)
         self.queues.append(queue)
         return queue
 
@@ -196,30 +161,6 @@ class Engine:
         consumer.connect_input(in_port, queue)
         return queue
 
-    # -- scheduler callbacks -------------------------------------------------------
-    #
-    # Queues inline their push/pop bookkeeping (dirty-list membership and
-    # the activity counter) directly against the engine's attributes — at
-    # tens of thousands of flit moves per run a callback per move is the
-    # difference between the event scheduler winning and losing on wall
-    # time.  There is deliberately *no* pop wake-up: a sleeping producer
-    # is, by the quiescence contract, idle with empty inputs — it holds
-    # nothing it could push into the freed slot, while a producer stalled
-    # on a full queue reports non-idle and keeps itself awake through
-    # ``wants_tick``.
-
-    def _wake_from_event(self, module: Module) -> None:
-        """Out-of-band completion (memory/SPM response): tick the module
-        next cycle."""
-        if self._event_active:
-            self._schedule(module, self.cycle + 1)
-
-    def _schedule(self, module: Module, at_cycle: int) -> None:
-        if module._wake_cycle >= at_cycle:
-            return
-        module._wake_cycle = at_cycle
-        self._wake_next.append(module)
-
     # -- simulation --------------------------------------------------------------
 
     def step(self) -> None:
@@ -230,8 +171,6 @@ class Engine:
         self.memory.tick(self.cycle)
         for queue in self.queues:
             queue.commit()
-            queue._dirty = False
-        self._dirty.clear()
         if self.probe is not None:
             self.probe.on_cycle(self, self.cycle)
         self.cycle += 1
@@ -246,18 +185,16 @@ class Engine:
 
     def run(self, max_cycles: int = 100_000_000, mode: Optional[str] = None) -> RunStats:
         """Run until quiescent (or raise a deadlock report after
-        ``max_cycles``).  ``mode`` is ``"maxplus"``, ``"event"`` or
-        ``"dense"``; defaults to :attr:`default_mode`."""
+        ``max_cycles``).  ``mode`` is ``"maxplus"`` or ``"dense"``;
+        defaults to :attr:`default_mode`."""
         mode = mode or self.default_mode
         if mode == "maxplus":
             stats = run_maxplus(self, max_cycles)
             if stats is not None:
                 return stats
-            mode = "event"  # where the max-plus solution does not apply
+            mode = "dense"  # where the max-plus solution does not apply
         if mode == "dense":
             return self._run_dense(max_cycles)
-        if mode == "event":
-            return self._run_event(max_cycles)
         raise ValueError(f"unknown engine mode {mode!r}")
 
     def _run_dense(self, max_cycles: int) -> RunStats:
@@ -275,151 +212,21 @@ class Engine:
             mode="dense",
             wall_seconds=time.perf_counter() - t0,
             ticks_executed=cycles * len(self.modules),
-            fast_forward_cycles=0,
         )
         if self.probe is not None:
             self.probe.on_run_end(self, stats)
         return stats
 
-    def _run_event(self, max_cycles: int) -> RunStats:
-        start = self.cycle
-        t0 = time.perf_counter()
-        ticks_executed = 0
-        fast_forwarded = 0
-        last_activity: Optional[int] = None
-        memory = self.memory
-        modules = self.modules
-        probe = self.probe
-
-        by_index = attrgetter("_index")
-        self._event_active = True
-        try:
-            # Every module gets the first cycle; after that, events rule.
-            pending = list(modules)
-            for module in pending:
-                module._wake_cycle = self.cycle
-                module._was_idle = module.is_idle()
-
-            while True:
-                if self.cycle - start >= max_cycles:
-                    raise RuntimeError(self._deadlock_report(max_cycles))
-
-                if not pending and not self._dirty:
-                    if memory.is_idle():
-                        break  # quiescent -- or deadlocked; verified below
-                    if not memory.has_pending():
-                        # Dead cycles: nothing to tick until the oldest
-                        # in-flight memory response lands.  Jump there.
-                        target = memory.next_response_cycle()
-                        if target > self.cycle:
-                            fast_forwarded += target - self.cycle
-                            self.cycle = target
-
-                # ---- one active cycle ----
-                # The loop body below is the simulator's hot path; the
-                # scheduling bookkeeping is inlined (no _schedule calls,
-                # base wake contract evaluated without a method call)
-                # because per-tick call overhead is what decides whether
-                # skipping ticks beats the dense loop on wall time.
-                cycle = self.cycle
-                next_cycle = cycle + 1
-                pending.sort(key=by_index)  # dense ticks in registration order
-                agenda = pending
-                pending = self._wake_next = wake_next = []
-                activity_before = self._activity
-                ticks_executed += len(agenda)
-                for module in agenda:
-                    module.tick(cycle)
-                    if module._static_idle:
-                        idle = True  # base is_idle: constant, never flips
-                    else:
-                        idle = module.is_idle()
-                        if idle != module._was_idle:
-                            module._was_idle = idle
-                            self._activity += 1
-                    if module._custom_wake:
-                        want = module.wants_tick()
-                    elif not idle:
-                        want = True
-                    else:
-                        # Base contract, inlined: tick again while input
-                        # data is buffered.
-                        want = False
-                        for queue in module._in_queues:
-                            if queue._items:
-                                want = True
-                                break
-                    if want and module._wake_cycle < next_cycle:
-                        module._wake_cycle = next_cycle
-                        wake_next.append(module)
-
-                if memory.has_work():
-                    completed_before = memory.responses_completed
-                    memory.tick(cycle)
-                    if memory.responses_completed != completed_before:
-                        self._activity += 1
-
-                if self._dirty:
-                    dirty = self._dirty
-                    self._dirty = []
-                    for queue in dirty:
-                        queue._dirty = False
-                        queue.commit()
-                        for consumer in queue.consumers:
-                            if consumer._wake_cycle < next_cycle:
-                                consumer._wake_cycle = next_cycle
-                                wake_next.append(consumer)
-
-                if self._activity != activity_before:
-                    last_activity = cycle
-                if probe is not None:
-                    probe.on_cycle(self, cycle)
-                self.cycle = next_cycle
-        finally:
-            self._event_active = False
-            self._wake_next = []
-
-        # The wake set drained with idle memory and clean queues.  One
-        # O(modules)+O(queues) pass tells completion from deadlock -- the
-        # only full scan of the run.
-        if not self.is_quiescent():
-            raise RuntimeError(self._deadlock_report(None))
-
-        # Match the dense loop's accounting exactly: quiescence is first
-        # *observed* on the step after the last state change, and one more
-        # confirming step runs after that.
-        if last_activity is None:
-            cycles = 2
-        else:
-            cycles = last_activity - start + 2
-        self.cycle = start + cycles
-        stats = self._stats(
-            cycles,
-            mode="event",
-            wall_seconds=time.perf_counter() - t0,
-            ticks_executed=ticks_executed,
-            fast_forward_cycles=fast_forwarded,
-        )
-        if probe is not None:
-            probe.on_run_end(self, stats)
-        return stats
-
     # -- diagnostics ---------------------------------------------------------------
 
-    def _deadlock_report(self, max_cycles: Optional[int]) -> str:
+    def _deadlock_report(self, max_cycles: int) -> str:
         """A deadlock/overflow message naming the stuck parts: non-idle
         modules, non-empty and full queues, and outstanding memory
         requests -- instead of a bare 'deadlock?'."""
-        if max_cycles is not None:
-            lines = [
-                f"simulation did not finish within {max_cycles} cycles "
-                f"(cycle {self.cycle})"
-            ]
-        else:
-            lines = [
-                f"simulation deadlocked at cycle {self.cycle}: no module "
-                "can make progress but work remains"
-            ]
+        lines = [
+            f"simulation did not finish within {max_cycles} cycles "
+            f"(cycle {self.cycle})"
+        ]
         stuck = [m for m in self.modules if not m.is_idle()]
         if stuck:
             lines.append("  non-idle modules:")
@@ -458,7 +265,6 @@ class Engine:
         mode: str = "dense",
         wall_seconds: float = 0.0,
         ticks_executed: int = 0,
-        fast_forward_cycles: int = 0,
     ) -> RunStats:
         return RunStats(
             cycles=cycles,
@@ -471,5 +277,4 @@ class Engine:
             wall_seconds=wall_seconds,
             ticks_executed=ticks_executed,
             ticks_possible=cycles * len(self.modules),
-            fast_forward_cycles=fast_forward_cycles,
         )

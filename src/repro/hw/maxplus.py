@@ -38,7 +38,7 @@ counters (starve / stall cycles, a queue's ``full_stalls`` and
 wherever it cannot apply — a probe attached, a module without a plan for
 the tick it runs, a queue graph with a cycle or a loose end, a wave that
 would deadlock or diverge, a memory iteration that does not settle — and
-the engine then runs the event scheduler instead.
+the engine then ticks the wave in the dense loop instead.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .flit import EMPTY, Stream
 from .spm import RmwInterlock
 
 #: Rounds of the memory / timing iteration after which the mode gives up
-#: and the event scheduler runs the wave.
+#: and the dense loop runs the wave.
 MEMORY_ROUNDS = 16
 
 #: Cycles an RMW update occupies the SPM Updater's read/modify/write
@@ -136,9 +136,9 @@ class Plan:
 def planned(module) -> bool:
     """True when ``module``'s :meth:`plan` describes the ``tick`` it
     actually runs: the class defining ``plan`` is (a subclass of) the one
-    defining ``tick``, ``is_idle`` and ``wants_tick``, and no instance
-    overrides any of them."""
-    hooks = ("plan", "tick", "is_idle", "wants_tick")
+    defining ``tick`` and ``is_idle``, and no instance overrides any of
+    them."""
+    hooks = ("plan", "tick", "is_idle")
     owners = {}
     for cls in type(module).__mro__:
         for name in hooks:
@@ -199,7 +199,7 @@ def _plan_all(order) -> Optional[list]:
             plan = module.plan(
                 {port: streams[id(q)] for port, q in module.inputs.items()}
             )
-        except Exception:  # the event scheduler raises it where it arises
+        except Exception:  # the dense loop raises it where it arises
             return None
         if not plan.idle:
             return None
@@ -678,7 +678,7 @@ def run_maxplus(engine, max_cycles: int):
     )
     cycles = 2 if last is None else last - start + 2
     if cycles + 2 > max_cycles:
-        return None  # the event scheduler raises its overflow report
+        return None  # the dense loop raises its overflow report
 
     for actor in actors:
         if isinstance(actor, _GatedActor):
@@ -704,5 +704,4 @@ def run_maxplus(engine, max_cycles: int):
         mode="maxplus",
         wall_seconds=time.perf_counter() - t0,
         ticks_executed=sum(len(plan.actions) for plan in plans),
-        fast_forward_cycles=0,
     )

@@ -62,8 +62,7 @@ class MemorySystem:
         self._pending_total = 0
         # Per-channel pending counts let tick() skip a channel without
         # rebuilding its request vector (the arbitration loop runs every
-        # simulated cycle while any request is queued, in both engine
-        # modes, so this is shared hot path).
+        # simulated cycle while any request is queued).
         self._pending_by_channel: List[int] = [0] * self.config.channels
         # statistics
         self.requests_served = 0
@@ -107,25 +106,6 @@ class MemorySystem:
     def in_flight(self) -> int:
         """Requests granted but not yet completed."""
         return len(self._in_flight)
-
-    # -- event-driven scheduling hooks -------------------------------------------
-
-    def has_pending(self) -> bool:
-        """True while any request still waits for a channel grant (the
-        arbiters then need a tick every cycle).  O(1)."""
-        return self._pending_total > 0
-
-    def has_work(self) -> bool:
-        """True when ticking this cycle could change memory state."""
-        return self._pending_total > 0 or bool(self._in_flight)
-
-    def next_response_cycle(self) -> Optional[int]:
-        """The cycle the oldest in-flight request completes (None when
-        nothing is in flight).  In-flight entries are ordered by their
-        ready cycle — grants are issued in cycle order with a fixed
-        latency — so this is the engine's fast-forward target when every
-        module is asleep and no request is waiting for a grant."""
-        return self._in_flight[0][0] if self._in_flight else None
 
     # -- simulation ---------------------------------------------------------------
 

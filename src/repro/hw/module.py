@@ -2,20 +2,10 @@
 
 Every module (Figure 6) consumes flits from named input queues and produces
 flits into named output queues, at most one flit per port per cycle.  A
-module's ``tick`` is called once per simulated cycle; it must respect queue
-back-pressure (never push to a full queue, never pop from an empty one).
-
-Under the activity-driven engine a module is only ticked when it might
-make progress: after one of its input queues committed a flit, after a
-memory/SPM response landed (see :meth:`Module._wake`), or while it
-self-declares pending internal work via :meth:`Module.wants_tick` — a
-producer blocked on a full output queue reports non-idle and therefore
-keeps itself awake until the push lands.  The default ``wants_tick`` is
-deliberately conservative — "not idle, or input data buffered" — so
-existing module subclasses behave identically under both engine modes;
-modules that idle-wait on external events (the memory reader hiding DRAM
-latency) override it to let the engine skip or fast-forward their dead
-cycles.
+module's ``tick`` is called once per simulated cycle by the dense loop; it
+must respect queue back-pressure (never push to a full queue, never pop
+from an empty one).  A module that also defines ``plan`` (beside its
+``tick``) can be solved by the max-plus mode instead (:mod:`repro.hw.maxplus`).
 
 Modules keep busy/starve/stall statistics so the benchmark harness can
 attribute time the way Figure 13(b) does; stalls are additionally charged
@@ -25,12 +15,9 @@ to :meth:`_note_stalled`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import Dict, Optional
 
 from .queue import HardwareQueue
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .engine import Engine
 
 
 class Module:
@@ -40,21 +27,8 @@ class Module:
         self.name = name
         self.inputs: Dict[str, HardwareQueue] = {}
         self.outputs: Dict[str, HardwareQueue] = {}
-        # scheduler wiring (filled in by Engine.add_module)
-        self._engine: Optional["Engine"] = None
+        #: Registration order (filled in by Engine.add_module).
         self._index = -1
-        self._wake_cycle = -1
-        self._was_idle = True
-        #: Input queues as a list — the engine's hot loop evaluates the
-        #: base wake contract by scanning this without a method call.
-        self._in_queues: list = []
-        #: True when the subclass overrides :meth:`wants_tick`; the
-        #: engine only pays the method call for those.
-        self._custom_wake = type(self).wants_tick is not Module.wants_tick
-        #: True when the subclass inherits the base :meth:`is_idle`
-        #: (constant True) — such a module can never flip idleness, so
-        #: the engine skips the per-tick idle check entirely.
-        self._static_idle = type(self).is_idle is Module.is_idle
         #: Lazily bound default ports: hot tick bodies cache their queue
         #: here on first use instead of a method call + dict lookup per
         #: simulated cycle.
@@ -73,7 +47,6 @@ class Module:
         if port in self.inputs:
             raise ValueError(f"{self.name}: input port {port} already connected")
         self.inputs[port] = queue
-        self._in_queues.append(queue)
         queue.consumers.append(self)
 
     def connect_output(self, port: str, queue: HardwareQueue) -> None:
@@ -109,32 +82,7 @@ class Module:
         queues are empty.  Subclasses with internal buffers override."""
         return True
 
-    def wants_tick(self) -> bool:
-        """Does this module need a tick next cycle even without a fresh
-        queue/memory event?
-
-        The event-driven engine consults this after every tick; returning
-        False puts the module to sleep until an input queue commits or
-        :meth:`_wake` fires.  The
-        default is conservative (tick while not idle or while input data
-        is buffered) so subclasses only need to override when they can
-        prove their dead cycles are skippable — the contract is that a
-        sleeping module's tick would not have changed any simulation
-        state.  Modules whose progress depends on the *passage of time*
-        alone (hazard interlocks, latency counters) must keep returning
-        True until that work drains.
-        """
-        if not self.is_idle():
-            return True
-        return any(queue.can_pop() for queue in self.inputs.values())
-
     # -- bookkeeping helpers ----------------------------------------------------------
-
-    def _wake(self) -> None:
-        """Ask the engine to tick this module next cycle (used by memory
-        response callbacks and other out-of-band completions)."""
-        if self._engine is not None:
-            self._engine._wake_from_event(self)
 
     def _note_busy(self) -> None:
         self.busy_cycles += 1

@@ -86,9 +86,6 @@ class MemoryReader(SourceModule):
     def _on_response(self, count: int) -> None:
         self._lines_completed += count
         self._credits += count * self._elems_per_line
-        # Fresh data (or a freed prefetch slot): make sure the scheduler
-        # ticks us next cycle even if we went to sleep waiting for it.
-        self._wake()
 
     def tick(self, cycle: int) -> None:
         # Issue up to one request per cycle while the prefetch window has room.
@@ -139,20 +136,6 @@ class MemoryReader(SourceModule):
             port=self._port, fetch=fetch, window=self.prefetch_lines,
             credits=credits, per_line=per_line,
         )
-
-    def wants_tick(self) -> bool:
-        """Precise wake contract: while every prefetch credit is spoken
-        for and the request window is full, this reader can make no
-        progress until a memory response lands — exactly the DRAM-latency
-        dead time the event engine fast-forwards.  ``_on_response`` wakes
-        it back up."""
-        outstanding = self._lines_requested - self._lines_completed
-        if self._lines_requested < self._lines_total and outstanding < self.prefetch_lines:
-            return True  # can issue another request
-        if self._cursor < len(self._stream):
-            # Boundary flits need no credits; payload flits need one.
-            return self._credits > 0 or not self._actions[self._cursor]
-        return False
 
     def is_idle(self) -> bool:
         return (

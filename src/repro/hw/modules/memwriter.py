@@ -4,11 +4,6 @@ Section III-C: consumes one flit per cycle into an internal buffer; every
 time the buffer fills one memory access granularity, a write request is
 issued to memory.  Functionally the writer also records everything it
 consumed so drivers can read results back (the ``genesis_flush`` path).
-
-The writer is purely input-driven — it never stalls and holds no
-time-dependent state — so the base wake contract (tick while input data
-is buffered, sleep otherwise) is exact: under the event engine it is only
-ever ticked on cycles where the dense engine would have popped a flit.
 """
 
 from __future__ import annotations

@@ -153,14 +153,6 @@ class SpmUpdater(Module):
             writes_spm=spm,
         )
 
-    # The base wake contract is exact here, including for rmw hazards: a
-    # hazard-stalled flit stays at the head of the input queue, so "tick
-    # while input data is buffered" retries it every cycle, and the
-    # interlock expires by *cycle stamp* (not tick count) so skipped idle
-    # cycles never change when an address frees up.  The base ``is_idle``
-    # (always True) is inherited rather than overridden so the engine can
-    # statically skip the idle-flip check for this module.
-
 
 class SpmReader(Module):
     """Reads the scratchpad: lookup, interval, or drain mode."""

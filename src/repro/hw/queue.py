@@ -7,14 +7,6 @@ cycle N+1 (the engine commits staged pushes at the end of every cycle).
 That single-cycle hop latency is what makes the simulation behave like a
 pipelined circuit regardless of the order modules are ticked in.
 
-Queues are also the event source of the activity-driven scheduler: when
-attached to an engine they report pushes (the queue becomes *dirty* and
-needs an end-of-cycle commit) and pops (activity that resets the
-quiescence clock; no wake-up is needed because a blocked producer keeps
-itself awake by reporting non-idle).  Queues built standalone (unit
-tests, ad-hoc harnesses) work exactly as before; the hooks are inert
-until :meth:`attach` is called.
-
 Queues track occupancy statistics so benchmarks can report where
 back-pressure accumulates; ``full_stalls`` counts the cycles a producer
 reported being blocked on this queue (via
@@ -30,7 +22,6 @@ from typing import TYPE_CHECKING, Deque, List, Optional
 from .flit import Flit
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .engine import Engine
     from .module import Module
 
 
@@ -44,22 +35,12 @@ class HardwareQueue:
         self.capacity = capacity
         self._items: Deque[Flit] = deque()
         self._staged: List[Flit] = []
-        # scheduler wiring (None when used standalone)
-        self._scheduler: Optional["Engine"] = None
-        self._dirty = False
         self.producers: List["Module"] = []
         self.consumers: List["Module"] = []
         # statistics
         self.total_pushed = 0
         self.max_occupancy = 0
         self.full_stalls = 0
-
-    # -- scheduler wiring -----------------------------------------------------
-
-    def attach(self, scheduler: "Engine") -> None:
-        """Attach this queue to an engine so pushes and pops feed the
-        activity-driven scheduler (no-op behaviour change otherwise)."""
-        self._scheduler = scheduler
 
     # -- producer side -------------------------------------------------------
 
@@ -78,15 +59,6 @@ class HardwareQueue:
             raise RuntimeError(f"push to full queue {self.name}")
         self._staged.append(flit)
         self.total_pushed += 1
-        # Scheduler bookkeeping, inlined (this is the hottest path in the
-        # simulator): the push is activity and the queue now needs an
-        # end-of-cycle commit.
-        scheduler = self._scheduler
-        if scheduler is not None:
-            scheduler._activity += 1
-            if not self._dirty:
-                self._dirty = True
-                scheduler._dirty.append(self)
 
     def try_push(self, flit: Flit) -> bool:
         """Stage one flit if there is room; returns False (and leaves the
@@ -112,14 +84,7 @@ class HardwareQueue:
         """Consume and return the head flit."""
         if not self._items:
             raise RuntimeError(f"pop from empty queue {self.name}")
-        flit = self._items.popleft()
-        # A pop is activity (it resets the quiescence clock) but wakes
-        # nobody: a producer with something to push reports non-idle and
-        # stays in the wake set on its own.
-        scheduler = self._scheduler
-        if scheduler is not None:
-            scheduler._activity += 1
-        return flit
+        return self._items.popleft()
 
     # -- engine hooks ---------------------------------------------------------
 

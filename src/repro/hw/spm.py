@@ -143,8 +143,7 @@ class RmwInterlock:
         """Updates that may still occupy a pipeline stage — an upper
         bound, since entries are lazily expired on the next
         ``try_enter``/``busy`` call.  Expiry is keyed to cycle stamps,
-        not call counts, so the interlock behaves identically under the
-        dense and event-driven engine schedules."""
+        not call counts."""
         return len(self._in_flight)
 
     def busy(self, cycle: int) -> bool:

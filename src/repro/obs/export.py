@@ -93,7 +93,6 @@ def report_to_dict(report: ProfileReport) -> Dict[str, object]:
         "wall_seconds": report.wall_seconds,
         "ticks_executed": report.ticks_executed,
         "ticks_possible": report.ticks_possible,
-        "fast_forward_cycles": report.fast_forward_cycles,
         "skip_ratio": report.skip_ratio,
         "modules": {
             m.name: {
@@ -170,7 +169,6 @@ def _rebuild_report(data: Dict[str, object]) -> ProfileReport:
         wall_seconds=float(data.get("wall_seconds", 0.0)),
         ticks_executed=int(data.get("ticks_executed", 0)),
         ticks_possible=int(data.get("ticks_possible", 0)),
-        fast_forward_cycles=int(data.get("fast_forward_cycles", 0)),
         modules=[
             ModuleProfile(
                 name=name,

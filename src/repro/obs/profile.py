@@ -1,11 +1,11 @@
 """The engine probe and the per-run :class:`ProfileReport`.
 
 A :class:`Profiler` attaches to one :class:`~repro.hw.engine.Engine` as
-its *probe*: the engine calls :meth:`Profiler.on_cycle` once per executed
-cycle (both schedules) and :meth:`Profiler.on_run_end` when ``run()``
-finishes.  With no probe attached the engine pays a single ``is None``
-check per simulated cycle — the metrics-disabled path adds nothing to
-the per-module hot loop.
+its *probe*: the engine calls :meth:`Profiler.on_cycle` once per cycle
+(a probed run always ticks the dense loop) and
+:meth:`Profiler.on_run_end` when ``run()`` finishes.  With no probe
+attached the engine pays a single ``is None`` check per simulated cycle
+— the metrics-disabled path adds nothing to the per-module hot loop.
 
 The profiler harvests three layers into one report:
 
@@ -13,8 +13,7 @@ The profiler harvests three layers into one report:
   modules already keep, with the remainder as idle, so every module's
   four states sum exactly to the run's cycles;
 * **queues and memory** — per-queue occupancy histograms (sampled each
-  executed cycle; fast-forwarded gaps are charged at the occupancy they
-  froze at), push totals and back-pressure stalls, per-channel memory
+  cycle), push totals and back-pressure stalls, per-channel memory
   grant counts and utilization, and the reads/writes of every scratchpad
   reachable from the modules;
 * **timeline** — coalesced per-module activity spans (via
@@ -106,7 +105,6 @@ class ProfileReport:
     wall_seconds: float
     ticks_executed: int
     ticks_possible: int
-    fast_forward_cycles: int
     modules: List[ModuleProfile]
     queues: List[QueueProfile]
     memory: MemoryProfile
@@ -125,7 +123,7 @@ class ProfileReport:
 
     @property
     def skip_ratio(self) -> float:
-        """Fraction of dense-equivalent ticks the scheduler skipped."""
+        """Fraction of dense-equivalent ticks the run skipped."""
         if not self.ticks_possible:
             return 0.0
         return 1.0 - self.ticks_executed / self.ticks_possible
@@ -160,8 +158,7 @@ class ProfileReport:
         lines = [
             f"profile {self.name}: {self.cycles} cycles, {self.mode} mode, "
             f"{self.wall_seconds:.4f}s host "
-            f"(skip ratio {self.skip_ratio:.1%}, "
-            f"{self.fast_forward_cycles} fast-forwarded)"
+            f"(skip ratio {self.skip_ratio:.1%})"
         ]
         width = max([len(m.name) for m in self.modules] or [6])
         lines.append(
@@ -220,7 +217,6 @@ class Profiler:
         self._engine = None
         self._last_stats = None
         self._start_cycle = 0
-        self._last_cycle = 0
         self._module_base: Dict[str, Tuple[int, int, int, int]] = {}
         self._queue_base: Dict[str, Tuple[int, int]] = {}
         self._queue_last_occ: Dict[str, int] = {}
@@ -239,7 +235,6 @@ class Profiler:
         engine.probe = self
         self._engine = engine
         self._start_cycle = engine.cycle
-        self._last_cycle = engine.cycle - 1
         for module in engine.modules:
             self._module_base[module.name] = (
                 module.busy_cycles, module.starve_cycles,
@@ -268,43 +263,23 @@ class Profiler:
     # -- engine hooks --------------------------------------------------------------
 
     def on_cycle(self, engine, cycle: int) -> None:
-        """Called by the engine after ``cycle``'s ticks and queue commits.
-
-        Cycles the event scheduler never executed (fast-forward gaps)
-        are charged as idle time at the occupancy they froze at.
-        """
+        """Called by the engine after ``cycle``'s ticks and queue commits."""
         self.recorder.sample(cycle)
-        gap = cycle - self._last_cycle - 1
         occupancy = self._occupancy
         last_occ = self._queue_last_occ
         for queue in engine.queues:
             name = queue.name
             occ = len(queue._items)
-            previous = last_occ[name]
-            histogram = occupancy[name]
-            if gap > 0:
-                histogram.record(previous, gap)
-            histogram.record(occ)
-            if occ != previous:
+            occupancy[name].record(occ)
+            if occ != last_occ[name]:
                 points = self._queue_points[name]
                 if len(points) < 100_000:
                     points.append((cycle, occ))
                 last_occ[name] = occ
-        self._last_cycle = cycle
 
     def on_run_end(self, engine, stats) -> None:
-        """Called by ``Engine.run`` with the finished :class:`RunStats`;
-        pads the timeline out to the run's final quiescent cycles."""
+        """Called by ``Engine.run`` with the finished :class:`RunStats`."""
         self._last_stats = stats
-        end = self._start_cycle + stats.cycles - 1
-        if end >= self._start_cycle:
-            self.recorder.sample(end)
-        if end > self._last_cycle:
-            for name, histogram in self._occupancy.items():
-                histogram.record(
-                    self._queue_last_occ[name], end - self._last_cycle
-                )
-            self._last_cycle = end
 
     # -- report --------------------------------------------------------------------
 
@@ -368,9 +343,6 @@ class Profiler:
             wall_seconds=stats.wall_seconds if stats is not None else 0.0,
             ticks_executed=stats.ticks_executed if stats is not None else 0,
             ticks_possible=stats.ticks_possible if stats is not None else 0,
-            fast_forward_cycles=(
-                stats.fast_forward_cycles if stats is not None else 0
-            ),
             modules=modules,
             queues=queues,
             memory=mem_profile,

@@ -64,8 +64,8 @@ class Counter:
 class Histogram:
     """A distribution over small non-negative integers (queue depths,
     per-cycle occupancies): ``counts[v]`` is how many observations saw
-    value ``v``.  ``record(value, weight)`` supports charging a run of
-    identical cycles in one call (the event engine's fast-forward gap)."""
+    value ``v``.  ``record(value, weight)`` charges a run of identical
+    observations in one call."""
 
     __slots__ = ("counts",)
 

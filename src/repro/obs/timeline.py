@@ -6,12 +6,8 @@ sampled cycle, whichever counter advanced since the previous sample names
 the state of that cycle (busy wins over stalled wins over starved — the
 same priority the text tracer always used).  Consecutive same-state
 cycles coalesce into :class:`Span` runs, so a million-cycle run with a
-handful of state changes costs a handful of spans.
-
-The recorder is exact under both engine schedules because module counters
-only ever change on *executed* ticks: any cycle the event engine skipped
-(or fast-forwarded over) left every counter untouched and is recorded as
-idle, which is precisely what the module did.
+handful of state changes costs a handful of spans.  Only the dense loop
+ticks, so only it is sampled: one sample per cycle, in order.
 
 Sampling is keyed to explicit cycle stamps, not call counts: a sample for
 a cycle already recorded is ignored (no double counting when a caller
@@ -51,8 +47,7 @@ class ModuleTimeline:
         self.spans: List[Span] = []
 
     def extend(self, cycle: int, state: str) -> None:
-        """Record ``state`` for ``cycle`` (cycles must arrive in order;
-        gaps are not filled here — callers pad idle explicitly)."""
+        """Record ``state`` for ``cycle`` (cycles must arrive in order)."""
         spans = self.spans
         if spans and spans[-1].state == state and spans[-1].end == cycle:
             spans[-1].end = cycle + 1
@@ -79,9 +74,7 @@ MAX_TIMELINE_CYCLES = 1_000_000
 class TimelineRecorder:
     """Delta-samples an engine's modules into per-module timelines.
 
-    ``sample(cycle)`` records the state of ``cycle`` for every module and
-    pads any unsampled gap since the previous sample as idle (the event
-    engine never skips a cycle in which any module's counters changed).
+    ``sample(cycle)`` records the state of ``cycle`` for every module.
     """
 
     def __init__(self, engine, max_cycles: int = MAX_TIMELINE_CYCLES):
@@ -116,11 +109,6 @@ class TimelineRecorder:
             return False  # duplicate sample for a recorded cycle
         if self.cycles_recorded >= self.max_cycles:
             return False
-        gap_start = (
-            self.attach_cycle if self._last_sampled is None
-            else self._last_sampled + 1
-        )
-        gap = cycle - gap_start
         for module in self.engine.modules:
             name = module.name
             if name not in self.timelines:
@@ -130,10 +118,6 @@ class TimelineRecorder:
             busy, starved, stalled = (
                 module.busy_cycles, module.starve_cycles, module.stall_cycles
             )
-            # Unsampled cycles between samples saw no executed ticks:
-            # every counter is unchanged there, so they are idle.
-            for skipped in range(gap_start, cycle):
-                timeline.extend(skipped, "idle")
             if busy > previous[0]:
                 state = "busy"
             elif stalled > previous[2]:
@@ -145,7 +129,7 @@ class TimelineRecorder:
             timeline.extend(cycle, state)
             self._previous[name] = (busy, starved, stalled)
         self._last_sampled = cycle
-        self.cycles_recorded += gap + 1
+        self.cycles_recorded += 1
         return True
 
     # -- summaries -----------------------------------------------------------------

@@ -29,7 +29,7 @@ from repro.tables.genomic_tables import table_to_reads
 
 
 #: Every engine mode, the oracle first.
-MODES = ("dense", "event", "maxplus")
+MODES = ("dense", "maxplus")
 
 _EMIT = Step(pushes=("out",), rooms=("out",))
 _POP = Step(pops=("in",))
@@ -139,11 +139,11 @@ def drive(
     max_cycles: int = 1_000_000,
 ) -> Tuple[Dict[str, List[Flit]], RunStats]:
     """Run ``module`` with the given per-port input flits under every
-    engine mode — ``dense`` and ``event`` on copies, ``maxplus`` on
-    ``module`` itself — and assert they agree on every flit, the
+    engine mode — ``dense`` on a copy, ``maxplus`` on ``module`` itself —
+    and assert they agree on every flit, the
     :func:`assert_runs_equivalent` figures and the module's
     :func:`side_effects`; returns the flits collected on each output port
-    plus the ``maxplus`` run's statistics (``event``'s where the module
+    plus the ``maxplus`` run's statistics (``dense``'s where the module
     has no plan and the mode falls back)."""
     inputs = {port: list(flits) for port, flits in inputs.items()}
     subjects = {mode: copy.deepcopy(module) for mode in MODES[:-1]}
@@ -164,7 +164,7 @@ def drive(
         assert_runs_equivalent(want_stats, stats)
         assert side_effects(subjects[mode]) == side_effects(oracle), mode
     outputs, stats = runs["maxplus"]
-    assert stats.mode == ("maxplus" if planned(module) else "event")
+    assert stats.mode == ("maxplus" if planned(module) else "dense")
     return outputs, stats
 
 

@@ -55,9 +55,6 @@ class Throttle(Module):
     def is_idle(self) -> bool:
         return self._held is None and self._countdown == 0
 
-    def wants_tick(self) -> bool:
-        return not self.is_idle() or self.input().can_pop()
-
 
 def _flits(n):
     return [Flit({"value": i}) for i in range(n)]
@@ -168,7 +165,7 @@ class TestMultiHopChain:
 def _hand_report(modules, queues, edges, cycles=100):
     return ProfileReport(
         name="hand", cycles=cycles, mode="dense", wall_seconds=0.0,
-        ticks_executed=0, ticks_possible=0, fast_forward_cycles=0,
+        ticks_executed=0, ticks_possible=0,
         modules=modules, queues=queues,
         memory=MemoryProfile(requests=0, bytes_transferred=0, responses=0),
         edges=edges,

@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def test_parser_commands():
@@ -66,11 +73,16 @@ def test_reproduce_prints_speedups(capsys):
     assert "markdup" in out and "metadata" in out and "bqsr_table" in out
 
 
-def test_profile_parser_defaults():
+def test_profile_parser_defaults(capsys):
     args = build_parser().parse_args(["profile"])
     assert args.command == "profile"
     assert args.stage == "markdup"
-    assert args.mode is None and args.trace is None
+    assert args.trace is None
+    # a probed run can only tick dense: there is no schedule to choose
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--no-ledger", "profile", "--mode", "dense"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --mode dense" in capsys.readouterr().err
 
 
 def test_profile_emits_report_and_artifacts(tmp_path, capsys):
@@ -136,6 +148,25 @@ def test_analyze_over_saved_report(tmp_path, capsys):
     assert main(["--no-ledger", "analyze", str(report)]) == 0
     out = capsys.readouterr().out
     assert "root bottleneck" in out
+
+
+def test_a_closed_stdout_pipe_ends_the_command_quietly():
+    """``repro analyze R.json | head -5``: a reader that stops early ends
+    the command with exit 141, no traceback and nothing ignored at exit.
+    The child's stdout is a pipe whose read end is already closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "--no-ledger", "analyze",
+             str(DATA / "event_mode_profile.json")],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert done.stderr == b""
 
 
 def test_analyze_bad_inputs_exit_cleanly(tmp_path, capsys):

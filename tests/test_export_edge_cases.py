@@ -4,10 +4,12 @@ JSON that is not a report."""
 
 import csv
 import json
+import pathlib
 
 import pytest
 
 from repro.hw.engine import Engine
+from repro.obs.analyze import analyze_report
 from repro.obs.export import (
     chrome_trace,
     report_from_dict,
@@ -25,11 +27,13 @@ from repro.obs.profile import (
 
 from hw_harness import ListSink, ListSource
 
+DATA = pathlib.Path(__file__).parent / "data"
+
 
 def _empty_report():
     return ProfileReport(
-        name="empty", cycles=0, mode="event", wall_seconds=0.0,
-        ticks_executed=0, ticks_possible=0, fast_forward_cycles=0,
+        name="empty", cycles=0, mode="dense", wall_seconds=0.0,
+        ticks_executed=0, ticks_possible=0,
         modules=[], queues=[],
         memory=MemoryProfile(requests=0, bytes_transferred=0, responses=0),
     )
@@ -45,7 +49,7 @@ def _all_idle_report(cycles=50):
     ]
     return ProfileReport(
         name="idle", cycles=cycles, mode="dense", wall_seconds=0.0,
-        ticks_executed=0, ticks_possible=2 * cycles, fast_forward_cycles=0,
+        ticks_executed=0, ticks_possible=2 * cycles,
         modules=modules,
         queues=[QueueProfile("a->b", 8, 0, 0, 0)],
         memory=MemoryProfile(requests=0, bytes_transferred=0, responses=0),
@@ -147,15 +151,21 @@ class TestHistogramBuckets:
         assert sum(recovered) == report.cycles
 
     def test_json_round_trip_preserves_buckets(self):
-        report = self._profiled_report()
-        rebuilt = report_from_dict(report_to_dict(report))
-        assert (
-            rebuilt.queues[0].occupancy_counts
-            == list(report.queues[0].occupancy_counts)
-        )
-        assert rebuilt.queues[0].mean_occupancy() == (
-            report.queues[0].mean_occupancy()
-        )
+        # A fresh report, and one saved before the event scheduler was
+        # retired ("mode": "event", with a fast-forward count).
+        saved = json.loads((DATA / "event_mode_profile.json").read_text())
+        for data in (report_to_dict(self._profiled_report()), saved):
+            rebuilt = report_from_dict(data)
+            again = report_from_dict(report_to_dict(rebuilt))
+            for queue, entry in zip(again.queues, data["queues"].values()):
+                assert queue.occupancy_counts == entry["occupancy_counts"]
+                assert queue.mean_occupancy() == entry["mean_occupancy"]
+            assert analyze_report(again).render() == (
+                analyze_report(rebuilt).render()
+            )
+        # ... and the saved one still analyzes as it did when written.
+        expected = (DATA / "event_mode_profile.analyze.txt").read_text()
+        assert analyze_report(rebuilt).render() + "\n" == expected
 
     def test_empty_buckets_emit_no_rows(self):
         report = _all_idle_report()

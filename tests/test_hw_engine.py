@@ -138,12 +138,11 @@ def test_reducer_lanes_increase_cost():
 
 # -- differential tests across the engine modes --------------------------------------
 #
-# The activity-driven scheduler and the max-plus solution must be
-# indistinguishable from the dense loop on everything the paper measures:
-# cycle counts, flit counts, busy cycles, memory traffic, and functional
-# outputs.  Executed-tick metrics (starve tallies, ticks_executed)
-# legitimately differ — that difference is the modes' win and is covered
-# by the RunStats tests instead.
+# The max-plus solution must be indistinguishable from the dense loop on
+# everything the paper measures: cycle counts, flit counts, busy cycles,
+# memory traffic, and functional outputs.  Executed-tick metrics (starve
+# tallies, ticks_executed) legitimately differ — that difference is the
+# mode's win and is covered by the RunStats tests instead.
 
 
 def _force_mode(monkeypatch, mode):
@@ -243,10 +242,9 @@ def test_metadata_parallel_identical_across_modes(workload):
             assert results[pid].uq == dense_results[pid].uq
 
 
-def test_event_mode_fast_forwards_memory_latency():
-    """A single reader on a high-latency memory: the event engine must
-    skip the dead cycles in clock jumps yet land on the dense cycle
-    count."""
+def test_maxplus_mode_solves_memory_latency():
+    """A single reader on a high-latency memory: the max-plus solution
+    lands on the dense cycle count, timing each flit once."""
     from repro.hw.memory import MemoryConfig, MemorySystem
     from repro.hw.modules import MemoryReader
 
@@ -260,32 +258,14 @@ def test_event_mode_fast_forwards_memory_latency():
 
     engine_d, sink_d = build()
     dense = engine_d.run(mode="dense")
-    engine_e, sink_e = build()
-    event = engine_e.run(mode="event")
-    assert dense.cycles == event.cycles
-    assert [f.fields for f in sink_d.collected] == [f.fields for f in sink_e.collected]
-    assert event.fast_forward_cycles > 0
-    assert event.ticks_executed < dense.ticks_executed
-    # the max-plus solution lands there too, timing each flit once
     engine_m, sink_m = build()
     solved = engine_m.run(mode="maxplus")
     assert_runs_equivalent(dense, solved)
     assert [f.fields for f in sink_m.collected] == [f.fields for f in sink_d.collected]
-    assert solved.fast_forward_cycles == 0
-    assert solved.ticks_executed < event.ticks_executed
+    assert solved.ticks_executed < dense.ticks_executed
 
 
 def test_run_stats_host_metrics():
-    engine = Engine()
-    source = engine.add_module(ListSource("src", item_flits(list(range(20)))))
-    sink = engine.add_module(ListSink("sink"))
-    engine.connect(source, sink)
-    stats = engine.run(mode="event")
-    assert stats.mode == "event"
-    assert stats.wall_seconds > 0
-    assert 0 < stats.ticks_executed <= stats.ticks_possible
-    assert 0.0 <= stats.skip_ratio < 1.0
-    assert stats.host_flits_per_second(20) > 0
     dense = Engine()
     src2 = dense.add_module(ListSource("src", item_flits(list(range(20)))))
     sink2 = dense.add_module(ListSink("sink"))
@@ -301,14 +281,17 @@ def test_run_stats_host_metrics():
     mstats = solved.run(mode="maxplus")
     assert mstats.mode == "maxplus"
     assert mstats.cycles == dstats.cycles == solved.cycle
+    assert mstats.wall_seconds > 0
     assert mstats.ticks_executed == 40  # one action per flit moved or taken
+    assert 0.0 < mstats.skip_ratio < 1.0
+    assert mstats.host_flits_per_second(20) > 0
     assert mstats.starve_by_module == {"src": 0, "sink": 0}
-    assert mstats.fast_forward_cycles == 0
 
 
 def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        Engine().run(mode="quantum")
+    for mode in ("quantum", "event"):  # the event scheduler is retired
+        with pytest.raises(ValueError):
+            Engine().run(mode=mode)
 
 
 def test_deadlock_report_names_the_stuck_parts():
@@ -336,29 +319,6 @@ def test_deadlock_report_names_the_stuck_parts():
     assert "jammed" in message
     assert "FULL" in message
     assert "full_stalls" in message
-
-
-def test_event_deadlock_detected_without_spinning():
-    """The event engine spots a stuck-but-non-idle module the moment the
-    wake set drains, long before max_cycles."""
-    engine = Engine()
-
-    class Wedged(ListSource):
-        """Claims pending work but never produces and never wants a tick."""
-
-        def is_idle(self):
-            return False
-
-        def wants_tick(self):
-            return False
-
-        def tick(self, cycle):
-            pass
-
-    engine.add_module(Wedged("wedged", []))
-    with pytest.raises(RuntimeError) as err:
-        engine.run(max_cycles=100_000_000, mode="event")
-    assert "wedged" in str(err.value)
 
 
 def test_remove_module_keeps_scheduler_consistent():

@@ -8,8 +8,8 @@ capacities, memory channels and latencies, with up to four replicas
 sharing one memory.  Every draw must solve to
 exactly what the dense loop ticks out: cycles, flit and busy counts,
 memory traffic and arbitration, every output, every scratchpad and its
-counters, every hazard stall.  Where the mode cannot apply it must run
-the event scheduler and say so.
+counters, every hazard stall.  Where the mode cannot apply it must tick
+the dense loop and say so.
 """
 
 import copy
@@ -406,7 +406,7 @@ def test_writer_requests_move_reader_responses_over_several_rounds(monkeypatch):
     assert left == dense_left
     monkeypatch.setattr(maxplus, "MEMORY_ROUNDS", 1)
     stats, left = outcome(build(pipeline), "maxplus")
-    assert stats.mode == "event"
+    assert stats.mode == "dense"
     assert left == dense_left
 
 
@@ -458,7 +458,7 @@ def _chain(sink=None):
 def test_a_probe_falls_back():
     engine, _sink = _chain()
     Profiler().attach(engine)
-    assert engine.run(mode="maxplus").mode == "event"
+    assert engine.run(mode="maxplus").mode == "dense"
 
 
 def test_a_module_ticking_without_its_plan_falls_back():
@@ -469,7 +469,7 @@ def test_a_module_ticking_without_its_plan_falls_back():
 
     engine, sink = _chain(Skipping("sink"))
     assert not maxplus.planned(sink)
-    assert engine.run(mode="maxplus").mode == "event"
+    assert engine.run(mode="maxplus").mode == "dense"
     engine, sink = _chain()
     sink.tick = lambda cycle: None
     assert not maxplus.planned(sink)
@@ -481,7 +481,7 @@ def test_a_queue_cycle_falls_back():
     b = engine.add_module(StreamAlu("b", op="ID"))
     engine.connect(a, b)
     engine.connect(b, a)
-    assert engine.run(mode="maxplus").mode == "event"
+    assert engine.run(mode="maxplus").mode == "dense"
 
 
 def _unfinished_join():
@@ -497,14 +497,14 @@ def _unfinished_join():
     return engine
 
 
-def test_a_wave_that_cannot_finish_falls_back_to_the_event_report():
+def test_a_wave_that_cannot_finish_falls_back_to_the_dense_report():
     with pytest.raises(RuntimeError, match="did not finish within 200 cycles"):
         _unfinished_join().run(max_cycles=200, mode="maxplus")
 
 
 def test_lagging_qual_falls_back_to_the_divergence_error():
     """QUAL three hops behind SEQ: the tick pops a QUAL head that is not
-    there; the plan only assumed it, so the event scheduler reports it."""
+    there; the plan only assumed it, so the dense loop reports it."""
     engine = Engine()
     r2b = engine.add_module(ReadToBases("r2b", with_qual=True))
     feeds = {
@@ -524,7 +524,7 @@ def test_lagging_qual_falls_back_to_the_divergence_error():
         engine.run(mode="maxplus")
 
 
-def test_an_overflow_falls_back_to_the_event_report():
+def test_an_overflow_falls_back_to_the_dense_report():
     engine, _sink = _chain()
     with pytest.raises(RuntimeError, match="did not finish within 10 cycles"):
         engine.run(max_cycles=10, mode="maxplus")
@@ -542,13 +542,13 @@ def test_a_scratchpad_written_and_read_in_one_wave_falls_back():
     engine.connect(writes, updater)
     engine.connect(lookups, reader)
     engine.connect(reader, engine.add_module(ListSink("sink")))
-    assert engine.run(mode="maxplus").mode == "event"
+    assert engine.run(mode="maxplus").mode == "dense"
 
 
-def test_a_fallen_back_run_leaves_the_modules_as_event_does():
+def test_a_fallen_back_run_leaves_the_modules_as_dense_does():
     """Falling back after the plans ran leaves no trace of them."""
     runs = {}
-    for mode in ("event", "maxplus"):
+    for mode in ("dense", "maxplus"):
         engine = _unfinished_join()
         with pytest.raises(RuntimeError):
             engine.run(mode=mode, max_cycles=40)
@@ -556,7 +556,7 @@ def test_a_fallen_back_run_leaves_the_modules_as_event_does():
             (side_effects(m), [(f.fields, f.last) for f in getattr(m, "collected", ())])
             for m in engine.modules
         ]
-    assert runs["maxplus"] == runs["event"]
+    assert runs["maxplus"] == runs["dense"]
 
 
 # -- no silent fall-back on the stages -----------------------------------------------

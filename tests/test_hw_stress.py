@@ -195,7 +195,7 @@ def test_rmw_hazard_identical_across_modes(addresses, capacity, latency):
         stats = engine.run(mode=mode)
         assert stats.mode == mode
         runs[mode] = (stats.cycles, spm.dump(), updater.hazard_stalls, updater.updates)
-    assert runs["event"] == runs["maxplus"] == runs["dense"]
+    assert runs["maxplus"] == runs["dense"]
     expected = [0] * 32
     for address in addresses:
         expected[address] += 1
@@ -204,9 +204,7 @@ def test_rmw_hazard_identical_across_modes(addresses, capacity, latency):
 
 class CycleKeyedSink(ListSink):
     """A back-pressuring consumer whose pop/skip decision is a pure
-    function of the *cycle number* (not the tick count), so dense and
-    event schedules — which tick it a different number of times — see
-    the same consumer behaviour on any given cycle."""
+    function of the *cycle number* — a timing no plan can describe."""
 
     def __init__(self, name, seed, rate=0.5):
         super().__init__(name)
@@ -224,10 +222,9 @@ class CycleKeyedSink(ListSink):
 )
 @settings(max_examples=30, deadline=None)
 def test_chain_cycles_identical_across_modes(items, capacity, sink_seed):
-    """Irregular back-pressure under both tick schedules: same cycle
-    count, same outputs.  The sink gates on the cycle number, which no
-    plan can describe, so ``maxplus`` falls back to ``event`` — the
-    living test of the fall-back rule."""
+    """Irregular back-pressure: same cycle count, same outputs.  The sink
+    gates on the cycle number, which no plan can describe, so ``maxplus``
+    falls back to ``dense`` — the living test of the fall-back rule."""
     runs = {}
     for mode in MODES:
         engine = Engine(default_queue_capacity=capacity)
@@ -238,6 +235,6 @@ def test_chain_cycles_identical_across_modes(items, capacity, sink_seed):
         engine.connect(source, alu)
         engine.connect(alu, sink)
         stats = engine.run(mode=mode)
-        assert stats.mode == ("event" if mode == "maxplus" else mode)
+        assert stats.mode == "dense"
         runs[mode] = (stats.cycles, values(sink.collected))
-    assert runs["dense"] == runs["event"] == runs["maxplus"]
+    assert runs["dense"] == runs["maxplus"]

@@ -5,7 +5,7 @@ frozen :class:`Config`, each field mirroring a setter outside ``tests/``
 (DESIGN.md §5) — and runs it: direct through ``run_sharded``, or served
 through ``JobService``.  Whatever the point, the answer and the modelled
 clock must equal the *reference* of its stage, workload and pipelines:
-the direct, one-card, one-worker, event-mode, unfaulted, unfiltered run
+the direct, one-card, one-worker, dense-mode, unfaulted, unfiltered run
 (memoised), which must in turn equal the ``repro.gatk`` oracle (checked
 as it is memoised).  Injected faults must be exactly those the
 plan aims at slots the run polls, each retried once per failed attempt.
@@ -63,7 +63,7 @@ class Config:
     stage: str
     workload: str = "sharding"
     #: The driver's ``mode`` field.
-    mode: str = "event"
+    mode: str = "dense"
     #: ``run_sharded(n_pipelines=)`` / ``JobSpec.n_pipelines``.
     pipelines: int = 2
     #: ``devices=`` / ``workers=`` of ``run_sharded`` or ``JobService``.
@@ -109,7 +109,7 @@ def configs(draw):
     return Config(
         stage=draw(st.sampled_from(SERVE_STAGES if served else tuple(STAGES))),
         workload=draw(st.sampled_from(tuple(WORKLOADS))),
-        mode=draw(st.sampled_from(("event", "dense", "maxplus"))),
+        mode=draw(st.sampled_from(("dense", "maxplus"))),
         pipelines=draw(st.sampled_from((1, 2, 4))),
         devices=draw(st.sampled_from((1, 2, 3))),
         workers=draw(st.sampled_from((1, 2))),
@@ -148,7 +148,7 @@ def reference(stage: str, name: str, pipelines: int):
         ledger = RunLedger(os.path.join(tmp, "ledger.jsonl"))
         with run_context(RunManifest(workload="lattice"), ledger):
             results, stats = run_sharded(
-                row.over(wl, mode="event"), row.items(wl), pipelines
+                row.over(wl, mode="dense"), row.items(wl), pipelines
             )
         waves = {
             record["wave"]: (record["cycles"], record["load_cycles"])

@@ -19,7 +19,7 @@ from repro.obs.ledger import (
 def _manifest(**overrides):
     defaults = dict(
         workload="test", config={"reads": 40, "psize": 2000}, seed=7,
-        pipelines=4, workers=1, mode="event",
+        pipelines=4, workers=1, mode="dense",
     )
     defaults.update(overrides)
     return RunManifest(**defaults)
@@ -51,7 +51,7 @@ class TestManifest:
         assert rebuilt.run_id == manifest.run_id
         assert rebuilt.digest == manifest.digest
         assert rebuilt.config == manifest.config
-        assert rebuilt.seed == 7 and rebuilt.mode == "event"
+        assert rebuilt.seed == 7 and rebuilt.mode == "dense"
 
 
 class TestLedger:

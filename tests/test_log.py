@@ -57,7 +57,7 @@ def test_json_records_carry_run_and_worker_ids(tmp_path):
     stream = _capture(json_lines=True)
     manifest = RunManifest(
         workload="t", config={}, seed=0, pipelines=1, workers=1,
-        mode="event",
+        mode="dense",
     )
     ledger = RunLedger(str(tmp_path / "ledger.jsonl"))
     set_worker_id("w99")

@@ -146,7 +146,7 @@ def test_replayed_load_equals_fresh_simulation(ref_row, config, with_snp):
 @pytest.mark.parametrize("mode", MODES)
 def test_replay_follows_the_engine_mode(monkeypatch, mode):
     """The ambient engine schedule is part of the shape: a dense run must
-    not be answered with statistics recorded by an event run."""
+    not be answered with statistics recorded by a max-plus run."""
     contents = [[1, 2, 3], [4] * 70, [5] * 9, [6]]
     row = {"CHR": 1, "REFPOS": 0, "SEQ": [1] * 90, "IS_SNP": [False] * 90}
     config = MemoryConfig(channels=2)
@@ -167,14 +167,14 @@ def test_replay_follows_the_engine_mode(monkeypatch, mode):
 
 
 #: The RunStats fields that are per-mode host statistics.
-HOST_FIELDS = ("mode", "ticks_executed", "starve_by_module", "fast_forward_cycles")
+HOST_FIELDS = ("mode", "ticks_executed", "starve_by_module")
 
 
 @settings(max_examples=40, deadline=None)
 @given(contents=spm_contents, ref_row=ref_rows, config=memory_configs)
-def test_maxplus_recordings_equal_event_ones(contents, ref_row, config):
-    """The phases the max-plus mode records equal the event scheduler's
-    on every modelled field."""
+def test_maxplus_recordings_equal_dense_ones(contents, ref_row, config):
+    """The phases the max-plus mode records equal the dense loop's on
+    every modelled field."""
     def recorded(mode):
         previous = Engine.default_mode
         Engine.default_mode = mode
@@ -187,9 +187,9 @@ def test_maxplus_recordings_equal_event_ones(contents, ref_row, config):
         finally:
             Engine.default_mode = previous
 
-    for event, solved in zip(recorded("event"), recorded("maxplus")):
+    for dense, solved in zip(recorded("dense"), recorded("maxplus")):
         assert solved.mode == "maxplus"
-        want, got = modelled_fields(event), modelled_fields(solved)
+        want, got = modelled_fields(dense), modelled_fields(solved)
         for name in HOST_FIELDS:
             del want[name], got[name]
         assert got == want

@@ -368,7 +368,7 @@ def test_reducer_matches_software_oracle(items, op, use_mask):
     assert got == want
 
 
-# -- engine event/dense equivalence --------------------------------------------------
+# -- engine maxplus/dense equivalence ------------------------------------------------
 
 
 @st.composite
@@ -424,15 +424,15 @@ def _build_spec_pipeline(spec):
 @given(pipeline_specs())
 @settings(max_examples=40, deadline=None)
 def test_engine_modes_equivalent_on_random_pipelines(spec):
-    """Event (activity-driven) and dense (tick-everything) schedules
-    report identical cycle counts and identical outputs on any randomly
-    composed pipeline — the core soundness claim of the fast path."""
+    """The max-plus solution and the dense (tick-everything) loop report
+    identical cycle counts and identical outputs on any randomly composed
+    pipeline — the core soundness claim of the fast path."""
     results = {}
-    for mode in ("event", "dense"):
+    for mode in ("maxplus", "dense"):
         engine, sink = _build_spec_pipeline(spec)
         stats = engine.run(mode=mode)
         results[mode] = (
             stats.cycles,
             [(dict(flit.fields), flit.last) for flit in sink.collected],
         )
-    assert results["event"] == results["dense"]
+    assert results["maxplus"] == results["dense"]
