@@ -11,7 +11,8 @@ are executed:
 
 * **one executor for every topology** — :func:`run_waves` is the only
   driver of waves: it owns the process pool and the fault ladder and
-  yields each wave's clean outcome to its caller.  It has two callers.
+  yields each wave's clean outcome, or the error of its spent retry
+  budget, to its caller.  It has two callers.
   :func:`repro.accel.sharding.run_sharded`, the one front door of a
   direct run, hands it every wave of one stage; serial, multi-worker
   and multi-device runs are that one call at different sizes (DESIGN.md
@@ -39,9 +40,9 @@ are executed:
   re-simulating the load;
 * **fault tolerance** — with a
   :class:`~repro.faults.injector.FaultInjector` the executor survives
-  injected and real failures alike: retry with backoff under a budget,
-  a watchdog deadline per future, pool rebuild, serial in-process
-  fallback (:func:`run_waves`; DESIGN.md §3.5).
+  injected and real failures alike: retry with backoff under one
+  budget per wave, a watchdog deadline per future, pool rebuild, serial
+  in-process fallback (:func:`run_waves`; DESIGN.md §3.5).
 
 Results are bit-identical across ``workers`` and ``devices`` settings:
 wave packing is deterministic, every wave simulates in its own engine,
@@ -65,6 +66,7 @@ from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (
+    Deque,
     Dict,
     FrozenSet,
     Iterable,
@@ -74,6 +76,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -82,6 +85,7 @@ from ..faults.injector import (
     FAULT_EXCEPTIONS,
     FaultInjector,
     InjectedFaultError,
+    RetryBudgetExceeded,
 )
 from ..faults.retry import FailedAttempt, RetryLadder, RetryPolicy
 from ..hw.engine import Engine, RunStats
@@ -711,6 +715,9 @@ class WaveTask:
     stats: ParallelRunStats = field(default_factory=ParallelRunStats)
     #: Extra fields of its ``fault.*`` events (``device`` on a sharded run).
     labels: Dict[str, object] = field(default_factory=dict)
+    #: The failed attempts its ladder retried, in attempt order; the
+    #: caller records them with the wave's outcome.
+    retried: List[FailedAttempt] = field(default_factory=list)
 
     def seed_images(self) -> Dict[tuple, CachedImage]:
         return self.cache.images_for(self.driver.wave_keys(self.items))
@@ -722,10 +729,15 @@ def run_waves(
     injector: Optional[FaultInjector] = None,
     retry_policy: Optional[RetryPolicy] = None,
     wave_timeout: Optional[float] = None,
-) -> Iterator[Tuple[WaveTask, str, WaveOutcome]]:
-    """The wave executor: drive every task to one clean execution and
+) -> Iterator[
+    Tuple[WaveTask, str, Union[WaveOutcome, RetryBudgetExceeded]]
+]:
+    """The wave executor: drive every task down its retry ladder and
     yield ``(task, worker label, outcome)`` for each — in task order when
-    the waves run inline, in completion order on the pool.
+    the waves run inline, in completion order on the pool.  The outcome
+    is the wave's clean execution or, when its ladder ran out, the
+    :class:`~repro.faults.injector.RetryBudgetExceeded` saying so: a wave
+    out of budget fails alone, and every other task still runs.
 
     It feeds one process pool of ``fan_out`` processes
     (:func:`wave_pool`), or runs inline when that — or the task count —
@@ -735,14 +747,14 @@ def run_waves(
     next one, only if it is unbroken and every future submitted to it
     was collected — a broken pool, one a watchdog gave up a future on
     and one closed over futures in flight are shut down.  Folding an
-    outcome back
-    (:meth:`SpmImageCache.adopt`, results, accounting) is the caller's,
-    between two yields — so a caller that adopts as it goes seeds each
-    inline wave with what the previous one loaded, and one that adopts
-    after the last yield seeds them all from the cache as it stood.
-    Every decision that reaches the ledger (fault injection, retry,
-    backoff) is taken in the parent, keyed by ``(index, attempt)``, so
-    it is identical for every pool size.
+    outcome back (:meth:`SpmImageCache.adopt`, results, accounting, the
+    task's ``retried`` attempts) is the caller's, between two yields —
+    so a caller that adopts as it goes seeds each inline wave with what
+    the previous one loaded, and one that adopts after the last yield
+    seeds them all from the cache as it stood.  Every decision that
+    reaches the ledger (fault injection, retry, backoff, exhaustion) is
+    taken in the parent, keyed by ``(index, attempt)``, so it is
+    identical for every pool size.
 
     Resilience: ``injector`` injects the deterministic faults of
     its :class:`~repro.faults.plan.FaultPlan` at the ``scheduler.wave``
@@ -750,13 +762,13 @@ def run_waves(
     Failed wave attempts — injected or real — are retried under
     ``retry_policy`` (default :class:`~repro.faults.retry.RetryPolicy`)
     with exponential backoff; ``wave_timeout`` arms a watchdog deadline
-    (seconds) around every pool future.  The degradation ladder is retry
-    → requeue → serial in-process fallback (the serial rung retries with
-    a fresh budget counted from its entry attempt); a wave that keeps
-    faulting past the serial budget raises
-    :class:`~repro.faults.injector.RetryBudgetExceeded`.  Non-injected
-    exceptions from driver code propagate immediately — they are
-    deterministic bugs, not infrastructure failures.
+    (seconds) around every pool future.  A wave walks one ladder with
+    one budget, counted from attempt 0 whatever rung it is on: retry →
+    requeue → pool restart → serial in-process fallback, that last rung
+    only for the waves of a pool that kept dying, which resume their
+    budget there.  Non-injected exceptions from driver code propagate
+    immediately — they are deterministic bugs, not infrastructure
+    failures.
     """
     if wave_timeout is not None and wave_timeout <= 0:
         raise ValueError("wave_timeout must be positive seconds")
@@ -783,30 +795,10 @@ def run_waves(
             return
         task.stats.retries += 1
         task.stats.backoff_seconds += failed.backoff_seconds
-        record_event(
-            "fault.retry",
-            stage=task.driver.stage, wave=task.index, attempt=failed.attempt,
-            kind=failed.kind, backoff_seconds=failed.backoff_seconds,
-            **task.labels,
-        )
+        task.retried.append(failed)
         _log.info(
             "wave %d attempt %d failed (%s); retrying after %.3fs",
             task.index, failed.attempt, failed.kind, failed.backoff_seconds,
-            extra={"stage": task.driver.stage, "wave": task.index},
-        )
-
-    def account_serial_fallback(task, attempt, reason, **spent):
-        """``spent``: the ``backoff_seconds`` of the attempt that used up
-        the budget, when a failure (not a dying pool) sent the wave here."""
-        task.stats.serial_fallback_waves += 1
-        record_event(
-            "fault.serial_fallback",
-            stage=task.driver.stage, wave=task.index, attempt=attempt,
-            reason=reason, **spent, **task.labels,
-        )
-        _log.warning(
-            "wave %d degrades to serial in-process execution (%s)",
-            task.index, reason,
             extra={"stage": task.driver.stage, "wave": task.index},
         )
 
@@ -822,9 +814,12 @@ def run_waves(
 
     def run_wave_serial(task, start_attempt=0, worker="w0"):
         """One wave down the serial ladder, then the clean attempt."""
-        for failed in wave_ladder(task, start_attempt, worker):
-            account_fault(failed.kind, task, failed.attempt)
-            account_failure(task, failed)
+        try:
+            for failed in wave_ladder(task, start_attempt, worker):
+                account_fault(failed.kind, task, failed.attempt)
+                account_failure(task, failed)
+        except RetryBudgetExceeded as error:
+            return task, worker, error
         return task, worker, execute_wave(
             task.driver, task.index, task.items, task.seed_images()
         )
@@ -837,10 +832,12 @@ def run_waves(
 
     worker_pids: Dict[int, str] = {}
     # ready holds (task, attempt) pairs awaiting (re)submission;
-    # serial_waves collects budget-exhausted or degraded waves for the
-    # in-process fallback pass after the pool drains.
+    # spent the waves whose ladder ran out, with its error; serial_waves
+    # the waves of a pool that kept dying, for the in-process pass after
+    # the pool drains.
     ready = deque((task, 0) for task in tasks)
     pending: Dict[object, Tuple[WaveTask, int, Optional[float]]] = {}
+    spent: Deque[Tuple[WaveTask, RetryBudgetExceeded]] = deque()
     serial_waves: List[Tuple[WaveTask, int]] = []
     pool_restarts = 0
     #: A watchdog-expired future is never collected and its worker may
@@ -872,22 +869,20 @@ def run_waves(
 
     def requeue(task, attempt, kind):
         """The ladder after a failed attempt: retry on the pool while
-        the budget lasts, then hand the wave to the serial pass."""
-        failed = wave_ladder(task, worker="pool").fail(attempt, kind)
+        the budget lasts, else the wave is spent."""
+        ladder = wave_ladder(task, worker="pool")
+        failed = ladder.fail(attempt, kind)
         account_failure(task, failed)
         if failed.exhausted:
-            # the spent attempt's backoff was reported, never slept:
-            # ledgered here, it is the trace marker's figure
-            account_serial_fallback(
-                task, attempt, reason="retry budget exhausted",
-                backoff_seconds=failed.backoff_seconds,
-            )
-            serial_waves.append((task, attempt + 1))
+            spent.append((task, ladder.exceeded(failed)))
         else:
             ready.append((task, attempt + 1))
 
     try:
         while ready or pending:
+            while spent:
+                task, error = spent.popleft()
+                yield task, "pool", error
             broken = False
             try:
                 while ready:
@@ -957,8 +952,12 @@ def run_waves(
                     )
                     while ready:
                         task, attempt = ready.popleft()
-                        account_serial_fallback(
-                            task, attempt, reason="pool kept dying"
+                        task.stats.serial_fallback_waves += 1
+                        record_event(
+                            "fault.serial_fallback",
+                            stage=task.driver.stage, wave=task.index,
+                            attempt=attempt, reason="pool kept dying",
+                            **task.labels,
                         )
                         serial_waves.append((task, attempt))
                     break
@@ -985,6 +984,9 @@ def run_waves(
             # kept only when every future submitted to it was collected
             release_pool(pool, keep=not (pending or abandoned))
 
+    while spent:
+        task, error = spent.popleft()
+        yield task, "pool", error
     for task, attempt in sorted(
         serial_waves, key=lambda entry: entry[0].index
     ):

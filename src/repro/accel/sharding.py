@@ -54,7 +54,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..faults.injector import FaultInjector
+from ..faults.injector import FaultInjector, RetryBudgetExceeded
 from ..faults.plan import FaultPlan
 from ..faults.retry import RetryPolicy
 from ..gatk.bqsr import CovariateTables
@@ -427,6 +427,10 @@ def run_sharded(
     per-stage kernel cycles are bit-identical to the unfiltered run
     (DESIGN.md §3.10).
 
+    A wave whose retry budget runs out fails the run, at every topology
+    alike: the other waves still run, then the lowest-index wave's
+    :class:`~repro.faults.injector.RetryBudgetExceeded` is raised.
+
     The one asymmetry between topologies: a lone card with no filter in
     front of it charges no transfer timeline (it reports zero busy and
     transfer seconds), a lone card never gets a ``pcie:<n>`` trace lane,
@@ -473,12 +477,23 @@ def run_sharded(
 
     merged = {pid: driver.empty_result(pid) for pid in plan.empty_pids}
     per_wave_cycles = [0] * len(tasks)
+    spent: Dict[int, RetryBudgetExceeded] = {}
     executing = time.perf_counter()
     for task, worker, outcome in run_waves(
         tasks, devices * workers,
         FaultInjector(fault_plan) if fault_plan is not None else None,
         retry_policy, wave_timeout,
     ):
+        for failed in task.retried:
+            record_event(
+                "fault.retry",
+                stage=driver.stage, wave=task.index, attempt=failed.attempt,
+                kind=failed.kind, backoff_seconds=failed.backoff_seconds,
+                **task.labels,
+            )
+        if isinstance(outcome, RetryBudgetExceeded):
+            spent[task.index] = outcome
+            continue
         merged.update(outcome.results)
         task.cache.adopt(outcome)
         record_event(
@@ -491,6 +506,10 @@ def run_sharded(
         )
         per_wave_cycles[task.index] = outcome.stats.cycles
         task.stats.book(worker, outcome)
+    if spent:
+        # every wave ran its ladder; the run fails on the lowest-index
+        # wave out of budget, whatever the topology
+        raise spent[min(spent)]
     elapsed = time.perf_counter() - executing
     for queue, stats, label in zip(queues, per_device, labels):
         stats.per_wave_cycles = [

@@ -810,12 +810,11 @@ def build_parser() -> argparse.ArgumentParser:
              "checkpoint (exercises the graceful-restart path)",
     )
     serve.add_argument(
-        "--inject-faults", type=_fault_spec(("serve.wave", "scheduler.wave")),
+        "--inject-faults", type=_fault_spec(("scheduler.wave",)),
         default=None, metavar="SPEC",
-        help="fault plan, e.g. 'transfer_error:2@serve.wave,worker_crash' "
-             "(this command polls serve.wave, where a fault costs penalty "
-             "cycles on the virtual clock, and scheduler.wave, where it "
-             "costs host seconds only)",
+        help="fault plan, e.g. 'transfer_error:2@scheduler.wave,worker_crash' "
+             "(scheduler.wave is the one site this command polls; a "
+             "retry's backoff costs penalty cycles on the virtual clock)",
     )
     serve.add_argument("--fault-seed", type=int, default=0)
     serve.add_argument(
@@ -857,9 +856,10 @@ def _manifest_for(args: argparse.Namespace) -> RunManifest:
 
 def _dispatch(args: argparse.Namespace) -> int:
     """Run the subcommand.  A fault plan that outlasts the retry budget
-    (``preprocess`` and ``serve`` poll one) ends it in the ladder's own
-    message as the one ``error:`` line, exit code 1 — the run failed; 2
-    is a refused input."""
+    of a direct run (``preprocess`` polls one) ends it in the ladder's
+    own message as the one ``error:`` line, exit code 1 — the run
+    failed; 2 is a refused input.  ``serve`` fails only the job whose
+    wave ran out, and returns 1 itself when a job failed."""
     from .faults import RetryBudgetExceeded
 
     try:

@@ -3,12 +3,11 @@
 A :class:`FaultPlan` declares *which* faults a run will suffer — worker
 crashes, wave-item timeouts, PCIe transfer errors, device launch
 failures — and *where*: every injection point in the codebase is a named
-**site** (``scheduler.wave``, ``serve.wave``, ``runtime.transfer``,
-``runtime.launch``),
+**site** (``scheduler.wave``, ``runtime.transfer``, ``runtime.launch``),
 and every logical operation arriving at a site is assigned a **slot**
 index in deterministic arrival order (the packed wave's global index
-for the scheduler, on every device topology; transfer/launch ordinal for
-the runtime).
+for the scheduler, on every device topology, and the dispatch ordinal
+of a served wave; transfer/launch ordinal for the runtime).
 
 The determinism contract: **same seed + same plan ⇒ same injected
 faults**.  Each spec's target slots are derived once, from a
@@ -61,9 +60,7 @@ DEFAULT_SITES: Dict[str, str] = {
 
 #: Sites instrumented by the codebase (documented; the plan accepts any
 #: name so tests can invent private sites).
-KNOWN_SITES = (
-    "scheduler.wave", "serve.wave", "runtime.transfer", "runtime.launch",
-)
+KNOWN_SITES = ("scheduler.wave", "runtime.transfer", "runtime.launch")
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,7 @@ RetryBudgetExceeded` propagates.  Jitter decorrelates retries without
 NO_RETRY = RetryPolicy(max_retries=0, backoff_base=0.0, jitter=0.0)
 
 
-#: What an exhausted ladder raises with, unless it was given its own.
+#: What an exhausted ladder raises with.
 EXHAUSTED_MESSAGE = (
     "{subject} failed {failures} attempt(s); retry budget ({budget}) exhausted"
 )
@@ -87,27 +87,32 @@ class FailedAttempt:
 
     kind: str
     attempt: int
-    #: The policy's backoff for this attempt's retry — charged to the
-    #: ladder's clock unless the attempt ``exhausted`` the budget.
+    #: The policy's backoff for this attempt's retry, charged to the
+    #: ladder's clock (0 when the attempt ``exhausted`` the budget: no
+    #: retry follows).
     backoff_seconds: float
     exhausted: bool
 
 
 @dataclass
 class RetryLadder:
-    """The retry ladder of one ``(site, slot)`` from ``start_attempt``.
+    """The retry ladder of one ``(site, slot)``.
+
+    The budget counts from attempt 0: whatever rung walks the ladder, the
+    operation runs at most ``max_retries + 1`` times.  ``start_attempt``
+    only says where to resume — a rung that takes over a wave mid-ladder
+    spends what is left of the same budget.
 
     Iterating polls the injector attempt by attempt and yields one
     :class:`FailedAttempt` per injected fault — budget tested, backoff
-    already charged to ``clock`` (a real sleep, penalty cycles on a
-    service clock, a virtual timeline's ``advance_host``) — until an
-    attempt polls clean; :attr:`attempt` is then that attempt.  The
-    failure that spends the budget is yielded too, so callers can book
-    it, and resuming after it raises :class:`~repro.faults.injector.
-    RetryBudgetExceeded` from the injected fault, with :attr:`attempt`
-    one past the failure.  A caller whose failures arrive asynchronously
-    (the executor's pool rung) takes the two steps by hand: :meth:`poll`
-    before the attempt, :meth:`fail` after it.
+    already charged to ``clock`` (a real sleep, a virtual timeline's
+    ``advance_host``) — until an attempt polls clean; :attr:`attempt` is
+    then that attempt.  The failure that spends the budget is yielded
+    too, so callers can book it, and resuming after it raises
+    :meth:`exceeded`, with :attr:`attempt` one past the failure.  A
+    caller whose failures arrive asynchronously (the executor's pool
+    rung) takes the steps by hand: :meth:`poll` before the attempt,
+    :meth:`fail` after it, :meth:`exceeded` when that spent the budget.
     """
 
     injector: Optional[FaultInjector]
@@ -118,7 +123,6 @@ class RetryLadder:
     clock: Callable[[float], None] = time.sleep
     #: Names the operation in the exhaustion message.
     subject: Optional[str] = None
-    message: str = EXHAUSTED_MESSAGE
     #: Extra fields for the injector's ``fault.injected`` event.
     context: Dict[str, object] = field(default_factory=dict)
 
@@ -136,12 +140,24 @@ class RetryLadder:
     def fail(self, attempt: int, kind: str) -> FailedAttempt:
         """Account one failed attempt: test the budget and, when a retry
         follows, charge its backoff to the clock."""
-        if attempt - self.start_attempt >= self.policy.max_retries:
-            # reported (trace fault markers carry it), never charged
-            backoff = self.policy.backoff_seconds(self.slot, attempt)
-            return FailedAttempt(kind, attempt, backoff, exhausted=True)
+        if attempt >= self.policy.max_retries:
+            return FailedAttempt(kind, attempt, 0.0, exhausted=True)
         backoff = self.policy.sleep(self.slot, attempt, clock=self.clock)
         return FailedAttempt(kind, attempt, backoff, exhausted=False)
+
+    def exceeded(self, failed: FailedAttempt) -> RetryBudgetExceeded:
+        """The error of the failure that spent the budget: it counts
+        every failed attempt, and the injected fault, when the plan
+        faulted that attempt, is its cause."""
+        error = RetryBudgetExceeded(EXHAUSTED_MESSAGE.format(
+            subject=self.subject or f"{self.site} slot {self.slot}",
+            failures=failed.attempt + 1,
+            budget=self.policy.max_retries,
+        ))
+        fault = self.poll(failed.attempt)  # recorded already: decides only
+        if fault is not None:
+            error.__cause__ = fault.to_exception()
+        return error
 
     def __iter__(self) -> Iterator[FailedAttempt]:
         while (fault := self.poll(self.attempt)) is not None:
@@ -149,8 +165,4 @@ class RetryLadder:
             self.attempt += 1
             yield failed
             if failed.exhausted:
-                raise RetryBudgetExceeded(self.message.format(
-                    subject=self.subject or f"{self.site} slot {self.slot}",
-                    failures=failed.attempt - self.start_attempt + 1,
-                    budget=self.policy.max_retries,
-                )) from fault.to_exception()
+                raise self.exceeded(failed)

@@ -5,8 +5,8 @@ package is the serving side of that story — a deterministic,
 virtual-time job service that time-multiplexes the modelled
 :class:`~repro.runtime.device.DevicePool` across tenants while
 sharing one SPM image cache, with weighted-fair queueing, bounded
-admission, a dispatch-boundary fault ladder, and graceful
-drain/resume.  See DESIGN.md §3.8.
+admission, one retry ladder per wave whose failure fails only its
+own job, and graceful drain/resume.  See DESIGN.md §3.8.
 """
 
 from .job import (
@@ -22,7 +22,6 @@ from .job import (
 from .queue import REJECT_BACKLOG, REJECT_QUOTA, JobQueue, TenantAccount
 from .report import ServiceReport
 from .service import (
-    SERVE_FAULT_SITE,
     JobService,
     ServeSummary,
     ServiceCheckpoint,
@@ -48,7 +47,6 @@ __all__ = [
     "JobQueue",
     "TenantAccount",
     "ServiceReport",
-    "SERVE_FAULT_SITE",
     "JobService",
     "ServeSummary",
     "ServiceCheckpoint",

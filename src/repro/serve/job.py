@@ -62,10 +62,6 @@ class Job:
     results: Dict[PartitionId, object] = field(default_factory=dict)
     wave_cycles: List[int] = field(default_factory=list)
     wave_load_cycles: List[int] = field(default_factory=list)
-    #: Next attempt number per wave (advanced by the fault ladder).
-    attempts: List[int] = field(default_factory=list)
-    #: Fault slot per wave, allocated at first dispatch.
-    slots: List[Optional[int]] = field(default_factory=list)
     waves_done: int = 0
     first_dispatch_cycles: Optional[int] = None
     completed_cycles: Optional[int] = None
@@ -82,8 +78,6 @@ class Job:
             pending=list(range(len(waves))),
             wave_cycles=[0] * len(waves),
             wave_load_cycles=[0] * len(waves),
-            attempts=[0] * len(waves),
-            slots=[None] * len(waves),
         )
 
     @property

@@ -31,21 +31,17 @@ first writer wins; :meth:`~repro.runtime.device.DevicePool.charge_wave`)
 — so results, cycles, and the entire virtual timeline are bit-identical
 for every ``workers`` value.
 
-Faults are polled at two sites.  At the dispatch boundary (site
-``serve.wave``), parent-side, the wave walks the shared
-:class:`~repro.faults.retry.RetryLadder` with the virtual clock as its
-clock, so an injected fault consumes a retry and its deterministic
-backoff becomes penalty cycles ahead of the wave; a wave that faults
-past its budget fails the whole job (an explicit ``serve.job.failed``
-the client can see).  On the host (site ``scheduler.wave``, slot = the
-dispatch ``seq``) a served wave is on the executor's ladder like any
-other — retry → requeue → pool restart → serial fallback, for injected
-faults and real worker deaths alike — which costs host seconds only:
-nothing of it reaches the virtual clock or the summary, and a wave past
-even the serial budget raises
-:class:`~repro.faults.injector.RetryBudgetExceeded` out of :meth:`run`
-as it would out of a direct run.  Either way the wave's simulation is
-never perturbed, so bit-identity of results survives any fault plan.
+Faults are polled at one site, ``scheduler.wave`` (slot = the dispatch
+``seq``): a served wave walks the executor's one retry ladder like any
+other wave — retry → requeue → pool restart → serial fallback, for
+injected faults and real worker deaths alike, under one budget.  Each
+retry it charged is one ``serve.retry`` event at the dispatch clock,
+and the backoff the ladder charged, ``round(backoff × clock_hz)``,
+becomes penalty cycles ahead of the wave.  A wave that runs out of
+budget fails its own job (an explicit ``serve.job.failed`` the client
+can see) and nothing else: :meth:`run` carries on with every other
+job.  The wave's simulation is never perturbed, so bit-identity of
+results survives any fault plan.
 """
 
 from __future__ import annotations
@@ -58,7 +54,7 @@ from ..accel.scheduler import SpmImageCache, WaveTask, run_waves
 from ..accel.sharding import record_storage_wave
 from ..faults.injector import FaultInjector, RetryBudgetExceeded
 from ..faults.plan import FaultPlan
-from ..faults.retry import FailedAttempt, RetryLadder, RetryPolicy
+from ..faults.retry import RetryPolicy
 from ..tables.partition import PartitionId
 from ..obs.ledger import record_event
 from ..obs.spans import TraceSpan, WaveTimeline, trace_spans
@@ -75,12 +71,6 @@ from .job import (
 )
 from .queue import JobQueue, TenantAccount
 
-#: Injection site for the service's dispatch-boundary fault ladder.
-SERVE_FAULT_SITE = "serve.wave"
-
-#: What a wave past its budget raises with (the job then fails).
-_EXHAUSTED_MESSAGE = "{subject} exhausted its retry budget ({budget})"
-
 
 @dataclass
 class _Dispatch:
@@ -90,8 +80,6 @@ class _Dispatch:
     wave_index: int
     device: int
     seq: int
-    attempt: int
-    penalty_cycles: int
 
 
 @dataclass
@@ -101,6 +89,8 @@ class _Inflight:
     dispatch: _Dispatch
     results: Dict[PartitionId, object]
     timeline: WaveTimeline
+    #: The attempt that ran clean.
+    attempt: int
 
 
 @dataclass
@@ -365,29 +355,15 @@ class JobService:
                 continue
             if limit is not None and len(picks) >= limit:
                 break
-            while True:
-                choice = self.queue.next_wave()
-                if choice is None:
-                    break
-                job, wave_index = choice
-                try:
-                    attempt, penalty = self._fault_ladder(job, wave_index)
-                except RetryBudgetExceeded:
-                    self._fail_job(job, wave_index)
-                    continue
-                picks.append(self._dispatch(job, wave_index, device,
-                                            attempt, penalty))
-                break
+            choice = self.queue.next_wave()
             if choice is None:
                 break
+            picks.append(self._dispatch(*choice, device))
         if picks:
             self._execute(picks)
         return len(picks)
 
-    def _dispatch(
-        self, job: Job, wave_index: int, device: int,
-        attempt: int, penalty: int,
-    ) -> _Dispatch:
+    def _dispatch(self, job: Job, wave_index: int, device: int) -> _Dispatch:
         seq = self._dispatch_seq
         self._dispatch_seq += 1
         if job.state == QUEUED:
@@ -398,52 +374,15 @@ class JobService:
             part.num_rows for _pid, part in job.waves[wave_index]
         )
         self.queue.charge_rows(job.tenant, cost)
+        # every dispatch starts its wave's ladder at attempt 0; the
+        # attempt that ran clean is on its serve.wave.done
         self._event(
             "serve.dispatch",
             seq=seq, tenant=job.tenant, job=job.job_id, stage=job.stage,
             wave=wave_index, device=device, clock=self.clock,
-            attempt=attempt, cost_rows=cost,
+            attempt=0, cost_rows=cost,
         )
-        return _Dispatch(job, wave_index, device, seq, attempt, penalty)
-
-    def _fault_ladder(self, job: Job, wave_index: int) -> Tuple[int, int]:
-        """Parent-side injection at the dispatch boundary: walk the
-        wave's retry ladder with backoff charged as penalty cycles;
-        returns the clean ``(attempt, penalty_cycles)`` — or lets
-        :class:`RetryBudgetExceeded` through."""
-        if self.injector is None:
-            return job.attempts[wave_index], 0
-        if job.slots[wave_index] is None:
-            job.slots[wave_index] = self.injector.next_slot(SERVE_FAULT_SITE)
-        backoffs: List[float] = []
-        ladder = RetryLadder(
-            self.injector, self.retry_policy, SERVE_FAULT_SITE,
-            job.slots[wave_index], job.attempts[wave_index],
-            clock=backoffs.append,
-            subject=f"job {job.job_id} wave {wave_index}",
-            message=_EXHAUSTED_MESSAGE,
-            context=dict(tenant=job.tenant, job=job.job_id, wave=wave_index),
-        )
-        try:
-            for failed in ladder:
-                self._book_failure(job, wave_index, failed)
-        finally:
-            job.attempts[wave_index] = ladder.attempt
-        clock_hz = self.pool.config.clock_hz
-        return ladder.attempt, sum(int(round(s * clock_hz)) for s in backoffs)
-
-    def _book_failure(
-        self, job: Job, wave_index: int, failed: FailedAttempt
-    ) -> None:
-        if failed.exhausted:
-            return
-        self._retries += 1
-        self._event(
-            "serve.retry",
-            tenant=job.tenant, job=job.job_id, wave=wave_index,
-            attempt=failed.attempt, kind=failed.kind,
-            backoff_seconds=failed.backoff_seconds, clock=self.clock,
-        )
+        return _Dispatch(job, wave_index, device, seq)
 
     def _fail_job(self, job: Job, wave_index: int) -> None:
         job.state = FAILED
@@ -459,10 +398,10 @@ class JobService:
     # -- execution (eager host-side, deferred virtual completion) ------------
 
     def _execute(self, picks: List[_Dispatch]) -> None:
-        # one task per pick, its dispatch seq the host-side fault slot;
-        # nothing is adopted until the executor is done, so every wave
-        # (and retry) of the round is seeded from the cache as the round
-        # began; outcomes are adopted afterwards, in dispatch order
+        # one task per pick, its dispatch seq the fault slot; nothing is
+        # adopted until the executor is done, so every wave (and retry)
+        # of the round is seeded from the cache as the round began;
+        # outcomes are adopted afterwards, in dispatch order
         tasks = [
             WaveTask(
                 pick.seq, pick.job.spec.driver,
@@ -479,7 +418,20 @@ class JobService:
         }
         clock_hz = self.pool.config.clock_hz
         for pick, task in zip(picks, tasks):
+            job = pick.job
+            for failed in task.retried:
+                self._retries += 1
+                self._event(
+                    "serve.retry",
+                    tenant=job.tenant, job=job.job_id, wave=pick.wave_index,
+                    attempt=failed.attempt, kind=failed.kind,
+                    backoff_seconds=failed.backoff_seconds, clock=self.clock,
+                )
             wave, outcome = task.items, outcomes[pick.seq]
+            if isinstance(outcome, RetryBudgetExceeded):
+                if job.is_open:
+                    self._fail_job(job, pick.wave_index)
+                continue
             self.cache.adopt(outcome)
             cycles = outcome.stats.cycles
             _nbytes, seconds = self.pool.charge_wave(
@@ -488,16 +440,16 @@ class JobService:
             if self.storage is not None:
                 record_storage_wave(
                     self.storage, wave, emit=self._event,
-                    tenant=pick.job.tenant, job=pick.job.job_id,
-                    stage=pick.job.stage, wave=pick.wave_index,
-                    device=pick.device,
+                    tenant=job.tenant, job=job.job_id, stage=job.stage,
+                    wave=pick.wave_index, device=pick.device,
                 )
             self._inflight[pick.device] = _Inflight(
                 pick, outcome.results, WaveTimeline(
-                    self.clock, penalty=pick.penalty_cycles,
+                    self.clock,
+                    penalty=int(round(task.stats.backoff_seconds * clock_hz)),
                     transfer=int(round(seconds * clock_hz)),
                     load=outcome.load_cycles, kernel=cycles,
-                ),
+                ), attempt=len(task.retried),
             )
 
     # -- completion ----------------------------------------------------------
@@ -525,7 +477,7 @@ class JobService:
             "serve.wave.done",
             tenant=job.tenant, job=job.job_id, wave=wave_index,
             device=device, **rec.timeline.to_record(),
-            attempt=rec.dispatch.attempt,
+            attempt=rec.attempt,
         )
         if job.waves_done == len(job.waves) and job.state == RUNNING:
             job.finalize(end_cycles)

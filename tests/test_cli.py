@@ -473,11 +473,10 @@ def test_numeric_bad_arguments_exit_2(tmp_path, capsys, command, flag, value):
 
 def _polled_sites(command):
     from repro.accel.scheduler import WAVE_FAULT_SITE
-    from repro.serve import SERVE_FAULT_SITE
 
     return {
         "preprocess": (WAVE_FAULT_SITE,),
-        "serve": (SERVE_FAULT_SITE, WAVE_FAULT_SITE),
+        "serve": (WAVE_FAULT_SITE,),
     }[command]
 
 
@@ -486,6 +485,8 @@ def _polled_sites(command):
     ("preprocess", "launch_error:2", "runtime.launch"),
     ("serve", "transfer_error", "runtime.transfer"),
     ("serve", "launch_error+2", "runtime.launch"),
+    # a retired site: the rewrite names the one site serve polls
+    ("serve", "transfer_error@serve.wave", "serve.wave"),
 ])
 def test_unpolled_fault_site_is_refused(capsys, command, item, resolved):
     """A spec item whose (default) site the command never polls used to
@@ -502,6 +503,7 @@ def test_unpolled_fault_site_is_refused(capsys, command, item, resolved):
         capsys,
     )
     kind, sep, rest = item.partition("+")
+    kind = kind.partition("@")[0]
     assert f"{kind}@{resolved}{sep}{rest} would never fire" in err
     assert f"it polls {' and '.join(polled)}" in err
     assert f"write `{kind}@{polled[0]}{sep}{rest}`" in err
@@ -662,7 +664,7 @@ def test_serve_drain_resume_flag(capsys):
 def test_serve_with_fault_plan(capsys):
     assert main(
         ["--no-ledger"] + SERVE_ARGV
-        + ["--inject-faults", "transfer_error:1@serve.wave",
+        + ["--inject-faults", "transfer_error:1@scheduler.wave",
            "--max-retries", "3"]
     ) == 0
     out = capsys.readouterr().out
@@ -674,8 +676,9 @@ def test_serve_survives_a_worker_crash(tmp_path, capsys):
     """``worker_crash`` lands on its default site, ``scheduler.wave`` —
     refused by ``serve`` until the served rounds joined the executor's
     ladder.  Arrivals at cycle 0 fill both devices, so dispatch 0 is on
-    the pool when its worker dies; the summary is the clean run's bar
-    the host-seconds line."""
+    the pool when its worker dies; the summary is the one-worker run's,
+    where the crash is a parent-side retry, bar the host-seconds line:
+    one retry, its backoff charged as penalty cycles either way."""
     from repro.obs.ledger import RunLedger
 
     argv = SERVE_ARGV + [  # the later --mean-gap wins
@@ -693,21 +696,27 @@ def test_serve_survives_a_worker_crash(tmp_path, capsys):
     crashed = summary(
         ["--ledger", str(ledger)], ["--inject-faults", "worker_crash"]
     )
-    assert crashed == summary(["--no-ledger"], [])
+    assert crashed == summary(
+        ["--no-ledger"], ["--inject-faults", "worker_crash", "--workers", "1"]
+    )
+    assert "1 retries" in crashed[0]
     records = RunLedger(str(ledger))
     (injected,) = records.events("fault.injected")
     assert (injected["site"], injected["slot"]) == ("scheduler.wave", 0)
     assert len(records.events("fault.pool_restart")) == 1
-    (retry,) = records.events("fault.retry")
-    assert (retry["kind"], retry["wave"]) == ("worker_crash", 0)
+    # the retry is recorded once, as the service's own event
+    assert not records.events("fault.retry")
+    (retry,) = records.events("serve.retry")
+    assert (retry["kind"], retry["attempt"]) == ("worker_crash", 0)
 
 
 @pytest.mark.parametrize("command", ["preprocess", "serve"])
 def test_fault_plan_outlasting_the_retry_budget_exits_1(
     tmp_path, capsys, command
 ):
-    """``RetryBudgetExceeded`` past the serial rung ends the command in
-    the ladder's own message as one ``error:`` line, exit code 1."""
+    """A wave past its retry budget fails the run, exit code 1: a direct
+    run ends in the ladder's own message as one ``error:`` line; a served
+    one fails only that wave's job and prints its summary, no error."""
     if command == "preprocess":
         fasta, sam = _simulate(tmp_path)
         argv = [
@@ -720,10 +729,17 @@ def test_fault_plan_outlasting_the_retry_budget_exits_1(
         "--inject-faults", "worker_crash:1@scheduler.wave+9",
         "--max-retries", "1",
     ]) == 1
-    err = capsys.readouterr().err
-    assert "error: wave 0 failed 2 attempt(s); retry budget (1) exhausted" in err
+    out, err = capsys.readouterr()
     assert "Traceback" not in err
-    assert not (tmp_path / "out.sam").exists()
+    if command == "preprocess":
+        assert (
+            "error: wave 0 failed 2 attempt(s); retry budget (1) exhausted"
+            in err
+        )
+        assert not (tmp_path / "out.sam").exists()
+    else:
+        assert "error" not in err
+        assert "5 admitted / 0 rejected, 4 completed / 1 failed" in out
 
 
 def test_serve_help_fault_example_names_both_polled_sites():

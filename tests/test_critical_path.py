@@ -8,6 +8,8 @@ counted even through retries, fault penalties, and a drain/resume
 restart.
 """
 
+import pathlib
+
 import pytest
 
 from repro.eval.workloads import make_workload
@@ -18,8 +20,16 @@ from repro.obs.analyze import (
     critical_path_from_ledger,
 )
 from repro.obs.ledger import RunLedger, RunManifest, run_context
-from repro.serve import SERVE_FAULT_SITE, JobService
+from repro.accel.scheduler import WAVE_FAULT_SITE
+from repro.serve import JobService
 from repro.serve.trace import ArrivalTrace, trace_jobs
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+#: A served ledger written while the service walked a ladder of its own
+#: at the ``serve.wave`` site (two ``serve.wave`` faults, each with its
+#: ``serve.retry``), with the ``analyze --critical-path`` output it gave.
+OLD_LEDGER = DATA / "serve_wave_fault_ledger.jsonl"
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +94,7 @@ class TestExactDecomposition:
     def test_faulted_run_sums_exactly(self, tmp_path, workload):
         plan = FaultPlan(seed=5, specs=(
             FaultSpec(
-                "transfer_error", site=SERVE_FAULT_SITE, count=2, at=(0, 3)
+                "transfer_error", site=WAVE_FAULT_SITE, count=2, at=(0, 3)
             ),
         ))
         ledger, summary = _serve_into_ledger(
@@ -94,11 +104,18 @@ class TestExactDecomposition:
         report = critical_path_from_ledger(ledger)
         _assert_exact(report)
         assert report.totals().get("fault_penalty", 0) > 0
+        # an older ledger's fault penalties still decompose as they did
+        old = critical_path_from_ledger(RunLedger(str(OLD_LEDGER)))
+        _assert_exact(old)
+        assert old.totals()["fault_penalty"] > 0
+        assert old.render() + "\n" == OLD_LEDGER.with_suffix(
+            ".critical_path.txt"
+        ).read_text()
 
     def test_faulted_drain_resume_run_sums_exactly(self, tmp_path, workload):
         plan = FaultPlan(seed=5, specs=(
             FaultSpec(
-                "transfer_error", site=SERVE_FAULT_SITE, count=2, at=(0, 3)
+                "transfer_error", site=WAVE_FAULT_SITE, count=2, at=(0, 3)
             ),
         ))
         ledger, _ = _serve_into_ledger(

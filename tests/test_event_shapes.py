@@ -23,6 +23,7 @@ clock determines.  A refactor that claims "same records, same spans"
 passes it unchanged; ``--values`` regenerates that file alone.
 """
 
+import contextlib
 import json
 import os
 import sys
@@ -31,13 +32,15 @@ from collections import Counter
 import pytest
 
 from repro.accel import MetadataWaveDriver
+from repro.accel.scheduler import WAVE_FAULT_SITE
 from repro.accel.sharding import run_sharded
 from repro.eval.workloads import make_workload
+from repro.faults.injector import RetryBudgetExceeded
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.retry import RetryPolicy
 from repro.obs.ledger import RunLedger, RunManifest, run_context
 from repro.obs.spans import trace_spans
-from repro.serve import SERVE_FAULT_SITE, JobService, JobSpec
+from repro.serve import JobService, JobSpec
 from repro.accel.stages import STAGES
 from repro.serve.trace import SERVE_STAGES
 from repro.storage import plan_storage_filter
@@ -122,8 +125,8 @@ def sharded_case(workload, tmp_path, devices, storage, faults, exhaust=False):
     """One ``run_sharded`` metadata stage, ledgered.
 
     ``faults`` injects one retried fault at :data:`FAULTED_WAVE`;
-    ``exhaust`` makes it outlast the retry budget so the wave takes the
-    serial-fallback rung."""
+    ``exhaust`` makes it outlast the retry budget, so the run raises once
+    every other wave has run: the ledger of a failed run."""
     plan = None
     if faults or exhaust:
         plan = FaultPlan(seed=3, specs=(FaultSpec(
@@ -134,7 +137,9 @@ def sharded_case(workload, tmp_path, devices, storage, faults, exhaust=False):
         str(tmp_path), f"d{devices}s{storage:d}f{faults:d}x{exhaust:d}.jsonl"
     ))
     manifest = RunManifest(workload="event-shapes", config={"devices": devices})
-    with run_context(manifest, ledger):
+    with run_context(manifest, ledger), pytest.raises(
+        RetryBudgetExceeded
+    ) if exhaust else contextlib.nullcontext():
         run_sharded(
             MetadataWaveDriver(reference=workload.reference),
             workload.partitions, 2, devices=devices, workers=1,
@@ -150,8 +155,9 @@ def sharded_case(workload, tmp_path, devices, storage, faults, exhaust=False):
 
 
 def served_case(workload):
-    """Six jobs on two devices behind the filter, one dispatch-boundary
-    fault, drained after three dispatches and resumed to idle."""
+    """Six jobs on two devices behind the filter, one retried fault on
+    the second dispatch, drained after three dispatches and resumed to
+    idle."""
     storage = plan_storage_filter(
         list(workload.partitions) + list(workload.group_partitions),
         workload.reference, record=False,
@@ -159,7 +165,7 @@ def served_case(workload):
     service = JobService(
         devices=2, workers=1, storage=storage,
         fault_plan=FaultPlan(seed=5, specs=(
-            FaultSpec("transfer_error", site=SERVE_FAULT_SITE, at=(1,)),
+            FaultSpec("transfer_error", site=WAVE_FAULT_SITE, at=(1,)),
         )),
         retry_policy=RetryPolicy(max_retries=2),
     )

@@ -8,7 +8,10 @@ clock must equal the *reference* of its stage, workload and pipelines:
 the direct, one-card, one-worker, dense-mode, unfaulted, unfiltered run
 (memoised), which must in turn equal the ``repro.gatk`` oracle (checked
 as it is memoised).  Injected faults must be exactly those the
-plan aims at slots the run polls, each retried once per failed attempt.
+plan aims at slots the run polls, each failed attempt retried until the
+wave's one budget runs out — and a wave that runs out fails alike at
+every topology: a direct run raises the lowest such wave's error, a
+served run fails the jobs of those waves and no other.
 
 Adding an axis is one :class:`Config` field, one draw in :func:`configs`
 and the line of :func:`run_direct` / :func:`serve` that passes it on.
@@ -20,8 +23,9 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -34,9 +38,14 @@ from repro.accel.scheduler import WAVE_FAULT_SITE
 from repro.accel.sharding import run_sharded
 from repro.accel.stages import STAGES
 from repro.eval.workloads import make_workload
-from repro.faults import FaultPlan, FaultSpec, RetryPolicy
+from repro.faults import (
+    FaultPlan,
+    FaultSpec,
+    RetryBudgetExceeded,
+    RetryPolicy,
+)
 from repro.obs.ledger import RunLedger, RunManifest, run_context
-from repro.serve import COMPLETED, SERVE_FAULT_SITE, JobService, JobSpec
+from repro.serve import COMPLETED, FAILED, JobService, JobSpec
 from repro.serve.trace import SERVE_STAGES
 from repro.storage import plan_storage_filter
 from test_differential_fuzz import FUZZ_CASES, fuzz_args
@@ -51,7 +60,7 @@ WORKLOADS = {
     **{f"seed{case[0]}": fuzz_args(case) for case in FUZZ_CASES},
 }
 
-#: Failed attempts a faulted slot may take before it runs clean.
+#: Retries a faulted slot may take before its wave runs out of budget.
 BUDGET = RetryPolicy().max_retries
 
 
@@ -88,13 +97,13 @@ def fault(kind: str, site: str, *slots: int, attempts: int = 1) -> FaultSpec:
 
 def faults(kind: str, site: str):
     """``kind`` at one or two of ``site``'s first four slots, each
-    failing up to the retry budget's worth of attempts."""
+    failing up to one attempt more than the retry budget allows."""
     return st.builds(
         lambda slots, attempts: fault(kind, site, *slots, attempts=attempts),
         st.sampled_from([
             slots for n in (1, 2) for slots in combinations(range(4), n)
         ]),
-        st.integers(1, BUDGET),
+        st.integers(1, BUDGET + 1),
     )
 
 
@@ -105,7 +114,7 @@ def configs(draw):
     if served:
         specs.append(draw(st.none() | st.sampled_from(
             ("transfer_error", "launch_error")
-        ).flatmap(lambda kind: faults(kind, SERVE_FAULT_SITE))))
+        ).flatmap(lambda kind: faults(kind, WAVE_FAULT_SITE))))
     return Config(
         stage=draw(st.sampled_from(SERVE_STAGES if served else tuple(STAGES))),
         workload=draw(st.sampled_from(tuple(WORKLOADS))),
@@ -158,13 +167,35 @@ def reference(stage: str, name: str, pipelines: int):
     return results, stats, waves
 
 
-def faults_hit(specs, slots) -> dict:
-    """What ``specs`` inject when ``slots[site]`` slots are polled at each
-    site: every failing attempt at every target slot in range."""
-    hit = Counter()
-    for spec in specs:
-        hit[spec.kind] += spec.attempts * sum(s < slots[spec.site] for s in spec.at)
-    return dict(+hit)
+def faults_hit(specs, polled: int) -> Tuple[dict, int, List[int]]:
+    """What ``specs`` (all at ``scheduler.wave``) do to ``polled`` slots,
+    each walking one ladder of :data:`BUDGET` retries from attempt 0:
+    the faults injected by kind, the retries taken, and the slots whose
+    wave runs out of budget.  An attempt fails with the first spec that
+    faults it."""
+    hit, retries, spent = Counter(), 0, []
+    for slot in range(polled):
+        for attempt in range(BUDGET + 1):
+            kind = next((
+                spec.kind for spec in specs
+                if slot in spec.at and attempt < spec.attempts
+            ), None)
+            if kind is None:
+                break
+            hit[kind] += 1
+            if attempt == BUDGET:
+                spent.append(slot)
+            else:
+                retries += 1
+    return dict(hit), retries, spent
+
+
+def exhausted(slot: int) -> str:
+    """What a run says when wave ``slot`` runs out of budget."""
+    return (
+        f"wave {slot} failed {BUDGET + 1} attempt(s); "
+        f"retry budget ({BUDGET}) exhausted"
+    )
 
 
 # -- the two ways to run a point -----------------------------------------------------
@@ -220,17 +251,24 @@ def serve(config: Config):
 
 def check_direct(config: Config):
     """Run ``config`` direct and hold it to its reference; returns the
-    run's stats."""
-    results, stats = run_direct(config)
+    run's stats (``None`` when a wave runs out of budget: the run must
+    then raise, in the same words as on one card and one worker)."""
     want, want_stats, _waves = reference(
         config.stage, config.workload, config.pipelines
     )
+    injected, retries, spent = faults_hit(config.faults, want_stats.waves)
+    if spent:
+        one_card = replace(config, devices=1, workers=1)
+        for topology in dict.fromkeys((config, one_card)):
+            with pytest.raises(RetryBudgetExceeded) as raised:
+                run_direct(topology)
+            assert str(raised.value) == exhausted(min(spent))
+        return None
+    results, stats = run_direct(config)
     assert_stage_identical(config.stage, results, want)
     assert_same_cycles(stats, want_stats)
-    assert stats.faults_by_kind == faults_hit(
-        config.faults, {WAVE_FAULT_SITE: want_stats.waves}
-    )
-    assert stats.retries == stats.faults_injected
+    assert stats.faults_by_kind == injected
+    assert stats.retries == retries
     return stats
 
 
@@ -240,24 +278,31 @@ def check_served(config: Config) -> None:
         reference(stage, config.workload, config.pipelines)
         for stage in served_stages(config.stage)
     ]
+    injected, retries, spent = faults_hit(
+        config.faults, summary.waves_dispatched
+    )
+    # the jobs whose wave ran out of budget fail; the rest complete
+    poisoned = {
+        fields["job"] for event, fields in service.events
+        if event == "serve.dispatch" and fields["seq"] in spent
+    }
     jobs = service.jobs()
-    assert [job.state for job in jobs] == [COMPLETED, COMPLETED]
+    assert [job.state for job in jobs] == [
+        FAILED if job.job_id in poisoned else COMPLETED for job in jobs
+    ]
     for job, (want, _stats, _waves) in zip(jobs, references):
-        assert_stage_identical(job.stage, service.results(job.job_id), want)
+        if job.job_id not in poisoned:
+            assert_stage_identical(
+                job.stage, service.results(job.job_id), want
+            )
     for event, fields in service.events:
         if event == "serve.wave.done":
             _want, _stats, waves = references[fields["job"]]
             assert (fields["cycles"], fields["load_cycles"]) == (
                 waves[fields["wave"]]
             )
-    slots = {
-        WAVE_FAULT_SITE: summary.waves_dispatched,
-        SERVE_FAULT_SITE: sum(stats.waves for _want, stats, _w in references),
-    }
-    assert summary.faults == faults_hit(config.faults, slots)
-    assert summary.retries == sum(faults_hit(
-        [spec for spec in config.faults if spec.site == SERVE_FAULT_SITE], slots
-    ).values())
+    assert summary.faults == injected
+    assert summary.retries == retries
     if config.workers > 1:
         alone, _summary = serve(replace(config, workers=1))
         assert service.events == alone.events
@@ -265,6 +310,12 @@ def check_served(config: Config) -> None:
 
 @settings(max_examples=25, deadline=None)
 @given(configs())
+# exhaustion x pool: a wave on a pool of two cards runs out of budget
+# exactly as on one card inline
+@example(Config(
+    "metadata", devices=2, workers=1,
+    faults=(fault("worker_crash", WAVE_FAULT_SITE, 0, attempts=BUDGET + 1),),
+))
 # steal x storage x crash: range placement steals on two cards, the
 # filter is on, and two waves crash twice each on a pool of four
 @example(Config(

@@ -167,7 +167,8 @@ def test_stats_carry_the_fault_counters(workload, tmp_path):
 
 def test_degradation_ladder_ends_in_serial_fallback(workload):
     """A wave that crashes the pool past the restart budget must still
-    finish — serially, in-process — with identical results."""
+    finish — serially, in-process, on what is left of its one retry
+    budget — with identical results."""
     driver, pipelines = _drivers(workload)["metadata"]
     clean_res, _ = run_sharded(
         driver, workload.partitions, pipelines, workers=1
@@ -178,7 +179,7 @@ def test_degradation_ladder_ends_in_serial_fallback(workload):
     res, stats = run_sharded(
         driver, workload.partitions, pipelines, workers=4,
         fault_plan=plan,
-        retry_policy=RetryPolicy(max_retries=1, backoff_base=0.001, seed=1),
+        retry_policy=RetryPolicy(max_retries=2, backoff_base=0.001, seed=1),
     )
     assert_stage_identical("metadata", res, clean_res)
     assert stats.pool_restarts >= 2
@@ -191,7 +192,10 @@ def test_retry_budget_exhaustion_raises(workload):
         FaultSpec("worker_crash", site="scheduler.wave", at=(0,), attempts=99),
     ))
     for workers in (1, 4):
-        with pytest.raises(RetryBudgetExceeded):
+        # one budget on every rung: two attempts, then the same words
+        with pytest.raises(
+            RetryBudgetExceeded, match=r"wave 0 failed 2 attempt\(s\)"
+        ):
             run_sharded(
                 driver, workload.partitions, pipelines, workers=workers,
                 fault_plan=plan,

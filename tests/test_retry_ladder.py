@@ -1,14 +1,14 @@
-"""The one retry ladder against the three loops it replaced.
+"""The one retry ladder against the loops it replaced.
 
-``repro.faults.retry.RetryLadder`` is walked by the wave executor's
-serial rung, the job service's dispatch boundary and the device model.
-Each of those used to spell the loop out itself; the three loops are
-kept here verbatim (minus their bookkeeping) as references, and the
-ladder — configured the way each caller configures it — must reproduce
-them over random plans x budgets x start attempts: the same clean
-attempt, the same fault sequence, the same backoffs, the same exception
-type and message, and the injected fault as ``__cause__`` everywhere
-(the serve loop did not chain it).
+``repro.faults.retry.RetryLadder`` is walked by the wave executor (for
+direct and served waves alike) and the device model.  Each of those
+used to spell the loop out itself; the loops are kept here (minus their
+bookkeeping) as references, restated with the budget counted from
+attempt 0 — a start attempt only says where to resume — and the ladder,
+configured the way each caller configures it, must reproduce them over
+random plans x budgets x start attempts: the same clean attempt, the
+same fault sequence, the same backoffs, the same exception type and
+message, and the injected fault as ``__cause__``.
 """
 
 import pytest
@@ -32,37 +32,21 @@ SITE = "test.site"
 
 
 def scheduler_loop(injector, policy, index, start_attempt, seen):
-    """``run_wave_serial`` in ``accel/scheduler.py`` before the ladder."""
+    """``run_wave_serial`` in ``accel/scheduler.py`` before the ladder,
+    its budget counted from attempt 0."""
     attempt = start_attempt
     while True:
         fault = injector.poll(SITE, index, attempt)
         if fault is None:
             return attempt
         seen["faults"].append((fault.kind, attempt))
-        if attempt - start_attempt >= policy.max_retries:
+        if attempt >= policy.max_retries:
             raise RetryBudgetExceeded(
-                f"wave {index} failed {attempt - start_attempt + 1} "
+                f"wave {index} failed {attempt + 1} "
                 f"attempt(s); retry budget ({policy.max_retries}) "
                 "exhausted"
             ) from fault.to_exception()
         seen["backoffs"].append(policy.backoff_seconds(index, attempt))
-        attempt += 1
-
-
-def serve_loop(injector, policy, slot, start_attempt, seen):
-    """``JobService._fault_ladder`` before the ladder (job 7, wave 3)."""
-    attempt = start_attempt
-    while True:
-        fault = injector.poll(SITE, slot, attempt)
-        if fault is None:
-            return attempt
-        seen["faults"].append((fault.kind, attempt))
-        if attempt - start_attempt >= policy.max_retries:
-            raise RetryBudgetExceeded(
-                f"job 7 wave 3 exhausted its "
-                f"retry budget ({policy.max_retries})"
-            )
-        seen["backoffs"].append(policy.backoff_seconds(slot, attempt))
         attempt += 1
 
 
@@ -75,10 +59,10 @@ def device_loop(injector, policy, slot, start_attempt, seen):
         if fault is None:
             return attempt
         seen["faults"].append((fault.kind, attempt))
-        if attempt - start_attempt >= policy.max_retries:
+        if attempt >= policy.max_retries:
             raise RetryBudgetExceeded(
                 f"{SITE} slot {slot} failed "
-                f"{attempt - start_attempt + 1} attempt(s); "
+                f"{attempt + 1} attempt(s); "
                 f"retry budget ({policy.max_retries}) exhausted"
             ) from fault.to_exception()
         seen["backoffs"].append(policy.backoff_seconds(slot, attempt))
@@ -89,13 +73,6 @@ def device_loop(injector, policy, slot, start_attempt, seen):
 CALLERS = {
     "scheduler": (
         scheduler_loop, lambda slot: dict(subject=f"wave {slot}"),
-    ),
-    "serve": (
-        serve_loop,
-        lambda slot: dict(
-            subject="job 7 wave 3",
-            message="{subject} exhausted its retry budget ({budget})",
-        ),
     ),
     "device": (device_loop, lambda slot: {}),
 }
@@ -169,20 +146,20 @@ def test_ladder_matches_the_loops_it_replaced(
     assert got.get("clean") == want.get("clean")
     assert got.get("error") == want.get("error")
     if "error" in got:
-        # the injected fault is chained on every path now
+        # the injected fault is chained on every path
         kind, attempt = got["faults"][-1]
         cause = got["cause"]
         assert isinstance(cause, InjectedFaultError)
         assert (cause.kind, cause.site, cause.slot, cause.attempt) == (
             kind, SITE, slot, attempt
         )
-        if caller != "serve":
-            assert str(cause) == str(want["cause"])
+        assert str(cause) == str(want["cause"])
 
 
 def test_exhausted_ladder_leaves_attempt_past_the_failure():
-    """What the job service stores back on the job: the next attempt to
-    run — the clean one, or one past the failure that spent the budget."""
+    """The ladder ends on the next attempt to run — the clean one, or one
+    past the failure that spent the budget — and a ladder resumed from
+    there spends what is left of the same budget, not a fresh one."""
     plan = FaultPlan(specs=(
         FaultSpec("transfer_error", site=SITE, at=(0,), attempts=3),
     ))
@@ -191,11 +168,16 @@ def test_exhausted_ladder_leaves_attempt_past_the_failure():
     with pytest.raises(RetryBudgetExceeded):
         list(ladder)
     assert ladder.attempt == 2
-    # a second ladder from there has a fresh budget and one fault left
+    # resumed there: its one fault left is past the budget at once, and
+    # the message counts every failed attempt since attempt 0
     again = RetryLadder(
         FaultInjector(plan), policy, SITE, 0, start_attempt=ladder.attempt
     )
-    assert [failed.attempt for failed in again] == [2]
+    seen = []
+    with pytest.raises(RetryBudgetExceeded, match="failed 3 attempt"):
+        for failed in again:
+            seen.append((failed.attempt, failed.exhausted))
+    assert seen == [(2, True)]
     assert again.attempt == 3
 
 

@@ -94,9 +94,9 @@ def test_mixed_stage_tasks_inline_equals_pooled(
 ):
     """``run_sharded`` hands :func:`run_waves` one driver; a served round
     mixes stages.  A metadata and a BQSR task come out the same inline
-    and on a pool of 2 — outcomes, cycles, ``fault.*`` events, the wave
-    charged the retry — and the crash's innocent bystander goes back to
-    the pool at the attempt it was on."""
+    and on a pool of 2 — outcomes, cycles, ``fault.*`` events, the
+    attempts retried and the wave charged them — and the crash's
+    innocent bystander goes back to the pool at the attempt it was on."""
     submitted = []
     pool_submit = ProcessPoolExecutor.submit
 
@@ -127,12 +127,16 @@ def test_mixed_stage_tasks_inline_equals_pooled(
                 task.index: outcome
                 for task, _worker, outcome in run_waves(tasks, fan_out, injector)
             }
-        faults = sorted(
+        faults = sorted([
             (r["event"], r["stage"], r.get("wave", r.get("slot")),
              r["attempt"], r["kind"])
             for r in ledger.events("fault.")
             if r["event"] != "fault.pool_restart"  # the pool's alone
-        )
+        ] + [
+            ("retried", task.driver.stage, task.index, failed.attempt,
+             failed.kind)
+            for task in tasks for failed in task.retried
+        ])
         return outcomes, faults, [task.stats.retries for task in tasks]
 
     inline, inline_faults, inline_retries = drive(1)

@@ -5,9 +5,9 @@ The headline invariant of DESIGN.md §3.8 — a job submitted through
 same stage run directly via ``run_sharded``, at every topology and
 under any fault plan or drain — is ``tests/test_lattice.py``'s to draw;
 its tenants x devices x workers grid and a faulted row are named here.
-Also: a worker death under a pooled round, the two ways a fault budget
-runs out, admission control, weighted fair dispatch, status and
-streaming, and the ledger / event surface.
+Also: a worker death under a pooled round, a fault budget that runs out
+failing only its own job, admission control, weighted fair dispatch,
+status and streaming, and the ledger / event surface.
 """
 
 import json
@@ -20,20 +20,20 @@ import pytest
 
 from hw_harness import assert_stage_identical
 from repro.accel import MetadataWaveDriver
+from repro.accel.scheduler import WAVE_FAULT_SITE
 from repro.accel.sharding import run_sharded
 from repro.eval.workloads import make_workload
-from repro.faults.injector import RetryBudgetExceeded
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.retry import RetryPolicy
 from repro.obs.ledger import RunLedger, RunManifest, run_context
 from repro.obs.log import configure_logging
 from repro.serve import (
     COMPLETED,
+    FAILED,
     QUEUED,
     REJECT_BACKLOG,
     REJECT_QUOTA,
     REJECTED,
-    SERVE_FAULT_SITE,
     JobService,
     JobSpec,
     ServiceReport,
@@ -137,8 +137,8 @@ def test_service_matches_run_sharded(workload):
 FAULT_PLAN = FaultPlan(
     seed=7,
     specs=(
-        FaultSpec("transfer_error", site=SERVE_FAULT_SITE, count=2, at=(0, 2)),
-        FaultSpec("launch_error", site=SERVE_FAULT_SITE, count=1, at=(4,)),
+        FaultSpec("transfer_error", site=WAVE_FAULT_SITE, count=2, at=(0, 2)),
+        FaultSpec("launch_error", site=WAVE_FAULT_SITE, count=1, at=(4,)),
     ),
 )
 
@@ -182,7 +182,7 @@ def test_fault_budget_fails_job_not_service(workload):
         seed=7,
         specs=(
             FaultSpec(
-                "launch_error", site=SERVE_FAULT_SITE, count=1,
+                "launch_error", site=WAVE_FAULT_SITE, count=1,
                 at=(0,), attempts=5,
             ),
         ),
@@ -243,13 +243,17 @@ def test_pooled_round_survives_a_worker_death(
     """A worker dying under a served round used to come out of
     ``run_until_idle`` as a bare ``BrokenProcessPool`` (and a planned
     ``worker_crash`` was never polled).  The round is on the executor's
-    ladder now: one pool restart, and served ≡ direct still holds — on
-    the host rung nothing reaches the virtual clock or the events."""
+    ladder now: one pool restart, and served ≡ direct still holds.  A
+    real death costs host seconds only — the clean run's events, to the
+    cycle; a planned crash is the retry it is inline, penalty cycles and
+    all — the one-worker run's events, to the cycle."""
     driver = STAGES["metadata"].over(workload)
     partitions = STAGES["metadata"].items(workload)
 
-    def serve(driver, fault_plan=None):
-        service = JobService(devices=2, workers=2, fault_plan=fault_plan)
+    def serve(driver, fault_plan=None, workers=2):
+        service = JobService(
+            devices=2, workers=workers, fault_plan=fault_plan
+        )
         jobs = [
             service.submit(JobSpec(
                 tenant=tenant, driver=driver, partitions=partitions,
@@ -259,7 +263,10 @@ def test_pooled_round_survives_a_worker_death(
         ]
         return service, jobs, service.run_until_idle()
 
-    clean, clean_jobs, clean_summary = serve(driver)
+    plan = None
+    if death == "injected":
+        plan = FaultPlan(specs=(FaultSpec("worker_crash", at=(0,)),))
+    twin, twin_jobs, twin_summary = serve(driver, plan, workers=1)
     ledger = RunLedger(str(tmp_path / "ledger.jsonl"))
     with run_context(RunManifest(workload="serve-death", config={}), ledger):
         if death == "real":
@@ -268,40 +275,63 @@ def test_pooled_round_survives_a_worker_death(
                 marker=str(tmp_path / "died"),
             ))
         else:
-            service, jobs, summary = serve(driver, FaultPlan(
-                specs=(FaultSpec("worker_crash", at=(0,)),)
-            ))
+            service, jobs, summary = serve(driver, plan)
     assert len(ledger.events("fault.pool_restart")) == 1
-    assert len(ledger.events("fault.retry")) == (death == "injected")
-    assert summary.clock_cycles == clean_summary.clock_cycles
-    assert summary.retries == clean_summary.retries == 0
-    assert service.events == clean.events
-    for job, clean_job in zip(jobs, clean_jobs):
+    # a served retry is recorded once, as the service's own event
+    assert not ledger.events("fault.retry")
+    assert len(ledger.events("serve.retry")) == (death == "injected")
+    assert summary.retries == twin_summary.retries == (death == "injected")
+    assert summary.clock_cycles == twin_summary.clock_cycles
+    assert service.events == twin.events
+    for job, twin_job in zip(jobs, twin_jobs):
         assert_stage_identical(
             "metadata", service.results(job), direct_results["metadata"]
         )
         assert_stage_identical(
-            "metadata", service.results(job), clean.results(clean_job)
+            "metadata", service.results(job), twin.results(twin_job)
         )
 
 
-def test_host_rung_exhaustion_propagates_as_from_a_direct_run(workload):
-    """Past the serial rung a served wave raises what a direct one does."""
-    driver = STAGES["markdup"].over(workload)
-    partitions = STAGES["markdup"].items(workload)
-    plan = FaultPlan(specs=(FaultSpec("worker_crash", at=(0,), attempts=9),))
+def test_poisoned_wave_fails_only_its_own_job(workload, direct_results):
+    """One wave past its retry budget in an eight-tenant trace fails its
+    own job and nothing else: ``run`` returns, every other job completes
+    ≡ its direct run, and the events are the same at any ``workers``."""
+    poisoned = 3  # the dispatch seq whose wave never runs clean
+    plan = FaultPlan(specs=(FaultSpec(
+        "transfer_error", site=WAVE_FAULT_SITE, at=(poisoned,), attempts=9,
+    ),))
     policy = RetryPolicy(max_retries=1, backoff_base=0.001)
-    with pytest.raises(RetryBudgetExceeded) as direct:
-        run_sharded(
-            driver, partitions, 2, fault_plan=plan, retry_policy=policy,
+    runs = {}
+    for workers in (1, 2):
+        service = JobService(
+            devices=2, workers=workers, fault_plan=plan, retry_policy=policy,
         )
-    service = JobService(fault_plan=plan, retry_policy=policy)
-    service.submit(JobSpec(
-        tenant="a", driver=driver, partitions=partitions, n_pipelines=2
-    ))
-    with pytest.raises(RetryBudgetExceeded) as served:
-        service.run_until_idle()
-    assert str(served.value) == str(direct.value)
+        _schedule_mixed(service, workload, tenants=8, jobs=8)
+        runs[workers] = service, service.run_until_idle()
+    service, summary = runs[1]
+    assert runs[2][0].events == service.events
+    (doomed,) = [
+        fields["job"] for event, fields in service.events
+        if event == "serve.dispatch" and fields["seq"] == poisoned
+    ]
+    (failed,) = [
+        fields for event, fields in service.events
+        if event == "serve.job.failed"
+    ]
+    assert failed["job"] == doomed
+    assert (summary.jobs_failed, summary.jobs_completed) == (1, 7)
+    assert summary.faults == {"transfer_error": 2}
+    assert summary.retries == 1
+    for status in service.jobs():
+        if status.job_id == doomed:
+            assert status.state == FAILED
+            continue
+        assert status.state == COMPLETED
+        assert_stage_identical(
+            status.stage,
+            service.results(status.job_id),
+            direct_results[status.stage],
+        )
 
 
 # -- admission control --------------------------------------------------------------

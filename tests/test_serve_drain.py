@@ -17,7 +17,8 @@ from repro.eval.workloads import make_workload
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.retry import RetryPolicy
 from repro.obs.ledger import RunLedger, RunManifest, run_context
-from repro.serve import COMPLETED, SERVE_FAULT_SITE, JobService, JobSpec
+from repro.accel.scheduler import WAVE_FAULT_SITE
+from repro.serve import COMPLETED, JobService, JobSpec
 from repro.accel.stages import STAGES
 from repro.serve.trace import SERVE_STAGES
 
@@ -87,7 +88,7 @@ def test_drain_resume_under_faults(workload):
         seed=11,
         specs=(
             FaultSpec(
-                "transfer_error", site=SERVE_FAULT_SITE, count=2, at=(0, 3)
+                "transfer_error", site=WAVE_FAULT_SITE, count=2, at=(0, 3)
             ),
         ),
     )

@@ -25,13 +25,13 @@ from dataclasses import dataclass
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accel.scheduler import WaveDriver
+from repro.accel.scheduler import WAVE_FAULT_SITE, WaveDriver
 from repro.constants import DESCRIPTOR_BYTES, MODEL_ROW_BYTES
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.retry import RetryPolicy
 from repro.hw.engine import RunStats
 from repro.obs.analyze import critical_paths
-from repro.serve import SERVE_FAULT_SITE, JobService, JobSpec
+from repro.serve import JobService, JobSpec
 
 
 @dataclass(frozen=True)
@@ -226,14 +226,14 @@ class StubStorage:
         return self._rows(items) * 2e-9
 
 
-#: A dispatch-boundary fault plan: which slots fault, and for how many
-#: attempts (past ``max_retries=2`` the job fails — the identity holds
-#: for failed jobs too).
+#: A fault plan on the served waves' one ladder: which dispatch slots
+#: fault, and for how many attempts (past ``max_retries=2`` the job
+#: fails — the identity holds for failed jobs too).
 FAULTS = st.one_of(
     st.none(),
     st.builds(
         lambda slots, attempts: FaultPlan(seed=1, specs=(FaultSpec(
-            "transfer_error", site=SERVE_FAULT_SITE,
+            "transfer_error", site=WAVE_FAULT_SITE,
             at=tuple(sorted(slots)), attempts=attempts,
         ),)),
         st.sets(st.integers(0, 12), min_size=1, max_size=4),

@@ -3,10 +3,12 @@ run's ledger events into spans — on hand-written events, on served runs
 and on ledgered direct runs — and the chrome://tracing export."""
 
 import json
+import pathlib
 
 import pytest
 
 from repro.constants import CLOCK_HZ
+from repro.obs.ledger import RunLedger
 from repro.obs.spans import (
     WAVE_SEGMENTS,
     TraceSpan,
@@ -16,6 +18,9 @@ from repro.obs.spans import (
     trace_spans,
     write_fleet_trace,
 )
+
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def _span(name="s", lane="service", start=0, end=10, tenant=None, **kw):
@@ -279,13 +284,13 @@ class TestServiceSpans:
         assert len(ids) == len(set(ids))
 
     def test_fault_markers_are_zero_length_children(self, workload):
+        from repro.accel.scheduler import WAVE_FAULT_SITE
         from repro.faults import RetryPolicy
         from repro.faults.plan import FaultPlan, FaultSpec
-        from repro.serve import SERVE_FAULT_SITE
 
         plan = FaultPlan(seed=5, specs=(
             FaultSpec(
-                "transfer_error", site=SERVE_FAULT_SITE, count=2, at=(0, 3)
+                "transfer_error", site=WAVE_FAULT_SITE, count=2, at=(0, 3)
             ),
         ))
         spans, summary = _served(
@@ -295,21 +300,33 @@ class TestServiceSpans:
         )
         assert summary.jobs_failed == 0
         assert summary.retries > 0
-        faults = [s for s in spans if s.cat == "fault"]
-        assert len(faults) == summary.retries
-        roots = {s.span_id for s in spans if s.cat == "job"}
-        for fault in faults:
-            assert fault.duration == 0
-            assert fault.parent_id in roots
+        # and a ledger written when served faults sat at ``serve.wave``:
+        # its serve.retry records lay the same markers
+        old = [
+            (record["event"], record) for record in RunLedger(
+                str(DATA / "serve_wave_fault_ledger.jsonl")
+            ).read()
+        ]
+        old_retries = sum(event == "serve.retry" for event, _fields in old)
+        for trace, retries in (
+            (spans, summary.retries), (trace_spans(old), old_retries),
+        ):
+            faults = [s for s in trace if s.cat == "fault"]
+            assert len(faults) == retries > 0
+            roots = {s.span_id for s in trace if s.cat == "job"}
+            for fault in faults:
+                assert fault.duration == 0
+                assert fault.parent_id in roots
 
     def test_failed_job_root_names_the_failed_wave(self, workload):
+        from repro.accel.scheduler import WAVE_FAULT_SITE
         from repro.faults import RetryPolicy
         from repro.faults.plan import FaultPlan, FaultSpec
-        from repro.serve import FAILED, SERVE_FAULT_SITE
+        from repro.serve import FAILED
 
         plan = FaultPlan(seed=5, specs=(
             FaultSpec(
-                "transfer_error", site=SERVE_FAULT_SITE, at=(1,), attempts=3
+                "transfer_error", site=WAVE_FAULT_SITE, at=(1,), attempts=3
             ),
         ))
         spans, summary = _served(
