@@ -36,14 +36,27 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import ExitStack
 from dataclasses import replace
 from typing import List, Optional
 
 from .accel.stages import PAPER_STAGES, TIMED_STAGES
+from .errors import InputError, ReproError, check_writable, refusing
 from .genomics.fasta import read_fasta, write_fasta, write_fastq
 from .genomics.reference import ReferenceGenome, chromosome_name
 from .genomics.sam import read_sam, write_sam
 from .genomics.simulator import MIN_READ_LENGTH, ReadSimulator, SimulatorConfig
+from .obs import (
+    analyze_report,
+    critical_path_from_ledger,
+    report_from_dict,
+    sharding_report_from_ledger,
+    storage_report_from_ledger,
+    write_chrome_trace,
+    write_fleet_trace,
+    write_report_csv,
+    write_report_json,
+)
 from .obs.ledger import RunLedger, RunManifest, record_event, run_context
 from .obs.log import configure_logging, get_logger
 
@@ -52,12 +65,11 @@ from .obs.log import configure_logging, get_logger
 PROFILE_STAGES = tuple(dict.fromkeys(PAPER_STAGES + TIMED_STAGES))
 
 
-def _ensure_parent(path: str) -> None:
-    """Create the parent directory of an output path (no-op for bare
-    filenames)."""
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+def _check_outputs(*paths: Optional[str], make_parent: bool = False) -> None:
+    """Refuse, before any work, an output path given that cannot be
+    written (``make_parent`` creates its directory)."""
+    for path in filter(None, paths):
+        check_writable(path, make_parent=make_parent)
 
 
 def _positive(number):
@@ -108,7 +120,7 @@ def _fault_spec(polled: tuple):
 
         try:
             plan = FaultPlan.from_spec(text)
-        except ValueError as error:
+        except InputError as error:
             raise argparse.ArgumentTypeError(str(error))
         for spec in plan.specs:
             if spec.site not in polled:
@@ -142,40 +154,34 @@ def _stage_mix(text: str) -> str:
     return text
 
 
+def _parse_file(path: str, parse):
+    """``parse`` over the file at ``path``, refused when the file cannot
+    be opened (``cannot read``) or does not parse (``cannot parse``)."""
+    try:
+        handle = open(path)
+    except OSError as error:
+        raise InputError(f"cannot read {path}: {error.strerror}") from None
+    with handle, refusing(f"cannot parse {path}"):
+        return parse(handle)
+
+
 def _read_inputs(fasta: str, sam: str, **fasta_options):
-    """The ``(genome, reads)`` of a FASTA + SAM pair, or ``None`` after
-    the one-line ``error:`` when either cannot be opened or parsed, or a
-    read is aligned off the genome (an absent chromosome, or a reference
-    span that leaves its contig)."""
-    parsed = []
-    for path, parse in (
-        (fasta, lambda handle: read_fasta(handle, **fasta_options)),
-        (sam, read_sam),
-    ):
-        try:
-            with open(path) as handle:
-                parsed.append(parse(handle))
-        except OSError as error:
-            print(f"error: cannot read {error.filename}: {error.strerror}",
-                  file=sys.stderr)
-            return None
-        except ValueError as error:
-            print(f"error: cannot parse {path}: {error}", file=sys.stderr)
-            return None
-    genome, reads = parsed
+    """The ``(genome, reads)`` of a FASTA + SAM pair, refused when either
+    cannot be read or parsed, or a read is aligned off the genome (an
+    absent chromosome, or a reference span that leaves its contig)."""
+    genome = _parse_file(fasta, lambda handle: read_fasta(handle, **fasta_options))
+    reads = _parse_file(sam, read_sam)
     for read in reads:
         if (
             read.chrom not in genome
             or read.pos < 0
             or read.end_pos >= genome.length(read.chrom)
         ):
-            print(
-                f"error: {sam}: read {read.name} at "
+            raise InputError(
+                f"{sam}: read {read.name} at "
                 f"{chromosome_name(read.chrom)}:{read.pos + 1} lies outside "
-                "the reference",
-                file=sys.stderr,
+                "the reference"
             )
-            return None
     return genome, reads
 
 
@@ -190,13 +196,14 @@ def _overlap_needed(reads, psize: int) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    genome = ReferenceGenome.grch38_like(
-        scale=args.scale, snp_rate=args.snp_rate, seed=args.seed,
-        chromosomes=tuple(args.chromosomes) if args.chromosomes else (20, 21),
-    )
+    _check_outputs(args.fasta, args.sam, args.fastq)
     config = SimulatorConfig(
         read_length=args.read_length, seed=args.seed + 1,
         duplicate_rate=args.duplicate_rate,
+    )
+    genome = ReferenceGenome.grch38_like(
+        scale=args.scale, snp_rate=args.snp_rate, seed=args.seed,
+        chromosomes=tuple(args.chromosomes) if args.chromosomes else (20, 21),
     )
     reads = ReadSimulator(genome, config).simulate(args.reads)
     with open(args.fasta, "w") as handle:
@@ -220,21 +227,17 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
     from .tables.genomic_tables import reads_to_table
     from .tables.partition import partition_reads, partition_reference
 
-    inputs = _read_inputs(
+    _check_outputs(args.out)
+    genome, reads = _read_inputs(
         args.fasta, args.sam, snp_rate=args.snp_rate, seed=7
     )
-    if inputs is None:
-        return 2
-    genome, reads = inputs
     needed = _overlap_needed(reads, args.psize)
     if args.overlap < needed:
-        print(
-            f"error: --overlap {args.overlap} is too short for {args.sam}: "
+        raise InputError(
+            f"--overlap {args.overlap} is too short for {args.sam}: "
             f"a read reaches {needed} bases past its {args.psize}-base "
-            f"partition (use --overlap {needed} or more)",
-            file=sys.stderr,
+            f"partition (use --overlap {needed} or more)"
         )
-        return 2
     markdup = accelerated_mark_duplicates(reads)
     print(f"mark duplicates: {markdup.num_duplicates} flagged")
 
@@ -329,13 +332,10 @@ def _cmd_call(args: argparse.Namespace) -> int:
     from .variants.caller import CallerConfig, call_variants
     from .variants.vcf import write_vcf
 
-    inputs = _read_inputs(args.fasta, args.sam)
-    if inputs is None:
-        return 2
-    genome, reads = inputs
-    calls = call_variants(
-        reads, genome, CallerConfig(min_depth=args.min_depth)
-    )
+    _check_outputs(args.out)
+    config = CallerConfig(min_depth=args.min_depth)
+    genome, reads = _read_inputs(args.fasta, args.sam)
+    calls = call_variants(reads, genome, config)
     with open(args.out, "w") as handle:
         write_vcf(handle, calls)
     print(f"called {len(calls)} variants -> {args.out}")
@@ -363,20 +363,13 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     from .eval.experiments import profile_stage
     from .eval.workloads import make_workload
-    from .obs import (
-        analyze_report,
-        write_chrome_trace,
-        write_report_csv,
-        write_report_json,
-    )
 
     if args.stage not in PROFILE_STAGES:
-        print(
-            f"error: unknown stage {args.stage!r} "
-            f"(choose from {', '.join(PROFILE_STAGES)})",
-            file=sys.stderr,
+        raise InputError(
+            f"unknown stage {args.stage!r} "
+            f"(choose from {', '.join(PROFILE_STAGES)})"
         )
-        return 2
+    _check_outputs(args.trace, args.out, args.csv, make_parent=True)
     log = get_logger("cli")
     workload = make_workload(
         n_reads=args.reads, read_length=80, chromosomes=(20,),
@@ -396,93 +389,69 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         extra={"stage": args.stage},
     )
     if args.trace:
-        _ensure_parent(args.trace)
         write_chrome_trace(report, args.trace)
         print(f"wrote chrome trace -> {args.trace} "
               "(load in chrome://tracing or ui.perfetto.dev)")
     if args.out:
-        _ensure_parent(args.out)
         write_report_json(report, args.out)
         print(f"wrote report json -> {args.out}")
     if args.csv:
-        _ensure_parent(args.csv)
         write_report_csv(report, args.csv)
         print(f"wrote report csv -> {args.csv}")
     return 0
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    import json
-
-    from .obs import analyze_report, report_from_dict
-
-    if args.critical_path:
-        from .obs import critical_path_from_ledger
-
-        ledger = RunLedger(args.ledger)
-        try:
-            report = critical_path_from_ledger(ledger, job_id=args.job)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        print(report.render())
-        record_event(
+#: ``analyze --FLAG`` over the ledger: the report builder, and the
+#: recorder of the ``analyze.FLAG`` event a report ends in.
+LEDGER_REPORTS = {
+    "critical_path": (
+        critical_path_from_ledger,
+        lambda report: record_event(
             "analyze.critical_path", run_id=report.run_id,
             jobs=len(report.jobs),
-        )
-        return 0
-    if args.sharding:
-        from .obs import sharding_report_from_ledger
-
-        ledger = RunLedger(args.ledger)
-        try:
-            report = sharding_report_from_ledger(ledger)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        print(report.render())
-        record_event(
+        ),
+    ),
+    "sharding": (
+        sharding_report_from_ledger,
+        lambda report: record_event(
             "analyze.sharding", stage=report.stage, devices=report.devices,
             steals=report.steals,
-        )
-        return 0
-    if args.storage:
-        from .obs import storage_report_from_ledger
-
-        ledger = RunLedger(args.ledger)
-        try:
-            report = storage_report_from_ledger(ledger)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        print(report.render())
-        record_event(
+        ),
+    ),
+    "storage": (
+        storage_report_from_ledger,
+        lambda report: record_event(
             "analyze.storage", stage=report.stage,
             filtered_fraction=report.filtered_fraction,
             saved_nbytes=report.saved_nbytes,
-        )
-        return 0
+        ),
+    ),
+}
+
+
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    import json
+
+    if args.job is not None and not args.critical_path:
+        raise InputError("--job narrows --critical-path only")
+    for flag, (builder, record) in LEDGER_REPORTS.items():
+        if getattr(args, flag):
+            options = {} if args.job is None else {"job_id": args.job}
+            report = builder(RunLedger(args.ledger), **options)
+            print(report.render())
+            record(report)
+            return 0
     if not args.report:
-        print(
-            "error: pass a profile REPORT_JSON, --sharding, --storage, "
-            "or --critical-path",
-            file=sys.stderr,
+        raise InputError(
+            "pass a profile REPORT_JSON, --sharding, --storage, "
+            "or --critical-path"
         )
-        return 2
-    try:
-        with open(args.report) as handle:
-            data = json.load(handle)
-    except OSError as error:
-        print(f"error: cannot read {args.report}: {error}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as error:
-        print(f"error: {args.report} is not JSON: {error}", file=sys.stderr)
-        return 2
-    try:
+    with refusing(f"cannot read {args.report}", OSError):
+        handle = open(args.report)
+    with handle, refusing(f"{args.report} is not JSON"):
+        data = json.load(handle)
+    with refusing(args.report):
         report = report_from_dict(data)
-    except ValueError as error:
-        print(f"error: {args.report}: {error}", file=sys.stderr)
-        return 2
     analysis = analyze_report(report, min_stall_share=args.min_stall_share)
     print(analysis.render())
     record_event(
@@ -498,6 +467,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .faults import FaultPlan, RetryPolicy
     from .serve import ArrivalTrace, JobService, trace_jobs
 
+    _check_outputs(args.trace, make_parent=True)
     workload = make_workload(
         n_reads=args.reads,
         read_length=args.read_length,
@@ -545,7 +515,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         trace, workload, n_pipelines=args.pipelines
     ):
         service.schedule(spec, at_cycles=at_cycles)
-    if args.drain_at:
+    if args.drain_at is not None:
         service.run(max_dispatches=args.drain_at)
         checkpoint = service.drain()
         print(
@@ -569,9 +539,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             stage="serve", devices=args.devices,
         )
     if args.trace:
-        from .obs import write_fleet_trace
-
-        _ensure_parent(args.trace)
         spans = service.spans()
         write_fleet_trace(spans, args.trace)
         print(
@@ -728,23 +695,24 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze",
         help="bottleneck analysis over a saved profile --out JSON",
     )
-    analyze.add_argument("report", metavar="REPORT_JSON", nargs="?")
     analyze.add_argument(
         "--min-stall-share", type=float, default=0.01,
         help="drop stall chains below this fraction of the run",
     )
-    analyze.add_argument(
+    source = analyze.add_mutually_exclusive_group()
+    source.add_argument("report", metavar="REPORT_JSON", nargs="?")
+    source.add_argument(
         "--sharding", action="store_true",
         help="report per-device utilization, steal counts, and the "
              "device-count what-if of the latest sharded run in the ledger",
     )
-    analyze.add_argument(
+    source.add_argument(
         "--critical-path", action="store_true",
         help="walk the latest served run in the ledger and decompose each "
              "job's latency into queue-wait / transfer / spm-load / kernel "
              "/ fault-penalty / drain cycles (sums exactly to the latency)",
     )
-    analyze.add_argument(
+    source.add_argument(
         "--storage", action="store_true",
         help="report the latest storage-filtered run in the ledger: "
              "pruned fraction, bytes kept off PCIe, and the "
@@ -752,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--job", type=int, default=None, metavar="JOB_ID",
-        help="narrow --critical-path to one job id",
+        help="narrow --critical-path to one job id (with it only)",
     )
     analyze.set_defaults(func=_cmd_analyze)
 
@@ -805,9 +773,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--seed", type=_nonnegative(int), default=0)
     serve.add_argument(
-        "--drain-at", type=int, default=None, metavar="DISPATCHES",
-        help="drain after this many dispatches, then resume from the "
-             "checkpoint (exercises the graceful-restart path)",
+        "--drain-at", type=_nonnegative(int), default=None,
+        metavar="DISPATCHES",
+        help="drain after this many dispatches (0: before the first), then "
+             "resume from the checkpoint (exercises the graceful-restart "
+             "path)",
     )
     serve.add_argument(
         "--inject-faults", type=_fault_spec(("scheduler.wave",)),
@@ -854,53 +824,37 @@ def _manifest_for(args: argparse.Namespace) -> RunManifest:
     )
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    """Run the subcommand.  A fault plan that outlasts the retry budget
-    of a direct run (``preprocess`` polls one) ends it in the ladder's
-    own message as the one ``error:`` line, exit code 1 — the run
-    failed; 2 is a refused input.  ``serve`` fails only the job whose
-    wave ran out, and returns 1 itself when a job failed."""
-    from .faults import RetryBudgetExceeded
-
-    try:
-        code = args.func(args)
-    except RetryBudgetExceeded as error:
-        print(f"error: {error}", file=sys.stderr)
-        code = 1
-    # Write what is buffered while the run is open: a reader that closed
-    # the pipe early raises here, not at interpreter exit.
-    sys.stdout.flush()
-    return code
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point: configure logging, open the run ledger context,
-    dispatch the subcommand.
+    run the subcommand.
 
-    Returns the exit status: 0 when the command did its work, 1 when the
-    run failed, 2 for a refused input, and 141 (128 + SIGPIPE, what a
-    shell reports for a writer its pipe closed) when standard output was
-    closed before the command finished writing — ``repro analyze R.json
-    | head -5`` stops there, with no traceback."""
+    Returns the exit status: 0 when the command did its work, and
+    otherwise what ended it.  A :class:`~repro.errors.ReproError` —
+    an :class:`~repro.errors.InputError` (2, a refused input) or a
+    :class:`~repro.faults.RetryBudgetExceeded` (1, the run failed) — is
+    reported here, and only here, as one ``error:`` line; ``serve``
+    returns 1 itself when a job failed.  141 (128 + SIGPIPE, what a
+    shell reports for a writer its pipe closed) means standard output
+    was closed before the command finished writing — ``repro analyze
+    R.json | head -5`` stops there, with no traceback."""
     args = build_parser().parse_args(argv)
     configure_logging(
         json_lines=args.log_json, verbosity=args.verbose, quiet=args.quiet,
     )
     try:
-        if args.no_ledger:
-            return _dispatch(args)
-        ledger = RunLedger(args.ledger)
-        try:
-            ledger.check_writable()
-        except OSError as error:
-            print(
-                f"error: cannot write ledger {ledger.path}: "
-                f"{error.strerror or error}",
-                file=sys.stderr,
-            )
-            return 2
-        with run_context(_manifest_for(args), ledger):
-            code = _dispatch(args)
+        with ExitStack() as run:
+            try:
+                if not args.no_ledger:
+                    ledger = RunLedger(args.ledger)
+                    ledger.check_writable()
+                    run.enter_context(run_context(_manifest_for(args), ledger))
+                code = args.func(args)
+            except ReproError as error:
+                print(f"error: {error}", file=sys.stderr)
+                code = error.exit_code
+            # Write what is buffered while the run is open: a reader that
+            # closed the pipe early raises here, not at interpreter exit.
+            sys.stdout.flush()
             record_event("cli.exit", code=code)
         return code
     except BrokenPipeError:

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..errors import ReproError
 from ..obs.ledger import record_event
 from ..obs.log import get_logger
 from .plan import FaultPlan, FaultSpec
@@ -91,8 +92,9 @@ FAULT_EXCEPTIONS = {
 }
 
 
-class RetryBudgetExceeded(RuntimeError):
-    """An operation kept failing past its retry budget."""
+class RetryBudgetExceeded(ReproError, RuntimeError):
+    """An operation kept failing past its retry budget: the run failed
+    (exit code 1), its message the one ``error:`` line."""
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
+from ..errors import InputError
+
 #: Every fault kind the injector knows how to enact.
 FAULT_KINDS = (
     "worker_crash",
@@ -145,14 +147,18 @@ class FaultPlan:
 
     @classmethod
     def from_spec(cls, text: str, seed: int = 0) -> "FaultPlan":
-        """Build a plan from the CLI spec string (see module grammar)."""
-        specs = tuple(
-            FaultSpec.parse(item)
-            for item in text.split(",")
-            if item.strip()
-        )
+        """Build a plan from the CLI spec string (see module grammar); a
+        spec that does not parse is an :class:`~repro.errors.InputError`."""
+        try:
+            specs = tuple(
+                FaultSpec.parse(item)
+                for item in text.split(",")
+                if item.strip()
+            )
+        except ValueError as error:
+            raise InputError(str(error)) from None
         if not specs:
-            raise ValueError(f"fault spec {text!r} declares no faults")
+            raise InputError(f"fault spec {text!r} declares no faults")
         return cls(seed=seed, specs=specs)
 
     def targets(self, spec: FaultSpec) -> Tuple[int, ...]:

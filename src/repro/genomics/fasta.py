@@ -12,18 +12,12 @@ from typing import Iterable, List, TextIO, Tuple
 
 import numpy as np
 
+from ..errors import InputError
 from .read import AlignedRead
-from .reference import Chromosome, ReferenceGenome, chromosome_name
+from .reference import Chromosome, ReferenceGenome, chromosome_id, chromosome_name
 from .sequences import decode_sequence, encode_sequence
 
 _LINE_WIDTH = 70
-
-
-def _parse_chrom(name: str) -> int:
-    cleaned = name.strip().split()[0]
-    if cleaned.startswith("chr"):
-        cleaned = cleaned[3:]
-    return {"X": 23, "Y": 24}.get(cleaned) or int(cleaned)
 
 
 # -- FASTA -----------------------------------------------------------------------
@@ -45,7 +39,8 @@ def read_fasta(handle: TextIO, snp_rate: float = 0.0, seed: int = 0) -> Referenc
     """Parse FASTA into a :class:`ReferenceGenome`.
 
     FASTA carries no known-SNP annotation; ``snp_rate`` optionally draws a
-    synthetic IS_SNP bitmap (0 leaves all positions unmarked).
+    synthetic IS_SNP bitmap (0 leaves all positions unmarked).  A header
+    naming no sequence, or sequence before the first header, is refused.
     """
     rng = np.random.default_rng(seed)
     chromosomes: List[Chromosome] = []
@@ -60,7 +55,7 @@ def read_fasta(handle: TextIO, snp_rate: float = 0.0, seed: int = 0) -> Referenc
             is_snp = rng.random(len(seq)) < snp_rate
         else:
             is_snp = np.zeros(len(seq), dtype=bool)
-        chromosomes.append(Chromosome(_parse_chrom(name), seq, is_snp))
+        chromosomes.append(Chromosome(chromosome_id(name), seq, is_snp))
 
     for line in handle:
         line = line.strip()
@@ -68,8 +63,13 @@ def read_fasta(handle: TextIO, snp_rate: float = 0.0, seed: int = 0) -> Referenc
             continue
         if line.startswith(">"):
             flush()
-            name = line[1:]
+            fields = line[1:].split()
+            if not fields:
+                raise InputError("a FASTA header names no sequence")
+            name = fields[0]
             parts = []
+        elif name is None:
+            raise InputError("sequence before the first FASTA header")
         else:
             parts.append(line)
     flush()

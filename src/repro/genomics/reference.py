@@ -19,6 +19,7 @@ from typing import Dict, Iterable, List
 
 import numpy as np
 
+from ..errors import InputError
 from .sequences import random_sequence
 
 #: GRCh38 chromosome lengths in base pairs (chr1..22, X, Y), used to scale
@@ -43,6 +44,28 @@ def chromosome_name(chrom: int) -> str:
     if chrom == 24:
         return "Y"
     return str(chrom)
+
+
+def known_chromosome(chrom: object, name: object = None) -> int:
+    """``chrom`` when it is one of :data:`CHROMOSOMES`, else an
+    :class:`~repro.errors.InputError` naming ``name`` (default
+    ``chrom``)."""
+    if chrom not in GRCH38_CHROMOSOME_LENGTHS:
+        raise InputError(
+            f"unknown chromosome {chrom if name is None else name!r} "
+            "(expected 1-22, X or Y)"
+        )
+    return chrom
+
+
+def chromosome_id(name: str) -> int:
+    """The id a FASTA / SAM name denotes (``"chr21"`` or ``"21"`` -> 21,
+    ``"X"`` -> 23) — the inverse of :func:`chromosome_name`."""
+    text = name[3:] if name.startswith("chr") else name
+    digits = text.isascii() and text.isdigit()
+    return known_chromosome(
+        {"X": 23, "Y": 24}.get(text, int(text) if digits else None), name
+    )
 
 
 @dataclass
@@ -127,7 +150,7 @@ class ReferenceGenome:
         what dbSNP-annotated pipelines see).
         """
         if not 0.0 <= snp_rate <= 1.0:
-            raise ValueError("snp_rate must be in [0, 1]")
+            raise InputError(f"snp_rate must be in [0, 1], got {snp_rate}")
         rng = np.random.default_rng(seed)
         chromosomes = []
         for chrom, length in sorted(lengths.items()):
@@ -148,6 +171,6 @@ class ReferenceGenome:
         ``scale`` (so chr1 stays ~5x longer than chr21, etc.)."""
         lengths = {
             chrom: max(1000, int(GRCH38_CHROMOSOME_LENGTHS[chrom] * scale))
-            for chrom in chromosomes
+            for chrom in map(known_chromosome, chromosomes)
         }
         return cls.random(lengths, snp_rate=snp_rate, seed=seed)

@@ -10,12 +10,24 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, TextIO
 
+import numpy as np
+
+from ..errors import InputError
 from .cigar import Cigar
 from .read import AlignedRead
-from .reference import ReferenceGenome, chromosome_name
+from .reference import ReferenceGenome, chromosome_id, chromosome_name
 from .sequences import encode_sequence
 
 _HEADER_PREFIX = "@"
+
+
+def _field(column: str, text: str, high: int) -> int:
+    """The integer in ``text``, refused outside the SAM spec's
+    ``0..high`` for ``column``."""
+    value = int(text)
+    if not 0 <= value <= high:
+        raise InputError(f"{column} must be in 0..{high}, got {value}")
+    return value
 
 
 def _encode_tags(read: AlignedRead) -> List[str]:
@@ -49,27 +61,32 @@ def format_read(read: AlignedRead) -> str:
 
 
 def parse_read(line: str) -> AlignedRead:
-    """Parse one line produced by :func:`format_read`."""
+    """Parse one line produced by :func:`format_read`; a field outside
+    the SAM spec's range (FLAG 0..65535, MAPQ 0..255, QUAL ``!``..``~``)
+    or the READS table's (read group 0..255) is refused."""
     columns = line.rstrip("\n").split("\t")
     if len(columns) < 11:
         raise ValueError(f"malformed SAM line: {line!r}")
     name, flags, chrom, pos, mapq, cigar, _rnext, pnext, _tlen, seq, quals = columns[:11]
-    chrom_id = {"X": 23, "Y": 24}.get(chrom) or int(chrom)
+    if quals and not ("!" <= min(quals) and max(quals) <= "~"):
+        bad = next(ch for ch in quals if not "!" <= ch <= "~")
+        raise InputError(f"QUAL must be characters '!'..'~', got {bad!r}")
     read = AlignedRead(
         name=name,
-        chrom=chrom_id,
+        chrom=chromosome_id(chrom),
         pos=int(pos) - 1,
         cigar=Cigar.parse(cigar),
         seq=encode_sequence(seq),
-        qual=[ord(ch) - 33 for ch in quals],
-        flags=int(flags),
-        mapq=int(mapq),
+        # checked '!'..'~' above, so ASCII and at least 33
+        qual=np.frombuffer(quals.encode("ascii"), dtype=np.uint8) - 33,
+        flags=_field("FLAG", flags, 0xFFFF),
+        mapq=_field("MAPQ", mapq, 255),
         mate_pos=int(pnext) - 1,
     )
     for field in columns[11:]:
         tag, typ, value = field.split(":", 2)
         if tag == "RG":
-            read.read_group = int(value.replace("lane", "") or 0)
+            read.read_group = _field("RG", value.replace("lane", "") or "0", 255)
         elif typ == "i":
             read.tags[tag] = int(value)
         else:

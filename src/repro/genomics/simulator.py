@@ -27,6 +27,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..errors import InputError
 from .cigar import Cigar, CigarElement
 from .read import (
     FLAG_FIRST_IN_PAIR,
@@ -69,12 +70,12 @@ class SimulatorConfig:
 
     def __post_init__(self) -> None:
         if self.read_length < MIN_READ_LENGTH:
-            raise ValueError(f"read_length must be at least {MIN_READ_LENGTH}")
+            raise InputError(f"read_length must be at least {MIN_READ_LENGTH}")
         for name in ("substitution_rate", "insertion_rate", "deletion_rate",
                      "soft_clip_rate", "duplicate_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+                raise InputError(f"{name} must be in [0, 1], got {value}")
 
 
 class ReadSimulator:
@@ -160,7 +161,7 @@ class ReadSimulator:
         chrom = self._pick_chrom(chrom)
         max_start = self.genome.length(chrom) - 2 * self.config.read_length
         if max_start <= 0:
-            raise ValueError(f"chromosome {chrom} too short for reads")
+            raise InputError(f"chromosome {chrom} too short for reads")
         start = int(self._rng.integers(0, max_start))
         read_group = int(self._rng.integers(0, max(1, self.config.read_groups)))
         reverse = bool(self._rng.random() < 0.5)

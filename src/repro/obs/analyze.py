@@ -38,32 +38,35 @@ from ..constants import (
     PCIE3_BANDWIDTH,
     PCIE4_BANDWIDTH,
 )
+from ..errors import InputError
 from .ledger import LEDGER_SCHEMA_VERSION, RunLedger
 from .profile import ModuleProfile, ProfileReport
 from .spans import WAVE_SEGMENTS, TraceSpan, fields_of, trace_spans
 
 
-def _require_schema(
-    records: Sequence[Dict[str, object]], event: str
-) -> Sequence[Dict[str, object]]:
-    """Refuse unversioned ledger events instead of mis-parsing them.
+def _latest(
+    ledger: RunLedger, event: str, run_id: Optional[str], first: str
+) -> Dict[str, object]:
+    """The latest ``event`` record of the ledger (of ``run_id`` when
+    given), refused when there is none — the message says to run
+    ``first`` first — or when one is unversioned.
 
     Every event a current build records carries ``schema_version``
     (stamped by :meth:`~repro.obs.ledger.RunLedger.append`); a record
     without it is from a pre-versioning build or was written by hand,
-    and the analyzers cannot know which fields to trust.  Raising
-    ``ValueError`` here is what turns that into the CLI's clean
-    exit-code-2 refusal rather than a traceback."""
-    for record in records:
-        if "schema_version" not in record:
-            raise ValueError(
-                f"ledger has {event} event(s) without a schema_version "
-                f"field (current schema is v{LEDGER_SCHEMA_VERSION}) — "
-                "this ledger predates event versioning or was edited by "
-                "hand; re-record the run with a current `repro` build "
-                "before analyzing it"
-            )
-    return records
+    and the analyzers cannot know which fields to trust."""
+    records = ledger.events(event, run_id=run_id)
+    if not records:
+        raise InputError(f"no {event} events in the ledger — run {first} first")
+    if any("schema_version" not in record for record in records):
+        raise InputError(
+            f"ledger has {event} event(s) without a schema_version "
+            f"field (current schema is v{LEDGER_SCHEMA_VERSION}) — "
+            "this ledger predates event versioning or was edited by "
+            "hand; re-record the run with a current `repro` build "
+            "before analyzing it"
+        )
+    return records[-1]
 
 
 @dataclass
@@ -521,16 +524,11 @@ def critical_path_from_ledger(
     over the same fold ``repro serve --trace`` exports.
 
     Uses the latest run carrying ``serve.job.done`` events (or ``run_id``
-    when given); ``job_id`` narrows to one job.  Raises ``ValueError``
-    when no served run (or no such job) is in the ledger."""
-    done_events = ledger.events("serve.job.done", run_id=run_id)
-    if not done_events:
-        raise ValueError(
-            "no serve.job.done events in the ledger — run `repro serve` "
-            "first"
-        )
-    _require_schema(done_events, "serve.job.done")
-    run = str(done_events[-1].get("run_id"))
+    when given); ``job_id`` narrows to one job.  Raises
+    :class:`~repro.errors.InputError` when no served run (or no such
+    job) is in the ledger."""
+    done = _latest(ledger, "serve.job.done", run_id, "`repro serve`")
+    run = str(done.get("run_id"))
     jobs = critical_paths(
         trace_spans(
             (str(record.get("event")), record)
@@ -539,7 +537,7 @@ def critical_path_from_ledger(
         job_id,
     )
     if not jobs:
-        raise ValueError(f"job {job_id} did not complete in run {run}")
+        raise InputError(f"job {job_id} did not complete in run {run}")
     return CriticalPathReport(run_id=run, jobs=jobs)
 
 
@@ -550,16 +548,13 @@ def sharding_report_from_ledger(
 
     Uses the latest ``shard.run`` event (or the latest one of ``run_id``
     when given) and its sibling ``shard.device`` events.  Raises
-    ``ValueError`` when the ledger holds no sharded runs.
+    :class:`~repro.errors.InputError` when the ledger holds no sharded
+    runs.
     """
-    runs = ledger.events("shard.run", run_id=run_id)
-    if not runs:
-        raise ValueError(
-            "no shard.run events in the ledger — run a sharded stage "
-            "(e.g. `repro preprocess --devices N`) first"
-        )
-    _require_schema(runs, "shard.run")
-    summary = runs[-1]
+    summary = _latest(
+        ledger, "shard.run", run_id,
+        "a sharded stage (e.g. `repro preprocess --devices N`)",
+    )
     siblings = ledger.events(
         "shard.device", run_id=str(summary.get("run_id"))
     )
@@ -707,18 +702,15 @@ def storage_report_from_ledger(
     """Rebuild the :class:`StorageReport` of a ledgered run.
 
     Uses the latest ``storage.run`` event (or the latest one of
-    ``run_id`` when given).  Raises ``ValueError`` when the ledger holds
-    no storage-filtered runs, or when the events are unversioned.
+    ``run_id`` when given).  Raises :class:`~repro.errors.InputError`
+    when the ledger holds no storage-filtered runs, or when the events
+    are unversioned.
     """
-    runs = ledger.events("storage.run", run_id=run_id)
-    if not runs:
-        raise ValueError(
-            "no storage.run events in the ledger — run a stage with "
-            "--storage-filter (e.g. `repro preprocess --storage-filter`) "
-            "first"
-        )
-    _require_schema(runs, "storage.run")
-    summary = runs[-1]
+    summary = _latest(
+        ledger, "storage.run", run_id,
+        "a stage with --storage-filter (e.g. `repro preprocess "
+        "--storage-filter`)",
+    )
     with fields_of("storage.run"):
         kernel_seconds = float(summary.get("kernel_seconds", 0.0))
         transfer_seconds = float(summary.get("transfer_seconds", 0.0))

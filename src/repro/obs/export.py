@@ -19,6 +19,7 @@ import csv
 import json
 from typing import Dict, List, Tuple
 
+from ..errors import refusing
 from .profile import ProfileReport
 
 #: Trace viewers color by event name; idle spans are omitted entirely so
@@ -146,11 +147,10 @@ def report_from_dict(data: Dict[str, object]) -> ProfileReport:
     shape (timeline spans and queue points are not exported, so the
     round-tripped report carries none) — this is how ``repro analyze``
     consumes a saved ``--out`` JSON.  Valid JSON of any other shape (not
-    an object, a section that is not one) is a ``ValueError``."""
-    try:
+    an object, a section that is not one) is an
+    :class:`~repro.errors.InputError`."""
+    with refusing("not a profile report", AttributeError, TypeError):
         return _rebuild_report(data)
-    except (AttributeError, TypeError) as error:
-        raise ValueError(f"not a profile report: {error}") from error
 
 
 def _rebuild_report(data: Dict[str, object]) -> ProfileReport:

@@ -35,6 +35,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
+from ..errors import check_writable
+
 DEFAULT_LEDGER_DIR = ".repro"
 DEFAULT_LEDGER_NAME = "ledger.jsonl"
 
@@ -153,10 +155,10 @@ class RunLedger:
             handle.write(json.dumps(record, default=str) + "\n")
 
     def check_writable(self) -> None:
-        """Raise the ``OSError`` an append would (the path is a
-        directory, or cannot be created or opened for append) before a
-        run starts rather than from its first record."""
-        self._open_for_append().close()
+        """Refuse the ledger before a run starts rather than from its
+        first record (``error: cannot write ledger <path>: …``): the
+        path is a directory, or cannot be created or opened for append."""
+        check_writable(self.path, "ledger ", make_parent=True)
 
     def _open_for_append(self):
         parent = os.path.dirname(self.path)

@@ -34,25 +34,30 @@ from __future__ import annotations
 import itertools
 import json
 import numbers
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import (
+    ContextManager,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from ..constants import CLOCK_HZ
+from ..errors import refusing
 
 
-@contextmanager
-def fields_of(event: str) -> Iterator[None]:
+def fields_of(event: str) -> ContextManager[None]:
     """Read the fields of ``event`` records: one of the wrong JSON type
     (``"device": [0]`` — a ``TypeError``) or value (``"waves": "x"`` — a
-    ``ValueError``) becomes one ``ValueError`` naming the event, the
-    CLI's clean exit-code-2 refusal rather than a traceback."""
-    try:
-        yield
-    except (TypeError, ValueError) as error:
-        raise ValueError(
-            f"ledger has a malformed {event} event: {error}"
-        ) from None
+    ``ValueError``) becomes one :class:`~repro.errors.InputError` naming
+    the event, the CLI's exit-code-2 refusal rather than a traceback."""
+    return refusing(
+        f"ledger has a malformed {event} event", TypeError, ValueError
+    )
 
 
 #: The anatomy of one wave on the modelled clock, in canonical order:

@@ -18,6 +18,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from ..errors import InputError
 from ..genomics.read import AlignedRead
 from ..genomics.reference import ReferenceGenome
 from ..genomics.sequences import decode_sequence
@@ -36,7 +37,7 @@ class CallerConfig:
 
     def __post_init__(self) -> None:
         if self.min_depth < 1:
-            raise ValueError("min_depth must be at least 1")
+            raise InputError(f"min_depth must be at least 1, got {self.min_depth}")
 
 
 @dataclass

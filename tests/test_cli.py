@@ -1,11 +1,17 @@
 """Tests for the command-line interface."""
 
+import functools
+import io
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import build_parser, main
 
@@ -340,15 +346,27 @@ def _corrupt_sam(fasta, sam):
     return sam
 
 
-def _realign_first_read(sam, chrom, pos):
-    """The first record renamed ``stray`` and moved to ``chrom:pos``."""
+#: SAM columns by name (``RG`` is the first tag, ``RG:Z:lane<N>``).
+SAM_COLUMNS = dict(QNAME=0, FLAG=1, RNAME=2, POS=3, MAPQ=4, QUAL=10, RG=11)
+
+
+def _edit_first_read(sam, **edits):
+    """The first record with each named column replaced by its edit: a
+    text, or a function of the old text."""
     lines = sam.read_text().splitlines()
     first = next(i for i, line in enumerate(lines) if not line.startswith("@"))
     columns = lines[first].split("\t")
-    columns[0], columns[2], columns[3] = "stray", chrom, str(pos)
+    for name, edit in edits.items():
+        old = columns[SAM_COLUMNS[name]]
+        columns[SAM_COLUMNS[name]] = edit(old) if callable(edit) else edit
     lines[first] = "\t".join(columns)
     sam.write_text("\n".join(lines) + "\n")
     return sam
+
+
+def _realign_first_read(sam, chrom, pos):
+    """The first record renamed ``stray`` and moved to ``chrom:pos``."""
+    return _edit_first_read(sam, QNAME="stray", RNAME=chrom, POS=str(pos))
 
 
 def _past_contig_end(fasta, sam):
@@ -366,6 +384,40 @@ def _absent_chromosome(fasta, sam):
     return _realign_first_read(sam, "5", 1)
 
 
+def _qual_below_bang(fasta, sam):
+    return _edit_first_read(sam, QUAL=lambda qual: " " * len(qual))
+
+
+def _qual_above_tilde(fasta, sam):
+    return _edit_first_read(sam, QUAL=lambda qual: "\x7f" * len(qual))
+
+
+def _negative_flag(fasta, sam):
+    return _edit_first_read(sam, FLAG="-1")
+
+
+def _mapq_past_255(fasta, sam):
+    return _edit_first_read(sam, MAPQ="256")
+
+
+def _read_group_past_255(fasta, sam):
+    return _edit_first_read(sam, RG="RG:Z:lane300")
+
+
+def _nameless_header(fasta, sam):
+    fasta.write_text(">\n" + fasta.read_text().split("\n", 1)[1])
+    return fasta
+
+
+def _sequence_before_header(fasta, sam):
+    fasta.write_text("ACGT\n" + fasta.read_text())
+    return fasta
+
+
+#: Corruptions whose refusal names the read, not the parse.
+OFF_GENOME = (_past_contig_end, _overhanging_contig_end, _absent_chromosome)
+
+
 @pytest.mark.parametrize("command, out", [
     ("preprocess", "out.sam"), ("call", "out.vcf"),
 ])
@@ -376,6 +428,13 @@ def _absent_chromosome(fasta, sam):
     (_overhanging_contig_end,
      "read stray at 21:2101 lies outside the reference"),
     (_absent_chromosome, "read stray at 5:1 lies outside the reference"),
+    (_qual_below_bang, "QUAL must be characters '!'..'~', got ' '"),
+    (_qual_above_tilde, "QUAL must be characters '!'..'~', got '\\x7f'"),
+    (_negative_flag, "FLAG must be in 0..65535, got -1"),
+    (_mapq_past_255, "MAPQ must be in 0..255, got 256"),
+    (_read_group_past_255, "RG must be in 0..255, got 300"),
+    (_nameless_header, "a FASTA header names no sequence"),
+    (_sequence_before_header, "sequence before the first FASTA header"),
 ])
 def test_malformed_input_exits_2(
     tmp_path, capsys, command, out, corrupt, reason
@@ -391,11 +450,92 @@ def test_malformed_input_exits_2(
         "--out", str(tmp_path / out),
     ]) == 2
     err = capsys.readouterr().err
-    parse_error = corrupt in (_corrupt_fasta, _corrupt_sam)
+    parse_error = corrupt not in OFF_GENOME
     assert err == (
         f"error: {'cannot parse ' if parse_error else ''}{bad}: {reason}\n"
     )
     assert not (tmp_path / out).exists()
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_inputs():
+    """The lines of a valid FASTA and SAM pair: one 1 kb contig, six
+    30-base reads."""
+    from repro.genomics import ReadSimulator, ReferenceGenome, SimulatorConfig
+    from repro.genomics.fasta import write_fasta
+    from repro.genomics.sam import write_sam
+
+    genome = ReferenceGenome.random({21: 1000}, seed=1)
+    reads = ReadSimulator(
+        genome, SimulatorConfig(read_length=30, seed=2)
+    ).simulate(6)
+    fasta, sam = io.StringIO(), io.StringIO()
+    write_fasta(fasta, genome)
+    write_sam(sam, reads, genome)
+    return tuple(fasta.getvalue().splitlines()), tuple(sam.getvalue().splitlines())
+
+
+#: One drawn character: anything UTF-8 carries but a field or line break.
+_CHARACTER = st.characters(codec="utf-8", exclude_characters="\t\n\r")
+
+#: A drawn field: a number in or out of every range, free text, or a
+#: token the readers treat specially.
+_FIELD = st.one_of(
+    st.integers(-70_000, 70_000).map(str),
+    st.text(_CHARACTER, max_size=8),
+    st.sampled_from([
+        "", "*", ">", ">chr", ">chr99", ">chrX", ">21 extra", "chr21", "X",
+        "30S", "15M15I", "15M3D15M", "10S20M", "RG:Z:lane-1", "RG:Z:lane256",
+        "NM:i:x", "XX",
+    ]),
+)
+
+
+@st.composite
+def _mutated_inputs(draw):
+    """The fuzz inputs with one field changed: a SAM column of one line,
+    or one FASTA line — replaced by a drawn field, or one character of it
+    by a drawn character."""
+    fasta, sam = map(list, _fuzz_inputs())
+    lines, sep = (sam, "\t") if draw(st.booleans()) else (fasta, None)
+    row = draw(st.integers(0, len(lines) - 1))
+    fields = lines[row].split(sep) if sep else [lines[row]]
+    column = draw(st.integers(0, len(fields) - 1))
+    old = fields[column]
+    if old and draw(st.booleans()):
+        at = draw(st.integers(0, len(old) - 1))
+        fields[column] = old[:at] + draw(_CHARACTER) + old[at + 1:]
+    else:
+        fields[column] = draw(_FIELD)
+    lines[row] = (sep or "").join(fields)
+    return "\n".join(fasta) + "\n", "\n".join(sam) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(inputs=_mutated_inputs())
+def test_mutated_inputs_are_run_or_refused(inputs):
+    """A FASTA or SAM with one field changed is run (exit 0) or refused
+    (exit 2, one ``error:`` line, no output) by ``preprocess`` and
+    ``call`` — never a traceback out of the readers or the stages."""
+    with tempfile.TemporaryDirectory() as tmp:
+        fasta, sam = os.path.join(tmp, "g.fa"), os.path.join(tmp, "r.sam")
+        for path, text in zip((fasta, sam), inputs):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        for command, name in (("preprocess", "o.sam"), ("call", "o.vcf")):
+            out = os.path.join(tmp, name)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = main([
+                    "--no-ledger", "--quiet", command, "--fasta", fasta,
+                    "--sam", sam, "--out", out,
+                ])
+            err = stderr.getvalue()
+            if code == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+                assert not os.path.exists(out)
+            else:
+                assert (code, err) == (0, "")
 
 
 def test_preprocess_overlap_shorter_than_a_read_exits_2(tmp_path, capsys):
@@ -449,6 +589,44 @@ def test_serve_bad_arguments_exit_2(capsys, flag, value):
     assert f"argument {flag}" in err
 
 
+#: Bad values argparse lets through, each refused where it is used —
+#: the validator it reaches, or the writability check of an output path
+#: — with this one ``error:`` line.
+REFUSED_AFTER_PARSING = {
+    ("simulate", "--snp-rate", "2"): "snp_rate must be in [0, 1], got 2.0",
+    ("simulate", "--duplicate-rate", "5"):
+        "duplicate_rate must be in [0, 1], got 5.0",
+    ("simulate", "--duplicate-rate", "-1"):
+        "duplicate_rate must be in [0, 1], got -1.0",
+    ("simulate", "--chromosomes", "99"):
+        "unknown chromosome 99 (expected 1-22, X or Y)",
+    ("call", "--min-depth", "-3"): "min_depth must be at least 1, got -3",
+    ("call", "--min-depth", "0"): "min_depth must be at least 1, got 0",
+    **{
+        (command, flag, path): f"cannot write {path}: {reason}"
+        for command, flag, path, reason in [
+            ("simulate", "--fasta", "absent/g.fa", "No such file or directory"),
+            ("simulate", "--sam", "absent/r.sam", "No such file or directory"),
+            ("simulate", "--fastq", "absent/r.fq", "No such file or directory"),
+            ("preprocess", "--out", "absent/o.sam", "No such file or directory"),
+            ("call", "--out", "absent/o.vcf", "No such file or directory"),
+            ("profile", "--out", "file/r.json", "File exists"),
+            ("profile", "--trace", "file/t.json", "File exists"),
+            ("profile", "--csv", "file/r.csv", "File exists"),
+            ("serve", "--trace", "file/t.json", "File exists"),
+        ]
+    },
+}
+
+#: The files each command needs named (absent: none is read before the
+#: refusal).
+REQUIRED_FILES = {
+    "simulate": ["--fasta", "g.fa", "--sam", "r.sam"],
+    "preprocess": ["--fasta", "g.fa", "--sam", "r.sam", "--out", "o.sam"],
+    "call": ["--fasta", "g.fa", "--sam", "r.sam", "--out", "o.vcf"],
+}
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("simulate", "--seed", "-1"),
     ("simulate", "--read-length", "0"),
@@ -457,18 +635,31 @@ def test_serve_bad_arguments_exit_2(capsys, flag, value):
     ("profile", "--reads", "0"),
     ("profile", "--seed", "-1"),
     ("reproduce", "--reads", "-5"),
+    ("serve", "--drain-at", "-1"),
+    *REFUSED_AFTER_PARSING,
 ])
-def test_numeric_bad_arguments_exit_2(tmp_path, capsys, command, flag, value):
+def test_numeric_bad_arguments_exit_2(
+    tmp_path, capsys, monkeypatch, command, flag, value
+):
     """Out-of-range counts, seeds, lengths and scales stop in argparse
-    with one ``error: argument`` line, before anything is simulated or
-    written."""
-    files = (
-        ["--fasta", str(tmp_path / "g.fa"), "--sam", str(tmp_path / "r.sam")]
-        if command == "simulate" else []
+    with one ``error: argument`` line; out-of-range rates, chromosomes
+    and depths in their validator, and output paths under a missing
+    directory or a file in the writability check, with one ``error:``
+    line — each before anything is simulated, read or written."""
+    monkeypatch.chdir(tmp_path)
+    if value.startswith("file/"):
+        (tmp_path / "file").write_text("")
+    argv = ["--no-ledger", command, *REQUIRED_FILES.get(command, []), flag, value]
+    refusal = REFUSED_AFTER_PARSING.get((command, flag, value))
+    if refusal is None:
+        err = _refused(argv, capsys)
+        assert f"argument {flag}" in err
+    else:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {refusal}\n"
+    assert [path.name for path in tmp_path.iterdir()] == (
+        ["file"] if value.startswith("file/") else []
     )
-    err = _refused(["--no-ledger", command, *files, flag, value], capsys)
-    assert f"argument {flag}" in err
-    assert list(tmp_path.iterdir()) == []
 
 
 def _polled_sites(command):
@@ -619,6 +810,28 @@ def test_analyze_needs_report_or_sharding(capsys):
     )
 
 
+@pytest.mark.parametrize("argv, refusal", [
+    (["--sharding", "--storage"],
+     "argument --storage: not allowed with argument --sharding"),
+    (["--critical-path", "r.json"],
+     "argument REPORT_JSON: not allowed with argument --critical-path"),
+    (["r.json", "--sharding"],
+     "argument --sharding: not allowed with argument REPORT_JSON"),
+])
+def test_analyze_takes_one_source(capsys, argv, refusal):
+    """A second source is refused, not dropped without a word."""
+    err = _refused(["--no-ledger", "analyze", *argv], capsys)
+    assert f"error: {refusal}" in err
+
+
+@pytest.mark.parametrize("source", [[], ["--sharding"], ["r.json"]])
+def test_analyze_job_needs_the_critical_path(capsys, source):
+    assert main(["--no-ledger", "analyze", *source, "--job", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --job narrows --critical-path only\n"
+    )
+
+
 # -- repro serve --------------------------------------------------------------------
 
 
@@ -659,6 +872,23 @@ def test_serve_drain_resume_flag(capsys):
     assert "drained at clock" in out
     assert "resuming" in out
     assert "5 admitted" in out and "5 completed" in out
+
+
+def test_serve_drain_at_zero_drains_before_the_first_dispatch(capsys):
+    """``--drain-at 0`` is a drain before any wave went out (it used to
+    be ignored): the resumed run's summary is the undrained one's."""
+    def summary(extra):
+        assert main(["--no-ledger"] + SERVE_ARGV + extra) == 0
+        return [
+            line for line in capsys.readouterr().out.splitlines()
+            if "host" not in line
+        ]
+
+    drained = summary(["--drain-at", "0"])
+    assert drained[0] == (
+        "serve: drained at clock 0 (0 open job(s) requeued); resuming"
+    )
+    assert drained[1:] == summary([])
 
 
 def test_serve_with_fault_plan(capsys):
