@@ -6,10 +6,9 @@ example query, mark duplicates (Figure 10), metadata update (Figure 11),
 and BQSR covariate-table construction (Figure 12).  Each is one
 :class:`WaveDriver` beside its pipeline builder; :data:`STAGES` is the
 table of them.  This namespace is the stage drivers, their serial runners,
-the wave executor and sharding; the Section IV-E operations that are not
-partition + REF-row shaped (:mod:`~repro.accel.fm_seeding`,
-:mod:`~repro.accel.callset_ops`, :mod:`~repro.accel.sort`) are standalone
-examples imported as submodules.
+the wave executor and sharding; the one Section IV-E operation that is not
+partition + REF-row shaped, :mod:`~repro.accel.callset_ops`, is a
+standalone example imported as a submodule.
 """
 
 from .bqsr import (

@@ -38,7 +38,8 @@ from ..gatk.active_region import (
 )
 from ..genomics.reference import ReferenceGenome
 from ..hw.engine import Engine
-from ..hw.flit import INS, Flit
+from ..hw.flit import ABSENT, INS, Flit
+from ..hw.maxplus import Plan, Step
 from ..hw.memory import MemoryConfig
 from ..hw.module import Module
 from ..hw.modules import Filter, Fork, SpmUpdater, StreamAlu
@@ -58,6 +59,8 @@ from .sharding import run_sharded
 #: Replicas per wave of :func:`accelerated_active_regions` — the paper's
 #: replication of the metadata-update front end this pipeline reuses.
 PIPELINES = 16
+
+_ANCHOR = Step(pops=("in",), pushes=("out",), rooms=("out",))
 
 
 class AnchorInsertions(Module):
@@ -94,6 +97,34 @@ class AnchorInsertions(Module):
         if flit.last:
             self._anchor = None
         self._note_busy()
+
+    def plan(self, streams) -> Plan:
+        """One pop and one push per flit, each needing room: the input's
+        columns with every ``INS`` position replaced by the item's last
+        non-``INS`` one (the anchor resets at ``last``)."""
+        stream = streams["in"]
+        anchor, positions = self._anchor, []
+        for position, filled, last in zip(
+            stream.column(self.pos_field), stream.filled, stream.last
+        ):
+            if filled:
+                if position is not INS:
+                    anchor = None if position is ABSENT else position
+                elif anchor is not None:
+                    position = anchor
+            positions.append(position)
+            if last:
+                anchor = None
+
+        def commit(_timed) -> None:
+            self._anchor = anchor
+            self.busy_cycles += len(stream)
+            self.flits_out += len(stream)
+
+        return Plan(
+            {"out": stream.with_columns({self.pos_field: positions})},
+            (_ANCHOR,), [0] * len(stream), commit,
+        )
 
 
 def _is_activity(flit) -> bool:

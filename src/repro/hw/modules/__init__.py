@@ -9,7 +9,6 @@ from .memreader import MemoryReader
 from .memwriter import MemoryWriter
 from .readtobases import ReadToBases
 from .reducer import Reducer
-from .sorter import MergeUnit, build_merge_tree, sorted_run_flits
 from .spm_access import SpmReader, SpmUpdater
 
 __all__ = [
@@ -22,14 +21,11 @@ __all__ = [
     "MdGen",
     "MemoryReader",
     "MemoryWriter",
-    "MergeUnit",
     "ReadToBases",
     "Reducer",
     "SpmReader",
     "SpmUpdater",
     "StreamAlu",
     "UNARY_OPS",
-    "build_merge_tree",
     "join_md_tokens",
-    "sorted_run_flits",
 ]

@@ -5,6 +5,11 @@ hardware uses a reduction tree to sustain one flit per cycle; reductions
 can run at *item* granularity (reset at every ``last`` flit, one result per
 item) or over the whole stream, and support *masked* reduction — a mask
 field selects which values contribute (Section III-C).
+
+Sum and count fold into a 32-bit two's-complement accumulator — the
+hardware adder, as wide as the 4-byte word a Memory Writer stores a
+result in (the metadata stage's UQ) — whatever the width of the values
+streamed in: a byte-wide QUAL column sums past 255 without wrapping.
 """
 
 from __future__ import annotations
@@ -17,6 +22,11 @@ from ..maxplus import Plan, Step
 from ..module import Module
 
 _IDENTITY = {"sum": 0, "count": 0, "max": None, "min": None}
+
+#: Width of the sum / count accumulator, in bits.
+ACCUMULATOR_BITS = 32
+_HALF = 1 << (ACCUMULATOR_BITS - 1)
+_SPAN = 1 << ACCUMULATOR_BITS
 
 _FOLD = Step(pops=("in",))
 _EMIT = Step(pops=("in",), pushes=("out",), rooms=("out",))
@@ -58,11 +68,12 @@ class Reducer(Module):
         return True
 
     def _fold(self, acc, value):
-        """``acc`` with ``value`` folded in."""
+        """``acc`` with ``value`` folded in; a sum or count wraps as the
+        :data:`ACCUMULATOR_BITS`-bit adder does."""
         if self.op == "count":
-            return acc + 1
+            return (acc + 1 + _HALF) % _SPAN - _HALF
         if self.op == "sum":
-            return acc + value
+            return (acc + int(value) + _HALF) % _SPAN - _HALF
         if self.op == "max":
             return value if acc is None else max(acc, value)
         return value if acc is None else min(acc, value)

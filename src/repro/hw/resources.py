@@ -72,10 +72,8 @@ MODULE_COSTS: Dict[str, ResourceVector] = {
     # banked update port (Section III-C), dominating its area.
     "SpmUpdater": ResourceVector(2_500, 2_600, 0),
     "SpmReader": ResourceVector(500, 800, 0),
-    # Extension modules (Section IV-E pipelines and the merge sorter).
-    "MergeUnit": ResourceVector(900, 1_300, 0),
+    # The active-region pipeline's custom module (Section IV-E).
     "AnchorInsertions": ResourceVector(400, 600, 0),
-    "FmSeeder": ResourceVector(3_200, 3_800, 0),
 }
 
 #: Extra cost per reduction-tree lane beyond the first.

@@ -245,6 +245,23 @@ def assert_stage_identical(stage: str, got: Dict, want: Dict) -> None:
         )
 
 
+def engine_modes(results: Dict, phases: bool = True) -> set:
+    """The engine modes a stage run's waves report, with (``phases``)
+    each partition's SPM load and drain phases — which replay from
+    ``PHASES`` in the mode that first recorded them."""
+    modes = set()
+    for result in results.values():
+        run = getattr(result, "run", None)
+        recorded = [getattr(result, "stats", None), getattr(run, "stats", None)]
+        if phases:
+            recorded += [
+                getattr(run, "load_stats", None),
+                getattr(result, "drain_stats", None),
+            ]
+        modes.update(stats.mode for stats in recorded if stats is not None)
+    return modes
+
+
 def assert_same_cycles(a, b) -> None:
     """Two runs' stats agree on every :data:`MODELLED_TALLIES` figure."""
     for name in MODELLED_TALLIES:

@@ -1,18 +1,20 @@
 """The ``maxplus`` engine mode ≡ the dense loop, and its fall-back rule.
 
 Hypothesis draws whole pipelines of planned modules — Memory Readers
-feeding chains of StreamAlu / Filter / Fork / Reducer / MdGen into Memory
-Writers, optionally joined first with a slower keyed reader and forking
-into an ``rmw`` SPM Updater under repeated addresses — over drawn queue
-capacities, memory channels and latencies, with up to four replicas
-sharing one memory.  Every draw must solve to
-exactly what the dense loop ticks out: cycles, flit and busy counts,
-memory traffic and arbitration, every output, every scratchpad and its
-counters, every hazard stall.  Where the mode cannot apply it must tick
+feeding chains of StreamAlu / Filter / Fork / Reducer / MdGen /
+AnchorInsertions into Memory Writers, optionally joined first with a
+slower keyed reader and forking into an ``rmw`` SPM Updater under
+repeated addresses — over drawn queue capacities, memory channels and
+latencies, with up to four replicas sharing one memory.  Every draw must
+solve to exactly what the dense loop ticks out: cycles, flit and busy
+counts, memory traffic and arbitration, every output, every scratchpad
+and its counters, every hazard stall.  Where the mode cannot apply it must tick
 the dense loop and say so.
 """
 
 import copy
+import importlib
+import pkgutil
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -28,16 +30,19 @@ from hw_harness import (
     ListSink,
     ListSource,
     assert_runs_equivalent,
+    engine_modes,
     side_effects,
 )
+from repro.accel.active_region import AnchorInsertions
 from repro.accel.common import PHASES, AcceleratorRun, load_reference_spm, spm_base
 from repro.accel.scheduler import SpmImageCache
 from repro.accel.sharding import run_sharded
 from repro.accel.stages import STAGES
 from repro.hw import maxplus
 from repro.hw.engine import Engine
-from repro.hw.flit import Flit, item_flits
+from repro.hw.flit import INS, Flit, item_flits
 from repro.hw.memory import MemoryConfig, MemorySystem
+from repro.hw.module import Module
 from repro.hw.modules import (
     Filter,
     Fork,
@@ -57,10 +62,12 @@ from test_lattice import WORKLOADS, workload
 
 # -- drawn pipelines -----------------------------------------------------------------
 
-#: One element: (value, op, base, ref, addr) — what every stage reads.
+#: One element: (value, op, base, ref, addr, pos) — what every stage
+#: reads; half the positions are ``INS``, so items open with one and
+#: hold runs of them.
 elements = st.tuples(
     st.integers(0, 40), st.sampled_from("MMMID"), st.integers(0, 3),
-    st.integers(0, 3), st.integers(0, 3),
+    st.integers(0, 3), st.integers(0, 3), st.just(INS) | st.integers(0, 40),
 )
 replica_items = st.lists(st.lists(elements, max_size=9), min_size=1, max_size=6)
 
@@ -91,7 +98,9 @@ class Pipeline:
 def pipelines(draw):
     return Pipeline(
         chain=tuple(draw(st.lists(
-            st.sampled_from(("alu", "filter", "fork", "reducer", "mdgen")),
+            st.sampled_from(
+                ("alu", "filter", "fork", "reducer", "mdgen", "anchor")
+            ),
             max_size=4,
         ))),
         rmw=draw(st.booleans()),
@@ -109,7 +118,7 @@ def pipelines(draw):
     )
 
 
-FIELDS = ("value", "op", "base", "ref", "addr")
+FIELDS = ("value", "op", "base", "ref", "addr", "pos")
 
 
 def _flits(items):
@@ -195,14 +204,22 @@ def build(pipeline: Pipeline) -> Engine:
                 module = Reducer(stage, op="sum")
             elif kind == "mdgen":
                 module = MdGen(stage)
+            elif kind == "anchor":
+                module = AnchorInsertions(stage)
             else:
                 module = Fork(stage)
             wire(tail, add(module), out_port=port)
             tail, port = module, "out"
-            if kind == "fork":
-                side = add(MemoryWriter(f"{stage}.side", memory, elem_size=1))
+            if kind == "anchor":  # the anchored positions, written aside
+                module = add(Fork(f"{stage}.fork"))
+                wire(tail, module)
+            if kind in ("fork", "anchor"):
+                side = add(MemoryWriter(
+                    f"{stage}.side", memory, elem_size=1,
+                    field="pos" if kind == "anchor" else "value",
+                ))
                 wire(module, side, out_port="out1")
-                port = "out0"
+                tail, port = module, "out0"
         writer = add(MemoryWriter(f"{name}.write", memory, elem_size=4))
         wire(tail, writer, out_port=port)
         if pipeline.drain:
@@ -281,6 +298,19 @@ def outcome(engine: Engine, mode: str):
     items=(((tuple((v, "M", 0, 0, 0) for v in range(60))),),),
     capacity=8, channels=1, latency=80, elem_size=16,
 ))
+# anchored positions: items opening with INS, runs of INS, empty items,
+# one-slot queues and an anchor behind a filter that drops item ends
+@example(Pipeline(
+    chain=("anchor", "filter", "anchor"), rmw=False,
+    items=((
+        ((1, "I", 1, 1, 0, INS), (2, "I", 1, 1, 0, INS), (4, "M", 1, 1, 0, 7),
+         (5, "I", 2, 1, 0, INS), (3, "I", 2, 1, 0, INS)),
+        (),
+        ((6, "M", 0, 0, 0, 9), (7, "I", 0, 0, 0, INS), (9, "D", 0, 0, 0, 3)),
+        ((8, "I", 1, 0, 0, INS),),
+    ),),
+    capacity=1, channels=1, latency=0, elem_size=4,
+))
 def test_maxplus_solves_what_dense_ticks(pipeline):
     dense_stats, dense_left = outcome(build(pipeline), "dense")
     with streams_checked():
@@ -292,8 +322,8 @@ def test_maxplus_solves_what_dense_ticks(pipeline):
 
 #: The planned module classes a drawn pipeline holds.
 PLANNED = (
-    Filter, Fork, Joiner, MdGen, MemoryReader, MemoryWriter, Reducer,
-    SpmReader, SpmUpdater, StreamAlu,
+    AnchorInsertions, Filter, Fork, Joiner, MdGen, MemoryReader,
+    MemoryWriter, Reducer, SpmReader, SpmUpdater, StreamAlu,
 )
 
 
@@ -326,7 +356,7 @@ def streams_checked():
 
 @settings(max_examples=25, deadline=None)
 @given(
-    stage=st.sampled_from(("markdup", "metadata", "bqsr")),
+    stage=st.sampled_from(tuple(STAGES)),
     name=st.sampled_from(tuple(WORKLOADS)),
     first=st.integers(0, 60),
     replicas=st.integers(1, 3),
@@ -339,13 +369,16 @@ def streams_checked():
          channels=2, latency=10)
 @example(stage="metadata", name="sharding", first=3, replicas=1, capacity=1,
          channels=1, latency=0)
+# ... and behind AnchorInsertions, on a workload with insertions
+@example(stage="active_region", name="sharding", first=0, replicas=2,
+         capacity=1, channels=1, latency=0)
 def test_stage_replicas_solve_what_dense_ticks(
     stage, name, first, replicas, capacity, channels, latency
 ):
-    """A wave of the paper's stage replicas — ReadToBases, BinIdGen, the
-    interval SPM Reader, Joiners, RMW updaters and all — over a drawn
-    queue capacity and memory: ``maxplus`` answers and times it as dense
-    does, or raises what dense raises."""
+    """A wave of a stage's replicas — ReadToBases, BinIdGen,
+    AnchorInsertions, the interval SPM Reader, Joiners, RMW updaters and
+    all — over a drawn queue capacity and memory: ``maxplus`` answers and
+    times it as dense does, or raises what dense raises."""
     wl = workload(name)
     row = STAGES[stage]
     driver = row.over(wl)
@@ -562,9 +595,36 @@ def test_a_fallen_back_run_leaves_the_modules_as_dense_does():
 # -- no silent fall-back on the stages -----------------------------------------------
 
 
-@pytest.mark.parametrize("stage", ["markdup", "metadata", "bqsr"])
+def test_every_module_that_ticks_plans():
+    """Every :class:`Module` class under ``repro`` that defines a ``tick``
+    has a ``plan`` for it, so a wave that falls back to ``dense`` on the
+    run path does so for a probe or a pathological wave, never for a
+    missing plan."""
+    import repro
+
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name != "repro.__main__":  # the CLI entry point runs main()
+            importlib.import_module(info.name)
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    ticking = {
+        cls for cls in subclasses(Module)
+        if cls.__module__.startswith("repro.") and cls.tick is not Module.tick
+    }
+    assert AnchorInsertions in ticking and Reducer in ticking
+    assert sorted(
+        cls.__qualname__ for cls in ticking
+        if not maxplus.planned(cls.__new__(cls))
+    ) == []
+
+
+@pytest.mark.parametrize("stage", tuple(STAGES))
 def test_a_stage_wave_frames_no_flit(stage, monkeypatch):
-    """Under ``maxplus`` a paper stage's wave moves whole columns: from
+    """Under ``maxplus`` a stage's wave moves whole columns: from
     ``build_replica`` through ``harvest`` — its SPM load and drain phases
     included — no :class:`Flit` is built."""
     monkeypatch.setattr(Engine, "default_mode", "maxplus")
@@ -588,23 +648,14 @@ def test_a_stage_wave_frames_no_flit(stage, monkeypatch):
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
-@pytest.mark.parametrize("stage", ["markdup", "metadata", "bqsr"])
+@pytest.mark.parametrize("stage", tuple(STAGES))
 def test_every_stage_wave_is_solved(stage, name, monkeypatch):
-    """Every wave of the three paper stages on the lattice workloads runs
-    under ``maxplus`` — their SPM load and drain phases included."""
+    """Every wave of every stage on the lattice workloads runs under
+    ``maxplus`` — their SPM load and drain phases included."""
     monkeypatch.setattr(Engine, "default_mode", "maxplus")
     PHASES.clear()
     wl = workload(name)
     row = STAGES[stage]
     results, stats = run_sharded(row.over(wl), row.items(wl), 2)
-    modes = set()
-    for result in results.values():
-        run = getattr(result, "run", None)
-        for recorded in (
-            getattr(result, "stats", None), getattr(run, "stats", None),
-            getattr(run, "load_stats", None), getattr(result, "drain_stats", None),
-        ):
-            if recorded is not None:
-                modes.add(recorded.mode)
-    assert modes == {"maxplus"}
+    assert engine_modes(results) == {"maxplus"}
     assert stats.waves > 0

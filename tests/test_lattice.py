@@ -7,11 +7,14 @@ through ``JobService``.  Whatever the point, the answer and the modelled
 clock must equal the *reference* of its stage, workload and pipelines:
 the direct, one-card, one-worker, dense-mode, unfaulted, unfiltered run
 (memoised), which must in turn equal the ``repro.gatk`` oracle (checked
-as it is memoised).  Injected faults must be exactly those the
-plan aims at slots the run polls, each failed attempt retried until the
-wave's one budget runs out — and a wave that runs out fails alike at
-every topology: a direct run raises the lowest such wave's error, a
-served run fails the jobs of those waves and no other.
+as it is memoised).  Every wave must report the drawn engine mode: a
+``maxplus`` wave that ticked ``dense`` fell back (its SPM load and drain
+phases replay in the mode that first recorded them).  Injected faults
+must be exactly those the plan aims at slots the run polls, each failed
+attempt retried until the wave's one budget runs out — and a wave that
+runs out fails alike at every topology: a direct run raises the lowest
+such wave's error, a served run fails the jobs of those waves and no
+other.
 
 Adding an axis is one :class:`Config` field, one draw in :func:`configs`
 and the line of :func:`run_direct` / :func:`serve` that passes it on.
@@ -33,6 +36,7 @@ from hw_harness import (
     assert_matches_oracle,
     assert_same_cycles,
     assert_stage_identical,
+    engine_modes,
 )
 from repro.accel.scheduler import WAVE_FAULT_SITE
 from repro.accel.sharding import run_sharded
@@ -266,6 +270,7 @@ def check_direct(config: Config):
         return None
     results, stats = run_direct(config)
     assert_stage_identical(config.stage, results, want)
+    assert engine_modes(results, phases=False) == {config.mode}
     assert_same_cycles(stats, want_stats)
     assert stats.faults_by_kind == injected
     assert stats.retries == retries
@@ -292,9 +297,9 @@ def check_served(config: Config) -> None:
     ]
     for job, (want, _stats, _waves) in zip(jobs, references):
         if job.job_id not in poisoned:
-            assert_stage_identical(
-                job.stage, service.results(job.job_id), want
-            )
+            results = service.results(job.job_id)
+            assert_stage_identical(job.stage, results, want)
+            assert engine_modes(results, phases=False) == {config.mode}
     for event, fields in service.events:
         if event == "serve.wave.done":
             _want, _stats, waves = references[fields["job"]]
@@ -336,6 +341,8 @@ def check_served(config: Config) -> None:
     "bqsr", mode="maxplus", devices=3, workers=2, storage=True,
     faults=(fault("worker_crash", WAVE_FAULT_SITE, 1),),
 ))
+# maxplus x the active-region stage: AnchorInsertions' waves are solved too
+@example(Config("active_region", mode="maxplus", devices=2))
 def test_every_lattice_point_matches_the_serial_oracle(config):
     if config.served:
         check_served(config)

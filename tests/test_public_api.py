@@ -9,7 +9,6 @@ PACKAGES = [
     "repro.accel",
     "repro.eval",
     "repro.faults",
-    "repro.fmindex",
     "repro.gatk",
     "repro.genomics",
     "repro.hw",
@@ -192,8 +191,8 @@ def test_stage_table_keys_are_pinned():
 def test_accel_namespace_is_stages_executor_and_sharding():
     """``repro.accel`` exports the stage drivers with their serial
     runners, the wave executor and sharding — nothing from a module
-    outside those.  The standalone Section IV-E examples (``fm_seeding``,
-    ``callset_ops``, ``sort``) are imported as submodules."""
+    outside those.  The standalone Section IV-E example, ``callset_ops``,
+    is imported as a submodule."""
     import repro.accel
 
     homes = {
