@@ -333,9 +333,9 @@ class WaveDriver:
         load concurrently, so the wave charges the slowest load).
 
         ``probe`` — e.g. a :class:`repro.obs.Profiler` — is attached to
-        the engine before it runs and left holding the run's
-        observations (the SPM load and drain phases run unprobed: the
-        same fixed setup work for every stage)."""
+        the engine before it runs, to report the run afterwards (not the
+        SPM load and drain phases: the same fixed setup work for every
+        stage)."""
         engine = Engine(MemorySystem(self.memory_config))
         contexts = []
         load_cycles = 0

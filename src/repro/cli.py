@@ -7,10 +7,10 @@ Commands:
   SAM file against a FASTA reference, writing the tagged SAM;
 * ``call``        — call variants from a preprocessed SAM, writing VCF;
 * ``reproduce``   — print the paper-vs-measured headline numbers;
-* ``profile``     — run one accelerator stage on a synthetic workload with
-  the profiler attached, print the cycle-attribution report plus the
-  bottleneck-analysis summary, and optionally save a Chrome-trace
-  timeline and JSON/CSV dumps;
+* ``profile``     — solve one accelerator stage's wave on a synthetic
+  workload, print the cycle-attribution report derived from the solution
+  plus the bottleneck-analysis summary, and optionally save a
+  Chrome-trace timeline and JSON/CSV dumps;
 * ``analyze``     — re-run the bottleneck analysis over a saved
   ``profile --out`` JSON report, with ``--sharding`` report the
   per-device utilization / steal counts / device-count what-if of the

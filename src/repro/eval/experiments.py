@@ -229,11 +229,10 @@ def profile_stage(
     """Profile one representative run of an accelerated stage.
 
     Runs one replica of the stage's driver with a
-    :class:`repro.obs.Profiler` as the probe and returns the validated
+    :class:`repro.obs.Profiler` attached and returns the validated
     :class:`~repro.obs.profile.ProfileReport` — the queryable per-module
     / queue / memory-channel breakdown Figure 9-style bottleneck analysis
-    needs.  A probed run ticks the dense loop (the max-plus mode does
-    not observe ticks).
+    needs — derived from the solved wave.
     """
     from ..obs import Profiler
 

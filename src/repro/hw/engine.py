@@ -11,15 +11,14 @@ Two modes produce bit-identical cycle counts and functional results:
 
 * ``maxplus`` (default) — no ticks at all: every module plans its whole
   input streams and the cycle of each state-changing tick comes out of
-  one max-plus timing pass (:mod:`repro.hw.maxplus`).  Where that cannot
-  apply — a probe attached, a module without a plan for the tick it
-  runs, a queue cycle, a wave that would deadlock, diverge or overflow
-  ``max_cycles`` — ``run`` ticks ``dense`` instead, and
-  ``RunStats.mode`` says so.
+  one max-plus timing pass (:mod:`repro.hw.maxplus`), left on the engine
+  as ``engine.solution`` for a profile.  Where that cannot apply — a
+  module without a plan for the tick it runs, a queue cycle, a wave that
+  would deadlock, diverge or overflow ``max_cycles`` — ``run`` ticks
+  ``dense`` instead, and ``RunStats.mode`` says so.
 * ``dense`` — the classic loop that ticks every module and commits every
   queue each cycle.  It is the differential oracle the max-plus mode is
-  held to, and the only mode that observes every tick (the per-tick
-  starve / stall counters and queue occupancies are its alone).
+  held to; it leaves no solution.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ class RunStats:
     cycles: int
     flits_by_module: Dict[str, int] = field(default_factory=dict)
     busy_by_module: Dict[str, int] = field(default_factory=dict)
-    starve_by_module: Dict[str, int] = field(default_factory=dict)
     memory_bytes: int = 0
     memory_requests: int = 0
     # host-side metrics
@@ -66,7 +64,6 @@ class RunStats:
             self,
             flits_by_module=dict(self.flits_by_module),
             busy_by_module=dict(self.busy_by_module),
-            starve_by_module=dict(self.starve_by_module),
         )
 
     def throughput(self, flits: int) -> float:
@@ -105,10 +102,9 @@ class Engine:
         self.default_queue_capacity = default_queue_capacity
         self._queue_serial = 0
         self.cycle = 0
-        #: Optional observer (:class:`repro.obs.profile.Profiler`).  With
-        #: no probe attached, each simulated cycle pays exactly one
-        #: ``is None`` check — the metrics-disabled path stays free.
-        self.probe = None
+        #: The last run's :class:`~repro.hw.maxplus.Solution` (None after
+        #: a dense run).
+        self.solution = None
 
     # -- construction helpers ------------------------------------------------------
 
@@ -171,8 +167,6 @@ class Engine:
         self.memory.tick(self.cycle)
         for queue in self.queues:
             queue.commit()
-        if self.probe is not None:
-            self.probe.on_cycle(self, self.cycle)
         self.cycle += 1
 
     def is_quiescent(self) -> bool:
@@ -194,6 +188,7 @@ class Engine:
                 return stats
             mode = "dense"  # where the max-plus solution does not apply
         if mode == "dense":
+            self.solution = None
             return self._run_dense(max_cycles)
         raise ValueError(f"unknown engine mode {mode!r}")
 
@@ -207,15 +202,12 @@ class Engine:
             self.step()
             idle_streak = idle_streak + 1 if self.is_quiescent() else 0
         cycles = self.cycle - start
-        stats = self._stats(
+        return self._stats(
             cycles,
             mode="dense",
             wall_seconds=time.perf_counter() - t0,
             ticks_executed=cycles * len(self.modules),
         )
-        if self.probe is not None:
-            self.probe.on_run_end(self, stats)
-        return stats
 
     # -- diagnostics ---------------------------------------------------------------
 
@@ -270,7 +262,6 @@ class Engine:
             cycles=cycles,
             flits_by_module={m.name: m.flits_out for m in self.modules},
             busy_by_module={m.name: m.busy_cycles for m in self.modules},
-            starve_by_module={m.name: m.starve_cycles for m in self.modules},
             memory_bytes=self.memory.bytes_transferred,
             memory_requests=self.memory.requests_served,
             mode=mode,

@@ -32,13 +32,13 @@ come out of the timing pass, and the two are iterated until the writers'
 requests stop moving the readers' responses.
 
 The mode reproduces the dense loop's cycles, flit and busy counts, memory
-traffic and every side effect; it never observes a tick, so per-tick
-counters (starve / stall cycles, a queue's ``full_stalls`` and
-``max_occupancy``) are not kept.  :func:`run_maxplus` returns ``None``
-wherever it cannot apply — a probe attached, a module without a plan for
-the tick it runs, a queue graph with a cycle or a loose end, a wave that
-would deadlock or diverge, a memory iteration that does not settle — and
-the engine then ticks the wave in the dense loop instead.
+traffic and every side effect.  It never observes a tick; what ticks
+would have counted between actions is derived from the :class:`Solution`
+it leaves (:mod:`repro.obs.profile`).  :func:`run_maxplus` returns
+``None`` wherever it cannot apply — a module without a plan for the tick
+it runs, a queue graph with a cycle or a loose end, a wave that would
+deadlock or diverge, a memory iteration that does not settle — and the
+engine then ticks the wave in the dense loop instead.
 """
 
 from __future__ import annotations
@@ -80,6 +80,9 @@ class Step(NamedTuple):
     #: Input ports the tick pops without waiting: their head must already
     #: be there (the tick raises otherwise — the wave then falls back).
     assumes: Tuple[str, ...] = ()
+    #: True when the tick counts as busy though it pushes nothing (a
+    #: writer's pop); a tick that pushes always does.
+    busy: bool = False
 
 
 class Timed(NamedTuple):
@@ -128,6 +131,19 @@ class Plan:
     #: The scratchpad the module reads / writes during the run.
     reads_spm: object = None
     writes_spm: object = None
+
+
+class Solution(NamedTuple):
+    """What a solved run leaves on its engine (``engine.solution``)."""
+
+    start: int
+    #: The run's :class:`~repro.hw.engine.RunStats`.
+    stats: object
+    #: Module ``id`` -> ``(steps, actions, view)``: ``view`` maps its
+    #: queues' ``id`` (and :data:`RESPONSES`) to ``(pushes, pops)`` cycles.
+    actors: Dict[int, tuple]
+    #: Memory channel -> requests it granted in the run.
+    grants: Dict[int, int]
 
 
 # -- eligibility ---------------------------------------------------------------------
@@ -583,14 +599,17 @@ def _responses(plan: Plan, completions: List[int], start: int) -> List[int]:
 
 def _time(order, plans, completions, start: int):
     """One timing pass under the given memory completions; returns the
-    actors and each queue's ``(push cycles, pop cycles)`` by ``id``, or
-    None when the wave cannot finish (a deadlock) or a tick pops a head
-    it assumed had arrived but had not."""
+    actors, each queue's ``(push cycles, pop cycles)`` by ``id`` and each
+    actor's view of them (its queues plus :data:`RESPONSES`), or None
+    when the wave cannot finish (a deadlock) or a tick pops a head it
+    assumed had arrived but had not."""
     actors = []
     owner = {}
     assumed = []
+    views = []
     for module, plan in zip(order, plans):
         queues = {id(q): ([], []) for q in module.outputs.values()}
+        views.append(queues)
         for port, queue in module.inputs.items():
             queues[id(queue)] = owner[id(queue)][1]
         if plan.fetch or plan.credits:
@@ -625,7 +644,7 @@ def _time(order, plans, completions, start: int):
     for pushed, pops in assumed:  # each head there before its pop
         if not all(map(operator.lt, pushed, pops)):
             return None
-    return actors, {key: ends for key, (_actor, ends) in owner.items()}
+    return actors, {key: ends for key, (_actor, ends) in owner.items()}, views
 
 
 # -- the mode ------------------------------------------------------------------------
@@ -635,9 +654,9 @@ def run_maxplus(engine, max_cycles: int):
     """Run ``engine`` to quiescence under the max-plus mode and return its
     :class:`~repro.hw.engine.RunStats`, or ``None`` — leaving every
     module, queue and the memory untouched — where the mode cannot
-    apply."""
+    apply.  A solved run leaves its :class:`Solution` on the engine."""
     t0 = time.perf_counter()
-    if engine.probe is not None or not engine.memory.is_idle():
+    if not engine.memory.is_idle():
         return None
     if not all(planned(module) for module in engine.modules):
         return None
@@ -657,7 +676,7 @@ def run_maxplus(engine, max_cycles: int):
         timed = _time(order, plans, completions, start)
         if timed is None:
             return None
-        actors, queues = timed
+        actors, queues, views = timed
         for module, plan in zip(order, plans):
             if plan.stores is not None:
                 port, flits = plan.stores
@@ -699,9 +718,18 @@ def run_maxplus(engine, max_cycles: int):
         arbiter.grants += grants
         memory.channel_grants[channel] += grants
     engine.cycle = start + cycles
-    return engine._stats(
+    stats = engine._stats(
         cycles,
         mode="maxplus",
         wall_seconds=time.perf_counter() - t0,
         ticks_executed=sum(len(plan.actions) for plan in plans),
     )
+    engine.solution = Solution(
+        start, stats,
+        {
+            id(module): (plan.steps, plan.actions, view)
+            for module, plan, view in zip(order, plans, views)
+        },
+        {channel: grants for channel, (_pointer, grants) in arbiters.items()},
+    )
+    return stats

@@ -10,7 +10,9 @@ from an empty one).  A module that also defines ``plan`` (beside its
 Modules keep busy/starve/stall statistics so the benchmark harness can
 attribute time the way Figure 13(b) does; stalls are additionally charged
 to the blocking queue's ``full_stalls`` counter when the queue is passed
-to :meth:`_note_stalled`.
+to :meth:`_note_stalled`.  A solved run ticks nothing, so what a
+waiting tick records is declared (``room_first``, ``drained``) for the
+profile derived from its solution (:mod:`repro.obs.profile`).
 """
 
 from __future__ import annotations
@@ -22,6 +24,15 @@ from .queue import HardwareQueue
 
 class Module:
     """A dataflow hardware module."""
+
+    #: Whether a tick checks its output's room before its inputs: while
+    #: waiting, a room-first module reads as stalled whenever its output
+    #: is full, an input-first one as starved whenever a head it needs is
+    #: missing (a head there and no room, or an RMW hazard, is stalled).
+    room_first = False
+    #: What a tick records once the module's last action is behind it
+    #: (and, room-first, its output has room): "starved" or "idle".
+    drained = "starved"
 
     def __init__(self, name: str):
         self.name = name
@@ -113,6 +124,8 @@ class SinkModule(Module):
 
 class SourceModule(Module):
     """Base for modules that originate a stream (memory readers)."""
+
+    drained = "idle"
 
     def is_done(self) -> bool:
         """True when the source has emitted its whole stream."""

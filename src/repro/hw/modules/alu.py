@@ -48,6 +48,8 @@ UNARY_OPS: Dict[str, Callable] = {
 class StreamAlu(Module):
     """Element-wise ALU over one or two streams."""
 
+    room_first = True
+
     def __init__(
         self,
         name: str,

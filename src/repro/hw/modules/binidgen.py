@@ -32,6 +32,8 @@ from ..module import Module
 class BinIdGen(Module):
     """Computes per-base BQSR bin IDs."""
 
+    room_first = True
+
     def __init__(self, name: str, read_length: int, n_contexts: int = 16):
         super().__init__(name)
         if read_length < 1:

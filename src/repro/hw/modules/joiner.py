@@ -38,6 +38,8 @@ _MODES = ("inner", "left", "outer")
 class Joiner(Module):
     """Streaming merge-joiner over two item-aligned keyed inputs."""
 
+    room_first = True
+
     def __init__(
         self,
         name: str,

@@ -34,6 +34,8 @@ _EMIT = Step(pushes=("out",), rooms=("out",))
 class MdGen(Module):
     """Streaming MD-token generator."""
 
+    room_first = True
+
     def __init__(
         self,
         name: str,

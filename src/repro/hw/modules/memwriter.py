@@ -15,7 +15,7 @@ from ..maxplus import Plan, Step
 from ..memory import MemorySystem
 from ..module import SinkModule
 
-_POP = Step(pops=("in",))
+_POP = Step(pops=("in",), busy=True)
 
 
 class MemoryWriter(SinkModule):

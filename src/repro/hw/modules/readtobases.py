@@ -32,6 +32,8 @@ from ..module import Module
 class ReadToBases(Module):
     """Explodes reads into per-base flits, one base per cycle."""
 
+    room_first = True
+
     def __init__(self, name: str, with_qual: bool = True, emit_clips: bool = False):
         super().__init__(name)
         self.with_qual = with_qual

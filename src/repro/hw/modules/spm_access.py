@@ -28,7 +28,8 @@ from ..spm import RmwInterlock, Scratchpad
 
 _UPDATER_MODES = ("sequential", "random", "rmw")
 
-_POP = Step(pops=("in",))
+# The SPM Updater's steps: a boundary flit, popped idle; an update.
+_UPDATER_STEPS = (Step(pops=("in",)), Step(pops=("in",), busy=True))
 
 # The SPM Reader's steps (indices into _READER_STEPS): all need room.
 _READER_STEPS = (
@@ -148,7 +149,8 @@ class SpmUpdater(Module):
                 self._interlock.settle(timed.entered, timed.stalls)
 
         return Plan(
-            {}, (_POP,), [0] * len(stream), commit, hazards=hazards,
+            {}, _UPDATER_STEPS, list(map(int, stream.filled)), commit,
+            hazards=hazards,
             interlock=self._interlock.entries() if hazards is not None else None,
             writes_spm=spm,
         )
@@ -156,6 +158,8 @@ class SpmUpdater(Module):
 
 class SpmReader(Module):
     """Reads the scratchpad: lookup, interval, or drain mode."""
+
+    room_first = True
 
     def __init__(
         self,
@@ -184,6 +188,8 @@ class SpmReader(Module):
         # drain state
         self._drain_cursor = 0
         self._draining = mode == "drain"
+        if self._draining:
+            self.drained = "idle"  # a drained tick has nothing to wait on
 
     # -- per-mode behaviour ----------------------------------------------------
 

@@ -7,11 +7,11 @@ cycle N+1 (the engine commits staged pushes at the end of every cycle).
 That single-cycle hop latency is what makes the simulation behave like a
 pipelined circuit regardless of the order modules are ticked in.
 
-Queues track occupancy statistics so benchmarks can report where
-back-pressure accumulates; ``full_stalls`` counts the cycles a producer
+Queues count their pushes and ``full_stalls``, the cycles a producer
 reported being blocked on this queue (via
-:meth:`repro.hw.module.Module._note_stalled`), which is what the
-Fig-13(b)-style attribution plots consume.
+:meth:`repro.hw.module.Module._note_stalled`) — the dense loop's
+back-pressure attribution; a solved run's profile derives the same from
+its timing lists (:mod:`repro.obs.profile`).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ class HardwareQueue:
         self.consumers: List["Module"] = []
         # statistics
         self.total_pushed = 0
-        self.max_occupancy = 0
         self.full_stalls = 0
 
     # -- producer side -------------------------------------------------------
@@ -93,8 +92,6 @@ class HardwareQueue:
         if self._staged:
             self._items.extend(self._staged)
             self._staged.clear()
-        if len(self._items) > self.max_occupancy:
-            self.max_occupancy = len(self._items)
 
     def is_empty(self) -> bool:
         """True when nothing is committed or staged."""

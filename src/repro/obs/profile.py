@@ -1,33 +1,48 @@
-"""The engine probe and the per-run :class:`ProfileReport`.
+"""The per-run :class:`ProfileReport`, derived from a solved run.
 
-A :class:`Profiler` attaches to one :class:`~repro.hw.engine.Engine` as
-its *probe*: the engine calls :meth:`Profiler.on_cycle` once per cycle
-(a probed run always ticks the dense loop) and
-:meth:`Profiler.on_run_end` when ``run()`` finishes.  With no probe
-attached the engine pays a single ``is None`` check per simulated cycle
-— the metrics-disabled path adds nothing to the per-module hot loop.
-
-The profiler harvests three layers into one report:
-
-* **module attribution** — busy / starved / stalled cycle tallies the
-  modules already keep, with the remainder as idle, so every module's
-  four states sum exactly to the run's cycles;
-* **queues and memory** — per-queue occupancy histograms (sampled each
-  cycle), push totals and back-pressure stalls, per-channel memory
-  grant counts and utilization, and the reads/writes of every scratchpad
-  reachable from the modules;
-* **timeline** — coalesced per-module activity spans (via
-  :class:`~repro.obs.timeline.TimelineRecorder`) that the Chrome-trace
-  exporter renders as a visual waterfall.
+A ``maxplus`` run leaves its :class:`~repro.hw.maxplus.Solution` on the
+engine: every module's actions and every queue's push and pop cycles.
+:func:`profile_solution` derives from it alone what the dense loop's
+ticks would have counted: per module, busy / starved / stalled / idle
+cycles and their coalesced spans (the Chrome-trace exporter's
+timeline); per queue, its occupancy histogram and change points, pushes
+and full stalls; per memory channel, its grants; per scratchpad, its
+reads and writes; and the queue topology bottleneck analysis
+(:mod:`repro.obs.analyze`) walks.  Between two of a module's actions a
+cycle is starved (a head its next step needs has not arrived) or stalled
+(an output it needs has no room, or an RMW hazard): step functions of
+the lists, so a gap costs O(1).  What a module's idle ticks record is
+declared on its class and steps (``Module.room_first``,
+``Module.drained``, ``Step.busy``).  A run that ticked ``dense`` has no
+solution, and no profile.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..hw.maxplus import RESPONSES
 from .registry import Histogram
-from .timeline import Span, TimelineRecorder
+
+#: Module activity states.
+STATES = ("busy", "stalled", "starved", "idle")
+
+
+@dataclass
+class Span:
+    """A run of consecutive cycles in one state: [start, end), counted
+    from the start of the run."""
+
+    start: int
+    end: int
+    state: str
+
+    @property
+    def cycles(self) -> int:
+        """Cycles covered by the span."""
+        return self.end - self.start
 
 
 @dataclass
@@ -142,16 +157,52 @@ class ProfileReport:
         return max(self.modules, key=lambda m: m.busy).name
 
     def validate(self) -> None:
-        """Check the core invariant: every module's busy + starved +
-        stalled + idle cycles sum to the run's total cycles."""
-        for profile in self.modules:
-            if profile.total != self.cycles:
-                raise ValueError(
-                    f"{profile.name}: states sum to {profile.total}, "
-                    f"run has {self.cycles} cycles"
-                )
-            if profile.idle < 0:
-                raise ValueError(f"{profile.name}: negative idle cycles")
+        """Check the report's identities: every module's four states sum
+        to the run's cycles and, where the report has timelines, its
+        spans tile ``[0, cycles)`` with those totals; no module's output
+        queues hold more full stalls than it stalled; every sampled
+        queue's histogram covers the run, its top at ``max_occupancy``."""
+        def check(holds: bool, message: str) -> None:
+            if not holds:
+                raise ValueError(message)
+
+        stalls = {queue.name: queue.full_stalls for queue in self.queues}
+        charged = Counter()
+        for name, edge in self.edges.items():
+            for producer in edge.get("producers", ()):
+                charged[producer] += stalls.get(name, 0)
+        for m in self.modules:
+            check(m.total == self.cycles,
+                  f"{m.name}: states sum to {m.total}, run has {self.cycles} cycles")
+            check(m.idle >= 0, f"{m.name}: negative idle cycles")
+            check(charged[m.name] <= m.stalled,
+                  f"{m.name}: its output queues hold {charged[m.name]} full "
+                  f"stalls, it stalled {m.stalled} cycles")
+            if not self.timelines:
+                continue
+            spans = self.timelines.get(m.name, [])
+            bounds = [0] + [span.end for span in spans]
+            check(
+                [span.start for span in spans] == bounds[:-1]
+                and all(span.cycles > 0 for span in spans)
+                and bounds[-1] == self.cycles,
+                f"{m.name}: spans do not tile [0, {self.cycles})",
+            )
+            totals = {state: getattr(m, state) for state in STATES}
+            for span in spans:
+                totals[span.state] -= span.cycles
+            check(not any(totals.values()),
+                  f"{m.name}: spans and counters differ by {totals}")
+        for q in self.queues:
+            counts = q.occupancy_counts
+            if counts:
+                check(sum(counts) == self.cycles,
+                      f"{q.name}: occupancy covers {sum(counts)} cycles, "
+                      f"run has {self.cycles}")
+                top = max((n for n, count in enumerate(counts) if count), default=0)
+                check(top == q.max_occupancy,
+                      f"{q.name}: occupancy reaches {top}, "
+                      f"max_occupancy says {q.max_occupancy}")
 
     def render(self) -> str:
         """A human-readable profile table."""
@@ -201,7 +252,7 @@ class ProfileReport:
 
 
 class Profiler:
-    """Engine probe: collects per-cycle observations and builds reports.
+    """Profiles an engine's solved run.
 
     Usage::
 
@@ -213,174 +264,228 @@ class Profiler:
 
     def __init__(self, name: str = "run"):
         self.name = name
-        self.recorder: Optional[TimelineRecorder] = None
         self._engine = None
-        self._last_stats = None
-        self._start_cycle = 0
-        self._module_base: Dict[str, Tuple[int, int, int, int]] = {}
-        self._queue_base: Dict[str, Tuple[int, int]] = {}
-        self._queue_last_occ: Dict[str, int] = {}
-        self._occupancy: Dict[str, Histogram] = {}
-        self._queue_points: Dict[str, List[Tuple[int, int]]] = {}
-        self._mem_base: Tuple[int, int, int] = (0, 0, 0)
-        self._channel_base: List[int] = []
-
-    # -- lifecycle -----------------------------------------------------------------
 
     def attach(self, engine) -> "Profiler":
-        """Become ``engine``'s probe; profiling covers activity from the
-        next cycle boundary on."""
-        if self._engine is not None:
-            raise RuntimeError("profiler is already attached")
-        engine.probe = self
+        """Profile ``engine``'s runs (the report covers the last one)."""
         self._engine = engine
-        self._start_cycle = engine.cycle
-        for module in engine.modules:
-            self._module_base[module.name] = (
-                module.busy_cycles, module.starve_cycles,
-                module.stall_cycles, module.flits_out,
-            )
-        for queue in engine.queues:
-            self._queue_base[queue.name] = (queue.total_pushed, queue.full_stalls)
-            self._queue_last_occ[queue.name] = len(queue)
-            self._occupancy[queue.name] = Histogram()
-            self._queue_points[queue.name] = []
-        memory = engine.memory
-        self._mem_base = (
-            memory.requests_served, memory.bytes_transferred,
-            memory.responses_completed,
-        )
-        self._channel_base = list(memory.channel_grants)
-        self.recorder = TimelineRecorder(engine)
         return self
 
-    def detach(self) -> None:
-        """Stop observing (the engine reverts to the zero-cost path)."""
-        if self._engine is not None:
-            self._engine.probe = None
-            self._engine = None
-
-    # -- engine hooks --------------------------------------------------------------
-
-    def on_cycle(self, engine, cycle: int) -> None:
-        """Called by the engine after ``cycle``'s ticks and queue commits."""
-        self.recorder.sample(cycle)
-        occupancy = self._occupancy
-        last_occ = self._queue_last_occ
-        for queue in engine.queues:
-            name = queue.name
-            occ = len(queue._items)
-            occupancy[name].record(occ)
-            if occ != last_occ[name]:
-                points = self._queue_points[name]
-                if len(points) < 100_000:
-                    points.append((cycle, occ))
-                last_occ[name] = occ
-
-    def on_run_end(self, engine, stats) -> None:
-        """Called by ``Engine.run`` with the finished :class:`RunStats`."""
-        self._last_stats = stats
-
-    # -- report --------------------------------------------------------------------
-
     def report(self, extra: Optional[Dict[str, object]] = None) -> ProfileReport:
-        """Build the :class:`ProfileReport` for the profiled window."""
-        engine = self._engine
-        if engine is None:
+        """The :class:`ProfileReport` of the engine's last run."""
+        if self._engine is None:
             raise RuntimeError("profiler is not attached to an engine")
-        stats = self._last_stats
-        cycles = (
-            stats.cycles if stats is not None
-            else engine.cycle - self._start_cycle
+        return profile_solution(self._engine, self.name, extra)
+
+
+def profile_solution(
+    engine, name: str = "run", extra: Optional[Dict[str, object]] = None
+) -> ProfileReport:
+    """The :class:`ProfileReport` of ``engine``'s last run, derived from
+    the solution it left; raises RuntimeError when it has none (the run
+    ticked ``dense``)."""
+    solution = engine.solution
+    if solution is None:
+        raise RuntimeError(
+            f"profile {name}: the engine holds no solution to derive it "
+            "from — it has not run, or its last run ticked dense (a module "
+            "without a plan, a queue cycle, or a wave the max-plus mode "
+            "cannot solve)"
         )
-        modules = []
-        for module in engine.modules:
-            base = self._module_base.get(module.name, (0, 0, 0, 0))
-            busy = module.busy_cycles - base[0]
-            starved = module.starve_cycles - base[1]
-            stalled = module.stall_cycles - base[2]
-            modules.append(ModuleProfile(
-                name=module.name,
-                kind=type(module).__name__,
-                busy=busy,
-                starved=starved,
-                stalled=stalled,
-                idle=cycles - busy - starved - stalled,
-                flits_out=module.flits_out - base[3],
-            ))
-        queues = []
-        for queue in engine.queues:
-            base = self._queue_base[queue.name]
-            queues.append(QueueProfile(
-                name=queue.name,
-                capacity=queue.capacity,
-                total_pushed=queue.total_pushed - base[0],
-                max_occupancy=queue.max_occupancy,
-                full_stalls=queue.full_stalls - base[1],
-                occupancy_counts=list(self._occupancy[queue.name].counts),
-            ))
-        memory = engine.memory
-        base_req, base_bytes, base_resp = self._mem_base
-        channel_base = self._channel_base or [0] * len(memory.channel_grants)
-        mem_profile = MemoryProfile(
-            requests=memory.requests_served - base_req,
-            bytes_transferred=memory.bytes_transferred - base_bytes,
-            responses=memory.responses_completed - base_resp,
+    stats, start = solution.stats, solution.start
+    end = start + stats.cycles
+    lists = {}
+    for _steps, _actions, view in solution.actors.values():
+        lists.update(view)
+    full_stalls = Counter()
+    modules, timelines = [], {}
+    for module in engine.modules:
+        spans, totals = _module_states(
+            module, *solution.actors[id(module)], start, end, full_stalls
+        )
+        timelines[module.name] = spans
+        modules.append(ModuleProfile(
+            name=module.name, kind=type(module).__name__,
+            busy=totals["busy"], starved=totals["starved"],
+            stalled=totals["stalled"], idle=totals["idle"],
+            flits_out=totals["busy"],
+        ))
+    queues, queue_points = [], {}
+    for queue in engine.queues:
+        pushes, pops = lists[id(queue)]
+        histogram, points = _occupancy(pushes, pops, start, end)
+        queues.append(QueueProfile(
+            name=queue.name, capacity=queue.capacity,
+            total_pushed=len(pushes), max_occupancy=len(histogram.counts) - 1,
+            full_stalls=full_stalls[id(queue)],
+            occupancy_counts=histogram.counts,
+        ))
+        if points:
+            queue_points[queue.name] = points
+    memory = engine.memory
+    requests = sum(solution.grants.values())
+    spms: Dict[str, Dict[str, int]] = {}
+    for module in engine.modules:
+        spm = getattr(module, "spm", None)
+        if spm is not None and spm.name not in spms:
+            spms[spm.name] = {"reads": spm.reads, "writes": spm.writes}
+    return ProfileReport(
+        name=name,
+        cycles=stats.cycles,
+        mode=stats.mode,
+        wall_seconds=stats.wall_seconds,
+        ticks_executed=stats.ticks_executed,
+        ticks_possible=stats.ticks_possible,
+        modules=modules,
+        queues=queues,
+        memory=MemoryProfile(
+            requests=requests,
+            bytes_transferred=requests * memory.config.access_bytes,
+            responses=requests,
             channels=[
-                ChannelProfile(channel=index, grants=grants - channel_base[index])
-                for index, grants in enumerate(memory.channel_grants)
+                ChannelProfile(channel, solution.grants.get(channel, 0))
+                for channel in range(len(memory.channel_grants))
             ],
+        ),
+        spms=spms,
+        timelines=timelines,
+        queue_points=queue_points,
+        extra=dict(extra or {}),
+        edges={
+            queue.name: {
+                "producers": [m.name for m in queue.producers],
+                "consumers": [m.name for m in queue.consumers],
+            }
+            for queue in engine.queues
+        },
+    )
+
+
+def _module_states(module, steps, actions, view, start, end, full_stalls):
+    """One module's coalesced state spans over ``[start, end)`` (counted
+    from ``start``) and its cycles per state, walking its actions over
+    its view of the timing lists; charges each stalled cycle to the
+    output queue short of room (``full_stalls``, by queue ``id``)."""
+    # An input is [push cycles, pop cycles, heads popped so far]; an
+    # output [push cycles, pop cycles, flits pushed so far, capacity,
+    # delta, queue id].
+    ins = {
+        port: [*view[id(queue)], 0] for port, queue in module.inputs.items()
+    }
+    if RESPONSES in view:
+        ins[RESPONSES] = [*view[RESPONSES], 0]
+    outs = {}
+    for port, queue in module.outputs.items():
+        delta = 0 if queue.consumers[0]._index < module._index else 1
+        outs[port] = [*view[id(queue)], 0, queue.capacity, delta, id(queue)]
+    # Per step: the list and index its action's cycle is read from (its
+    # first pop, else its first push), the heads it waits for, the rooms
+    # it needs, the counters it moves, and the state of its cycle.
+    compiled = {}
+    for index in set(actions):
+        step = steps[index]
+        clock = (
+            (ins[step.pops[0]], 1) if step.pops
+            else (outs[step.pushes[0]], 0) if step.pushes else (None, 0)
         )
-        spms: Dict[str, Dict[str, int]] = {}
-        for module in engine.modules:
-            spm = getattr(module, "spm", None)
-            if spm is not None and spm.name not in spms:
-                spms[spm.name] = {"reads": spm.reads, "writes": spm.writes}
-        report = ProfileReport(
-            name=self.name,
-            cycles=cycles,
-            mode=stats.mode if stats is not None else "partial",
-            wall_seconds=stats.wall_seconds if stats is not None else 0.0,
-            ticks_executed=stats.ticks_executed if stats is not None else 0,
-            ticks_possible=stats.ticks_possible if stats is not None else 0,
-            modules=modules,
-            queues=queues,
-            memory=mem_profile,
-            spms=spms,
-            timelines={
-                name: list(timeline.spans)
-                for name, timeline in self.recorder.timelines.items()
-            },
-            queue_points={
-                name: list(points)
-                for name, points in self._queue_points.items()
-                if points
-            },
-            extra=dict(extra or {}),
-            edges={
-                queue.name: {
-                    "producers": [m.name for m in queue.producers],
-                    "consumers": [m.name for m in queue.consumers],
-                }
-                for queue in engine.queues
-            },
+        compiled[index] = (
+            *clock,
+            [ins[port] for port in (*step.pops, *step.peeks)],
+            [outs[port] for port in step.rooms],
+            [ins[port] for port in (*step.pops, *step.assumes)]
+            + [outs[port] for port in step.pushes],
+            "busy" if step.busy or step.pushes else "idle",
         )
-        return report
+
+    def room(out):  # the first cycle the next push on ``out`` has room
+        k = out[2] - out[3]
+        return out[1][k] + out[4] if k >= 0 else start
+
+    runs = []  # [first, stop, state], coalesced
+
+    def mark(first, stop, state):
+        if stop > first:
+            if runs and runs[-1][2] == state and runs[-1][1] == first:
+                runs[-1][1] = stop
+            else:
+                runs.append([first, stop, state])
+
+    def stall(first, stop, rooms):  # each cycle charged to the first short of room
+        mark(first, stop, "stalled")
+        for out in rooms:
+            until = min(stop, room(out))
+            if until > first:
+                full_stalls[out[5]] += until - first
+                first = until
+
+    room_first = module.room_first
+
+    def wait(first, t, heads, rooms):  # the cycles [first, t) before an action
+        if room_first:
+            until = max(first, min(t, max(map(room, rooms), default=first)))
+            stall(first, until, rooms)
+            mark(until, t, "starved")
+        else:
+            ready = max((head[0][head[2]] + 1 for head in heads), default=first)
+            until = max(first, min(t, ready))
+            mark(first, until, "starved")
+            stall(until, t, rooms)
+
+    prev = start - 1
+    for index in actions:
+        clock, which, heads, rooms, moves, state = compiled[index]
+        if clock is None:
+            t = max([prev + 1] + [room(out) for out in rooms])
+        else:
+            t = clock[which][clock[2]]
+        if t > prev + 1:
+            wait(prev + 1, t, heads, rooms)
+        if runs and runs[-1][1] == t and runs[-1][2] == state:
+            runs[-1][1] = t + 1
+        else:
+            runs.append([t, t + 1, state])
+        for counter in moves:
+            counter[2] += 1
+        prev = t
+    first = prev + 1
+    if room_first:
+        rooms = list(outs.values())
+        until = max(first, min(end, max(map(room, rooms), default=first)))
+        stall(first, until, rooms)
+        first = until
+    mark(first, end, module.drained)
+    totals = dict.fromkeys(STATES, 0)
+    for first, stop, state in runs:
+        totals[state] += stop - first
+    spans = [Span(first - start, stop - start, state) for first, stop, state in runs]
+    return spans, totals
+
+
+def _occupancy(pushes, pops, start, end):
+    """A queue's occupancy over ``[start, end)``, as the dense loop sees it
+    after each cycle's commit: a :class:`Histogram` of cycles per
+    occupancy, and its change points ``(cycle from start, occupancy)``."""
+    change = Counter(pushes)
+    change.subtract(pops)
+    histogram = Histogram()
+    points = []
+    level, since = 0, start
+    for cycle in sorted(change):
+        if change[cycle]:
+            histogram.record(level, cycle - since)
+            level += change[cycle]
+            since = cycle
+            points.append((cycle - start, level))
+    histogram.record(level, end - since)
+    return histogram, points
 
 
 def profile_engine_run(
     engine,
     max_cycles: int = 100_000_000,
-    mode: Optional[str] = None,
     name: str = "run",
     extra: Optional[Dict[str, object]] = None,
 ) -> Tuple[object, ProfileReport]:
-    """Attach a fresh profiler, run the engine, return (stats, report)."""
-    profiler = Profiler(name=name)
-    profiler.attach(engine)
-    try:
-        stats = engine.run(max_cycles=max_cycles, mode=mode)
-        report = profiler.report(extra=extra)
-    finally:
-        profiler.detach()
-    return stats, report
+    """Run the engine and return (stats, the run's profile)."""
+    stats = engine.run(max_cycles=max_cycles)
+    return stats, profile_solution(engine, name, extra)

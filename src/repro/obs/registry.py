@@ -5,8 +5,8 @@ A :class:`MetricsRegistry` is an in-process accumulator of labelled
 DESIGN.md §3.3, checked by ``tools/check_docs.py``): the SQL
 :class:`~repro.sql.executor.Executor` charges each operator's seconds
 and rows to it when a caller passes one as ``metrics=``.
-:class:`Histogram` is the occupancy distribution the
-:class:`~repro.obs.profile.Profiler` keeps per queue.  Nothing on the
+:class:`Histogram` is the occupancy distribution a
+:class:`~repro.obs.profile.ProfileReport` derives per queue.  Nothing on the
 run path (scheduler, sharding, serve, runtime, faults) writes here —
 those facts live once in the ledger and once in the stats object the
 caller reads.

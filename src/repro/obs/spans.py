@@ -1,8 +1,8 @@
 """Fleet-wide distributed tracing: trace-context spans over the virtual
 clock, folded from the run ledger.
 
-The profiler's :class:`~repro.obs.timeline.TimelineRecorder` answers
-"what was module X doing at cycle C" *inside one engine run*; this
+A :class:`~repro.obs.profile.ProfileReport`'s timelines answer "what
+was module X doing at cycle C" *inside one engine run*; this
 module answers the fleet question: where did one tenant's job spend its
 cycles across dispatch, PCIe transfer, SPM load, kernel execution,
 fault backoff, and drain — across N devices and through a drain/resume

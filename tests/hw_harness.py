@@ -7,12 +7,15 @@ every engine mode (:data:`MODES`) and returns everything each output
 produced, once the modes agree on it.  ``assert_stage_identical`` /
 ``assert_same_cycles`` say when two runs of a stage agree on the answer
 and on the modelled clock, and ``assert_matches_oracle`` when a run
-agrees with the ``repro.gatk`` software oracle.
+agrees with the ``repro.gatk`` software oracle.  :class:`TickProfiler`
+is the dense oracle of a profile, and ``assert_same_profile`` holds a
+profile derived from a solved run to it.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,7 +27,17 @@ from repro.gatk.active_region import compute_activity
 from repro.hw.engine import Engine, RunStats
 from repro.hw.flit import Flit, Stream
 from repro.hw.maxplus import Plan, Step, planned
-from repro.hw.module import Module
+from repro.hw.module import Module, SourceModule
+from repro.obs.profile import (
+    ChannelProfile,
+    MemoryProfile,
+    ModuleProfile,
+    ProfileReport,
+    QueueProfile,
+    Span,
+    STATES,
+)
+from repro.obs.registry import Histogram
 from repro.tables.genomic_tables import table_to_reads
 
 
@@ -32,10 +45,10 @@ from repro.tables.genomic_tables import table_to_reads
 MODES = ("dense", "maxplus")
 
 _EMIT = Step(pushes=("out",), rooms=("out",))
-_POP = Step(pops=("in",))
+_POP = Step(pops=("in",), busy=True)
 
 
-class ListSource(Module):
+class ListSource(SourceModule):
     """Emits a pre-loaded flit list, one flit per cycle."""
 
     def __init__(self, name: str, flits: Sequence[Flit]):
@@ -68,7 +81,7 @@ class ListSource(Module):
 
 
 class ListSink(Module):
-    """Collects every flit it receives."""
+    """Collects every flit it receives (starved while there is none)."""
 
     def __init__(self, name: str):
         super().__init__(name)
@@ -79,6 +92,8 @@ class ListSink(Module):
         if queue.can_pop():
             self.collected.append(queue.pop())
             self._note_busy()
+        else:
+            self._note_starved()
 
     def plan(self, streams) -> Plan:
         stream = streams["in"]
@@ -89,6 +104,151 @@ class ListSink(Module):
             self.flits_out += len(stream)
 
         return Plan({}, (_POP,), [0] * len(stream), commit)
+
+
+class TickProfiler:
+    """The dense oracle of :class:`repro.obs.Profiler`, with its
+    interface: attached to an engine, it makes the engine's runs tick
+    ``dense`` and, after every cycle, delta-samples each module's busy /
+    stall / starve counters (busy > stalled > starved > idle names the
+    cycle's state) and each queue's occupancy, so :meth:`report` builds
+    by observation the report the profiler derives from a solution.
+    Planless modules (which a solution cannot hold) profile only here."""
+
+    def __init__(self, name: str = "run"):
+        self.name = name
+
+    def attach(self, engine: Engine) -> "TickProfiler":
+        self.engine = engine
+        step, run = engine.step, engine.run
+
+        def sampled() -> None:
+            step()
+            self._sample(engine.cycle - 1)
+
+        def ticked(max_cycles: int = 100_000_000, mode=None) -> RunStats:
+            self._begin()
+            self.stats = run(max_cycles=max_cycles, mode="dense")
+            return self.stats
+
+        engine.step, engine.run = sampled, ticked
+        return self
+
+    def _begin(self) -> None:
+        engine = self.engine
+        self.start = engine.cycle
+        self.counters = {m.name: self._counters(m) for m in engine.modules}
+        self.base = {m.name: self.counters[m.name] for m in engine.modules}
+        self.spans = {m.name: [] for m in engine.modules}
+        self.stalls = {q.name: q.full_stalls for q in engine.queues}
+        self.pushed = {q.name: q.total_pushed for q in engine.queues}
+        self.levels = {q.name: len(q) for q in engine.queues}
+        self.histograms = {q.name: Histogram() for q in engine.queues}
+        self.points = {q.name: [] for q in engine.queues}
+        memory = engine.memory
+        self.memory = (memory.requests_served, memory.bytes_transferred,
+                       memory.responses_completed, list(memory.channel_grants))
+
+    @staticmethod
+    def _counters(module: Module) -> tuple:  # in STATES order
+        return module.busy_cycles, module.stall_cycles, module.starve_cycles
+
+    def _sample(self, cycle: int) -> None:
+        cycle -= self.start
+        for module in self.engine.modules:
+            now = self._counters(module)
+            before = self.counters[module.name]
+            self.counters[module.name] = now
+            moved = [state for state, a, b in zip(STATES, now, before) if a > b]
+            state = moved[0] if moved else "idle"
+            spans = self.spans[module.name]
+            if spans and spans[-1].state == state and spans[-1].end == cycle:
+                spans[-1].end = cycle + 1
+            else:
+                spans.append(Span(cycle, cycle + 1, state))
+        for queue in self.engine.queues:
+            level = len(queue)
+            self.histograms[queue.name].record(level)
+            if level != self.levels[queue.name]:
+                self.points[queue.name].append((cycle, level))
+                self.levels[queue.name] = level
+
+    def report(self, extra: Optional[Dict[str, object]] = None) -> ProfileReport:
+        engine, stats = self.engine, self.stats
+        modules = []
+        for module in engine.modules:
+            busy, stalled, starved = (
+                now - was for now, was in
+                zip(self._counters(module), self.base[module.name])
+            )
+            modules.append(ModuleProfile(
+                module.name, type(module).__name__, busy, starved, stalled,
+                stats.cycles - busy - starved - stalled, busy,
+            ))
+        queues = [
+            QueueProfile(
+                queue.name, queue.capacity,
+                queue.total_pushed - self.pushed[queue.name],
+                len(self.histograms[queue.name].counts) - 1,
+                queue.full_stalls - self.stalls[queue.name],
+                self.histograms[queue.name].counts,
+            )
+            for queue in engine.queues
+        ]
+        memory = engine.memory
+        requests, transferred, responses, grants = self.memory
+        spms: Dict[str, Dict[str, int]] = {}
+        for module in engine.modules:
+            spm = getattr(module, "spm", None)
+            if spm is not None and spm.name not in spms:
+                spms[spm.name] = {"reads": spm.reads, "writes": spm.writes}
+        return ProfileReport(
+            name=self.name, cycles=stats.cycles, mode=stats.mode,
+            wall_seconds=stats.wall_seconds,
+            ticks_executed=stats.ticks_executed,
+            ticks_possible=stats.ticks_possible,
+            modules=modules, queues=queues,
+            memory=MemoryProfile(
+                memory.requests_served - requests,
+                memory.bytes_transferred - transferred,
+                memory.responses_completed - responses,
+                [
+                    ChannelProfile(channel, count - grants[channel])
+                    for channel, count in enumerate(memory.channel_grants)
+                ],
+            ),
+            spms=spms,
+            timelines=self.spans,
+            queue_points={
+                name: points for name, points in self.points.items() if points
+            },
+            extra=dict(extra or {}),
+            edges={
+                queue.name: {
+                    "producers": [m.name for m in queue.producers],
+                    "consumers": [m.name for m in queue.consumers],
+                }
+                for queue in engine.queues
+            },
+        )
+
+
+#: The report fields only the engine mode, or the host, may change.
+HOST_PROFILE_FIELDS = ("mode", "wall_seconds", "ticks_executed")
+
+
+def assert_same_profile(derived: ProfileReport, oracle: ProfileReport) -> None:
+    """A profile derived from a solved run equals the dense oracle's
+    (:class:`TickProfiler`) field by field, but for
+    :data:`HOST_PROFILE_FIELDS`; both hold :meth:`ProfileReport.validate`."""
+    assert derived.mode == "maxplus" and oracle.mode == "dense"
+    want, got = dataclasses.asdict(oracle), dataclasses.asdict(derived)
+    for name in HOST_PROFILE_FIELDS:
+        del want[name], got[name]
+    for name in want:
+        assert got[name] == want[name], name
+    derived.validate()
+    oracle.validate()
 
 
 def assert_runs_equivalent(want: RunStats, got: RunStats) -> None:

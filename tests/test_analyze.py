@@ -2,7 +2,8 @@
 
 The acceptance test builds a pipeline with a *known* bottleneck — a
 fast source feeding a throttled consumer through a small queue — runs
-it under the profiler, and checks the analyzer names the throttle as
+it under the dense oracle's profiler (``hw_harness.TickProfiler``: the
+throttle has no plan), and checks the analyzer names the throttle as
 root with attribution equal to the ProfileReport's stall accounting.
 """
 
@@ -17,11 +18,10 @@ from repro.obs.profile import (
     MemoryProfile,
     ModuleProfile,
     ProfileReport,
-    Profiler,
     QueueProfile,
 )
 
-from hw_harness import ListSink, ListSource
+from hw_harness import ListSink, ListSource, TickProfiler
 
 
 class Throttle(Module):
@@ -69,12 +69,10 @@ def _profiled_throttle_run(n_flits=60, period=5):
         engine.add_module(module)
     engine.connect(source, throttle)
     engine.connect(throttle, sink)
-    profiler = Profiler()
-    profiler.attach(engine)
-    engine.run(mode="dense")
-    report = profiler.report()
-    profiler.detach()
-    return report
+    # Throttle has no plan, so only the dense oracle can profile it.
+    profiler = TickProfiler().attach(engine)
+    engine.run()
+    return profiler.report()
 
 
 class TestKnownBottleneck:
@@ -142,11 +140,9 @@ class TestMultiHopChain:
         engine.connect(source, relay)
         engine.connect(relay, slow)
         engine.connect(slow, sink)
-        profiler = Profiler()
-        profiler.attach(engine)
-        engine.run(mode="dense")
+        profiler = TickProfiler().attach(engine)
+        engine.run()
         report = profiler.report()
-        profiler.detach()
 
         assert report.module("source").stalled > 0
         assert report.module("relay").stalled > 0

@@ -84,7 +84,7 @@ def test_profile_parser_defaults(capsys):
     assert args.command == "profile"
     assert args.stage == "markdup"
     assert args.trace is None
-    # a probed run can only tick dense: there is no schedule to choose
+    # a profile is derived from the solved run: there is no mode to choose
     with pytest.raises(SystemExit) as exit_info:
         main(["--no-ledger", "profile", "--mode", "dense"])
     assert exit_info.value.code == 2
@@ -103,6 +103,8 @@ def test_profile_emits_report_and_artifacts(tmp_path, capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "cycles" in out and "busy" in out
+    # the profiled wave is solved, not ticked
+    assert "maxplus mode" in out and "(skip ratio 0.0%)" not in out
 
     # the chrome trace is valid JSON in the trace-event format
     loaded = json.loads(trace.read_text())
@@ -111,6 +113,7 @@ def test_profile_emits_report_and_artifacts(tmp_path, capsys):
 
     # the flat report upholds the cycle-attribution invariant
     flat = json.loads(report.read_text())
+    assert flat["mode"] == "maxplus" and flat["skip_ratio"] > 0
     for name, entry in flat["modules"].items():
         states = entry["busy"] + entry["starved"] + entry["stalled"] + entry["idle"]
         assert states == flat["cycles"], name
@@ -217,6 +220,8 @@ def test_cli_records_runs_in_ledger(tmp_path, capsys):
     events = [record["event"] for record in records]
     assert events[0] == "run.start"
     assert "profile.report" in events
+    profiled = records[events.index("profile.report")]
+    assert profiled["mode"] == "maxplus"
     assert "cli.exit" in events
     assert events[-1] == "run.end"
     start = records[0]

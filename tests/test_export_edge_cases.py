@@ -112,12 +112,9 @@ class TestHistogramBuckets:
         )
         sink = engine.add_module(ListSink("sink"))
         engine.connect(source, sink)
-        profiler = Profiler()
-        profiler.attach(engine)
-        engine.run(mode="dense")
-        report = profiler.report()
-        profiler.detach()
-        return report
+        profiler = Profiler().attach(engine)
+        engine.run()
+        return profiler.report()
 
     def test_csv_carries_occupancy_buckets(self):
         report = self._profiled_report()

@@ -8,8 +8,9 @@ repeated addresses — over drawn queue capacities, memory channels and
 latencies, with up to four replicas sharing one memory.  Every draw must
 solve to exactly what the dense loop ticks out: cycles, flit and busy
 counts, memory traffic and arbitration, every output, every scratchpad
-and its counters, every hazard stall.  Where the mode cannot apply it must tick
-the dense loop and say so.
+and its counters, every hazard stall — and the profile derived from the
+solution must be the one the dense oracle observes tick by tick.  Where
+the mode cannot apply it must tick the dense loop and say so.
 """
 
 import copy
@@ -29,7 +30,9 @@ from hw_harness import (
     ANSWERS,
     ListSink,
     ListSource,
+    TickProfiler,
     assert_runs_equivalent,
+    assert_same_profile,
     engine_modes,
     side_effects,
 )
@@ -241,6 +244,11 @@ def outcome(engine: Engine, mode: str):
     """Run ``engine`` under ``mode``; returns its stats and everything the
     run leaves behind."""
     stats = engine.run(mode=mode)
+    return stats, leftovers(engine)
+
+
+def leftovers(engine: Engine):
+    """Everything a run left behind in ``engine``'s modules and memory."""
     memory = engine.memory
     left = {
         module.name: side_effects(module) for module in engine.modules
@@ -256,7 +264,7 @@ def outcome(engine: Engine, mode: str):
         [(a._next, a.grants) for a in memory._arbiters],
     )
     left["clock"] = engine.cycle
-    return stats, left
+    return left
 
 
 @settings(max_examples=120, deadline=None)
@@ -312,12 +320,17 @@ def outcome(engine: Engine, mode: str):
     capacity=1, channels=1, latency=0, elem_size=4,
 ))
 def test_maxplus_solves_what_dense_ticks(pipeline):
-    dense_stats, dense_left = outcome(build(pipeline), "dense")
+    engine = build(pipeline)
+    oracle = TickProfiler().attach(engine)
+    dense_stats, dense_left = engine.run(), leftovers(engine)
+    engine = build(pipeline)
+    profiler = Profiler().attach(engine)
     with streams_checked():
-        stats, left = outcome(build(pipeline), "maxplus")
+        stats, left = outcome(engine, "maxplus")
     assert stats.mode == "maxplus"
     assert_runs_equivalent(dense_stats, stats)
     assert left == dense_left
+    assert_same_profile(profiler.report(), oracle.report())
 
 
 #: The planned module classes a drawn pipeline holds.
@@ -386,6 +399,8 @@ def test_stage_replicas_solve_what_dense_ticks(
     wave = parts[first % len(parts):][:replicas]
     config = MemoryConfig(channels=channels, latency_cycles=latency)
 
+    profiles = {"dense": TickProfiler(), "maxplus": Profiler()}
+
     def run(mode):
         engine = Engine(MemorySystem(config), default_queue_capacity=capacity)
         contexts = []
@@ -396,6 +411,7 @@ def test_stage_replicas_solve_what_dense_ticks(
                 spm, _load = load_reference_spm(ref_row, config, driver.with_snp)
                 base = spm_base(ref_row)
             contexts.append(driver.build_replica(engine, f"p{index}", part, spm, base))
+        profiles[mode].attach(engine)
         try:
             stats = engine.run(mode=mode)
         except RuntimeError as error:  # e.g. SEQ / QUAL diverged
@@ -408,6 +424,7 @@ def test_stage_replicas_solve_what_dense_ticks(
         return
     assert got.mode == "maxplus"
     assert_runs_equivalent(want, got)
+    assert_same_profile(profiles["maxplus"].report(), profiles["dense"].report())
     for expected, result in zip(want_results, results):
         for field in ANSWERS[stage]:
             assert np.array_equal(
@@ -488,10 +505,18 @@ def _chain(sink=None):
     return engine, sink
 
 
-def test_a_probe_falls_back():
+def test_a_profiled_run_is_solved():
+    """Profiling is no reason to tick: a profiled run is solved, and a
+    run that ticks ``dense`` (the fall-back included) leaves no solution
+    to profile."""
     engine, _sink = _chain()
-    Profiler().attach(engine)
-    assert engine.run(mode="maxplus").mode == "dense"
+    profiler = Profiler().attach(engine)
+    assert engine.run(mode="maxplus").mode == "maxplus"
+    assert profiler.report().mode == "maxplus"
+    assert engine.run(mode="dense").mode == "dense"
+    assert engine.solution is None
+    with pytest.raises(RuntimeError, match="ticked dense"):
+        profiler.report()
 
 
 def test_a_module_ticking_without_its_plan_falls_back():
@@ -598,8 +623,8 @@ def test_a_fallen_back_run_leaves_the_modules_as_dense_does():
 def test_every_module_that_ticks_plans():
     """Every :class:`Module` class under ``repro`` that defines a ``tick``
     has a ``plan`` for it, so a wave that falls back to ``dense`` on the
-    run path does so for a probe or a pathological wave, never for a
-    missing plan."""
+    run path — and so leaves no profile — does so for a pathological
+    wave, never for a missing plan."""
     import repro
 
     for info in pkgutil.walk_packages(repro.__path__, "repro."):

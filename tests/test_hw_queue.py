@@ -60,7 +60,7 @@ def test_statistics():
         queue.push(Flit({}))
     queue.commit()
     assert queue.total_pushed == 3
-    assert queue.max_occupancy == 3
+    assert len(queue) == 3
 
 
 def test_capacity_validation():

@@ -1,22 +1,26 @@
-"""Tests for the observability layer: registry, timelines, profiler,
-report invariants, and exporters."""
+"""Tests for the observability layer: registry, timelines, the profile
+derived from a solved run (held to the dense oracle), report invariants,
+and exporters."""
 
 import csv
 import json
 
 import pytest
 
+import repro.obs
 from repro.accel.common import SOLO
 from repro.accel.markdup import MarkdupWaveDriver, qual_table
 from repro.accel.scheduler import SpmImageCache
+from repro.accel.stages import STAGES
+from repro.eval.experiments import profile_stage
 from repro.hw.engine import Engine
 from repro.hw.flit import item_flits
 from repro.hw.modules import Reducer
 from repro.obs import (
+    STATES,
     Histogram,
     MetricsRegistry,
     Profiler,
-    TimelineRecorder,
     chrome_trace,
     profile_engine_run,
     report_to_csv_rows,
@@ -26,7 +30,7 @@ from repro.obs import (
     write_report_json,
 )
 
-from hw_harness import ListSink, ListSource
+from hw_harness import ListSink, ListSource, TickProfiler, assert_same_profile
 
 
 def build_chain(n_values=20, capacity=None):
@@ -82,69 +86,41 @@ def test_values_by_name():
     assert {inst.value for inst in values.values()} == {1, 2}
 
 
-# -- timeline recorder ---------------------------------------------------------------
+# -- timelines ----------------------------------------------------------------------
+
+
+def _oracle(engine, name="run"):
+    """The dense oracle's profile of ``engine``'s run."""
+    oracle = TickProfiler(name).attach(engine)
+    stats = engine.run()
+    return stats, oracle.report()
 
 
 def test_recorder_coalesces_spans_and_counts_states():
+    """A solved run's spans coalesce as the per-cycle recorder's (the
+    dense oracle's) do, state by state."""
     engine, sink = build_chain(10)
-    recorder = TimelineRecorder(engine)
-    while not engine.is_quiescent() or engine.cycle == 0:
-        engine.step()
-        recorder.sample()
+    _stats, report = profile_engine_run(engine)
     assert sink.collected
-    src = recorder.timelines["src"]
-    totals = src.state_cycles()
-    assert totals["busy"] > 0
-    assert src.cycles_recorded() == recorder.cycles_recorded
+    src = report.timelines["src"]
+    assert sum(s.cycles for s in src if s.state == "busy") == 10
+    assert sum(s.cycles for s in src) == report.cycles
     # spans are coalesced: far fewer spans than cycles
-    assert len(src.spans) < recorder.cycles_recorded
-
-
-def test_recorder_ignores_duplicate_cycle():
-    engine, _sink = build_chain(5)
-    recorder = TimelineRecorder(engine)
-    engine.step()
-    assert recorder.sample() is True
-    assert recorder.sample() is False  # same cycle again
-    assert recorder.cycles_recorded == 1
-
-
-def test_recorder_attached_mid_run_starts_at_next_boundary():
-    engine, _sink = build_chain(10)
-    for _ in range(4):
-        engine.step()
-    recorder = TimelineRecorder(engine)
-    assert recorder.attach_cycle == 4
-    assert recorder.sample() is False  # cycle 3 pre-dates the attach
-    engine.step()
-    assert recorder.sample() is True
-    assert recorder.cycles_recorded == 1
-    for timeline in recorder.timelines.values():
-        for span in timeline.spans:
-            assert span.start >= 4
-
-
-def test_recorder_stops_at_max_cycles():
-    engine, _sink = build_chain(50)
-    recorder = TimelineRecorder(engine, max_cycles=10)
-    for _ in range(15):
-        engine.step()
-        recorder.sample()
-    assert recorder.cycles_recorded == 10
-    assert recorder.sample() is False
-    for timeline in recorder.timelines.values():
-        assert timeline.cycles_recorded() == 10
+    assert len(src) < report.cycles
+    assert_same_profile(report, _oracle(build_chain(10)[0])[1])
 
 
 def test_state_fractions_sum_to_one():
     engine, _sink = build_chain(12)
-    recorder = TimelineRecorder(engine)
-    while not engine.is_quiescent() or engine.cycle == 0:
-        engine.step()
-        recorder.sample()
-    for fractions in recorder.state_fractions().values():
+    _stats, report = profile_engine_run(engine)
+    for name, spans in report.timelines.items():
+        fractions = {
+            state: sum(s.cycles for s in spans if s.state == state) / report.cycles
+            for state in STATES
+        }
         assert sum(fractions.values()) == pytest.approx(1.0)
-    assert recorder.busiest_module() in ("src", "mid", "sink")
+        assert fractions["busy"] == report.module(name).utilization(report.cycles)
+    assert report.bottleneck() in ("src", "mid", "sink")
 
 
 # -- profiler ------------------------------------------------------------------------
@@ -152,9 +128,14 @@ def test_state_fractions_sum_to_one():
 
 @pytest.mark.parametrize("mode", ["maxplus", "dense"])
 def test_profile_states_sum_to_cycles(mode):
+    """The profile of a solved run and the dense oracle's."""
     engine, sink = build_chain(30)
-    stats, report = profile_engine_run(engine, mode=mode, name="chain")
+    if mode == "maxplus":
+        stats, report = profile_engine_run(engine, name="chain")
+    else:
+        stats, report = _oracle(engine, "chain")
     assert sink.collected
+    assert report.mode == stats.mode == mode
     assert report.cycles == stats.cycles
     report.validate()  # busy+starved+stalled+idle == cycles, per module
     for profile in report.modules:
@@ -162,20 +143,19 @@ def test_profile_states_sum_to_cycles(mode):
 
 
 def test_profile_modes_agree_on_cycles_and_flits():
-    """A probed run ticks the dense loop and lands where the unprobed
-    max-plus solution does; its timelines cover the whole run."""
+    """A profiled run is solved, not ticked, and its profile — timelines
+    covering the whole run included — is what the dense loop shows."""
     engine, _sink = build_chain(25)
-    _stats, report = profile_engine_run(engine)
-    assert report.mode == "dense"
-    engine, _sink = build_chain(25)
-    solved = engine.run()
-    assert solved.mode == "maxplus"
+    solved, report = profile_engine_run(engine)
+    assert report.mode == solved.mode == "maxplus"
+    assert 0 < report.skip_ratio < 1
     assert report.cycles == solved.cycles
     for profile in report.modules:
         assert profile.flits_out == solved.flits_by_module[profile.name]
         assert profile.busy == solved.busy_by_module[profile.name]
     for spans in report.timelines.values():
         assert sum(s.cycles for s in spans) == report.cycles
+    assert_same_profile(report, _oracle(build_chain(25)[0])[1])
 
 
 def test_profile_queue_occupancy_covers_run():
@@ -188,35 +168,22 @@ def test_profile_queue_occupancy_covers_run():
 
 
 def test_profile_backpressure_counts_stalls():
-    engine = Engine()
-    source = engine.add_module(ListSource("src", item_flits(list(range(40)))))
+    """One-slot queues: a flit every other cycle, so the source stalls
+    on its queue every other cycle."""
+    def build():
+        engine = Engine(default_queue_capacity=1)
+        source = engine.add_module(ListSource("src", item_flits(list(range(40)))))
+        sink = engine.add_module(ListSink("sink"))
+        engine.connect(source, sink)
+        return engine
 
-    class SlowSink(ListSink):
-        def tick(self, cycle):
-            if cycle % 3 == 0:
-                super().tick(cycle)
-
-    sink = engine.add_module(SlowSink("sink"))
-    engine.connect(source, sink, capacity=2)
-    _stats, report = profile_engine_run(engine, mode="dense")
+    _stats, report = profile_engine_run(build())
     report.validate()
-    assert report.module("src").stalled > 0
+    assert report.module("src").stalled == 39
     queue = report.queues[0]
-    assert queue.full_stalls > 0
-    assert queue.max_occupancy == 2
-
-
-def test_profiler_attach_is_exclusive_and_detachable():
-    engine, _sink = build_chain(5)
-    profiler = Profiler()
-    profiler.attach(engine)
-    with pytest.raises(RuntimeError):
-        profiler.attach(engine)
-    profiler.detach()
-    assert engine.probe is None
-    other = Profiler()
-    other.attach(engine)
-    assert engine.probe is other
+    assert queue.full_stalls == 39
+    assert queue.max_occupancy == 1
+    assert_same_profile(report, _oracle(build())[1])
 
 
 def test_profiler_memory_channels():
@@ -232,12 +199,49 @@ def test_profiler_memory_channels():
     assert len(report.memory.channels) == 4
 
 
+@pytest.mark.parametrize("stage", tuple(STAGES))
+def test_profile_stage_derives_what_dense_ticks(stage, monkeypatch):
+    """``profile_stage`` — the Fig. 9 path and ``repro profile`` — solves
+    its wave, and its profile is the dense oracle's."""
+    derived = profile_stage(stage)
+    assert derived.mode == "maxplus"
+    monkeypatch.setattr(repro.obs, "Profiler", TickProfiler)
+    assert_same_profile(derived, profile_stage(stage))
+
+
+@pytest.mark.parametrize("change, complaint", [
+    # a gap in a module's timeline
+    (lambda r: r.timelines["mid"].pop(1), "do not tile"),
+    # spans that end past the run
+    (lambda r: setattr(r.timelines["src"][-1], "end", r.cycles + 1),
+     "do not tile"),
+    # span totals that disagree with the counters
+    (lambda r: setattr(r.timelines["sink"][0], "state", "idle"),
+     "spans and counters differ"),
+    # an occupancy histogram that misses a cycle ...
+    (lambda r: r.queues[0].occupancy_counts.append(1), "occupancy covers"),
+    # ... or tops out somewhere else than max_occupancy
+    (lambda r: setattr(r.queues[0], "max_occupancy", 2), "occupancy reaches"),
+    # more full stalls on a module's outputs than it stalled
+    (lambda r: setattr(r.queues[0], "full_stalls", 1), "full stalls"),
+], ids=["gap", "overrun", "totals", "histogram", "max_occupancy", "full_stalls"])
+def test_validate_catches_a_tampered_report(change, complaint):
+    _stats, report = profile_engine_run(build_chain(12)[0])
+    report.validate()
+    assert report.module("src").stalled == 0
+    assert report.queues[0].max_occupancy == 1
+    change(report)
+    with pytest.raises(ValueError, match=complaint):
+        report.validate()
+
+
 def test_report_render_mentions_modules():
     engine, _sink = build_chain(10)
     _stats, report = profile_engine_run(engine, name="demo")
     text = report.render()
     assert "demo" in text
     assert "src" in text and "mid" in text and "sink" in text
+    assert "maxplus mode" in text
 
 
 # -- exporters -----------------------------------------------------------------------

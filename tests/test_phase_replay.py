@@ -167,7 +167,7 @@ def test_replay_follows_the_engine_mode(monkeypatch, mode):
 
 
 #: The RunStats fields that are per-mode host statistics.
-HOST_FIELDS = ("mode", "ticks_executed", "starve_by_module")
+HOST_FIELDS = ("mode", "ticks_executed")
 
 
 @settings(max_examples=40, deadline=None)
@@ -202,7 +202,7 @@ def test_replayed_stats_share_no_dict_instances():
     loads = [load_reference_spm(row, with_snp=True)[1] for _ in range(2)]
     for a, b in (drains, loads):
         assert a is not b
-        for name in ("flits_by_module", "busy_by_module", "starve_by_module"):
+        for name in ("flits_by_module", "busy_by_module"):
             assert getattr(a, name) == getattr(b, name)
             assert getattr(a, name) is not getattr(b, name)
         a.flits_by_module.clear()  # one caller's edit stays its own

@@ -7,7 +7,7 @@ from repro.accel.example_query import (
 )
 from repro.hw.engine import Engine
 from repro.hw.memory import MemorySystem
-from repro.obs.timeline import TimelineRecorder
+from repro.obs import Profiler
 
 
 def test_trace_real_pipeline(workload):
@@ -19,23 +19,22 @@ def test_trace_real_pipeline(workload):
     engine = Engine(MemorySystem())
     pipe = build_example_pipeline(engine, "tr", spm, spm_base(ref_row))
     feed_read_streams(pipe, part)
-    recorder = TimelineRecorder(engine, max_cycles=50_000)
-    idle_streak = 0
-    while idle_streak < 2 and recorder.cycles_recorded < 50_000:
-        engine.step()
-        recorder.sample()
-        idle_streak = idle_streak + 1 if engine.is_quiescent() else 0
+    profiler = Profiler().attach(engine)
+    stats = engine.run()
 
-    # Sampling must not change functional results.
+    # Profiling must not change functional results, nor the mode.
     counts = [int(item[0]) for item in pipe.modules["tr.writer"].items]
     assert counts == count_matching_bases_sw(part, ref_row)
+    assert stats.mode == "maxplus"
 
+    report = profiler.report()
+    report.validate()  # the spans tile the whole run, however long
     busy = {
-        name: fractions["busy"]
-        for name, fractions in recorder.state_fractions().items()
+        name: sum(s.cycles for s in spans if s.state == "busy") / report.cycles
+        for name, spans in report.timelines.items()
     }
     # The base-granularity modules are the busy ones; the per-read modules
     # (pos/endpos readers, writer) mostly idle.
     assert busy["tr.r2b"] > busy["tr.pos"]
     assert busy["tr.join"] > 0.3
-    assert recorder.busiest_module() in busy
+    assert report.bottleneck() in busy
