@@ -4,20 +4,20 @@ produce bit-identical results.
 
 The host scheduler survives real infrastructure failure (a pool worker
 killed with ``os._exit``, a wave hung past the watchdog deadline) via a
-retry -> requeue -> serial-fallback ladder, and the runtime retries
-transient transfer errors while charging the failed DMA time to the
-virtual timeline.  Fault injection is deterministic — a seeded
-``FaultPlan`` decides every site — so the faulted run is asserted equal
-to the clean one, read for read.  See DESIGN.md §3.5.
+retry -> requeue -> serial-fallback ladder.  A failed PCIe transfer is
+a failed attempt of the wave that issued it, retried on the same
+ladder; on a served run its backoff costs penalty cycles on the
+service's virtual clock.  Fault injection is deterministic — a seeded
+``FaultPlan`` decides every faulted wave — so the faulted run is
+asserted equal to the clean one, read for read.  See DESIGN.md §3.5.
 
 Run:  python examples/fault_tolerance.py
 """
 
 from repro.accel import MetadataWaveDriver, run_sharded
-from repro.accel.markdup import run_quality_sums
 from repro.eval import make_workload
-from repro.faults import FaultInjector, FaultPlan, RetryPolicy
-from repro.runtime import GenesisRuntime
+from repro.faults import FaultPlan, RetryPolicy
+from repro.serve import JobService, JobSpec
 
 
 def main() -> None:
@@ -58,30 +58,36 @@ def main() -> None:
           f"timeout(s), {stats.pool_restarts} pool restart(s)")
     print("results and simulated cycles bit-identical to the clean run")
 
-    # 3. A transient PCIe error on the runtime API: the failed DMA
-    #    attempt occupies the link for its full duration, then retries.
-    def kernel(inputs):
-        result = run_quality_sums(inputs["QUAL"])
-        return {"sums": result.quality_sums}, result.stats.cycles
+    # 3. A transient PCIe error on a served run: the job service retries
+    #    the wave whose DMA failed, and the ladder's backoff becomes
+    #    fault_penalty cycles ahead of that wave on the virtual clock.
+    def serve(fault_plan=None):
+        service = JobService(fault_plan=fault_plan, retry_policy=policy)
+        status = service.submit(JobSpec(
+            tenant="lab", driver=driver, partitions=workload.partitions,
+            n_pipelines=4,
+        ))
+        summary = service.run_until_idle()
+        penalty = sum(
+            fields["penalty_cycles"] for event, fields in service.events
+            if event == "serve.wave.done"
+        )
+        return service.results(status.job_id), summary, penalty
 
-    def run(injector=None):
-        runtime = GenesisRuntime(fault_injector=injector, retry_policy=policy)
-        runtime.register_pipeline(0, kernel)
-        quals = [read.qual for read in workload.reads]
-        runtime.configure_mem(quals, 1, sum(len(q) for q in quals), "QUAL", 0)
-        runtime.configure_mem(None, 4, len(quals), "SUMS", 0, is_output=True)
-        runtime.run_genesis(0)
-        return runtime.genesis_flush(0)["sums"], runtime
-
-    clean_sums, clean_rt = run()
-    sums, faulted_rt = run(FaultInjector(FaultPlan.from_spec("transfer_error",
-                                                            seed=7)))
-    assert sums == clean_sums
-    failed = sum(1 for t in faulted_rt.device.transfers if not t.ok)
-    extra = faulted_rt.elapsed_seconds - clean_rt.elapsed_seconds
-    print(f"runtime: {failed} failed DMA retried; +{extra * 1e6:.1f}us of "
-          "virtual time charged, identical outputs")
-
+    clean_served, clean_summary, _ = serve()
+    served, summary, penalty = serve(
+        FaultPlan.from_spec("transfer_error", seed=7)
+    )
+    assert set(served) == set(clean_served)
+    for pid, res in clean_served.items():
+        assert (served[pid].nm, served[pid].md, served[pid].uq) == (
+            res.nm, res.md, res.uq
+        )
+    assert summary.faults == {"transfer_error": 1} and penalty > 0
+    print(f"served run: {summary.retries} failed DMA retried; its backoff "
+          f"cost {penalty} fault_penalty cycles (virtual clock "
+          f"{clean_summary.clock_cycles} -> {summary.clock_cycles} cycles), "
+          "identical outputs")
 
 if __name__ == "__main__":
     main()

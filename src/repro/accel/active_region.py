@@ -118,8 +118,6 @@ class AnchorInsertions(Module):
 
         def commit(_timed) -> None:
             self._anchor = anchor
-            self.busy_cycles += len(stream)
-            self.flits_out += len(stream)
 
         return Plan(
             {"out": stream.with_columns({self.pos_field: positions})},

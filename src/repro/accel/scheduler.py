@@ -87,6 +87,7 @@ from ..faults.injector import (
     InjectedFaultError,
     RetryBudgetExceeded,
 )
+from ..faults.plan import WAVE_FAULT_SITE
 from ..faults.retry import FailedAttempt, RetryLadder, RetryPolicy
 from ..hw.engine import Engine, RunStats
 from ..hw.memory import MemoryConfig, MemorySystem
@@ -105,9 +106,6 @@ from .common import (
 
 #: One (pid, partition) work item as accepted by the scheduler.
 WaveItem = Tuple[PartitionId, Table]
-
-#: The injection site wave attempts are polled at (slot = wave index).
-WAVE_FAULT_SITE = "scheduler.wave"
 
 #: Pool breakages tolerated (each rebuilds the pool) before the run
 #: degrades permanently to serial in-process execution.

@@ -2,12 +2,11 @@
 
 Genomic-scale systems treat failure as the common case: devices go
 busy, slow, or away mid-run.  This package supplies the seeded fault
-plans (:mod:`repro.faults.plan`), the injector that enacts them at
-named sites (:mod:`repro.faults.injector`), and the retry policy
-(:mod:`repro.faults.retry`) that the host scheduler
-(:mod:`repro.accel.scheduler`) and the runtime API
-(:mod:`repro.runtime`) recover with.  See DESIGN.md §3.5 for the fault
-model and the recovery ladder.
+plans (:mod:`repro.faults.plan`), the injector that enacts them as
+failed wave attempts (:mod:`repro.faults.injector`), and the retry
+policy and ladder (:mod:`repro.faults.retry`) the wave executor
+(:mod:`repro.accel.scheduler`) recovers with.  See DESIGN.md §3.5 for
+the fault model and the recovery ladder.
 """
 
 from .injector import (
@@ -21,20 +20,12 @@ from .injector import (
     InjectedWorkerCrash,
     RetryBudgetExceeded,
 )
-from .plan import (
-    DEFAULT_SITES,
-    FAULT_KINDS,
-    KNOWN_SITES,
-    FaultPlan,
-    FaultSpec,
-)
+from .plan import FAULT_KINDS, WAVE_FAULT_SITE, FaultPlan, FaultSpec
 from .retry import NO_RETRY, FailedAttempt, RetryLadder, RetryPolicy
 
 __all__ = [
-    "DEFAULT_SITES",
     "FAULT_EXCEPTIONS",
     "FAULT_KINDS",
-    "KNOWN_SITES",
     "FailedAttempt",
     "FaultInjector",
     "FaultPlan",
@@ -49,4 +40,5 @@ __all__ = [
     "RetryBudgetExceeded",
     "RetryLadder",
     "RetryPolicy",
+    "WAVE_FAULT_SITE",
 ]

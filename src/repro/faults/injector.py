@@ -1,15 +1,13 @@
 """The fault injector: enacts a :class:`~repro.faults.plan.FaultPlan`.
 
-One :class:`FaultInjector` is built per run and consulted at every
-instrumented site.  The call pattern is always the same::
+One :class:`FaultInjector` is built per run and consulted by the wave
+executor before every attempt of a wave, at the one site
+(:data:`~repro.faults.plan.WAVE_FAULT_SITE`, slot = the wave's index)::
 
-    slot = injector.next_slot("runtime.transfer")   # once per operation
-    ...
-    fault = injector.poll("runtime.transfer", slot, attempt)
+    fault = injector.poll(WAVE_FAULT_SITE, wave_index, attempt)
     if fault is not None:
-        ...charge the cost, retry...
+        ...the attempt fails; retry...
 
-``next_slot`` allocates slot indices in deterministic arrival order;
 ``poll`` answers "does the plan fault this (site, slot, attempt)?" and,
 when it does, records the injection — an :class:`InjectedFault` in
 ``injector.injected`` and a ``fault.injected`` ledger event against the
@@ -69,13 +67,13 @@ class InjectedWaveTimeout(InjectedFaultError):
 
 
 class InjectedTransferError(InjectedFaultError):
-    """A PCIe DMA transfer failing."""
+    """A wave attempt whose PCIe DMA failed."""
 
     kind = "transfer_error"
 
 
 class InjectedLaunchError(InjectedFaultError):
-    """A device pipeline launch failing."""
+    """A wave attempt whose pipeline launch failed."""
 
     kind = "launch_error"
 
@@ -119,18 +117,11 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan):
         self.plan = plan
         self.injected: List[InjectedFault] = []
-        self._slots: Dict[str, int] = {}
         #: (site, kind) -> (target slot set, attempts that fail).
         self._targets: List[Tuple[FaultSpec, Set[int]]] = [
             (spec, set(plan.targets(spec))) for spec in plan.specs
         ]
         self._recorded: Set[Tuple[str, str, int, int]] = set()
-
-    def next_slot(self, site: str) -> int:
-        """Allocate the next arrival-order slot index at ``site``."""
-        slot = self._slots.get(site, 0)
-        self._slots[site] = slot + 1
-        return slot
 
     def due(self, site: str, slot: int, attempt: int) -> Optional[FaultSpec]:
         """The first spec faulting ``(site, slot, attempt)``, if any —

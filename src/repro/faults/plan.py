@@ -2,12 +2,14 @@
 
 A :class:`FaultPlan` declares *which* faults a run will suffer — worker
 crashes, wave-item timeouts, PCIe transfer errors, device launch
-failures — and *where*: every injection point in the codebase is a named
-**site** (``scheduler.wave``, ``runtime.transfer``, ``runtime.launch``),
-and every logical operation arriving at a site is assigned a **slot**
-index in deterministic arrival order (the packed wave's global index
-for the scheduler, on every device topology, and the dispatch ordinal
-of a served wave; transfer/launch ordinal for the runtime).
+failures — and *where*.  Every fault is a failed attempt of a wave, so
+there is one injection **site**, :data:`WAVE_FAULT_SITE`
+(``scheduler.wave``), polled by the wave executor on every run path.
+Each wave arriving there has a **slot** index in deterministic order:
+the packed wave's global index for a direct run, on every device
+topology, and the dispatch ordinal of a served wave.  The four kinds
+are labels of that one failure; a spec naming any other site is
+refused when it is parsed.
 
 The determinism contract: **same seed + same plan ⇒ same injected
 faults**.  Each spec's target slots are derived once, from a
@@ -25,8 +27,8 @@ Spec grammar (the CLI's ``--inject-faults`` argument)::
 * ``KIND`` — one of ``worker_crash``, ``wave_timeout``,
   ``transfer_error``, ``launch_error``;
 * ``COUNT`` — how many slots the spec faults (default 1);
-* ``SITE`` — the injection site (defaults to the kind's natural site,
-  see :data:`DEFAULT_SITES`);
+* ``SITE`` — the injection site; ``scheduler.wave`` (the default) is
+  the only one;
 * ``ATTEMPTS`` — how many consecutive attempts at a faulted slot fail
   before it succeeds (default 1: the first retry goes through);
 * ``SPREAD`` — target slots are spaced by seeded gaps drawn from
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from ..errors import InputError
 
@@ -52,17 +54,8 @@ FAULT_KINDS = (
     "launch_error",
 )
 
-#: The site each kind naturally injects at when the spec names none.
-DEFAULT_SITES: Dict[str, str] = {
-    "worker_crash": "scheduler.wave",
-    "wave_timeout": "scheduler.wave",
-    "transfer_error": "runtime.transfer",
-    "launch_error": "runtime.launch",
-}
-
-#: Sites instrumented by the codebase (documented; the plan accepts any
-#: name so tests can invent private sites).
-KNOWN_SITES = ("scheduler.wave", "runtime.transfer", "runtime.launch")
+#: The one injection site: a wave attempt (slot = the wave's index).
+WAVE_FAULT_SITE = "scheduler.wave"
 
 
 @dataclass(frozen=True)
@@ -71,7 +64,7 @@ class FaultSpec:
     ``kind``, each for ``attempts`` consecutive attempts."""
 
     kind: str
-    site: str = ""
+    site: str = WAVE_FAULT_SITE
     count: int = 1
     attempts: int = 1
     spread: int = 0
@@ -84,8 +77,11 @@ class FaultSpec:
                 f"unknown fault kind {self.kind!r} "
                 f"(choose from {', '.join(FAULT_KINDS)})"
             )
-        if not self.site:
-            object.__setattr__(self, "site", DEFAULT_SITES[self.kind])
+        if self.site != WAVE_FAULT_SITE:
+            raise ValueError(
+                f"unknown fault site {self.site!r} (every fault is a "
+                f"failed wave attempt at {WAVE_FAULT_SITE})"
+            )
         if self.count < 1:
             raise ValueError("fault count must be >= 1")
         if self.attempts < 1:
@@ -101,7 +97,7 @@ class FaultSpec:
             raise ValueError("empty fault spec item")
         spread = 0
         attempts = 1
-        site = ""
+        site = WAVE_FAULT_SITE
         count = 1
         if "~" in item:
             item, raw = item.rsplit("~", 1)
@@ -134,12 +130,12 @@ class FaultSpec:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A seeded set of fault specs; the unit the CLI, the scheduler, and
-    the runtime all share.
+    """A seeded set of fault specs; the unit the CLI, a direct run and
+    the job service share.
 
-    The plan itself is immutable and picklable; all mutable bookkeeping
-    (slot counters, injected-fault records) lives in the
-    :class:`~repro.faults.injector.FaultInjector` built over it.
+    The plan itself is immutable and picklable; the injected-fault
+    records live in the :class:`~repro.faults.injector.FaultInjector`
+    built over it.
     """
 
     seed: int = 0
@@ -173,17 +169,6 @@ class FaultPlan:
             slots.append(slot)
             slot += 1 + (rng.randrange(spec.spread + 1) if spec.spread else 0)
         return tuple(slots)
-
-    def for_site(self, site: str) -> Tuple[FaultSpec, ...]:
-        """The specs injecting at ``site``, in declaration order."""
-        return tuple(spec for spec in self.specs if spec.site == site)
-
-    def sites(self) -> Tuple[str, ...]:
-        """Every site the plan touches."""
-        seen: Dict[str, None] = {}
-        for spec in self.specs:
-            seen.setdefault(spec.site, None)
-        return tuple(seen)
 
     def render(self) -> str:
         """The whole plan in spec-grammar form."""

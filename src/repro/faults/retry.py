@@ -4,8 +4,8 @@ The backoff for retrying ``(slot, attempt)`` is a pure function of the
 policy — ``base * multiplier**attempt``, scaled by a jitter factor drawn
 from a ``random.Random`` seeded by ``(policy seed, slot, attempt)`` and
 capped at ``max_backoff`` — so two runs of the same faulted schedule
-sleep the same amounts and the virtual-timeline accounting of the
-runtime's transfer retries is reproducible.
+sleep the same amounts and a served wave's backoff, charged as penalty
+cycles on the service's virtual clock, is reproducible.
 
 :class:`RetryLadder` is the one place a failed attempt becomes "retry
 after this backoff" or "budget gone" (DESIGN.md §3.5).
@@ -63,8 +63,8 @@ RetryBudgetExceeded` propagates.  Jitter decorrelates retries without
         attempt: int,
         clock: Callable[[float], None] = time.sleep,
     ) -> float:
-        """Sleep the backoff (``clock`` injectable for tests and for
-        charging virtual timelines); returns the seconds slept."""
+        """Sleep the backoff (``clock`` injectable for tests); returns
+        the seconds slept."""
         seconds = self.backoff_seconds(slot, attempt)
         if seconds > 0:
             clock(seconds)
@@ -105,8 +105,8 @@ class RetryLadder:
 
     Iterating polls the injector attempt by attempt and yields one
     :class:`FailedAttempt` per injected fault — budget tested, backoff
-    already charged to ``clock`` (a real sleep, a virtual timeline's
-    ``advance_host``) — until an attempt polls clean; :attr:`attempt` is
+    already charged to ``clock`` (a real sleep; tests substitute a fake)
+    — until an attempt polls clean; :attr:`attempt` is
     then that attempt.  The failure that spends the budget is yielded
     too, so callers can book it, and resuming after it raises
     :meth:`exceeded`, with :attr:`attempt` one past the failure.  A

@@ -98,16 +98,18 @@ class Timed(NamedTuple):
 class Plan:
     """A module's run, computed without touching the module.
 
-    ``commit`` applies the module's end state (counters, collected
-    values, scratchpad words) once the wave is known to run under this
-    mode; until then the module is as it was.
+    ``commit`` applies the module's end state (collected values,
+    scratchpad words, stall counts; a stateless module has none) once
+    the wave is known to run under this mode; until then the module is
+    as it was.  The run counts the module's busy cycles and flits
+    itself, from ``actions``.
     """
 
     outputs: Dict[str, Stream]
     steps: Sequence[Step]
     #: Index into ``steps`` per action, in order.
     actions: List[int]
-    commit: Callable[[Timed], None]
+    commit: Callable[[Timed], None] = lambda _timed: None
     #: False when the module would end holding state (the wave deadlocks).
     idle: bool = True
     #: The module's memory port, for a Memory Reader or Writer.
@@ -205,11 +207,13 @@ def _topological(engine) -> Optional[list]:
 # -- the functional pass -------------------------------------------------------------
 
 
-def _plan_all(order) -> Optional[list]:
-    """Every module's plan, in ``order``; None when a module would not
-    finish its streams or two modules share a scratchpad one writes."""
+def _plan_all(order) -> Optional[Tuple[list, list]]:
+    """Every module's plan, in ``order``, and per plan its busy actions
+    (those whose step pushes or is :attr:`Step.busy`); None when a module
+    would not finish its streams or two modules share a scratchpad one
+    writes."""
     streams: Dict[int, Stream] = {}
-    plans = []
+    plans, busy = [], []
     for module in order:
         try:
             plan = module.plan(
@@ -229,6 +233,7 @@ def _plan_all(order) -> Optional[list]:
         for port, queue in module.outputs.items():
             streams.setdefault(id(queue), EMPTY)
         popped = Counter()
+        acted = 0
         for index, count in Counter(plan.actions).items():
             step = plan.steps[index]
             inputs = {*step.pops, *step.peeks, *step.assumes} - {RESPONSES}
@@ -239,10 +244,13 @@ def _plan_all(order) -> Optional[list]:
                 return None  # the tick would raise on an unconnected port
             for port in (*step.pops, *step.assumes):
                 popped[port] += count
+            if step.pushes or step.busy:
+                acted += count
         for port, queue in module.inputs.items():
             if popped[port] != len(streams[id(queue)]):
                 return None
         plans.append(plan)
+        busy.append(acted)
     written = [plan.writes_spm for plan in plans if plan.writes_spm is not None]
     for spm in written:
         touching = [
@@ -251,7 +259,7 @@ def _plan_all(order) -> Optional[list]:
         ]
         if len(touching) > 1:
             return None
-    return plans
+    return plans, busy
 
 
 # -- the memory system ---------------------------------------------------------------
@@ -663,9 +671,10 @@ def run_maxplus(engine, max_cycles: int):
     order = _topological(engine)
     if order is None:
         return None
-    plans = _plan_all(order)
-    if plans is None:
+    planned_all = _plan_all(order)
+    if planned_all is None:
         return None
+    plans, busy = planned_all
 
     start = engine.cycle
     memory = engine.memory
@@ -704,7 +713,9 @@ def run_maxplus(engine, max_cycles: int):
             actor.plan.commit(Timed(actor.stalls, actor.entered))
         else:
             actor.plan.commit(Timed())
-    for module, plan in zip(order, plans):
+    for module, plan, acted in zip(order, plans, busy):
+        module.busy_cycles += acted
+        module.flits_out += acted
         for port, queue in module.outputs.items():
             queue.total_pushed += len(plan.outputs.get(port, ()))
     requests = sum(len(done) for done in completions.values())

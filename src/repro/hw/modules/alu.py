@@ -186,13 +186,9 @@ class StreamAlu(Module):
             else:
                 results[index] = func(operand, second)
 
-        def commit(_timed) -> None:
-            self.busy_cycles += len(stream)
-            self.flits_out += len(stream)
-
         return Plan(
             {"out": stream.with_columns({self.out_field: results})},
-            (step,), [0] * len(stream), commit,
+            (step,), [0] * len(stream),
         )
 
 
@@ -233,12 +229,8 @@ class Fork(Module):
         stream = streams["in"]
         ports = tuple(self.port_names)
 
-        def commit(_timed) -> None:
-            self.busy_cycles += len(stream)
-            self.flits_out += len(stream)
-
         return Plan(
             dict.fromkeys(ports, stream),
             (Step(pops=("in",), pushes=ports, rooms=ports),),
-            [0] * len(stream), commit,
+            [0] * len(stream),
         )

@@ -166,8 +166,6 @@ class BinIdGen(Module):
 
         def commit(_timed) -> None:
             self._reverse, self._seqlen, self._prev_base = reverse, seqlen, prev
-            self.busy_cycles += len(rows)
-            self.flits_out += len(rows)
 
         out = bases.gather(rows, [row < 0 for row in rows])
         return Plan(

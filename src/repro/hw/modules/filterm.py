@@ -127,8 +127,6 @@ class Filter(Module):
 
         def commit(_timed) -> None:
             self.dropped += dropped
-            self.busy_cycles += len(rows)
-            self.flits_out += len(rows)
 
         # nothing dropped: the output is the input, flit for flit
         out = stream.gather(rows, last) if dropped else stream

@@ -278,8 +278,6 @@ class Joiner(Module):
         def commit(_timed) -> None:
             self._a_done, self._b_done = a_done, b_done
             self.discarded += discarded
-            self.busy_cycles += len(rows_a)
-            self.flits_out += len(rows_a)
 
         return Plan(
             {"out": _joined(a, rows_a, b, rows_b, self.key_b)}, _STEPS,

@@ -159,8 +159,6 @@ class MdGen(Module):
             self._tokens = tokens
             self._match_run = twin._match_run
             self._in_deletion = twin._in_deletion
-            self.busy_cycles += len(md)
-            self.flits_out += len(md)
 
         return Plan(
             {"out": Stream(

@@ -127,8 +127,6 @@ class MemoryReader(SourceModule):
             self._cursor = len(self._stream)
             self._credits = credits + fetch * per_line - payload
             self._lines_requested = self._lines_completed = self._lines_total
-            self.busy_cycles += len(stream)
-            self.flits_out += len(stream)
 
         return Plan(
             {"out": stream}, _STEPS, actions, commit,

@@ -87,8 +87,6 @@ class MemoryWriter(SinkModule):
             self.items.extend(items)
             self._current_item = current
             self._buffered = buffered
-            self.busy_cycles += len(stream)
-            self.flits_out += len(stream)
 
         return Plan(
             {}, (_POP,), [0] * len(stream), commit,

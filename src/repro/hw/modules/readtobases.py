@@ -274,8 +274,6 @@ class ReadToBases(Module):
             self._element_op, self._element_left = op, left
             self._cigar_done = cigar_done
             self.reads_exploded += exploded
-            self.busy_cycles += len(last)
-            self.flits_out += len(last)
 
         return Plan(
             {"out": Stream(last, columns, filled=map(operator.not_, last))},

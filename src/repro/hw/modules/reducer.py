@@ -134,8 +134,6 @@ class Reducer(Module):
 
         def commit(_timed) -> None:
             self._acc = acc
-            self.busy_cycles += len(out)
-            self.flits_out += len(out)
 
         return Plan(
             {"out": Stream.of_scalars(out, self.out_field)},

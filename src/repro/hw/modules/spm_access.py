@@ -143,8 +143,6 @@ class SpmUpdater(Module):
                        writes=updates)
             self._next_address = address
             self.updates += updates
-            self.busy_cycles += updates
-            self.flits_out += updates
             if hazards is not None:
                 self._interlock.settle(timed.entered, timed.stalls)
 
@@ -342,8 +340,6 @@ class SpmReader(Module):
             spm.commit({}, reads=reads)
             self._cursor, self._end = cursor, end
             self._drain_cursor, self._draining = drain_cursor, draining
-            self.busy_cycles += len(last)
-            self.flits_out += len(last)
 
         return Plan(
             {"out": out}, _READER_STEPS, actions, commit,

@@ -363,12 +363,13 @@ class _Fold:
         self.queue(f).waves.append(f)
 
     def fault_injected(self, f):
-        if f["site"] == "scheduler.wave":  # the other sites lay no marker
+        # the one site; an older ledger's retired sites lay no marker
+        if f["site"] == "scheduler.wave":
             self.queue(f).faults.append(f)
 
     def fault_backoff(self, f):
-        # ``fault.retry`` (the runtime's, keyed by site and slot, names no
-        # wave) and the ``fault.serial_fallback`` of an exhausted budget
+        # ``fault.retry`` (an older ledger's card retry names no wave)
+        # and the ``fault.serial_fallback`` of an exhausted budget
         if "wave" in f and "backoff_seconds" in f:
             self.queue(f).backoffs[f["wave"], f["attempt"]] = (
                 f["backoff_seconds"]

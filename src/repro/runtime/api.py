@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
-from ..faults.injector import FaultInjector
-from ..faults.retry import RetryPolicy
 from ..obs.log import get_logger
 from .device import DeviceConfig, GenesisDevice
 
@@ -64,26 +62,14 @@ class PipelineState:
 class GenesisRuntime:
     """Host-side manager for Genesis pipelines on one device.  Its
     API-level traffic reads off :attr:`device`: every DMA is a row of
-    ``device.transfers`` (failed attempts with ``ok=False``), occupancy
-    is ``device.timeline``, reservations ``device.allocated_bytes``.
-
-    Pass a :class:`~repro.faults.injector.FaultInjector` (and optionally
-    a :class:`~repro.faults.retry.RetryPolicy`) to subject PCIe
-    transfers and pipeline launches to the injector's fault plan; the
-    device retries them, charging retried transfer time and backoff to
-    the virtual timeline (see :class:`~repro.runtime.device.\
-GenesisDevice`).
+    ``device.transfers``, occupancy is ``device.timeline``, reservations
+    ``device.allocated_bytes``.  Like the paper's host API it has no
+    fault model: an injected fault is a failed wave attempt
+    (DESIGN.md §3.5).
     """
 
-    def __init__(
-        self,
-        config: Optional[DeviceConfig] = None,
-        fault_injector: Optional[FaultInjector] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-    ):
-        self.device = GenesisDevice(
-            config, fault_injector=fault_injector, retry_policy=retry_policy
-        )
+    def __init__(self, config: Optional[DeviceConfig] = None):
+        self.device = GenesisDevice(config)
         self._pipelines: Dict[int, PipelineState] = {}
 
     # -- pipeline registry ---------------------------------------------------------

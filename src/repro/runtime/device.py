@@ -8,21 +8,18 @@ advance it by the PCIe transfer time, ``run_genesis`` schedules a
 completion timestamp from simulated cycle counts, and host-side compute
 advances it explicitly.  ``check_genesis`` then genuinely answers "has
 the accelerator finished *yet*".
+
+The card has no fault model of its own: a failed DMA or launch is a
+failed attempt of the wave that issued it, injected and retried by the
+wave executor (DESIGN.md §3.5), so a fault never moves this timeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Optional, Protocol, Sequence, Tuple
 
 from ..constants import CLOCK_HZ, MODEL_ROW_BYTES, PCIE3_BANDWIDTH
-from ..faults.injector import FaultInjector
-from ..faults.retry import FailedAttempt, RetryLadder, RetryPolicy
-from ..obs.ledger import record_event
-
-#: Fault-injection sites instrumented by the device model.
-TRANSFER_FAULT_SITE = "runtime.transfer"
-LAUNCH_FAULT_SITE = "runtime.launch"
 
 
 class WaveStorage(Protocol):
@@ -59,13 +56,11 @@ class DeviceConfig:
 
 @dataclass
 class TransferRecord:
-    """One host<->device DMA transfer attempt (failed attempts are kept
-    with ``ok=False``; their time was spent on the link all the same)."""
+    """One host<->device DMA transfer."""
 
     direction: str  # "h2d" or "d2h"
     nbytes: int
     seconds: float
-    ok: bool = True
 
 
 class VirtualTimeline:
@@ -98,55 +93,14 @@ class VirtualTimeline:
 
 
 class GenesisDevice:
-    """The modelled FPGA card: tracks memory, transfers, and pipelines.
+    """The modelled FPGA card: tracks memory, transfers, and pipelines."""
 
-    Resilience: with a ``fault_injector``, DMA transfers and pipeline
-    launches poll the ``runtime.transfer`` / ``runtime.launch`` sites
-    (slot = arrival ordinal).  A failed transfer attempt still occupied
-    the PCIe link, so its seconds are charged to the virtual timeline
-    before the retry; retry backoff is charged as host time (never a
-    real sleep — the timeline is simulated, so faulted runs stay
-    deterministic).  Retries past ``retry_policy.max_retries`` raise
-    :class:`~repro.faults.injector.RetryBudgetExceeded`.
-    """
-
-    def __init__(
-        self,
-        config: Optional[DeviceConfig] = None,
-        fault_injector: Optional[FaultInjector] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-    ):
+    def __init__(self, config: Optional[DeviceConfig] = None):
         self.config = config or DeviceConfig()
         self.timeline = VirtualTimeline()
         self.transfers: list = []
-        self.fault_injector = fault_injector
-        self.retry_policy = (
-            retry_policy if retry_policy is not None else RetryPolicy()
-        )
         self._allocated = 0
         self._completion_at: Dict[int, float] = {}
-
-    def _retries(self, site: str, **context: object) -> Iterator[FailedAttempt]:
-        """Walk the retry ladder of the next operation at ``site``
-        (backoff charges host time), ledgering and yielding each failed
-        attempt that is retried."""
-        injector = self.fault_injector
-        if injector is None:
-            return
-        ladder = RetryLadder(
-            injector, self.retry_policy, site, injector.next_slot(site),
-            clock=self.timeline.advance_host, context=context,
-        )
-        for failed in ladder:
-            if failed.exhausted:
-                continue
-            record_event(
-                "fault.retry",
-                site=site, slot=ladder.slot, attempt=failed.attempt,
-                kind=failed.kind, backoff_seconds=failed.backoff_seconds,
-                **context,
-            )
-            yield failed
 
     # -- memory & transfers --------------------------------------------------------
 
@@ -169,20 +123,10 @@ class GenesisDevice:
         return self._allocated
 
     def transfer(self, nbytes: int, direction: str) -> float:
-        """Perform a blocking DMA; returns the modelled seconds of the
-        successful attempt (failed attempts charge the timeline too)."""
+        """Perform a blocking DMA; returns its modelled seconds."""
         if direction not in ("h2d", "d2h"):
             raise ValueError(f"bad transfer direction {direction!r}")
         seconds = self.config.transfer_seconds(nbytes)
-        for _failed in self._retries(
-            TRANSFER_FAULT_SITE,
-            direction=direction, nbytes=nbytes, seconds=seconds,
-        ):
-            # the failed DMA occupied the link for its full time
-            self.transfers.append(
-                TransferRecord(direction, nbytes, seconds, ok=False)
-            )
-            self.timeline.advance_transfer(seconds)
         self.transfers.append(TransferRecord(direction, nbytes, seconds))
         self.timeline.advance_transfer(seconds)
         return seconds
@@ -192,8 +136,6 @@ class GenesisDevice:
     def launch(self, pipeline_id: int, cycles: int) -> float:
         """Schedule pipeline completion ``cycles`` after *now*; returns the
         completion timestamp."""
-        for _failed in self._retries(LAUNCH_FAULT_SITE, pipeline=pipeline_id):
-            pass  # a failed launch costs its backoff, nothing more
         seconds = cycles / self.config.clock_hz
         completion = self.timeline.now + seconds
         self._completion_at[pipeline_id] = completion

@@ -52,11 +52,9 @@ from .backends import (
     SqlError,
     apply_binop,
     get_backend,
-    null_like,
     table_from_row_dicts,
     timed_operator,
 )
-from .backends import _infer_spec  # noqa: F401  (back-compat re-export)
 from .plan import (
     AggregateNode,
     FilterNode,
@@ -75,12 +73,6 @@ from .prepared import prepare, prepare_query
 from ..tables.table import Table
 
 __all__ = ["Executor", "SqlError", "table_from_row_dicts"]
-
-# Back-compat aliases: these helpers historically lived here; the shared
-# backend contract in repro.sql.backends is now their home.
-_apply_binop = apply_binop
-_null_like = null_like
-
 
 def _plan_of(statement) -> PlanNode:
     """The statement's attached plan; a script that came straight from

@@ -71,8 +71,6 @@ class ListSource(SourceModule):
 
         def commit(_timed) -> None:
             self._cursor = len(self._flits)
-            self.busy_cycles += len(stream)
-            self.flits_out += len(stream)
 
         return Plan({"out": stream}, (_EMIT,), [0] * len(stream), commit)
 
@@ -100,8 +98,6 @@ class ListSink(Module):
 
         def commit(_timed) -> None:
             self.collected.extend(stream.flits())
-            self.busy_cycles += len(stream)
-            self.flits_out += len(stream)
 
         return Plan({}, (_POP,), [0] * len(stream), commit)
 

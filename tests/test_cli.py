@@ -667,42 +667,64 @@ def test_numeric_bad_arguments_exit_2(
     )
 
 
-def _polled_sites(command):
-    from repro.accel.scheduler import WAVE_FAULT_SITE
-
-    return {
-        "preprocess": (WAVE_FAULT_SITE,),
-        "serve": (WAVE_FAULT_SITE,),
-    }[command]
-
-
-@pytest.mark.parametrize("command, item, resolved", [
-    ("preprocess", "transfer_error", "runtime.transfer"),
-    ("preprocess", "launch_error:2", "runtime.launch"),
-    ("serve", "transfer_error", "runtime.transfer"),
-    ("serve", "launch_error+2", "runtime.launch"),
-    # a retired site: the rewrite names the one site serve polls
+@pytest.mark.parametrize("command, item, site", [
+    # the runtime API's retired sites
+    ("preprocess", "launch_error:2@runtime.launch", "runtime.launch"),
+    ("serve", "transfer_error@runtime.transfer", "runtime.transfer"),
+    # a retired site
     ("serve", "transfer_error@serve.wave", "serve.wave"),
+    # an invented one
+    ("preprocess", "worker_crash@a", "a"),
 ])
-def test_unpolled_fault_site_is_refused(capsys, command, item, resolved):
-    """A spec item whose (default) site the command never polls used to
-    print a fault plan and inject nothing; it is refused, naming the
-    item, the site it resolved to, the polled sites and the rewrite
-    (onto the first of them) — items on every polled site pass."""
-    polled = _polled_sites(command)
+def test_unpolled_fault_site_is_refused(capsys, command, item, site):
+    """Every fault is a failed wave attempt at ``scheduler.wave``: an
+    item naming any other site would be announced and never injected,
+    so the plan refuses it where the spec is read — one ``error:`` line
+    naming the site asked for and the one site there is."""
     argv = ["--fasta", "f", "--sam", "s", "--out", "o"]
     err = _refused(
         ["--no-ledger", command] + (argv if command == "preprocess" else [])
-        + ["--inject-faults", ",".join(
-            [f"worker_crash@{site}" for site in polled] + [item]
-        )],
+        + ["--inject-faults", f"worker_crash,{item}"],
         capsys,
     )
-    kind, sep, rest = item.partition("+")
-    kind = kind.partition("@")[0]
-    assert f"{kind}@{resolved}{sep}{rest} would never fire" in err
-    assert f"it polls {' and '.join(polled)}" in err
-    assert f"write `{kind}@{polled[0]}{sep}{rest}`" in err
+    assert err.count("error:") == 1
+    assert f"unknown fault site {site!r}" in err
+    assert "failed wave attempt at scheduler.wave" in err
+
+
+@pytest.mark.parametrize("command, item, kind, count", [
+    ("preprocess", "transfer_error", "transfer_error", 1),
+    ("serve", "launch_error:2", "launch_error", 2),
+])
+def test_fault_kind_without_a_site_fires_at_the_wave(
+    tmp_path, capsys, command, item, kind, count
+):
+    """``transfer_error`` and ``launch_error`` name no site: like every
+    kind they land on ``scheduler.wave``, the one site both commands
+    poll, and the run survives them."""
+    from repro.obs.ledger import RunLedger
+
+    if command == "preprocess":
+        fasta, sam = _simulate(tmp_path)
+        argv = [
+            "preprocess", "--fasta", str(fasta), "--sam", str(sam),
+            "--out", str(tmp_path / "out.sam"),
+        ]
+    else:
+        argv = SERVE_ARGV
+    ledger = tmp_path / "ledger.jsonl"
+    assert main(
+        ["--ledger", str(ledger)] + argv + ["--inject-faults", item]
+    ) == 0
+    out = capsys.readouterr().out
+    if command == "preprocess":
+        assert f"survived {count} injected fault(s) ({kind}={count})" in out
+    else:
+        assert f"0 failed, 8 waves, {count} retries" in out
+    injected = RunLedger(str(ledger)).events("fault.injected")
+    assert [(r["site"], r["kind"]) for r in injected] == (
+        [("scheduler.wave", kind)] * count
+    )
 
 
 def _inject_faults_example(command):
@@ -977,11 +999,23 @@ def test_fault_plan_outlasting_the_retry_budget_exits_1(
         assert "5 admitted / 0 rejected, 4 completed / 1 failed" in out
 
 
-def test_serve_help_fault_example_names_both_polled_sites():
+def test_serve_help_fault_example_fires(tmp_path, capsys):
+    """Every kind the ``serve --help`` example names is injected, at the
+    one site."""
     from repro.faults import FaultPlan
+    from repro.obs.ledger import RunLedger
 
-    plan = FaultPlan.from_spec(_inject_faults_example("serve"))
-    assert set(plan.sites()) == set(_polled_sites("serve"))
+    example = _inject_faults_example("serve")
+    ledger = tmp_path / "ledger.jsonl"
+    assert main(
+        ["--ledger", str(ledger)] + SERVE_ARGV + ["--inject-faults", example]
+    ) == 0
+    capsys.readouterr()
+    injected = RunLedger(str(ledger)).events("fault.injected")
+    assert {r["site"] for r in injected} == {"scheduler.wave"}
+    assert {r["kind"] for r in injected} == {
+        spec.kind for spec in FaultPlan.from_spec(example).specs
+    }
 
 
 # -- in-storage filtering (DESIGN.md §3.10) ------------------------------------------

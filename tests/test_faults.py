@@ -1,5 +1,5 @@
-"""Unit tests for the fault-injection layer (repro.faults) and the
-runtime's transfer/launch retries.
+"""Unit tests for the fault-injection layer (repro.faults), and for the
+one thing every injected fault is: a failed wave attempt.
 
 The determinism contract under test everywhere: same seed + same plan
 => same injected faults, same retry backoffs, same virtual-timeline
@@ -7,14 +7,18 @@ charges.  See DESIGN.md §3.5.
 """
 
 import pickle
+from dataclasses import replace
 
 import pytest
+from hw_harness import assert_stage_identical
 
+from repro.constants import CLOCK_HZ
+from repro.errors import InputError
 from repro.faults import (
-    DEFAULT_SITES,
     FAULT_EXCEPTIONS,
     FAULT_KINDS,
     NO_RETRY,
+    WAVE_FAULT_SITE,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -26,7 +30,6 @@ from repro.faults import (
 )
 from repro.obs.ledger import RunLedger, RunManifest, run_context
 from repro.obs.registry import MetricsRegistry
-from repro.runtime import GenesisRuntime
 
 # -- the spec grammar ----------------------------------------------------------------
 
@@ -41,16 +44,31 @@ def test_parse_full_grammar():
 
 
 def test_parse_defaults_site_per_kind():
+    """Every kind is a failed wave attempt: all four resolve to the one
+    site, the scheduler's."""
+    from repro.accel.scheduler import WAVE_FAULT_SITE as scheduler_site
+
+    assert scheduler_site is WAVE_FAULT_SITE == "scheduler.wave"
     for kind in FAULT_KINDS:
         spec = FaultSpec.parse(kind)
-        assert spec.site == DEFAULT_SITES[kind]
+        assert spec.site == WAVE_FAULT_SITE
+        assert FaultPlan.from_spec(kind).specs[0].site == WAVE_FAULT_SITE
         assert spec.count == 1 and spec.attempts == 1 and spec.spread == 0
+
+
+@pytest.mark.parametrize("item", [
+    "transfer_error@runtime.transfer", "launch_error:2@runtime.launch",
+    "transfer_error@serve.wave", "worker_crash@a", "worker_crash@",
+])
+def test_plan_refuses_any_other_site(item):
+    with pytest.raises(InputError, match="unknown fault site"):
+        FaultPlan.from_spec(f"worker_crash,{item}")
 
 
 def test_render_round_trips():
     for text in (
         "worker_crash@scheduler.wave",
-        "transfer_error:3@runtime.transfer+2",
+        "transfer_error:3@scheduler.wave+2",
         "wave_timeout@scheduler.wave~5",
     ):
         assert FaultSpec.parse(text).render() == text
@@ -67,8 +85,7 @@ def test_plan_from_spec_multi_item():
     plan = FaultPlan.from_spec("worker_crash, transfer_error:2", seed=9)
     assert [s.kind for s in plan.specs] == ["worker_crash", "transfer_error"]
     assert plan.seed == 9
-    assert set(plan.sites()) == {"scheduler.wave", "runtime.transfer"}
-    assert plan.for_site("runtime.transfer")[0].count == 2
+    assert [s.count for s in plan.specs] == [1, 2]
     with pytest.raises(ValueError):
         FaultPlan.from_spec("  ,  ")
 
@@ -104,28 +121,23 @@ def test_describe_names_every_spec():
     lines = list(plan.describe())
     assert len(lines) == 2
     assert "worker_crash" in lines[0] and "launch_error" in lines[1]
-    assert plan.render() == "worker_crash@scheduler.wave,launch_error@runtime.launch"
+    assert plan.render() == (
+        "worker_crash@scheduler.wave,launch_error@scheduler.wave"
+    )
 
 
 # -- the injector --------------------------------------------------------------------
 
 
-def test_next_slot_counts_per_site():
-    injector = FaultInjector(FaultPlan())
-    assert [injector.next_slot("a"), injector.next_slot("a")] == [0, 1]
-    assert injector.next_slot("b") == 0
-
-
 def test_poll_hits_only_planned_coordinates():
     plan = FaultPlan.from_spec("transfer_error:2+2", seed=0)
     injector = FaultInjector(plan)
-    site = "runtime.transfer"
+    site = WAVE_FAULT_SITE
     assert injector.poll(site, 0, 0).kind == "transfer_error"
     assert injector.poll(site, 0, 1) is not None  # attempts=2
     assert injector.poll(site, 0, 2) is None
     assert injector.poll(site, 1, 0) is not None
     assert injector.poll(site, 2, 0) is None
-    assert injector.poll("scheduler.wave", 0, 0) is None
 
 
 def test_poll_records_once_per_coordinate():
@@ -148,9 +160,11 @@ def test_injected_errors_survive_pickling():
     """The exceptions cross ProcessPoolExecutor futures; a default
     reduce would replay the message into __init__ and break the pool."""
     for cls in FAULT_EXCEPTIONS.values():
-        error = pickle.loads(pickle.dumps(cls("some.site", 3, 1)))
+        error = pickle.loads(pickle.dumps(cls(WAVE_FAULT_SITE, 3, 1)))
         assert isinstance(error, cls) and isinstance(error, InjectedFaultError)
-        assert (error.site, error.slot, error.attempt) == ("some.site", 3, 1)
+        assert (error.site, error.slot, error.attempt) == (
+            WAVE_FAULT_SITE, 3, 1
+        )
 
 
 # -- the retry policy ----------------------------------------------------------------
@@ -193,75 +207,109 @@ def test_policy_validation(kwargs):
         RetryPolicy(**kwargs)
 
 
-# -- runtime transfer/launch retries -------------------------------------------------
+# -- a DMA or launch fault is a failed wave attempt ----------------------------------
+#
+# The runtime API has no fault model of its own: a failed transfer or
+# launch fails the attempt of the wave that issued it, and the executor's
+# one ladder retries it.
+
+POLICY = RetryPolicy(max_retries=2, backoff_base=0.001, jitter=0.25, seed=1)
 
 
-def _kernel(inputs):
-    return {"out": sum(inputs["col"])}, 1000
+def _metadata(workload):
+    from repro.accel.stages import STAGES
+
+    stage = STAGES["metadata"]
+    return stage.over(workload), stage.items(workload)
 
 
-def _run_pipeline(injector=None, max_retries=2):
-    runtime = GenesisRuntime(
-        fault_injector=injector,
-        retry_policy=RetryPolicy(
-            max_retries=max_retries, backoff_base=0.001, jitter=0.25, seed=1
-        ),
+def _plan(spec):
+    return FaultPlan.from_spec(spec, seed=4) if spec else None
+
+
+def _direct(workload, spec=None, max_retries=2):
+    """The metadata stage run directly on one card under ``spec``."""
+    from repro.accel import run_sharded
+
+    driver, items = _metadata(workload)
+    return run_sharded(
+        driver, items, 2, fault_plan=_plan(spec),
+        retry_policy=replace(POLICY, max_retries=max_retries),
     )
-    runtime.register_pipeline(0, _kernel)
-    runtime.configure_mem([1, 2, 3], 8, 3, "col", 0)
-    runtime.configure_mem(None, 8, 1, "out", 0, is_output=True)
-    runtime.run_genesis(0)
-    return runtime.genesis_flush(0), runtime
 
 
-def _ledgered_pipeline(tmp_path, injector):
-    """``_run_pipeline`` under a ledger: its return plus the
-    ``fault.retry`` events the device wrote."""
-    ledger = RunLedger(str(tmp_path / "ledger.jsonl"))
-    with run_context(RunManifest(workload="runtime-faults"), ledger):
-        out, runtime = _run_pipeline(injector)
-    return out, runtime, ledger.events("fault.retry")
+def _served(workload, spec=None):
+    """One metadata job served on one card: its results, the summary,
+    the penalty cycles its waves carried, and the service's events."""
+    from repro.serve import JobService, JobSpec
 
-
-def test_transfer_retry_charges_timeline_and_preserves_results(tmp_path):
-    clean_out, clean = _run_pipeline()
-    injector = FaultInjector(FaultPlan.from_spec("transfer_error+2", seed=4))
-    faulted_out, faulted, retries = _ledgered_pipeline(tmp_path, injector)
-    assert faulted_out == clean_out
-    # two failed DMA attempts occupied the link, plus backoff host time
-    failed = [t for t in faulted.device.transfers if not t.ok]
-    assert len(failed) == 2
-    assert faulted.device.timeline.transfer_seconds > (
-        clean.device.timeline.transfer_seconds
+    driver, items = _metadata(workload)
+    service = JobService(fault_plan=_plan(spec), retry_policy=POLICY)
+    status = service.submit(
+        JobSpec(tenant="a", driver=driver, partitions=items, n_pipelines=2)
     )
-    assert faulted.elapsed_seconds > clean.elapsed_seconds
-    assert [r["site"] for r in retries] == ["runtime.transfer"] * 2
-    assert [f.site for f in injector.injected] == ["runtime.transfer"] * 2
-    assert sum(t.seconds for t in failed) > 0
+    summary = service.run_until_idle()
+    penalty = sum(
+        fields["penalty_cycles"] for event, fields in service.events
+        if event == "serve.wave.done"
+    )
+    return service.results(status.job_id), summary, penalty, service.events
 
 
-def test_faulted_timeline_is_deterministic():
+def test_transfer_retry_charges_timeline_and_preserves_results(workload):
+    """Served, a failed DMA's retries cost their backoff as penalty
+    cycles on the virtual clock and nothing else; direct, the modelled
+    link and kernel time are the clean run's (faulted ≡ clean)."""
+    clean, clean_summary, no_penalty, _ = _served(workload)
+    faulted, summary, penalty, events = _served(workload, "transfer_error+2")
+    assert_stage_identical("metadata", faulted, clean)
+    retries = [fields for event, fields in events if event == "serve.retry"]
+    assert [r["kind"] for r in retries] == ["transfer_error"] * 2
+    assert no_penalty == 0
+    assert penalty == round(sum(r["backoff_seconds"] for r in retries) * CLOCK_HZ)
+    assert penalty > 0
+    assert summary.clock_cycles == clean_summary.clock_cycles + penalty
+
+    clean, clean_stats = _direct(workload)
+    faulted, stats = _direct(workload, "transfer_error+2")
+    assert_stage_identical("metadata", faulted, clean)
+    assert stats.faults_by_kind == {"transfer_error": 2}
+    assert stats.device_transfer_seconds == clean_stats.device_transfer_seconds
+    assert stats.device_busy_seconds == clean_stats.device_busy_seconds
+
+
+def test_faulted_timeline_is_deterministic(workload):
     def run():
-        injector = FaultInjector(
-            FaultPlan.from_spec("transfer_error+1,launch_error", seed=4)
+        # one wave: attempt 0 fails its DMA, attempt 1 its launch
+        _results, summary, penalty, events = _served(
+            workload, "transfer_error,launch_error+2"
         )
-        return _run_pipeline(injector)[1].elapsed_seconds
+        return summary.clock_cycles, summary.faults, penalty, events
 
-    assert run() == run()
-
-
-def test_launch_retry_counts_and_recovers(tmp_path):
-    injector = FaultInjector(FaultPlan.from_spec("launch_error", seed=0))
-    out, _runtime, retries = _ledgered_pipeline(tmp_path, injector)
-    assert out == _run_pipeline()[0]
-    assert [r["site"] for r in retries] == ["runtime.launch"]
-    assert [f.kind for f in injector.injected] == ["launch_error"]
+    first = run()
+    assert first == run()
+    assert first[1] == {"transfer_error": 1, "launch_error": 1}
+    assert first[2] > 0
 
 
-def test_transfer_budget_exhaustion_raises():
-    injector = FaultInjector(FaultPlan.from_spec("transfer_error+9", seed=0))
+def test_launch_retry_counts_and_recovers(workload, tmp_path):
+    ledger = RunLedger(str(tmp_path / "ledger.jsonl"))
+    with run_context(RunManifest(workload="wave-faults"), ledger):
+        out, _stats = _direct(workload, "launch_error")
+    assert_stage_identical("metadata", out, _direct(workload)[0])
+    (retry,) = ledger.events("fault.retry")
+    assert (retry["kind"], retry["wave"], retry["attempt"]) == (
+        "launch_error", 0, 0
+    )
+    assert [
+        (fault["site"], fault["kind"])
+        for fault in ledger.events("fault.injected")
+    ] == [(WAVE_FAULT_SITE, "launch_error")]
+
+
+def test_transfer_budget_exhaustion_raises(workload):
     with pytest.raises(RetryBudgetExceeded) as excinfo:
-        _run_pipeline(injector, max_retries=1)
+        _direct(workload, "transfer_error+9", max_retries=1)
     assert isinstance(excinfo.value.__cause__, InjectedTransferError)
 
 

@@ -6,9 +6,8 @@ unmatched side of LEFT/OUTER joins and are materialized as sentinels by
 treats the sentinel as an ordinary value — ``apply_binop`` sees a plain
 ``0``, aggregates include sentinel rows, group-by keys merge NULLs with
 real zeros — while validity masks let hosts tell sentinel from data.
-These tests pin that contract at the helper level (the historical
-``_apply_binop``/``_null_like`` names included) and end-to-end through
-queries on both execution backends.
+These tests pin that contract at the helper level and end-to-end
+through queries on both execution backends.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import pytest
 
 from repro.sql import Executor, SqlError
 from repro.sql.backends import apply_binop, null_like
-from repro.sql.executor import _apply_binop, _null_like
 from repro.tables.schema import Schema
 from repro.tables.table import Table
 
@@ -26,12 +24,6 @@ from repro.tables.table import Table
 @pytest.fixture(params=["reference", "fast"])
 def backend(request):
     return request.param
-
-
-def test_backcompat_aliases_are_the_contract():
-    """The executor's historical private names are the shared helpers."""
-    assert _apply_binop is apply_binop
-    assert _null_like is null_like
 
 
 # -- null_like ----------------------------------------------------------------------

@@ -138,9 +138,7 @@ RUN_PATH_SIGNATURES = {
     ),
     "repro.serve:JobService.resume": ("checkpoint",),
     "repro.runtime:DevicePool.__init__": ("devices", "storage"),
-    "repro.runtime:GenesisRuntime.__init__": (
-        "config", "fault_injector", "retry_policy",
-    ),
+    "repro.runtime:GenesisRuntime.__init__": ("config",),
     "repro.storage:plan_storage_filter": (
         "partitions", "reference", "record",
     ),

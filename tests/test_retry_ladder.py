@@ -1,9 +1,10 @@
 """The one retry ladder against the loops it replaced.
 
-``repro.faults.retry.RetryLadder`` is walked by the wave executor (for
-direct and served waves alike) and the device model.  Each of those
-used to spell the loop out itself; the loops are kept here (minus their
-bookkeeping) as references, restated with the budget counted from
+``repro.faults.retry.RetryLadder`` is walked by the wave executor, for
+direct and served waves alike (the device model walked it too, until
+its fault sites were retired).  Each of those used to spell the loop
+out itself; the loops are kept here (minus their bookkeeping) as
+references, restated with the budget counted from
 attempt 0 — a start attempt only says where to resume — and the ladder,
 configured the way each caller configures it, must reproduce them over
 random plans x budgets x start attempts: the same clean attempt, the
@@ -23,9 +24,8 @@ from repro.faults import (
     RetryBudgetExceeded,
     RetryLadder,
     RetryPolicy,
+    WAVE_FAULT_SITE as SITE,
 )
-
-SITE = "test.site"
 
 
 # -- the parent's loops, kept as references ----------------------------------
@@ -51,8 +51,9 @@ def scheduler_loop(injector, policy, index, start_attempt, seen):
 
 
 def device_loop(injector, policy, slot, start_attempt, seen):
-    """``GenesisDevice._retry_loop`` before the ladder (always from
-    attempt 0 there; the start is honoured so one driver serves all)."""
+    """The retired ``GenesisDevice._retry_loop`` (always from attempt 0
+    there; the start is honoured so one driver serves all): the
+    reference of a ladder built without a ``subject``."""
     attempt = start_attempt
     while True:
         fault = injector.poll(SITE, slot, attempt)
