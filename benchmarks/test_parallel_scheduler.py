@@ -9,7 +9,7 @@ host-side concurrency.  The fanned-out run must finish the batch in at
 most half the serial host wall-clock (gated only where >= 4 cores
 exist), while staying bit-identical in simulated cycles and outputs.
 A second pass over the same partitions through a shared
-:class:`SpmImageCache` must replay every reference image (>= 1 hit per
+:class:`SpmImageCache` must hit on every reference row (>= 1 hit per
 re-used partition, zero misses) — that part runs on any machine.
 """
 
@@ -73,7 +73,7 @@ def test_spm_cache_replays_reused_partitions(report):
         f"cold: {cold.spm_cache_misses} misses, "
         f"{cold.spm_load_cycles} load cycles simulated",
         f"warm: {warm.spm_cache_hits} hits / {warm.spm_cache_misses} misses, "
-        f"{warm.spm_cycles_saved} simulated load cycles replayed from cache",
+        f"{warm.spm_cycles_saved} simulated load cycles saved by the cache",
     ])
 
 

@@ -12,15 +12,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Collection,
-    Dict,
-    FrozenSet,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -145,13 +137,13 @@ class PhaseMemo:
     A phase moves one flit per word whatever the word holds, so its
     :class:`~repro.hw.engine.RunStats` are a pure function of its shape
     key — ``(phase, sizes, memory config, engine mode)`` — and each
-    shape needs the engine once.  The memo holds :data:`PHASE_MEMO_SIZE`
-    shapes (least recently replayed evicted first) and every hand-out
-    is a copy, so no two callers share a mutable dict.  A recording is
-    valid in any process: :func:`repro.accel.scheduler.wave_pool` seeds
-    workers with :meth:`snapshot`, and what a worker had to record comes
-    back in its ``WaveOutcome`` for :meth:`adopt` — the seam
-    ``SpmImageCache`` images cross on.
+    shape needs the engine once per process.  The memo holds
+    :data:`PHASE_MEMO_SIZE` shapes (least recently replayed evicted
+    first) and every hand-out is a copy, so no two callers share a
+    mutable dict.  Nothing crosses a process boundary: each pool worker
+    records a shape the first time one of its waves needs it and, being
+    kept from run to run (:func:`repro.accel.scheduler.wave_pool`),
+    keeps its recordings for every later run.
     """
 
     def __init__(self):
@@ -168,38 +160,13 @@ class PhaseMemo:
         stats = self._phases.get(key)
         if stats is None:
             self.misses += 1
-            stats = simulate(*shape)
-            self._store(key, stats)
+            stats = self._phases[key] = simulate(*shape)
+            while len(self._phases) > PHASE_MEMO_SIZE:
+                self._phases.popitem(last=False)
         else:
             self.hits += 1
             self._phases.move_to_end(key)
         return stats.copy()
-
-    def _store(self, key: tuple, stats: RunStats) -> None:
-        self._phases[key] = stats
-        while len(self._phases) > PHASE_MEMO_SIZE:
-            self._phases.popitem(last=False)
-
-    def shapes(self) -> FrozenSet[tuple]:
-        """The shape keys a recording is held for."""
-        return frozenset(self._phases)
-
-    def snapshot(
-        self, exclude: Collection[tuple] = ()
-    ) -> Dict[tuple, RunStats]:
-        """Copies of every recording whose key is not in ``exclude``."""
-        return {
-            key: stats.copy()
-            for key, stats in self._phases.items()
-            if key not in exclude
-        }
-
-    def adopt(self, phases: Dict[tuple, RunStats]) -> None:
-        """Take over recordings made elsewhere; a shape already held
-        keeps its own recording (first writer wins)."""
-        for key, stats in phases.items():
-            if key not in self._phases:
-                self._store(key, stats)
 
     def clear(self) -> None:
         """Forget every recording and zero the counters."""
@@ -230,6 +197,15 @@ def _simulate_reference_load(
     return engine.run(mode=mode)
 
 
+#: Every ``(base, is_snp)`` word of a BQSR reference SPM, at index
+#: ``base * 2 + is_snp``: a load picks its words from here instead of
+#: building a tuple per word, which every load — cache hit or miss —
+#: would otherwise pay for.
+_SNP_WORDS = np.empty(512, dtype=object)
+for _code in range(512):
+    _SNP_WORDS[_code] = (_code >> 1, bool(_code & 1))
+
+
 def load_reference_spm(
     ref_row: dict,
     memory_config: Optional[MemoryConfig] = None,
@@ -247,10 +223,13 @@ def load_reference_spm(
     scratchpad is filled from the row directly, one counted write per
     word as the updater performs.
     """
-    words: Sequence[object] = np.asarray(ref_row["SEQ"]).tolist()
+    seq = np.asarray(ref_row["SEQ"])
     elem_size = 1
     if with_snp:
-        words = list(zip(words, np.asarray(ref_row["IS_SNP"]).tolist()))
+        snp = np.asarray(ref_row["IS_SNP"], dtype=bool)
+        words: Sequence[object] = _SNP_WORDS[seq.astype(np.intp) * 2 + snp].tolist()
+    else:
+        words = seq.tolist()
 
     spm = Scratchpad("ref_spm", len(words))
     spm.load(words)

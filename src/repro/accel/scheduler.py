@@ -33,11 +33,13 @@ are executed:
   largest-partition-first (an LPT schedule) and pulled from the
   executor's shared queue by whichever worker frees up first, so a
   straggler wave never serializes the tail;
-* **SPM image caching** — :class:`SpmImageCache` memoizes the simulated
-  reference-SPM load by ``(partition, memory config, snp flag)``.
-  Repeated accelerator stages over the same partitions (and BQSR
-  read-group slices of one segment) replay the cached image instead of
-  re-simulating the load;
+* **SPM caching** — :class:`SpmImageCache` records which REF rows the
+  modelled card has loaded, keyed by ``(partition, memory config, snp
+  flag)``: repeated accelerator stages over the same partitions (and
+  BQSR read-group slices of one segment) hit it, and their load cycles
+  count as saved.  Only keys cross to a worker and only tallies come
+  back; the load itself is filled from the row and its statistics
+  replayed by shape from the worker's own phase memo;
 * **fault tolerance** — with a
   :class:`~repro.faults.injector.FaultInjector` the executor survives
   injected and real failures alike: retry with backoff under one
@@ -46,8 +48,8 @@ are executed:
 
 Results are bit-identical across ``workers`` and ``devices`` settings:
 wave packing is deterministic, every wave simulates in its own engine,
-and a cache replay returns exactly the scratchpad contents and cycle
-statistics a fresh load simulation would produce.  Only the host-side
+and a phase replay returns exactly the cycle statistics a fresh load
+simulation would produce.  Only the host-side
 throughput metrics (wall seconds, per-worker breakdowns, cache hit
 counts) vary.  The same holds under fault injection: a wave is a pure
 function of its partitions, so a retried or serially re-run wave
@@ -97,7 +99,6 @@ from ..obs.log import get_logger, set_worker_id
 from ..tables.partition import PartitionId
 from ..tables.table import Table
 from .common import (
-    PHASES,
     SOLO,
     AcceleratorRun,
     load_reference_spm,
@@ -117,32 +118,24 @@ _log = get_logger("scheduler")
 # -- SPM image cache -----------------------------------------------------------------
 
 
-@dataclass
-class CachedImage:
-    """One memoized reference-SPM load: the word contents the load
-    simulation produced plus its cycle statistics."""
-
-    words: List[object]
-    stats: RunStats
-
-
 class SpmImageCache:
-    """Memoizes reference-SPM load simulations.
+    """The modelled reference-SPM cache: which REF rows a card already
+    holds, so a repeated load is a hit.
 
     ``load_reference_spm`` is deterministic in the REF partition row, the
-    memory configuration, and the snp flag, so its scratchpad image and
-    cycle statistics can be keyed on ``(chrom, refpos, row length,
-    content digest, with_snp, memory config)`` and replayed.  The length
-    and digest keep two references that share a ``(chrom, refpos)`` —
-    different genomes, or one genome at another ``psize``/``overlap`` —
-    apart in a shared cache.  A replay builds a fresh
-    :class:`Scratchpad` (replicas never share the physical SPM) and
-    returns a copy of the recorded statistics — bit-identical to
-    re-simulating the load, minus the host time.
+    memory configuration, and the snp flag, so a load is keyed on
+    ``(chrom, refpos, row length, content digest, with_snp, memory
+    config)``.  The length and digest keep two references that share a
+    ``(chrom, refpos)`` — different genomes, or one genome at another
+    ``psize``/``overlap`` — apart in a shared cache.  The cache keeps
+    keys, not images: every load fills a fresh :class:`Scratchpad` from
+    the row (replicas never share the physical SPM) and replays its
+    statistics by shape from the process's phase memo, and the cache
+    tallies it as a hit (its cycles saved) or a miss.
     """
 
     def __init__(self) -> None:
-        self._images: Dict[tuple, CachedImage] = {}
+        self._keys: Set[tuple] = set()
         self.hits = 0
         self.misses = 0
         self.cycles_saved = 0
@@ -175,61 +168,50 @@ class SpmImageCache:
         memory_config: Optional[MemoryConfig] = None,
         with_snp: bool = False,
     ) -> Tuple[Scratchpad, RunStats]:
-        """The cached equivalent of :func:`load_reference_spm`."""
+        """:func:`load_reference_spm`, tallied against the keys held."""
         key = self.key(ref_row, memory_config, with_snp)
-        image = self._images.get(key)
-        if image is None:
+        spm, stats = load_reference_spm(ref_row, memory_config, with_snp)
+        if key in self._keys:
+            self.hits += 1
+            self.cycles_saved += stats.cycles
+        else:
             self.misses += 1
-            spm, stats = load_reference_spm(
-                ref_row, memory_config, with_snp=with_snp
-            )
-            self._images[key] = CachedImage(words=spm.dump(), stats=stats)
-            return spm, stats
-        self.hits += 1
-        self.cycles_saved += image.stats.cycles
-        spm = Scratchpad("ref_spm", len(image.words))
-        spm.load(image.words)
-        return spm, image.stats.copy()
+            self._keys.add(key)
+        return spm, stats
 
-    def images(self) -> Dict[tuple, CachedImage]:
-        """A snapshot of every cached image."""
-        return dict(self._images)
+    def keys(self) -> FrozenSet[tuple]:
+        """Every key held."""
+        return frozenset(self._keys)
 
-    def images_for(self, keys: Iterable[tuple]) -> Dict[tuple, CachedImage]:
-        """The subset of cached images present for ``keys``."""
-        return {key: self._images[key] for key in keys if key in self._images}
+    def keys_for(self, keys: Iterable[tuple]) -> FrozenSet[tuple]:
+        """The subset of ``keys`` held."""
+        return frozenset(self._keys.intersection(keys))
 
-    def merge(self, images: Dict[tuple, CachedImage]) -> None:
-        """Adopt images (e.g. shipped back from a worker process) without
-        overwriting entries already present."""
-        for key, image in images.items():
-            self._images.setdefault(key, image)
+    def merge(self, keys: Iterable[tuple]) -> None:
+        """Hold ``keys`` as well."""
+        self._keys.update(keys)
 
     def absorb(self, other: "SpmImageCache") -> None:
-        """Merge another pool into this one: images adopt idempotently
-        (first writer wins, exactly like :meth:`merge`) and the
+        """Merge another pool into this one: the key sets union and the
         hit/miss/cycles-saved counters accumulate, so a cache merged from
-        per-device pools keeps the full replay history.  Absorbing the
-        same pool twice double-counts nothing image-wise; counters are
-        the caller's to absorb exactly once per pool."""
-        self.merge(other.images())
+        per-device pools keeps the full load history.  Counters are the
+        caller's to absorb exactly once per pool."""
+        self.merge(other._keys)
         self.hits += other.hits
         self.misses += other.misses
         self.cycles_saved += other.cycles_saved
 
-    def adopt(self, outcome: "WaveOutcome") -> None:
-        """Fold one executed wave back in: the images it loaded (first
-        writer wins, like :meth:`merge`), its hit/miss/cycles-saved
-        tallies, and — into this process's phase memo — the phases it
-        had to record.  The parent-side half of :func:`execute_wave`."""
-        self.merge(outcome.new_images)
-        PHASES.adopt(outcome.new_phases)
+    def adopt(self, keys: Iterable[tuple], outcome: "WaveOutcome") -> None:
+        """Fold one executed wave back in: the ``keys`` it looked up
+        (:meth:`WaveDriver.wave_keys`) and its hit/miss/cycles-saved
+        tallies.  The parent-side half of :func:`execute_wave`."""
+        self.merge(keys)
         self.hits += outcome.hits
         self.misses += outcome.misses
         self.cycles_saved += outcome.cycles_saved
 
     def __len__(self) -> int:
-        return len(self._images)
+        return len(self._keys)
 
 
 # -- wave drivers --------------------------------------------------------------------
@@ -537,17 +519,12 @@ def pack_waves(
 class WaveOutcome:
     """What executing one wave produced: the per-partition results, the
     wave's engine statistics and SPM load cycles (the modelled half),
-    and the cache traffic and host timing of the attempt (the host
-    half).  Picklable — it is what a pool worker ships back."""
+    and the cache hit/miss tallies and host timing of the attempt (the
+    host half).  Picklable — it is what a pool worker ships back."""
 
     results: Dict[PartitionId, object]
     stats: RunStats
     load_cycles: int
-    #: Images this wave loaded that its seed did not already hold.
-    new_images: Dict[tuple, CachedImage]
-    #: Phases this wave recorded that the executing process's memo (seeded
-    #: by :func:`wave_pool` in a worker) did not already hold.
-    new_phases: Dict[tuple, RunStats]
     hits: int
     misses: int
     cycles_saved: int
@@ -559,19 +536,18 @@ def execute_wave(
     driver: WaveDriver,
     index: int,
     wave: Sequence[WaveItem],
-    seed_images: Dict[tuple, CachedImage],
+    held: FrozenSet[tuple],
 ) -> WaveOutcome:
     """Execute one wave — the primitive under every run loop (inline,
     pooled, served; module-level so it pickles).
 
-    The wave runs against a private cache seeded with the images the
-    caller already holds for it (``cache.images_for(driver.wave_keys(
-    wave))``) and reports the newly loaded images and the hit/miss
-    tallies back for :meth:`SpmImageCache.adopt`, so cache traffic is
-    the same whether the wave ran in the parent or in a worker."""
+    The wave runs against a private cache holding the keys the caller
+    already holds for it (``cache.keys_for(driver.wave_keys(wave))``)
+    and reports its hit/miss tallies back for
+    :meth:`SpmImageCache.adopt`, so cache traffic is the same whether
+    the wave ran in the parent or in a worker."""
     cache = SpmImageCache()
-    cache.merge(seed_images)
-    known_phases = PHASES.shapes()
+    cache.merge(held)
     started = time.perf_counter()
     results, stats, load_cycles = driver.run_wave(wave, cache)
     elapsed = time.perf_counter() - started
@@ -582,34 +558,25 @@ def execute_wave(
     )
     return WaveOutcome(
         results=results, stats=stats, load_cycles=load_cycles,
-        new_images={
-            key: image
-            for key, image in cache.images().items()
-            if key not in seed_images
-        },
-        new_phases=PHASES.snapshot(exclude=known_phases),
         hits=cache.hits, misses=cache.misses,
         cycles_saved=cache.cycles_saved,
         worker_pid=os.getpid(), elapsed_seconds=elapsed,
     )
 
 
-def _enter_worker(phases: Dict[tuple, RunStats]) -> None:
-    """Every pool worker's first call: stamp its log records ``w<pid>``
-    and start from the phases the parent had recorded when it built the
-    pool, whatever the process start method."""
+def _enter_worker() -> None:
+    """Every pool worker's first call: stamp its log records
+    ``w<pid>``."""
     set_worker_id(f"w{os.getpid()}")
-    PHASES.adopt(phases)
 
 
 @dataclass
 class WavePool:
-    """A pool of wave workers: the executor, how many processes it holds
-    and the phase shapes each of them came up seeded with."""
+    """A pool of wave workers: the executor and how many processes it
+    holds."""
 
     executor: ProcessPoolExecutor
     size: int
-    seeded: FrozenSet[tuple]
 
 
 #: The pool the last run released clean.  A pool is either kept here or
@@ -626,10 +593,11 @@ def wave_pool(workers: int, most_waves: int) -> Optional[WavePool]:
     The kept pool is handed back when it fits: no smaller than the
     ``min(workers, most_waves)`` processes this run can use, no larger
     than the ``workers`` it allows.  One that does not fit is shut down
-    and replaced.  Workers come up through :func:`_enter_worker`, seeded
-    with this process's phase memo; a kept worker may be older than
-    anything else the parent holds, so whatever else an attempt needs
-    travels with its task (:func:`_pool_task`)."""
+    and replaced.  Workers come up through :func:`_enter_worker` and
+    take nothing from the parent: a kept worker may be older than
+    anything the parent holds, so what an attempt needs travels with its
+    task (:func:`_pool_task`), and what a worker records for itself —
+    its phase memo — stays with it from run to run."""
     global _kept
     size = min(workers, most_waves)
     if size < 2:
@@ -639,12 +607,9 @@ def wave_pool(workers: int, most_waves: int) -> Optional[WavePool]:
         if size <= pool.size <= workers:
             return pool
         release_pool(pool, keep=False)
-    phases = PHASES.snapshot()
     return WavePool(
-        ProcessPoolExecutor(
-            max_workers=size, initializer=_enter_worker, initargs=(phases,)
-        ),
-        size, frozenset(phases),
+        ProcessPoolExecutor(max_workers=size, initializer=_enter_worker),
+        size,
     )
 
 
@@ -670,8 +635,7 @@ def drop_kept_pool() -> None:
 
 
 def _pool_task(
-    driver, index, wave, seed_images, mode, phases,
-    fault_kind, hang_seconds, attempt,
+    driver, index, wave, held, mode, fault_kind, hang_seconds, attempt,
 ):
     """Worker-side wave attempt: enact the parent's injection decision
     for this attempt (decided deterministically before submission), else
@@ -682,9 +646,9 @@ def _pool_task(
     :class:`~repro.faults.injector.InjectedFaultError` subclass, which
     travels back through the future like a real worker failure would.
 
-    A worker takes nothing from the moment it was forked: the wave runs
-    under the parent's ambient engine ``mode`` as of this attempt, and
-    holding the ``phases`` the parent recorded since the pool was seeded.
+    A worker takes nothing from the moment it was forked: the task is
+    the wave, the cache keys ``held`` for it and the parent's ambient
+    engine ``mode`` as of this attempt.
     """
     if fault_kind is not None:
         if fault_kind == "wave_timeout" and hang_seconds > 0:
@@ -693,8 +657,7 @@ def _pool_task(
             os._exit(1)  # a genuine process death, not an exception
         raise FAULT_EXCEPTIONS[fault_kind](WAVE_FAULT_SITE, index, attempt)
     Engine.default_mode = mode
-    PHASES.adopt(phases)
-    return execute_wave(driver, index, wave, seed_images)
+    return execute_wave(driver, index, wave, held)
 
 
 @dataclass
@@ -706,8 +669,8 @@ class WaveTask:
     index: int
     driver: WaveDriver
     items: Sequence[WaveItem]
-    #: Every attempt is seeded with the images this cache holds for the
-    #: wave when the attempt starts; adopting the outcome is the caller's.
+    #: Every attempt starts from the keys this cache holds for the wave
+    #: when the attempt starts; adopting the outcome is the caller's.
     cache: SpmImageCache
     #: Where the wave's faults, retries and fallbacks are tallied.
     stats: ParallelRunStats = field(default_factory=ParallelRunStats)
@@ -717,8 +680,13 @@ class WaveTask:
     #: caller records them with the wave's outcome.
     retried: List[FailedAttempt] = field(default_factory=list)
 
-    def seed_images(self) -> Dict[tuple, CachedImage]:
-        return self.cache.images_for(self.driver.wave_keys(self.items))
+    def keys(self) -> List[tuple]:
+        """The SPM-cache keys the wave looks up."""
+        return self.driver.wave_keys(self.items)
+
+    def held(self) -> FrozenSet[tuple]:
+        """The wave's keys its cache already holds."""
+        return self.cache.keys_for(self.keys())
 
 
 def run_waves(
@@ -819,7 +787,7 @@ def run_waves(
         except RetryBudgetExceeded as error:
             return task, worker, error
         return task, worker, execute_wave(
-            task.driver, task.index, task.items, task.seed_images()
+            task.driver, task.index, task.items, task.held()
         )
 
     pool = wave_pool(fan_out, len(tasks))
@@ -855,9 +823,7 @@ def run_waves(
                 hang = min(wave_timeout * 2, wave_timeout + 1.0)
         future = pool.executor.submit(
             _pool_task, task.driver, task.index, task.items,
-            task.seed_images(), Engine.default_mode,
-            PHASES.snapshot(exclude=pool.seeded),
-            fault_kind, hang, attempt,
+            task.held(), Engine.default_mode, fault_kind, hang, attempt,
         )
         deadline = (
             time.monotonic() + wave_timeout

@@ -448,7 +448,7 @@ def run_sharded(
     shared_cache = spm_cache if spm_cache is not None else SpmImageCache()
     caches = [SpmImageCache() for _ in queues]
     for cache in caches:
-        cache.merge(shared_cache.images())
+        cache.merge(shared_cache.keys())
     labels = [{"device": d} if devices > 1 else {} for d in range(devices)]
     per_device = [
         ParallelRunStats(
@@ -495,7 +495,7 @@ def run_sharded(
             spent[task.index] = outcome
             continue
         merged.update(outcome.results)
-        task.cache.adopt(outcome)
+        task.cache.adopt(task.keys(), outcome)
         record_event(
             "scheduler.wave",
             stage=driver.stage, wave=task.index, worker=worker,
@@ -566,8 +566,8 @@ def run_sharded(
         elapsed_seconds=time.perf_counter() - started,
     )
 
-    # absorb per-device caches in device order (images first-wins on
-    # identical keys, counters accumulate), so later stages replay hits
+    # absorb per-device caches in device order (key sets union,
+    # counters accumulate), so later stages' loads of these rows hit
     for cache in caches:
         shared_cache.absorb(cache)
     if storage is not None:

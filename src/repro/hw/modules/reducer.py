@@ -53,8 +53,6 @@ class Reducer(Module):
         self.per_item = per_item
         self.out_field = out_field
         self._acc = _IDENTITY[op]
-        self._saw_stream_end = False
-        self._emitted_stream_result = False
 
     # -- accumulate --------------------------------------------------------------
 

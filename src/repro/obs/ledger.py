@@ -35,7 +35,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
-from ..errors import check_writable
+from ..errors import InputError, check_writable
 
 DEFAULT_LEDGER_DIR = ".repro"
 DEFAULT_LEDGER_NAME = "ledger.jsonl"
@@ -151,8 +151,16 @@ class RunLedger:
             "schema_version": LEDGER_SCHEMA_VERSION,
             **record,
         }
+        line = json.dumps(record, default=str) + "\n"
         with self._open_for_append() as handle:
-            handle.write(json.dumps(record, default=str) + "\n")
+            # a file cut mid-record gets its own (refused) line, rather
+            # than this record fused onto it
+            end = handle.seek(0, os.SEEK_END)
+            if end:
+                handle.seek(end - 1)
+                if handle.read(1) != b"\n":
+                    line = "\n" + line
+            handle.write(line.encode())
 
     def check_writable(self) -> None:
         """Refuse the ledger before a run starts rather than from its
@@ -164,7 +172,7 @@ class RunLedger:
         parent = os.path.dirname(self.path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        return open(self.path, "a")
+        return open(self.path, "ab+")
 
     def record(
         self,
@@ -189,24 +197,32 @@ class RunLedger:
 
     def read(self) -> List[Dict[str, object]]:
         """Every record in the ledger, oldest first (empty when the file
-        does not exist; malformed or non-object lines are skipped, not
-        fatal).  Unknown keys — fields stamped by newer writers — pass
+        does not exist).  A line that is not a JSON object — a record cut
+        short, say — is refused with an
+        :class:`~repro.errors.InputError` naming ``path:line``, never
+        skipped.  Unknown keys — fields stamped by newer writers — pass
         through untouched: every reader queries by ``.get``, so ledgers
         written before or after a schema bump both analyze cleanly."""
         if not os.path.exists(self.path):
             return []
         records: List[Dict[str, object]] = []
-        with open(self.path) as handle:
-            for line in handle:
+        with open(self.path, "rb") as handle:
+            for number, line in enumerate(handle, 1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
                     record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(record, dict):
-                    records.append(record)
+                except ValueError as error:  # not JSON, or not text
+                    raise InputError(
+                        f"{self.path}:{number}: not a ledger record: {error}"
+                    ) from None
+                if not isinstance(record, dict):
+                    raise InputError(
+                        f"{self.path}:{number}: not a ledger record: "
+                        f"expected a JSON object, got {type(record).__name__}"
+                    )
+                records.append(record)
         return records
 
     def runs(self) -> Dict[str, List[Dict[str, object]]]:

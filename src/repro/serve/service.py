@@ -145,9 +145,8 @@ class ServiceCheckpoint:
     :meth:`JobService.resume`: the virtual clock, the queue with every
     open job (in-flight waves already requeued), the not-yet-admitted
     arrivals, and the live device pool, fault injector and event
-    mirror — so occupancy charged, fault slots consumed and events
-    recorded (hence the trace folded from them) before the drain all
-    carry over."""
+    mirror — so occupancy charged and events recorded (hence the trace
+    folded from them) before the drain all carry over."""
 
     clock: int
     dispatch_seq: int
@@ -432,7 +431,7 @@ class JobService:
                 if job.is_open:
                     self._fail_job(job, pick.wave_index)
                 continue
-            self.cache.adopt(outcome)
+            self.cache.adopt(task.keys(), outcome)
             cycles = outcome.stats.cycles
             _nbytes, seconds = self.pool.charge_wave(
                 pick.device, pick.seq, wave, cycles

@@ -51,9 +51,9 @@ def worker_pids(monkeypatch):
     pids = []
     adopt = scheduler.SpmImageCache.adopt
 
-    def spy(cache, outcome):
+    def spy(cache, keys, outcome):
         pids.append(outcome.worker_pid)
-        adopt(cache, outcome)
+        adopt(cache, keys, outcome)
 
     monkeypatch.setattr(scheduler.SpmImageCache, "adopt", spy)
     return pids

@@ -776,6 +776,31 @@ def test_analyze_sharding_reads_the_ledger(tmp_path, capsys):
     assert "what-if" in out
 
 
+def test_analyze_refuses_a_truncated_ledger(tmp_path, capsys):
+    """A ledger cut mid-record is refused at the cut line, and the
+    records appended after the cut start a line of their own."""
+    import json
+
+    fasta, sam = _simulate(tmp_path)
+    ledger = tmp_path / "ledger.jsonl"
+    assert main([
+        "--ledger", str(ledger), "preprocess", "--fasta", str(fasta),
+        "--sam", str(sam), "--out", str(tmp_path / "tagged.sam"),
+        "--devices", "2",
+    ]) == 0
+    whole = ledger.read_bytes()
+    ledger.write_bytes(whole[:-40])
+    cut = whole[:-40].count(b"\n") + 1
+    capsys.readouterr()
+    assert main(["--ledger", str(ledger), "analyze", "--sharding"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ledger}:{cut}: ")
+    assert len(err.strip().splitlines()) == 1
+    lines = ledger.read_text().splitlines()
+    assert len(lines) > cut
+    assert json.loads(lines[cut])["event"] == "run.start"
+
+
 def _ledger_of(path, *records):
     from repro.obs.ledger import RunLedger
 

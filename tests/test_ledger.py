@@ -1,9 +1,11 @@
 """Tests for the run ledger (repro.obs.ledger)."""
 
 import json
+import re
 
 import pytest
 
+from repro.errors import InputError
 from repro.obs.ledger import (
     LEDGER_SCHEMA_VERSION,
     RunLedger,
@@ -66,10 +68,27 @@ class TestLedger:
     def test_read_missing_file_is_empty(self, tmp_path):
         assert RunLedger(str(tmp_path / "nope.jsonl")).read() == []
 
-    def test_malformed_lines_skipped(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line", [b"not json", b"\xff\xfe{}"], ids=["text", "bytes"]
+    )
+    def test_malformed_line_refused(self, tmp_path, line):
         path = tmp_path / "ledger.jsonl"
-        path.write_text('{"event": "ok"}\nnot json\n')
-        assert [r["event"] for r in RunLedger(str(path)).read()] == ["ok"]
+        path.write_bytes(b'{"event": "ok"}\n\n' + line + b"\n")
+        with pytest.raises(
+            InputError, match=f"^{re.escape(str(path))}:3: not a ledger record"
+        ):
+            RunLedger(str(path)).read()
+
+    def test_append_after_a_cut_starts_a_fresh_line(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        path.write_text('{"event": "ok"}\n{"event": "cu')
+        ledger = RunLedger(str(path))
+        ledger.append({"event": "next"})
+        lines = path.read_text().splitlines()
+        assert lines[1] == '{"event": "cu'
+        assert json.loads(lines[2])["event"] == "next"
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}:2: "):
+            ledger.read()
 
     def test_creates_parent_directory(self, tmp_path):
         ledger = RunLedger(str(tmp_path / "deep" / "dir" / "ledger.jsonl"))
@@ -189,7 +208,12 @@ class TestSchemaVersion:
             "serve.job.done", "versionless"
         ]
 
-    def test_non_dict_json_lines_skipped(self, tmp_path):
+    def test_non_object_json_line_refused(self, tmp_path):
         path = tmp_path / "odd.jsonl"
-        path.write_text('[1, 2, 3]\n"just a string"\n{"event": "ok"}\n')
-        assert [r["event"] for r in RunLedger(str(path)).read()] == ["ok"]
+        for number, odd in enumerate(['[1, 2, 3]', '"just a string"'], 2):
+            path.write_text('{"event": "ok"}\n' * (number - 1) + odd + "\n")
+            with pytest.raises(
+                InputError,
+                match=f"^{re.escape(str(path))}:{number}: .*got (list|str)$",
+            ):
+                RunLedger(str(path)).read()

@@ -3,10 +3,10 @@ per shape and hand out copies of the recorded RunStats afterwards.
 
 The flit-by-flit simulations the drivers used to run per partition are
 kept here as the reference: a replayed phase must equal them on every
-modelled field, whatever the scratchpads or the REF row hold.  The
-recordings live in one :class:`PhaseMemo` that pool workers are seeded
-with and report back to, so a pooled run must replay wherever an inline
-run does.
+modelled field, whatever the scratchpads or the REF row hold.  Each
+process records into its own :class:`PhaseMemo` and nothing crosses the
+pool boundary, so a pooled run must answer exactly what an inline run
+does, however warm either side's memo is.
 """
 
 import json
@@ -28,9 +28,9 @@ from repro.accel.common import (
     load_reference_spm,
 )
 from repro.accel import BqsrWaveDriver
+from repro.accel.scheduler import SpmImageCache
 from repro.accel.sharding import run_sharded
 from repro.eval.workloads import make_workload
-from repro.faults.plan import FaultPlan, FaultSpec
 from repro.hw.engine import Engine, RunStats
 from repro.hw.memory import MemoryConfig, MemorySystem
 from repro.hw.modules import MemoryReader, MemoryWriter, SpmReader, SpmUpdater
@@ -231,51 +231,12 @@ def test_memo_is_bounded_and_evicts_least_recently_replayed():
     memo.replay(phase, PHASE_MEMO_SIZE)  # one too many: shape 1 goes
     assert len(memo) == PHASE_MEMO_SIZE
     assert (memo.hits, memo.misses) == (1, PHASE_MEMO_SIZE + 1)
-    assert ("phase", 1) not in memo.shapes()
     memo.replay(phase, 0)
     assert runs.count(0) == 1, "shape 0 was kept"
     memo.replay(phase, 1)
     assert runs.count(1) == 2, "shape 1 was evicted and ran again"
-    memo.adopt({("elsewhere", n): _stats(n) for n in range(PHASE_MEMO_SIZE * 2)})
-    assert len(memo) == PHASE_MEMO_SIZE
-
-
-def test_adopt_is_first_writer_wins():
-    memo = PhaseMemo()
-
-    def phase(size):
-        return _stats(size)
-
-    assert memo.replay(phase, 5).cycles == 5
-    memo.adopt({("phase", 5): _stats(999), ("phase", 6): _stats(6)})
-    assert memo.replay(phase, 5).cycles == 5, "own recording kept"
-    assert memo.replay(phase, 6).cycles == 6, "adopted, not re-simulated"
-    assert (memo.hits, memo.misses) == (2, 1)
     memo.clear()
     assert (len(memo), memo.hits, memo.misses) == (0, 0, 0)
-
-
-def test_snapshots_and_adopted_recordings_share_no_dict_instances():
-    memo = PhaseMemo()
-
-    def phase(size):
-        return _stats(size)
-
-    memo.replay(phase, 3)
-    snapshot = memo.snapshot()
-    assert list(snapshot) == [("phase", 3)]
-    assert memo.snapshot(exclude=memo.shapes()) == {}
-    snapshot["phase", 3].flits_by_module.clear()  # the holder's own copy
-    assert memo.replay(phase, 3).flits_by_module == {"m": 3}
-
-    adopted = _stats(4)
-    memo.adopt({("phase", 4): adopted})
-    first, second = memo.replay(phase, 4), memo.replay(phase, 4)
-    assert first.flits_by_module == second.flits_by_module == {"m": 4}
-    assert first.flits_by_module is not second.flits_by_module
-    assert first.flits_by_module is not adopted.flits_by_module
-    first.flits_by_module.clear()
-    assert memo.replay(phase, 4).flits_by_module == {"m": 4}
 
 
 # -- across the process boundary -----------------------------------------------------
@@ -301,92 +262,39 @@ def _bqsr_driver(workload) -> BqsrWaveDriver:
     )
 
 
-@pytest.fixture
-def adopted_phases(monkeypatch):
-    """Every batch of phases a wave reported back to this process."""
-    batches = []
-    adopt = PHASES.adopt
-
-    def spy(phases):
-        batches.append(dict(phases))
-        adopt(phases)
-
-    monkeypatch.setattr(PHASES, "adopt", spy)
-    return batches
-
-
-def _crash_wave_zero():
-    return FaultPlan(
-        seed=1, specs=(FaultSpec("worker_crash", site="scheduler.wave", at=(0,)),),
-    )
-
-
-@pytest.mark.parametrize("crash", [False, True], ids=["clean", "worker_crash"])
-def test_pool_workers_start_warm_and_report_back(
-    pooled_workload, adopted_phases, crash
-):
-    """The parent only dispatches, yet ends the first run holding the
-    drain and load shapes its workers recorded; every later pool — the
-    one rebuilt after a crash included — comes up seeded with them."""
-    driver = _bqsr_driver(pooled_workload)
-    PHASES.clear()
-
-    def run():
-        del adopted_phases[:]
-        _results, stats = run_sharded(
-            driver, pooled_workload.group_partitions, 2, workers=2,
-            fault_plan=_crash_wave_zero() if crash else None,
-        )
-        assert stats.waves > 2 and stats.pool_restarts == int(crash)
-        return stats
-
-    run()
-    phases = {key[0] for key in PHASES.shapes()}
-    assert phases == {"_simulate_drain", "_simulate_reference_load"}
-    assert PHASES.misses == 0, "the parent simulated no phase itself"
-    assert any(adopted_phases), "the workers reported what they recorded"
-    held = PHASES.shapes()
-
-    run()
-    assert adopted_phases and not any(adopted_phases), (
-        "seeded workers had nothing left to record"
-    )
-    assert PHASES.shapes() == held and PHASES.misses == 0
-
-
-def test_sharded_pool_workers_start_warm(
-    pooled_workload, adopted_phases, pools_built, worker_pids
-):
-    """Cold run reports phases, warm run reports none — and the warm run
-    is served by the cold run's kept workers, which hold what the parent
-    adopted since because it travels with each task."""
-    driver = _bqsr_driver(pooled_workload)
-    PHASES.clear()
-    for warm in (False, True):
-        del adopted_phases[:]
-        run_sharded(driver, pooled_workload.group_partitions, 2, devices=2)
-        assert any(adopted_phases) != warm
-        assert len(PHASES) > 0 and PHASES.misses == 0
-    assert pools_built == [2], "the second run forked nothing"
-    assert os.getpid() not in worker_pids and len(set(worker_pids)) <= 2
-
-
 @pytest.mark.parametrize("warm_parent", [False, True], ids=["cold", "warm"])
 def test_pooled_equals_inline_from_cold_and_warm_parents(
     pooled_workload, warm_parent
 ):
     driver = _bqsr_driver(pooled_workload)
+    parts = pooled_workload.group_partitions
     PHASES.clear()
+    cache = SpmImageCache()
     inline_res, inline = run_sharded(
-        driver, pooled_workload.group_partitions, 2, workers=1
+        driver, parts, 2, workers=1, spm_cache=cache
     )
     if not warm_parent:
         PHASES.clear()
-    pooled_res, pooled = run_sharded(
-        driver, pooled_workload.group_partitions, 2, workers=2
-    )
+    pooled_res, pooled = run_sharded(driver, parts, 2, workers=2)
     assert pooled.per_wave_cycles == inline.per_wave_cycles
     assert pooled.spm_load_cycles == inline.spm_load_cycles
+    # Pooled waves are all seeded from the cache as the run began, so
+    # only from one seed do their tallies match the inline run's: the
+    # keys travel to the workers and the tallies come back.
+    tallies = []
+    for workers in (1, 2):
+        seeded = SpmImageCache()
+        seeded.merge(cache.keys())
+        _res, run = run_sharded(
+            driver, parts, 2, workers=workers, spm_cache=seeded
+        )
+        tallies.append((
+            run.spm_cache_hits, run.spm_cache_misses, run.spm_cycles_saved,
+            run.spm_load_cycles,
+        ))
+    assert tallies[0] == tallies[1]
+    loads = inline.spm_cache_hits + inline.spm_cache_misses
+    assert tallies[0][:2] == (loads, 0), "every load hit the seeded keys"
     assert set(pooled_res) == set(inline_res)
     for pid, want in inline_res.items():
         got = pooled_res[pid]
@@ -406,7 +314,6 @@ import multiprocessing
 import os
 
 from hw_harness import modelled_fields
-from repro.accel.common import PHASES
 from repro.accel import BqsrWaveDriver, run_sharded
 from repro.accel.scheduler import SpmImageCache
 from repro.eval.workloads import make_workload
@@ -431,36 +338,25 @@ if __name__ == "__main__":
         reference=workload.reference, read_length=workload.read_length
     )
     inline, _stats = run_sharded(driver, workload.group_partitions, 2)
-    PHASES.clear()
-    reported, pids = [], []
-    adopt_phases, adopt_outcome = PHASES.adopt, SpmImageCache.adopt
+    pids = []
+    adopt = SpmImageCache.adopt
 
-    def spy_phases(phases):
-        reported.append(len(phases))
-        adopt_phases(phases)
-
-    def spy_outcome(cache, outcome):
+    def spy(cache, keys, outcome):
         pids.append(outcome.worker_pid)
-        adopt_outcome(cache, outcome)
+        adopt(cache, keys, outcome)
 
-    PHASES.adopt = spy_phases
-    SpmImageCache.adopt = spy_outcome
-    runs, modes, same = [], set(), True
-    for _ in range(2):
-        del reported[:]
-        pooled, _stats = run_sharded(
-            driver, workload.group_partitions, 2, workers=2
-        )
-        runs.append([sum(reported), len(PHASES), PHASES.misses])
-        same = same and all(
-            modelled(pooled[pid]) == modelled(inline[pid]) for pid in inline
-        )
-        modes |= {{
+    SpmImageCache.adopt = spy
+    pooled, _stats = run_sharded(
+        driver, workload.group_partitions, 2, workers=2
+    )
+    print(json.dumps({{
+        "modes": sorted({{
             stats["mode"] for result in pooled.values()
             for stats in modelled(result)[1]
-        }}
-    print(json.dumps({{
-        "runs": runs, "modes": sorted(modes), "pooled_equals_inline": same,
+        }}),
+        "pooled_equals_inline": all(
+            modelled(pooled[pid]) == modelled(inline[pid]) for pid in inline
+        ),
         "worker_pids": sorted(set(pids)), "parent_pid": os.getpid(),
     }}))
 """
@@ -468,9 +364,9 @@ if __name__ == "__main__":
 
 def test_spawned_workers_are_seeded_through_the_initializer(tmp_path):
     """Nothing rides on ``fork``: a spawned worker imports an empty memo
-    and the default engine mode, and still starts from the parent's
-    recordings and runs every wave under the parent's ``dense`` — the
-    second run on the first's kept workers."""
+    and the default engine mode, yet answers every wave as the inline
+    run does, under the parent's ``dense``, which travels with each
+    task."""
     script = tmp_path / "spawn_run.py"
     script.write_text(SPAWN_SCRIPT)
     done = subprocess.run(
@@ -479,9 +375,6 @@ def test_spawned_workers_are_seeded_through_the_initializer(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout.splitlines()[-1])
-    (cold_reported, cold_held, cold_misses), warm = out["runs"]
-    assert cold_reported >= cold_held > 0 and cold_misses == 0
-    assert warm == [0, cold_held, 0]
     assert out["modes"] == ["dense"] and out["pooled_equals_inline"]
-    assert 1 <= len(out["worker_pids"]) <= 2, "one pool of two served both runs"
+    assert 1 <= len(out["worker_pids"]) <= 2
     assert out["parent_pid"] not in out["worker_pids"]

@@ -20,11 +20,7 @@ import pytest
 
 from hw_harness import assert_same_cycles, assert_stage_identical
 from repro.accel import BqsrWaveDriver, MarkdupWaveDriver, MetadataWaveDriver
-from repro.accel.scheduler import (
-    CachedImage,
-    SpmImageCache,
-    WaveDriver,
-)
+from repro.accel.scheduler import SpmImageCache, WaveDriver
 from repro.accel.sharding import run_sharded
 from repro.eval.workloads import make_workload
 from repro.faults import (
@@ -301,9 +297,7 @@ def test_worker_exception_propagates(workload, workers):
 
 def test_spm_cache_merge_keeps_existing_entries():
     cache = SpmImageCache()
-    keep = CachedImage(words=[1, 2], stats=None)
-    cache.merge({("k",): keep})
-    cache.merge({("k",): CachedImage(words=[9, 9], stats=None),
-                 ("other",): CachedImage(words=[3], stats=None)})
-    assert cache.images()[("k",)] is keep
-    assert len(cache) == 2
+    cache.merge([("k",)])
+    cache.merge([("k",), ("other",)])
+    assert cache.keys() == {("k",), ("other",)} and len(cache) == 2
+    assert cache.keys_for([("other",), ("absent",)]) == {("other",)}

@@ -327,7 +327,7 @@ def test_spm_cache_keeps_references_sharing_a_position_apart():
 
 
 def test_spm_cache_absorb_merges_images_and_counters(sched_workload):
-    """absorb() is the cross-device merge: disjoint image sets union,
+    """absorb() is the cross-device merge: disjoint key sets union,
     and the per-pool hit/miss/cycles-saved history accumulates."""
     driver = MetadataWaveDriver(reference=sched_workload.reference)
     parts = list(sched_workload.partitions)
@@ -336,33 +336,28 @@ def test_spm_cache_absorb_merges_images_and_counters(sched_workload):
     cache_a, cache_b = SpmImageCache(), SpmImageCache()
     run_sharded(driver, parts[:half], 2, spm_cache=cache_a)
     run_sharded(driver, parts[half:], 2, spm_cache=cache_b)
-    keys_a, keys_b = set(cache_a.images()), set(cache_b.images())
+    keys_a, keys_b = cache_a.keys(), cache_b.keys()
     misses_a, misses_b = cache_a.misses, cache_b.misses
     cache_a.absorb(cache_b)
-    assert set(cache_a.images()) == keys_a | keys_b
+    assert cache_a.keys() == keys_a | keys_b
     assert cache_a.misses == misses_a + misses_b
-    # the absorbed pool replays both halves without re-simulating
+    # the absorbed pool hits on both halves
     _res, stats = run_sharded(driver, parts, 2, spm_cache=cache_a)
     assert stats.spm_cache_misses == 0
 
 
 def test_spm_cache_absorb_overlapping_keys_idempotent(sched_workload):
-    """Two pools that cached the same partitions merge first-wins: the
-    image set does not grow, and the surviving entries are the target's
-    own (no churn on identical keys)."""
+    """Two pools that cached the same partitions merge to the same key
+    set, however often one is absorbed into the other."""
     driver = MetadataWaveDriver(reference=sched_workload.reference)
     cache_a, cache_b = SpmImageCache(), SpmImageCache()
     run_sharded(driver, sched_workload.partitions, 2, spm_cache=cache_a)
     run_sharded(driver, sched_workload.partitions, 2, spm_cache=cache_b)
-    before = cache_a.images()
-    cache_a.absorb(cache_b)
-    after = cache_a.images()
-    assert set(after) == set(before)
-    for key, image in before.items():
-        assert after[key] is image  # first writer won
-    # a second absorb of the same pool adds no images either
-    cache_a.absorb(cache_b)
-    assert set(cache_a.images()) == set(before)
+    before = cache_a.keys()
+    assert before and cache_b.keys() == before
+    for _ in range(2):
+        cache_a.absorb(cache_b)
+        assert cache_a.keys() == before and len(cache_a) == len(before)
 
 
 def test_spm_cache_absorb_counters_survive_merge(sched_workload):
