@@ -47,9 +47,9 @@ are executed:
   in-process fallback (:func:`run_waves`; DESIGN.md §3.5).
 
 Results are bit-identical across ``workers`` and ``devices`` settings:
-wave packing is deterministic, every wave simulates in its own engine,
-and a phase replay returns exactly the cycle statistics a fresh load
-simulation would produce.  Only the host-side
+wave packing is deterministic, every distinct wave simulates in its own
+engine, and a phase replay — like a wave replay — returns exactly the
+cycle statistics a fresh simulation would produce.  Only the host-side
 throughput metrics (wall seconds, per-worker breakdowns, cache hit
 counts) vary.  The same holds under fault injection: a wave is a pure
 function of its partitions, so a retried or serially re-run wave
@@ -59,7 +59,9 @@ run.
 
 from __future__ import annotations
 
+import hashlib
 import os
+import pickle
 import time
 import zlib
 from collections import deque
@@ -115,7 +117,7 @@ POOL_RESTART_BUDGET = 1
 _log = get_logger("scheduler")
 
 
-# -- SPM image cache -----------------------------------------------------------------
+# -- SPM image cache and wave memo -----------------------------------------------------
 
 
 class SpmImageCache:
@@ -139,6 +141,8 @@ class SpmImageCache:
         self.hits = 0
         self.misses = 0
         self.cycles_saved = 0
+        #: Each load's cycles, in order (:attr:`WaveOutcome.item_load_cycles`).
+        self.load_cycles: List[int] = []
 
     @staticmethod
     def key(
@@ -169,15 +173,19 @@ class SpmImageCache:
         with_snp: bool = False,
     ) -> Tuple[Scratchpad, RunStats]:
         """:func:`load_reference_spm`, tallied against the keys held."""
-        key = self.key(ref_row, memory_config, with_snp)
         spm, stats = load_reference_spm(ref_row, memory_config, with_snp)
+        self.tally(self.key(ref_row, memory_config, with_snp), stats.cycles)
+        return spm, stats
+
+    def tally(self, key: tuple, cycles: int) -> None:
+        """Count one load of ``key``: a hit (its ``cycles`` saved) or a miss."""
+        self.load_cycles.append(cycles)
         if key in self._keys:
             self.hits += 1
-            self.cycles_saved += stats.cycles
+            self.cycles_saved += cycles
         else:
             self.misses += 1
             self._keys.add(key)
-        return spm, stats
 
     def keys(self) -> FrozenSet[tuple]:
         """Every key held."""
@@ -212,6 +220,60 @@ class SpmImageCache:
 
     def __len__(self) -> int:
         return len(self._keys)
+
+
+def partition_digest(part: Table) -> tuple:
+    """A partition's row count and a BLAKE2b of its columns (a stand-in
+    that is not a :class:`Table` keys as itself)."""
+    if not isinstance(part, Table):
+        return (part,)
+    digest = hashlib.blake2b(digest_size=16)
+    for spec in part.schema.columns:
+        data = part.column(spec.name)
+        if spec.is_array:  # row lengths, then the rows back to back
+            digest.update(np.fromiter(map(len, data), np.int64, len(data)))
+            data = np.concatenate(data) if len(data) else np.zeros(0)
+        digest.update(f"{spec.name}:{data.dtype.str}".encode())
+        digest.update(np.ascontiguousarray(data))
+    return part.num_rows, digest.digest()
+
+
+class WaveMemo:
+    """The waves an owner has solved, replayed as fresh copies of the
+    recorded outcome with the replay's own host seconds and cache tallies
+    (DESIGN.md §3.2 "Wave memo").  Unbounded — one outcome per distinct
+    wave, whose results its owner (a ``JobService``, a ``run_sharded``
+    call) keeps anyway — and never module-global."""
+
+    def __init__(self) -> None:
+        self._solved: Dict[tuple, bytes] = {}  # memo key -> pickled outcome
+        self.hits = self.misses = 0
+
+    def replay(self, task: "WaveTask") -> Optional["WaveOutcome"]:
+        """The task's wave as recorded, or ``None``."""
+        solved = self._solved.get(task.memo_key)
+        if solved is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        started = time.perf_counter()
+        outcome = pickle.loads(solved)
+        cache = SpmImageCache()
+        cache.merge(task.held())
+        for key, cycles in zip(task.keys, outcome.item_load_cycles):
+            cache.tally(key, cycles)
+        outcome.hits, outcome.misses = cache.hits, cache.misses
+        outcome.cycles_saved, outcome.worker_pid = cache.cycles_saved, os.getpid()
+        outcome.elapsed_seconds = time.perf_counter() - started
+        outcome.stats.wall_seconds = outcome.elapsed_seconds
+        return outcome
+
+    def record(self, task: "WaveTask", outcome: "WaveOutcome") -> None:
+        """Keep a private copy of a simulated outcome (the first stands)."""
+        self._solved.setdefault(task.memo_key, pickle.dumps(outcome, -1))
+
+    def __len__(self) -> int:
+        return len(self._solved)
 
 
 # -- wave drivers --------------------------------------------------------------------
@@ -530,6 +592,8 @@ class WaveOutcome:
     cycles_saved: int
     worker_pid: int
     elapsed_seconds: float
+    #: Each item's SPM load cycles, in order — what a replay tallies.
+    item_load_cycles: Tuple[int, ...] = ()
 
 
 def execute_wave(
@@ -561,6 +625,7 @@ def execute_wave(
         hits=cache.hits, misses=cache.misses,
         cycles_saved=cache.cycles_saved,
         worker_pid=os.getpid(), elapsed_seconds=elapsed,
+        item_load_cycles=tuple(cache.load_cycles),
     )
 
 
@@ -679,14 +744,27 @@ class WaveTask:
     #: The failed attempts its ladder retried, in attempt order; the
     #: caller records them with the wave's outcome.
     retried: List[FailedAttempt] = field(default_factory=list)
+    #: Its owner's memo (by default its own, which never hits).
+    memo: WaveMemo = field(default_factory=WaveMemo)
+    #: Computed once: the SPM-cache keys the wave looks up, and its memo
+    #: key — the driver's type and fields, engine mode, items' digests.
+    keys: List[tuple] = field(init=False)
+    memo_key: tuple = field(init=False)
 
-    def keys(self) -> List[tuple]:
-        """The SPM-cache keys the wave looks up."""
-        return self.driver.wave_keys(self.items)
+    def __post_init__(self) -> None:
+        driver, self.keys = self.driver, self.driver.wave_keys(self.items)
+        fields = dict(vars(driver))
+        if driver.uses_reference:  # the keys digest each REF row it serves
+            del fields["reference"]
+        self.memo_key = (
+            type(driver), tuple(sorted(fields.items())), Engine.default_mode,
+            tuple(self.keys),
+            tuple((pid, partition_digest(part)) for pid, part in self.items),
+        )
 
     def held(self) -> FrozenSet[tuple]:
         """The wave's keys its cache already holds."""
-        return self.cache.keys_for(self.keys())
+        return self.cache.keys_for(self.keys)
 
 
 def run_waves(
@@ -701,9 +779,10 @@ def run_waves(
     """The wave executor: drive every task down its retry ladder and
     yield ``(task, worker label, outcome)`` for each — in task order when
     the waves run inline, in completion order on the pool.  The outcome
-    is the wave's clean execution or, when its ladder ran out, the
-    :class:`~repro.faults.injector.RetryBudgetExceeded` saying so: a wave
-    out of budget fails alone, and every other task still runs.
+    is the wave's clean execution (a replay, worker ``memo`` on the pool,
+    when its :class:`WaveMemo` holds the wave) or, when its ladder ran
+    out, the :class:`~repro.faults.injector.RetryBudgetExceeded` saying
+    so: a wave out of budget fails alone, and every other task still runs.
 
     It feeds one process pool of ``fan_out`` processes
     (:func:`wave_pool`), or runs inline when that — or the task count —
@@ -786,9 +865,11 @@ def run_waves(
                 account_failure(task, failed)
         except RetryBudgetExceeded as error:
             return task, worker, error
-        return task, worker, execute_wave(
-            task.driver, task.index, task.items, task.held()
-        )
+        outcome = task.memo.replay(task)
+        if outcome is None:
+            outcome = execute_wave(task.driver, task.index, task.items, task.held())
+            task.memo.record(task, outcome)
+        return task, worker, outcome
 
     pool = wave_pool(fan_out, len(tasks))
     if pool is None:
@@ -814,7 +895,11 @@ def run_waves(
         fault = wave_ladder(task, worker="pool").poll(attempt)
         fault_kind = None
         hang = 0.0
-        if fault is not None:
+        if fault is None:  # cleared: a wave the memo holds is replayed
+            replayed = task.memo.replay(task)
+            if replayed is not None:
+                return replayed
+        else:
             fault_kind = fault.kind
             account_fault(fault_kind, task, attempt)
             if fault_kind == "wave_timeout" and wave_timeout is not None:
@@ -851,11 +936,13 @@ def run_waves(
             try:
                 while ready:
                     task, attempt = ready.popleft()
-                    submit(task, attempt)
+                    replayed = submit(task, attempt)
+                    if replayed is not None:
+                        yield task, "memo", replayed
             except BrokenProcessPool:
                 ready.appendleft((task, attempt))
                 broken = True
-            if not broken:
+            if not broken and pending:
                 timeout = None
                 if wave_timeout is not None and pending:
                     nearest = min(
@@ -879,6 +966,7 @@ def run_waves(
                         broken = True
                     else:
                         del pending[future]
+                        task.memo.record(task, outcome)
                         yield task, worker_pids.setdefault(
                             outcome.worker_pid, f"w{len(worker_pids)}"
                         ), outcome

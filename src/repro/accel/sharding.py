@@ -69,6 +69,7 @@ from .scheduler import (
     SpmImageCache,
     WaveDriver,
     WaveItem,
+    WaveMemo,
     WaveTask,
     WorkerStats,
     pack_waves,
@@ -460,10 +461,11 @@ def run_sharded(
         )
         for device, (queue, label) in enumerate(zip(queues, labels))
     ]
+    memo = WaveMemo()
     tasks = [
         WaveTask(
             wave.global_index, driver, wave.items, caches[wave.device],
-            per_device[wave.device], labels[wave.device],
+            per_device[wave.device], labels[wave.device], memo=memo,
         )
         for wave in plan.waves
     ]
@@ -495,7 +497,7 @@ def run_sharded(
             spent[task.index] = outcome
             continue
         merged.update(outcome.results)
-        task.cache.adopt(task.keys(), outcome)
+        task.cache.adopt(task.keys, outcome)
         record_event(
             "scheduler.wave",
             stage=driver.stage, wave=task.index, worker=worker,

@@ -42,7 +42,9 @@ class RunStats:
     ``ticks_executed`` module ticks actually executed (state-changing
     ticks solved, under ``maxplus``) out of ``ticks_possible`` (modules x
     cycles, what the dense loop does), and ``wall_seconds`` host wall
-    time inside ``Engine.run``.
+    time inside ``Engine.run`` — or, for a wave replayed from a
+    :class:`~repro.accel.scheduler.WaveMemo`, the replay's own host
+    seconds (the other fields are the recorded run's).
     """
 
     cycles: int

@@ -47,16 +47,18 @@ from typing import (
 )
 
 from ..constants import CLOCK_HZ
-from ..errors import refusing
+from ..errors import InputError, refusing
 
 
 def fields_of(event: str) -> ContextManager[None]:
     """Read the fields of ``event`` records: one of the wrong JSON type
     (``"device": [0]`` — a ``TypeError``) or value (``"waves": "x"`` — a
-    ``ValueError``) becomes one :class:`~repro.errors.InputError` naming
-    the event, the CLI's exit-code-2 refusal rather than a traceback."""
+    ``ValueError``; ``"cycles": Infinity`` — an ``OverflowError``)
+    becomes one :class:`~repro.errors.InputError` naming the event, the
+    CLI's exit-code-2 refusal rather than a traceback."""
     return refusing(
-        f"ledger has a malformed {event} event", TypeError, ValueError
+        f"ledger has a malformed {event} event",
+        TypeError, ValueError, OverflowError,
     )
 
 
@@ -481,9 +483,10 @@ def trace_spans(
     byte-identically).  A job's root id is reserved at ``serve.admit``
     and materialized when the job completes or fails; waves are tiled by
     :meth:`WaveTimeline.segments`.  ``clock_hz`` converts the one figure
-    ledgered in seconds, the in-SSD scan time.  Raises ``ValueError``
-    when a traced event lacks a field the fold needs (an older or
-    hand-trimmed ledger) or holds one of the wrong type.
+    ledgered in seconds, the in-SSD scan time.  Raises
+    :class:`~repro.errors.InputError` when a traced event lacks a field
+    the fold needs (an older or hand-trimmed ledger) or holds one of the
+    wrong type.
     """
     fold = _Fold(clock_hz)
     for event, fields in events:
@@ -494,7 +497,7 @@ def trace_spans(
             with fields_of(event):
                 step(fold, fields)
         except KeyError as missing:
-            raise ValueError(
+            raise InputError(
                 f"cannot trace {event}: no {missing} to go by (a ledger "
                 "from an older build, or one cut short?)"
             ) from missing

@@ -17,19 +17,19 @@ of the submission trace, the topology, and the fault seed:
   cycles + fault backoff``, all deterministic quantities;
 * completions are processed in ``(end_cycles, device)`` order.
 
-Host-side execution is *eager*: a dispatched wave is simulated
-immediately and only its virtual completion is deferred to ``clock +
-duration``.  The service does not run waves itself: each round's picks
-go, one :class:`~repro.accel.scheduler.WaveTask` apiece, through the
-one wave executor (:func:`~repro.accel.scheduler.run_waves` — inline,
-or on the pool of ``min(workers, picks)`` processes the executor keeps
-from round to round).  Every wave in a round is seeded from the
-SPM-cache state at the start of the round and the outcomes are folded
-back afterwards, in dispatch order
-(:meth:`~repro.accel.scheduler.SpmImageCache.adopt`,
-first writer wins; :meth:`~repro.runtime.device.DevicePool.charge_wave`)
-— so results, cycles, and the entire virtual timeline are bit-identical
-for every ``workers`` value.
+Host-side execution is *eager*: a dispatched wave is simulated (or,
+solved here before, replayed from :attr:`JobService.memo`) at once and
+only its virtual completion is deferred to ``clock + duration``.  Each
+round's picks go, one :class:`~repro.accel.scheduler.WaveTask` apiece,
+through the one wave executor (:func:`~repro.accel.scheduler.run_waves`
+— inline, or on the pool of ``min(workers, picks)`` processes the
+executor keeps from round to round).  Every wave in a round is seeded
+from the SPM-cache state at the start of the round and the outcomes are
+folded back afterwards, in dispatch order
+(:meth:`~repro.accel.scheduler.SpmImageCache.adopt`, first writer wins;
+:meth:`~repro.runtime.device.DevicePool.charge_wave`) — so results,
+cycles, and the entire virtual timeline are bit-identical for every
+``workers`` value.
 
 Faults are polled at one site, ``scheduler.wave`` (slot = the dispatch
 ``seq``): a served wave walks the executor's one retry ladder like any
@@ -50,7 +50,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..accel.scheduler import SpmImageCache, WaveTask, run_waves
+from ..accel.scheduler import SpmImageCache, WaveMemo, WaveTask, run_waves
 from ..accel.sharding import record_storage_wave
 from ..faults.injector import FaultInjector, RetryBudgetExceeded
 from ..faults.plan import FaultPlan
@@ -214,6 +214,8 @@ class JobService:
             max_backlog=max_backlog, quota=quota, weights=weights
         )
         self.cache = SpmImageCache()
+        #: Every wave solved here: a repeat replays, still charged in full.
+        self.memo = WaveMemo()
         self.pool = DevicePool(devices, storage=storage)
         self.retry_policy = (
             retry_policy if retry_policy is not None else RetryPolicy()
@@ -405,7 +407,7 @@ class JobService:
             WaveTask(
                 pick.seq, pick.job.spec.driver,
                 pick.job.waves[pick.wave_index], self.cache,
-                labels={"device": pick.device},
+                labels={"device": pick.device}, memo=self.memo,
             )
             for pick in picks
         ]
@@ -431,7 +433,7 @@ class JobService:
                 if job.is_open:
                     self._fail_job(job, pick.wave_index)
                 continue
-            self.cache.adopt(task.keys(), outcome)
+            self.cache.adopt(task.keys, outcome)
             cycles = outcome.stats.cycles
             _nbytes, seconds = self.pool.charge_wave(
                 pick.device, pick.seq, wave, cycles
@@ -544,8 +546,8 @@ class JobService:
         (with in-flight waves back on their jobs), the same cards and
         the same fault injector — the continued run merges
         bit-identically with an undisturbed one and keeps the occupancy
-        already charged.  The SPM cache starts cold; a cold cache
-        re-loads images and replays identically by construction."""
+        already charged.  The SPM cache and the wave memo start cold and
+        re-fill identically by construction."""
         service = cls(
             devices=len(checkpoint.pool),
             workers=checkpoint.workers,

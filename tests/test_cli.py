@@ -2,6 +2,7 @@
 
 import functools
 import io
+import json
 import os
 import pathlib
 import subprocess
@@ -92,8 +93,6 @@ def test_profile_parser_defaults(capsys):
 
 
 def test_profile_emits_report_and_artifacts(tmp_path, capsys):
-    import json
-
     trace = tmp_path / "trace.json"
     report = tmp_path / "report.json"
     rows = tmp_path / "report.csv"
@@ -207,8 +206,6 @@ def test_retired_bench_command_is_an_invalid_choice(capsys):
 
 
 def test_cli_records_runs_in_ledger(tmp_path, capsys):
-    import json
-
     ledger = tmp_path / "ledger.jsonl"
     assert main([
         "--ledger", str(ledger),
@@ -779,8 +776,6 @@ def test_analyze_sharding_reads_the_ledger(tmp_path, capsys):
 def test_analyze_refuses_a_truncated_ledger(tmp_path, capsys):
     """A ledger cut mid-record is refused at the cut line, and the
     records appended after the cut start a line of their own."""
-    import json
-
     fasta, sam = _simulate(tmp_path)
     ledger = tmp_path / "ledger.jsonl"
     assert main([
@@ -799,6 +794,132 @@ def test_analyze_refuses_a_truncated_ledger(tmp_path, capsys):
     lines = ledger.read_text().splitlines()
     assert len(lines) > cut
     assert json.loads(lines[cut])["event"] == "run.start"
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_ledger() -> bytes:
+    """A real ledger: ``preprocess --devices 2`` behind the storage
+    filter, then a small ``serve`` — so ``analyze --sharding``,
+    ``--storage`` and ``--critical-path`` each have a run to read."""
+    with tempfile.TemporaryDirectory() as tmp:
+        fasta, sam = os.path.join(tmp, "g.fa"), os.path.join(tmp, "r.sam")
+        ledger = os.path.join(tmp, "ledger.jsonl")
+        with redirect_stdout(io.StringIO()):
+            assert main([
+                "--no-ledger", "simulate", "--fasta", fasta, "--sam", sam,
+                "--reads", "60", "--read-length", "50", "--seed", "5",
+                "--chromosomes", "21",
+            ]) == 0
+            assert main([
+                "--ledger", ledger, "--quiet", "preprocess", "--fasta", fasta,
+                "--sam", sam, "--out", os.path.join(tmp, "o.sam"),
+                "--psize", "1000", "--devices", "2", "--storage-filter",
+            ]) == 0
+            assert main([
+                "--ledger", ledger, "--quiet", "serve", "--tenants", "2",
+                "--jobs", "3", "--reads", "40", "--devices", "2",
+                "--storage-filter",
+            ]) == 0
+        with open(ledger, "rb") as handle:
+            return handle.read()
+
+
+#: A field value of the wrong JSON type (or none the readers can use).
+_LEDGER_VALUE = st.sampled_from([
+    None, "", "x", "0", -1, 0, 1.5, True, 10**30, float("nan"),
+    float("inf"), [], [0], {}, {"a": 1},
+])
+
+#: A line that is no ledger record.
+_NOT_A_RECORD = st.sampled_from([
+    "[]", "1", '"x"', "null", "true", "{", "garbage", "[{}]", "\x00",
+])
+
+
+@st.composite
+def _mutated_ledger(draw):
+    """The fuzz ledger with bytes cut out (to its end, or from its
+    middle), one record's field swapped for a drawn value or dropped,
+    or a line that is not a JSON object added."""
+    whole = _fuzz_ledger()
+    how = draw(st.sampled_from(("cut", "field", "line")))
+    if how == "cut":
+        start = draw(st.integers(0, len(whole) - 1))
+        stop = draw(st.integers(start + 1, len(whole)))
+        return whole[:start] + whole[stop:]
+    lines = whole.decode().splitlines()
+    row = draw(st.integers(0, len(lines) - 1))
+    if how == "line":
+        lines.insert(row, draw(_NOT_A_RECORD))
+    else:
+        record = json.loads(lines[row])
+        key = draw(st.sampled_from(sorted(record)))
+        if draw(st.booleans()):
+            record[key] = draw(_LEDGER_VALUE)
+        else:
+            del record[key]
+        lines[row] = json.dumps(record)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _analyze(ledger: str, flag: str):
+    """``repro analyze <flag>`` over ``ledger``: its exit code and
+    stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main([
+            "--no-ledger", "--ledger", ledger, "--quiet", "analyze", flag,
+        ])
+    return code, stderr.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(ledger=_mutated_ledger())
+def test_mutated_ledgers_are_analyzed_or_refused(ledger):
+    """A ledger cut short, holding a field of the wrong type or none, or
+    a line that is not a record is analyzed (exit 0) or refused (exit 2,
+    one ``error:`` line) by ``analyze --sharding`` / ``--storage`` /
+    ``--critical-path`` — never a traceback out of the readers."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ledger.jsonl")
+        with open(path, "wb") as handle:
+            handle.write(ledger)
+        for flag in ("--sharding", "--storage", "--critical-path"):
+            code, err = _analyze(path, flag)
+            if code == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+            else:
+                assert (code, err) == (0, ""), err
+
+
+@pytest.mark.parametrize("event,key,value,reason", [
+    ("serve.wave.done", "cycles", float("inf"),
+     "ledger has a malformed serve.wave.done event: cannot convert float "
+     "infinity to integer"),
+    ("serve.job.done", "latency_cycles", None,
+     "cannot trace serve.job.done: no 'latency_cycles' to go by (a ledger "
+     "from an older build, or one cut short?)"),
+])
+def test_critical_path_refuses_an_unusable_field(
+    tmp_path, event, key, value, reason
+):
+    """A traced field that cannot be a cycle count (``Infinity``) or is
+    missing is one ``error:`` line and exit 2 — it used to escape the
+    fold as an ``OverflowError`` / ``ValueError`` traceback."""
+    lines = []
+    for line in _fuzz_ledger().decode().splitlines():
+        record = json.loads(line)
+        if record["event"] == event:
+            if value is None:
+                del record[key]
+            else:
+                record[key] = value
+        lines.append(json.dumps(record))
+    ledger = tmp_path / "ledger.jsonl"
+    ledger.write_text("\n".join(lines) + "\n")
+    assert _analyze(str(ledger), "--critical-path") == (
+        2, f"error: {reason}\n"
+    )
 
 
 def _ledger_of(path, *records):
@@ -1101,8 +1222,6 @@ def test_analyze_storage_empty_ledger_exits_cleanly(tmp_path, capsys):
 def test_analyze_storage_unversioned_ledger_exits_cleanly(tmp_path, capsys):
     """Satellite: records missing schema_version refuse cleanly (exit 2,
     no traceback)."""
-    import json
-
     ledger = tmp_path / "old.jsonl"
     ledger.write_text(json.dumps({
         "run_id": "r1", "event": "storage.run", "stage": "metadata",

@@ -90,9 +90,11 @@ class Config:
     #: ``storage=plan_storage_filter(...)`` over the run's partitions.
     storage: bool = False
     #: Through ``JobService`` rather than ``run_sharded``, optionally
-    #: drained after ``drain_after`` dispatches and resumed.
+    #: drained after ``drain_after`` dispatches and resumed; with
+    #: ``repeat``, tenant ``c`` resubmits tenant ``a``'s spec.
     served: bool = False
     drain_after: Optional[int] = None
+    repeat: bool = False
 
 
 def fault(kind: str, site: str, *slots: int, attempts: int = 1) -> FaultSpec:
@@ -132,6 +134,7 @@ def configs(draw):
         storage=draw(st.booleans()),
         served=served,
         drain_after=draw(st.none() | st.integers(1, 3)) if served else None,
+        repeat=served and draw(st.booleans()),
     )
 
 
@@ -224,21 +227,24 @@ def run_direct(config: Config):
     )
 
 
-def served_stages(stage: str) -> Tuple[str, str]:
+def served_stages(config: Config) -> Tuple[str, ...]:
     """Tenant ``a``'s job is the drawn stage, tenant ``b``'s the next
-    one, so a round can mix stages."""
-    return stage, SERVE_STAGES[(SERVE_STAGES.index(stage) + 1) % len(SERVE_STAGES)]
+    one, so a round can mix stages; with ``repeat``, tenant ``c``'s is
+    ``a``'s again, so a wave repeats and the service replays it."""
+    stage = config.stage
+    after = SERVE_STAGES[(SERVE_STAGES.index(stage) + 1) % len(SERVE_STAGES)]
+    return (stage, after, stage) if config.repeat else (stage, after)
 
 
 def serve(config: Config):
     wl = workload(config.workload)
-    stages = served_stages(config.stage)
+    stages = served_stages(config)
     service = JobService(
         devices=config.devices, workers=config.workers,
         fault_plan=fault_plan(config),
         storage=storage_plan(config.workload, stages) if config.storage else None,
     )
-    for tenant, stage in zip("ab", stages):
+    for tenant, stage in zip("abc", stages):
         row = STAGES[stage]
         service.submit(JobSpec(
             tenant, row.over(wl, mode=config.mode), row.items(wl),
@@ -281,7 +287,7 @@ def check_served(config: Config) -> None:
     service, summary = serve(config)
     references = [
         reference(stage, config.workload, config.pipelines)
-        for stage in served_stages(config.stage)
+        for stage in served_stages(config)
     ]
     injected, retries, spent = faults_hit(
         config.faults, summary.waves_dispatched
@@ -308,6 +314,11 @@ def check_served(config: Config) -> None:
             )
     assert summary.faults == injected
     assert summary.retries == retries
+    inline = min(config.devices, config.workers) == 1
+    if config.repeat and inline and config.drain_after is None and not spent:
+        # every round runs inline, so a's wave 0 is solved before c's:
+        # earlier in its round, or in an earlier one
+        assert service.memo.hits > 0
     if config.workers > 1:
         alone, _summary = serve(replace(config, workers=1))
         assert service.events == alone.events
@@ -343,6 +354,12 @@ def check_served(config: Config) -> None:
 ))
 # maxplus x the active-region stage: AnchorInsertions' waves are solved too
 @example(Config("active_region", mode="maxplus", devices=2))
+# repeat x pooled crash x drain: tenant c resubmits a's spec, a pooled
+# round crashes, and the resumed service's cold memo solves afresh
+@example(Config(
+    "metadata", devices=2, workers=2, served=True, drain_after=2,
+    repeat=True, faults=(fault("worker_crash", WAVE_FAULT_SITE, 3),),
+))
 def test_every_lattice_point_matches_the_serial_oracle(config):
     if config.served:
         check_served(config)

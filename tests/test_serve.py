@@ -18,13 +18,21 @@ from dataclasses import dataclass
 
 import pytest
 
-from hw_harness import assert_stage_identical
+from hw_harness import ANSWERS, assert_same_modelled, assert_stage_identical
 from repro.accel import MetadataWaveDriver
-from repro.accel.scheduler import WAVE_FAULT_SITE
+from repro.accel.scheduler import (
+    WAVE_FAULT_SITE,
+    SpmImageCache,
+    WaveMemo,
+    WaveTask,
+    run_waves,
+)
 from repro.accel.sharding import run_sharded
 from repro.eval.workloads import make_workload
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.retry import RetryPolicy
+from repro.hw.engine import Engine
+from repro.hw.memory import MemoryConfig
 from repro.obs.ledger import RunLedger, RunManifest, run_context
 from repro.obs.log import configure_logging
 from repro.serve import (
@@ -40,6 +48,7 @@ from repro.serve import (
 )
 from repro.accel.stages import STAGES
 from repro.serve.trace import SERVE_STAGES
+from repro.tables.table import Table
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +341,162 @@ def test_poisoned_wave_fails_only_its_own_job(workload, direct_results):
             service.results(status.job_id),
             direct_results[status.stage],
         )
+
+
+# -- the wave memo: a solved wave is replayed, and charged in full -------------------
+
+
+def _wave_stats(result):
+    """The ``RunStats`` of the wave a partition result came from (``None``
+    for a partition never simulated)."""
+    stats = getattr(result, "stats", None)
+    run = getattr(result, "run", None)
+    return stats if stats is not None else getattr(run, "stats", None)
+
+
+def _wave_charges(service, job_id):
+    """Wave -> (kernel, load) cycles of the job's ``serve.wave.done``s."""
+    return {
+        fields["wave"]: (fields["cycles"], fields["load_cycles"])
+        for event, fields in service.events
+        if event == "serve.wave.done" and fields["job"] == job_id
+    }
+
+
+@pytest.mark.parametrize("stage", SERVE_STAGES)
+def test_a_resubmitted_spec_is_replayed_and_charged_in_full(
+    workload, direct_results, stage
+):
+    """Tenant ``b`` submits tenant ``a``'s spec once ``a``'s job is done.
+    Every wave of ``b``'s job is a memo hit; its results equal ``a``'s and
+    the direct run's but share no object with them, so mutating one moves
+    neither the other nor the memo; and the modelled card charges each of
+    its waves the kernel and load cycles a fresh service charges — its
+    events and SPM-cache tallies are those of simulating it."""
+    row = STAGES[stage]
+
+    def spec(tenant):
+        return JobSpec(
+            tenant=tenant, driver=row.over(workload),
+            partitions=row.items(workload), n_pipelines=2,
+        )
+
+    service = JobService(devices=2)
+    first = service.submit(spec("a"))
+    service.run_until_idle()
+    assert (service.memo.hits, service.memo.misses) == (0, first.waves_total)
+    second = service.submit(spec("b"))
+    service.run_until_idle()
+    assert service.memo.hits == second.waves_total == len(service.memo)
+    want = service.results(first.job_id)
+    got = service.results(second.job_id)
+    assert_stage_identical(stage, got, want)
+    assert_stage_identical(stage, got, direct_results[stage])
+    for pid, result in got.items():
+        assert result is not want[pid]
+        if _wave_stats(result) is not None:
+            assert _wave_stats(result) is not _wave_stats(want[pid])
+            assert_same_modelled(_wave_stats(result), _wave_stats(want[pid]))
+
+    fresh = JobService(devices=2)
+    alone = fresh.submit(spec("b"))
+    fresh.run_until_idle()
+    assert _wave_charges(service, second.job_id) == (
+        _wave_charges(fresh, alone.job_id)
+    )
+    # the same two jobs with b's waves simulated: the same events, and
+    # the same SPM-cache tallies, counted against the rows a loaded
+    simulated = JobService(devices=2)
+    simulated.submit(spec("a"))
+    simulated.run_until_idle()
+    simulated.memo = WaveMemo()
+    simulated.submit(spec("b"))
+    tallies = [
+        (summary.spm_hits, summary.spm_misses, summary.spm_cycles_saved)
+        for summary in (simulated.run_until_idle(), service.summary())
+    ]
+    assert simulated.memo.hits == 0
+    assert simulated.events == service.events
+    assert tallies[0] == tallies[1]
+
+    def mutate(results):
+        for result in results.values():
+            answer = getattr(result, ANSWERS[stage][0])
+            if len(answer):
+                answer[0] += 1
+
+    mutate(got)
+    assert_stage_identical(stage, want, direct_results[stage])
+    mutate(want)
+    third = service.submit(spec("c"))
+    service.run_until_idle()
+    assert service.memo.hits == 2 * second.waves_total
+    assert_stage_identical(
+        stage, service.results(third.job_id), direct_results[stage]
+    )
+
+
+def _flip_one_base(part):
+    """``part`` with one base of its first read changed."""
+    columns = {
+        spec.name: part.column(spec.name) for spec in part.schema.columns
+    }
+    seq = list(columns["SEQ"])
+    seq[0] = seq[0].copy()
+    seq[0][0] = (int(seq[0][0]) + 1) % 4
+    columns["SEQ"] = seq
+    return Table(part.schema, columns, part.num_rows)
+
+
+def test_the_memo_key_covers_what_a_wave_depends_on(workload, monkeypatch):
+    """The same wave through another driver object replays; one flipped
+    base in one read, a ``dense`` against a ``maxplus`` wave and another
+    ``MemoryConfig`` are each another wave — a miss."""
+    row = STAGES["metadata"]
+    wave = [item for item in row.items(workload) if item[1].num_rows][:2]
+    memo = WaveMemo()
+
+    def task(driver=None, items=wave):
+        return WaveTask(
+            0, driver or row.over(workload), items, SpmImageCache(),
+            memo=memo,
+        )
+
+    next(run_waves([task()], 1))
+    assert memo.replay(task()) is not None
+    (pid, part), *rest = wave
+    others = [
+        task(items=[(pid, _flip_one_base(part)), *rest]),
+        task(row.over(workload, mode="dense")),
+        task(row.over(
+            workload, memory_config=MemoryConfig(latency_cycles=41)
+        )),
+    ]
+    monkeypatch.setattr(Engine, "default_mode", "dense")
+    others.append(task())
+    for other in others:
+        assert memo.replay(other) is None
+    assert (memo.hits, memo.misses, len(memo)) == (1, 1 + len(others), 1)
+
+
+def test_replayed_waves_report_their_own_host_seconds(workload):
+    """Each stage is served twice: every dispatched wave's results carry
+    a ``RunStats`` of their own, and a replayed one's ``wall_seconds`` is
+    the replay's, so their sum stays within the service's host time."""
+    service = JobService(devices=2)
+    _schedule_mixed(service, workload, tenants=4, jobs=6)
+    summary = service.run_until_idle()
+    assert service.memo.hits > 0
+    stats = {
+        id(wave): wave
+        for status in service.jobs()
+        for wave in map(_wave_stats, service.results(status.job_id).values())
+        if wave is not None
+    }
+    assert len(stats) == summary.waves_dispatched
+    assert sum(wave.wall_seconds for wave in stats.values()) <= (
+        summary.host_elapsed_seconds
+    )
 
 
 # -- admission control --------------------------------------------------------------
