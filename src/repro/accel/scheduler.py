@@ -242,8 +242,8 @@ class WaveMemo:
     """The waves an owner has solved, replayed as fresh copies of the
     recorded outcome with the replay's own host seconds and cache tallies
     (DESIGN.md §3.2 "Wave memo").  Unbounded — one outcome per distinct
-    wave, whose results its owner (a ``JobService``, a ``run_sharded``
-    call) keeps anyway — and never module-global."""
+    wave, whose results its owner (a ``JobService``) keeps anyway — and
+    never module-global."""
 
     def __init__(self) -> None:
         self._solved: Dict[tuple, bytes] = {}  # memo key -> pickled outcome
@@ -520,8 +520,8 @@ class ParallelRunStats(RunRates):
     watchdog_timeouts: int = 0
     serial_fallback_waves: int = 0
     pool_restarts: int = 0
-    # sharding: which device queue this is (None when the run has one
-    # queue) and how many waves the plan-time steal loop moved into/out
+    # sharding: which device queue this is (None on a served wave's own
+    # book) and how many waves the plan-time steal loop moved into/out
     # of it
     device: Optional[int] = None
     steals_in: int = 0
@@ -744,15 +744,19 @@ class WaveTask:
     #: The failed attempts its ladder retried, in attempt order; the
     #: caller records them with the wave's outcome.
     retried: List[FailedAttempt] = field(default_factory=list)
-    #: Its owner's memo (by default its own, which never hits).
-    memo: WaveMemo = field(default_factory=WaveMemo)
-    #: Computed once: the SPM-cache keys the wave looks up, and its memo
-    #: key — the driver's type and fields, engine mode, items' digests.
+    #: Its owner's memo; ``None`` (a direct run, whose waves never
+    #: repeat) replays and records nothing.
+    memo: Optional[WaveMemo] = None
+    #: Computed once: the SPM-cache keys the wave looks up, and — when a
+    #: memo is attached — its memo key: the driver's type and fields,
+    #: engine mode, items' digests.
     keys: List[tuple] = field(init=False)
-    memo_key: tuple = field(init=False)
+    memo_key: Optional[tuple] = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         driver, self.keys = self.driver, self.driver.wave_keys(self.items)
+        if self.memo is None:
+            return
         fields = dict(vars(driver))
         if driver.uses_reference:  # the keys digest each REF row it serves
             del fields["reference"]
@@ -765,6 +769,21 @@ class WaveTask:
     def held(self) -> FrozenSet[tuple]:
         """The wave's keys its cache already holds."""
         return self.cache.keys_for(self.keys)
+
+    def replay(self) -> Optional["WaveOutcome"]:
+        """The wave as its memo recorded it, or ``None``."""
+        return self.memo.replay(self) if self.memo is not None else None
+
+    def record(self, outcome: "WaveOutcome") -> None:
+        """Keep a simulated outcome in the memo, if one is attached."""
+        if self.memo is not None:
+            self.memo.record(self, outcome)
+
+    @property
+    def backoff_seconds(self) -> float:
+        """The backoff its ladder charged, summed over the retried
+        attempts — the penalty ahead of the wave on its card."""
+        return sum(failed.backoff_seconds for failed in self.retried)
 
 
 def run_waves(
@@ -780,7 +799,7 @@ def run_waves(
     yield ``(task, worker label, outcome)`` for each — in task order when
     the waves run inline, in completion order on the pool.  The outcome
     is the wave's clean execution (a replay, worker ``memo`` on the pool,
-    when its :class:`WaveMemo` holds the wave) or, when its ladder ran
+    when its task's :class:`WaveMemo` holds the wave) or, when its ladder ran
     out, the :class:`~repro.faults.injector.RetryBudgetExceeded` saying
     so: a wave out of budget fails alone, and every other task still runs.
 
@@ -865,10 +884,10 @@ def run_waves(
                 account_failure(task, failed)
         except RetryBudgetExceeded as error:
             return task, worker, error
-        outcome = task.memo.replay(task)
+        outcome = task.replay()
         if outcome is None:
             outcome = execute_wave(task.driver, task.index, task.items, task.held())
-            task.memo.record(task, outcome)
+            task.record(outcome)
         return task, worker, outcome
 
     pool = wave_pool(fan_out, len(tasks))
@@ -896,7 +915,7 @@ def run_waves(
         fault_kind = None
         hang = 0.0
         if fault is None:  # cleared: a wave the memo holds is replayed
-            replayed = task.memo.replay(task)
+            replayed = task.replay()
             if replayed is not None:
                 return replayed
         else:
@@ -966,7 +985,7 @@ def run_waves(
                         broken = True
                     else:
                         del pending[future]
-                        task.memo.record(task, outcome)
+                        task.record(outcome)
                         yield task, worker_pids.setdefault(
                             outcome.worker_pid, f"w{len(worker_pids)}"
                         ), outcome

@@ -69,7 +69,6 @@ from .scheduler import (
     SpmImageCache,
     WaveDriver,
     WaveItem,
-    WaveMemo,
     WaveTask,
     WorkerStats,
     pack_waves,
@@ -269,9 +268,8 @@ class ShardedRunStats(RunRates):
         """Per-worker tallies across devices, keyed ``d<device>/<worker>``."""
         merged: Dict[str, WorkerStats] = {}
         for stats in self.per_device:
-            prefix = f"d{stats.device}" if stats.device is not None else "d0"
             for worker, tally in stats.per_worker.items():
-                merged[f"{prefix}/{worker}"] = tally
+                merged[f"d{stats.device}/{worker}"] = tally
         return merged
 
     @property
@@ -358,21 +356,27 @@ def record_storage_run(
 
 
 def _record_shard_run(
-    driver: WaveDriver, stats: ShardedRunStats, policy: str
+    driver: WaveDriver, stats: ShardedRunStats, policy: str, pipelines: int
 ) -> None:
-    """Ledger the sharded run: one ``shard.device`` event per queue plus
-    the ``shard.run`` summary ``repro analyze --sharding`` reads."""
+    """Ledger the sharded run: one ``shard.device`` summary per queue
+    plus the ``shard.run`` summary ``repro analyze --sharding`` reads."""
     utilization = stats.device_utilization()
-    for device, device_stats in enumerate(stats.per_device):
+    for device, queue in enumerate(stats.per_device):
         record_event(
             "shard.device",
-            stage=driver.stage, device=device,
-            waves=device_stats.waves, cycles=device_stats.total_cycles,
-            steals_in=device_stats.steals_in,
-            steals_out=device_stats.steals_out,
+            stage=driver.stage, device=device, waves=queue.waves,
+            workers=queue.workers, pipelines=pipelines,
+            cycles=queue.total_cycles, spm_load_cycles=queue.spm_load_cycles,
+            spm_cache_hits=queue.spm_cache_hits,
+            spm_cache_misses=queue.spm_cache_misses,
+            faults_injected=queue.faults_injected, retries=queue.retries,
+            watchdog_timeouts=queue.watchdog_timeouts,
+            serial_fallback_waves=queue.serial_fallback_waves,
+            pool_restarts=queue.pool_restarts,
+            steals_in=queue.steals_in, steals_out=queue.steals_out,
             busy_seconds=stats.device_busy_seconds[device],
             transfer_seconds=stats.device_transfer_seconds[device],
-            elapsed_seconds=device_stats.elapsed_seconds,
+            elapsed_seconds=queue.elapsed_seconds,
             utilization=utilization[device],
         )
     record_event(
@@ -429,13 +433,15 @@ def run_sharded(
     (DESIGN.md §3.10).
 
     A wave whose retry budget runs out fails the run, at every topology
-    alike: the other waves still run, then the lowest-index wave's
-    :class:`~repro.faults.injector.RetryBudgetExceeded` is raised.
+    alike: the other waves still run and are ledgered, then the
+    lowest-index wave's :class:`~repro.faults.injector.
+    RetryBudgetExceeded` is raised.
 
-    The one asymmetry between topologies: a lone card with no filter in
-    front of it charges no transfer timeline (it reports zero busy and
-    transfer seconds), a lone card never gets a ``pcie:<n>`` trace lane,
-    and a lone card's events and queue stats carry no ``device``.
+    Each wave is ledgered once, after execution, in global order: its
+    ``fault.retry`` and ``storage.wave`` records, then one
+    ``scheduler.wave`` carrying its card, its H2D bytes and the
+    :class:`~repro.obs.spans.WaveTimeline` the card's charge returned —
+    the record its trace is folded from (DESIGN.md §3.9).
     """
     if devices < 1:
         raise ValueError("need at least one device")
@@ -450,22 +456,20 @@ def run_sharded(
     caches = [SpmImageCache() for _ in queues]
     for cache in caches:
         cache.merge(shared_cache.keys())
-    labels = [{"device": d} if devices > 1 else {} for d in range(devices)]
     per_device = [
         ParallelRunStats(
             # this queue's share of the pool
             workers=max(1, min(workers, len(queue))),
-            device=label.get("device"),
+            device=device,
             steals_in=sum(s.target == device for s in plan.steals),
             steals_out=sum(s.source == device for s in plan.steals),
         )
-        for device, (queue, label) in enumerate(zip(queues, labels))
+        for device, queue in enumerate(queues)
     ]
-    memo = WaveMemo()
     tasks = [
         WaveTask(
             wave.global_index, driver, wave.items, caches[wave.device],
-            per_device[wave.device], labels[wave.device], memo=memo,
+            per_device[wave.device], {"device": wave.device},
         )
         for wave in plan.waves
     ]
@@ -477,15 +481,29 @@ def run_sharded(
         extra={"stage": driver.stage},
     )
 
-    merged = {pid: driver.empty_result(pid) for pid in plan.empty_pids}
-    per_wave_cycles = [0] * len(tasks)
-    spent: Dict[int, RetryBudgetExceeded] = {}
+    outcomes: Dict[int, Tuple[str, object]] = {}
     executing = time.perf_counter()
     for task, worker, outcome in run_waves(
         tasks, devices * workers,
         FaultInjector(fault_plan) if fault_plan is not None else None,
         retry_policy, wave_timeout,
     ):
+        outcomes[task.index] = worker, outcome
+        if not isinstance(outcome, RetryBudgetExceeded):
+            task.cache.adopt(task.keys, outcome)
+    elapsed = time.perf_counter() - executing
+
+    # -- deterministic merge: canonical order regardless of finish order ----------
+
+    # Ledger, book and charge each wave in global order (so the per-card
+    # float sums never depend on finish order): the card's charge is the
+    # wave's timeline, and the record the trace lays it from.
+    merged = {pid: driver.empty_result(pid) for pid in plan.empty_pids}
+    pool = DevicePool(devices, storage=storage)
+    totals = dict(raw_nbytes=0, nbytes=0, pruned_rows=0, scan_seconds=0.0)
+    per_wave_cycles: List[int] = []
+    spent: Dict[int, RetryBudgetExceeded] = {}
+    for task in tasks:
         for failed in task.retried:
             record_event(
                 "fault.retry",
@@ -493,69 +511,40 @@ def run_sharded(
                 kind=failed.kind, backoff_seconds=failed.backoff_seconds,
                 **task.labels,
             )
+        worker, outcome = outcomes[task.index]
         if isinstance(outcome, RetryBudgetExceeded):
             spent[task.index] = outcome
             continue
         merged.update(outcome.results)
-        task.cache.adopt(task.keys, outcome)
+        task.stats.book(worker, outcome)
+        task.stats.per_wave_cycles.append(outcome.stats.cycles)
+        per_wave_cycles.append(outcome.stats.cycles)
+        if storage is not None:
+            scanned = record_storage_wave(
+                storage, task.items, stage=driver.stage, wave=task.index,
+                **task.labels,
+            )
+            for name, value in scanned.items():
+                totals[name] += value
+        timeline = pool.charge_wave(
+            task.labels["device"], task.items, outcome.stats.cycles,
+            outcome.load_cycles, task.backoff_seconds, at=0,
+        )
         record_event(
             "scheduler.wave",
             stage=driver.stage, wave=task.index, worker=worker,
-            replicas=len(task.items), cycles=outcome.stats.cycles,
-            load_cycles=outcome.load_cycles,
+            replicas=len(task.items), nbytes=pool.wave_nbytes(task.items),
             elapsed_seconds=outcome.elapsed_seconds,
-            **task.labels,
+            **task.labels, **timeline.to_record(),
         )
-        per_wave_cycles[task.index] = outcome.stats.cycles
-        task.stats.book(worker, outcome)
     if spent:
         # every wave ran its ladder; the run fails on the lowest-index
         # wave out of budget, whatever the topology
         raise spent[min(spent)]
-    elapsed = time.perf_counter() - executing
-    for queue, stats, label in zip(queues, per_device, labels):
-        stats.per_wave_cycles = [
-            per_wave_cycles[wave.global_index] for wave in queue
-        ]
+    for stats in per_device:
         # one loop, one pool: every queue shares the run's wall clock
         stats.elapsed_seconds = elapsed
-        record_event(
-            "scheduler.run",
-            **label,
-            stage=driver.stage, waves=stats.waves, workers=stats.workers,
-            pipelines=n_pipelines, total_cycles=stats.total_cycles,
-            spm_load_cycles=stats.spm_load_cycles,
-            elapsed_seconds=stats.elapsed_seconds,
-            spm_cache_hits=stats.spm_cache_hits,
-            spm_cache_misses=stats.spm_cache_misses,
-            faults_injected=stats.faults_injected,
-            retries=stats.retries,
-            watchdog_timeouts=stats.watchdog_timeouts,
-            serial_fallback_waves=stats.serial_fallback_waves,
-            pool_restarts=stats.pool_restarts,
-        )
-
-    # -- deterministic merge: canonical order regardless of finish order ----------
-
     results = {pid: merged[pid] for pid, _part in parts}
-
-    # Charge each wave to its card, in global order (so the per-card
-    # float sums never depend on finish order), ledgering the charge: on
-    # a multi-card run it carries the card, and traces as the modelled
-    # H2D link occupancy on that card's pcie:<n> lane.
-    pool = DevicePool(devices, storage=storage)
-    timeline = devices > 1 or storage is not None
-    for wave in plan.waves if timeline else ():
-        nbytes, seconds = pool.charge_wave(
-            wave.device, wave.global_index, wave.items,
-            per_wave_cycles[wave.global_index],
-        )
-        record_event(
-            "shard.wave",
-            stage=driver.stage, wave=wave.global_index, nbytes=nbytes,
-            transfer_cycles=int(round(seconds * pool.config.clock_hz)),
-            **labels[wave.device],
-        )
 
     sharded = ShardedRunStats(
         devices=devices,
@@ -573,25 +562,13 @@ def run_sharded(
     for cache in caches:
         shared_cache.absorb(cache)
     if storage is not None:
-        # the in-storage filter's work: a storage.wave per wave, queue by
-        # queue (each traces as a scan span on its card's storage:<n>
-        # lane), then the storage.run summary
-        totals = dict(raw_nbytes=0, nbytes=0, pruned_rows=0, scan_seconds=0.0)
-        for queue in queues:
-            for wave in queue:
-                scanned = record_storage_wave(
-                    storage, wave.items, stage=driver.stage,
-                    device=wave.device, wave=wave.global_index,
-                )
-                for name, value in scanned.items():
-                    totals[name] += value
         record_storage_run(
             storage, pool.config, totals,
             kernel_seconds=sharded.total_cycles / pool.config.clock_hz,
             transfer_seconds=sum(pool.transfer_seconds()),
             stage=driver.stage, devices=devices,
         )
-    _record_shard_run(driver, sharded, policy)
+    _record_shard_run(driver, sharded, policy, n_pipelines)
     _log.info(
         "%s done: %d cycles over %d wave(s) on %d device(s), %.3fs host "
         "(parallelism %.2f, spm cache %d/%d hit, %d steal(s), "

@@ -12,20 +12,22 @@ Nothing is recorded while a run executes.  A run writes its ledger
 events (DESIGN.md §3.4) and the trace is a pure function of them:
 
 * :class:`TraceSpan` — one interval on a *lane* (``service``,
-  ``device:N``, ``pcie:N``, ``storage:N``) in **virtual cycles**,
+  ``device:N``, ``storage:N``) in **virtual cycles**,
   carrying the trace context (``trace_id``/``span_id``/``parent_id``),
   the owning tenant, and free-form attributes.
 * :class:`WaveTimeline` — the one anatomy of a wave on the modelled
-  clock, shared by the service (which ledgers it), the fold and the
-  critical-path analyzer.
+  clock: a card's charge returns it
+  (:meth:`~repro.runtime.device.DevicePool.charge_wave`), a direct or
+  served wave's record ledgers it, the fold and the critical-path
+  analyzer read it back.
 * :func:`trace_spans` — the one interval builder: a single in-order
   fold over ``(event, fields)`` pairs that lays every lane.  ``repro
   serve --trace`` and ``repro analyze --critical-path`` both read its
   spans, so the trace and the critical path cannot disagree; a direct
   run is traced by folding the ledger its ``run_context`` wrote.
 * :func:`fleet_chrome_trace` — the merged ``chrome://tracing`` export:
-  one process lane per device (plus the service, PCIe and storage
-  lanes), one thread track per tenant within a lane, tenants colored
+  one process lane per device (plus the service and storage lanes),
+  one thread track per tenant within a lane, tenants colored
   consistently across the whole trace.
 """
 
@@ -77,8 +79,9 @@ class WaveTimeline:
     """One wave's life on the modelled clock, in cycles: fault penalty,
     H2D transfer, SPM load and kernel back to back from ``start`` (the
     paper's blocking ``configure_mem`` DMA → ``run_genesis`` → ``wait``,
-    §III-E).  Every layer that charges, traces or analyzes a wave shares
-    this record."""
+    §III-E).  A card's charge builds it
+    (:meth:`~repro.runtime.device.DevicePool.charge_wave`); every layer
+    that ledgers, traces or analyzes a wave shares this record."""
 
     start: int
     penalty: int = 0
@@ -106,7 +109,8 @@ class WaveTimeline:
                 cursor += cycles
 
     def to_record(self) -> Dict[str, int]:
-        """The ``serve.wave.done`` fields this timeline is ledgered as."""
+        """The ``serve.wave.done`` / ``scheduler.wave`` fields this
+        timeline is ledgered as."""
         return dict(
             cycles=self.kernel, load_cycles=self.load,
             end_cycles=self.end, start_cycles=self.start,
@@ -115,7 +119,7 @@ class WaveTimeline:
 
     @classmethod
     def from_record(cls, record: Mapping[str, object]) -> "WaveTimeline":
-        """Rebuild from a ``serve.wave.done`` record.  An old-format one
+        """Rebuild from a wave's record.  An old-format one
         (no ``start_cycles``) yields the wave's tail, load → kernel
         ending at ``end_cycles``; cycles a record leaves unexplained
         before its ``end_cycles`` count as kernel."""
@@ -192,18 +196,6 @@ class _Job:
     stage: str
 
 
-@dataclass
-class _Queue:
-    """One device queue of a direct run, buffered until its
-    ``scheduler.run`` closes it (a pooled run ledgers its waves in
-    completion order; the lane is laid in wave order)."""
-
-    waves: List[Mapping[str, object]] = field(default_factory=list)
-    faults: List[Mapping[str, object]] = field(default_factory=list)
-    #: (wave, attempt) -> the backoff the retry ladder accounted for it.
-    backoffs: Dict[Tuple[int, int], float] = field(default_factory=dict)
-
-
 class _Fold:
     """The state of one :func:`trace_spans` pass; one method per traced
     event (:data:`TRACED_EVENTS`), each reading only its event's fields
@@ -215,12 +207,14 @@ class _Fold:
         self._ids = itertools.count(1)
         self.jobs: Dict[int, _Job] = {}
         #: device -> what ``serve.dispatch`` / ``storage.wave`` said of
-        #: the wave in flight on it.
+        #: the wave about to be laid on it.
         self.inflight: Dict[int, Dict[str, object]] = {}
-        #: (stage, device label) -> the open queue of a direct run.
-        self.queues: Dict[Tuple[str, Optional[int]], _Queue] = {}
-        #: ``pcie:N`` / ``storage:N`` lane -> cursor, until ``shard.run``.
-        self.cursors: Dict[str, int] = {}
+        #: (stage, wave) -> the ``fault.injected`` records of a direct
+        #: wave not laid yet.
+        self.faults: Dict[Tuple[str, int], List[Mapping[str, object]]] = {}
+        #: (stage, wave, attempt) -> the backoff the retry ladder
+        #: accounted for that failed attempt.
+        self.backoffs: Dict[Tuple[str, int, int], float] = {}
 
     # -- laying spans ----------------------------------------------------------
 
@@ -243,17 +237,39 @@ class _Fold:
         ))
         return sid
 
-    def tile(self, lane: str, name: str, cat: str, length: int,
-             **common: object) -> None:
-        """Lay a span of ``length`` at ``lane``'s cursor and advance it."""
-        cursor = self.cursors.get(lane, 0)
-        self.span(name, cat, cursor, cursor + length, lane=lane, **common)
-        self.cursors[lane] = cursor + length
-
-    def wave(self, timeline: WaveTimeline, **common: object) -> None:
-        """Lay a wave's segments as the children tiling it."""
+    def wave(
+        self, name: str, timeline: WaveTimeline, parent_id: Optional[int],
+        attrs: Mapping[str, object], **common: object,
+    ) -> int:
+        """Lay one wave on its card's lane, ``device:<common["device"]>``:
+        the wave span (``common`` and ``attrs``), its segments as the
+        children tiling it, and, when a ``storage.wave`` preceded it,
+        its in-SSD scan (``scan:`` and the wave's name past its stage)
+        beside it; returns the wave span's id.  The scan overlaps the
+        wave's start (it ran while the previous wave's DMA held the
+        link), so it lives on its own ``storage:N`` lane and never
+        stretches the wave's duration."""
+        device = common["device"]
+        lane = f"device:{device}"
+        parent = self.span(
+            name, "wave", timeline.start, timeline.end, parent_id=parent_id,
+            lane=lane, **common, **attrs,
+        )
         for cat, lo, hi in timeline.segments():
-            self.span(WAVE_SEGMENTS[cat], cat, lo, hi, **common)
+            self.span(
+                WAVE_SEGMENTS[cat], cat, lo, hi, parent_id=parent, lane=lane,
+                **common,
+            )
+        stored = self.inflight.pop(device, {}).get("stored")
+        if stored is not None:
+            self.span(
+                "scan:" + name.partition(":")[2], "filter", timeline.start,
+                timeline.start + self.cycles(stored["scan_seconds"]),
+                parent_id=parent, lane=f"storage:{device}", **common,
+                pruned_rows=stored["pruned_rows"],
+                saved_nbytes=stored["raw_nbytes"] - stored["nbytes"],
+            )
+        return parent
 
     def cycles(self, seconds: float) -> int:
         return int(round(seconds * self.clock_hz))
@@ -285,31 +301,14 @@ class _Fold:
 
     def serve_wave_done(self, f):
         job = self.job(f)
-        flight = self.inflight.pop(f["device"])
-        timeline = WaveTimeline.from_record(f)
-        lane = f"device:{f['device']}"
-        common = dict(
-            trace_id=f"job-{f['job']}", tenant=f["tenant"],
-            job=f["job"], wave=f["wave"], device=f["device"],
+        cost_rows = self.inflight[f["device"]]["cost_rows"]
+        self.wave(
+            f"{job.stage}:j{f['job']}:w{f['wave']}",
+            WaveTimeline.from_record(f), job.root,
+            dict(attempt=f["attempt"], cost_rows=cost_rows),
+            trace_id=f"job-{f['job']}", tenant=f["tenant"], job=f["job"],
+            wave=f["wave"], device=f["device"],
         )
-        parent = self.span(
-            f"{job.stage}:j{f['job']}:w{f['wave']}", "wave",
-            timeline.start, timeline.end, parent_id=job.root, lane=lane,
-            **common, attempt=f["attempt"], cost_rows=flight["cost_rows"],
-        )
-        self.wave(timeline, parent_id=parent, lane=lane, **common)
-        stored = flight.get("stored")
-        if stored is not None:
-            # The in-SSD scan overlaps the wave's dispatch (it ran while
-            # the previous wave's DMA held the link), so it lives on its
-            # own storage lane and never stretches the wave's duration.
-            self.span(
-                f"scan:j{f['job']}:w{f['wave']}", "filter", timeline.start,
-                timeline.start + self.cycles(stored["scan_seconds"]),
-                parent_id=parent, lane=f"storage:{f['device']}", **common,
-                pruned_rows=stored["pruned_rows"],
-                saved_nbytes=stored["raw_nbytes"] - stored["nbytes"],
-            )
 
     def serve_wave_aborted(self, f):
         # The wave's work up to the drain point still occupied the
@@ -356,93 +355,53 @@ class _Fold:
             open_jobs=f["open_jobs"],
         )
 
-    # -- direct runs: device:N, pcie:N and storage:N lanes ---------------------
-
-    def queue(self, f) -> _Queue:
-        return self.queues.setdefault((f["stage"], f.get("device")), _Queue())
+    # -- direct runs: device:N and storage:N lanes ----------------------------
 
     def scheduler_wave(self, f):
-        self.queue(f).waves.append(f)
+        """Lay a direct wave where its card's charge put it, with a
+        zero-length marker at its start per injected fault, carrying the
+        backoff the retry ladder accounted for it.  A record without
+        ``start_cycles`` (a ledger from before direct waves were
+        charged) is refused."""
+        stage, index, device = f["stage"], f["wave"], f["device"]
+        if "start_cycles" not in f:
+            raise KeyError("start_cycles")
+        timeline = WaveTimeline.from_record(f)
+        common = dict(
+            trace_id=f"run-{stage}-d{device}", wave=index, device=device
+        )
+        parent = self.wave(
+            f"{stage}:w{index}", timeline, None,
+            dict(replicas=f["replicas"], nbytes=f["nbytes"]), **common,
+        )
+        for fault in sorted(
+            self.faults.pop((stage, index), ()),
+            key=lambda fault: (fault["attempt"], fault["kind"]),
+        ):
+            self.span(
+                f"fault:{fault['kind']}", "fault", timeline.start,
+                timeline.start, parent_id=parent, lane=f"device:{device}",
+                attempt=fault["attempt"], kind=fault["kind"],
+                backoff_seconds=self.backoffs[stage, index, fault["attempt"]],
+                **common,
+            )
 
     def fault_injected(self, f):
         # the one site; an older ledger's retired sites lay no marker
         if f["site"] == "scheduler.wave":
-            self.queue(f).faults.append(f)
+            self.faults.setdefault((f["stage"], f["slot"]), []).append(f)
 
     def fault_backoff(self, f):
         # ``fault.retry`` (an older ledger's card retry names no wave)
         # and the ``fault.serial_fallback`` of an exhausted budget
         if "wave" in f and "backoff_seconds" in f:
-            self.queue(f).backoffs[f["wave"], f["attempt"]] = (
+            self.backoffs[f["stage"], f["wave"], f["attempt"]] = (
                 f["backoff_seconds"]
             )
 
-    def scheduler_run(self, f):
-        """Close one queue: its waves back to back from cycle 0 in wave
-        order under one run span, each wave tiled by its segments, plus a
-        zero-length marker per injected fault carrying the backoff the
-        retry ladder accounted for it."""
-        stage, device = f["stage"], f.get("device")
-        queue = self.queues.pop((stage, device), _Queue())
-        lane_index = device if device is not None else 0
-        common = dict(
-            trace_id=f"run-{stage}-d{lane_index}", lane=f"device:{lane_index}",
-        )
-        run_span = next(self._ids)
-        cursor = 0
-        for wave in sorted(queue.waves, key=lambda wave: wave["wave"]):
-            index = wave["wave"]
-            timeline = WaveTimeline(
-                cursor, load=wave["load_cycles"], kernel=wave["cycles"]
-            )
-            parent = self.span(
-                f"{stage}:w{index}", "wave", timeline.start, timeline.end,
-                parent_id=run_span, wave=index, replicas=wave["replicas"],
-                **common,
-            )
-            for fault in sorted(
-                (fault for fault in queue.faults if fault["slot"] == index),
-                key=lambda fault: (fault["attempt"], fault["kind"]),
-            ):
-                self.span(
-                    f"fault:{fault['kind']}", "fault", cursor, cursor,
-                    parent_id=parent, wave=index, attempt=fault["attempt"],
-                    kind=fault["kind"],
-                    backoff_seconds=queue.backoffs[index, fault["attempt"]],
-                    **common,
-                )
-            self.wave(timeline, parent_id=parent, wave=index, **common)
-            cursor = timeline.end
-        self.span(
-            f"{stage}:run", "run", 0, cursor, span_id=run_span, stage=stage,
-            waves=f["waves"], workers=f["workers"], device=device, **common,
-        )
-
-    def shard_wave(self, f):
-        # the modelled H2D link occupancy, one lane per card of a
-        # multi-card run (a lone card's charge carries no device label)
-        if "device" in f:
-            self.tile(
-                f"pcie:{f['device']}", f"h2d:w{f['wave']}", "transfer",
-                f["transfer_cycles"],
-                trace_id=f"run-{f['stage']}-pcie{f['device']}",
-                wave=f["wave"], device=f["device"], nbytes=f["nbytes"],
-            )
-
     def storage_wave(self, f):
-        if "job" in f:  # served: laid beside its wave when that completes
-            self.inflight[f["device"]]["stored"] = f
-            return
-        self.tile(
-            f"storage:{f['device']}", f"scan:w{f['wave']}", "filter",
-            self.cycles(f["scan_seconds"]),
-            trace_id=f"run-{f['stage']}-storage{f['device']}",
-            wave=f["wave"], device=f["device"], raw_nbytes=f["raw_nbytes"],
-            nbytes=f["nbytes"], pruned_rows=f["pruned_rows"],
-        )
-
-    def shard_run(self, f):
-        self.cursors.clear()  # the next stage's lanes start at cycle 0
+        # laid beside its wave, when that is
+        self.inflight.setdefault(f["device"], {})["stored"] = f
 
 
 #: Every event the fold matches -> the step that consumes it.  DESIGN.md
@@ -462,10 +421,7 @@ TRACED_EVENTS = {
     "fault.injected": _Fold.fault_injected,
     "fault.retry": _Fold.fault_backoff,
     "fault.serial_fallback": _Fold.fault_backoff,
-    "scheduler.run": _Fold.scheduler_run,
-    "shard.wave": _Fold.shard_wave,
     "storage.wave": _Fold.storage_wave,
-    "shard.run": _Fold.shard_run,
 }
 
 
@@ -508,15 +464,12 @@ def trace_spans(
 
 
 def _lane_sort_key(lane: str) -> Tuple[int, int, str]:
-    """Service lane first, then devices by index, PCIe lanes, the rest
-    by name."""
+    """Service lane first, then devices by index, the rest by name."""
     if lane == "service":
         return (0, 0, lane)
-    for rank, prefix in ((1, "device:"), (2, "pcie:")):
-        if lane.startswith(prefix):
-            suffix = lane[len(prefix):]
-            index = int(suffix) if suffix.isdigit() else 0
-            return (rank, index, lane)
+    if lane.startswith("device:"):
+        suffix = lane[len("device:"):]
+        return (1, int(suffix) if suffix.isdigit() else 0, lane)
     return (3, 0, lane)
 
 

@@ -17,9 +17,10 @@ wave executor (DESIGN.md §3.5), so a fault never moves this timeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Optional, Protocol, Sequence
 
 from ..constants import CLOCK_HZ, MODEL_ROW_BYTES, PCIE3_BANDWIDTH
+from ..obs.spans import WaveTimeline
 
 
 class WaveStorage(Protocol):
@@ -160,11 +161,11 @@ class DevicePool:
     """N modelled cards, each with its own virtual timeline, PCIe link
     and device memory.
 
-    The pool is the hardware side of multi-device sharding
-    (:mod:`repro.accel.sharding`): every wave of a run is charged to its
-    own card (:meth:`charge_wave`), so per-device occupancy and
-    utilization are observable exactly as a single-card run's are.  The
-    cards are fully independent — nothing in the pool is shared state.
+    The pool is the hardware side of every run: each wave of a direct
+    run (:mod:`repro.accel.sharding`) or a served one is charged to its
+    card (:meth:`charge_wave`), so per-device occupancy and utilization
+    are observable at every topology, a lone card included.  The cards
+    are fully independent — nothing in the pool is shared state.
 
     ``storage`` optionally attaches the modelled in-SSD filter
     (a :class:`~repro.storage.filter.StorageFilterPlan`): callers
@@ -186,6 +187,9 @@ class DevicePool:
         self.devices = [
             GenesisDevice(config=self.config) for _ in range(devices)
         ]
+        #: Each card's modelled clock, in cycles, when its last charged
+        #: wave ends.
+        self.free_at = [0] * devices
 
     def __len__(self) -> int:
         return len(self.devices)
@@ -202,19 +206,36 @@ class DevicePool:
         return sum(part.num_rows for _pid, part in items) * MODEL_ROW_BYTES
 
     def charge_wave(
-        self, device: int, wave_id: int, items: list, cycles: int
-    ) -> Tuple[int, float]:
-        """Charge one executed wave to card ``device``'s virtual
-        timeline — H2D its payload (:meth:`wave_nbytes`), launch
-        ``cycles`` of kernel, wait — and return the ``(bytes, seconds)``
-        the DMA took.  Every layer that occupies a card (sharded runs,
-        the job service) charges through here."""
-        nbytes = self.wave_nbytes(items)
+        self,
+        device: int,
+        items: list,
+        kernel: int,
+        load: int,
+        backoff_seconds: float,
+        at: int,
+    ) -> WaveTimeline:
+        """Charge one executed wave to card ``device`` and return its
+        :class:`~repro.obs.spans.WaveTimeline` — the one place a card's
+        wave is charged, for direct and served runs alike.
+
+        The wave starts at ``at`` or when the card frees up, whichever is
+        later; its retry ``backoff_seconds`` is a penalty ahead of it,
+        then the H2D DMA of its payload (:meth:`wave_nbytes`), the SPM
+        ``load`` and ``kernel`` cycles — launch, wait.  The card's busy
+        seconds count the kernel, its transfer seconds the DMA."""
         card = self.devices[device]
-        seconds = card.transfer(nbytes, "h2d")
-        card.launch(wave_id, cycles)
-        card.wait(wave_id)
-        return nbytes, seconds
+        seconds = card.transfer(self.wave_nbytes(items), "h2d")
+        card.launch(0, kernel)  # one wave at a time on a card
+        card.wait(0)
+        clock_hz = self.config.clock_hz
+        timeline = WaveTimeline(
+            max(at, self.free_at[device]),
+            penalty=int(round(backoff_seconds * clock_hz)),
+            transfer=int(round(seconds * clock_hz)),
+            load=load, kernel=kernel,
+        )
+        self.free_at[device] = timeline.end
+        return timeline
 
     def busy_seconds(self) -> list:
         """Per-device accelerator occupancy, in device order."""

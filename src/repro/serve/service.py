@@ -417,7 +417,6 @@ class JobService:
                 tasks, self.workers, self.injector, self.retry_policy
             )
         }
-        clock_hz = self.pool.config.clock_hz
         for pick, task in zip(picks, tasks):
             job = pick.job
             for failed in task.retried:
@@ -434,10 +433,6 @@ class JobService:
                     self._fail_job(job, pick.wave_index)
                 continue
             self.cache.adopt(task.keys, outcome)
-            cycles = outcome.stats.cycles
-            _nbytes, seconds = self.pool.charge_wave(
-                pick.device, pick.seq, wave, cycles
-            )
             if self.storage is not None:
                 record_storage_wave(
                     self.storage, wave, emit=self._event,
@@ -445,11 +440,9 @@ class JobService:
                     wave=pick.wave_index, device=pick.device,
                 )
             self._inflight[pick.device] = _Inflight(
-                pick, outcome.results, WaveTimeline(
-                    self.clock,
-                    penalty=int(round(task.stats.backoff_seconds * clock_hz)),
-                    transfer=int(round(seconds * clock_hz)),
-                    load=outcome.load_cycles, kernel=cycles,
+                pick, outcome.results, self.pool.charge_wave(
+                    pick.device, wave, outcome.stats.cycles,
+                    outcome.load_cycles, task.backoff_seconds, at=self.clock,
                 ), attempt=len(task.retried),
             )
 
@@ -511,6 +504,8 @@ class JobService:
             job = rec.dispatch.job
             wave_index = rec.dispatch.wave_index
             job.requeue(wave_index)
+            # the aborted wave frees its card at the drain clock
+            self.pool.free_at[device] = self.clock
             self._event(
                 "serve.wave.aborted",
                 tenant=job.tenant, job=job.job_id, wave=wave_index,

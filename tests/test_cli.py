@@ -836,13 +836,30 @@ _NOT_A_RECORD = st.sampled_from([
 ])
 
 
+def _old_direct_wave(lines) -> str:
+    """A direct ``scheduler.wave`` as ledgers wrote it before direct
+    waves were charged (no ``start_cycles``), filed under the served
+    run so ``--critical-path`` folds it."""
+    served = next(
+        json.loads(line) for line in reversed(lines)
+        if '"serve.job.done"' in line
+    )
+    return json.dumps({
+        "event": "scheduler.wave", "run_id": served["run_id"],
+        "stage": "metadata", "wave": 0, "worker": "w0", "replicas": 2,
+        "cycles": 900, "load_cycles": 40, "elapsed_seconds": 0.1,
+        "device": 0,
+    })
+
+
 @st.composite
 def _mutated_ledger(draw):
     """The fuzz ledger with bytes cut out (to its end, or from its
     middle), one record's field swapped for a drawn value or dropped,
-    or a line that is not a JSON object added."""
+    a line that is not a JSON object added, or an old-format direct
+    wave added to the served run."""
     whole = _fuzz_ledger()
-    how = draw(st.sampled_from(("cut", "field", "line")))
+    how = draw(st.sampled_from(("cut", "field", "line", "old")))
     if how == "cut":
         start = draw(st.integers(0, len(whole) - 1))
         stop = draw(st.integers(start + 1, len(whole)))
@@ -851,6 +868,8 @@ def _mutated_ledger(draw):
     row = draw(st.integers(0, len(lines) - 1))
     if how == "line":
         lines.insert(row, draw(_NOT_A_RECORD))
+    elif how == "old":
+        lines.insert(row, _old_direct_wave(lines))
     else:
         record = json.loads(lines[row])
         key = draw(st.sampled_from(sorted(record)))
@@ -919,6 +938,18 @@ def test_critical_path_refuses_an_unusable_field(
     ledger.write_text("\n".join(lines) + "\n")
     assert _analyze(str(ledger), "--critical-path") == (
         2, f"error: {reason}\n"
+    )
+
+
+def test_critical_path_refuses_an_old_direct_wave(tmp_path):
+    """A direct wave ledgered before direct waves were charged has no
+    ``start_cycles`` to lay it from: one ``error:`` line and exit 2."""
+    lines = _fuzz_ledger().decode().splitlines()
+    ledger = tmp_path / "ledger.jsonl"
+    ledger.write_text("\n".join(lines + [_old_direct_wave(lines)]) + "\n")
+    assert _analyze(str(ledger), "--critical-path") == (
+        2, "error: cannot trace scheduler.wave: no 'start_cycles' to go by "
+        "(a ledger from an older build, or one cut short?)\n"
     )
 
 

@@ -21,6 +21,10 @@ host-clock fields (:data:`HOST_FIELDS`) and every span's lane, category,
 name, interval, parent linkage and attributes — everything the modelled
 clock determines.  A refactor that claims "same records, same spans"
 passes it unchanged; ``--values`` regenerates that file alone.
+
+The same cases carry the checks no golden can: every card's lane adds
+up to what its card was charged, the failed run traces the waves that
+ran, and a direct run's ledger does not depend on its host fan-out.
 """
 
 import contextlib
@@ -34,12 +38,14 @@ import pytest
 from repro.accel import MetadataWaveDriver
 from repro.accel.scheduler import WAVE_FAULT_SITE
 from repro.accel.sharding import run_sharded
+from repro.constants import CLOCK_HZ
+from repro.errors import InputError
 from repro.eval.workloads import make_workload
 from repro.faults.injector import RetryBudgetExceeded
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.retry import RetryPolicy
 from repro.obs.ledger import RunLedger, RunManifest, run_context
-from repro.obs.spans import trace_spans
+from repro.obs.spans import WAVE_SEGMENTS, trace_spans
 from repro.serve import JobService, JobSpec
 from repro.accel.stages import STAGES
 from repro.serve.trace import SERVE_STAGES
@@ -121,10 +127,13 @@ def _ledger_events(ledger):
     ]
 
 
-def sharded_case(workload, tmp_path, devices, storage, faults, exhaust=False):
+def sharded_case(
+    workload, tmp_path, devices, storage, faults, exhaust=False, workers=1
+):
     """One ``run_sharded`` metadata stage, ledgered.
 
-    ``faults`` injects one retried fault at :data:`FAULTED_WAVE`;
+    ``faults`` injects one retried fault at :data:`FAULTED_WAVE` (its
+    backoff, a millisecond or so, is the wave's penalty on its card);
     ``exhaust`` makes it outlast the retry budget, so the run raises once
     every other wave has run: the ledger of a failed run."""
     plan = None
@@ -134,7 +143,8 @@ def sharded_case(workload, tmp_path, devices, storage, faults, exhaust=False):
             attempts=2 if exhaust else 1,
         ),))
     ledger = RunLedger(os.path.join(
-        str(tmp_path), f"d{devices}s{storage:d}f{faults:d}x{exhaust:d}.jsonl"
+        str(tmp_path),
+        f"d{devices}s{storage:d}f{faults:d}x{exhaust:d}w{workers}.jsonl",
     ))
     manifest = RunManifest(workload="event-shapes", config={"devices": devices})
     with run_context(manifest, ledger), pytest.raises(
@@ -142,9 +152,9 @@ def sharded_case(workload, tmp_path, devices, storage, faults, exhaust=False):
     ) if exhaust else contextlib.nullcontext():
         run_sharded(
             MetadataWaveDriver(reference=workload.reference),
-            workload.partitions, 2, devices=devices, workers=1,
+            workload.partitions, 2, devices=devices, workers=workers,
             fault_plan=plan,
-            retry_policy=RetryPolicy(max_retries=1, backoff_base=0.0),
+            retry_policy=RetryPolicy(max_retries=1, backoff_base=0.001),
             storage=(
                 plan_storage_filter(
                     workload.partitions, workload.reference, record=False
@@ -154,10 +164,10 @@ def sharded_case(workload, tmp_path, devices, storage, faults, exhaust=False):
     return ledger
 
 
-def served_case(workload):
+def served_case(workload, drain_at=3):
     """Six jobs on two devices behind the filter, one retried fault on
-    the second dispatch, drained after three dispatches and resumed to
-    idle."""
+    the second dispatch, drained after ``drain_at`` dispatches (``None``:
+    never) and resumed to idle; returns the service that ran last."""
     storage = plan_storage_filter(
         list(workload.partitions) + list(workload.group_partitions),
         workload.reference, record=False,
@@ -180,10 +190,11 @@ def served_case(workload):
             ),
             at_cycles=index * 1000,
         )
-    service.run(max_dispatches=3)
-    resumed = JobService.resume(service.drain())
-    resumed.run_until_idle()
-    return resumed.events
+    if drain_at is not None:
+        service.run(max_dispatches=drain_at)
+        service = JobService.resume(service.drain())
+    service.run_until_idle()
+    return service
 
 
 def collect_cases(tmp_path):
@@ -198,7 +209,7 @@ def collect_cases(tmp_path):
     cases["sharded-d2-budget-exhausted"] = _ledger_events(
         sharded_case(workload, tmp_path, 2, False, True, exhaust=True)
     )
-    cases["served-d2-s1-f1-drain3"] = served_case(_workload(psize=1500))
+    cases["served-d2-s1-f1-drain3"] = served_case(_workload(psize=1500)).events
     return {
         case: (events, trace_spans(events)) for case, events in cases.items()
     }
@@ -266,6 +277,123 @@ def test_sharded_fault_ledger_joins_on_device_and_wave(tmp_path):
     # the queue slot differs from the global index, or this proves nothing
     queue = sorted(w for device, w in ran if device == retry["device"])
     assert queue.index(FAULTED_WAVE) != FAULTED_WAVE
+
+
+def _card_balances(spans, device, waves, transfer_seconds, load, kernel,
+                   backoff_seconds):
+    """Card ``device``'s lane adds up: its summed ``transfer`` segments
+    are the card's charged transfer seconds (within a cycle per wave),
+    its ``spm_load`` and ``kernel`` segments the load and kernel cycles
+    it ran, its ``fault_penalty`` segments the retry backoff charged to
+    it, in cycles."""
+    laid = Counter()
+    for span in spans:
+        if span.lane == f"device:{device}" and span.cat in WAVE_SEGMENTS:
+            laid[span.cat] += span.end - span.start
+    assert abs(laid["transfer"] - transfer_seconds * CLOCK_HZ) <= waves
+    assert laid["spm_load"] == load
+    assert laid["kernel"] == kernel
+    assert laid["fault_penalty"] == round(backoff_seconds * CLOCK_HZ)
+
+
+@pytest.mark.parametrize("case", [
+    f"sharded-d{devices}-s{storage:d}-f{faults:d}"
+    for devices, storage, faults in SHARDED_CASES
+])
+def test_each_direct_card_balances(cases, case):
+    """Every card of a direct run, one or two, filtered or not, faulted
+    or not, balances against its queue's ``shard.device`` summary and
+    the ``fault.retry`` backoffs of its waves."""
+    events, spans = cases[case]
+    queues = [fields for name, fields in events if name == "shard.device"]
+    assert queues
+    for queue in queues:
+        _card_balances(
+            spans, queue["device"], queue["waves"],
+            queue["transfer_seconds"], queue["spm_load_cycles"],
+            queue["cycles"], sum(
+                fields["backoff_seconds"] for name, fields in events
+                if name == "fault.retry" and fields["device"] == queue["device"]
+            ),
+        )
+
+
+def test_each_served_card_balances():
+    """The served case, undrained: every card balances against the
+    pool's transfer seconds, its ``serve.wave.done`` records and the
+    ``serve.retry`` backoffs of the waves it ran."""
+    service = served_case(_workload(psize=1500), drain_at=None)
+    summary = service.summary()
+    assert summary.retries == 1
+    for device, transfer_seconds in enumerate(
+        summary.device_transfer_seconds
+    ):
+        done = [
+            fields for name, fields in service.events
+            if name == "serve.wave.done" and fields["device"] == device
+        ]
+        ran = {(fields["job"], fields["wave"]) for fields in done}
+        _card_balances(
+            service.spans(), device, len(done), transfer_seconds,
+            sum(fields["load_cycles"] for fields in done),
+            sum(fields["cycles"] for fields in done), sum(
+                fields["backoff_seconds"]
+                for name, fields in service.events
+                if name == "serve.retry" and (fields["job"], fields["wave"]) in ran
+            ),
+        )
+
+
+def test_a_failed_direct_run_still_traces(cases):
+    """A run whose retry budget ran out traces every wave that ran —
+    each laid once, on its card — and no span names a parent that is
+    never laid."""
+    events, spans = cases["sharded-d2-budget-exhausted"]
+    ran = [
+        (fields["device"], fields["wave"]) for name, fields in events
+        if name == "scheduler.wave"
+    ]
+    assert [wave for _device, wave in ran] == [
+        wave for wave in range(5) if wave != FAULTED_WAVE
+    ]
+    waves = [span for span in spans if span.cat == "wave"]
+    assert [(span.attrs["device"], span.attrs["wave"]) for span in waves] == ran
+    assert all(span.lane == f"device:{span.attrs['device']}" for span in waves)
+    ids = {span.span_id for span in spans}
+    assert all(span.parent_id in ids | {None} for span in spans)
+
+
+@pytest.mark.parametrize("devices", (1, 2))
+def test_a_direct_ledger_is_the_same_at_every_worker_count(tmp_path, devices):
+    """A direct run writes each wave once, in global order, whatever its
+    host fan-out: inline or pooled, filtered and faulted, its ledger
+    minus the host fields (and the fan-out itself) is one sequence."""
+    workload = _workload()
+
+    def ledgered(workers):
+        return [
+            (name, {
+                key: value for key, value in fields.items()
+                if key not in HOST_FIELDS | {"workers"}
+            })
+            for name, fields in _ledger_events(sharded_case(
+                workload, tmp_path, devices, True, True, workers=workers
+            ))
+        ]
+
+    assert ledgered(1) == ledgered(2)
+
+
+def test_an_old_direct_wave_is_refused():
+    """A ``scheduler.wave`` from before direct waves were charged (no
+    ``start_cycles``, no ``device`` on a lone card) is refused by name,
+    not laid from cycle 0 or crashed on."""
+    old = dict(stage="metadata", wave=0, replicas=2, cycles=900,
+               load_cycles=40)
+    with pytest.raises(InputError, match="scheduler.wave.*start_cycles"):
+        trace_spans([("scheduler.wave", dict(old, device=0))])
+    with pytest.raises(InputError, match="scheduler.wave.*device"):
+        trace_spans([("scheduler.wave", old)])
 
 
 if __name__ == "__main__":

@@ -162,12 +162,10 @@ class TestRunContext:
             )
         events = [r["event"] for r in ledger.read()]
         assert events.count("scheduler.wave") == stats.waves
-        assert "scheduler.run" in events
-        run_record = next(
-            r for r in ledger.read() if r["event"] == "scheduler.run"
-        )
-        assert run_record["total_cycles"] == stats.total_cycles
-        assert run_record["stage"] == "markdup"
+        (queue,) = ledger.events("shard.device")
+        assert queue["cycles"] == stats.total_cycles
+        assert queue["spm_load_cycles"] == stats.spm_load_cycles
+        assert queue["stage"] == "markdup"
 
 
 class TestSchemaVersion:

@@ -138,8 +138,8 @@ def test_fault_events_reach_the_ledger(workload, tmp_path):
     assert all(e["backoff_seconds"] >= 0 for e in retries)
     # the prefix query sees every resilience event at once
     assert len(ledger.events("fault.")) >= len(injected) + len(retries)
-    # and the run summary carries the counters
-    (summary,) = ledger.events("scheduler.run", run_id=manifest.run_id)
+    # and the queue's summary carries the counters
+    (summary,) = ledger.events("shard.device", run_id=manifest.run_id)
     assert summary["faults_injected"] == 3
     assert summary["retries"] == 3
 
