@@ -230,8 +230,8 @@ class ActiveRegionWaveDriver(WaveDriver):
         base, activity_spm, depth_spm = context
         return ActiveRegionAccelResult(
             base=base,
-            activity=np.array(activity_spm.dump(), dtype=np.int64),
-            depth=np.array(depth_spm.dump(), dtype=np.int64),
+            activity=activity_spm.to_array(),
+            depth=depth_spm.to_array(),
             run=run,
         )
 

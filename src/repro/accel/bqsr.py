@@ -257,11 +257,12 @@ class BqsrWaveDriver(WaveDriver):
             repeat(True, part.num_rows),
             {
                 "reverse": [
-                    bool(int(flags) & FLAG_REVERSE)
-                    for flags in part.column("FLAGS")
+                    bool(flags & FLAG_REVERSE)
+                    for flags in part.column("FLAGS").tolist()
                 ],
                 "seqlen": [len(seq) for seq in part.column("SEQ")],
             },
+            filled=repeat(True, part.num_rows),  # every header carries both
         ))
         return pipe, spms
 
@@ -279,10 +280,10 @@ class BqsrWaveDriver(WaveDriver):
             if isinstance(module, SpmUpdater)
         )
         return BqsrAccelResult(
-            total_cycle=np.array(spms.total_cycle.dump(), dtype=np.int64),
-            total_context=np.array(spms.total_context.dump(), dtype=np.int64),
-            error_cycle=np.array(spms.error_cycle.dump(), dtype=np.int64),
-            error_context=np.array(spms.error_context.dump(), dtype=np.int64),
+            total_cycle=spms.total_cycle.to_array(),
+            total_context=spms.total_context.to_array(),
+            error_cycle=spms.error_cycle.to_array(),
+            error_context=spms.error_context.to_array(),
             run=run,
             drain_stats=drain_stats,
             hazard_stalls=hazard_stalls,

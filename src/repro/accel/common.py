@@ -105,24 +105,28 @@ def join_reads_to_reference(
     return joiner
 
 
+def as_ints(values) -> list:
+    """``[int(v) for v in values]``, at C speed for an integer array."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values.tolist()
+    return [int(value) for value in values]
+
+
 def feed_read_streams(pipe: Pipeline, partition: Table) -> None:
     """Load one READS partition's column streams into the pipeline's
     memory readers — ``<name>.pos`` / ``.endpos`` / ``.cigar`` / ``.seq``,
-    and ``.qual`` where the pipeline has one."""
+    and ``.qual`` where the pipeline has one.  Every element streams as
+    a Python int: each module that reads one takes its ``int()``."""
     readers = pipe.modules
     name = pipe.name
-    readers[f"{name}.pos"].set_scalars(
-        [int(v) for v in partition.column("POS")]
-    )
-    readers[f"{name}.endpos"].set_scalars(
-        [int(v) for v in partition.column("ENDPOS")]
-    )
-    readers[f"{name}.cigar"].set_items(
-        [[int(c) for c in row] for row in partition.column("CIGAR")]
-    )
-    readers[f"{name}.seq"].set_items(list(partition.column("SEQ")))
-    if f"{name}.qual" in readers:
-        readers[f"{name}.qual"].set_items(list(partition.column("QUAL")))
+    readers[f"{name}.pos"].set_scalars(as_ints(partition.column("POS")))
+    readers[f"{name}.endpos"].set_scalars(as_ints(partition.column("ENDPOS")))
+    for column in ("CIGAR", "SEQ", "QUAL"):
+        reader = f"{name}.{column.lower()}"
+        if column != "QUAL" or reader in readers:
+            readers[reader].set_items(
+                [as_ints(row) for row in partition.column(column)]
+            )
 
 
 #: Distinct phase shapes the memo remembers (a run sees a handful: one

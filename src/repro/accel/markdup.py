@@ -23,7 +23,7 @@ from ..hw.pipeline import Pipeline
 from ..tables.genomic_tables import READS_SCHEMA
 from ..tables.partition import PartitionId
 from ..tables.table import Table
-from .common import SOLO
+from .common import SOLO, as_ints
 from .scheduler import WaveDriver
 
 
@@ -72,7 +72,7 @@ class MarkdupWaveDriver(WaveDriver):
     def build_replica(self, engine, name, part, spm, base):
         pipe = build_markdup_pipeline(engine, name)
         pipe.modules[f"{name}.qual"].set_items(
-            [[int(q) for q in item] for item in part.column("QUAL")]
+            [as_ints(item) for item in part.column("QUAL")]
         )
         return pipe
 

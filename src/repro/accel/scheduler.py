@@ -404,6 +404,8 @@ class WaveDriver:
             ))
             for pid, context, spm, load_stats in contexts
         }
+        if probe is None:  # a probe reads the engine after the wave
+            engine.release()
         return results, stats, load_cycles
 
     def run_one(self, part: Table):
@@ -911,7 +913,10 @@ def run_waves(
     abandoned = False
 
     def submit(task, attempt):
-        fault = wave_ladder(task, worker="pool").poll(attempt)
+        ladder = wave_ladder(task, worker="pool")
+        if attempt == 0:  # ledger its injections in ladder order
+            ladder.record_ahead()
+        fault = ladder.poll(attempt)
         fault_kind = None
         hang = 0.0
         if fault is None:  # cleared: a wave the memo holds is replayed

@@ -111,8 +111,9 @@ class RetryLadder:
     too, so callers can book it, and resuming after it raises
     :meth:`exceeded`, with :attr:`attempt` one past the failure.  A
     caller whose failures arrive asynchronously (the executor's pool
-    rung) takes the steps by hand: :meth:`poll` before the attempt,
-    :meth:`fail` after it, :meth:`exceeded` when that spent the budget.
+    rung) takes the steps by hand: :meth:`record_ahead` as the operation
+    starts, :meth:`poll` before each attempt, :meth:`fail` after it,
+    :meth:`exceeded` when that spent the budget.
     """
 
     injector: Optional[FaultInjector]
@@ -136,6 +137,17 @@ class RetryLadder:
         return self.injector.poll(
             self.site, self.slot, attempt, **self.context
         )
+
+    def record_ahead(self) -> None:
+        """Record every injection a walk from :attr:`attempt` polls, in
+        attempt order: an injected attempt always fails, so the walk
+        polls on until an attempt polls clean or spends the budget.  The
+        asynchronous caller calls it when the operation first starts, so
+        its injections reach the ledger in the order a synchronous walk
+        writes them, whatever order its attempts complete in."""
+        attempt = self.attempt
+        while self.poll(attempt) is not None and attempt < self.policy.max_retries:
+            attempt += 1
 
     def fail(self, attempt: int, kind: str) -> FailedAttempt:
         """Account one failed attempt: test the budget and, when a retry

@@ -23,8 +23,9 @@ Two modes produce bit-identical cycle counts and functional results:
 
 from __future__ import annotations
 
+import copy
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .maxplus import run_maxplus
@@ -62,11 +63,10 @@ class RunStats:
         """A fresh RunStats equal to this one, with its own dict
         instances — what a cache or replay hands out so a caller mutating
         one run's maps cannot corrupt the recording."""
-        return replace(
-            self,
-            flits_by_module=dict(self.flits_by_module),
-            busy_by_module=dict(self.busy_by_module),
-        )
+        stats = copy.copy(self)
+        stats.flits_by_module = dict(self.flits_by_module)
+        stats.busy_by_module = dict(self.busy_by_module)
+        return stats
 
     def throughput(self, flits: int) -> float:
         """Flits per cycle for a given flit count."""
@@ -158,6 +158,19 @@ class Engine:
         producer.connect_output(out_port, queue)
         consumer.connect_input(in_port, queue)
         return queue
+
+    def release(self) -> None:
+        """Break the references that tie modules, queues and the memory
+        into cycles (a queue names its producer and consumer, a memory
+        port its reader's callback) once nothing will run, step or
+        profile the engine again.  Its objects are then freed by
+        reference counting when the caller drops it, instead of being
+        carried into the cycle collector's older generations — a wave's
+        engine is built and dropped per wave."""
+        for queue in self.queues:
+            queue.producers.clear()
+            queue.consumers.clear()
+        self.memory.release()
 
     # -- simulation --------------------------------------------------------------
 

@@ -108,7 +108,7 @@ class Stream:
     name -> one entry per flit, :data:`ABSENT` where the flit lacks the
     field), all tuples of one length."""
 
-    __slots__ = ("last", "columns", "_filled")
+    __slots__ = ("last", "_fields", "_filled")
 
     def __init__(
         self,
@@ -117,17 +117,34 @@ class Stream:
         filled: Optional[Iterable[bool]] = None,
     ):
         """``filled`` is :attr:`filled`, where the producer knows it."""
-        self.last: Tuple[bool, ...] = tuple(last)
-        self.columns: Mapping[str, tuple] = MappingProxyType(
-            {name: tuple(column) for name, column in dict(columns).items()}
-        )
-        for column in self.columns.values():
-            if len(column) != len(self.last):
+        last = tuple(last)
+        fields = {name: tuple(column) for name, column in dict(columns).items()}
+        for column in fields.values():
+            if len(column) != len(last):
                 raise ValueError("stream columns differ in length")
-        self._filled = None if filled is None else tuple(filled)
+        self._set(last, fields, None if filled is None else tuple(filled))
+
+    def _set(self, last: tuple, fields: Dict[str, tuple], filled) -> None:
+        self.last: Tuple[bool, ...] = last
+        #: The columns, for readers inside this module.
+        self._fields = fields
+        self._filled = filled
+
+    @property
+    def columns(self) -> Mapping[str, tuple]:
+        """Field name -> its column (read-only)."""
+        return MappingProxyType(self._fields)
+
+    @classmethod
+    def _of(cls, last: tuple, fields: Dict[str, tuple], filled=None) -> "Stream":
+        """A stream over columns that are already tuples as long as
+        ``last``, taken as they are (nothing copied or checked)."""
+        stream = cls.__new__(cls)
+        stream._set(last, fields, filled)
+        return stream
 
     def __reduce__(self):
-        return Stream, (self.last, dict(self.columns), self._filled)
+        return Stream, (self.last, dict(self._fields), self._filled)
 
     # -- building ------------------------------------------------------------------
 
@@ -182,21 +199,21 @@ class Stream:
     def _carried(self) -> Dict[str, tuple]:
         """The columns at least one flit carries."""
         return {
-            name: column for name, column in self.columns.items()
+            name: column for name, column in self._fields.items()
             if any(_present(column))
         }
 
     def column(self, name: str) -> tuple:
         """The column of field ``name`` (all :data:`ABSENT` if no flit
         carries it)."""
-        column = self.columns.get(name)
+        column = self._fields.get(name)
         return (ABSENT,) * len(self.last) if column is None else column
 
     @property
     def filled(self) -> Tuple[bool, ...]:
         """Per flit: does it carry any field (is it not a boundary)?"""
         if self._filled is None:
-            columns = list(self.columns.values())
+            columns = list(self._fields.values())
             if not columns:
                 filled = tuple(repeat(False, len(self.last)))
             elif len(columns) == 1:
@@ -207,22 +224,31 @@ class Stream:
         return self._filled
 
     def __getitem__(self, rows: slice) -> "Stream":
-        return Stream(
+        return Stream._of(
             self.last[rows],
-            {name: column[rows] for name, column in self.columns.items()},
+            {name: column[rows] for name, column in self._fields.items()},
             None if self._filled is None else self._filled[rows],
         )
 
     def gather(self, rows: Sequence[int], last: Iterable[bool]) -> "Stream":
         """A stream whose flit *k* carries the fields of this stream's
         flit ``rows[k]`` (none where that is -1) and ``last[k]``."""
+        last = tuple(last)
+        if self._fields and len(last) != len(rows):
+            raise ValueError("stream columns differ in length")
         pick = _picker(rows)
         filled = self._filled
-        return Stream(
+        if -1 not in rows:  # no flit without fields: nothing to pad
+            return Stream._of(
+                last,
+                {name: pick(column) for name, column in self._fields.items()},
+                None if filled is None else pick(filled),
+            )
+        return Stream._of(
             last,
             {
                 name: pick(column + (ABSENT,))
-                for name, column in self.columns.items()
+                for name, column in self._fields.items()
             },
             None if filled is None else pick(filled + (False,)),
         )
@@ -230,12 +256,17 @@ class Stream:
     def with_columns(self, columns: Mapping[str, Iterable]) -> "Stream":
         """The same flits with ``columns`` added (or replacing a field);
         a new column carries values only on flits that carry fields."""
-        return Stream(self.last, {**self.columns, **columns}, self._filled)
+        fields = dict(self._fields)
+        for name, column in columns.items():
+            column = fields[name] = tuple(column)
+            if len(column) != len(self.last):
+                raise ValueError("stream columns differ in length")
+        return Stream._of(self.last, fields, self._filled)
 
     def flit(self, index: int) -> Flit:
         """Flit ``index`` as a :class:`Flit` of its own."""
         fields = {}
-        for name, column in self.columns.items():
+        for name, column in self._fields.items():
             value = column[index]
             if value is not ABSENT:
                 fields[name] = value
@@ -246,7 +277,7 @@ class Stream:
         return [self.flit(index) for index in range(len(self.last))]
 
     def __repr__(self) -> str:
-        return f"Stream({len(self)} flits, fields {list(self.columns)})"
+        return f"Stream({len(self)} flits, fields {list(self._fields)})"
 
 
 class Row:
@@ -258,7 +289,7 @@ class Row:
     __slots__ = ("_columns", "index")
 
     def __init__(self, stream: Stream, index: int = 0):
-        self._columns = dict(stream.columns)  # a dict reads faster
+        self._columns = stream._fields  # a dict reads faster than a proxy
         self.index = index
 
     def __getitem__(self, name: str):

@@ -46,7 +46,6 @@ from __future__ import annotations
 import heapq
 import operator
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -94,7 +93,11 @@ class Timed(NamedTuple):
     entered: Optional[Dict[object, int]] = None
 
 
-@dataclass
+#: What an ungated module's commit is handed.
+_UNTIMED = Timed()
+
+
+@dataclass(slots=True)
 class Plan:
     """A module's run, computed without touching the module.
 
@@ -107,8 +110,9 @@ class Plan:
 
     outputs: Dict[str, Stream]
     steps: Sequence[Step]
-    #: Index into ``steps`` per action, in order.
-    actions: List[int]
+    #: Index into ``steps`` per action, in order (a bool indexes a
+    #: two-step table: a stream's ``filled`` can be an action list).
+    actions: Sequence[int]
     commit: Callable[[Timed], None] = lambda _timed: None
     #: False when the module would end holding state (the wave deadlocks).
     idle: bool = True
@@ -135,39 +139,76 @@ class Plan:
     writes_spm: object = None
 
 
-class Solution(NamedTuple):
+class Solution:
     """What a solved run leaves on its engine (``engine.solution``)."""
 
-    start: int
-    #: The run's :class:`~repro.hw.engine.RunStats`.
-    stats: object
-    #: Module ``id`` -> ``(steps, actions, view)``: ``view`` maps its
-    #: queues' ``id`` (and :data:`RESPONSES`) to ``(pushes, pops)`` cycles.
-    actors: Dict[int, tuple]
-    #: Memory channel -> requests it granted in the run.
-    grants: Dict[int, int]
+    __slots__ = ("start", "stats", "grants", "_order", "_plans", "_wiring", "_actors")
+
+    def __init__(self, start: int, stats, grants: Dict[int, int], order, plans, wiring):
+        self.start = start
+        #: The run's :class:`~repro.hw.engine.RunStats`.
+        self.stats = stats
+        #: Memory channel -> requests it granted in the run.
+        self.grants = grants
+        self._order, self._plans, self._wiring = order, plans, wiring
+        self._actors: Optional[Dict[int, tuple]] = None
+
+    @property
+    def actors(self) -> Dict[int, tuple]:
+        """Module ``id`` -> ``(steps, actions, view)``: ``view`` maps its
+        queues' ``id`` (and :data:`RESPONSES`) to ``(pushes, pops)``
+        cycles.  Gathered when first asked for (by a profile), not by
+        every run."""
+        if self._actors is None:
+            queues = self._wiring.queues
+            self._actors = {}
+            for module, plan, responses in zip(
+                self._order, self._plans, self._wiring.responses
+            ):
+                view = {id(q): queues[id(q)] for q in module.outputs.values()}
+                for queue in module.inputs.values():
+                    view[id(queue)] = queues[id(queue)]
+                if responses is not None:
+                    view[RESPONSES] = responses
+                self._actors[id(module)] = (plan.steps, plan.actions, view)
+        return self._actors
 
 
 # -- eligibility ---------------------------------------------------------------------
+
+
+#: The hooks a plan must describe.
+_HOOKS = ("plan", "tick", "is_idle")
+
+#: Class -> ``(its hooks as resolved, whether they are planned)``.  The
+#: verdict depends on the class alone; the resolved hooks are held to
+#: see a class patched since it was judged.
+_PLANNED: Dict[type, tuple] = {}
+
+
+def _class_planned(cls: type) -> bool:
+    owners = {}
+    for owner in cls.__mro__:
+        for name in _HOOKS:
+            if name not in owners and name in owner.__dict__:
+                owners[name] = owner
+    plan = owners.get("plan")
+    return plan is not None and all(
+        issubclass(plan, owners[name]) for name in _HOOKS
+    )
 
 
 def planned(module) -> bool:
     """True when ``module``'s :meth:`plan` describes the ``tick`` it
     actually runs: the class defining ``plan`` is (a subclass of) the one
     defining ``tick`` and ``is_idle``, and no instance overrides any of
-    them."""
-    hooks = ("plan", "tick", "is_idle")
-    owners = {}
-    for cls in type(module).__mro__:
-        for name in hooks:
-            if name not in owners and name in cls.__dict__:
-                owners[name] = cls
-    plan = owners.get("plan")
-    return (
-        plan is not None
-        and all(issubclass(plan, owners[name]) for name in hooks)
-        and vars(module).keys().isdisjoint(hooks)
-    )
+    them.  The class's verdict is judged once per class."""
+    cls = type(module)
+    hooks = (getattr(cls, "plan", None), cls.tick, cls.is_idle)
+    known = _PLANNED.get(cls)
+    if known is None or known[0] != hooks:
+        known = _PLANNED[cls] = (hooks, _class_planned(cls))
+    return known[1] and vars(module).keys().isdisjoint(_HOOKS)
 
 
 def _topological(engine) -> Optional[list]:
@@ -175,21 +216,31 @@ def _topological(engine) -> Optional[list]:
     among ready modules), or None when the queue graph is not a set of
     one-producer, one-consumer, empty queues without a cycle."""
     modules = engine.modules
-    queues = set(map(id, engine.queues))
-    indegree = dict.fromkeys(map(id, modules), 0)
+    members = set(map(id, modules))
+    queues = set()
+    forward = True  # does every queue run forward in registration order?
     for queue in engine.queues:
-        if len(queue.producers) != 1 or len(queue.consumers) != 1:
+        producers, consumers = queue.producers, queue.consumers
+        if len(producers) != 1 or len(consumers) != 1 or not queue.is_empty():
             return None
-        producer, consumer = queue.producers[0], queue.consumers[0]
-        if id(producer) not in indegree or id(consumer) not in indegree:
+        producer, consumer = producers[0], consumers[0]
+        if id(producer) not in members or id(consumer) not in members:
             return None
-        if not queue.is_empty():
-            return None
-        indegree[id(consumer)] += 1
-    for module in modules:
-        for queue in (*module.inputs.values(), *module.outputs.values()):
-            if id(queue) not in queues:
-                return None
+        if producer._index >= consumer._index:
+            forward = False
+        queues.add(id(queue))
+    for position, module in enumerate(modules):
+        if module._index != position:
+            forward = False
+        for ports in (module.inputs, module.outputs):
+            for queue in ports.values():
+                if id(queue) not in queues:
+                    return None
+    if forward:  # then registration order is the order the heap takes
+        return list(modules)
+    indegree = dict.fromkeys(members, 0)
+    for queue in engine.queues:
+        indegree[id(queue.consumers[0])] += 1
     ready = [(m._index, m) for m in modules if not indegree[id(m)]]
     heapq.heapify(ready)
     order = []
@@ -198,8 +249,9 @@ def _topological(engine) -> Optional[list]:
         order.append(module)
         for queue in module.outputs.values():
             consumer = queue.consumers[0]
-            indegree[id(consumer)] -= 1
-            if not indegree[id(consumer)]:
+            key = id(consumer)
+            indegree[key] -= 1
+            if not indegree[key]:
                 heapq.heappush(ready, (consumer._index, consumer))
     return order if len(order) == len(modules) else None
 
@@ -207,59 +259,106 @@ def _topological(engine) -> Optional[list]:
 # -- the functional pass -------------------------------------------------------------
 
 
-def _plan_all(order) -> Optional[Tuple[list, list]]:
-    """Every module's plan, in ``order``, and per plan its busy actions
-    (those whose step pushes or is :attr:`Step.busy`); None when a module
-    would not finish its streams or two modules share a scratchpad one
-    writes."""
+class _Facts(NamedTuple):
+    """What a run needs of a :class:`Step` besides its cycles: a pure
+    function of the step, derived once per step (:func:`_facts`)."""
+
+    #: Input ports the tick reads (bar :data:`RESPONSES`) and output
+    #: ports it pushes to or needs room on: each must be connected.
+    inputs: frozenset
+    outputs: frozenset
+    #: Input ports the tick pops (bar :data:`RESPONSES`).
+    popped: Tuple[str, ...]
+    #: True when the tick counts as busy: it pushes, or is :attr:`Step.busy`.
+    busy: bool
+    #: Which of the compiled shapes it takes (:func:`_compile`).
+    shape: int
+
+
+#: Step -> its facts.  Steps are declared in code, so this stays small.
+_FACTS: Dict[Step, _Facts] = {}
+
+
+def _facts(step: Step) -> _Facts:
+    facts = _FACTS.get(step)
+    if facts is None:
+        popped = (*step.pops, *step.assumes)
+        facts = _FACTS[step] = _Facts(
+            frozenset((*step.pops, *step.peeks, *step.assumes)) - {RESPONSES},
+            frozenset((*step.pushes, *step.rooms)),
+            tuple(port for port in popped if port != RESPONSES),
+            bool(step.pushes or step.busy),
+            _shape(step),
+        )
+    return facts
+
+
+def _plan_all(order) -> Optional[Tuple[list, list, list]]:
+    """Every module's plan, in ``order``; per plan its busy actions
+    (those whose step pushes or is :attr:`Step.busy`) and the indices of
+    the steps it takes.  None when a module would not finish its
+    streams, a step it takes names an unconnected port, or two modules
+    share a scratchpad one writes."""
     streams: Dict[int, Stream] = {}
-    plans, busy = [], []
+    plans, busy, taken = [], [], []
+    users: Dict[int, int] = {}  # scratchpad id -> plans reading or writing it
+    written = []
     for module in order:
+        inputs, outputs = module.inputs, module.outputs
+        given = {port: streams[id(q)] for port, q in inputs.items()}
         try:
-            plan = module.plan(
-                {port: streams[id(q)] for port, q in module.inputs.items()}
-            )
+            plan = module.plan(given)
         except Exception:  # the dense loop raises it where it arises
             return None
         if not plan.idle:
             return None
-        for port, stream in plan.outputs.items():
-            queue = module.outputs.get(port)
-            if queue is None:
-                if len(stream):
-                    return None
-                continue
-            streams[id(queue)] = stream
-        for port, queue in module.outputs.items():
-            streams.setdefault(id(queue), EMPTY)
-        popped = Counter()
+        produced = plan.outputs
+        for port, queue in outputs.items():
+            streams[id(queue)] = produced.get(port, EMPTY)
+        if not produced.keys() <= outputs.keys() and any(
+            len(stream) for port, stream in produced.items()
+            if port not in outputs
+        ):
+            return None  # the tick would push to an unconnected port
+        try:  # one byte per action: a step's actions count at C speed
+            actions = bytearray(plan.actions)
+            counts = [actions.count(index) for index in range(len(plan.steps))]
+        except (TypeError, ValueError):
+            return None  # an action, or a step table, no byte can index
+        if sum(counts) != len(actions):
+            return None  # an action that indexes no step
+        popped = dict.fromkeys(inputs, 0)
         acted = 0
-        for index, count in Counter(plan.actions).items():
-            step = plan.steps[index]
-            inputs = {*step.pops, *step.peeks, *step.assumes} - {RESPONSES}
+        used = []
+        for index, count in enumerate(counts):
+            if not count:
+                continue
+            used.append(index)
+            facts = _facts(plan.steps[index])
             if not (
-                inputs <= module.inputs.keys()
-                and {*step.pushes, *step.rooms} <= module.outputs.keys()
+                inputs.keys() >= facts.inputs and outputs.keys() >= facts.outputs
             ):
                 return None  # the tick would raise on an unconnected port
-            for port in (*step.pops, *step.assumes):
+            for port in facts.popped:
                 popped[port] += count
-            if step.pushes or step.busy:
+            if facts.busy:
                 acted += count
-        for port, queue in module.inputs.items():
-            if popped[port] != len(streams[id(queue)]):
+        for port, stream in given.items():
+            if popped[port] != len(stream):
                 return None
         plans.append(plan)
         busy.append(acted)
-    written = [plan.writes_spm for plan in plans if plan.writes_spm is not None]
-    for spm in written:
-        touching = [
-            plan for plan in plans
-            if plan.reads_spm is spm or plan.writes_spm is spm
-        ]
-        if len(touching) > 1:
-            return None
-    return plans, busy
+        taken.append(used)
+        read, write = plan.reads_spm, plan.writes_spm
+        if read is not None:
+            users[id(read)] = users.get(id(read), 0) + 1
+        if write is not None:
+            written.append(write)
+            if write is not read:
+                users[id(write)] = users.get(id(write), 0) + 1
+    if any(users[id(spm)] > 1 for spm in written):
+        return None
+    return plans, busy, taken
 
 
 # -- the memory system ---------------------------------------------------------------
@@ -357,27 +456,50 @@ def _simulate_memory(memory, start: int, fetches, stores):
 _ONE_IN, _SINK, _NO_IN, _FORK, _ANY = range(5)
 
 
-def _compile(step: Step, ends, outputs):
-    """``step`` over the timing lists: ``ends(port)`` is an input's
-    ``(push cycles, pop cycles)``, ``outputs(port)`` an output's plus its
-    capacity and ``delta``."""
-    heads = [ends(p) for p in (*step.pops, *step.peeks)]
-    popped = [ends(p)[1] for p in (*step.pops, *step.assumes)]
-    pushes = [outputs(p)[0] for p in step.pushes]
-    rooms = [outputs(p) for p in step.rooms]
+def _shape(step: Step) -> int:
+    """The shape ``step`` compiles to."""
     if len(step.pops) == 1 and not step.peeks and len(step.assumes) <= 1:
-        pushed, pops = heads[0]
-        also = popped[1].append if step.assumes else None
-        if len(pushes) <= 1 and len(rooms) == 1:
-            push = pushes[0].append if pushes else None
-            return (_ONE_IN, pushed, pops, pops.append, also, push, *rooms[0])
-        if not pushes and not rooms and also is None:
-            return (_SINK, pushed, pops, pops.append)
-        if pushes and step.pushes == step.rooms and also is None:
-            return (_FORK, pushed, pops, pops.append, tuple(rooms))
-    if not step.pops and not step.peeks and len(pushes) == 1 and len(rooms) == 1:
-        return (_NO_IN, pushes[0].append, *rooms[0])
-    return (_ANY, tuple(heads), tuple(popped), tuple(pushes), tuple(rooms))
+        if len(step.pushes) <= 1 and len(step.rooms) == 1:
+            return _ONE_IN
+        if not step.pushes and not step.rooms and not step.assumes:
+            return _SINK
+        if step.pushes and step.pushes == step.rooms and not step.assumes:
+            return _FORK
+    if (
+        not step.pops and not step.peeks
+        and len(step.pushes) == 1 and len(step.rooms) == 1
+    ):
+        return _NO_IN
+    return _ANY
+
+
+def _compile(step: Step, ends, outputs):
+    """``step`` over the timing lists: ``ends[port]`` is an input's
+    ``(push cycles, pop cycles)``, ``outputs[port]`` an output's plus its
+    capacity and ``delta``."""
+    shape = _facts(step).shape
+    if shape == _NO_IN:
+        return (_NO_IN, outputs[step.pushes[0]][0].append, *outputs[step.rooms[0]])
+    if shape == _ANY:
+        return (
+            _ANY,
+            tuple(ends[p] for p in (*step.pops, *step.peeks)),
+            tuple(ends[p][1] for p in (*step.pops, *step.assumes)),
+            tuple(outputs[p][0] for p in step.pushes),
+            tuple(outputs[p] for p in step.rooms),
+        )
+    pushed, pops = ends[step.pops[0]]
+    if shape == _SINK:
+        return (_SINK, pushed, pops, pops.append)
+    if shape == _FORK:
+        return (_FORK, pushed, pops, pops.append, tuple(outputs[p] for p in step.rooms))
+    also = ends[step.assumes[0]][1].append if step.assumes else None
+    push = outputs[step.pushes[0]][0].append if step.pushes else None
+    return (_ONE_IN, pushed, pops, pops.append, also, push, *outputs[step.rooms[0]])
+
+
+#: The wait of an actor that has not moved yet: always met.
+_READY = ([None], 0)
 
 
 class _Actor:
@@ -386,28 +508,16 @@ class _Actor:
 
     __slots__ = ("plan", "steps", "actions", "done", "prev", "wait", "active")
 
-    def __init__(self, module, plan: Plan, queues, start: int):
-        def ends(port):  # (push cycles, pop cycles) of the queue on port
-            return queues[port if port == RESPONSES else id(module.inputs[port])]
-
-        def outputs(port):
-            queue = module.outputs[port]
-            pushes, pops = queues[id(queue)]
-            delta = 0 if queue.consumers[0]._index < module._index else 1
-            return pushes, pops, queue.capacity, delta
-
-        used = set(plan.actions)
+    def __init__(self, plan: Plan, steps: list, start: int):
+        """``steps``: per step of the plan, the step compiled (None for
+        a step it never takes: its ports need not be wired)."""
         self.plan = plan
-        # a step never taken is not compiled: its ports need not be wired
-        self.steps = [
-            _compile(step, ends, outputs) if index in used else None
-            for index, step in enumerate(plan.steps)
-        ]
+        self.steps = steps
         self.actions = plan.actions
         self.done = 0
         self.prev = start - 1
         #: ``(list, k)``: the actor may move once ``len(list) > k``.
-        self.wait = ([None], 0)
+        self.wait = _READY
         self.active = bool(self.actions)
 
     def advance(self) -> bool:
@@ -555,8 +665,8 @@ class _GatedActor(_Actor):
 
     __slots__ = ("entered", "stalls")
 
-    def __init__(self, module, plan: Plan, queues, start: int):
-        super().__init__(module, plan, queues, start)
+    def __init__(self, plan: Plan, steps: list, start: int):
+        super().__init__(plan, steps, start)
         self.entered = dict(plan.interlock or {})
         self.stalls = 0
 
@@ -605,36 +715,69 @@ def _responses(plan: Plan, completions: List[int], start: int) -> List[int]:
     return elements
 
 
-def _time(order, plans, completions, start: int):
-    """One timing pass under the given memory completions; returns the
-    actors, each queue's ``(push cycles, pop cycles)`` by ``id`` and each
-    actor's view of them (its queues plus :data:`RESPONSES`), or None
-    when the wave cannot finish (a deadlock) or a tick pops a head it
-    assumed had arrived but had not."""
-    actors = []
-    owner = {}
-    assumed = []
-    views = []
-    for module, plan in zip(order, plans):
-        queues = {id(q): ([], []) for q in module.outputs.values()}
-        views.append(queues)
-        for port, queue in module.inputs.items():
-            queues[id(queue)] = owner[id(queue)][1]
+class _Wiring(NamedTuple):
+    """The timing lists of one run, made once and refilled by every
+    timing pass, and every module's steps compiled over them."""
+
+    #: Queue ``id`` -> its ``(push cycles, pop cycles)``.
+    queues: Dict[int, tuple]
+    #: Per module (in dataflow order): a Memory Reader's
+    #: :data:`RESPONSES` lists (else None), and its compiled steps.
+    responses: List[Optional[tuple]]
+    steps: List[list]
+    #: The queues whose heads some step pops without waiting.
+    assumed: List[tuple]
+
+
+def _wire(order, plans, taken) -> _Wiring:
+    """The lists and compiled steps of a run of ``plans``, each module
+    compiling only the steps it takes (``taken``)."""
+    queues: Dict[int, tuple] = {}
+    responses, compiled, assumed = [], [], {}
+    for module, plan, used in zip(order, plans, taken):
+        ends, outputs = {}, {}
+        me = module._index
+        for port, queue in module.outputs.items():
+            lists = queues[id(queue)] = ([], [])
+            delta = 0 if queue.consumers[0]._index < me else 1
+            outputs[port] = (*lists, queue.capacity, delta)
+        inputs = module.inputs
+        for port, queue in inputs.items():
+            ends[port] = queues[id(queue)]
         if plan.fetch or plan.credits:
-            queues[RESPONSES] = (
-                _responses(plan, completions.get(plan.port, []), start), []
+            ends[RESPONSES] = ([], [])
+        responses.append(ends.get(RESPONSES))
+        steps = [None] * len(plan.steps)
+        for index in used:
+            step = plan.steps[index]
+            steps[index] = _compile(step, ends, outputs)
+            for port in step.assumes:
+                if port in inputs:
+                    assumed[id(inputs[port])] = ends[port]
+        compiled.append(steps)
+    return _Wiring(queues, responses, compiled, list(assumed.values()))
+
+
+def _time(plans, wiring: _Wiring, completions, start: int):
+    """One timing pass under the given memory completions, over
+    ``wiring``'s lists (refilled); returns the actors, or None when the
+    wave cannot finish (a deadlock) or a tick pops a head it assumed had
+    arrived but had not."""
+    for pushes, pops in wiring.queues.values():
+        pushes.clear()
+        pops.clear()
+    actors = []
+    for plan, responses, steps in zip(plans, wiring.responses, wiring.steps):
+        if responses is not None:
+            responses[0][:] = _responses(
+                plan, completions.get(plan.port, []), start
             )
-        actor = (_GatedActor if plan.hazards is not None else _Actor)(
-            module, plan, queues, start
+            responses[1].clear()
+        actors.append(
+            (_GatedActor if plan.hazards is not None else _Actor)(
+                plan, steps, start
+            )
         )
-        for queue in module.outputs.values():
-            owner[id(queue)] = (actor, queues[id(queue)])
-        assumed.extend(
-            owner[id(module.inputs[port])][1]
-            for port in {p for step in plan.steps for p in step.assumes}
-            if port in module.inputs
-        )
-        actors.append(actor)
     # Sweep in dataflow order while anything moves; a sweep in which
     # nothing does, with work left, is a deadlock.
     waiting = [actor for actor in actors if actor.active]
@@ -649,10 +792,10 @@ def _time(order, plans, completions, start: int):
             return None
         if finished:
             waiting = [actor for actor in waiting if actor.active]
-    for pushed, pops in assumed:  # each head there before its pop
+    for pushed, pops in wiring.assumed:  # each head there before its pop
         if not all(map(operator.lt, pushed, pops)):
             return None
-    return actors, {key: ends for key, (_actor, ends) in owner.items()}, views
+    return actors
 
 
 # -- the mode ------------------------------------------------------------------------
@@ -674,7 +817,8 @@ def run_maxplus(engine, max_cycles: int):
     planned_all = _plan_all(order)
     if planned_all is None:
         return None
-    plans, busy = planned_all
+    plans, busy, taken = planned_all
+    wiring = _wire(order, plans, taken)
 
     start = engine.cycle
     memory = engine.memory
@@ -682,14 +826,15 @@ def run_maxplus(engine, max_cycles: int):
     stores = {p.port: [] for p in plans if p.stores is not None}
     completions, arbiters = _simulate_memory(memory, start, fetches, stores)
     for _round in range(MEMORY_ROUNDS):
-        timed = _time(order, plans, completions, start)
-        if timed is None:
+        actors = _time(plans, wiring, completions, start)
+        if actors is None:
             return None
-        actors, queues, views = timed
+        if not stores:  # no write request: the grants cannot move
+            break
         for module, plan in zip(order, plans):
             if plan.stores is not None:
                 port, flits = plan.stores
-                pops = queues[id(module.inputs[port])][1]
+                pops = wiring.queues[id(module.inputs[port])][1]
                 stores[plan.port] = [pops[index] for index in flits]
         settled, arbiters = _simulate_memory(memory, start, fetches, stores)
         if all(settled[port] == completions[port] for port in fetches):
@@ -708,12 +853,12 @@ def run_maxplus(engine, max_cycles: int):
     if cycles + 2 > max_cycles:
         return None  # the dense loop raises its overflow report
 
-    for actor in actors:
-        if isinstance(actor, _GatedActor):
-            actor.plan.commit(Timed(actor.stalls, actor.entered))
-        else:
-            actor.plan.commit(Timed())
-    for module, plan, acted in zip(order, plans, busy):
+    for actor, module, acted in zip(actors, order, busy):
+        plan = actor.plan
+        plan.commit(
+            Timed(actor.stalls, actor.entered) if plan.hazards is not None
+            else _UNTIMED
+        )
         module.busy_cycles += acted
         module.flits_out += acted
         for port, queue in module.outputs.items():
@@ -737,10 +882,7 @@ def run_maxplus(engine, max_cycles: int):
     )
     engine.solution = Solution(
         start, stats,
-        {
-            id(module): (plan.steps, plan.actions, view)
-            for module, plan, view in zip(order, plans, views)
-        },
         {channel: grants for channel, (_pointer, grants) in arbiters.items()},
+        order, plans, wiring,
     )
     return stats

@@ -41,6 +41,13 @@ class MemoryConfig:
     def __post_init__(self) -> None:
         if self.channels < 1 or self.access_bytes < 1 or self.latency_cycles < 0:
             raise ValueError("invalid memory configuration")
+        # keys every phase and SPM-image lookup: hash the fields once
+        object.__setattr__(self, "_hash", hash(
+            (self.channels, self.access_bytes, self.latency_cycles)
+        ))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def bandwidth_bytes_per_cycle(self) -> int:
         """Aggregate bandwidth of all channels."""
@@ -55,7 +62,9 @@ class MemorySystem:
         self._ports: List[Tuple[int, Callable[[int], None]]] = []
         self._pending: List[Deque[int]] = []
         self._in_flight: Deque[Tuple[int, int, Callable[[int], None], int]] = deque()
-        self._arbiters: List[RoundRobinArbiter] = []
+        self._arbiters: List[RoundRobinArbiter] = [
+            RoundRobinArbiter(f"mem.ch{c}", 1) for c in range(self.config.channels)
+        ]
         self._ports_by_channel: List[List[int]] = [
             [] for _ in range(self.config.channels)
         ]
@@ -82,12 +91,16 @@ class MemorySystem:
         channel = port % self.config.channels
         self._ports.append((channel, on_response))
         self._pending.append(deque())
-        self._ports_by_channel[channel].append(port)
-        self._arbiters = [
-            RoundRobinArbiter(f"mem.ch{c}", max(1, len(ports)))
-            for c, ports in enumerate(self._ports_by_channel)
-        ]
+        ports = self._ports_by_channel[channel]
+        ports.append(port)
+        # the channel's arbiter now fronts one more port
+        self._arbiters[channel] = RoundRobinArbiter(f"mem.ch{channel}", len(ports))
         return port
+
+    def release(self) -> None:
+        """Forget every port and its callback (see
+        :meth:`repro.hw.engine.Engine.release`)."""
+        self._ports.clear()
 
     # -- request issue -----------------------------------------------------------
 

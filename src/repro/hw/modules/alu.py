@@ -201,6 +201,8 @@ class Fork(Module):
             raise ValueError("a fork needs at least two output ports")
         self.port_names = [f"out{i}" for i in range(ports)]
         self._outs = None
+        names = tuple(self.port_names)
+        self._steps = (Step(pops=("in",), pushes=names, rooms=names),)
 
     def tick(self, cycle: int) -> None:
         queue = self._in
@@ -227,10 +229,7 @@ class Fork(Module):
         have room.  Streams are never changed once built, so every branch
         takes the input stream itself."""
         stream = streams["in"]
-        ports = tuple(self.port_names)
-
         return Plan(
-            dict.fromkeys(ports, stream),
-            (Step(pops=("in",), pushes=ports, rooms=ports),),
+            dict.fromkeys(self.port_names, stream), self._steps,
             [0] * len(stream),
         )

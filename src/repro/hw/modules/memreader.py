@@ -60,14 +60,14 @@ class MemoryReader(SourceModule):
         if not isinstance(stream, Stream):
             stream = Stream.from_flits(stream)
         self._stream = stream
-        #: Per flit: the step it takes — 1 for a payload flit (it spends
-        #: a credit), 0 for a boundary.
-        self._actions = list(map(int, stream.filled))
+        #: Per flit: the step it takes — 1 (True) for a payload flit (it
+        #: spends a credit), 0 (False) for a boundary: ``filled`` itself.
+        self._actions = stream.filled
         self._cursor = 0
         self._credits = 0
         self._lines_requested = 0
         self._lines_completed = 0
-        payload = sum(self._actions)
+        payload = self._actions.count(True)
         self._lines_total = (
             payload + self._elems_per_line - 1
         ) // self._elems_per_line
@@ -117,8 +117,10 @@ class MemoryReader(SourceModule):
         """The rest of the stream, one push per flit; a payload flit also
         pops one element of the memory responses (a credit)."""
         cursor = self._cursor
-        stream = self._stream[cursor:] if cursor else self._stream
-        actions = self._actions[cursor:]
+        if cursor:
+            stream, actions = self._stream[cursor:], self._actions[cursor:]
+        else:  # the whole stream: nothing to copy
+            stream, actions = self._stream, self._actions
         payload = sum(actions)
         per_line, credits = self._elems_per_line, self._credits
         fetch = self._lines_total - self._lines_requested

@@ -146,8 +146,8 @@ class SpmUpdater(Module):
             if hazards is not None:
                 self._interlock.settle(timed.entered, timed.stalls)
 
-        return Plan(
-            {}, _UPDATER_STEPS, list(map(int, stream.filled)), commit,
+        return Plan(  # a boundary takes step 0 (False), an update step 1
+            {}, _UPDATER_STEPS, stream.filled, commit,
             hazards=hazards,
             interlock=self._interlock.entries() if hazards is not None else None,
             writes_spm=spm,
@@ -269,6 +269,7 @@ class SpmReader(Module):
         from :meth:`Scratchpad.peek_span`, coordinates from a range."""
         spm, base = self.spm, self.base_address
         values, coordinates, last, actions = [], [], [], []
+        filled = []  # per output flit: a word (not a boundary)
 
         def words(first: int, stop: int, word: int) -> None:
             """Stream coordinates ``first .. stop - 1`` (SPM words from
@@ -279,21 +280,23 @@ class SpmReader(Module):
             last.extend(repeat(False, len(span) - 1))
             last.append(True)
             actions.extend(repeat(_EMIT_STEP, len(span)))
+            filled.extend(repeat(True, len(span)))
 
         def boundary(step: int) -> None:
             values.append(ABSENT)
             coordinates.append(ABSENT)
             last.append(True)
             actions.append(step)
+            filled.append(False)
 
         cursor, end = self._cursor, self._end
         drain_cursor, draining = self._drain_cursor, self._draining
         if self.mode == "lookup":
             stream = streams["in"]
-            for filled, coordinate, closes in zip(
+            for is_word, coordinate, closes in zip(
                 stream.filled, stream.column("addr"), stream.last
             ):
-                if filled:
+                if is_word:
                     if coordinate is ABSENT:
                         raise KeyError("addr")
                     values.append(spm.peek(coordinate - base))
@@ -303,6 +306,7 @@ class SpmReader(Module):
                     coordinates.append(ABSENT)
                 last.append(closes)
                 actions.append(_LOOKUP_STEP)
+                filled.append(is_word)
         elif self.mode == "interval":
             starts, ends = streams["start"], streams["end"]
             latched = zip(
@@ -312,10 +316,10 @@ class SpmReader(Module):
                 if cursor is not None:
                     words(cursor, end + 1, cursor - base)
                     cursor = end = None
-                filled, start, stop = next(latched, (None, None, None))
-                if filled is None:
+                is_item, start, stop = next(latched, (None, None, None))
+                if is_item is None:
                     break
-                if not filled:
+                if not is_item:
                     boundary(_LATCH_EMPTY_STEP)
                     continue
                 cursor, end = int(start), int(stop)
@@ -333,8 +337,8 @@ class SpmReader(Module):
         columns = {self.out_field: values}
         if self.addr_out_field is not None:
             columns[self.addr_out_field] = coordinates
-        out = Stream(last, columns)
-        reads = sum(out.filled)
+        out = Stream(last, columns, filled)
+        reads = filled.count(True)
 
         def commit(_timed) -> None:
             spm.commit({}, reads=reads)

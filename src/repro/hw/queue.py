@@ -28,6 +28,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class HardwareQueue:
     """A bounded FIFO of flits with end-of-cycle commit semantics."""
 
+    __slots__ = (
+        "name", "capacity", "_items", "_staged", "producers", "consumers",
+        "total_pushed", "full_stalls",
+    )
+
     def __init__(self, name: str, capacity: int = 8):
         if capacity < 1:
             raise ValueError("queue capacity must be at least 1")

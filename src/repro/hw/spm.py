@@ -11,7 +11,9 @@ stage until the conflict drains.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional, Set
+
+import numpy as np
 
 
 class Scratchpad:
@@ -23,6 +25,10 @@ class Scratchpad:
         self.name = name
         self.size = size
         self._data: List[int] = [fill] * size
+        self._fill = fill
+        #: The addresses written since every word held ``_fill`` (None
+        #: once a bulk load may have changed any of them).
+        self._written: Optional[Set[int]] = set()
         # statistics
         self.reads = 0
         self.writes = 0
@@ -38,6 +44,8 @@ class Scratchpad:
         self._check(address)
         self.writes += 1
         self._data[address] = value
+        if self._written is not None:
+            self._written.add(address)
 
     def peek(self, address: int):
         """Read one word without counting it: a planned run
@@ -56,6 +64,8 @@ class Scratchpad:
         """Apply a planned run: its final ``words`` and its access counts."""
         for address, value in words.items():
             self._data[address] = value
+        if self._written is not None:
+            self._written.update(words)
         self.reads += reads
         self.writes += writes
 
@@ -71,15 +81,30 @@ class Scratchpad:
             )
         self._data[offset:end] = values
         self.writes += len(values)
+        self._written = None
 
     def dump(self) -> List[int]:
         """A copy of the whole contents (drain-to-memory view)."""
         return list(self._data)
 
+    def to_array(self, dtype=np.int64) -> np.ndarray:
+        """The whole contents as a numpy array, as ``np.array(dump(),
+        dtype)`` builds it; only the words written since the fill are
+        read one by one."""
+        if self._written is None:
+            return np.array(self._data, dtype=dtype)
+        array = np.full(self.size, self._fill, dtype=dtype)
+        if self._written:
+            addresses = list(self._written)
+            array[addresses] = [self._data[address] for address in addresses]
+        return array
+
     def clear(self, fill: int = 0) -> None:
         """Reset all words to ``fill``."""
         for index in range(self.size):
             self._data[index] = fill
+        self._fill = fill
+        self._written = set()
 
     def _check(self, address: int) -> None:
         if not 0 <= address < self.size:

@@ -286,7 +286,12 @@ class _Fold:
             raise KeyError(f"serve.admit of job {f.get('job')}") from None
 
     def serve_dispatch(self, f):
-        self.inflight[f["device"]] = {"cost_rows": f["cost_rows"]}
+        self.inflight[f["device"]] = {
+            "cost_rows": f["cost_rows"],
+            # the fault slot and the job's wave, to know its records by
+            "slot": (f.get("stage"), f.get("seq")),
+            "wave": (f.get("job"), f.get("wave")),
+        }
 
     def serve_retry(self, f):
         if "clock" not in f:
@@ -336,6 +341,9 @@ class _Fold:
 
     def serve_job_failed(self, f):
         job = self.job(f)
+        for device, wave in list(self.inflight.items()):
+            if wave.get("wave") == (f["job"], f["wave"]):
+                del self.inflight[device]  # a failed wave is never laid
         self.span(
             f"job:{f['job']}", "job", job.arrival, f["clock"],
             trace_id=f"job-{f['job']}", span_id=job.root,
@@ -388,8 +396,12 @@ class _Fold:
 
     def fault_injected(self, f):
         # the one site; an older ledger's retired sites lay no marker
-        if f["site"] == "scheduler.wave":
-            self.faults.setdefault((f["stage"], f["slot"]), []).append(f)
+        if f["site"] != "scheduler.wave":
+            return
+        key = (f["stage"], f["slot"])
+        if self.inflight.get(f.get("device"), {}).get("slot") == key:
+            return  # a served wave's: its serve.retry lays the marker
+        self.faults.setdefault(key, []).append(f)
 
     def fault_backoff(self, f):
         # ``fault.retry`` (an older ledger's card retry names no wave)

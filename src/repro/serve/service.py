@@ -231,6 +231,8 @@ class JobService:
         self._inflight: Dict[int, _Inflight] = {}
         self._retries = 0
         self._host_seconds = 0.0
+        #: Tenant -> its account as the last summary took it.
+        self._snapshots: Dict[str, TenantAccount] = {}
         #: In-memory mirror of every ledger event the service records,
         #: in order — what :meth:`spans` folds and the
         #: replay/property tests compare.
@@ -576,11 +578,16 @@ class JobService:
         return trace_spans(self.events, self.pool.config.clock_hz)
 
     def summary(self) -> ServeSummary:
-        # snapshots: a summary must not move when the service runs on
-        tenants = {
-            name: replace(account, latencies=list(account.latencies))
-            for name, account in sorted(self.queue.accounts.items())
-        }
+        # snapshots: a summary must not move when the service runs on.
+        # Nothing changes a snapshot, so an account unchanged since the
+        # last summary hands on the snapshot that summary took.
+        tenants = {}
+        for name, account in sorted(self.queue.accounts.items()):
+            snapshot = self._snapshots.get(name)
+            if snapshot != account:
+                snapshot = replace(account, latencies=list(account.latencies))
+            tenants[name] = snapshot
+        self._snapshots = tenants
         return ServeSummary(
             clock_cycles=self.clock,
             jobs_admitted=sum(t.admitted for t in tenants.values()),
@@ -592,7 +599,7 @@ class JobService:
             faults=(
                 self.injector.counts_by_kind() if self.injector else {}
             ),
-            tenants=tenants,
+            tenants=dict(tenants),
             device_busy_seconds=self.pool.busy_seconds(),
             device_transfer_seconds=self.pool.transfer_seconds(),
             spm_hits=self.cache.hits,

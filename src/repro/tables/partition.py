@@ -33,6 +33,15 @@ class PartitionId:
     segment: int
     read_group: int = -1
 
+    def __post_init__(self) -> None:
+        # keys every result and reference dict: hash the fields once
+        object.__setattr__(
+            self, "_hash", hash((self.chrom, self.segment, self.read_group))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __str__(self) -> str:
         if self.read_group >= 0:
             return f"chr{self.chrom}:{self.segment}:rg{self.read_group}"

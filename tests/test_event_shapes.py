@@ -128,15 +128,17 @@ def _ledger_events(ledger):
 
 
 def sharded_case(
-    workload, tmp_path, devices, storage, faults, exhaust=False, workers=1
+    workload, tmp_path, devices, storage, faults, exhaust=False, workers=1,
+    plan=None, name="",
 ):
     """One ``run_sharded`` metadata stage, ledgered.
 
     ``faults`` injects one retried fault at :data:`FAULTED_WAVE` (its
     backoff, a millisecond or so, is the wave's penalty on its card);
     ``exhaust`` makes it outlast the retry budget, so the run raises once
-    every other wave has run: the ledger of a failed run."""
-    plan = None
+    every other wave has run: the ledger of a failed run.  A ``plan``
+    given instead is run under a budget of two retries."""
+    max_retries = 1 if plan is None else 2
     if faults or exhaust:
         plan = FaultPlan(seed=3, specs=(FaultSpec(
             "transfer_error", site="scheduler.wave", at=(FAULTED_WAVE,),
@@ -144,7 +146,7 @@ def sharded_case(
         ),))
     ledger = RunLedger(os.path.join(
         str(tmp_path),
-        f"d{devices}s{storage:d}f{faults:d}x{exhaust:d}w{workers}.jsonl",
+        f"d{devices}s{storage:d}f{faults:d}x{exhaust:d}w{workers}{name}.jsonl",
     ))
     manifest = RunManifest(workload="event-shapes", config={"devices": devices})
     with run_context(manifest, ledger), pytest.raises(
@@ -154,7 +156,9 @@ def sharded_case(
             MetadataWaveDriver(reference=workload.reference),
             workload.partitions, 2, devices=devices, workers=workers,
             fault_plan=plan,
-            retry_policy=RetryPolicy(max_retries=1, backoff_base=0.001),
+            retry_policy=RetryPolicy(
+                max_retries=max_retries, backoff_base=0.001
+            ),
             storage=(
                 plan_storage_filter(
                     workload.partitions, workload.reference, record=False
@@ -382,6 +386,37 @@ def test_a_direct_ledger_is_the_same_at_every_worker_count(tmp_path, devices):
         ]
 
     assert ledgered(1) == ledgered(2)
+
+
+def test_a_pooled_direct_ledger_writes_its_faults_in_ladder_order(tmp_path):
+    """Two waves each failing two attempts: a pooled run's attempts
+    complete in whatever order the workers finish them, yet its
+    ``fault.injected`` records come in the ``(slot, attempt)`` order an
+    inline run writes — the whole ledger is the inline one, every time."""
+    workload = _workload()
+    plan = FaultPlan(seed=3, specs=(FaultSpec(
+        "transfer_error", site="scheduler.wave", at=(1, 3), attempts=2,
+    ),))
+
+    def ledgered(workers, run):
+        return [
+            (name, {
+                key: value for key, value in fields.items()
+                if key not in HOST_FIELDS | {"workers"}
+            })
+            for name, fields in _ledger_events(sharded_case(
+                workload, tmp_path, 2, False, False, workers=workers,
+                plan=plan, name=f"twice{run}",
+            ))
+        ]
+
+    inline = ledgered(1, 0)
+    assert [
+        (fields["slot"], fields["attempt"])
+        for name, fields in inline if name == "fault.injected"
+    ] == [(1, 0), (1, 1), (3, 0), (3, 1)]
+    for run in range(1, 4):
+        assert ledgered(2, run) == inline
 
 
 def test_an_old_direct_wave_is_refused():

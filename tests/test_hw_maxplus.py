@@ -533,6 +533,128 @@ def test_a_module_ticking_without_its_plan_falls_back():
     assert not maxplus.planned(sink)
 
 
+# -- the verdicts kept per class and per step still let every fall-back fire
+
+
+@pytest.mark.parametrize("hook", ("tick", "plan", "is_idle"))
+def test_an_instance_override_falls_back_once_its_class_is_judged(hook):
+    """A class is judged once; a fresh instance that overrides one of
+    its hooks still ticks ``dense``, and the next instance solves."""
+    engine, _sink = _chain()
+    assert engine.run(mode="maxplus").mode == "maxplus"
+    engine, sink = _chain()
+    setattr(sink, hook, getattr(sink, hook))  # the same hook, the instance's
+    assert not maxplus.planned(sink)
+    assert engine.run(mode="maxplus").mode == "dense"
+    engine, _sink = _chain()
+    assert engine.run(mode="maxplus").mode == "maxplus"
+
+
+def test_a_class_patched_after_it_was_judged_is_judged_again(monkeypatch):
+    class Sink(ListSink):
+        pass
+
+    engine, _sink = _chain(Sink("sink"))
+    assert engine.run(mode="maxplus").mode == "maxplus"
+    # a tick of Sink's own, which the plan Sink inherits does not describe
+    monkeypatch.setattr(
+        Sink, "tick", lambda self, cycle: ListSink.tick(self, cycle)
+    )
+    engine, sink = _chain(Sink("sink"))
+    assert not maxplus.planned(sink)
+    assert engine.run(mode="maxplus").mode == "dense"
+
+
+class _RoomySink(ListSink):
+    """A sink whose plan also waits for room on an ``out`` port."""
+
+    def plan(self, streams):
+        plan = super().plan(streams)
+        plan.steps = (maxplus.Step(pops=("in",), rooms=("out",), busy=True),)
+        return plan
+
+
+class _LazySink(ListSink):
+    """A sink whose plan pops only the first half of its input."""
+
+    def plan(self, streams):
+        plan = super().plan(streams)
+        del plan.actions[len(plan.actions) // 2:]
+        return plan
+
+
+def test_a_step_naming_an_unconnected_port_falls_back_in_every_wiring():
+    """The step's ports are known per step, but whether they are wired
+    is asked of each module: unwired, the wave ticks ``dense``; wired,
+    the same step solves."""
+    for _ in range(2):
+        engine, sink = _chain(_RoomySink("sink"))
+        assert engine.run(mode="maxplus").mode == "dense"
+        engine, sink = _chain(_RoomySink("sink"))
+        engine.connect(sink, engine.add_module(ListSink("tail")))
+        assert engine.run(mode="maxplus").mode == "maxplus"
+
+
+@pytest.mark.parametrize("index", (1, -1, 300))
+def test_an_action_naming_no_step_falls_back(index):
+    class Astray(ListSink):
+        def plan(self, streams):
+            plan = super().plan(streams)
+            plan.actions[-1] = index  # the sink's one step is step 0
+            return plan
+
+    engine, sink = _chain(Astray("sink"))
+    assert engine.run(mode="maxplus").mode == "dense"
+    assert len(sink.collected) == 30
+
+
+def test_a_plan_leaving_input_unpopped_falls_back():
+    for _ in range(2):
+        engine, sink = _chain(_LazySink("sink"))
+        assert engine.run(mode="maxplus").mode == "dense"
+        assert len(sink.collected) == 30
+
+
+def test_one_set_of_classes_wired_two_ways_gets_two_verdicts():
+    """Verdicts are kept per class, never per wiring: the same classes
+    solve as a chain, tick ``dense`` as a cycle, and solve registered
+    back to front, to the chain's answer."""
+
+    def chain(reverse):
+        engine = Engine()
+        modules = [
+            ListSource("src", item_flits(list(range(30)))),
+            StreamAlu("alu", op="ADD", constant=1), ListSink("sink"),
+        ]
+        for module in reversed(modules) if reverse else modules:
+            engine.add_module(module)
+        engine.connect(modules[0], modules[1])
+        engine.connect(modules[1], modules[2])
+        return engine, modules[2]
+
+    def loop():
+        engine = Engine()
+        a = engine.add_module(StreamAlu("a", op="ID"))
+        b = engine.add_module(StreamAlu("b", op="ID"))
+        engine.connect(a, b)
+        engine.connect(b, a)
+        return engine
+
+    answers = {}
+    for _ in range(2):
+        for reverse in (False, True):
+            for mode in ("maxplus", "dense"):
+                engine, sink = chain(reverse)
+                stats = engine.run(mode=mode)
+                assert stats.mode == mode
+                answers.setdefault(reverse, set()).add((
+                    stats.cycles,
+                    tuple((f.fields["value"], f.last) for f in sink.collected),
+                ))
+        assert loop().run(mode="maxplus").mode == "dense"
+    assert len(answers[False]) == len(answers[True]) == 1
+
+
 def test_a_queue_cycle_falls_back():
     engine = Engine()
     a = engine.add_module(StreamAlu("a", op="ID"))

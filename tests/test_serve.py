@@ -634,6 +634,28 @@ def test_ledger_events_and_report(workload, tmp_path):
             )
 
 
+def test_a_summary_does_not_move_when_the_service_runs_on(workload):
+    """A summary is a snapshot: running on, and taking more summaries,
+    changes none of its tenant books, while a later summary sees the
+    jobs that completed since."""
+    import copy
+
+    service = JobService(devices=1, quota=4, max_backlog=8)
+    for tenant in ("a", "b", "a"):
+        service.submit(_one_partition_spec(workload, tenant))
+    early = service.summary()
+    service.run(max_dispatches=1)
+    middle = service.summary()
+    kept = copy.deepcopy((vars(early), vars(middle)))
+    assert service.summary() == middle  # nothing ran in between
+    final = service.run_until_idle()
+    service.summary()
+    assert (vars(early), vars(middle)) == kept
+    assert [t.completed for t in early.tenants.values()] == [0, 0]
+    assert sum(t.completed for t in final.tenants.values()) == 3
+    assert final.tenants["a"].latencies and not early.tenants["a"].latencies
+
+
 def test_summary_and_events_carry_the_serve_counts(workload):
     service = JobService(devices=1, quota=1, max_backlog=8)
     service.submit(_one_partition_spec(workload, "a"))

@@ -430,3 +430,63 @@ class TestRunSpans:
                     s for s in spans if s.trace_id == f"run-{stage}-d{device}"
                 ]
                 assert mine and min(s.start for s in mine) == 0
+
+
+class TestServedAndDirectFaults:
+    """A ``fault.injected`` record is laid at its own wave: a direct
+    wave's as a marker on that wave, a served wave's never (its
+    ``serve.retry`` lays the marker), so a served record is never held
+    for, nor laid on, a direct wave of the same stage and index."""
+
+    @pytest.fixture(scope="class")
+    def served(self, tmp_path_factory):
+        from repro.cli import main
+
+        path = tmp_path_factory.mktemp("served") / "served.jsonl"
+        assert main([
+            "--ledger", str(path), "serve", "--tenants", "2", "--jobs", "4",
+            "--reads", "40", "--devices", "2",
+            "--inject-faults", "transfer_error",
+        ]) == 0
+        return [(r["event"], r) for r in RunLedger(str(path)).read()]
+
+    def test_folding_a_served_ledger_holds_no_fault(self, served, capsys):
+        from repro.constants import CLOCK_HZ
+        from repro.obs.spans import TRACED_EVENTS, _Fold
+
+        assert any(name == "fault.injected" for name, _ in served)
+        fold = _Fold(CLOCK_HZ)
+        for name, fields in served:
+            if name in TRACED_EVENTS:
+                TRACED_EVENTS[name](fold, fields)
+        assert fold.faults == {}
+
+    def test_a_direct_ledger_after_a_served_one_lays_only_its_own_faults(
+        self, served, workload, tmp_path
+    ):
+        from repro.accel.sharding import run_sharded
+        from repro.accel.stages import STAGES
+        from repro.faults.plan import FaultPlan, FaultSpec
+
+        (fault,) = [f for name, f in served if name == "fault.injected"]
+        stage, slot = fault["stage"], fault["slot"]
+        # the direct run faults another wave of the same stage, so the
+        # served record names a direct wave that has no fault of its own
+        plan = FaultPlan(specs=(FaultSpec("transfer_error", at=(slot + 1,)),))
+        _spans, _out = _ledgered(tmp_path, lambda: run_sharded(
+            STAGES[stage].over(workload), STAGES[stage].items(workload), 1,
+            fault_plan=plan,
+        ))
+        direct = [
+            (r["event"], r)
+            for r in RunLedger(str(tmp_path / "run.jsonl")).read()
+        ]
+        spans = trace_spans(served + direct)
+        markers = [
+            (s.name, s.attrs["wave"], s.attrs["attempt"]) for s in spans
+            if s.cat == "fault" and s.trace_id.startswith("run-")
+        ]
+        assert markers == [
+            (f"fault:{f['kind']}", f["slot"], f["attempt"])
+            for name, f in direct if name == "fault.injected"
+        ] == [("fault:transfer_error", slot + 1, 0)]
