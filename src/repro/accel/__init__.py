@@ -111,27 +111,17 @@ __all__ += [
 ]
 
 from .sharding import (
-    SHARD_POLICIES,
     ShardedRunStats,
-    ShardPlan,
-    ShardWave,
-    StealRecord,
     plan_shards,
     reduce_bqsr_results,
     run_sharded,
-    stable_shard_hash,
 )
 
 __all__ += [
-    "SHARD_POLICIES",
-    "ShardPlan",
-    "ShardWave",
     "ShardedRunStats",
-    "StealRecord",
     "plan_shards",
     "reduce_bqsr_results",
     "run_sharded",
-    "stable_shard_hash",
 ]
 
 from .stages import PAPER_STAGES, STAGES, stage_named

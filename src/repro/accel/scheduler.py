@@ -209,6 +209,18 @@ class SpmImageCache:
         self.misses += other.misses
         self.cycles_saved += other.cycles_saved
 
+    def replay_loads(self, keys: Sequence[tuple], outcome: "WaveOutcome") -> None:
+        """Tally a solved wave's loads here — its ``keys`` with the
+        outcome's :attr:`~WaveOutcome.item_load_cycles` — and restate the
+        outcome's hit/miss/cycles-saved tallies as this cache counts them:
+        where a replayed wave, or a direct wave placed on its card, is
+        counted."""
+        hits, misses, saved = self.hits, self.misses, self.cycles_saved
+        for key, cycles in zip(keys, outcome.item_load_cycles):
+            self.tally(key, cycles)
+        outcome.hits, outcome.misses = self.hits - hits, self.misses - misses
+        outcome.cycles_saved = self.cycles_saved - saved
+
     def adopt(self, keys: Iterable[tuple], outcome: "WaveOutcome") -> None:
         """Fold one executed wave back in: the ``keys`` it looked up
         (:meth:`WaveDriver.wave_keys`) and its hit/miss/cycles-saved
@@ -238,16 +250,54 @@ def partition_digest(part: Table) -> tuple:
     return part.num_rows, digest.digest()
 
 
+class MemoKey(tuple):
+    """A wave's memo key, hashed once: a lookup and a record would each
+    hash every ``PartitionId`` and ``MemoryConfig`` in it again."""
+
+    def __new__(cls, fields: Iterable[object]) -> "MemoKey":
+        key = super().__new__(cls, fields)
+        key._hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
 class WaveMemo:
     """The waves an owner has solved, replayed as fresh copies of the
     recorded outcome with the replay's own host seconds and cache tallies
     (DESIGN.md §3.2 "Wave memo").  Unbounded — one outcome per distinct
     wave, whose results its owner (a ``JobService``) keeps anyway — and
-    never module-global."""
+    never module-global.  It digests each partition object once, however
+    often its waves are dispatched."""
 
     def __init__(self) -> None:
-        self._solved: Dict[tuple, bytes] = {}  # memo key -> pickled outcome
+        self._solved: Dict[MemoKey, bytes] = {}  # memo key -> pickled outcome
+        #: id(partition) -> (the partition, kept so the id stays its own;
+        #: its :func:`partition_digest`)
+        self._digests: Dict[int, Tuple[object, tuple]] = {}
         self.hits = self.misses = 0
+
+    def key(
+        self, driver: "WaveDriver", keys: Sequence[tuple],
+        items: Sequence[WaveItem],
+    ) -> MemoKey:
+        """The memo key of a wave: the driver's type and fields, the
+        engine mode, the SPM-cache ``keys`` it looks up and its items'
+        digests."""
+        fields = dict(vars(driver))
+        if driver.uses_reference:  # the keys digest each REF row it serves
+            del fields["reference"]
+        return MemoKey((
+            type(driver), tuple(sorted(fields.items())), Engine.default_mode,
+            tuple(keys), tuple((pid, self._digest(part)) for pid, part in items),
+        ))
+
+    def _digest(self, part: Table) -> tuple:
+        held = self._digests.get(id(part))
+        if held is None:
+            held = self._digests[id(part)] = (part, partition_digest(part))
+        return held[1]
 
     def replay(self, task: "WaveTask") -> Optional["WaveOutcome"]:
         """The task's wave as recorded, or ``None``."""
@@ -260,10 +310,8 @@ class WaveMemo:
         outcome = pickle.loads(solved)
         cache = SpmImageCache()
         cache.merge(task.held())
-        for key, cycles in zip(task.keys, outcome.item_load_cycles):
-            cache.tally(key, cycles)
-        outcome.hits, outcome.misses = cache.hits, cache.misses
-        outcome.cycles_saved, outcome.worker_pid = cache.cycles_saved, os.getpid()
+        cache.replay_loads(task.keys, outcome)
+        outcome.worker_pid = os.getpid()
         outcome.elapsed_seconds = time.perf_counter() - started
         outcome.stats.wall_seconds = outcome.elapsed_seconds
         return outcome
@@ -433,7 +481,7 @@ class WorkerStats:
 
 class RunRates:
     """The figures derived from a run's tallies — shared by the
-    per-queue :class:`ParallelRunStats` and the cross-device
+    per-card :class:`ParallelRunStats` and the cross-device
     :class:`~repro.accel.sharding.ShardedRunStats`."""
 
     @property
@@ -480,15 +528,15 @@ class RunRates:
 
 @dataclass
 class ParallelRunStats(RunRates):
-    """Aggregate statistics of one device queue of a waved
+    """Aggregate statistics of one card of a waved
     multi-pipeline run.
 
-    :func:`~repro.accel.sharding.run_sharded` creates one per queue up
-    front and tallies every wave (:meth:`book`), fault and retry straight
-    into its fields as it ledgers them; every ``int``/``float`` field
-    declared here is additive, and
+    :func:`~repro.accel.sharding.run_sharded` keeps one per card and
+    tallies each wave placed there (:meth:`book`) with the faults and
+    retries its ladder took (:meth:`book_ladder`); every ``int``/``float``
+    field declared here is additive, and
     :class:`~repro.accel.sharding.ShardedRunStats` reports it as the sum
-    over its queues.
+    over its cards.
 
     Besides the simulated-cycle accounting, the host-side fields
     aggregate the engine's metrics across waves so multi-workload sweeps
@@ -498,7 +546,7 @@ class ParallelRunStats(RunRates):
     workers and what the SPM image cache saved.
     """
 
-    #: Simulated cycles per wave, in queue (ascending global index) order.
+    #: Simulated cycles per wave, in placement (ascending global index) order.
     per_wave_cycles: List[int] = field(default_factory=list)
     spm_load_cycles: int = 0
     # host-side (simulator throughput) metrics, summed over waves
@@ -522,12 +570,8 @@ class ParallelRunStats(RunRates):
     watchdog_timeouts: int = 0
     serial_fallback_waves: int = 0
     pool_restarts: int = 0
-    # sharding: which device queue this is (None on a served wave's own
-    # book) and how many waves the plan-time steal loop moved into/out
-    # of it
+    #: Which card this is (``None`` on a wave's own ladder tallies).
     device: Optional[int] = None
-    steals_in: int = 0
-    steals_out: int = 0
 
     def book(self, worker: str, outcome: "WaveOutcome") -> None:
         """Tally one wave's clean execution on ``worker``."""
@@ -545,6 +589,17 @@ class ParallelRunStats(RunRates):
         tally.cycles += stats.cycles
         tally.wall_seconds += stats.wall_seconds
         tally.elapsed_seconds += outcome.elapsed_seconds
+
+    def book_ladder(self, wave: "ParallelRunStats") -> None:
+        """Tally the faults, retries and fallbacks one wave's ladder took
+        (its :attr:`WaveTask.stats`, as :func:`run_waves` kept them)."""
+        for kind, count in wave.faults_by_kind.items():
+            self.faults_by_kind[kind] = self.faults_by_kind.get(kind, 0) + count
+        self.retries += wave.retries
+        self.backoff_seconds += wave.backoff_seconds
+        self.watchdog_timeouts += wave.watchdog_timeouts
+        self.serial_fallback_waves += wave.serial_fallback_waves
+        self.pool_restarts += wave.pool_restarts
 
 
 # -- wave packing and execution ------------------------------------------------------
@@ -741,7 +796,8 @@ class WaveTask:
     cache: SpmImageCache
     #: Where the wave's faults, retries and fallbacks are tallied.
     stats: ParallelRunStats = field(default_factory=ParallelRunStats)
-    #: Extra fields of its ``fault.*`` events (``device`` on a sharded run).
+    #: Extra fields of its ``fault.*`` events (``device`` on a served
+    #: wave; a direct wave has no card until it is solved).
     labels: Dict[str, object] = field(default_factory=dict)
     #: The failed attempts its ladder retried, in attempt order; the
     #: caller records them with the wave's outcome.
@@ -750,23 +806,14 @@ class WaveTask:
     #: repeat) replays and records nothing.
     memo: Optional[WaveMemo] = None
     #: Computed once: the SPM-cache keys the wave looks up, and — when a
-    #: memo is attached — its memo key: the driver's type and fields,
-    #: engine mode, items' digests.
+    #: memo is attached — its memo key (:meth:`WaveMemo.key`).
     keys: List[tuple] = field(init=False)
-    memo_key: Optional[tuple] = field(init=False, default=None)
+    memo_key: Optional[MemoKey] = field(init=False, default=None)
 
     def __post_init__(self) -> None:
-        driver, self.keys = self.driver, self.driver.wave_keys(self.items)
-        if self.memo is None:
-            return
-        fields = dict(vars(driver))
-        if driver.uses_reference:  # the keys digest each REF row it serves
-            del fields["reference"]
-        self.memo_key = (
-            type(driver), tuple(sorted(fields.items())), Engine.default_mode,
-            tuple(self.keys),
-            tuple((pid, partition_digest(part)) for pid, part in self.items),
-        )
+        self.keys = self.driver.wave_keys(self.items)
+        if self.memo is not None:
+            self.memo_key = self.memo.key(self.driver, self.keys, self.items)
 
     def held(self) -> FrozenSet[tuple]:
         """The wave's keys its cache already holds."""

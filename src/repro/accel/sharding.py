@@ -4,52 +4,53 @@ The partition-parallel scheduler (:mod:`repro.accel.scheduler`) drives
 *one* simulated device, so total throughput is capped by one PCIe link
 and one accelerator's pipelines — the ceiling the paper's scaling
 analysis (Fig. 8/9) identifies.  This module adds the scale-out tier:
-a :class:`~repro.runtime.device.DevicePool` of N cards, a shard planner
-that assigns wave queues to devices, a plan-time work-stealing pass
-that rebalances straggler queues, and a deterministic merge stage that
-reassembles one answer from the per-device shards.
+a :class:`~repro.runtime.device.DevicePool` of N cards, each solved
+wave placed on the card that frees first, and a deterministic merge
+stage that reassembles one answer from the per-card shards.
 
 :func:`run_sharded` is the one front door of a direct run, whatever
-the topology: pack → plan → execute → charge → merge (DESIGN.md §3.2),
-where *execute* hands every wave of the plan to the one wave executor
-(:func:`repro.accel.scheduler.run_waves`), and a one-device run is the
-same walk with one queue.  Why the answer cannot depend on the
-topology, in execution order:
+the topology: pack → solve → place → merge (DESIGN.md §3.2), where
+*solve* hands every wave to the one wave executor
+(:func:`repro.accel.scheduler.run_waves`) and *place* charges each
+solved wave to a card, and a one-device run is the same walk with one
+card.  Why the answer cannot depend on the topology, in execution
+order:
 
-1. **Waves are packed globally, then sharded whole.**  A wave's
+1. **Waves are packed globally, then placed whole.**  A wave's
    simulated cycles depend on its composition (the replicas share one
    memory system), so re-packing per device would change cycles the
    moment ``devices > 1``.  :func:`plan_shards` therefore runs the
    exact same :func:`~repro.accel.scheduler.pack_waves` a serial run
-   uses and assigns *whole waves* to device queues — wave composition,
-   and hence every simulated cycle count, is topology-invariant.
-2. **Stealing happens at plan time, from deterministic costs.**  The
-   steal loop moves trailing waves from the most-loaded queue to the
-   least-loaded one while that strictly reduces the estimated makespan,
-   using partition row counts as the cost model — a pure function of
-   the inputs, never of host timing.  Stealing relocates *host work
-   only*; the stolen wave simulates the same cycles wherever it runs.
+   uses and cards take *whole waves* — wave composition, and hence
+   every simulated cycle count, is topology-invariant.
+2. **Placement follows solving.**  A wave is solved before it has a
+   card; then, in global wave order, each is charged to the card whose
+   timeline frees first (:meth:`~repro.runtime.device.DevicePool.
+   first_free`, lowest index on ties) — a pure function of the solved
+   waves' modelled cycles, never of host timing, and for a lone job at
+   cycle 0 the order in which the job service hands out waves.  A
+   wave's SPM-cache tallies are then re-counted on its card's cache
+   from the loads it recorded, so they do not depend on ``workers``.
 3. **A wave keeps its global index wherever it runs.**  One fault
    injector is polled by that index, so a fault planned for wave ``g``
    fires on wave ``g`` on every topology, with the same retry backoff;
    the ledger's ``scheduler.wave``, ``storage.wave`` and ``fault.*``
    events all name it the same way.
 4. **The merge is canonical.**  Results are re-keyed in input partition
-   order, cards are charged in global wave order, per-device SPM caches
+   order, cards are charged in global wave order, per-card SPM caches
    are absorbed into the shared cache in device order, and BQSR
    covariate tables reduce per read group in canonical key order — the
    same answer regardless of which wave finished first.
 
 Net: for every ``(devices, workers)`` combination, with or without
-injected faults, with or without steals, a sharded run is bit-identical
-to the serial one in both results and simulated cycles; only host-side
-wall-clock metrics differ.
+injected faults, a sharded run is bit-identical to the serial one in
+both results and simulated cycles; only host-side wall-clock metrics
+differ.
 """
 
 from __future__ import annotations
 
 import time
-import zlib
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -77,145 +78,17 @@ from .scheduler import (
 
 _log = get_logger("sharding")
 
-#: Shard assignment policies understood by :func:`plan_shards`.
-SHARD_POLICIES = ("hash", "range")
-
-
-def stable_shard_hash(pid: PartitionId) -> int:
-    """A process-stable hash of a partition id (CRC32 of its rendered
-    form).  Python's builtin ``hash`` is salted per process, which would
-    make shard assignment — and thus fault placement and steal records —
-    differ between runs."""
-    return zlib.crc32(str(pid).encode("utf-8"))
-
-
-@dataclass(frozen=True)
-class StealRecord:
-    """One plan-time steal: ``wave`` (global index) migrated from the
-    ``source`` device queue to ``target``, carrying ``cost`` estimated
-    rows of host work."""
-
-    wave: int
-    source: int
-    target: int
-    cost: int
-
-
-@dataclass
-class ShardWave:
-    """One globally packed wave and its device placement."""
-
-    global_index: int
-    items: List[WaveItem]
-    #: Deterministic cost estimate: summed partition rows (the wave's
-    #: host work scales with its widest replica, but total rows is the
-    #: better queue-load proxy and is what LPT packed by).
-    cost: int
-    #: The queue the assignment policy put the wave on.
-    home_device: int
-    #: The queue that actually runs it (differs after a steal).
-    device: int
-
-
-@dataclass
-class ShardPlan:
-    """The deterministic shard layout of one run: every wave's placement
-    plus the steal log that produced it."""
-
-    devices: int
-    policy: str
-    empty_pids: List[PartitionId]
-    #: All waves in global (LPT) order.
-    waves: List[ShardWave]
-    steals: List[StealRecord]
-
-    def device_waves(self, device: int) -> List[ShardWave]:
-        """Device ``device``'s queue, largest-first (global order)."""
-        return [wave for wave in self.waves if wave.device == device]
-
-    def loads(self) -> List[int]:
-        """Post-steal estimated cost per device queue."""
-        return [
-            sum(wave.cost for wave in self.device_waves(device))
-            for device in range(self.devices)
-        ]
-
 
 def plan_shards(
-    partitions: Iterable[WaveItem],
-    n_pipelines: int,
-    devices: int,
-    policy: str = "hash",
-    steal: bool = True,
-) -> ShardPlan:
-    """Lay out a run across ``devices`` queues.
-
-    Waves are packed globally (identical to a serial run — see the
-    module determinism argument), assigned a home queue by ``policy``
-    (``"hash"``: stable hash of the wave's lead partition id;
-    ``"range"``: contiguous blocks of the LPT order), then rebalanced by
-    the straggler-aware steal loop: while moving the most-loaded queue's
-    trailing wave to the least-loaded queue strictly reduces the
-    estimated makespan, move it and log a :class:`StealRecord`.  Ties
-    break on the lowest device index, so the plan is a pure function of
-    ``(partitions, n_pipelines, devices, policy, steal)``.
-    """
+    partitions: Iterable[WaveItem], n_pipelines: int, devices: int
+) -> Tuple[List[PartitionId], List[List[WaveItem]]]:
+    """Pack a run for ``devices`` cards: the empty pids and the global
+    :func:`~repro.accel.scheduler.pack_waves` waves a serial run packs
+    (see the module determinism argument).  No wave has a card yet —
+    :func:`run_sharded` places each once it is solved."""
     if devices < 1:
         raise ValueError("need at least one device")
-    if policy not in SHARD_POLICIES:
-        raise ValueError(
-            f"unknown shard policy {policy!r} "
-            f"(choose from {', '.join(SHARD_POLICIES)})"
-        )
-    empty_pids, packed = pack_waves(partitions, n_pipelines)
-    waves: List[ShardWave] = []
-    for index, wave in enumerate(packed):
-        if policy == "hash":
-            home = stable_shard_hash(wave[0][0]) % devices
-        else:
-            home = index * devices // len(packed)
-        waves.append(
-            ShardWave(
-                global_index=index,
-                items=list(wave),
-                cost=sum(part.num_rows for _pid, part in wave),
-                home_device=home,
-                device=home,
-            )
-        )
-
-    steals: List[StealRecord] = []
-    if steal and devices > 1 and waves:
-        queues = [
-            [wave for wave in waves if wave.device == device]
-            for device in range(devices)
-        ]
-        while True:
-            loads = [sum(wave.cost for wave in queue) for queue in queues]
-            source = max(range(devices), key=lambda d: (loads[d], -d))
-            target = min(range(devices), key=lambda d: (loads[d], d))
-            if source == target or len(queues[source]) <= 1:
-                break
-            victim = queues[source][-1]
-            after_source = loads[source] - victim.cost
-            after_target = loads[target] + victim.cost
-            if max(after_source, after_target) >= loads[source]:
-                break  # no strict makespan improvement left
-            queues[source].pop()
-            victim.device = target
-            queues[target].append(victim)
-            queues[target].sort(key=lambda wave: wave.global_index)
-            steals.append(
-                StealRecord(
-                    wave=victim.global_index, source=source,
-                    target=target, cost=victim.cost,
-                )
-            )
-
-    return ShardPlan(
-        devices=devices, policy=policy, empty_pids=empty_pids,
-        waves=waves, steals=steals,
-    )
+    return pack_waves(partitions, n_pipelines)
 
 
 #: What a sharded run reports as the sum over its device queues: every
@@ -230,8 +103,8 @@ ADDITIVE_FIELDS = frozenset(
 
 @dataclass
 class ShardedRunStats(RunRates):
-    """Aggregate statistics of a sharded run: per-device scheduler stats
-    plus the shard plan's steal log and the pool's virtual occupancy.
+    """Aggregate statistics of a sharded run: per-card scheduler stats
+    plus the pool's virtual occupancy.
 
     Every additive :class:`~repro.accel.scheduler.ParallelRunStats`
     tally (:data:`ADDITIVE_FIELDS` — ``spm_load_cycles``,
@@ -244,11 +117,10 @@ class ShardedRunStats(RunRates):
     """
 
     devices: int
-    #: Host fan-out per device queue actually used (the widest queue's).
+    #: Host fan-out per card actually used (the most any card used).
     workers: int
     per_device: List[ParallelRunStats]
-    steals: List[StealRecord]
-    #: Post-steal estimated cost per device queue (plan-time view).
+    #: Partition rows each card was given.
     plan_loads: List[int]
     #: Simulated cycles per wave in global (serial) order.
     per_wave_cycles: List[int]
@@ -281,11 +153,14 @@ class ShardedRunStats(RunRates):
 
     @property
     def steal_count(self) -> int:
-        return len(self.steals)
+        """Always 0: a solved wave goes to the card that frees first, so
+        nothing is planned and nothing stolen (the ``accel.steals``
+        benchmark figure still reads it)."""
+        return 0
 
     def device_utilization(self) -> List[float]:
-        """Each queue's simulated-cycle share of the critical-path
-        queue (1.0 for the busiest device)."""
+        """Each card's simulated-cycle share of the busiest card's
+        (1.0 for the busiest device)."""
         cycles = [stats.total_cycles for stats in self.per_device]
         peak = max(cycles) if cycles else 0
         if peak <= 0:
@@ -356,34 +231,32 @@ def record_storage_run(
 
 
 def _record_shard_run(
-    driver: WaveDriver, stats: ShardedRunStats, policy: str, pipelines: int
+    driver: WaveDriver, stats: ShardedRunStats, pipelines: int
 ) -> None:
-    """Ledger the sharded run: one ``shard.device`` summary per queue
+    """Ledger the sharded run: one ``shard.device`` summary per card
     plus the ``shard.run`` summary ``repro analyze --sharding`` reads."""
     utilization = stats.device_utilization()
-    for device, queue in enumerate(stats.per_device):
+    for device, card in enumerate(stats.per_device):
         record_event(
             "shard.device",
-            stage=driver.stage, device=device, waves=queue.waves,
-            workers=queue.workers, pipelines=pipelines,
-            cycles=queue.total_cycles, spm_load_cycles=queue.spm_load_cycles,
-            spm_cache_hits=queue.spm_cache_hits,
-            spm_cache_misses=queue.spm_cache_misses,
-            faults_injected=queue.faults_injected, retries=queue.retries,
-            watchdog_timeouts=queue.watchdog_timeouts,
-            serial_fallback_waves=queue.serial_fallback_waves,
-            pool_restarts=queue.pool_restarts,
-            steals_in=queue.steals_in, steals_out=queue.steals_out,
+            stage=driver.stage, device=device, waves=card.waves,
+            workers=card.workers, pipelines=pipelines,
+            cycles=card.total_cycles, spm_load_cycles=card.spm_load_cycles,
+            spm_cache_hits=card.spm_cache_hits,
+            spm_cache_misses=card.spm_cache_misses,
+            faults_injected=card.faults_injected, retries=card.retries,
+            watchdog_timeouts=card.watchdog_timeouts,
+            serial_fallback_waves=card.serial_fallback_waves,
+            pool_restarts=card.pool_restarts,
             busy_seconds=stats.device_busy_seconds[device],
             transfer_seconds=stats.device_transfer_seconds[device],
-            elapsed_seconds=queue.elapsed_seconds,
+            elapsed_seconds=card.elapsed_seconds,
             utilization=utilization[device],
         )
     record_event(
         "shard.run",
         stage=driver.stage, devices=stats.devices, workers=stats.workers,
-        policy=policy, waves=stats.waves, steals=stats.steal_count,
-        total_cycles=stats.total_cycles,
+        waves=stats.waves, total_cycles=stats.total_cycles,
         spm_load_cycles=stats.spm_load_cycles,
         per_wave_cycles=list(stats.per_wave_cycles),
         plan_loads=list(stats.plan_loads),
@@ -403,25 +276,24 @@ def run_sharded(
     fault_plan: Optional[FaultPlan] = None,
     retry_policy: Optional[RetryPolicy] = None,
     wave_timeout: Optional[float] = None,
-    policy: str = "hash",
-    steal: bool = True,
     storage: Optional[WaveStorage] = None,
 ) -> Tuple[Dict[PartitionId, object], ShardedRunStats]:
-    """Run an accelerator stage sharded over ``devices`` modelled cards,
-    each queue fanned out over ``workers`` host processes — the one
-    front door of a direct run.
+    """Run an accelerator stage sharded over ``devices`` modelled cards
+    on a pool of ``devices × workers`` host processes — the one front
+    door of a direct run.
 
-    One walk for every topology: :func:`plan_shards` packs the waves and
-    lays them on ``devices`` queues (one queue when ``devices=1``);
-    :func:`~repro.accel.scheduler.run_waves` executes them all, one
+    One walk for every topology: :func:`plan_shards` packs the waves;
+    :func:`~repro.accel.scheduler.run_waves` solves them all, one
     :class:`~repro.accel.scheduler.WaveTask` per wave — one loop, one
     process pool, one fault injector over ``fault_plan`` polled by
-    global wave index, one SPM cache per queue seeded from
-    ``spm_cache``; each wave is then charged to its card's virtual
-    timeline in global order (:meth:`~repro.runtime.device.DevicePool.
-    charge_wave`); and the merge is canonical — results in input
-    partition order (empty partitions, never simulated, in the driver's
-    empty shape), caches absorbed in device order.  See the module
+    global wave index, every wave seeded from ``spm_cache``; then, in
+    global wave order, each solved wave is charged to the card that
+    frees first (:meth:`~repro.runtime.device.DevicePool.first_free`,
+    :meth:`~repro.runtime.device.DevicePool.charge_wave`), its SPM loads
+    re-tallied on that card's cache and its ladder's faults booked
+    there; and the merge is canonical — results in input partition
+    order (empty partitions, never simulated, in the driver's empty
+    shape), card caches absorbed in device order.  See the module
     docstring for why the answer is bit-identical to serial.
 
     ``storage`` optionally attaches the modelled in-SSD filter (a
@@ -438,46 +310,27 @@ def run_sharded(
     RetryBudgetExceeded` is raised.
 
     Each wave is ledgered once, after execution, in global order: its
-    ``fault.retry`` and ``storage.wave`` records, then one
-    ``scheduler.wave`` carrying its card, its H2D bytes and the
+    ``fault.retry`` records (no ``device``: an attempt fails before its
+    wave has a card) and ``storage.wave``, then one ``scheduler.wave``
+    carrying its card, its H2D bytes and the
     :class:`~repro.obs.spans.WaveTimeline` the card's charge returned —
     the record its trace is folded from (DESIGN.md §3.9).
     """
-    if devices < 1:
-        raise ValueError("need at least one device")
     if workers < 1:
         raise ValueError("need at least one worker")
     parts = list(partitions)
     started = time.perf_counter()
 
-    plan = plan_shards(parts, n_pipelines, devices, policy=policy, steal=steal)
-    queues = [plan.device_waves(device) for device in range(devices)]
+    empty_pids, waves = plan_shards(parts, n_pipelines, devices)
     shared_cache = spm_cache if spm_cache is not None else SpmImageCache()
-    caches = [SpmImageCache() for _ in queues]
-    for cache in caches:
-        cache.merge(shared_cache.keys())
-    per_device = [
-        ParallelRunStats(
-            # this queue's share of the pool
-            workers=max(1, min(workers, len(queue))),
-            device=device,
-            steals_in=sum(s.target == device for s in plan.steals),
-            steals_out=sum(s.source == device for s in plan.steals),
-        )
-        for device, queue in enumerate(queues)
-    ]
     tasks = [
-        WaveTask(
-            wave.global_index, driver, wave.items, caches[wave.device],
-            per_device[wave.device], {"device": wave.device},
-        )
-        for wave in plan.waves
+        WaveTask(index, driver, wave, shared_cache)
+        for index, wave in enumerate(waves)
     ]
     _log.info(
         "%s: %d wave(s) of up to %d pipeline(s) over %d device(s) x "
-        "%d worker(s) (%s policy, %d steal(s), loads %s)",
-        driver.stage, len(plan.waves), n_pipelines, devices, workers,
-        policy, len(plan.steals), plan.loads(),
+        "%d worker(s)",
+        driver.stage, len(tasks), n_pipelines, devices, workers,
         extra={"stage": driver.stage},
     )
 
@@ -489,17 +342,21 @@ def run_sharded(
         retry_policy, wave_timeout,
     ):
         outcomes[task.index] = worker, outcome
-        if not isinstance(outcome, RetryBudgetExceeded):
-            task.cache.adopt(task.keys, outcome)
     elapsed = time.perf_counter() - executing
 
-    # -- deterministic merge: canonical order regardless of finish order ----------
+    # -- place and merge: canonical order regardless of finish order -------------
 
-    # Ledger, book and charge each wave in global order (so the per-card
-    # float sums never depend on finish order): the card's charge is the
-    # wave's timeline, and the record the trace lays it from.
-    merged = {pid: driver.empty_result(pid) for pid in plan.empty_pids}
+    # Place, book, charge and ledger each wave in global order (so the
+    # per-card clocks and float sums never depend on finish order): the
+    # card's charge is the wave's timeline, and the record the trace
+    # lays it from.
+    merged = {pid: driver.empty_result(pid) for pid in empty_pids}
     pool = DevicePool(devices, storage=storage)
+    caches = [SpmImageCache() for _ in range(devices)]
+    for cache in caches:
+        cache.merge(shared_cache.keys())
+    per_device = [ParallelRunStats(device=device) for device in range(devices)]
+    loads = [0] * devices
     totals = dict(raw_nbytes=0, nbytes=0, pruned_rows=0, scan_seconds=0.0)
     per_wave_cycles: List[int] = []
     spent: Dict[int, RetryBudgetExceeded] = {}
@@ -509,55 +366,60 @@ def run_sharded(
                 "fault.retry",
                 stage=driver.stage, wave=task.index, attempt=failed.attempt,
                 kind=failed.kind, backoff_seconds=failed.backoff_seconds,
-                **task.labels,
             )
         worker, outcome = outcomes[task.index]
         if isinstance(outcome, RetryBudgetExceeded):
             spent[task.index] = outcome
             continue
+        device = pool.first_free()
+        card = per_device[device]
+        caches[device].replay_loads(task.keys, outcome)
         merged.update(outcome.results)
-        task.stats.book(worker, outcome)
-        task.stats.per_wave_cycles.append(outcome.stats.cycles)
+        card.book(worker, outcome)
+        card.book_ladder(task.stats)
+        card.per_wave_cycles.append(outcome.stats.cycles)
         per_wave_cycles.append(outcome.stats.cycles)
+        loads[device] += sum(part.num_rows for _pid, part in task.items)
         if storage is not None:
             scanned = record_storage_wave(
                 storage, task.items, stage=driver.stage, wave=task.index,
-                **task.labels,
+                device=device,
             )
             for name, value in scanned.items():
                 totals[name] += value
         timeline = pool.charge_wave(
-            task.labels["device"], task.items, outcome.stats.cycles,
-            outcome.load_cycles, task.backoff_seconds, at=0,
+            device, task.items, outcome.stats.cycles, outcome.load_cycles,
+            task.backoff_seconds, at=0,
         )
         record_event(
             "scheduler.wave",
             stage=driver.stage, wave=task.index, worker=worker,
             replicas=len(task.items), nbytes=pool.wave_nbytes(task.items),
-            elapsed_seconds=outcome.elapsed_seconds,
-            **task.labels, **timeline.to_record(),
+            elapsed_seconds=outcome.elapsed_seconds, device=device,
+            **timeline.to_record(),
         )
     if spent:
         # every wave ran its ladder; the run fails on the lowest-index
         # wave out of budget, whatever the topology
         raise spent[min(spent)]
-    for stats in per_device:
-        # one loop, one pool: every queue shares the run's wall clock
-        stats.elapsed_seconds = elapsed
+    for card in per_device:
+        # one loop, one pool: every card shares the run's wall clock
+        card.workers = max(1, min(workers, card.waves))
+        card.elapsed_seconds = elapsed
     results = {pid: merged[pid] for pid, _part in parts}
 
     sharded = ShardedRunStats(
         devices=devices,
-        workers=max(stats.workers for stats in per_device),
+        workers=max(card.workers for card in per_device),
         per_device=per_device,
-        steals=list(plan.steals), plan_loads=plan.loads(),
+        plan_loads=loads,
         per_wave_cycles=per_wave_cycles,
         device_busy_seconds=pool.busy_seconds(),
         device_transfer_seconds=pool.transfer_seconds(),
         elapsed_seconds=time.perf_counter() - started,
     )
 
-    # absorb per-device caches in device order (key sets union,
+    # absorb per-card caches in device order (key sets union,
     # counters accumulate), so later stages' loads of these rows hit
     for cache in caches:
         shared_cache.absorb(cache)
@@ -568,16 +430,15 @@ def run_sharded(
             transfer_seconds=sum(pool.transfer_seconds()),
             stage=driver.stage, devices=devices,
         )
-    _record_shard_run(driver, sharded, policy, n_pipelines)
+    _record_shard_run(driver, sharded, n_pipelines)
     _log.info(
         "%s done: %d cycles over %d wave(s) on %d device(s), %.3fs host "
-        "(parallelism %.2f, spm cache %d/%d hit, %d steal(s), "
-        "%d fault(s) survived)",
+        "(parallelism %.2f, spm cache %d/%d hit, %d fault(s) survived)",
         driver.stage, sharded.total_cycles, sharded.waves, devices,
         sharded.elapsed_seconds, sharded.host_parallelism,
         sharded.spm_cache_hits,
         sharded.spm_cache_hits + sharded.spm_cache_misses,
-        sharded.steal_count, sharded.faults_injected,
+        sharded.faults_injected,
         extra={"stage": driver.stage},
     )
     return results, sharded

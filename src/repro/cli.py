@@ -13,7 +13,7 @@ Commands:
   Chrome-trace timeline and JSON/CSV dumps;
 * ``analyze``     — re-run the bottleneck analysis over a saved
   ``profile --out`` JSON report, with ``--sharding`` report the
-  per-device utilization / steal counts / device-count what-if of the
+  per-device utilization / device-count what-if of the
   latest sharded run in the ledger, with ``--storage`` report the
   latest storage-filtered run (pruned fraction, PCIe bytes saved, and
   the filtered-fraction × PCIe-generation what-if sweep), or with
@@ -280,14 +280,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
             print(
                 f"  device {device}: {device_stats.waves} waves, "
                 f"{device_stats.total_cycles} cycles "
-                f"({utilization[device]:.0%} of critical path), "
-                f"steals in/out {device_stats.steals_in}/"
-                f"{device_stats.steals_out}"
-            )
-        if stats.steal_count:
-            print(
-                f"  work stealing: {stats.steal_count} wave(s) migrated "
-                "(plan-time, results unchanged)"
+                f"({utilization[device]:.0%} of critical path)"
             )
     if stats.workers > 1:
         for worker in sorted(stats.per_worker):
@@ -401,7 +394,6 @@ LEDGER_REPORTS = {
         sharding_report_from_ledger,
         lambda report: record_event(
             "analyze.sharding", stage=report.stage, devices=report.devices,
-            steals=report.steals,
         ),
     ),
     "storage": (
@@ -690,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("report", metavar="REPORT_JSON", nargs="?")
     source.add_argument(
         "--sharding", action="store_true",
-        help="report per-device utilization, steal counts, and the "
+        help="report per-device utilization and the "
              "device-count what-if of the latest sharded run in the ledger",
     )
     source.add_argument(

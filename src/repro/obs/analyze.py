@@ -271,13 +271,11 @@ def analyze_report(
 
 @dataclass
 class DeviceUtilization:
-    """One device queue's share of a sharded run."""
+    """One card's share of a sharded run."""
 
     device: int
     waves: int
     cycles: int
-    steals_in: int
-    steals_out: int
     busy_seconds: float
     transfer_seconds: float
     elapsed_seconds: float
@@ -296,7 +294,6 @@ class ShardingReport:
     workers: int
     waves: int
     total_cycles: int
-    steals: int
     host_parallelism: float
     per_device: List[DeviceUtilization]
     what_ifs: List[WhatIf]
@@ -306,18 +303,17 @@ class ShardingReport:
         lines = [
             f"sharding analysis: {self.stage} — {self.devices} device(s), "
             f"{self.workers} worker(s)/device, {self.waves} wave(s), "
-            f"{self.total_cycles} cycles, {self.steals} steal(s), "
+            f"{self.total_cycles} cycles, "
             f"host parallelism {self.host_parallelism:.2f}"
         ]
         if self.per_device:
             lines.append(
-                "  device   waves  cycles        util  steals(in/out)"
+                "  device   waves  cycles        util"
             )
             for entry in self.per_device:
                 lines.append(
                     f"  d{entry.device:<7} {entry.waves:>5} "
-                    f"{entry.cycles:>10} {entry.utilization:>7.1%}  "
-                    f"{entry.steals_in}/{entry.steals_out}"
+                    f"{entry.cycles:>10} {entry.utilization:>7.1%}"
                 )
         for what_if in self.what_ifs:
             lines.append(f"  what-if: {what_if.description}")
@@ -564,8 +560,6 @@ def sharding_report_from_ledger(
                 device=int(record.get("device", 0)),
                 waves=int(record.get("waves", 0)),
                 cycles=int(record.get("cycles", 0)),
-                steals_in=int(record.get("steals_in", 0)),
-                steals_out=int(record.get("steals_out", 0)),
                 busy_seconds=float(record.get("busy_seconds", 0.0)),
                 transfer_seconds=float(record.get("transfer_seconds", 0.0)),
                 elapsed_seconds=float(record.get("elapsed_seconds", 0.0)),
@@ -582,7 +576,6 @@ def sharding_report_from_ledger(
             workers=int(summary.get("workers", 1)),
             waves=int(summary.get("waves", 0)),
             total_cycles=int(summary.get("total_cycles", 0)),
-            steals=int(summary.get("steals", 0)),
             host_parallelism=float(summary.get("host_parallelism", 0.0)),
             per_device=per_device,
             what_ifs=device_what_if(

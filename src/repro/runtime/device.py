@@ -205,6 +205,13 @@ class DevicePool:
             return self.storage.wave_nbytes(items)
         return sum(part.num_rows for _pid, part in items) * MODEL_ROW_BYTES
 
+    def first_free(self) -> int:
+        """The card whose timeline frees first, the lowest index on ties:
+        where a direct run places its next solved wave.  For a lone job
+        at cycle 0 this is the order in which the job service hands out
+        waves (each round fills the freed cards in index order)."""
+        return min(range(len(self.free_at)), key=self.free_at.__getitem__)
+
     def charge_wave(
         self,
         device: int,

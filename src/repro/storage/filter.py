@@ -124,7 +124,7 @@ class StorageFilterPlan:
 
     Everything here is a pure function of the partitions and the
     reference — the same determinism contract as
-    :func:`~repro.accel.sharding.plan_shards`, so survivor accounting is
+    :func:`~repro.accel.scheduler.pack_waves`, so survivor accounting is
     identical on every topology.  The plan is the object
     :func:`~repro.accel.sharding.run_sharded` and :class:`~repro.serve.
     JobService` consult when charging transfers (the product

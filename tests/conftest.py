@@ -47,15 +47,16 @@ def pools_built(monkeypatch):
 
 @pytest.fixture
 def worker_pids(monkeypatch):
-    """The process every wave outcome adopted from here on ran in."""
+    """The process every direct wave placed on a card from here on ran
+    in (its loads are re-tallied on the card's cache)."""
     pids = []
-    adopt = scheduler.SpmImageCache.adopt
+    replay_loads = scheduler.SpmImageCache.replay_loads
 
     def spy(cache, keys, outcome):
         pids.append(outcome.worker_pid)
-        adopt(cache, keys, outcome)
+        replay_loads(cache, keys, outcome)
 
-    monkeypatch.setattr(scheduler.SpmImageCache, "adopt", spy)
+    monkeypatch.setattr(scheduler.SpmImageCache, "replay_loads", spy)
     return pids
 
 

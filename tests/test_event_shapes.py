@@ -62,8 +62,9 @@ HOST_FIELDS = frozenset([
 ])
 
 #: The global wave the fault plans name.  The sharded workload packs
-#: five metadata waves that hash onto two devices as [1, 2, 3] / [0, 4],
-#: so wave 2 sits at queue slot 1: slot and global index differ.
+#: five metadata waves; on two cards each solved wave goes to the card
+#: that frees first, so wave 2 runs second on card 1, after wave 1: its
+#: place on its card and its global index differ.
 FAULTED_WAVE = 2
 
 SHARDED_CASES = [
@@ -261,9 +262,10 @@ def test_event_and_span_values(cases, case):
 
 def test_sharded_fault_ledger_joins_on_device_and_wave(tmp_path):
     """The single wave identity, end to end: on two devices behind the
-    filter, ``scheduler.wave``, ``storage.wave`` and ``fault.retry``
-    join on ``(device, wave)`` without a miss, and the faulted wave is
-    the one the plan named — by its global index."""
+    filter, ``scheduler.wave`` and ``storage.wave`` join on ``(device,
+    wave)`` without a miss, ``fault.*`` records (which name no card: an
+    attempt fails before its wave is placed) join on ``wave``, and the
+    faulted wave is the one the plan named — by its global index."""
     ledger = sharded_case(_workload(), tmp_path, 2, True, True)
     ran = {
         (e["device"], e["wave"]) for e in ledger.events("scheduler.wave")
@@ -276,10 +278,11 @@ def test_sharded_fault_ledger_joins_on_device_and_wave(tmp_path):
     (retry,) = ledger.events("fault.retry")
     (injected,) = ledger.events("fault.injected")
     assert retry["wave"] == injected["slot"] == FAULTED_WAVE
-    assert (retry["device"], retry["wave"]) in ran
-    assert injected["device"] == retry["device"]
-    # the queue slot differs from the global index, or this proves nothing
-    queue = sorted(w for device, w in ran if device == retry["device"])
+    assert "device" not in retry and "device" not in injected
+    (card,) = [device for device, wave in ran if wave == FAULTED_WAVE]
+    # its place on its card differs from the global index, or this
+    # proves nothing
+    queue = sorted(w for device, w in ran if device == card)
     assert queue.index(FAULTED_WAVE) != FAULTED_WAVE
 
 
@@ -306,18 +309,23 @@ def _card_balances(spans, device, waves, transfer_seconds, load, kernel,
 ])
 def test_each_direct_card_balances(cases, case):
     """Every card of a direct run, one or two, filtered or not, faulted
-    or not, balances against its queue's ``shard.device`` summary and
+    or not, balances against its card's ``shard.device`` summary and
     the ``fault.retry`` backoffs of its waves."""
     events, spans = cases[case]
-    queues = [fields for name, fields in events if name == "shard.device"]
-    assert queues
-    for queue in queues:
+    cards = [fields for name, fields in events if name == "shard.device"]
+    placed = {
+        fields["wave"]: fields["device"] for name, fields in events
+        if name == "scheduler.wave"
+    }
+    assert cards
+    for card in cards:
         _card_balances(
-            spans, queue["device"], queue["waves"],
-            queue["transfer_seconds"], queue["spm_load_cycles"],
-            queue["cycles"], sum(
+            spans, card["device"], card["waves"],
+            card["transfer_seconds"], card["spm_load_cycles"],
+            card["cycles"], sum(
                 fields["backoff_seconds"] for name, fields in events
-                if name == "fault.retry" and fields["device"] == queue["device"]
+                if name == "fault.retry"
+                and placed[fields["wave"]] == card["device"]
             ),
         )
 

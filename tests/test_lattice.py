@@ -14,7 +14,10 @@ must be exactly those the plan aims at slots the run polls, each failed
 attempt retried until the wave's one budget runs out — and a wave that
 runs out fails alike at every topology: a direct run raises the lowest
 such wave's error, a served run fails the jobs of those waves and no
-other.
+other.  A direct run on more than one card must also place its waves as
+a lone served job would — each wave's card and clock equal to those of
+the same waves submitted as one job at cycle 0 — and keep its busiest
+card within list scheduling's bound.
 
 Adding an axis is one :class:`Config` field, one draw in :func:`configs`
 and the line of :func:`run_direct` / :func:`serve` that passes it on.
@@ -82,9 +85,6 @@ class Config:
     #: ``devices=`` / ``workers=`` of ``run_sharded`` or ``JobService``.
     devices: int = 1
     workers: int = 1
-    #: ``run_sharded(policy=, steal=)`` (direct runs only).
-    policy: str = "hash"
-    steal: bool = True
     #: ``fault_plan=FaultPlan(specs=faults)``.
     faults: Tuple[FaultSpec, ...] = ()
     #: ``storage=plan_storage_filter(...)`` over the run's partitions.
@@ -128,8 +128,6 @@ def configs(draw):
         pipelines=draw(st.sampled_from((1, 2, 4))),
         devices=draw(st.sampled_from((1, 2, 3))),
         workers=draw(st.sampled_from((1, 2))),
-        policy="hash" if served else draw(st.sampled_from(("hash", "range"))),
-        steal=served or draw(st.booleans()),
         faults=tuple(spec for spec in specs if spec is not None),
         storage=draw(st.booleans()),
         served=served,
@@ -218,8 +216,7 @@ def run_direct(config: Config):
     return run_sharded(
         row.over(wl, mode=config.mode), row.items(wl), config.pipelines,
         devices=config.devices, workers=config.workers,
-        fault_plan=fault_plan(config), policy=config.policy,
-        steal=config.steal,
+        fault_plan=fault_plan(config),
         storage=(
             storage_plan(config.workload, (config.stage,))
             if config.storage else None
@@ -259,10 +256,72 @@ def serve(config: Config):
 # -- the lattice ---------------------------------------------------------------------
 
 
+#: The ``scheduler.wave`` / ``serve.wave.done`` fields that say where and
+#: when a wave ran on its card.
+PLACEMENT = (
+    "device", "start_cycles", "end_cycles", "transfer_cycles",
+    "penalty_cycles",
+)
+
+
+def placements(records) -> dict:
+    """Wave index -> its :data:`PLACEMENT` fields."""
+    return {
+        record["wave"]: tuple(record[name] for name in PLACEMENT)
+        for record in records
+    }
+
+
+def served_placements(config: Config) -> dict:
+    """:func:`placements` of ``config``'s waves submitted as one job at
+    cycle 0 to a :class:`JobService` of the same cards, fault plan and
+    filter."""
+    wl = workload(config.workload)
+    row = STAGES[config.stage]
+    service = JobService(
+        devices=config.devices, fault_plan=fault_plan(config),
+        storage=(
+            storage_plan(config.workload, (config.stage,))
+            if config.storage else None
+        ),
+    )
+    service.submit(JobSpec(
+        "a", row.over(wl, mode=config.mode), row.items(wl), config.pipelines,
+    ))
+    service.run_until_idle()
+    return placements(
+        fields for event, fields in service.events
+        if event == "serve.wave.done"
+    )
+
+
+def assert_card_clock_bound(waves, devices: int) -> None:
+    """List scheduling's bound on ``devices`` cards: the busiest card
+    ends by the summed wave durations over the card count plus the
+    longest wave."""
+    durations = [wave["end_cycles"] - wave["start_cycles"] for wave in waves]
+    busiest = max(wave["end_cycles"] for wave in waves)
+    assert busiest <= sum(durations) / devices + max(durations), (
+        busiest, sum(durations), max(durations),
+    )
+
+
+def run_ledgered(config: Config):
+    """:func:`run_direct` under a ledger: its results, stats and
+    ``scheduler.wave`` records."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ledger = RunLedger(os.path.join(tmp, "ledger.jsonl"))
+        with run_context(RunManifest(workload="lattice"), ledger):
+            results, stats = run_direct(config)
+        return results, stats, ledger.events("scheduler.wave")
+
+
 def check_direct(config: Config):
     """Run ``config`` direct and hold it to its reference; returns the
     run's stats (``None`` when a wave runs out of budget: the run must
-    then raise, in the same words as on one card and one worker)."""
+    then raise, in the same words as on one card and one worker).  On
+    more than one card its waves must be placed as a lone served job's,
+    within the card-clock bound."""
     want, want_stats, _waves = reference(
         config.stage, config.workload, config.pipelines
     )
@@ -274,12 +333,15 @@ def check_direct(config: Config):
                 run_direct(topology)
             assert str(raised.value) == exhausted(min(spent))
         return None
-    results, stats = run_direct(config)
+    results, stats, waves = run_ledgered(config)
     assert_stage_identical(config.stage, results, want)
     assert engine_modes(results, phases=False) == {config.mode}
     assert_same_cycles(stats, want_stats)
     assert stats.faults_by_kind == injected
     assert stats.retries == retries
+    if config.devices > 1 and waves:
+        assert_card_clock_bound(waves, config.devices)
+        assert placements(waves) == served_placements(config)
     return stats
 
 
@@ -332,10 +394,10 @@ def check_served(config: Config) -> None:
     "metadata", devices=2, workers=1,
     faults=(fault("worker_crash", WAVE_FAULT_SITE, 0, attempts=BUDGET + 1),),
 ))
-# steal x storage x crash: range placement steals on two cards, the
-# filter is on, and two waves crash twice each on a pool of four
+# placement x storage x crash: two cards place solved waves behind the
+# filter, and two waves crash twice each on a pool of four
 @example(Config(
-    "bqsr", devices=2, workers=2, policy="range", storage=True,
+    "bqsr", devices=2, workers=2, storage=True,
     faults=(fault("worker_crash", WAVE_FAULT_SITE, 0, 1, attempts=2),),
 ))
 # drain x pooled fault: drained after the first dispatch, the crash lands

@@ -127,10 +127,10 @@ RUN_PATH_SIGNATURES = {
     "repro.accel.sharding:run_sharded": (
         "driver", "partitions", "n_pipelines", "devices", "workers",
         "spm_cache", "fault_plan", "retry_policy", "wave_timeout",
-        "policy", "steal", "storage",
+        "storage",
     ),
     "repro.accel.sharding:plan_shards": (
-        "partitions", "n_pipelines", "devices", "policy", "steal",
+        "partitions", "n_pipelines", "devices",
     ),
     "repro.serve:JobService.__init__": (
         "devices", "workers", "max_backlog", "quota", "weights",
@@ -199,7 +199,7 @@ def test_accel_namespace_is_stages_executor_and_sharding():
             "active_region", "stages", "scheduler", "sharding",
         )
     }
-    tables = {"STAGES", "PAPER_STAGES", "SHARD_POLICIES"}
+    tables = {"STAGES", "PAPER_STAGES"}
     strays = [
         symbol for symbol in repro.accel.__all__
         if symbol not in tables

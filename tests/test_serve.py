@@ -20,11 +20,13 @@ import pytest
 
 from hw_harness import ANSWERS, assert_same_modelled, assert_stage_identical
 from repro.accel import MetadataWaveDriver
+from repro.accel import scheduler
 from repro.accel.scheduler import (
     WAVE_FAULT_SITE,
     SpmImageCache,
     WaveMemo,
     WaveTask,
+    pack_waves,
     run_waves,
 )
 from repro.accel.sharding import run_sharded
@@ -477,6 +479,31 @@ def test_the_memo_key_covers_what_a_wave_depends_on(workload, monkeypatch):
     for other in others:
         assert memo.replay(other) is None
     assert (memo.hits, memo.misses, len(memo)) == (1, 1 + len(others), 1)
+
+
+def test_a_service_digests_each_partition_once(workload, monkeypatch):
+    """A tenant submits one job three times: each partition is digested
+    once for the service, however often its wave is dispatched, and the
+    resubmissions still replay every wave."""
+    digested = []
+    digest = scheduler.partition_digest
+
+    def spy(part):
+        digested.append(id(part))
+        return digest(part)
+
+    monkeypatch.setattr(scheduler, "partition_digest", spy)
+    row = STAGES["metadata"]
+    spec = JobSpec("a", row.over(workload), row.items(workload), 2)
+    service = JobService(devices=2)
+    for _ in range(3):
+        service.submit(spec)
+    service.run_until_idle()
+    _empty, waves = pack_waves(spec.partitions, 2)
+    packed = [id(part) for wave in waves for _pid, part in wave]
+    assert sorted(digested) == sorted(packed)
+    assert service.memo.hits == 2 * len(waves)
+    assert service.summary().waves_dispatched == 3 * len(waves)
 
 
 def test_replayed_waves_report_their_own_host_seconds(workload):

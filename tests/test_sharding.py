@@ -1,14 +1,17 @@
 """Tests for multi-device sharding (repro.accel.sharding).
 
 That a sharded run is bit-identical to the serial one — results and
-modelled cycles, at every ``(devices, workers)``, faulted, filtered,
-stealing — is ``tests/test_lattice.py``'s to draw; the stage x devices x
-workers grid and its faulted row are named points of it here.  Also: the
-shard planner, the steal loop, per-device SPM caches, the sharded stats view,
-the BQSR reduction, the one topology CI smokes by name, and the hang only
-a real watchdog can reap.  Host-side cache hit/miss counts are the one
-deliberate exception to bit-identity (locality depends on which device a
-wave lands on); the *modelled* SPM load cycles charge the same either way.
+modelled cycles, at every ``(devices, workers)``, faulted, filtered — is
+``tests/test_lattice.py``'s to draw; the stage x devices x workers grid
+and its faulted row are named points of it here, and each multi-device
+point also holds the run's placement to a lone served job's and its
+busiest card to the list-scheduling bound (``check_direct``).  Also:
+placement follows solving, the global packing, per-card SPM caches
+(whose tallies do not depend on ``workers``), the sharded stats view,
+the BQSR reduction, the one topology CI smokes by name, and the hang
+only a real watchdog can reap.  Host-side cache hit/miss counts depend
+on the card count (locality depends on which card a wave lands on); the
+*modelled* SPM load cycles charge the same either way.
 """
 
 import dataclasses
@@ -31,7 +34,6 @@ from repro.accel.sharding import (
     plan_shards,
     reduce_bqsr_results,
     run_sharded,
-    stable_shard_hash,
 )
 from repro.eval.workloads import make_workload
 from repro.faults.plan import FaultPlan, FaultSpec
@@ -132,7 +134,7 @@ def test_kept_pool_serves_consecutive_sharded_runs(
         assert_stage_identical("metadata", sharded_res, serial_res)
         pids.append(set(worker_pids))
     assert pools_built == [2]
-    assert os.getpid() not in pids[0] | pids[1]
+    assert pids[0] and os.getpid() not in pids[0] | pids[1]
     assert len(pids[0] | pids[1]) <= 2
 
 
@@ -196,88 +198,42 @@ def test_sharded_bit_identical_under_timeout(workload, metadata_serial):
     assert_stage_identical("metadata", sharded_res, serial_res)
 
 
-# -- work stealing ------------------------------------------------------------------
+# -- placement follows solving ------------------------------------------------------
+
+#: One fault plan that exhausts no budget: two waves crash once each.
+PLACED_FAULTS = (fault("worker_crash", WAVE_FAULT_SITE, 1, 2),)
 
 
-def test_range_policy_forces_a_steal(workload, metadata_serial):
-    """The range policy front-loads the LPT order onto low devices, so
-    the steal loop must engage — and results stay bit-identical."""
-    serial_res, serial_stats = metadata_serial
-    plan = plan_shards(workload.partitions, 2, devices=2, policy="range")
-    assert plan.steals, "expected the range layout to trigger stealing"
-    driver = MetadataWaveDriver(reference=workload.reference)
-    sharded_res, stats = run_sharded(
-        driver, workload.partitions, 2, devices=2, workers=1, policy="range"
-    )
-    assert stats.steal_count == len(plan.steals)
-    for steal in stats.steals:
-        assert stats.per_device[steal.target].steals_in >= 1
-        assert stats.per_device[steal.source].steals_out >= 1
-    assert_same_cycles(serial_stats, stats)
-    assert_stage_identical("metadata", sharded_res, serial_res)
-
-
-def test_steal_strictly_improves_makespan(workload):
-    stolen = plan_shards(workload.partitions, 2, devices=2, policy="range")
-    unstolen = plan_shards(
-        workload.partitions, 2, devices=2, policy="range", steal=False
-    )
-    assert not unstolen.steals
-    assert max(stolen.loads()) < max(unstolen.loads())
-    assert sum(stolen.loads()) == sum(unstolen.loads())
-
-
-# -- the shard planner --------------------------------------------------------------
-
-
-def test_plan_shards_is_deterministic(workload):
-    first = plan_shards(workload.partitions, 2, devices=3)
-    second = plan_shards(workload.partitions, 2, devices=3)
-    assert [w.device for w in first.waves] == [w.device for w in second.waves]
-    assert first.steals == second.steals
-    for device in range(3):
-        assert first.device_waves(device) == second.device_waves(device)
+@pytest.mark.parametrize("faults", [(), PLACED_FAULTS], ids=["clean", "faulted"])
+@pytest.mark.parametrize("storage", [False, True], ids=["raw", "filtered"])
+@pytest.mark.parametrize("devices", (2, 3))
+@pytest.mark.parametrize("stage,pipelines", [("metadata", 1), ("bqsr", 4)])
+def test_a_direct_run_is_placed_as_a_lone_served_job(
+    stage, pipelines, devices, storage, faults
+):
+    """Each solved wave goes to the card that frees first: every wave's
+    card, start, end, transfer and penalty equal those of the same waves
+    submitted as one job at cycle 0 to a ``JobService`` of as many cards
+    (``check_direct`` compares them), and the busiest card ends within
+    the list-scheduling bound."""
+    stats = check_direct(Config(
+        stage, pipelines=pipelines, devices=devices, storage=storage,
+        faults=faults,
+    ))
+    assert stats.waves > devices, "every card must take a second wave"
 
 
 def test_plan_shards_preserves_global_packing(workload):
-    """Sharding must never re-pack: every wave's composition is exactly
-    the serial LPT packing's."""
-    empty_pids, packed = pack_waves(workload.partitions, 2)
-    plan = plan_shards(workload.partitions, 2, devices=4)
-    assert plan.empty_pids == empty_pids
-    assert len(plan.waves) == len(packed)
-    for wave, packed_wave in zip(plan.waves, packed):
-        assert [pid for pid, _p in wave.items] == [pid for pid, _p in packed_wave]
-
-
-def test_plan_shards_queue_order_and_hash_homes(workload):
-    plan = plan_shards(workload.partitions, 2, devices=2, steal=False)
-    for device in range(2):
-        queue = [wave.global_index for wave in plan.device_waves(device)]
-        assert queue == sorted(queue)  # global order within a queue
-    for wave in plan.waves:
-        assert wave.device == wave.home_device  # steal=False: nothing moved
-        assert wave.home_device == stable_shard_hash(wave.items[0][0]) % 2
+    """Sharding must never re-pack: the waves are exactly the serial
+    LPT packing's."""
+    assert plan_shards(workload.partitions, 2, devices=4) == pack_waves(
+        workload.partitions, 2
+    )
 
 
 def test_plan_shards_rejects_bad_arguments(workload):
     with pytest.raises(ValueError, match="at least one device"):
         plan_shards(workload.partitions, 2, devices=0)
-    with pytest.raises(ValueError, match="unknown shard policy"):
-        plan_shards(workload.partitions, 2, devices=2, policy="striped")
-
-
-def test_stable_shard_hash_is_value_based(workload):
-    """The shard hash must depend only on the partition id's *value*
-    (CRC32 of its rendered form), never on object identity or Python's
-    per-process hash salt."""
-    import zlib
-
-    pid = next(iter(workload.partitions))[0]
-    clone = type(pid)(pid.chrom, pid.segment, pid.read_group)
-    assert clone is not pid
-    assert stable_shard_hash(clone) == stable_shard_hash(pid)
-    assert stable_shard_hash(pid) == zlib.crc32(str(pid).encode("utf-8"))
 
 
 # -- per-device SPM caches ----------------------------------------------------------
@@ -317,6 +273,28 @@ def test_device_caches_absorb_into_shared(workload):
     assert serial_stats.spm_cache_misses == 0
 
 
+@pytest.mark.parametrize("devices", (2, 3))
+def test_spm_tallies_do_not_depend_on_workers(workload, devices):
+    """A wave's loads are tallied on its card's cache once it is placed,
+    so hits, misses and cycles saved are the same inline and pooled."""
+    driver = BqsrWaveDriver(
+        reference=workload.reference, read_length=workload.read_length
+    )
+    tallies = []
+    for workers in (1, 2):
+        _res, stats = run_sharded(
+            driver, workload.group_partitions, 2, devices=devices,
+            workers=workers,
+        )
+        tallies.append([
+            (card.spm_cache_hits, card.spm_cache_misses,
+             card.spm_cycles_saved)
+            for card in stats.per_device
+        ])
+    assert tallies[0] == tallies[1]
+    assert sum(hits for hits, _misses, _saved in tallies[0]) > 0
+
+
 # -- sharded stats surface ----------------------------------------------------------
 
 
@@ -331,6 +309,10 @@ def test_sharded_stats_views(workload):
     assert max(utilization) == pytest.approx(1.0)
     assert all(0.0 <= u <= 1.0 for u in utilization)
     assert len(stats.plan_loads) == 2
+    assert sum(stats.plan_loads) == sum(
+        part.num_rows for _pid, part in workload.partitions
+    )
+    assert stats.steal_count == 0
     assert len(stats.device_busy_seconds) == 2
     assert len(stats.device_transfer_seconds) == 2
     assert all(b > 0 for b in stats.device_busy_seconds if b)
