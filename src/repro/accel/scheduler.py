@@ -59,6 +59,7 @@ run.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import os
 import pickle
@@ -403,6 +404,16 @@ class WaveDriver:
     def reference_row(self, pid: PartitionId) -> dict:
         """The REF partition row serving ``pid``."""
         return self.reference.lookup(pid)
+
+    def shipped(self, wave: Sequence[WaveItem]) -> "WaveDriver":
+        """The driver a pool task carries for ``wave``: a copy whose
+        reference holds the wave's REF rows only, so a task pickles its
+        wave's rows and not the whole genome."""
+        if not self.uses_reference:
+            return self
+        driver = copy.copy(self)
+        driver.reference = self.reference.only(pid for pid, _part in wave)
+        return driver
 
     def wave_keys(self, wave: Sequence[WaveItem]) -> List[tuple]:
         """The SPM-cache keys a wave will look up (for seeding workers)."""
@@ -769,8 +780,9 @@ def _pool_task(
     travels back through the future like a real worker failure would.
 
     A worker takes nothing from the moment it was forked: the task is
-    the wave, the cache keys ``held`` for it and the parent's ambient
-    engine ``mode`` as of this attempt.
+    the wave, its driver with the wave's REF rows only
+    (:meth:`WaveDriver.shipped`), the cache keys ``held`` for it and the
+    parent's ambient engine ``mode`` as of this attempt.
     """
     if fault_kind is not None:
         if fault_kind == "wave_timeout" and hang_seconds > 0:
@@ -978,8 +990,9 @@ def run_waves(
                 # first, short enough that pool shutdown stays quick
                 hang = min(wave_timeout * 2, wave_timeout + 1.0)
         future = pool.executor.submit(
-            _pool_task, task.driver, task.index, task.items,
-            task.held(), Engine.default_mode, fault_kind, hang, attempt,
+            _pool_task, task.driver.shipped(task.items), task.index,
+            task.items, task.held(), Engine.default_mode, fault_kind, hang,
+            attempt,
         )
         deadline = (
             time.monotonic() + wave_timeout

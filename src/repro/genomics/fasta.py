@@ -84,8 +84,7 @@ def write_fastq(handle: TextIO, reads: Iterable[AlignedRead]) -> int:
     FASTQ predates alignment).  Returns the record count."""
     count = 0
     for read in reads:
-        quals = "".join(chr(int(q) + 33) for q in read.qual)
-        handle.write(f"@{read.name}\n{read.seq_str}\n+\n{quals}\n")
+        handle.write(f"@{read.name}\n{read.seq_str}\n+\n{read.qual_str}\n")
         count += 1
     return count
 

@@ -109,6 +109,13 @@ class AlignedRead:
         """The base-pair sequence decoded to a string."""
         return decode_sequence(self.seq)
 
+    @property
+    def qual_str(self) -> str:
+        """The base qualities as Phred+33 text (SAM/FASTQ QUAL), in one
+        bytes operation: each score widened to a UTF-16 code unit, so
+        every ``uint8`` score maps to ``chr(score + 33)``."""
+        return (self.qual.astype(np.uint16) + 33).tobytes().decode("utf-16-le")
+
     def quality_sum(self) -> int:
         """Sum of all base quality scores; the quantity the mark-duplicates
         accelerator computes (Figure 10)."""

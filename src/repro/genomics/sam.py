@@ -42,7 +42,6 @@ def _encode_tags(read: AlignedRead) -> List[str]:
 
 def format_read(read: AlignedRead) -> str:
     """One SAM-style line for a read."""
-    quals = "".join(chr(int(q) + 33) for q in read.qual)
     columns = [
         read.name,
         str(read.flags),
@@ -54,7 +53,7 @@ def format_read(read: AlignedRead) -> str:
         str(read.mate_pos + 1) if read.mate_pos >= 0 else "0",
         "0",
         read.seq_str,
-        quals,
+        read.qual_str,
     ]
     columns.extend(_encode_tags(read))
     return "\t".join(columns)

@@ -24,6 +24,17 @@ _DECODE = BASES + "N"
 _ENCODE = {base: code for code, base in enumerate(_DECODE)}
 _ENCODE["N"] = N_CODE
 
+#: Byte -> base code, either case; :data:`_NOT_A_CODE` marks every byte
+#: that is no base.
+_NOT_A_CODE = 0xFF
+_ENCODE_TABLE = np.full(256, _NOT_A_CODE, dtype=np.uint8)
+for _base, _code in _ENCODE.items():
+    _ENCODE_TABLE[[ord(_base), ord(_base.lower())]] = _code
+
+#: Base code -> its character's byte; 0 marks every byte that is no code.
+_DECODE_TABLE = np.zeros(256, dtype=np.uint8)
+_DECODE_TABLE[:len(_DECODE)] = np.frombuffer(_DECODE.encode("ascii"), np.uint8)
+
 #: Complement lookup: A<->T, C<->G, N->N.
 _COMPLEMENT_CODE = np.array([3, 2, 1, 0, 4], dtype=np.uint8)
 
@@ -48,20 +59,31 @@ def decode_base(code: int) -> str:
 
 
 def encode_sequence(seq: str) -> np.ndarray:
-    """Encode a base-pair string into a ``uint8`` numpy array.
+    """Encode a base-pair string into a ``uint8`` numpy array, one table
+    lookup over its bytes; the first character that is no base is
+    refused as :func:`encode_base` refuses it.
 
     >>> encode_sequence("ACGTN").tolist()
     [0, 1, 2, 3, 4]
     """
-    out = np.empty(len(seq), dtype=np.uint8)
-    for i, base in enumerate(seq):
-        out[i] = encode_base(base)
-    return out
+    # one byte per character: anything outside ASCII becomes "?", no base
+    raw = np.frombuffer(seq.encode("ascii", errors="replace"), np.uint8)
+    codes = _ENCODE_TABLE[raw]
+    bad = codes == _NOT_A_CODE
+    if bad.any():  # refused in encode_base's words
+        encode_base(seq[int(bad.argmax())])
+    return codes
 
 
 def decode_sequence(codes) -> str:
-    """Decode an iterable of base codes into a base-pair string."""
-    return "".join(decode_base(int(code)) for code in codes)
+    """Decode a sequence of base codes into a base-pair string, one table
+    lookup; the first code that is no base is refused as
+    :func:`decode_base` refuses it."""
+    codes = np.asarray(codes)
+    bad = (codes < 0) | (codes > N_CODE)
+    if bad.any():  # refused in decode_base's words
+        decode_base(int(codes[bad.argmax()]))
+    return _DECODE_TABLE[codes.astype(np.uint8)].tobytes().decode("ascii")
 
 
 def complement(codes: np.ndarray) -> np.ndarray:

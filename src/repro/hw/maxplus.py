@@ -180,35 +180,49 @@ class Solution:
 #: The hooks a plan must describe.
 _HOOKS = ("plan", "tick", "is_idle")
 
-#: Class -> ``(its hooks as resolved, whether they are planned)``.  The
-#: verdict depends on the class alone; the resolved hooks are held to
-#: see a class patched since it was judged.
+#: Class -> ``(its MRO, where its hooks resolve, whether they are
+#: planned)``.  The verdict depends on which class of the MRO owns each
+#: hook, and on nothing else.  Where a hook resolves is held as
+#: ``(name, namespace, defines)`` for the owner's namespace (which
+#: defines it) and each one passed over to find it (which does not): the
+#: class is judged again once its MRO changes or one of those flips —
+#: whichever class of the MRO a patch went to.
 _PLANNED: Dict[type, tuple] = {}
 
 
-def _class_planned(cls: type) -> bool:
-    owners = {}
-    for owner in cls.__mro__:
-        for name in _HOOKS:
-            if name not in owners and name in owner.__dict__:
+def _judge(cls: type) -> tuple:
+    """``cls``'s entry of :data:`_PLANNED`."""
+    owners, where = {}, []
+    for name in _HOOKS:
+        for owner in cls.__mro__:
+            defines = name in owner.__dict__
+            where.append((name, owner.__dict__, defines))
+            if defines:
                 owners[name] = owner
+                break
     plan = owners.get("plan")
-    return plan is not None and all(
+    verdict = plan is not None and all(
         issubclass(plan, owners[name]) for name in _HOOKS
     )
+    return cls.__mro__, tuple(where), verdict
 
 
 def planned(module) -> bool:
     """True when ``module``'s :meth:`plan` describes the ``tick`` it
     actually runs: the class defining ``plan`` is (a subclass of) the one
     defining ``tick`` and ``is_idle``, and no instance overrides any of
-    them.  The class's verdict is judged once per class."""
+    them.  The class's verdict is judged once per class, and again when
+    a patch moves one of its hooks to another class."""
     cls = type(module)
-    hooks = (getattr(cls, "plan", None), cls.tick, cls.is_idle)
     known = _PLANNED.get(cls)
-    if known is None or known[0] != hooks:
-        known = _PLANNED[cls] = (hooks, _class_planned(cls))
-    return known[1] and vars(module).keys().isdisjoint(_HOOKS)
+    if known is None or known[0] is not cls.__mro__:
+        known = _PLANNED[cls] = _judge(cls)
+    else:
+        for name, namespace, defines in known[1]:
+            if (name in namespace) is not defines:  # the hook moved
+                known = _PLANNED[cls] = _judge(cls)
+                break
+    return known[2] and vars(module).keys().isdisjoint(_HOOKS)
 
 
 def _topological(engine) -> Optional[list]:

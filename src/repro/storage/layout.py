@@ -21,10 +21,12 @@ modelled equivalent for the Genesis READS table:
   dtypes, same row order), which the chunk round-trip differential tests
   enforce.
 
-The byte sizes reported here feed the in-SSD scan timing model in
-:mod:`repro.storage.filter` — the filter reads *encoded* bytes off NAND at
-internal bandwidth, which is what makes scanning cheap relative to shipping
-raw rows over PCIe.
+The format's byte rule (:func:`column_nbytes`) feeds the in-SSD scan timing
+model in :mod:`repro.storage.filter` — the filter reads *encoded* bytes off
+NAND at internal bandwidth, which is what makes scanning cheap relative to
+shipping raw rows over PCIe.  The filter prices a chunk by that rule from
+its distinct values without encoding it; the encoder here is the format's
+definition and the round-trip oracle.
 """
 
 from __future__ import annotations
@@ -44,6 +46,24 @@ CHUNK_HEADER_BYTES = 32
 
 #: Per-column header bytes (value count, code width, dictionary length).
 COLUMN_HEADER_BYTES = 8
+
+
+def code_width(distinct: int) -> int:
+    """Bits per code in a column of ``distinct`` dictionary values (a
+    column of one value, or none, stores no codes)."""
+    return (distinct - 1).bit_length() if distinct > 1 else 0
+
+
+def column_nbytes(distinct: int, count: int, itemsize: int) -> int:
+    """The format's byte rule for one dictionary-encoded value stream:
+    its header, ``distinct`` dictionary entries of ``itemsize`` bytes and
+    ``count`` bit-packed codes.  :func:`encode_partition` builds exactly
+    this many bytes, and the storage filter prices a chunk by it without
+    building them."""
+    return (
+        COLUMN_HEADER_BYTES + distinct * itemsize
+        + (count * code_width(distinct) + 7) // 8
+    )
 
 
 def _pack_codes(codes: np.ndarray, width: int) -> np.ndarray:
@@ -82,8 +102,8 @@ class EncodedColumn:
 
     @property
     def nbytes(self) -> int:
-        total = (
-            COLUMN_HEADER_BYTES + self.dictionary.nbytes + self.packed.nbytes
+        total = column_nbytes(
+            len(self.dictionary), self.count, self.dictionary.itemsize
         )
         if self.lengths is not None:
             total += self.lengths.nbytes
@@ -92,10 +112,7 @@ class EncodedColumn:
 
 def _encode_values(values: np.ndarray) -> EncodedColumn:
     dictionary, codes = np.unique(values, return_inverse=True)
-    if len(dictionary) <= 1:
-        width = 0
-    else:
-        width = int(np.ceil(np.log2(len(dictionary))))
+    width = code_width(len(dictionary))
     packed = _pack_codes(codes.reshape(-1), width)
     return EncodedColumn(
         dictionary=dictionary, packed=packed, count=len(values), width=width

@@ -15,7 +15,7 @@ For BQSR the reads are additionally partitioned by read group
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -124,6 +124,12 @@ class PartitionedReference:
 
     def __contains__(self, pid: PartitionId) -> bool:
         return (pid.chrom, pid.segment) in self._partitions
+
+    def only(self, pids: Iterable[PartitionId]) -> "PartitionedReference":
+        """The same reference cut to the rows serving ``pids``."""
+        return PartitionedReference(self.psize, self.overlap, {
+            (pid.chrom, pid.segment): self.lookup(pid) for pid in pids
+        })
 
     def __len__(self) -> int:
         return len(self._partitions)

@@ -565,6 +565,29 @@ def test_a_class_patched_after_it_was_judged_is_judged_again(monkeypatch):
     assert engine.run(mode="maxplus").mode == "dense"
 
 
+def test_a_hook_moved_to_a_judged_subclass_is_judged_again(monkeypatch):
+    """The same function object, moved from the base to the subclass:
+    the resolved ``tick`` is unchanged, but its owner now is the class
+    below the plan's, so the verdict flips — and flips back when the
+    patch is undone."""
+    class Sub(ListSink):
+        pass
+
+    engine, sink = _chain(Sub("sink"))
+    assert maxplus.planned(sink)
+    assert engine.run(mode="maxplus").mode == "maxplus"
+    with monkeypatch.context() as patch:
+        patch.setattr(Sub, "tick", ListSink.tick, raising=False)
+        assert Sub.tick is ListSink.tick
+        engine, sink = _chain(Sub("sink"))
+        assert not maxplus.planned(sink)
+        assert engine.run(mode="maxplus").mode == "dense"
+    assert "tick" not in vars(Sub)
+    engine, sink = _chain(Sub("sink"))
+    assert maxplus.planned(sink)
+    assert engine.run(mode="maxplus").mode == "maxplus"
+
+
 class _RoomySink(ListSink):
     """A sink whose plan also waits for room on an ``out`` port."""
 

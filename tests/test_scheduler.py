@@ -571,3 +571,47 @@ def test_kept_pool_worker_follows_the_parents_engine_mode(
             got = pooled[index].results[pid].run
             assert got.load_stats.mode == "dense"
             assert_same_modelled(got.load_stats, result.run.load_stats)
+
+
+def test_a_pool_task_carries_its_waves_reference_rows(
+    sched_workload, monkeypatch
+):
+    """A worker unpickles a driver whose reference holds exactly its
+    wave's REF rows, not the whole genome's — and solves the wave as
+    inline execution does."""
+    scheduler.drop_kept_pool()
+    execute = scheduler.execute_wave
+
+    def spy(driver, index, wave, held):
+        outcome = execute(driver, index, wave, held)
+        outcome.shipped_rows = len(driver.reference)
+        outcome.shipped_all = all(pid in driver.reference for pid, _ in wave)
+        return outcome
+
+    monkeypatch.setattr(scheduler, "execute_wave", spy)
+    driver = MetadataWaveDriver(reference=sched_workload.reference)
+    _empty, waves = pack_waves(sched_workload.partitions, 2)
+    assert len(waves) >= 2
+    inline = {
+        task.index: outcome for task, _worker, outcome in run_waves(
+            [WaveTask(i, driver, wave, SpmImageCache())
+             for i, wave in enumerate(waves)], 1,
+        )
+    }
+    pooled = list(run_waves(
+        [WaveTask(i, driver, wave, SpmImageCache())
+         for i, wave in enumerate(waves)], 2,
+    ))
+    assert len(pooled) == len(waves)
+    assert all(worker.startswith("w") for _task, worker, _o in pooled)
+    assert len(sched_workload.reference) > max(len(wave) for wave in waves)
+    for task, _worker, outcome in pooled:
+        assert outcome.worker_pid != os.getpid()
+        assert outcome.shipped_rows == len({
+            (pid.chrom, pid.segment) for pid, _part in task.items
+        })
+        assert outcome.shipped_all
+        want = inline[task.index]
+        assert_same_modelled(outcome.stats, want.stats)
+        assert outcome.load_cycles == want.load_cycles
+        assert_stage_identical("metadata", outcome.results, want.results)

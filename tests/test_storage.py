@@ -15,9 +15,12 @@ Three headline invariants from DESIGN.md §3.10:
 
 import json
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hw_harness import assert_stage_identical
 from repro.accel import MetadataWaveDriver
@@ -29,7 +32,9 @@ from repro.obs.analyze import storage_report_from_ledger, storage_what_if
 from repro.obs.ledger import RunLedger, RunManifest, run_context
 from repro.runtime.device import MODEL_ROW_BYTES, DevicePool
 from repro.storage import (
+    CHUNK_SETUP_SECONDS,
     DESCRIPTOR_BYTES,
+    INTERNAL_BANDWIDTH,
     chunk_store_from_partitions,
     decode_chunk,
     decode_store,
@@ -37,6 +42,10 @@ from repro.storage import (
     exact_match_mask,
     plan_storage_filter,
 )
+from repro.storage import filter as filter_module
+from repro.tables.genomic_tables import READS_SCHEMA
+from repro.tables.partition import PartitionedReference, PartitionId
+from repro.tables.table import Table
 from test_lattice import Config, check_direct, fault
 
 DEVICE_GRID = [
@@ -102,14 +111,115 @@ def test_store_roundtrip_and_compression(workload):
 
 
 def test_empty_partition_roundtrip(workload):
-    from repro.tables.genomic_tables import READS_SCHEMA
-    from repro.tables.table import Table
-
     pid, _part = next(iter(workload.partitions))
     chunk = encode_partition(pid, Table.empty(READS_SCHEMA))
     decoded = decode_chunk(chunk)
     assert decoded.num_rows == 0
     assert chunk.encoded_nbytes > 0  # headers still charged
+
+
+# -- the plan prices chunks by the encoder's byte rule ------------------------------
+
+#: Value spans a drawn column takes its values from: 1 is a column of one
+#: distinct value (codes 0 bits wide), the widest give more than 256.
+SPANS = st.sampled_from((1, 2, 5, 300, 1 << 20))
+
+
+@st.composite
+def reads_partitions(draw):
+    """READS partitions, most over a REF row of their own: empty ones,
+    one-row ones, columns of one distinct value and of more than 256,
+    empty SEQ/QUAL arrays, and reads copied from the reference (which
+    prune)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts, ref_rows = [], {}
+    for segment in range(draw(st.integers(1, 4))):
+        ref_start = 1000 * (segment + 1)
+        ref_seq = rng.integers(0, 4, 400, dtype=np.uint8)
+        if draw(st.booleans()):
+            ref_rows[(20, segment)] = {
+                "CHR": 20, "REFPOS": ref_start, "SEQ": ref_seq,
+                "IS_SNP": np.zeros(400, dtype=bool),
+            }
+        rows = draw(st.sampled_from((0, 1, 2, 9, 300)))
+        longest = draw(st.sampled_from((0, 1, 12, 40)))
+        lengths = rng.integers(0, longest + 1, rows)
+        copied = (lengths > 0) & (
+            rng.random(rows) < draw(st.sampled_from((0.0, 0.5, 1.0)))
+        )
+
+        def scalar(dtype):
+            return rng.integers(0, draw(SPANS), rows).astype(dtype)
+
+        def arrays(dtype, span):
+            return [rng.integers(0, span, n).astype(dtype) for n in lengths]
+
+        pos = (ref_start + rng.integers(-20, 400, rows)).astype(np.uint32)
+        seqs = arrays(np.uint8, draw(st.sampled_from((1, 4, 5))))
+        # valid CIGAR codes (the oracle decodes them): length >= 1, op MIDS
+        span = min(draw(SPANS), (1 << 14) - 1)
+        cigars = [
+            (rng.integers(1, span + 1, n) << 2
+             | rng.integers(0, 4 if span > 1 else 1, n)).astype(np.uint16)
+            for n in lengths
+        ]
+        for row in np.flatnonzero(copied):
+            start = int(rng.integers(0, 400 - lengths[row] + 1))
+            pos[row] = ref_start + start
+            seqs[row] = ref_seq[start:start + lengths[row]].copy()
+            cigars[row] = np.array([lengths[row] << 2], dtype=np.uint16)
+        part = Table.from_columns(
+            READS_SCHEMA, ROWID=scalar(np.int64), CHR=scalar(np.uint8),
+            POS=pos, ENDPOS=scalar(np.uint32), CIGAR=cigars, SEQ=seqs,
+            QUAL=arrays(np.uint8, draw(st.sampled_from((1, 40, 256)))),
+            FLAGS=scalar(np.uint32), RG=scalar(np.uint8),
+        ) if rows else Table.empty(READS_SCHEMA)
+        parts.append((PartitionId(20, segment), part))
+    reference = PartitionedReference(1000, 0, ref_rows)
+    return parts, reference
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=reads_partitions())
+def test_plan_prices_chunks_as_the_encoder_builds_them(drawn):
+    """Per chunk, payload and encoded bytes are the encoder's; so are the
+    plan's compression ratio and every field of its ``storage.plan``
+    event — and its pruning is the pure-Python oracle's."""
+    parts, reference = drawn
+    with mock.patch.object(filter_module, "record_event") as record:
+        plan = plan_storage_filter(parts, reference)
+    store = chunk_store_from_partitions(parts)
+    for pid, part in parts:
+        chunk, verdict = encode_partition(pid, part), plan.verdicts[pid]
+        assert verdict.payload_nbytes == chunk.payload_nbytes
+        assert verdict.encoded_nbytes == chunk.encoded_nbytes
+        assert verdict.scan_seconds == (
+            CHUNK_SETUP_SECONDS + chunk.encoded_nbytes / INTERNAL_BANDWIDTH
+        )
+        ref_row = reference.lookup(pid) if pid in reference else None
+        mask = exact_match_mask(part, ref_row)
+        assert mask.tolist() == _oracle_mask(part, ref_row)
+        assert verdict.pruned_rows == int(mask.sum())
+    assert plan.compression_ratio == store.compression_ratio()
+    (_event,), fields = record.call_args
+    rows = sum(part.num_rows for _pid, part in parts)
+    pruned = plan.pruned_rows
+    assert fields == dict(
+        chunks=len(parts), rows=rows, pruned_rows=pruned,
+        filtered_fraction=pruned / rows if rows else 0.0,
+        raw_nbytes=rows * MODEL_ROW_BYTES,
+        survivor_nbytes=(rows - pruned) * MODEL_ROW_BYTES
+        + pruned * DESCRIPTOR_BYTES,
+        saved_nbytes=pruned * (MODEL_ROW_BYTES - DESCRIPTOR_BYTES),
+        encoded_nbytes=store.encoded_nbytes,
+        payload_nbytes=store.payload_nbytes,
+        compression_ratio=store.compression_ratio(),
+        scan_seconds=sum(
+            CHUNK_SETUP_SECONDS + chunk.encoded_nbytes / INTERNAL_BANDWIDTH
+            for chunk in store.chunks.values()
+        ),
+        internal_bandwidth=INTERNAL_BANDWIDTH,
+    )
 
 
 # -- pruning engine vs a pure-Python oracle -----------------------------------------
