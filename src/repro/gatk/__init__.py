@@ -1,10 +1,12 @@
 """GATK4-style software baselines for the preprocessing stages.
 
-Faithful pure-Python implementations of the three GATK4 data-preprocessing
-stages the paper accelerates (Section IV): mark duplicates, metadata update
+Faithful implementations of the three GATK4 data-preprocessing stages the
+paper accelerates (Section IV): mark duplicates, metadata update
 (SetNmMdAndUqTags), and base quality score recalibration.  These are the
 functional ground truth the Genesis accelerators are validated against, and
-also the host-side remainders of each accelerated stage.
+also the host-side remainders of each accelerated stage.  The per-base
+stages are numpy array passes; they import nothing from the ``sql``,
+``hw`` or ``accel`` code they check.
 """
 
 from .bqsr import (

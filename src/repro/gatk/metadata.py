@@ -14,13 +14,19 @@ Section IV-C: for each read, compute
   for the likelihood the read is erroneous.
 
 This module is the ground truth the Figure 11 accelerator is checked
-against (bit-identical NM/MD/UQ on every read).
+against (bit-identical NM/MD/UQ on every read).  It works one CIGAR
+element at a time: an M element is one slice comparison against the
+reference, and only its mismatches and the deleted bases reach the
+:class:`MdBuilder`.  The per-base walk it came from is the test suite's
+reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Sequence
+
+import numpy as np
 
 from ..genomics.cigar import Cigar
 from ..genomics.read import AlignedRead
@@ -48,9 +54,9 @@ class MdBuilder:
         self._match_run = 0
         self._in_deletion = False
 
-    def match(self) -> None:
-        """One matching M base."""
-        self._match_run += 1
+    def match(self, count: int = 1) -> None:
+        """``count`` matching M bases (one by default)."""
+        self._match_run += count
         self._in_deletion = False
 
     def mismatch(self, ref_base: int) -> None:
@@ -103,22 +109,47 @@ def _metadata_from_arrays(
     nm = 0
     uq = 0
     md = MdBuilder()
-    for op, ref_pos, read_index in cigar.walk(pos):
+    read_index, ref_index = 0, pos - ref_offset
+    for element in cigar.elements:
+        op, length = element.op, element.length
         if op == "M":
-            ref_base = int(ref[ref_pos - ref_offset])
-            read_base = int(seq[read_index])
-            if read_base == ref_base:
-                md.match()
-            else:
-                md.mismatch(ref_base)
-                nm += 1
-                uq += int(qual[read_index])
-        elif op == "I":
-            nm += 1
+            ref_bases = _covered(ref, ref_index, length)
+            mismatches = np.nonzero(
+                seq[read_index:read_index + length] != ref_bases
+            )[0]
+            last = 0
+            if len(mismatches):
+                for offset in mismatches.tolist():
+                    md.match(offset - last)
+                    md.mismatch(ref_bases[offset])
+                    last = offset + 1
+                nm += len(mismatches)
+                uq += int(qual[read_index + mismatches].sum(dtype=np.int64))
+            md.match(length - last)
+            read_index += length
+            ref_index += length
         elif op == "D":
-            md.deletion(int(ref[ref_pos - ref_offset]))
-            nm += 1
+            for ref_base in _covered(ref, ref_index, length).tolist():
+                md.deletion(ref_base)
+            nm += length
+            ref_index += length
+        elif op == "I":
+            nm += length
+            read_index += length
+        else:  # S: read bases that are not aligned
+            read_index += length
     return ReadMetadata(nm=nm, md=md.finish(), uq=uq)
+
+
+def _covered(ref, start: int, length: int):
+    """``ref[start:start + length]``, refused (``IndexError``) where the
+    reference does not hold every one of those positions."""
+    if start < 0 or start + length > len(ref):
+        raise IndexError(
+            f"reference positions {start}..{start + length - 1} lie outside "
+            f"the {len(ref)} held"
+        )
+    return np.asarray(ref[start:start + length])
 
 
 def update_metadata(
