@@ -131,7 +131,6 @@ def test_metrics_disabled_zero_overhead(benchmark, report):
     recorded beside the solve's."""
     from repro.accel.common import SOLO
     from repro.accel.markdup import MarkdupWaveDriver, qual_table
-    from repro.accel.scheduler import SpmImageCache
     from repro.obs import Profiler
 
     wave = [(SOLO, qual_table([read.qual for read in _workload().reads]))]
@@ -139,9 +138,7 @@ def test_metrics_disabled_zero_overhead(benchmark, report):
     def time_once():
         gc.collect()  # no sample pays for a predecessor's garbage
         start = time.perf_counter()
-        _results, stats, _load_cycles = MarkdupWaveDriver().run_wave(
-            wave, SpmImageCache()
-        )
+        _results, stats, _load_cycles = MarkdupWaveDriver().run_wave(wave)
         wall = time.perf_counter() - start
         return wall, stats.cycles
 
@@ -164,7 +161,7 @@ def test_metrics_disabled_zero_overhead(benchmark, report):
         gc.collect()
         profiler = Profiler(name="overhead")
         _results, stats, _load_cycles = MarkdupWaveDriver().run_wave(
-            wave, SpmImageCache(), probe=profiler
+            wave, probe=profiler
         )
         start = time.perf_counter()
         profile = profiler.report()

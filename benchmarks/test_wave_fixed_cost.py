@@ -21,7 +21,6 @@ import time
 from typing import Dict
 
 from repro.accel import BqsrWaveDriver, MarkdupWaveDriver, MetadataWaveDriver
-from repro.accel.scheduler import SpmImageCache
 from repro.eval.workloads import make_workload
 
 #: The stages the probe times, and the wave widths (replicas per wave).
@@ -58,14 +57,13 @@ def fixed_costs(repeats: int = REPEATS) -> Dict[str, float]:
     for driver_cls in DRIVERS:
         for width in WIDTHS:
             driver, wave = one_read_waves(workload, driver_cls, width)
-            cache = SpmImageCache()
             for _ in range(WARMUP):
-                driver.run_wave(wave, cache)
+                driver.run_wave(wave)
             samples = []
             for _ in range(repeats):
                 gc.collect()
                 start = time.perf_counter()
-                driver.run_wave(wave, cache)
+                driver.run_wave(wave)
                 samples.append(time.perf_counter() - start)
             costs[f"{driver_cls.stage}_x{width}"] = min(samples) * 1e3
     return costs

@@ -37,9 +37,10 @@ are executed:
   modelled card has loaded, keyed by ``(partition, memory config, snp
   flag)``: repeated accelerator stages over the same partitions (and
   BQSR read-group slices of one segment) hit it, and their load cycles
-  count as saved.  Only keys cross to a worker and only tallies come
-  back; the load itself is filled from the row and its statistics
-  replayed by shape from the worker's own phase memo;
+  count as saved.  A solve never sees the cache: a wave's loads are
+  filled from the rows and their statistics replayed by shape from the
+  solving process's own phase memo, and they are tallied against a
+  card's cache where the wave is placed;
 * **fault tolerance** — with a
   :class:`~repro.faults.injector.FaultInjector` the executor survives
   injected and real failures alike: retry with backoff under one
@@ -131,10 +132,11 @@ class SpmImageCache:
     config)``.  The length and digest keep two references that share a
     ``(chrom, refpos)`` — different genomes, or one genome at another
     ``psize``/``overlap`` — apart in a shared cache.  The cache keeps
-    keys, not images: every load fills a fresh :class:`Scratchpad` from
-    the row (replicas never share the physical SPM) and replays its
-    statistics by shape from the process's phase memo, and the cache
-    tallies it as a hit (its cycles saved) or a miss.
+    keys, not images, and a solve never sees it: every load fills a
+    fresh :class:`Scratchpad` from the row (replicas never share the
+    physical SPM) and replays its statistics by shape from the process's
+    phase memo, and where the solved wave is placed its loads are
+    tallied here (:meth:`tally`) as hits (their cycles saved) or misses.
     """
 
     def __init__(self) -> None:
@@ -142,8 +144,6 @@ class SpmImageCache:
         self.hits = 0
         self.misses = 0
         self.cycles_saved = 0
-        #: Each load's cycles, in order (:attr:`WaveOutcome.item_load_cycles`).
-        self.load_cycles: List[int] = []
 
     @staticmethod
     def key(
@@ -167,34 +167,31 @@ class SpmImageCache:
             memory_config or MemoryConfig(),
         )
 
-    def load(
+    def tally(
         self,
-        ref_row: dict,
-        memory_config: Optional[MemoryConfig] = None,
-        with_snp: bool = False,
-    ) -> Tuple[Scratchpad, RunStats]:
-        """:func:`load_reference_spm`, tallied against the keys held."""
-        spm, stats = load_reference_spm(ref_row, memory_config, with_snp)
-        self.tally(self.key(ref_row, memory_config, with_snp), stats.cycles)
-        return spm, stats
-
-    def tally(self, key: tuple, cycles: int) -> None:
-        """Count one load of ``key``: a hit (its ``cycles`` saved) or a miss."""
-        self.load_cycles.append(cycles)
-        if key in self._keys:
-            self.hits += 1
-            self.cycles_saved += cycles
-        else:
-            self.misses += 1
-            self._keys.add(key)
+        keys: Sequence[tuple],
+        load_cycles: Sequence[int],
+        held: Optional[FrozenSet[tuple]] = None,
+    ) -> None:
+        """Count one placed wave's loads — its ``keys`` with each load's
+        cycles (:attr:`WaveOutcome.load_cycles`), in item order.  A key
+        ``held`` holds (by default: every key held here) or an earlier
+        item of the wave loaded is a hit, its cycles saved; any other is
+        a miss.  The wave's keys are held here afterwards."""
+        held = self._keys if held is None else held
+        loaded: Set[tuple] = set()
+        for key, cycles in zip(keys, load_cycles):
+            if key in loaded or key in held:
+                self.hits += 1
+                self.cycles_saved += cycles
+            else:
+                self.misses += 1
+            loaded.add(key)
+        self._keys.update(loaded)
 
     def keys(self) -> FrozenSet[tuple]:
         """Every key held."""
         return frozenset(self._keys)
-
-    def keys_for(self, keys: Iterable[tuple]) -> FrozenSet[tuple]:
-        """The subset of ``keys`` held."""
-        return frozenset(self._keys.intersection(keys))
 
     def merge(self, keys: Iterable[tuple]) -> None:
         """Hold ``keys`` as well."""
@@ -209,27 +206,6 @@ class SpmImageCache:
         self.hits += other.hits
         self.misses += other.misses
         self.cycles_saved += other.cycles_saved
-
-    def replay_loads(self, keys: Sequence[tuple], outcome: "WaveOutcome") -> None:
-        """Tally a solved wave's loads here — its ``keys`` with the
-        outcome's :attr:`~WaveOutcome.item_load_cycles` — and restate the
-        outcome's hit/miss/cycles-saved tallies as this cache counts them:
-        where a replayed wave, or a direct wave placed on its card, is
-        counted."""
-        hits, misses, saved = self.hits, self.misses, self.cycles_saved
-        for key, cycles in zip(keys, outcome.item_load_cycles):
-            self.tally(key, cycles)
-        outcome.hits, outcome.misses = self.hits - hits, self.misses - misses
-        outcome.cycles_saved = self.cycles_saved - saved
-
-    def adopt(self, keys: Iterable[tuple], outcome: "WaveOutcome") -> None:
-        """Fold one executed wave back in: the ``keys`` it looked up
-        (:meth:`WaveDriver.wave_keys`) and its hit/miss/cycles-saved
-        tallies.  The parent-side half of :func:`execute_wave`."""
-        self.merge(keys)
-        self.hits += outcome.hits
-        self.misses += outcome.misses
-        self.cycles_saved += outcome.cycles_saved
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -266,10 +242,10 @@ class MemoKey(tuple):
 
 class WaveMemo:
     """The waves an owner has solved, replayed as fresh copies of the
-    recorded outcome with the replay's own host seconds and cache tallies
-    (DESIGN.md §3.2 "Wave memo").  Unbounded — one outcome per distinct
-    wave, whose results its owner (a ``JobService``) keeps anyway — and
-    never module-global.  It digests each partition object once, however
+    recorded outcome with the replay's own host seconds (DESIGN.md §3.2
+    "Wave memo").  Unbounded — one outcome per distinct wave, whose
+    results its owner (a ``JobService``) keeps anyway — and never
+    module-global.  It digests each partition object once, however
     often its waves are dispatched."""
 
     def __init__(self) -> None:
@@ -309,9 +285,6 @@ class WaveMemo:
         self.hits += 1
         started = time.perf_counter()
         outcome = pickle.loads(solved)
-        cache = SpmImageCache()
-        cache.merge(task.held())
-        cache.replay_loads(task.keys, outcome)
         outcome.worker_pid = os.getpid()
         outcome.elapsed_seconds = time.perf_counter() - started
         outcome.stats.wall_seconds = outcome.elapsed_seconds
@@ -416,7 +389,8 @@ class WaveDriver:
         return driver
 
     def wave_keys(self, wave: Sequence[WaveItem]) -> List[tuple]:
-        """The SPM-cache keys a wave will look up (for seeding workers)."""
+        """The SPM-cache keys of a wave's loads, in item order (what its
+        placement tallies)."""
         if not self.uses_reference:
             return []
         return [
@@ -427,11 +401,12 @@ class WaveDriver:
         ]
 
     def run_wave(
-        self, wave: Sequence[WaveItem], spm_cache: SpmImageCache, probe=None
-    ) -> Tuple[Dict[PartitionId, object], RunStats, int]:
+        self, wave: Sequence[WaveItem], probe=None
+    ) -> Tuple[Dict[PartitionId, object], RunStats, Tuple[int, ...]]:
         """Simulate one wave; returns per-partition results, the wave's
-        engine statistics, and the wave's SPM load cycles (the replicas
-        load concurrently, so the wave charges the slowest load).
+        engine statistics, and each item's SPM load cycles, in order (0
+        for a driver without a reference; the replicas load
+        concurrently, so the wave charges the slowest load).
 
         ``probe`` — e.g. a :class:`repro.obs.Profiler` — is attached to
         the engine before it runs, to report the run afterwards (not the
@@ -439,18 +414,18 @@ class WaveDriver:
         stage)."""
         engine = Engine(MemorySystem(self.memory_config))
         contexts = []
-        load_cycles = 0
+        load_cycles = []
         for index, (pid, part) in enumerate(wave):
             spm: Optional[Scratchpad] = None
             base = 0
             load_stats: Optional[RunStats] = None
             if self.uses_reference:
                 ref_row = self.reference_row(pid)
-                spm, load_stats = spm_cache.load(
+                spm, load_stats = load_reference_spm(
                     ref_row, self.memory_config, self.with_snp
                 )
-                load_cycles = max(load_cycles, load_stats.cycles)
                 base = spm_base(ref_row)
+            load_cycles.append(load_stats.cycles if load_stats else 0)
             name = self.solo if len(wave) == 1 else f"p{index}"
             context = self.build_replica(engine, name, part, spm, base)
             contexts.append((pid, context, spm, load_stats))
@@ -465,15 +440,13 @@ class WaveDriver:
         }
         if probe is None:  # a probe reads the engine after the wave
             engine.release()
-        return results, stats, load_cycles
+        return results, stats, tuple(load_cycles)
 
     def run_one(self, part: Table):
-        """One replica through :meth:`run_wave` on a private SPM cache —
-        the whole of every serial runner (whose driver's reference, if
-        it uses one, is a :func:`~repro.accel.common.solo_reference`)."""
-        results, _stats, _load_cycles = self.run_wave(
-            [(SOLO, part)], SpmImageCache()
-        )
+        """One replica through :meth:`run_wave` — the whole of every
+        serial runner (whose driver's reference, if it uses one, is a
+        :func:`~repro.accel.common.solo_reference`)."""
+        results, _stats, _load_cycles = self.run_wave([(SOLO, part)])
         return results[SOLO]
 
 
@@ -585,12 +558,10 @@ class ParallelRunStats(RunRates):
     device: Optional[int] = None
 
     def book(self, worker: str, outcome: "WaveOutcome") -> None:
-        """Tally one wave's clean execution on ``worker``."""
+        """Tally one wave's clean execution on ``worker`` (its SPM-cache
+        tallies are the card cache's, taken when the run is merged)."""
         stats = outcome.stats
-        self.spm_load_cycles += outcome.load_cycles
-        self.spm_cache_hits += outcome.hits
-        self.spm_cache_misses += outcome.misses
-        self.spm_cycles_saved += outcome.cycles_saved
+        self.spm_load_cycles += outcome.wave_load_cycles
         self.wall_seconds += stats.wall_seconds
         self.ticks_executed += stats.ticks_executed
         self.ticks_possible += stats.ticks_possible
@@ -647,41 +618,36 @@ def pack_waves(
 
 @dataclass
 class WaveOutcome:
-    """What executing one wave produced: the per-partition results, the
-    wave's engine statistics and SPM load cycles (the modelled half),
-    and the cache hit/miss tallies and host timing of the attempt (the
-    host half).  Picklable — it is what a pool worker ships back."""
+    """What solving one wave produced: the per-partition results, the
+    wave's engine statistics and each item's SPM load cycles (the
+    modelled half), and the host timing of the attempt (the host half).
+    Picklable — it is what a pool worker ships back."""
 
     results: Dict[PartitionId, object]
     stats: RunStats
-    load_cycles: int
-    hits: int
-    misses: int
-    cycles_saved: int
+    #: Each item's SPM load cycles, in order — what the placement tallies
+    #: (:meth:`SpmImageCache.tally`).
+    load_cycles: Tuple[int, ...]
     worker_pid: int
     elapsed_seconds: float
-    #: Each item's SPM load cycles, in order — what a replay tallies.
-    item_load_cycles: Tuple[int, ...] = ()
+
+    @property
+    def wave_load_cycles(self) -> int:
+        """The wave's SPM load cycles: its replicas load concurrently,
+        so the slowest load."""
+        return max(self.load_cycles, default=0)
 
 
 def execute_wave(
-    driver: WaveDriver,
-    index: int,
-    wave: Sequence[WaveItem],
-    held: FrozenSet[tuple],
+    driver: WaveDriver, index: int, wave: Sequence[WaveItem]
 ) -> WaveOutcome:
-    """Execute one wave — the primitive under every run loop (inline,
-    pooled, served; module-level so it pickles).
-
-    The wave runs against a private cache holding the keys the caller
-    already holds for it (``cache.keys_for(driver.wave_keys(wave))``)
-    and reports its hit/miss tallies back for
-    :meth:`SpmImageCache.adopt`, so cache traffic is the same whether
-    the wave ran in the parent or in a worker."""
-    cache = SpmImageCache()
-    cache.merge(held)
+    """Solve one wave — the primitive under every run loop (inline,
+    pooled, served; module-level so it pickles).  A pure function of
+    the driver, the items and the ambient engine mode: it takes nothing
+    from its caller's cache, so where it ran and who asked move nothing
+    it returns but host timing."""
     started = time.perf_counter()
-    results, stats, load_cycles = driver.run_wave(wave, cache)
+    results, stats, load_cycles = driver.run_wave(wave)
     elapsed = time.perf_counter() - started
     _log.debug(
         "wave %d done: %d replicas, %d cycles, %.3fs",
@@ -690,10 +656,7 @@ def execute_wave(
     )
     return WaveOutcome(
         results=results, stats=stats, load_cycles=load_cycles,
-        hits=cache.hits, misses=cache.misses,
-        cycles_saved=cache.cycles_saved,
         worker_pid=os.getpid(), elapsed_seconds=elapsed,
-        item_load_cycles=tuple(cache.load_cycles),
     )
 
 
@@ -768,7 +731,7 @@ def drop_kept_pool() -> None:
 
 
 def _pool_task(
-    driver, index, wave, held, mode, fault_kind, hang_seconds, attempt,
+    driver, index, wave, mode, fault_kind, hang_seconds, attempt,
 ):
     """Worker-side wave attempt: enact the parent's injection decision
     for this attempt (decided deterministically before submission), else
@@ -781,8 +744,8 @@ def _pool_task(
 
     A worker takes nothing from the moment it was forked: the task is
     the wave, its driver with the wave's REF rows only
-    (:meth:`WaveDriver.shipped`), the cache keys ``held`` for it and the
-    parent's ambient engine ``mode`` as of this attempt.
+    (:meth:`WaveDriver.shipped`) and the parent's ambient engine
+    ``mode`` as of this attempt — no SPM-cache state.
     """
     if fault_kind is not None:
         if fault_kind == "wave_timeout" and hang_seconds > 0:
@@ -791,7 +754,7 @@ def _pool_task(
             os._exit(1)  # a genuine process death, not an exception
         raise FAULT_EXCEPTIONS[fault_kind](WAVE_FAULT_SITE, index, attempt)
     Engine.default_mode = mode
-    return execute_wave(driver, index, wave, held)
+    return execute_wave(driver, index, wave)
 
 
 @dataclass
@@ -803,22 +766,16 @@ class WaveTask:
     index: int
     driver: WaveDriver
     items: Sequence[WaveItem]
-    #: Every attempt starts from the keys this cache holds for the wave
-    #: when the attempt starts; adopting the outcome is the caller's.
-    cache: SpmImageCache
     #: Where the wave's faults, retries and fallbacks are tallied.
     stats: ParallelRunStats = field(default_factory=ParallelRunStats)
-    #: Extra fields of its ``fault.*`` events (``device`` on a served
-    #: wave; a direct wave has no card until it is solved).
-    labels: Dict[str, object] = field(default_factory=dict)
     #: The failed attempts its ladder retried, in attempt order; the
     #: caller records them with the wave's outcome.
     retried: List[FailedAttempt] = field(default_factory=list)
     #: Its owner's memo; ``None`` (a direct run, whose waves never
     #: repeat) replays and records nothing.
     memo: Optional[WaveMemo] = None
-    #: Computed once: the SPM-cache keys the wave looks up, and — when a
-    #: memo is attached — its memo key (:meth:`WaveMemo.key`).
+    #: Computed once: the SPM-cache keys the wave's placement tallies,
+    #: and — when a memo is attached — its memo key (:meth:`WaveMemo.key`).
     keys: List[tuple] = field(init=False)
     memo_key: Optional[MemoKey] = field(init=False, default=None)
 
@@ -826,10 +783,6 @@ class WaveTask:
         self.keys = self.driver.wave_keys(self.items)
         if self.memo is not None:
             self.memo_key = self.memo.key(self.driver, self.keys, self.items)
-
-    def held(self) -> FrozenSet[tuple]:
-        """The wave's keys its cache already holds."""
-        return self.cache.keys_for(self.keys)
 
     def replay(self) -> Optional["WaveOutcome"]:
         """The wave as its memo recorded it, or ``None``."""
@@ -871,12 +824,11 @@ def run_waves(
     (:func:`release_pool`): the pool outlives the run, kept for the
     next one, only if it is unbroken and every future submitted to it
     was collected — a broken pool, one a watchdog gave up a future on
-    and one closed over futures in flight are shut down.  Folding an
-    outcome back (:meth:`SpmImageCache.adopt`, results, accounting, the
-    task's ``retried`` attempts) is the caller's, between two yields —
-    so a caller that adopts as it goes seeds each inline wave with what
-    the previous one loaded, and one that adopts after the last yield
-    seeds them all from the cache as it stood.  Every decision that
+    and one closed over futures in flight are shut down.  Placing an
+    outcome (its SPM-cache tallies, results, accounting, the task's
+    ``retried`` attempts) is the caller's; a solve takes nothing from
+    the caller, so an outcome is the same whether the caller places it
+    between two yields or after the last.  Every decision that
     reaches the ledger (fault injection, retry, backoff, exhaustion) is
     taken in the parent, keyed by ``(index, attempt)``, so it is
     identical for every pool size.
@@ -932,9 +884,8 @@ def run_waves(
         decision is taken here, in the parent."""
         return RetryLadder(
             injector, policy, WAVE_FAULT_SITE, task.index, start_attempt,
-            subject=f"wave {task.index}", context=dict(
-                stage=task.driver.stage, worker=worker, **task.labels
-            ),
+            subject=f"wave {task.index}",
+            context=dict(stage=task.driver.stage, worker=worker),
         )
 
     def run_wave_serial(task, start_attempt=0, worker="w0"):
@@ -947,7 +898,7 @@ def run_waves(
             return task, worker, error
         outcome = task.replay()
         if outcome is None:
-            outcome = execute_wave(task.driver, task.index, task.items, task.held())
+            outcome = execute_wave(task.driver, task.index, task.items)
             task.record(outcome)
         return task, worker, outcome
 
@@ -991,8 +942,7 @@ def run_waves(
                 hang = min(wave_timeout * 2, wave_timeout + 1.0)
         future = pool.executor.submit(
             _pool_task, task.driver.shipped(task.items), task.index,
-            task.items, task.held(), Engine.default_mode, fault_kind, hang,
-            attempt,
+            task.items, Engine.default_mode, fault_kind, hang, attempt,
         )
         deadline = (
             time.monotonic() + wave_timeout
@@ -1093,7 +1043,6 @@ def run_waves(
                             "fault.serial_fallback",
                             stage=task.driver.stage, wave=task.index,
                             attempt=attempt, reason="pool kept dying",
-                            **task.labels,
                         )
                         serial_waves.append((task, attempt))
                     break
@@ -1112,7 +1061,6 @@ def run_waves(
                             stage=task.driver.stage, wave=task.index,
                             attempt=attempt,
                             timeout_seconds=wave_timeout,
-                            **task.labels,
                         )
                         requeue(task, attempt, "wave_timeout")
     finally:

@@ -29,8 +29,9 @@ order:
    first_free`, lowest index on ties) — a pure function of the solved
    waves' modelled cycles, never of host timing, and for a lone job at
    cycle 0 the order in which the job service hands out waves.  A
-   wave's SPM-cache tallies are then re-counted on its card's cache
-   from the loads it recorded, so they do not depend on ``workers``.
+   solve takes nothing from the caller's SPM cache; a wave's loads are
+   tallied on its card's cache once it is placed, so the tallies do not
+   depend on ``workers``.
 3. **A wave keeps its global index wherever it runs.**  One fault
    injector is polled by that index, so a fault planned for wave ``g``
    fires on wave ``g`` on every topology, with the same retry backoff;
@@ -286,12 +287,13 @@ def run_sharded(
     :func:`~repro.accel.scheduler.run_waves` solves them all, one
     :class:`~repro.accel.scheduler.WaveTask` per wave — one loop, one
     process pool, one fault injector over ``fault_plan`` polled by
-    global wave index, every wave seeded from ``spm_cache``; then, in
-    global wave order, each solved wave is charged to the card that
-    frees first (:meth:`~repro.runtime.device.DevicePool.first_free`,
+    global wave index; then, in global wave order, each solved wave is
+    charged to the card that frees first
+    (:meth:`~repro.runtime.device.DevicePool.first_free`,
     :meth:`~repro.runtime.device.DevicePool.charge_wave`), its SPM loads
-    re-tallied on that card's cache and its ladder's faults booked
-    there; and the merge is canonical — results in input partition
+    tallied on that card's cache (which starts from the keys
+    ``spm_cache`` holds) and its ladder's faults booked there; and the
+    merge is canonical — results in input partition
     order (empty partitions, never simulated, in the driver's empty
     shape), card caches absorbed in device order.  See the module
     docstring for why the answer is bit-identical to serial.
@@ -323,10 +325,7 @@ def run_sharded(
 
     empty_pids, waves = plan_shards(parts, n_pipelines, devices)
     shared_cache = spm_cache if spm_cache is not None else SpmImageCache()
-    tasks = [
-        WaveTask(index, driver, wave, shared_cache)
-        for index, wave in enumerate(waves)
-    ]
+    tasks = [WaveTask(index, driver, wave) for index, wave in enumerate(waves)]
     _log.info(
         "%s: %d wave(s) of up to %d pipeline(s) over %d device(s) x "
         "%d worker(s)",
@@ -373,7 +372,7 @@ def run_sharded(
             continue
         device = pool.first_free()
         card = per_device[device]
-        caches[device].replay_loads(task.keys, outcome)
+        caches[device].tally(task.keys, outcome.load_cycles)
         merged.update(outcome.results)
         card.book(worker, outcome)
         card.book_ladder(task.stats)
@@ -388,8 +387,8 @@ def run_sharded(
             for name, value in scanned.items():
                 totals[name] += value
         timeline = pool.charge_wave(
-            device, task.items, outcome.stats.cycles, outcome.load_cycles,
-            task.backoff_seconds, at=0,
+            device, task.items, outcome.stats.cycles,
+            outcome.wave_load_cycles, task.backoff_seconds, at=0,
         )
         record_event(
             "scheduler.wave",
@@ -402,10 +401,12 @@ def run_sharded(
         # every wave ran its ladder; the run fails on the lowest-index
         # wave out of budget, whatever the topology
         raise spent[min(spent)]
-    for card in per_device:
+    for card, cache in zip(per_device, caches):
         # one loop, one pool: every card shares the run's wall clock
         card.workers = max(1, min(workers, card.waves))
         card.elapsed_seconds = elapsed
+        card.spm_cache_hits, card.spm_cache_misses = cache.hits, cache.misses
+        card.spm_cycles_saved = cache.cycles_saved
     results = {pid: merged[pid] for pid, _part in parts}
 
     sharded = ShardedRunStats(

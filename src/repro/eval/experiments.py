@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..accel.common import SOLO
-from ..accel.scheduler import SpmImageCache, WaveDriver, WaveItem
+from ..accel.scheduler import WaveDriver, WaveItem
 from ..accel.stages import STAGES, TIMED_STAGES, stage_named
 from ..gatk.bqsr import n_cycle_values
 from ..hw.engine import Engine
@@ -96,7 +96,7 @@ class CpbMeasurement:
 
 def _kernel_cycles(driver: WaveDriver, item: WaveItem) -> int:
     """Engine cycles of one replica of ``driver`` over ``item``."""
-    _results, stats, _load_cycles = driver.run_wave([item], SpmImageCache())
+    _results, stats, _load_cycles = driver.run_wave([item])
     return stats.cycles
 
 
@@ -243,7 +243,7 @@ def profile_stage(
         item for item in row.kernel_items(workload) if item[1].num_rows > 0
     )
     profiler = Profiler(name=stage)
-    driver.run_wave([(pid, part)], SpmImageCache(), probe=profiler)
+    driver.run_wave([(pid, part)], probe=profiler)
     extra = {"stage": stage}
     if pid is not SOLO:
         extra["partition"] = str(pid)
@@ -272,11 +272,10 @@ def figure8_scaling(
     memory_config = memory_config or MemoryConfig(channels=1, access_bytes=8)
     parts = [(pid, part) for pid, part in workload.partitions if part.num_rows > 0]
     driver = STAGES["example"].over(workload, memory_config=memory_config)
-    cache = SpmImageCache()
     throughput: Dict[int, float] = {}
     for n in pipeline_counts:
         wave = [parts[index % len(parts)] for index in range(n)]
-        _results, stats, _load_cycles = driver.run_wave(wave, cache)
+        _results, stats, _load_cycles = driver.run_wave(wave)
         total_bases = sum(count_bases(part) for _pid, part in wave)
         throughput[n] = total_bases / stats.cycles
     return throughput

@@ -9,9 +9,10 @@ bin IDs the paper defines:
   their own cycle-value range (302 values for 151 bp reads: 151 forward +
   151 reverse).
 * ``b2 = q * 16 + context`` — the dinucleotide context covariate with
-  ``AA=0, AC=1, ..., TT=15``.  The context of the first stored base is
-  undefined; such flits carry ``b2 = -1`` and a small filter in front of
-  the context-table SPM updaters drops them.
+  ``AA=0, AC=1, ..., TT=15``.  The context of the first stored base,
+  and of a dinucleotide holding an N (code 4), is undefined; such flits
+  carry ``b2 = -1`` and a small filter in front of the context-table SPM
+  updaters drops them.
 
 The module tracks the previous *stored-sequence* base across M/I/S flits
 (soft-clipped bases participate in context even though they never reach
@@ -92,11 +93,9 @@ class BinIdGen(Module):
         # Aligned base: attach both bin IDs.
         quality = int(flit["qual"])
         b1 = quality * self.n_cycle_values + self._cycle(int(flit["ridx"]))
-        if self._prev_base is None:
-            b2 = -1
-        else:
-            b2 = quality * self.n_contexts + (self._prev_base * 4 + int(flit["base"]))
-        self._prev_base = int(flit["base"])
+        base = int(flit["base"])
+        b2 = _context_bin(quality, self.n_contexts, self._prev_base, base)
+        self._prev_base = base
         fields = dict(flit.fields)
         fields["b1"] = b1
         fields["b2"] = b2
@@ -158,9 +157,7 @@ class BinIdGen(Module):
             cycle = read_length + (seqlen - 1 - ridx) if reverse else ridx
             rows.append(index)
             b1s.append(quality * n_cycles + cycle)
-            b2s.append(
-                -1 if prev is None else quality * n_contexts + (prev * 4 + base)
-            )
+            b2s.append(_context_bin(quality, n_contexts, prev, base))
             prev = base
             actions.append(_BIN)
 
@@ -175,6 +172,16 @@ class BinIdGen(Module):
 
     def is_idle(self) -> bool:
         return self._reverse is None
+
+
+def _context_bin(
+    quality: int, n_contexts: int, prev: Optional[int], base: int
+) -> int:
+    """``b2`` of an aligned base after ``prev``: -1 when it has no
+    predecessor or either base is an N, as ``gatk.bqsr.context_of``."""
+    if prev is None or prev > 3 or base > 3:
+        return -1
+    return quality * n_contexts + prev * 4 + base
 
 
 # BinIdGen's steps (indices into _STEPS): every one needs room on out.

@@ -209,12 +209,9 @@ class _Fold:
         #: device -> what ``serve.dispatch`` / ``storage.wave`` said of
         #: the wave about to be laid on it.
         self.inflight: Dict[int, Dict[str, object]] = {}
-        #: (stage, wave) -> the ``fault.injected`` records of a direct
-        #: wave not laid yet.
-        self.faults: Dict[Tuple[str, int], List[Mapping[str, object]]] = {}
-        #: (stage, wave, attempt) -> the backoff the retry ladder
-        #: accounted for that failed attempt.
-        self.backoffs: Dict[Tuple[str, int, int], float] = {}
+        #: (stage, wave) -> the ``fault.retry`` records of a direct wave
+        #: not laid yet.
+        self.retries: Dict[Tuple[str, int], List[Mapping[str, object]]] = {}
 
     # -- laying spans ----------------------------------------------------------
 
@@ -288,8 +285,7 @@ class _Fold:
     def serve_dispatch(self, f):
         self.inflight[f["device"]] = {
             "cost_rows": f["cost_rows"],
-            # the fault slot and the job's wave, to know its records by
-            "slot": (f.get("stage"), f.get("seq")),
+            # the job's wave, to know its records by
             "wave": (f.get("job"), f.get("wave")),
         }
 
@@ -367,10 +363,10 @@ class _Fold:
 
     def scheduler_wave(self, f):
         """Lay a direct wave where its card's charge put it, with a
-        zero-length marker at its start per injected fault, carrying the
-        backoff the retry ladder accounted for it.  A record without
-        ``start_cycles`` (a ledger from before direct waves were
-        charged) is refused."""
+        zero-length marker at its start per ``fault.retry`` of the wave,
+        in attempt order (the order they are ledgered), carrying that
+        attempt's kind and backoff.  A record without ``start_cycles``
+        (a ledger from before direct waves were charged) is refused."""
         stage, index, device = f["stage"], f["wave"], f["device"]
         if "start_cycles" not in f:
             raise KeyError("start_cycles")
@@ -382,34 +378,19 @@ class _Fold:
             f"{stage}:w{index}", timeline, None,
             dict(replicas=f["replicas"], nbytes=f["nbytes"]), **common,
         )
-        for fault in sorted(
-            self.faults.pop((stage, index), ()),
-            key=lambda fault: (fault["attempt"], fault["kind"]),
-        ):
+        for retry in self.retries.pop((stage, index), ()):
             self.span(
-                f"fault:{fault['kind']}", "fault", timeline.start,
+                f"fault:{retry['kind']}", "fault", timeline.start,
                 timeline.start, parent_id=parent, lane=f"device:{device}",
-                attempt=fault["attempt"], kind=fault["kind"],
-                backoff_seconds=self.backoffs[stage, index, fault["attempt"]],
-                **common,
+                attempt=retry["attempt"], kind=retry["kind"],
+                backoff_seconds=retry["backoff_seconds"], **common,
             )
 
-    def fault_injected(self, f):
-        # the one site; an older ledger's retired sites lay no marker
-        if f["site"] != "scheduler.wave":
-            return
-        key = (f["stage"], f["slot"])
-        if self.inflight.get(f.get("device"), {}).get("slot") == key:
-            return  # a served wave's: its serve.retry lays the marker
-        self.faults.setdefault(key, []).append(f)
-
-    def fault_backoff(self, f):
-        # ``fault.retry`` (an older ledger's card retry names no wave)
-        # and the ``fault.serial_fallback`` of an exhausted budget
-        if "wave" in f and "backoff_seconds" in f:
-            self.backoffs[f["stage"], f["wave"], f["attempt"]] = (
-                f["backoff_seconds"]
-            )
+    def fault_retry(self, f):
+        # held until its wave is laid; an older ledger's card retry
+        # names no wave and lays no marker
+        if "wave" in f:
+            self.retries.setdefault((f["stage"], f["wave"]), []).append(f)
 
     def storage_wave(self, f):
         # laid beside its wave, when that is
@@ -430,9 +411,7 @@ TRACED_EVENTS = {
     "serve.drain": _Fold.serve_drain,
     "serve.resume": _Fold.serve_resume,
     "scheduler.wave": _Fold.scheduler_wave,
-    "fault.injected": _Fold.fault_injected,
-    "fault.retry": _Fold.fault_backoff,
-    "fault.serial_fallback": _Fold.fault_backoff,
+    "fault.retry": _Fold.fault_retry,
     "storage.wave": _Fold.storage_wave,
 }
 

@@ -23,13 +23,13 @@ only its virtual completion is deferred to ``clock + duration``.  Each
 round's picks go, one :class:`~repro.accel.scheduler.WaveTask` apiece,
 through the one wave executor (:func:`~repro.accel.scheduler.run_waves`
 — inline, or on the pool of ``min(workers, picks)`` processes the
-executor keeps from round to round).  Every wave in a round is seeded
-from the SPM-cache state at the start of the round and the outcomes are
-folded back afterwards, in dispatch order
-(:meth:`~repro.accel.scheduler.SpmImageCache.adopt`, first writer wins;
-:meth:`~repro.runtime.device.DevicePool.charge_wave`) — so results,
-cycles, and the entire virtual timeline are bit-identical for every
-``workers`` value.
+executor keeps from round to round).  A solve takes nothing from the
+service; the outcomes are placed afterwards, in dispatch order: each
+wave's SPM loads are tallied against the keys the cache held when the
+round began (:meth:`~repro.accel.scheduler.SpmImageCache.tally`) and
+its card charged (:meth:`~repro.runtime.device.DevicePool.charge_wave`)
+— so results, cycles, tallies and the entire virtual timeline are
+bit-identical for every ``workers`` value.
 
 Faults are polled at one site, ``scheduler.wave`` (slot = the dispatch
 ``seq``): a served wave walks the executor's one retry ladder like any
@@ -401,18 +401,17 @@ class JobService:
     # -- execution (eager host-side, deferred virtual completion) ------------
 
     def _execute(self, picks: List[_Dispatch]) -> None:
-        # one task per pick, its dispatch seq the fault slot; nothing is
-        # adopted until the executor is done, so every wave (and retry)
-        # of the round is seeded from the cache as the round began;
-        # outcomes are adopted afterwards, in dispatch order
+        # one task per pick, its dispatch seq the fault slot; outcomes
+        # are placed after the executor is done, in dispatch order, each
+        # wave's loads tallied against the keys held as the round began
         tasks = [
             WaveTask(
                 pick.seq, pick.job.spec.driver,
-                pick.job.waves[pick.wave_index], self.cache,
-                labels={"device": pick.device}, memo=self.memo,
+                pick.job.waves[pick.wave_index], memo=self.memo,
             )
             for pick in picks
         ]
+        held = self.cache.keys()
         outcomes = {
             task.index: outcome
             for task, _worker, outcome in run_waves(
@@ -434,7 +433,7 @@ class JobService:
                 if job.is_open:
                     self._fail_job(job, pick.wave_index)
                 continue
-            self.cache.adopt(task.keys, outcome)
+            self.cache.tally(task.keys, outcome.load_cycles, held)
             if self.storage is not None:
                 record_storage_wave(
                     self.storage, wave, emit=self._event,
@@ -444,7 +443,8 @@ class JobService:
             self._inflight[pick.device] = _Inflight(
                 pick, outcome.results, self.pool.charge_wave(
                     pick.device, wave, outcome.stats.cycles,
-                    outcome.load_cycles, task.backoff_seconds, at=self.clock,
+                    outcome.wave_load_cycles, task.backoff_seconds,
+                    at=self.clock,
                 ), attempt=len(task.retried),
             )
 

@@ -47,16 +47,16 @@ def pools_built(monkeypatch):
 
 @pytest.fixture
 def worker_pids(monkeypatch):
-    """The process every direct wave placed on a card from here on ran
-    in (its loads are re-tallied on the card's cache)."""
+    """The process every direct wave booked on a card from here on ran
+    in."""
     pids = []
-    replay_loads = scheduler.SpmImageCache.replay_loads
+    book = scheduler.ParallelRunStats.book
 
-    def spy(cache, keys, outcome):
+    def spy(card, worker, outcome):
         pids.append(outcome.worker_pid)
-        replay_loads(cache, keys, outcome)
+        book(card, worker, outcome)
 
-    monkeypatch.setattr(scheduler.SpmImageCache, "replay_loads", spy)
+    monkeypatch.setattr(scheduler.ParallelRunStats, "book", spy)
     return pids
 
 

@@ -1,14 +1,22 @@
 """Integration tests: the Figure 12 BQSR covariate-table accelerator."""
 
+import dataclasses
+
 import numpy as np
+import pytest
 
+from hw_harness import MODES
 from repro.accel.bqsr import merge_partition_results, run_bqsr_partition
+from repro.eval.workloads import make_workload
 from repro.gatk.bqsr import build_covariate_tables
+from repro.hw.engine import Engine
+from repro.tables.genomic_tables import reads_to_table
+from repro.tables.partition import partition_reads_by_group
 
 
-def accumulate_hw(workload):
+def accumulate_hw(workload, group_partitions=None):
     by_group = {}
-    for pid, part in workload.group_partitions:
+    for pid, part in group_partitions or workload.group_partitions:
         if part.num_rows == 0:
             continue
         result = run_bqsr_partition(
@@ -18,11 +26,7 @@ def accumulate_hw(workload):
     return merge_partition_results(by_group, workload.read_length)
 
 
-def test_covariate_tables_bit_identical(workload):
-    """All four count buffers must match the software baseline exactly,
-    for every read group."""
-    hw = accumulate_hw(workload)
-    sw = build_covariate_tables(workload.reads, workload.genome, workload.read_length)
+def assert_tables_equal(hw, sw):
     assert set(hw) == set(sw)
     for read_group, expected in sw.items():
         got = hw[read_group]
@@ -30,6 +34,38 @@ def test_covariate_tables_bit_identical(workload):
         assert np.array_equal(got.error_cycle, expected.error_cycle)
         assert np.array_equal(got.total_context, expected.total_context)
         assert np.array_equal(got.error_context, expected.error_context)
+
+
+def test_covariate_tables_bit_identical(workload):
+    """All four count buffers must match the software baseline exactly,
+    for every read group."""
+    hw = accumulate_hw(workload)
+    sw = build_covariate_tables(workload.reads, workload.genome, workload.read_length)
+    assert_tables_equal(hw, sw)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_dinucleotide_holding_an_n_has_no_context(monkeypatch, mode):
+    """A base called N (code 4) gives neither itself nor the base after
+    it a context, as ``gatk.bqsr.context_of`` has it: reads with an N at
+    the second base and mid-read bin the same on the card as in the
+    oracle, on all four tables (the simulator never calls an N)."""
+    monkeypatch.setattr(Engine, "default_mode", mode)
+    workload = make_workload(n_reads=20, read_length=24, seed=3)
+    reads = []
+    for index, read in enumerate(workload.reads):
+        seq = read.seq.copy()
+        seq[1 if index % 2 else len(seq) // 2] = 4
+        reads.append(dataclasses.replace(read, seq=seq))
+    sw = build_covariate_tables(reads, workload.genome, workload.read_length)
+    untouched = build_covariate_tables(
+        workload.reads, workload.genome, workload.read_length
+    )
+    assert sum(t.total_context.sum() for t in sw.values()) < sum(
+        t.total_context.sum() for t in untouched.values()
+    )
+    parts = partition_reads_by_group(reads_to_table(reads), 4000)
+    assert_tables_equal(accumulate_hw(workload, parts), sw)
 
 
 def test_errors_never_exceed_totals(workload):

@@ -38,7 +38,6 @@ from hw_harness import (
 )
 from repro.accel.active_region import AnchorInsertions
 from repro.accel.common import PHASES, AcceleratorRun, load_reference_spm, spm_base
-from repro.accel.scheduler import SpmImageCache
 from repro.accel.sharding import run_sharded
 from repro.accel.stages import STAGES
 from repro.hw import maxplus
@@ -810,7 +809,7 @@ def test_a_stage_wave_frames_no_flit(stage, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Flit, "__init__", counted)
-    results, stats, _load_cycles = row.over(wl).run_wave(wave, SpmImageCache())
+    results, stats, _load_cycles = row.over(wl).run_wave(wave)
     assert stats.mode == "maxplus"
     assert len(results) == len(wave)
     assert len(built) == 0

@@ -10,7 +10,6 @@ import pytest
 import repro.obs
 from repro.accel.common import SOLO
 from repro.accel.markdup import MarkdupWaveDriver, qual_table
-from repro.accel.scheduler import SpmImageCache
 from repro.accel.stages import STAGES
 from repro.eval.experiments import profile_stage
 from repro.hw.engine import Engine
@@ -189,7 +188,7 @@ def test_profile_backpressure_counts_stalls():
 def test_profiler_memory_channels():
     profiler = Profiler(name="md")
     _results, stats, _load_cycles = MarkdupWaveDriver().run_wave(
-        [(SOLO, qual_table([[3, 4], [5, 6]]))], SpmImageCache(), probe=profiler
+        [(SOLO, qual_table([[3, 4], [5, 6]]))], probe=profiler
     )
     report = profiler.report()
     report.validate()

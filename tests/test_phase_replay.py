@@ -315,7 +315,7 @@ import os
 
 from hw_harness import modelled_fields
 from repro.accel import BqsrWaveDriver, run_sharded
-from repro.accel.scheduler import SpmImageCache
+from repro.accel.scheduler import ParallelRunStats
 from repro.eval.workloads import make_workload
 from repro.hw.engine import Engine
 
@@ -339,13 +339,13 @@ if __name__ == "__main__":
     )
     inline, _stats = run_sharded(driver, workload.group_partitions, 2)
     pids = []
-    replay_loads = SpmImageCache.replay_loads
+    book = ParallelRunStats.book
 
-    def spy(cache, keys, outcome):
+    def spy(card, worker, outcome):
         pids.append(outcome.worker_pid)
-        replay_loads(cache, keys, outcome)
+        book(card, worker, outcome)
 
-    SpmImageCache.replay_loads = spy
+    ParallelRunStats.book = spy
     pooled, _stats = run_sharded(
         driver, workload.group_partitions, 2, workers=2
     )

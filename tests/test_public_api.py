@@ -104,9 +104,7 @@ def test_model_constants_are_declared_once():
 #: of each), so adding one is a deliberate edit here, not a default
 #: argument nobody notices.
 RUN_PATH_SIGNATURES = {
-    "repro.accel.scheduler:WaveDriver.run_wave": (
-        "wave", "spm_cache", "probe",
-    ),
+    "repro.accel.scheduler:WaveDriver.run_wave": ("wave", "probe"),
     "repro.accel.scheduler:WaveDriver.run_one": ("part",),
     "repro.accel:run_quality_sums": ("quals", "memory_config"),
     "repro.accel:run_metadata_update": (

@@ -261,7 +261,7 @@ class _ExplodingDriver(WaveDriver):
     def empty_result(self, pid):
         return None
 
-    def run_wave(self, wave, spm_cache):
+    def run_wave(self, wave):
         raise ValueError("deterministic driver bug")
 
 
@@ -300,4 +300,3 @@ def test_spm_cache_merge_keeps_existing_entries():
     cache.merge([("k",)])
     cache.merge([("k",), ("other",)])
     assert cache.keys() == {("k",), ("other",)} and len(cache) == 2
-    assert cache.keys_for([("other",), ("absent",)]) == {("other",)}

@@ -25,6 +25,7 @@ from repro.accel.markdup import run_quality_sums
 from repro.accel.metadata import run_metadata_update
 from repro.accel import BqsrWaveDriver, MarkdupWaveDriver, MetadataWaveDriver
 from repro.accel import scheduler
+from repro.accel.common import load_reference_spm
 from repro.accel.scheduler import (
     SpmImageCache,
     WaveTask,
@@ -78,11 +79,11 @@ class _LingeringMetadataDriver(MetadataWaveDriver):
     parent_pid: int = 0
     marker: str = ""
 
-    def run_wave(self, wave, spm_cache):
+    def run_wave(self, wave):
         if os.getpid() != self.parent_pid and not os.path.exists(self.marker):
             open(self.marker, "w").close()
             time.sleep(0.5)
-        return super().run_wave(wave, spm_cache)
+        return super().run_wave(wave)
 
 
 @pytest.mark.parametrize("plan", [
@@ -109,16 +110,15 @@ def test_mixed_stage_tasks_inline_equals_pooled(
     _empty, bqsr_waves = pack_waves(sched_workload.group_partitions, 2)
 
     def drive(fan_out):
-        cache = SpmImageCache()
         tasks = [
             WaveTask(0, _LingeringMetadataDriver(
                 reference=sched_workload.reference, parent_pid=os.getpid(),
                 marker=str(tmp_path / f"lingered{fan_out}"),
-            ), metadata_waves[0], cache),
+            ), metadata_waves[0]),
             WaveTask(1, BqsrWaveDriver(
                 reference=sched_workload.reference,
                 read_length=sched_workload.read_length,
-            ), bqsr_waves[0], cache),
+            ), bqsr_waves[0]),
         ]
         ledger = RunLedger(str(tmp_path / f"fan{fan_out}.jsonl"))
         with run_context(RunManifest(workload="mixed", config={}), ledger):
@@ -303,6 +303,55 @@ def test_bqsr_read_group_slices_share_images(sched_workload):
     assert stats.spm_cache_hits == sum(segments.values()) - len(segments)
 
 
+def test_a_solve_takes_nothing_from_its_caller(sched_workload, monkeypatch):
+    """A wave solves the same inline and on a pool of 2, before and
+    after the caller's cache holds its keys — results, cycles and each
+    item's load cycles — and a pool task carries no SPM-cache state:
+    the wave, its driver, the engine mode and the fault decision."""
+    submitted = []
+    pool_submit = ProcessPoolExecutor.submit
+
+    def spy(self, fn, *args):
+        submitted.append((fn, args))
+        return pool_submit(self, fn, *args)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", spy)
+    driver = BqsrWaveDriver(
+        reference=sched_workload.reference,
+        read_length=sched_workload.read_length,
+    )
+    _empty, waves = pack_waves(sched_workload.group_partitions, 2)
+    cache = SpmImageCache()
+
+    def solve(fan_out):
+        tasks = [WaveTask(index, driver, waves[index]) for index in (0, 1)]
+        return {
+            task.index: outcome
+            for task, _worker, outcome in run_waves(tasks, fan_out)
+        }
+
+    before = [solve(1), solve(2)]
+    run_sharded(driver, sched_workload.group_partitions, 2, spm_cache=cache)
+    keys = [key for wave in waves[:2] for key in driver.wave_keys(wave)]
+    assert keys and set(keys) <= cache.keys()
+    after = [solve(1), solve(2)]
+    want = before[0]
+    for got in before[1:] + after:
+        for index, outcome in want.items():
+            assert outcome.load_cycles and any(outcome.load_cycles)
+            assert got[index].load_cycles == outcome.load_cycles
+            assert_same_modelled(got[index].stats, outcome.stats)
+            assert_stage_identical(
+                "bqsr", got[index].results, outcome.results
+            )
+    assert len(submitted) == 4
+    for fn, args in submitted:
+        assert fn is scheduler._pool_task
+        shipped, index, wave, *rest = args
+        assert wave is waves[index] and shipped.stage == "bqsr"
+        assert rest == [Engine.default_mode, None, 0.0, 0]
+
+
 def test_spm_cache_keeps_references_sharing_a_position_apart():
     """Two genomes (or one genome at another psize) can put different
     rows at the same (CHR, REFPOS): a shared cache must not answer one
@@ -310,20 +359,23 @@ def test_spm_cache_keeps_references_sharing_a_position_apart():
     zeros = {"CHR": 20, "REFPOS": 0, "SEQ": [0] * 100, "IS_SNP": [False] * 100}
     ones = {"CHR": 20, "REFPOS": 0, "SEQ": [1] * 50, "IS_SNP": [False] * 50}
     snps = {"CHR": 20, "REFPOS": 0, "SEQ": [1] * 50, "IS_SNP": [True] * 50}
+    key = SpmImageCache.key
     cache = SpmImageCache()
-    assert cache.load(zeros)[0].dump() == [0] * 100
-    assert cache.load(ones)[0].dump() == [1] * 50
+    cache.tally([key(zeros), key(ones)], [100, 50])
     assert (cache.hits, cache.misses) == (0, 2)
     # same length, same bases, different SNP bitmap: apart only with_snp
-    assert cache.load(snps)[0].dump() == [1] * 50
-    assert (cache.hits, cache.misses) == (1, 2)
-    assert cache.load(ones, with_snp=True)[0].dump() == [(1, False)] * 50
-    assert cache.load(snps, with_snp=True)[0].dump() == [(1, True)] * 50
+    cache.tally([key(snps)], [50])
+    assert (cache.hits, cache.misses, cache.cycles_saved) == (1, 2, 50)
+    cache.tally([key(ones, with_snp=True), key(snps, with_snp=True)], [50, 50])
     assert (cache.hits, cache.misses) == (1, 4)
-    # an equal row is the same image whatever container holds it
-    spm, stats = cache.load({**zeros, "SEQ": np.zeros(100, dtype=np.uint8)})
-    assert spm.dump() == [0] * 100 and stats.cycles > 0
-    assert (cache.hits, cache.misses) == (2, 4)
+    # an equal row is the same key whatever container holds it
+    cache.tally([key({**zeros, "SEQ": np.zeros(100, dtype=np.uint8)})], [100])
+    assert (cache.hits, cache.misses, cache.cycles_saved) == (2, 4, 150)
+    # and each row loads its own image
+    assert load_reference_spm(zeros)[0].dump() == [0] * 100
+    assert load_reference_spm(ones)[0].dump() == [1] * 50
+    assert load_reference_spm(ones, with_snp=True)[0].dump() == [(1, False)] * 50
+    assert load_reference_spm(snps, with_snp=True)[0].dump() == [(1, True)] * 50
 
 
 def test_spm_cache_absorb_merges_images_and_counters(sched_workload):
@@ -415,13 +467,12 @@ def test_per_worker_breakdown_accounts_every_wave(sched_workload):
 
 
 def _tasks(workload, n=4):
-    """``n`` one-replica metadata tasks over a fresh cache, as
-    ``run_sharded`` builds them."""
+    """``n`` one-replica metadata tasks, as ``run_sharded`` builds
+    them."""
     driver = MetadataWaveDriver(reference=workload.reference)
     _empty, waves = pack_waves(workload.partitions, 1)
     assert len(waves) >= n
-    cache = SpmImageCache()
-    return [WaveTask(i, driver, waves[i], cache) for i in range(n)]
+    return [WaveTask(i, driver, waves[i]) for i in range(n)]
 
 
 def test_kept_pool_serves_the_next_run(sched_workload, pools_built, worker_pids):
@@ -582,8 +633,8 @@ def test_a_pool_task_carries_its_waves_reference_rows(
     scheduler.drop_kept_pool()
     execute = scheduler.execute_wave
 
-    def spy(driver, index, wave, held):
-        outcome = execute(driver, index, wave, held)
+    def spy(driver, index, wave):
+        outcome = execute(driver, index, wave)
         outcome.shipped_rows = len(driver.reference)
         outcome.shipped_all = all(pid in driver.reference for pid, _ in wave)
         return outcome
@@ -594,13 +645,11 @@ def test_a_pool_task_carries_its_waves_reference_rows(
     assert len(waves) >= 2
     inline = {
         task.index: outcome for task, _worker, outcome in run_waves(
-            [WaveTask(i, driver, wave, SpmImageCache())
-             for i, wave in enumerate(waves)], 1,
+            [WaveTask(i, driver, wave) for i, wave in enumerate(waves)], 1,
         )
     }
     pooled = list(run_waves(
-        [WaveTask(i, driver, wave, SpmImageCache())
-         for i, wave in enumerate(waves)], 2,
+        [WaveTask(i, driver, wave) for i, wave in enumerate(waves)], 2,
     ))
     assert len(pooled) == len(waves)
     assert all(worker.startswith("w") for _task, worker, _o in pooled)

@@ -23,7 +23,6 @@ from repro.accel import MetadataWaveDriver
 from repro.accel import scheduler
 from repro.accel.scheduler import (
     WAVE_FAULT_SITE,
-    SpmImageCache,
     WaveMemo,
     WaveTask,
     pack_waves,
@@ -236,7 +235,7 @@ class _DyingMetadataDriver(MetadataWaveDriver):
     parent_pid: int = 0
     marker: str = ""
 
-    def run_wave(self, wave, spm_cache):
+    def run_wave(self, wave):
         if os.getpid() != self.parent_pid:
             try:
                 os.close(os.open(self.marker, os.O_CREAT | os.O_EXCL))
@@ -244,7 +243,7 @@ class _DyingMetadataDriver(MetadataWaveDriver):
                 pass  # some worker has died already: once is enough
             else:
                 os._exit(1)
-        return super().run_wave(wave, spm_cache)
+        return super().run_wave(wave)
 
 
 @pytest.mark.parametrize("death", ("real", "injected"))
@@ -450,6 +449,31 @@ def _flip_one_base(part):
     return Table(part.schema, columns, part.num_rows)
 
 
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("stage,tallies", [
+    ("metadata", (0, 14, 0)), ("bqsr", (30, 14, 30300)),
+])
+def test_a_rounds_loads_tally_against_the_keys_it_began_with(
+    workload, stage, tallies, workers
+):
+    """Two tenants ask for one stage over the same partitions at cycle
+    0, so each round's two picks, one per card, load the same REF rows.
+    Each pick's loads are tallied in dispatch order against the keys
+    the cache held when the round began: the second pick misses where
+    the first did, and only a later round (or an earlier item of the
+    same wave) hits.  The tallies are pinned at the values the service
+    counted when each solve was seeded with the round-start keys."""
+    row = STAGES[stage]
+    service = JobService(devices=2, workers=workers)
+    for tenant in ("a", "b"):
+        service.submit(JobSpec(tenant, row.over(workload), row.items(workload), 2))
+    summary = service.run_until_idle()
+    assert summary.jobs_completed == 2
+    assert (
+        summary.spm_hits, summary.spm_misses, summary.spm_cycles_saved
+    ) == tallies
+
+
 def test_the_memo_key_covers_what_a_wave_depends_on(workload, monkeypatch):
     """The same wave through another driver object replays; one flipped
     base in one read, a ``dense`` against a ``maxplus`` wave and another
@@ -459,10 +483,7 @@ def test_the_memo_key_covers_what_a_wave_depends_on(workload, monkeypatch):
     memo = WaveMemo()
 
     def task(driver=None, items=wave):
-        return WaveTask(
-            0, driver or row.over(workload), items, SpmImageCache(),
-            memo=memo,
-        )
+        return WaveTask(0, driver or row.over(workload), items, memo=memo)
 
     next(run_waves([task()], 1))
     assert memo.replay(task()) is not None

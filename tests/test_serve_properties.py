@@ -50,10 +50,10 @@ class StubDriver(WaveDriver):
     def empty_result(self, pid):
         return 0
 
-    def run_wave(self, wave, spm_cache):
+    def run_wave(self, wave):
         results = {pid: 7 * part.num_rows + 13 for pid, part in wave}
         cycles = max(31 * part.num_rows + 11 for _pid, part in wave)
-        return results, RunStats(cycles=cycles), 0
+        return results, RunStats(cycles=cycles), (0,) * len(wave)
 
 
 #: One arrival: (gap_cycles, tenant index, rows, partitions).
@@ -193,9 +193,9 @@ class LoadingStubDriver(StubDriver):
     """The stub with an SPM load ahead of the kernel, so waves carry
     every segment a real one can."""
 
-    def run_wave(self, wave, spm_cache):
-        results, stats, _load = super().run_wave(wave, spm_cache)
-        return results, stats, 17 * len(wave) + 3
+    def run_wave(self, wave):
+        results, stats, _load = super().run_wave(wave)
+        return results, stats, (17 * len(wave) + 3,) * len(wave)
 
 
 class StubStorage:

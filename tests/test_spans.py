@@ -433,10 +433,11 @@ class TestRunSpans:
 
 
 class TestServedAndDirectFaults:
-    """A ``fault.injected`` record is laid at its own wave: a direct
-    wave's as a marker on that wave, a served wave's never (its
-    ``serve.retry`` lays the marker), so a served record is never held
-    for, nor laid on, a direct wave of the same stage and index."""
+    """A wave's fault markers come from the records of its retries: a
+    direct wave's from its ``fault.retry`` records, a served wave's from
+    its ``serve.retry`` records.  ``fault.injected`` lays nothing, so a
+    served record is never held for, nor laid on, a direct wave of the
+    same stage and index."""
 
     @pytest.fixture(scope="class")
     def served(self, tmp_path_factory):
@@ -459,7 +460,62 @@ class TestServedAndDirectFaults:
         for name, fields in served:
             if name in TRACED_EVENTS:
                 TRACED_EVENTS[name](fold, fields)
-        assert fold.faults == {}
+        assert fold.retries == {}
+        # the run's one marker is its serve.retry, on the job's root
+        (retry,) = [f for name, f in served if name == "serve.retry"]
+        (marker,) = [s for s in fold.spans if s.cat == "fault"]
+        roots = {s.span_id for s in fold.spans if s.cat == "job"}
+        assert (marker.lane, marker.trace_id) == (
+            "service", f"job-{retry['job']}"
+        )
+        assert marker.parent_id in roots
+        assert marker.start == marker.end == retry["clock"]
+        assert {
+            name: marker.attrs[name]
+            for name in ("job", "wave", "attempt", "kind", "backoff_seconds")
+        } == {
+            name: retry[name]
+            for name in ("job", "wave", "attempt", "kind", "backoff_seconds")
+        }
+
+    def test_a_direct_trace_needs_no_fault_injected(self, workload, tmp_path):
+        """A pooled, faulted direct run with a pool restart traces the
+        same with every ``fault.injected`` record deleted: its markers
+        are laid from its ``fault.retry`` records alone."""
+        from repro.accel import MetadataWaveDriver
+        from repro.accel.sharding import run_sharded
+        from repro.faults.plan import FaultPlan, FaultSpec
+
+        plan = FaultPlan(specs=(
+            FaultSpec("worker_crash", at=(0,)),
+            FaultSpec("transfer_error", at=(1,), attempts=2),
+        ))
+        spans, _out = _ledgered(tmp_path, lambda: run_sharded(
+            MetadataWaveDriver(reference=workload.reference),
+            workload.partitions, 1, workers=2, fault_plan=plan,
+        ))
+        records = [
+            (r["event"], r)
+            for r in RunLedger(str(tmp_path / "run.jsonl")).read()
+        ]
+        names = [name for name, _fields in records]
+        assert names.count("fault.pool_restart") == 1
+        assert names.count("fault.injected") == names.count("fault.retry") == 3
+        markers = [
+            (s.name, s.attrs["wave"], s.attrs["attempt"])
+            for s in spans if s.cat == "fault"
+        ]
+        assert markers == [
+            ("fault:worker_crash", 0, 0),
+            ("fault:transfer_error", 1, 0), ("fault:transfer_error", 1, 1),
+        ]
+        trimmed = trace_spans(
+            (name, fields) for name, fields in records
+            if name != "fault.injected"
+        )
+        assert json.dumps(fleet_chrome_trace(trimmed)) == json.dumps(
+            fleet_chrome_trace(spans)
+        )
 
     def test_a_direct_ledger_after_a_served_one_lays_only_its_own_faults(
         self, served, workload, tmp_path
