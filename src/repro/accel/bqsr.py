@@ -36,7 +36,7 @@ import numpy as np
 
 from ..gatk.bqsr import MAX_QUALITY, N_CONTEXTS, CovariateTables, n_cycle_values
 from ..genomics.read import FLAG_REVERSE
-from ..hw.engine import Engine, RunStats
+from ..hw.engine import DEFAULT_MODE, Engine, RunStats
 from ..hw.flit import Stream
 from ..hw.memory import MemoryConfig, MemorySystem
 from ..hw.modules import (
@@ -171,12 +171,16 @@ def _simulate_drain(
 
 
 def drain_spms(
-    spms: BqsrSpms, memory_config: Optional[MemoryConfig] = None
+    spms: BqsrSpms,
+    memory_config: Optional[MemoryConfig] = None,
+    mode: Optional[str] = None,
 ) -> RunStats:
     """The drain phase: stream all four SPMs to memory (Figure 12's SPM
     Reader -> Memory Writer tails).  Returns the drain cycle statistics:
     a fresh copy of the one engine run made for this ``(SPM sizes,
-    memory config)`` shape, with every word counted as read once."""
+    memory config, engine mode)`` shape — ``mode`` is the wave's,
+    ``None`` the engine's default — with every word counted as read
+    once."""
     scratchpads = spms.all()
     for spm in scratchpads:
         spm.reads += len(spm)
@@ -184,7 +188,7 @@ def drain_spms(
         _simulate_drain,
         tuple(len(spm) for spm in scratchpads),
         memory_config or MemoryConfig(),
-        Engine.default_mode,
+        mode or DEFAULT_MODE,
     )
 
 
@@ -272,7 +276,8 @@ class BqsrWaveDriver(WaveDriver):
         four count tables back."""
         pipe, spms = context
         drain_stats = (
-            drain_spms(spms, self.memory_config) if self.drain else None
+            drain_spms(spms, self.memory_config, self.mode)
+            if self.drain else None
         )
         hazard_stalls = sum(
             module.hazard_stalls

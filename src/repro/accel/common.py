@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..hw.engine import Engine, RunStats
+from ..hw.engine import DEFAULT_MODE, Engine, RunStats
 from ..hw.memory import MemoryConfig, MemorySystem
 from ..hw.module import Module
 from ..hw.modules import (
@@ -214,6 +214,7 @@ def load_reference_spm(
     ref_row: dict,
     memory_config: Optional[MemoryConfig] = None,
     with_snp: bool = False,
+    mode: Optional[str] = None,
 ) -> Tuple[Scratchpad, RunStats]:
     """Phase 1 of every reference-using accelerator: stream the REF
     partition row from memory into an on-chip SPM through a Memory Reader
@@ -223,7 +224,8 @@ def load_reference_spm(
     the ``(base, is_snp)`` pair the BQSR pipeline needs).
 
     The returned statistics are a fresh copy of the one engine run made
-    for this ``(word count, element size, memory config)`` shape; the
+    for this ``(word count, element size, memory config, engine mode)``
+    shape — ``mode`` is the wave's, ``None`` the engine's default; the
     scratchpad is filled from the row directly, one counted write per
     word as the updater performs.
     """
@@ -239,7 +241,7 @@ def load_reference_spm(
     spm.load(words)
     return spm, PHASES.replay(
         _simulate_reference_load, len(words), elem_size,
-        memory_config or MemoryConfig(), Engine.default_mode,
+        memory_config or MemoryConfig(), mode or DEFAULT_MODE,
     )
 
 

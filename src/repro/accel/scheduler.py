@@ -66,7 +66,7 @@ import os
 import pickle
 import time
 import zlib
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
@@ -259,15 +259,15 @@ class WaveMemo:
         self, driver: "WaveDriver", keys: Sequence[tuple],
         items: Sequence[WaveItem],
     ) -> MemoKey:
-        """The memo key of a wave: the driver's type and fields, the
-        engine mode, the SPM-cache ``keys`` it looks up and its items'
-        digests."""
+        """The memo key of a wave: the driver's type and fields (its
+        engine ``mode`` among them), the SPM-cache ``keys`` it looks up
+        and its items' digests."""
         fields = dict(vars(driver))
         if driver.uses_reference:  # the keys digest each REF row it serves
             del fields["reference"]
         return MemoKey((
-            type(driver), tuple(sorted(fields.items())), Engine.default_mode,
-            tuple(keys), tuple((pid, self._digest(part)) for pid, part in items),
+            type(driver), tuple(sorted(fields.items())), tuple(keys),
+            tuple((pid, self._digest(part)) for pid, part in items),
         ))
 
     def _digest(self, part: Table) -> tuple:
@@ -408,10 +408,11 @@ class WaveDriver:
         for a driver without a reference; the replicas load
         concurrently, so the wave charges the slowest load).
 
-        ``probe`` — e.g. a :class:`repro.obs.Profiler` — is attached to
-        the engine before it runs, to report the run afterwards (not the
-        SPM load and drain phases: the same fixed setup work for every
-        stage)."""
+        Every engine run of the wave — its SPM load and drain phases
+        too — runs in the driver's ``mode``.  ``probe`` — e.g. a
+        :class:`repro.obs.Profiler` — is attached to the engine before it
+        runs, to report the run afterwards (not the SPM load and drain
+        phases: the same fixed setup work for every stage)."""
         engine = Engine(MemorySystem(self.memory_config))
         contexts = []
         load_cycles = []
@@ -422,7 +423,7 @@ class WaveDriver:
             if self.uses_reference:
                 ref_row = self.reference_row(pid)
                 spm, load_stats = load_reference_spm(
-                    ref_row, self.memory_config, self.with_snp
+                    ref_row, self.memory_config, self.with_snp, self.mode
                 )
                 base = spm_base(ref_row)
             load_cycles.append(load_stats.cycles if load_stats else 0)
@@ -477,10 +478,6 @@ class RunRates:
         return sum(self.per_wave_cycles)
 
     @property
-    def faults_injected(self) -> int:
-        return sum(self.faults_by_kind.values())
-
-    @property
     def cycles_including_load(self) -> int:
         """Wall cycles including the reference SPM loads (which the
         replicas also perform concurrently, so each wave charges the
@@ -516,11 +513,12 @@ class ParallelRunStats(RunRates):
     multi-pipeline run.
 
     :func:`~repro.accel.sharding.run_sharded` keeps one per card and
-    tallies each wave placed there (:meth:`book`) with the faults and
-    retries its ladder took (:meth:`book_ladder`); every ``int``/``float``
+    tallies each wave placed there (:meth:`book`); every ``int``/``float``
     field declared here is additive, and
     :class:`~repro.accel.sharding.ShardedRunStats` reports it as the sum
-    over its cards.
+    over its cards.  A card holds card facts only: a wave's faults and
+    retries happen before it has a card, so the run counts them once
+    (:class:`~repro.accel.sharding.ShardedRunStats`).
 
     Besides the simulated-cycle accounting, the host-side fields
     aggregate the engine's metrics across waves so multi-workload sweeps
@@ -530,6 +528,8 @@ class ParallelRunStats(RunRates):
     workers and what the SPM image cache saved.
     """
 
+    #: Which card this is.
+    device: int
     #: Simulated cycles per wave, in placement (ascending global index) order.
     per_wave_cycles: List[int] = field(default_factory=list)
     spm_load_cycles: int = 0
@@ -545,17 +545,6 @@ class ParallelRunStats(RunRates):
     spm_cache_misses: int = 0
     spm_cycles_saved: int = 0
     per_worker: Dict[str, WorkerStats] = field(default_factory=dict)
-    # resilience metrics: faults/retries/fallbacks are deterministic for
-    # a given (plan, seed, schedule); watchdog_timeouts and pool_restarts
-    # count host-side infrastructure events and may vary across hosts
-    faults_by_kind: Dict[str, int] = field(default_factory=dict)
-    retries: int = 0
-    backoff_seconds: float = 0.0
-    watchdog_timeouts: int = 0
-    serial_fallback_waves: int = 0
-    pool_restarts: int = 0
-    #: Which card this is (``None`` on a wave's own ladder tallies).
-    device: Optional[int] = None
 
     def book(self, worker: str, outcome: "WaveOutcome") -> None:
         """Tally one wave's clean execution on ``worker`` (its SPM-cache
@@ -571,17 +560,6 @@ class ParallelRunStats(RunRates):
         tally.cycles += stats.cycles
         tally.wall_seconds += stats.wall_seconds
         tally.elapsed_seconds += outcome.elapsed_seconds
-
-    def book_ladder(self, wave: "ParallelRunStats") -> None:
-        """Tally the faults, retries and fallbacks one wave's ladder took
-        (its :attr:`WaveTask.stats`, as :func:`run_waves` kept them)."""
-        for kind, count in wave.faults_by_kind.items():
-            self.faults_by_kind[kind] = self.faults_by_kind.get(kind, 0) + count
-        self.retries += wave.retries
-        self.backoff_seconds += wave.backoff_seconds
-        self.watchdog_timeouts += wave.watchdog_timeouts
-        self.serial_fallback_waves += wave.serial_fallback_waves
-        self.pool_restarts += wave.pool_restarts
 
 
 # -- wave packing and execution ------------------------------------------------------
@@ -643,8 +621,8 @@ def execute_wave(
 ) -> WaveOutcome:
     """Solve one wave — the primitive under every run loop (inline,
     pooled, served; module-level so it pickles).  A pure function of
-    the driver, the items and the ambient engine mode: it takes nothing
-    from its caller's cache, so where it ran and who asked move nothing
+    the driver (its engine ``mode`` a field) and the items: it takes
+    nothing from its caller, so where it ran and who asked move nothing
     it returns but host timing."""
     started = time.perf_counter()
     results, stats, load_cycles = driver.run_wave(wave)
@@ -731,7 +709,7 @@ def drop_kept_pool() -> None:
 
 
 def _pool_task(
-    driver, index, wave, mode, fault_kind, hang_seconds, attempt,
+    driver, index, wave, fault_kind, hang_seconds, attempt,
 ):
     """Worker-side wave attempt: enact the parent's injection decision
     for this attempt (decided deterministically before submission), else
@@ -744,8 +722,8 @@ def _pool_task(
 
     A worker takes nothing from the moment it was forked: the task is
     the wave, its driver with the wave's REF rows only
-    (:meth:`WaveDriver.shipped`) and the parent's ambient engine
-    ``mode`` as of this attempt — no SPM-cache state.
+    (:meth:`WaveDriver.shipped`, whose ``mode`` the wave runs in) and
+    the parent's fault decision for this attempt.
     """
     if fault_kind is not None:
         if fault_kind == "wave_timeout" and hang_seconds > 0:
@@ -753,7 +731,6 @@ def _pool_task(
         if fault_kind == "worker_crash":
             os._exit(1)  # a genuine process death, not an exception
         raise FAULT_EXCEPTIONS[fault_kind](WAVE_FAULT_SITE, index, attempt)
-    Engine.default_mode = mode
     return execute_wave(driver, index, wave)
 
 
@@ -766,10 +743,9 @@ class WaveTask:
     index: int
     driver: WaveDriver
     items: Sequence[WaveItem]
-    #: Where the wave's faults, retries and fallbacks are tallied.
-    stats: ParallelRunStats = field(default_factory=ParallelRunStats)
-    #: The failed attempts its ladder retried, in attempt order; the
-    #: caller records them with the wave's outcome.
+    #: The failed attempts its ladder retried, in attempt order — the
+    #: wave's one ladder record; the caller records them with the
+    #: wave's outcome.
     retried: List[FailedAttempt] = field(default_factory=list)
     #: Its owner's memo; ``None`` (a direct run, whose waves never
     #: repeat) replays and records nothing.
@@ -806,6 +782,7 @@ def run_waves(
     injector: Optional[FaultInjector] = None,
     retry_policy: Optional[RetryPolicy] = None,
     wave_timeout: Optional[float] = None,
+    tally: Optional[Counter] = None,
 ) -> Iterator[
     Tuple[WaveTask, str, Union[WaveOutcome, RetryBudgetExceeded]]
 ]:
@@ -846,32 +823,22 @@ def run_waves(
     budget there.  Non-injected exceptions from driver code propagate
     immediately — they are deterministic bugs, not infrastructure
     failures.
+
+    What the ladder did is kept once: each wave's retried attempts on
+    its task (``retried``), and the call's ``watchdog_timeouts``,
+    ``pool_restarts`` and ``serial_fallback_waves`` on ``tally``,
+    counted where their ``fault.*`` events are written.
     """
     if wave_timeout is not None and wave_timeout <= 0:
         raise ValueError("wave_timeout must be positive seconds")
     policy = retry_policy if retry_policy is not None else RetryPolicy()
     tasks = list(tasks)
-
-    # -- resilience accounting ------------------------------------------------------
-
-    #: Injected faults booked so far; a re-poll after a pool rebuild
-    #: must not double-count the same (kind, wave, attempt) decision.
-    accounted_faults: Set[Tuple[str, int, int]] = set()
-
-    def account_fault(kind, task, attempt):
-        key = (kind, task.index, attempt)
-        if key in accounted_faults:
-            return
-        accounted_faults.add(key)
-        by_kind = task.stats.faults_by_kind
-        by_kind[kind] = by_kind.get(kind, 0) + 1
+    tally = Counter() if tally is None else tally
 
     def account_failure(task, failed: FailedAttempt):
-        """Book one failed attempt the ladder accounted, on either rung."""
+        """Keep one failed attempt the ladder accounted, on either rung."""
         if failed.exhausted:
             return
-        task.stats.retries += 1
-        task.stats.backoff_seconds += failed.backoff_seconds
         task.retried.append(failed)
         _log.info(
             "wave %d attempt %d failed (%s); retrying after %.3fs",
@@ -892,7 +859,6 @@ def run_waves(
         """One wave down the serial ladder, then the clean attempt."""
         try:
             for failed in wave_ladder(task, start_attempt, worker):
-                account_fault(failed.kind, task, failed.attempt)
                 account_failure(task, failed)
         except RetryBudgetExceeded as error:
             return task, worker, error
@@ -935,14 +901,13 @@ def run_waves(
                 return replayed
         else:
             fault_kind = fault.kind
-            account_fault(fault_kind, task, attempt)
             if fault_kind == "wave_timeout" and wave_timeout is not None:
                 # hang long enough that the parent watchdog fires
                 # first, short enough that pool shutdown stays quick
                 hang = min(wave_timeout * 2, wave_timeout + 1.0)
         future = pool.executor.submit(
             _pool_task, task.driver.shipped(task.items), task.index,
-            task.items, Engine.default_mode, fault_kind, hang, attempt,
+            task.items, fault_kind, hang, attempt,
         )
         deadline = (
             time.monotonic() + wave_timeout
@@ -1006,9 +971,9 @@ def run_waves(
                         ), outcome
             if broken:
                 pool_restarts += 1
+                tally["pool_restarts"] += 1
                 # the pool is shared by every task: its restarts are
-                # booked on, and ledgered under the stage of, the first
-                tasks[0].stats.pool_restarts += 1
+                # ledgered under the stage of the first
                 record_event(
                     "fault.pool_restart",
                     stage=tasks[0].driver.stage, restarts=pool_restarts,
@@ -1038,7 +1003,7 @@ def run_waves(
                     )
                     while ready:
                         task, attempt = ready.popleft()
-                        task.stats.serial_fallback_waves += 1
+                        tally["serial_fallback_waves"] += 1
                         record_event(
                             "fault.serial_fallback",
                             stage=task.driver.stage, wave=task.index,
@@ -1055,7 +1020,7 @@ def run_waves(
                     if deadline is not None and now >= deadline:
                         del pending[future]
                         abandoned = True
-                        task.stats.watchdog_timeouts += 1
+                        tally["watchdog_timeouts"] += 1
                         record_event(
                             "fault.watchdog_timeout",
                             stage=task.driver.stage, wave=task.index,

@@ -104,17 +104,18 @@ ADDITIVE_FIELDS = frozenset(
 
 @dataclass
 class ShardedRunStats(RunRates):
-    """Aggregate statistics of a sharded run: per-card scheduler stats
-    plus the pool's virtual occupancy.
+    """Aggregate statistics of a sharded run: per-card scheduler stats,
+    the pool's virtual occupancy and the run's resilience.
 
     Every additive :class:`~repro.accel.scheduler.ParallelRunStats`
     tally (:data:`ADDITIVE_FIELDS` — ``spm_load_cycles``,
-    ``total_flits``, ``wall_seconds``, ``spm_cache_hits``, ``retries``,
-    ``pool_restarts``, …) reads here as the sum over :attr:`per_device`.
-    The simulated-cycle aggregates (:attr:`total_cycles`,
-    :attr:`per_wave_cycles`, …) are in global wave order and equal the
-    serial run's bit-for-bit; only the host-side fields (elapsed
-    seconds, parallelism) reflect the actual fan-out.
+    ``total_flits``, ``wall_seconds``, ``spm_cache_hits``, …) reads here
+    as the sum over :attr:`per_device`.  The simulated-cycle aggregates
+    (:attr:`total_cycles`, :attr:`per_wave_cycles`, …) are in global
+    wave order and equal the serial run's bit-for-bit; only the
+    host-side fields (elapsed seconds, parallelism) reflect the actual
+    fan-out.  The resilience tallies are the run's own, counted once:
+    a wave's faults and retries happen before it has a card.
     """
 
     devices: int
@@ -130,6 +131,15 @@ class ShardedRunStats(RunRates):
     #: Virtual PCIe occupancy per card, from the DevicePool.
     device_transfer_seconds: List[float] = field(default_factory=list)
     elapsed_seconds: float = 0.0
+    # resilience: faults and retries are deterministic for a given
+    # (plan, seed); watchdog_timeouts, serial_fallback_waves and
+    # pool_restarts count host-side events and may vary from run to run
+    faults_by_kind: Dict[str, int] = field(default_factory=dict)
+    retries: int = 0
+    backoff_seconds: float = 0.0
+    watchdog_timeouts: int = 0
+    serial_fallback_waves: int = 0
+    pool_restarts: int = 0
 
     def __getattr__(self, name: str):
         if name in ADDITIVE_FIELDS:
@@ -146,11 +156,8 @@ class ShardedRunStats(RunRates):
         return merged
 
     @property
-    def faults_by_kind(self) -> Dict[str, int]:
-        merged: Counter = Counter()
-        for stats in self.per_device:
-            merged.update(stats.faults_by_kind)
-        return dict(merged)
+    def faults_injected(self) -> int:
+        return sum(self.faults_by_kind.values())
 
     @property
     def steal_count(self) -> int:
@@ -245,10 +252,6 @@ def _record_shard_run(
             cycles=card.total_cycles, spm_load_cycles=card.spm_load_cycles,
             spm_cache_hits=card.spm_cache_hits,
             spm_cache_misses=card.spm_cache_misses,
-            faults_injected=card.faults_injected, retries=card.retries,
-            watchdog_timeouts=card.watchdog_timeouts,
-            serial_fallback_waves=card.serial_fallback_waves,
-            pool_restarts=card.pool_restarts,
             busy_seconds=stats.device_busy_seconds[device],
             transfer_seconds=stats.device_transfer_seconds[device],
             elapsed_seconds=card.elapsed_seconds,
@@ -263,7 +266,10 @@ def _record_shard_run(
         plan_loads=list(stats.plan_loads),
         elapsed_seconds=stats.elapsed_seconds,
         host_parallelism=stats.host_parallelism,
-        faults_injected=stats.faults_injected,
+        faults_injected=stats.faults_injected, retries=stats.retries,
+        watchdog_timeouts=stats.watchdog_timeouts,
+        serial_fallback_waves=stats.serial_fallback_waves,
+        pool_restarts=stats.pool_restarts,
     )
 
 
@@ -292,8 +298,9 @@ def run_sharded(
     (:meth:`~repro.runtime.device.DevicePool.first_free`,
     :meth:`~repro.runtime.device.DevicePool.charge_wave`), its SPM loads
     tallied on that card's cache (which starts from the keys
-    ``spm_cache`` holds) and its ladder's faults booked there; and the
-    merge is canonical — results in input partition
+    ``spm_cache`` holds); the run's resilience is counted once, from the
+    waves' retried attempts, the injector and the executor's tally; and
+    the merge is canonical — results in input partition
     order (empty partitions, never simulated, in the driver's empty
     shape), card caches absorbed in device order.  See the module
     docstring for why the answer is bit-identical to serial.
@@ -334,11 +341,11 @@ def run_sharded(
     )
 
     outcomes: Dict[int, Tuple[str, object]] = {}
+    injector = FaultInjector(fault_plan) if fault_plan is not None else None
+    tally: Counter = Counter()
     executing = time.perf_counter()
     for task, worker, outcome in run_waves(
-        tasks, devices * workers,
-        FaultInjector(fault_plan) if fault_plan is not None else None,
-        retry_policy, wave_timeout,
+        tasks, devices * workers, injector, retry_policy, wave_timeout, tally,
     ):
         outcomes[task.index] = worker, outcome
     elapsed = time.perf_counter() - executing
@@ -375,7 +382,6 @@ def run_sharded(
         caches[device].tally(task.keys, outcome.load_cycles)
         merged.update(outcome.results)
         card.book(worker, outcome)
-        card.book_ladder(task.stats)
         card.per_wave_cycles.append(outcome.stats.cycles)
         per_wave_cycles.append(outcome.stats.cycles)
         loads[device] += sum(part.num_rows for _pid, part in task.items)
@@ -418,6 +424,10 @@ def run_sharded(
         device_busy_seconds=pool.busy_seconds(),
         device_transfer_seconds=pool.transfer_seconds(),
         elapsed_seconds=time.perf_counter() - started,
+        faults_by_kind=injector.counts_by_kind() if injector else {},
+        retries=sum(len(task.retried) for task in tasks),
+        backoff_seconds=sum(task.backoff_seconds for task in tasks),
+        **tally,
     )
 
     # absorb per-card caches in device order (key sets union,

@@ -33,6 +33,10 @@ from .memory import MemorySystem
 from .module import Module
 from .queue import HardwareQueue
 
+#: The scheduling mode ``Engine.run`` uses when it is given none; a
+#: stage's driver picks another through its ``mode`` field.
+DEFAULT_MODE = "maxplus"
+
 
 @dataclass
 class RunStats:
@@ -87,11 +91,6 @@ class RunStats:
 
 class Engine:
     """Owns the simulated clock and everything attached to it."""
-
-    #: Scheduling mode ``run()`` uses when none is passed explicitly.
-    #: Override per instance (``engine.default_mode = "dense"``) or
-    #: globally on the class for differential testing.
-    default_mode = "maxplus"
 
     def __init__(
         self,
@@ -195,8 +194,8 @@ class Engine:
     def run(self, max_cycles: int = 100_000_000, mode: Optional[str] = None) -> RunStats:
         """Run until quiescent (or raise a deadlock report after
         ``max_cycles``).  ``mode`` is ``"maxplus"`` or ``"dense"``;
-        defaults to :attr:`default_mode`."""
-        mode = mode or self.default_mode
+        ``None`` means :data:`DEFAULT_MODE`."""
+        mode = mode or DEFAULT_MODE
         if mode == "maxplus":
             stats = run_maxplus(self, max_cycles)
             if stats is not None:

@@ -388,32 +388,33 @@ def _same(a, b) -> bool:
 
 def assert_stage_identical(stage: str, got: Dict, want: Dict) -> None:
     """Two runs of ``stage`` hold the same partitions, in the same order,
-    each with the same answer and (BQSR) the same modelled SPM drain."""
+    each with the same answer and (BQSR) the same SPM drain on
+    everything an engine mode must not change (the drain runs in its
+    wave's mode)."""
     assert list(got) == list(want)
     for pid, result in want.items():
         for name in ANSWERS[stage]:
             assert _same(getattr(got[pid], name), getattr(result, name)), (
                 str(pid), name,
             )
-        assert_same_modelled(
-            getattr(got[pid], "drain_stats", None),
-            getattr(result, "drain_stats", None),
-        )
+        drained = getattr(got[pid], "drain_stats", None)
+        wanted = getattr(result, "drain_stats", None)
+        assert (drained is None) == (wanted is None), str(pid)
+        if wanted is not None:
+            assert_runs_equivalent(wanted, drained)
 
 
-def engine_modes(results: Dict, phases: bool = True) -> set:
-    """The engine modes a stage run's waves report, with (``phases``)
-    each partition's SPM load and drain phases — which replay from
-    ``PHASES`` in the mode that first recorded them."""
+def engine_modes(results: Dict) -> set:
+    """The engine modes a stage run's waves report, with each
+    partition's SPM load and drain phases."""
     modes = set()
     for result in results.values():
         run = getattr(result, "run", None)
-        recorded = [getattr(result, "stats", None), getattr(run, "stats", None)]
-        if phases:
-            recorded += [
-                getattr(run, "load_stats", None),
-                getattr(result, "drain_stats", None),
-            ]
+        recorded = [
+            getattr(result, "stats", None), getattr(run, "stats", None),
+            getattr(run, "load_stats", None),
+            getattr(result, "drain_stats", None),
+        ]
         modes.update(stats.mode for stats in recorded if stats is not None)
     return modes
 

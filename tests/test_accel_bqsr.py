@@ -6,22 +6,26 @@ import numpy as np
 import pytest
 
 from hw_harness import MODES
+from repro.accel import BqsrWaveDriver
 from repro.accel.bqsr import merge_partition_results, run_bqsr_partition
+from repro.accel.common import solo_reference
 from repro.eval.workloads import make_workload
 from repro.gatk.bqsr import build_covariate_tables
-from repro.hw.engine import Engine
 from repro.tables.genomic_tables import reads_to_table
 from repro.tables.partition import partition_reads_by_group
 
 
-def accumulate_hw(workload, group_partitions=None):
+def accumulate_hw(workload, group_partitions=None, mode=None):
+    """Each partition through a one-replica driver — what
+    ``run_bqsr_partition`` runs — in engine ``mode``."""
     by_group = {}
     for pid, part in group_partitions or workload.group_partitions:
         if part.num_rows == 0:
             continue
-        result = run_bqsr_partition(
-            part, workload.reference.lookup(pid), workload.read_length
-        )
+        result = BqsrWaveDriver(
+            solo_reference(workload.reference.lookup(pid)),
+            workload.read_length, mode=mode,
+        ).run_one(part)
         by_group.setdefault(pid.read_group, []).append(result)
     return merge_partition_results(by_group, workload.read_length)
 
@@ -45,12 +49,11 @@ def test_covariate_tables_bit_identical(workload):
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_a_dinucleotide_holding_an_n_has_no_context(monkeypatch, mode):
+def test_a_dinucleotide_holding_an_n_has_no_context(mode):
     """A base called N (code 4) gives neither itself nor the base after
     it a context, as ``gatk.bqsr.context_of`` has it: reads with an N at
     the second base and mid-read bin the same on the card as in the
     oracle, on all four tables (the simulator never calls an N)."""
-    monkeypatch.setattr(Engine, "default_mode", mode)
     workload = make_workload(n_reads=20, read_length=24, seed=3)
     reads = []
     for index, read in enumerate(workload.reads):
@@ -65,7 +68,7 @@ def test_a_dinucleotide_holding_an_n_has_no_context(monkeypatch, mode):
         t.total_context.sum() for t in untouched.values()
     )
     parts = partition_reads_by_group(reads_to_table(reads), 4000)
-    assert_tables_equal(accumulate_hw(workload, parts), sw)
+    assert_tables_equal(accumulate_hw(workload, parts, mode), sw)
 
 
 def test_errors_never_exceed_totals(workload):

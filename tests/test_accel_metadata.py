@@ -52,7 +52,7 @@ def test_uq_never_exceeds_quality_sum(workload):
         assert 0 <= uq <= int(qual.sum())
 
 
-def test_uq_sums_past_one_byte(tmp_path, monkeypatch):
+def test_uq_sums_past_one_byte(tmp_path):
     """UQ sums the byte-wide QUAL column in the Reducer's 32-bit
     accumulator: a 151M read mismatching at every base, all Q40, has UQ
     151 x 40 = 6040 (not 6040 mod 256) through ``repro preprocess``, the
@@ -67,7 +67,8 @@ def test_uq_sums_past_one_byte(tmp_path, monkeypatch):
     from repro.genomics.fasta import write_fasta
     from repro.genomics.sam import write_sam
     from repro.gatk.sql_driver import sql_update_metadata
-    from repro.hw.engine import Engine
+    from repro.accel import MetadataWaveDriver
+    from repro.accel.common import solo_reference
     from repro.sql.backends import available_backends
     from repro.tables.genomic_tables import reads_to_table
     from repro.tables.partition import partition_reads, partition_reference
@@ -91,8 +92,9 @@ def test_uq_sums_past_one_byte(tmp_path, monkeypatch):
         assert got[0].uq == want, backend
     (pid, part), = [(p, t) for p, t in partitions if t.num_rows]
     for mode in ("dense", "maxplus"):
-        monkeypatch.setattr(Engine, "default_mode", mode)
-        result = run_metadata_update(part, reference.lookup(pid))
+        result = MetadataWaveDriver(
+            solo_reference(reference.lookup(pid)), mode=mode
+        ).run_one(part)
         assert result.run.stats.mode == mode
         assert result.uq == [want], mode
 

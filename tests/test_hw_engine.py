@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.accel.common import solo_reference
 from repro.hw.engine import Engine
 from repro.hw.flit import Flit, item_flits
 from repro.hw.modules import MemoryWriter, Reducer
@@ -145,51 +146,49 @@ def test_reducer_lanes_increase_cost():
 # mode's win and is covered by the RunStats tests instead.
 
 
-def _force_mode(monkeypatch, mode):
-    monkeypatch.setattr(Engine, "default_mode", mode)
+def _per_mode(run):
+    """``run(mode)`` under each engine mode, the dense oracle first."""
+    return {mode: run(mode) for mode in MODES}
 
 
-def _per_mode(monkeypatch, run):
-    """``run()`` under each engine mode, the dense oracle first."""
-    results = {}
-    for mode in MODES:
-        _force_mode(monkeypatch, mode)
-        results[mode] = run()
-    return results
-
-
-def test_example_query_identical_across_modes(workload, monkeypatch):
-    from repro.accel.example_query import run_example_query
+def test_example_query_identical_across_modes(workload):
+    from repro.accel import ExampleQueryWaveDriver
 
     pid, part = next((p, t) for p, t in workload.partitions if t.num_rows > 0)
-    ref_row = workload.reference.lookup(pid)
-    runs = _per_mode(monkeypatch, lambda: run_example_query(part, ref_row))
+    reference = solo_reference(workload.reference.lookup(pid))
+    runs = _per_mode(
+        lambda mode: ExampleQueryWaveDriver(reference, mode=mode).run_one(part)
+    )
     for mode, run in runs.items():
         assert run.counts == runs["dense"].counts
         assert_runs_equivalent(runs["dense"].run.stats, run.run.stats)
         assert run.run.stats.mode == mode
 
 
-def test_markdup_identical_across_modes(workload, monkeypatch):
-    from repro.accel.markdup import run_quality_sums
+def test_markdup_identical_across_modes(workload):
+    from repro.accel import MarkdupWaveDriver
+    from repro.accel.markdup import qual_table
 
     pid, part = next((p, t) for p, t in workload.partitions if t.num_rows > 0)
-    runs = _per_mode(monkeypatch, lambda: run_quality_sums(part.column("QUAL")))
+    quals = qual_table(part.column("QUAL"))
+    runs = _per_mode(lambda mode: MarkdupWaveDriver(mode=mode).run_one(quals))
     for mode, run in runs.items():
         assert run.quality_sums == runs["dense"].quality_sums
         assert_runs_equivalent(runs["dense"].stats, run.stats)
         assert run.stats.mode == mode
 
 
-def test_metadata_identical_across_modes(workload, monkeypatch):
-    from repro.accel.metadata import run_metadata_update
+def test_metadata_identical_across_modes(workload):
+    from repro.accel import MetadataWaveDriver
 
     checked = 0
     for pid, part in workload.partitions:
         if part.num_rows == 0:
             continue
-        ref_row = workload.reference.lookup(pid)
-        runs = _per_mode(monkeypatch, lambda: run_metadata_update(part, ref_row))
+        reference = solo_reference(workload.reference.lookup(pid))
+        runs = _per_mode(
+            lambda mode: MetadataWaveDriver(reference, mode=mode).run_one(part)
+        )
         dense = runs["dense"]
         for mode, run in runs.items():
             assert (run.nm, run.md, run.uq) == (dense.nm, dense.md, dense.uq)
@@ -199,18 +198,19 @@ def test_metadata_identical_across_modes(workload, monkeypatch):
     assert checked > 0
 
 
-def test_bqsr_identical_across_modes(workload, monkeypatch):
+def test_bqsr_identical_across_modes(workload):
     import numpy as np
 
-    from repro.accel.bqsr import run_bqsr_partition
+    from repro.accel import BqsrWaveDriver
 
     pid, part = next(
         (p, t) for p, t in workload.group_partitions if t.num_rows > 0
     )
-    ref_row = workload.reference.lookup(pid)
+    reference = solo_reference(workload.reference.lookup(pid))
     runs = _per_mode(
-        monkeypatch,
-        lambda: run_bqsr_partition(part, ref_row, workload.read_length),
+        lambda mode: BqsrWaveDriver(
+            reference, workload.read_length, mode=mode
+        ).run_one(part),
     )
     dense = runs["dense"]
     for mode, run in runs.items():

@@ -796,7 +796,6 @@ def test_a_stage_wave_frames_no_flit(stage, monkeypatch):
     """Under ``maxplus`` a stage's wave moves whole columns: from
     ``build_replica`` through ``harvest`` — its SPM load and drain phases
     included — no :class:`Flit` is built."""
-    monkeypatch.setattr(Engine, "default_mode", "maxplus")
     PHASES.clear()
     wl = workload("sharding")
     row = STAGES[stage]
@@ -818,10 +817,9 @@ def test_a_stage_wave_frames_no_flit(stage, monkeypatch):
 
 @pytest.mark.parametrize("name", WORKLOADS)
 @pytest.mark.parametrize("stage", tuple(STAGES))
-def test_every_stage_wave_is_solved(stage, name, monkeypatch):
+def test_every_stage_wave_is_solved(stage, name):
     """Every wave of every stage on the lattice workloads runs under
     ``maxplus`` — their SPM load and drain phases included."""
-    monkeypatch.setattr(Engine, "default_mode", "maxplus")
     PHASES.clear()
     wl = workload(name)
     row = STAGES[stage]

@@ -7,9 +7,9 @@ through ``JobService``.  Whatever the point, the answer and the modelled
 clock must equal the *reference* of its stage, workload and pipelines:
 the direct, one-card, one-worker, dense-mode, unfaulted, unfiltered run
 (memoised), which must in turn equal the ``repro.gatk`` oracle (checked
-as it is memoised).  Every wave must report the drawn engine mode: a
-``maxplus`` wave that ticked ``dense`` fell back (its SPM load and drain
-phases replay in the mode that first recorded them).  Injected faults
+as it is memoised).  Every wave — its SPM load and drain phases too —
+must report the drawn engine mode: a ``maxplus`` wave that ticked
+``dense`` fell back.  Injected faults
 must be exactly those the plan aims at slots the run polls, each failed
 attempt retried until the wave's one budget runs out — and a wave that
 runs out fails alike at every topology: a direct run raises the lowest
@@ -335,7 +335,7 @@ def check_direct(config: Config):
         return None
     results, stats, waves = run_ledgered(config)
     assert_stage_identical(config.stage, results, want)
-    assert engine_modes(results, phases=False) == {config.mode}
+    assert engine_modes(results) == {config.mode}
     assert_same_cycles(stats, want_stats)
     assert stats.faults_by_kind == injected
     assert stats.retries == retries
@@ -367,7 +367,7 @@ def check_served(config: Config) -> None:
         if job.job_id not in poisoned:
             results = service.results(job.job_id)
             assert_stage_identical(job.stage, results, want)
-            assert engine_modes(results, phases=False) == {config.mode}
+            assert engine_modes(results) == {config.mode}
     for event, fields in service.events:
         if event == "serve.wave.done":
             _want, _stats, waves = references[fields["job"]]

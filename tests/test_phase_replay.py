@@ -71,7 +71,7 @@ def make_spms(contents) -> BqsrSpms:
     return spms
 
 
-def simulate_drain(spms: BqsrSpms, config: MemoryConfig):
+def simulate_drain(spms: BqsrSpms, config: MemoryConfig, mode=None):
     """Reference: the drain as a real engine run over the live SPMs."""
     engine = Engine(MemorySystem(config))
     for index, spm in enumerate(spms.all()):
@@ -82,10 +82,12 @@ def simulate_drain(spms: BqsrSpms, config: MemoryConfig):
             MemoryWriter(f"drainw{index}", engine.memory, elem_size=4)
         )
         engine.connect(reader, writer)
-    return engine.run()
+    return engine.run(mode=mode)
 
 
-def simulate_load(ref_row: dict, config: MemoryConfig, with_snp: bool):
+def simulate_load(
+    ref_row: dict, config: MemoryConfig, with_snp: bool, mode=None
+):
     """Reference: the load as a real engine run streaming the row."""
     if with_snp:
         words = [
@@ -102,7 +104,7 @@ def simulate_load(ref_row: dict, config: MemoryConfig, with_snp: bool):
     updater = engine.add_module(SpmUpdater("ref_updater", spm, mode="sequential"))
     engine.connect(reader, updater)
     reader.set_items([words])
-    return spm, engine.run()
+    return spm, engine.run(mode=mode)
 
 
 @settings(max_examples=100, deadline=None)
@@ -144,25 +146,31 @@ def test_replayed_load_equals_fresh_simulation(ref_row, config, with_snp):
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_replay_follows_the_engine_mode(monkeypatch, mode):
-    """The ambient engine schedule is part of the shape: a dense run must
-    not be answered with statistics recorded by a max-plus run."""
+def test_replay_follows_the_engine_mode(mode):
+    """The engine schedule a phase is given is part of the shape: a
+    dense phase must not be answered with statistics recorded by a
+    max-plus one — and ``None``, the engine's default, shares the
+    max-plus recording."""
     contents = [[1, 2, 3], [4] * 70, [5] * 9, [6]]
     row = {"CHR": 1, "REFPOS": 0, "SEQ": [1] * 90, "IS_SNP": [False] * 90}
     config = MemoryConfig(channels=2)
     for warm in MODES:
-        monkeypatch.setattr(Engine, "default_mode", warm)
-        drain_spms(make_spms(contents), config)
-        load_reference_spm(row, config)
-    monkeypatch.setattr(Engine, "default_mode", mode)
-    drained = drain_spms(make_spms(contents), config)
-    loaded = load_reference_spm(row, config)[1]
+        drain_spms(make_spms(contents), config, warm)
+        load_reference_spm(row, config, mode=warm)
+    recorded = len(PHASES)
+    drained = drain_spms(make_spms(contents), config, mode)
+    loaded = load_reference_spm(row, config, mode=mode)[1]
     assert drained.mode == loaded.mode == mode
+    defaults = drain_spms(make_spms(contents), config).mode, (
+        load_reference_spm(row, config)[1].mode
+    )
+    assert defaults == ("maxplus", "maxplus")
+    assert len(PHASES) == recorded
     assert modelled_fields(drained) == (
-        modelled_fields(simulate_drain(make_spms(contents), config))
+        modelled_fields(simulate_drain(make_spms(contents), config, mode))
     )
     assert modelled_fields(loaded) == (
-        modelled_fields(simulate_load(row, config, False)[1])
+        modelled_fields(simulate_load(row, config, False, mode)[1])
     )
 
 
@@ -176,16 +184,11 @@ def test_maxplus_recordings_equal_dense_ones(contents, ref_row, config):
     """The phases the max-plus mode records equal the dense loop's on
     every modelled field."""
     def recorded(mode):
-        previous = Engine.default_mode
-        Engine.default_mode = mode
-        try:
-            PHASES.clear()
-            return [
-                drain_spms(make_spms(contents), config),
-                load_reference_spm(ref_row, config, with_snp=True)[1],
-            ]
-        finally:
-            Engine.default_mode = previous
+        PHASES.clear()
+        return [
+            drain_spms(make_spms(contents), config, mode),
+            load_reference_spm(ref_row, config, with_snp=True, mode=mode)[1],
+        ]
 
     for dense, solved in zip(recorded("dense"), recorded("maxplus")):
         assert solved.mode == "maxplus"
@@ -317,7 +320,6 @@ from hw_harness import modelled_fields
 from repro.accel import BqsrWaveDriver, run_sharded
 from repro.accel.scheduler import ParallelRunStats
 from repro.eval.workloads import make_workload
-from repro.hw.engine import Engine
 
 
 def modelled(result):
@@ -332,10 +334,10 @@ def modelled(result):
 
 if __name__ == "__main__":
     multiprocessing.set_start_method("spawn")
-    Engine.default_mode = "dense"
     workload = make_workload(**{POOLED_WORKLOAD!r})
     driver = BqsrWaveDriver(
-        reference=workload.reference, read_length=workload.read_length
+        reference=workload.reference, read_length=workload.read_length,
+        mode="dense",
     )
     inline, _stats = run_sharded(driver, workload.group_partitions, 2)
     pids = []
@@ -363,10 +365,9 @@ if __name__ == "__main__":
 
 
 def test_spawned_workers_are_seeded_through_the_initializer(tmp_path):
-    """Nothing rides on ``fork``: a spawned worker imports an empty memo
-    and the default engine mode, yet answers every wave as the inline
-    run does, under the parent's ``dense``, which travels with each
-    task."""
+    """Nothing rides on ``fork``: a spawned worker imports an empty memo,
+    yet answers every wave as the inline run does, in the ``dense`` mode
+    its task's driver carries."""
     script = tmp_path / "spawn_run.py"
     script.write_text(SPAWN_SCRIPT)
     done = subprocess.run(

@@ -121,7 +121,15 @@ RUN_PATH_SIGNATURES = {
     ),
     "repro.accel.scheduler:run_waves": (
         "tasks", "fan_out", "injector", "retry_policy", "wave_timeout",
+        "tally",
     ),
+    "repro.accel.scheduler:_pool_task": (
+        "driver", "index", "wave", "fault_kind", "hang_seconds", "attempt",
+    ),
+    "repro.accel:load_reference_spm": (
+        "ref_row", "memory_config", "with_snp", "mode",
+    ),
+    "repro.accel:drain_spms": ("spms", "memory_config", "mode"),
     "repro.accel.sharding:run_sharded": (
         "driver", "partitions", "n_pipelines", "devices", "workers",
         "spm_cache", "fault_plan", "retry_policy", "wave_timeout",

@@ -20,6 +20,7 @@ from hw_harness import (
     assert_same_cycles,
     assert_same_modelled,
     assert_stage_identical,
+    engine_modes,
 )
 from repro.accel.markdup import run_quality_sums
 from repro.accel.metadata import run_metadata_update
@@ -33,9 +34,9 @@ from repro.accel.scheduler import (
     run_waves,
 )
 from repro.accel.sharding import run_sharded
+from repro.accel.stages import STAGES
 from repro.eval.workloads import make_workload
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
-from repro.hw.engine import Engine
 from repro.obs.ledger import RunLedger, RunManifest, run_context
 from repro.serve import JobService, JobSpec
 from repro.tables.partition import PartitionId
@@ -137,7 +138,7 @@ def test_mixed_stage_tasks_inline_equals_pooled(
              failed.kind)
             for task in tasks for failed in task.retried
         ])
-        return outcomes, faults, [task.stats.retries for task in tasks]
+        return outcomes, faults, [len(task.retried) for task in tasks]
 
     inline, inline_faults, inline_retries = drive(1)
     assert submitted == []
@@ -307,7 +308,7 @@ def test_a_solve_takes_nothing_from_its_caller(sched_workload, monkeypatch):
     """A wave solves the same inline and on a pool of 2, before and
     after the caller's cache holds its keys — results, cycles and each
     item's load cycles — and a pool task carries no SPM-cache state:
-    the wave, its driver, the engine mode and the fault decision."""
+    the wave, its driver and the fault decision."""
     submitted = []
     pool_submit = ProcessPoolExecutor.submit
 
@@ -349,7 +350,7 @@ def test_a_solve_takes_nothing_from_its_caller(sched_workload, monkeypatch):
         assert fn is scheduler._pool_task
         shipped, index, wave, *rest = args
         assert wave is waves[index] and shipped.stage == "bqsr"
-        assert rest == [Engine.default_mode, None, 0.0, 0]
+        assert rest == [None, 0.0, 0]
 
 
 def test_spm_cache_keeps_references_sharing_a_position_apart():
@@ -466,10 +467,10 @@ def test_per_worker_breakdown_accounts_every_wave(sched_workload):
 # -- the kept pool: a process pays for its workers once ------------------------------
 
 
-def _tasks(workload, n=4):
-    """``n`` one-replica metadata tasks, as ``run_sharded`` builds
-    them."""
-    driver = MetadataWaveDriver(reference=workload.reference)
+def _tasks(workload, n=4, mode=None):
+    """``n`` one-replica metadata tasks in engine ``mode``, as
+    ``run_sharded`` builds them."""
+    driver = MetadataWaveDriver(reference=workload.reference, mode=mode)
     _empty, waves = pack_waves(workload.partitions, 1)
     assert len(waves) >= n
     return [WaveTask(i, driver, waves[i]) for i in range(n)]
@@ -595,33 +596,54 @@ def test_kept_pool_is_replaced_when_it_does_not_fit(sched_workload, pools_built)
     assert pools_built == [3, 2, 4]
 
 
-def test_kept_pool_worker_follows_the_parents_engine_mode(
-    sched_workload, monkeypatch, pools_built
+def test_kept_pool_worker_follows_the_drivers_engine_mode(
+    sched_workload, pools_built
 ):
-    """The ambient engine mode travels with each task: a worker forked
-    under ``maxplus`` runs ``dense`` once the parent does — pooled ≡
-    inline on every ``RunStats`` field but ``wall_seconds``."""
-    def outcomes(fan_out):
+    """The engine mode travels in the driver: a kept worker that solved
+    ``maxplus`` waves solves a ``dense`` driver's waves dense, their SPM
+    load phases too — pooled ≡ inline on every ``RunStats`` field but
+    ``wall_seconds`` — and a default driver's after them ``maxplus``."""
+    def outcomes(fan_out, mode=None):
         return {
             task.index: outcome
             for task, _worker, outcome in run_waves(
-                _tasks(sched_workload), fan_out
+                _tasks(sched_workload, mode=mode), fan_out
             )
         }
 
-    assert {o.stats.mode for o in outcomes(2).values()} == {"maxplus"}
-    monkeypatch.setattr(Engine, "default_mode", "dense")
-    pooled, inline = outcomes(2), outcomes(1)
-    assert pools_built == [2]
+    def modes(solved):
+        return set().union(*(engine_modes(o.results) for o in solved.values()))
+
+    assert modes(outcomes(2)) == {"maxplus"}
+    pooled, inline = outcomes(2, "dense"), outcomes(1, "dense")
+    assert modes(pooled) == modes(inline) == {"dense"}
     for index, want in inline.items():
-        assert pooled[index].stats.mode == "dense"
         assert_same_modelled(pooled[index].stats, want.stats)
         assert pooled[index].load_cycles == want.load_cycles
         assert_stage_identical("metadata", pooled[index].results, want.results)
         for pid, result in want.results.items():
             got = pooled[index].results[pid].run
-            assert got.load_stats.mode == "dense"
             assert_same_modelled(got.load_stats, result.run.load_stats)
+    assert modes(outcomes(2)) == {"maxplus"}
+    assert pools_built == [2]
+
+
+@pytest.mark.parametrize("stage", ("metadata", "bqsr"))
+def test_a_dense_driver_is_dense_throughout(stage):
+    """With nothing global set, a driver built ``mode="dense"`` runs its
+    wave, its SPM loads and (BQSR) its drains dense, inline and on a
+    pool of two; a default driver in the same process still runs them
+    all ``maxplus``."""
+    wl = make_workload(n_reads=30, read_length=24, seed=3)
+    row = STAGES[stage]
+    for workers in (1, 2):
+        results, stats = run_sharded(
+            row.over(wl, mode="dense"), row.items(wl), 2, workers=workers,
+        )
+        assert stats.waves >= 2
+        assert engine_modes(results) == {"dense"}
+    results, _stats = run_sharded(row.over(wl), row.items(wl), 2, workers=2)
+    assert engine_modes(results) == {"maxplus"}
 
 
 def test_a_pool_task_carries_its_waves_reference_rows(

@@ -32,7 +32,6 @@ from repro.accel.sharding import run_sharded
 from repro.eval.workloads import make_workload
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.retry import RetryPolicy
-from repro.hw.engine import Engine
 from repro.hw.memory import MemoryConfig
 from repro.obs.ledger import RunLedger, RunManifest, run_context
 from repro.obs.log import configure_logging
@@ -474,7 +473,7 @@ def test_a_rounds_loads_tally_against_the_keys_it_began_with(
     ) == tallies
 
 
-def test_the_memo_key_covers_what_a_wave_depends_on(workload, monkeypatch):
+def test_the_memo_key_covers_what_a_wave_depends_on(workload):
     """The same wave through another driver object replays; one flipped
     base in one read, a ``dense`` against a ``maxplus`` wave and another
     ``MemoryConfig`` are each another wave — a miss."""
@@ -495,8 +494,6 @@ def test_the_memo_key_covers_what_a_wave_depends_on(workload, monkeypatch):
             workload, memory_config=MemoryConfig(latency_cycles=41)
         )),
     ]
-    monkeypatch.setattr(Engine, "default_mode", "dense")
-    others.append(task())
     for other in others:
         assert memo.replay(other) is None
     assert (memo.hits, memo.misses, len(memo)) == (1, 1 + len(others), 1)
