@@ -23,7 +23,7 @@ and the GATK4-style baseline care about:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -42,6 +42,11 @@ from .reference import ReferenceGenome
 
 #: The shortest read the simulator draws.
 MIN_READ_LENGTH = 8
+
+#: The shortest window of aligned bases worth one array pass.  A window
+#: costs a generator-state save and a rewind on top of its draws, which
+#: at fewer bases than this ran slower than taking them one at a time.
+MIN_WINDOW = 8
 
 
 @dataclass
@@ -76,6 +81,14 @@ class SimulatorConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise InputError(f"{name} must be in [0, 1], got {value}")
+        for name in ("max_indel_length", "max_soft_clip", "max_duplicates"):
+            value = getattr(self, name)
+            if value < 1:
+                raise InputError(f"{name} must be at least 1, got {value}")
+        if self.quality_spread < 0:
+            raise InputError(
+                f"quality_spread must be at least 0, got {self.quality_spread}"
+            )
 
 
 class ReadSimulator:
@@ -92,6 +105,23 @@ class ReadSimulator:
         self.config = config or SimulatorConfig()
         self._rng = np.random.default_rng(self.config.seed)
         self._serial = 0
+        # Chromosomes are drawn in proportion to their length: the weights'
+        # cumulative sum, normalised as ``Generator.choice`` normalises it.
+        chroms = genome.chromosomes
+        self._chroms = np.array(chroms)
+        lengths = np.array([genome.length(c) for c in chroms], dtype=float)
+        cdf = (lengths / lengths.sum()).cumsum()
+        self._chrom_cdf = cdf / cdf[-1]
+        # The longest window of aligned bases drawn in one array pass: the
+        # expected run between two error events (at most a read), or 0 (one
+        # base at a time) when that run is too short to pay for a window.
+        rate = (self.config.substitution_rate + self.config.insertion_rate
+                + self.config.deletion_rate)
+        read_length = self.config.read_length
+        window = int(1 / rate) if rate * read_length > 1 else read_length
+        self._window = window if window >= MIN_WINDOW else 0
+        # The per-cycle quality decay of a read of each length.
+        self._quality_ramp: Dict[int, np.ndarray] = {}
         # Per-lane quality bias: some lanes systematically over- or
         # under-report quality, the exact systematic effect BQSR corrects.
         self._lane_bias = self._rng.integers(
@@ -138,6 +168,8 @@ class ReadSimulator:
             int(self._rng.normal(config.mean_fragment_length, 50)),
         )
         chrom_len = self.genome.length(chrom)
+        if chrom_len <= config.read_length:
+            raise InputError(f"chromosome {chrom} too short for read pairs")
         if fragment_len >= chrom_len:
             fragment_len = chrom_len - 1
         start = int(self._rng.integers(0, chrom_len - fragment_len))
@@ -171,7 +203,13 @@ class ReadSimulator:
         self, chrom: int, start: int, name: str, read_group: int, reverse: bool
     ) -> AlignedRead:
         """Build one read: walk the reference from ``start`` emitting CIGAR
-        elements and read bases until ``read_length`` bases are produced."""
+        elements and read bases until ``read_length`` bases are produced.
+
+        The walk draws two doubles per aligned base (the indel draw, then
+        the substitution draw), so a stretch of aligned bases between two
+        error events is drawn in one array pass; the events themselves are
+        taken one step at a time.  The reads, and the generator's state
+        after them, are those of a walk that takes each draw on its own."""
         config = self.config
         rng = self._rng
         ref = self.genome[chrom].seq
@@ -182,6 +220,9 @@ class ReadSimulator:
             front_clip = int(rng.integers(1, config.max_soft_clip + 1))
         if rng.random() < config.soft_clip_rate:
             back_clip = int(rng.integers(1, config.max_soft_clip + 1))
+        # A short read keeps at least one aligned base.
+        front_clip = min(front_clip, config.read_length - 1)
+        back_clip = min(back_clip, config.read_length - 1 - front_clip)
 
         body_len = config.read_length - front_clip - back_clip
         seq: List[int] = []
@@ -189,35 +230,60 @@ class ReadSimulator:
 
         if front_clip:
             elements.append(CigarElement(front_clip, "S"))
-            seq.extend(int(b) for b in rng.integers(0, 4, size=front_clip))
+            seq.extend(rng.integers(0, 4, size=front_clip).tolist())
 
         # The aligned body: mostly M, with occasional I/D events.
+        ins_rate = config.insertion_rate
+        indel_rate = ins_rate + config.deletion_rate
+        sub_rate = config.substitution_rate
+        max_indel = config.max_indel_length
+        longest = self._window
+        ref_end = len(ref) - max_indel
         ref_pos = start
         emitted = 0
         run_m = 0
-        while emitted < body_len and ref_pos < len(ref) - config.max_indel_length:
+        while emitted < body_len and ref_pos < ref_end:
+            window = min(longest, body_len - emitted, ref_end - ref_pos)
+            if window >= MIN_WINDOW:
+                # Draw the window's pairs, keep the clean prefix, and rewind
+                # to just before the first event if the window holds one.
+                saved = rng.bit_generator.state
+                draws = rng.random(2 * window)
+                event = (draws[0::2] < indel_rate) | (draws[1::2] < sub_rate)
+                clean = int(event.argmax())
+                if not event[clean]:
+                    clean = window
+                else:
+                    rng.bit_generator.state = saved
+                    rng.random(2 * clean)
+                seq.extend(ref[ref_pos:ref_pos + clean].tolist())
+                ref_pos += clean
+                emitted += clean
+                run_m += clean
+                if clean == window:
+                    continue
+            # One step of the walk: an error event, or a lone base.
             draw = rng.random()
-            if draw < config.insertion_rate and emitted > 0 and emitted < body_len - 1:
+            if draw < ins_rate and emitted > 0 and emitted < body_len - 1:
                 if run_m:
                     elements.append(CigarElement(run_m, "M"))
                     run_m = 0
                 ins_len = min(
-                    int(rng.integers(1, config.max_indel_length + 1)),
-                    body_len - emitted - 1,
+                    int(rng.integers(1, max_indel + 1)), body_len - emitted - 1
                 )
-                elements.append(CigarElement(ins_len, "I"))
-                seq.extend(int(b) for b in rng.integers(0, 4, size=ins_len))
+                _extend(elements, ins_len, "I")
+                seq.extend(rng.integers(0, 4, size=ins_len).tolist())
                 emitted += ins_len
-            elif draw < config.insertion_rate + config.deletion_rate and emitted > 0:
+            elif draw < indel_rate and emitted > 0:
                 if run_m:
                     elements.append(CigarElement(run_m, "M"))
                     run_m = 0
-                del_len = int(rng.integers(1, config.max_indel_length + 1))
-                elements.append(CigarElement(del_len, "D"))
+                del_len = int(rng.integers(1, max_indel + 1))
+                _extend(elements, del_len, "D")
                 ref_pos += del_len
             else:
                 base = int(ref[ref_pos])
-                if rng.random() < config.substitution_rate:
+                if rng.random() < sub_rate:
                     base = (base + int(rng.integers(1, 4))) % 4
                 seq.append(base)
                 ref_pos += 1
@@ -228,7 +294,7 @@ class ReadSimulator:
 
         if back_clip:
             elements.append(CigarElement(back_clip, "S"))
-            seq.extend(int(b) for b in rng.integers(0, 4, size=back_clip))
+            seq.extend(rng.integers(0, 4, size=back_clip).tolist())
 
         qual = self._draw_qualities(len(seq), read_group)
         flags = FLAG_REVERSE if reverse else 0
@@ -268,23 +334,35 @@ class ReadSimulator:
         """Quality scores with per-cycle decay and per-lane bias; clamped to
         the Phred range [2, 41] Illumina instruments emit."""
         config = self.config
-        cycle_decay = np.linspace(0, 6, num=length)
+        ramp = self._quality_ramp.get(length)
+        if ramp is None:
+            ramp = self._quality_ramp[length] = (
+                config.base_quality - np.linspace(0, 6, num=length)
+            )
         noise = self._rng.integers(
             -config.quality_spread, config.quality_spread + 1, size=length
         )
         lane = self._lane_bias[read_group % len(self._lane_bias)]
-        scores = config.base_quality - cycle_decay + noise + lane
-        return np.clip(np.round(scores), 2, 41).astype(np.uint8)
+        scores = ramp + noise + lane
+        return scores.round().clip(2, 41).astype(np.uint8)
 
     def _pick_chrom(self, chrom: Optional[int]) -> int:
         if chrom is not None:
             if chrom not in self.genome:
                 raise KeyError(f"no chromosome {chrom} in genome")
             return chrom
-        chroms = self.genome.chromosomes
-        lengths = np.array([self.genome.length(c) for c in chroms], dtype=float)
-        return int(self._rng.choice(chroms, p=lengths / lengths.sum()))
+        # ``Generator.choice(chromosomes, p=weights)``, one draw.
+        index = self._chrom_cdf.searchsorted(self._rng.random(), side="right")
+        return int(self._chroms[index])
 
     def _next_name(self) -> str:
         self._serial += 1
         return f"sim{self._serial:08d}"
+
+
+def _extend(elements: List[CigarElement], length: int, op: str) -> None:
+    """Append a ``length``-long ``op`` element, or lengthen the last one if
+    it has the same op (a canonical CIGAR has no two adjacent alike)."""
+    if elements and elements[-1].op == op:
+        length += elements.pop().length
+    elements.append(CigarElement(length, op))
